@@ -14,6 +14,7 @@
 package flowsim
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/pacer"
@@ -209,6 +210,8 @@ func Run(cfg Config) Result {
 				res.AcceptedByClass[cIdx]++
 				j := buildJob(spec, pl, cIdx, cls, tree, rng, now)
 				live = append(live, j)
+			} else if errors.Is(err, placement.ErrRejected) {
+				res.Rejected++
 			}
 			nextArrival += rng.Exp(1 / arrivalRate)
 		}

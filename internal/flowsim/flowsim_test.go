@@ -75,6 +75,29 @@ func runOne(t *testing.T, placer placement.Algorithm, mode Mode, occupancy float
 	})
 }
 
+// Every arrival is either accepted or rejected, and at high occupancy
+// Silo's admission control does reject.
+func TestRunCountsRejections(t *testing.T) {
+	tree := testTree(t)
+	res := Run(Config{
+		Tree:        tree,
+		Placer:      placement.NewManager(tree, placement.Options{}),
+		Mode:        Reserved,
+		AvgVMs:      12,
+		Classes:     testClasses(),
+		Occupancy:   0.9,
+		DurationSec: 600,
+		EpochSec:    2,
+		Seed:        42,
+	})
+	if res.Rejected == 0 {
+		t.Fatalf("no rejections at 90%% occupancy: %+v", res)
+	}
+	if res.Accepted+res.Rejected != res.Arrived {
+		t.Errorf("%d accepted + %d rejected != %d arrived", res.Accepted, res.Rejected, res.Arrived)
+	}
+}
+
 func TestRunBasicAccounting(t *testing.T) {
 	tree := testTree(t)
 	res := Run(Config{
@@ -91,8 +114,8 @@ func TestRunBasicAccounting(t *testing.T) {
 	if res.Arrived == 0 {
 		t.Fatal("no arrivals")
 	}
-	if res.Accepted+res.Rejected > res.Arrived {
-		t.Error("accounting mismatch")
+	if res.Accepted+res.Rejected != res.Arrived {
+		t.Errorf("accounting mismatch: %d accepted + %d rejected != %d arrived", res.Accepted, res.Rejected, res.Arrived)
 	}
 	if res.ArrivedByClass[0]+res.ArrivedByClass[1] != res.Arrived {
 		t.Error("class accounting mismatch")

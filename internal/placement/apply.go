@@ -123,14 +123,14 @@ func (m *Manager) ApplyPlacement(spec tenant.Spec, servers []int) (*tenant.Place
 	if spec.Class == tenant.ClassBestEffort {
 		contribs = map[int]contribution{}
 	} else {
-		contribs = m.contributions(spec, pl.Servers)
+		contribs = m.contributions(&spec, pl.Servers)
 		for pid, c := range contribs {
 			m.ports[pid].add(c)
 			m.portTouched(pid)
 		}
 	}
 	for _, s := range pl.Servers {
-		m.takeSlot(s, spec)
+		m.takeSlot(s, &spec)
 	}
 	m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: contribs}
 	m.acceptedCount++

@@ -126,6 +126,8 @@ func queueBoundFast(svcRate float64, st *portState, extra contribution) float64 
 // counts, rolled up per rack and pod. It replaces the map-based
 // distribution on Silo's admission hot path, where layoutValid runs
 // for every candidate scope and map traffic dominated the profile.
+// One layout is rebuilt in place for every candidate a search worker
+// tries (build).
 type layout struct {
 	total int
 
@@ -143,24 +145,40 @@ type layout struct {
 	podRacks []int // distinct hosting racks in pods[i]
 }
 
+// newLayout summarizes a per-VM server list (any order). The commit and
+// journal paths use it, once per decision; the scope search builds its
+// candidates as ascending (server, count) pairs and calls build
+// directly.
 func newLayout(tree *topology.Tree, servers []int) layout {
 	sorted := servers
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] < sorted[i-1] {
-			sorted = make([]int, len(servers))
-			copy(sorted, servers)
-			sort.Ints(sorted)
-			break
-		}
+	if !sort.IntsAreSorted(sorted) {
+		sorted = append([]int(nil), servers...)
+		sort.Ints(sorted)
 	}
-	lay := layout{total: len(servers)}
+	var srv, cnt []int
 	for i := 0; i < len(sorted); {
-		s := sorted[i]
 		j := i
-		for j < len(sorted) && sorted[j] == s {
+		for j < len(sorted) && sorted[j] == sorted[i] {
 			j++
 		}
-		cnt := j - i
+		srv = append(srv, sorted[i])
+		cnt = append(cnt, j-i)
+		i = j
+	}
+	var lay layout
+	lay.build(tree, srv, cnt)
+	return lay
+}
+
+// build fills the layout from distinct servers in ascending order and
+// the VM count on each, reusing the layout's slices. It keeps references
+// to srv and cnt.
+func (lay *layout) build(tree *topology.Tree, srv, cnt []int) {
+	lay.total = 0
+	lay.servers, lay.serverCnt, lay.serverRack = srv, cnt, lay.serverRack[:0]
+	lay.racks, lay.rackCnt, lay.rackSrv, lay.rackPod = lay.racks[:0], lay.rackCnt[:0], lay.rackSrv[:0], lay.rackPod[:0]
+	lay.pods, lay.podCnt, lay.podRacks = lay.pods[:0], lay.podCnt[:0], lay.podRacks[:0]
+	for i, s := range srv {
 		r := tree.RackOfServer(s)
 		if len(lay.racks) == 0 || lay.racks[len(lay.racks)-1] != r {
 			p := tree.PodOfRack(r)
@@ -176,15 +194,12 @@ func newLayout(tree *topology.Tree, servers []int) layout {
 			lay.podRacks[len(lay.pods)-1]++
 		}
 		ri := len(lay.racks) - 1
-		lay.servers = append(lay.servers, s)
-		lay.serverCnt = append(lay.serverCnt, cnt)
 		lay.serverRack = append(lay.serverRack, ri)
-		lay.rackCnt[ri] += cnt
+		lay.total += cnt[i]
+		lay.rackCnt[ri] += cnt[i]
 		lay.rackSrv[ri]++
-		lay.podCnt[lay.rackPod[ri]] += cnt
-		i = j
+		lay.podCnt[lay.rackPod[ri]] += cnt[i]
 	}
-	return lay
 }
 
 // span returns the smallest scope containing all of the layout's VMs.

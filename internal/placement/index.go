@@ -14,6 +14,9 @@ type slotIndex struct {
 	freeByRack []int
 	freeByPod  []int
 	totalFree  int
+	// rackSlots and podSlots are the slot capacities of one rack and one
+	// pod: a scope whose free sum equals its capacity is untouched.
+	rackSlots, podSlots int
 	// disabled marks failed servers: their free slots are hidden from
 	// every sum so all search paths avoid them with no extra checks
 	// (a disabled server simply reports zero free slots). hidden holds
@@ -32,19 +35,27 @@ func newSlotIndex(tree *topology.Tree) *slotIndex {
 		freeSlots:  make([]int, tree.Servers()),
 		freeByRack: make([]int, tree.Racks()),
 		freeByPod:  make([]int, tree.Pods()),
+		rackSlots:  cfg.SlotsPerServer * cfg.ServersPerRack,
+		podSlots:   cfg.SlotsPerServer * cfg.ServersPerRack * cfg.RacksPerPod,
 	}
 	for s := range ix.freeSlots {
 		ix.freeSlots[s] = cfg.SlotsPerServer
 	}
 	for r := range ix.freeByRack {
-		ix.freeByRack[r] = cfg.SlotsPerServer * cfg.ServersPerRack
+		ix.freeByRack[r] = ix.rackSlots
 	}
 	for p := range ix.freeByPod {
-		ix.freeByPod[p] = cfg.SlotsPerServer * cfg.ServersPerRack * cfg.RacksPerPod
+		ix.freeByPod[p] = ix.podSlots
 	}
 	ix.totalFree = cfg.SlotsPerServer * tree.Servers()
 	return ix
 }
+
+// rackUntouched reports that rack r hosts no VM and has no failed
+// server: every slot it was built with is free. A failed server's slots
+// are hidden from freeByRack (and stay hidden while it is down, even
+// after its tenants leave), so a rack with one is never untouched.
+func (ix *slotIndex) rackUntouched(r int) bool { return ix.freeByRack[r] == ix.rackSlots }
 
 // take consumes one slot on server s, keeping the sums consistent.
 func (ix *slotIndex) take(s int) {

@@ -78,6 +78,21 @@ type Decision struct {
 
 	// Reason explains a rejection in one sentence.
 	Reason string
+
+	// ScopesEvaluated and ScopesCollapsed say what the scope search did
+	// at each height it reached, indexed rack, pod, datacenter: how many
+	// candidate scopes first-fit order tried (up to and including the
+	// one that hosted the tenant), and how many untouched scopes it
+	// skipped as copies of an evaluated one. Scopes without the free
+	// slots or port headroom for the tenant count as neither.
+	ScopesEvaluated [3]int
+	ScopesCollapsed [3]int
+}
+
+// withSearch copies the search counters into the decision.
+func (d *Decision) withSearch(st *searchStats) *Decision {
+	d.ScopesEvaluated, d.ScopesCollapsed = st.evaluated, st.collapsed
+	return d
 }
 
 // journal retains recent admission decisions for explainability. It is
@@ -189,7 +204,7 @@ func (m *Manager) cutSizes(lay layout) map[int]cutInfo {
 // bounds go through portBoundWith — the same fast/reference split the
 // admission search used — so the journal replays the decision's exact
 // arithmetic.
-func (m *Manager) recordAccept(spec tenant.Spec, servers []int, contribs map[int]contribution) *Decision {
+func (m *Manager) recordAccept(spec *tenant.Spec, servers []int, contribs map[int]contribution) *Decision {
 	lay := newLayout(m.tree, servers)
 	d := &Decision{
 		TenantID:     spec.ID,
@@ -241,7 +256,7 @@ func (m *Manager) recordAccept(spec tenant.Spec, servers []int, contribs map[int
 // curve-materializing route, and port bounds go through portBoundWith,
 // so the fast-path and NoFastPath managers name the same limiting port
 // for the same request sequence.
-func (m *Manager) explainReject(spec tenant.Spec) *Decision {
+func (m *Manager) explainReject(spec *tenant.Spec) *Decision {
 	d := &Decision{
 		TenantID:     spec.ID,
 		Name:         spec.Name,
@@ -309,7 +324,7 @@ func (m *Manager) explainReject(spec tenant.Spec) *Decision {
 // reports the first binding failure into d. Returns false if the scope
 // never had a concrete failure to blame (e.g. not enough slots here —
 // the caller moves to the next candidate).
-func (m *Manager) explainScope(spec tenant.Spec, d *Decision, lo, hi int, span scopeHeight) bool {
+func (m *Manager) explainScope(spec *tenant.Spec, d *Decision, lo, hi int, span scopeHeight) bool {
 	n := spec.VMs
 	maxPer := maxPerServer(n, spec.FaultDomains)
 	servers := make([]int, 0, n)
@@ -360,7 +375,7 @@ func (m *Manager) explainScope(spec tenant.Spec, d *Decision, lo, hi int, span s
 	// must be what failed.
 	lay := newLayout(m.tree, servers)
 	violPort, violBound := -1, 0.0
-	m.forEachContribution(spec, lay, func(pid int, c contribution) bool {
+	m.forEachContribution(spec, &lay, func(pid int, c contribution) bool {
 		if b := m.portBoundWith(pid, c); b > m.portCap[pid]+1e-12 {
 			violPort, violBound = pid, b
 			return false
@@ -397,7 +412,7 @@ func (m *Manager) explainScope(spec tenant.Spec, d *Decision, lo, hi int, span s
 // blockingServerPort names the server-local port that rejects the k-th
 // VM on server s: the NIC-up check first, then the ToR-down check,
 // matching serverPortsOKRef's order and arithmetic.
-func (m *Manager) blockingServerPort(spec tenant.Spec, s, k int, span scopeHeight) (int, float64) {
+func (m *Manager) blockingServerPort(spec *tenant.Spec, s, k int, span scopeHeight) (int, float64) {
 	n := spec.VMs
 	g := spec.Guarantee
 	up := m.tree.ServerUpPortID(s)
@@ -435,6 +450,7 @@ func (d *Decision) Render(tree *topology.Tree) string {
 				pc.Kind, pc.Port, pc.CutVMs, pc.Rate/1e6, pc.Burst/1e3,
 				pc.BoundBeforeSec*1e6, pc.BoundAfterSec*1e6, pc.CapacitySec*1e6, pc.MarginSec()*1e6, mark)
 		}
+		d.renderSearch(&b)
 		return b.String()
 	}
 	fmt.Fprintf(&b, "tenant %d %q: REJECTED — %d VMs\n", d.TenantID, d.Name, d.VMs)
@@ -443,5 +459,25 @@ func (d *Decision) Render(tree *topology.Tree) string {
 		fmt.Fprintf(&b, "  limiting port: %s %d — bound %.1fµs vs capacity %.1fµs\n",
 			portKind(tree, d.LimitingPort), d.LimitingPort, d.LimitingBoundSec*1e6, d.LimitingCapSec*1e6)
 	}
+	d.renderSearch(&b)
 	return b.String()
+}
+
+// renderSearch writes the scope-search line: per height reached, the
+// scopes evaluated and the untouched ones collapsed into them.
+func (d *Decision) renderSearch(b *strings.Builder) {
+	sep := "  search: "
+	for h := scopeRack; h <= scopeDC; h++ {
+		if d.ScopesEvaluated[h] == 0 && d.ScopesCollapsed[h] == 0 {
+			continue
+		}
+		fmt.Fprintf(b, "%s%s %d evaluated", sep, spanName(h), d.ScopesEvaluated[h])
+		if c := d.ScopesCollapsed[h]; c > 0 {
+			fmt.Fprintf(b, " (+%d untouched collapsed)", c)
+		}
+		sep = ", "
+	}
+	if sep == ", " {
+		b.WriteByte('\n')
+	}
 }

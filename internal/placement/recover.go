@@ -172,6 +172,8 @@ func (m *Manager) RestoreServers(servers ...int) {
 	for _, s := range servers {
 		if s >= 0 && s < m.tree.Servers() {
 			m.ix.enable(s)
+			// Slots freed while the server was down came back just now.
+			m.snapResources(s)
 		}
 	}
 }

@@ -50,15 +50,15 @@ type Options struct {
 	// capacities keep admission composable under churn, §4.2.3).
 	DelayCheckUsesBound bool
 	// Workers caps the goroutines the scope search fans out across
-	// independent rack/pod candidates (and across servers when capping
-	// a datacenter-wide pack). 0 means runtime.GOMAXPROCS(0); 1
+	// independent rack/pod candidates. 0 means runtime.GOMAXPROCS(0); 1
 	// restores the fully serial search. Decisions are identical at any
 	// setting: candidate scopes are evaluated without side effects and
 	// the lowest-index success wins, matching serial first-fit order.
 	Workers int
 	// NoFastPath disables the closed-form bound evaluation, the
 	// memoized per-(k, span) contributions, the port-headroom scope
-	// skipping and the parallel search, restoring the reference
+	// skipping, the collapse of untouched scopes and the parallel
+	// search, restoring the reference
 	// curve-materializing admission path. It exists so tests can
 	// replay identical request sequences through both paths and prove
 	// decision equivalence. It forces Workers to 1.
@@ -106,6 +106,15 @@ type Manager struct {
 	downLo, downHi int
 
 	admitted map[int]*admittedTenant
+
+	// memo, cands and scratch are the scope search's reusable buffers:
+	// the per-request contribution memo, the filtered candidate list of
+	// one height, and one candidate-layout scratch per search worker.
+	// They grow on first use to the size of a request (or the number of
+	// racks), never to the size of the tree.
+	memo    reqMemo
+	cands   []int
+	scratch []searchScratch
 
 	acceptedCount int
 	rejectedCount int
@@ -181,7 +190,7 @@ func NewManager(tree *topology.Tree, opts Options) *Manager {
 
 // takeSlot and freeSlot keep the cached sums consistent, including
 // non-network resources.
-func (m *Manager) takeSlot(server int, spec tenant.Spec) {
+func (m *Manager) takeSlot(server int, spec *tenant.Spec) {
 	m.ix.take(server)
 	if m.freeCPU != nil {
 		m.freeCPU[server] -= spec.CPUPerVM
@@ -191,7 +200,7 @@ func (m *Manager) takeSlot(server int, spec tenant.Spec) {
 	}
 }
 
-func (m *Manager) freeSlot(server int, spec tenant.Spec) {
+func (m *Manager) freeSlot(server int, spec *tenant.Spec) {
 	m.ix.free(server)
 	if m.freeCPU != nil {
 		m.freeCPU[server] += spec.CPUPerVM
@@ -199,10 +208,33 @@ func (m *Manager) freeSlot(server int, spec tenant.Spec) {
 	if m.freeMem != nil {
 		m.freeMem[server] += spec.MemoryPerVM
 	}
+	m.snapResources(server)
+}
+
+// snapResources resets server s's free CPU and memory to the configured
+// capacity once all its slots are free again. The floats are maintained
+// by -= and +=, so a server that hosted and released tenants would
+// otherwise carry rounding residue; with the snap, "all slots free"
+// implies "exactly as built", which the untouched-scope collapse in
+// findPlacement relies on.
+func (m *Manager) snapResources(s int) {
+	if m.freeCPU == nil && m.freeMem == nil {
+		return
+	}
+	cfg := m.tree.Config()
+	if m.ix.freeSlots[s] != cfg.SlotsPerServer {
+		return
+	}
+	if m.freeCPU != nil {
+		m.freeCPU[s] = cfg.CPUPerServer
+	}
+	if m.freeMem != nil {
+		m.freeMem[s] = cfg.MemoryPerServer
+	}
 }
 
 // maxVMsByResources caps a server's VM count by slots, CPU and memory.
-func (m *Manager) maxVMsByResources(spec tenant.Spec, server int) int {
+func (m *Manager) maxVMsByResources(spec *tenant.Spec, server int) int {
 	k := m.ix.freeSlots[server]
 	if m.freeCPU != nil && spec.CPUPerVM > 0 {
 		if byCPU := int(m.freeCPU[server] / spec.CPUPerVM); byCPU < k {
@@ -300,14 +332,22 @@ func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 		return m.placeBestEffort(spec)
 	}
 
-	servers := m.findPlacement(spec)
+	// The search counters exist only for the journal.
+	var (
+		stats searchStats
+		st    *searchStats
+	)
+	if m.journal != nil {
+		st = &stats
+	}
+	servers := m.findPlacement(&spec, st)
 	if servers == nil {
 		if err := m.logMutation(&Mutation{Op: MutReject, TenantID: spec.ID}); err != nil {
 			return nil, err
 		}
 		m.rejectedCount++
 		if m.journal != nil {
-			m.journal.record(m.explainReject(spec))
+			m.journal.record(m.explainReject(&spec).withSearch(st))
 		}
 		return nil, fmt.Errorf("%w: tenant %q (%d VMs)", ErrRejected, spec.Name, spec.VMs)
 	}
@@ -315,18 +355,18 @@ func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 		return nil, err
 	}
 	pl := &tenant.Placement{Spec: spec, Servers: servers}
-	contribs := m.contributions(spec, servers)
+	contribs := m.contributions(&spec, servers)
 	if m.journal != nil {
 		// Before the port-state mutation below, so BoundBeforeSec sees
 		// the pre-admission aggregates.
-		m.journal.record(m.recordAccept(spec, servers, contribs))
+		m.journal.record(m.recordAccept(&spec, servers, contribs).withSearch(st))
 	}
 	for pid, c := range contribs {
 		m.ports[pid].add(c)
 		m.portTouched(pid)
 	}
 	for _, s := range servers {
-		m.takeSlot(s, spec)
+		m.takeSlot(s, &spec)
 	}
 	m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: contribs}
 	m.acceptedCount++
@@ -355,7 +395,7 @@ func (m *Manager) detach(at *admittedTenant) {
 		m.portTouched(pid)
 	}
 	for _, s := range at.placement.Servers {
-		m.freeSlot(s, at.placement.Spec)
+		m.freeSlot(s, &at.placement.Spec)
 	}
 	delete(m.admitted, at.placement.Spec.ID)
 }
@@ -365,7 +405,7 @@ func (m *Manager) placeBestEffort(spec tenant.Spec) (*tenant.Placement, error) {
 	if m.freeCPU != nil || m.freeMem != nil {
 		eff = make([]int, len(m.ix.freeSlots))
 		for s := range eff {
-			eff[s] = m.maxVMsByResources(spec, s)
+			eff[s] = m.maxVMsByResources(&spec, s)
 		}
 	}
 	servers := packGreedy(m.tree, eff, m.ix, spec.VMs, spec.FaultDomains)
@@ -395,7 +435,7 @@ func (m *Manager) placeBestEffort(spec tenant.Spec) (*tenant.Placement, error) {
 		})
 	}
 	for _, s := range servers {
-		m.takeSlot(s, spec)
+		m.takeSlot(s, &spec)
 	}
 	m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: map[int]contribution{}}
 	m.acceptedCount++
@@ -408,9 +448,9 @@ func (m *Manager) placeBestEffort(spec tenant.Spec) (*tenant.Placement, error) {
 // candidate k and scope span. Ports within a family share line rates,
 // so these depend only on (k, span) — the seed recomputed them (and
 // rebuilt their curves) for every server probed. Read-only during the
-// scope search, so safe to share across search workers.
+// scope search, so safe to share across search workers. The manager
+// keeps one and refills it per request.
 type reqMemo struct {
-	maxK  int
 	upC   []contribution
 	downC [3][]contribution
 	// emptyOK[span][k] precomputes serverPortsOK for a server whose
@@ -422,7 +462,7 @@ type reqMemo struct {
 	emptyOK [3][]bool
 }
 
-func (m *Manager) newReqMemo(spec tenant.Spec) *reqMemo {
+func (m *Manager) fillReqMemo(spec *tenant.Spec) *reqMemo {
 	n := spec.VMs
 	maxK := m.tree.Config().SlotsPerServer
 	if maxK > n {
@@ -430,36 +470,52 @@ func (m *Manager) newReqMemo(spec tenant.Spec) *reqMemo {
 	}
 	g := spec.Guarantee
 	link := m.tree.Config().LinkBps
-	memo := &reqMemo{maxK: maxK, upC: make([]contribution, maxK+1)}
-	for span := scopeRack; span <= scopeDC; span++ {
-		memo.downC[span] = make([]contribution, maxK+1)
-		memo.emptyOK[span] = make([]bool, maxK+1)
-	}
+	memo := &m.memo
+	memo.upC = memo.upC[:0]
 	for k := 0; k <= maxK; k++ {
-		memo.upC[k] = m.cutContribution(k, n, g, link, 0)
-		for span := scopeRack; span <= scopeDC; span++ {
-			memo.downC[span][k] = m.cutContribution(n-k, n, g, math.Inf(1),
-				m.inflation(span, topology.LevelRack, topology.Down))
-		}
+		memo.upC = append(memo.upC, m.cutContribution(k, n, g, link, 0))
 	}
 	upID := m.tree.ServerUpPortID(0)
 	downID := m.tree.RackDownPortID(0)
 	var empty portState
-	for k := 0; k <= maxK; k++ {
-		okUp := memo.upC[k].isZero() ||
-			queueBoundFast(m.portRate[upID], &empty, memo.upC[k]) <= m.portCap[upID]+1e-12
-		for span := scopeRack; span <= scopeDC; span++ {
-			c := memo.downC[span][k]
-			memo.emptyOK[span][k] = okUp && (c.isZero() ||
-				queueBoundFast(m.portRate[downID], &empty, c) <= m.portCap[downID]+1e-12)
+	for span := scopeRack; span <= scopeDC; span++ {
+		infl := m.inflation(span, topology.LevelRack, topology.Down)
+		downC, oks := memo.downC[span][:0], memo.emptyOK[span][:0]
+		for k := 0; k <= maxK; k++ {
+			c := m.cutContribution(n-k, n, g, math.Inf(1), infl)
+			downC = append(downC, c)
+			up := memo.upC[k]
+			oks = append(oks, (up.isZero() ||
+				queueBoundFast(m.portRate[upID], &empty, up) <= m.portCap[upID]+1e-12) &&
+				(c.isZero() ||
+					queueBoundFast(m.portRate[downID], &empty, c) <= m.portCap[downID]+1e-12))
 		}
+		memo.downC[span], memo.emptyOK[span] = downC, oks
 	}
 	return memo
 }
 
+// searchScratch holds one search worker's candidate layout: the
+// distinct servers it would use, ascending, the VM count on each, and
+// the per-rack and per-pod roll-up. tryScope refills it for every
+// candidate; nothing in it outlives the request.
+type searchScratch struct {
+	srv, cnt []int
+	caps     []int // spreadEven: capacity of srv[i]
+	lay      layout
+}
+
+// searchStats counts, per scope height, how many candidate scopes a
+// request's search evaluated in first-fit order and how many untouched
+// ones it skipped as copies of an evaluated one. Only the journal asks
+// for it; the search is handed nil otherwise.
+type searchStats struct {
+	evaluated, collapsed [3]int
+}
+
 // findPlacement searches scopes in height order and returns the chosen
 // server per VM, or nil.
-func (m *Manager) findPlacement(spec tenant.Spec) []int {
+func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 	g := spec.Guarantee
 	// Constraint 2 pre-check per scope height: the worst path inside a
 	// scope has a fixed queue-capacity sum; scopes whose sum exceeds d
@@ -473,7 +529,7 @@ func (m *Manager) findPlacement(spec tenant.Spec) []int {
 	// Scope 0: single server (no network traffic, no constraints
 	// beyond slots and fault domains). Racks without enough free slots
 	// cannot contain a server with enough either.
-	if spec.FaultDomains <= 1 {
+	if spec.FaultDomains <= 1 && spec.VMs <= m.tree.Config().SlotsPerServer {
 		for r := 0; r < m.tree.Racks(); r++ {
 			if m.ix.freeByRack[r] < spec.VMs {
 				continue
@@ -493,7 +549,7 @@ func (m *Manager) findPlacement(spec tenant.Spec) []int {
 
 	var memo *reqMemo
 	if !m.opts.NoFastPath {
-		memo = m.newReqMemo(spec)
+		memo = m.fillReqMemo(spec)
 	}
 	// Port-headroom skipping is sound only for tenants that put
 	// nonzero traffic on the network (n >= 2: every hosting server
@@ -503,75 +559,95 @@ func (m *Manager) findPlacement(spec tenant.Spec) []int {
 	if useHeadroom {
 		m.head.refresh(m)
 	}
-	bw := g.BandwidthBps
-
-	// Scope 1: single rack.
-	if m.scopeDelayOK(delayBudget, scopeRack) {
-		servers := m.searchScopes(m.tree.Racks(), func(r int) []int {
-			free := m.ix.freeByRack[r]
-			if free < spec.VMs {
-				return nil
-			}
-			if useHeadroom && bw > m.head.rackMax[r]+headroomSlack {
-				return nil
-			}
-			lo, hi := m.tree.ServersOfRack(r)
-			return m.tryScope(spec, memo, free, lo, hi, scopeRack)
-		})
-		if servers != nil {
-			return servers
-		}
+	if len(m.scratch) == 0 {
+		m.scratch = make([]searchScratch, m.workers)
 	}
-	// Scope 2: single pod.
-	if m.scopeDelayOK(delayBudget, scopePod) {
-		servers := m.searchScopes(m.tree.Pods(), func(p int) []int {
-			free := m.ix.freeByPod[p]
-			if free < spec.VMs {
-				return nil
+
+	// Scopes 1 and 2: single rack, then single pod.
+	racksPerPod := m.tree.Config().RacksPerPod
+	for _, h := range [...]struct {
+		span     scopeHeight
+		free     []int
+		full     int
+		headMax  []float64
+		racksPer int
+	}{
+		{scopeRack, m.ix.freeByRack, m.ix.rackSlots, m.head.rackMax, 1},
+		{scopePod, m.ix.freeByPod, m.ix.podSlots, m.head.podMax, racksPerPod},
+	} {
+		if !m.scopeDelayOK(delayBudget, h.span) {
+			continue
+		}
+		// Candidates are the scopes with the slots (and, by the
+		// headroom index, the port rate) to host the tenant, minus all
+		// untouched ones but the first. Scope symmetry: a rack or pod
+		// whose free-slot sum equals its capacity hosts no VM and has
+		// no failed server, so every port inside it is exactly empty
+		// (portState.remove clamps to zero with its last tenant) and
+		// every server has its full CPU and memory (snapResources).
+		// tryScope reads nothing else, so on two untouched scopes of one
+		// height it returns translations of one answer: if the first
+		// fails all fail, and if it succeeds it is the lowest-index
+		// success among them. First-fit order, and so every decision,
+		// is unchanged. NoFastPath, the oracle, evaluates them all.
+		cands, collapsed, untouchedSeen := m.cands[:0], 0, false
+		for i, free := range h.free {
+			if free < spec.VMs || (useHeadroom && g.BandwidthBps > h.headMax[i]+headroomSlack) {
+				continue
 			}
-			if useHeadroom && bw > m.head.podMax[p]+headroomSlack {
-				return nil
+			if free == h.full && !m.opts.NoFastPath {
+				if untouchedSeen {
+					collapsed++
+					continue
+				}
+				untouchedSeen = true
 			}
-			rlo, rhi := m.tree.RacksOfPod(p)
-			slo, _ := m.tree.ServersOfRack(rlo)
-			_, shi := m.tree.ServersOfRack(rhi - 1)
-			return m.tryScope(spec, memo, free, slo, shi, scopePod)
+			cands = append(cands, i)
+		}
+		m.cands = cands
+		tried, servers := m.searchScopes(cands, func(i int, sc *searchScratch) []int {
+			return m.tryScope(spec, memo, sc, i*h.racksPer, (i+1)*h.racksPer, h.span)
 		})
+		if st != nil {
+			st.evaluated[h.span], st.collapsed[h.span] = tried, collapsed
+		}
 		if servers != nil {
 			return servers
 		}
 	}
 	// Scope 3: whole datacenter.
-	if m.scopeDelayOK(delayBudget, scopeDC) {
-		if useHeadroom && bw > m.head.dcMax+headroomSlack {
-			return nil
+	if m.scopeDelayOK(delayBudget, scopeDC) && m.ix.totalFree >= spec.VMs &&
+		!(useHeadroom && g.BandwidthBps > m.head.dcMax+headroomSlack) {
+		if st != nil {
+			st.evaluated[scopeDC] = 1
 		}
-		if servers := m.tryScope(spec, memo, m.ix.totalFree, 0, m.tree.Servers(), scopeDC); servers != nil {
-			return servers
-		}
+		return m.tryScope(spec, memo, &m.scratch[0], 0, m.tree.Racks(), scopeDC)
 	}
 	return nil
 }
 
-// searchScopes evaluates eval(0..count-1) — each a side-effect-free
-// attempt to place within one candidate scope — and returns the result
-// of the lowest-index success, preserving serial first-fit semantics.
-// With more than one worker, candidates are claimed in index order by
-// a pool of goroutines; a worker stops once every index below the best
-// known success has been claimed. All shared manager state is
-// read-only for the duration of the search.
-func (m *Manager) searchScopes(count int, eval func(int) []int) []int {
+// searchScopes evaluates eval on the candidate scopes — each a
+// side-effect-free attempt to place within one scope — and returns the
+// result of the first success in list order, preserving serial
+// first-fit semantics, together with how many candidates first-fit
+// order tries to get there (all of them when none succeeds). With more
+// than one worker, candidates are claimed in list order by a pool of
+// goroutines, each with its own scratch; a worker stops once every
+// position below the best known success has been claimed. All shared
+// manager state is read-only for the duration of the search.
+func (m *Manager) searchScopes(cands []int, eval func(scope int, sc *searchScratch) []int) (int, []int) {
+	count := len(cands)
 	workers := m.workers
 	if workers > count {
 		workers = count
 	}
 	if workers <= 1 {
-		for i := 0; i < count; i++ {
-			if out := eval(i); out != nil {
-				return out
+		for i, c := range cands {
+			if out := eval(c, &m.scratch[0]); out != nil {
+				return i + 1, out
 			}
 		}
-		return nil
+		return count, nil
 	}
 	var (
 		next, best  atomic.Int64
@@ -582,14 +658,14 @@ func (m *Manager) searchScopes(count int, eval func(int) []int) []int {
 	best.Store(int64(count))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(sc *searchScratch) {
 			defer wg.Done()
 			for {
 				i := next.Add(1) - 1
 				if i >= int64(count) || i >= best.Load() {
 					return
 				}
-				out := eval(int(i))
+				out := eval(cands[i], sc)
 				if out == nil {
 					continue
 				}
@@ -600,13 +676,13 @@ func (m *Manager) searchScopes(count int, eval func(int) []int) []int {
 				}
 				mu.Unlock()
 			}
-		}()
+		}(&m.scratch[w])
 	}
 	wg.Wait()
-	if best.Load() == int64(count) {
-		return nil
+	if bestServers == nil {
+		return count, nil
 	}
-	return bestServers
+	return int(best.Load()) + 1, bestServers
 }
 
 type scopeHeight int
@@ -643,30 +719,50 @@ func (m *Manager) scopeDelayOK(budget float64, h scopeHeight) bool {
 	return worst <= budget+1e-15
 }
 
-// tryScope attempts to place all VMs within servers [lo, hi). free is
-// the caller's (index-maintained) free-slot sum over that range.
-// Pass 1 packs greedily (per-server count capped by the server-local
-// queuing constraints); pass 2 spreads evenly. Each pass's layout is
-// verified against the full constraint set before being accepted.
-func (m *Manager) tryScope(spec tenant.Spec, memo *reqMemo, free, lo, hi int, span scopeHeight) []int {
-	if free < spec.VMs {
-		return nil
-	}
-
+// tryScope attempts to place all VMs within racks [rlo, rhi), which the
+// caller knows to hold enough free slots. Pass 1 packs greedily
+// (per-server count capped by the server-local queuing constraints);
+// pass 2 spreads evenly. Each pass leaves its layout in sc as ascending
+// (server, count) pairs, which is verified against the full constraint
+// set before the per-VM server list is written out.
+func (m *Manager) tryScope(spec *tenant.Spec, memo *reqMemo, sc *searchScratch, rlo, rhi int, span scopeHeight) []int {
 	// Pass 1: greedy pack, honoring the per-server VM cap derived from
 	// the server's own up/down port constraints (paper §4.2.3).
-	if servers := m.packWithCaps(spec, memo, lo, hi, span); servers != nil {
-		if m.layoutValid(spec, servers) {
-			return servers
-		}
+	if m.packWithCaps(spec, memo, sc, rlo, rhi, span) && m.layoutValid(spec, sc) {
+		return sc.serversPacked(spec.VMs)
 	}
-	// Pass 2: spread evenly across candidate servers.
-	if servers := m.spreadEven(spec, lo, hi); servers != nil {
-		if m.layoutValid(spec, servers) {
-			return servers
-		}
+	// Pass 2: spread evenly across candidate servers, VMs going
+	// round-robin.
+	if m.spreadEven(spec, sc, rlo, rhi) && m.layoutValid(spec, sc) {
+		return sc.serversRoundRobin(spec.VMs)
 	}
 	return nil
+}
+
+// serversPacked writes out the per-VM server list of a packed layout:
+// VMs fill the servers in index order.
+func (sc *searchScratch) serversPacked(n int) []int {
+	servers := make([]int, 0, n)
+	for i, s := range sc.srv {
+		for j := 0; j < sc.cnt[i]; j++ {
+			servers = append(servers, s)
+		}
+	}
+	return servers
+}
+
+// serversRoundRobin writes out the per-VM server list of a spread
+// layout: round j hands one VM to every server holding at least j.
+func (sc *searchScratch) serversRoundRobin(n int) []int {
+	servers := make([]int, 0, n)
+	for round := 1; len(servers) < n; round++ {
+		for i, s := range sc.srv {
+			if sc.cnt[i] >= round {
+				servers = append(servers, s)
+			}
+		}
+	}
+	return servers
 }
 
 // maxVMsOnServer returns the largest VM count on server s compatible
@@ -674,10 +770,13 @@ func (m *Manager) tryScope(spec tenant.Spec, memo *reqMemo, free, lo, hi int, sp
 // assuming the remaining VMs sit elsewhere (worst case for both
 // ports). span is the scope being attempted, which sets the burst
 // inflation the rest of the tenant's traffic accrues en route.
-func (m *Manager) maxVMsOnServer(spec tenant.Spec, memo *reqMemo, s int, span scopeHeight) int {
+func (m *Manager) maxVMsOnServer(spec *tenant.Spec, memo *reqMemo, s int, span scopeHeight) int {
 	limit := m.maxVMsByResources(spec, s)
 	if limit > spec.VMs {
 		limit = spec.VMs
+	}
+	if limit == 0 {
+		return 0
 	}
 	if memo == nil {
 		for k := limit; k >= 1; k-- {
@@ -720,7 +819,7 @@ func (m *Manager) maxVMsOnServer(spec tenant.Spec, memo *reqMemo, s int, span sc
 
 // serverPortsOKRef is the reference (seed) implementation: it rebuilds
 // the cut contributions and materializes curves on every probe.
-func (m *Manager) serverPortsOKRef(spec tenant.Spec, s, k int, span scopeHeight) bool {
+func (m *Manager) serverPortsOKRef(spec *tenant.Spec, s, k int, span scopeHeight) bool {
 	n := spec.VMs
 	g := spec.Guarantee
 	up := m.tree.ServerUpPort(s)
@@ -737,129 +836,91 @@ func (m *Manager) serverPortsOKRef(spec tenant.Spec, s, k int, span scopeHeight)
 	return m.portOK(down, downC)
 }
 
-// capParallelMin is the candidate-range size above which packWithCaps
-// computes per-server caps with the worker pool (only the datacenter
-// scope reaches it on realistic topologies).
-const capParallelMin = 2048
-
-// packWithCaps fills candidate servers in order, each up to its cap.
-func (m *Manager) packWithCaps(spec tenant.Spec, memo *reqMemo, lo, hi int, span scopeHeight) []int {
-	servers := make([]int, 0, spec.VMs)
+// packWithCaps fills the servers of racks [rlo, rhi) in order, each up
+// to its cap, into sc.srv/sc.cnt. It reports whether all VMs fit on
+// enough servers for the fault domains asked for.
+func (m *Manager) packWithCaps(spec *tenant.Spec, memo *reqMemo, sc *searchScratch, rlo, rhi int, span scopeHeight) bool {
+	sc.srv, sc.cnt = sc.srv[:0], sc.cnt[:0]
 	left := spec.VMs
 	maxPer := maxPerServer(spec.VMs, spec.FaultDomains)
-	if m.workers > 1 && memo != nil && hi-lo >= capParallelMin {
-		caps := m.parallelCaps(spec, memo, lo, hi, span)
-		for i := 0; i < len(caps) && left > 0; i++ {
-			k := caps[i]
-			if k > maxPer {
-				k = maxPer
-			}
-			if k > left {
-				k = left
-			}
-			for j := 0; j < k; j++ {
-				servers = append(servers, lo+i)
-			}
-			left -= k
+	for r := rlo; r < rhi && left > 0; r++ {
+		if m.ix.freeByRack[r] == 0 {
+			continue
 		}
-	} else {
+		// By the scope symmetry findPlacement states, the servers of an
+		// untouched rack all have the cap of its first.
+		uniform := memo != nil && m.ix.rackUntouched(r)
+		lo, hi := m.tree.ServersOfRack(r)
+		k := 0
 		for s := lo; s < hi && left > 0; s++ {
-			k := m.maxVMsOnServer(spec, memo, s, span)
-			if k > maxPer {
-				k = maxPer
+			if s == lo || !uniform {
+				k = min(m.maxVMsOnServer(spec, memo, s, span), maxPer)
 			}
-			if k > left {
-				k = left
+			if k == 0 {
+				if uniform {
+					break
+				}
+				continue
 			}
-			for j := 0; j < k; j++ {
-				servers = append(servers, s)
-			}
-			left -= k
+			take := min(k, left)
+			sc.srv = append(sc.srv, s)
+			sc.cnt = append(sc.cnt, take)
+			left -= take
 		}
 	}
-	if left > 0 {
-		return nil
-	}
-	if !faultDomainsOK(servers, spec.FaultDomains) {
-		return nil
-	}
-	return servers
+	return left == 0 && len(sc.srv) >= spec.FaultDomains
 }
 
-// parallelCaps computes maxVMsOnServer for servers [lo, hi) across the
-// worker pool. Per-server caps are independent and read shared state
-// only, so the result is identical to the serial computation.
-func (m *Manager) parallelCaps(spec tenant.Spec, memo *reqMemo, lo, hi int, span scopeHeight) []int {
-	caps := make([]int, hi-lo)
-	const block = 1024
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < m.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)-1) * block
-				if b >= len(caps) {
-					return
-				}
-				e := b + block
-				if e > len(caps) {
-					e = len(caps)
-				}
-				for i := b; i < e; i++ {
-					caps[i] = m.maxVMsOnServer(spec, memo, lo+i, span)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return caps
-}
-
-// spreadEven distributes VMs round-robin over servers [lo, hi) with
-// free capacity.
-func (m *Manager) spreadEven(spec tenant.Spec, lo, hi int) []int {
-	remaining := make([]int, hi-lo)
+// spreadEven distributes VMs round-robin over the servers of racks
+// [rlo, rhi) with free capacity, into sc.srv/sc.cnt: round j hands one
+// VM to every server with room for j, in index order, until all are
+// out. Only the first spec.VMs servers with room can ever be handed
+// one, so the scan stops there.
+func (m *Manager) spreadEven(spec *tenant.Spec, sc *searchScratch, rlo, rhi int) bool {
+	sc.srv, sc.cnt, sc.caps = sc.srv[:0], sc.cnt[:0], sc.caps[:0]
 	total := 0
-	for i := range remaining {
-		remaining[i] = m.maxVMsByResources(spec, lo+i)
-		total += remaining[i]
+scan:
+	for r := rlo; r < rhi; r++ {
+		if m.ix.freeByRack[r] == 0 {
+			continue
+		}
+		lo, hi := m.tree.ServersOfRack(r)
+		for s := lo; s < hi; s++ {
+			k := m.maxVMsByResources(spec, s)
+			if k == 0 {
+				continue
+			}
+			sc.srv = append(sc.srv, s)
+			sc.cnt = append(sc.cnt, 0)
+			sc.caps = append(sc.caps, k)
+			total += k
+			if len(sc.srv) == spec.VMs {
+				break scan
+			}
+		}
 	}
 	if total < spec.VMs {
-		return nil
+		return false
 	}
-	servers := make([]int, 0, spec.VMs)
 	left := spec.VMs
-	for left > 0 {
-		progress := false
-		for i := range remaining {
-			if left == 0 {
-				break
-			}
-			if remaining[i] > 0 {
-				servers = append(servers, lo+i)
-				remaining[i]--
+	for round := 1; left > 0; round++ {
+		for i, k := range sc.caps {
+			if k >= round && left > 0 {
+				sc.cnt[i]++
 				left--
-				progress = true
 			}
 		}
-		if !progress {
-			return nil
-		}
 	}
-	if !faultDomainsOK(servers, spec.FaultDomains) {
-		return nil
-	}
-	return servers
+	return len(sc.srv) >= spec.FaultDomains
 }
 
-// layoutValid runs the full constraint check for a candidate layout:
-// every port the tenant touches must keep queue bound <= queue
-// capacity with the tenant's contribution added, and every intra-
-// tenant path must satisfy the delay constraint.
-func (m *Manager) layoutValid(spec tenant.Spec, servers []int) bool {
-	lay := newLayout(m.tree, servers)
+// layoutValid runs the full constraint check for the candidate layout
+// in sc.srv/sc.cnt: every port the tenant touches must keep queue bound
+// <= queue capacity with the tenant's contribution added, and every
+// intra-tenant path must satisfy the delay constraint.
+func (m *Manager) layoutValid(spec *tenant.Spec, sc *searchScratch) bool {
+	lay := &sc.lay
+	lay.build(m.tree, sc.srv, sc.cnt)
 	ok := m.forEachContribution(spec, lay, func(pid int, c contribution) bool {
 		return m.portBoundWith(pid, c) <= m.portCap[pid]+1e-12
 	})
@@ -998,7 +1059,7 @@ func (m *Manager) inflation(span scopeHeight, level topology.Level, dir topology
 // port); the return value reports whether the walk ran to completion.
 // Port rates and queue capacities are uniform within each level of the
 // tree, so ingress capacities use representative ports.
-func (m *Manager) forEachContribution(spec tenant.Spec, lay layout, fn func(pid int, c contribution) bool) bool {
+func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pid int, c contribution) bool) bool {
 	g := spec.Guarantee
 	n := lay.total
 	t := m.tree
@@ -1098,24 +1159,37 @@ func (m *Manager) forEachContribution(spec tenant.Spec, lay layout, fn func(pid 
 // contributions materializes the per-port contribution map for a
 // placement (used when committing and when auditing, not in the search
 // hot path).
-func (m *Manager) contributions(spec tenant.Spec, servers []int) map[int]contribution {
+func (m *Manager) contributions(spec *tenant.Spec, servers []int) map[int]contribution {
 	out := make(map[int]contribution)
-	m.forEachContribution(spec, newLayout(m.tree, servers), func(pid int, c contribution) bool {
+	lay := newLayout(m.tree, servers)
+	m.forEachContribution(spec, &lay, func(pid int, c contribution) bool {
 		out[pid] = c
 		return true
 	})
 	return out
 }
 
+// faultDomainsOK reports whether the per-VM server list names at least
+// domains distinct servers. It stops at the domains-th one, and tells
+// servers apart by scanning the few found so far.
 func faultDomainsOK(servers []int, domains int) bool {
 	if domains <= 1 {
 		return true
 	}
-	distinct := map[int]bool{}
+	var buf [8]int
+	distinct := buf[:0]
+next:
 	for _, s := range servers {
-		distinct[s] = true
+		for _, d := range distinct {
+			if d == s {
+				continue next
+			}
+		}
+		if distinct = append(distinct, s); len(distinct) >= domains {
+			return true
+		}
 	}
-	return len(distinct) >= domains
+	return false
 }
 
 // VerifyInvariants exhaustively rechecks constraint 1 at every port by
@@ -1132,7 +1206,7 @@ func (m *Manager) VerifyInvariants() error {
 			// contribute no arrival curves (paper §4.4).
 			continue
 		}
-		for pid, c := range m.contributions(at.placement.Spec, at.placement.Servers) {
+		for pid, c := range m.contributions(&at.placement.Spec, at.placement.Servers) {
 			fresh[pid].add(c)
 		}
 	}

@@ -91,10 +91,10 @@ func TestFigure5OktopusLayoutOverflowsUnderSilo(t *testing.T) {
 	tree := fig5Tree(t)
 	m := NewManager(tree, Options{})
 	spec := fig5Spec(1)
-	if m.layoutValid(spec, []int{0, 0, 0, 0, 1, 1, 1, 1, 2}) {
+	if m.layoutValid(&spec, &searchScratch{srv: []int{0, 1, 2}, cnt: []int{4, 4, 1}}) {
 		t.Error("Silo accepted the 4/4/1 layout; it must violate constraint 1")
 	}
-	if !m.layoutValid(spec, []int{0, 0, 0, 1, 1, 1, 2, 2, 2}) {
+	if !m.layoutValid(&spec, &searchScratch{srv: []int{0, 1, 2}, cnt: []int{3, 3, 3}}) {
 		t.Error("Silo rejected the 3/3/3 layout; it must satisfy both constraints")
 	}
 }
