@@ -6,9 +6,10 @@ all: vet build test
 
 # Everything CI runs, in order. The race passes cover the packages with
 # concurrent hot paths: the placement scope search (test-race), the
-# sharded obs histograms and the pacer.
+# sharded obs histograms, the pacer, and the engine with the transports
+# on top of it (island workers own Conn state and its RTO timer).
 ci: vet build test test-race test-faults test-parallel test-incidents test-crash regress-placement
-	$(GO) test -race ./internal/obs/... ./internal/pacer/...
+	$(GO) test -race ./internal/obs/... ./internal/pacer/... ./internal/netsim/... ./internal/transport/...
 
 vet:
 	$(GO) vet ./...
@@ -39,7 +40,9 @@ test-faults:
 # simulator and requires byte-identical results. Runtime covers the
 # engine self-observability plane: the busy+stall accounting property
 # at workers {1,2,4,8}, probe-on determinism, probing under injected
-# island faults, and the hot-pod straggler analysis.
+# island faults, and the hot-pod straggler analysis. The engine-timer
+# property script (TestTimerParallelMatchesClosurePerArm) runs here on
+# every island at workers {1, 2, 4}.
 test-parallel:
 	$(GO) test -race -run 'Parallel|GlobalEvents|CrossIsland|Runtime|SimCounters|HotPod' ./internal/netsim/ ./internal/experiments/ ./internal/faults/
 

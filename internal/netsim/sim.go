@@ -41,6 +41,8 @@ const (
 	// evtHostLoop: re-arm of ev.h's batch loop (ev.gen is the loop
 	// generation; stale wakes are ignored).
 	evtHostLoop
+	// evtTimer: a node of Timer s.timers[ev.gen] (see timer.go).
+	evtTimer
 )
 
 // event is one scheduled occurrence. Nodes are recycled via the Sim's
@@ -62,9 +64,16 @@ type event struct {
 // a 1500 B frame at 10 Gbps), propagation (hundreds of ns), generator
 // gaps, crossing-link lookahead (a few µs) — fits the span, so the
 // per-event queue cost is a bitmap probe and a list append instead of
-// a heap sift. Events farther out (RTO timers, telemetry windows,
-// fault schedules) go to a small 4-ary overflow heap and execute from
-// there directly; they are rare enough not to matter.
+// a heap sift. Events farther out go to a 4-ary overflow heap and
+// execute from there directly. What lives there: one Timer node per
+// connection with data in flight (the RTO, see timer.go), fault
+// schedules and telemetry windows — hundreds of entries, touched
+// rarely — and, on paced hosts, every frame of a pacer batch: a batch
+// is laid out up to 50 µs ahead of a 4,096 ns wheel, so most of its
+// evtHostWire events take a heap round-trip each (more than 2.2 M of
+// the 2.4 M wire frames of a dc_silo benchmark region, at a depth of a
+// few thousand). That last one is a cost, not a rarity; ROADMAP "Net
+// state" lists it.
 const (
 	wheelBits  = 12
 	wheelSpan  = 1 << wheelBits
@@ -104,6 +113,10 @@ type Sim struct {
 
 	freeEvents *event
 	freePkts   *Packet
+
+	// timers holds every Timer created on this Sim; an evtTimer node
+	// names its timer by index, which keeps event at 64 bytes.
+	timers []*Timer
 
 	// Parallel wiring (zero for a standalone sequential Sim).
 	ps     *ParallelSim
@@ -253,6 +266,9 @@ func (s *Sim) farPush(t int64, seq uint64, ev *event) {
 	}
 	h[i] = heapEnt{t: t, seq: seq, ev: ev}
 	s.far = h
+	if int64(len(h)) > s.rtc.FarHWM {
+		s.rtc.FarHWM = int64(len(h))
+	}
 }
 
 // farPop removes and returns the overflow heap's earliest event; the
@@ -336,9 +352,6 @@ func (s *Sim) schedule(t int64, kind uint8, gen uint64, fn func(), q *Queue, h *
 		}
 	} else {
 		s.farPush(t, ev.seq, ev)
-		if int64(len(s.far)) > s.rtc.FarHWM {
-			s.rtc.FarHWM = int64(len(s.far))
-		}
 	}
 }
 
@@ -376,6 +389,8 @@ func (s *Sim) exec(ev *event) {
 		if h.loopGen == gen {
 			h.batchLoop()
 		}
+	case evtTimer:
+		s.timers[ev.gen].pop(ev)
 	}
 }
 

@@ -98,9 +98,10 @@ type Conn struct {
 	// RTT/RTO.
 	srtt, rttvar float64 // ns
 	rto          int64
-	rtoArmed     bool
-	rtoGen       uint64
 	backoff      int64
+	// rtoTimer is the retransmission timer, on the sender host's island
+	// sim like every other touch of this connection's state.
+	rtoTimer *netsim.Timer
 
 	// Messages in flight or queued.
 	msgs []*Message
@@ -113,7 +114,7 @@ type Conn struct {
 }
 
 func newConn(e *Endpoint, dstVM int) *Conn {
-	return &Conn{
+	c := &Conn{
 		e:        e,
 		dstVM:    dstVM,
 		cwnd:     float64(e.opt.InitCwndSegs * e.opt.MSS),
@@ -121,6 +122,8 @@ func newConn(e *Endpoint, dstVM int) *Conn {
 		rto:      e.opt.MinRTONs,
 		backoff:  1,
 	}
+	c.rtoTimer = e.sim.NewTimer(c.onRTO)
+	return c
 }
 
 func (c *Conn) sendMessage(size int, done func(*Message)) *Message {
@@ -171,14 +174,15 @@ func (c *Conn) emit(seq int64, n int) {
 		length: n,
 		sentAt: c.e.sim.Now(),
 	}
-	// Attach framing for the message this segment belongs to.
-	for _, m := range c.msgs {
-		if seq >= m.start && seq < m.end {
-			seg.msgID = m.ID
-			seg.msgEnd = m.end
-			seg.msgSize = m.Size
-			break
-		}
+	// Attach framing for the message this segment belongs to: msgs is
+	// ordered by start (and so by end), so the first message ending
+	// past seq is the only candidate.
+	i := sort.Search(len(c.msgs), func(i int) bool { return c.msgs[i].end > seq })
+	if i < len(c.msgs) && seq >= c.msgs[i].start {
+		m := c.msgs[i]
+		seg.msgID = m.ID
+		seg.msgEnd = m.end
+		seg.msgSize = m.Size
 	}
 	f.send(c.e, &netsim.Packet{
 		Src:        c.e.HostID,
@@ -324,27 +328,18 @@ func (c *Conn) completeMessages(now int64) {
 	}
 }
 
-// armRTO (re)schedules the retransmission timer.
+// armRTO (re)arms the retransmission timer, or stops it when nothing
+// is in flight.
 func (c *Conn) armRTO() {
 	if c.sndUna >= c.sndNxt {
-		c.rtoArmed = false
+		c.rtoTimer.Stop()
 		return
 	}
-	c.rtoGen++
-	gen := c.rtoGen
-	c.rtoArmed = true
 	timeout := c.rto * c.backoff
 	if max := int64(4_000_000_000); timeout > max {
 		timeout = max
 	}
-	// The retransmission timer lives on the sender host's island sim,
-	// like every other touch of this connection's state.
-	c.e.sim.After(timeout, func() {
-		if c.rtoGen != gen || !c.rtoArmed {
-			return
-		}
-		c.onRTO()
-	})
+	c.rtoTimer.Arm(c.e.sim.Now() + timeout)
 }
 
 // onRTO handles a retransmission timeout: go-back-N.

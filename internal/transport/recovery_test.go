@@ -2,6 +2,8 @@ package transport
 
 import (
 	"testing"
+
+	"repro/internal/netsim"
 )
 
 // TestRTORecoveryAcrossLinkDeath kills the path in the middle of a
@@ -92,21 +94,67 @@ func TestRTORecoveryAfterBlackhole(t *testing.T) {
 }
 
 // TestBackoffResetsAfterProgress: after recovery, new acks reset the
-// exponential backoff.
+// exponential backoff — and the timer with it. The timeout that ends
+// the blackhole leaves the timer armed a doubled backoff ahead; the
+// first advancing ack re-arms it to now + MinRTONs, an earlier
+// deadline, and that one must be the one that fires when the path dies
+// again.
 func TestBackoffResetsAfterProgress(t *testing.T) {
+	const minRTO = 5_000_000
 	nw := testNet(t, 312e3)
 	f := NewFabric(nw)
-	src := f.AddEndpoint(100, 0, Options{MinRTONs: 5_000_000})
+	src := f.AddEndpoint(100, 0, Options{MinRTONs: minRTO})
 	src.SendMessage(200, 20_000, nil)
 	nw.Sim.Run(30_000_000)
 	c := src.Conn(200)
 	if c.backoff < 2 {
 		t.Skip("no backoff accrued")
 	}
-	f.AddEndpoint(200, 1, Options{})
+	// Timeouts so far at 5 and 15 ms, backoff 4. Queueing more data
+	// restarts the timer, so the next one comes at 30 + 4 × 5 ms, finds
+	// the destination up, retransmits, and arms 8 × 5 ms ahead.
+	f.AddEndpoint(200, 3, Options{})
+	src.SendMessage(200, 2_000_000, nil)
+	// Every ack reaching the sender re-arms the timer (onAck ends in
+	// trySend), so the last arm is the last delivery to host 0.
+	var lastAck int64
+	inner := nw.Hosts[0].Deliver
+	nw.Hosts[0].Deliver = func(p *netsim.Packet) {
+		lastAck = nw.Sim.Now()
+		inner(p)
+	}
+	// Cut the path mid-transfer, after the backoff has been reset.
+	up := nw.Queues[nw.Tree.RackUpPortID(0)]
+	nw.Sim.At(50_500_000, func() { up.Fail() })
+	nw.Sim.Run(51_500_000)
+	if lastAck <= 50_000_000 || lastAck >= 51_000_000 {
+		t.Fatalf("last ack at %d ns; expected acks to flow from 50 ms until shortly after the cut", lastAck)
+	}
+	if c.backoff != 1 {
+		t.Fatalf("backoff = %d after acked progress, want 1", c.backoff)
+	}
+	if c.sndUna >= c.sndNxt {
+		t.Fatal("nothing in flight after the cut — the timer has nothing to guard")
+	}
+	before := c.RTOCount
+	nw.Sim.Run(lastAck + minRTO - 1)
+	if c.RTOCount != before {
+		t.Errorf("timeout fired before last arm + MinRTONs (%d ns)", lastAck+minRTO)
+	}
+	nw.Sim.Run(lastAck + minRTO)
+	if c.RTOCount != before+1 {
+		t.Errorf("RTOCount = %d at last arm + MinRTONs (%d ns), want %d", c.RTOCount, lastAck+minRTO, before+1)
+	}
+	nw.Sim.At(80_000_000, func() { up.Restore() })
 	nw.Sim.Run(300e9)
 	if c.backoff != 1 {
 		t.Errorf("backoff = %d after successful delivery, want 1", c.backoff)
+	}
+	if dst, _ := f.Endpoint(200); dst.BytesReceived(100) != 2_020_000 {
+		t.Errorf("receiver got %d bytes, want 2020000", dst.BytesReceived(100))
+	}
+	if n := nw.Sim.Pending(); n != 0 {
+		t.Errorf("%d events pending after drain", n)
 	}
 }
 
@@ -181,5 +229,77 @@ func TestAckClockPacing(t *testing.T) {
 	}
 	if c.rto != 10_000_000 {
 		t.Errorf("rto = %d, want the 10 ms floor", c.rto)
+	}
+}
+
+// TestRTOTimerOneNodePerConn: the retransmission timer is re-armed on
+// every segment out and every advancing ack; a 10 K-segment transfer
+// must still keep one node in the engine's overflow heap, not one per
+// arm, and leave nothing queued once the run has drained.
+func TestRTOTimerOneNodePerConn(t *testing.T) {
+	nw := testNet(t, 312e3)
+	f := NewFabric(nw)
+	src := f.AddEndpoint(100, 0, Options{})
+	f.AddEndpoint(200, 3, Options{})
+	done := false
+	src.SendMessage(200, 10_000*1460, func(*Message) { done = true })
+	nw.Sim.Run(300e9)
+	if !done {
+		t.Fatal("transfer incomplete")
+	}
+	c := src.Conn(200)
+	if c.SegmentsOut < 10_000 {
+		t.Fatalf("only %d segments sent", c.SegmentsOut)
+	}
+	if hwm := nw.Sim.RuntimeCounters().FarHWM; hwm > 2 {
+		t.Errorf("FarHWM = %d over %d segments on one connection, want at most 2", hwm, c.SegmentsOut)
+	}
+	if n := nw.Sim.Pending(); n != 0 {
+		t.Errorf("%d events pending after drain", n)
+	}
+}
+
+// TestIncastRTOTimerNodes: 32 senders burst at one receiver through a
+// shallow buffer and recover through real timeouts. A timeout doubles
+// the backoff and the next advancing ack resets it, which re-arms the
+// timer to an earlier deadline and leaves the doubled one behind as a
+// dead node until its time comes. That is the only way a connection
+// holds more than one node, so the heap is bounded by the connections
+// plus the timeouts they took, however many segments and acks pass.
+func TestIncastRTOTimerNodes(t *testing.T) {
+	nw := testNet(t, 30e3)
+	f := NewFabric(nw)
+	f.AddEndpoint(200, 1, Options{})
+	const senders = 32
+	completed, rtos := 0, 0
+	var segs, timeouts int64
+	var conns []*Conn
+	for i := 0; i < senders; i++ {
+		host := []int{0, 2, 3, 4, 5}[i%5]
+		e := f.AddEndpoint(100+i, host, Options{MinRTONs: 10_000_000})
+		e.SendMessage(200, 300_000, func(m *Message) {
+			completed++
+			rtos += m.RTOs
+		})
+		conns = append(conns, e.Conn(200))
+	}
+	nw.Sim.Run(300e9)
+	if completed != senders {
+		t.Fatalf("completed %d of %d", completed, senders)
+	}
+	if rtos == 0 {
+		t.Fatal("no timeouts under incast: the test exercises nothing")
+	}
+	for _, c := range conns {
+		segs += c.SegmentsOut
+		timeouts += int64(c.RTOCount)
+	}
+	hwm := nw.Sim.RuntimeCounters().FarHWM
+	t.Logf("%d connections, %d segments, %d timeouts, FarHWM %d", senders, segs, timeouts, hwm)
+	if hwm > senders+timeouts {
+		t.Errorf("FarHWM = %d, want at most %d connections + %d timeouts", hwm, senders, timeouts)
+	}
+	if n := nw.Sim.Pending(); n != 0 {
+		t.Errorf("%d events pending after drain", n)
 	}
 }
