@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet build test test-race test-faults test-parallel test-incidents test-crash soak bench-placement bench-obs bench-telemetry bench-introspect bench-incident bench-runtime bench-wal regress regress-placement baselines
+.PHONY: all ci vet build test test-race test-faults test-parallel test-incidents test-crash soak bench-placement bench-obs bench-telemetry bench-introspect bench-incident bench-runtime bench-wal regress regress-placement regress-pacer baselines
 
 all: vet build test
 
@@ -8,7 +8,7 @@ all: vet build test
 # concurrent hot paths: the placement scope search (test-race), the
 # sharded obs histograms, the pacer, and the engine with the transports
 # on top of it (island workers own Conn state and its RTO timer).
-ci: vet build test test-race test-faults test-parallel test-incidents test-crash regress-placement
+ci: vet build test test-race test-faults test-parallel test-incidents test-crash regress-placement regress-pacer
 	$(GO) test -race ./internal/obs/... ./internal/pacer/... ./internal/netsim/... ./internal/transport/...
 
 vet:
@@ -42,7 +42,9 @@ test-faults:
 # at workers {1,2,4,8}, probe-on determinism, probing under injected
 # island faults, and the hot-pod straggler analysis. The engine-timer
 # property script (TestTimerParallelMatchesClosurePerArm) runs here on
-# every island at workers {1, 2, 4}.
+# every island at workers {1, 2, 4}, as does the paced all-to-all run
+# whose per-host frame free lists must not show across islands
+# (TestPacedAllToAllParallelMatchesSequential).
 test-parallel:
 	$(GO) test -race -run 'Parallel|GlobalEvents|CrossIsland|Runtime|SimCounters|HotPod' ./internal/netsim/ ./internal/experiments/ ./internal/faults/
 
@@ -116,6 +118,13 @@ regress:
 # millisecond-scale rejection tail, so it is stable enough to gate.
 regress-placement:
 	$(GO) run ./cmd/silo-bench -run placeub -regress
+
+# The pacer rows, which CI also blocks on: Figure 10's single-VM,
+# single-destination batch construction, and the datacenter's shape —
+# one HostPacer, 4 VMs x 6 backlogged destinations behind hose buckets,
+# through NextBatch — whose per-frame cost no other gate sees.
+regress-pacer:
+	$(GO) run ./cmd/silo-bench -run pacerub -regress
 
 # Regenerates the committed microbenchmark baselines in place. Run on a
 # quiet machine and commit the diff deliberately.

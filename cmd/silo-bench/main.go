@@ -269,15 +269,29 @@ func runRegress(baselineDir string, tolerancePct float64) bool {
 			failed = true
 			continue
 		}
-		deltas, err := experiments.CompareBenchRecords(base, benchRecords[name], tolerancePct)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			failed = true
-			continue
+		// The record, then each of its rows against the baseline row of
+		// the same name (a row the baseline lacks is skipped, like a
+		// benchmark without a baseline).
+		pairs := [][2]experiments.BenchRecord{{base, benchRecords[name]}}
+		for _, row := range benchRecords[name].Rows {
+			baseRow, ok := base.Row(row.Benchmark)
+			if !ok {
+				fmt.Printf("%s: no baseline row in %s; skipping\n", row.Benchmark, basePath)
+				continue
+			}
+			pairs = append(pairs, [2]experiments.BenchRecord{baseRow, row})
 		}
-		fmt.Print(experiments.RenderBenchDeltas(name, deltas, tolerancePct))
-		if experiments.AnyRegression(deltas) {
-			failed = true
+		for _, pair := range pairs {
+			deltas, err := experiments.CompareBenchRecords(pair[0], pair[1], tolerancePct)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", pair[1].Benchmark, err)
+				failed = true
+				continue
+			}
+			fmt.Print(experiments.RenderBenchDeltas(pair[1].Benchmark, deltas, tolerancePct))
+			if experiments.AnyRegression(deltas) {
+				failed = true
+			}
 		}
 	}
 	if failed {

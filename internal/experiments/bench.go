@@ -32,6 +32,10 @@ type BenchRecord struct {
 	MaxNs       int64  `json:"max_ns"`
 	TotalNs     int64  `json:"total_ns"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
+	// Rows holds further rows of the same microbenchmark (another
+	// workload shape, same op), each gated against the baseline row of
+	// the same name exactly as the record itself is.
+	Rows []BenchRecord `json:"rows,omitempty"`
 	// Meta records which invocation produced the record (tool, build
 	// revision, flags). Provenance only — never a gated metric.
 	Meta *obs.RunMeta `json:"meta,omitempty"`
@@ -187,11 +191,19 @@ func DefaultPacerBenchParams() PacerBenchParams {
 }
 
 // RunPacerBench measures the pacer's batch-construction hot path. One
-// op is one wire frame (data or void); each rep paces a fresh
-// backlogged VM through the full horizon and contributes one ns/frame
-// sample, so p50/p99/max expose rep-to-rep jitter rather than
-// per-frame noise. Requests counts all frames built, Accepted the data
-// frames among them.
+// op is one wire frame (data or void); each rep paces a fresh backlog
+// through the full horizon and contributes one ns/frame sample, so
+// p50/p99/max expose rep-to-rep jitter rather than per-frame noise.
+// Requests counts all frames built, Accepted the data frames among
+// them.
+//
+// The record itself is Figure 10's shape: one VM, one destination, the
+// caller-owned Batcher.Build. Its "pacerub/host4x6" row is the
+// datacenter's: a HostPacer serving 4 VMs, each with 6 backlogged
+// destinations behind hose buckets, through NextBatch, at the same
+// aggregate rate and frame size (fewer, larger voids: the four VMs'
+// releases coincide). It is the row that sees what the scheduler costs
+// when it has more than one queue head to choose from.
 func RunPacerBench(p PacerBenchParams) BenchRecord {
 	if p.Reps <= 0 {
 		p.Reps = DefaultPacerBenchParams().Reps
@@ -199,37 +211,78 @@ func RunPacerBench(p PacerBenchParams) BenchRecord {
 	rate := p.RateLimitGbps * gbps
 	horizonNs := int64(p.WireSeconds * 1e9)
 	nData := int(rate * p.WireSeconds / float64(p.PayloadBytes))
+	g := pacer.Guarantee{
+		BandwidthBps: rate,
+		BurstBytes:   float64(p.PayloadBytes),
+		BurstRateBps: 0,
+		MTUBytes:     float64(p.PayloadBytes),
+	}
 
-	rec := BenchRecord{Benchmark: "pacerub", Hosts: 1}
-	perFrame := stats.NewSample(p.Reps)
-	var frames, dataFrames int64
-	var ms0 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for rep := 0; rep < p.Reps; rep++ {
-		vm := pacer.NewVM(1, pacer.Guarantee{
-			BandwidthBps: rate,
-			BurstBytes:   float64(p.PayloadBytes),
-			BurstRateBps: 0,
-			MTUBytes:     float64(p.PayloadBytes),
-		}, 0)
+	rec := pacerBenchRow("pacerub", p.Reps, func() (time.Time, int64, int64) {
+		vm := pacer.NewVM(1, g, 0)
 		b := pacer.NewBatcher(p.LineRateBps)
-		repStart := time.Now()
+		start := time.Now()
 		for i := 0; i < nData; i++ {
 			vm.Enqueue(0, 2, p.PayloadBytes, nil)
 		}
-		var repFrames int64
-		var cursor int64
-		for cursor < horizonNs {
+		var frames, data int64
+		for cursor := int64(0); cursor < horizonNs; {
 			batch := b.Build(cursor, []*pacer.VM{vm})
 			if len(batch.Packets) == 0 {
 				break
 			}
-			repFrames += int64(len(batch.Packets))
-			dataFrames += int64(batch.DataPackets())
+			frames += int64(len(batch.Packets))
+			data += int64(batch.DataPackets())
 			cursor = batch.End
 		}
+		return start, frames, data
+	})
+
+	const vms, dests = 4, 6
+	rec.Rows = []BenchRecord{pacerBenchRow("pacerub/host4x6", p.Reps, func() (time.Time, int64, int64) {
+		h := pacer.NewHostPacer(pacer.NewBatcher(p.LineRateBps))
+		gvm := g
+		gvm.BandwidthBps = rate / vms
+		for v := 1; v <= vms; v++ {
+			vm := pacer.NewVM(v, gvm, 0)
+			for d := 1; d <= dests; d++ {
+				vm.SetDestRate(0, 100+d, gvm.BandwidthBps/dests)
+			}
+			h.AddVM(vm)
+		}
+		start := time.Now()
+		for i := 0; i < nData; i++ {
+			h.VMs()[i%vms].Enqueue(0, 101+i/vms%dests, p.PayloadBytes, nil)
+		}
+		var frames, data int64
+		for cursor := int64(0); cursor < horizonNs; {
+			batch := h.NextBatch(cursor)
+			if batch == nil {
+				break
+			}
+			frames += int64(len(batch.Packets))
+			data += int64(batch.DataPackets())
+			cursor = batch.End
+		}
+		return start, frames, data
+	})}
+	return rec
+}
+
+// pacerBenchRow times reps runs of rep — which returns when its timed
+// part began and how many frames, and data frames among them, it
+// built — and folds them into one record.
+func pacerBenchRow(name string, reps int, rep func() (start time.Time, frames, data int64)) BenchRecord {
+	rec := BenchRecord{Benchmark: name, Hosts: 1}
+	perFrame := stats.NewSample(reps)
+	var frames, dataFrames int64
+	var ms0 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	for i := 0; i < reps; i++ {
+		repStart, repFrames, repData := rep()
 		frames += repFrames
+		dataFrames += repData
 		if repFrames > 0 {
 			perFrame.Add(float64(time.Since(repStart).Nanoseconds()) / float64(repFrames))
 		}
@@ -373,11 +426,26 @@ func RunNetsimBench(p NetsimBenchParams) (BenchRecord, error) {
 	return rec, nil
 }
 
-// Render formats a benchmark record the way PlacementBenchResult does.
+// Render formats a benchmark record the way PlacementBenchResult does,
+// one line per row.
 func (r BenchRecord) Render() string {
-	return fmt.Sprintf(
+	out := fmt.Sprintf(
 		"%s: hosts=%d requests=%d accepted=%d mean=%.0fns p50=%.0fns p99=%.0fns max=%.0fns total=%.2fs allocs/op=%d\n",
 		r.Benchmark, r.Hosts, r.Requests, r.Accepted,
 		float64(r.MeanNs), float64(r.P50Ns), float64(r.P99Ns), float64(r.MaxNs),
 		float64(r.TotalNs)/1e9, r.AllocsPerOp)
+	for _, row := range r.Rows {
+		out += row.Render()
+	}
+	return out
+}
+
+// Row returns the named row of the record.
+func (r BenchRecord) Row(name string) (BenchRecord, bool) {
+	for _, row := range r.Rows {
+		if row.Benchmark == name {
+			return row, true
+		}
+	}
+	return BenchRecord{}, false
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -17,6 +18,7 @@ func baseRecord() BenchRecord {
 func TestBenchRecordRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
 	want := baseRecord()
+	want.Rows = []BenchRecord{{Benchmark: "placeub/other", Hosts: 1, Requests: 2, MeanNs: 3}}
 	if err := WriteBenchRecord(path, want); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func TestBenchRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip: got %+v want %+v", got, want)
 	}
 	if _, err := LoadBenchRecord(filepath.Join(t.TempDir(), "missing.json")); err == nil {
@@ -127,7 +129,7 @@ func TestPlacementRecordMapping(t *testing.T) {
 		Benchmark: "placeub", Hosts: 7, Requests: 8, Accepted: 5,
 		MeanNs: 1, P50Ns: 2, P99Ns: 3, MaxNs: 4, TotalNs: 9, AllocsPerOp: 6,
 	}
-	if rec != want {
+	if !reflect.DeepEqual(rec, want) {
 		t.Errorf("Record() = %+v, want %+v", rec, want)
 	}
 }
@@ -148,6 +150,15 @@ func TestRunPacerBenchSmoke(t *testing.T) {
 	}
 	if rec.MeanNs <= 0 || rec.MaxNs < rec.P50Ns || rec.TotalNs <= 0 {
 		t.Errorf("timing fields: %+v", rec)
+	}
+	// The host-shaped row paces the same bytes at the same aggregate
+	// rate.
+	row, ok := rec.Row("pacerub/host4x6")
+	if !ok {
+		t.Fatalf("no pacerub/host4x6 row: %+v", rec.Rows)
+	}
+	if row.Accepted != rec.Accepted || row.Requests <= row.Accepted || row.MeanNs <= 0 {
+		t.Errorf("host row: %+v (single-destination row accepted %d)", row, rec.Accepted)
 	}
 }
 

@@ -211,17 +211,19 @@ func (h *Host) SendPaced(vmID int, p *Packet) {
 		h.OnPacedEnqueue(p)
 	}
 	vm.Enqueue(h.sim.Now(), p.DstVM, p.Size, p)
-	due, _ := vm.NextEventTime()
 	switch {
 	case !h.loopRunning:
 		h.loopRunning = true
 		h.armLoop(h.sim.Now())
-	case h.parkedAt > 0 && due < h.parkedAt:
-		// The loop sleeps until a future stamp, but this packet is due
-		// earlier: re-arm, invalidating the stale wake. Missing this
+	case h.parkedAt > 0:
+		// The loop sleeps until a future stamp. If this packet is due
+		// earlier, re-arm, invalidating the stale wake: missing this
 		// would batch the interim backlog as one line-rate train and
-		// destroy pacing.
-		h.armLoop(due)
+		// destroy pacing. (An actively batching loop picks the packet
+		// up by itself, so only this branch asks when it is due.)
+		if due, _ := vm.NextEventTime(); due < h.parkedAt {
+			h.armLoop(due)
+		}
 	}
 }
 
@@ -267,6 +269,8 @@ func (h *Host) batchLoop() {
 		h.armLoop(earliest)
 		return
 	}
+	// The batch and its frames are the pacer's, recycled by the next
+	// NextBatch: everything needed is copied onto netsim packets here.
 	for _, fp := range batch.Packets {
 		var np *Packet
 		if fp.Void {

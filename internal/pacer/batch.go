@@ -1,9 +1,6 @@
 package pacer
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Batch is one NIC I/O batch: a back-to-back train of data and void
 // frames the NIC transmits at line rate. Void frames occupy wire time
@@ -76,10 +73,19 @@ func (b *Batcher) gapBytes(ns int64) int {
 // window remain queued. Void frames are synthesized so each data frame
 // departs within one MinVoidBytes slot of its stamp; per the paper,
 // voids are only generated while another data packet is waiting, so an
-// idle tail generates no filler.
+// idle tail generates no filler. The batch and its void frames are the
+// caller's to keep.
 func (b *Batcher) Build(start int64, vms []*VM) *Batch {
+	batch := &Batch{}
+	b.build(batch, nil, start, vms)
+	return batch
+}
+
+// build fills batch (empty on entry) for the window starting at start,
+// drawing void frames from frames.
+func (b *Batcher) build(batch *Batch, frames *framePool, start int64, vms []*VM) {
 	end := start + b.BatchNs
-	batch := &Batch{Start: start}
+	batch.Start = start
 	cursor := start
 
 	// Commit release stamps chronologically up to the batch horizon.
@@ -107,12 +113,12 @@ func (b *Batcher) Build(start int64, vms []*VM) *Batch {
 			if gap > b.gapBytes(end-cursor) {
 				gap = b.gapBytes(end - cursor)
 			}
-			cursor = b.pad(batch, cursor, gap)
+			cursor = b.pad(batch, frames, cursor, gap)
 		}
 		if cursor >= end {
 			// Padding consumed the window; the packet belongs to the
 			// next batch.
-			heap.Push(&src.ready, p)
+			src.unpop(p)
 			break
 		}
 		p.Wire = cursor
@@ -122,7 +128,6 @@ func (b *Batcher) Build(start int64, vms []*VM) *Batch {
 	}
 	batch.End = cursor
 	b.Metrics.noteBatch(batch)
-	return batch
 }
 
 // pad appends void frames covering gap wire bytes starting at cursor
@@ -130,7 +135,7 @@ func (b *Batcher) Build(start int64, vms []*VM) *Batch {
 // rounded to the nearest legal layout: an extra minimum void if the
 // residual exceeds half a slot (data late by < 34 ns), nothing
 // otherwise (data early by < 34 ns).
-func (b *Batcher) pad(batch *Batch, cursor int64, gap int) int64 {
+func (b *Batcher) pad(batch *Batch, frames *framePool, cursor int64, gap int) int64 {
 	for gap >= MinVoidBytes {
 		n := gap
 		if n > b.MaxVoidBytes {
@@ -145,19 +150,23 @@ func (b *Batcher) pad(batch *Batch, cursor int64, gap int) int64 {
 				n = gap
 			}
 		}
-		v := &Packet{Bytes: n, Void: true, Wire: cursor}
-		batch.Packets = append(batch.Packets, v)
-		batch.VoidBytes += n
-		cursor += b.wireNs(n)
+		cursor = b.void(batch, frames, cursor, n)
 		gap -= n
 	}
 	if gap >= MinVoidBytes/2 {
-		v := &Packet{Bytes: MinVoidBytes, Void: true, Wire: cursor}
-		batch.Packets = append(batch.Packets, v)
-		batch.VoidBytes += MinVoidBytes
-		cursor += b.wireNs(MinVoidBytes)
+		cursor = b.void(batch, frames, cursor, MinVoidBytes)
 	}
 	return cursor
+}
+
+// void appends one n-byte void frame at cursor and returns the wire
+// time at which it ends.
+func (b *Batcher) void(batch *Batch, frames *framePool, cursor int64, n int) int64 {
+	v := frames.get()
+	*v = Packet{Bytes: n, Void: true, Wire: cursor}
+	batch.Packets = append(batch.Packets, v)
+	batch.VoidBytes += n
+	return cursor + b.wireNs(n)
 }
 
 // HostPacer couples a NIC batcher with the VMs it serves and emulates
@@ -168,6 +177,12 @@ type HostPacer struct {
 	Batcher *Batcher
 	vms     []*VM
 	lastEnd int64
+
+	// batch is the one batch NextBatch hands out, rebuilt in place each
+	// call; its frames go back to frames, the host's free list, which
+	// VM.Enqueue and the batcher's padding draw from.
+	batch  Batch
+	frames framePool
 }
 
 // NewHostPacer returns a pacer for one host NIC.
@@ -175,8 +190,12 @@ func NewHostPacer(batcher *Batcher) *HostPacer {
 	return &HostPacer{Batcher: batcher}
 }
 
-// AddVM registers a VM whose traffic this NIC carries.
-func (h *HostPacer) AddVM(vm *VM) { h.vms = append(h.vms, vm) }
+// AddVM registers a VM whose traffic this NIC carries; from here on
+// the VM's frames come from the host's free list.
+func (h *HostPacer) AddVM(vm *VM) {
+	h.vms = append(h.vms, vm)
+	vm.frames = &h.frames
+}
 
 // VMs returns the registered VMs.
 func (h *HostPacer) VMs() []*VM { return h.vms }
@@ -196,7 +215,16 @@ func (h *HostPacer) Pending() int {
 // packet due later must wait for a wake at its release time, so
 // packets arriving in the interim are not locked out of the window
 // (the caller re-arms using the earliest NextEventTime).
+//
+// The batch and every frame in it, data and void, belong to the pacer
+// and stay valid only until the next NextBatch call, which recycles
+// them; a caller that needs them longer copies what it needs.
 func (h *HostPacer) NextBatch(now int64) *Batch {
+	for i, p := range h.batch.Packets {
+		h.frames.put(p)
+		h.batch.Packets[i] = nil
+	}
+	h.batch = Batch{Packets: h.batch.Packets[:0]}
 	start := now
 	if h.lastEnd > start {
 		start = h.lastEnd
@@ -217,10 +245,10 @@ func (h *HostPacer) NextBatch(now int64) *Batch {
 	if earliest > start && h.lastEnd < now {
 		start = earliest
 	}
-	batch := h.Batcher.Build(start, h.vms)
-	if len(batch.Packets) == 0 {
+	h.Batcher.build(&h.batch, &h.frames, start, h.vms)
+	if len(h.batch.Packets) == 0 {
 		return nil
 	}
-	h.lastEnd = batch.End
-	return batch
+	h.lastEnd = h.batch.End
+	return &h.batch
 }

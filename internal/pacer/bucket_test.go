@@ -207,12 +207,12 @@ func TestApplyAllocation(t *testing.T) {
 	vm := NewVM(1, Guarantee{BandwidthBps: 100, BurstBytes: 1500}, 0)
 	vms := map[int]*VM{1: vm}
 	ApplyAllocation(0, vms, map[Flow]float64{{1, 2}: 40})
-	if b, ok := vm.dst[2]; !ok || b.Rate() != 40 {
+	if vm.DestRate(2) != 40 {
 		t.Error("allocation not applied to destination bucket")
 	}
 	// Zero rate removes the bucket.
 	vm.SetDestRate(0, 2, 0)
-	if _, ok := vm.dst[2]; ok {
+	if vm.DestRate(2) != 0 {
 		t.Error("zero rate should remove destination bucket")
 	}
 }

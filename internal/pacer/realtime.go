@@ -22,7 +22,9 @@ import (
 // — so jitter shifts whole batches, never individual gaps.
 type RealtimeDriver struct {
 	Pacer *HostPacer
-	// Emit receives each batch at (approximately) its Start time.
+	// Emit receives each batch at (approximately) its Start time. The
+	// batch is the pacer's (see HostPacer.NextBatch): Emit must be done
+	// with it when it returns.
 	Emit func(*Batch)
 	// SpinBelowNs switches from time.Sleep to busy-waiting when the
 	// remaining wait is below this threshold (sleep granularity on

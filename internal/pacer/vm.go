@@ -1,7 +1,6 @@
 package pacer
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -69,6 +68,32 @@ type Guarantee struct {
 	MTUBytes float64
 }
 
+// dest is everything the scheduler keeps for one destination: the hose
+// bucket, the FIFO of packets awaiting commit and the coordinator's
+// byte counters.
+type dest struct {
+	id   int
+	hose *TokenBucket // nil = unconstrained pending coordination
+	q    pktRing      // unscheduled packets, FIFO
+	pos  int          // index in VM.backlog while q is non-empty
+	// seen records that traffic was queued toward id and the record is
+	// in VM.dests (SetDestRate alone does not make a destination
+	// visible to the coordinator).
+	seen bool
+
+	// stageR/stageGate cache the destination-bucket stage of the head's
+	// release: a function of the head packet and the hose bucket only,
+	// so it holds until that head commits or SetDestRate touches the
+	// bucket. The shared {B,S} and Bmax stages move with every commit
+	// and are recomputed each time.
+	stageOK   bool
+	stageGate uint8
+	stageR    int64
+
+	queuedBytes int64 // bytes awaiting commit
+	sentBytes   int64 // cumulative committed bytes
+}
+
 // VM shapes one virtual machine's egress traffic through the paper's
 // token-bucket hierarchy (Figure 8): per-destination hose buckets on
 // top, the {B, S} tenant bucket in the middle, the Bmax cap bucket at
@@ -85,17 +110,17 @@ type VM struct {
 	g   Guarantee
 	cap *TokenBucket // Bmax
 	avg *TokenBucket // {B, S}
-	dst map[int]*TokenBucket
 
-	queues  map[int][]*Packet // per-destination FIFO of unscheduled packets
+	byID    map[int]*dest // consulted on Enqueue/SetDestRate and by the coordinator's accessors only
+	dests   []*dest       // records traffic was queued toward, in first-seen order
+	backlog []*dest       // records with a non-empty queue; the scheduler's whole working set
 	queued  int
-	ready   packetHeap // committed packets in release order
+	ready   pktRing // committed packets in (Release, seq) order
 	seq     uint64
-	horizon int64 // all packets with release <= horizon are committed
 
-	// Demand accounting for the hose coordinator.
-	queuedBytes map[int]int64 // per-destination bytes awaiting commit
-	sentBytes   map[int]int64 // per-destination cumulative committed bytes
+	// frames is the host's free list (nil for a VM no HostPacer owns:
+	// every Enqueue then allocates and nothing is recycled).
+	frames *framePool
 
 	queuedTotal int64      // bytes awaiting commit across all destinations
 	mx          *VMMetrics // nil = uninstrumented (one branch per event)
@@ -115,14 +140,11 @@ func NewVM(id int, g Guarantee, start int64) *VM {
 		burst = g.MTUBytes // a bucket must admit at least one packet
 	}
 	return &VM{
-		ID:          id,
-		g:           g,
-		cap:         NewTokenBucket(g.BurstRateBps, g.MTUBytes, start),
-		avg:         NewTokenBucket(g.BandwidthBps, burst, start),
-		dst:         make(map[int]*TokenBucket),
-		queues:      make(map[int][]*Packet),
-		queuedBytes: make(map[int]int64),
-		sentBytes:   make(map[int]int64),
+		ID:   id,
+		g:    g,
+		cap:  NewTokenBucket(g.BurstRateBps, g.MTUBytes, start),
+		avg:  NewTokenBucket(g.BandwidthBps, burst, start),
+		byID: make(map[int]*dest),
 	}
 }
 
@@ -142,37 +164,59 @@ func (v *VM) SetMetrics(m *VMMetrics) { v.mx = m }
 func (v *VM) SetCommitTap(fn func(releaseNs int64, bytes int)) { v.onCommit = fn }
 
 // QueuedBytesTo reports bytes awaiting release toward dst.
-func (v *VM) QueuedBytesTo(dst int) int64 { return v.queuedBytes[dst] }
+func (v *VM) QueuedBytesTo(dst int) int64 {
+	if d := v.byID[dst]; d != nil {
+		return d.queuedBytes
+	}
+	return 0
+}
 
 // SentBytesTo reports cumulative bytes committed toward dst.
-func (v *VM) SentBytesTo(dst int) int64 { return v.sentBytes[dst] }
+func (v *VM) SentBytesTo(dst int) int64 {
+	if d := v.byID[dst]; d != nil {
+		return d.sentBytes
+	}
+	return 0
+}
 
 // Destinations lists every destination this VM has ever queued traffic
-// toward (used by the hose coordinator to enumerate candidate flows).
+// toward, in first-seen order (used by the hose coordinator to
+// enumerate candidate flows).
 func (v *VM) Destinations() []int {
-	out := make([]int, 0, len(v.sentBytes))
-	for d := range v.sentBytes {
-		out = append(out, d)
-	}
-	for d := range v.queuedBytes {
-		if _, seen := v.sentBytes[d]; !seen {
-			out = append(out, d)
-		}
+	out := make([]int, len(v.dests))
+	for i, d := range v.dests {
+		out[i] = d.id
 	}
 	return out
+}
+
+// destFor returns dst's record, creating it on first sight.
+func (v *VM) destFor(dst int) *dest {
+	d := v.byID[dst]
+	if d == nil {
+		d = &dest{id: dst}
+		v.byID[dst] = d
+	}
+	return d
 }
 
 // SetDestRate installs or retunes the per-destination hose bucket for
 // traffic toward dst (paper Figure 8, top row; rates come from the
 // hose coordinator with Σ rates <= B). A rate of 0 removes the bucket
-// (destination unconstrained pending coordination).
+// (destination unconstrained pending coordination); the queue and the
+// byte counters stay.
 func (v *VM) SetDestRate(now int64, dst int, rate float64) {
 	if rate <= 0 {
-		delete(v.dst, dst)
+		if d := v.byID[dst]; d != nil {
+			d.hose = nil
+			d.stageOK = false
+		}
 		return
 	}
-	if b, ok := v.dst[dst]; ok {
-		b.SetRate(now, rate)
+	d := v.destFor(dst)
+	d.stageOK = false
+	if d.hose != nil {
+		d.hose.SetRate(now, rate)
 		return
 	}
 	// Per-destination buckets carry the full burst allowance: bursts
@@ -181,23 +225,27 @@ func (v *VM) SetDestRate(now int64, dst int, rate float64) {
 	if burst < v.g.MTUBytes {
 		burst = v.g.MTUBytes
 	}
-	v.dst[dst] = NewTokenBucket(rate, burst, now)
+	d.hose = NewTokenBucket(rate, burst, now)
 }
 
 // DestRate reports the installed per-destination rate toward dst
 // (0 if no bucket is installed).
 func (v *VM) DestRate(dst int) float64 {
-	if b, ok := v.dst[dst]; ok {
-		return b.Rate()
+	if d := v.byID[dst]; d != nil && d.hose != nil {
+		return d.hose.Rate()
 	}
 	return 0
 }
 
 // Enqueue admits one data packet into its destination queue. The
 // release stamp is assigned later, when the scheduler commits the
-// packet in chronological order.
+// packet in chronological order. On a VM registered with a HostPacer
+// the frame comes from the host's free list and returns to it once
+// NextBatch has handed it out (see HostPacer.NextBatch); the returned
+// pointer must not be kept past that point.
 func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) *Packet {
-	p := &Packet{
+	p := v.frames.get()
+	*p = Packet{
 		Bytes:   bytes,
 		SrcVM:   v.ID,
 		DstVM:   dstVM,
@@ -207,29 +255,40 @@ func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) *Packet {
 		seq:     v.seq,
 	}
 	v.seq++
-	v.queues[dstVM] = append(v.queues[dstVM], p)
+	d := v.destFor(dstVM)
+	if !d.seen {
+		d.seen = true
+		v.dests = append(v.dests, d)
+	}
+	if d.q.n == 0 {
+		d.pos = len(v.backlog)
+		v.backlog = append(v.backlog, d)
+	}
+	d.q.pushBack(p)
 	v.queued++
-	v.queuedBytes[dstVM] += int64(bytes)
+	d.queuedBytes += int64(bytes)
 	v.queuedTotal += int64(bytes)
 	v.mx.noteQueued(v.queuedTotal)
 	return p
 }
 
-// feasible returns the earliest release for a packet given current
-// bucket states, without committing, plus the gating bucket (the last
-// stage that pushed the release later). A single forward pass is
-// exact: token balances only grow with time, so feasibility at a later
-// stage never invalidates an earlier one.
-func (v *VM) feasible(p *Packet) (int64, uint8) {
-	r := p.enq
-	gate := GateNone
+// headRelease returns the earliest release for d's head packet given
+// current bucket states, without committing, plus the gating bucket
+// (the last stage that pushed the release later). A single forward
+// pass is exact: token balances only grow with time, so feasibility at
+// a later stage never invalidates an earlier one.
+func (v *VM) headRelease(d *dest) (int64, uint8) {
+	p := d.q.front()
 	n := p.Bytes
-	if b, ok := v.dst[p.DstVM]; ok {
-		if f := b.Free(r, n); f > r {
-			r = f
-			gate = GateDest
+	if !d.stageOK {
+		d.stageR, d.stageGate, d.stageOK = p.enq, GateNone, true
+		if d.hose != nil {
+			if f := d.hose.Free(p.enq, n); f > p.enq {
+				d.stageR, d.stageGate = f, GateDest
+			}
 		}
 	}
+	r, gate := d.stageR, d.stageGate
 	if f := v.avg.Free(r, n); f > r {
 		r = f
 		gate = GateAvg
@@ -242,40 +301,39 @@ func (v *VM) feasible(p *Packet) (int64, uint8) {
 }
 
 // Schedule commits queued packets with release stamps <= upTo, in
-// chronological order, moving them to the ready heap.
+// chronological order, moving them to the ready queue. The commit rule
+// is min (release, seq) over queue heads — a total order, so the order
+// the backlog slice happens to hold its records in cannot matter.
 func (v *VM) Schedule(upTo int64) {
-	for v.queued > 0 {
+	for len(v.backlog) > 0 {
+		var best *dest
 		bestR := int64(math.MaxInt64)
-		bestDst := 0
 		var bestSeq uint64
 		var bestGate uint8
-		found := false
-		for d, q := range v.queues {
-			if len(q) == 0 {
-				continue
-			}
-			r, gate := v.feasible(q[0])
-			if !found || r < bestR || (r == bestR && q[0].seq < bestSeq) {
-				found = true
-				bestR = r
-				bestDst = d
-				bestSeq = q[0].seq
-				bestGate = gate
+		for _, d := range v.backlog {
+			r, gate := v.headRelease(d)
+			if seq := d.q.front().seq; best == nil || r < bestR || (r == bestR && seq < bestSeq) {
+				best, bestR, bestSeq, bestGate = d, r, seq, gate
 			}
 		}
-		if !found || bestR > upTo {
+		if bestR > upTo {
 			break
 		}
-		q := v.queues[bestDst]
-		p := q[0]
-		v.queues[bestDst] = q[1:]
+		p := best.q.popFront()
+		best.stageOK = false
+		if best.q.n == 0 {
+			last := v.backlog[len(v.backlog)-1]
+			v.backlog[best.pos] = last
+			last.pos = best.pos
+			v.backlog = v.backlog[:len(v.backlog)-1]
+		}
 		v.queued--
-		v.queuedBytes[bestDst] -= int64(p.Bytes)
-		v.sentBytes[bestDst] += int64(p.Bytes)
+		best.queuedBytes -= int64(p.Bytes)
+		best.sentBytes += int64(p.Bytes)
 		v.queuedTotal -= int64(p.Bytes)
 		// Commit through the chain at the final release time.
-		if b, ok := v.dst[p.DstVM]; ok {
-			b.Commit(bestR, p.Bytes)
+		if best.hose != nil {
+			best.hose.Commit(bestR, p.Bytes)
 		}
 		v.avg.Commit(bestR, p.Bytes)
 		v.cap.Commit(bestR, p.Bytes)
@@ -285,32 +343,26 @@ func (v *VM) Schedule(upTo int64) {
 		if v.onCommit != nil {
 			v.onCommit(bestR, p.Bytes)
 		}
-		heap.Push(&v.ready, p)
-	}
-	if upTo > v.horizon {
-		v.horizon = upTo
+		v.ready.insert(p)
 	}
 }
 
 // Pending reports packets not yet handed to the batcher (queued plus
 // scheduled-but-unsent).
-func (v *VM) Pending() int { return v.queued + v.ready.Len() }
+func (v *VM) Pending() int { return v.queued + v.ready.n }
 
 // NextEventTime returns the earliest time at which this VM has a
-// packet eligible to leave: the head of the ready heap or the earliest
-// feasible release among queue heads.
+// packet eligible to leave: the head of the ready queue or the
+// earliest feasible release among queue heads.
 func (v *VM) NextEventTime() (int64, bool) {
 	best := int64(math.MaxInt64)
 	ok := false
-	if v.ready.Len() > 0 {
-		best = v.ready[0].Release
+	if v.ready.n > 0 {
+		best = v.ready.front().Release
 		ok = true
 	}
-	for _, q := range v.queues {
-		if len(q) == 0 {
-			continue
-		}
-		if r, _ := v.feasible(q[0]); r < best {
+	for _, d := range v.backlog {
+		if r, _ := v.headRelease(d); r < best {
 			best = r
 			ok = true
 		}
@@ -324,43 +376,121 @@ func (v *VM) NextEventTime() (int64, bool) {
 // PeekRelease returns the earliest committed release time. Callers
 // must Schedule() past their horizon of interest first.
 func (v *VM) PeekRelease() (int64, bool) {
-	if v.ready.Len() == 0 {
+	if v.ready.n == 0 {
 		return 0, false
 	}
-	return v.ready[0].Release, true
+	return v.ready.front().Release, true
 }
 
 // PopReady removes and returns the earliest committed packet if its
 // release time is <= horizon.
 func (v *VM) PopReady(horizon int64) (*Packet, bool) {
-	if v.ready.Len() == 0 || v.ready[0].Release > horizon {
+	if v.ready.n == 0 || v.ready.front().Release > horizon {
 		return nil, false
 	}
-	return heap.Pop(&v.ready).(*Packet), true
+	return v.ready.popFront(), true
 }
+
+// unpop returns the packet PopReady just handed out to the front of
+// the ready queue (the batcher found its window consumed by padding).
+func (v *VM) unpop(p *Packet) { v.ready.pushFront(p) }
 
 func (v *VM) String() string {
 	return fmt.Sprintf("VM(%d: B=%.0f S=%.0f Bmax=%.0f, %d queued)",
 		v.ID, v.g.BandwidthBps, v.g.BurstBytes, v.g.BurstRateBps, v.Pending())
 }
 
-// packetHeap orders packets by (Release, seq).
-type packetHeap []*Packet
-
-func (h packetHeap) Len() int { return len(h) }
-func (h packetHeap) Less(i, j int) bool {
-	if h[i].Release != h[j].Release {
-		return h[i].Release < h[j].Release
-	}
-	return h[i].seq < h[j].seq
+// pktRing is a FIFO of packets in a power-of-two ring. The destination
+// queues use it as a plain queue; the ready queue also inserts in
+// (Release, seq) order from the tail.
+type pktRing struct {
+	buf  []*Packet
+	head int // index of the front element
+	n    int
 }
-func (h packetHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *packetHeap) Push(x interface{}) { *h = append(*h, x.(*Packet)) }
-func (h *packetHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+func (q *pktRing) front() *Packet { return q.buf[q.head] }
+
+// slot maps a queue position (0 = front) to its buffer index.
+func (q *pktRing) slot(i int) int { return (q.head + i) & (len(q.buf) - 1) }
+
+// grow doubles the buffer when it is full, unrolling the ring.
+func (q *pktRing) grow() {
+	if q.n < len(q.buf) {
+		return
+	}
+	size := 2 * len(q.buf)
+	if size == 0 {
+		size = 8
+	}
+	buf := make([]*Packet, size)
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
+}
+
+func (q *pktRing) pushBack(p *Packet) {
+	q.grow()
+	q.buf[q.slot(q.n)] = p
+	q.n++
+}
+
+func (q *pktRing) pushFront(p *Packet) {
+	q.grow()
+	q.head = q.slot(len(q.buf) - 1)
+	q.buf[q.head] = p
+	q.n++
+}
+
+func (q *pktRing) popFront() *Packet {
+	p := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = q.slot(1)
+	q.n--
 	return p
+}
+
+// insert places a committed packet in (Release, seq) order. Commits
+// arrive in that order whenever the {B,S} bucket has a rate (its
+// virtual clock never moves back), so the walk from the tail is
+// normally zero steps; with an unlimited bucket a later enqueue can
+// commit ahead of packets already waiting, and the walk keeps the pop
+// order exactly what a priority queue would give.
+func (q *pktRing) insert(p *Packet) {
+	q.grow()
+	i := q.n
+	for i > 0 {
+		prev := q.buf[q.slot(i-1)]
+		if prev.Release < p.Release || (prev.Release == p.Release && prev.seq < p.seq) {
+			break
+		}
+		q.buf[q.slot(i)] = prev
+		i--
+	}
+	q.buf[q.slot(i)] = p
+	q.n++
+}
+
+// framePool is one host's free list of frames. Hosts belong to exactly
+// one island, so it needs no locking. A nil pool always allocates and
+// never keeps anything.
+type framePool struct {
+	free []*Packet
+}
+
+func (fp *framePool) get() *Packet {
+	if fp == nil || len(fp.free) == 0 {
+		return new(Packet)
+	}
+	p := fp.free[len(fp.free)-1]
+	fp.free = fp.free[:len(fp.free)-1]
+	return p
+}
+
+// put recycles a frame the batcher has handed out. Ref is dropped so
+// the free list never keeps the simulator's packet alive; get's callers
+// overwrite the rest.
+func (fp *framePool) put(p *Packet) {
+	p.Ref = nil
+	fp.free = append(fp.free, p)
 }
