@@ -7,9 +7,9 @@ import (
 // FlightTap wires an obs.FlightRecorder into every lifecycle point of a
 // network — VM pacer enqueue, token-bucket admit, per-port enqueue and
 // transmit, final delivery — chaining with (never replacing) hooks
-// already installed, the same discipline Tracer and AttachDelayAudit
-// follow, so all three can observe one run simultaneously. Detach
-// restores exactly the hooks found at attach time.
+// already installed, the same discipline AttachDelayAudit follows, so
+// both can observe one run simultaneously. Detach restores exactly the
+// hooks found at attach time.
 //
 // Void frames and packets without wire IDs are never recorded: voids
 // carry no message, and an ID of 0 cannot be attributed to a span.

@@ -99,12 +99,16 @@ func TestFlightPacedSpan(t *testing.T) {
 }
 
 // TestFlightComposesWithTracerAndAudit checks the hook-chaining
-// contract: the Tracer, the delay audit and the flight tap observe the
-// same run without stealing each other's events, and detaching the tap
-// (LIFO) restores the others untouched.
+// contract: a hop-tracing OnEnqueue hook installed first, the delay
+// audit and the flight tap observe the same run without stealing each
+// other's events, and detaching the tap (LIFO) restores the others
+// untouched.
 func TestFlightComposesWithTracerAndAudit(t *testing.T) {
 	nw := buildNet(t)
-	tr := AttachTracer(nw, nil)
+	hops := map[uint64]int{} // arrivals per packet ID, counted by the earlier hook
+	for _, q := range nw.Queues {
+		q.OnEnqueue = func(p *Packet, _ int) { hops[p.ID]++ }
+	}
 	audit := obs.NewGuaranteeAuditor(nil)
 	ta := audit.Admit(1, 1e9, 15e3, 1e-3)
 	nw.AttachDelayAudit(audit, func(vmID int) (int, bool) { return 1, vmID == 17 })
@@ -114,8 +118,8 @@ func TestFlightComposesWithTracerAndAudit(t *testing.T) {
 	nw.Hosts[0].Send(&Packet{ID: 1, Src: 0, Dst: 7, SrcVM: 10, DstVM: 17, Size: 1500})
 	nw.Sim.Run(1e9)
 
-	if len(tr.Hops(1)) != 6 {
-		t.Errorf("tracer hops = %d, want 6 (tap must chain, not replace)", len(tr.Hops(1)))
+	if hops[1] != 6 {
+		t.Errorf("traced hops = %d, want 6 (tap must chain, not replace)", hops[1])
 	}
 	if n := ta.Packets.Value(); n != 1 {
 		t.Errorf("audited packets = %d, want 1", n)
@@ -125,7 +129,7 @@ func TestFlightComposesWithTracerAndAudit(t *testing.T) {
 		t.Errorf("flight span wrong under composition: %+v", spans)
 	}
 
-	// Detach the tap; the tracer and audit keep working, the recorder
+	// Detach the tap; the earlier hook and the audit keep working, the recorder
 	// goes quiet.
 	tap.Detach()
 	before := rec.Emitted()
@@ -134,8 +138,8 @@ func TestFlightComposesWithTracerAndAudit(t *testing.T) {
 	if rec.Emitted() != before {
 		t.Error("detached tap still emitting")
 	}
-	if len(tr.Hops(2)) != 6 {
-		t.Errorf("tracer hops after tap detach = %d, want 6", len(tr.Hops(2)))
+	if hops[2] != 6 {
+		t.Errorf("traced hops after tap detach = %d, want 6", hops[2])
 	}
 	if n := ta.Packets.Value(); n != 2 {
 		t.Errorf("audited packets after tap detach = %d, want 2", n)

@@ -70,11 +70,9 @@ func (nw *Network) RegisterMetrics(reg *obs.Registry) {
 // the packet); it runs once per delivered packet, so it must not
 // allocate — a range check or array lookup, not a map built per call.
 //
-// This is the whole-run replacement for the Tracer's per-packet hop
-// recording: the auditor's per-tenant histogram and violation counters
-// aggregate in place with zero allocation, where the Tracer retains
-// every hop of every matched packet and is meant for debugging short
-// runs (see trace.go).
+// The auditor's per-tenant histogram and violation counters aggregate
+// in place with zero allocation; per-packet hop records are the flight
+// recorder's job (AttachFlightRecorder).
 //
 // Existing OnDeliver hooks are preserved and run first.
 func (nw *Network) AttachDelayAudit(a *obs.GuaranteeAuditor, tenantOf func(vmID int) (tenantID int, ok bool)) {

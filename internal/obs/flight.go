@@ -4,13 +4,12 @@ import "sync/atomic"
 
 // Flight recorder: a lock-free, fixed-size ring of binary trace events
 // for end-to-end per-packet latency attribution. Where the metrics core
-// (obs.go) aggregates in place and the netsim Tracer retains every hop
-// of every matched packet, the flight recorder sits in between: it
-// keeps the most recent window of raw lifecycle events — VM enqueue,
-// token-bucket admit, wire departure, per-port enqueue/transmit,
-// delivery — in preallocated fixed-size records, so a crash, a
-// d-violation, or an end-of-run export always has the exact recent
-// history to attribute, at a cost the pacing hot path can afford.
+// (obs.go) aggregates in place, the flight recorder keeps the most
+// recent window of raw lifecycle events — VM enqueue, token-bucket
+// admit, wire departure, per-port enqueue/transmit, delivery — in
+// preallocated fixed-size records, so a crash, a d-violation, or an
+// end-of-run export always has the exact recent history to attribute,
+// at a cost the pacing hot path can afford.
 //
 // Design rules, matching the metrics core:
 //
@@ -190,16 +189,20 @@ func (r *FlightRecorder) Events() []FlightEvent {
 	if r == nil {
 		return nil
 	}
-	var out []FlightEvent
+	var pos [flightShards]uint64
+	total := uint64(0)
 	for i := range r.shards {
-		s := &r.shards[i]
-		pos := s.pos.Load()
-		n := pos
-		if capacity := r.mask + 1; n > capacity {
-			n = capacity
-		}
-		for j := pos - n; j < pos; j++ {
-			out = append(out, s.buf[j&r.mask])
+		pos[i] = r.shards[i].pos.Load()
+		total += min(pos[i], r.mask+1)
+	}
+	out := make([]FlightEvent, 0, total)
+	for i := range r.shards {
+		buf := r.shards[i].buf
+		if pos[i] > r.mask+1 { // wrapped: the oldest event sits at the cursor
+			at := pos[i] & r.mask
+			out = append(append(out, buf[at:]...), buf[:at]...)
+		} else {
+			out = append(out, buf[:pos[i]]...)
 		}
 	}
 	return out

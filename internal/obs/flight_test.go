@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -293,6 +295,25 @@ func BenchmarkFlightRecorderUnsampled(b *testing.B) {
 		pkt := uint64(i)*64 + 1 // never sampled
 		if r.Sampled(pkt) {
 			r.Emit(FlightPortEnqueue, int64(i), pkt, 3, 64, 0)
+		}
+	}
+}
+
+// BenchmarkWriteChromeTrace measures the trace plane's exit path: 10 K
+// three-hop spans to Chrome trace_event JSON, MB/s of document written.
+func BenchmarkWriteChromeTrace(b *testing.B) {
+	ports := syntheticPorts(40)
+	spans := syntheticSpans(10000, len(ports))
+	var doc bytes.Buffer
+	if err := WriteChromeTrace(&doc, ports, spans); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteChromeTrace(io.Discard, ports, spans); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

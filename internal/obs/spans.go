@@ -106,25 +106,76 @@ func (s *FlightSpan) Violated() bool {
 // resolves propagation delays (indexed by port ID; out-of-range ports
 // get zero propagation). Spans are returned sorted by packet ID.
 func AssembleFlight(events []FlightEvent, ports []PortMeta) []FlightSpan {
-	byPkt := make(map[uint64][]FlightEvent)
-	for _, ev := range events {
-		byPkt[ev.Pkt] = append(byPkt[ev.Pkt], ev)
+	order := orderByPacket(events)
+	nSpans, nHops := 0, 0
+	for k, i := range order {
+		if k == 0 || events[i].Pkt != events[order[k-1]].Pkt {
+			nSpans++
+		}
+		if events[i].Kind == FlightPortEnqueue {
+			nHops++
+		}
 	}
-	spans := make([]FlightSpan, 0, len(byPkt))
-	for pkt, evs := range byPkt {
-		spans = append(spans, assembleOne(pkt, evs, ports))
+	spans := make([]FlightSpan, 0, nSpans)
+	// Every span's Hops is carved from this one slab, which is sized so
+	// that appending a hop never moves it.
+	hops := make([]FlightHop, 0, nHops)
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && events[order[hi]].Pkt == events[order[lo]].Pkt {
+			hi++
+		}
+		var s FlightSpan
+		s, hops = assembleOne(events, order[lo:hi], ports, hops)
+		spans = append(spans, s)
+		lo = hi
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Pkt < spans[j].Pkt })
 	return spans
 }
 
-// assembleOne builds one span from a packet's events (in emission
-// order, as the per-shard rings preserve it).
-func assembleOne(pkt uint64, evs []FlightEvent, ports []PortMeta) FlightSpan {
-	s := FlightSpan{Pkt: pkt, EnqueueNs: -1, AdmitNs: -1, WireNs: -1, DeliverNs: -1}
+// orderByPacket returns the indices of events ordered by packet ID,
+// each packet's events staying in the order given (emission order, as
+// the per-shard rings preserve it): a byte-wise LSD radix sort that
+// skips the digits all IDs agree on.
+func orderByPacket(events []FlightEvent) []int32 {
+	order, next := make([]int32, len(events)), make([]int32, len(events))
+	var differ uint64
+	for i := range events {
+		order[i] = int32(i)
+		differ |= events[i].Pkt ^ events[0].Pkt
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if (differ>>shift)&0xff == 0 {
+			continue
+		}
+		var start [257]int // start[d]: where the IDs with digit d go next
+		for i := range events {
+			start[(events[i].Pkt>>shift)&0xff+1]++
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, i := range order {
+			d := (events[i].Pkt >> shift) & 0xff
+			next[start[d]] = i
+			start[d]++
+		}
+		order, next = next, order
+	}
+	return order
+}
+
+// assembleOne builds one span from the events of one packet, which idx
+// lists in emission order. The span's hops are appended to slab, whose
+// capacity the caller sized for all of them; the grown slab is
+// returned.
+func assembleOne(events []FlightEvent, idx []int32, ports []PortMeta, slab []FlightHop) (FlightSpan, []FlightHop) {
+	s := FlightSpan{Pkt: events[idx[0]].Pkt, EnqueueNs: -1, AdmitNs: -1, WireNs: -1, DeliverNs: -1}
 	var measuredDelay int64 = -1
 	paired := true
-	for _, ev := range evs {
+	first := len(slab)
+	for _, i := range idx {
+		ev := &events[i]
 		switch ev.Kind {
 		case FlightVMEnqueue:
 			s.EnqueueNs = ev.T
@@ -134,11 +185,11 @@ func assembleOne(pkt uint64, evs []FlightEvent, ports []PortMeta) FlightSpan {
 			s.AdmitNs = ev.T
 			s.Gate = ev.Gate
 		case FlightPortEnqueue:
-			s.Hops = append(s.Hops, FlightHop{
+			slab = append(slab, FlightHop{
 				Port: ev.Port, ArriveNs: ev.T, TxStartNs: -1, OccupiedBytes: ev.Arg,
 			})
 		case FlightPortTx:
-			h := lastOpenHop(s.Hops, ev.Port)
+			h := lastOpenHop(slab[first:], ev.Port)
 			if h == nil {
 				paired = false // arrival was overwritten in the ring
 				continue
@@ -154,6 +205,11 @@ func assembleOne(pkt uint64, evs []FlightEvent, ports []PortMeta) FlightSpan {
 			s.DstVM = ev.Port
 			measuredDelay = ev.Arg
 		}
+	}
+	if len(slab) > first {
+		// Capacity-limited, so a caller appending to one span's hops
+		// cannot write into the next span's.
+		s.Hops = slab[first:len(slab):len(slab)]
 	}
 	for i := range s.Hops {
 		h := &s.Hops[i]
@@ -195,7 +251,7 @@ func assembleOne(pkt uint64, evs []FlightEvent, ports []PortMeta) FlightSpan {
 			s.BatchWaitNs = s.WireNs - s.AdmitNs
 		}
 	}
-	return s
+	return s, slab
 }
 
 // lastOpenHop returns the most recent hop at port still awaiting its

@@ -42,14 +42,14 @@ const (
 )
 
 // series is one metric statistic's ring. vals is capacity long; slots
-// not yet captured (a series registered mid-run) hold NaN.
+// not yet captured (a series registered mid-run) hold NaN. ref is the
+// metric resolved when the series was discovered, so a capture reads
+// it without going back through the registry's lock.
 type series struct {
-	key    string
-	name   string
-	labels []string
-	kind   obs.Kind
-	stat   string
-	vals   []float64
+	ref  obs.MetricRef
+	key  string
+	stat string
+	vals []float64
 }
 
 // Rollup is the epoch-windowed capture engine.
@@ -88,8 +88,8 @@ func (r *Rollup) Captures() int64 {
 
 // newSeries preallocates one ring, NaN-filled so windows missed before
 // a mid-run registration render as gaps, not zeros.
-func newSeries(key, name string, labels []string, kind obs.Kind, stat string, capacity int) *series {
-	s := &series{key: key, name: name, labels: labels, kind: kind, stat: stat, vals: make([]float64, capacity)}
+func newSeries(m obs.MetricRef, key, stat string, capacity int) *series {
+	s := &series{ref: m, key: key, stat: stat, vals: make([]float64, capacity)}
 	nan := math.NaN()
 	for i := range s.vals {
 		s.vals[i] = nan
@@ -110,28 +110,27 @@ func (r *Rollup) Capture(nowNs int64) {
 		key := m.Key()
 		if m.Kind() == obs.KindHistogram {
 			r.series = append(r.series,
-				newSeries(key+"#count", m.Name(), m.Labels(), m.Kind(), StatCount, r.capacity),
-				newSeries(key+"#sum", m.Name(), m.Labels(), m.Kind(), StatSum, r.capacity),
-				newSeries(key+"#max", m.Name(), m.Labels(), m.Kind(), StatMax, r.capacity))
+				newSeries(m, key+"#count", StatCount, r.capacity),
+				newSeries(m, key+"#sum", StatSum, r.capacity),
+				newSeries(m, key+"#max", StatMax, r.capacity))
 		} else {
-			r.series = append(r.series, newSeries(key, m.Name(), m.Labels(), m.Kind(), StatValue, r.capacity))
+			r.series = append(r.series, newSeries(m, key, StatValue, r.capacity))
 		}
 	}
 	r.seen = n
 
 	slot := r.head
 	r.times[slot] = nowNs
-	si := 0
-	for i := 0; i < n; i++ {
-		m := r.reg.MetricAt(i)
-		if m.Kind() == obs.KindHistogram {
-			h := m.Hist()
-			r.series[si].vals[slot] = float64(h.Count())
+	for si := 0; si < len(r.series); {
+		s := r.series[si]
+		if s.ref.Kind() == obs.KindHistogram { // its count, sum and max series are adjacent
+			h := s.ref.Hist()
+			s.vals[slot] = float64(h.Count())
 			r.series[si+1].vals[slot] = float64(h.Sum())
 			r.series[si+2].vals[slot] = float64(h.Max())
 			si += 3
 		} else {
-			r.series[si].vals[slot] = m.ScalarValue()
+			s.vals[slot] = s.ref.ScalarValue()
 			si++
 		}
 	}
@@ -186,7 +185,7 @@ func (r *Rollup) Snapshot() SeriesSnapshot {
 		out.TimesNs[i] = r.times[(start+i)%r.capacity]
 	}
 	for si, s := range r.series {
-		d := SeriesData{Key: s.key, Name: s.name, Labels: s.labels, Kind: s.kind, Stat: s.stat,
+		d := SeriesData{Key: s.key, Name: s.ref.Name(), Labels: s.ref.Labels(), Kind: s.ref.Kind(), Stat: s.stat,
 			Values: make([]float64, r.n)}
 		for i := 0; i < r.n; i++ {
 			d.Values[i] = s.vals[(start+i)%r.capacity]

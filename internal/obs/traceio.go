@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/stats"
@@ -31,89 +34,246 @@ type siloTraceData struct {
 	Spans []FlightSpan `json:"spans"`
 }
 
-// chromeTraceFile is the on-disk Chrome trace_event envelope.
-type chromeTraceFile struct {
-	TraceEvents     []chromeEvent              `json:"traceEvents"`
-	DisplayTimeUnit string                     `json:"displayTimeUnit"`
-	OtherData       map[string]json.RawMessage `json:"otherData,omitempty"`
-}
-
-// chromeEvent is one trace_event record; ts and dur are microseconds
-// (fractional — ns precision survives the float).
-type chromeEvent struct {
-	Name string                 `json:"name"`
-	Cat  string                 `json:"cat"`
-	Ph   string                 `json:"ph"`
-	Ts   float64                `json:"ts"`
-	Dur  float64                `json:"dur,omitempty"`
-	Pid  int64                  `json:"pid"`
-	Tid  uint64                 `json:"tid"`
-	Args map[string]interface{} `json:"args,omitempty"`
-}
-
-func usFloat(ns int64) float64 { return float64(ns) / 1e3 }
-
 // WriteChromeTrace writes spans as Chrome trace_event JSON.
 func WriteChromeTrace(w io.Writer, ports []PortMeta, spans []FlightSpan) error {
 	return writeChromeTrace(w, nil, ports, spans)
 }
 
+// writeChromeTrace streams the document
+//
+//	{"traceEvents":[...],"displayTimeUnit":"ns",
+//	 "otherData":{"silo":{"meta":{...},"ports":[...],"spans":[...]}}}
+//
+// one span at a time through a single scratch buffer: a pacing event
+// and up to three events per hop in the first pass, the span records
+// themselves in the second. The bytes are the ones encoding/json
+// produces for the same values — struct field order, omitempty, args
+// keys sorted as a map's are, HTML-safe string escapes, its float
+// format, Encoder's trailing newline — which the oracle test and
+// testdata/trace.golden.json pin.
 func writeChromeTrace(w io.Writer, meta *RunMeta, ports []PortMeta, spans []FlightSpan) error {
-	var evs []chromeEvent
-	for i := range spans {
-		s := &spans[i]
-		base := map[string]interface{}{
-			"pkt": s.Pkt, "src_vm": s.SrcVM, "dst_vm": s.DstVM, "bytes": s.Bytes,
-		}
-		pid := int64(s.TenantID)
-		if s.EnqueueNs >= 0 && s.PacingNs > 0 {
-			args := map[string]interface{}{
-				"pkt": s.Pkt, "gate": GateName(s.Gate),
-				"token_wait_ns": s.TokenWaitNs, "batch_wait_ns": s.BatchWaitNs,
-			}
-			evs = append(evs, chromeEvent{
-				Name: "pacing", Cat: "pacer", Ph: "X",
-				Ts: usFloat(s.EnqueueNs), Dur: usFloat(s.PacingNs),
-				Pid: pid, Tid: s.Pkt, Args: args,
-			})
-		}
-		for _, h := range s.Hops {
-			port := PortName(ports, h.Port)
-			if h.QueueNs > 0 {
-				evs = append(evs, chromeEvent{
-					Name: "queue " + port, Cat: "net", Ph: "X",
-					Ts: usFloat(h.ArriveNs), Dur: usFloat(h.QueueNs),
-					Pid: pid, Tid: s.Pkt,
-					Args: map[string]interface{}{"pkt": s.Pkt, "occupied_bytes": h.OccupiedBytes},
-				})
-			}
-			if h.TxStartNs >= 0 {
-				evs = append(evs, chromeEvent{
-					Name: "ser " + port, Cat: "net", Ph: "X",
-					Ts: usFloat(h.TxStartNs), Dur: usFloat(h.SerNs),
-					Pid: pid, Tid: s.Pkt, Args: base,
-				})
-				if h.PropNs > 0 {
-					evs = append(evs, chromeEvent{
-						Name: "prop " + port, Cat: "net", Ph: "X",
-						Ts: usFloat(h.TxStartNs + h.SerNs), Dur: usFloat(h.PropNs),
-						Pid: pid, Tid: s.Pkt,
-					})
-				}
-			}
+	// One meta and a few dozen ports stay with the reflective encoder.
+	var metaJSON []byte
+	if meta != nil {
+		var err error
+		if metaJSON, err = json.Marshal(meta); err != nil {
+			return err
 		}
 	}
-	payload, err := json.Marshal(siloTraceData{Meta: meta, Ports: ports, Spans: spans})
+	portsJSON, err := json.Marshal(ports)
 	if err != nil {
 		return err
 	}
-	out := chromeTraceFile{
-		TraceEvents:     evs,
-		DisplayTimeUnit: "ns",
-		OtherData:       map[string]json.RawMessage{"silo": payload},
+
+	bw := bufio.NewWriterSize(w, 64<<10) // keeps the first write error for Flush
+	names := eventNames{ports: ports, byPort: make([][3]string, len(ports))}
+	b := make([]byte, 0, 4<<10)
+
+	b = append(b, `{"traceEvents":`...)
+	sep := byte('[') // ',' once the array has an element
+	for i := range spans {
+		s := &spans[i]
+		pid := int64(s.TenantID)
+		if s.EnqueueNs >= 0 && s.PacingNs > 0 {
+			b = appendEventHead(b, sep, `"pacing"`, "pacer", s.EnqueueNs, s.PacingNs, pid, s.Pkt)
+			sep = ','
+			b = appendInt(b, `,"args":{"batch_wait_ns":`, s.BatchWaitNs)
+			b = append(b, `,"gate":`...)
+			b = append(b, names.gate(s.Gate)...)
+			b = appendUint(b, `,"pkt":`, s.Pkt)
+			b = appendInt(b, `,"token_wait_ns":`, s.TokenWaitNs)
+			b = append(b, "}}"...)
+		}
+		for j := range s.Hops {
+			h := &s.Hops[j]
+			if h.QueueNs > 0 {
+				b = appendEventHead(b, sep, names.port(nameQueue, h.Port), "net", h.ArriveNs, h.QueueNs, pid, s.Pkt)
+				sep = ','
+				b = appendInt(b, `,"args":{"occupied_bytes":`, h.OccupiedBytes)
+				b = appendUint(b, `,"pkt":`, s.Pkt)
+				b = append(b, "}}"...)
+			}
+			if h.TxStartNs >= 0 {
+				b = appendEventHead(b, sep, names.port(nameSer, h.Port), "net", h.TxStartNs, h.SerNs, pid, s.Pkt)
+				sep = ','
+				b = appendInt(b, `,"args":{"bytes":`, s.Bytes)
+				b = appendInt(b, `,"dst_vm":`, int64(s.DstVM))
+				b = appendUint(b, `,"pkt":`, s.Pkt)
+				b = appendInt(b, `,"src_vm":`, int64(s.SrcVM))
+				b = append(b, "}}"...)
+				if h.PropNs > 0 {
+					b = appendEventHead(b, sep, names.port(nameProp, h.Port), "net", h.TxStartNs+h.SerNs, h.PropNs, pid, s.Pkt)
+					b = append(b, '}')
+				}
+			}
+		}
+		bw.Write(b)
+		b = b[:0]
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	if sep == '[' {
+		b = append(b, "null"...) // no events: a nil slice to encoding/json
+	} else {
+		b = append(b, ']')
+	}
+
+	b = append(b, `,"displayTimeUnit":"ns","otherData":{"silo":{`...)
+	if metaJSON != nil {
+		b = append(b, `"meta":`...)
+		b = append(b, metaJSON...)
+		b = append(b, ',')
+	}
+	b = append(b, `"ports":`...)
+	b = append(b, portsJSON...)
+	b = append(b, `,"spans":`...)
+	if spans == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range spans {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendSpan(b, &spans[i])
+			bw.Write(b)
+			b = b[:0]
+		}
+		b = append(b, ']')
+	}
+	b = append(b, "}}}\n"...)
+	bw.Write(b)
+	return bw.Flush()
+}
+
+// appendEventHead appends sep and one "X" trace_event up to its tid;
+// the caller adds args, if any, and the closing brace. name is a JSON
+// string literal; ts and dur are microseconds (fractional — ns
+// precision survives the float), dur omitted at 0.
+func appendEventHead(b []byte, sep byte, name, cat string, tsNs, durNs, pid int64, tid uint64) []byte {
+	b = append(b, sep)
+	b = append(b, `{"name":`...)
+	b = append(b, name...)
+	b = append(b, `,"cat":"`...)
+	b = append(b, cat...)
+	b = append(b, `","ph":"X","ts":`...)
+	b = appendJSONFloat(b, float64(tsNs)/1e3)
+	if durNs != 0 {
+		b = append(b, `,"dur":`...)
+		b = appendJSONFloat(b, float64(durNs)/1e3)
+	}
+	b = appendInt(b, `,"pid":`, pid)
+	return appendUint(b, `,"tid":`, tid)
+}
+
+// appendSpan appends one FlightSpan as encoding/json renders the
+// struct: every field in declaration order, hops omitted when empty.
+func appendSpan(b []byte, s *FlightSpan) []byte {
+	b = appendUint(b, `{"pkt":`, s.Pkt)
+	b = appendInt(b, `,"src_vm":`, int64(s.SrcVM))
+	b = appendInt(b, `,"dst_vm":`, int64(s.DstVM))
+	b = appendInt(b, `,"bytes":`, s.Bytes)
+	b = appendInt(b, `,"enqueue_ns":`, s.EnqueueNs)
+	b = appendInt(b, `,"admit_ns":`, s.AdmitNs)
+	b = appendUint(b, `,"gate":`, uint64(s.Gate))
+	b = appendInt(b, `,"wire_ns":`, s.WireNs)
+	b = appendInt(b, `,"deliver_ns":`, s.DeliverNs)
+	for i := range s.Hops {
+		h := &s.Hops[i]
+		if i == 0 {
+			b = append(b, `,"hops":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		b = appendInt(b, `{"port":`, int64(h.Port))
+		b = appendInt(b, `,"arrive_ns":`, h.ArriveNs)
+		b = appendInt(b, `,"tx_start_ns":`, h.TxStartNs)
+		b = appendInt(b, `,"ser_ns":`, h.SerNs)
+		b = appendInt(b, `,"prop_ns":`, h.PropNs)
+		b = appendInt(b, `,"queue_ns":`, h.QueueNs)
+		b = appendInt(b, `,"occupied_bytes":`, h.OccupiedBytes)
+		b = append(b, '}')
+	}
+	if len(s.Hops) > 0 {
+		b = append(b, ']')
+	}
+	b = appendInt(b, `,"token_wait_ns":`, s.TokenWaitNs)
+	b = appendInt(b, `,"batch_wait_ns":`, s.BatchWaitNs)
+	b = appendInt(b, `,"pacing_ns":`, s.PacingNs)
+	b = appendInt(b, `,"queue_ns":`, s.QueueNs)
+	b = appendInt(b, `,"ser_ns":`, s.SerNs)
+	b = appendInt(b, `,"prop_ns":`, s.PropNs)
+	b = appendInt(b, `,"total_ns":`, s.TotalNs)
+	b = appendInt(b, `,"worst_port":`, int64(s.WorstPort))
+	b = appendInt(b, `,"worst_queue_ns":`, s.WorstQueueNs)
+	b = append(b, `,"complete":`...)
+	b = strconv.AppendBool(b, s.Complete)
+	b = appendInt(b, `,"tenant_id":`, int64(s.TenantID))
+	b = appendInt(b, `,"bound_ns":`, s.BoundNs)
+	return append(b, '}')
+}
+
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+func appendUint(b []byte, key string, v uint64) []byte {
+	return strconv.AppendUint(append(b, key...), v, 10)
+}
+
+// appendJSONFloat formats a finite f as encoding/json does: shortest
+// 'f', or 'e' with a one-digit exponent unpadded outside [1e-6, 1e21).
+func appendJSONFloat(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	if abs == 0 || (abs >= 1e-6 && abs < 1e21) {
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 -> e-9
+		b = b[:n-1]
+	}
+	return b
+}
+
+// Event-name prefixes, indexing eventNames.byPort.
+const (
+	nameQueue = iota
+	nameSer
+	nameProp
+)
+
+var namePrefix = [3]string{"queue ", "ser ", "prop "}
+
+// eventNames hands out port-event and gate names as JSON string
+// literals, escaped on first use instead of once per event.
+type eventNames struct {
+	ports  []PortMeta
+	byPort [][3]string // by port ID, then prefix
+	gates  [256]string
+}
+
+func (n *eventNames) port(prefix int, id int32) string {
+	if int(id) < 0 || int(id) >= len(n.byPort) {
+		return quoteJSON(namePrefix[prefix] + PortName(n.ports, id))
+	}
+	q := &n.byPort[id][prefix]
+	if *q == "" {
+		*q = quoteJSON(namePrefix[prefix] + PortName(n.ports, id))
+	}
+	return *q
+}
+
+func (n *eventNames) gate(g uint8) string {
+	if n.gates[g] == "" {
+		n.gates[g] = quoteJSON(GateName(g))
+	}
+	return n.gates[g]
+}
+
+// quoteJSON renders s as encoding/json does inside a document:
+// HTML-safe, invalid UTF-8 replaced.
+func quoteJSON(s string) string {
+	b, _ := json.Marshal(s) // a string always marshals
+	return string(b)
 }
 
 // spansCSVHeader defines the compact span CSV schema.
@@ -131,14 +291,14 @@ func WriteSpansCSV(w io.Writer, spans []FlightSpan) error {
 }
 
 func writeSpansCSV(w io.Writer, meta *RunMeta, spans []FlightSpan) error {
-	rows := make([][]float64, 0, len(spans))
+	c := stats.NewCSVWriter(w, meta.CommentLine(), spansCSVHeader)
 	for i := range spans {
 		s := &spans[i]
 		complete := 0.0
 		if s.Complete {
 			complete = 1
 		}
-		rows = append(rows, []float64{
+		c.Row(
 			float64(s.Pkt), float64(s.TenantID), float64(s.SrcVM), float64(s.DstVM),
 			float64(s.Bytes), float64(s.Gate),
 			float64(s.EnqueueNs), float64(s.AdmitNs), float64(s.WireNs), float64(s.DeliverNs),
@@ -146,9 +306,9 @@ func writeSpansCSV(w io.Writer, meta *RunMeta, spans []FlightSpan) error {
 			float64(s.QueueNs), float64(s.SerNs), float64(s.PropNs), float64(s.TotalNs),
 			float64(len(s.Hops)), float64(s.WorstPort), float64(s.WorstQueueNs),
 			float64(s.BoundNs), complete,
-		})
+		)
 	}
-	return stats.WriteCSVComment(w, meta.CommentLine(), spansCSVHeader, rows)
+	return c.Flush()
 }
 
 // WriteTraceFile writes a recording to path: *.csv gets the compact
@@ -197,17 +357,20 @@ func ReadTraceFileMeta(path string) (*RunMeta, []PortMeta, []FlightSpan, error) 
 		spans, err := parseSpansCSV(string(b))
 		return nil, nil, spans, err
 	}
-	var file chromeTraceFile
+	// Declaring only otherData lets encoding/json skip the traceEvents
+	// array — Perfetto's rendering of the same spans — without
+	// building it.
+	var file struct {
+		OtherData struct {
+			Silo *siloTraceData `json:"silo"`
+		} `json:"otherData"`
+	}
 	if err := json.Unmarshal(b, &file); err != nil {
 		return nil, nil, nil, fmt.Errorf("%s: not a silo trace: %w", path, err)
 	}
-	raw, ok := file.OtherData["silo"]
-	if !ok {
+	data := file.OtherData.Silo
+	if data == nil {
 		return nil, nil, nil, fmt.Errorf("%s: no otherData.silo span payload (not written by silo-sim?)", path)
-	}
-	var data siloTraceData
-	if err := json.Unmarshal(raw, &data); err != nil {
-		return nil, nil, nil, fmt.Errorf("%s: span payload: %w", path, err)
 	}
 	return data.Meta, data.Ports, data.Spans, nil
 }

@@ -1,10 +1,11 @@
 package stats
 
 import (
-	"fmt"
+	"bufio"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -20,28 +21,54 @@ func WriteCSV(w io.Writer, header []string, rows [][]float64) error {
 // (e.g. obs.RunMeta.CommentLine) before the header; empty means none.
 // Plotting tools and the repo's readers treat "#" lines as comments.
 func WriteCSVComment(w io.Writer, comment string, header []string, rows [][]float64) error {
+	c := NewCSVWriter(w, comment, header)
+	for _, row := range rows {
+		c.Row(row...)
+	}
+	return c.Flush()
+}
+
+// CSVWriter streams a CSV — comment, header, then numeric rows as they
+// are produced — through one 64 KB buffer, so a long table costs a
+// write per buffer rather than per row and is never held whole. Cells
+// are formatted as fmt's %g formats them.
+type CSVWriter struct {
+	bw  *bufio.Writer // keeps the first write error for Flush
+	row []byte
+}
+
+// NewCSVWriter starts a CSV on w with the comment (see WriteCSVComment)
+// and the header line.
+func NewCSVWriter(w io.Writer, comment string, header []string) *CSVWriter {
+	c := &CSVWriter{bw: bufio.NewWriterSize(w, 64<<10)}
 	if comment != "" {
 		if !strings.HasPrefix(comment, "#") {
-			comment = "# " + comment
+			c.bw.WriteString("# ")
 		}
-		if _, err := fmt.Fprintln(w, comment); err != nil {
-			return err
-		}
+		c.bw.WriteString(comment)
+		c.bw.WriteByte('\n')
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = fmt.Sprintf("%g", v)
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(parts, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
+	c.bw.WriteString(strings.Join(header, ","))
+	c.bw.WriteByte('\n')
+	return c
 }
+
+// Row appends one row.
+func (c *CSVWriter) Row(vals ...float64) {
+	b := c.row[:0]
+	for i, v := range vals {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	c.row = append(b, '\n')
+	c.bw.Write(c.row)
+}
+
+// Flush writes out what is buffered and returns the first error any
+// write met.
+func (c *CSVWriter) Flush() error { return c.bw.Flush() }
 
 // WriteCSVFile writes a CSV to dir/name, creating dir if needed.
 func WriteCSVFile(dir, name string, header []string, rows [][]float64) error {

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,12 +44,62 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteCSVPropagatesErrors(t *testing.T) {
-	// Fail on the header and on the first row respectively.
+	// 20,000 rows leave in several buffer-sized writes; fail the first
+	// and the second.
+	rows := make([][]float64, 20000)
+	for i := range rows {
+		rows[i] = []float64{float64(i), 0.5}
+	}
 	for _, okWrites := range []int{0, 1} {
-		err := WriteCSV(&failWriter{n: okWrites}, []string{"a"}, [][]float64{{1}})
+		err := WriteCSV(&failWriter{n: okWrites}, []string{"a", "b"}, rows)
 		if err == nil {
 			t.Errorf("okWrites=%d: writer error swallowed", okWrites)
 		}
+	}
+}
+
+// TestWriteCSVCellsMatchPercentG: cells are what fmt.Sprintf("%g")
+// wrote before rows were formatted with strconv.
+func TestWriteCSVCellsMatchPercentG(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, 0.001, 1e6, 1e20, 1e21, 1e-4, 1e-5, 1e-7,
+		8594229649871, 1 << 53, 1<<53 + 1, 123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	want := "v\n"
+	rows := make([][]float64, len(vals))
+	for i, v := range vals {
+		rows[i] = []float64{v, v}
+		want += fmt.Sprintf("%g,%g\n", v, v)
+	}
+	var b strings.Builder
+	if err := WriteCSVComment(&b, "run: x", []string{"v"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != "# run: x\n"+want {
+		t.Errorf("got %q, want %q", got, "# run: x\n"+want)
+	}
+}
+
+type countingWriter struct{ writes, bytes int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestCSVWriterBuffersRows: a long table reaches the writer in
+// buffer-sized pieces, not a write per row.
+func TestCSVWriterBuffersRows(t *testing.T) {
+	var w countingWriter
+	c := NewCSVWriter(&w, "", []string{"i", "x", "y"})
+	for i := 0; i < 40000; i++ {
+		c.Row(float64(i), 0.25, 8594229649871)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if max := w.bytes/(64<<10) + 1; w.writes > max {
+		t.Errorf("%d writes for %d bytes, want at most %d", w.writes, w.bytes, max)
 	}
 }
 
