@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet build test test-race test-faults test-parallel test-incidents test-crash soak bench-placement bench-obs bench-telemetry bench-introspect bench-incident bench-runtime bench-wal regress regress-placement regress-pacer baselines
+.PHONY: all ci vet build test test-race test-admission test-faults test-parallel test-incidents test-crash soak bench-placement bench-obs bench-telemetry bench-introspect bench-incident bench-runtime bench-wal regress regress-placement regress-pacer baselines
 
 all: vet build test
 
@@ -8,7 +8,7 @@ all: vet build test
 # concurrent hot paths: the placement scope search (test-race), the
 # sharded obs histograms, the pacer, and the engine with the transports
 # on top of it (island workers own Conn state and its RTO timer).
-ci: vet build test test-race test-faults test-parallel test-incidents test-crash regress-placement regress-pacer
+ci: vet build test test-race test-admission test-faults test-parallel test-incidents test-crash regress-placement regress-pacer
 	$(GO) test -race ./internal/obs/... ./internal/pacer/... ./internal/netsim/... ./internal/transport/...
 
 vet:
@@ -24,6 +24,16 @@ test:
 # placement scope search and the netcal primitives it leans on).
 test-race:
 	$(GO) test -race ./internal/placement/... ./internal/netcal/...
+
+# The admission invariant, 25 times over under the race detector: the
+# seeded properties that draw fresh inputs each run — Manager against
+# the test-side oracle, VerifyInvariants after every place / remove /
+# fail / recover, a tenant admitted beside neighbours also admissible
+# alone — and netcal's rate-capped curve rule they rest on (bounds never
+# rise on removal, closed forms agree with materialized curves, no jump
+# across peak = rate).
+test-admission:
+	$(GO) test -race -count=25 -run 'Equivalence|Churn|Monoton|Degenerate' ./internal/placement/ ./internal/netcal/
 
 # The fault-injection and recovery suite: the injector itself (with the
 # race detector — the injector shares netsim with concurrent recovery

@@ -102,41 +102,30 @@ func QueueBoundTB(rate, burst, svcRate float64) float64 {
 	return burst / svcRate
 }
 
-// QueueBoundTwoPiece returns QueueBound for the two-piece rate-capped
-// arrival curve A′(t) = min(peak·t + seed, rate·t + burst) against the
-// zero-latency rate service β(t) = svcRate·t, in closed form with no
-// allocation. The degenerate cases (peak <= rate, burst <= seed) fall
-// back to the token bucket exactly as NewRateCapped does, so results
-// are float-for-float identical to materializing the curves and
-// calling QueueBound. This is the placement manager's admission-check
-// hot path: it runs millions of times per rejected tenant request at
-// datacenter scale.
+// QueueBoundTwoPiece returns QueueBound for the rate-capped arrival
+// curve A′(t) = min(peak·t + seed, rate·t + burst) against the
+// zero-latency rate service β(t) = svcRate·t, with no allocation. It
+// reads the pieces NewRateCapped would store (minOfLines), so results
+// are float-for-float identical to materializing the curves and calling
+// QueueBound — except that rate > svcRate answers +Inf even where the
+// peak line alone is the minimum (peak <= rate): the bucket rate is the
+// bandwidth the port has promised, and a port promised more than it
+// serves is overbooked whatever the peak cap hides. This is the
+// placement manager's admission-check hot path: it runs millions of
+// times per rejected tenant request at datacenter scale.
 func QueueBoundTwoPiece(rate, burst, peak, seed, svcRate float64) float64 {
-	if peak <= rate || burst <= seed {
-		return QueueBoundTB(rate, burst, svcRate)
-	}
 	if rate > svcRate {
 		return math.Inf(1)
 	}
-	if svcRate <= 0 {
-		// Arrival is nonzero (peak > rate >= 0) but the port serves
-		// nothing: the queue never drains.
-		return math.Inf(1)
-	}
-	// Breakpoints of A′: (0, seed) and the knee (tx, yx) where the peak
-	// segment meets the token bucket — the same expressions NewRateCapped
-	// stores.
-	tx := (burst - seed) / (peak - rate)
-	yx := seed + peak*tx
+	y0, _, tx, yx, _ := minOfLines(rate, burst, peak, seed)
 	best := 0.0
-	if seed > 0 {
-		best = seed / svcRate
+	if y0 > 0 {
+		best = y0 / svcRate // +Inf at svcRate == 0: the queue never drains
 	}
-	if d := yx/svcRate - tx; d > best {
-		best = d
-	}
-	if best < 0 {
-		best = 0
+	if yx > 0 {
+		if d := yx/svcRate - tx; d > best {
+			best = d
+		}
 	}
 	return best
 }
@@ -162,26 +151,21 @@ func BacklogTB(rate, burst, svcRate float64) float64 {
 	return burst
 }
 
-// BacklogTwoPiece returns Backlog for the two-piece rate-capped
-// arrival curve A′(t) = min(peak·t + seed, rate·t + burst) against the
-// zero-latency rate service β(t) = svcRate·t, in closed form. The
-// degenerate cases fall back to the token bucket exactly as
-// NewRateCapped does, so results are float-for-float identical to
-// materializing the curves and calling Backlog. The deviation is
-// attained at a breakpoint of A′: either the instantaneous burst at
-// t = 0 or the knee of the peak cap.
+// BacklogTwoPiece returns Backlog for the rate-capped arrival curve
+// A′(t) = min(peak·t + seed, rate·t + burst) against the zero-latency
+// rate service β(t) = svcRate·t, with no allocation: the vertical
+// deviation is attained at a breakpoint of A′ (minOfLines), the
+// instantaneous burst at t = 0 or the knee. Float-for-float identical to
+// Backlog over the materialized curves, with QueueBoundTwoPiece's +Inf
+// for rate > svcRate.
 func BacklogTwoPiece(rate, burst, peak, seed, svcRate float64) float64 {
-	if peak <= rate || burst <= seed {
-		return BacklogTB(rate, burst, svcRate)
-	}
 	if rate > svcRate {
 		return math.Inf(1)
 	}
-	tx := (burst - seed) / (peak - rate)
-	yx := seed + peak*tx
+	y0, _, tx, yx, _ := minOfLines(rate, burst, peak, seed)
 	best := 0.0
-	if seed > best {
-		best = seed
+	if y0 > best {
+		best = y0
 	}
 	if d := yx - svcRate*tx; d > best {
 		best = d
@@ -208,23 +192,23 @@ func BusyPeriodTB(rate, burst, svcRate float64) float64 {
 	return math.Inf(1)
 }
 
-// BusyPeriodTwoPiece returns BusyPeriod for the two-piece rate-capped
-// arrival curve against the zero-latency rate service β(t) = svcRate·t,
-// in closed form, float-for-float identical to the generic scan over
-// the materialized curves. The service line either crosses the peak
-// segment before the knee (svcRate > peak), exactly grazes the knee, or
-// crosses the token-bucket tail.
+// BusyPeriodTwoPiece returns BusyPeriod for the rate-capped arrival
+// curve against the zero-latency rate service β(t) = svcRate·t, with no
+// allocation, float-for-float identical to the generic scan over the
+// materialized curves (and +Inf for rate > svcRate, like
+// QueueBoundTwoPiece). Piece by piece (minOfLines), the service line
+// has either caught up by the piece's start, or crosses it before the
+// next piece begins, or not at all.
 func BusyPeriodTwoPiece(rate, burst, peak, seed, svcRate float64) float64 {
-	if peak <= rate || burst <= seed {
-		return BusyPeriodTB(rate, burst, svcRate)
-	}
 	if rate > svcRate {
 		return math.Inf(1)
 	}
-	tx := (burst - seed) / (peak - rate)
-	yx := seed + peak*tx
-	if svcRate > peak && seed > 0 {
-		if t := seed / (svcRate - peak); t < tx {
+	y0, r0, tx, yx, r1 := minOfLines(rate, burst, peak, seed)
+	if tx == 0 {
+		return BusyPeriodTB(r0, y0, svcRate)
+	}
+	if svcRate > r0 && y0 > 0 {
+		if t := y0 / (svcRate - r0); t < tx {
 			return t
 		}
 	}
@@ -232,8 +216,8 @@ func BusyPeriodTwoPiece(rate, burst, peak, seed, svcRate float64) float64 {
 	if d <= 0 {
 		return tx
 	}
-	if svcRate > rate {
-		return tx + d/(svcRate-rate)
+	if svcRate > r1 {
+		return tx + d/(svcRate-r1)
 	}
 	return math.Inf(1)
 }

@@ -55,25 +55,49 @@ func NewTokenBucket(rate, burst float64) Curve {
 	return Curve{segs: []Segment{{X: 0, Y: burst, Rate: rate}}}
 }
 
-// NewRateCapped returns the two-piece curve the implementation uses
-// (the paper's A′, Figure 6a): traffic is bounded both by the token
-// bucket {rate, burst} and by the peak rate cap:
+// NewRateCapped returns the curve the implementation uses (the paper's
+// A′, Figure 6a): traffic is bounded both by the token bucket
+// {rate, burst} and by the peak rate cap:
 //
 //	A′(t) = min(peak·t + seed, rate·t + burst)
 //
 // seed is the instantaneous burst at the peak rate — one MTU for a
-// single VM (a packet is released back-to-back at wire speed). If
-// peak <= rate the plain token bucket is returned.
+// single VM (a packet is released back-to-back at wire speed). The
+// curve has two pieces when the lines cross at some t > 0 and is the
+// lower line alone otherwise (minOfLines).
 func NewRateCapped(rate, burst, peak, seed float64) Curve {
-	if peak <= rate || burst <= seed {
-		return NewTokenBucket(rate, burst)
+	return Curve{segs: appendCapped(make([]Segment, 0, 2), rate, burst, peak, seed)}
+}
+
+// minOfLines reduces min(peak·t + seed, rate·t + burst) to the pieces
+// that are ever the minimum: the line that is lower at t = 0, value y0
+// and slope r0, and, if the other line is less steep, that line from
+// their crossing (tx, yx) on with slope r1; tx == 0 means one line is
+// the whole minimum. Every construction and closed-form bound of the
+// rate-capped curve reads this one reduction, so a materialized curve
+// and a closed form cannot disagree on which line binds, and since each
+// piece is one of the two lines, lowering any of the four scalars never
+// raises the curve.
+func minOfLines(rate, burst, peak, seed float64) (y0, r0, tx, yx, r1 float64) {
+	y0, r0, y1, r1 := seed, peak, burst, rate
+	if y1 < y0 || (y1 == y0 && r1 < r0) {
+		y0, r0, y1, r1 = y1, r1, y0, r0
 	}
-	// Intersection of peak·t + seed and rate·t + burst.
-	tx := (burst - seed) / (peak - rate)
-	return Curve{segs: []Segment{
-		{X: 0, Y: seed, Rate: peak},
-		{X: tx, Y: seed + peak*tx, Rate: rate},
-	}}
+	if r1 >= r0 {
+		return y0, r0, 0, 0, 0
+	}
+	tx = (y1 - y0) / (r0 - r1)
+	return y0, r0, tx, y0 + r0*tx, r1
+}
+
+// appendCapped appends the pieces of the rate-capped curve to segs.
+func appendCapped(segs []Segment, rate, burst, peak, seed float64) []Segment {
+	y0, r0, tx, yx, r1 := minOfLines(rate, burst, peak, seed)
+	segs = append(segs, Segment{X: 0, Y: y0, Rate: r0})
+	if tx > 0 {
+		segs = append(segs, Segment{X: tx, Y: yx, Rate: r1})
+	}
+	return segs
 }
 
 // NewWFQService returns the Parekh-Gallagher service curve a flow
@@ -120,42 +144,25 @@ type Arena struct {
 }
 
 // Reset discards all curves built from the arena, retaining capacity.
+// When the buffer grows instead, curves built earlier keep the old
+// backing array, which stays alive and unchanged until they are dropped.
 func (a *Arena) Reset() { a.buf = a.buf[:0] }
-
-// take returns n fresh segments backed by the arena.
-func (a *Arena) take(n int) []Segment {
-	if cap(a.buf)-len(a.buf) < n {
-		grown := make([]Segment, len(a.buf), 2*cap(a.buf)+n+16)
-		copy(grown, a.buf)
-		// Previously built curves keep referencing the old backing
-		// array, which stays alive and immutable until they are dropped.
-		a.buf = grown
-	}
-	s := a.buf[len(a.buf) : len(a.buf)+n]
-	a.buf = a.buf[:len(a.buf)+n]
-	return s
-}
 
 // TokenBucket is NewTokenBucket backed by the arena.
 func (a *Arena) TokenBucket(rate, burst float64) Curve {
 	if rate < 0 || burst < 0 {
 		panic("netcal: negative rate or burst")
 	}
-	segs := a.take(1)
-	segs[0] = Segment{X: 0, Y: burst, Rate: rate}
-	return Curve{segs: segs}
+	n := len(a.buf)
+	a.buf = append(a.buf, Segment{X: 0, Y: burst, Rate: rate})
+	return Curve{segs: a.buf[n:]}
 }
 
 // RateCapped is NewRateCapped backed by the arena.
 func (a *Arena) RateCapped(rate, burst, peak, seed float64) Curve {
-	if peak <= rate || burst <= seed {
-		return a.TokenBucket(rate, burst)
-	}
-	tx := (burst - seed) / (peak - rate)
-	segs := a.take(2)
-	segs[0] = Segment{X: 0, Y: seed, Rate: peak}
-	segs[1] = Segment{X: tx, Y: seed + peak*tx, Rate: rate}
-	return Curve{segs: segs}
+	n := len(a.buf)
+	a.buf = appendCapped(a.buf, rate, burst, peak, seed)
+	return Curve{segs: a.buf[n:]}
 }
 
 // Zero reports whether the curve is identically zero.

@@ -52,16 +52,32 @@ func TestRateCappedEval(t *testing.T) {
 	}
 }
 
+// Whichever way the two lines lie — peak below rate, seed above burst,
+// ties, or crossing in either order — the curve is their pointwise
+// minimum, from both constructors.
 func TestRateCappedDegenerate(t *testing.T) {
-	// Peak below rate collapses to the plain token bucket.
-	c := NewRateCapped(100, 50, 80, 10)
-	if got := c.Eval(1); !almostEq(got, 150) {
-		t.Errorf("Eval(1) = %v, want 150", got)
-	}
-	// Seed above burst likewise.
-	c = NewRateCapped(100, 50, 1000, 60)
-	if got := c.Eval(0); !almostEq(got, 50) {
-		t.Errorf("Eval(0) = %v, want 50", got)
+	var ar Arena
+	for _, c := range []struct{ rate, burst, peak, seed float64 }{
+		{100, 50, 80, 10},   // peak < rate: the peak line alone
+		{100, 50, 100, 10},  // peak == rate: still the peak line
+		{100, 50, 1000, 50}, // seed == burst: the bucket line alone
+		{100, 50, 1000, 60}, // seed > burst, peak > rate: the bucket line alone
+		{100, 50, 80, 60},   // seed > burst, peak < rate: bucket line, then peak line
+		{100, 50, 1000, 10}, // the ordinary two pieces
+		{100, 0, 1000, 0},
+		{0, 0, 0, 0},
+	} {
+		for _, curve := range []Curve{
+			NewRateCapped(c.rate, c.burst, c.peak, c.seed),
+			ar.RateCapped(c.rate, c.burst, c.peak, c.seed),
+		} {
+			for _, x := range []float64{0, 0.01, 0.04, 0.05, 0.5, 1, 7} {
+				want := math.Min(c.peak*x+c.seed, c.rate*x+c.burst)
+				if got := curve.Eval(x); !almostEq(got, want) {
+					t.Errorf("%+v: Eval(%v) = %v, want min of the lines %v", c, x, got, want)
+				}
+			}
+		}
 	}
 }
 

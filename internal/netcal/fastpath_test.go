@@ -50,6 +50,9 @@ func TestQueueBoundTwoPieceMatchesGeneric(t *testing.T) {
 		seed := rng.Float64() * burst * 1.5     // sometimes >= burst (degenerate)
 		R := math.Pow(10, 6+rng.Float64()*4)
 		want := QueueBound(NewRateCapped(rate, burst, peak, seed), NewRateLatency(R, 0))
+		if rate > R {
+			want = math.Inf(1) // the closed form's overbooking answer, whichever line binds
+		}
 		got := QueueBoundTwoPiece(rate, burst, peak, seed, R)
 		if !boundsAgree(got, want) {
 			t.Fatalf("twopiece(rate=%v burst=%v peak=%v seed=%v R=%v): closed %v generic %v",
@@ -58,21 +61,25 @@ func TestQueueBoundTwoPieceMatchesGeneric(t *testing.T) {
 	}
 }
 
-func TestQueueBoundTwoPieceDegenerateFallsToTokenBucket(t *testing.T) {
-	// peak <= rate and burst <= seed both collapse the two-piece curve
-	// to a plain token bucket, mirroring NewRateCapped.
-	cases := []struct{ rate, burst, peak, seed float64 }{
-		{1e8, 3e4, 5e7, 1e3}, // peak < rate
-		{1e8, 3e4, 1e8, 1e3}, // peak == rate
-		{1e8, 3e4, 1e9, 3e4}, // seed == burst
-		{1e8, 3e4, 1e9, 5e4}, // seed > burst
-		{1e8, 0, 1e9, 0},     // zero burst
-	}
-	for _, c := range cases {
-		want := QueueBoundTB(c.rate, c.burst, 1e9)
-		got := QueueBoundTwoPiece(c.rate, c.burst, c.peak, c.seed, 1e9)
-		if !boundsAgree(got, want) {
-			t.Fatalf("degenerate %+v: got %v want %v", c, got, want)
+// Where one line is the whole minimum the bound is that line's, not
+// the token bucket's: the closed form, the materialized curve and
+// netcal's own Min of the two lines agree.
+func TestQueueBoundTwoPieceDegenerateIsMinOfLines(t *testing.T) {
+	const R = 1e9
+	svc := NewRateLatency(R, 0)
+	for _, c := range []struct{ rate, burst, peak, seed, want float64 }{
+		{1e8, 3e4, 5e7, 1e3, 1e3 / R}, // peak < rate: the seed drains, then nothing queues
+		{1e8, 3e4, 1e8, 1e3, 1e3 / R}, // peak == rate
+		{1e8, 3e4, 1e9, 3e4, 3e4 / R}, // seed == burst: the token bucket
+		{1e8, 3e4, 1e9, 5e4, 3e4 / R}, // seed > burst
+		{1e8, 3e4, 5e7, 5e4, 3e4 / R}, // seed > burst and peak < rate
+		{1e8, 0, 1e9, 0, 0},           // zero burst
+	} {
+		got := QueueBoundTwoPiece(c.rate, c.burst, c.peak, c.seed, R)
+		viaCurve := QueueBound(NewRateCapped(c.rate, c.burst, c.peak, c.seed), svc)
+		viaMin := QueueBound(Min(NewTokenBucket(c.peak, c.seed), NewTokenBucket(c.rate, c.burst)), svc)
+		if !boundsAgree(got, c.want) || !boundsAgree(viaCurve, c.want) || !boundsAgree(viaMin, c.want) {
+			t.Errorf("%+v: closed %v, curve %v, Min %v, want %v", c, got, viaCurve, viaMin, c.want)
 		}
 	}
 }

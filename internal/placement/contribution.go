@@ -41,17 +41,9 @@ func (c contribution) isZero() bool {
 	return c.Rate == 0 && c.Burst == 0 && c.Peak == 0 && c.Seed == 0
 }
 
-// curve materializes the contribution as a netcal curve.
-func (c contribution) curve() netcal.Curve {
-	if c.Peak <= 0 {
-		return netcal.NewTokenBucket(c.Rate, c.Burst)
-	}
-	return netcal.NewRateCapped(c.Rate, c.Burst, c.Peak, c.Seed)
-}
-
-// curveIn materializes the contribution with segments drawn from the
-// arena, for bulk re-materialization (reference path, invariant
-// sweeps) without per-curve allocations.
+// curveIn materializes the contribution as a netcal curve with segments
+// drawn from the arena, so an invariant sweep over every port allocates
+// nothing per curve.
 func (c contribution) curveIn(ar *netcal.Arena) netcal.Curve {
 	if c.Peak <= 0 {
 		return ar.TokenBucket(c.Rate, c.Burst)
@@ -85,27 +77,11 @@ func (p *portState) remove(c contribution) {
 	}
 }
 
-// queueBound returns the port's worst-case queuing delay in seconds
-// under the aggregate state plus an optional extra contribution, by
-// materializing curves and running the generic network-calculus bound.
-// This is the reference path; the admission hot path uses
-// queueBoundFast, which produces identical values in closed form.
-func queueBound(port *topology.Port, st portState, extra contribution) float64 {
-	total := st.contribution
-	total.Rate += extra.Rate
-	total.Burst += extra.Burst
-	total.Peak += extra.Peak
-	total.Seed += extra.Seed
-	if total.isZero() {
-		return 0
-	}
-	return netcal.QueueBound(total.curve(), netcal.NewRateLatency(port.RateBps, 0))
-}
-
-// queueBoundFast is queueBound without curve materialization: the
-// aggregate-plus-extra scalars feed the closed-form two-piece bound
-// directly. svcRate is the port's line rate. Allocation-free and safe
-// for concurrent use over immutable state (st is only read).
+// queueBoundFast returns the port's worst-case queuing delay in seconds
+// under the aggregate state plus an optional extra contribution: the
+// summed scalars feed the closed-form two-piece bound directly, with no
+// curve materialized. svcRate is the port's line rate. Allocation-free
+// and safe for concurrent use over immutable state (st is only read).
 func queueBoundFast(svcRate float64, st *portState, extra contribution) float64 {
 	total := st.contribution
 	total.Rate += extra.Rate

@@ -158,53 +158,13 @@ func portKind(tree *topology.Tree, pid int) string {
 	return fmt.Sprintf("%s/%s", p.Level, p.Dir)
 }
 
-// cutSizes maps every port a layout's traffic crosses to its cut
-// annotation (port family plus near-side VM count), mirroring the port
-// walk of forEachContribution.
-type cutInfo struct {
-	kind string
-	vms  int
-}
-
-func (m *Manager) cutSizes(lay layout) map[int]cutInfo {
-	n := lay.total
-	t := m.tree
-	out := make(map[int]cutInfo, 2*len(lay.servers)+2*len(lay.racks)+2*len(lay.pods))
-	for i, s := range lay.servers {
-		k := lay.serverCnt[i]
-		out[t.ServerUpPortID(s)] = cutInfo{portKind(t, t.ServerUpPortID(s)), k}
-		out[t.RackDownPortID(s)] = cutInfo{portKind(t, t.RackDownPortID(s)), n - k}
-	}
-	if len(lay.racks) > 1 {
-		for ri, r := range lay.racks {
-			k := lay.rackCnt[ri]
-			if k == n {
-				continue
-			}
-			out[t.RackUpPortID(r)] = cutInfo{portKind(t, t.RackUpPortID(r)), k}
-			out[t.PodDownPortID(r)] = cutInfo{portKind(t, t.PodDownPortID(r)), n - k}
-		}
-	}
-	if len(lay.pods) > 1 {
-		for pi, p := range lay.pods {
-			k := lay.podCnt[pi]
-			if k == n {
-				continue
-			}
-			out[t.PodUpPortID(p)] = cutInfo{portKind(t, t.PodUpPortID(p)), k}
-			out[t.CoreDownPortID(p)] = cutInfo{portKind(t, t.CoreDownPortID(p)), n - k}
-		}
-	}
-	return out
-}
-
-// recordAccept builds the journal entry for an accepted tenant. It
-// must run before the tenant's contributions are added to the port
-// state, so BoundBeforeSec reflects the pre-admission aggregate. The
-// bounds go through portBoundWith — the same fast/reference split the
-// admission search used — so the journal replays the decision's exact
-// arithmetic.
-func (m *Manager) recordAccept(spec *tenant.Spec, servers []int, contribs map[int]contribution) *Decision {
+// recordAccept builds the journal entry for an accepted tenant from the
+// same cut walk that commits it (forEachContribution). It must run
+// before the tenant's contributions are added to the port state, so
+// BoundBeforeSec reflects the pre-admission aggregate. The bounds go
+// through portBoundWith, as the admission search's did, so the journal
+// replays the decision's exact arithmetic.
+func (m *Manager) recordAccept(spec *tenant.Spec, servers []int) *Decision {
 	lay := newLayout(m.tree, servers)
 	d := &Decision{
 		TenantID:     spec.ID,
@@ -215,19 +175,11 @@ func (m *Manager) recordAccept(spec *tenant.Spec, servers []int, contribs map[in
 		Span:         spanName(lay.span()),
 		LimitingPort: -1,
 	}
-	pids := make([]int, 0, len(contribs))
-	for pid := range contribs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	cuts := m.cutSizes(lay)
-	minMargin := math.Inf(1)
-	for _, pid := range pids {
-		c := contribs[pid]
-		pc := PortCut{
+	m.forEachContribution(spec, &lay, func(pid, cut int, c contribution) bool {
+		d.Cuts = append(d.Cuts, PortCut{
 			Port:           pid,
-			Kind:           cuts[pid].kind,
-			CutVMs:         cuts[pid].vms,
+			Kind:           portKind(m.tree, pid),
+			CutVMs:         cut,
 			Rate:           c.Rate,
 			Burst:          c.Burst,
 			Peak:           c.Peak,
@@ -235,11 +187,15 @@ func (m *Manager) recordAccept(spec *tenant.Spec, servers []int, contribs map[in
 			BoundBeforeSec: m.portBoundWith(pid, contribution{}),
 			BoundAfterSec:  m.portBoundWith(pid, c),
 			CapacitySec:    m.portCap[pid],
-		}
-		d.Cuts = append(d.Cuts, pc)
+		})
+		return true
+	})
+	sort.Slice(d.Cuts, func(i, j int) bool { return d.Cuts[i].Port < d.Cuts[j].Port })
+	minMargin := math.Inf(1)
+	for _, pc := range d.Cuts {
 		if mg := pc.MarginSec(); mg < minMargin {
 			minMargin = mg
-			d.LimitingPort = pid
+			d.LimitingPort = pc.Port
 			d.LimitingBoundSec = pc.BoundAfterSec
 			d.LimitingCapSec = pc.CapacitySec
 		}
@@ -247,15 +203,13 @@ func (m *Manager) recordAccept(spec *tenant.Spec, servers []int, contribs map[in
 	return d
 }
 
-// explainReject re-runs the failed admission serially with
-// instrumentation to name the binding constraint. It walks the same
-// decision structure findPlacement did — constraint-2 scope gating,
-// then pack-with-caps at the widest admissible scope — but records
-// which check failed first. Per-server caps are recomputed through
-// maxVMsOnServer with a nil memo, i.e. the reference
-// curve-materializing route, and port bounds go through portBoundWith,
-// so the fast-path and NoFastPath managers name the same limiting port
-// for the same request sequence.
+// explainReject names the constraint that bound a request the search
+// just turned away. It walks the decision structure findPlacement did —
+// constraint-2 scope gating, then the greedy pack at the widest
+// admissible scope — through the search's own packWithCaps and
+// layoutValid, which this time note the first check that fails. The
+// request's reqMemo is still filled, so caps and bounds are the ones
+// the search computed.
 func (m *Manager) explainReject(spec *tenant.Spec) *Decision {
 	d := &Decision{
 		TenantID:     spec.ID,
@@ -284,148 +238,87 @@ func (m *Manager) explainReject(spec *tenant.Spec) *Decision {
 	// Probe the widest scope's candidates in the search's first-fit
 	// order; the first candidate with enough free slots yields the
 	// concrete limiting constraint.
+	free, racksPer := []int{m.ix.totalFree}, m.tree.Racks()
 	switch widest {
 	case scopeRack:
-		for r := 0; r < m.tree.Racks(); r++ {
-			if m.ix.freeByRack[r] < spec.VMs {
-				continue
-			}
-			lo, hi := m.tree.ServersOfRack(r)
-			if m.explainScope(spec, d, lo, hi, scopeRack) {
-				return d
-			}
-		}
+		free, racksPer = m.ix.freeByRack, 1
 	case scopePod:
-		for p := 0; p < m.tree.Pods(); p++ {
-			if m.ix.freeByPod[p] < spec.VMs {
-				continue
-			}
-			rlo, rhi := m.tree.RacksOfPod(p)
-			slo, _ := m.tree.ServersOfRack(rlo)
-			_, shi := m.tree.ServersOfRack(rhi - 1)
-			if m.explainScope(spec, d, slo, shi, scopePod) {
-				return d
-			}
-		}
-	default:
-		if m.ix.totalFree >= spec.VMs {
-			if m.explainScope(spec, d, 0, m.tree.Servers(), scopeDC) {
-				return d
-			}
+		free, racksPer = m.ix.freeByPod, m.tree.Config().RacksPerPod
+	}
+	for i, f := range free {
+		if f >= spec.VMs && m.explainScope(spec, d, i*racksPer, (i+1)*racksPer, widest) {
+			return d
 		}
 	}
-	if d.Reason == "" {
-		d.Reason = fmt.Sprintf("insufficient free slots: no %s-scope candidate holds %d VMs", d.Span, spec.VMs)
-	}
+	d.Reason = fmt.Sprintf("insufficient free slots: no %s-scope candidate holds %d VMs", d.Span, spec.VMs)
 	return d
 }
 
-// explainScope replays the greedy pack over servers [lo, hi) and
-// reports the first binding failure into d. Returns false if the scope
-// never had a concrete failure to blame (e.g. not enough slots here —
-// the caller moves to the next candidate).
-func (m *Manager) explainScope(spec *tenant.Spec, d *Decision, lo, hi int, span scopeHeight) bool {
-	n := spec.VMs
-	maxPer := maxPerServer(n, spec.FaultDomains)
-	servers := make([]int, 0, n)
-	left := n
-	limS, limK := -1, 0
-	for s := lo; s < hi && left > 0; s++ {
-		capRes := m.maxVMsByResources(spec, s)
-		if capRes > n {
-			capRes = n
-		}
-		capNet := m.maxVMsOnServer(spec, nil, s, span)
-		if limS < 0 && capNet < capRes && capNet < maxPer {
-			limS, limK = s, capNet+1
-		}
-		k := capNet
-		if k > maxPer {
-			k = maxPer
-		}
-		if k > left {
-			k = left
-		}
-		for j := 0; j < k; j++ {
-			servers = append(servers, s)
-		}
-		left -= k
+// explainScope runs the greedy pack over racks [rlo, rhi) and reports
+// the first binding failure into d. Returns false if the scope never
+// had a concrete failure to blame (e.g. not enough slots here — the
+// caller moves to the next candidate).
+func (m *Manager) explainScope(spec *tenant.Spec, d *Decision, rlo, rhi int, span scopeHeight) bool {
+	note := bindNote{server: -1, port: -1}
+	sc := &m.scratch[0]
+	limit := func(pid int, bound float64) {
+		d.LimitingPort, d.LimitingBoundSec, d.LimitingCapSec = pid, bound, m.portCap[pid]
 	}
-	if left > 0 {
-		if limS < 0 {
+	if !m.packWithCaps(spec, sc, rlo, rhi, span, &note) {
+		placed := 0
+		for _, k := range sc.cnt {
+			placed += k
+		}
+		switch {
+		case placed == spec.VMs:
+			d.Reason = fmt.Sprintf("fault domains: packing %d VMs lands on fewer than %d servers", spec.VMs, spec.FaultDomains)
+		case note.server < 0:
 			// Slot/resource-starved, not network-bound; let the caller
 			// try the next candidate or fall through to the generic
 			// slots message.
 			return false
+		default:
+			pid, bound := m.blockingServerPort(note.server, note.vm, span)
+			limit(pid, bound)
+			d.Reason = fmt.Sprintf(
+				"constraint 1: server %d can host only %d VM(s) — VM %d drives %s port %d to a %.1fµs queue bound, over its %.1fµs capacity",
+				note.server, note.vm-1, note.vm, portKind(m.tree, pid), pid, bound*1e6, m.portCap[pid]*1e6)
 		}
-		pid, bound := m.blockingServerPort(spec, limS, limK, span)
-		d.LimitingPort = pid
-		d.LimitingBoundSec = bound
-		d.LimitingCapSec = m.portCap[pid]
-		d.Reason = fmt.Sprintf(
-			"constraint 1: server %d can host only %d VM(s) — VM %d drives %s port %d to a %.1fµs queue bound, over its %.1fµs capacity",
-			limS, limK-1, limK, portKind(m.tree, pid), pid, bound*1e6, m.portCap[pid]*1e6)
-		return true
-	}
-	if !faultDomainsOK(servers, spec.FaultDomains) {
-		d.Reason = fmt.Sprintf("fault domains: packing %d VMs lands on fewer than %d servers", n, spec.FaultDomains)
 		return true
 	}
 	// The pack produced a full layout, so its aggregate constraints
 	// must be what failed.
-	lay := newLayout(m.tree, servers)
-	violPort, violBound := -1, 0.0
-	m.forEachContribution(spec, &lay, func(pid int, c contribution) bool {
-		if b := m.portBoundWith(pid, c); b > m.portCap[pid]+1e-12 {
-			violPort, violBound = pid, b
-			return false
-		}
-		return true
-	})
-	if violPort >= 0 {
-		d.LimitingPort = violPort
-		d.LimitingBoundSec = violBound
-		d.LimitingCapSec = m.portCap[violPort]
+	switch {
+	case m.layoutValid(spec, sc, &note):
+		// The greedy pack was viable but the search still rejected — the
+		// spread pass must have been forced and failed the same checks;
+		// the generic message is the honest summary.
+		return false
+	case note.port >= 0:
+		limit(note.port, note.bound)
 		d.Reason = fmt.Sprintf(
 			"constraint 1: packed layout drives %s port %d to a %.1fµs queue bound, over its %.1fµs capacity",
-			portKind(m.tree, violPort), violPort, violBound*1e6, m.portCap[violPort]*1e6)
-		return true
+			portKind(m.tree, note.port), note.port, note.bound*1e6, m.portCap[note.port]*1e6)
+	default:
+		d.Reason = fmt.Sprintf(
+			"constraint 2: path %d↔%d carries %.1fµs of queue capacity, over the %.1fµs delay bound",
+			note.src, note.dst, note.delay*1e6, spec.Guarantee.DelayBound*1e6)
 	}
-	if dB := spec.Guarantee.DelayBound; dB > 0 {
-		for i := 0; i < len(lay.servers); i++ {
-			for j := i + 1; j < len(lay.servers); j++ {
-				if pd := m.pathDelayMetric(lay.servers[i], lay.servers[j]); pd > dB+1e-15 {
-					d.Reason = fmt.Sprintf(
-						"constraint 2: path %d↔%d carries %.1fµs of queue capacity, over the %.1fµs delay bound",
-						lay.servers[i], lay.servers[j], pd*1e6, dB*1e6)
-					return true
-				}
-			}
-		}
-	}
-	// The greedy pack was viable but the search still rejected — the
-	// spread pass must have been forced and failed the same checks; the
-	// generic message is the honest summary.
-	return false
+	return true
 }
 
 // blockingServerPort names the server-local port that rejects the k-th
-// VM on server s: the NIC-up check first, then the ToR-down check,
-// matching serverPortsOKRef's order and arithmetic.
-func (m *Manager) blockingServerPort(spec *tenant.Spec, s, k int, span scopeHeight) (int, float64) {
-	n := spec.VMs
-	g := spec.Guarantee
+// VM on server s: the NIC-up check first, then the ToR-down check, in
+// maxVMsOnServer's order and from the same memoized cut contributions.
+func (m *Manager) blockingServerPort(s, k int, span scopeHeight) (int, float64) {
 	up := m.tree.ServerUpPortID(s)
-	upC := m.cutContribution(k, n, g, m.tree.ServerUpPort(s).RateBps, 0)
-	if !upC.isZero() {
-		if b := m.portBoundWith(up, upC); b > m.portCap[up]+1e-12 {
+	if c := m.memo.upC[k]; !c.isZero() {
+		if b := m.portBoundWith(up, c); b > m.portCap[up]+1e-12 {
 			return up, b
 		}
 	}
 	down := m.tree.RackDownPortID(s)
-	infl := m.inflation(span, topology.LevelRack, topology.Down)
-	downC := m.cutContribution(n-k, n, g, math.Inf(1), infl)
-	return down, m.portBoundWith(down, downC)
+	return down, m.portBoundWith(down, m.memo.downC[span][k])
 }
 
 // Render formats the decision for the CLI.

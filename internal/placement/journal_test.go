@@ -52,12 +52,12 @@ func TestJournalAcceptRecordsCuts(t *testing.T) {
 
 // Fill the Figure-5 rack until a tenant is rejected: the journal must
 // blame constraint 1 and name a concrete port, and the explainer must
-// agree between the fast path and the NoFastPath reference — the
-// acceptance criterion for admission explainability.
+// agree between the Manager and the reference oracle — the acceptance
+// criterion for admission explainability.
 func TestJournalRejectNamesSamePortAsReference(t *testing.T) {
 	treeFast, treeRef := fig5Tree(t), fig5Tree(t)
 	fast := NewManager(treeFast, Options{})
-	ref := NewManager(treeRef, Options{NoFastPath: true})
+	ref := newRefManager(treeRef, Options{})
 	fast.EnableJournal(0)
 	ref.EnableJournal(0)
 
@@ -129,19 +129,27 @@ func TestJournalRejectDelayBudget(t *testing.T) {
 }
 
 // The journal must replay arbitrary random sequences with fast/ref
-// agreement on every rejection's limiting port (the property-test form
-// of the acceptance criterion).
+// agreement on every rejection's limiting port, bound and wording (the
+// property-test form of the acceptance criterion). The oracle explains
+// by replaying the pack server by server over materialized curves; the
+// Manager reads its search's own functions and memo. Odd seeds draw
+// randomSpec, which mustSmallTree turns away only for slots; even seeds
+// draw goldenSpec, whose rejections name ports.
 func TestJournalEquivalenceProperty(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
+	portBound := 0
+	for seed := uint64(1); seed <= 16; seed++ {
 		tree := mustSmallTree()
 		treeR := mustSmallTree()
 		fast := NewManager(tree, Options{})
-		ref := NewManager(treeR, Options{NoFastPath: true})
+		ref := newRefManager(treeR, Options{})
 		fast.EnableJournal(0)
 		ref.EnableJournal(0)
 		rng := stats.NewRand(seed)
 		for id := 1; id <= 60; id++ {
 			spec := randomSpec(rng, id)
+			if seed%2 == 0 {
+				spec = goldenSpec(rng, id)
+			}
 			_, errF := fast.Place(spec)
 			_, errR := ref.Place(spec)
 			if (errF == nil) != (errR == nil) {
@@ -159,7 +167,17 @@ func TestJournalEquivalenceProperty(t *testing.T) {
 				t.Fatalf("seed %d id %d: fast port %d vs ref port %d\nfast: %s\nref: %s",
 					seed, id, df.LimitingPort, dr.LimitingPort, df.Reason, dr.Reason)
 			}
+			if df.Reason != dr.Reason || !(math.Abs(df.LimitingBoundSec-dr.LimitingBoundSec) <= 1e-9 || df.LimitingBoundSec == dr.LimitingBoundSec) {
+				t.Fatalf("seed %d id %d: explanations differ\nfast: %s (%v)\nref: %s (%v)",
+					seed, id, df.Reason, df.LimitingBoundSec, dr.Reason, dr.LimitingBoundSec)
+			}
+			if df.LimitingPort >= 0 {
+				portBound++
+			}
 		}
+	}
+	if portBound < 20 {
+		t.Fatalf("only %d rejections named a port; the streams no longer exercise the explanation", portBound)
 	}
 }
 

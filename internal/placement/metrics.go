@@ -26,9 +26,6 @@ import (
 //	                                     (admission control found no
 //	                                     placement) or "invalid" (bad
 //	                                     spec, duplicate tenant)
-//	silo_place_path_total{path=}         requests served by the "fast"
-//	                                     (cached-bound) or "reference"
-//	                                     (NoFastPath) admission path
 //	silo_place_removed_total             tenants released
 //
 // EnableMetrics additionally registers pull-time headroom gauges (see
@@ -39,8 +36,6 @@ type Metrics struct {
 	AcceptedBulk    *obs.Counter
 	RejectedNoFit   *obs.Counter
 	RejectedOther   *obs.Counter
-	FastPath        *obs.Counter
-	RefPath         *obs.Counter
 	Removed         *obs.Counter
 	RecoveryUs      *obs.Histogram
 	Relocated       *obs.Counter
@@ -65,10 +60,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"tenant requests rejected", "reason", "no-fit"),
 		RejectedOther: reg.Counter("silo_place_rejected_total",
 			"tenant requests rejected", "reason", "invalid"),
-		FastPath: reg.Counter("silo_place_path_total",
-			"requests served per admission path", "path", "fast"),
-		RefPath: reg.Counter("silo_place_path_total",
-			"requests served per admission path", "path", "reference"),
 		Removed: reg.Counter("silo_place_removed_total",
 			"tenants released"),
 		RecoveryUs: reg.Histogram("silo_place_recovery_us",
@@ -84,7 +75,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 // notePlace records one admission request's outcome and latency.
 // delayBounded classifies the request's SLO class (d > 0).
-func (mx *Metrics) notePlace(elapsed time.Duration, err error, noFastPath, delayBounded bool) {
+func (mx *Metrics) notePlace(elapsed time.Duration, err error, delayBounded bool) {
 	if mx == nil {
 		return
 	}
@@ -98,11 +89,6 @@ func (mx *Metrics) notePlace(elapsed time.Duration, err error, noFastPath, delay
 		mx.RejectedNoFit.Inc()
 	default:
 		mx.RejectedOther.Inc()
-	}
-	if noFastPath {
-		mx.RefPath.Inc()
-	} else {
-		mx.FastPath.Inc()
 	}
 }
 

@@ -55,14 +55,6 @@ type Options struct {
 	// setting: candidate scopes are evaluated without side effects and
 	// the lowest-index success wins, matching serial first-fit order.
 	Workers int
-	// NoFastPath disables the closed-form bound evaluation, the
-	// memoized per-(k, span) contributions, the port-headroom scope
-	// skipping, the collapse of untouched scopes and the parallel
-	// search, restoring the reference
-	// curve-materializing admission path. It exists so tests can
-	// replay identical request sequences through both paths and prove
-	// decision equivalence. It forces Workers to 1.
-	NoFastPath bool
 }
 
 // Manager is Silo's placement manager (admission control + VM
@@ -93,7 +85,6 @@ type Manager struct {
 	portCap  []float64
 	// bounds caches each port's current queue bound, updated on every
 	// Place/Remove that touches the port (closed form, O(1) per port).
-	// Unused when NoFastPath is set.
 	bounds []float64
 	// head summarizes per-rack/per-pod port rate headroom for sound
 	// scope skipping; revalidated lazily via dirty marks.
@@ -162,9 +153,6 @@ func NewManager(tree *topology.Tree, opts Options) *Manager {
 	m.workers = opts.Workers
 	if m.workers <= 0 {
 		m.workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.NoFastPath {
-		m.workers = 1
 	}
 	for pid := 0; pid < tree.NumPorts(); pid++ {
 		p := tree.Port(pid)
@@ -269,12 +257,7 @@ func (m *Manager) FreeSlots(s int) int { return m.ix.freeSlots[s] }
 
 // QueueBound reports the current worst-case queuing delay (seconds) at
 // the given directed port.
-func (m *Manager) QueueBound(portID int) float64 {
-	if m.opts.NoFastPath {
-		return queueBound(m.tree.Port(portID), m.ports[portID], contribution{})
-	}
-	return m.bounds[portID]
-}
+func (m *Manager) QueueBound(portID int) float64 { return m.bounds[portID] }
 
 // Placement returns the admitted placement for a tenant ID, if any.
 func (m *Manager) Placement(id int) (*tenant.Placement, bool) {
@@ -289,9 +272,6 @@ func (m *Manager) Placement(id int) (*tenant.Placement, bool) {
 // aggregate state changed: the cached queue bound, and the dirty mark
 // of the rack whose headroom summary the port feeds.
 func (m *Manager) portTouched(pid int) {
-	if m.opts.NoFastPath {
-		return
-	}
 	m.bounds[pid] = queueBoundFast(m.portRate[pid], &m.ports[pid], contribution{})
 	switch {
 	case pid >= m.upLo && pid < m.upHi:
@@ -310,7 +290,7 @@ func (m *Manager) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	}
 	start := time.Now()
 	pl, err := m.place(spec)
-	m.mx.notePlace(time.Since(start), err, m.opts.NoFastPath, spec.Guarantee.DelayBound > 0)
+	m.mx.notePlace(time.Since(start), err, spec.Guarantee.DelayBound > 0)
 	return pl, err
 }
 
@@ -359,7 +339,7 @@ func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 	if m.journal != nil {
 		// Before the port-state mutation below, so BoundBeforeSec sees
 		// the pre-admission aggregates.
-		m.journal.record(m.recordAccept(&spec, servers, contribs).withSearch(st))
+		m.journal.record(m.recordAccept(&spec, servers).withSearch(st))
 	}
 	for pid, c := range contribs {
 		m.ports[pid].add(c)
@@ -462,7 +442,7 @@ type reqMemo struct {
 	emptyOK [3][]bool
 }
 
-func (m *Manager) fillReqMemo(spec *tenant.Spec) *reqMemo {
+func (m *Manager) fillReqMemo(spec *tenant.Spec) {
 	n := spec.VMs
 	maxK := m.tree.Config().SlotsPerServer
 	if maxK > n {
@@ -492,7 +472,6 @@ func (m *Manager) fillReqMemo(spec *tenant.Spec) *reqMemo {
 		}
 		memo.downC[span], memo.emptyOK[span] = downC, oks
 	}
-	return memo
 }
 
 // searchScratch holds one search worker's candidate layout: the
@@ -547,15 +526,12 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 		}
 	}
 
-	var memo *reqMemo
-	if !m.opts.NoFastPath {
-		memo = m.fillReqMemo(spec)
-	}
+	m.fillReqMemo(spec)
 	// Port-headroom skipping is sound only for tenants that put
 	// nonzero traffic on the network (n >= 2: every hosting server
 	// then carries at least B of arrival rate on its NIC-up and
 	// ToR-down ports, see headroomIndex).
-	useHeadroom := !m.opts.NoFastPath && spec.VMs >= 2
+	useHeadroom := spec.VMs >= 2
 	if useHeadroom {
 		m.head.refresh(m)
 	}
@@ -589,13 +565,13 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 		// height it returns translations of one answer: if the first
 		// fails all fail, and if it succeeds it is the lowest-index
 		// success among them. First-fit order, and so every decision,
-		// is unchanged. NoFastPath, the oracle, evaluates them all.
+		// is unchanged. The test oracle evaluates them all.
 		cands, collapsed, untouchedSeen := m.cands[:0], 0, false
 		for i, free := range h.free {
 			if free < spec.VMs || (useHeadroom && g.BandwidthBps > h.headMax[i]+headroomSlack) {
 				continue
 			}
-			if free == h.full && !m.opts.NoFastPath {
+			if free == h.full {
 				if untouchedSeen {
 					collapsed++
 					continue
@@ -606,7 +582,7 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 		}
 		m.cands = cands
 		tried, servers := m.searchScopes(cands, func(i int, sc *searchScratch) []int {
-			return m.tryScope(spec, memo, sc, i*h.racksPer, (i+1)*h.racksPer, h.span)
+			return m.tryScope(spec, sc, i*h.racksPer, (i+1)*h.racksPer, h.span)
 		})
 		if st != nil {
 			st.evaluated[h.span], st.collapsed[h.span] = tried, collapsed
@@ -621,7 +597,7 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 		if st != nil {
 			st.evaluated[scopeDC] = 1
 		}
-		return m.tryScope(spec, memo, &m.scratch[0], 0, m.tree.Racks(), scopeDC)
+		return m.tryScope(spec, &m.scratch[0], 0, m.tree.Racks(), scopeDC)
 	}
 	return nil
 }
@@ -725,15 +701,15 @@ func (m *Manager) scopeDelayOK(budget float64, h scopeHeight) bool {
 // pass 2 spreads evenly. Each pass leaves its layout in sc as ascending
 // (server, count) pairs, which is verified against the full constraint
 // set before the per-VM server list is written out.
-func (m *Manager) tryScope(spec *tenant.Spec, memo *reqMemo, sc *searchScratch, rlo, rhi int, span scopeHeight) []int {
+func (m *Manager) tryScope(spec *tenant.Spec, sc *searchScratch, rlo, rhi int, span scopeHeight) []int {
 	// Pass 1: greedy pack, honoring the per-server VM cap derived from
 	// the server's own up/down port constraints (paper §4.2.3).
-	if m.packWithCaps(spec, memo, sc, rlo, rhi, span) && m.layoutValid(spec, sc) {
+	if m.packWithCaps(spec, sc, rlo, rhi, span, nil) && m.layoutValid(spec, sc, nil) {
 		return sc.serversPacked(spec.VMs)
 	}
 	// Pass 2: spread evenly across candidate servers, VMs going
 	// round-robin.
-	if m.spreadEven(spec, sc, rlo, rhi) && m.layoutValid(spec, sc) {
+	if m.spreadEven(spec, sc, rlo, rhi) && m.layoutValid(spec, sc, nil) {
 		return sc.serversRoundRobin(spec.VMs)
 	}
 	return nil
@@ -770,7 +746,7 @@ func (sc *searchScratch) serversRoundRobin(n int) []int {
 // assuming the remaining VMs sit elsewhere (worst case for both
 // ports). span is the scope being attempted, which sets the burst
 // inflation the rest of the tenant's traffic accrues en route.
-func (m *Manager) maxVMsOnServer(spec *tenant.Spec, memo *reqMemo, s int, span scopeHeight) int {
+func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int {
 	limit := m.maxVMsByResources(spec, s)
 	if limit > spec.VMs {
 		limit = spec.VMs
@@ -778,19 +754,11 @@ func (m *Manager) maxVMsOnServer(spec *tenant.Spec, memo *reqMemo, s int, span s
 	if limit == 0 {
 		return 0
 	}
-	if memo == nil {
-		for k := limit; k >= 1; k-- {
-			if m.serverPortsOKRef(spec, s, k, span) {
-				return k
-			}
-		}
-		return 0
-	}
 	up := m.tree.ServerUpPortID(s)
 	down := m.tree.RackDownPortID(s)
 	upSt, downSt := &m.ports[up], &m.ports[down]
 	if upSt.tenants == 0 && downSt.tenants == 0 {
-		oks := memo.emptyOK[span]
+		oks := m.memo.emptyOK[span]
 		for k := limit; k >= 1; k-- {
 			if oks[k] {
 				return k
@@ -800,9 +768,9 @@ func (m *Manager) maxVMsOnServer(spec *tenant.Spec, memo *reqMemo, s int, span s
 	}
 	upRate, upCap := m.portRate[up], m.portCap[up]
 	downRate, downCap := m.portRate[down], m.portCap[down]
-	downC := memo.downC[span]
+	upC, downC := m.memo.upC, m.memo.downC[span]
 	for k := limit; k >= 1; k-- {
-		if c := memo.upC[k]; !c.isZero() {
+		if c := upC[k]; !c.isZero() {
 			if queueBoundFast(upRate, upSt, c) > upCap+1e-12 {
 				continue
 			}
@@ -817,29 +785,25 @@ func (m *Manager) maxVMsOnServer(spec *tenant.Spec, memo *reqMemo, s int, span s
 	return 0
 }
 
-// serverPortsOKRef is the reference (seed) implementation: it rebuilds
-// the cut contributions and materializes curves on every probe.
-func (m *Manager) serverPortsOKRef(spec *tenant.Spec, s, k int, span scopeHeight) bool {
-	n := spec.VMs
-	g := spec.Guarantee
-	up := m.tree.ServerUpPort(s)
-	upC := m.cutContribution(k, n, g, up.RateBps, 0)
-	if !m.portOK(up, upC) {
-		return false
-	}
-	down := m.tree.RackDownPort(s)
-	// Ingress to the ToR from the rest of the tenant: worst case the
-	// other n−k VMs are spread across many links, so peak is capped
-	// only by their combined burst rate.
-	inflation := m.inflation(span, topology.LevelRack, topology.Down)
-	downC := m.cutContribution(n-k, n, g, math.Inf(1), inflation)
-	return m.portOK(down, downC)
+// bindNote is where packWithCaps and layoutValid write down, for the
+// rejection journal, the first check of each kind that fails. The
+// search passes nil.
+type bindNote struct {
+	// The first server its ports cap below both its free resources and
+	// the fault-domain share (-1: none), and the VM that does not fit.
+	server, vm int
+	// The first port the layout overbooks (-1: none) and its bound.
+	port  int
+	bound float64
+	// The first server pair over the delay bound and its path delay.
+	src, dst int
+	delay    float64
 }
 
 // packWithCaps fills the servers of racks [rlo, rhi) in order, each up
 // to its cap, into sc.srv/sc.cnt. It reports whether all VMs fit on
 // enough servers for the fault domains asked for.
-func (m *Manager) packWithCaps(spec *tenant.Spec, memo *reqMemo, sc *searchScratch, rlo, rhi int, span scopeHeight) bool {
+func (m *Manager) packWithCaps(spec *tenant.Spec, sc *searchScratch, rlo, rhi int, span scopeHeight, note *bindNote) bool {
 	sc.srv, sc.cnt = sc.srv[:0], sc.cnt[:0]
 	left := spec.VMs
 	maxPer := maxPerServer(spec.VMs, spec.FaultDomains)
@@ -849,12 +813,16 @@ func (m *Manager) packWithCaps(spec *tenant.Spec, memo *reqMemo, sc *searchScrat
 		}
 		// By the scope symmetry findPlacement states, the servers of an
 		// untouched rack all have the cap of its first.
-		uniform := memo != nil && m.ix.rackUntouched(r)
+		uniform := m.ix.rackUntouched(r)
 		lo, hi := m.tree.ServersOfRack(r)
 		k := 0
 		for s := lo; s < hi && left > 0; s++ {
 			if s == lo || !uniform {
-				k = min(m.maxVMsOnServer(spec, memo, s, span), maxPer)
+				k = m.maxVMsOnServer(spec, s, span)
+				if note != nil && note.server < 0 && k < maxPer && k < min(m.maxVMsByResources(spec, s), spec.VMs) {
+					note.server, note.vm = s, k+1
+				}
+				k = min(k, maxPer)
 			}
 			if k == 0 {
 				if uniform {
@@ -918,11 +886,18 @@ scan:
 // in sc.srv/sc.cnt: every port the tenant touches must keep queue bound
 // <= queue capacity with the tenant's contribution added, and every
 // intra-tenant path must satisfy the delay constraint.
-func (m *Manager) layoutValid(spec *tenant.Spec, sc *searchScratch) bool {
+func (m *Manager) layoutValid(spec *tenant.Spec, sc *searchScratch, note *bindNote) bool {
 	lay := &sc.lay
 	lay.build(m.tree, sc.srv, sc.cnt)
-	ok := m.forEachContribution(spec, lay, func(pid int, c contribution) bool {
-		return m.portBoundWith(pid, c) <= m.portCap[pid]+1e-12
+	ok := m.forEachContribution(spec, lay, func(pid, _ int, c contribution) bool {
+		b := m.portBoundWith(pid, c)
+		if b <= m.portCap[pid]+1e-12 {
+			return true
+		}
+		if note != nil {
+			note.port, note.bound = pid, b
+		}
+		return false
 	})
 	if !ok {
 		return false
@@ -932,7 +907,10 @@ func (m *Manager) layoutValid(spec *tenant.Spec, sc *searchScratch) bool {
 		distinct := lay.servers
 		for i := 0; i < len(distinct); i++ {
 			for j := i + 1; j < len(distinct); j++ {
-				if m.pathDelayMetric(distinct[i], distinct[j]) > d+1e-15 {
+				if pd := m.pathDelayMetric(distinct[i], distinct[j]); pd > d+1e-15 {
+					if note != nil {
+						note.src, note.dst, note.delay = distinct[i], distinct[j], pd
+					}
 					return false
 				}
 			}
@@ -942,11 +920,8 @@ func (m *Manager) layoutValid(spec *tenant.Spec, sc *searchScratch) bool {
 }
 
 // portBoundWith returns the port's queue bound with the extra
-// contribution added, via the closed form or the reference curves.
+// contribution added.
 func (m *Manager) portBoundWith(pid int, c contribution) float64 {
-	if m.opts.NoFastPath {
-		return queueBound(m.tree.Port(pid), m.ports[pid], c)
-	}
 	return queueBoundFast(m.portRate[pid], &m.ports[pid], c)
 }
 
@@ -956,26 +931,12 @@ func (m *Manager) pathDelayMetric(src, dst int) float64 {
 	if !m.opts.DelayCheckUsesBound {
 		return m.tree.PathDelayCapacity(src, dst)
 	}
-	if m.opts.NoFastPath {
-		var sum float64
-		for _, p := range m.tree.Path(src, dst) {
-			sum += queueBound(p, m.ports[p.ID], contribution{})
-		}
-		return sum
-	}
 	var buf [6]int
 	var sum float64
 	for _, pid := range m.tree.AppendPathIDs(buf[:0], src, dst) {
 		sum += m.bounds[pid]
 	}
 	return sum
-}
-
-func (m *Manager) portOK(port *topology.Port, c contribution) bool {
-	if c.isZero() {
-		return true
-	}
-	return queueBound(port, m.ports[port.ID], c) <= port.QueueCapacity()+1e-12
 }
 
 // cutContribution builds the arrival-curve contribution of m tenant
@@ -1054,12 +1015,13 @@ func (m *Manager) inflation(span scopeHeight, level topology.Level, dir topology
 }
 
 // forEachContribution streams the tenant's contribution at every
-// directed port its traffic crosses, given its VM layout. fn returning
+// directed port its traffic crosses, given its VM layout, together with
+// the number of VMs on the sending side of that cut. fn returning
 // false stops the walk early (layoutValid bails at the first violated
 // port); the return value reports whether the walk ran to completion.
 // Port rates and queue capacities are uniform within each level of the
 // tree, so ingress capacities use representative ports.
-func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pid int, c contribution) bool) bool {
+func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pid, cut int, c contribution) bool) bool {
 	g := spec.Guarantee
 	n := lay.total
 	t := m.tree
@@ -1075,7 +1037,7 @@ func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pi
 		// Up: k local VMs send to n−k remote ones; traffic enters the
 		// NIC from the local pacer, physically capped at line rate.
 		if c := m.cutContribution(k, n, g, link, 0); !c.isZero() {
-			if !fn(t.ServerUpPortID(s), c) {
+			if !fn(t.ServerUpPortID(s), k, c) {
 				return false
 			}
 		}
@@ -1088,7 +1050,7 @@ func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pi
 			ingress += podDownRate
 		}
 		if c := m.cutContribution(n-k, n, g, ingress, downInfl); !c.isZero() {
-			if !fn(t.RackDownPortID(s), c) {
+			if !fn(t.RackDownPortID(s), n-k, c) {
 				return false
 			}
 		}
@@ -1109,7 +1071,7 @@ func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pi
 			// with VMs.
 			ingressUp := float64(lay.rackSrv[ri]) * link
 			if c := m.cutContribution(k, n, g, ingressUp, rackUpInfl); !c.isZero() {
-				if !fn(t.RackUpPortID(r), c) {
+				if !fn(t.RackUpPortID(r), k, c) {
 					return false
 				}
 			}
@@ -1121,7 +1083,7 @@ func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pi
 				ingressDown += coreDownRate
 			}
 			if c := m.cutContribution(n-k, n, g, ingressDown, podDownInfl); !c.isZero() {
-				if !fn(t.PodDownPortID(r), c) {
+				if !fn(t.PodDownPortID(r), n-k, c) {
 					return false
 				}
 			}
@@ -1141,13 +1103,13 @@ func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pi
 			}
 			ingressUp := float64(lay.podRacks[pi]) * rackUpRate
 			if c := m.cutContribution(k, n, g, ingressUp, podUpInfl); !c.isZero() {
-				if !fn(t.PodUpPortID(p), c) {
+				if !fn(t.PodUpPortID(p), k, c) {
 					return false
 				}
 			}
 			ingressDown := float64(len(lay.pods)-1) * podUpRate
 			if c := m.cutContribution(n-k, n, g, ingressDown, coreInfl); !c.isZero() {
-				if !fn(t.CoreDownPortID(p), c) {
+				if !fn(t.CoreDownPortID(p), n-k, c) {
 					return false
 				}
 			}
@@ -1162,7 +1124,7 @@ func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pi
 func (m *Manager) contributions(spec *tenant.Spec, servers []int) map[int]contribution {
 	out := make(map[int]contribution)
 	lay := newLayout(m.tree, servers)
-	m.forEachContribution(spec, &lay, func(pid int, c contribution) bool {
+	m.forEachContribution(spec, &lay, func(pid, _ int, c contribution) bool {
 		out[pid] = c
 		return true
 	})
@@ -1216,20 +1178,25 @@ func (m *Manager) VerifyInvariants() error {
 		got := m.ports[pid]
 		want := fresh[pid]
 		if math.Abs(got.Rate-want.Rate) > 1e-6 || math.Abs(got.Burst-want.Burst) > 1e-3 ||
-			math.Abs(got.Peak-want.Peak) > 1e-3 || got.tenants != want.tenants {
+			math.Abs(got.Peak-want.Peak) > 1e-3 || math.Abs(got.Seed-want.Seed) > 1e-3 ||
+			got.tenants != want.tenants {
 			return fmt.Errorf("port %d state drift: have %+v want %+v", pid, got, want)
 		}
 		if want.tenants > 0 {
+			// The reserved bandwidth first: where the summed peak is below
+			// the summed rate the curve is the peak line alone and no
+			// longer shows the rate.
+			if want.Rate > port.RateBps {
+				return fmt.Errorf("port %d violates constraint 1: admitted rate %v > line rate %v", pid, want.Rate, port.RateBps)
+			}
 			ar.Reset()
 			b := netcal.QueueBound(want.contribution.curveIn(&ar), netcal.NewRateLatency(port.RateBps, 0))
 			if b > port.QueueCapacity()+1e-9 {
 				return fmt.Errorf("port %d violates constraint 1: bound %v > capacity %v", pid, b, port.QueueCapacity())
 			}
 		}
-		if !m.opts.NoFastPath {
-			if live := queueBoundFast(m.portRate[pid], &got, contribution{}); math.Abs(m.bounds[pid]-live) > 1e-9 {
-				return fmt.Errorf("port %d bound-cache drift: cached %v live %v", pid, m.bounds[pid], live)
-			}
+		if live := queueBoundFast(m.portRate[pid], &got, contribution{}); math.Abs(m.bounds[pid]-live) > 1e-9 {
+			return fmt.Errorf("port %d bound-cache drift: cached %v live %v", pid, m.bounds[pid], live)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/tenant"
@@ -91,10 +92,10 @@ func TestFigure5OktopusLayoutOverflowsUnderSilo(t *testing.T) {
 	tree := fig5Tree(t)
 	m := NewManager(tree, Options{})
 	spec := fig5Spec(1)
-	if m.layoutValid(&spec, &searchScratch{srv: []int{0, 1, 2}, cnt: []int{4, 4, 1}}) {
+	if m.layoutValid(&spec, &searchScratch{srv: []int{0, 1, 2}, cnt: []int{4, 4, 1}}, nil) {
 		t.Error("Silo accepted the 4/4/1 layout; it must violate constraint 1")
 	}
-	if !m.layoutValid(&spec, &searchScratch{srv: []int{0, 1, 2}, cnt: []int{3, 3, 3}}) {
+	if !m.layoutValid(&spec, &searchScratch{srv: []int{0, 1, 2}, cnt: []int{3, 3, 3}}, nil) {
 		t.Error("Silo rejected the 3/3/3 layout; it must satisfy both constraints")
 	}
 }
@@ -326,6 +327,36 @@ func TestChurnInvariants(t *testing.T) {
 	}
 	if err := m.VerifyInvariants(); err != nil {
 		t.Errorf("invariants after churn: %v", err)
+	}
+}
+
+// VerifyInvariants must notice each of a port's maintained scalars
+// drifting from the admitted set, Seed included — with the peak line
+// able to be the whole curve, it is what the bound divides.
+func TestVerifyInvariantsCatchesScalarDrift(t *testing.T) {
+	m := NewManager(fig5Tree(t), Options{})
+	if _, err := m.Place(fig5Spec(1)); err != nil {
+		t.Fatal(err)
+	}
+	pid := m.tree.ServerUpPortID(0)
+	if m.ports[pid].tenants == 0 {
+		t.Fatal("tenant does not cross server 0's NIC-up port")
+	}
+	for name, field := range map[string]*float64{
+		"Rate": &m.ports[pid].Rate, "Burst": &m.ports[pid].Burst,
+		"Peak": &m.ports[pid].Peak, "Seed": &m.ports[pid].Seed,
+	} {
+		was := *field
+		*field += 1
+		m.portTouched(pid) // keep the bound cache in step: only the scalar drifts
+		if err := m.VerifyInvariants(); err == nil || !strings.Contains(err.Error(), "state drift") {
+			t.Errorf("%s off by one: VerifyInvariants = %v, want a state drift error", name, err)
+		}
+		*field = was
+		m.portTouched(pid)
+	}
+	if err := m.VerifyInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -76,15 +76,15 @@ func samePlacement(a, b *tenant.Placement, errA, errB error) error {
 	return nil
 }
 
-// The fast path (collapsing untouched racks and pods, uniform caps in
-// untouched racks) must decide exactly like NoFastPath, which evaluates
+// The Manager (collapsing untouched racks and pods, uniform caps in
+// untouched racks) must decide exactly like the oracle, which evaluates
 // every scope, on a large mostly-untouched tree under place / remove /
 // fail+recover / restore churn, with and without CPU capacities.
 func TestFastPathEquivalenceMostlyUntouchedTree(t *testing.T) {
 	for _, cpu := range []float64{0, 4} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			tree := wideTree(t, 3, 8, 6, cpu) // 24 racks, 3 pods
-			ref := NewManager(tree, Options{NoFastPath: true})
+			ref := newRefManager(tree, Options{})
 			fast := NewManager(tree, Options{Workers: 3})
 			rng := stats.NewRand(seed)
 			var live, failed []int
@@ -175,7 +175,7 @@ func TestWorkerCountDeterminismMostlyEmptyDatacenter(t *testing.T) {
 }
 
 // A tenant no scope can host costs one evaluated scope per height on an
-// empty tree, however many racks and pods there are; the reference path
+// empty tree, however many racks and pods there are; the oracle
 // evaluates them all. The journal shows both.
 func TestInfeasibleTenantEvaluatesOneScopePerHeight(t *testing.T) {
 	tree := wideTree(t, 4, 10, 12, 0)
@@ -185,36 +185,39 @@ func TestInfeasibleTenantEvaluatesOneScopePerHeight(t *testing.T) {
 		ID: 1, Name: "bursty", VMs: 40, FaultDomains: 2,
 		Guarantee: tenant.Guarantee{BandwidthBps: 250 * mbps, BurstBytes: 15e3, BurstRateBps: gbps},
 	}
+	m := NewManager(tree, Options{})
+	ref := newRefManager(tree, Options{})
 	for _, tc := range []struct {
-		opts                 Options
+		name string
+		m    interface {
+			EnableJournal(int)
+			Place(tenant.Spec) (*tenant.Placement, error)
+			Decision(int) (*Decision, bool)
+		}
 		evaluated, collapsed [3]int
 	}{
-		{Options{}, [3]int{1, 1, 1}, [3]int{tree.Racks() - 1, tree.Pods() - 1, 0}},
-		{Options{NoFastPath: true}, [3]int{tree.Racks(), tree.Pods(), 1}, [3]int{}},
+		{"manager", m, [3]int{1, 1, 1}, [3]int{tree.Racks() - 1, tree.Pods() - 1, 0}},
+		{"oracle", ref, [3]int{tree.Racks(), tree.Pods(), 1}, [3]int{}},
 	} {
-		m := NewManager(tree, tc.opts)
-		m.EnableJournal(0)
-		if _, err := m.Place(spec); err == nil {
-			t.Fatalf("%+v: expected rejection", tc.opts)
+		tc.m.EnableJournal(0)
+		if _, err := tc.m.Place(spec); err == nil {
+			t.Fatalf("%s: expected rejection", tc.name)
 		}
-		d, _ := m.Decision(1)
+		d, _ := tc.m.Decision(1)
 		if d.ScopesEvaluated != tc.evaluated || d.ScopesCollapsed != tc.collapsed {
-			t.Errorf("%+v: evaluated %v collapsed %v, want %v and %v",
-				tc.opts, d.ScopesEvaluated, d.ScopesCollapsed, tc.evaluated, tc.collapsed)
+			t.Errorf("%s: evaluated %v collapsed %v, want %v and %v",
+				tc.name, d.ScopesEvaluated, d.ScopesCollapsed, tc.evaluated, tc.collapsed)
 		}
-		if tc.opts.NoFastPath {
-			continue
-		}
-		want := fmt.Sprintf("search: rack 1 evaluated (+%d untouched collapsed), pod 1 evaluated (+%d untouched collapsed), datacenter 1 evaluated\n",
-			tree.Racks()-1, tree.Pods()-1)
-		if out := m.Explain(1); !strings.Contains(out, want) {
-			t.Errorf("Explain lacks %q:\n%s", want, out)
-		}
+	}
+	want := fmt.Sprintf("search: rack 1 evaluated (+%d untouched collapsed), pod 1 evaluated (+%d untouched collapsed), datacenter 1 evaluated\n",
+		tree.Racks()-1, tree.Pods()-1)
+	if out := m.Explain(1); !strings.Contains(out, want) {
+		t.Errorf("Explain lacks %q:\n%s", want, out)
 	}
 
 	// Once a rack is occupied it is evaluated on its own, ahead of the
 	// first untouched one.
-	m := NewManager(tree, Options{})
+	m = NewManager(tree, Options{})
 	m.EnableJournal(0)
 	small := spec
 	small.ID, small.VMs = 2, 6
