@@ -117,28 +117,6 @@ func BenchmarkIntrospectOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimeOverhead measures the runtime plane's per-packet
-// cost: the netsimpar workload with the RuntimeProbe attached and
-// every silo_runtime_* family registered (compare BENCH_runtime.json
-// vs BENCH_netsimpar.json). The acceptance bar is 0 allocs/op — the
-// probe sites are plain counter writes and the families are pull-time
-// gauge functions, so nothing on the hot path may allocate.
-func BenchmarkRuntimeOverhead(b *testing.B) {
-	b.ReportAllocs()
-	p := experiments.DefaultNetsimParallelBenchParams()
-	p.Reps = 1
-	for i := 0; i < b.N; i++ {
-		rec, err := experiments.RunRuntimeBench(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rec.AllocsPerOp != 0 {
-			b.Fatalf("runtime plane hot path allocates: %d allocs/op", rec.AllocsPerOp)
-		}
-		b.ReportMetric(float64(rec.MeanNs), "ns/pkt")
-	}
-}
-
 // BenchmarkFig10Pacer regenerates Figure 10: pacer throughput split
 // and per-frame cost across rate limits.
 func BenchmarkFig10Pacer(b *testing.B) {

@@ -12,8 +12,7 @@
 //
 // Experiments: fig1, table1, fig5, fig10, fig11, fig12 (also emits
 // fig13, fig14 and table4), fig15, fig16a, fig16b, placeub, pacerub,
-// netsimub, netsimpar, introspectub, incidentub, runtimeub, walub,
-// soak (durable control-plane chaos soak; -duration sets wall seconds,
+// netsimub, introspectub, incidentub, walub, soak (durable control-plane chaos soak; -duration sets wall seconds,
 // -soak-report writes the JSON verdict).
 package main
 
@@ -58,10 +57,8 @@ var benchBaseline = map[string]string{
 	"placeub":      "BENCH_placement.json",
 	"pacerub":      "BENCH_pacer.json",
 	"netsimub":     "BENCH_netsim.json",
-	"netsimpar":    "BENCH_netsim_parallel.json",
 	"introspectub": "BENCH_introspect.json",
 	"incidentub":   "BENCH_incident.json",
-	"runtimeub":    "BENCH_runtime.json",
 	"walub":        "BENCH_wal.json",
 }
 
@@ -99,21 +96,16 @@ func writeCSV(name string, header []string, rows [][]float64) {
 
 func main() {
 	var (
-		run       = flag.String("run", "all", "experiment to run (all|fig1|table1|fig5|fig10|fig11|fig12|fig15|fig16a|fig16b|placeub|pacerub|netsimub|netsimpar|introspectub|incidentub|runtimeub|walub|parscale|besteffort|burststress|faultdrill|soak)")
-		workers   = flag.Int("workers", 0, "island worker count for the parallel-simulator microbenchmark (0 = its default, 8)")
-		hotPod    = flag.Int("hot-pod", 0, "for parscale: pod whose hosts inject -hot-factor × the uniform load (imbalance study)")
-		hotFactor = flag.Int("hot-factor", 0, "for parscale: load multiplier for -hot-pod's hosts (<= 1 keeps the workload uniform)")
-		duration  = flag.Float64("duration", 0, "override simulated seconds for packet-level experiments")
-		requests  = flag.Int("requests", 0, "override request count for the placement microbenchmark")
-		seed      = flag.Uint64("seed", 0, "override RNG seed")
-		outFlag   = flag.String("outdir", "", "also write plottable CSV series to this directory")
+		run      = flag.String("run", "all", "experiment to run (all|fig1|table1|fig5|fig10|fig11|fig12|fig15|fig16a|fig16b|placeub|pacerub|netsimub|introspectub|incidentub|walub|besteffort|burststress|faultdrill|soak)")
+		duration = flag.Float64("duration", 0, "override simulated seconds for packet-level experiments")
+		requests = flag.Int("requests", 0, "override request count for the placement microbenchmark")
+		seed     = flag.Uint64("seed", 0, "override RNG seed")
+		outFlag  = flag.String("outdir", "", "also write plottable CSV series to this directory")
 
 		metricsOut = flag.String("metrics", "", "export metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
 		httpAddr   = flag.String("http", "", "serve /metrics and /debug/vars on this address during the run")
 		pprofOn    = flag.Bool("pprof", false, "additionally expose /debug/pprof on the -http address")
 		benchOut   = flag.String("bench-json", "", "write microbenchmark records as JSON: a *.json path for one file, anything else a directory receiving BENCH_<name>.json per bench")
-
-		history = flag.Bool("history", false, "append this invocation's microbenchmark records to "+experiments.BenchHistoryFile+" (RunMeta-stamped JSONL, one line per record)")
 
 		soakReport = flag.String("soak-report", "", "for soak: also write the RunMeta-stamped JSON verdict to this path")
 
@@ -126,7 +118,6 @@ func main() {
 	benchJSON = *benchOut
 	runMeta = obs.CollectRunMeta("silo-bench")
 	runMeta.Seed = int64(*seed)
-	runMeta.Workers = *workers
 
 	for _, f := range []struct{ name, path string }{
 		{"-metrics", *metricsOut}, {"-bench-json", *benchOut},
@@ -171,18 +162,15 @@ func main() {
 		"placeub":      func() error { return runPlaceUB(*requests, *seed) },
 		"pacerub":      runPacerUB,
 		"netsimub":     runNetsimUB,
-		"netsimpar":    func() error { return runNetsimParUB(*workers) },
 		"introspectub": runIntrospectUB,
 		"incidentub":   runIncidentUB,
-		"runtimeub":    func() error { return runRuntimeUB(*workers) },
-		"parscale":     func() error { return runParallelScale(*hotPod, *hotFactor) },
 		"besteffort":   func() error { return runBestEffort(*duration, *seed) },
 		"burststress":  runBurstStressCmd,
 		"faultdrill":   func() error { return runFaultDrill(*seed) },
 		"walub":        runWALUB,
 		"soak":         func() error { return runSoak(*duration, *seed, *soakReport) },
 	}
-	order := []string{"fig1", "table1", "fig5", "fig10", "fig11", "fig12", "fig15", "fig16a", "fig16b", "placeub", "pacerub", "netsimub", "netsimpar", "introspectub", "incidentub", "runtimeub", "walub", "parscale", "besteffort", "burststress", "faultdrill"}
+	order := []string{"fig1", "table1", "fig5", "fig10", "fig11", "fig12", "fig15", "fig16a", "fig16b", "placeub", "pacerub", "netsimub", "introspectub", "incidentub", "walub", "besteffort", "burststress", "faultdrill"}
 
 	names := strings.Split(*run, ",")
 	if *run == "all" {
@@ -190,7 +178,7 @@ func main() {
 		if *regress {
 			// The regression gate only needs the record-producing
 			// microbenchmarks.
-			names = []string{"placeub", "pacerub", "netsimub", "netsimpar", "introspectub", "incidentub", "runtimeub", "walub"}
+			names = []string{"placeub", "pacerub", "netsimub", "introspectub", "incidentub", "walub"}
 		}
 	}
 	for _, name := range names {
@@ -210,22 +198,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println()
-	}
-	if *history && len(benchRecords) > 0 {
-		recs := make([]experiments.BenchRecord, 0, len(benchRecords))
-		hnames := make([]string, 0, len(benchRecords))
-		for name := range benchRecords {
-			hnames = append(hnames, name)
-		}
-		sort.Strings(hnames)
-		for _, name := range hnames {
-			recs = append(recs, benchRecords[name])
-		}
-		if err := experiments.AppendBenchHistory(experiments.BenchHistoryFile, recs, &runMeta, time.Time{}); err != nil {
-			fmt.Fprintf(os.Stderr, "-history: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%d record(s) appended to %s\n", len(recs), experiments.BenchHistoryFile)
 	}
 	regressed := false
 	if *regress {
@@ -614,101 +586,6 @@ func runPacerUB() error {
 	fmt.Println("Pacer microbenchmark — per-frame batch-construction cost over repeated runs:")
 	rec := experiments.RunPacerBench(experiments.DefaultPacerBenchParams())
 	fmt.Print(rec.Render())
-	return noteBenchRecord(rec)
-}
-
-func runNetsimParUB(workers int) error {
-	p := experiments.DefaultNetsimParallelBenchParams()
-	if workers > 0 {
-		p.Workers = workers
-	}
-	fmt.Printf("Parallel-netsim microbenchmark — island engine on a 16-pod fabric, %d workers:\n", p.Workers)
-	rec, err := experiments.RunNetsimParallelBench(p)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rec.Render())
-	return noteBenchRecord(rec)
-}
-
-// parscaleBoundCode encodes the winning lookahead bound for the CSV
-// artifact.
-var parscaleBoundCode = map[string]float64{"none": -1, "lookahead": 0, "global": 1, "horizon": 2}
-
-// runParallelScale prints the worker-count scaling table for the
-// island engine and verifies the determinism contract end to end: the
-// full run summary (per-port CSV, fabric totals, guarantee audit, SLO
-// report) must be byte-identical to the sequential simulator's at
-// every worker count. The runtime-plane columns (stall %, straggler
-// island, winning lookahead bound) explain *why* the speedup curve
-// bends: they attribute each configuration's wall-clock to work vs.
-// barrier waiting.
-func runParallelScale(hotPod, hotFactor int) error {
-	var p experiments.ParallelScaleParams
-	p.HotPod, p.HotFactor = hotPod, hotFactor
-	if hotFactor > 1 {
-		fmt.Printf("Parallel netsim scaling — 16-pod fabric, pod %d injecting %d× the uniform load (runtime-plane imbalance study):\n",
-			hotPod, hotFactor)
-	} else {
-		fmt.Println("Parallel netsim scaling — 16-pod fabric with per-pod islands, full telemetry attached:")
-	}
-	var refSummary string
-	var seqPPS float64
-	var rows [][]float64
-	var lastAnalysis string
-	fmt.Printf("%8s %14s %12s %8s %9s %8s %10s %10s\n",
-		"engine", "packets/sec", "elapsed_ms", "epochs", "speedup", "stall%", "straggler", "bound")
-	for _, w := range []int{0, 1, 2, 4, 8} {
-		p.Workers = w
-		r, err := experiments.RunParallelScale(p)
-		if err != nil {
-			return err
-		}
-		if w == 0 {
-			refSummary = r.Summary
-			seqPPS = r.PacketsPerSec()
-		} else if r.Summary != refSummary {
-			return fmt.Errorf("workers=%d: summary diverges from the sequential run", w)
-		}
-		name := "seq"
-		stall, straggler, bound := "-", "-", "-"
-		if w > 0 {
-			name = fmt.Sprintf("w=%d", w)
-			stall = fmt.Sprintf("%.1f", r.Runtime.MeanStallPct())
-			straggler = fmt.Sprintf("i%d", r.Analysis.Straggler)
-			bound = r.Runtime.Coord.WinningBound()
-			lastAnalysis = r.Analysis.Render()
-		}
-		fmt.Printf("%8s %14.0f %12.1f %8d %8.2fx %8s %10s %10s\n",
-			name, r.PacketsPerSec(), float64(r.ElapsedNs)/1e6, r.Epochs,
-			r.PacketsPerSec()/seqPPS, stall, straggler, bound)
-		rows = append(rows, []float64{float64(w), r.PacketsPerSec(),
-			float64(r.ElapsedNs) / 1e6, float64(r.Epochs), r.PacketsPerSec() / seqPPS,
-			r.Runtime.MeanStallPct(), float64(r.Analysis.Straggler),
-			parscaleBoundCode[r.Runtime.Coord.WinningBound()]})
-	}
-	writeCSV("parscale.csv", []string{"workers", "packets_per_sec", "elapsed_ms", "epochs",
-		"speedup", "stall_pct", "straggler_island", "bound"}, rows)
-	if lastAnalysis != "" {
-		fmt.Print(lastAnalysis)
-	}
-	fmt.Println("summaries byte-identical across the sequential engine and every worker count")
-	return nil
-}
-
-func runRuntimeUB(workers int) error {
-	p := experiments.DefaultNetsimParallelBenchParams()
-	if workers > 0 {
-		p.Workers = workers
-	}
-	fmt.Printf("Runtime-plane overhead microbenchmark — netsimpar workload with the probe and silo_runtime_* families attached, %d workers:\n", p.Workers)
-	rec, err := experiments.RunRuntimeBench(p)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rec.Render())
-	// The checked-in BENCH_runtime.json is regenerated with
-	// `silo-bench -run runtimeub -bench-json BENCH_runtime.json`.
 	return noteBenchRecord(rec)
 }
 

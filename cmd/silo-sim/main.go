@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -69,11 +68,8 @@ func main() {
 		windowMs     = flag.Float64("window", 1, "SLO / time-series window in simulated milliseconds")
 		faultSched   = flag.String("fault", "", "fault schedule, e.g. \"t=20ms link 14 down; t=30ms up\" or \"t=20ms switch tor0 down\" (targets: link PORT, switch core|podN|torN, host ID; actions: down, up, gray DUR, flap NxDOWN/UP)")
 		faultDetect  = flag.Duration("fault-detect", 500*time.Microsecond, "control-loop detection delay between an injected fault and the placement Recover call (silo scheme only)")
-		workers      = flag.Int("workers", 0, "parallel island workers (0 = sequential engine; >0 partitions the fabric into per-pod islands under conservative lookahead)")
 		walDir       = flag.String("wal", "", "durable store directory: write-ahead log every placement mutation (admission, fault recovery, restore) and recover prior control-plane state on start (silo scheme only)")
 		snapEvery    = flag.Int("snapshot-every", 0, "with -wal: snapshot + rotate the log every N mutations (0 = default 1024, negative disables)")
-		rtReport     = flag.Bool("runtime-report", false, "print the engine self-telemetry report after the run (worker/island busy vs. barrier stall, wheel/arena pressure, imbalance analysis)")
-		profEpochs   = flag.Int("profile-epochs", 0, "sample Go runtime metrics every N epoch barriers (sequential engine: every N telemetry windows) and print the bracketed profile after the run")
 	)
 	flag.Parse()
 
@@ -118,7 +114,6 @@ func main() {
 	// revision, and the knobs that determine the output byte for byte.
 	meta := obs.CollectRunMeta("silo-sim")
 	meta.Seed = int64(*seed)
-	meta.Workers = *workers
 	meta.Scheme = *schemeName
 
 	var scheme experiments.Scheme
@@ -155,15 +150,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var nw *netsim.Network
-	if *workers > 0 {
-		// 2 µs pod↔core propagation is the lookahead bound; larger
-		// crossing delays mean longer epochs and fewer barriers.
-		nw = netsim.BuildParallel(tree, schemeNetOptions(scheme, tree),
-			netsim.ParallelOptions{Workers: *workers, CrossPropNs: 2000})
-	} else {
-		nw = netsim.Build(netsim.NewSim(), tree, schemeNetOptions(scheme, tree))
-	}
+	nw := netsim.Build(netsim.NewSim(), tree, schemeNetOptions(scheme, tree))
 	f := transport.NewFabric(nw)
 	rng := stats.NewRand(*seed)
 
@@ -235,12 +222,8 @@ func main() {
 	depA.EnableTelemetry(nw, reg, audit, bm)
 	depB.EnableTelemetry(nw, reg, audit, bm)
 	nw.RegisterMetrics(reg)
-	// Engine self-telemetry: the silo_runtime_* families (and, in
-	// parallel mode, the worker/island probe behind them).
+	// Engine self-telemetry: the silo_runtime_* families.
 	obsruntime.Register(reg, nw)
-	if *rtReport && nw.PS != nil {
-		nw.PS.AttachRuntime()
-	}
 	tenantOf := func(vmID int) (int, bool) {
 		switch {
 		case vmID >= 1000 && vmID < 1000+*vmsA:
@@ -296,24 +279,6 @@ func main() {
 	horizon := int64(*duration * 1e9)
 	drainEnd := horizon + int64(3e9)
 	windowNs := int64(*windowMs * 1e6)
-
-	// Continuous profiling, bracketed where the engine is quiescent: at
-	// epoch barriers (all workers parked) in parallel mode, at telemetry
-	// window ticks on the sequential engine.
-	var prof *obsruntime.Profiler
-	if *profEpochs > 0 {
-		prof = obsruntime.NewProfiler(int64(*profEpochs))
-		if nw.PS != nil {
-			nw.PS.AttachRuntime().OnEpoch = prof.Hook()
-		} else {
-			hook := prof.Hook()
-			var tick int64
-			nw.Sim.Every(windowNs, drainEnd, func(int64) {
-				tick++
-				hook(tick)
-			})
-		}
-	}
 
 	// Fault injection: parse and validate the -fault schedule, and (on
 	// the silo scheme, whose placer is the full Manager) close the
@@ -437,10 +402,6 @@ func main() {
 		fmt.Printf("dashboard: http://%s/\n", srv.Addr())
 	}
 
-	// Message completions execute on the owning endpoint's island; under
-	// -workers they may run on different goroutines, so the shared
-	// tallies take a lock (uncontended at message granularity).
-	var latMu sync.Mutex
 	lat := stats.NewSample(1 << 14)
 	rtos := 0
 	msgs := 0
@@ -454,12 +415,10 @@ func main() {
 		for i := 1; i < *vmsA; i++ {
 			msgs++
 			depA.Endpoints[i].SendMessage(depA.VMIDs[0], msg, func(m *transport.Message) {
-				latMu.Lock()
 				lat.Add(float64(m.Latency()) / 1e3)
 				if m.RTOs > 0 {
 					rtos++
 				}
-				latMu.Unlock()
 			})
 		}
 		next += int64(rng.Exp(meanPeriod))
@@ -477,14 +436,9 @@ func main() {
 			}
 			ep := depB.Endpoints[i]
 			dst := depB.VMIDs[j]
-			// The completion callback runs on the sending host's island,
-			// whose clock is exact there; the global clock only advances
-			// at epoch barriers and would keep the pump alive past the
-			// horizon under -workers.
-			hsim := nw.Hosts[plB.Servers[i]].Sim()
 			var pump func(*transport.Message)
 			pump = func(*transport.Message) {
-				if hsim.Now() < horizon {
+				if nw.Sim.Now() < horizon {
 					ep.SendMessage(dst, 1<<20, pump)
 				}
 			}
@@ -525,16 +479,6 @@ func main() {
 		}
 	}
 	fmt.Println(audit.Summary())
-	if *rtReport {
-		st := obsruntime.Collect(nw)
-		fmt.Print(st.Render())
-		if nw.PS != nil {
-			fmt.Print(obsruntime.Analyze(st).Render())
-		}
-	}
-	if prof != nil {
-		fmt.Print(prof.Render())
-	}
 	if inj != nil {
 		fmt.Println("fault injection:")
 		for _, ev := range inj.Events() {

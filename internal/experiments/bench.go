@@ -39,10 +39,6 @@ type BenchRecord struct {
 	// Meta records which invocation produced the record (tool, build
 	// revision, flags). Provenance only — never a gated metric.
 	Meta *obs.RunMeta `json:"meta,omitempty"`
-	// RecordedUnix stamps when the record was appended to the bench
-	// history (zero in committed baselines, which must be
-	// byte-reproducible).
-	RecordedUnix int64 `json:"recorded_unix,omitempty"`
 }
 
 // Record converts the placement benchmark result to the shared schema.

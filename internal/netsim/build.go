@@ -26,29 +26,13 @@ type Options struct {
 	HostBufferBytes int
 }
 
-// ParallelOptions configures BuildParallel.
-type ParallelOptions struct {
-	// Workers is the number of island-advancing goroutines (clamped to
-	// the island count: one island per pod, plus the core).
-	Workers int
-	// CrossPropNs overrides the propagation delay of the pod↔core
-	// links that form the island cuts; it is the conservative lookahead
-	// bound, so larger values mean fewer barriers. 0 uses Options.PropNs
-	// (intra-pod links keep Options.PropNs either way).
-	CrossPropNs int64
-}
-
 // Network is an instantiated packet-level datacenter.
 type Network struct {
-	// Sim is the scheduling surface for experiment logic: fault
-	// schedules, telemetry flushes, workload rounds. Under BuildParallel
-	// it is the ParallelSim's Global loop (events run at epoch barriers
-	// with all islands parked); host/port internals run on per-island
-	// sims instead — schedule host-side work via Host.Sim().
-	Sim  *Sim
-	Tree *topology.Tree
-	// PS is the parallel coordinator, nil for a sequential Build.
-	PS    *ParallelSim
+	// Sim is the event loop every host, port and switch runs on, and
+	// the scheduling surface for experiment logic: fault schedules,
+	// telemetry flushes, workload rounds.
+	Sim   *Sim
+	Tree  *topology.Tree
 	Hosts []*Host
 	// Queues maps topology directed-port IDs to simulator queues, so
 	// experiments can compare analytic queue bounds against simulated
@@ -72,68 +56,24 @@ func (nw *Network) PodSwitch(p int) *Switch { return nw.podSw[p] }
 func (nw *Network) CoreSwitch() *Switch { return nw.core }
 
 // Run advances the network until every event drains or the clock
-// passes until, on whichever engine built it. Returns events executed.
-func (nw *Network) Run(until int64) int {
-	if nw.PS != nil {
-		return nw.PS.Run(until)
-	}
-	return nw.Sim.Run(until)
-}
+// passes until. Returns events executed.
+func (nw *Network) Run(until int64) int { return nw.Sim.Run(until) }
 
 // RunCtx is Run with cooperative cancellation.
 func (nw *Network) RunCtx(ctx context.Context, until int64) int {
-	if nw.PS != nil {
-		return nw.PS.RunCtx(ctx, until)
-	}
 	return nw.Sim.RunCtx(ctx, until)
 }
 
-// Build instantiates the tree topology as a packet-level network on a
-// single sequential event loop.
+// Build instantiates the tree topology as a packet-level network on sim.
 func Build(sim *Sim, tree *topology.Tree, opts Options) *Network {
-	return build(tree, opts, sim, func(p int) *Sim { return sim }, nil, 0)
-}
-
-// BuildParallel instantiates the topology partitioned into islands —
-// one per pod plus one for the core — coordinated by a ParallelSim
-// with conservative lookahead equal to the pod↔core propagation delay.
-// Network.Sim is the barrier-time Global loop; Network.PS exposes the
-// coordinator. The resulting network is deterministically equivalent
-// at any worker count.
-func BuildParallel(tree *topology.Tree, opts Options, popts ParallelOptions) *Network {
-	crossProp := popts.CrossPropNs
-	if crossProp <= 0 {
-		crossProp = opts.PropNs
-	}
-	if crossProp <= 0 {
-		panic("netsim: BuildParallel needs a positive cross-link propagation delay for lookahead")
-	}
-	nIslands := tree.Pods() + 1
-	ps := NewParallelSim(nIslands, popts.Workers, crossProp)
-	nw := build(tree, opts, ps.Global, ps.Island, ps, crossProp)
-	return nw
-}
-
-// build wires the fat-tree. globalSim becomes Network.Sim; podSim maps
-// a pod to the Sim owning its hosts/ToRs/aggregation switch (the core
-// lives on ps.Island(Pods()) when ps != nil). Pod↔core links become
-// island crossings with propagation crossProp.
-func build(tree *topology.Tree, opts Options, globalSim *Sim, podSim func(p int) *Sim, ps *ParallelSim, crossProp int64) *Network {
 	nw := &Network{
-		Sim:    globalSim,
+		Sim:    sim,
 		Tree:   tree,
-		PS:     ps,
 		Hosts:  make([]*Host, tree.Servers()),
 		Queues: make([]*Queue, tree.NumPorts()),
 	}
-	coreSim := globalSim
-	coreIsland := int32(-1)
-	if ps != nil {
-		coreSim = ps.Island(tree.Pods())
-		coreIsland = int32(tree.Pods())
-	}
 
-	mkQueue := func(sim *Sim, port *topology.Port, name string, next Receiver) *Queue {
+	mkQueue := func(port *topology.Port, name string, next Receiver) *Queue {
 		buf := int(port.BufferBytes)
 		q := NewQueue(sim, name, port.RateBps, buf, opts.PropNs, next)
 		if opts.PhantomGamma > 0 {
@@ -146,11 +86,11 @@ func build(tree *topology.Tree, opts Options, globalSim *Sim, podSim func(p int)
 	}
 
 	for s := 0; s < tree.Servers(); s++ {
-		nw.Hosts[s] = NewHost(podSim(tree.PodOfServer(s)), s)
+		nw.Hosts[s] = NewHost(sim, s)
 	}
 
 	// Core switch: one aggregated multi-root.
-	core := &Switch{Name: "core", sim: coreSim}
+	core := &Switch{Name: "core", sim: sim}
 	nw.core = core
 	nw.switches = append(nw.switches, core)
 	coreDown := make([]*Queue, tree.Pods())
@@ -160,7 +100,7 @@ func build(tree *topology.Tree, opts Options, globalSim *Sim, podSim func(p int)
 	podUp := make([]*Queue, tree.Pods())
 	podDown := make([]*Queue, tree.Racks())
 	for p := 0; p < tree.Pods(); p++ {
-		podSw[p] = &Switch{Name: fmt.Sprintf("pod%d", p), sim: podSim(p)}
+		podSw[p] = &Switch{Name: fmt.Sprintf("pod%d", p), sim: sim}
 		nw.switches = append(nw.switches, podSw[p])
 	}
 	nw.podSw = podSw
@@ -170,7 +110,7 @@ func build(tree *topology.Tree, opts Options, globalSim *Sim, podSim func(p int)
 	torUp := make([]*Queue, tree.Racks())
 	torDown := make([]*Queue, tree.Servers())
 	for r := 0; r < tree.Racks(); r++ {
-		torSw[r] = &Switch{Name: fmt.Sprintf("tor%d", r), sim: podSim(tree.PodOfRack(r))}
+		torSw[r] = &Switch{Name: fmt.Sprintf("tor%d", r), sim: sim}
 		nw.switches = append(nw.switches, torSw[r])
 	}
 	nw.torSw = torSw
@@ -178,10 +118,9 @@ func build(tree *topology.Tree, opts Options, globalSim *Sim, podSim func(p int)
 	// Queues, wired bottom-up.
 	for s := 0; s < tree.Servers(); s++ {
 		r := tree.RackOfServer(s)
-		p := tree.PodOfRack(r)
 		// Host NIC -> ToR.
 		nicPort := tree.ServerUpPort(s)
-		nic := mkQueue(podSim(p), nicPort, fmt.Sprintf("nic%d", s), torSw[r])
+		nic := mkQueue(nicPort, fmt.Sprintf("nic%d", s), torSw[r])
 		// A host's own NIC queue backpressures the stack rather than
 		// dropping (qdisc semantics), so it is deep by default; the
 		// pacer keeps it nearly empty on paced hosts regardless.
@@ -194,25 +133,16 @@ func build(tree *topology.Tree, opts Options, globalSim *Sim, podSim func(p int)
 		nic.Phantom = nil
 		nw.Hosts[s].NIC = nic
 		// ToR -> host.
-		torDown[s] = mkQueue(podSim(p), tree.RackDownPort(s), fmt.Sprintf("tor%d->srv%d", r, s), nw.Hosts[s])
+		torDown[s] = mkQueue(tree.RackDownPort(s), fmt.Sprintf("tor%d->srv%d", r, s), nw.Hosts[s])
 	}
 	for r := 0; r < tree.Racks(); r++ {
 		p := tree.PodOfRack(r)
-		torUp[r] = mkQueue(podSim(p), tree.RackUpPort(r), fmt.Sprintf("tor%d->pod%d", r, p), podSw[p])
-		podDown[r] = mkQueue(podSim(p), tree.PodDownPort(r), fmt.Sprintf("pod%d->tor%d", p, r), torSw[r])
+		torUp[r] = mkQueue(tree.RackUpPort(r), fmt.Sprintf("tor%d->pod%d", r, p), podSw[p])
+		podDown[r] = mkQueue(tree.PodDownPort(r), fmt.Sprintf("pod%d->tor%d", p, r), torSw[r])
 	}
 	for p := 0; p < tree.Pods(); p++ {
-		// The pod↔core links are the island cuts: their propagation
-		// delay is the lookahead bound, and their arrivals cross through
-		// the epoch barrier instead of the local heap.
-		podUp[p] = mkQueue(podSim(p), tree.PodUpPort(p), fmt.Sprintf("pod%d->core", p), core)
-		coreDown[p] = mkQueue(coreSim, tree.CoreDownPort(p), fmt.Sprintf("core->pod%d", p), podSw[p])
-		if ps != nil {
-			podUp[p].PropNs = crossProp
-			podUp[p].xIsland = coreIsland
-			coreDown[p].PropNs = crossProp
-			coreDown[p].xIsland = int32(p)
-		}
+		podUp[p] = mkQueue(tree.PodUpPort(p), fmt.Sprintf("pod%d->core", p), core)
+		coreDown[p] = mkQueue(tree.CoreDownPort(p), fmt.Sprintf("core->pod%d", p), podSw[p])
 	}
 
 	// Routing closures.

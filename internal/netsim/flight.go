@@ -40,11 +40,6 @@ func AttachFlightRecorder(nw *Network, rec *obs.FlightRecorder) *FlightTap {
 		attached:     true,
 	}
 
-	// Hooks read the clock of the sim owning the port or host (q.sim /
-	// h.sim), never nw.Sim: under a ParallelSim the global clock is
-	// parked at the epoch start while island clocks advance through it,
-	// and the recorder itself is lock-free, so the tap stays correct
-	// when hooks fire concurrently from island workers.
 	for pid, q := range nw.Queues {
 		if q == nil {
 			continue

@@ -88,8 +88,7 @@ func (nw *Network) AttachDelayAudit(a *obs.GuaranteeAuditor, tenantOf func(vmID 
 			}
 			if id, ok := tenantOf(p.DstVM); ok {
 				// Delivery time and endpoints ride along so a violation
-				// tap can emit a fully-identified event; h.Sim() is the
-				// island-local clock, exact in parallel runs.
+				// tap can emit a fully-identified event.
 				a.ObserveDelivery(id, p.DstVM, p.SrcVM, h.Sim().Now(), delayNs)
 			}
 		}

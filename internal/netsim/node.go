@@ -14,8 +14,8 @@ type Switch struct {
 	// Stats counts void drops at this switch.
 	Stats Counters
 
-	// sim is the island event loop the switch executes on; void frames
-	// it absorbs are recycled into that island's packet arena.
+	// sim is the event loop the switch executes on; void frames it
+	// absorbs are recycled into its packet arena.
 	sim  *Sim
 	down bool
 }
@@ -80,8 +80,8 @@ type Host struct {
 	// this paced?" heuristic (a release stamp of 0 is legitimate).
 	OnPacedWire func(p *Packet)
 	// FreeOnDeliver recycles every delivered data packet into the
-	// host's island arena after OnDeliver/Deliver return. Enable only
-	// when the delivery path retains nothing (benchmarks, generator
+	// engine's arena after OnDeliver/Deliver return. Enable only when
+	// the delivery path retains nothing (benchmarks, generator
 	// workloads); transports that keep payload references must leave
 	// it off.
 	FreeOnDeliver bool
@@ -112,9 +112,7 @@ func NewHost(sim *Sim, id int) *Host {
 	return h
 }
 
-// Sim returns the event loop that owns the host (the island Sim under
-// a ParallelSim). Transports and workload generators must schedule
-// host-side work here, never on a ParallelSim's global clock.
+// Sim returns the event loop that owns the host.
 func (h *Host) Sim() *Sim { return h.sim }
 
 // Receive implements Receiver (ingress from the ToR).

@@ -16,19 +16,11 @@ type pacedDelivery struct {
 
 // runPacedAllToAll offers every host 10 Gbps of all-to-all traffic for
 // 1 ms through a paced VM (2 Gbps hose split over 7 destinations, so
-// every destination queue stays backlogged) on the sequential engine
-// (workers == 0) or the island engine, and returns each host's
-// delivery log.
-func runPacedAllToAll(t *testing.T, workers int) [][]pacedDelivery {
+// every destination queue stays backlogged) across both pods, and
+// returns each host's delivery log.
+func runPacedAllToAll(t *testing.T) [][]pacedDelivery {
 	t.Helper()
-	tree := testTree(t)
-	opts := Options{PropNs: 200}
-	var nw *Network
-	if workers == 0 {
-		nw = Build(NewSim(), tree, opts)
-	} else {
-		nw = BuildParallel(tree, opts, ParallelOptions{Workers: workers})
-	}
+	nw := Build(NewSim(), testTree(t), Options{PropNs: 200})
 	hosts := len(nw.Hosts)
 	logs := make([][]pacedDelivery, hosts)
 	for i, h := range nw.Hosts {
@@ -63,22 +55,20 @@ func runPacedAllToAll(t *testing.T, workers int) [][]pacedDelivery {
 	return logs
 }
 
-// TestPacedAllToAllParallelMatchesSequential: frame free lists are per
-// host, hence per island, so recycling must leave the island engine's
-// paced delivery log identical to the sequential engine's at every
-// worker count.
-func TestPacedAllToAllParallelMatchesSequential(t *testing.T) {
-	ref := runPacedAllToAll(t, 0)
+// TestPacedAllToAllDeterministic: frame free lists are per host, so
+// recycling must leave the paced delivery log — every delivery's time,
+// release stamp, packet and gating bucket, through the pod↔core links —
+// identical from run to run, with the totals pinned.
+func TestPacedAllToAllDeterministic(t *testing.T) {
+	ref := runPacedAllToAll(t)
 	total := 0
 	for _, l := range ref {
 		total += len(l)
 	}
-	if total < 1000 {
-		t.Fatalf("reference run delivered only %d packets", total)
+	if total != 1400 {
+		t.Errorf("delivered %d packets, want 1400", total)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		if got := runPacedAllToAll(t, workers); !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d: paced delivery log diverges from the sequential engine's", workers)
-		}
+	if got := runPacedAllToAll(t); !reflect.DeepEqual(got, ref) {
+		t.Error("second run's paced delivery log diverges from the first's")
 	}
 }

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // Receiver consumes packets after link propagation.
 type Receiver interface {
@@ -77,9 +74,7 @@ type Queue struct {
 	// a failure (forced drain on Fail, arrival at a down or lossy port,
 	// in-flight loss when the link dies mid-serialization or
 	// mid-propagation). Chain like OnEnqueue/OnTransmit: preserve the
-	// previous hook and call it first. Under a ParallelSim a crossing
-	// link's in-flight loss is metered from the destination island, so
-	// the hook must be safe to call from any island worker.
+	// previous hook and call it first.
 	OnFault func(p *Packet)
 
 	fifos    [numPrios]pktFIFO
@@ -94,12 +89,6 @@ type Queue struct {
 	lossy   bool
 	failGen uint64
 
-	// xIsland, when >= 0, marks a crossing link of a ParallelSim: the
-	// propagation completion is exchanged through the epoch barrier
-	// into that island instead of the local heap. The link's PropNs is
-	// then at least the lookahead bound.
-	xIsland int32
-
 	// Serialization-time memo: traffic is dominated by one frame size,
 	// so the float round trip runs once per size change, not per frame.
 	serSize int
@@ -108,11 +97,10 @@ type Queue struct {
 
 // NewQueue returns a port attached to sim.
 func NewQueue(sim *Sim, name string, rateBps float64, bufBytes int, propNs int64, next Receiver) *Queue {
-	return &Queue{sim: sim, Name: name, RateBps: rateBps, BufferBytes: bufBytes, PropNs: propNs, Next: next, xIsland: -1}
+	return &Queue{sim: sim, Name: name, RateBps: rateBps, BufferBytes: bufBytes, PropNs: propNs, Next: next}
 }
 
-// Sim returns the event loop that owns the port (the island Sim under
-// a ParallelSim).
+// Sim returns the event loop that owns the port.
 func (q *Queue) Sim() *Sim { return q.sim }
 
 // Occupied reports buffered bytes.
@@ -205,17 +193,12 @@ func (q *Queue) txDone(p *Packet, gen uint64) {
 	}
 	q.Stats.SentPkts++
 	q.Stats.SentBytes += int64(p.Size)
-	if q.xIsland >= 0 {
-		q.sim.emitCross(q.xIsland, q.sim.now+q.PropNs, q, p, gen)
-	} else {
-		q.sim.schedule(q.sim.now+q.PropNs, evtArrive, gen, nil, q, nil, p)
-	}
+	q.sim.schedule(q.sim.now+q.PropNs, evtArrive, gen, nil, q, nil, p)
 	q.transmitNext()
 }
 
 // arrive completes a propagation: the packet reaches q.Next unless the
-// link died while the frame was on the wire. For a crossing link this
-// runs in the destination island.
+// link died while the frame was on the wire.
 func (q *Queue) arrive(p *Packet, gen uint64) {
 	if q.failGen != gen {
 		q.faultDrop(p)
@@ -224,13 +207,10 @@ func (q *Queue) arrive(p *Packet, gen uint64) {
 	q.Next.Receive(p)
 }
 
-// faultDrop meters a failure-caused loss and runs the OnFault tap. The
-// counters are updated atomically because a crossing link's in-flight
-// loss is metered by the destination island's worker while the source
-// island may be running.
+// faultDrop meters a failure-caused loss and runs the OnFault tap.
 func (q *Queue) faultDrop(p *Packet) {
-	atomic.AddInt64(&q.Stats.FaultDroppedPkts, 1)
-	atomic.AddInt64(&q.Stats.FaultDroppedBytes, int64(p.Size))
+	q.Stats.FaultDroppedPkts++
+	q.Stats.FaultDroppedBytes += int64(p.Size)
 	if q.OnFault != nil {
 		q.OnFault(p)
 	}

@@ -1,175 +1,35 @@
 package netsim
 
-import "time"
-
-// Engine self-telemetry: the simulator watches the simulated network
-// everywhere else in this repository; the types in this file watch the
-// simulator itself. Two layers:
-//
-//   - SimCounters are always-on plain integers embedded in every Sim
-//     (each island is one Sim, as is the sequential engine and the
-//     parallel Global loop). They track pressure on the engine's three
-//     core structures — the timestamp wheel, the overflow heap, and
-//     the event/packet freelists — at the cost of a compare or an
-//     increment per touch. A Sim is single-threaded, so the fields are
-//     plain ints and the hot path stays branch-and-add only.
-//
-//   - RuntimeProbe is the opt-in wall-clock attribution layer for the
-//     parallel engine: per-worker busy vs. barrier-stall time,
-//     per-island busy time and cross-traffic, and the coordinator's
-//     epoch accounting (which lookahead bound closed each epoch, merge
-//     and barrier cost). Attach it before Run; nil keeps every probe
-//     site at one pointer test. Probing is purely observational — it
-//     never schedules, touches clocks, or reorders events — so
-//     simulation output stays byte-identical with the probe attached,
-//     at any worker count.
-//
-// internal/obs/runtime consumes both layers: it snapshots them into a
-// report, exports silo_runtime_* metric families, and analyzes worker
-// imbalance.
-
-// SimCounters is one engine's structural-pressure accounting. All
-// values are monotone except PktInUse (the live arena population).
+// SimCounters is the engine's self-telemetry: where the rest of the
+// repository watches the simulated network, these watch the simulator.
+// They are always-on plain integers embedded in every Sim, tracking
+// pressure on the engine's three core structures — the timestamp
+// wheel, the overflow heap, and the event/packet freelists — at the
+// cost of a compare or an increment per touch. All values are monotone
+// except PktInUse (the live arena population). internal/obs/runtime
+// adds the hit rates and exports the silo_runtime_* metric families;
+// the JSON names are the dashboard payload's.
 type SimCounters struct {
 	// Events is the number of events this Sim has executed.
-	Events int64
+	Events int64 `json:"events"`
 	// WheelHWM / FarHWM are high-water marks of the timestamp wheel
 	// population and the overflow-heap depth.
-	WheelHWM int64
-	FarHWM   int64
+	WheelHWM int64 `json:"wheel_hwm"`
+	FarHWM   int64 `json:"far_hwm"`
 	// EvHits / EvMisses split event-node allocations into freelist
 	// reuse vs. fresh 128-node chunk carves.
-	EvHits   int64
-	EvMisses int64
+	EvHits   int64 `json:"ev_hits"`
+	EvMisses int64 `json:"ev_misses"`
 	// PktHits / PktMisses do the same for the packet arena (256-packet
 	// chunks).
-	PktHits   int64
-	PktMisses int64
+	PktHits   int64 `json:"pkt_hits"`
+	PktMisses int64 `json:"pkt_misses"`
 	// PktInUse is the current arena population (allocs minus frees;
 	// packets reclaimed by the GC instead of FreePacket stay counted),
 	// PktHWM its high-water mark.
-	PktInUse int64
-	PktHWM   int64
+	PktInUse int64 `json:"pkt_in_use"`
+	PktHWM   int64 `json:"pkt_hwm"`
 }
 
 // RuntimeCounters returns a copy of this Sim's engine counters.
 func (s *Sim) RuntimeCounters() SimCounters { return s.rtc }
-
-// WorkerRuntime is one island-advancing goroutine's wall-clock
-// attribution. The owning worker is the only writer; the coordinator
-// reads it with all workers parked (the barrier atomics order the
-// accesses). Padded so adjacent workers never share a cache line.
-type WorkerRuntime struct {
-	// BusyNs is wall-clock spent executing island epochs, StallNs
-	// wall-clock spent spinning at the epoch barrier.
-	BusyNs  int64
-	StallNs int64
-	// Epochs counts barrier releases this worker ran through.
-	Epochs int64
-	// LoopNs is the worker loop's total lifetime (first entry to
-	// exit); busy + stall never exceeds it, and the gap between them
-	// is the loop's own bookkeeping.
-	LoopNs int64
-	_      [32]byte
-}
-
-// IslandRuntime is one island's share of the wall clock and the
-// cross-island traffic through its outboxes. BusyNs is written by the
-// island's (fixed) worker, the cross counters by the coordinator at
-// barriers; the two never race. Padded like WorkerRuntime.
-type IslandRuntime struct {
-	// BusyNs is wall-clock spent in this island's runEpoch calls.
-	BusyNs int64
-	// CrossSent / CrossRecv count packets this island emitted onto /
-	// received from crossing links (merged at barriers).
-	CrossSent int64
-	CrossRecv int64
-	_         [40]byte
-}
-
-// CoordinatorRuntime is the epoch-loop accounting, written only by the
-// coordinating goroutine.
-type CoordinatorRuntime struct {
-	// Epochs counts parallel epochs; GlobalRuns counts barrier-time
-	// Global batches (gmin <= hmin iterations).
-	Epochs     int64
-	GlobalRuns int64
-	// BoundLookahead / BoundGlobal / BoundHorizon count which bound
-	// closed each epoch: hmin+Lookahead, a pending Global event, or
-	// the run horizon (until+1).
-	BoundLookahead int64
-	BoundGlobal    int64
-	BoundHorizon   int64
-	// WindowSumNs / WindowMinNs / WindowMaxNs describe the epoch
-	// window sizes (end - hmin): how much work each barrier buys.
-	WindowSumNs int64
-	WindowMinNs int64
-	WindowMaxNs int64
-	// BarrierNs is coordinator wall-clock from epoch release to the
-	// last worker parking; MergeNs is the cross-event exchange cost.
-	BarrierNs int64
-	MergeNs   int64
-	// CrossMerged counts cross-island packets merged into destination
-	// heaps.
-	CrossMerged int64
-	// WallNs accumulates Run/RunCtx wall-clock across calls.
-	WallNs int64
-}
-
-// RuntimeProbe is the parallel engine's self-observation state. Create
-// it with ParallelSim.AttachRuntime before running; all slices are
-// preallocated there, so probing allocates nothing.
-type RuntimeProbe struct {
-	start   time.Time
-	workers []WorkerRuntime
-	islands []IslandRuntime
-	Coord   CoordinatorRuntime
-
-	// OnEpoch, when set, runs on the coordinator after every epoch's
-	// exchange with all workers parked — the bracket the continuous
-	// profiler hangs off. It may read any island state but must not
-	// schedule island events.
-	OnEpoch func(epoch int64)
-}
-
-// now returns monotonic nanoseconds since the probe was attached.
-func (rt *RuntimeProbe) now() int64 { return int64(time.Since(rt.start)) }
-
-// Worker returns worker w's accounting (zero value out of range).
-func (rt *RuntimeProbe) Worker(w int) WorkerRuntime {
-	if rt == nil || w < 0 || w >= len(rt.workers) {
-		return WorkerRuntime{}
-	}
-	return rt.workers[w]
-}
-
-// IslandRT returns island i's accounting (zero value out of range).
-func (rt *RuntimeProbe) IslandRT(i int) IslandRuntime {
-	if rt == nil || i < 0 || i >= len(rt.islands) {
-		return IslandRuntime{}
-	}
-	return rt.islands[i]
-}
-
-// NumWorkers and NumIslands report the probe's dimensions.
-func (rt *RuntimeProbe) NumWorkers() int { return len(rt.workers) }
-func (rt *RuntimeProbe) NumIslands() int { return len(rt.islands) }
-
-// AttachRuntime enables engine self-telemetry on the coordinator and
-// returns the probe (idempotent: a second call returns the existing
-// probe). Attach before Run; the worker pool snapshots the probe
-// pointer per Run call.
-func (ps *ParallelSim) AttachRuntime() *RuntimeProbe {
-	if ps.rt == nil {
-		ps.rt = &RuntimeProbe{
-			start:   time.Now(),
-			workers: make([]WorkerRuntime, ps.Workers),
-			islands: make([]IslandRuntime, len(ps.islands)),
-		}
-		ps.rt.Coord.WindowMinNs = int64(1)<<62 - 1
-	}
-	return ps.rt
-}
-
-// Runtime returns the attached probe, nil when telemetry is off.
-func (ps *ParallelSim) Runtime() *RuntimeProbe { return ps.rt }

@@ -13,10 +13,7 @@
 // The event loop is allocation-free in steady state: event nodes are
 // recycled through a freelist, the queue/host hot paths schedule typed
 // events (no per-hop closures), and packets can be arena-allocated via
-// AllocPacket/FreePacket. A Sim either runs standalone (the classic
-// sequential engine) or as one island of a ParallelSim (see psim.go),
-// where inter-island packet arrivals cross through per-epoch outboxes
-// instead of the local heap.
+// AllocPacket/FreePacket.
 //
 // Time is int64 nanoseconds.
 package netsim
@@ -62,9 +59,8 @@ type event struct {
 // The timestamp wheel: 1 ns buckets spanning wheelSpan ns ahead of the
 // clock. Every hot delay in the simulator — serialization (~1.2 µs for
 // a 1500 B frame at 10 Gbps), propagation (hundreds of ns), generator
-// gaps, crossing-link lookahead (a few µs) — fits the span, so the
-// per-event queue cost is a bitmap probe and a list append instead of
-// a heap sift. Events farther out go to a 4-ary overflow heap and
+// gaps — fits the span, so the per-event queue cost is a bitmap probe
+// and a list append instead of a heap sift. Events farther out go to a 4-ary overflow heap and
 // execute from there directly. What lives there: one Timer node per
 // connection with data in flight (the RTO, see timer.go), fault
 // schedules and telemetry windows — hundreds of entries, touched
@@ -93,8 +89,7 @@ type heapEnt struct {
 // Sim is the event loop: a timestamp wheel for near events plus an
 // overflow heap for far ones, totally ordered by (time, scheduling
 // sequence); an event-node freelist; and a packet arena. A Sim is
-// single-threaded; under a ParallelSim each island owns one Sim and
-// only its worker (or the coordinator, at barriers) touches it.
+// single-threaded.
 type Sim struct {
 	now int64
 	seq uint64
@@ -118,20 +113,14 @@ type Sim struct {
 	// names its timer by index, which keeps event at 64 bytes.
 	timers []*Timer
 
-	// Parallel wiring (zero for a standalone sequential Sim).
-	ps     *ParallelSim
-	island int32
-	outbox [][]crossEvent
-	nExec  int64
-
 	// rtc is the engine's structural-pressure accounting (see
 	// runtime.go). Always on: every update is a plain compare or add
 	// on this single-threaded struct.
 	rtc SimCounters
 }
 
-// NewSim returns an empty standalone simulator at time 0.
-func NewSim() *Sim { return &Sim{island: -1} }
+// NewSim returns an empty simulator at time 0.
+func NewSim() *Sim { return &Sim{} }
 
 // Now returns the current simulation time in ns.
 func (s *Sim) Now() int64 { return s.now }
@@ -309,18 +298,6 @@ func (s *Sim) farPop() *event {
 	return top
 }
 
-// peek returns the earliest pending event time without removing it.
-func (s *Sim) peek() (int64, bool) {
-	wt := s.wheelNext()
-	if len(s.far) > 0 && s.far[0].t < wt {
-		return s.far[0].t, true
-	}
-	if wt == math.MaxInt64 {
-		return 0, false
-	}
-	return wt, true
-}
-
 // schedule queues a typed event at absolute time t (clamped to now):
 // near events append to their wheel slot (FIFO == seq order among
 // equal times), far ones go to the overflow heap.
@@ -395,24 +372,23 @@ func (s *Sim) exec(ev *event) {
 }
 
 // step pops and executes the earliest pending event if its time is at
-// most limit (or strictly below limit when strict is set); it reports
-// whether an event ran. The wheel and the overflow heap are merged on
-// (t, seq), so execution order is identical to a single totally
-// ordered queue.
-func (s *Sim) step(limit int64, strict bool) bool {
+// most limit; it reports whether an event ran. The wheel and the
+// overflow heap are merged on (t, seq), so execution order is
+// identical to a single totally ordered queue.
+func (s *Sim) step(limit int64) bool {
 	t := s.wheelNext()
 	var ev *event
 	if len(s.far) > 0 {
 		ft := s.far[0]
 		if ft.t < t || (ft.t == t && ft.seq < s.slotHead[t&wheelMask].seq) {
-			if ft.t > limit || (strict && ft.t == limit) {
+			if ft.t > limit {
 				return false
 			}
 			ev, t = s.farPop(), ft.t
 		}
 	}
 	if ev == nil {
-		if t > limit || (strict && t == limit) || t == math.MaxInt64 {
+		if t > limit || t == math.MaxInt64 {
 			return false
 		}
 		ev = s.popSlot(t & wheelMask)
@@ -427,7 +403,7 @@ func (s *Sim) step(limit int64, strict bool) bool {
 // until. Returns the number of events executed.
 func (s *Sim) Run(until int64) int {
 	n := 0
-	for s.step(until, false) {
+	for s.step(until) {
 		n++
 	}
 	if s.now < until {
@@ -452,7 +428,7 @@ func (s *Sim) RunCtx(ctx context.Context, until int64) int {
 			default:
 			}
 		}
-		if !s.step(until, false) {
+		if !s.step(until) {
 			break
 		}
 		n++
@@ -461,20 +437,6 @@ func (s *Sim) RunCtx(ctx context.Context, until int64) int {
 		s.now = until
 	}
 	return n
-}
-
-// runEpoch executes every event strictly before end and parks the
-// clock at end. Used by the parallel engine; end is the conservative
-// lookahead bound, so no event before it can still arrive.
-func (s *Sim) runEpoch(end int64) {
-	n := int64(0)
-	for s.step(end, true) {
-		n++
-	}
-	s.nExec += n
-	if s.now < end {
-		s.now = end
-	}
 }
 
 // ticker is Every's reusable rescheduling state: one ticker and one

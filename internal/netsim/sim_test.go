@@ -213,3 +213,138 @@ type ReceiverFunc func(*Packet)
 
 // Receive implements Receiver.
 func (f ReceiverFunc) Receive(p *Packet) { f(p) }
+
+// trainGen drives one host with a tie-free packet train: start offsets
+// 14·h+1 are odd while every delay component (1400 ns gap, 1200 ns
+// serialization, 200 ns propagation) is even and 14·Δh ≢ 0 mod 200 for
+// any Δh < 100, so no two hosts' packets ever share an event time.
+type trainGen struct {
+	host      *Host
+	dst       int
+	seq       uint64
+	remaining int
+	fn        func()
+}
+
+func (g *trainGen) send() {
+	sim := g.host.Sim()
+	p := sim.AllocPacket()
+	g.seq++
+	p.ID = uint64(g.host.ID+1)<<32 | g.seq
+	p.Src, p.Dst = g.host.ID, g.dst
+	p.SrcVM, p.DstVM = g.host.ID, g.dst
+	p.Size = 1500
+	g.host.Send(p)
+	g.remaining--
+	if g.remaining > 0 {
+		sim.After(1400, g.fn)
+	}
+}
+
+// runCrossPodWorkload runs the permutation blast (host h → h+3 mod N,
+// crossing racks and pods) to completion, recycling every delivered
+// packet.
+func runCrossPodWorkload(t *testing.T, pkts int) *Network {
+	t.Helper()
+	nw := Build(NewSim(), testTree(t), Options{PropNs: 200})
+	hosts := len(nw.Hosts)
+	for h, host := range nw.Hosts {
+		host.FreeOnDeliver = true
+		g := &trainGen{host: host, dst: (h + 3) % hosts, remaining: pkts}
+		g.fn = g.send
+		nw.Sim.At(int64(14*h+1), g.fn)
+	}
+	nw.Run(int64(14*hosts) + int64(pkts)*1400 + 1_000_000)
+	return nw
+}
+
+// TestSimCountersSequential checks the always-on engine counters on the
+// single-threaded engine: events flow, the wheel and arenas see
+// pressure, the freelists get hits once warm, and the arena drains.
+func TestSimCountersSequential(t *testing.T) {
+	nw := runCrossPodWorkload(t, 100)
+	rtc := nw.Sim.RuntimeCounters()
+	if rtc.Events == 0 {
+		t.Fatal("no events counted")
+	}
+	if rtc.WheelHWM == 0 {
+		t.Error("wheel high-water mark never moved")
+	}
+	if rtc.EvMisses == 0 || rtc.EvHits == 0 {
+		t.Errorf("event freelist never both carved and reused: hits=%d misses=%d",
+			rtc.EvHits, rtc.EvMisses)
+	}
+	if rtc.PktMisses == 0 || rtc.PktHits == 0 {
+		t.Errorf("packet arena never both carved and reused: hits=%d misses=%d",
+			rtc.PktHits, rtc.PktMisses)
+	}
+	if rtc.PktHWM == 0 {
+		t.Error("packet high-water mark never moved")
+	}
+	if rtc.PktInUse != 0 {
+		t.Errorf("%d packets still in the arena after drain", rtc.PktInUse)
+	}
+}
+
+func TestPacketArenaReuse(t *testing.T) {
+	s := NewSim()
+	p1 := s.AllocPacket()
+	p1.ID = 7
+	p1.Size = 1500
+	p1.Payload = "retained"
+	s.FreePacket(p1)
+	p2 := s.AllocPacket()
+	if p2 != p1 {
+		t.Fatal("arena did not recycle the freed packet")
+	}
+	if p2.ID != 0 || p2.Size != 0 || p2.Payload != nil {
+		t.Fatalf("recycled packet not zeroed: %+v", p2)
+	}
+	p3 := s.AllocPacket()
+	if p3 == p2 {
+		t.Fatal("arena handed out the same packet twice")
+	}
+}
+
+// TestEveryNoAllocPerTick is the regression gate for Sim.Every's
+// rescheduling path: steady-state ticks must not allocate (the ticker
+// and its closure are created once, event nodes come from the
+// freelist).
+func TestEveryNoAllocPerTick(t *testing.T) {
+	s := NewSim()
+	ticks := 0
+	s.Every(10, 1<<40, func(int64) { ticks++ })
+	next := s.Now()
+	run := func() {
+		next += 10_000 // 1000 ticks per invocation
+		s.Run(next)
+	}
+	run() // warm: ticker allocation, event chunk, heap growth
+	avg := testing.AllocsPerRun(5, run)
+	if avg >= 1 {
+		t.Fatalf("Every allocates in steady state: %.1f allocs per 1000 ticks", avg)
+	}
+	if ticks < 6000 {
+		t.Fatalf("ticks = %d, want >= 6000", ticks)
+	}
+}
+
+// BenchmarkSimEventLoop isolates the raw event-engine cost: one op is
+// one closure event pushed through the heap and executed, with batches
+// of 1024 keeping a realistic heap depth. The freelist keeps this at
+// zero allocations per op in steady state.
+func BenchmarkSimEventLoop(b *testing.B) {
+	s := NewSim()
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var now int64
+	for i := 0; i < b.N; i++ {
+		s.At(now+int64(i&1023), fn)
+		if i&1023 == 1023 {
+			now += 1024
+			s.Run(now)
+		}
+	}
+	s.Run(now + 1024)
+}

@@ -367,48 +367,3 @@ func TestTimerMatchesClosurePerArm(t *testing.T) {
 		t.Errorf("only %d timer firings over all seeds: the script is not exercising the timer", fires)
 	}
 }
-
-// TestTimerParallelMatchesClosurePerArm runs the same script, one
-// instance per engine, on the sequential engine and on every island of
-// the island engine at 1, 2 and 4 workers, under cross-pod packet
-// traffic that keeps the epochs short. Each instance must log exactly
-// what the oracle logs standalone.
-func TestTimerParallelMatchesClosurePerArm(t *testing.T) {
-	const seed = 7000
-	for _, workers := range []int{0, 1, 2, 4} {
-		tree := testTree(t)
-		opts := Options{PropNs: 200}
-		var nw *Network
-		if workers == 0 {
-			nw = Build(NewSim(), tree, opts)
-		} else {
-			nw = BuildParallel(tree, opts, ParallelOptions{Workers: workers})
-		}
-		var sims []*Sim
-		var scripts []*timerScript
-		hosts := len(nw.Hosts)
-		for h, host := range nw.Hosts {
-			host.FreeOnDeliver = true
-			g := &psimGen{host: host, dst: (h + 3) % hosts, remaining: 150}
-			g.fn = g.send
-			host.Sim().At(int64(14*h+1), g.fn)
-			if n := len(sims); n == 0 || sims[n-1] != host.Sim() {
-				sims = append(sims, host.Sim())
-				scripts = append(scripts, startTimerScript(host.Sim(), seed+int64(n), newEngineTimer))
-			}
-		}
-		if workers > 0 && len(sims) < 2 {
-			t.Fatalf("workers=%d: hosts share one engine; nothing parallel to test", workers)
-		}
-		nw.Run(1 << 40)
-		for k, sc := range scripts {
-			if want := oracleLog(seed + int64(k)); !reflect.DeepEqual(sc.log, want) {
-				t.Errorf("workers=%d engine %d diverges from the oracle", workers, k)
-				firstDiff(t, sc.log, want)
-			}
-			if sims[k].Pending() != 0 {
-				t.Errorf("workers=%d engine %d: %d events pending after drain", workers, k, sims[k].Pending())
-			}
-		}
-	}
-}

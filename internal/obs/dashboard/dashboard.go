@@ -69,8 +69,8 @@ type Payload struct {
 	SLO    *SLOView                `json:"slo,omitempty"`
 	// Incidents is the correlator's latest root-caused report.
 	Incidents *incident.Report `json:"incidents,omitempty"`
-	// Runtime is the engine self-telemetry report (worker/island
-	// utilization, barrier stalls, wheel/arena pressure).
+	// Runtime is the engine self-telemetry report (wheel, overflow-heap
+	// and arena pressure).
 	Runtime *obsruntime.Stats `json:"runtime,omitempty"`
 	// WAL is the durable store's status (seq, segment size, safe mode,
 	// how the last recovery went).

@@ -39,8 +39,8 @@ func (c Config) withDefaults() Config {
 // Set* methods (each replaces its stream, so a live harness can re-run
 // correlation as the run progresses), then call Correlate. The
 // correlator itself is driven, not wired: it never touches the
-// simulator, so it can run mid-simulation at a barrier or offline over
-// exported artifacts.
+// simulator, so it can run mid-simulation from a telemetry tick or
+// offline over exported artifacts.
 //
 // Set*/Correlate are serialized by an internal lock; LastReport is an
 // atomic read, safe from a concurrently-polling dashboard or metrics
@@ -117,7 +117,7 @@ func (c *Correlator) SetPortMeta(pm []obs.PortMeta) {
 
 // SetMeta stamps run provenance onto produced reports. Meta is
 // excluded from Render output so determinism gates can compare
-// rendered reports across worker counts.
+// rendered reports across builds and command lines.
 func (c *Correlator) SetMeta(m *obs.RunMeta) {
 	c.mu.Lock()
 	c.meta = m
@@ -141,8 +141,8 @@ type clusterItem struct {
 
 // Correlate clusters the current streams into incidents and returns
 // the report (also retrievable via LastReport). Deterministic: events
-// are sorted canonically first, so concurrent append order (parallel
-// simulation islands) cannot affect the output.
+// are sorted canonically first, so the order in which the streams
+// appended them cannot affect the output.
 func (c *Correlator) Correlate() *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()

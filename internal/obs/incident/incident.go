@@ -29,9 +29,8 @@
 //     an acceptance gate for the instrumented end-to-end runs.
 //
 // Determinism: clustering sorts all events into a canonical order
-// first (obs.SortViolationEvents), so the incident list is
-// byte-identical whether the violations were appended by a sequential
-// simulation or by racing parallel islands, at any worker count.
+// first (obs.SortViolationEvents), so the incident list does not
+// depend on the order in which the streams appended their violations.
 package incident
 
 import (

@@ -3,6 +3,7 @@ package incident
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -264,8 +265,7 @@ func TestEveryViolationExactlyOnce(t *testing.T) {
 }
 
 // Input order must not matter: reversed and shuffled streams render
-// byte-identically (the canonical-sort guarantee the parallel engine
-// relies on).
+// byte-identically (the canonical-sort guarantee).
 func TestRenderIndependentOfInputOrder(t *testing.T) {
 	mk := func() []obs.ViolationEvent {
 		var evs []obs.ViolationEvent
@@ -323,7 +323,7 @@ func TestFaultWindowsFromEvents(t *testing.T) {
 
 func TestReportRoundTripAndCSV(t *testing.T) {
 	c := New(Config{})
-	c.SetMeta(&obs.RunMeta{Tool: "test", Version: "deadbeef", Workers: 4})
+	c.SetMeta(&obs.RunMeta{Tool: "test", Version: "deadbeef"})
 	c.SetViolations([]obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)})
 	rep := c.Correlate()
 
@@ -335,11 +335,27 @@ func TestReportRoundTripAndCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Meta == nil || got.Meta.Tool != "test" || got.Meta.Workers != 4 {
+	if got.Meta == nil || got.Meta.Tool != "test" {
 		t.Fatalf("meta lost in round trip: %+v", got.Meta)
 	}
 	if len(got.Incidents) != 1 || got.Incidents[0].Verdict != rep.Incidents[0].Verdict {
 		t.Fatalf("incidents lost in round trip: %+v", got.Incidents)
+	}
+
+	// A report from before RunMeta lost its worker count still loads.
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(b, []byte(`"tool": "test",`), []byte(`"tool": "test", "workers": 4,`), 1)
+	if bytes.Equal(old, b) {
+		t.Fatalf("no tool field to put a workers field after in %s", b)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadFile(path); err != nil || got.Meta == nil || got.Meta.Tool != "test" || len(got.Incidents) != 1 {
+		t.Fatalf("report with \"workers\" in its meta: %+v, error %v", got, err)
 	}
 
 	var buf bytes.Buffer
@@ -347,8 +363,8 @@ func TestReportRoundTripAndCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if !strings.HasPrefix(lines[0], "# run: tool=test") {
-		t.Fatalf("CSV missing run-meta comment header: %q", lines[0])
+	if lines[0] != "# run: tool=test version=deadbeef" {
+		t.Fatalf("CSV run-meta comment header: %q", lines[0])
 	}
 	if !strings.HasPrefix(lines[1], "id,start_ns") {
 		t.Fatalf("CSV header wrong: %q", lines[1])

@@ -17,8 +17,8 @@ import (
 // zero unexplained residue).
 type Report struct {
 	// Meta is run provenance (satellite of every artifact); excluded
-	// from Render so rendered reports are comparable across worker
-	// counts.
+	// from Render so rendered reports are comparable across builds and
+	// command lines.
 	Meta    *obs.RunMeta `json:"meta,omitempty"`
 	MergeNs int64        `json:"merge_ns"`
 	// TotalViolations sums per-packet guarantee violations across all

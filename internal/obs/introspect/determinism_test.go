@@ -10,12 +10,12 @@ import (
 	"repro/internal/topology"
 )
 
-// Introspection snapshots must be byte-identical between the
-// sequential engine and ParallelSim at any worker count: taps run on
-// the island that owns each queue, bounds are pure functions of the
-// admitted set, and Snapshot iterates in registration/port order.
-func TestIntrospectionDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int) string {
+// Introspection snapshots must be byte-identical from run to run:
+// bounds are pure functions of the admitted set, the observed side
+// (HWMs, busy periods, envelopes) of a deterministic simulation, and
+// Snapshot iterates in registration/port order.
+func TestIntrospectionDeterministic(t *testing.T) {
+	render := func() string {
 		tree, err := topology.New(topology.Config{
 			Pods:           2,
 			RacksPerPod:    2,
@@ -42,13 +42,7 @@ func TestIntrospectionDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("place: %v", err)
 		}
 
-		const propNs = 200
-		var nw *netsim.Network
-		if workers >= 1 {
-			nw = netsim.BuildParallel(tree, netsim.Options{PropNs: propNs}, netsim.ParallelOptions{Workers: workers})
-		} else {
-			nw = netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: propNs})
-		}
+		nw := netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: 200})
 		in := introspect.Attach(nw, nil, introspect.Config{})
 		hosts := len(nw.Hosts)
 		for h := 0; h < hosts; h++ {
@@ -56,9 +50,9 @@ func TestIntrospectionDeterministicAcrossWorkers(t *testing.T) {
 		}
 		in.BindPlacement(m)
 
-		// The tie-free generator workload from the parallel-scale
-		// experiment: even delay components (1200 ns serialization,
-		// 200 ns propagation, 1400 ns gap), odd host start offsets.
+		// A tie-free generator workload: even delay components (1200 ns
+		// serialization, 200 ns propagation, 1400 ns gap), odd host
+		// start offsets.
 		const size = 1500
 		const gapNs = 1400
 		const pkts = 400
@@ -97,11 +91,11 @@ func TestIntrospectionDeterministicAcrossWorkers(t *testing.T) {
 		return s.Render()
 	}
 
-	want := render(0) // sequential engine
-	for _, workers := range []int{1, 2, 4, 8} {
-		if got := render(workers); got != want {
-			t.Fatalf("snapshot diverges at %d workers:\n--- sequential ---\n%s\n--- %d workers ---\n%s",
-				workers, want, workers, got)
-		}
+	want := render()
+	if len(want) != 1402 {
+		t.Errorf("snapshot is %d bytes, want 1402", len(want))
+	}
+	if got := render(); got != want {
+		t.Fatalf("snapshot diverges between two runs:\n--- first ---\n%s\n--- second ---\n%s", want, got)
 	}
 }

@@ -16,9 +16,8 @@
 //   - Snapshot/Render join both into one deterministic report, which
 //     the CLIs export as JSON for silo-trace's -why drill-down.
 //
-// Every hot-path tap is allocation-free and runs on the island that
-// owns the instrumented object, so snapshots are byte-identical at any
-// ParallelSim worker count.
+// Every hot-path tap is allocation-free, and a snapshot is a pure
+// function of the simulation, so it is byte-identical from run to run.
 package introspect
 
 // Envelope is a token-bucket traffic contract {rate B, burst S}: the

@@ -37,8 +37,8 @@ func boundsFromLoad(ld placement.PortLoad, svcRate, capSec float64) PortBounds {
 
 // portWatch observes one simulated queue: backlog high-water marks
 // come from the queue's own counters; busy periods are measured by
-// bracketing arrivals and drain completions. All callbacks run on the
-// island that owns the queue and allocate nothing.
+// bracketing arrivals and drain completions. The callbacks allocate
+// nothing.
 type portWatch struct {
 	q       *netsim.Queue
 	bounds  PortBounds

@@ -91,8 +91,6 @@ func Attach(nw *netsim.Network, reg *obs.Registry, cfg Config) *Introspector {
 			if prevEnq != nil {
 				prevEnq(p, occupied)
 			}
-			// Island-local clock: under a ParallelSim each queue's
-			// events run on its owning island.
 			now := q.Sim().Now()
 			if occupied+p.Size <= q.BufferBytes {
 				w.onEnqueue(now)
@@ -181,10 +179,9 @@ func (in *Introspector) TrackVM(hostID, vmID, tenantID int, adm Envelope) *VMEst
 // BindPlacement derives every watched port's analytic bounds from the
 // placement manager's currently admitted aggregate, via the netcal
 // closed forms. Call it after placements settle (and again after
-// recovery churn) — the bounds are pure functions of the admitted set,
-// so they are identical at any simulation worker count. Infinite
-// bounds (possible only on unadmitted or degenerate aggregates) are
-// stored as -1: "no finite bound".
+// recovery churn) — the bounds are pure functions of the admitted
+// set. Infinite bounds (possible only on unadmitted or degenerate
+// aggregates) are stored as -1: "no finite bound".
 func (in *Introspector) BindPlacement(m *placement.Manager) {
 	for pid, w := range in.watches {
 		if w == nil {
@@ -300,9 +297,8 @@ type Snapshot struct {
 	MinMarginBytes float64 `json:"min_margin_bytes"`
 }
 
-// Snapshot captures the current state. Call it with the simulation
-// quiesced (between runs, or at a barrier); the result is identical at
-// any ParallelSim worker count.
+// Snapshot captures the current state. Call it between runs or from a
+// simulation event, never concurrently with Run.
 func (in *Introspector) Snapshot() Snapshot {
 	var s Snapshot
 	for _, est := range in.vms {

@@ -8,16 +8,15 @@ import (
 )
 
 // RunMeta identifies the exact run that produced an artifact: which
-// tool, at which source revision, with which seed, worker count,
-// scheme and command line. Every CSV and JSON artifact the CLIs write
+// tool, at which source revision, with which seed, scheme and command
+// line. Every CSV and JSON artifact the CLIs write
 // carries it — as a `meta` object in JSON, as leading `# run: ...`
 // comment lines in CSV — so an incident export or a benchmark baseline
 // is attributable long after the terminal scrollback is gone.
 //
-// Meta is provenance, not payload: determinism gates (byte-identical
-// incident lists across worker counts) compare artifacts with the meta
-// stripped, because Workers and Flags legitimately differ between
-// otherwise identical runs.
+// Meta is provenance, not payload: determinism gates compare artifacts
+// with the meta stripped, because Version and Flags legitimately differ
+// between otherwise identical runs.
 type RunMeta struct {
 	// Tool is the producing command ("silo-sim", "silo-bench", ...).
 	Tool string `json:"tool"`
@@ -28,8 +27,6 @@ type RunMeta struct {
 	Version string `json:"version"`
 	// Seed is the workload RNG seed, 0 when the tool has none.
 	Seed int64 `json:"seed,omitempty"`
-	// Workers is the ParallelSim worker count (0 = sequential engine).
-	Workers int `json:"workers,omitempty"`
 	// Scheme is the transport scheme under test, "" when not
 	// applicable.
 	Scheme string `json:"scheme,omitempty"`
@@ -39,7 +36,7 @@ type RunMeta struct {
 
 // CollectRunMeta builds the metadata for the running binary: version
 // from the build info, flags from the process arguments. Callers fill
-// Seed/Workers/Scheme from their parsed flags.
+// Seed/Scheme from their parsed flags.
 func CollectRunMeta(tool string) RunMeta {
 	return RunMeta{
 		Tool:    tool,
@@ -90,7 +87,6 @@ func (m *RunMeta) CommentLine() string {
 	if m.Seed != 0 {
 		fmt.Fprintf(&b, " seed=%d", m.Seed)
 	}
-	fmt.Fprintf(&b, " workers=%d", m.Workers)
 	if m.Scheme != "" {
 		fmt.Fprintf(&b, " scheme=%s", m.Scheme)
 	}

@@ -1,50 +1,23 @@
 // Package runtime is the engine self-observability plane: where every
 // other obs package watches the simulated network, this one watches the
 // simulator. It snapshots the netsim engine counters (timestamp-wheel
-// and overflow-heap high-water marks, freelist/arena hit rates) and the
-// parallel engine's RuntimeProbe (per-worker busy vs. barrier-stall
-// wall-clock, per-island busy time and cross-traffic, the coordinator's
-// epoch/bound/merge accounting) into a Stats report; exports the
-// silo_runtime_* Prometheus families; analyzes worker imbalance
-// (Analyze names the straggler island and recommends a worker count);
-// and brackets Go-runtime profiling samples on epoch barriers
-// (Profiler).
+// and overflow-heap high-water marks, freelist/arena hit rates) into a
+// Stats report and exports the silo_runtime_* Prometheus families.
 //
-// Everything here is pull-time: collection walks plain counters that
+// Everything here is pull-time: collection reads plain counters that
 // the engine maintains anyway, so attaching the plane never touches the
-// event-loop hot path and simulation output stays byte-identical at any
-// worker count.
+// event-loop hot path.
 package runtime
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
-// EngineStats aggregates the structural-pressure counters across every
-// Sim in the network (the sequential engine, or all islands plus the
-// barrier-time Global loop).
+// EngineStats is the engine's structural-pressure counters plus the
+// hit rates derived from them.
 type EngineStats struct {
-	// Events is the total events executed.
-	Events int64 `json:"events"`
-	// WheelHWM / FarHWM are the worst timestamp-wheel population and
-	// overflow-heap depth seen by any single Sim.
-	WheelHWM int64 `json:"wheel_hwm"`
-	FarHWM   int64 `json:"far_hwm"`
-	// Freelist / arena traffic, summed.
-	EvHits    int64 `json:"ev_hits"`
-	EvMisses  int64 `json:"ev_misses"`
-	PktHits   int64 `json:"pkt_hits"`
-	PktMisses int64 `json:"pkt_misses"`
-	// PktInUse is the current total arena population, PktHWM the sum of
-	// per-Sim high-water marks (arenas are per-island, so the sum is
-	// the fleet's committed capacity).
-	PktInUse int64 `json:"pkt_in_use"`
-	PktHWM   int64 `json:"pkt_hwm"`
+	netsim.SimCounters
 	// Hit rates in [0,1]; 1 when there was no traffic. A miss carves a
 	// whole chunk (128 events / 256 packets), so rates sit near 1 in
 	// steady state.
@@ -52,73 +25,10 @@ type EngineStats struct {
 	PktHitRate float64 `json:"pkt_hit_rate"`
 }
 
-// WorkerStat is one worker goroutine's wall-clock attribution.
-type WorkerStat struct {
-	Worker  int   `json:"worker"`
-	BusyNs  int64 `json:"busy_ns"`
-	StallNs int64 `json:"stall_ns"`
-	LoopNs  int64 `json:"loop_ns"`
-	Epochs  int64 `json:"epochs"`
-	// StallPct is stall/(busy+stall) in percent.
-	StallPct float64 `json:"stall_pct"`
-}
-
-// IslandStat is one island's engine counters plus its runtime-probe
-// attribution.
-type IslandStat struct {
-	Island    int   `json:"island"`
-	Events    int64 `json:"events"`
-	BusyNs    int64 `json:"busy_ns"`
-	CrossSent int64 `json:"cross_sent"`
-	CrossRecv int64 `json:"cross_recv"`
-	WheelHWM  int64 `json:"wheel_hwm"`
-	FarHWM    int64 `json:"far_hwm"`
-	PktHWM    int64 `json:"pkt_hwm"`
-}
-
-// CoordStat is the coordinator's epoch accounting.
-type CoordStat struct {
-	Epochs     int64 `json:"epochs"`
-	GlobalRuns int64 `json:"global_runs"`
-	// Which bound closed each epoch.
-	BoundLookahead int64 `json:"bound_lookahead"`
-	BoundGlobal    int64 `json:"bound_global"`
-	BoundHorizon   int64 `json:"bound_horizon"`
-	// Epoch window (end − hmin) extremes and mean.
-	WindowMinNs  int64   `json:"window_min_ns"`
-	WindowMaxNs  int64   `json:"window_max_ns"`
-	WindowMeanNs float64 `json:"window_mean_ns"`
-	// Coordinator wall-clock: barrier (release → all parked), merge
-	// (cross-event exchange), and total Run time.
-	BarrierNs   int64 `json:"barrier_ns"`
-	MergeNs     int64 `json:"merge_ns"`
-	WallNs      int64 `json:"wall_ns"`
-	CrossMerged int64 `json:"cross_merged"`
-	// EventsPerEpoch is total island events over epochs.
-	EventsPerEpoch float64 `json:"events_per_epoch"`
-}
-
-// Stats is the full runtime-plane report. Workers/Coord are nil-zero
-// for a sequential engine.
+// Stats is the runtime-plane report: the dashboard payload's "runtime"
+// object.
 type Stats struct {
-	Parallel bool        `json:"parallel"`
-	Workers  []WorkerStat `json:"workers,omitempty"`
-	Islands  []IslandStat `json:"islands,omitempty"`
-	Coord    *CoordStat   `json:"coord,omitempty"`
-	Engine   EngineStats  `json:"engine"`
-}
-
-// eachSim visits every Sim owned by the network: the sequential engine,
-// or the Global loop plus every island.
-func eachSim(nw *netsim.Network, f func(*netsim.Sim)) {
-	if nw.PS == nil {
-		f(nw.Sim)
-		return
-	}
-	f(nw.Sim) // the Global loop
-	for i := 0; i < nw.PS.Islands(); i++ {
-		f(nw.PS.Island(i))
-	}
+	Engine EngineStats `json:"engine"`
 }
 
 func hitRate(hits, misses int64) float64 {
@@ -128,299 +38,51 @@ func hitRate(hits, misses int64) float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-// Collect snapshots the network's engine counters and (for a parallel
-// build with a probe attached) the runtime probe into a Stats report.
-// Call it with the engine quiescent — after Run returns, or at an epoch
-// barrier.
+// Collect snapshots the network's engine counters into a Stats report.
 func Collect(nw *netsim.Network) Stats {
-	var st Stats
-	eachSim(nw, func(s *netsim.Sim) {
-		c := s.RuntimeCounters()
-		st.Engine.Events += c.Events
-		st.Engine.EvHits += c.EvHits
-		st.Engine.EvMisses += c.EvMisses
-		st.Engine.PktHits += c.PktHits
-		st.Engine.PktMisses += c.PktMisses
-		st.Engine.PktInUse += c.PktInUse
-		st.Engine.PktHWM += c.PktHWM
-		if c.WheelHWM > st.Engine.WheelHWM {
-			st.Engine.WheelHWM = c.WheelHWM
-		}
-		if c.FarHWM > st.Engine.FarHWM {
-			st.Engine.FarHWM = c.FarHWM
-		}
-	})
-	st.Engine.EvHitRate = hitRate(st.Engine.EvHits, st.Engine.EvMisses)
-	st.Engine.PktHitRate = hitRate(st.Engine.PktHits, st.Engine.PktMisses)
-	ps := nw.PS
-	if ps == nil {
-		return st
-	}
-	st.Parallel = true
-	var islandEvents int64
-	st.Islands = make([]IslandStat, ps.Islands())
-	for i := range st.Islands {
-		c := ps.Island(i).RuntimeCounters()
-		st.Islands[i] = IslandStat{
-			Island: i, Events: c.Events,
-			WheelHWM: c.WheelHWM, FarHWM: c.FarHWM, PktHWM: c.PktHWM,
-		}
-		islandEvents += c.Events
-	}
-	rt := ps.Runtime()
-	if rt == nil {
-		return st
-	}
-	st.Workers = make([]WorkerStat, rt.NumWorkers())
-	for w := range st.Workers {
-		wr := rt.Worker(w)
-		ws := WorkerStat{
-			Worker: w, BusyNs: wr.BusyNs, StallNs: wr.StallNs,
-			LoopNs: wr.LoopNs, Epochs: wr.Epochs,
-		}
-		if tot := wr.BusyNs + wr.StallNs; tot > 0 {
-			ws.StallPct = 100 * float64(wr.StallNs) / float64(tot)
-		}
-		st.Workers[w] = ws
-	}
-	for i := range st.Islands {
-		ir := rt.IslandRT(i)
-		st.Islands[i].BusyNs = ir.BusyNs
-		st.Islands[i].CrossSent = ir.CrossSent
-		st.Islands[i].CrossRecv = ir.CrossRecv
-	}
-	c := rt.Coord
-	cs := &CoordStat{
-		Epochs: c.Epochs, GlobalRuns: c.GlobalRuns,
-		BoundLookahead: c.BoundLookahead, BoundGlobal: c.BoundGlobal,
-		BoundHorizon: c.BoundHorizon,
-		WindowMaxNs:  c.WindowMaxNs,
-		BarrierNs:    c.BarrierNs, MergeNs: c.MergeNs, WallNs: c.WallNs,
-		CrossMerged: c.CrossMerged,
-	}
-	if c.Epochs > 0 {
-		cs.WindowMinNs = c.WindowMinNs
-		cs.WindowMeanNs = float64(c.WindowSumNs) / float64(c.Epochs)
-		cs.EventsPerEpoch = float64(islandEvents) / float64(c.Epochs)
-	}
-	st.Coord = cs
-	return st
-}
-
-// WinningBound names the bound that closed the most epochs
-// ("lookahead", "global", "horizon", or "none" before any epoch ran).
-func (c *CoordStat) WinningBound() string {
-	if c == nil {
-		return "none"
-	}
-	name, best := "none", int64(0)
-	for _, b := range []struct {
-		n string
-		v int64
-	}{{"lookahead", c.BoundLookahead}, {"global", c.BoundGlobal}, {"horizon", c.BoundHorizon}} {
-		if b.v > best {
-			name, best = b.n, b.v
-		}
-	}
-	return name
-}
-
-// MeanStallPct is the fleet-wide barrier-stall percentage:
-// Σ stall / Σ (busy+stall) across workers, in percent.
-func (st Stats) MeanStallPct() float64 {
-	var stall, tot int64
-	for _, w := range st.Workers {
-		stall += w.StallNs
-		tot += w.BusyNs + w.StallNs
-	}
-	if tot == 0 {
-		return 0
-	}
-	return 100 * float64(stall) / float64(tot)
-}
-
-// fmtNs renders a nanosecond duration compactly (µs/ms/s as needed).
-func fmtNs(ns int64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
-}
-
-// Render formats the report as the silo-sim -runtime-report table.
-func (st Stats) Render() string {
-	var b strings.Builder
-	e := st.Engine
-	fmt.Fprintf(&b, "engine runtime:\n")
-	fmt.Fprintf(&b, "  events %d  wheel hwm %d  overflow-heap hwm %d\n",
-		e.Events, e.WheelHWM, e.FarHWM)
-	fmt.Fprintf(&b, "  event freelist %.2f%% hit (%d carves)  packet arena %.2f%% hit (%d carves, hwm %d, in use %d)\n",
-		100*e.EvHitRate, e.EvMisses, 100*e.PktHitRate, e.PktMisses, e.PktHWM, e.PktInUse)
-	if !st.Parallel {
-		fmt.Fprintf(&b, "  engine: sequential\n")
-		return b.String()
-	}
-	if c := st.Coord; c != nil {
-		fmt.Fprintf(&b, "parallel engine: %d workers, %d islands, %d epochs, %d global runs\n",
-			len(st.Workers), len(st.Islands), c.Epochs, c.GlobalRuns)
-		fmt.Fprintf(&b, "  epoch bound won by: lookahead %d  global %d  horizon %d\n",
-			c.BoundLookahead, c.BoundGlobal, c.BoundHorizon)
-		fmt.Fprintf(&b, "  window min/mean/max %s/%s/%s  events/epoch %.1f  cross merged %d\n",
-			fmtNs(c.WindowMinNs), fmtNs(int64(c.WindowMeanNs)), fmtNs(c.WindowMaxNs),
-			c.EventsPerEpoch, c.CrossMerged)
-		fmt.Fprintf(&b, "  coordinator wall %s: barrier %s  merge %s\n",
-			fmtNs(c.WallNs), fmtNs(c.BarrierNs), fmtNs(c.MergeNs))
-	}
-	if len(st.Workers) > 0 {
-		fmt.Fprintf(&b, "  %-7s %12s %12s %8s %8s\n", "worker", "busy", "stall", "stall%", "epochs")
-		for _, w := range st.Workers {
-			fmt.Fprintf(&b, "  w%-6d %12s %12s %7.1f%% %8d\n",
-				w.Worker, fmtNs(w.BusyNs), fmtNs(w.StallNs), w.StallPct, w.Epochs)
-		}
-	}
-	if len(st.Islands) > 0 {
-		fmt.Fprintf(&b, "  %-7s %12s %10s %10s %10s %9s\n",
-			"island", "busy", "events", "crossOut", "crossIn", "wheelHWM")
-		for _, is := range st.Islands {
-			fmt.Fprintf(&b, "  i%-6d %12s %10d %10d %10d %9d\n",
-				is.Island, fmtNs(is.BusyNs), is.Events, is.CrossSent, is.CrossRecv, is.WheelHWM)
-		}
-	}
-	return b.String()
+	c := nw.Sim.RuntimeCounters()
+	return Stats{Engine: EngineStats{
+		SimCounters: c,
+		EvHitRate:   hitRate(c.EvHits, c.EvMisses),
+		PktHitRate:  hitRate(c.PktHits, c.PktMisses),
+	}}
 }
 
 // Register exposes the runtime plane as silo_runtime_* metric families
 // on reg, all as pull-time gauge functions over the live engine
 // counters — zero hot-path cost, values read at snapshot/export time.
-// For a parallel network it attaches the RuntimeProbe (idempotently),
-// so call it before Run, like every other metrics hookup.
 func Register(reg *obs.Registry, nw *netsim.Network) {
 	if reg == nil || nw == nil {
 		return
 	}
-	sum := func(f func(netsim.SimCounters) int64) func() float64 {
-		return func() float64 {
-			var t int64
-			eachSim(nw, func(s *netsim.Sim) { t += f(s.RuntimeCounters()) })
-			return float64(t)
-		}
+	gauge := func(name, help string, f func(netsim.SimCounters) int64) {
+		reg.GaugeFunc(name, help, func() float64 { return float64(f(nw.Sim.RuntimeCounters())) })
 	}
-	maxOf := func(f func(netsim.SimCounters) int64) func() float64 {
-		return func() float64 {
-			var m int64
-			eachSim(nw, func(s *netsim.Sim) {
-				if v := f(s.RuntimeCounters()); v > m {
-					m = v
-				}
-			})
-			return float64(m)
-		}
-	}
-	reg.GaugeFunc("silo_runtime_events_total",
+	gauge("silo_runtime_events_total",
 		"events executed across all engine loops",
-		sum(func(c netsim.SimCounters) int64 { return c.Events }))
-	reg.GaugeFunc("silo_runtime_wheel_hwm",
+		func(c netsim.SimCounters) int64 { return c.Events })
+	gauge("silo_runtime_wheel_hwm",
 		"worst timestamp-wheel population of any single engine",
-		maxOf(func(c netsim.SimCounters) int64 { return c.WheelHWM }))
-	reg.GaugeFunc("silo_runtime_overflow_heap_hwm",
+		func(c netsim.SimCounters) int64 { return c.WheelHWM })
+	gauge("silo_runtime_overflow_heap_hwm",
 		"worst overflow-heap depth of any single engine",
-		maxOf(func(c netsim.SimCounters) int64 { return c.FarHWM }))
-	reg.GaugeFunc("silo_runtime_event_freelist_hits_total",
+		func(c netsim.SimCounters) int64 { return c.FarHWM })
+	gauge("silo_runtime_event_freelist_hits_total",
 		"event-node allocations served from the freelist",
-		sum(func(c netsim.SimCounters) int64 { return c.EvHits }))
-	reg.GaugeFunc("silo_runtime_event_freelist_misses_total",
+		func(c netsim.SimCounters) int64 { return c.EvHits })
+	gauge("silo_runtime_event_freelist_misses_total",
 		"event-node chunk carves (128 nodes each)",
-		sum(func(c netsim.SimCounters) int64 { return c.EvMisses }))
-	reg.GaugeFunc("silo_runtime_packet_arena_hits_total",
+		func(c netsim.SimCounters) int64 { return c.EvMisses })
+	gauge("silo_runtime_packet_arena_hits_total",
 		"packet allocations served from the arena freelist",
-		sum(func(c netsim.SimCounters) int64 { return c.PktHits }))
-	reg.GaugeFunc("silo_runtime_packet_arena_misses_total",
+		func(c netsim.SimCounters) int64 { return c.PktHits })
+	gauge("silo_runtime_packet_arena_misses_total",
 		"packet-arena chunk carves (256 packets each)",
-		sum(func(c netsim.SimCounters) int64 { return c.PktMisses }))
-	reg.GaugeFunc("silo_runtime_packet_arena_in_use",
+		func(c netsim.SimCounters) int64 { return c.PktMisses })
+	gauge("silo_runtime_packet_arena_in_use",
 		"packets currently allocated from the arenas",
-		sum(func(c netsim.SimCounters) int64 { return c.PktInUse }))
-	reg.GaugeFunc("silo_runtime_packet_arena_hwm",
+		func(c netsim.SimCounters) int64 { return c.PktInUse })
+	gauge("silo_runtime_packet_arena_hwm",
 		"summed per-engine packet-arena high-water marks",
-		sum(func(c netsim.SimCounters) int64 { return c.PktHWM }))
-
-	ps := nw.PS
-	if ps == nil {
-		return
-	}
-	rt := ps.AttachRuntime()
-	reg.GaugeFunc("silo_runtime_epochs_total",
-		"parallel epochs executed",
-		func() float64 { return float64(rt.Coord.Epochs) })
-	reg.GaugeFunc("silo_runtime_global_runs_total",
-		"barrier-time Global event batches executed",
-		func() float64 { return float64(rt.Coord.GlobalRuns) })
-	for _, bd := range []struct {
-		name string
-		v    *int64
-	}{
-		{"lookahead", &rt.Coord.BoundLookahead},
-		{"global", &rt.Coord.BoundGlobal},
-		{"horizon", &rt.Coord.BoundHorizon},
-	} {
-		v := bd.v
-		reg.GaugeFunc("silo_runtime_bound_epochs_total",
-			"epochs closed by this lookahead bound (hmin+L, pending global event, or run horizon)",
-			func() float64 { return float64(*v) },
-			"bound", bd.name)
-	}
-	reg.GaugeFunc("silo_runtime_barrier_ns_total",
-		"coordinator wall-clock from epoch release to all workers parked",
-		func() float64 { return float64(rt.Coord.BarrierNs) })
-	reg.GaugeFunc("silo_runtime_merge_ns_total",
-		"coordinator wall-clock merging cross-island events",
-		func() float64 { return float64(rt.Coord.MergeNs) })
-	reg.GaugeFunc("silo_runtime_cross_merged_total",
-		"cross-island packet arrivals merged at barriers",
-		func() float64 { return float64(rt.Coord.CrossMerged) })
-	reg.GaugeFunc("silo_runtime_wall_ns_total",
-		"parallel Run wall-clock",
-		func() float64 { return float64(rt.Coord.WallNs) })
-	for w := 0; w < rt.NumWorkers(); w++ {
-		w := w
-		lbl := strconv.Itoa(w)
-		reg.GaugeFunc("silo_runtime_worker_busy_ns",
-			"wall-clock the worker spent executing island epochs",
-			func() float64 { return float64(rt.Worker(w).BusyNs) },
-			"worker", lbl)
-		reg.GaugeFunc("silo_runtime_worker_stall_ns",
-			"wall-clock the worker spent spinning at the epoch barrier",
-			func() float64 { return float64(rt.Worker(w).StallNs) },
-			"worker", lbl)
-		reg.GaugeFunc("silo_runtime_worker_epochs",
-			"barrier releases the worker ran through",
-			func() float64 { return float64(rt.Worker(w).Epochs) },
-			"worker", lbl)
-	}
-	for i := 0; i < ps.Islands(); i++ {
-		i := i
-		lbl := strconv.Itoa(i)
-		reg.GaugeFunc("silo_runtime_island_busy_ns",
-			"wall-clock spent executing this island's epochs",
-			func() float64 { return float64(rt.IslandRT(i).BusyNs) },
-			"island", lbl)
-		reg.GaugeFunc("silo_runtime_island_events",
-			"events executed by this island",
-			func() float64 { return float64(ps.Island(i).RuntimeCounters().Events) },
-			"island", lbl)
-		reg.GaugeFunc("silo_runtime_island_cross_sent_total",
-			"packets this island emitted onto crossing links",
-			func() float64 { return float64(rt.IslandRT(i).CrossSent) },
-			"island", lbl)
-		reg.GaugeFunc("silo_runtime_island_cross_recv_total",
-			"cross-island packets merged into this island",
-			func() float64 { return float64(rt.IslandRT(i).CrossRecv) },
-			"island", lbl)
-	}
+		func(c netsim.SimCounters) int64 { return c.PktHWM })
 }

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -31,7 +30,7 @@ func testTree(t *testing.T) *topology.Tree {
 }
 
 // blastGen drives one host with the tie-free train used by the netsim
-// equivalence tests (odd offsets, even delay components).
+// tests (odd offsets, even delay components).
 type blastGen struct {
 	host      *netsim.Host
 	dst       int
@@ -51,19 +50,12 @@ func (g *blastGen) send() {
 	}
 }
 
-// runBlast builds a network (sequential when workers == 0), registers
-// the runtime plane on a fresh registry before running, and drives the
-// cross-pod permutation blast to completion.
-func runBlast(t *testing.T, workers, pkts int) (*netsim.Network, *obs.Registry) {
+// runBlast builds a network, registers the runtime plane on a fresh
+// registry before running, and drives the cross-pod permutation blast
+// to completion.
+func runBlast(t *testing.T, pkts int) (*netsim.Network, *obs.Registry) {
 	t.Helper()
-	tree := testTree(t)
-	opts := netsim.Options{PropNs: 200}
-	var nw *netsim.Network
-	if workers == 0 {
-		nw = netsim.Build(netsim.NewSim(), tree, opts)
-	} else {
-		nw = netsim.BuildParallel(tree, opts, netsim.ParallelOptions{Workers: workers})
-	}
+	nw := netsim.Build(netsim.NewSim(), testTree(t), netsim.Options{PropNs: 200})
 	reg := obs.NewRegistry()
 	Register(reg, nw)
 	hosts := len(nw.Hosts)
@@ -77,224 +69,47 @@ func runBlast(t *testing.T, workers, pkts int) (*netsim.Network, *obs.Registry) 
 	return nw, reg
 }
 
-// gaugeVal reads one metric from a snapshot by name (+ optional single
-// label pair), failing the test when absent.
-func gaugeVal(t *testing.T, snap obs.Snapshot, name string, labels ...string) float64 {
-	t.Helper()
-	for _, e := range snap.Entries {
-		if e.Name != name {
-			continue
-		}
-		if len(labels) == 0 && len(e.Labels) == 0 {
-			return e.Value
-		}
-		if len(labels) == 2 && len(e.Labels) == 2 &&
-			e.Labels[0] == labels[0] && e.Labels[1] == labels[1] {
-			return e.Value
-		}
-	}
-	t.Fatalf("metric %s%v not in snapshot", name, labels)
-	return 0
-}
-
-func TestCollectParallel(t *testing.T) {
-	nw, _ := runBlast(t, 2, 100)
-	st := Collect(nw)
-	if !st.Parallel {
-		t.Fatal("parallel build collected as sequential")
-	}
-	if st.Engine.Events == 0 || st.Engine.PktHWM == 0 {
-		t.Fatalf("engine counters empty: %+v", st.Engine)
-	}
-	if st.Engine.EvHitRate < 0 || st.Engine.EvHitRate > 1 ||
-		st.Engine.PktHitRate < 0 || st.Engine.PktHitRate > 1 {
-		t.Fatalf("hit rates out of [0,1]: %+v", st.Engine)
-	}
-	if len(st.Workers) != 2 {
-		t.Fatalf("want 2 worker stats, got %d", len(st.Workers))
-	}
-	if st.Coord == nil || st.Coord.Epochs == 0 {
-		t.Fatalf("coordinator stats missing: %+v", st.Coord)
-	}
-	if st.Coord.WinningBound() == "none" {
-		t.Error("no winning bound after a full run")
-	}
-	if got := st.Coord.BoundLookahead + st.Coord.BoundGlobal + st.Coord.BoundHorizon; got != st.Coord.Epochs {
-		t.Errorf("bound counts %d != epochs %d", got, st.Coord.Epochs)
-	}
-	if p := st.MeanStallPct(); p < 0 || p > 100 {
-		t.Errorf("mean stall %.1f%% out of range", p)
-	}
-	var islandEvents int64
-	for _, is := range st.Islands {
-		islandEvents += is.Events
-	}
-	if islandEvents == 0 {
-		t.Error("islands report no events")
-	}
-	out := st.Render()
-	for _, want := range []string{"engine runtime:", "parallel engine:", "worker", "island"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Render missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestCollectSequential(t *testing.T) {
-	nw, _ := runBlast(t, 0, 50)
-	st := Collect(nw)
-	if st.Parallel || st.Coord != nil || len(st.Workers) != 0 {
-		t.Fatalf("sequential build produced parallel stats: %+v", st)
+	nw, _ := runBlast(t, 50)
+	e := Collect(nw).Engine
+	if e.Events == 0 || e.PktHWM == 0 {
+		t.Fatalf("engine counters empty: %+v", e)
 	}
-	if st.Engine.Events == 0 {
-		t.Fatal("no events collected")
-	}
-	if got := st.Coord.WinningBound(); got != "none" {
-		t.Errorf("nil coord winning bound = %q, want none", got)
-	}
-	if !strings.Contains(st.Render(), "sequential") {
-		t.Error("sequential Render does not say so")
-	}
-	a := Analyze(st)
-	if a.Parallel {
-		t.Error("Analyze claims a sequential run is parallel")
-	}
-	if !strings.Contains(a.Render(), "sequential") {
-		t.Error("sequential analysis Render does not say so")
+	if e.EvHitRate < 0 || e.EvHitRate > 1 || e.PktHitRate < 0 || e.PktHitRate > 1 {
+		t.Fatalf("hit rates out of [0,1]: %+v", e)
 	}
 }
 
 // TestRegisterScrape checks the silo_runtime_* families end to end: the
-// registered gauge functions must report the same values Collect sees.
+// registered gauge functions must report the same values Collect sees,
+// in the registration order the time-series artifact depends on.
 func TestRegisterScrape(t *testing.T) {
-	nw, reg := runBlast(t, 2, 100)
-	st := Collect(nw)
+	nw, reg := runBlast(t, 100)
+	e := Collect(nw).Engine
 	snap := reg.Snapshot()
-	if got := gaugeVal(t, snap, "silo_runtime_events_total"); got != float64(st.Engine.Events) {
-		t.Errorf("events_total %v != collected %d", got, st.Engine.Events)
+	want := []struct {
+		name string
+		v    int64
+	}{
+		{"silo_runtime_events_total", e.Events},
+		{"silo_runtime_wheel_hwm", e.WheelHWM},
+		{"silo_runtime_overflow_heap_hwm", e.FarHWM},
+		{"silo_runtime_event_freelist_hits_total", e.EvHits},
+		{"silo_runtime_event_freelist_misses_total", e.EvMisses},
+		{"silo_runtime_packet_arena_hits_total", e.PktHits},
+		{"silo_runtime_packet_arena_misses_total", e.PktMisses},
+		{"silo_runtime_packet_arena_in_use", e.PktInUse},
+		{"silo_runtime_packet_arena_hwm", e.PktHWM},
 	}
-	if got := gaugeVal(t, snap, "silo_runtime_epochs_total"); got != float64(st.Coord.Epochs) {
-		t.Errorf("epochs_total %v != collected %d", got, st.Coord.Epochs)
+	if len(snap.Entries) != len(want) {
+		t.Fatalf("%d families registered, want %d", len(snap.Entries), len(want))
 	}
-	var bounds float64
-	for _, b := range []string{"lookahead", "global", "horizon"} {
-		bounds += gaugeVal(t, snap, "silo_runtime_bound_epochs_total", "bound", b)
-	}
-	if bounds != float64(st.Coord.Epochs) {
-		t.Errorf("bound family sums to %v, want %d", bounds, st.Coord.Epochs)
-	}
-	for w := range st.Workers {
-		lbl := string(rune('0' + w))
-		busy := gaugeVal(t, snap, "silo_runtime_worker_busy_ns", "worker", lbl)
-		if busy != float64(st.Workers[w].BusyNs) {
-			t.Errorf("worker %d busy %v != collected %d", w, busy, st.Workers[w].BusyNs)
+	for i, w := range want {
+		if got := snap.Entries[i]; got.Name != w.name || got.Value != float64(w.v) {
+			t.Errorf("family %d is %s = %v, want %s = %d", i, got.Name, got.Value, w.name, w.v)
 		}
-	}
-	var crossSent float64
-	for i := range st.Islands {
-		lbl := string(rune('0' + i))
-		crossSent += gaugeVal(t, snap, "silo_runtime_island_cross_sent_total", "island", lbl)
-	}
-	if crossSent != gaugeVal(t, snap, "silo_runtime_cross_merged_total") {
-		t.Errorf("island cross_sent sum %v != cross_merged", crossSent)
 	}
 	// Registering on a nil registry or nil network must be a no-op.
 	Register(nil, nw)
 	Register(obs.NewRegistry(), nil)
-}
-
-func TestAnalyzeStraggler(t *testing.T) {
-	st := Stats{
-		Parallel: true,
-		Islands: []IslandStat{
-			{Island: 0, BusyNs: 100},
-			{Island: 1, BusyNs: 900},
-			{Island: 2, BusyNs: 100},
-		},
-		Workers: []WorkerStat{
-			{Worker: 0, BusyNs: 1000, StallNs: 100},
-			{Worker: 1, BusyNs: 100, StallNs: 1000},
-		},
-	}
-	a := Analyze(st)
-	if !a.Parallel {
-		t.Fatal("not parallel")
-	}
-	if a.Straggler != 1 || a.StragglerBusyNs != 900 {
-		t.Fatalf("straggler = %d (%d ns), want island 1 (900 ns)", a.Straggler, a.StragglerBusyNs)
-	}
-	if want := 900.0 / 1100.0; a.StragglerShare < want-1e-9 || a.StragglerShare > want+1e-9 {
-		t.Errorf("straggler share %.3f, want %.3f", a.StragglerShare, want)
-	}
-	if want := 1100.0 / 2200.0; a.StallFraction != want {
-		t.Errorf("stall fraction %.3f, want %.3f", a.StallFraction, want)
-	}
-	// total busy 1100 / straggler 900 rounds to 1.
-	if a.RecommendedWorkers != 1 {
-		t.Errorf("recommended workers %d, want 1", a.RecommendedWorkers)
-	}
-	if !strings.Contains(a.Hint, "island 1") {
-		t.Errorf("hint does not name the straggler: %q", a.Hint)
-	}
-	if !strings.Contains(a.Render(), "island 1") {
-		t.Error("Render does not name the straggler")
-	}
-}
-
-func TestAnalyzeBalanced(t *testing.T) {
-	st := Stats{
-		Parallel: true,
-		Islands: []IslandStat{
-			{Island: 0, BusyNs: 500},
-			{Island: 1, BusyNs: 520},
-			{Island: 2, BusyNs: 480},
-		},
-		Workers: []WorkerStat{
-			{Worker: 0, BusyNs: 750, StallNs: 50},
-			{Worker: 1, BusyNs: 750, StallNs: 50},
-		},
-	}
-	a := Analyze(st)
-	if a.Straggler != 1 {
-		t.Errorf("straggler = %d, want 1", a.Straggler)
-	}
-	if a.RecommendedWorkers != 3 {
-		t.Errorf("recommended workers %d, want 3 (even split)", a.RecommendedWorkers)
-	}
-	if !strings.Contains(a.Hint, "balanced") {
-		t.Errorf("balanced fleet hint: %q", a.Hint)
-	}
-}
-
-func TestProfiler(t *testing.T) {
-	p := NewProfiler(2)
-	if len(p.Names()) == 0 {
-		t.Fatal("no supported runtime metrics on this toolchain")
-	}
-	hook := p.Hook()
-	for e := int64(1); e <= 6; e++ {
-		hook(e)
-	}
-	rows := p.Rows()
-	if len(rows) != 3 {
-		t.Fatalf("every=2 over 6 brackets gave %d rows, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if len(r.Values) != len(p.Names()) {
-			t.Fatalf("row width %d != %d names", len(r.Values), len(p.Names()))
-		}
-	}
-	if rows[0].Epoch != 2 || rows[2].Epoch != 6 {
-		t.Errorf("sampled epochs %d..%d, want 2..6", rows[0].Epoch, rows[2].Epoch)
-	}
-	if !strings.Contains(p.Render(), "3 samples") {
-		t.Errorf("Render: %q", p.Render())
-	}
-	var csv strings.Builder
-	if err := p.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(csv.String(), "\n"); got != 4 {
-		t.Errorf("CSV has %d lines, want 4 (header + 3 rows)", got)
-	}
 }

@@ -62,7 +62,7 @@ func randMeta(rng *rand.Rand) *RunMeta {
 	case 1:
 		return &RunMeta{Tool: "silo-sim", Version: "unknown"}
 	}
-	return &RunMeta{Tool: "silo-sim", Version: "abc123-dirty", Seed: rng.Int63(), Workers: rng.Intn(9),
+	return &RunMeta{Tool: "silo-sim", Version: "abc123-dirty", Seed: rng.Int63(),
 		Scheme: "silo", Flags: `-trace "a<b>.json" -x &y`}
 }
 
@@ -255,6 +255,20 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), file) {
 		t.Errorf("writeChromeTrace output differs from %s:\n%s", golden, got.Bytes())
+	}
+
+	// A recording from before RunMeta lost its worker count still loads.
+	old := bytes.Replace(file, []byte(`"seed":11,`), []byte(`"seed":11,"workers":4,`), 1)
+	if bytes.Equal(old, file) {
+		t.Fatal("golden meta has no seed field to put a workers field after")
+	}
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rmeta, _, rspans, err := ReadTraceFileMeta(path)
+	if err != nil || !reflect.DeepEqual(rmeta, meta) || len(rspans) != len(spans) {
+		t.Errorf("recording with \"workers\" in its meta: meta %+v, %d spans, error %v", rmeta, len(rspans), err)
 	}
 }
 

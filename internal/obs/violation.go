@@ -97,10 +97,9 @@ type ViolationEvent struct {
 }
 
 // Less is the canonical violation-event order: time, then source, then
-// every identifying field. Events appended concurrently by simulator
-// islands arrive in nondeterministic order; sorting by Less before
-// clustering is what makes incident output byte-identical at any
-// worker count.
+// every identifying field. Several emitters (delivery taps, SLO window
+// flushes) append to one log; sorting by Less before clustering makes
+// incident output independent of their interleaving.
 func (e *ViolationEvent) Less(o *ViolationEvent) bool {
 	if e.TimeNs != o.TimeNs {
 		return e.TimeNs < o.TimeNs
@@ -134,11 +133,10 @@ func SortViolationEvents(evs []ViolationEvent) {
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Less(&evs[j]) })
 }
 
-// ViolationLog collects ViolationEvents from concurrent emitters (the
-// per-island delivery taps of a parallel simulation, plus the SLO
-// engine's barrier flushes). Observe is mutex-guarded and appends into
-// a preallocated buffer, so the steady-state observation path does not
-// allocate; past the initial capacity the buffer grows like any slice,
+// ViolationLog collects ViolationEvents from every emitter (the
+// delivery taps and the SLO engine's window flushes). Observe is
+// mutex-guarded and appends into a preallocated buffer, so the
+// steady-state observation path does not allocate; past the initial capacity the buffer grows like any slice,
 // which amortizes to zero allocations per event.
 //
 // A nil *ViolationLog ignores events, so call sites can wire the tap

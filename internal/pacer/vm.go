@@ -159,8 +159,7 @@ func (v *VM) SetMetrics(m *VMMetrics) { v.mx = m }
 // and wire bytes the {B, S} buckets authorized. Commits are produced
 // in nondecreasing release order, so fn may feed a streaming envelope
 // estimator directly. One tap per VM; nil detaches. The tap runs on
-// the VM's scheduling path (its island under a ParallelSim), so it
-// must not allocate or block.
+// the VM's scheduling path, so it must not allocate or block.
 func (v *VM) SetCommitTap(fn func(releaseNs int64, bytes int)) { v.onCommit = fn }
 
 // QueuedBytesTo reports bytes awaiting release toward dst.
@@ -471,9 +470,8 @@ func (q *pktRing) insert(p *Packet) {
 	q.n++
 }
 
-// framePool is one host's free list of frames. Hosts belong to exactly
-// one island, so it needs no locking. A nil pool always allocates and
-// never keeps anything.
+// framePool is one host's free list of frames. A nil pool always
+// allocates and never keeps anything.
 type framePool struct {
 	free []*Packet
 }

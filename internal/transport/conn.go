@@ -6,10 +6,8 @@ import (
 	"repro/internal/netsim"
 )
 
-// Endpoint is one VM's transport stack. All of its state — connection
-// windows, receive reassembly, ID counters — belongs to the island Sim
-// of its host; under a ParallelSim only that island's worker (or the
-// coordinator at barriers) may touch it.
+// Endpoint is one VM's transport stack: connection windows, receive
+// reassembly, ID counters.
 type Endpoint struct {
 	f      *Fabric
 	VMID   int
@@ -99,8 +97,7 @@ type Conn struct {
 	srtt, rttvar float64 // ns
 	rto          int64
 	backoff      int64
-	// rtoTimer is the retransmission timer, on the sender host's island
-	// sim like every other touch of this connection's state.
+	// rtoTimer is the retransmission timer.
 	rtoTimer *netsim.Timer
 
 	// Messages in flight or queued.

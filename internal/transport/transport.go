@@ -106,14 +106,6 @@ func (m *Message) Latency() int64 { return m.Completed - m.Submitted }
 
 // Fabric wires transport endpoints to simulator hosts and demuxes
 // deliveries by destination VM.
-//
-// Every clock read, timer, and ID counter is per-endpoint and runs on
-// the endpoint host's own Sim, so a fabric over a parallel-built
-// network needs no locks: a delivery executes on the destination
-// host's island, acks are emitted from the receiver's island, and a
-// connection's sender state is only ever touched by its own island's
-// worker (or at epoch barriers, for SendMessage calls scheduled on the
-// global loop).
 type Fabric struct {
 	nw        *netsim.Network
 	endpoints map[int]*Endpoint
@@ -157,8 +149,8 @@ func (f *Fabric) AddEndpoint(vmID, hostID int, opt Options) *Endpoint {
 
 // send injects a packet from an endpoint's host, paced or not. Packet
 // IDs are endpoint-scoped — high 32 bits identify the VM, low 32 count
-// its emissions — so they are unique fabric-wide and identical at any
-// worker count without a shared counter.
+// its emissions — so they are unique fabric-wide without a shared
+// counter.
 func (f *Fabric) send(e *Endpoint, p *netsim.Packet) {
 	e.nextPkt++
 	p.ID = e.idBase | e.nextPkt
