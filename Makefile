@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all ci vet build test test-race test-admission soak bench-placement bench-obs bench-telemetry bench-introspect bench-incident bench-wal regress regress-placement regress-pacer baselines
+.PHONY: all ci vet build test test-race test-admission examples soak bench-placement bench-obs bench-telemetry bench-introspect bench-incident bench-wal regress regress-placement regress-pacer baselines
 
 all: vet build test
 
 # The blocking test and regression steps of the CI workflow, in order.
-ci: vet build test test-race test-admission regress-placement regress-pacer
+ci: vet build test test-race test-admission examples regress-placement regress-pacer
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +32,13 @@ test-race:
 # across peak = rate).
 test-admission:
 	$(GO) test -race -count=25 -run 'Equivalence|Churn|Monoton|Degenerate' ./internal/placement/ ./internal/netcal/
+
+# The five example programs, the only callers of the public facade's
+# Admit / Deploy / CoordinateHose besides the benchmark: each must run to
+# completion (about nine seconds together). README.md embeds
+# quickstart's output verbatim.
+examples:
+	for e in quickstart oldi besteffort memcached datacenter; do $(GO) run ./examples/$$e > /dev/null || exit 1; done
 
 # A short chaos soak: randomized churn against the durable store with
 # repeated crash-kills at random WAL offsets (including mid-record torn

@@ -14,6 +14,7 @@ package silo
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/netcal"
 	"repro/internal/pacer"
@@ -151,13 +152,16 @@ func BenchmarkFig12ClassA(b *testing.B) {
 	p := experiments.DefaultComparisonParams()
 	p.DurationSec = 0.02
 	for i := 0; i < b.N; i++ {
-		rs := experiments.RunComparison(p)
+		rs, err := experiments.RunComparison(p)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, r := range rs {
 			switch r.Scheme {
-			case experiments.SchemeSilo:
+			case core.SchemeSilo:
 				b.ReportMetric(r.ClassALatUs.Percentile(99), "silo-p99-µs")
 				b.ReportMetric(100*r.OutlierFrac(1), "silo-outliers-%")
-			case experiments.SchemeHULL:
+			case core.SchemeHULL:
 				b.ReportMetric(r.ClassALatUs.Percentile(99), "hull-p99-µs")
 			}
 		}

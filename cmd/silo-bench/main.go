@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -341,7 +342,7 @@ func runFig5() error {
 	}
 	fmt.Println("incident check — same workload unpaced under a 350 µs audited bound:")
 	up := experiments.DefaultFigure5SimParams()
-	up.Scheme = experiments.SchemeTCP
+	up.Scheme = core.SchemeTCP
 	up.Incidents = true
 	up.AuditDelayBoundSec = 350e-6
 	ru, err := experiments.RunFigure5Sim(up)
@@ -414,7 +415,10 @@ func runFig12(duration float64, seed uint64) error {
 		p.Seed = seed
 	}
 	fmt.Println("Figures 12-14 and Table 4 — Silo vs TCP/DCTCP/HULL/Okto/Okto+:")
-	rs := experiments.RunComparison(p)
+	rs, err := experiments.RunComparison(p)
+	if err != nil {
+		return err
+	}
 	fmt.Print(experiments.RenderComparison(rs))
 	var f12, t4 [][]float64
 	for i, r := range rs {

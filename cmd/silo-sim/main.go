@@ -25,23 +25,15 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/obs/dashboard"
-	"repro/internal/obs/incident"
-	"repro/internal/obs/introspect"
 	obsruntime "repro/internal/obs/runtime"
-	"repro/internal/obs/slo"
-	"repro/internal/obs/timeseries"
-	"repro/internal/pacer"
-	"repro/internal/placement"
 	"repro/internal/placement/durable"
-	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -97,6 +89,18 @@ func main() {
 		os.Exit(2)
 	}
 
+	scheme, err := core.ParseScheme(*schemeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if *faultSched != "" {
+		if _, err := faults.ParseSchedule(*faultSched); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
+
 	reg, srv, finishObs, err := obs.StartCLI(obs.CLIConfig{
 		MetricsPath: *metricsOut,
 		HTTPAddr:    *httpAddr,
@@ -116,277 +120,85 @@ func main() {
 	meta.Seed = int64(*seed)
 	meta.Scheme = *schemeName
 
-	var scheme experiments.Scheme
-	switch *schemeName {
-	case "silo":
-		scheme = experiments.SchemeSilo
-	case "tcp":
-		scheme = experiments.SchemeTCP
-	case "dctcp":
-		scheme = experiments.SchemeDCTCP
-	case "hull":
-		scheme = experiments.SchemeHULL
-	case "okto":
-		scheme = experiments.SchemeOkto
-	case "okto+":
-		scheme = experiments.SchemeOktoPlus
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *schemeName)
-		os.Exit(2)
+	const msg = 5000
+	gA := tenant.Guarantee{BandwidthBps: 0.25 * gbps, BurstBytes: 15e3, DelayBound: 1e-3, BurstRateBps: 1 * gbps}
+	gB := tenant.Guarantee{BandwidthBps: 2 * gbps, BurstBytes: 1.5e3, BurstRateBps: 2 * gbps}
+	windowNs := int64(*windowMs * 1e6)
+	sc := experiments.Scenario{
+		Topology: experiments.TenGbE(1, *racks, *servers, 4, 5, 1),
+		Scheme:   scheme,
+		Seed:     *seed,
+		Tenants: []experiments.Tenant{{
+			// Tenant A: all-to-one bursts.
+			Spec:   tenant.Spec{ID: 1, Name: "oldi", VMs: *vmsA, Guarantee: gA, FaultDomains: 2},
+			VMBase: 1000,
+			Hose:   experiments.Hose{Kind: experiments.HoseFairShare, Pattern: workload.AllToOne(*vmsA)},
+			Driver: experiments.Driver{Kind: experiments.DriverOLDI, MsgBytes: msg},
+		}, {
+			// Tenant B: continuous shuffle.
+			Spec:   tenant.Spec{ID: 2, Name: "shuffle", VMs: *vmsB, Guarantee: gB, FaultDomains: 2},
+			VMBase: 2000,
+			Hose:   experiments.Hose{Kind: experiments.HoseFairShare, Pattern: workload.AllToAll(*vmsB)},
+			Driver: experiments.Driver{Kind: experiments.DriverShuffle, MsgBytes: 1 << 20},
+		}},
+		HorizonNs: int64(*duration * 1e9),
+		DrainNs:   3e9,
+		// On the silo scheme every down event triggers Recover after the
+		// -fault-detect delay and every up event returns the repaired
+		// servers to the pool. Recovery here is control-plane only — pacer
+		// VMs and transport endpoints are not re-deployed (see
+		// experiments.RunFailureDrill for the full data-plane drill).
+		Faults:       *faultSched,
+		DetectNs:     faultDetect.Nanoseconds(),
+		FaultGraceNs: 5 * windowNs,
+		// The guarantee audit runs on every invocation (with or without
+		// -metrics): admitted {B, S, d} triples are checked against every
+		// delivered packet's NIC-to-NIC delay.
+		Planes: experiments.Planes{
+			Audit:           true,
+			Introspect:      *introOut != "",
+			Incidents:       *incidentsOut != "",
+			IncidentMergeNs: 2 * windowNs,
+		},
+	}
+	if *traceOut != "" {
+		sc.Planes.TraceSampleN = *traceSample
+	}
+	if reg != nil {
+		// Continuous telemetry: every -window of simulated time, snapshot
+		// the registry into the time-series rollup and advance the SLO
+		// burn-rate engine.
+		sc.Planes.SLOWindowNs = windowNs
 	}
 
-	tree, err := topology.New(topology.Config{
-		Pods:           1,
-		RacksPerPod:    *racks,
-		ServersPerRack: *servers,
-		SlotsPerServer: 4,
-		LinkBps:        10 * gbps,
-		BufferBytes:    312e3,
-		NICBufferBytes: 62.5e3,
-		RackOversub:    5,
-		PodOversub:     1,
-	})
+	env := experiments.Env{Registry: reg, Meta: &meta}
+	var dur *durable.Manager
+	if *walDir != "" {
+		if env.Tree, err = topology.New(sc.Topology); err == nil {
+			dur, err = openStore(*walDir, *snapEvery, env.Tree, sc.Tenants, &meta, reg)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		env.Placer = dur // mutations go through dur so they are logged
+	}
+	run, err := experiments.Build(sc, env)
+	if err == nil && len(run.Rejected) > 0 {
+		err = run.Rejected[0]
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	nw := netsim.Build(netsim.NewSim(), tree, schemeNetOptions(scheme, tree))
-	f := transport.NewFabric(nw)
-	rng := stats.NewRand(*seed)
+	nw := run.Net
 
-	gA := tenant.Guarantee{BandwidthBps: 0.25 * gbps, BurstBytes: 15e3, DelayBound: 1e-3, BurstRateBps: 1 * gbps}
-	gB := tenant.Guarantee{BandwidthBps: 2 * gbps, BurstBytes: 1.5e3, BurstRateBps: 2 * gbps}
-
-	placer := schemePlacer(scheme, tree)
-	var dur *durable.Manager
-	if *walDir != "" {
-		d, info, derr := durable.Open(*walDir, tree, durable.Options{
-			SnapshotEvery: *snapEvery,
-			Meta:          &meta,
-			Metrics:       durable.NewMetrics(reg),
-		})
-		if derr != nil {
-			fmt.Fprintln(os.Stderr, derr)
-			os.Exit(1)
-		}
-		fmt.Println(info.Render())
-		if info.SafeMode {
-			fmt.Fprintln(os.Stderr, "warning: store recovered into safe mode; new admissions will be rejected")
-		}
-		d.EnableGauges(reg)
-		d.EnableMetrics(reg)
-		dur = d
-		placer = d
-	}
-	// mgr is the underlying Silo manager regardless of whether the WAL
-	// wraps it; use it for read-only diagnostics only — mutations must
-	// go through placer/dur so they are logged.
-	mgr, haveMgr := placer.(*placement.Manager)
-	if dur != nil {
-		mgr, haveMgr = dur.Manager, true
-	}
-	specA := tenant.Spec{ID: 1, Name: "oldi", VMs: *vmsA, Guarantee: gA, FaultDomains: 2}
-	specB := tenant.Spec{ID: 2, Name: "shuffle", VMs: *vmsB, Guarantee: gB, FaultDomains: 2}
-	if dur != nil {
-		// The scenario's two tenants have fixed IDs. A recovered store
-		// may still hold them from the previous run; the data plane is
-		// redeployed from scratch each run, so release the old admission
-		// (logged like any mutation) before re-placing.
-		for _, id := range []int{specA.ID, specB.ID} {
-			if _, ok := mgr.Placement(id); ok {
-				if err := dur.Remove(id); err != nil {
-					fmt.Fprintf(os.Stderr, "wal: releasing recovered tenant %d: %v\n", id, err)
-					os.Exit(1)
-				}
-			}
-		}
-	}
-	plA, err := placer.Place(specA)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tenant A rejected: %v\n", err)
-		os.Exit(1)
-	}
-	plB, err := placer.Place(specB)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tenant B rejected: %v\n", err)
-		os.Exit(1)
-	}
-	depA := experiments.DeployTenant(nw, f, scheme, specA, plA, 1000)
-	depB := experiments.DeployTenant(nw, f, scheme, specB, plB, 2000)
-
-	// The guarantee audit runs on every invocation (with or without
-	// -metrics): admitted {B, S, d} triples are checked against every
-	// delivered packet's NIC-to-NIC delay.
-	audit := obs.NewGuaranteeAuditor(reg)
-	bm := pacer.NewBatchMetrics(reg)
-	depA.EnableTelemetry(nw, reg, audit, bm)
-	depB.EnableTelemetry(nw, reg, audit, bm)
-	nw.RegisterMetrics(reg)
-	// Engine self-telemetry: the silo_runtime_* families.
-	obsruntime.Register(reg, nw)
-	tenantOf := func(vmID int) (int, bool) {
-		switch {
-		case vmID >= 1000 && vmID < 1000+*vmsA:
-			return specA.ID, true
-		case vmID >= 2000 && vmID < 2000+*vmsB:
-			return specB.ID, true
-		}
-		return 0, false
-	}
-	nw.AttachDelayAudit(audit, tenantOf)
-
-	// The incident plane's unified violation stream: one log fed by the
-	// auditor's per-delivery tap and (below) the SLO engine's window
-	// sink. Wired before the run — the tap is read without locks on the
-	// delivery path.
-	var vlog *obs.ViolationLog
-	if *incidentsOut != "" {
-		vlog = obs.NewViolationLog(1 << 16)
-		audit.SetViolationTap(vlog.Observe)
-	}
-
-	var flight *obs.FlightRecorder
-	if *traceOut != "" {
-		flight = obs.NewFlightRecorder(0, *traceSample)
-		netsim.AttachFlightRecorder(nw, flight)
-	}
-
-	// The introspection plane: envelope estimators on every VM of both
-	// tenants (pacer commit taps when paced, NIC arrivals otherwise) and
-	// guarantee-margin watches on every port, with bounds from the
-	// admitted set when the placer is the full Manager. Bounds reflect
-	// admission at attach time; a mid-run fault that loosens them shows
-	// up as a negative margin, which is the point.
-	var intro *introspect.Introspector
-	if *introOut != "" {
-		intro = introspect.Attach(nw, reg, introspect.Config{})
-		for _, d := range []*experiments.Deployment{depA, depB} {
-			adm := introspect.Envelope{RateBps: d.Spec.Guarantee.BandwidthBps, BurstBytes: d.Spec.Guarantee.BurstBytes}
-			for i, vmID := range d.VMIDs {
-				intro.TrackVM(d.Placement.Servers[i], vmID, d.Spec.ID, adm)
-			}
-		}
-		if haveMgr {
-			intro.BindPlacement(mgr)
-		}
-	}
-
-	if scheme.Paced() {
-		experiments.CoordinateHose(nw, depA, workload.AllToOne(*vmsA), experiments.HoseFairShare)
-		experiments.CoordinateHose(nw, depB, workload.AllToAll(*vmsB), experiments.HoseFairShare)
-	}
-
-	horizon := int64(*duration * 1e9)
-	drainEnd := horizon + int64(3e9)
-	windowNs := int64(*windowMs * 1e6)
-
-	// Fault injection: parse and validate the -fault schedule, and (on
-	// the silo scheme, whose placer is the full Manager) close the
-	// control loop: every down event triggers Recover after the
-	// -fault-detect delay, evacuating and re-admitting affected tenants;
-	// every up event returns the repaired servers to the placement pool.
-	// Recovery here is control-plane only — pacer VMs and transport
-	// endpoints are not re-deployed (see experiments.RunFailureDrill for
-	// the full data-plane drill).
-	var inj *faults.Injector
-	var recoveries []*placement.RecoveryReport
-	if *faultSched != "" {
-		sched, err := faults.ParseSchedule(*faultSched)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		inj = faults.NewInjector(nw)
-		inj.GraceNs = 5 * windowNs
-		// With -wal, recovery mutations must go through the durable
-		// wrapper so every ladder step is logged before it applies.
-		type recoverCtl interface {
-			Recover(failedServers, failedPorts []int, opts placement.RecoverOptions) *placement.RecoveryReport
-			RestoreServers(servers ...int)
-		}
-		var ctl recoverCtl
-		if dur != nil {
-			ctl = dur
-		} else if haveMgr {
-			ctl = mgr
-		}
-		if ctl != nil {
-			detectNs := faultDetect.Nanoseconds()
-			inj.OnEvent = func(ev faults.Event) {
-				nw.Sim.After(detectNs, func() {
-					if ev.Kind.IsDown() {
-						rep := ctl.Recover(ev.Servers, ev.Ports, placement.RecoverOptions{})
-						if rep.LogErr != nil {
-							fmt.Fprintf(os.Stderr, "wal: recovery aborted, log unavailable: %v\n", rep.LogErr)
-						}
-						if len(rep.Affected) > 0 {
-							recoveries = append(recoveries, rep)
-						}
-					} else {
-						ctl.RestoreServers(ev.Servers...)
-					}
-				})
-			}
-		}
-		if err := inj.Apply(sched); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-
-	// Continuous telemetry: every -window of simulated time, snapshot
-	// the registry into the time-series rollup and advance the SLO
-	// burn-rate engine, with the live port-window tracker naming the
-	// culprit port of each violating window.
-	// The incident correlator re-runs at every window flush, so the
-	// dashboard panel and the silo_incident_* metric families track the
-	// run live; the authoritative correlation (with the introspection
-	// snapshot as verdict evidence) happens once more at exit.
-	var corr *incident.Correlator
-	if vlog != nil {
-		corr = incident.New(incident.Config{MergeNs: 2 * windowNs})
-		corr.SetPortMeta(nw.PortMeta())
-		corr.SetMeta(&meta)
-		if reg != nil {
-			corr.RegisterMetrics(reg)
-		}
-	}
-
-	var rollup *timeseries.Rollup
-	var engine *slo.Engine
-	if reg != nil {
-		rollup = timeseries.NewRollup(reg, 512)
-		tracker := netsim.AttachPortWindowTracker(nw)
-		engine = slo.New(slo.Config{WindowNs: windowNs}, audit, tracker)
-		if vlog != nil {
-			engine.SetViolationSink(vlog.Observe)
-		}
-		nw.Sim.Every(windowNs, drainEnd, func(now int64) {
-			rollup.Capture(now)
-			engine.Flush(now)
-			tracker.Reset()
-			if corr != nil {
-				corr.SetViolations(vlog.Events())
-				if inj != nil {
-					corr.SetFaultEvents(inj.Events(), inj.GraceNs)
-				}
-				corr.SetAlerts(engine.Events())
-				corr.Correlate()
-			}
-		})
-	}
-	if inj != nil {
-		// Violations in windows overlapping an injected outage are
-		// labeled with the fault and tallied in the report's in-fault
-		// column (nil-safe when -slo-report/-series are off).
-		engine.SetFaultLookup(inj.FaultIn)
-	}
 	dashOpts := dashboard.Options{
 		Title:     "silo-sim " + *schemeName,
-		Rollup:    rollup,
-		Engine:    engine,
+		Rollup:    run.Rollup,
+		Engine:    run.Engine,
 		Ports:     nw.PortMeta(),
-		Incidents: corr,
+		Incidents: run.Correlator,
 		Meta:      &meta,
 		Runtime:   func() obsruntime.Stats { return obsruntime.Collect(nw) },
 		WAL: func() *durable.Status {
@@ -402,151 +214,93 @@ func main() {
 		fmt.Printf("dashboard: http://%s/\n", srv.Addr())
 	}
 
-	lat := stats.NewSample(1 << 14)
-	rtos := 0
-	msgs := 0
-
-	// Tenant A: all-to-one bursts.
-	msg := 5000
-	meanPeriod := 4 * float64(*vmsA-1) * float64(msg) / gA.BandwidthBps * 1e9
-	var round func()
-	next := int64(rng.Exp(meanPeriod))
-	round = func() {
-		for i := 1; i < *vmsA; i++ {
-			msgs++
-			depA.Endpoints[i].SendMessage(depA.VMIDs[0], msg, func(m *transport.Message) {
-				lat.Add(float64(m.Latency()) / 1e3)
-				if m.RTOs > 0 {
-					rtos++
-				}
-			})
-		}
-		next += int64(rng.Exp(meanPeriod))
-		if next < horizon {
-			nw.Sim.At(next, round)
-		}
-	}
-	nw.Sim.At(next, round)
-
-	// Tenant B: continuous shuffle.
-	for i := 0; i < *vmsB; i++ {
-		for j := 0; j < *vmsB; j++ {
-			if i == j || plB.Servers[i] == plB.Servers[j] {
-				continue
-			}
-			ep := depB.Endpoints[i]
-			dst := depB.VMIDs[j]
-			var pump func(*transport.Message)
-			pump = func(*transport.Message) {
-				if nw.Sim.Now() < horizon {
-					ep.SendMessage(dst, 1<<20, pump)
-				}
-			}
-			pump(nil)
-		}
-	}
-
 	// SIGINT/SIGTERM stop the event loop between events; everything
 	// below still runs, so partial-run telemetry and traces are flushed
 	// and written rather than lost.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	nw.RunCtx(ctx, drainEnd)
+	run.Execute(ctx)
 	interrupted := ctx.Err() != nil
 	stopSignals()
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "interrupted at t=%.3f ms simulated; flushing telemetry\n",
 			float64(nw.Sim.Now())/1e6)
-		if rollup != nil {
-			rollup.Capture(nw.Sim.Now())
-		}
-		if engine != nil {
-			engine.Flush(nw.Sim.Now())
+		if run.Engine != nil {
+			run.Rollup.Capture(nw.Sim.Now())
+			run.Engine.Flush(nw.Sim.Now())
 		}
 	}
+	run.Finish()
 
-	bound := gA.MessageLatencyBound(float64(msg)) * 1e6
+	a := run.Tenants[0]
+	lat := &a.LatencyUs
+	bound := gA.MessageLatencyBound(msg) * 1e6
 	fmt.Printf("scheme=%s  tenantA=%d VMs all-to-one (%d B bursts)  tenantB=%d VMs shuffle\n",
 		scheme, *vmsA, msg, *vmsB)
 	fmt.Printf("messages=%d completed=%d withRTO=%d drops=%d faultDrops=%d voids=%d\n",
-		msgs, lat.Len(), rtos, nw.TotalDrops(), nw.TotalFaultDrops(), nw.TotalVoidsDropped())
+		a.Messages, lat.Len(), a.MessagesRTO, nw.TotalDrops(), nw.TotalFaultDrops(), nw.TotalVoidsDropped())
 	fmt.Printf("latency (µs): %s\n", lat.Summary("µs"))
 	fmt.Printf("Silo-style guarantee for this message: %.0f µs\n", bound)
-	if scheme == experiments.SchemeSilo {
+	if scheme == core.SchemeSilo {
 		if lat.Max() <= bound {
 			fmt.Println("=> every message met the guarantee")
 		} else {
 			fmt.Printf("=> %0.3f%% of messages exceeded the guarantee\n", 100*lat.FractionAbove(bound))
 		}
 	}
-	fmt.Println(audit.Summary())
-	if inj != nil {
+	fmt.Println(run.Audit.Summary())
+	if run.Injector != nil {
 		fmt.Println("fault injection:")
-		for _, ev := range inj.Events() {
+		for _, ev := range run.Injector.Events() {
 			fmt.Printf("  %s\n", ev)
 		}
-		for _, rep := range recoveries {
-			fmt.Print(rep.Render())
+		for _, rep := range run.Recoveries {
+			if rep.LogErr != nil {
+				fmt.Fprintf(os.Stderr, "wal: recovery aborted, log unavailable: %v\n", rep.LogErr)
+			}
+			if len(rep.Affected) > 0 {
+				fmt.Print(rep.Render())
+			}
 		}
-		if haveMgr {
-			if err := mgr.VerifyInvariants(); err != nil {
+		if run.Manager != nil {
+			if err := run.Manager.VerifyInvariants(); err != nil {
 				fmt.Printf("placement invariants after recovery: FAILED: %v\n", err)
 			} else {
 				fmt.Println("placement invariants after recovery: ok")
 			}
 		}
 	}
-	if flight != nil {
-		ports := nw.PortMeta()
-		spans := obs.AssembleFlight(flight.Events(), ports)
-		violations := obs.AnnotateSpans(spans, audit, tenantOf)
-		fmt.Println(obs.SummarizeFlight(spans).Render())
-		for i, v := range violations {
+	if run.Flight != nil {
+		fmt.Println(obs.SummarizeFlight(run.Spans).Render())
+		for i, v := range run.SpanViolations {
 			if i >= 3 {
-				fmt.Printf("... %d more violations in the trace file\n", len(violations)-3)
+				fmt.Printf("... %d more violations in the trace file\n", len(run.SpanViolations)-3)
 				break
 			}
-			fmt.Print(obs.RenderSpan(v, ports))
+			fmt.Print(obs.RenderSpan(v, run.Ports))
 		}
-		if err := obs.WriteTraceFileMeta(*traceOut, &meta, ports, spans); err != nil {
+		if err := obs.WriteTraceFileMeta(*traceOut, &meta, run.Ports, run.Spans); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("flight trace (1 in %d packets) written to %s\n", flight.SampleN(), *traceOut)
+		fmt.Printf("flight trace (1 in %d packets) written to %s\n", run.Flight.SampleN(), *traceOut)
 	}
 	if *sloReport {
 		fmt.Println()
-		fmt.Print(engine.RenderReport())
+		fmt.Print(run.Engine.RenderReport())
 	}
-	var snap *introspect.Snapshot
-	if intro != nil {
-		s := intro.Snapshot()
-		s.Meta = &meta
-		snap = &s
+	if run.Snapshot != nil {
 		fmt.Println()
-		fmt.Print(s.Render())
-		if err := s.WriteFile(*introOut); err != nil {
+		fmt.Print(run.Snapshot.Render())
+		if err := run.Snapshot.WriteFile(*introOut); err != nil {
 			fmt.Fprintf(os.Stderr, "-introspect: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("introspection snapshot written to %s (join with silo-trace -why)\n", *introOut)
 	}
-	if corr != nil {
-		// Authoritative end-of-run correlation: the full violation
-		// stream, the final fault log, and the introspection snapshot as
-		// verdict evidence (without -introspect, incidents that need
-		// envelope evidence stay honestly unexplained).
-		corr.SetViolations(vlog.Events())
-		if inj != nil {
-			corr.SetFaultEvents(inj.Events(), inj.GraceNs)
-		}
-		if engine != nil {
-			corr.SetAlerts(engine.Events())
-		}
-		corr.SetSnapshot(snap)
-		rep := corr.Correlate()
+	if run.Incidents != nil {
 		fmt.Println()
-		fmt.Print(rep.Render())
-		if err := rep.WriteFile(*incidentsOut); err != nil {
+		fmt.Print(run.Incidents.Render())
+		if err := run.Incidents.WriteFile(*incidentsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "-incidents: %v\n", err)
 			os.Exit(1)
 		}
@@ -581,24 +335,32 @@ func main() {
 	}
 }
 
-func schemeNetOptions(s experiments.Scheme, tree *topology.Tree) netsim.Options {
-	switch s {
-	case experiments.SchemeDCTCP:
-		return netsim.Options{PropNs: 200, ECNThresholdBytes: 65 * 1500}
-	case experiments.SchemeHULL:
-		return netsim.Options{PropNs: 200, PhantomGamma: 0.95, PhantomThresholdBytes: 15e3}
-	default:
-		return netsim.Options{PropNs: 200}
+// openStore opens (or recovers) the durable placement store over the
+// scenario's tree. The scenario's tenants have fixed IDs; a recovered
+// store may still hold them from the previous run, and the data plane
+// is redeployed from scratch each run, so the old admissions are
+// released (logged like any mutation) before the run re-places them.
+func openStore(dir string, snapEvery int, tree *topology.Tree, tenants []experiments.Tenant, meta *obs.RunMeta, reg *obs.Registry) (*durable.Manager, error) {
+	dur, info, err := durable.Open(dir, tree, durable.Options{
+		SnapshotEvery: snapEvery,
+		Meta:          meta,
+		Metrics:       durable.NewMetrics(reg),
+	})
+	if err != nil {
+		return nil, err
 	}
-}
-
-func schemePlacer(s experiments.Scheme, tree *topology.Tree) placement.Algorithm {
-	switch s {
-	case experiments.SchemeSilo:
-		return placement.NewManager(tree, placement.Options{})
-	case experiments.SchemeOkto, experiments.SchemeOktoPlus:
-		return placement.NewOktopus(tree)
-	default:
-		return placement.NewLocality(tree)
+	fmt.Println(info.Render())
+	if info.SafeMode {
+		fmt.Fprintln(os.Stderr, "warning: store recovered into safe mode; new admissions will be rejected")
 	}
+	dur.EnableGauges(reg)
+	dur.EnableMetrics(reg)
+	for _, t := range tenants {
+		if _, ok := dur.Placement(t.Spec.ID); ok {
+			if err := dur.Remove(t.Spec.ID); err != nil {
+				return nil, fmt.Errorf("wal: releasing recovered tenant %d: %w", t.Spec.ID, err)
+			}
+		}
+	}
+	return dur, nil
 }

@@ -12,6 +12,7 @@ import (
 
 	silo "repro"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -66,43 +67,14 @@ func main() {
 	horizon := int64(*duration * 1e9)
 
 	// Best-effort shuffle: as greedy as its TCP allows.
-	for i := range beEps {
-		for j := range beEps {
-			if i == j || bestEffort.Placement.Servers[i] == bestEffort.Placement.Servers[j] {
-				continue
-			}
-			ep := beEps[i]
-			dst := bestEffort.VMIDs[j]
-			var pump func(*silo.Message)
-			pump = func(*silo.Message) {
-				if nw.Sim.Now() < horizon {
-					ep.SendMessage(dst, 1<<20, pump)
-				}
-			}
-			pump(nil)
-		}
-	}
+	var shuffle, oldi workload.Tally
+	shuffle.Shuffle(nw.Sim, beEps, bestEffort.VMIDs, bestEffort.Placement.Servers, 1<<20, horizon)
 
 	// Guaranteed tenant: sparse all-to-one bursts.
-	lat := stats.NewSample(1 << 12)
-	rng := stats.NewRand(7)
-	msg := 5000
-	meanPeriod := 4 * float64(guaranteed.Spec.VMs-1) * float64(msg) /
-		guaranteed.Spec.Guarantee.BandwidthBps * 1e9
-	var round func()
-	next := int64(rng.Exp(meanPeriod))
-	round = func() {
-		for i := 1; i < guaranteed.Spec.VMs; i++ {
-			gEps[i].SendMessage(guaranteed.VMIDs[0], msg, func(m *silo.Message) {
-				lat.Add(float64(m.Latency()) / 1e3)
-			})
-		}
-		next += int64(rng.Exp(meanPeriod))
-		if next < horizon {
-			nw.Sim.At(next, round)
-		}
-	}
-	nw.Sim.At(next, round)
+	const msg = 5000
+	oldi.OLDI(nw.Sim, stats.NewRand(7), gEps[1:], guaranteed.VMIDs[0], msg,
+		guaranteed.Spec.Guarantee.BandwidthBps, horizon)
+	lat := &oldi.LatencyUs
 
 	nw.Sim.Run(horizon + 3e9)
 

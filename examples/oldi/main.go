@@ -14,6 +14,7 @@ import (
 
 	silo "repro"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -88,22 +89,8 @@ func main() {
 
 	// Background shuffle: continuous 1 MB messages between all pairs.
 	horizon := int64(*duration * 1e9)
-	for i := range shufEps {
-		for j := range shufEps {
-			if i == j || shuffle.Placement.Servers[i] == shuffle.Placement.Servers[j] {
-				continue
-			}
-			ep := shufEps[i]
-			dst := shuffle.VMIDs[j]
-			var pump func(*silo.Message)
-			pump = func(*silo.Message) {
-				if nw.Sim.Now() < horizon {
-					ep.SendMessage(dst, 1<<20, pump)
-				}
-			}
-			pump(nil)
-		}
-	}
+	var background workload.Tally
+	background.Shuffle(nw.Sim, shufEps, shuffle.VMIDs, shuffle.Placement.Servers, 1<<20, horizon)
 
 	// Queries: all workers reply at once. The aggregator's receive
 	// hose (B) bounds sustainable load, so pace queries at a quarter

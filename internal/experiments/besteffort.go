@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/netsim"
-	"repro/internal/stats"
+	"repro/internal/core"
 	"repro/internal/tenant"
-	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -55,22 +52,25 @@ type BestEffortResult struct {
 // RunBestEffort runs the coexistence experiment twice (guaranteed
 // tenant alone, then with best-effort background) and compares.
 func RunBestEffort(p BestEffortParams) (BestEffortResult, error) {
-	alone, _, _, err := bestEffortRun(p, false)
+	alone, err := RunScenario(bestEffortScenario(p, false), Env{})
 	if err != nil {
 		return BestEffortResult{}, err
 	}
-	withBE, beBytes, simSec, err := bestEffortRun(p, true)
+	withBE, err := RunScenario(bestEffortScenario(p, true), Env{})
 	if err != nil {
 		return BestEffortResult{}, err
 	}
-	g := bestEffortGuarantee()
-	res := BestEffortResult{
-		GuaranteedP99AloneUs:  alone.Percentile(99),
-		GuaranteedP99WithBEUs: withBE.Percentile(99),
-		GuaranteeUs:           g.MessageLatencyBound(5000) * 1e6,
-		BestEffortGbps:        float64(beBytes) * 8 / simSec / 1e9,
+	for _, run := range []*Run{alone, withBE} {
+		if len(run.Rejected) > 0 {
+			return BestEffortResult{}, run.Rejected[0]
+		}
 	}
-	return res, nil
+	return BestEffortResult{
+		GuaranteedP99AloneUs:  alone.Tenants[0].LatencyUs.Percentile(99),
+		GuaranteedP99WithBEUs: withBE.Tenants[0].LatencyUs.Percentile(99),
+		GuaranteeUs:           bestEffortGuarantee().MessageLatencyBound(5000) * 1e6,
+		BestEffortGbps:        float64(withBE.Tenants[1].BytesReceived) * 8 / p.DurationSec / 1e9,
+	}, nil
 }
 
 func bestEffortGuarantee() tenant.Guarantee {
@@ -82,108 +82,35 @@ func bestEffortGuarantee() tenant.Guarantee {
 	}
 }
 
-func bestEffortRun(p BestEffortParams, withBE bool) (*stats.Sample, int64, float64, error) {
-	tree, err := topology.New(topology.Config{
-		Pods:           1,
-		RacksPerPod:    p.Racks,
-		ServersPerRack: p.ServersPerRack,
-		SlotsPerServer: 4,
-		LinkBps:        10 * gbps,
-		BufferBytes:    312e3,
-		NICBufferBytes: 62.5e3,
-		RackOversub:    5,
-		PodOversub:     1,
-	})
-	if err != nil {
-		return nil, 0, 0, err
+// bestEffortScenario is a guaranteed tenant sending sparse all-to-one
+// bursts (the class-A pattern) and, with it or not, a best-effort
+// tenant in an all-out shuffle, as greedy as TCP allows: admitted on
+// slots alone, unpaced, low priority, a 10 ms minimum RTO.
+func bestEffortScenario(p BestEffortParams, withBE bool) Scenario {
+	sc := Scenario{
+		Topology: TenGbE(1, p.Racks, p.ServersPerRack, 4, 5, 1),
+		Scheme:   core.SchemeSilo,
+		Seed:     p.Seed,
+		Tenants: []Tenant{{
+			Spec: tenant.Spec{ID: 1, Name: "guaranteed", VMs: p.GuaranteedVMs,
+				Guarantee: bestEffortGuarantee(), FaultDomains: 2},
+			VMBase: 1000,
+			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(p.GuaranteedVMs)},
+			Driver: Driver{Kind: DriverOLDI, MsgBytes: 5000},
+		}},
+		HorizonNs: int64(p.DurationSec * 1e9),
+		DrainNs:   3e9,
 	}
-	nw := netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: 200})
-	f := transport.NewFabric(nw)
-	rng := stats.NewRand(p.Seed)
-
-	placer := SchemeSilo.placer(tree)
-	specG := tenant.Spec{ID: 1, Name: "guaranteed", VMs: p.GuaranteedVMs,
-		Guarantee: bestEffortGuarantee(), FaultDomains: 2}
-	plG, err := placer.Place(specG)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	depG := DeployTenant(nw, f, SchemeSilo, specG, plG, 1000)
-	CoordinateHose(nw, depG, workload.AllToOne(p.GuaranteedVMs), HoseFairShare)
-
-	var depBE *Deployment
 	if withBE {
-		specBE := tenant.Spec{ID: 2, Name: "best-effort", VMs: p.BestEffortVMs,
-			Class: tenant.ClassBestEffort, FaultDomains: 2}
-		plBE, err := placer.Place(specBE)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		// Best-effort endpoints: unpaced, low priority, plain TCP.
-		topt := transport.Options{Variant: transport.Reno, MinRTONs: 10_000_000,
-			Prio: netsim.PrioBestEffort, MaxCwndBytes: 256 << 10}
-		depBE = &Deployment{Spec: specBE, Placement: plBE,
-			VMIDs: make([]int, specBE.VMs), Endpoints: make([]*transport.Endpoint, specBE.VMs)}
-		for i := 0; i < specBE.VMs; i++ {
-			depBE.VMIDs[i] = 2000 + i
-			depBE.Endpoints[i] = f.AddEndpoint(2000+i, plBE.Servers[i], topt)
-		}
+		sc.Tenants = append(sc.Tenants, Tenant{
+			Spec: tenant.Spec{ID: 2, Name: "best-effort", VMs: p.BestEffortVMs,
+				Class: tenant.ClassBestEffort, FaultDomains: 2},
+			VMBase:   2000,
+			MinRTONs: 10_000_000,
+			Driver:   Driver{Kind: DriverShuffle, MsgBytes: 1 << 20},
+		})
 	}
-
-	horizon := int64(p.DurationSec * 1e9)
-	lat := stats.NewSample(1 << 12)
-	// Guaranteed tenant: sparse all-to-one bursts (the class-A
-	// pattern).
-	msg := 5000
-	g := bestEffortGuarantee()
-	meanPeriod := 4 * float64(p.GuaranteedVMs-1) * float64(msg) / g.BandwidthBps * 1e9
-	var round func()
-	next := int64(rng.Exp(meanPeriod))
-	round = func() {
-		for i := 1; i < p.GuaranteedVMs; i++ {
-			depG.Endpoints[i].SendMessage(depG.VMIDs[0], msg, func(m *transport.Message) {
-				lat.Add(float64(m.Latency()) / 1e3)
-			})
-		}
-		next += int64(rng.Exp(meanPeriod))
-		if next < horizon {
-			nw.Sim.At(next, round)
-		}
-	}
-	nw.Sim.At(next, round)
-
-	// Best-effort tenant: all-out shuffle, as greedy as TCP allows.
-	if depBE != nil {
-		for i := 0; i < depBE.Spec.VMs; i++ {
-			for j := 0; j < depBE.Spec.VMs; j++ {
-				if i == j || depBE.Placement.Servers[i] == depBE.Placement.Servers[j] {
-					continue
-				}
-				ep := depBE.Endpoints[i]
-				dst := depBE.VMIDs[j]
-				var pump func(*transport.Message)
-				pump = func(*transport.Message) {
-					if nw.Sim.Now() < horizon {
-						ep.SendMessage(dst, 1<<20, pump)
-					}
-				}
-				pump(nil)
-			}
-		}
-	}
-
-	nw.Sim.Run(horizon + int64(3e9))
-	var beBytes int64
-	if depBE != nil {
-		for i, ep := range depBE.Endpoints {
-			for j := range depBE.Endpoints {
-				if i != j {
-					beBytes += ep.BytesReceived(depBE.VMIDs[j])
-				}
-			}
-		}
-	}
-	return lat, beBytes, p.DurationSec, nil
+	return sc
 }
 
 // Render formats the coexistence result.

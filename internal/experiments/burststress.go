@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/netsim"
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/tenant"
-	"repro/internal/topology"
-	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // BurstStressParams configures the synchronized-burst stress test —
@@ -48,7 +47,7 @@ func DefaultBurstStressParams() BurstStressParams {
 // BurstStressResult compares the two schemes under the same offered
 // tenant stream.
 type BurstStressResult struct {
-	Scheme       Scheme
+	Scheme       core.Scheme
 	Admitted     int
 	Offered      int
 	Drops        int64
@@ -60,81 +59,53 @@ type BurstStressResult struct {
 }
 
 // RunBurstStress admits tenants with the scheme's placer and fires
-// every admitted tenant's senders simultaneously.
-func RunBurstStress(p BurstStressParams, scheme Scheme) (BurstStressResult, error) {
-	tree, err := topology.New(topology.Config{
-		Pods:           1,
-		RacksPerPod:    1,
-		ServersPerRack: 4,
-		SlotsPerServer: 8,
-		LinkBps:        10 * gbps,
-		BufferBytes:    312e3,
-		NICBufferBytes: 62.5e3,
-		RackOversub:    1,
-		PodOversub:     1,
-	})
-	if err != nil {
-		return BurstStressResult{}, err
-	}
-	nw := netsim.Build(netsim.NewSim(), tree, scheme.netOptions(tree, 200))
-	f := transport.NewFabric(nw)
-	placer := scheme.placer(tree)
-
+// every admitted tenant's senders simultaneously at t=0 — the
+// synchronized worst case the placement must have budgeted for.
+func RunBurstStress(p BurstStressParams, scheme core.Scheme) (BurstStressResult, error) {
 	g := tenant.Guarantee{
 		BandwidthBps: p.BandwidthBps,
 		BurstBytes:   p.BurstBytes,
 		DelayBound:   1e-3,
 		BurstRateBps: 10 * gbps,
 	}
+	sc := Scenario{
+		Topology: TenGbE(1, 1, 4, 8, 1, 1),
+		Scheme:   scheme,
+		VMBase:   1000,
+		VMGap:    4,
+		DrainNs:  10e9,
+	}
+	for i := 0; i < p.Tenants; i++ {
+		sc.Tenants = append(sc.Tenants, Tenant{
+			Spec: tenant.Spec{
+				ID:           i + 1,
+				Name:         fmt.Sprintf("burst-%d", i+1),
+				VMs:          p.Senders + 1,
+				Guarantee:    g,
+				FaultDomains: p.Senders + 1, // one VM per server: maximal fan-in
+			},
+			// Receiver is VM 0; static fair share (all senders always
+			// burst together here).
+			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(p.Senders + 1)},
+			Driver: Driver{Kind: DriverBurst, MsgBytes: int(p.BurstBytes)},
+		})
+	}
+	run, err := RunScenario(sc, Env{})
+	if err != nil {
+		return BurstStressResult{}, err
+	}
 	res := BurstStressResult{
 		Scheme:      scheme,
 		Offered:     p.Tenants,
+		Admitted:    len(run.Tenants),
+		Drops:       run.Net.TotalDrops(),
 		GuaranteeUs: g.MessageLatencyBound(p.BurstBytes) * 1e6,
 	}
-
-	var deps []*Deployment
-	vmBase := 1000
-	for i := 0; i < p.Tenants; i++ {
-		spec := tenant.Spec{
-			ID:           i + 1,
-			Name:         fmt.Sprintf("burst-%d", i+1),
-			VMs:          p.Senders + 1,
-			Guarantee:    g,
-			FaultDomains: p.Senders + 1, // one VM per server: maximal fan-in
-		}
-		pl, err := placer.Place(spec)
-		if err != nil {
-			continue
-		}
-		res.Admitted++
-		dep := DeployTenant(nw, f, scheme, spec, pl, vmBase)
-		vmBase += spec.VMs + 4
-		if scheme.Paced() {
-			// Receiver is VM 0; static fair share (all senders always
-			// burst together here).
-			pat := make([][]int, spec.VMs)
-			for s := 1; s < spec.VMs; s++ {
-				pat[s] = []int{0}
-			}
-			CoordinateHose(nw, dep, pat, HoseFairShare)
-		}
-		deps = append(deps, dep)
-	}
-
-	// Every admitted tenant's senders burst at t=0 — the synchronized
-	// worst case the placement must have budgeted for.
 	lat := stats.NewSample(256)
-	for _, dep := range deps {
-		aggVM := dep.VMIDs[0]
-		for s := 1; s < dep.Spec.VMs; s++ {
-			res.Messages++
-			dep.Endpoints[s].SendMessage(aggVM, int(p.BurstBytes), func(m *transport.Message) {
-				lat.Add(float64(m.Latency()) / 1e3)
-			})
-		}
+	for _, tr := range run.Tenants {
+		res.Messages += tr.Messages
+		lat.AddAll(tr.LatencyUs.Values())
 	}
-	nw.Sim.Run(10e9)
-	res.Drops = nw.TotalDrops()
 	res.P99LatencyUs = lat.Percentile(99)
 	res.MessagesLate = int(float64(lat.Len()) * lat.FractionAbove(res.GuaranteeUs))
 	res.WorstBoundOK = lat.Len() == res.Messages && lat.Max() <= res.GuaranteeUs
@@ -144,7 +115,7 @@ func RunBurstStress(p BurstStressParams, scheme Scheme) (BurstStressResult, erro
 // RunBurstStressComparison runs Silo and Okto+ over the same stress.
 func RunBurstStressComparison(p BurstStressParams) ([]BurstStressResult, error) {
 	var out []BurstStressResult
-	for _, s := range []Scheme{SchemeSilo, SchemeOktoPlus} {
+	for _, s := range []core.Scheme{core.SchemeSilo, core.SchemeOktoPlus} {
 		r, err := RunBurstStress(p, s)
 		if err != nil {
 			return nil, err

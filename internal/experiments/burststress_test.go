@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/core"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func TestBurstStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	silo, okto := rs[0], rs[1]
-	if silo.Scheme != SchemeSilo || okto.Scheme != SchemeOktoPlus {
+	if silo.Scheme != core.SchemeSilo || okto.Scheme != core.SchemeOktoPlus {
 		t.Fatal("unexpected scheme order")
 	}
 	// Silo: strictly fewer tenants, zero drops, every message within

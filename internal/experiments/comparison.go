@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/netsim"
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/tenant"
-	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -32,7 +30,7 @@ type ComparisonParams struct {
 	// ClassBMsgBytes is the class-B bulk message size.
 	ClassBMsgBytes int
 	Seed           uint64
-	Schemes        []Scheme
+	Schemes        []core.Scheme
 }
 
 // DefaultComparisonParams returns a laptop-scale configuration.
@@ -48,7 +46,7 @@ func DefaultComparisonParams() ComparisonParams {
 		AvgTenantVMs:    9,
 		ClassBMsgBytes:  2 << 20,
 		Seed:            11,
-		Schemes:         AllSchemes,
+		Schemes:         core.AllSchemes,
 	}
 }
 
@@ -130,7 +128,7 @@ func (t *TenantStats) RTOFrac() float64 {
 
 // SchemeResult is one scheme's outcome.
 type SchemeResult struct {
-	Scheme  Scheme
+	Scheme  core.Scheme
 	Tenants []*TenantStats
 	// ClassALatUs aggregates all class-A message latencies (µs) —
 	// Figure 12's distribution.
@@ -205,137 +203,91 @@ func (r SchemeResult) ClassBNormalizedLatency() *stats.Sample {
 }
 
 // RunComparison runs every scheme over the same tenant stream.
-func RunComparison(p ComparisonParams) []SchemeResult {
+func RunComparison(p ComparisonParams) ([]SchemeResult, error) {
 	stream := tenantStream(p, stats.NewRand(p.Seed))
 	var out []SchemeResult
 	for _, s := range p.Schemes {
-		out = append(out, runScheme(p, s, stream))
+		r, err := runScheme(p, s, stream)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", s, err)
+		}
+		out = append(out, r)
 	}
-	return out
+	return out, nil
 }
 
-func runScheme(p ComparisonParams, scheme Scheme, stream []tenantRequest) SchemeResult {
-	tree, err := topology.New(topology.Config{
-		Pods:           1,
-		RacksPerPod:    p.Racks,
-		ServersPerRack: p.ServersPerRack,
-		SlotsPerServer: p.SlotsPerServer,
-		LinkBps:        10 * gbps,
-		BufferBytes:    312e3,
-		NICBufferBytes: 62.5e3,
-		RackOversub:    p.Oversub,
-		PodOversub:     1,
-	})
-	if err != nil {
-		panic(err)
+// comparisonScenario offers the stream to one scheme: class A runs the
+// OLDI pattern with responses a fraction of the burst allowance (the
+// paper's Table-1 analysis: low lateness needs the allowance to cover a
+// few messages), class B the shuffle; both hoses sit at the backlogged
+// fixed point from t=0.
+func comparisonScenario(p ComparisonParams, scheme core.Scheme, stream []tenantRequest) Scenario {
+	sc := Scenario{
+		Topology:  TenGbE(1, p.Racks, p.ServersPerRack, p.SlotsPerServer, p.Oversub, 1),
+		Scheme:    scheme,
+		Seed:      p.Seed ^ 0xabcdef,
+		TargetVMs: int(p.OccupancyTarget * float64(p.Racks*p.ServersPerRack*p.SlotsPerServer)),
+		VMBase:    1000,
+		VMGap:     10,
+		HorizonNs: int64(p.DurationSec * 1e9),
+		DrainNs:   3e9, // drain retransmissions
 	}
-	nw := netsim.Build(netsim.NewSim(), tree, scheme.netOptions(tree, 200))
-	f := transport.NewFabric(nw)
-	placer := scheme.placer(tree)
-
-	res := SchemeResult{Scheme: scheme, ClassALatUs: stats.NewSample(1 << 16)}
-	slots := tree.Slots()
-	target := int(p.OccupancyTarget * float64(slots))
-	rng := stats.NewRand(p.Seed ^ 0xabcdef)
-
-	type liveTenant struct {
-		dep *Deployment
-		st  *TenantStats
-	}
-	var live []liveTenant
-	vmBase := 1000
 	for i, req := range stream {
-		if res.AdmittedVMs+req.vms > target {
-			continue
-		}
-		spec := tenant.Spec{
+		t := Tenant{Spec: tenant.Spec{
 			ID:           i + 1,
 			Name:         fmt.Sprintf("t%d", i+1),
 			VMs:          req.vms,
 			Guarantee:    req.g,
 			FaultDomains: 2,
-		}
-		pl, err := placer.Place(spec)
-		if err != nil {
-			if scheme == SchemeSilo || scheme == SchemeOkto || scheme == SchemeOktoPlus {
-				continue // admission control rejects; try next tenant
-			}
+		}}
+		// The class-B draw clamps B at 3 Gbps against a fixed 2 Gbps Bmax;
+		// a request with B above Bmax is malformed, no scheme's placer
+		// takes it, and it is not offered (its stream index stays its
+		// own, so the others keep their IDs).
+		if t.Spec.Validate() != nil {
 			continue
 		}
-		dep := DeployTenant(nw, f, scheme, spec, pl, vmBase)
-		vmBase += req.vms + 10
-		st := &TenantStats{
-			ClassA:      req.classA,
-			VMs:         req.vms,
-			LatenciesUs: stats.NewSample(4096),
-		}
-		res.Tenants = append(res.Tenants, st)
-		res.AdmittedVMs += req.vms
-		live = append(live, liveTenant{dep: dep, st: st})
-	}
-
-	horizon := int64(p.DurationSec * 1e9)
-	for _, lt := range live {
-		if lt.st.ClassA {
-			startClassA(nw, lt.dep, lt.st, rng.Split(), horizon, scheme)
+		if req.classA {
+			t.Hose = Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(req.vms)}
+			t.Driver = Driver{Kind: DriverOLDI, MsgBytes: max(int(req.g.BurstBytes/3), 1500), SplitRand: true}
 		} else {
-			startClassB(nw, lt.dep, lt.st, horizon, scheme, p.ClassBMsgBytes)
+			t.Hose = Hose{Kind: HoseFairShare, Pattern: workload.AllToAll(req.vms)}
+			t.Driver = Driver{Kind: DriverShuffle, MsgBytes: p.ClassBMsgBytes}
 		}
+		sc.Tenants = append(sc.Tenants, t)
 	}
-
-	nw.Sim.Run(horizon + int64(3e9)) // drain retransmissions
-	res.Drops = nw.TotalDrops()
-	for _, lt := range live {
-		if lt.st.ClassA {
-			for _, v := range lt.st.LatenciesUs.Values() {
-				res.ClassALatUs.Add(v)
-			}
-		}
-	}
-	return res
+	return sc
 }
 
-// startClassA drives the OLDI pattern: all VMs simultaneously send an
-// S-byte message to VM 0, in rounds whose mean period offers the
-// tenant's average bandwidth.
-func startClassA(nw *netsim.Network, dep *Deployment, st *TenantStats, rng *stats.Rand, horizon int64, scheme Scheme) {
-	g := dep.Spec.Guarantee
-	// OLDI responses are a fraction of the burst allowance (the
-	// paper's Table-1 analysis: low lateness needs the allowance to
-	// cover a few messages).
-	msg := int(g.BurstBytes / 3)
-	if msg < 1500 {
-		msg = 1500
+func runScheme(p ComparisonParams, scheme core.Scheme, stream []tenantRequest) (SchemeResult, error) {
+	run, err := RunScenario(comparisonScenario(p, scheme, stream), Env{})
+	if err != nil {
+		return SchemeResult{}, err
 	}
-	st.EstimateNs = classAEstimateNs(g, msg)
-	if scheme.Paced() {
-		CoordinateHose(nw, dep, workload.AllToOne(dep.Spec.VMs), HoseFairShare)
-	}
-	aggVM := dep.VMIDs[0]
-	// The aggregator's receive hose (B) bounds the sustainable load:
-	// each round moves (N−1)·msg bytes into it. Offer a quarter of
-	// that rate: bursty but sparse, as OLDI queries are (the burst
-	// allowance is what makes them fast).
-	meanPeriod := 4 * float64(dep.Spec.VMs-1) * float64(msg) / g.BandwidthBps * 1e9
-	var round func()
-	nextRound := int64(rng.Exp(meanPeriod))
-	round = func() {
-		for i := 1; i < dep.Spec.VMs; i++ {
-			ep := dep.Endpoints[i]
-			st.Messages++
-			ep.SendMessage(aggVM, msg, func(m *transport.Message) {
-				st.LatenciesUs.Add(float64(m.Latency()) / 1e3)
-				if m.RTOs > 0 {
-					st.MessagesRTO++
-				}
-			})
+	res := SchemeResult{Scheme: scheme, ClassALatUs: stats.NewSample(1 << 16), Drops: run.Net.TotalDrops()}
+	for _, tr := range run.Tenants {
+		g, n, d := tr.Tenant.Spec.Guarantee, tr.Tenant.Spec.VMs, tr.Tenant.Driver
+		st := &TenantStats{
+			ClassA:      d.Kind == DriverOLDI,
+			VMs:         n,
+			LatenciesUs: &tr.LatencyUs,
+			Messages:    tr.Messages,
+			MessagesRTO: tr.MessagesRTO,
 		}
-		nextRound += int64(rng.Exp(meanPeriod))
-		if nextRound < horizon {
-			nw.Sim.At(nextRound, round)
+		if st.ClassA {
+			st.EstimateNs = classAEstimateNs(g, d.MsgBytes)
+			for _, v := range tr.LatencyUs.Values() {
+				res.ClassALatUs.Add(v)
+			}
+		} else {
+			// Per-flow reserved rate under the hose model: B/(N−1); the
+			// estimate is the transfer time at that rate.
+			st.EstimateNs = int64(float64(d.MsgBytes) / (g.BandwidthBps / float64(n-1)) * 1e9)
 		}
+		res.Tenants = append(res.Tenants, st)
+		res.AdmittedVMs += n
 	}
-	nw.Sim.At(nextRound, round)
+	return res, nil
 }
 
 // classAEstimateNs is the paper's message-latency estimate for a
@@ -346,43 +298,6 @@ func classAEstimateNs(g tenant.Guarantee, msg int) int64 {
 		bmax = g.BandwidthBps
 	}
 	return int64((float64(msg)/bmax + g.DelayBound) * 1e9)
-}
-
-// startClassB drives the shuffle: every VM continuously streams
-// fixed-size messages to each of its all-to-all peers.
-func startClassB(nw *netsim.Network, dep *Deployment, st *TenantStats, horizon int64, scheme Scheme, msgBytes int) {
-	n := dep.Spec.VMs
-	g := dep.Spec.Guarantee
-	// Per-flow reserved rate under the hose model: B/(N−1); the
-	// estimate is the transfer time at that rate.
-	perFlow := g.BandwidthBps / float64(n-1)
-	st.EstimateNs = int64(float64(msgBytes) / perFlow * 1e9)
-	if scheme.Paced() {
-		CoordinateHose(nw, dep, workload.AllToAll(n), HoseFairShare)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || dep.Placement.Servers[i] == dep.Placement.Servers[j] {
-				continue
-			}
-			ep := dep.Endpoints[i]
-			dstVM := dep.VMIDs[j]
-			var pump func(*transport.Message)
-			pump = func(prev *transport.Message) {
-				if prev != nil {
-					st.LatenciesUs.Add(float64(prev.Latency()) / 1e3)
-					if prev.RTOs > 0 {
-						st.MessagesRTO++
-					}
-				}
-				if nw.Sim.Now() < horizon {
-					st.Messages++
-					ep.SendMessage(dstVM, msgBytes, pump)
-				}
-			}
-			pump(nil)
-		}
-	}
 }
 
 // RenderComparison formats Figures 12–14 and Table 4.

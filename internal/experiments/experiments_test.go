@@ -5,69 +5,6 @@ import (
 	"testing"
 )
 
-func TestSchemeStringsAndConfig(t *testing.T) {
-	for _, s := range AllSchemes {
-		if s.String() == "" {
-			t.Errorf("scheme %d has empty name", s)
-		}
-	}
-	if Scheme(42).String() == "" {
-		t.Error("unknown scheme should render")
-	}
-	if !SchemeSilo.Paced() || SchemeTCP.Paced() || !SchemeOkto.Paced() || !SchemeOktoPlus.Paced() {
-		t.Error("Paced() wrong")
-	}
-	if _, ok := SchemeSilo.pacerGuarantee(table3ClassA()); !ok {
-		t.Error("Silo must pace")
-	}
-	if _, ok := SchemeTCP.pacerGuarantee(table3ClassA()); ok {
-		t.Error("TCP must not pace")
-	}
-	// Okto strips the burst allowance; Okto+ keeps it.
-	gOkto, _ := SchemeOkto.pacerGuarantee(table3ClassA())
-	gPlus, _ := SchemeOktoPlus.pacerGuarantee(table3ClassA())
-	if gOkto.BurstBytes >= gPlus.BurstBytes {
-		t.Errorf("Okto burst %v should be below Okto+ %v", gOkto.BurstBytes, gPlus.BurstBytes)
-	}
-	if gOkto.BurstRateBps != gOkto.BandwidthBps {
-		t.Error("Okto bursts must go at the average rate")
-	}
-}
-
-func TestSchemeNetOptions(t *testing.T) {
-	tree, err := testbedTree(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o := SchemeDCTCP.netOptions(tree, 200); o.ECNThresholdBytes == 0 {
-		t.Error("DCTCP needs ECN switches")
-	}
-	if o := SchemeHULL.netOptions(tree, 200); o.PhantomGamma == 0 {
-		t.Error("HULL needs phantom queues")
-	}
-	if o := SchemeSilo.netOptions(tree, 200); o.ECNThresholdBytes != 0 || o.PhantomGamma != 0 {
-		t.Error("Silo switches are commodity")
-	}
-}
-
-func TestSchemePlacers(t *testing.T) {
-	tree, err := testbedTree(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if SchemeSilo.placer(tree).Name() != "silo" {
-		t.Error("Silo placer wrong")
-	}
-	tree2, _ := testbedTree(3, 4)
-	if SchemeOkto.placer(tree2).Name() != "oktopus" {
-		t.Error("Okto placer wrong")
-	}
-	tree3, _ := testbedTree(3, 4)
-	if SchemeTCP.placer(tree3).Name() != "locality" {
-		t.Error("TCP placer wrong")
-	}
-}
-
 func TestTable1Shape(t *testing.T) {
 	p := DefaultTable1Params()
 	p.Messages = 20000

@@ -2,19 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/obs/incident"
 	"repro/internal/obs/slo"
 	"repro/internal/placement"
-	"repro/internal/stats"
 	"repro/internal/tenant"
-	"repro/internal/topology"
-	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // FailureDrillParams configures the end-to-end failure drill: admitted
@@ -173,17 +169,51 @@ func (r *FailureDrillResult) Render() string {
 	return b.String()
 }
 
-// drillTenant is the drill's live per-tenant state.
-type drillTenant struct {
-	spec tenant.Spec
-	dep  *Deployment
-	// epoch invalidates the previous placement's pump when the tenant
-	// is re-deployed after recovery.
-	epoch       int
-	verdict     string
-	degrade     string
-	recoveredAt int64 // sim time of first completed post-recovery message, -1 until then
-	messages    int
+// drillScenario is the drill as data: admitted tenants under steady
+// phase-staggered all-to-one bursts on a 2-pod/4-rack fabric, the switch
+// killed and repaired on schedule, recovery re-deploying every survivor
+// and rebuilding it with a resync storm.
+func drillScenario(p FailureDrillParams) Scenario {
+	sc := Scenario{
+		Topology:  TenGbE(2, 2, 4, 4, 2, 2),
+		Scheme:    core.SchemeSilo,
+		Seed:      p.Seed,
+		VMBase:    1000,
+		VMGap:     4,
+		HorizonNs: p.HorizonNs,
+		Faults: fmt.Sprintf("t=%dns switch %s down; t=%dns up",
+			p.FaultAtNs, p.FailSwitch, p.FaultAtNs+p.RepairNs),
+		DetectNs:      p.DetectNs,
+		FaultGraceNs:  p.GraceNs,
+		Redeploy:      true,
+		ResyncBytes:   p.ResyncBytes,
+		ResyncSources: p.ResyncSources,
+		Planes: Planes{
+			Audit:           true,
+			SLOWindowNs:     p.WindowNs,
+			Incidents:       true,
+			IncidentMergeNs: 2 * p.WindowNs,
+		},
+	}
+	for i := 0; i < p.Tenants; i++ {
+		sc.Tenants = append(sc.Tenants, Tenant{
+			Spec: tenant.Spec{
+				ID:   i + 1,
+				Name: fmt.Sprintf("drill-%d", i+1),
+				VMs:  p.VMsPerTenant,
+				Guarantee: tenant.Guarantee{
+					BandwidthBps: p.BandwidthBps,
+					BurstBytes:   p.BurstBytes,
+					DelayBound:   p.DelayBound,
+					BurstRateBps: 10 * gbps,
+				},
+				FaultDomains: 2,
+			},
+			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(p.VMsPerTenant)},
+			Driver: Driver{Kind: DriverBurst, MsgBytes: p.MsgBytes, PeriodNs: p.IntervalNs, RandomPhase: true},
+		})
+	}
+	return sc
 }
 
 // RunFailureDrill builds the fabric, admits and deploys the tenants,
@@ -193,225 +223,48 @@ type drillTenant struct {
 // steady workload resumes. Returns the recovery-latency and
 // guarantee-violation table.
 func RunFailureDrill(p FailureDrillParams) (*FailureDrillResult, error) {
-	tree, err := topology.New(topology.Config{
-		Pods:           2,
-		RacksPerPod:    2,
-		ServersPerRack: 4,
-		SlotsPerServer: 4,
-		LinkBps:        10 * gbps,
-		BufferBytes:    312e3,
-		NICBufferBytes: 62.5e3,
-		RackOversub:    2,
-		PodOversub:     2,
-	})
+	run, err := RunScenario(drillScenario(p), Env{})
 	if err != nil {
 		return nil, err
 	}
-	nw := netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: 200})
-	f := transport.NewFabric(nw)
-	mgr := placement.NewManager(tree, placement.Options{})
-	auditor := obs.NewGuaranteeAuditor(nil)
-
-	// tenantOf maps live VM ids (old and new epochs) to tenant ids for
-	// the NIC-to-NIC delay audit.
-	tenantOf := map[int]int{}
-	nw.AttachDelayAudit(auditor, func(vmID int) (int, bool) {
-		id, ok := tenantOf[vmID]
-		return id, ok
-	})
-
-	engine := slo.New(slo.Config{WindowNs: p.WindowNs}, auditor, nil)
-	inj := faults.NewInjector(nw)
-	inj.GraceNs = p.GraceNs
-	engine.SetFaultLookup(inj.FaultIn)
-
-	// Unified violation stream for the incident engine: per-packet
-	// events from the auditor's delivery tap, per-window events from
-	// the SLO engine's flushes.
-	vlog := obs.NewViolationLog(4096)
-	auditor.SetViolationTap(vlog.Observe)
-	engine.SetViolationSink(vlog.Observe)
-
-	res := &FailureDrillResult{Params: p}
-	rng := stats.NewRand(p.Seed)
-
-	// Admit and deploy.
-	g := tenant.Guarantee{
-		BandwidthBps: p.BandwidthBps,
-		BurstBytes:   p.BurstBytes,
-		DelayBound:   p.DelayBound,
-		BurstRateBps: 10 * gbps,
+	res := &FailureDrillResult{
+		Params:        p,
+		Admitted:      len(run.Tenants),
+		Events:        run.Injector.Events(),
+		OverflowDrops: run.Net.TotalDrops(),
+		FaultDrops:    run.Net.TotalFaultDrops(),
+		SLO:           run.Engine.Reports(),
+		SLOEvents:     run.Engine.Events(),
+		SLOReport:     run.Engine.RenderReport(),
+		// The drill's violations must all land inside the injected
+		// outage's windows (verdict injected-fault) — any other verdict is
+		// a finding about the drill itself.
+		Incidents: run.Incidents,
 	}
-	var ids []int
-	tenants := map[int]*drillTenant{}
-	vmBase := 1000
-	for i := 0; i < p.Tenants; i++ {
-		spec := tenant.Spec{
-			ID:           i + 1,
-			Name:         fmt.Sprintf("drill-%d", i+1),
-			VMs:          p.VMsPerTenant,
-			Guarantee:    g,
-			FaultDomains: 2,
-		}
-		pl, err := mgr.Place(spec)
-		if err != nil {
-			continue
-		}
-		res.Admitted++
-		st := &drillTenant{spec: spec, verdict: "ok", degrade: "-", recoveredAt: -1}
-		st.dep = deployDrill(nw, f, auditor, spec, pl, vmBase, tenantOf)
-		vmBase += spec.VMs + 4
-		tenants[spec.ID] = st
-		ids = append(ids, spec.ID)
+	if len(run.Recoveries) > 0 {
+		res.Recovery = run.Recoveries[0]
 	}
-
-	// Steady workload: phase-staggered all-to-one message pumps.
-	var startPump func(st *drillTenant, phaseNs int64, onDone func())
-	startPump = func(st *drillTenant, phaseNs int64, onDone func()) {
-		epoch := st.epoch
-		dep := st.dep
-		var tick func()
-		tick = func() {
-			if st.epoch != epoch {
-				return // placement superseded by recovery
-			}
-			for i := 1; i < len(dep.Endpoints); i++ {
-				dep.Endpoints[i].SendMessage(dep.VMIDs[0], p.MsgBytes, func(*transport.Message) {
-					st.messages++
-					if onDone != nil {
-						onDone()
-						onDone = nil
-					}
-				})
-			}
-			nw.Sim.After(p.IntervalNs, tick)
-		}
-		nw.Sim.After(phaseNs, tick)
-	}
-	for _, id := range ids {
-		startPump(tenants[id], int64(rng.Intn(int(p.IntervalNs))), nil)
-	}
-
-	// SLO windows close on the simulation clock.
-	nw.Sim.Every(p.WindowNs, p.HorizonNs, func(nowNs int64) { engine.Flush(nowNs) })
-
-	// Control loop: the first down event, DetectNs later, triggers
-	// evacuation + re-admission, re-deployment on the new placement,
-	// and the resync storm toward every relocated VM.
-	recovered := false
-	resyncWave := 0
-	inj.OnEvent = func(ev faults.Event) {
-		if !ev.Kind.IsDown() || recovered {
-			return
-		}
-		recovered = true
-		servers, ports := ev.Servers, ev.Ports
-		nw.Sim.After(p.DetectNs, func() {
-			rep := mgr.Recover(servers, ports, placement.RecoverOptions{})
-			res.Recovery = rep
-			for _, tr := range rep.Affected {
-				st := tenants[tr.ID]
-				st.epoch++ // stop the old placement's pump
-				st.verdict = tr.Verdict.String()
-				if tr.Degradation != "" {
-					st.degrade = tr.Degradation
-				}
-				if tr.Verdict == placement.VerdictEvicted {
-					continue
-				}
-				spec := st.spec
-				spec.Guarantee = tr.NewGuarantee
-				pl := &tenant.Placement{Spec: spec, Servers: tr.NewServers}
-				st.dep = deployDrill(nw, f, auditor, spec, pl, vmBase, tenantOf)
-				vmBase += spec.VMs + 4
-				// Degraded tenants are judged against the loosened bound
-				// from here on; a dropped bound clears the delay SLO.
-				auditor.SetDelayBound(tr.ID, spec.Guarantee.DelayBound)
-				// Recovery latency: fault to first completed message on
-				// the new placement.
-				startPump(st, 0, func() {
-					if st.recoveredAt < 0 {
-						st.recoveredAt = nw.Sim.Now()
-					}
-				})
-				// Resync storm: bulk state transfer into each new VM from
-				// surviving out-of-rack hosts, raw and unpaced — it is
-				// infrastructure traffic, not tenant hose traffic.
-				for i, vmID := range st.dep.VMIDs {
-					dstHost := pl.Servers[i]
-					vmID := vmID
-					nw.Sim.After(int64(resyncWave)*60_000, func() {
-						fireResync(nw, tree, mgr, dstHost, vmID, p.ResyncBytes, p.ResyncSources)
-					})
-					resyncWave++
-				}
-			}
-		})
-	}
-
-	nw.Sim.At(p.FaultAtNs, func() {
-		if err := inj.FailSwitch(p.FailSwitch); err != nil {
-			panic(err) // validated below before Run
-		}
-	})
-	nw.Sim.At(p.FaultAtNs+p.RepairNs, func() {
-		if err := inj.RestoreSwitch(p.FailSwitch); err != nil {
-			panic(err)
-		}
-		// Repair returns the servers to the placement pool; evacuated
-		// tenants stay where recovery put them.
-		var rec *placement.RecoveryReport
-		if rec = res.Recovery; rec != nil {
-			mgr.RestoreServers(rec.FailedServers...)
-		}
-	})
-	// Validate the switch name before running so a bad param is an
-	// error, not a mid-simulation panic.
-	if _, err := inj.SwitchPorts(p.FailSwitch); err != nil {
-		return nil, err
-	}
-
-	nw.Sim.Run(p.HorizonNs)
-
-	// Harvest.
-	res.Events = inj.Events()
-	res.OverflowDrops = nw.TotalDrops()
-	res.FaultDrops = nw.TotalFaultDrops()
-	if err := mgr.VerifyInvariants(); err != nil {
+	if err := run.Manager.VerifyInvariants(); err != nil {
 		res.InvariantsErr = err.Error()
 	}
-	res.SLO = engine.Reports()
-	res.SLOEvents = engine.Events()
-	res.SLOReport = engine.RenderReport()
-
-	// Correlate the run into incidents: the drill's violations must all
-	// land inside the injected outage's windows (verdict injected-fault)
-	// — any other verdict is a finding about the drill itself.
-	corr := incident.New(incident.Config{MergeNs: 2 * p.WindowNs})
-	corr.SetViolations(vlog.Events())
-	corr.SetFaultEvents(res.Events, p.GraceNs)
-	corr.SetAlerts(res.SLOEvents)
-	corr.SetPortMeta(nw.PortMeta())
-	res.Incidents = corr.Correlate()
 	sloByID := map[int]slo.TenantReport{}
 	for _, r := range res.SLO {
 		sloByID[r.ID] = r
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st := tenants[id]
+	for _, tr := range run.Tenants {
+		id := tr.Tenant.Spec.ID
 		row := DrillTenantRow{
 			ID:          id,
-			Verdict:     st.verdict,
-			Degrade:     st.degrade,
+			Verdict:     tr.Verdict,
+			Degrade:     tr.Degradation,
 			RecoveryNs:  -1,
-			Messages:    st.messages,
+			Messages:    tr.LatencyUs.Len(),
 			Conformance: 1,
 		}
-		if st.recoveredAt >= 0 {
-			row.RecoveryNs = st.recoveredAt - p.FaultAtNs
+		if tr.RecoveredAtNs >= 0 {
+			row.RecoveryNs = tr.RecoveredAtNs - p.FaultAtNs
 		}
-		if ta, ok := auditor.Tenant(id); ok {
+		if ta, ok := run.Audit.Tenant(id); ok {
 			row.NewDelayBound = float64(ta.DelayBoundNs) / 1e9
 		}
 		if sr, ok := sloByID[id]; ok {
@@ -423,45 +276,4 @@ func RunFailureDrill(p FailureDrillParams) (*FailureDrillResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// deployDrill instantiates a placement (pacer VMs, transport endpoints,
-// hose coordination, delay audit) and registers its VM ids.
-func deployDrill(nw *netsim.Network, f *transport.Fabric, auditor *obs.GuaranteeAuditor,
-	spec tenant.Spec, pl *tenant.Placement, vmBase int, tenantOf map[int]int) *Deployment {
-	dep := DeployTenant(nw, f, SchemeSilo, spec, pl, vmBase)
-	pat := make([][]int, spec.VMs)
-	for s := 1; s < spec.VMs; s++ {
-		pat[s] = []int{0}
-	}
-	CoordinateHose(nw, dep, pat, HoseFairShare)
-	dep.EnableTelemetry(nw, nil, auditor, nil)
-	for _, vm := range dep.VMIDs {
-		tenantOf[vm] = spec.ID
-	}
-	return dep
-}
-
-// fireResync sends bytes of raw back-to-back 1500B frames to (dstHost,
-// dstVM) from the n lowest-numbered surviving hosts outside the
-// destination's rack. Unpaced by design: the convergent storm queues at
-// the oversubscribed uplinks, and the deliveries that arrive past the
-// tenant's bound are exactly the violations the SLO engine must pin on
-// the outage.
-func fireResync(nw *netsim.Network, tree *topology.Tree, mgr *placement.Manager,
-	dstHost, dstVM, bytes, n int) {
-	dstRack := tree.RackOfServer(dstHost)
-	picked := 0
-	for s := 0; s < tree.Servers() && picked < n; s++ {
-		if s == dstHost || mgr.ServerFailed(s) || tree.RackOfServer(s) == dstRack {
-			continue
-		}
-		src := nw.Hosts[s]
-		for sent := 0; sent < bytes; sent += 1500 {
-			src.Send(&netsim.Packet{
-				Src: s, Dst: dstHost, SrcVM: -1, DstVM: dstVM, Size: 1500,
-			})
-		}
-		picked++
-	}
 }

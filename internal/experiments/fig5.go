@@ -29,6 +29,33 @@ type Figure5Result struct {
 	OktoOverflows bool
 }
 
+// fig5Topology is the example cluster: three 4-slot servers under one
+// 10 GbE switch (see RunFigure5 on the buffer constants).
+var fig5Topology = topology.Config{
+	Pods:           1,
+	RacksPerPod:    1,
+	ServersPerRack: 3,
+	SlotsPerServer: 4,
+	LinkBps:        10 * gbps,
+	BufferBytes:    375e3,
+	NICBufferBytes: 50e-6 * 10 * gbps,
+	RackOversub:    1,
+	PodOversub:     1,
+}
+
+// fig5Spec is the example tenant: nine {1 Gbps, 100 KB, 1 ms} VMs.
+var fig5Spec = tenant.Spec{
+	ID:   1,
+	Name: "fig5",
+	VMs:  9,
+	Guarantee: tenant.Guarantee{
+		BandwidthBps: 1 * gbps,
+		BurstBytes:   100e3,
+		DelayBound:   1e-3,
+		BurstRateBps: 10 * gbps,
+	},
+}
+
 // RunFigure5 builds the example cluster, places the tenant with both
 // algorithms and evaluates the worst-case queues.
 //
@@ -40,40 +67,19 @@ type Figure5Result struct {
 // admit the 3/3/3 layout; 4/4/1 overflows either way. See
 // EXPERIMENTS.md.
 func RunFigure5() (Figure5Result, error) {
-	tree, err := topology.New(topology.Config{
-		Pods:           1,
-		RacksPerPod:    1,
-		ServersPerRack: 3,
-		SlotsPerServer: 4,
-		LinkBps:        10 * gbps,
-		BufferBytes:    375e3,
-		NICBufferBytes: 50e-6 * 10 * gbps,
-		RackOversub:    1,
-		PodOversub:     1,
-	})
+	tree, err := topology.New(fig5Topology)
 	if err != nil {
 		return Figure5Result{}, err
-	}
-	spec := tenant.Spec{
-		ID:   1,
-		Name: "fig5",
-		VMs:  9,
-		Guarantee: tenant.Guarantee{
-			BandwidthBps: 1 * gbps,
-			BurstBytes:   100e3,
-			DelayBound:   1e-3,
-			BurstRateBps: 10 * gbps,
-		},
 	}
 	res := Figure5Result{BufferBytes: tree.Config().BufferBytes}
 
 	silo := placement.NewManager(tree, placement.Options{})
-	plS, err := silo.Place(spec)
+	plS, err := silo.Place(fig5Spec)
 	if err != nil {
 		return res, fmt.Errorf("silo rejected the Figure-5 tenant: %w", err)
 	}
 	okto := placement.NewOktopus(tree)
-	plO, err := okto.Place(spec)
+	plO, err := okto.Place(fig5Spec)
 	if err != nil {
 		return res, fmt.Errorf("oktopus rejected the Figure-5 tenant: %w", err)
 	}
@@ -81,8 +87,8 @@ func RunFigure5() (Figure5Result, error) {
 		res.SiloLayout = append(res.SiloLayout, plS.VMsOnServer(s))
 		res.OktoLayout = append(res.OktoLayout, plO.VMsOnServer(s))
 	}
-	res.SiloWorstBytes = fig5WorstQueue(tree, spec, res.SiloLayout)
-	res.OktoWorstBytes = fig5WorstQueue(tree, spec, res.OktoLayout)
+	res.SiloWorstBytes = fig5WorstQueue(tree, fig5Spec, res.SiloLayout)
+	res.OktoWorstBytes = fig5WorstQueue(tree, fig5Spec, res.OktoLayout)
 	res.OktoOverflows = res.OktoWorstBytes > res.BufferBytes
 	return res, nil
 }
@@ -110,7 +116,7 @@ func fig5WorstQueue(tree *topology.Tree, spec tenant.Spec, layout []int) float64
 				otherServers++
 			}
 		}
-		rate := float64(minInt(m, kDst)) * g.BandwidthBps
+		rate := float64(min(m, kDst)) * g.BandwidthBps
 		burst := float64(m) * g.BurstBytes
 		// NIC bunching inflation.
 		burst += rate * tree.ServerUpPort(0).QueueCapacity()
@@ -122,13 +128,6 @@ func fig5WorstQueue(tree *topology.Tree, spec tenant.Spec, layout []int) float64
 		}
 	}
 	return worst
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Render formats the Figure-5 comparison.

@@ -4,16 +4,12 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/netsim"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/incident"
-	"repro/internal/obs/introspect"
 	"repro/internal/obs/slo"
-	"repro/internal/placement"
 	"repro/internal/stats"
-	"repro/internal/tenant"
 	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -31,7 +27,7 @@ type Figure5SimParams struct {
 	// SchemeSilo (paced, hose-coordinated — the paper's system);
 	// SchemeTCP deploys the same tenant unpaced, the greedy baseline
 	// whose senders void their own admission contract.
-	Scheme Scheme
+	Scheme core.Scheme
 	// Incidents attaches the incident plane: the introspection sidecar
 	// (fitted arrival envelopes + per-port margins), a violation log on
 	// the guarantee auditor, and post-run correlation into root-caused
@@ -94,141 +90,73 @@ func RunFigure5Sim(p Figure5SimParams) (Figure5SimResult, error) {
 	if p.DurationSec <= 0 {
 		p.DurationSec = DefaultFigure5SimParams().DurationSec
 	}
-	tree, err := topology.New(topology.Config{
-		Pods:           1,
-		RacksPerPod:    1,
-		ServersPerRack: 3,
-		SlotsPerServer: 4,
-		LinkBps:        10 * gbps,
-		BufferBytes:    375e3,
-		NICBufferBytes: 50e-6 * 10 * gbps,
-		RackOversub:    1,
-		PodOversub:     1,
-	})
+	tree, err := topology.New(fig5Topology)
 	if err != nil {
 		return Figure5SimResult{}, err
 	}
-	spec := tenant.Spec{
-		ID:   1,
-		Name: "fig5",
-		VMs:  9,
-		Guarantee: tenant.Guarantee{
-			BandwidthBps: 1 * gbps,
-			BurstBytes:   100e3,
-			DelayBound:   1e-3,
-			BurstRateBps: 10 * gbps,
+	const roundNs = int64(1e6)
+	sc := Scenario{
+		Topology: fig5Topology,
+		Scheme:   p.Scheme,
+		Tenants: []Tenant{{
+			Spec:               fig5Spec,
+			VMBase:             1000,
+			AuditDelayBoundSec: p.AuditDelayBoundSec,
+			// HosePeak is the adversarial fixed point the admission bound
+			// must absorb: every sender may push its full B toward the one
+			// receiver. An unpaced scheme has no hose to coordinate — that
+			// is the point.
+			Hose: Hose{Kind: HosePeak, Pattern: workload.AllToOne(fig5Spec.VMs)},
+			// Every *remote* VM fires its full burst allowance S at VM 0 at
+			// the top of each millisecond — the analytic bound models remote
+			// senders converging on the destination's down-port (co-located
+			// VMs never cross it), and at peak hose rate the {B, S} buckets
+			// refill a 100 KB burst at 1 Gbps in 0.8 ms, so each round bursts
+			// from full buckets exactly as the admission analysis assumes.
+			Driver: Driver{Kind: DriverBurst, MsgBytes: int(fig5Spec.Guarantee.BurstBytes), PeriodNs: roundNs, RemoteOnly: true},
+		}},
+		HorizonNs: int64(p.DurationSec * 1e9),
+		DrainNs:   1e9,
+		Planes: Planes{
+			Audit:        true,
+			TraceSampleN: p.TraceSampleN,
+			Introspect:   p.Incidents,
+			Incidents:    p.Incidents,
+			// One merge window per burst round: violations from consecutive
+			// rounds of the same overload chain into one incident.
+			IncidentMergeNs: 2 * roundNs,
 		},
 	}
-	mgr := placement.NewManager(tree, placement.Options{})
-	pl, err := mgr.Place(spec)
+	// The layout is Silo's whatever the scheme deploys it as: SchemeTCP
+	// runs the same 3/3/3 tenant unpaced.
+	run, err := RunScenario(sc, Env{Tree: tree, Placer: core.SchemeSilo.Placer(tree)})
 	if err != nil {
-		return Figure5SimResult{}, fmt.Errorf("silo rejected the Figure-5 tenant: %w", err)
+		return Figure5SimResult{}, err
 	}
-	res := Figure5SimResult{BufferBytes: tree.Config().BufferBytes}
-	for s := 0; s < 3; s++ {
-		res.Layout = append(res.Layout, pl.VMsOnServer(s))
+	if len(run.Rejected) > 0 {
+		return Figure5SimResult{}, fmt.Errorf("silo rejected the Figure-5 tenant: %w", run.Rejected[0])
 	}
-	res.BoundBytes = fig5WorstQueue(tree, spec, res.Layout)
-
-	scheme := p.Scheme
-	nw := netsim.Build(netsim.NewSim(), tree, scheme.netOptions(tree, 200))
-	f := transport.NewFabric(nw)
-	dep := DeployTenant(nw, f, scheme, spec, pl, 1000)
-
-	audit := obs.NewGuaranteeAuditor(nil)
-	dep.EnableTelemetry(nw, nil, audit, nil)
-	tenantOf := func(vmID int) (int, bool) {
-		if vmID >= 1000 && vmID < 1000+spec.VMs {
-			return spec.ID, true
-		}
-		return 0, false
+	tr := run.Tenants[0]
+	res := Figure5SimResult{
+		BufferBytes:  tree.Config().BufferBytes,
+		Drops:        run.Net.TotalDrops(),
+		Messages:     tr.Messages,
+		Latencies:    &tr.LatencyUs,
+		BoundUs:      fig5Spec.Guarantee.MessageLatencyBound(fig5Spec.Guarantee.BurstBytes) * 1e6,
+		Spans:        run.Spans,
+		Ports:        run.Ports,
+		AuditSummary: run.Audit.Summary(),
+		Incidents:    run.Incidents,
 	}
-	nw.AttachDelayAudit(audit, tenantOf)
-	if p.AuditDelayBoundSec > 0 {
-		audit.SetDelayBound(spec.ID, p.AuditDelayBoundSec)
-	}
-
-	var in *introspect.Introspector
-	var vlog *obs.ViolationLog
-	if p.Incidents {
-		in = introspect.Attach(nw, nil, introspect.Config{})
-		adm := introspect.Envelope{RateBps: spec.Guarantee.BandwidthBps, BurstBytes: spec.Guarantee.BurstBytes}
-		for i, vmID := range dep.VMIDs {
-			in.TrackVM(pl.Servers[i], vmID, spec.ID, adm)
-		}
-		in.BindPlacement(mgr)
-		vlog = obs.NewViolationLog(1 << 14)
-		audit.SetViolationTap(vlog.Observe)
-	}
-
-	var flight *obs.FlightRecorder
-	if p.TraceSampleN > 0 {
-		flight = obs.NewFlightRecorder(0, p.TraceSampleN)
-		netsim.AttachFlightRecorder(nw, flight)
-	}
-	// HosePeak is the adversarial fixed point the admission bound must
-	// absorb: every sender may push its full B toward the one receiver.
-	// An unpaced scheme has no hose to coordinate — that is the point.
-	if scheme.Paced() {
-		CoordinateHose(nw, dep, workload.AllToOne(spec.VMs), HosePeak)
-	}
-
-	// Every *remote* VM fires its full burst allowance S at VM 0 at the
-	// top of each millisecond — the analytic bound models remote
-	// senders converging on the destination's down-port (co-located
-	// VMs never cross it), and at peak hose rate the {B, S} buckets
-	// refill a 100 KB burst at 1 Gbps in 0.8 ms, so each round bursts
-	// from full buckets exactly as the admission analysis assumes.
-	var senders []int
-	for i := 1; i < spec.VMs; i++ {
-		if pl.Servers[i] != pl.Servers[0] {
-			senders = append(senders, i)
-		}
-	}
-	const roundNs = int64(1e6)
-	horizon := int64(p.DurationSec * 1e9)
-	msg := int(spec.Guarantee.BurstBytes)
-	res.Latencies = stats.NewSample(1 << 12)
-	var round func()
-	var t int64
-	round = func() {
-		for _, i := range senders {
-			res.Messages++
-			dep.Endpoints[i].SendMessage(dep.VMIDs[0], msg, func(m *transport.Message) {
-				res.Latencies.Add(float64(m.Latency()) / 1e3)
-			})
-		}
-		t += roundNs
-		if t < horizon {
-			nw.Sim.At(t, round)
-		}
-	}
-	nw.Sim.At(0, round)
-	nw.Sim.Run(horizon + int64(1e9))
-
-	res.BoundUs = spec.Guarantee.MessageLatencyBound(float64(msg)) * 1e6
-	res.Drops = nw.TotalDrops()
 	for s := 0; s < tree.Servers(); s++ {
-		if hw := float64(nw.Queues[tree.RackDownPort(s).ID].Stats.HighWaterBytes); hw > res.PeakBytes {
+		res.Layout = append(res.Layout, tr.Handle.Placement.VMsOnServer(s))
+		if hw := float64(run.Net.Queues[tree.RackDownPort(s).ID].Stats.HighWaterBytes); hw > res.PeakBytes {
 			res.PeakBytes = hw
 		}
 	}
-	if flight != nil {
-		res.Ports = nw.PortMeta()
-		res.Spans = obs.AssembleFlight(flight.Events(), res.Ports)
-		obs.AnnotateSpans(res.Spans, audit, tenantOf)
-		res.Flight = obs.SummarizeFlight(res.Spans)
-	}
-	res.AuditSummary = audit.Summary()
-	if p.Incidents {
-		// One merge window per burst round: violations from consecutive
-		// rounds of the same overload chain into one incident.
-		corr := incident.New(incident.Config{MergeNs: 2 * roundNs})
-		corr.SetViolations(vlog.Events())
-		snap := in.Snapshot()
-		corr.SetSnapshot(&snap)
-		corr.SetPortMeta(nw.PortMeta())
-		res.Incidents = corr.Correlate()
+	res.BoundBytes = fig5WorstQueue(tree, fig5Spec, res.Layout)
+	if run.Spans != nil {
+		res.Flight = obs.SummarizeFlight(run.Spans)
 	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"repro/internal/core"
 	"strings"
 	"testing"
 )
@@ -57,9 +58,12 @@ func TestComparisonGolden(t *testing.T) {
 	p.DurationSec = 0.003
 	p.ClassBMsgBytes = 256 << 10
 	p.Seed = 12 // three class-A and three class-B tenants; TCP, DCTCP and HULL drop
-	rs := RunComparison(p)
-	if len(rs) != len(AllSchemes) {
-		t.Fatalf("%d results for %d schemes", len(rs), len(AllSchemes))
+	rs, err := RunComparison(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != len(core.AllSchemes) {
+		t.Fatalf("%d results for %d schemes", len(rs), len(core.AllSchemes))
 	}
 	var b strings.Builder
 	b.WriteString(RenderComparison(rs))
@@ -133,7 +137,7 @@ func TestFigure5SimGolden(t *testing.T) {
 	var b strings.Builder
 	for _, p := range []Figure5SimParams{
 		{DurationSec: 0.005, TraceSampleN: 1, Incidents: true},
-		{DurationSec: 0.005, TraceSampleN: 1, Incidents: true, Scheme: SchemeTCP, AuditDelayBoundSec: 350e-6},
+		{DurationSec: 0.005, TraceSampleN: 1, Incidents: true, Scheme: core.SchemeTCP, AuditDelayBoundSec: 350e-6},
 	} {
 		r, err := RunFigure5Sim(p)
 		if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"repro/internal/core"
 	"strings"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
 func TestFig5UnpacedIncidentsSelfInflicted(t *testing.T) {
 	res, err := RunFigure5Sim(Figure5SimParams{
 		DurationSec:        0.02,
-		Scheme:             SchemeTCP,
+		Scheme:             core.SchemeTCP,
 		Incidents:          true,
 		AuditDelayBoundSec: 350e-6,
 	})
@@ -156,7 +157,7 @@ func TestFig5UnpacedIncidentsSelfInflicted(t *testing.T) {
 func TestFig5PacedCleanUnderTightenedBound(t *testing.T) {
 	res, err := RunFigure5Sim(Figure5SimParams{
 		DurationSec:        0.02,
-		Scheme:             SchemeSilo,
+		Scheme:             core.SchemeSilo,
 		Incidents:          true,
 		AuditDelayBoundSec: 350e-6,
 	})

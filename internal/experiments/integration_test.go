@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/core"
 	"testing"
 )
 
@@ -84,14 +85,17 @@ func TestComparisonHeadline(t *testing.T) {
 	}
 	p := DefaultComparisonParams()
 	p.DurationSec = 0.02
-	p.Schemes = []Scheme{SchemeSilo, SchemeTCP}
-	rs := RunComparison(p)
+	p.Schemes = []core.Scheme{core.SchemeSilo, core.SchemeTCP}
+	rs, err := RunComparison(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var silo, tcp SchemeResult
 	for _, r := range rs {
 		switch r.Scheme {
-		case SchemeSilo:
+		case core.SchemeSilo:
 			silo = r
-		case SchemeTCP:
+		case core.SchemeTCP:
 			tcp = r
 		}
 	}

@@ -4,17 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/netsim"
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/tenant"
-	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/workload"
-)
-
-const (
-	mbps = 1e6 / 8
-	gbps = 1e9 / 8
 )
 
 // MemcachedParams configures the §6.1 testbed reproduction: five
@@ -115,59 +108,69 @@ func (r MemcachedResult) BulkThroughputBps() float64 {
 	return float64(r.BulkBytes) / r.SimSeconds
 }
 
-// testbedTree builds the 1-rack, 5-server, 10 GbE testbed.
-func testbedTree(servers, slots int) (*topology.Tree, error) {
-	return topology.New(topology.Config{
-		Pods:           1,
-		RacksPerPod:    1,
-		ServersPerRack: servers,
-		SlotsPerServer: slots,
-		LinkBps:        10 * gbps,
-		BufferBytes:    312e3,
-		NICBufferBytes: 62.5e3,
-		RackOversub:    1,
-		PodOversub:     1,
-	})
+// memcachedScenario lays one Figure-11 line out on the testbed: VM i of
+// each tenant on server i/3, tenant A's VM 0 the memcached server.
+// Under Silo the hoses follow the dynamic loop, or its static fixed
+// points — A's request/response load is light and non-overlapping
+// (peak: a star through the server), B's shuffle is backlogged
+// everywhere (fair share).
+func memcachedScenario(p MemcachedParams, sc MemcachedScenario) Scenario {
+	nA := p.Servers * p.VMsPerTenantPerServer
+	servers := make([]int, nA)
+	star := make(workload.Pattern, nA)
+	for i := range servers {
+		servers[i] = i / p.VMsPerTenantPerServer
+		if i > 0 {
+			star[i] = []int{0}
+			star[0] = append(star[0], i)
+		}
+	}
+	hoseA := Hose{Kind: HosePeak, Pattern: star}
+	hoseB := Hose{Kind: HoseFairShare, Pattern: crossServerAllToAll(nA, p.VMsPerTenantPerServer)}
+	if p.DynamicHoseEpochNs > 0 {
+		hoseA = Hose{Kind: HoseDynamic, EpochNs: p.DynamicHoseEpochNs}
+		hoseB = hoseA
+	}
+	a := Tenant{
+		Spec: tenant.Spec{ID: 1, Name: "A", VMs: nA}, VMBase: 1000, Servers: servers,
+		Hose: hoseA, Driver: Driver{Kind: DriverETC, TargetBps: p.TargetABps},
+	}
+	b := Tenant{
+		Spec: tenant.Spec{ID: 2, Name: "B", VMs: nA}, VMBase: 2000, Servers: servers,
+		Hose: hoseB, Driver: Driver{Kind: DriverShuffle, MsgBytes: p.BulkMsgBytes},
+	}
+	out := Scenario{
+		Topology:  TenGbE(1, 1, p.Servers, 2*p.VMsPerTenantPerServer, 1, 1),
+		Scheme:    core.SchemeTCP,
+		Seed:      p.Seed,
+		Tenants:   []Tenant{a},
+		HorizonNs: int64(p.DurationSec * 1e9),
+		DrainNs:   2e9, // drain tail
+	}
+	if sc.GuaranteeA != nil {
+		out.Scheme = core.SchemeSilo
+		out.Tenants[0].Spec.Guarantee = *sc.GuaranteeA
+		b.Spec.Guarantee = *sc.GuaranteeB
+	}
+	if sc.WithBulk {
+		out.Tenants = append(out.Tenants, b)
+	}
+	return out
 }
 
 // RunMemcachedScenario runs one Figure-11 line.
 func RunMemcachedScenario(p MemcachedParams, sc MemcachedScenario) (MemcachedResult, error) {
-	tree, err := testbedTree(p.Servers, 2*p.VMsPerTenantPerServer)
+	run, err := RunScenario(memcachedScenario(p, sc), Env{})
 	if err != nil {
 		return MemcachedResult{}, err
 	}
-	nw := netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: 200})
-	f := transport.NewFabric(nw)
-	rng := stats.NewRand(p.Seed)
-
-	nA := p.Servers * p.VMsPerTenantPerServer
-	// Fixed testbed placement: VM i of each tenant on server i/3.
-	mkPlacement := func(spec tenant.Spec) *tenant.Placement {
-		servers := make([]int, spec.VMs)
-		for i := range servers {
-			servers[i] = i / p.VMsPerTenantPerServer
-		}
-		return &tenant.Placement{Spec: spec, Servers: servers}
-	}
-
-	scheme := SchemeTCP
-	specA := tenant.Spec{ID: 1, Name: "A", VMs: nA}
-	specB := tenant.Spec{ID: 2, Name: "B", VMs: nA}
-	if sc.GuaranteeA != nil {
-		scheme = SchemeSilo
-		specA.Guarantee = *sc.GuaranteeA
-		specB.Guarantee = *sc.GuaranteeB
-	}
-	depA := DeployTenant(nw, f, scheme, specA, mkPlacement(specA), 1000)
-	var depB *Deployment
-	if sc.WithBulk {
-		depB = DeployTenant(nw, f, scheme, specB, mkPlacement(specB), 2000)
-	}
-
+	a := run.Tenants[0]
 	res := MemcachedResult{
-		Scenario:   sc.Name,
-		Latencies:  stats.NewSample(1 << 16),
-		SimSeconds: p.DurationSec,
+		Scenario:          sc.Name,
+		Latencies:         &a.LatencyUs,
+		RequestsIssued:    a.Messages,
+		RequestsCompleted: a.LatencyUs.Len(),
+		SimSeconds:        p.DurationSec,
 	}
 	if sc.GuaranteeA != nil {
 		// Request + response both within the burst allowance: the
@@ -175,142 +178,8 @@ func RunMemcachedScenario(p MemcachedParams, sc MemcachedScenario) (MemcachedRes
 		g := *sc.GuaranteeA
 		res.GuaranteeUs = (g.MessageLatencyBound(100) + g.MessageLatencyBound(1024)) * 1e6
 	}
-
-	// Tenant A: VM 0 is the memcached server; the rest are clients.
-	serverVM := depA.VMIDs[0]
-	serverEp := depA.Endpoints[0]
-	type reqInfo struct {
-		clientVM  int
-		respBytes int
-		issued    int64
-	}
-	reqByID := map[uint64]*reqInfo{}
-	respByID := map[uint64]*reqInfo{}
-
-	serverEp.OnMessage = func(srcVM int, msgID uint64, size int) {
-		ri, ok := reqByID[msgID]
-		if !ok {
-			return
-		}
-		delete(reqByID, msgID)
-		m := serverEp.SendMessage(ri.clientVM, ri.respBytes, nil)
-		respByID[m.ID] = ri
-	}
-
-	if scheme == SchemeSilo {
-		if p.DynamicHoseEpochNs > 0 {
-			StartDynamicCoordination(nw, depA, p.DynamicHoseEpochNs)
-			if depB != nil {
-				StartDynamicCoordination(nw, depB, p.DynamicHoseEpochNs)
-			}
-		} else {
-			// Static fixed points: A's request/response load is light
-			// and non-overlapping (peak); B's shuffle is backlogged
-			// everywhere (fair share).
-			patA := make(workload.Pattern, nA)
-			for i := 1; i < nA; i++ {
-				patA[i] = []int{0}
-				patA[0] = append(patA[0], i)
-			}
-			CoordinateHose(nw, depA, patA, HosePeak)
-			if depB != nil {
-				CoordinateHose(nw, depB, crossServerAllToAll(nA, p.VMsPerTenantPerServer), HoseFairShare)
-			}
-		}
-	}
-
-	// Drive the ETC workload: aggregate load TargetABps split over
-	// clients. Each request moves ≈(100+mean value) bytes. Clients are
-	// closed-loop with limited concurrency, like memcached's
-	// synchronous transactions (§6.1): a request past the concurrency
-	// limit waits for an outstanding response.
-	const clientConcurrency = 4
-	etc := workload.DefaultETC()
-	meanVal := etc.MeanValueBytes(stats.NewRand(99), 50000)
-	perClient := p.TargetABps / float64(nA-1)
-	reqRate := perClient / (100 + meanVal) // requests/sec per client
-	etc.GapScale = 1 / reqRate * (1 - etc.GapShape)
-	horizon := int64(p.DurationSec * 1e9)
-	type clientState struct {
-		outstanding int
-		dueValues   []int // response sizes of due-but-unissued requests
-		issue       func(valueBytes int)
-	}
-	clients := map[int]*clientState{} // by client VM id
-	for i := 1; i < nA; i++ {
-		cs := &clientState{}
-		clients[depA.VMIDs[i]] = cs
-		gen := workload.NewETCGenerator(etc, rng.Split(), 0)
-		clientEp := depA.Endpoints[i]
-		cs.issue = func(valueBytes int) {
-			res.RequestsIssued++
-			cs.outstanding++
-			ri := &reqInfo{clientVM: clientEp.VMID, respBytes: valueBytes, issued: nw.Sim.Now()}
-			m := clientEp.SendMessage(serverVM, 100, nil)
-			reqByID[m.ID] = ri
-		}
-		var schedule func()
-		schedule = func() {
-			req := gen.Next()
-			if req.At >= horizon {
-				return
-			}
-			nw.Sim.At(req.At, func() {
-				if cs.outstanding < clientConcurrency {
-					cs.issue(req.ValueBytes)
-				} else {
-					cs.dueValues = append(cs.dueValues, req.ValueBytes)
-				}
-				schedule()
-			})
-		}
-		schedule()
-		// Response completion: record latency and release the closed
-		// loop.
-		clientEp.OnMessage = func(srcVM int, msgID uint64, size int) {
-			ri, ok := respByID[msgID]
-			if !ok {
-				return
-			}
-			delete(respByID, msgID)
-			res.RequestsCompleted++
-			res.Latencies.Add(float64(nw.Sim.Now()-ri.issued) / 1e3) // µs
-			cs.outstanding--
-			if len(cs.dueValues) > 0 && cs.outstanding < clientConcurrency {
-				v := cs.dueValues[0]
-				cs.dueValues = cs.dueValues[1:]
-				cs.issue(v)
-			}
-		}
-	}
-
-	// Tenant B: continuous bulk messages between cross-server pairs.
-	if depB != nil {
-		pat := crossServerAllToAll(nA, p.VMsPerTenantPerServer)
-		for src, dsts := range pat {
-			for _, dst := range dsts {
-				srcEp := depB.Endpoints[src]
-				dstVM := depB.VMIDs[dst]
-				var pump func(*transport.Message)
-				pump = func(*transport.Message) {
-					if nw.Sim.Now() < horizon {
-						srcEp.SendMessage(dstVM, p.BulkMsgBytes, pump)
-					}
-				}
-				pump(nil)
-			}
-		}
-	}
-
-	nw.Sim.Run(horizon + int64(2e9)) // drain tail
-	if depB != nil {
-		for i, ep := range depB.Endpoints {
-			for j := range depB.Endpoints {
-				if i != j {
-					res.BulkBytes += ep.BytesReceived(depB.VMIDs[j])
-				}
-			}
-		}
+	if sc.WithBulk {
+		res.BulkBytes = run.Tenants[1].BytesReceived
 	}
 	return res, nil
 }
@@ -351,24 +220,20 @@ func Figure11Scenarios() []MemcachedScenario {
 // RunFigure1 runs the motivation experiment: memcached alone vs with
 // competing netperf traffic, both plain TCP (Figure 1).
 func RunFigure1(p MemcachedParams) ([]MemcachedResult, error) {
-	var out []MemcachedResult
-	for _, sc := range []MemcachedScenario{
+	return runMemcachedLines(p, []MemcachedScenario{
 		{Name: "Memcached alone", WithBulk: false},
 		{Name: "Memcached with netperf", WithBulk: true},
-	} {
-		r, err := RunMemcachedScenario(p, sc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	})
 }
 
 // RunFigure11 runs all five scenario lines.
 func RunFigure11(p MemcachedParams) ([]MemcachedResult, error) {
+	return runMemcachedLines(p, Figure11Scenarios())
+}
+
+func runMemcachedLines(p MemcachedParams, scs []MemcachedScenario) ([]MemcachedResult, error) {
 	var out []MemcachedResult
-	for _, sc := range Figure11Scenarios() {
+	for _, sc := range scs {
 		r, err := RunMemcachedScenario(p, sc)
 		if err != nil {
 			return nil, err

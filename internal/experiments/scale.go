@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flowsim"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -45,17 +46,7 @@ func DefaultScaleParams() ScaleParams {
 }
 
 func (p ScaleParams) tree() (*topology.Tree, error) {
-	return topology.New(topology.Config{
-		Pods:           p.Pods,
-		RacksPerPod:    p.RacksPerPod,
-		ServersPerRack: p.ServersPerRack,
-		SlotsPerServer: p.SlotsPerServer,
-		LinkBps:        10 * gbps,
-		BufferBytes:    312e3,
-		NICBufferBytes: 62.5e3,
-		RackOversub:    p.Oversub,
-		PodOversub:     p.Oversub,
-	})
+	return topology.New(TenGbE(p.Pods, p.RacksPerPod, p.ServersPerRack, p.SlotsPerServer, p.Oversub, p.Oversub))
 }
 
 func (p ScaleParams) classes() []flowsim.ClassConfig {
@@ -96,24 +87,26 @@ type ScalePoint struct {
 	Result    flowsim.Result
 }
 
+// scalePlacers names the three placers of §6.3 by the scheme that owns
+// each, with how the flow-level model shares bandwidth under it.
+var scalePlacers = map[string]struct {
+	scheme core.Scheme
+	mode   flowsim.Mode
+}{
+	"silo":     {core.SchemeSilo, flowsim.Reserved},
+	"oktopus":  {core.SchemeOkto, flowsim.Reserved},
+	"locality": {core.SchemeTCP, flowsim.FairShare},
+}
+
 // RunScalePoint runs one flow-level simulation.
 func RunScalePoint(p ScaleParams, placerName string, occupancy float64) (ScalePoint, error) {
+	pl, ok := scalePlacers[placerName]
+	if !ok {
+		return ScalePoint{}, fmt.Errorf("unknown placer %q", placerName)
+	}
 	tree, err := p.tree()
 	if err != nil {
 		return ScalePoint{}, err
-	}
-	var placer placement.Algorithm
-	mode := flowsim.Reserved
-	switch placerName {
-	case "silo":
-		placer = placement.NewManager(tree, placement.Options{})
-	case "oktopus":
-		placer = placement.NewOktopus(tree)
-	case "locality":
-		placer = placement.NewLocality(tree)
-		mode = flowsim.FairShare
-	default:
-		return ScalePoint{}, fmt.Errorf("unknown placer %q", placerName)
 	}
 	// Calibrate the arrival rate so every placer is compared at the
 	// same ACHIEVED occupancy (the paper's x-axis): a placer whose
@@ -121,8 +114,8 @@ func RunScalePoint(p ScaleParams, placerName string, occupancy float64) (ScalePo
 	// would otherwise sit at a different operating point.
 	cfg := flowsim.Config{
 		Tree:        tree,
-		Placer:      placer,
-		Mode:        mode,
+		Placer:      pl.scheme.Placer(tree),
+		Mode:        pl.mode,
 		AvgVMs:      p.AvgVMs,
 		Classes:     p.classes(),
 		Occupancy:   occupancy,
@@ -144,19 +137,10 @@ func RunScalePoint(p ScaleParams, placerName string, occupancy float64) (ScalePo
 		}
 		cfg.ArrivalRate = res.ArrivalRateUsed * ratio
 		// Placers are stateful; rebuild for each calibration run.
-		tree2, err := p.tree()
-		if err != nil {
+		if cfg.Tree, err = p.tree(); err != nil {
 			return ScalePoint{}, err
 		}
-		cfg.Tree = tree2
-		switch placerName {
-		case "silo":
-			cfg.Placer = placement.NewManager(tree2, placement.Options{})
-		case "oktopus":
-			cfg.Placer = placement.NewOktopus(tree2)
-		default:
-			cfg.Placer = placement.NewLocality(tree2)
-		}
+		cfg.Placer = pl.scheme.Placer(cfg.Tree)
 		res = flowsim.Run(cfg)
 	}
 	return ScalePoint{Placer: placerName, Occupancy: occupancy, Result: res}, nil
@@ -165,17 +149,7 @@ func RunScalePoint(p ScaleParams, placerName string, occupancy float64) (ScalePo
 // RunFigure15 evaluates admitted-request fractions at the paper's two
 // occupancy points for all three placers.
 func RunFigure15(p ScaleParams) ([]ScalePoint, error) {
-	var out []ScalePoint
-	for _, occ := range []float64{0.75, 0.9} {
-		for _, placer := range []string{"locality", "oktopus", "silo"} {
-			pt, err := RunScalePoint(p, placer, occ)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pt)
-		}
-	}
-	return out, nil
+	return RunFigure16a(p, []float64{0.75, 0.9})
 }
 
 // RunFigure16a sweeps occupancy for all three placers.
@@ -273,17 +247,7 @@ type PlacementBenchResult struct {
 // a full-scale datacenter, with tenant churn (completed tenants leave
 // so the datacenter reaches steady occupancy).
 func RunPlacementBench(p PlacementBenchParams) (PlacementBenchResult, error) {
-	tree, err := topology.New(topology.Config{
-		Pods:           p.Pods,
-		RacksPerPod:    p.RacksPerPod,
-		ServersPerRack: p.ServersPerRack,
-		SlotsPerServer: p.SlotsPerServer,
-		LinkBps:        10 * gbps,
-		BufferBytes:    312e3,
-		NICBufferBytes: 62.5e3,
-		RackOversub:    5,
-		PodOversub:     5,
-	})
+	tree, err := topology.New(TenGbE(p.Pods, p.RacksPerPod, p.ServersPerRack, p.SlotsPerServer, 5, 5))
 	if err != nil {
 		return PlacementBenchResult{}, err
 	}

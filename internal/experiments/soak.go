@@ -127,17 +127,7 @@ func (r *SoakResult) WriteFile(path string) error {
 
 // soakTree is the soak fabric (mirrors the placement churn tests).
 func soakTree() (*topology.Tree, error) {
-	return topology.New(topology.Config{
-		Pods:           2,
-		RacksPerPod:    2,
-		ServersPerRack: 4,
-		SlotsPerServer: 4,
-		LinkBps:        10 * gbps,
-		BufferBytes:    312e3,
-		NICBufferBytes: 62.5e3,
-		RackOversub:    2,
-		PodOversub:     2,
-	})
+	return topology.New(TenGbE(2, 2, 4, 4, 2, 2))
 }
 
 // soakSpec derives one churn tenant spec from the RNG stream.

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs/introspect"
 	"repro/internal/placement"
@@ -55,19 +55,21 @@ func fig5Spec() tenant.Spec {
 // runFig5 deploys the Figure-5 tenant under a scheme with the
 // introspector attached and fires the synchronized all-to-one worst
 // case for 20 ms.
-func runFig5(t *testing.T, scheme experiments.Scheme) (*introspect.Introspector, *netsim.Network, func()) {
+func runFig5(t *testing.T, scheme core.Scheme) (*introspect.Introspector, *netsim.Network, func()) {
 	t.Helper()
 	tree := fig5Tree(t)
 	spec := fig5Spec()
+	// Silo's layout whatever the scheme deploys it as.
 	m := placement.NewManager(tree, placement.Options{})
+	ctl := core.NewWith(tree, scheme, m)
 	pl, err := m.Place(spec)
 	if err != nil {
 		t.Fatalf("place: %v", err)
 	}
 
-	nw := netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: 200})
-	f := transport.NewFabric(nw)
-	dep := experiments.DeployTenant(nw, f, scheme, spec, pl, 1000)
+	nw := netsim.Build(netsim.NewSim(), tree, scheme.NetOptions())
+	dep := ctl.Adopt(pl)
+	ctl.Deploy(nw, transport.NewFabric(nw), dep, 1000, scheme.TransportOptions())
 
 	in := introspect.Attach(nw, nil, introspect.Config{})
 	adm := introspect.Envelope{RateBps: spec.Guarantee.BandwidthBps, BurstBytes: spec.Guarantee.BurstBytes}
@@ -76,9 +78,7 @@ func runFig5(t *testing.T, scheme experiments.Scheme) (*introspect.Introspector,
 	}
 	in.BindPlacement(m)
 
-	if scheme.Paced() {
-		experiments.CoordinateHose(nw, dep, workload.AllToOne(spec.VMs), experiments.HosePeak)
-	}
+	ctl.CoordinateHosePeak(nw, dep, workload.AllToOne(spec.VMs))
 
 	var senders []int
 	for i := 1; i < spec.VMs; i++ {
@@ -109,7 +109,7 @@ func runFig5(t *testing.T, scheme experiments.Scheme) (*introspect.Introspector,
 // tenant's fitted envelopes stay within the admitted {B, S}, and every
 // traversed port keeps a positive guarantee margin.
 func TestFig5PacedEnvelopesAndMargins(t *testing.T) {
-	in, _, run := runFig5(t, experiments.SchemeSilo)
+	in, _, run := runFig5(t, core.SchemeSilo)
 	run()
 	s := in.Snapshot()
 
@@ -152,7 +152,7 @@ func TestFig5PacedEnvelopesAndMargins(t *testing.T) {
 // An unpaced deployment of the same tenant blasting the same worst
 // case must flip the envelope-violation flag on the senders.
 func TestFig5UnpacedViolatesEnvelope(t *testing.T) {
-	in, _, run := runFig5(t, experiments.SchemeTCP)
+	in, _, run := runFig5(t, core.SchemeTCP)
 	run()
 	s := in.Snapshot()
 	if s.Violations == 0 {
@@ -167,7 +167,7 @@ func TestFig5UnpacedViolatesEnvelope(t *testing.T) {
 
 // Snapshot JSON round-trips through the silo-sim sidecar format.
 func TestSnapshotRoundTrip(t *testing.T) {
-	in, _, run := runFig5(t, experiments.SchemeSilo)
+	in, _, run := runFig5(t, core.SchemeSilo)
 	run()
 	s := in.Snapshot()
 	path := t.TempDir() + "/introspect.json"
