@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet build test test-race test-admission examples soak bench-placement bench-obs bench-telemetry bench-introspect bench-incident bench-wal regress regress-placement regress-pacer baselines
+.PHONY: all ci vet build test test-race test-admission examples soak bench-placement bench-obs bench-telemetry bench-introspect bench-incident bench-wal bench-hose regress regress-placement regress-pacer baselines
 
 all: vet build test
 
@@ -76,6 +76,12 @@ bench-incident:
 # allocation-free per logged mutation.
 bench-wal:
 	$(GO) test -run '^$$' -bench BenchmarkWALAppend -benchmem ./internal/placement/durable/
+
+# Asserts the max-min hose solver allocates nothing once warm, on the
+# 49-VM all-to-all tenant benchmark/kernels.go times through the
+# id-keyed adapter (TestHoseKernelAllocs is tier-1's view of the same).
+bench-hose:
+	$(GO) test -run '^$$' -bench BenchmarkHoseKernel -benchmem ./internal/pacer/
 
 # Runs the microbenchmarks and compares them against the committed
 # BENCH_*.json baselines; exits non-zero on regression.

@@ -463,8 +463,10 @@ func BenchmarkQueueBound(b *testing.B) {
 }
 
 // BenchmarkHoseAllocate measures the EyeQ-style coordination round for
-// a 64-VM all-to-all tenant.
+// a 64-VM all-to-all tenant through the id-keyed adapter (the solver
+// alone is BenchmarkHoseKernel in internal/pacer).
 func BenchmarkHoseAllocate(b *testing.B) {
+	b.ReportAllocs()
 	send := map[int]float64{}
 	recv := map[int]float64{}
 	var flows []pacer.Flow

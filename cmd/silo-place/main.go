@@ -45,7 +45,7 @@ func main() {
 		bufKB    = flag.Float64("buf-kb", 312, "switch buffer per port")
 		oversub  = flag.Float64("oversub", 5, "oversubscription per level")
 		algo     = flag.String("algo", "silo", "placement algorithm (silo|oktopus|locality)")
-		workers  = flag.Int("workers", 0, "scope-search goroutines for silo (0 = GOMAXPROCS, 1 = serial; decisions are identical at any setting)")
+		workers  = flag.Int("workers", 0, "scope-search goroutines for silo (0 = GOMAXPROCS on large searches only, 1 = serial; decisions are identical at any setting)")
 		explain  = flag.Int("explain", 0, "explain tenant N's admission decision from the journal after the run (-1 = every rejected tenant; silo only)")
 
 		tenants = flag.Int("tenants", 20, "number of tenant requests")

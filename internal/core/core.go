@@ -181,29 +181,31 @@ func (h *Handle) coordinate(nw *netsim.Network, pat workload.Pattern, peak bool)
 	if len(h.VMIDs) == 0 {
 		return
 	}
-	b := h.Spec.Guarantee.BandwidthBps
-	var flows []pacer.Flow
+	// The pattern's VM indices are the solver's own terms; it names
+	// each pair once.
+	flows := make([]pacer.Flow, 0, pat.Edges())
 	for src, dsts := range pat {
 		for _, dst := range dsts {
-			flows = append(flows, pacer.Flow{Src: h.VMIDs[src], Dst: h.VMIDs[dst]})
+			flows = append(flows, pacer.Flow{Src: src, Dst: dst})
 		}
 	}
-	var rates map[pacer.Flow]float64
-	if !peak {
-		send, recv := map[int]float64{}, map[int]float64{}
-		for _, fl := range flows {
-			send[fl.Src], recv[fl.Dst] = b, b
+	b := h.Spec.Guarantee.BandwidthBps
+	rates := make([]float64, len(flows))
+	if peak {
+		for i := range rates {
+			rates[i] = b
 		}
-		rates = pacer.HoseAllocate(send, recv, flows)
+	} else {
+		caps := make([]float64, len(h.VMIDs))
+		for i := range caps {
+			caps[i] = b
+		}
+		new(pacer.HoseKernel).Solve(caps, caps, flows, nil, rates)
 	}
 	now := nw.Sim.Now()
-	for _, fl := range flows {
-		rate := b
-		if !peak {
-			rate = rates[fl]
-		}
-		if vm, ok := h.vm(nw, fl.Src); ok {
-			vm.SetDestRate(now, fl.Dst, rate)
+	for i, fl := range flows {
+		if vm, ok := h.vm(nw, h.VMIDs[fl.Src]); ok {
+			vm.SetDestRate(now, h.VMIDs[fl.Dst], rates[i])
 		}
 	}
 }

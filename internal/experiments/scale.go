@@ -124,7 +124,7 @@ func RunScalePoint(p ScaleParams, placerName string, occupancy float64) (ScalePo
 		Seed:        p.Seed,
 	}
 	res := flowsim.Run(cfg)
-	for iter := 0; iter < 4; iter++ {
+	for iter := 0; iter < 4 && res.Err == nil; iter++ {
 		if res.AvgOccupancy <= 0 {
 			break
 		}
@@ -143,7 +143,7 @@ func RunScalePoint(p ScaleParams, placerName string, occupancy float64) (ScalePo
 		cfg.Placer = pl.scheme.Placer(cfg.Tree)
 		res = flowsim.Run(cfg)
 	}
-	return ScalePoint{Placer: placerName, Occupancy: occupancy, Result: res}, nil
+	return ScalePoint{Placer: placerName, Occupancy: occupancy, Result: res}, res.Err
 }
 
 // RunFigure15 evaluates admitted-request fractions at the paper's two

@@ -15,7 +15,9 @@ package flowsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/pacer"
 	"repro/internal/placement"
@@ -94,6 +96,11 @@ type Result struct {
 	// ArrivalRateUsed is the tenants/sec actually driven (for
 	// occupancy calibration).
 	ArrivalRateUsed float64
+	// Err is the first placement failure that is not a rejection — a
+	// Place error other than placement.ErrRejected, or any Remove
+	// error — wrapped with the tenant's id. The run stops there; the
+	// other fields describe it up to that point.
+	Err error
 }
 
 // AdmittedFrac returns the fraction of arrivals accepted.
@@ -113,26 +120,53 @@ func (r Result) AdmittedFracClass(c int) float64 {
 }
 
 type flow struct {
-	job       *job
-	srcServer int
-	dstServer int
-	srcVM     int // tenant-local VM index
-	dstVM     int
+	// pair holds the tenant-local VM indices, the hose kernel's terms.
+	pair      pacer.Flow
+	local     bool    // both VMs on one server: not network limited
+	frozen    bool    // allocateFairShare: a link of path is saturated
 	remaining float64 // bytes
-	rate      float64 // bytes/sec, set per epoch
-	path      []*topology.Port
+	rate      float64 // bytes/sec; unused for a local flow
+	path      []int   // directed port IDs, source NIC first
 }
 
 type job struct {
-	id       int
-	class    int
 	spec     tenant.Spec
-	pl       *tenant.Placement
-	flows    []*flow
+	flows    []flow
 	liveFlow int
-	started  float64
-	minEnd   float64 // started + compute time
-	deadAt   float64 // completion, for stats
+	// solvedLive is liveFlow when the reserved rates were last solved.
+	// A flow set only shrinks, so an equal count is an equal set, and the
+	// rates are a function of the set alone.
+	solvedLive int
+	started    float64
+	minEnd     float64 // started + compute time
+}
+
+// sim is one Run's state: the live jobs and the per-port and per-tenant
+// scratch both allocation modes reuse every epoch.
+type sim struct {
+	live []*job
+
+	// Per directed port, indexed by port ID: line rate, whether it is a
+	// switch port (utilization leaves NICs out), and the epoch's carried
+	// load. switchCap is the summed rate of the switch ports.
+	portRate  []float64
+	isSwitch  []bool
+	load      []float64
+	switchCap float64
+
+	// allocateReserved: the solver, the tenant's guarantee once per VM,
+	// and the live flows' pairs and rates gathered for one solve.
+	kernel pacer.HoseKernel
+	caps   []float64
+	pairs  []pacer.Flow
+	rates  []float64
+
+	// allocateFairShare: per-port use and unfrozen-flow count, the ports
+	// with any flow on them, and the flows that cross the network.
+	used    []float64
+	count   []int
+	touched []int
+	active  []*flow
 }
 
 // Run executes the simulation.
@@ -143,6 +177,7 @@ func Run(cfg Config) Result {
 		ArrivedByClass:  make([]int, len(cfg.Classes)),
 		AcceptedByClass: make([]int, len(cfg.Classes)),
 	}
+	s := newSim(cfg)
 
 	totalSlots := tree.Slots()
 	// Estimate mean job duration per class to set the arrival rate
@@ -175,7 +210,6 @@ func Run(cfg Config) Result {
 	}
 	res.ArrivalRateUsed = arrivalRate
 
-	var live []*job
 	nextID := 1
 	nextArrival := rng.Exp(1 / arrivalRate)
 	now := 0.0
@@ -183,6 +217,7 @@ func Run(cfg Config) Result {
 	epochs := 0
 	var jobSecSum float64
 
+run:
 	for now < cfg.DurationSec {
 		// Admit arrivals due this epoch.
 		for nextArrival <= now {
@@ -202,69 +237,78 @@ func Run(cfg Config) Result {
 				Guarantee: cls.Guarantee,
 			}
 			nextID++
-			res.Arrived++
-			res.ArrivedByClass[cIdx]++
 			pl, err := cfg.Placer.Place(spec)
-			if err == nil {
+			switch {
+			case err == nil:
 				res.Accepted++
 				res.AcceptedByClass[cIdx]++
-				j := buildJob(spec, pl, cIdx, cls, tree, rng, now)
-				live = append(live, j)
-			} else if errors.Is(err, placement.ErrRejected) {
+				s.live = append(s.live, buildJob(spec, pl, cls, tree, rng, now))
+			case errors.Is(err, placement.ErrRejected):
 				res.Rejected++
+			default:
+				res.Err = fmt.Errorf("flowsim: place tenant %d: %w", spec.ID, err)
+				break run
 			}
+			res.Arrived++
+			res.ArrivedByClass[cIdx]++
 			nextArrival += rng.Exp(1 / arrivalRate)
 		}
 
 		// Allocate bandwidth.
-		var flows []*flow
-		for _, j := range live {
-			for _, f := range j.flows {
-				if f.remaining > 0 {
-					flows = append(flows, f)
+		if cfg.Mode == Reserved {
+			s.allocateReserved()
+		} else {
+			s.allocateFairShare()
+		}
+
+		// Measure utilization across switch ports and advance, one pass
+		// over the flows still moving data.
+		dt := cfg.EpochSec
+		occ := 0
+		for _, j := range s.live {
+			occ += j.spec.VMs
+			if j.liveFlow <= 0 {
+				continue
+			}
+			for i := range j.flows {
+				f := &j.flows[i]
+				if f.remaining <= 0 {
+					continue
+				}
+				rate := f.rate
+				if f.local {
+					rate = f.remaining // drains within one epoch of a second or more
+				}
+				for _, pid := range f.path {
+					s.load[pid] += rate
+				}
+				f.remaining -= rate * dt
+				if f.remaining <= 0 {
+					f.remaining = 0
+					j.liveFlow--
 				}
 			}
 		}
-		switch cfg.Mode {
-		case Reserved:
-			allocateReserved(live)
-		default:
-			allocateFairShare(tree, flows)
-		}
-
-		// Measure utilization across switch ports.
-		utilSum += utilization(tree, flows)
-		occ := 0
-		for _, j := range live {
-			occ += j.spec.VMs
-		}
+		utilSum += s.utilization()
 		occSum += float64(occ) / float64(totalSlots)
 		epochs++
-
-		// Advance.
-		dt := cfg.EpochSec
-		for _, f := range flows {
-			f.remaining -= f.rate * dt
-			if f.remaining <= 0 {
-				f.remaining = 0
-				f.job.liveFlow--
-			}
-		}
 		now += dt
 
 		// Complete jobs.
-		survivors := live[:0]
-		for _, j := range live {
+		survivors := s.live[:0]
+		for _, j := range s.live {
 			if j.liveFlow <= 0 && now >= j.minEnd {
-				j.deadAt = now
+				if err := cfg.Placer.Remove(j.spec.ID); err != nil {
+					res.Err = fmt.Errorf("flowsim: remove tenant %d: %w", j.spec.ID, err)
+					break run
+				}
 				jobSecSum += now - j.started
 				res.CompletedJobs++
-				_ = cfg.Placer.Remove(j.spec.ID)
 				continue
 			}
 			survivors = append(survivors, j)
 		}
-		live = survivors
+		s.live = survivors
 	}
 
 	if epochs > 0 {
@@ -275,6 +319,29 @@ func Run(cfg Config) Result {
 		res.MeanJobSeconds = jobSecSum / float64(res.CompletedJobs)
 	}
 	return res
+}
+
+func newSim(cfg Config) *sim {
+	n := cfg.Tree.NumPorts()
+	s := &sim{
+		portRate: make([]float64, n),
+		isSwitch: make([]bool, n),
+		load:     make([]float64, n),
+	}
+	if cfg.Mode != Reserved {
+		s.used, s.count = make([]float64, n), make([]int, n)
+	}
+	// Capacity: all switch ports (used or not) — utilization of the
+	// whole fabric.
+	for pid := 0; pid < n; pid++ {
+		p := cfg.Tree.Port(pid)
+		s.portRate[pid] = p.RateBps
+		if p.Level != topology.LevelServer {
+			s.isSwitch[pid] = true
+			s.switchCap += p.RateBps
+		}
+	}
+	return s
 }
 
 func pickClass(classes []ClassConfig, rng *stats.Rand) int {
@@ -289,38 +356,35 @@ func pickClass(classes []ClassConfig, rng *stats.Rand) int {
 	return len(classes) - 1
 }
 
-func buildJob(spec tenant.Spec, pl *tenant.Placement, cIdx int, cls ClassConfig, tree *topology.Tree, rng *stats.Rand, now float64) *job {
-	j := &job{
-		id:      spec.ID,
-		class:   cIdx,
-		spec:    spec,
-		pl:      pl,
-		started: now,
-		minEnd:  now + cls.ComputeSec,
-	}
+func buildJob(spec tenant.Spec, pl *tenant.Placement, cls ClassConfig, tree *topology.Tree, rng *stats.Rand, now float64) *job {
 	var pat workload.Pattern
 	if cls.AllToOne {
 		pat = workload.AllToOne(spec.VMs)
 	} else {
 		pat = workload.Permutation(spec.VMs, cls.PermutationX, rng)
 	}
+	edges := pat.Edges()
+	j := &job{
+		spec:       spec,
+		flows:      make([]flow, 0, edges),
+		liveFlow:   edges,
+		solvedLive: -1,
+		started:    now,
+		minEnd:     now + cls.ComputeSec,
+	}
+	// One array holds every flow's path: at most six ports each.
+	ports := make([]int, 0, 6*edges)
 	for src, dsts := range pat {
 		for _, dst := range dsts {
 			ss, ds := pl.Servers[src], pl.Servers[dst]
-			f := &flow{
-				job:       j,
-				srcServer: ss,
-				dstServer: ds,
-				srcVM:     src,
-				dstVM:     dst,
-				remaining: cls.FlowBytes,
-				path:      tree.Path(ss, ds),
-			}
-			if f.remaining < 1 {
-				f.remaining = 1
-			}
-			j.flows = append(j.flows, f)
-			j.liveFlow++
+			lo := len(ports)
+			ports = tree.AppendPathIDs(ports, ss, ds)
+			j.flows = append(j.flows, flow{
+				pair:      pacer.Flow{Src: src, Dst: dst},
+				local:     ss == ds,
+				remaining: math.Max(cls.FlowBytes, 1),
+				path:      ports[lo:len(ports):len(ports)],
+			})
 		}
 	}
 	return j
@@ -328,38 +392,32 @@ func buildJob(spec tenant.Spec, pl *tenant.Placement, cIdx int, cls ClassConfig,
 
 // allocateReserved gives each tenant's flows its hose guarantee,
 // coordinated within the tenant (no sharing across tenants) via the
-// pacer's allocator.
-func allocateReserved(live []*job) {
-	for _, j := range live {
-		b := j.spec.Guarantee.BandwidthBps
-		send := map[int]float64{}
-		recv := map[int]float64{}
-		var flows []pacer.Flow
-		byPair := map[pacer.Flow][]*flow{}
-		for _, f := range j.flows {
-			if f.remaining <= 0 {
-				f.rate = 0
-				continue
-			}
-			send[f.srcVM] = b
-			recv[f.dstVM] = b
-			key := pacer.Flow{Src: f.srcVM, Dst: f.dstVM}
-			flows = append(flows, key)
-			byPair[key] = append(byPair[key], f)
+// pacer's solver. Intra-server flows take part like any other (the
+// hose is per VM, not per NIC) although they drain at once. A tenant is
+// solved again only when one of its flows has finished since.
+func (s *sim) allocateReserved() {
+	for _, j := range s.live {
+		if j.liveFlow == j.solvedLive {
+			continue
 		}
-		rates := pacer.HoseAllocate(send, recv, flows)
-		for key, fs := range byPair {
-			per := rates[key] / float64(len(fs))
-			for _, f := range fs {
-				// Intra-server flows are not network limited.
-				if f.srcServer == f.dstServer {
-					f.rate = math.Inf(1)
-					if f.remaining > 0 {
-						f.rate = f.remaining // drain within one epoch
-					}
-					continue
-				}
-				f.rate = per
+		j.solvedLive = j.liveFlow
+		s.caps = slices.Grow(s.caps[:0], j.spec.VMs)[:j.spec.VMs]
+		for i := range s.caps {
+			s.caps[i] = j.spec.Guarantee.BandwidthBps
+		}
+		pairs := s.pairs[:0]
+		for i := range j.flows {
+			if j.flows[i].remaining > 0 {
+				pairs = append(pairs, j.flows[i].pair)
+			}
+		}
+		s.pairs, s.rates = pairs, slices.Grow(s.rates[:0], len(pairs))[:len(pairs)]
+		s.kernel.Solve(s.caps, s.caps, pairs, nil, s.rates)
+		n := 0
+		for i := range j.flows {
+			if f := &j.flows[i]; f.remaining > 0 {
+				f.rate = s.rates[n]
+				n++
 			}
 		}
 	}
@@ -367,39 +425,38 @@ func allocateReserved(live []*job) {
 
 // allocateFairShare computes global max-min fair rates over the
 // physical ports (ideal TCP).
-func allocateFairShare(tree *topology.Tree, flows []*flow) {
-	type linkState struct {
-		cap   float64
-		used  float64
-		count int
+func (s *sim) allocateFairShare() {
+	for _, pid := range s.touched {
+		s.used[pid], s.count[pid] = 0, 0
 	}
-	links := map[int]*linkState{}
-	var active []*flow
-	for _, f := range flows {
-		if f.srcServer == f.dstServer {
-			f.rate = f.remaining // local, unconstrained
-			continue
-		}
-		f.rate = 0
-		active = append(active, f)
-		for _, p := range f.path {
-			if links[p.ID] == nil {
-				links[p.ID] = &linkState{cap: p.RateBps}
+	touched, active := s.touched[:0], s.active[:0]
+	for _, j := range s.live {
+		for i := range j.flows {
+			f := &j.flows[i]
+			if f.remaining <= 0 || f.local {
+				continue // local flows are unconstrained
 			}
-			links[p.ID].count++
+			f.rate, f.frozen = 0, false
+			active = append(active, f)
+			for _, pid := range f.path {
+				if s.count[pid] == 0 {
+					touched = append(touched, pid)
+				}
+				s.count[pid]++
+			}
 		}
 	}
-	frozen := make(map[*flow]bool, len(active))
+	s.touched, s.active = touched, active
 	remaining := len(active)
 	for remaining > 0 {
 		// Tightest link bottleneck share.
 		share := math.Inf(1)
-		for _, ls := range links {
-			if ls.count == 0 {
+		for _, pid := range touched {
+			if s.count[pid] == 0 {
 				continue
 			}
-			if s := (ls.cap - ls.used) / float64(ls.count); s < share {
-				share = s
+			if sh := (s.portRate[pid] - s.used[pid]) / float64(s.count[pid]); sh < share {
+				share = sh
 			}
 		}
 		if math.IsInf(share, 1) || share < 0 {
@@ -408,33 +465,30 @@ func allocateFairShare(tree *topology.Tree, flows []*flow) {
 		// Raise all unfrozen flows by share; freeze those on saturated
 		// links.
 		for _, f := range active {
-			if frozen[f] {
+			if f.frozen {
 				continue
 			}
 			f.rate += share
-			for _, p := range f.path {
-				links[p.ID].used += share
+			for _, pid := range f.path {
+				s.used[pid] += share
 			}
 		}
 		progressed := false
 		for _, f := range active {
-			if frozen[f] {
+			if f.frozen {
 				continue
 			}
-			sat := false
-			for _, p := range f.path {
-				ls := links[p.ID]
-				if ls.cap-ls.used <= 1e-6*ls.cap {
-					sat = true
+			for _, pid := range f.path {
+				if c := s.portRate[pid]; c-s.used[pid] <= 1e-6*c {
+					f.frozen = true
 					break
 				}
 			}
-			if sat {
-				frozen[f] = true
+			if f.frozen {
 				remaining--
 				progressed = true
-				for _, p := range f.path {
-					links[p.ID].count--
+				for _, pid := range f.path {
+					s.count[pid]--
 				}
 			}
 		}
@@ -444,41 +498,20 @@ func allocateFairShare(tree *topology.Tree, flows []*flow) {
 	}
 }
 
-// utilization returns carried load over capacity across switch ports
-// (NIC ports excluded, matching the paper's focus on network links).
-func utilization(tree *topology.Tree, flows []*flow) float64 {
-	var load, capSum float64
-	seen := map[int]float64{}
-	for _, f := range flows {
-		if f.srcServer == f.dstServer || math.IsInf(f.rate, 1) {
-			continue
-		}
-		for _, p := range f.path {
-			if p.Level == topology.LevelServer {
-				continue
-			}
-			seen[p.ID] += f.rate
+// utilization returns the epoch's carried load over capacity across
+// switch ports (NIC ports excluded, matching the paper's focus on
+// network links) and clears the load for the next epoch. Ports are
+// summed in ID order, so the same run gives the same bits.
+func (s *sim) utilization() float64 {
+	var load float64
+	for pid, l := range s.load {
+		if s.isSwitch[pid] {
+			load += math.Min(l, s.portRate[pid])
 		}
 	}
-	for pid, l := range seen {
-		c := tree.Port(pid).RateBps
-		if l > c {
-			l = c
-		}
-		load += l
-		_ = pid
-	}
-	// Capacity: all switch ports (used or not) — utilization of the
-	// whole fabric.
-	for pid := 0; pid < tree.NumPorts(); pid++ {
-		p := tree.Port(pid)
-		if p.Level == topology.LevelServer {
-			continue
-		}
-		capSum += p.RateBps
-	}
-	if capSum == 0 {
+	clear(s.load)
+	if s.switchCap == 0 {
 		return 0
 	}
-	return load / capSum
+	return load / s.switchCap
 }

@@ -1,6 +1,9 @@
 package flowsim
 
 import (
+	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/placement"
@@ -236,5 +239,81 @@ func TestArrivalRateOverride(t *testing.T) {
 	}
 	if doubled.Arrived <= base.Arrived {
 		t.Errorf("doubled rate should produce more arrivals: %d vs %d", doubled.Arrived, base.Arrived)
+	}
+}
+
+// The same Config gives the same Result, to the bit, in both modes:
+// port loads are summed in port-ID order, not in map order.
+func TestRunReproducible(t *testing.T) {
+	for _, mode := range []Mode{Reserved, FairShare} {
+		run := func() Result {
+			tree := testTree(t)
+			var placer placement.Algorithm = placement.NewLocality(tree)
+			if mode == Reserved {
+				placer = placement.NewManager(tree, placement.Options{})
+			}
+			return runOne(t, placer, mode, 0.8)
+		}
+		if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+			t.Errorf("mode %d: two runs of one Config differ:\n%+v\n%+v", mode, a, b)
+		}
+	}
+}
+
+// brokenPlacer is a Locality placer whose n-th Place, or n-th Remove,
+// fails with an error that is not a rejection.
+type brokenPlacer struct {
+	placement.Algorithm
+	failPlace, failRemove int
+	places, removes       int
+}
+
+var errBroken = errors.New("placer broke")
+
+func (p *brokenPlacer) Place(spec tenant.Spec) (*tenant.Placement, error) {
+	if p.places++; p.places == p.failPlace {
+		return nil, errBroken
+	}
+	return p.Algorithm.Place(spec)
+}
+
+func (p *brokenPlacer) Remove(id int) error {
+	if p.removes++; p.removes == p.failRemove {
+		return errBroken
+	}
+	return p.Algorithm.Remove(id)
+}
+
+// A placement failure that is not a rejection stops the run and is
+// reported with the tenant it hit; every arrival counted before it has
+// a verdict.
+func TestRunSurfacesPlacementErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		placer brokenPlacer
+		op     string
+	}{
+		{"place", brokenPlacer{failPlace: 20}, "place tenant 20"},
+		{"remove", brokenPlacer{failRemove: 5}, "remove tenant"},
+	} {
+		tree := testTree(t)
+		p := tc.placer
+		p.Algorithm = placement.NewLocality(tree)
+		res := runOne(t, &p, FairShare, 0.8)
+		if !errors.Is(res.Err, errBroken) || !strings.Contains(res.Err.Error(), tc.op) {
+			t.Errorf("%s: Err = %v, want %q wrapping the placer's error", tc.name, res.Err, tc.op)
+		}
+		if res.Arrived != res.Accepted+res.Rejected {
+			t.Errorf("%s: %d arrived != %d accepted + %d rejected", tc.name, res.Arrived, res.Accepted, res.Rejected)
+		}
+		if tc.name == "place" && (res.Arrived != 19 || p.places != 20) {
+			t.Errorf("place: run went on after the error: %d arrivals, %d Place calls", res.Arrived, p.places)
+		}
+		if tc.name == "remove" && (p.removes != 5 || res.CompletedJobs != 4) {
+			t.Errorf("remove: run went on after the error: %d Remove calls, %d jobs", p.removes, res.CompletedJobs)
+		}
+	}
+	if res := runOne(t, placement.NewLocality(testTree(t)), FairShare, 0.8); res.Err != nil {
+		t.Errorf("clean run reports %v", res.Err)
 	}
 }

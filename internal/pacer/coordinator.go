@@ -1,5 +1,10 @@
 package pacer
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Coordinator implements the dynamic, EyeQ-style sender/receiver rate
 // negotiation of paper §4.3: each epoch it observes which VM pairs are
 // actually exchanging traffic (queued bytes or bytes sent since the
@@ -10,10 +15,15 @@ package pacer
 // coordination loop catches up — the burst allowance absorbs the
 // transient, which is exactly its job.
 type Coordinator struct {
-	// vms maps VM id -> pacer, for one tenant.
-	vms map[int]*VM
-	// b is the tenant's per-VM hose guarantee (bytes/sec).
-	b float64
+	// vms holds the tenant's pacers in ascending VM id, so an epoch
+	// measures pairs and retunes buckets in one fixed order; index maps
+	// a VM id to its position there, which is also its index in caps.
+	vms   []*VM
+	index map[int]int
+	// b is the tenant's per-VM hose guarantee (bytes/sec); caps holds it
+	// once per VM, the kernel's sender and receiver caps alike.
+	b    float64
+	caps []float64
 
 	// DemandAware, when set, uses EyeQ's demand-capped max-min: each
 	// active flow's rate also freezes at its measured demand
@@ -24,73 +34,76 @@ type Coordinator struct {
 	// double its rate between epochs without waiting for the loop).
 	DemandHeadroom float64
 
-	lastSent  map[Flow]int64
+	// lastSent[i][k] is the byte count vms[i] had committed toward its
+	// k-th destination (VM.dests only grows) at the last epoch.
+	lastSent  [][]int64
 	lastEpoch int64
+
+	// The epoch's scratch: active pairs as positions in vms, their
+	// demands and rates, and the solver's own.
+	kernel        HoseKernel
+	active        []Flow
+	demand, rates []float64
 }
 
 // NewCoordinator returns a coordinator over one tenant's paced VMs.
 // All VMs share the hose guarantee b (the paper's per-tenant B).
 func NewCoordinator(b float64, vms map[int]*VM) *Coordinator {
-	return &Coordinator{vms: vms, b: b, DemandHeadroom: 2, lastSent: make(map[Flow]int64)}
+	c := &Coordinator{b: b, DemandHeadroom: 2, index: make(map[int]int, len(vms))}
+	for _, vm := range vms {
+		c.vms = append(c.vms, vm)
+	}
+	slices.SortFunc(c.vms, func(a, b *VM) int { return cmp.Compare(a.ID, b.ID) })
+	for i, vm := range c.vms {
+		c.index[vm.ID] = i
+		c.caps = append(c.caps, b)
+	}
+	c.lastSent = make([][]int64, len(c.vms))
+	return c
 }
 
 // Epoch runs one coordination round at time now: measure demand,
 // allocate, retune buckets. Returns the number of active flows.
 func (c *Coordinator) Epoch(now int64) int {
-	send := map[int]float64{}
-	recv := map[int]float64{}
-	var active []Flow
-	idle := map[Flow]bool{}
-	demands := map[Flow]float64{}
 	epochSec := float64(now-c.lastEpoch) / 1e9
 	c.lastEpoch = now
-
-	for id, vm := range c.vms {
-		send[id] = c.b
-		recv[id] = c.b
-		for _, dst := range vm.Destinations() {
-			if _, intra := c.vms[dst]; !intra {
+	headroom := c.DemandHeadroom
+	if headroom <= 1 {
+		headroom = 2
+	}
+	active, demand := c.active[:0], c.demand[:0]
+	for i, vm := range c.vms {
+		for k, d := range vm.dests {
+			if k == len(c.lastSent[i]) {
+				c.lastSent[i] = append(c.lastSent[i], 0)
+			}
+			j, intra := c.index[d.id]
+			if !intra {
 				// Traffic leaving the tenant is not hose-coordinated
 				// here (inter-tenant traffic is bounded by {B,S}).
 				continue
 			}
-			f := Flow{Src: id, Dst: dst}
-			sent := vm.SentBytesTo(dst)
-			delta := sent - c.lastSent[f]
-			c.lastSent[f] = sent
-			queued := vm.QueuedBytesTo(dst)
-			if delta > 0 || queued > 0 {
-				active = append(active, f)
-				if c.DemandAware && epochSec > 0 {
-					headroom := c.DemandHeadroom
-					if headroom <= 1 {
-						headroom = 2
-					}
-					demands[f] = headroom * float64(delta+queued) / epochSec
-				}
-			} else {
-				idle[f] = true
+			delta := d.sentBytes - c.lastSent[i][k]
+			c.lastSent[i][k] = d.sentBytes
+			if delta <= 0 && d.queuedBytes <= 0 {
+				// Idle pairs revert to the full hose entitlement so a
+				// new burst is not held to a stale share.
+				vm.SetDestRate(now, d.id, c.b)
+				continue
+			}
+			active = append(active, Flow{Src: i, Dst: j})
+			if c.DemandAware && epochSec > 0 {
+				demand = append(demand, headroom*float64(delta+d.queuedBytes)/epochSec)
 			}
 		}
 	}
-
-	var rates map[Flow]float64
-	if c.DemandAware && len(demands) > 0 {
-		rates = HoseAllocateWithDemands(send, recv, demands, active)
-	} else {
-		rates = HoseAllocate(send, recv, active)
+	c.active, c.demand, c.rates = active, demand, slices.Grow(c.rates[:0], len(active))[:len(active)]
+	if len(demand) == 0 {
+		demand = nil // no window to measure in: plain max-min
 	}
-	for f, r := range rates {
-		if vm, ok := c.vms[f.Src]; ok {
-			vm.SetDestRate(now, f.Dst, r)
-		}
-	}
-	// Idle pairs revert to the full hose entitlement so a new burst is
-	// not held to a stale share.
-	for f := range idle {
-		if vm, ok := c.vms[f.Src]; ok {
-			vm.SetDestRate(now, f.Dst, c.b)
-		}
+	c.kernel.Solve(c.caps, c.caps, active, demand, c.rates)
+	for n, f := range active {
+		c.vms[f.Src].SetDestRate(now, c.vms[f.Dst].ID, c.rates[n])
 	}
 	return len(active)
 }

@@ -14,7 +14,7 @@ func TestHoseAllocateWithDemandsBasic(t *testing.T) {
 	recv := map[int]float64{9: 100}
 	flows := []Flow{{1, 9}, {2, 9}}
 	demands := map[Flow]float64{{1, 9}: 10} // flow 2 unbounded
-	rates := HoseAllocateWithDemands(send, recv, demands, flows)
+	rates := kernelByID(new(HoseKernel), send, recv, demands, flows)
 	if math.Abs(rates[Flow{1, 9}]-10) > 1e-6 {
 		t.Errorf("small flow = %v, want 10", rates[Flow{1, 9}])
 	}
@@ -28,7 +28,7 @@ func TestHoseAllocateWithDemandsAllBacklogged(t *testing.T) {
 	send := map[int]float64{1: 50, 2: 50}
 	recv := map[int]float64{9: 60}
 	flows := []Flow{{1, 9}, {2, 9}}
-	withD := HoseAllocateWithDemands(send, recv, nil, flows)
+	withD := kernelByID(new(HoseKernel), send, recv, nil, flows)
 	plain := HoseAllocate(send, recv, flows)
 	for _, f := range flows {
 		if math.Abs(withD[f]-plain[f]) > 1e-6 {
@@ -40,7 +40,7 @@ func TestHoseAllocateWithDemandsAllBacklogged(t *testing.T) {
 func TestHoseAllocateWithDemandsZeroDemandFrozen(t *testing.T) {
 	send := map[int]float64{1: 100}
 	recv := map[int]float64{9: 100}
-	rates := HoseAllocateWithDemands(send, recv, map[Flow]float64{{1, 9}: 0}, []Flow{{1, 9}})
+	rates := kernelByID(new(HoseKernel), send, recv, map[Flow]float64{{1, 9}: 0}, []Flow{{1, 9}})
 	if rates[Flow{1, 9}] != 0 {
 		t.Errorf("zero-demand flow allocated %v", rates[Flow{1, 9}])
 	}
@@ -71,7 +71,7 @@ func TestHoseAllocateWithDemandsFeasibilityProperty(t *testing.T) {
 				demands[fl] = float64(e%23) + 0.5
 			}
 		}
-		rates := HoseAllocateWithDemands(send, recv, demands, flows)
+		rates := kernelByID(new(HoseKernel), send, recv, demands, flows)
 		sUsed := map[int]float64{}
 		rUsed := map[int]float64{}
 		for fl, r := range rates {

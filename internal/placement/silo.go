@@ -50,10 +50,12 @@ type Options struct {
 	// capacities keep admission composable under churn, §4.2.3).
 	DelayCheckUsesBound bool
 	// Workers caps the goroutines the scope search fans out across
-	// independent rack/pod candidates. 0 means runtime.GOMAXPROCS(0); 1
-	// restores the fully serial search. Decisions are identical at any
-	// setting: candidate scopes are evaluated without side effects and
-	// the lowest-index success wins, matching serial first-fit order.
+	// independent rack/pod candidates. 0 means runtime.GOMAXPROCS(0),
+	// used only for searches large enough to repay a fork-join
+	// (fanOutServers); N ≥ 1 means N workers on every search, 1 being
+	// the fully serial search. Decisions are identical at any setting:
+	// candidate scopes are evaluated without side effects and the
+	// lowest-index success wins, matching serial first-fit order.
 	Workers int
 }
 
@@ -581,7 +583,7 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 			cands = append(cands, i)
 		}
 		m.cands = cands
-		tried, servers := m.searchScopes(cands, func(i int, sc *searchScratch) []int {
+		tried, servers := m.searchScopes(cands, h.racksPer*m.tree.Config().ServersPerRack, func(i int, sc *searchScratch) []int {
 			return m.tryScope(spec, sc, i*h.racksPer, (i+1)*h.racksPer, h.span)
 		})
 		if st != nil {
@@ -602,6 +604,26 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 	return nil
 }
 
+// fanOutServers is the search size, in servers under the candidate
+// scopes, from which the default worker setting forks. 1 K is above every
+// tree the packet- and flow-level runs build (Fig. 12: 40 servers,
+// Fig. 15: 200, benchmark flow_fig15: 800), where a fork-join per search
+// cost a third of the run (flow_fig15 36–64 K ops per CPU-s forking
+// always, 48–72 K never), and below most searches on the paper's
+// 100 K-host tree (benchmark place100k, seed 11: 1,368 of its 1,691
+// multi-candidate searches cover 1 K servers or more), which so behaves
+// as it did when every search forked: place100k 7.6–7.8 K requests per
+// CPU-s against 7.3 K, silo-bench -run placeub -requests 40000 (filled
+// tree) a mean admission of 0.89–0.90 ms against 0.91. Higher lines,
+// measured on two cores, forking from 8 K / 16 K / 32 K / never:
+// place100k 11.7–13.9 K / 9.4–14.3 K / 9.1–13.5 K / 10.7–14.8 K, the
+// filled tree 0.77–0.96 / 0.73–0.95 / 0.85–1.01 / 0.94–1.23 ms. 16 K
+// would serve both, but it cuts place100k's measured region to 0.08
+// CPU-s, where ten runs on this host spread by 1.0–3.4 K (the
+// benchmark's bound is 1.8 K): a gain the benchmark cannot resolve is
+// not taken here (ROADMAP item 9).
+const fanOutServers = 1 << 10
+
 // searchScopes evaluates eval on the candidate scopes — each a
 // side-effect-free attempt to place within one scope — and returns the
 // result of the first success in list order, preserving serial
@@ -610,12 +632,18 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 // than one worker, candidates are claimed in list order by a pool of
 // goroutines, each with its own scratch; a worker stops once every
 // position below the best known success has been claimed. All shared
-// manager state is read-only for the duration of the search.
-func (m *Manager) searchScopes(cands []int, eval func(scope int, sc *searchScratch) []int) (int, []int) {
+// manager state is read-only for the duration of the search. Unless
+// Options.Workers asked for a worker count, a search over fewer than
+// fanOutServers servers — candidates × scopeServers, the servers in
+// each — stays on the caller's goroutine.
+func (m *Manager) searchScopes(cands []int, scopeServers int, eval func(scope int, sc *searchScratch) []int) (int, []int) {
 	count := len(cands)
 	workers := m.workers
 	if workers > count {
 		workers = count
+	}
+	if m.opts.Workers <= 0 && count*scopeServers < fanOutServers {
+		workers = 1
 	}
 	if workers <= 1 {
 		for i, c := range cands {

@@ -473,3 +473,62 @@ func TestSpreadEvenMatchesReplacedImplementation(t *testing.T) {
 		}
 	}
 }
+
+// With the default Workers: 0 the scope search forks only from
+// fanOutServers candidate servers up. Decisions must not show which
+// side of that line a request fell on: the default manager and a
+// four-worker one return the same servers on a stream that starts
+// below it (the paper's pods and racks at ten servers a rack, nearly
+// empty: untouched racks collapse to one candidate), rises above it (one
+// failed server in each of 400 racks makes them 400 distinct candidates)
+// and falls back (restored).
+func TestDefaultWorkersSameServersAcrossFanOutThreshold(t *testing.T) {
+	tree := wideTree(t, 25, 40, 10, 0)
+	perRack := tree.Config().ServersPerRack
+	auto, four := NewManager(tree, Options{}), NewManager(tree, Options{Workers: 4})
+	var oneEach []int
+	for r := 0; r < 400; r++ {
+		lo, _ := tree.ServersOfRack(r)
+		oneEach = append(oneEach, lo+r%perRack)
+	}
+	rng := stats.NewRand(31)
+	id := 0
+	// phase places 25 tenants and returns the largest rack-height search
+	// it saw, in servers: more than 25 candidates can only be racks.
+	phase := func(name string) int {
+		largest := 0
+		for n := 0; n < 25; n++ {
+			id++
+			spec := wideSpec(rng, id, false)
+			auto.cands = auto.cands[:0] // a single-server fit searches no racks
+			plA, errA := auto.Place(spec)
+			pl4, err4 := four.Place(spec)
+			if err := samePlacement(plA, pl4, errA, err4); err != nil {
+				t.Fatalf("%s, id %d: default vs 4 workers: %v", name, id, err)
+			}
+			if c := len(auto.cands); c > tree.Pods() && c*perRack > largest {
+				largest = c * perRack
+			}
+		}
+		return largest
+	}
+	if got := phase("empty tree"); got >= fanOutServers {
+		t.Fatalf("empty tree: a search covered %d servers, want all below %d", got, fanOutServers)
+	}
+	auto.FailServers(oneEach...)
+	four.FailServers(oneEach...)
+	if got := phase("400 touched racks"); got < fanOutServers {
+		t.Fatalf("400 touched racks: largest search covered %d servers, want one of %d or more", got, fanOutServers)
+	}
+	auto.RestoreServers(oneEach...)
+	four.RestoreServers(oneEach...)
+	if got := phase("restored"); got >= fanOutServers {
+		t.Fatalf("restored: a search covered %d servers, want all below %d", got, fanOutServers)
+	}
+	if a, r := auto.Accepted(), auto.Rejected(); a == 0 || r == 0 {
+		t.Fatalf("stream must both accept and reject: %d / %d", a, r)
+	}
+	if auto.Workers() < 1 || four.Workers() != 4 {
+		t.Fatalf("worker counts: default %d, explicit %d", auto.Workers(), four.Workers())
+	}
+}
