@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,6 +19,21 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run
 // summaryRE is the line benchmark/simobs.go parses out of stdout.
 var summaryRE = regexp.MustCompile(`(?m)^messages=\d+ completed=\d+ withRTO=\d+ drops=\d+ faultDrops=\d+ voids=\d+$`)
 
+// versionRE matches the build revision in an artifact's meta object, the
+// one field that differs between otherwise identical runs.
+var versionRE = regexp.MustCompile(`("version": ?")[^"]*"`)
+
+// planeArtifacts are the files one run with every plane writes, with the
+// flags that ask for them (relative paths, so meta.flags is the same in
+// every working directory).
+var planeArtifacts = []struct{ file, flag string }{
+	{"trace.json", "-trace"},
+	{"series.json", "-series"},
+	{"incidents.json", "-incidents"},
+	{"introspect.json", "-introspect"},
+	{"metrics.prom", "-metrics"},
+}
+
 // TestCLI builds silo-sim once and drives it the way the sim_obs
 // benchmark workload does.
 func TestCLI(t *testing.T) {
@@ -24,9 +41,10 @@ func TestCLI(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	run := func(t *testing.T, args ...string) []byte {
+	runIn := func(t *testing.T, dir string, args ...string) []byte {
 		t.Helper()
 		cmd := exec.Command(bin, args...)
+		cmd.Dir = dir
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		out, err := cmd.Output()
@@ -34,6 +52,10 @@ func TestCLI(t *testing.T) {
 			t.Fatalf("silo-sim %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
 		}
 		return out
+	}
+	run := func(t *testing.T, args ...string) []byte {
+		t.Helper()
+		return runIn(t, "", args...)
 	}
 	// golden compares stdout with testdata/<name>.golden; -update
 	// rewrites the file first.
@@ -83,6 +105,38 @@ func TestCLI(t *testing.T) {
 		golden(t, "fault", run(t, "-scheme", "silo", "-duration", "0.005",
 			"-fault", "t=2ms switch tor0 down; t=4ms up", "-slo-report"))
 	})
+
+	// Every observation plane at once: stdout, and each artifact's sha256
+	// with meta.version blanked. The silo run pins the VM-enqueue and
+	// token-admit events, the tcp run introspection's NIC-arrival
+	// estimator, the fault run the incident plane's verdicts.
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"silo", []string{"-scheme", "silo"}},
+		{"tcp", []string{"-scheme", "tcp"}},
+		{"fault", []string{"-scheme", "silo", "-fault", "t=2ms switch tor0 down; t=4ms up"}},
+	} {
+		c := c
+		t.Run("golden planes "+c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := append(c.args, "-duration", "0.005", "-trace-sample", "1", "-slo-report")
+			for _, a := range planeArtifacts {
+				args = append(args, a.flag, a.file)
+			}
+			golden(t, "planes_"+c.name, runIn(t, dir, args...))
+			var sums bytes.Buffer
+			for _, a := range planeArtifacts {
+				b, err := os.ReadFile(filepath.Join(dir, a.file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&sums, "%x  %s\n", sha256.Sum256(versionRE.ReplaceAll(b, []byte(`${1}"`))), a.file)
+			}
+			golden(t, "planes_"+c.name+"_artifacts", sums.Bytes())
+		})
+	}
 
 	t.Run("unknown scheme", func(t *testing.T) {
 		out, err := exec.Command(bin, "-scheme", "nope").CombinedOutput()

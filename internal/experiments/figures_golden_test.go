@@ -148,10 +148,17 @@ func TestFigure5SimGolden(t *testing.T) {
 	checkGolden(t, "fig5sim", b.String())
 }
 
+// The drill's recovery table and, byte for byte, the incidents.json that
+// silo-bench -run faultdrill -outdir writes (less its meta object).
 func TestFailureDrillGolden(t *testing.T) {
 	r, err := RunFailureDrill(DefaultFailureDrillParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "failuredrill", r.Render())
+	var js strings.Builder
+	if err := r.Incidents.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "failuredrill_incidents", js.String())
 }
