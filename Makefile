@@ -17,9 +17,9 @@ test:
 	$(GO) test ./...
 
 # The whole tree under the race detector (about two minutes on two
-# cores): the parallel placement scope search, the sharded obs
-# histograms and flight recorder, the fault injector with recovery
-# hooks, the incident correlator, the durable store's crash suite.
+# cores): the parallel placement scope search, the obs metric atomics,
+# the debug endpoint's live readers during a run with every plane on
+# (TestLiveReadersDuringRun), the durable store's crash suite.
 test-race:
 	$(GO) test -race ./...
 

@@ -30,7 +30,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/dashboard"
-	obsruntime "repro/internal/obs/runtime"
 	"repro/internal/placement/durable"
 	"repro/internal/tenant"
 	"repro/internal/topology"
@@ -200,7 +199,7 @@ func main() {
 		Ports:     nw.PortMeta(),
 		Incidents: run.Correlator,
 		Meta:      &meta,
-		Runtime:   func() obsruntime.Stats { return obsruntime.Collect(nw) },
+		Runtime:   nw.Sim.RuntimeStats,
 		WAL: func() *durable.Status {
 			if dur == nil {
 				return nil

@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/incident"
 	"repro/internal/obs/introspect"
-	obsruntime "repro/internal/obs/runtime"
 	"repro/internal/obs/slo"
 	"repro/internal/obs/timeseries"
 	"repro/internal/pacer"
@@ -350,7 +349,6 @@ func Build(sc Scenario, env Env) (*Run, error) {
 			r.observe(tr)
 		}
 		nw.RegisterMetrics(reg)
-		obsruntime.Register(reg, nw)
 		nw.AttachDelayAudit(r.Audit, r.Ctl.TenantOfVM)
 	}
 	if sc.Planes.Incidents {

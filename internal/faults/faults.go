@@ -6,8 +6,8 @@
 // drop bursts on a port. Every applied event is a structured record:
 // the injector keeps an ordered log, exposes the outage windows for
 // SLO fault attribution (FaultIn matches the obs/slo FaultLookup
-// signature), and offers an OnEvent tap the recovery control loop
-// chains into.
+// signature), and offers an OnEvent callback the recovery control loop
+// listens on.
 //
 // Determinism: the injector holds no randomness and reads no wall
 // clock. A schedule applied to the same network and seed produces the
@@ -107,9 +107,8 @@ type Injector struct {
 	// outages tracks loss windows per target for SLO attribution.
 	outages []outage
 	open    map[string]int // target -> index of open outage
-	// OnEvent, if set, observes every event after its network side
-	// effects have been applied. Chain like the netsim taps: preserve
-	// the previous hook and call it first.
+	// OnEvent, if set, is called with every event after its network
+	// side effects have been applied.
 	OnEvent func(Event)
 	// GraceNs extends every closed outage window when answering
 	// FaultIn: violations shortly after a restore (retransmit storms,

@@ -42,9 +42,7 @@ func TestLinkFailDropsAndRestores(t *testing.T) {
 	nw.Hosts[1].Deliver = func(p *netsim.Packet) { delivered++ }
 
 	pid := nw.Tree.ServerUpPortID(0)
-	var hookDrops int
 	q := nw.Queues[pid]
-	q.OnFault = func(p *netsim.Packet) { hookDrops++ }
 
 	// Queue a burst, fail mid-drain, restore later, send again.
 	nw.Sim.At(0, func() {
@@ -63,9 +61,6 @@ func TestLinkFailDropsAndRestores(t *testing.T) {
 	}
 	if q.Stats.FaultDroppedPkts == 0 {
 		t.Fatal("no fault drops recorded")
-	}
-	if int(q.Stats.FaultDroppedPkts) != hookDrops {
-		t.Fatalf("OnFault saw %d drops, counter says %d", hookDrops, q.Stats.FaultDroppedPkts)
 	}
 	if q.Occupied() != 0 {
 		t.Fatalf("occupied bytes leaked: %d", q.Occupied())

@@ -76,6 +76,7 @@ func Build(sim *Sim, tree *topology.Tree, opts Options) *Network {
 	mkQueue := func(port *topology.Port, name string, next Receiver) *Queue {
 		buf := int(port.BufferBytes)
 		q := NewQueue(sim, name, port.RateBps, buf, opts.PropNs, next)
+		q.id = int32(port.ID)
 		if opts.PhantomGamma > 0 {
 			q.Phantom = NewPhantomQueue(opts.PhantomGamma*port.RateBps, opts.PhantomThresholdBytes)
 		} else if opts.ECNThresholdBytes > 0 {

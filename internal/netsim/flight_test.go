@@ -98,55 +98,6 @@ func TestFlightPacedSpan(t *testing.T) {
 	}
 }
 
-// TestFlightComposesWithTracerAndAudit checks the hook-chaining
-// contract: a hop-tracing OnEnqueue hook installed first, the delay
-// audit and the flight tap observe the same run without stealing each
-// other's events, and detaching the tap (LIFO) restores the others
-// untouched.
-func TestFlightComposesWithTracerAndAudit(t *testing.T) {
-	nw := buildNet(t)
-	hops := map[uint64]int{} // arrivals per packet ID, counted by the earlier hook
-	for _, q := range nw.Queues {
-		q.OnEnqueue = func(p *Packet, _ int) { hops[p.ID]++ }
-	}
-	audit := obs.NewGuaranteeAuditor(nil)
-	ta := audit.Admit(1, 1e9, 15e3, 1e-3)
-	nw.AttachDelayAudit(audit, func(vmID int) (int, bool) { return 1, vmID == 17 })
-	rec := obs.NewFlightRecorder(0, 1)
-	tap := AttachFlightRecorder(nw, rec)
-
-	nw.Hosts[0].Send(&Packet{ID: 1, Src: 0, Dst: 7, SrcVM: 10, DstVM: 17, Size: 1500})
-	nw.Sim.Run(1e9)
-
-	if hops[1] != 6 {
-		t.Errorf("traced hops = %d, want 6 (tap must chain, not replace)", hops[1])
-	}
-	if n := ta.Packets.Value(); n != 1 {
-		t.Errorf("audited packets = %d, want 1", n)
-	}
-	spans := obs.AssembleFlight(rec.Events(), nw.PortMeta())
-	if len(spans) != 1 || !spans[0].Complete || spans[0].AttributionErrorNs() != 0 {
-		t.Errorf("flight span wrong under composition: %+v", spans)
-	}
-
-	// Detach the tap; the earlier hook and the audit keep working, the recorder
-	// goes quiet.
-	tap.Detach()
-	before := rec.Emitted()
-	nw.Hosts[0].Send(&Packet{ID: 2, Src: 0, Dst: 7, SrcVM: 10, DstVM: 17, Size: 1500})
-	nw.Sim.Run(2e9)
-	if rec.Emitted() != before {
-		t.Error("detached tap still emitting")
-	}
-	if hops[2] != 6 {
-		t.Errorf("traced hops after tap detach = %d, want 6", hops[2])
-	}
-	if n := ta.Packets.Value(); n != 2 {
-		t.Errorf("audited packets after tap detach = %d, want 2", n)
-	}
-	tap.Detach() // second detach is a no-op
-}
-
 func TestFlightTapSkipsVoidsAndUnsampled(t *testing.T) {
 	nw := buildNet(t)
 	rec := obs.NewFlightRecorder(0, 4)

@@ -23,6 +23,10 @@ import (
 //	silo_netsim_fault_drops_total failure losses (ports+switches+hosts)
 //	silo_netsim_voids_dropped_total  void frames absorbed at first hop
 //	silo_netsim_goodput_bytes     non-void bytes delivered to hosts
+//
+// The engine itself (SimCounters): events executed, timestamp-wheel and
+// overflow-heap high-water marks, event-freelist and packet-arena hits
+// and misses, arena population, as silo_runtime_*.
 func (nw *Network) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -61,36 +65,47 @@ func (nw *Network) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("silo_netsim_goodput_bytes",
 		"non-void bytes delivered to hosts",
 		func() float64 { return float64(nw.SentDataBytes()) })
+	c := &nw.Sim.rtc
+	for _, g := range []struct {
+		name, help string
+		v          *int64
+	}{
+		{"silo_runtime_events_total", "events executed across all engine loops", &c.Events},
+		{"silo_runtime_wheel_hwm", "worst timestamp-wheel population of any single engine", &c.WheelHWM},
+		{"silo_runtime_overflow_heap_hwm", "worst overflow-heap depth of any single engine", &c.FarHWM},
+		{"silo_runtime_event_freelist_hits_total", "event-node allocations served from the freelist", &c.EvHits},
+		{"silo_runtime_event_freelist_misses_total", "event-node chunk carves (128 nodes each)", &c.EvMisses},
+		{"silo_runtime_packet_arena_hits_total", "packet allocations served from the arena freelist", &c.PktHits},
+		{"silo_runtime_packet_arena_misses_total", "packet-arena chunk carves (256 packets each)", &c.PktMisses},
+		{"silo_runtime_packet_arena_in_use", "packets currently allocated from the arenas", &c.PktInUse},
+		{"silo_runtime_packet_arena_hwm", "summed per-engine packet-arena high-water marks", &c.PktHWM},
+	} {
+		v := g.v
+		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(*v) })
+	}
 }
 
-// AttachDelayAudit wires every host's delivery path into a guarantee
-// auditor: each delivered data packet's NIC-to-NIC delay (delivery time
-// minus the SentAt wire stamp) is recorded against the destination
-// VM's tenant. tenantOf maps a VM id to its tenant id (ok=false skips
-// the packet); it runs once per delivered packet, so it must not
-// allocate — a range check or array lookup, not a map built per call.
+// AttachDelayAudit feeds every delivered data packet's NIC-to-NIC delay
+// (delivery time minus the SentAt wire stamp) to a guarantee auditor,
+// against the destination VM's tenant. tenantOf maps a VM id to its
+// tenant id (ok=false skips the packet); it runs once per delivered
+// packet, so it must not allocate — a range check or array lookup, not
+// a map built per call.
 //
 // The auditor's per-tenant histogram and violation counters aggregate
 // in place with zero allocation; per-packet hop records are the flight
 // recorder's job (AttachFlightRecorder).
-//
-// Existing OnDeliver hooks are preserved and run first.
 func (nw *Network) AttachDelayAudit(a *obs.GuaranteeAuditor, tenantOf func(vmID int) (tenantID int, ok bool)) {
 	if a == nil {
 		return
 	}
-	for _, h := range nw.Hosts {
-		h := h
-		prev := h.OnDeliver
-		h.OnDeliver = func(p *Packet, delayNs int64) {
-			if prev != nil {
-				prev(p, delayNs)
-			}
-			if id, ok := tenantOf(p.DstVM); ok {
-				// Delivery time and endpoints ride along so a violation
-				// tap can emit a fully-identified event.
-				a.ObserveDelivery(id, p.DstVM, p.SrcVM, h.Sim().Now(), delayNs)
-			}
+	sim := nw.Sim
+	sim.Subscribe(func(ev Event) {
+		p := ev.P
+		if id, ok := tenantOf(p.DstVM); ok {
+			// Delivery time and endpoints ride along so a violation tap
+			// can emit a fully-identified event.
+			a.ObserveDelivery(id, p.DstVM, p.SrcVM, sim.Now(), ev.Arg)
 		}
-	}
+	}, EvDeliver)
 }

@@ -64,21 +64,11 @@ type Host struct {
 	NIC *Queue
 	// Deliver is the upcall for packets addressed to this host.
 	Deliver func(p *Packet)
-	// OnDeliver, if set, observes every delivered data packet with its
-	// NIC-to-NIC delay (now minus SentAt, the wire timestamp). It runs
-	// before Deliver; Network.AttachDelayAudit uses it to feed the
-	// guarantee auditor.
+	// OnDeliver, if set, is called with every delivered data packet and
+	// its NIC-to-NIC delay (now minus SentAt, the wire stamp), just
+	// before Deliver. It is an application callback, not an observation
+	// point: planes subscribe to the Sim's EvDeliver instead.
 	OnDeliver func(p *Packet, delayNs int64)
-	// OnPacedEnqueue, if set, observes every data packet handed to the
-	// pacer's token-bucket chain (the start of a message's life, before
-	// any pacing delay accrues). The flight recorder chains into it.
-	OnPacedEnqueue func(p *Packet)
-	// OnPacedWire, if set, observes every paced data packet the moment
-	// the batch loop lays it on the wire, after its release stamp and
-	// gating bucket are copied onto it. Unlike a NIC OnEnqueue hook it
-	// fires only for paced packets, so instrumentation needs no "was
-	// this paced?" heuristic (a release stamp of 0 is legitimate).
-	OnPacedWire func(p *Packet)
 	// FreeOnDeliver recycles every delivered data packet into the
 	// engine's arena after OnDeliver/Deliver return. Enable only when
 	// the delivery path retains nothing (benchmarks, generator
@@ -125,8 +115,10 @@ func (h *Host) Receive(p *Packet) {
 		// Voids should have been dropped upstream; tolerate anyway.
 		return
 	}
+	delayNs := h.sim.Now() - p.SentAt
+	h.sim.emit(Event{Kind: EvDeliver, At: int32(h.ID), P: p, Arg: delayNs})
 	if h.OnDeliver != nil {
-		h.OnDeliver(p, h.sim.Now()-p.SentAt)
+		h.OnDeliver(p, delayNs)
 	}
 	if h.Deliver != nil {
 		h.Deliver(p)
@@ -205,9 +197,7 @@ func (h *Host) SendPaced(vmID int, p *Packet) {
 		h.Send(p)
 		return
 	}
-	if h.OnPacedEnqueue != nil {
-		h.OnPacedEnqueue(p)
-	}
+	h.sim.emit(Event{Kind: EvPacedEnqueue, At: int32(h.ID), P: p})
 	vm.Enqueue(h.sim.Now(), p.DstVM, p.Size, p)
 	switch {
 	case !h.loopRunning:
@@ -238,8 +228,8 @@ func (h *Host) armLoop(t int64) {
 // wirePacket lays one batch frame on the NIC at its wire time.
 func (h *Host) wirePacket(p *Packet) {
 	p.SentAt = h.sim.Now()
-	if !p.Void && h.OnPacedWire != nil {
-		h.OnPacedWire(p)
+	if !p.Void {
+		h.sim.emit(Event{Kind: EvPacedWire, At: int32(h.ID), P: p})
 	}
 	h.NIC.Enqueue(p)
 }

@@ -3,8 +3,8 @@ package netsim
 // PortWindowTracker is the live culprit-port attributor behind the SLO
 // engine's burn-rate events: per directed port it tracks the worst
 // estimated queueing delay (occupancy found on arrival divided by the
-// port's drain rate) inside the current telemetry window. It chains
-// into every queue's OnEnqueue hook — a handful of integer ops per
+// port's drain rate) inside the current telemetry window. It subscribes
+// to the spine's port-enqueue events — a handful of integer ops per
 // packet, zero allocations — and structurally implements
 // slo.Attributor, so the engine can name the port that queued the
 // packets behind a violation without the flight recorder running.
@@ -16,30 +16,19 @@ type PortWindowTracker struct {
 	maxBytes   []int64
 }
 
-// AttachPortWindowTracker chains window tracking into every port of
-// the network. Existing OnEnqueue hooks (e.g. the flight recorder's)
-// are preserved and run first.
+// AttachPortWindowTracker tracks windows on every port of the network.
 func AttachPortWindowTracker(nw *Network) *PortWindowTracker {
 	t := &PortWindowTracker{
 		maxDelayNs: make([]int64, len(nw.Queues)),
 		maxBytes:   make([]int64, len(nw.Queues)),
 	}
-	for id, q := range nw.Queues {
-		if q == nil {
-			continue
+	queues := nw.Queues
+	nw.Sim.Subscribe(func(ev Event) {
+		if b := ev.Arg; b > t.maxBytes[ev.At] {
+			t.maxBytes[ev.At] = b
+			t.maxDelayNs[ev.At] = int64(float64(b) / queues[ev.At].RateBps * 1e9)
 		}
-		id, q := id, q
-		prev := q.OnEnqueue
-		q.OnEnqueue = func(p *Packet, occupied int) {
-			if prev != nil {
-				prev(p, occupied)
-			}
-			if b := int64(occupied); b > t.maxBytes[id] {
-				t.maxBytes[id] = b
-				t.maxDelayNs[id] = int64(float64(b) / q.RateBps * 1e9)
-			}
-		}
-	}
+	}, EvPortEnqueue)
 	return t
 }
 

@@ -134,15 +134,3 @@ func TestPortWindowTracker(t *testing.T) {
 		t.Error("WindowMaxBytes nonzero after Reset")
 	}
 }
-
-func TestPortWindowTrackerPreservesHooks(t *testing.T) {
-	nw := buildNet(t)
-	calls := 0
-	nw.Queues[nw.Tree.ServerUpPort(0).ID].OnEnqueue = func(*Packet, int) { calls++ }
-	AttachPortWindowTracker(nw)
-	nw.Hosts[0].Send(&Packet{Src: 0, Dst: 1, Size: 1500})
-	nw.Sim.Run(1e6)
-	if calls != 1 {
-		t.Errorf("pre-existing OnEnqueue hook called %d times, want 1", calls)
-	}
-}

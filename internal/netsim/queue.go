@@ -43,6 +43,9 @@ func (f *pktFIFO) pop() *Packet {
 // buffer is shared.
 type Queue struct {
 	sim *Sim
+	// id is the topology directed-port ID (set by Build): the port the
+	// spine's port events name.
+	id int32
 	// Name identifies the port in traces.
 	Name string
 	// RateBps is the drain rate in bytes/sec.
@@ -63,19 +66,6 @@ type Queue struct {
 	Next Receiver
 	// Stats accumulates counters.
 	Stats Counters
-	// OnEnqueue, if set, observes every arrival (instrumentation).
-	OnEnqueue func(p *Packet, occupied int)
-	// OnTransmit, if set, observes the start of every serialization
-	// with the exact serialization time the port will charge. Together
-	// with OnEnqueue it brackets a packet's queueing delay at the port
-	// to the nanosecond; the flight recorder chains into both.
-	OnTransmit func(p *Packet, serNs int64)
-	// OnFault, if set, observes every packet the port drops because of
-	// a failure (forced drain on Fail, arrival at a down or lossy port,
-	// in-flight loss when the link dies mid-serialization or
-	// mid-propagation). Chain like OnEnqueue/OnTransmit: preserve the
-	// previous hook and call it first.
-	OnFault func(p *Packet)
 
 	fifos    [numPrios]pktFIFO
 	occupied int
@@ -119,9 +109,7 @@ func (q *Queue) Enqueue(p *Packet) {
 		q.faultDrop(p)
 		return
 	}
-	if q.OnEnqueue != nil {
-		q.OnEnqueue(p, q.occupied)
-	}
+	q.sim.emit(Event{Kind: EvPortEnqueue, At: q.id, P: p, Arg: int64(q.occupied)})
 	if q.Phantom != nil {
 		if q.Phantom.Mark(q.sim.Now(), p.Size) && p.ECNCapable {
 			p.CE = true
@@ -174,9 +162,7 @@ func (q *Queue) transmitNext() {
 		serNs = int64(math.Round(float64(p.Size) / q.RateBps * 1e9))
 		q.serSize, q.serNs = p.Size, serNs
 	}
-	if q.OnTransmit != nil {
-		q.OnTransmit(p, serNs)
-	}
+	q.sim.emit(Event{Kind: EvPortTransmit, At: q.id, P: p, Arg: serNs})
 	q.sim.schedule(q.sim.now+serNs, evtTxDone, q.failGen, nil, q, nil, p)
 }
 
@@ -207,13 +193,10 @@ func (q *Queue) arrive(p *Packet, gen uint64) {
 	q.Next.Receive(p)
 }
 
-// faultDrop meters a failure-caused loss and runs the OnFault tap.
+// faultDrop meters a failure-caused loss.
 func (q *Queue) faultDrop(p *Packet) {
 	q.Stats.FaultDroppedPkts++
 	q.Stats.FaultDroppedBytes += int64(p.Size)
-	if q.OnFault != nil {
-		q.OnFault(p)
-	}
 }
 
 // Fail takes the port down: buffered packets are drained-and-dropped

@@ -117,6 +117,10 @@ type Sim struct {
 	// runtime.go). Always on: every update is a plain compare or add
 	// on this single-threaded struct.
 	rtc SimCounters
+
+	// subs holds the observation spine's subscribers per event kind,
+	// in subscription order (see spine.go).
+	subs [numEventKinds][]func(Event)
 }
 
 // NewSim returns an empty simulator at time 0.

@@ -284,6 +284,13 @@ func TestSimCountersSequential(t *testing.T) {
 	if rtc.PktInUse != 0 {
 		t.Errorf("%d packets still in the arena after drain", rtc.PktInUse)
 	}
+	e := nw.Sim.RuntimeStats().Engine
+	if e.SimCounters != rtc {
+		t.Errorf("RuntimeStats counters %+v, want %+v", e.SimCounters, rtc)
+	}
+	if e.EvHitRate <= 0 || e.EvHitRate >= 1 || e.PktHitRate <= 0 || e.PktHitRate >= 1 {
+		t.Errorf("hit rates out of (0,1): %+v", e)
+	}
 }
 
 func TestPacketArenaReuse(t *testing.T) {

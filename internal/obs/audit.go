@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // GuaranteeAuditor cross-references live measurements against the
@@ -24,20 +22,18 @@ import (
 //     the token buckets had to delay because the VM offered more than
 //     B·t + S (each is a would-be violation the pacer averted).
 //
-// ObserveDelay is safe for concurrent use and performs no allocation;
-// tenant state lives in a copy-on-write map so the read path is one
-// atomic load and a map lookup. The auditor works with or without a
-// Registry: metrics registration is skipped when reg is nil, while the
-// audit itself (violation counting, Summary) still runs — this is what
-// lets every silo-sim run double as an audit even with -metrics unset.
-// A nil *GuaranteeAuditor disables everything at one branch per call.
+// The auditor is driven from the simulation goroutine; ObserveDelay is
+// a map lookup and metric updates, with no allocation. Only the
+// per-tenant metrics are read concurrently (by a live /metrics scrape),
+// and they are atomic. The auditor works with or without a Registry:
+// metrics registration is skipped when reg is nil, while the audit
+// itself (violation counting, Summary) still runs — this is what lets
+// every silo-sim run double as an audit even with -metrics unset. A nil
+// *GuaranteeAuditor disables everything at one branch per call.
 type GuaranteeAuditor struct {
 	reg     *Registry
-	mu      sync.Mutex   // serializes Admit
-	tenants atomic.Value // map[int]*TenantAudit, copy-on-write
-	// tap receives one ViolationEvent per over-bound delivery. Set it
-	// with SetViolationTap before the simulation starts; it is read
-	// without synchronization on the hot path.
+	tenants map[int]*TenantAudit
+	// tap receives one ViolationEvent per over-bound delivery.
 	tap func(ViolationEvent)
 }
 
@@ -66,9 +62,7 @@ type TenantAudit struct {
 // NewGuaranteeAuditor returns an auditor. reg may be nil: the audit
 // still runs, it is just not exported through a registry.
 func NewGuaranteeAuditor(reg *Registry) *GuaranteeAuditor {
-	a := &GuaranteeAuditor{reg: reg}
-	a.tenants.Store(map[int]*TenantAudit{})
-	return a
+	return &GuaranteeAuditor{reg: reg, tenants: make(map[int]*TenantAudit)}
 }
 
 // Admit registers a tenant's guarantee for auditing. delayBoundSec is
@@ -79,10 +73,7 @@ func (a *GuaranteeAuditor) Admit(id int, bandwidthBps, burstBytes, delayBoundSec
 	if a == nil {
 		return nil
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cur := a.tenants.Load().(map[int]*TenantAudit)
-	if t, ok := cur[id]; ok {
+	if t, ok := a.tenants[id]; ok {
 		return t
 	}
 	label := fmt.Sprintf("%d", id)
@@ -118,29 +109,24 @@ func (a *GuaranteeAuditor) Admit(id int, bandwidthBps, burstBytes, delayBoundSec
 		t.MaxDelayNs = &Gauge{}
 		t.Packets = &Counter{}
 	}
-	next := make(map[int]*TenantAudit, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[id] = t
-	a.tenants.Store(next)
+	a.tenants[id] = t
 	return t
 }
 
 // SetDelayBound updates an admitted tenant's audited bound d (in
 // seconds; <= 0 clears it). Failure recovery uses it when a tenant is
 // re-admitted degraded: packets delivered after the update are judged
-// against the loosened bound. Copy-on-write like Admit, so concurrent
-// ObserveDelay calls see either the old bound or the new one, never a
-// torn state. Unknown tenants are ignored.
+// against the loosened bound. Unknown tenants are ignored.
+//
+// The tenant's state is replaced, not updated in place: the SLO engine
+// keeps the *TenantAudit it picked up and reads its bound under its own
+// lock from the dashboard goroutine, so a TenantAudit never changes once
+// handed out.
 func (a *GuaranteeAuditor) SetDelayBound(id int, delayBoundSec float64) {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cur := a.tenants.Load().(map[int]*TenantAudit)
-	t, ok := cur[id]
+	t, ok := a.tenants[id]
 	if !ok {
 		return
 	}
@@ -150,12 +136,7 @@ func (a *GuaranteeAuditor) SetDelayBound(id int, delayBoundSec float64) {
 	}
 	nt := *t // metric handles are pointers, shared with the old state
 	nt.DelayBoundNs = boundNs
-	next := make(map[int]*TenantAudit, len(cur))
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[id] = &nt
-	a.tenants.Store(next)
+	a.tenants[id] = &nt
 }
 
 // Tenant returns the audit state for a tenant, if admitted.
@@ -163,15 +144,13 @@ func (a *GuaranteeAuditor) Tenant(id int) (*TenantAudit, bool) {
 	if a == nil {
 		return nil, false
 	}
-	t, ok := a.tenants.Load().(map[int]*TenantAudit)[id]
+	t, ok := a.tenants[id]
 	return t, ok
 }
 
 // SetViolationTap installs a callback invoked once per delay-bound
 // violation with the unified ViolationEvent record (the single stream
-// the incident engine consumes). Call it before the simulation runs —
-// the tap is read without synchronization on the delivery path, so
-// installing it mid-run is a race. fn must not allocate if the
+// the incident engine consumes). fn must not allocate if the
 // observation path is to stay allocation-free; ViolationLog.Observe
 // qualifies. nil clears the tap.
 func (a *GuaranteeAuditor) SetViolationTap(fn func(ViolationEvent)) {
@@ -197,7 +176,7 @@ func (a *GuaranteeAuditor) ObserveDelivery(id, dstVM, srcVM int, nowNs, delayNs 
 	if a == nil {
 		return
 	}
-	t, ok := a.tenants.Load().(map[int]*TenantAudit)[id]
+	t, ok := a.tenants[id]
 	if !ok {
 		return
 	}
@@ -229,7 +208,7 @@ func (a *GuaranteeAuditor) NumTenants() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.tenants.Load().(map[int]*TenantAudit))
+	return len(a.tenants)
 }
 
 // Tenants returns the admitted tenants sorted by ID.
@@ -237,9 +216,8 @@ func (a *GuaranteeAuditor) Tenants() []*TenantAudit {
 	if a == nil {
 		return nil
 	}
-	m := a.tenants.Load().(map[int]*TenantAudit)
-	out := make([]*TenantAudit, 0, len(m))
-	for _, t := range m {
+	out := make([]*TenantAudit, 0, len(a.tenants))
+	for _, t := range a.tenants {
 		out = append(out, t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

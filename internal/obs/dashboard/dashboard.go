@@ -20,9 +20,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/obs/incident"
-	obsruntime "repro/internal/obs/runtime"
 	"repro/internal/obs/slo"
 	"repro/internal/obs/timeseries"
 	"repro/internal/placement/durable"
@@ -46,9 +46,9 @@ type Options struct {
 	// correlator's most recent Correlate result).
 	Incidents *incident.Correlator
 	// Runtime supplies the Engine panel: a collector producing the
-	// runtime plane's self-telemetry report, evaluated per request
-	// (typically func() { return runtime.Collect(nw) }).
-	Runtime func() obsruntime.Stats
+	// simulator's self-telemetry report, evaluated per request
+	// (typically nw.Sim.RuntimeStats).
+	Runtime func() netsim.RuntimeStats
 	// WAL supplies the durability panel: a collector producing the
 	// durable store's status, evaluated per request (nil when the run
 	// has no -wal; returning nil renders the panel empty).
@@ -71,7 +71,7 @@ type Payload struct {
 	Incidents *incident.Report `json:"incidents,omitempty"`
 	// Runtime is the engine self-telemetry report (wheel, overflow-heap
 	// and arena pressure).
-	Runtime *obsruntime.Stats `json:"runtime,omitempty"`
+	Runtime *netsim.RuntimeStats `json:"runtime,omitempty"`
 	// WAL is the durable store's status (seq, segment size, safe mode,
 	// how the last recovery went).
 	WAL *durable.Status `json:"wal,omitempty"`

@@ -1,8 +1,6 @@
 package obs
 
-import "sync/atomic"
-
-// Flight recorder: a lock-free, fixed-size ring of binary trace events
+// Flight recorder: a fixed-size ring of binary trace events
 // for end-to-end per-packet latency attribution. Where the metrics core
 // (obs.go) aggregates in place, the flight recorder keeps the most
 // recent window of raw lifecycle events — VM enqueue, token-bucket
@@ -18,16 +16,16 @@ import "sync/atomic"
 //  2. Nil-safe. A nil *FlightRecorder disables every emit site at one
 //     branch; Sampled on a nil recorder reports false so callers can
 //     gate whole event bundles on a single check.
-//  3. Lock-free. Each ring shard has one atomic cursor; an emit is one
-//     atomic add plus a struct store. Shards are selected by packet ID
-//     hash, which both spreads concurrent emitters (one worker per
-//     shard in the parallel drivers) and keeps all events of one
-//     packet in a single shard, in emission order — exactly what span
-//     reassembly needs.
+//  3. Sharded by packet. Shards are selected by packet ID hash, which
+//     keeps all events of one packet in a single shard, in emission
+//     order — exactly what span reassembly needs.
 //
-// The ring overwrites its oldest events when full. Reassembly detects
-// packets whose early events were overwritten and marks their spans
-// incomplete; attribution only trusts complete spans.
+// Each shard overwrites its own oldest events when full, so the shard
+// count decides which events survive a wrap. Reassembly detects packets
+// whose early events were overwritten and marks their spans incomplete;
+// attribution only trusts complete spans. The recorder is not safe for
+// concurrent use: the simulation goroutine emits, and the harness reads
+// after the run.
 
 // Flight event kinds, in lifecycle order.
 const (
@@ -66,19 +64,19 @@ type FlightEvent struct {
 	_    [2]byte
 }
 
-// flightShards spreads emitters; 4 matches the histogram sharding and
-// the repository's driver concurrency.
+// flightShards is the ring count; traces written at the default
+// capacity depend on it, because it decides which events a wrap keeps.
 const flightShards = 4
 
-// flightShard is one ring with its cursor on a dedicated cache line.
+// flightShard is one ring and its cursor: the number of events ever
+// written to it.
 type flightShard struct {
-	pos atomic.Uint64
-	_   [56]byte
+	pos uint64
 	buf []FlightEvent
 }
 
 // FlightRecorder records sampled packet lifecycle events into
-// fixed-size lock-free rings. A nil recorder is fully disabled.
+// fixed-size rings. A nil recorder is fully disabled.
 type FlightRecorder struct {
 	shards     [flightShards]flightShard
 	mask       uint64 // ring index mask (per-shard capacity - 1)
@@ -141,17 +139,15 @@ func flightHash(pkt uint64) uint64 {
 }
 
 // Emit appends one event. Callers gate on Sampled first; Emit itself
-// does not re-check, so unsampled direct emission is possible (the
-// Figure-10 microbenchmark uses this). Zero allocations; safe for
-// concurrent use — distinct packets hash to independent shards and a
-// slot collision requires two in-flight emits a full ring lap apart.
+// does not re-check, so unsampled direct emission is possible. Zero
+// allocations.
 func (r *FlightRecorder) Emit(kind uint8, t int64, pkt uint64, port int32, arg int64, gate uint8) {
 	if r == nil {
 		return
 	}
 	s := &r.shards[flightHash(pkt)]
-	i := s.pos.Add(1) - 1
-	s.buf[i&r.mask] = FlightEvent{T: t, Pkt: pkt, Arg: arg, Port: port, Kind: kind, Gate: gate}
+	s.buf[s.pos&r.mask] = FlightEvent{T: t, Pkt: pkt, Arg: arg, Port: port, Kind: kind, Gate: gate}
+	s.pos++
 }
 
 // Emitted returns the total number of events written (including any
@@ -162,7 +158,7 @@ func (r *FlightRecorder) Emitted() int64 {
 	}
 	var n int64
 	for i := range r.shards {
-		n += int64(r.shards[i].pos.Load())
+		n += int64(r.shards[i].pos)
 	}
 	return n
 }
@@ -174,7 +170,7 @@ func (r *FlightRecorder) Overwritten() int64 {
 	}
 	var n int64
 	for i := range r.shards {
-		if pos := r.shards[i].pos.Load(); pos > r.mask+1 {
+		if pos := r.shards[i].pos; pos > r.mask+1 {
 			n += int64(pos - (r.mask + 1))
 		}
 	}
@@ -183,26 +179,23 @@ func (r *FlightRecorder) Overwritten() int64 {
 
 // Events snapshots the retained events, oldest first within each
 // shard. Per-packet order is exact (a packet's events share a shard);
-// cross-packet order is per-shard. Call after the run completes — a
-// snapshot concurrent with emitters may tear the slot being written.
+// cross-packet order is per-shard.
 func (r *FlightRecorder) Events() []FlightEvent {
 	if r == nil {
 		return nil
 	}
-	var pos [flightShards]uint64
 	total := uint64(0)
 	for i := range r.shards {
-		pos[i] = r.shards[i].pos.Load()
-		total += min(pos[i], r.mask+1)
+		total += min(r.shards[i].pos, r.mask+1)
 	}
 	out := make([]FlightEvent, 0, total)
 	for i := range r.shards {
-		buf := r.shards[i].buf
-		if pos[i] > r.mask+1 { // wrapped: the oldest event sits at the cursor
-			at := pos[i] & r.mask
-			out = append(append(out, buf[at:]...), buf[:at]...)
+		s := &r.shards[i]
+		if s.pos > r.mask+1 { // wrapped: the oldest event sits at the cursor
+			at := s.pos & r.mask
+			out = append(append(out, s.buf[at:]...), s.buf[:at]...)
 		} else {
-			out = append(out, buf[:pos[i]]...)
+			out = append(out, s.buf[:s.pos]...)
 		}
 	}
 	return out

@@ -3,7 +3,6 @@ package incident
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/faults"
@@ -42,13 +41,12 @@ func (c Config) withDefaults() Config {
 // simulator, so it can run mid-simulation from a telemetry tick or
 // offline over exported artifacts.
 //
-// Set*/Correlate are serialized by an internal lock; LastReport is an
-// atomic read, safe from a concurrently-polling dashboard or metrics
-// scrape.
+// Set*/Correlate run on one goroutine (the simulation's, or the offline
+// tool's). LastReport is an atomic read, safe from a concurrently
+// polling dashboard or metrics scrape.
 type Correlator struct {
 	cfg Config
 
-	mu         sync.Mutex
 	violations []obs.ViolationEvent
 	faultWins  []FaultWindow
 	alerts     []slo.Event
@@ -57,7 +55,7 @@ type Correlator struct {
 	portMeta   []obs.PortMeta
 	meta       *obs.RunMeta
 
-	last atomic.Value // *Report
+	last atomic.Pointer[Report]
 }
 
 // New returns a correlator with the given config.
@@ -68,16 +66,12 @@ func New(cfg Config) *Correlator {
 // SetViolations replaces the unified violation stream (delivery-tap
 // and SLO-window events, any order — Correlate sorts canonically).
 func (c *Correlator) SetViolations(evs []obs.ViolationEvent) {
-	c.mu.Lock()
 	c.violations = evs
-	c.mu.Unlock()
 }
 
 // SetFaultWindows replaces the injected-fault outage windows.
 func (c *Correlator) SetFaultWindows(ws []FaultWindow) {
-	c.mu.Lock()
 	c.faultWins = ws
-	c.mu.Unlock()
 }
 
 // SetFaultEvents is SetFaultWindows over a raw injector event log.
@@ -89,9 +83,7 @@ func (c *Correlator) SetFaultEvents(evs []faults.Event, graceNs int64) {
 // transitions are used (for incident timelines — window violations
 // already arrive through the unified stream).
 func (c *Correlator) SetAlerts(evs []slo.Event) {
-	c.mu.Lock()
 	c.alerts = evs
-	c.mu.Unlock()
 }
 
 // SetSnapshot supplies introspection evidence: per-VM fitted arrival
@@ -99,36 +91,29 @@ func (c *Correlator) SetAlerts(evs []slo.Event) {
 // and per-port headroom margins (the bound-breach evidence). nil
 // clears both.
 func (c *Correlator) SetSnapshot(s *introspect.Snapshot) {
-	c.mu.Lock()
 	if s == nil {
 		c.envelopes, c.headrooms = nil, nil
 	} else {
 		c.envelopes, c.headrooms = s.Envelopes, s.Ports
 	}
-	c.mu.Unlock()
 }
 
 // SetPortMeta supplies port names for rendering.
 func (c *Correlator) SetPortMeta(pm []obs.PortMeta) {
-	c.mu.Lock()
 	c.portMeta = pm
-	c.mu.Unlock()
 }
 
 // SetMeta stamps run provenance onto produced reports. Meta is
 // excluded from Render output so determinism gates can compare
 // rendered reports across builds and command lines.
 func (c *Correlator) SetMeta(m *obs.RunMeta) {
-	c.mu.Lock()
 	c.meta = m
-	c.mu.Unlock()
 }
 
 // LastReport returns the most recently correlated report, nil before
 // the first Correlate. Safe for concurrent use.
 func (c *Correlator) LastReport() *Report {
-	r, _ := c.last.Load().(*Report)
-	return r
+	return c.last.Load()
 }
 
 // clusterItem is one unit of the merge sweep: a violation event or a
@@ -144,9 +129,6 @@ type clusterItem struct {
 // are sorted canonically first, so the order in which the streams
 // appended them cannot affect the output.
 func (c *Correlator) Correlate() *Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
 	evs := make([]obs.ViolationEvent, len(c.violations))
 	copy(evs, c.violations)
 	obs.SortViolationEvents(evs)

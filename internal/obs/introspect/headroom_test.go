@@ -94,48 +94,4 @@ func TestPortWatchBusyPeriods(t *testing.T) {
 	if s.MinMarginPort != pid {
 		t.Fatalf("min-margin port %d, want %d", s.MinMarginPort, pid)
 	}
-
-	// Detach restores the queue hooks.
-	in.Detach()
-	if nw.Queues[pid].OnEnqueue != nil || nw.Queues[pid].OnTransmit != nil {
-		t.Fatal("Detach left hooks installed")
-	}
-}
-
-// Chained hooks: an introspector attached over an existing tap must
-// call the previous hook first and restore it on Detach.
-func TestAttachChainsExistingHooks(t *testing.T) {
-	tree := tinyTree(t)
-	nw := netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: 200})
-	pid := tree.ServerUpPortID(0)
-	var calls int
-	prev := func(p *netsim.Packet, occupied int) { calls++ }
-	nw.Queues[pid].OnEnqueue = prev
-
-	in := Attach(nw, nil, Config{})
-	h := nw.Hosts[0]
-	h.FreeOnDeliver = true
-	nw.Hosts[1].FreeOnDeliver = true
-	nw.Sim.At(0, func() {
-		p := h.Sim().AllocPacket()
-		p.Src, p.Dst, p.DstVM = 0, 1, 1
-		p.Size = 1500
-		h.Send(p)
-	})
-	nw.Sim.Run(1e6)
-	if calls != 1 {
-		t.Fatalf("previous hook called %d times, want 1", calls)
-	}
-	maxBusy, cnt := in.watches[pid].busyAt(nw.Sim.Now())
-	if cnt != 1 || maxBusy != 1200 {
-		t.Fatalf("chained watch missed the packet: busy=%d cnt=%d", maxBusy, cnt)
-	}
-	in.Detach()
-	if got := nw.Queues[pid].OnEnqueue; got == nil {
-		t.Fatal("Detach dropped the previous hook")
-	}
-	nw.Queues[pid].Enqueue(&netsim.Packet{Size: 1, Dst: 1, DstVM: 1})
-	if calls != 2 {
-		t.Fatal("restored hook not the original")
-	}
 }

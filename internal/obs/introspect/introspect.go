@@ -36,98 +36,59 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Introspector wires the introspection plane into a built network:
-// chained per-queue taps for port headroom, pacer commit taps (or NIC
-// arrival taps for unpaced VMs) for envelope estimation, and an
-// optional metrics registry for live gauges.
+// Introspector wires the introspection plane into a built network: a
+// spine subscriber for port headroom (and NIC arrivals, for unpaced
+// VMs' envelope estimation), pacer commit taps for paced VMs' envelope
+// estimation, and an optional metrics registry for live gauges.
 type Introspector struct {
 	nw  *netsim.Network
 	reg *obs.Registry
 	cfg Config
 
-	watches      []*portWatch
-	prevEnqueue  []func(p *netsim.Packet, occupied int)
-	prevTransmit []func(p *netsim.Packet, serNs int64)
+	watches []*portWatch
 
 	vms     []*VMEstimator
 	vmBySrc map[int]*VMEstimator // unpaced VMs keyed by Packet.SrcVM
-	taps    []tapRef             // paced VMs, for Detach
 
 	upLo, upHi int // NIC-up port range: only NICs feed the unpaced tap
 }
 
-type tapRef struct {
-	host int
-	vm   int
-}
-
-// Attach installs the introspection taps on every queue of nw,
-// chaining over any hooks already present (flight recorder, port
-// windows); Detach restores them. reg may be nil to run without live
-// gauges. Hot-path cost per packet: two chained calls and a handful of
-// integer compares, zero allocations.
+// Attach subscribes the introspection plane to every port of nw. reg
+// may be nil to run without live gauges. Hot-path cost per packet: one
+// call and a handful of integer compares, zero allocations.
 func Attach(nw *netsim.Network, reg *obs.Registry, cfg Config) *Introspector {
 	in := &Introspector{
-		nw:           nw,
-		reg:          reg,
-		cfg:          cfg.withDefaults(),
-		watches:      make([]*portWatch, len(nw.Queues)),
-		prevEnqueue:  make([]func(p *netsim.Packet, occupied int), len(nw.Queues)),
-		prevTransmit: make([]func(p *netsim.Packet, serNs int64), len(nw.Queues)),
-		vmBySrc:      make(map[int]*VMEstimator),
+		nw:      nw,
+		reg:     reg,
+		cfg:     cfg.withDefaults(),
+		watches: make([]*portWatch, len(nw.Queues)),
+		vmBySrc: make(map[int]*VMEstimator),
 	}
 	in.upLo, in.upHi = nw.Tree.ServerUpPortRange()
 	for pid, q := range nw.Queues {
-		if q == nil {
-			continue
-		}
-		q := q
-		w := &portWatch{q: q}
-		in.watches[pid] = w
-		nic := pid >= in.upLo && pid < in.upHi
-		prevEnq := q.OnEnqueue
-		in.prevEnqueue[pid] = prevEnq
-		q.OnEnqueue = func(p *netsim.Packet, occupied int) {
-			if prevEnq != nil {
-				prevEnq(p, occupied)
-			}
-			now := q.Sim().Now()
-			if occupied+p.Size <= q.BufferBytes {
-				w.onEnqueue(now)
-			}
-			if nic && !p.Void && len(in.vmBySrc) > 0 {
-				if est, ok := in.vmBySrc[p.SrcVM]; ok {
-					est.Observe(now, p.Size)
-				}
-			}
-		}
-		prevTx := q.OnTransmit
-		in.prevTransmit[pid] = prevTx
-		q.OnTransmit = func(p *netsim.Packet, serNs int64) {
-			if prevTx != nil {
-				prevTx(p, serNs)
-			}
-			w.onTransmit(q.Sim().Now(), p, serNs)
+		if q != nil {
+			in.watches[pid] = &portWatch{q: q}
 		}
 	}
+	nw.Sim.Subscribe(in.observe, netsim.EvPortEnqueue, netsim.EvPortTransmit)
 	in.registerMetrics()
 	return in
 }
 
-// Detach restores the hooks the introspector chained over. Attach and
-// Detach nest LIFO with other tap layers (flight recorder, port
-// windows).
-func (in *Introspector) Detach() {
-	for pid, q := range in.nw.Queues {
-		if q == nil || in.watches[pid] == nil {
-			continue
-		}
-		q.OnEnqueue = in.prevEnqueue[pid]
-		q.OnTransmit = in.prevTransmit[pid]
+// observe is the plane's spine subscriber.
+func (in *Introspector) observe(ev netsim.Event) {
+	w, p := in.watches[ev.At], ev.P
+	now := in.nw.Sim.Now()
+	if ev.Kind == netsim.EvPortTransmit {
+		w.onTransmit(now, p, ev.Arg)
+		return
 	}
-	for _, t := range in.taps {
-		if vm, ok := in.nw.Hosts[t.host].VM(t.vm); ok {
-			vm.SetCommitTap(nil)
+	if int(ev.Arg)+p.Size <= w.q.BufferBytes {
+		w.onEnqueue(now)
+	}
+	if pid := int(ev.At); pid >= in.upLo && pid < in.upHi && !p.Void && len(in.vmBySrc) > 0 {
+		if est, ok := in.vmBySrc[p.SrcVM]; ok {
+			est.Observe(now, p.Size)
 		}
 	}
 }
@@ -148,7 +109,6 @@ func (in *Introspector) TrackVM(hostID, vmID, tenantID int, adm Envelope) *VMEst
 	in.vms = append(in.vms, est)
 	if vm, ok := in.nw.Hosts[hostID].VM(vmID); ok {
 		vm.SetCommitTap(est.Observe)
-		in.taps = append(in.taps, tapRef{host: hostID, vm: vmID})
 	} else {
 		in.vmBySrc[vmID] = est
 	}

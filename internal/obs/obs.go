@@ -14,10 +14,11 @@
 //     wrapper interfaces — the disabled path is `if m == nil { return }`
 //     inlined at the call site. BenchmarkObsOverhead asserts both
 //     properties.
-//  3. Lock-free on the hot path. Counters and gauges are single
-//     atomics; histograms shard their buckets across cache lines so
-//     concurrent observers (the parallel placement search, -race test
-//     runs) do not serialize on one line.
+//  3. Readable mid-run without locks. A live /metrics scrape or a
+//     wall-clock rollup capture reads metrics from another goroutine
+//     while they are written, so counters and gauges are single atomics
+//     and histograms atomic buckets, sharded across cache lines so
+//     concurrent observers do not serialize on one line.
 //
 // Histograms use power-of-two buckets: bucket i counts observations v
 // with 2^(i-1) <= v < 2^i (bucket 0 absorbs v <= 0). Delay and latency

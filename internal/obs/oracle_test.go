@@ -203,7 +203,7 @@ func oracleEvents(r *FlightRecorder) []FlightEvent {
 	var out []FlightEvent
 	for i := range r.shards {
 		s := &r.shards[i]
-		pos := s.pos.Load()
+		pos := s.pos
 		n := pos
 		if capacity := r.mask + 1; n > capacity {
 			n = capacity

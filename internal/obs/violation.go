@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // ViolationSource says which instrument emitted a ViolationEvent.
@@ -134,15 +133,15 @@ func SortViolationEvents(evs []ViolationEvent) {
 }
 
 // ViolationLog collects ViolationEvents from every emitter (the
-// delivery taps and the SLO engine's window flushes). Observe is
-// mutex-guarded and appends into a preallocated buffer, so the
-// steady-state observation path does not allocate; past the initial capacity the buffer grows like any slice,
-// which amortizes to zero allocations per event.
+// delivery taps and the SLO engine's window flushes), all on the
+// simulation goroutine. Observe appends into a preallocated buffer, so
+// the steady-state observation path does not allocate; past the initial
+// capacity the buffer grows like any slice, which amortizes to zero
+// allocations per event.
 //
 // A nil *ViolationLog ignores events, so call sites can wire the tap
 // unconditionally.
 type ViolationLog struct {
-	mu  sync.Mutex
 	evs []ViolationEvent
 }
 
@@ -155,15 +154,13 @@ func NewViolationLog(capacity int) *ViolationLog {
 	return &ViolationLog{evs: make([]ViolationEvent, 0, capacity)}
 }
 
-// Observe appends one event. Safe for concurrent use; allocation-free
-// while the preallocated capacity lasts.
+// Observe appends one event; allocation-free while the preallocated
+// capacity lasts.
 func (l *ViolationLog) Observe(ev ViolationEvent) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	l.evs = append(l.evs, ev)
-	l.mu.Unlock()
 }
 
 // Len returns the number of collected events.
@@ -171,8 +168,6 @@ func (l *ViolationLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.evs)
 }
 
@@ -181,10 +176,8 @@ func (l *ViolationLog) Events() []ViolationEvent {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
 	out := make([]ViolationEvent, len(l.evs))
 	copy(out, l.evs)
-	l.mu.Unlock()
 	SortViolationEvents(out)
 	return out
 }
@@ -194,7 +187,5 @@ func (l *ViolationLog) Reset() {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	l.evs = l.evs[:0]
-	l.mu.Unlock()
 }
