@@ -284,12 +284,26 @@ func TestSimCountersSequential(t *testing.T) {
 	if rtc.PktInUse != 0 {
 		t.Errorf("%d packets still in the arena after drain", rtc.PktInUse)
 	}
+}
+
+// TestRuntimeStatsSequential checks the engine self-telemetry report:
+// it carries the raw counters unchanged, and its hit rates sit strictly
+// inside (0,1) after a warm run and at 1 on an idle Sim.
+func TestRuntimeStatsSequential(t *testing.T) {
+	nw := runCrossPodWorkload(t, 50)
 	e := nw.Sim.RuntimeStats().Engine
-	if e.SimCounters != rtc {
+	if e.Events == 0 || e.PktHWM == 0 {
+		t.Fatalf("engine counters empty: %+v", e)
+	}
+	if rtc := nw.Sim.RuntimeCounters(); e.SimCounters != rtc {
 		t.Errorf("RuntimeStats counters %+v, want %+v", e.SimCounters, rtc)
 	}
 	if e.EvHitRate <= 0 || e.EvHitRate >= 1 || e.PktHitRate <= 0 || e.PktHitRate >= 1 {
 		t.Errorf("hit rates out of (0,1): %+v", e)
+	}
+	idle := NewSim().RuntimeStats().Engine
+	if idle.EvHitRate != 1 || idle.PktHitRate != 1 {
+		t.Errorf("idle Sim hit rates %v/%v, want 1/1", idle.EvHitRate, idle.PktHitRate)
 	}
 }
 
