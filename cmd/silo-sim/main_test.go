@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,6 +33,70 @@ var planeArtifacts = []struct{ file, flag string }{
 	{"incidents.json", "-incidents"},
 	{"introspect.json", "-introspect"},
 	{"metrics.prom", "-metrics"},
+}
+
+// engineCounterPrefix names the engine's own counters (netsim.SimCounters):
+// how the simulator did its work, not what it simulated.
+const engineCounterPrefix = "silo_runtime_"
+
+// splitEngineCounters returns an artifact with the engine counters taken
+// out, and those counters as readable lines. The counters move whenever
+// the engine changes how it queues events or recycles packets while
+// every simulated byte stays put; hashing them apart keeps the artifact
+// hashes about the simulation.
+func splitEngineCounters(t *testing.T, file string, b []byte) (rest []byte, engine string) {
+	t.Helper()
+	var eng strings.Builder
+	switch file {
+	case "metrics.prom":
+		var kept bytes.Buffer
+		for _, line := range strings.SplitAfter(string(b), "\n") {
+			switch {
+			case strings.HasPrefix(line, engineCounterPrefix):
+				fmt.Fprintf(&eng, "%s %s", file, line)
+			case strings.HasPrefix(line, "# HELP "+engineCounterPrefix), strings.HasPrefix(line, "# TYPE "+engineCounterPrefix):
+			default:
+				kept.WriteString(line)
+			}
+		}
+		return kept.Bytes(), eng.String()
+	case "series.json":
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.UseNumber()
+		var doc map[string]any
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		rt, err := json.MarshalIndent(doc["runtime"], "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&eng, "%s runtime %s\n", file, rt)
+		delete(doc, "runtime")
+		series, _ := doc["series"].([]any)
+		kept := series[:0]
+		for _, s := range series {
+			m, _ := s.(map[string]any)
+			name, _ := m["Name"].(string)
+			if !strings.HasPrefix(name, engineCounterPrefix) {
+				kept = append(kept, s)
+				continue
+			}
+			vals, _ := m["Values"].([]any)
+			if len(vals) == 0 {
+				fmt.Fprintf(&eng, "%s series %s n=0\n", file, name)
+				continue
+			}
+			fmt.Fprintf(&eng, "%s series %s n=%d first=%v last=%v\n", file, name, len(vals), vals[0], vals[len(vals)-1])
+		}
+		doc["series"] = kept
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, eng.String()
+	}
+	return b, ""
 }
 
 // TestCLI builds silo-sim once and drives it the way the sim_obs
@@ -107,9 +172,11 @@ func TestCLI(t *testing.T) {
 	})
 
 	// Every observation plane at once: stdout, and each artifact's sha256
-	// with meta.version blanked. The silo run pins the VM-enqueue and
-	// token-admit events, the tcp run introspection's NIC-arrival
-	// estimator, the fault run the incident plane's verdicts.
+	// with meta.version blanked and the engine counters taken out; those
+	// are pinned as plain values in planes_<name>_engine.golden. The silo
+	// run pins the VM-enqueue and token-admit events, the tcp run
+	// introspection's NIC-arrival estimator, the fault run the incident
+	// plane's verdicts.
 	for _, c := range []struct {
 		name string
 		args []string
@@ -126,15 +193,18 @@ func TestCLI(t *testing.T) {
 				args = append(args, a.flag, a.file)
 			}
 			golden(t, "planes_"+c.name, runIn(t, dir, args...))
-			var sums bytes.Buffer
+			var sums, engine bytes.Buffer
 			for _, a := range planeArtifacts {
 				b, err := os.ReadFile(filepath.Join(dir, a.file))
 				if err != nil {
 					t.Fatal(err)
 				}
-				fmt.Fprintf(&sums, "%x  %s\n", sha256.Sum256(versionRE.ReplaceAll(b, []byte(`${1}"`))), a.file)
+				rest, eng := splitEngineCounters(t, a.file, versionRE.ReplaceAll(b, []byte(`${1}"`)))
+				fmt.Fprintf(&sums, "%x  %s\n", sha256.Sum256(rest), a.file)
+				engine.WriteString(eng)
 			}
 			golden(t, "planes_"+c.name+"_artifacts", sums.Bytes())
+			golden(t, "planes_"+c.name+"_engine", engine.Bytes())
 		})
 	}
 
