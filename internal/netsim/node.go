@@ -14,8 +14,8 @@ type Switch struct {
 	// Stats counts void drops at this switch.
 	Stats Counters
 
-	// sim is the event loop the switch executes on; void frames it
-	// absorbs are recycled into its packet arena.
+	// sim is the event loop the switch executes on; every packet the
+	// switch absorbs or loses is recycled into its packet arena.
 	sim  *Sim
 	down bool
 }
@@ -27,18 +27,18 @@ func (sw *Switch) Receive(p *Packet) {
 		// included; the loss is metered, not silent.
 		sw.Stats.FaultDroppedPkts++
 		sw.Stats.FaultDroppedBytes += int64(p.Size)
+		sw.sim.FreePacket(p)
 		return
 	}
 	if p.Void {
 		sw.Stats.VoidDropped++
-		if sw.sim != nil {
-			sw.sim.FreePacket(p)
-		}
+		sw.sim.FreePacket(p)
 		return
 	}
 	q := sw.Route(p.Dst)
 	if q == nil {
-		return // destination unreachable; drop silently
+		sw.sim.FreePacket(p) // destination unreachable; drop silently
+		return
 	}
 	q.Enqueue(p)
 }
@@ -70,10 +70,10 @@ type Host struct {
 	// point: planes subscribe to the Sim's EvDeliver instead.
 	OnDeliver func(p *Packet, delayNs int64)
 	// FreeOnDeliver recycles every delivered data packet into the
-	// engine's arena after OnDeliver/Deliver return. Enable only when
-	// the delivery path retains nothing (benchmarks, generator
-	// workloads); transports that keep payload references must leave
-	// it off.
+	// engine's arena after OnDeliver/Deliver return. It is for hosts
+	// whose Deliver retains nothing and frees nothing (benchmarks,
+	// generator workloads). A host behind a transport.Fabric leaves it
+	// off: the Fabric frees what it is delivered.
 	FreeOnDeliver bool
 
 	// FaultDropped counts packets this host lost to its own failure
@@ -92,6 +92,20 @@ type Host struct {
 	parkedAt    int64
 	loopGen     uint64
 	batchLoopFn func() // == batchLoop, bound once
+
+	// wire is the laid-out batch: frames from wireHead on wait for their
+	// wire time, in (time, seq) order. While it holds any, one
+	// evtHostWire node is queued at the head frame's key.
+	wire     []wireFrame
+	wireHead int
+}
+
+// wireFrame is one batch frame waiting for the wire: its wire time, the
+// engine seq reserved for it when the batch was laid out, and the frame.
+type wireFrame struct {
+	t   int64
+	seq uint64
+	p   *Packet
 }
 
 // NewHost returns a host bound to sim; NIC must be attached before
@@ -109,10 +123,12 @@ func (h *Host) Sim() *Sim { return h.sim }
 func (h *Host) Receive(p *Packet) {
 	if h.down {
 		h.FaultDropped++
+		h.sim.FreePacket(p)
 		return
 	}
 	if p.Void {
 		// Voids should have been dropped upstream; tolerate anyway.
+		h.sim.FreePacket(p)
 		return
 	}
 	delayNs := h.sim.Now() - p.SentAt
@@ -132,6 +148,7 @@ func (h *Host) Receive(p *Packet) {
 func (h *Host) Send(p *Packet) {
 	if h.down {
 		h.FaultDropped++
+		h.sim.FreePacket(p)
 		return
 	}
 	p.SentAt = h.sim.Now()
@@ -190,6 +207,7 @@ func (h *Host) VM(id int) (*pacer.VM, bool) {
 func (h *Host) SendPaced(vmID int, p *Packet) {
 	if h.down {
 		h.FaultDropped++
+		h.sim.FreePacket(p)
 		return
 	}
 	vm, ok := h.vms[vmID]
@@ -223,6 +241,45 @@ func (h *Host) armLoop(t int64) {
 		h.parkedAt = now
 	}
 	h.sim.schedule(t, evtHostLoop, h.loopGen, nil, nil, h, nil)
+}
+
+// layWire appends frame p to the laid-out batch at wire time t under a
+// freshly reserved engine seq — the key a per-frame event scheduled now
+// would get — and queues the host's wire node if the batch was empty.
+// The pacer never lays a frame before now and lays batches end to end
+// (a batch starts no earlier than the previous one ended), so appending
+// keeps the batch in key order.
+func (h *Host) layWire(t int64, p *Packet) {
+	s := h.sim
+	seq := s.seq
+	s.seq++
+	h.wire = append(h.wire, wireFrame{t: t, seq: seq, p: p})
+	if len(h.wire) == 1 {
+		ev := s.alloc()
+		ev.kind = evtHostWire
+		ev.h = h
+		ev.seq = seq
+		s.insertKeyed(t, ev)
+	}
+}
+
+// fireWire runs when the wire node reaches the head frame's key: it
+// re-queues the node at the next frame's reserved key (or frees it when
+// the batch is done) and lays the head frame on the wire. Every frame
+// thus executes at exactly the (time, seq) a per-frame event would have.
+func (h *Host) fireWire(ev *event) {
+	f := h.wire[h.wireHead]
+	h.wire[h.wireHead].p = nil
+	h.wireHead++
+	if h.wireHead < len(h.wire) {
+		next := &h.wire[h.wireHead]
+		ev.seq = next.seq
+		h.sim.insertKeyed(next.t, ev)
+	} else {
+		h.wire, h.wireHead = h.wire[:0], 0
+		h.sim.release(ev)
+	}
+	h.wirePacket(f.p)
 }
 
 // wirePacket lays one batch frame on the NIC at its wire time.
@@ -272,7 +329,7 @@ func (h *Host) batchLoop() {
 			np.PacedRelease = fp.Release
 			np.Gate = fp.Gate
 		}
-		h.sim.schedule(fp.Wire, evtHostWire, 0, nil, nil, h, np)
+		h.layWire(fp.Wire, np)
 	}
 	h.sim.At(batch.End, h.batchLoopFn)
 }

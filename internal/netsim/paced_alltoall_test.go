@@ -17,8 +17,8 @@ type pacedDelivery struct {
 // runPacedAllToAll offers every host 10 Gbps of all-to-all traffic for
 // 1 ms through a paced VM (2 Gbps hose split over 7 destinations, so
 // every destination queue stays backlogged) across both pods, and
-// returns each host's delivery log.
-func runPacedAllToAll(t *testing.T) [][]pacedDelivery {
+// returns each host's delivery log and the network.
+func runPacedAllToAll(t *testing.T) ([][]pacedDelivery, *Network) {
 	t.Helper()
 	nw := Build(NewSim(), testTree(t), Options{PropNs: 200})
 	hosts := len(nw.Hosts)
@@ -52,7 +52,7 @@ func runPacedAllToAll(t *testing.T) [][]pacedDelivery {
 		h.Sim().At(int64(14*i+1), send)
 	}
 	nw.Run(1_000_000)
-	return logs
+	return logs, nw
 }
 
 // TestPacedAllToAllDeterministic: frame free lists are per host, so
@@ -60,7 +60,7 @@ func runPacedAllToAll(t *testing.T) [][]pacedDelivery {
 // release stamp, packet and gating bucket, through the pod↔core links —
 // identical from run to run, with the totals pinned.
 func TestPacedAllToAllDeterministic(t *testing.T) {
-	ref := runPacedAllToAll(t)
+	ref, _ := runPacedAllToAll(t)
 	total := 0
 	for _, l := range ref {
 		total += len(l)
@@ -68,7 +68,7 @@ func TestPacedAllToAllDeterministic(t *testing.T) {
 	if total != 1400 {
 		t.Errorf("delivered %d packets, want 1400", total)
 	}
-	if got := runPacedAllToAll(t); !reflect.DeepEqual(got, ref) {
+	if got, _ := runPacedAllToAll(t); !reflect.DeepEqual(got, ref) {
 		t.Error("second run's paced delivery log diverges from the first's")
 	}
 }

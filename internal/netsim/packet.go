@@ -34,6 +34,9 @@ type Packet struct {
 	// pacer's Gate* constants; 0 for unpaced packets or packets that
 	// were immediately feasible). Flight-recorder attribution reads it.
 	Gate uint8
+	// pooled marks a live arena packet: set by AllocPacket, cleared by
+	// FreePacket.
+	pooled bool
 	// Payload carries the transport segment.
 	Payload interface{}
 

@@ -122,6 +122,7 @@ func (q *Queue) Enqueue(p *Packet) {
 	if q.occupied+p.Size > q.BufferBytes {
 		q.Stats.DroppedPkts++
 		q.Stats.DroppedBytes += int64(p.Size)
+		q.sim.FreePacket(p)
 		return
 	}
 	prio := p.Prio
@@ -193,10 +194,11 @@ func (q *Queue) arrive(p *Packet, gen uint64) {
 	q.Next.Receive(p)
 }
 
-// faultDrop meters a failure-caused loss.
+// faultDrop meters a failure-caused loss and frees the packet.
 func (q *Queue) faultDrop(p *Packet) {
 	q.Stats.FaultDroppedPkts++
 	q.Stats.FaultDroppedBytes += int64(p.Size)
+	q.sim.FreePacket(p)
 }
 
 // Fail takes the port down: buffered packets are drained-and-dropped

@@ -33,7 +33,8 @@ const (
 	// evtArrive: ev.p finished propagating on ev.q's link; deliver to
 	// ev.q.Next unless the link failed since (ev.gen snapshot).
 	evtArrive
-	// evtHostWire: the pacer batch loop lays ev.p on ev.h's wire.
+	// evtHostWire: ev.h's laid-out batch reached its head frame's wire
+	// time; the one node per host walks the batch (see Host.fireWire).
 	evtHostWire
 	// evtHostLoop: re-arm of ev.h's batch loop (ev.gen is the loop
 	// generation; stale wakes are ignored).
@@ -60,16 +61,15 @@ type event struct {
 // clock. Every hot delay in the simulator — serialization (~1.2 µs for
 // a 1500 B frame at 10 Gbps), propagation (hundreds of ns), generator
 // gaps — fits the span, so the per-event queue cost is a bitmap probe
-// and a list append instead of a heap sift. Events farther out go to a 4-ary overflow heap and
-// execute from there directly. What lives there: one Timer node per
-// connection with data in flight (the RTO, see timer.go), fault
-// schedules and telemetry windows — hundreds of entries, touched
-// rarely — and, on paced hosts, every frame of a pacer batch: a batch
-// is laid out up to 50 µs ahead of a 4,096 ns wheel, so most of its
-// evtHostWire events take a heap round-trip each (more than 2.2 M of
-// the 2.4 M wire frames of a dc_silo benchmark region, at a depth of a
-// few thousand). That last one is a cost, not a rarity; ROADMAP "Net
-// state" lists it.
+// and a list append instead of a heap sift. Events farther out go to a
+// 4-ary overflow heap and execute from there directly. What lives
+// there: one Timer node per connection with data in flight (the RTO,
+// see timer.go), fault schedules and telemetry windows — hundreds of
+// entries, touched rarely. A paced host's batch, laid out up to 50 µs
+// ahead, is one node at its head frame's key that steps to the next
+// frame when it fires (Host.fireWire); voids fill every gap inside a
+// batch, so on 10 GbE the next frame is at most ≈1.2 µs away and the
+// node stays in the wheel.
 const (
 	wheelBits  = 12
 	wheelSpan  = 1 << wheelBits
@@ -160,9 +160,11 @@ func (s *Sim) release(ev *event) {
 }
 
 // AllocPacket returns a zeroed packet from the arena. Pair with
-// FreePacket on the consuming end (delivery, void absorption) to keep
-// the steady-state hot path allocation-free; unpaired packets are
-// simply reclaimed by the garbage collector.
+// FreePacket on the consuming end (delivery) to keep the steady-state
+// hot path allocation-free; unpaired packets are simply reclaimed by the
+// garbage collector. The engine itself frees every arena packet it
+// loses: voids at the first switch, and every drop (buffer overflow, a
+// failed port, switch or host, an unroutable destination).
 func (s *Sim) AllocPacket() *Packet {
 	p := s.freePkts
 	if p == nil {
@@ -181,17 +183,20 @@ func (s *Sim) AllocPacket() *Packet {
 	if s.rtc.PktInUse > s.rtc.PktHWM {
 		s.rtc.PktHWM = s.rtc.PktInUse
 	}
-	*p = Packet{}
+	*p = Packet{pooled: true}
 	return p
 }
 
-// FreePacket recycles p into the arena. The caller must be done with
-// every field, including Payload.
+// FreePacket recycles an arena packet. The caller must be done with
+// every field, including Payload. A packet that did not come from
+// AllocPacket, or is already free, is left alone, so a drop site need
+// not know where its packet came from.
 func (s *Sim) FreePacket(p *Packet) {
-	if p == nil {
+	if p == nil || !p.pooled {
 		return
 	}
 	s.rtc.PktInUse--
+	p.pooled = false
 	p.Payload = nil
 	p.next = s.freePkts
 	s.freePkts = p
@@ -302,9 +307,8 @@ func (s *Sim) farPop() *event {
 	return top
 }
 
-// schedule queues a typed event at absolute time t (clamped to now):
-// near events append to their wheel slot (FIFO == seq order among
-// equal times), far ones go to the overflow heap.
+// schedule queues a typed event at absolute time t (clamped to now)
+// under a fresh seq.
 func (s *Sim) schedule(t int64, kind uint8, gen uint64, fn func(), q *Queue, h *Host, p *Packet) {
 	if t < s.now {
 		t = s.now
@@ -318,21 +322,43 @@ func (s *Sim) schedule(t int64, kind uint8, gen uint64, fn func(), q *Queue, h *
 	ev.q = q
 	ev.h = h
 	ev.p = p
-	if t-s.now < wheelSpan {
-		slot := t & wheelMask
-		if tail := s.slotTail[slot]; tail != nil {
-			tail.next = ev
-		} else {
-			s.slotHead[slot] = ev
-			s.bitmap[slot>>6] |= 1 << uint(slot&63)
-		}
-		s.slotTail[slot] = ev
-		s.nWheel++
-		if int64(s.nWheel) > s.rtc.WheelHWM {
-			s.rtc.WheelHWM = int64(s.nWheel)
-		}
-	} else {
+	s.insertKeyed(t, ev)
+}
+
+// insertKeyed queues ev at key (t, ev.seq), t >= now. The seq may have
+// been reserved earlier than seqs already queued — a Timer's arm-time
+// seq, a paced frame's batch-time seq — so a wheel slot takes an
+// ordered insert, which keeps each slot's list in seq order. A fresh
+// seq is the largest yet, so the tail check makes the common case an
+// append. Keys beyond the wheel span go to the overflow heap.
+func (s *Sim) insertKeyed(t int64, ev *event) {
+	if t-s.now >= wheelSpan {
 		s.farPush(t, ev.seq, ev)
+		return
+	}
+	slot := t & wheelMask
+	switch tail := s.slotTail[slot]; {
+	case tail == nil:
+		s.slotHead[slot] = ev
+		s.slotTail[slot] = ev
+		s.bitmap[slot>>6] |= 1 << uint(slot&63)
+	case tail.seq < ev.seq:
+		tail.next = ev
+		s.slotTail[slot] = ev
+	case ev.seq < s.slotHead[slot].seq:
+		ev.next = s.slotHead[slot]
+		s.slotHead[slot] = ev
+	default:
+		prev := s.slotHead[slot]
+		for prev.next.seq < ev.seq {
+			prev = prev.next
+		}
+		ev.next = prev.next
+		prev.next = ev
+	}
+	s.nWheel++
+	if int64(s.nWheel) > s.rtc.WheelHWM {
+		s.rtc.WheelHWM = int64(s.nWheel)
 	}
 }
 
@@ -361,14 +387,12 @@ func (s *Sim) exec(ev *event) {
 		s.release(ev)
 		q.arrive(p, gen)
 	case evtHostWire:
-		h, p := ev.h, ev.p
-		s.release(ev)
-		h.wirePacket(p)
+		ev.h.fireWire(ev)
 	case evtHostLoop:
 		h, gen := ev.h, ev.gen
 		s.release(ev)
 		if h.loopGen == gen {
-			h.batchLoop()
+			h.batchLoopFn()
 		}
 	case evtTimer:
 		s.timers[ev.gen].pop(ev)
@@ -484,5 +508,6 @@ func (s *Sim) Every(periodNs, untilNs int64, fn func(nowNs int64)) {
 	s.At(first, tk.tickFn)
 }
 
-// Pending reports queued events.
+// Pending reports queued event nodes. A paced host's laid-out batch is
+// one node however many frames it still holds.
 func (s *Sim) Pending() int { return s.nWheel + len(s.far) }

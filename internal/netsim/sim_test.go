@@ -201,7 +201,7 @@ func TestPhantomQueueMarks(t *testing.T) {
 }
 
 func TestSwitchDropsVoids(t *testing.T) {
-	sw := &Switch{Name: "tor", Route: func(int) *Queue { t.Fatal("void routed"); return nil }}
+	sw := &Switch{Name: "tor", sim: NewSim(), Route: func(int) *Queue { t.Fatal("void routed"); return nil }}
 	sw.Receive(&Packet{Void: true, Size: 84})
 	if sw.Stats.VoidDropped != 1 {
 		t.Errorf("VoidDropped = %d", sw.Stats.VoidDropped)

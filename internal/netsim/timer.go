@@ -13,11 +13,8 @@ package netsim
 // seq, but only queues a node when none is queued or the new deadline
 // is earlier than the queued node's. Otherwise the queued node is left
 // where it is; when it pops and finds the timer re-armed since, it is
-// pushed again at the current key. Such a re-pushed node carries an
-// arm-time seq, older than seqs already in the wheel, so it goes to
-// the overflow heap whatever its distance — a wheel slot's FIFO order
-// is seq order only for fresh seqs — and step() merges the two on
-// (t, seq) as for any other far event.
+// queued again at the current key through Sim.insertKeyed, which puts
+// a key with an old seq in its place among the events already queued.
 //
 // A Timer belongs to its Sim and shares its single-threadedness.
 type Timer struct {
@@ -78,10 +75,10 @@ func (tm *Timer) pop(ev *event) {
 		s.release(ev)
 	case ev.seq != tm.seq:
 		// Re-armed since this node was queued: its key moved to a later
-		// (deadline, seq). Same node, new key, overflow heap.
+		// (deadline, seq). Same node, new key.
 		ev.seq = tm.seq
 		tm.nodeT, tm.nodeSeq = tm.deadline, tm.seq
-		s.farPush(tm.deadline, tm.seq, ev)
+		s.insertKeyed(tm.deadline, ev)
 	default:
 		tm.armed, tm.queued = false, false
 		s.release(ev)

@@ -24,6 +24,9 @@ type Endpoint struct {
 
 	conns map[int]*Conn     // by remote VM (sender side)
 	rcv   map[int]*rcvState // by remote VM (receiver side)
+	// replaced is set when AddEndpoint registers the VM again; segments
+	// resolved to this endpoint then go through the Fabric's tables.
+	replaced bool
 
 	// OnMessage, if set, is invoked at the receiver exactly once per
 	// message, when the message's final byte has arrived in order.
@@ -50,23 +53,35 @@ func (e *Endpoint) SendMessage(dstVM, size int, done func(*Message)) *Message {
 	return e.Conn(dstVM).sendMessage(size, done)
 }
 
+// rcvFrom returns (creating if needed) the receive state for segments
+// from a peer VM.
+func (e *Endpoint) rcvFrom(peerVM int) *rcvState {
+	rs := e.rcv[peerVM]
+	if rs == nil {
+		rs = &rcvState{e: e, ooo: make(map[int64]int64)}
+		e.rcv[peerVM] = rs
+	}
+	return rs
+}
+
 // rcvState is per-sender receiver state: cumulative expected sequence
 // plus an out-of-order reassembly buffer.
 type rcvState struct {
+	e      *Endpoint // the receiving endpoint
 	rcvNxt int64
 	ooo    map[int64]int64 // seq -> end
 	// bytesIn counts in-order delivered payload bytes.
 	bytesIn int64
-	// pending tracks message frames whose completion has not yet been
-	// delivered to the application, keyed by message ID.
-	pending map[uint64]pendingMsg
-	// doneScratch is reused across drains for the sorted completion
-	// pass in onData.
-	doneScratch []uint64
+	// pending lists message frames whose completion has not yet been
+	// delivered to the application, in message-ID order.
+	pending []pendingMsg
+	// done is reused across drains for the completion pass in onData.
+	done []pendingMsg
 }
 
 // pendingMsg is a message frame awaiting receiver-side completion.
 type pendingMsg struct {
+	id   uint64
 	end  int64
 	size int
 }
@@ -99,6 +114,11 @@ type Conn struct {
 	backoff      int64
 	// rtoTimer is the retransmission timer.
 	rtoTimer *netsim.Timer
+
+	// peer is the destination's receive state for this connection,
+	// resolved through the Fabric on first use and again whenever the
+	// destination VM's endpoint is replaced.
+	peer *rcvState
 
 	// Messages in flight or queued.
 	msgs []*Message
@@ -158,19 +178,33 @@ func (c *Conn) trySend() {
 	c.armRTO()
 }
 
+// resolvePeer returns the destination's receive state, or nil while the
+// destination VM has no endpoint.
+func (c *Conn) resolvePeer() *rcvState {
+	if rs := c.peer; rs != nil && !rs.e.replaced {
+		return rs
+	}
+	c.peer = nil
+	if dst, ok := c.e.f.endpoints[c.dstVM]; ok {
+		c.peer = dst.rcvFrom(c.e.VMID)
+	}
+	return c.peer
+}
+
 // emit transmits bytes [seq, seq+n).
 func (c *Conn) emit(seq int64, n int) {
-	f := c.e.f
-	dst, ok := f.endpoints[c.dstVM]
-	if !ok {
+	rs := c.resolvePeer()
+	if rs == nil {
 		return
 	}
-	seg := &segment{
-		peerVM: c.e.VMID,
-		seq:    seq,
-		length: n,
-		sentAt: c.e.sim.Now(),
-	}
+	f := c.e.f
+	seg := f.newSegment()
+	seg.peerVM = c.e.VMID
+	seg.seq = seq
+	seg.length = n
+	seg.sentAt = c.e.sim.Now()
+	seg.rs = rs
+	seg.conn = c
 	// Attach framing for the message this segment belongs to: msgs is
 	// ordered by start (and so by end), so the first message ending
 	// past seq is the only candidate.
@@ -181,16 +215,16 @@ func (c *Conn) emit(seq int64, n int) {
 		seg.msgEnd = m.end
 		seg.msgSize = m.Size
 	}
-	f.send(c.e, &netsim.Packet{
-		Src:        c.e.HostID,
-		Dst:        dst.HostID,
-		SrcVM:      c.e.VMID,
-		DstVM:      c.dstVM,
-		Size:       n + HeaderBytes,
-		Prio:       c.e.opt.Prio,
-		ECNCapable: c.e.opt.Variant == DCTCP,
-		Payload:    seg,
-	})
+	p := c.e.sim.AllocPacket()
+	p.Src = c.e.HostID
+	p.Dst = rs.e.HostID
+	p.SrcVM = c.e.VMID
+	p.DstVM = c.dstVM
+	p.Size = n + HeaderBytes
+	p.Prio = c.e.opt.Prio
+	p.ECNCapable = c.e.opt.Variant == DCTCP
+	p.Payload = seg
+	f.send(c.e, p)
 	c.SegmentsOut++
 }
 
@@ -366,15 +400,4 @@ func (c *Conn) onRTO() {
 		c.backoff *= 2
 	}
 	c.trySend()
-}
-
-// sortedOOO returns buffered out-of-order ranges in seq order (test
-// helper).
-func (r *rcvState) sortedOOO() []int64 {
-	keys := make([]int64, 0, len(r.ooo))
-	for k := range r.ooo {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

@@ -1,25 +1,20 @@
 package transport
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/netsim"
 )
 
-// onData processes an arriving data segment at the receiver: update
-// the reassembly state and return a cumulative ack. DCTCP's exact echo
+// onData processes a data segment arriving from rs's sender: update the
+// reassembly state and return a cumulative ack. DCTCP's exact echo
 // reflects this packet's CE mark in the ack's ECE bit.
-func (e *Endpoint) onData(p *netsim.Packet, seg *segment) {
-	rs := e.rcv[seg.peerVM]
-	if rs == nil {
-		rs = &rcvState{ooo: make(map[int64]int64), pending: make(map[uint64]pendingMsg)}
-		e.rcv[seg.peerVM] = rs
-	}
+func (rs *rcvState) onData(p *netsim.Packet, seg *segment) {
+	e := rs.e
 	// Register the segment's message frame (idempotent).
 	if seg.msgEnd > rs.rcvNxt {
-		if _, ok := rs.pending[seg.msgID]; !ok {
-			rs.pending[seg.msgID] = pendingMsg{end: seg.msgEnd, size: seg.msgSize}
-		}
+		rs.expect(seg.msgID, seg.msgEnd, seg.msgSize)
 	}
 	end := seg.seq + int64(seg.length)
 	switch {
@@ -30,55 +25,29 @@ func (e *Endpoint) onData(p *netsim.Packet, seg *segment) {
 		advanceFrom := rs.rcvNxt
 		rs.rcvNxt = end
 		rs.bytesIn += end - advanceFrom
-		// Drain any now-contiguous buffered segments.
-		for {
-			oend, ok := rs.ooo[rs.rcvNxt]
-			if !ok {
-				// The buffer keys on segment start; scan for any range
-				// covering rcvNxt (overlaps are possible after
-				// go-back-N retransmission).
-				found := false
-				for s, e2 := range rs.ooo {
-					if s <= rs.rcvNxt && e2 > rs.rcvNxt {
-						oend, found = e2, true
-						delete(rs.ooo, s)
-						break
-					}
-					if e2 <= rs.rcvNxt {
-						delete(rs.ooo, s) // fully stale
-					}
-				}
-				if !found {
-					break
-				}
-				rs.bytesIn += oend - rs.rcvNxt
-				rs.rcvNxt = oend
-				continue
-			}
-			delete(rs.ooo, rs.rcvNxt)
-			rs.bytesIn += oend - rs.rcvNxt
-			rs.rcvNxt = oend
+		if len(rs.ooo) > 0 {
+			rs.drainOOO()
 		}
-		// Deliver messages whose final byte has now arrived, in message
-		// ID order: map iteration order is random, and a single drain can
-		// complete several messages at once, so sorting keeps callback
-		// order (and anything the application emits from it) deterministic.
+		// Deliver messages whose final byte has now arrived. A single
+		// drain can complete several at once; pending is in message-ID
+		// order, so callback order (and anything the application emits
+		// from it) is deterministic.
 		if len(rs.pending) > 0 {
-			done := rs.doneScratch[:0]
-			for id, pm := range rs.pending {
+			done, kept := rs.done[:0], rs.pending[:0]
+			for _, pm := range rs.pending {
 				if pm.end <= rs.rcvNxt {
-					done = append(done, id)
+					done = append(done, pm)
+				} else {
+					kept = append(kept, pm)
 				}
 			}
-			sort.Slice(done, func(i, j int) bool { return done[i] < done[j] })
-			for _, id := range done {
-				pm := rs.pending[id]
-				delete(rs.pending, id)
+			rs.pending = kept
+			for _, pm := range done {
 				if e.OnMessage != nil {
-					e.OnMessage(seg.peerVM, id, pm.size)
+					e.OnMessage(seg.peerVM, pm.id, pm.size)
 				}
 			}
-			rs.doneScratch = done[:0]
+			rs.done = done[:0]
 		}
 	default:
 		// Out of order: buffer (keep the longest range per start).
@@ -89,29 +58,84 @@ func (e *Endpoint) onData(p *netsim.Packet, seg *segment) {
 	e.sendAck(seg, rs, p.CE)
 }
 
-// sendAck returns a cumulative acknowledgment to the data sender.
+// expect registers message id, ending at sequence offset end, as
+// pending unless it already is.
+func (rs *rcvState) expect(id uint64, end int64, size int) {
+	n := len(rs.pending)
+	if n > 0 && rs.pending[n-1].id == id {
+		return // the common case: more of the newest message
+	}
+	i, found := slices.BinarySearchFunc(rs.pending, id, func(pm pendingMsg, id uint64) int { return cmp.Compare(pm.id, id) })
+	if !found {
+		rs.pending = slices.Insert(rs.pending, i, pendingMsg{id: id, end: end, size: size})
+	}
+}
+
+// drainOOO moves rcvNxt through every buffered out-of-order range that
+// now touches it, dropping ranges that fell wholly behind.
+func (rs *rcvState) drainOOO() {
+	for {
+		oend, ok := rs.ooo[rs.rcvNxt]
+		if !ok {
+			// The buffer keys on segment start; scan for any range
+			// covering rcvNxt (overlaps are possible after go-back-N
+			// retransmission).
+			found := false
+			for s, e2 := range rs.ooo {
+				if s <= rs.rcvNxt && e2 > rs.rcvNxt {
+					oend, found = e2, true
+					delete(rs.ooo, s)
+					break
+				}
+				if e2 <= rs.rcvNxt {
+					delete(rs.ooo, s) // fully stale
+				}
+			}
+			if !found {
+				return
+			}
+			rs.bytesIn += oend - rs.rcvNxt
+			rs.rcvNxt = oend
+			continue
+		}
+		delete(rs.ooo, rs.rcvNxt)
+		rs.bytesIn += oend - rs.rcvNxt
+		rs.rcvNxt = oend
+	}
+}
+
+// sendAck returns a cumulative acknowledgment to the data sender: to the
+// sending connection itself while its endpoint is the sender VM's
+// current one, else to whatever endpoint the VM has now.
 func (e *Endpoint) sendAck(data *segment, rs *rcvState, ce bool) {
 	f := e.f
-	peer, ok := f.endpoints[data.peerVM]
-	if !ok {
-		return
+	conn := data.conn
+	var peer *Endpoint
+	if conn != nil && !conn.e.replaced {
+		peer = conn.e
+	} else {
+		conn = nil
+		var ok bool
+		if peer, ok = f.endpoints[data.peerVM]; !ok {
+			return
+		}
 	}
-	ack := &segment{
-		peerVM: e.VMID,
-		isAck:  true,
-		ackSeq: rs.rcvNxt,
-		ece:    ce,
-		sentAt: data.sentAt, // echo for RTT sampling
-	}
-	f.send(e, &netsim.Packet{
-		Src:     e.HostID,
-		Dst:     peer.HostID,
-		SrcVM:   e.VMID,
-		DstVM:   data.peerVM,
-		Size:    AckBytes,
-		Prio:    e.opt.Prio,
-		Payload: ack,
-	})
+	ack := f.newSegment()
+	ack.peerVM = e.VMID
+	ack.isAck = true
+	ack.ackSeq = rs.rcvNxt
+	ack.ece = ce
+	ack.sentAt = data.sentAt // echo for RTT sampling
+	ack.conn = conn
+	p := e.sim.AllocPacket()
+	p.Src = e.HostID
+	p.Dst = peer.HostID
+	p.SrcVM = e.VMID
+	p.DstVM = data.peerVM
+	p.Size = AckBytes
+	p.Prio = e.opt.Prio
+	p.Payload = ack
+	f.send(e, p)
 }
 
 // BytesReceived reports in-order payload bytes received from a peer VM.

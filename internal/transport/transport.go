@@ -109,15 +109,19 @@ func (m *Message) Latency() int64 { return m.Completed - m.Submitted }
 type Fabric struct {
 	nw        *netsim.Network
 	endpoints map[int]*Endpoint
+	// freeSegs is the segment free list, linked through segment.next.
+	freeSegs *segment
 }
 
 // NewFabric attaches to a network, taking over every host's Deliver
-// hook.
+// hook. The Fabric owns what it is delivered: data and ack packets come
+// from the engine's arena, and each one, with its segment, is recycled
+// once delivery is done with it, so the hosts must not also set
+// FreeOnDeliver.
 func NewFabric(nw *netsim.Network) *Fabric {
 	f := &Fabric{nw: nw, endpoints: make(map[int]*Endpoint)}
 	for _, h := range nw.Hosts {
-		h := h
-		h.Deliver = func(p *netsim.Packet) { f.deliver(p) }
+		h.Deliver = f.deliver
 	}
 	return f
 }
@@ -128,7 +132,9 @@ func (f *Fabric) Endpoint(vmID int) (*Endpoint, bool) {
 	return e, ok
 }
 
-// AddEndpoint registers a VM endpoint on a host.
+// AddEndpoint registers a VM endpoint on a host. Registering a VM again
+// replaces its endpoint: from then on packets addressed to the VM reach
+// the new one, including packets already in flight.
 func (f *Fabric) AddEndpoint(vmID, hostID int, opt Options) *Endpoint {
 	opt.fill()
 	h := f.nw.Hosts[hostID]
@@ -142,6 +148,9 @@ func (f *Fabric) AddEndpoint(vmID, hostID int, opt Options) *Endpoint {
 		opt:    opt,
 		conns:  make(map[int]*Conn),
 		rcv:    make(map[int]*rcvState),
+	}
+	if old, ok := f.endpoints[vmID]; ok {
+		old.replaced = true
 	}
 	f.endpoints[vmID] = e
 	return e
@@ -161,23 +170,48 @@ func (f *Fabric) send(e *Endpoint, p *netsim.Packet) {
 	e.host.Send(p)
 }
 
-// deliver demuxes an arriving packet to its destination endpoint.
+// deliver demuxes an arriving packet to its destination, then recycles
+// the packet and its segment.
 func (f *Fabric) deliver(p *netsim.Packet) {
+	if seg, ok := p.Payload.(*segment); ok {
+		if seg.isAck {
+			if c := f.ackConn(p, seg); c != nil {
+				c.onAck(seg)
+			}
+		} else if rs := f.dataRcv(p, seg); rs != nil {
+			rs.onData(p, seg)
+		}
+		f.freeSegment(seg)
+	}
+	f.nw.Sim.FreePacket(p)
+}
+
+// ackConn resolves an ack to the connection it acknowledges: the one the
+// ack names, unless that connection's endpoint has been replaced since,
+// in which case the VM's current endpoint decides by its own table.
+func (f *Fabric) ackConn(p *netsim.Packet, seg *segment) *Conn {
+	if c := seg.conn; c != nil && !c.e.replaced {
+		return c
+	}
 	e, ok := f.endpoints[p.DstVM]
 	if !ok {
-		return
+		return nil
 	}
-	seg, ok := p.Payload.(*segment)
+	return e.conns[seg.peerVM]
+}
+
+// dataRcv resolves a data segment to its receive state: the one the
+// sender resolved when it emitted the segment, unless that endpoint has
+// been replaced since, in which case the VM's current endpoint's.
+func (f *Fabric) dataRcv(p *netsim.Packet, seg *segment) *rcvState {
+	if rs := seg.rs; rs != nil && !rs.e.replaced {
+		return rs
+	}
+	e, ok := f.endpoints[p.DstVM]
 	if !ok {
-		return
+		return nil
 	}
-	if seg.isAck {
-		if c, ok2 := e.conns[seg.peerVM]; ok2 {
-			c.onAck(seg)
-		}
-		return
-	}
-	e.onData(p, seg)
+	return e.rcvFrom(seg.peerVM)
 }
 
 // segment is the transport payload riding in netsim packets.
@@ -196,4 +230,32 @@ type segment struct {
 	msgID   uint64
 	msgEnd  int64
 	msgSize int
+
+	// Where the segment is going, resolved by its sender: a data
+	// segment's receive state at the destination, and the sending
+	// connection, which a data segment's ack carries back. Either may be
+	// nil, which sends delivery through the Fabric's tables.
+	rs   *rcvState
+	conn *Conn
+
+	// next links free segments (see Fabric.newSegment).
+	next *segment
+}
+
+// newSegment returns a zeroed segment from the Fabric's free list.
+func (f *Fabric) newSegment() *segment {
+	seg := f.freeSegs
+	if seg == nil {
+		return new(segment)
+	}
+	f.freeSegs = seg.next
+	seg.next = nil
+	return seg
+}
+
+// freeSegment returns a delivered segment to the free list. A segment
+// whose packet is dropped is left to the garbage collector.
+func (f *Fabric) freeSegment(seg *segment) {
+	*seg = segment{next: f.freeSegs}
+	f.freeSegs = seg
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
@@ -290,6 +291,16 @@ func TestMessagesCompleteInOrderPerConn(t *testing.T) {
 			t.Errorf("out-of-order completion: %v", order)
 		}
 	}
+}
+
+// sortedOOO returns buffered out-of-order ranges in seq order.
+func (r *rcvState) sortedOOO() []int64 {
+	keys := make([]int64, 0, len(r.ooo))
+	for k := range r.ooo {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 func TestRcvStateOOOHelpers(t *testing.T) {
