@@ -140,11 +140,17 @@ func TestPlanesComposeOnSpine(t *testing.T) {
 }
 
 // One packet's enqueue → transmit → deliver allocates nothing with every
-// plane subscribed.
+// plane subscribed and every port carrying admission bounds, as when
+// introspection is bound to a placement.
 func TestSpineAllocsNothing(t *testing.T) {
 	nw := planeNet(t)
 	_, _, in, _ := attach(nw, planeSet{true, true, true, true})
 	in.TrackVM(0, 10, 1, introspect.Envelope{RateBps: 1.25e8, BurstBytes: 3000})
+	for pid, q := range nw.Queues {
+		if q != nil {
+			in.SetPortBounds(pid, introspect.PortBounds{Tenants: 1, BacklogBytes: 300e3, BusyPeriodSec: 1e-3, CapacitySec: 1e-3})
+		}
+	}
 	nw.Hosts[7].FreeOnDeliver = true
 	id := uint64(0)
 	send := func() {

@@ -6,26 +6,37 @@ import (
 	"repro/internal/obs"
 )
 
-// BenchmarkIncidentOverhead measures the incident plane's observation
-// path: a delivery through the guarantee auditor with the violation
-// tap wired into a ViolationLog — the per-packet cost every simulated
-// delivery pays when incident correlation is enabled. The path must
-// not allocate: the benchmark asserts 0 allocs/op before timing.
-func BenchmarkIncidentOverhead(b *testing.B) {
+// violatingAudit is the incident plane's observation path: the
+// guarantee auditor with its violation tap wired into a ViolationLog,
+// for a tenant whose every delivery at 700 µs violates its 350 µs
+// bound, so each observation walks the full path — counters,
+// histogram, tap, append.
+func violatingAudit() (*obs.GuaranteeAuditor, *obs.ViolationLog) {
 	audit := obs.NewGuaranteeAuditor(nil)
 	audit.Admit(1, 500e6, 15e3, 350e-6)
 	log := obs.NewViolationLog(1 << 20)
 	audit.SetViolationTap(log.Observe)
+	return audit, log
+}
 
-	// Every observed delivery violates (delay 2x the bound), so each
-	// op exercises the full path: counters, histogram, tap, append.
+// The per-packet cost every simulated delivery pays when incident
+// correlation is enabled must not allocate.
+func TestObservationZeroAllocs(t *testing.T) {
+	audit, log := violatingAudit()
 	if allocs := testing.AllocsPerRun(10000, func() {
 		audit.ObserveDelivery(1, 1000, 1001, 1e6, 700e3)
 	}); allocs != 0 {
-		b.Fatalf("observation path allocates %.1f allocs/op, want 0", allocs)
+		t.Errorf("observation path allocates %.1f allocs/op, want 0", allocs)
 	}
-	log.Reset()
+	if log.Len() == 0 {
+		t.Error("violation tap never fired")
+	}
+}
 
+// BenchmarkIncidentOverhead times the observation path
+// TestObservationZeroAllocs holds to zero allocations.
+func BenchmarkIncidentOverhead(b *testing.B) {
+	audit, log := violatingAudit()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -241,22 +241,40 @@ func TestBurnMath(t *testing.T) {
 	}
 }
 
-// BenchmarkFlush measures the steady-state window close: 16 tenants
-// with live traffic, no alert transitions. Like the rollup capture,
-// this runs on the simulated-time hot path, so it must not allocate.
-func BenchmarkFlush(b *testing.B) {
+// steadyWindows builds the steady-state window close: 16 tenants with
+// live traffic, no alert transitions. Each call of the returned func
+// observes one packet per tenant and closes the next window.
+func steadyWindows() func() {
 	a := obs.NewGuaranteeAuditor(nil)
 	for id := 1; id <= 16; id++ {
 		a.Admit(id, 1e9, 15e3, 1e-3)
 	}
 	e := New(Config{WindowNs: ms}, a, nil)
 	e.Flush(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	var now int64
+	return func() {
 		for id := 1; id <= 16; id++ {
 			a.ObserveDelay(id, 100_000)
 		}
-		e.Flush(int64(i+1) * ms)
+		now += ms
+		e.Flush(now)
+	}
+}
+
+// Like the rollup capture, the window close runs on the simulated-time
+// hot path, so it must not allocate.
+func TestFlushZeroAllocs(t *testing.T) {
+	window := steadyWindows()
+	if allocs := testing.AllocsPerRun(1000, window); allocs != 0 {
+		t.Errorf("steady-state Flush allocates %v per window, want 0", allocs)
+	}
+}
+
+func BenchmarkFlush(b *testing.B) {
+	window := steadyWindows()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		window()
 	}
 }
