@@ -97,27 +97,6 @@ func BenchmarkFig5SimTraced1in64(b *testing.B) { benchFig5Sim(b, 64) }
 // recorder cost, used for Figure-5 attribution summaries.
 func BenchmarkFig5SimTracedAll(b *testing.B) { benchFig5Sim(b, 1) }
 
-// BenchmarkIntrospectOverhead measures the introspection plane's
-// per-packet cost: the netsimub permutation blast with headroom
-// watches on every port and NIC-fed envelope estimators on every
-// host (compare BENCH_introspect.json vs BENCH_netsim.json). The
-// acceptance bar is 0 allocs/op on the hot taps.
-func BenchmarkIntrospectOverhead(b *testing.B) {
-	b.ReportAllocs()
-	p := experiments.DefaultIntrospectBenchParams()
-	p.Reps = 1
-	for i := 0; i < b.N; i++ {
-		rec, err := experiments.RunIntrospectBench(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rec.AllocsPerOp != 0 {
-			b.Fatalf("introspection hot path allocates: %d allocs/op", rec.AllocsPerOp)
-		}
-		b.ReportMetric(float64(rec.MeanNs), "ns/pkt")
-	}
-}
-
 // BenchmarkFig10Pacer regenerates Figure 10: pacer throughput split
 // and per-frame cost across rate limits.
 func BenchmarkFig10Pacer(b *testing.B) {

@@ -1,19 +1,21 @@
 // Command silo-bench regenerates every table and figure from Silo's
 // evaluation (SIGCOMM 2015, §6). Each experiment prints the same rows
 // or series the paper reports; EXPERIMENTS.md records paper-vs-measured
-// values.
+// values. Performance is measured by `go run ./benchmark`, not here.
 //
 // Usage:
 //
 //	silo-bench -run all
 //	silo-bench -run fig12 -duration 0.1
-//	silo-bench -run fig15
-//	silo-bench -regress             # compare microbenchmarks vs BENCH_*.json
+//	silo-bench -run placeub -requests 40000
+//	silo-bench -run soak -requests 7500 -soak-report soak.json
 //
 // Experiments: fig1, table1, fig5, fig10, fig11, fig12 (also emits
-// fig13, fig14 and table4), fig15, fig16a, fig16b, placeub, pacerub,
-// netsimub, introspectub, incidentub, walub, soak (durable control-plane chaos soak; -duration sets wall seconds,
-// -soak-report writes the JSON verdict).
+// fig13, fig14 and table4), fig15, fig16a, fig16b, placeub (§5's
+// 100K-host placement stream; -requests sizes it), besteffort,
+// burststress, faultdrill, soak (durable control-plane chaos soak;
+// -requests sets its crash/recovery cycles, -duration its wall-clock
+// timeout, -soak-report writes the JSON verdict).
 package main
 
 import (
@@ -38,52 +40,9 @@ var outdir string
 // instrumentation disabled.
 var reg *obs.Registry
 
-// benchJSON, when non-empty, receives the microbenchmark records as
-// machine-readable JSON (see BENCH_placement.json). A *.json path
-// names one output file; anything else is a directory that receives
-// one BENCH_<name>.json per microbenchmark run.
-var benchJSON string
-
-// benchRecords collects the microbenchmark results of this invocation
-// for the -regress comparison.
-var benchRecords = map[string]experiments.BenchRecord{}
-
-// runMeta stamps every artifact this invocation writes (bench records,
-// CSV series, incident reports) with its provenance.
+// runMeta stamps every artifact this invocation writes (CSV series,
+// incident reports, the soak verdict) with its provenance.
 var runMeta obs.RunMeta
-
-// benchBaseline maps each microbenchmark to its committed baseline
-// file name.
-var benchBaseline = map[string]string{
-	"placeub":      "BENCH_placement.json",
-	"pacerub":      "BENCH_pacer.json",
-	"netsimub":     "BENCH_netsim.json",
-	"introspectub": "BENCH_introspect.json",
-	"incidentub":   "BENCH_incident.json",
-	"walub":        "BENCH_wal.json",
-}
-
-// noteBenchRecord stores a microbenchmark record and writes it out if
-// -bench-json asked for it.
-func noteBenchRecord(rec experiments.BenchRecord) error {
-	rec.Meta = &runMeta
-	benchRecords[rec.Benchmark] = rec
-	if benchJSON == "" {
-		return nil
-	}
-	path := benchJSON
-	if !strings.HasSuffix(path, ".json") {
-		if err := os.MkdirAll(path, 0o755); err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		path = filepath.Join(path, benchBaseline[rec.Benchmark])
-	}
-	if err := experiments.WriteBenchRecord(path, rec); err != nil {
-		return fmt.Errorf("bench-json: %w", err)
-	}
-	fmt.Printf("benchmark record written to %s\n", path)
-	return nil
-}
 
 // writeCSV drops a CSV into outdir if one was requested.
 func writeCSV(name string, header []string, rows [][]float64) {
@@ -97,39 +56,26 @@ func writeCSV(name string, header []string, rows [][]float64) {
 
 func main() {
 	var (
-		run      = flag.String("run", "all", "experiment to run (all|fig1|table1|fig5|fig10|fig11|fig12|fig15|fig16a|fig16b|placeub|pacerub|netsimub|introspectub|incidentub|walub|besteffort|burststress|faultdrill|soak)")
-		duration = flag.Float64("duration", 0, "override simulated seconds for packet-level experiments")
-		requests = flag.Int("requests", 0, "override request count for the placement microbenchmark")
+		run      = flag.String("run", "all", "experiment to run (all|fig1|table1|fig5|fig10|fig11|fig12|fig15|fig16a|fig16b|placeub|besteffort|burststress|faultdrill|soak)")
+		duration = flag.Float64("duration", 0, "override simulated seconds for packet-level experiments; for soak, the wall-clock timeout in seconds")
+		requests = flag.Int("requests", 0, "override request count for placeub; for soak, the number of crash/recovery cycles to run")
 		seed     = flag.Uint64("seed", 0, "override RNG seed")
 		outFlag  = flag.String("outdir", "", "also write plottable CSV series to this directory")
 
 		metricsOut = flag.String("metrics", "", "export metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
 		httpAddr   = flag.String("http", "", "serve /metrics and /debug/vars on this address during the run")
 		pprofOn    = flag.Bool("pprof", false, "additionally expose /debug/pprof on the -http address")
-		benchOut   = flag.String("bench-json", "", "write microbenchmark records as JSON: a *.json path for one file, anything else a directory receiving BENCH_<name>.json per bench")
 
 		soakReport = flag.String("soak-report", "", "for soak: also write the RunMeta-stamped JSON verdict to this path")
-
-		regress     = flag.Bool("regress", false, "after running, compare microbenchmark records against the committed BENCH_*.json baselines and exit non-zero on regression (with -run all, runs only the microbenchmarks)")
-		regressTol  = flag.Float64("regress-tolerance", 50, "regression tolerance in percent on gating metrics (mean, p99, allocs/op)")
-		baselineDir = flag.String("baseline-dir", ".", "directory holding the BENCH_*.json baselines for -regress")
 	)
 	flag.Parse()
 	outdir = *outFlag
-	benchJSON = *benchOut
 	runMeta = obs.CollectRunMeta("silo-bench")
 	runMeta.Seed = int64(*seed)
 
-	for _, f := range []struct{ name, path string }{
-		{"-metrics", *metricsOut}, {"-bench-json", *benchOut},
-	} {
-		if f.name == "-bench-json" && !strings.HasSuffix(f.path, ".json") {
-			continue // directory form; created on first write
-		}
-		if err := obs.ValidateOutputPath(f.name, f.path); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if err := obs.ValidateOutputPath("-metrics", *metricsOut); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if *outFlag != "" {
 		// writeCSV MkdirAlls on every write; do it once up front so an
@@ -151,36 +97,26 @@ func main() {
 	}
 
 	runners := map[string]func() error{
-		"fig1":         func() error { return runFig1(*duration, *seed) },
-		"table1":       func() error { return runTable1(*seed) },
-		"fig5":         runFig5,
-		"fig10":        runFig10,
-		"fig11":        func() error { return runFig11(*duration, *seed) },
-		"fig12":        func() error { return runFig12(*duration, *seed) },
-		"fig15":        func() error { return runFig15(*seed) },
-		"fig16a":       func() error { return runFig16a(*seed) },
-		"fig16b":       func() error { return runFig16b(*seed) },
-		"placeub":      func() error { return runPlaceUB(*requests, *seed) },
-		"pacerub":      runPacerUB,
-		"netsimub":     runNetsimUB,
-		"introspectub": runIntrospectUB,
-		"incidentub":   runIncidentUB,
-		"besteffort":   func() error { return runBestEffort(*duration, *seed) },
-		"burststress":  runBurstStressCmd,
-		"faultdrill":   func() error { return runFaultDrill(*seed) },
-		"walub":        runWALUB,
-		"soak":         func() error { return runSoak(*duration, *seed, *soakReport) },
+		"fig1":        func() error { return runFig1(*duration, *seed) },
+		"table1":      func() error { return runTable1(*seed) },
+		"fig5":        runFig5,
+		"fig10":       runFig10,
+		"fig11":       func() error { return runFig11(*duration, *seed) },
+		"fig12":       func() error { return runFig12(*duration, *seed) },
+		"fig15":       func() error { return runFig15(*seed) },
+		"fig16a":      func() error { return runFig16a(*seed) },
+		"fig16b":      func() error { return runFig16b(*seed) },
+		"placeub":     func() error { return runPlaceUB(*requests, *seed) },
+		"besteffort":  func() error { return runBestEffort(*duration, *seed) },
+		"burststress": runBurstStressCmd,
+		"faultdrill":  func() error { return runFaultDrill(*seed) },
+		"soak":        func() error { return runSoak(*requests, *duration, *seed, *soakReport) },
 	}
-	order := []string{"fig1", "table1", "fig5", "fig10", "fig11", "fig12", "fig15", "fig16a", "fig16b", "placeub", "pacerub", "netsimub", "introspectub", "incidentub", "walub", "besteffort", "burststress", "faultdrill"}
+	order := []string{"fig1", "table1", "fig5", "fig10", "fig11", "fig12", "fig15", "fig16a", "fig16b", "placeub", "besteffort", "burststress", "faultdrill"}
 
 	names := strings.Split(*run, ",")
 	if *run == "all" {
 		names = order
-		if *regress {
-			// The regression gate only needs the record-producing
-			// microbenchmarks.
-			names = []string{"placeub", "pacerub", "netsimub", "introspectub", "incidentub", "walub"}
-		}
 	}
 	for _, name := range names {
 		fn, ok := runners[name]
@@ -200,79 +136,10 @@ func main() {
 		}
 		fmt.Println()
 	}
-	regressed := false
-	if *regress {
-		regressed = runRegress(*baselineDir, *regressTol)
-	}
 	if err := finishObs(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if regressed {
-		os.Exit(1)
-	}
-}
-
-// runRegress compares this invocation's microbenchmark records against
-// the committed baselines and reports whether any gating metric
-// regressed. A missing baseline is skipped with a note (so a new
-// microbenchmark can land before its baseline); an unreadable or
-// mismatched baseline counts as a failure.
-func runRegress(baselineDir string, tolerancePct float64) bool {
-	fmt.Println("==== regression gate ====")
-	if len(benchRecords) == 0 {
-		fmt.Println("no microbenchmark records to compare (run placeub, pacerub or netsimub)")
-		return false
-	}
-	names := make([]string, 0, len(benchRecords))
-	for name := range benchRecords {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	failed := false
-	for _, name := range names {
-		basePath := filepath.Join(baselineDir, benchBaseline[name])
-		base, err := experiments.LoadBenchRecord(basePath)
-		if os.IsNotExist(err) {
-			fmt.Printf("%s: no baseline at %s; skipping\n", name, basePath)
-			continue
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			failed = true
-			continue
-		}
-		// The record, then each of its rows against the baseline row of
-		// the same name (a row the baseline lacks is skipped, like a
-		// benchmark without a baseline).
-		pairs := [][2]experiments.BenchRecord{{base, benchRecords[name]}}
-		for _, row := range benchRecords[name].Rows {
-			baseRow, ok := base.Row(row.Benchmark)
-			if !ok {
-				fmt.Printf("%s: no baseline row in %s; skipping\n", row.Benchmark, basePath)
-				continue
-			}
-			pairs = append(pairs, [2]experiments.BenchRecord{baseRow, row})
-		}
-		for _, pair := range pairs {
-			deltas, err := experiments.CompareBenchRecords(pair[0], pair[1], tolerancePct)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", pair[1].Benchmark, err)
-				failed = true
-				continue
-			}
-			fmt.Print(experiments.RenderBenchDeltas(pair[1].Benchmark, deltas, tolerancePct))
-			if experiments.AnyRegression(deltas) {
-				failed = true
-			}
-		}
-	}
-	if failed {
-		fmt.Println("=> REGRESSION against committed baselines")
-	} else {
-		fmt.Println("=> all microbenchmarks within tolerance of their baselines")
-	}
-	return failed
 }
 
 func runFig1(duration float64, seed uint64) error {
@@ -581,76 +448,27 @@ func runPlaceUB(requests int, seed uint64) error {
 		return err
 	}
 	fmt.Print(r.Render())
-	// The checked-in BENCH_placement.json is regenerated with
-	// `silo-bench -run placeub -bench-json BENCH_placement.json`.
-	return noteBenchRecord(r.Record())
-}
-
-func runPacerUB() error {
-	fmt.Println("Pacer microbenchmark — per-frame batch-construction cost over repeated runs:")
-	rec := experiments.RunPacerBench(experiments.DefaultPacerBenchParams())
-	fmt.Print(rec.Render())
-	return noteBenchRecord(rec)
-}
-
-func runIntrospectUB() error {
-	fmt.Println("Introspection-overhead microbenchmark — netsimub workload with headroom taps and envelope estimators attached:")
-	rec, err := experiments.RunIntrospectBench(experiments.DefaultIntrospectBenchParams())
-	if err != nil {
-		return err
-	}
-	fmt.Print(rec.Render())
-	return noteBenchRecord(rec)
-}
-
-func runIncidentUB() error {
-	fmt.Println("Incident-plane microbenchmark — netsimub workload with every delivery violating and correlated into incidents:")
-	rec, err := experiments.RunIncidentBench(experiments.DefaultIncidentBenchParams())
-	if err != nil {
-		return err
-	}
-	fmt.Print(rec.Render())
-	// The checked-in BENCH_incident.json is regenerated with
-	// `silo-bench -run incidentub -bench-json BENCH_incident.json`.
-	return noteBenchRecord(rec)
-}
-
-func runNetsimUB() error {
-	fmt.Println("Netsim microbenchmark — event-engine cost per simulated packet (cross-rack permutation):")
-	rec, err := experiments.RunNetsimBench(experiments.DefaultNetsimBenchParams())
-	if err != nil {
-		return err
-	}
-	fmt.Print(rec.Render())
-	return noteBenchRecord(rec)
-}
-
-func runWALUB() error {
-	fmt.Println("WAL microbenchmark — durable control plane's append hot path (encode + write, fsync batched):")
-	rec, err := experiments.RunWALBench(experiments.DefaultWALBenchParams())
-	if err != nil {
-		return err
-	}
-	fmt.Print(rec.Render())
-	// The checked-in BENCH_wal.json is regenerated with
-	// `silo-bench -run walub -bench-json BENCH_wal.json`.
-	return noteBenchRecord(rec)
+	return nil
 }
 
 // runSoak drives the durable control-plane chaos soak: churn +
-// crash-kill + recover in a loop, asserting zero invariant violations
-// and zero overbooked ports. -duration overrides the wall-clock length
-// in seconds; a non-empty report path receives the JSON verdict.
-func runSoak(duration float64, seed uint64, report string) error {
+// crash-kill + recover for a fixed number of cycles, asserting zero
+// invariant violations and zero overbooked ports. cycles (-requests)
+// overrides the count and timeout (-duration) the wall-clock seconds
+// after which an unfinished soak fails; a non-empty report path
+// receives the JSON verdict.
+func runSoak(cycles int, timeout float64, seed uint64, report string) error {
 	p := experiments.DefaultSoakParams()
-	if duration > 0 {
-		p.Duration = time.Duration(duration * float64(time.Second))
+	if cycles > 0 {
+		p.MaxCrashes = cycles
+	}
+	if timeout > 0 {
+		p.Duration = time.Duration(timeout * float64(time.Second))
 	}
 	if seed != 0 {
 		p.Seed = seed
 	}
-	fmt.Printf("Chaos soak — durable placement WAL under randomized churn and crash-kills (%.1fs):\n",
-		p.Duration.Seconds())
+	fmt.Printf("Chaos soak — durable placement WAL under randomized churn and crash-kills (%d cycles):\n", p.MaxCrashes)
 	res, err := experiments.RunSoak(p, &runMeta)
 	if err != nil {
 		return err
@@ -664,6 +482,9 @@ func runSoak(duration float64, seed uint64, report string) error {
 	}
 	if len(res.Violations) > 0 {
 		return fmt.Errorf("soak found %d violations", len(res.Violations))
+	}
+	if res.Crashes < p.MaxCrashes {
+		return fmt.Errorf("soak timed out after %d of %d cycles (%.0fs)", res.Crashes, p.MaxCrashes, p.Duration.Seconds())
 	}
 	return nil
 }

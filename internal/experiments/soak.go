@@ -22,7 +22,8 @@ import (
 // crash-kills that clip the WAL at a random byte offset — including
 // mid-record, the torn-write case — and recover from what survived.
 type SoakParams struct {
-	// Duration is the wall-clock soak length.
+	// Duration is a wall-clock safety timeout: the soak stops when it
+	// elapses, whether or not MaxCrashes cycles have run.
 	Duration time.Duration
 	// Seed drives the churn and the crash offsets.
 	Seed uint64
@@ -34,19 +35,20 @@ type SoakParams struct {
 	// SnapshotEvery sets the snapshot cadence, exercising rotation and
 	// segment GC under crashes.
 	SnapshotEvery int
-	// MaxCrashes stops the soak early after this many crash/recovery
-	// cycles (0 = duration only).
+	// MaxCrashes is the soak's length in crash/recovery cycles (0 =
+	// until Duration elapses). With a seed it fixes the whole run.
 	MaxCrashes int
 	// Dir is the scratch root for store directories ("" = a fresh temp
 	// dir, removed afterwards).
 	Dir string
 }
 
-// DefaultSoakParams is sized for a quick local run; CI passes
-// -duration 30 for the long soak.
+// DefaultSoakParams is sized for a quick local run (a few seconds); CI
+// asks for a longer count with silo-bench's -requests.
 func DefaultSoakParams() SoakParams {
 	return SoakParams{
-		Duration:      2 * time.Second,
+		Duration:      10 * time.Minute,
+		MaxCrashes:    600,
 		Seed:          42,
 		OpsPerCycle:   40,
 		SyncEvery:     4,
@@ -58,7 +60,8 @@ func DefaultSoakParams() SoakParams {
 // violations, zero overbooked ports, zero unexplained safe-mode
 // entries — surface as the Violations list; a healthy soak has none.
 type SoakResult struct {
-	DurationSec   float64 `json:"duration_sec"`
+	MaxCrashes    int     `json:"max_crashes"`
+	TimeoutSec    float64 `json:"timeout_sec"`
 	Seed          uint64  `json:"seed"`
 	OpsPerCycle   int     `json:"ops_per_cycle"`
 	SyncEvery     int     `json:"sync_every"`
@@ -97,8 +100,8 @@ type SoakResult struct {
 // Render formats the soak verdict.
 func (r *SoakResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos soak: %.1fs, seed %d, %d ops/cycle, sync every %d, snapshot every %d\n",
-		r.DurationSec, r.Seed, r.OpsPerCycle, r.SyncEvery, r.SnapshotEvery)
+	fmt.Fprintf(&b, "chaos soak: seed %d, %d cycles (timeout %.0fs), %d ops/cycle, sync every %d, snapshot every %d\n",
+		r.Seed, r.MaxCrashes, r.TimeoutSec, r.OpsPerCycle, r.SyncEvery, r.SnapshotEvery)
 	fmt.Fprintf(&b, "crashes: %d cycles, %d mutations logged (%d placed, %d rejected, %d removed, %d recover calls)\n",
 		r.Crashes, r.Mutations, r.Places, r.Rejects, r.Removes, r.Recovers)
 	fmt.Fprintf(&b, "recovery: %d records replayed (max %d/cycle), torn tails clipped %d (%d B), %d snapshot restores\n",
@@ -174,7 +177,8 @@ func crashCopy(src, dst, liveSeg string, cut int64) error {
 
 // RunSoak drives the chaos soak: churn the durable manager, crash-kill
 // it at a random WAL offset, recover from the surviving bytes, verify
-// every invariant, repeat until the clock (or MaxCrashes) says stop.
+// every invariant, repeat for MaxCrashes cycles or until the Duration
+// timeout.
 func RunSoak(p SoakParams, meta *obs.RunMeta) (*SoakResult, error) {
 	def := DefaultSoakParams()
 	if p.Duration <= 0 {
@@ -204,7 +208,8 @@ func RunSoak(p SoakParams, meta *obs.RunMeta) (*SoakResult, error) {
 	}
 
 	res := &SoakResult{
-		DurationSec:   p.Duration.Seconds(),
+		MaxCrashes:    p.MaxCrashes,
+		TimeoutSec:    p.Duration.Seconds(),
 		Seed:          p.Seed,
 		OpsPerCycle:   p.OpsPerCycle,
 		SyncEvery:     p.SyncEvery,

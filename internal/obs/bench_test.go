@@ -11,6 +11,9 @@ import "testing"
 //   - Enabled: live counter + gauge-max + histogram + auditor delay
 //     observation, the full per-packet instrumentation bundle. Still
 //     0 allocs/op: allocation happens only at registration time.
+//
+// TestDisabledPathZeroAllocs and TestEnabledPathZeroAllocs hold both
+// bundles to zero allocations.
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("DisabledCounter", func(b *testing.B) {
 		var c *Counter

@@ -7,7 +7,7 @@ import (
 )
 
 // ValidateOutputPath checks that an output-file flag value (-metrics,
-// -trace, -bench-json, ...) can plausibly be written, so a typo'd path
+// -trace, -series, ...) can plausibly be written, so a typo'd path
 // fails at startup with a clear message instead of after the whole run
 // has completed. "" and "-" (stdout) are always valid. For anything
 // else the parent directory must exist and the path must not name a

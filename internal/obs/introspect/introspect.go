@@ -165,8 +165,8 @@ func (in *Introspector) BindPlacement(m *placement.Manager) {
 	}
 }
 
-// SetPortBounds installs bounds for one port directly (benchmarks and
-// tests that run without a placement manager). Like BindPlacement it
+// SetPortBounds installs bounds for one port directly (tests that run
+// without a placement manager). Like BindPlacement it
 // registers the port's margin gauge; re-binding is idempotent because
 // the registry dedupes on (name, labels).
 func (in *Introspector) SetPortBounds(pid int, b PortBounds) {

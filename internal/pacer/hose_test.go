@@ -20,7 +20,7 @@ func hoseAllToAll() (caps []float64, flows []Flow) {
 	return caps, flows
 }
 
-// A warm kernel allocates nothing (tier-1's view of `make bench-hose`).
+// A warm kernel allocates nothing.
 func TestHoseKernelAllocs(t *testing.T) {
 	caps, flows := hoseAllToAll()
 	rates := make([]float64, len(flows))
