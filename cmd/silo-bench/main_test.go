@@ -73,6 +73,15 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
+	// EXPERIMENTS.md quotes this count for the 2,000-request stream on
+	// the 100 K-host tree.
+	t.Run("placeub admits 1474 of 2000", func(t *testing.T) {
+		out := run(t, "-run", "placeub", "-requests", "2000")
+		if want := "hosts=100000 requests=2000 accepted=1474 "; !bytes.Contains(out, []byte(want)) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
+	})
+
 	t.Run("unknown experiment", func(t *testing.T) {
 		out, err := exec.Command(bin, "-run", "nope").CombinedOutput()
 		var exit *exec.ExitError
