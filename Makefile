@@ -30,7 +30,12 @@ test-race:
 # fail / recover, a tenant admitted beside neighbours also admissible
 # alone — and netcal's rate-capped curve rule they rest on (bounds never
 # rise on removal, closed forms agree with materialized curves, no jump
-# across peak = rate).
+# across peak = rate). Two cover the per-request certificate (reqMemo.
+# emptyMax): TestQueueBoundMonotoneInPortLoadProperty (a port's bound
+# does not fall as its load grows, to monoSlack) and
+# TestCertifiedCapEquivalenceProperty (Manager against the oracle on
+# 2–60-VM bursty tenants, where the certificate skips or shortens the
+# per-server probes).
 test-admission:
 	$(GO) test -race -count=25 -run 'Equivalence|Churn|Monoton|Degenerate' ./internal/placement/ ./internal/netcal/
 

@@ -52,9 +52,11 @@ var (
 	// a prefix of a valid record (a crash mid-write), so recovery
 	// truncates here and keeps everything before.
 	ErrTornTail = errors.New("durable: torn record tail")
-	// ErrCorrupt reports a framed record whose CRC or payload does not
+	// errCorrupt reports a framed record whose CRC or payload does not
 	// parse: the log is damaged at this point and recovery truncates.
-	ErrCorrupt = errors.New("durable: corrupt record")
+	// Recovery branches only on ErrTornTail, so this one stays
+	// unexported and only words the message.
+	errCorrupt = errors.New("durable: corrupt record")
 )
 
 // Record is one decoded WAL record: a sequence number plus the
@@ -118,7 +120,7 @@ func appendServers(buf []byte, servers []int) []byte {
 
 // decodeRecord decodes the record at the front of b. It returns the
 // record and the number of bytes consumed, or ErrTornTail (b ends
-// mid-frame) / ErrCorrupt (CRC or payload invalid). It never panics on
+// mid-frame) / errCorrupt (CRC or payload invalid). It never panics on
 // arbitrary input and never allocates beyond the record's own fields.
 func decodeRecord(b []byte) (Record, int, error) {
 	if len(b) < recordHeaderLen {
@@ -127,14 +129,14 @@ func decodeRecord(b []byte) (Record, int, error) {
 	n := binary.LittleEndian.Uint32(b)
 	sum := binary.LittleEndian.Uint32(b[4:])
 	if n > maxRecordLen {
-		return Record{}, 0, fmt.Errorf("%w: claimed length %d", ErrCorrupt, n)
+		return Record{}, 0, fmt.Errorf("%w: claimed length %d", errCorrupt, n)
 	}
 	if len(b) < recordHeaderLen+int(n) {
 		return Record{}, 0, ErrTornTail
 	}
 	payload := b[recordHeaderLen : recordHeaderLen+int(n)]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return Record{}, 0, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+		return Record{}, 0, fmt.Errorf("%w: CRC mismatch", errCorrupt)
 	}
 	rec, err := decodePayload(payload)
 	if err != nil {
@@ -157,13 +159,13 @@ func decodePayload(p []byte) (Record, error) {
 	case placement.MutFail, placement.MutRestore:
 		rec.Mut.Servers = d.servers()
 	default:
-		return Record{}, fmt.Errorf("%w: unknown op %d", ErrCorrupt, uint8(rec.Mut.Op))
+		return Record{}, fmt.Errorf("%w: unknown op %d", errCorrupt, uint8(rec.Mut.Op))
 	}
 	if d.bad {
-		return Record{}, fmt.Errorf("%w: truncated payload", ErrCorrupt)
+		return Record{}, fmt.Errorf("%w: truncated payload", errCorrupt)
 	}
 	if len(d.b) != 0 {
-		return Record{}, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(d.b))
+		return Record{}, fmt.Errorf("%w: %d trailing payload bytes", errCorrupt, len(d.b))
 	}
 	return rec, nil
 }

@@ -37,12 +37,13 @@ func randomSpec(rng *stats.Rand, id int) tenant.Spec {
 	return spec
 }
 
-// replayChurn drives the equivalence property's operation stream: 20 to
+// replayChurn drives the equivalence properties' operation stream: 20 to
 // 69 operations, each a removal of a random live tenant (35 %) or a
-// randomSpec request. place reports whether the tenant was admitted and,
-// like remove, whether to go on; replayChurn reports whether it ran to
-// the end.
-func replayChurn(seed uint64, opsRaw uint8, place func(op int, spec tenant.Spec) (admitted, ok bool), remove func(op, id int) bool) bool {
+// request drawn by draw. place reports whether the tenant was admitted
+// and, like remove, whether to go on; replayChurn reports whether it ran
+// to the end.
+func replayChurn(seed uint64, opsRaw uint8, draw func(rng *stats.Rand, id int) tenant.Spec,
+	place func(op int, spec tenant.Spec) (admitted, ok bool), remove func(op, id int) bool) bool {
 	rng := stats.NewRand(seed)
 	ops := int(opsRaw)%50 + 20
 	live := []int{}
@@ -57,7 +58,7 @@ func replayChurn(seed uint64, opsRaw uint8, place func(op int, spec tenant.Spec)
 			live = live[:len(live)-1]
 			continue
 		}
-		spec := randomSpec(rng, nextID)
+		spec := draw(rng, nextID)
 		nextID++
 		admitted, ok := place(i, spec)
 		if !ok {
@@ -107,7 +108,7 @@ func TestFastPathEquivalenceProperty(t *testing.T) {
 			}
 			return true
 		}
-		ok := replayChurn(seed, opsRaw, func(i int, spec tenant.Spec) (bool, bool) {
+		ok := replayChurn(seed, opsRaw, randomSpec, func(i int, spec tenant.Spec) (bool, bool) {
 			plRef, errRef := ref.Place(spec)
 			plFast, errFast := fast.Place(spec)
 			if err := samePlacement(plRef, plFast, errRef, errFast); err != nil {
@@ -158,7 +159,7 @@ func TestAdmittedLayoutValidAloneMonotoneProperty(t *testing.T) {
 		tree := mustSmallTree()
 		m := NewManager(tree, Options{})
 		empty := NewManager(tree, Options{})
-		return replayChurn(seed, opsRaw, func(i int, spec tenant.Spec) (bool, bool) {
+		return replayChurn(seed, opsRaw, randomSpec, func(i int, spec tenant.Spec) (bool, bool) {
 			pl, err := m.Place(spec)
 			if err != nil || spec.Class == tenant.ClassBestEffort {
 				return err == nil, true

@@ -442,7 +442,22 @@ type reqMemo struct {
 	// uniform within each family, so one verdict covers every such
 	// server.
 	emptyOK [3][]bool
+	// emptyMax[span] certifies, once per request, what no server can
+	// host: no VM count above it fits even an empty server's ports, and
+	// a port's queue bound never falls as its load grows
+	// (TestQueueBoundMonotoneInPortLoadProperty), so none fits a loaded
+	// server's either. It is the largest k whose empty-server bounds stay
+	// within capacity up to monoSlack (0: none), so the float rounding of
+	// the closed form cannot let a loaded server pass a k it refuses.
+	emptyMax [3]int
 }
+
+// monoSlack is the relative rounding emptyMax grants the closed-form
+// queue bound. Adding load to a port never lowers the exact bound, but
+// the computed one can dip by float cancellation: by at most 1.5e-12
+// of the bound in 12 M one-scalar raises measured, and not at all in
+// 24 M loaded-versus-empty comparisons.
+const monoSlack = 1e-9
 
 func (m *Manager) fillReqMemo(spec *tenant.Spec) {
 	n := spec.VMs
@@ -459,20 +474,24 @@ func (m *Manager) fillReqMemo(spec *tenant.Spec) {
 	}
 	upID := m.tree.ServerUpPortID(0)
 	downID := m.tree.RackDownPortID(0)
+	upRate, upCap := m.portRate[upID], m.portCap[upID]+1e-12
+	downRate, downCap := m.portRate[downID], m.portCap[downID]+1e-12
 	var empty portState
 	for span := scopeRack; span <= scopeDC; span++ {
 		infl := m.inflation(span, topology.LevelRack, topology.Down)
-		downC, oks := memo.downC[span][:0], memo.emptyOK[span][:0]
+		downC, oks, kMax := memo.downC[span][:0], memo.emptyOK[span][:0], 0
 		for k := 0; k <= maxK; k++ {
 			c := m.cutContribution(n-k, n, g, math.Inf(1), infl)
 			downC = append(downC, c)
-			up := memo.upC[k]
-			oks = append(oks, (up.isZero() ||
-				queueBoundFast(m.portRate[upID], &empty, up) <= m.portCap[upID]+1e-12) &&
-				(c.isZero() ||
-					queueBoundFast(m.portRate[downID], &empty, c) <= m.portCap[downID]+1e-12))
+			// A zero contribution bounds to 0.
+			upB := queueBoundFast(upRate, &empty, memo.upC[k])
+			downB := queueBoundFast(downRate, &empty, c)
+			oks = append(oks, upB <= upCap && downB <= downCap)
+			if upB <= upCap*(1+monoSlack) && downB <= downCap*(1+monoSlack) {
+				kMax = k
+			}
 		}
-		memo.downC[span], memo.emptyOK[span] = downC, oks
+		memo.downC[span], memo.emptyOK[span], memo.emptyMax[span] = downC, oks, kMax
 	}
 }
 
@@ -608,20 +627,9 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 // scopes, from which the default worker setting forks. 1 K is above every
 // tree the packet- and flow-level runs build (Fig. 12: 40 servers,
 // Fig. 15: 200, benchmark flow_fig15: 800), where a fork-join per search
-// cost a third of the run (flow_fig15 36–64 K ops per CPU-s forking
-// always, 48–72 K never), and below most searches on the paper's
-// 100 K-host tree (benchmark place100k, seed 11: 1,368 of its 1,691
-// multi-candidate searches cover 1 K servers or more), which so behaves
-// as it did when every search forked: place100k 7.6–7.8 K requests per
-// CPU-s against 7.3 K, silo-bench -run placeub -requests 40000 (filled
-// tree) a mean admission of 0.89–0.90 ms against 0.91. Higher lines,
-// measured on two cores, forking from 8 K / 16 K / 32 K / never:
-// place100k 11.7–13.9 K / 9.4–14.3 K / 9.1–13.5 K / 10.7–14.8 K, the
-// filled tree 0.77–0.96 / 0.73–0.95 / 0.85–1.01 / 0.94–1.23 ms. 16 K
-// would serve both, but it cuts place100k's measured region to 0.08
-// CPU-s, where ten runs on this host spread by 1.0–3.4 K (the
-// benchmark's bound is 1.8 K): a gain the benchmark cannot resolve is
-// not taken here (ROADMAP item 9).
+// costs more than the search, and below most searches on the paper's
+// 100 K-host tree. DESIGN.md §5, "The scope search forks only where it
+// pays", has the measurements.
 const fanOutServers = 1 << 10
 
 // searchScopes evaluates eval on the candidate scopes — each a
@@ -736,7 +744,9 @@ func (m *Manager) tryScope(spec *tenant.Spec, sc *searchScratch, rlo, rhi int, s
 		return sc.serversPacked(spec.VMs)
 	}
 	// Pass 2: spread evenly across candidate servers, VMs going
-	// round-robin.
+	// round-robin. It runs even when no server passed pass 1's caps:
+	// those assume unbounded ingress to the ToR, and layoutValid checks
+	// the spread against the finite ingress it actually has.
 	if m.spreadEven(spec, sc, rlo, rhi) && m.layoutValid(spec, sc, nil) {
 		return sc.serversRoundRobin(spec.VMs)
 	}
@@ -775,10 +785,9 @@ func (sc *searchScratch) serversRoundRobin(n int) []int {
 // ports). span is the scope being attempted, which sets the burst
 // inflation the rest of the tenant's traffic accrues en route.
 func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int {
-	limit := m.maxVMsByResources(spec, s)
-	if limit > spec.VMs {
-		limit = spec.VMs
-	}
+	// No count an empty server refuses fits a loaded one
+	// (reqMemo.emptyMax), so the probes start at most there.
+	limit := min(m.maxVMsByResources(spec, s), spec.VMs, m.memo.emptyMax[span])
 	if limit == 0 {
 		return 0
 	}
@@ -830,9 +839,15 @@ type bindNote struct {
 
 // packWithCaps fills the servers of racks [rlo, rhi) in order, each up
 // to its cap, into sc.srv/sc.cnt. It reports whether all VMs fit on
-// enough servers for the fault domains asked for.
+// enough servers for the fault domains asked for. When the request's
+// certificate says no server can host a single VM at this span, the
+// search skips the scan, whose every cap would be 0; the journal (note
+// != nil) still scans, to name the first server capped.
 func (m *Manager) packWithCaps(spec *tenant.Spec, sc *searchScratch, rlo, rhi int, span scopeHeight, note *bindNote) bool {
 	sc.srv, sc.cnt = sc.srv[:0], sc.cnt[:0]
+	if note == nil && m.memo.emptyMax[span] == 0 {
+		return false
+	}
 	left := spec.VMs
 	maxPer := maxPerServer(spec.VMs, spec.FaultDomains)
 	for r := rlo; r < rhi && left > 0; r++ {
