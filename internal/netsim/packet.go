@@ -24,12 +24,6 @@ type Packet struct {
 	// ECNCapable marks ECT packets (DCTCP/HULL); CE is the congestion
 	// mark set by switches.
 	ECNCapable, CE bool
-	// SentAt is the time the first byte left the source NIC queue
-	// entry point (set by Host.inject); used for NIC-to-NIC delay.
-	SentAt int64
-	// PacedRelease is the pacer's release stamp for paced packets
-	// (0 for unpaced); SentAt − PacedRelease is the pacing error.
-	PacedRelease int64
 	// Gate is the token bucket that determined PacedRelease (the
 	// pacer's Gate* constants; 0 for unpaced packets or packets that
 	// were immediately feasible). Flight-recorder attribution reads it.
@@ -37,11 +31,47 @@ type Packet struct {
 	// pooled marks a live arena packet: set by AllocPacket, cleared by
 	// FreePacket.
 	pooled bool
-	// Payload carries the transport segment.
-	Payload interface{}
+	// HasHdr marks a packet that carries a transport header in Hdr;
+	// generator traffic does not. Ack tells an ack from data; ECE echoes
+	// a data segment's CE mark back to its sender. They sit in one word
+	// with Void, which every hop reads, so delivery finds them in cache.
+	HasHdr, Ack, ECE bool
+	// SentAt is the time the first byte left the source NIC queue
+	// entry point (set by Host.Send or the paced wire); used for
+	// NIC-to-NIC delay.
+	SentAt int64
+	// PacedRelease is the pacer's release stamp for paced packets
+	// (0 for unpaced); SentAt − PacedRelease is the pacing error.
+	PacedRelease int64
+	// Hdr is the transport header (with the three flags above), carried
+	// by value so that delivery reads nothing but the frame itself.
+	Hdr Header
 
 	// next links free packets in a Sim's arena (see Sim.AllocPacket).
 	next *Packet
+}
+
+// Header is a transport segment's header. The sending VM is the
+// packet's SrcVM and the payload is Size − the transport's header
+// bytes, so neither is repeated here.
+type Header struct {
+	// Rcv and Conn are the demux shortcuts the sender resolved: a data
+	// segment's receive state at the destination, and the sending
+	// connection, which the ack carries back. Either may be nil.
+	// FreePacket clears both. They come first, next to SentAt, which
+	// delivery has just read: the first load from a delivered packet's
+	// header then rarely misses.
+	Rcv, Conn any
+	// Seq is a data segment's first byte, or an ack's cumulative ack.
+	Seq int64
+	// TS is a data segment's send time; its ack echoes it back for RTT
+	// sampling.
+	TS int64
+	// MsgID, MsgEnd and MsgSize frame the message a data segment belongs
+	// to: its ID, the sequence offset just past it and its size.
+	MsgID   uint64
+	MsgEnd  int64
+	MsgSize int32
 }
 
 // Counters aggregates per-queue statistics.

@@ -188,7 +188,7 @@ func (s *Sim) AllocPacket() *Packet {
 }
 
 // FreePacket recycles an arena packet. The caller must be done with
-// every field, including Payload. A packet that did not come from
+// every field, including the header. A packet that did not come from
 // AllocPacket, or is already free, is left alone, so a drop site need
 // not know where its packet came from.
 func (s *Sim) FreePacket(p *Packet) {
@@ -197,7 +197,7 @@ func (s *Sim) FreePacket(p *Packet) {
 	}
 	s.rtc.PktInUse--
 	p.pooled = false
-	p.Payload = nil
+	p.Hdr.Rcv, p.Hdr.Conn = nil, nil
 	p.next = s.freePkts
 	s.freePkts = p
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"testing"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -312,18 +313,30 @@ func TestPacketArenaReuse(t *testing.T) {
 	p1 := s.AllocPacket()
 	p1.ID = 7
 	p1.Size = 1500
-	p1.Payload = "retained"
+	p1.HasHdr = true
+	p1.Hdr = Header{Seq: 9, Rcv: "retained", Conn: p1}
 	s.FreePacket(p1)
+	if p1.Hdr.Rcv != nil || p1.Hdr.Conn != nil {
+		t.Fatalf("FreePacket kept the header's references: %+v", p1.Hdr)
+	}
 	p2 := s.AllocPacket()
 	if p2 != p1 {
 		t.Fatal("arena did not recycle the freed packet")
 	}
-	if p2.ID != 0 || p2.Size != 0 || p2.Payload != nil {
+	if p2.ID != 0 || p2.Size != 0 || p2.HasHdr || p2.Hdr != (Header{}) {
 		t.Fatalf("recycled packet not zeroed: %+v", p2)
 	}
 	p3 := s.AllocPacket()
 	if p3 == p2 {
 		t.Fatal("arena handed out the same packet twice")
+	}
+}
+
+// TestPacketSize bounds the frame that now carries its transport header
+// by value: every arena chunk, queue and wire slot moves Packets.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 168 {
+		t.Errorf("Packet is %d bytes, want at most 168", n)
 	}
 }
 

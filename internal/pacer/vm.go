@@ -81,6 +81,13 @@ type dest struct {
 	// visible to the coordinator).
 	seen bool
 
+	// headEnq, headBytes and headSeq mirror the head frame's enq, Bytes
+	// and seq, set whenever the head changes, so the scheduler's scan
+	// reads no frame.
+	headEnq   int64
+	headBytes int
+	headSeq   uint64
+
 	// stageR/stageGate cache the destination-bucket stage of the head's
 	// release: a function of the head packet and the hose bucket only,
 	// so it holds until that head commits or SetDestRate touches the
@@ -262,6 +269,7 @@ func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) *Packet {
 	if d.q.n == 0 {
 		d.pos = len(v.backlog)
 		v.backlog = append(v.backlog, d)
+		d.setHead(p)
 	}
 	d.q.pushBack(p)
 	v.queued++
@@ -271,23 +279,35 @@ func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) *Packet {
 	return p
 }
 
+// setHead mirrors the frame now at the front of d's queue.
+func (d *dest) setHead(p *Packet) {
+	d.headEnq, d.headBytes, d.headSeq = p.enq, p.Bytes, p.seq
+}
+
+// stage returns the destination-bucket stage of d's head release,
+// computing it if the cache is stale. TokenBucket.Free(t, n) >= t, so
+// the later stages only push a release later: stage is a lower bound
+// on the head's release.
+func (d *dest) stage() int64 {
+	if !d.stageOK {
+		d.stageR, d.stageGate, d.stageOK = d.headEnq, GateNone, true
+		if d.hose != nil {
+			if f := d.hose.Free(d.headEnq, d.headBytes); f > d.headEnq {
+				d.stageR, d.stageGate = f, GateDest
+			}
+		}
+	}
+	return d.stageR
+}
+
 // headRelease returns the earliest release for d's head packet given
 // current bucket states, without committing, plus the gating bucket
 // (the last stage that pushed the release later). A single forward
 // pass is exact: token balances only grow with time, so feasibility at
 // a later stage never invalidates an earlier one.
 func (v *VM) headRelease(d *dest) (int64, uint8) {
-	p := d.q.front()
-	n := p.Bytes
-	if !d.stageOK {
-		d.stageR, d.stageGate, d.stageOK = p.enq, GateNone, true
-		if d.hose != nil {
-			if f := d.hose.Free(p.enq, n); f > p.enq {
-				d.stageR, d.stageGate = f, GateDest
-			}
-		}
-	}
-	r, gate := d.stageR, d.stageGate
+	r, gate := d.stage(), d.stageGate
+	n := d.headBytes
 	if f := v.avg.Free(r, n); f > r {
 		r = f
 		gate = GateAvg
@@ -303,16 +323,33 @@ func (v *VM) headRelease(d *dest) (int64, uint8) {
 // chronological order, moving them to the ready queue. The commit rule
 // is min (release, seq) over queue heads — a total order, so the order
 // the backlog slice happens to hold its records in cannot matter.
+//
+// A head's stage is a lower bound on its release, so each round first
+// evaluates the head with the least (stage, seq) and then only heads
+// whose (stage, seq) sorts below the best (release, seq) found so far:
+// no other head can win. If even the least stage is past upTo, nothing
+// is due.
 func (v *VM) Schedule(upTo int64) {
 	for len(v.backlog) > 0 {
-		var best *dest
-		bestR := int64(math.MaxInt64)
-		var bestSeq uint64
-		var bestGate uint8
+		first := v.backlog[0]
+		firstR := first.stage()
+		for _, d := range v.backlog[1:] {
+			if r := d.stage(); r < firstR || (r == firstR && d.headSeq < first.headSeq) {
+				first, firstR = d, r
+			}
+		}
+		if firstR > upTo {
+			break
+		}
+		best := first
+		bestR, bestGate := v.headRelease(first)
+		bestSeq := first.headSeq
 		for _, d := range v.backlog {
-			r, gate := v.headRelease(d)
-			if seq := d.q.front().seq; best == nil || r < bestR || (r == bestR && seq < bestSeq) {
-				best, bestR, bestSeq, bestGate = d, r, seq, gate
+			if d == first || d.stageR > bestR || (d.stageR == bestR && d.headSeq > bestSeq) {
+				continue
+			}
+			if r, gate := v.headRelease(d); r < bestR || (r == bestR && d.headSeq < bestSeq) {
+				best, bestR, bestSeq, bestGate = d, r, d.headSeq, gate
 			}
 		}
 		if bestR > upTo {
@@ -325,6 +362,8 @@ func (v *VM) Schedule(upTo int64) {
 			v.backlog[best.pos] = last
 			last.pos = best.pos
 			v.backlog = v.backlog[:len(v.backlog)-1]
+		} else {
+			best.setHead(best.q.front())
 		}
 		v.queued--
 		best.queuedBytes -= int64(p.Bytes)
@@ -361,6 +400,9 @@ func (v *VM) NextEventTime() (int64, bool) {
 		ok = true
 	}
 	for _, d := range v.backlog {
+		if d.stage() >= best {
+			continue // its release is no earlier than its stage
+		}
 		if r, _ := v.headRelease(d); r < best {
 			best = r
 			ok = true

@@ -90,7 +90,7 @@ func (m *Manager) logMutation(mut *Mutation) error {
 		return nil
 	}
 	if err := m.hook(mut); err != nil {
-		return fmt.Errorf("%w: %v", ErrLogFailed, err)
+		return fmt.Errorf("%w: %w", ErrLogFailed, err)
 	}
 	return nil
 }

@@ -190,6 +190,23 @@ func openTest(t *testing.T, dir string, tree *topology.Tree) (*Manager, *Recover
 	return d, info
 }
 
+// TestPlaceAfterCloseFails: once the store is closed, the commit hook
+// refuses every mutation, so Place fails with ErrLogFailed wrapping
+// errStoreClosed and the manager's state does not move.
+func TestPlaceAfterCloseFails(t *testing.T) {
+	d, _ := openTest(t, t.TempDir(), smallTree())
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pl, err := d.Place(churnSpec(stats.NewRand(1), 1))
+	if pl != nil || !errors.Is(err, errStoreClosed) || !errors.Is(err, placement.ErrLogFailed) {
+		t.Fatalf("Place after Close = %v, %v; want ErrLogFailed wrapping errStoreClosed", pl, err)
+	}
+	if d.Seq() != 0 || len(d.AdmittedIDs()) != 0 {
+		t.Errorf("a refused mutation moved the store: seq %d, admitted %v", d.Seq(), d.AdmittedIDs())
+	}
+}
+
 func TestDurableMatchesBareManagerAndSurvivesReopen(t *testing.T) {
 	tree := smallTree()
 	dir := t.TempDir()

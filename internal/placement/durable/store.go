@@ -20,6 +20,11 @@ import (
 // ExitSafeMode clears it once an operator has reconciled the state.
 var ErrSafeMode = errors.New("durable: manager in safe mode, admissions disabled")
 
+// errStoreClosed is what the commit hook returns once Close has run; the
+// placement manager wraps it in ErrLogFailed, which is what callers
+// branch on.
+var errStoreClosed = errors.New("durable: store closed")
+
 // Options tunes the durable store; the zero value syncs every append,
 // snapshots every 1024 mutations and retries I/O with defaults.
 type Options struct {
@@ -246,7 +251,7 @@ func Open(dir string, tree *topology.Tree, opts Options) (*Manager, *RecoveryInf
 // mutation, then let the manager apply it.
 func (st *store) commit(mut *placement.Mutation) error {
 	if st.closed {
-		return errors.New("durable: store closed")
+		return errStoreClosed
 	}
 	next := st.seq + 1
 	if err := st.w.append(next, mut); err != nil {

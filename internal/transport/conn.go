@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/netsim"
@@ -48,8 +50,12 @@ func (e *Endpoint) Conn(dstVM int) *Conn {
 }
 
 // SendMessage queues a message to dstVM; done (optional) fires at the
-// sender when the final byte is cumulatively acknowledged.
+// sender when the final byte is cumulatively acknowledged. Every segment
+// carries the message's size in an int32, so size must be below 2 GiB.
 func (e *Endpoint) SendMessage(dstVM, size int, done func(*Message)) *Message {
+	if size > math.MaxInt32 {
+		panic(fmt.Sprintf("transport: message of %d bytes exceeds the header's int32 size field", size))
+	}
 	return e.Conn(dstVM).sendMessage(size, done)
 }
 
@@ -197,24 +203,6 @@ func (c *Conn) emit(seq int64, n int) {
 	if rs == nil {
 		return
 	}
-	f := c.e.f
-	seg := f.newSegment()
-	seg.peerVM = c.e.VMID
-	seg.seq = seq
-	seg.length = n
-	seg.sentAt = c.e.sim.Now()
-	seg.rs = rs
-	seg.conn = c
-	// Attach framing for the message this segment belongs to: msgs is
-	// ordered by start (and so by end), so the first message ending
-	// past seq is the only candidate.
-	i := sort.Search(len(c.msgs), func(i int) bool { return c.msgs[i].end > seq })
-	if i < len(c.msgs) && seq >= c.msgs[i].start {
-		m := c.msgs[i]
-		seg.msgID = m.ID
-		seg.msgEnd = m.end
-		seg.msgSize = m.Size
-	}
 	p := c.e.sim.AllocPacket()
 	p.Src = c.e.HostID
 	p.Dst = rs.e.HostID
@@ -223,20 +211,36 @@ func (c *Conn) emit(seq int64, n int) {
 	p.Size = n + HeaderBytes
 	p.Prio = c.e.opt.Prio
 	p.ECNCapable = c.e.opt.Variant == DCTCP
-	p.Payload = seg
-	f.send(c.e, p)
+	p.HasHdr = true
+	h := &p.Hdr
+	h.Seq = seq
+	h.TS = c.e.sim.Now()
+	h.Rcv = rs
+	h.Conn = c
+	// Attach framing for the message this segment belongs to: msgs is
+	// ordered by start (and so by end), so the first message ending
+	// past seq is the only candidate.
+	i := sort.Search(len(c.msgs), func(i int) bool { return c.msgs[i].end > seq })
+	if i < len(c.msgs) && seq >= c.msgs[i].start {
+		m := c.msgs[i]
+		h.MsgID = m.ID
+		h.MsgEnd = m.end
+		h.MsgSize = int32(m.Size)
+	}
+	c.e.f.send(c.e, p)
 	c.SegmentsOut++
 }
 
 // onAck handles a cumulative acknowledgment.
-func (c *Conn) onAck(seg *segment) {
+func (c *Conn) onAck(p *netsim.Packet) {
+	ack := &p.Hdr
 	opt := c.e.opt
 	mss := float64(opt.MSS)
 	now := c.e.sim.Now()
 
 	// RTT sample from the echoed send time.
-	if seg.sentAt > 0 {
-		sample := float64(now - seg.sentAt)
+	if ack.TS > 0 {
+		sample := float64(now - ack.TS)
 		if c.srtt == 0 {
 			c.srtt = sample
 			c.rttvar = sample / 2
@@ -257,7 +261,7 @@ func (c *Conn) onAck(seg *segment) {
 
 	// DCTCP mark accounting (on every ack, per the exact-echo spec).
 	if opt.Variant == DCTCP {
-		adv := seg.ackSeq - c.sndUna
+		adv := ack.Seq - c.sndUna
 		if adv < 0 {
 			adv = 0
 		}
@@ -266,10 +270,10 @@ func (c *Conn) onAck(seg *segment) {
 			bytes = mss // dupack approximates one segment's worth
 		}
 		c.ackedBytes += bytes
-		if seg.ece {
+		if p.ECE {
 			c.markedBytes += bytes
 		}
-		if c.sndUna >= c.windowEnd || seg.ackSeq >= c.windowEnd {
+		if c.sndUna >= c.windowEnd || ack.Seq >= c.windowEnd {
 			if c.ackedBytes > 0 {
 				frac := c.markedBytes / c.ackedBytes
 				g := opt.DCTCPg
@@ -287,9 +291,9 @@ func (c *Conn) onAck(seg *segment) {
 	}
 
 	switch {
-	case seg.ackSeq > c.sndUna:
-		newly := seg.ackSeq - c.sndUna
-		c.sndUna = seg.ackSeq
+	case ack.Seq > c.sndUna:
+		newly := ack.Seq - c.sndUna
+		c.sndUna = ack.Seq
 		c.BytesAcked += newly
 		c.dupacks = 0
 		c.backoff = 1
@@ -322,7 +326,7 @@ func (c *Conn) onAck(seg *segment) {
 		}
 		c.completeMessages(now)
 		c.armRTO()
-	case seg.ackSeq == c.sndUna && c.sndNxt > c.sndUna:
+	case ack.Seq == c.sndUna && c.sndNxt > c.sndUna:
 		c.dupacks++
 		if c.dupacks == 3 && !c.inFR {
 			// Fast retransmit.

@@ -39,11 +39,11 @@ type ackRec struct {
 	sentAt int64
 }
 
-func (o *oracleReceiver) onData(seg *segment, ce bool) {
-	rs := o.rcv[seg.peerVM]
+func (o *oracleReceiver) onData(peerVM int, seg arrival) {
+	rs := o.rcv[peerVM]
 	if rs == nil {
 		rs = &oracleRcvState{ooo: make(map[int64]int64), pending: make(map[uint64]oraclePending)}
-		o.rcv[seg.peerVM] = rs
+		o.rcv[peerVM] = rs
 	}
 	if seg.msgEnd > rs.rcvNxt {
 		if _, ok := rs.pending[seg.msgID]; !ok {
@@ -94,7 +94,7 @@ func (o *oracleReceiver) onData(seg *segment, ce bool) {
 				pm := rs.pending[id]
 				delete(rs.pending, id)
 				if o.onMessage != nil {
-					o.onMessage(seg.peerVM, id, pm.size)
+					o.onMessage(peerVM, id, pm.size)
 				}
 			}
 			rs.doneScratch = done[:0]
@@ -104,7 +104,7 @@ func (o *oracleReceiver) onData(seg *segment, ce bool) {
 			rs.ooo[seg.seq] = end
 		}
 	}
-	o.acks[seg.peerVM] = append(o.acks[seg.peerVM], ackRec{ackSeq: rs.rcvNxt, ece: ce, sentAt: seg.sentAt})
+	o.acks[peerVM] = append(o.acks[peerVM], ackRec{ackSeq: rs.rcvNxt, ece: seg.ce, sentAt: seg.sentAt})
 }
 
 // msgRec is one OnMessage upcall.
@@ -218,19 +218,15 @@ func TestReceivePathMatchesMapOracle(t *testing.T) {
 			senders = append(senders, e)
 			ids = append(ids, e.idBase)
 			nw.Hosts[hosts[k]].Deliver = func(p *netsim.Packet) {
-				ack := p.Payload.(*segment)
-				gotAcks[p.DstVM] = append(gotAcks[p.DstVM], ackRec{ackSeq: ack.ackSeq, ece: ack.ece, sentAt: ack.sentAt})
+				gotAcks[p.DstVM] = append(gotAcks[p.DstVM], ackRec{ackSeq: p.Hdr.Seq, ece: p.ECE, sentAt: p.Hdr.TS})
 			}
 		}
 		for _, a := range receiveScript(rng, ids) {
 			c := senders[a.sender].Conn(200)
-			seg := f.newSegment()
-			seg.peerVM, seg.seq, seg.length, seg.sentAt = c.e.VMID, a.seq, a.length, a.sentAt
-			seg.msgID, seg.msgEnd, seg.msgSize = a.msgID, a.msgEnd, a.msgSize
-			seg.rs, seg.conn = c.resolvePeer(), c
-			oracle.onData(seg, a.ce)
+			oracle.onData(c.e.VMID, a)
 			p := nw.Sim.AllocPacket()
-			p.Src, p.Dst, p.SrcVM, p.DstVM, p.Size, p.CE, p.Payload = c.e.HostID, 1, c.e.VMID, 200, a.length+HeaderBytes, a.ce, seg
+			p.Src, p.Dst, p.SrcVM, p.DstVM, p.Size, p.CE, p.HasHdr = c.e.HostID, 1, c.e.VMID, 200, a.length+HeaderBytes, a.ce, true
+			p.Hdr = netsim.Header{Seq: a.seq, TS: a.sentAt, MsgID: a.msgID, MsgEnd: a.msgEnd, MsgSize: int32(a.msgSize), Rcv: c.resolvePeer(), Conn: c}
 			f.deliver(p)
 			nw.Sim.Run(nw.Sim.Now() + 2_000)
 		}

@@ -8,8 +8,8 @@ import (
 
 // TestSteadyExchangeAllocatesNothing: once a transfer between two hosts
 // is under way, moving data one way and acks the other through the
-// Fabric allocates nothing — packets come from the engine's arena and
-// segments from the Fabric's free list, and both go back on delivery —
+// Fabric allocates nothing — packets, each carrying its transport header
+// by value, come from the engine's arena and go back on delivery —
 // whether the hosts send directly or through their pacers.
 func TestSteadyExchangeAllocatesNothing(t *testing.T) {
 	for _, paced := range []bool{false, true} {

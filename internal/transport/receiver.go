@@ -10,17 +10,19 @@ import (
 // onData processes a data segment arriving from rs's sender: update the
 // reassembly state and return a cumulative ack. DCTCP's exact echo
 // reflects this packet's CE mark in the ack's ECE bit.
-func (rs *rcvState) onData(p *netsim.Packet, seg *segment) {
+func (rs *rcvState) onData(p *netsim.Packet) {
 	e := rs.e
+	h := &p.Hdr
 	// Register the segment's message frame (idempotent).
-	if seg.msgEnd > rs.rcvNxt {
-		rs.expect(seg.msgID, seg.msgEnd, seg.msgSize)
+	if h.MsgEnd > rs.rcvNxt {
+		rs.expect(h.MsgID, h.MsgEnd, int(h.MsgSize))
 	}
-	end := seg.seq + int64(seg.length)
+	seq := h.Seq
+	end := seq + int64(p.Size-HeaderBytes)
 	switch {
 	case end <= rs.rcvNxt:
 		// Stale duplicate; re-ack.
-	case seg.seq <= rs.rcvNxt:
+	case seq <= rs.rcvNxt:
 		// In-order (possibly overlapping) data.
 		advanceFrom := rs.rcvNxt
 		rs.rcvNxt = end
@@ -44,18 +46,18 @@ func (rs *rcvState) onData(p *netsim.Packet, seg *segment) {
 			rs.pending = kept
 			for _, pm := range done {
 				if e.OnMessage != nil {
-					e.OnMessage(seg.peerVM, pm.id, pm.size)
+					e.OnMessage(p.SrcVM, pm.id, pm.size)
 				}
 			}
 			rs.done = done[:0]
 		}
 	default:
 		// Out of order: buffer (keep the longest range per start).
-		if old, ok := rs.ooo[seg.seq]; !ok || end > old {
-			rs.ooo[seg.seq] = end
+		if old, ok := rs.ooo[seq]; !ok || end > old {
+			rs.ooo[seq] = end
 		}
 	}
-	e.sendAck(seg, rs, p.CE)
+	e.sendAck(p, rs)
 }
 
 // expect registers message id, ending at sequence offset end, as
@@ -104,37 +106,36 @@ func (rs *rcvState) drainOOO() {
 	}
 }
 
-// sendAck returns a cumulative acknowledgment to the data sender: to the
-// sending connection itself while its endpoint is the sender VM's
+// sendAck returns a cumulative acknowledgment of data to its sender: to
+// the sending connection itself while its endpoint is the sender VM's
 // current one, else to whatever endpoint the VM has now.
-func (e *Endpoint) sendAck(data *segment, rs *rcvState, ce bool) {
+func (e *Endpoint) sendAck(data *netsim.Packet, rs *rcvState) {
 	f := e.f
-	conn := data.conn
+	conn, _ := data.Hdr.Conn.(*Conn)
 	var peer *Endpoint
 	if conn != nil && !conn.e.replaced {
 		peer = conn.e
 	} else {
 		conn = nil
 		var ok bool
-		if peer, ok = f.endpoints[data.peerVM]; !ok {
+		if peer, ok = f.endpoints[data.SrcVM]; !ok {
 			return
 		}
 	}
-	ack := f.newSegment()
-	ack.peerVM = e.VMID
-	ack.isAck = true
-	ack.ackSeq = rs.rcvNxt
-	ack.ece = ce
-	ack.sentAt = data.sentAt // echo for RTT sampling
-	ack.conn = conn
 	p := e.sim.AllocPacket()
 	p.Src = e.HostID
 	p.Dst = peer.HostID
 	p.SrcVM = e.VMID
-	p.DstVM = data.peerVM
+	p.DstVM = data.SrcVM
 	p.Size = AckBytes
 	p.Prio = e.opt.Prio
-	p.Payload = ack
+	p.HasHdr, p.Ack, p.ECE = true, true, data.CE
+	h := &p.Hdr
+	h.Seq = rs.rcvNxt
+	h.TS = data.Hdr.TS // echo for RTT sampling
+	if conn != nil {
+		h.Conn = conn
+	}
 	f.send(e, p)
 }
 

@@ -109,15 +109,12 @@ func (m *Message) Latency() int64 { return m.Completed - m.Submitted }
 type Fabric struct {
 	nw        *netsim.Network
 	endpoints map[int]*Endpoint
-	// freeSegs is the segment free list, linked through segment.next.
-	freeSegs *segment
 }
 
 // NewFabric attaches to a network, taking over every host's Deliver
 // hook. The Fabric owns what it is delivered: data and ack packets come
-// from the engine's arena, and each one, with its segment, is recycled
-// once delivery is done with it, so the hosts must not also set
-// FreeOnDeliver.
+// from the engine's arena, and each one is recycled once delivery is
+// done with it, so the hosts must not also set FreeOnDeliver.
 func NewFabric(nw *netsim.Network) *Fabric {
 	f := &Fabric{nw: nw, endpoints: make(map[int]*Endpoint)}
 	for _, h := range nw.Hosts {
@@ -171,17 +168,16 @@ func (f *Fabric) send(e *Endpoint, p *netsim.Packet) {
 }
 
 // deliver demuxes an arriving packet to its destination, then recycles
-// the packet and its segment.
+// it. A packet without a transport header is only recycled.
 func (f *Fabric) deliver(p *netsim.Packet) {
-	if seg, ok := p.Payload.(*segment); ok {
-		if seg.isAck {
-			if c := f.ackConn(p, seg); c != nil {
-				c.onAck(seg)
+	if p.HasHdr {
+		if p.Ack {
+			if c := f.ackConn(p); c != nil {
+				c.onAck(p)
 			}
-		} else if rs := f.dataRcv(p, seg); rs != nil {
-			rs.onData(p, seg)
+		} else if rs := f.dataRcv(p); rs != nil {
+			rs.onData(p)
 		}
-		f.freeSegment(seg)
 	}
 	f.nw.Sim.FreePacket(p)
 }
@@ -189,73 +185,27 @@ func (f *Fabric) deliver(p *netsim.Packet) {
 // ackConn resolves an ack to the connection it acknowledges: the one the
 // ack names, unless that connection's endpoint has been replaced since,
 // in which case the VM's current endpoint decides by its own table.
-func (f *Fabric) ackConn(p *netsim.Packet, seg *segment) *Conn {
-	if c := seg.conn; c != nil && !c.e.replaced {
+func (f *Fabric) ackConn(p *netsim.Packet) *Conn {
+	if c, _ := p.Hdr.Conn.(*Conn); c != nil && !c.e.replaced {
 		return c
 	}
 	e, ok := f.endpoints[p.DstVM]
 	if !ok {
 		return nil
 	}
-	return e.conns[seg.peerVM]
+	return e.conns[p.SrcVM]
 }
 
 // dataRcv resolves a data segment to its receive state: the one the
 // sender resolved when it emitted the segment, unless that endpoint has
 // been replaced since, in which case the VM's current endpoint's.
-func (f *Fabric) dataRcv(p *netsim.Packet, seg *segment) *rcvState {
-	if rs := seg.rs; rs != nil && !rs.e.replaced {
+func (f *Fabric) dataRcv(p *netsim.Packet) *rcvState {
+	if rs, _ := p.Hdr.Rcv.(*rcvState); rs != nil && !rs.e.replaced {
 		return rs
 	}
 	e, ok := f.endpoints[p.DstVM]
 	if !ok {
 		return nil
 	}
-	return e.rcvFrom(seg.peerVM)
-}
-
-// segment is the transport payload riding in netsim packets.
-type segment struct {
-	peerVM int // for data: sender VM; for ack: receiver VM (ack source)
-	seq    int64
-	length int
-	sentAt int64 // original transmission time, echoed for RTT sampling
-	isAck  bool
-	ackSeq int64
-	ece    bool
-
-	// Message framing: the message this segment belongs to, its final
-	// sequence offset and size, so the receiver can deliver complete
-	// messages to the application.
-	msgID   uint64
-	msgEnd  int64
-	msgSize int
-
-	// Where the segment is going, resolved by its sender: a data
-	// segment's receive state at the destination, and the sending
-	// connection, which a data segment's ack carries back. Either may be
-	// nil, which sends delivery through the Fabric's tables.
-	rs   *rcvState
-	conn *Conn
-
-	// next links free segments (see Fabric.newSegment).
-	next *segment
-}
-
-// newSegment returns a zeroed segment from the Fabric's free list.
-func (f *Fabric) newSegment() *segment {
-	seg := f.freeSegs
-	if seg == nil {
-		return new(segment)
-	}
-	f.freeSegs = seg.next
-	seg.next = nil
-	return seg
-}
-
-// freeSegment returns a delivered segment to the free list. A segment
-// whose packet is dropped is left to the garbage collector.
-func (f *Fabric) freeSegment(seg *segment) {
-	*seg = segment{next: f.freeSegs}
-	f.freeSegs = seg
+	return e.rcvFrom(p.SrcVM)
 }
