@@ -18,9 +18,9 @@ test:
 	$(GO) test ./...
 
 # The whole tree under the race detector (about two minutes on two
-# cores): the parallel placement scope search, the obs metric atomics,
-# the debug endpoint's live readers during a run with every plane on
-# (TestLiveReadersDuringRun), the durable store's crash suite.
+# cores): the obs metric atomics, the debug endpoint's live readers
+# during a run with every plane on (TestLiveReadersDuringRun), the
+# durable store's crash suite.
 test-race:
 	$(GO) test -race ./...
 
@@ -35,7 +35,9 @@ test-race:
 # does not fall as its load grows, to monoSlack) and
 # TestCertifiedCapEquivalenceProperty (Manager against the oracle on
 # 2–60-VM bursty tenants, where the certificate skips or shortens the
-# per-server probes).
+# per-server probes). TestUpCapMemoEquivalenceProperty holds the
+# per-server NIC-up cap memo (upCapMemo) to the linear scan on every
+# server after every operation.
 test-admission:
 	$(GO) test -race -count=25 -run 'Equivalence|Churn|Monoton|Degenerate' ./internal/placement/ ./internal/netcal/
 

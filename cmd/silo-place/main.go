@@ -45,7 +45,6 @@ func main() {
 		bufKB    = flag.Float64("buf-kb", 312, "switch buffer per port")
 		oversub  = flag.Float64("oversub", 5, "oversubscription per level")
 		algo     = flag.String("algo", "silo", "placement algorithm (silo|oktopus|locality)")
-		workers  = flag.Int("workers", 0, "scope-search goroutines for silo (0 = GOMAXPROCS on large searches only, 1 = serial; decisions are identical at any setting)")
 		explain  = flag.Int("explain", 0, "explain tenant N's admission decision from the journal after the run (-1 = every rejected tenant; silo only)")
 
 		tenants = flag.Int("tenants", 20, "number of tenant requests")
@@ -130,7 +129,6 @@ func main() {
 	case "silo":
 		if *walDir != "" {
 			d, info, derr := durable.Open(*walDir, tree, durable.Options{
-				Placement:     placement.Options{Workers: *workers},
 				SnapshotEvery: *snapEvery,
 				Meta:          ptrMeta(obs.CollectRunMeta("silo-place")),
 				Metrics:       durable.NewMetrics(reg),
@@ -152,7 +150,7 @@ func main() {
 			placer = d
 			break
 		}
-		m := placement.NewManager(tree, placement.Options{Workers: *workers})
+		m := placement.NewManager(tree, placement.Options{})
 		m.EnableMetrics(reg)
 		if *explain != 0 {
 			m.EnableJournal(0)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
@@ -50,4 +51,17 @@ func TestCLI(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("stdout differs from %s (rerun with -update if intended):\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
+
+	// The scope search runs on the caller's goroutine; there is no
+	// worker count to set.
+	t.Run("workers flag is gone", func(t *testing.T) {
+		out, err := exec.Command(bin, "-workers", "2").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-workers 2: error %v, want exit status 2\n%s", err, out)
+		}
+		if want := "flag provided but not defined: -workers"; !bytes.Contains(out, []byte(want)) {
+			t.Errorf("-workers 2: output lacks %q:\n%s", want, out)
+		}
+	})
 }

@@ -144,7 +144,7 @@ func TestCertifiedCapEquivalenceProperty(t *testing.T) {
 	skipped, shortened := 0, 0
 	f := func(seed uint64, opsRaw uint8) bool {
 		ref := newRefManager(tree, Options{})
-		fast := NewManager(tree, Options{Workers: 4})
+		fast := NewManager(tree, Options{})
 		ref.EnableJournal(0)
 		fast.EnableJournal(0)
 		ok := replayChurn(seed, opsRaw, burstySpec, func(i int, spec tenant.Spec) (bool, bool) {

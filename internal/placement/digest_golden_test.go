@@ -3,7 +3,6 @@ package placement
 import (
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"os"
 	"strings"
 	"testing"
@@ -29,8 +28,9 @@ var digestClasses = []tenant.Guarantee{
 // digestGoldenStream replays 6,000 admission requests of 2–15 VMs on a
 // 4 × 10 × 20-server tree of 4 slots, with departures, server failures
 // recovered through Recover, servers failed without evacuation, and
-// restores. Requests draw from classes A and B for the first third,
-// adds a third class for the second, and all seven for the last. It
+// restores. Requests draw from classes A and B in the first third of
+// the stream, from a third class too in the second, and from all seven
+// in the last. It
 // hashes, per block of 1,000 requests, the servers of every accept, the
 // Explain text of every reject and every recovery report, and returns
 // the digests with the stream's tallies.
@@ -43,7 +43,7 @@ func digestGoldenStream(t *testing.T) string {
 	rng := stats.NewRand(2026)
 	var (
 		live, failed []int
-		h            hash.Hash
+		h            = sha256.New()
 		out          strings.Builder
 		reasons      = map[string]int{}
 		removes      int
@@ -51,9 +51,6 @@ func digestGoldenStream(t *testing.T) string {
 	)
 	kinds := []string{"constraint 1: server ", "constraint 1: packed layout ", "constraint 2: ", "insufficient free slots: ", "fault domains: "}
 	for id := 1; id <= requests; {
-		if h == nil {
-			h = sha256.New()
-		}
 		switch x := rng.Float64(); {
 		case x < 0.44 && len(live) > 0:
 			i := rng.Intn(len(live))
@@ -108,7 +105,7 @@ func digestGoldenStream(t *testing.T) string {
 		}
 		if id%block == 0 {
 			fmt.Fprintf(&out, "requests %4d-%4d: %x\n", id-block+1, id, h.Sum(nil)[:12])
-			h = nil
+			h.Reset()
 		}
 		id++
 	}

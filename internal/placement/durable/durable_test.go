@@ -487,3 +487,41 @@ func TestOpenRejectsMismatchedTopology(t *testing.T) {
 		t.Fatal("Open against a different topology must fail")
 	}
 }
+
+// A store written while placement.Options still had a Workers field
+// carries it in config.json. The field is gone; such a store must still
+// open, recover what it logged, and hand its config to offline tools.
+func TestOpenStoreWithRetiredWorkersOption(t *testing.T) {
+	dir := t.TempDir()
+	tree := smallTree()
+	d, _ := openTest(t, dir, tree)
+	rng := stats.NewRand(5)
+	for id := 1; id <= 12; id++ {
+		d.Place(churnSpec(rng, id))
+	}
+	want := d.AdmittedIDs()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "config.json")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(b), `"placement": {`, `"placement": {"Workers": 4, `, 1)
+	if old == string(b) {
+		t.Fatalf("config.json has no placement object to put Workers in:\n%s", b)
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg, opts, _, err := LoadConfig(dir)
+	if err != nil || cfg != tree.Config() || opts != (placement.Options{}) {
+		t.Fatalf("LoadConfig: %+v %+v %v", cfg, opts, err)
+	}
+	r, _ := openTest(t, dir, tree)
+	defer r.Close()
+	if got := r.AdmittedIDs(); fmt.Sprint(got) != fmt.Sprint(want) || len(want) == 0 {
+		t.Fatalf("reopened store admits %v, want %v", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"repro/internal/tenant"
 	"repro/internal/topology"
 )
 
@@ -140,6 +141,8 @@ type headroomIndex struct {
 	dcMax     float64
 	rackDirty []bool
 	anyDirty  bool
+	// podDirty marks, during refresh, the pods of the racks refreshed.
+	podDirty []bool
 }
 
 func newHeadroomIndex(tree *topology.Tree) *headroomIndex {
@@ -148,6 +151,7 @@ func newHeadroomIndex(tree *topology.Tree) *headroomIndex {
 		podMax:    make([]float64, tree.Pods()),
 		rackDirty: make([]bool, tree.Racks()),
 		anyDirty:  true,
+		podDirty:  make([]bool, tree.Pods()),
 	}
 	for r := range h.rackDirty {
 		h.rackDirty[r] = true
@@ -169,7 +173,6 @@ func (h *headroomIndex) refresh(m *Manager) {
 		return
 	}
 	t := m.tree
-	dirtyPods := make(map[int]bool)
 	for r := range h.rackDirty {
 		if !h.rackDirty[r] {
 			continue
@@ -183,9 +186,13 @@ func (h *headroomIndex) refresh(m *Manager) {
 			}
 		}
 		h.rackMax[r] = best
-		dirtyPods[t.PodOfRack(r)] = true
+		h.podDirty[t.PodOfRack(r)] = true
 	}
-	for p := range dirtyPods {
+	for p, dirty := range h.podDirty {
+		if !dirty {
+			continue
+		}
+		h.podDirty[p] = false
 		rlo, rhi := t.RacksOfPod(p)
 		best := 0.0
 		for r := rlo; r < rhi; r++ {
@@ -217,4 +224,57 @@ func (m *Manager) serverRateHeadroom(s int) float64 {
 		h = d
 	}
 	return h
+}
+
+// upCapSlots is how many guarantee classes the up-cap memo holds at
+// once. A request of a further class takes the slots over in turn.
+const upCapSlots = 4
+
+// upCapMemo remembers, per server and guarantee class, how many of a
+// tenant's VMs the server's NIC-up port takes. Up to half the tenant,
+// the cut k VMs put on their server's NIC-up port, cutContribution(k,
+// n, g, link, 0), is (k·B, k·S, min(k·Bmax, link), min(k·MTU, k·S)) bit
+// for bit whatever n is, so whether the port takes k depends only on
+// its state and the class's (B, S, Bmax). An entry is known<<8 | fit:
+// the port refused every count in (fit, known] and took fit (0: none)
+// when the entry was written. The zero entry knows nothing, so a new
+// manager fills nothing. portTouched forgets a server's entries when
+// its NIC-up port changes.
+type upCapMemo struct {
+	class [upCapSlots]tenant.Guarantee // DelayBound cleared
+	caps  [upCapSlots][]uint16         // per server; nil until the slot's first class
+	next  int                          // the slot the next new class takes
+}
+
+// slot returns the slot of g's class, taking over the next slot in turn
+// for a class the memo does not hold and dropping that slot's entries.
+// It returns -1 when a server holds more VMs than an entry's byte counts.
+func (u *upCapMemo) slot(g tenant.Guarantee, servers, slotsPerServer int) int {
+	if slotsPerServer > 0xff {
+		return -1
+	}
+	g.DelayBound = 0
+	for i, c := range u.caps {
+		if c != nil && u.class[i] == g {
+			return i
+		}
+	}
+	i := u.next
+	u.next = (i + 1) % upCapSlots
+	if u.caps[i] == nil {
+		u.caps[i] = make([]uint16, servers)
+	} else {
+		clear(u.caps[i])
+	}
+	u.class[i] = g
+	return i
+}
+
+// forget drops server s's entries.
+func (u *upCapMemo) forget(s int) {
+	for _, c := range u.caps {
+		if c != nil {
+			c[s] = 0
+		}
+	}
 }

@@ -260,7 +260,7 @@ func (m *Manager) explainReject(spec *tenant.Spec) *Decision {
 // caller moves to the next candidate).
 func (m *Manager) explainScope(spec *tenant.Spec, d *Decision, rlo, rhi int, span scopeHeight) bool {
 	note := bindNote{server: -1, port: -1}
-	sc := &m.scratch[0]
+	sc := &m.scratch
 	limit := func(pid int, bound float64) {
 		d.LimitingPort, d.LimitingBoundSec, d.LimitingCapSec = pid, bound, m.portCap[pid]
 	}

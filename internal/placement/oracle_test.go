@@ -15,8 +15,8 @@ import (
 // as the oracle the equivalence tests replay every request through: it
 // materializes a curve for every bound, rebuilds the cut contributions
 // on every probe, evaluates every scope with the slots for the tenant
-// one after another (no memo, no headroom index, no collapse of
-// untouched scopes, no workers), and explains a rejection by replaying
+// one after another (no memo, no up-cap memo, no headroom index, no
+// collapse of untouched scopes), and explains a rejection by replaying
 // the pack server by server. It reads the embedded Manager's state and
 // changes it only through ApplyPlacement, NoteRejected, Remove and
 // FailServers, so a refManager and a Manager fed the same requests
@@ -223,8 +223,14 @@ func (r *refManager) tryScope(spec *tenant.Spec, sc *searchScratch, rlo, rhi int
 	if r.packWithCaps(spec, sc, rlo, rhi, span) && r.layoutValid(spec, sc) {
 		return sc.serversPacked(spec.VMs)
 	}
-	if r.spreadEven(spec, sc, rlo, rhi) && r.layoutValid(spec, sc) {
-		return sc.serversRoundRobin(spec.VMs)
+	lo, _ := r.tree.ServersOfRack(rlo)
+	_, hi := r.tree.ServersOfRack(rhi - 1)
+	if servers := spreadEvenRef(r.Manager, spec, lo, hi); servers != nil {
+		lay := newLayout(r.tree, servers)
+		sc.srv, sc.cnt = lay.servers, lay.serverCnt
+		if r.layoutValid(spec, sc) {
+			return servers
+		}
 	}
 	return nil
 }

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/netcal"
@@ -49,22 +46,13 @@ type Options struct {
 	// instead of queue capacities (ablation; the paper argues
 	// capacities keep admission composable under churn, §4.2.3).
 	DelayCheckUsesBound bool
-	// Workers caps the goroutines the scope search fans out across
-	// independent rack/pod candidates. 0 means runtime.GOMAXPROCS(0),
-	// used only for searches large enough to repay a fork-join
-	// (fanOutServers); N ≥ 1 means N workers on every search, 1 being
-	// the fully serial search. Decisions are identical at any setting:
-	// candidate scopes are evaluated without side effects and the
-	// lowest-index success wins, matching serial first-fit order.
-	Workers int
 }
 
 // Manager is Silo's placement manager (admission control + VM
 // placement).
 type Manager struct {
-	tree    *topology.Tree
-	opts    Options
-	workers int
+	tree *topology.Tree
+	opts Options
 
 	// ix caches free-slot sums per server/rack/pod/datacenter so the
 	// scope search skips exhausted scopes in O(1) (placement on 100 K
@@ -102,12 +90,15 @@ type Manager struct {
 
 	// memo, cands and scratch are the scope search's reusable buffers:
 	// the per-request contribution memo, the filtered candidate list of
-	// one height, and one candidate-layout scratch per search worker.
-	// They grow on first use to the size of a request (or the number of
-	// racks), never to the size of the tree.
+	// one height, and the candidate layout. They grow on first use to the
+	// size of a request (or the number of racks), never to the size of
+	// the tree.
 	memo    reqMemo
 	cands   []int
-	scratch []searchScratch
+	scratch searchScratch
+	// upCaps remembers, per server and guarantee class, how many VMs the
+	// server's NIC-up port takes; portTouched forgets a server's entries.
+	upCaps upCapMemo
 
 	acceptedCount int
 	rejectedCount int
@@ -152,10 +143,7 @@ func NewManager(tree *topology.Tree, opts Options) *Manager {
 		head:     newHeadroomIndex(tree),
 		admitted: make(map[int]*admittedTenant),
 	}
-	m.workers = opts.Workers
-	if m.workers <= 0 {
-		m.workers = runtime.GOMAXPROCS(0)
-	}
+	m.memo.upSlot = -1
 	for pid := 0; pid < tree.NumPorts(); pid++ {
 		p := tree.Port(pid)
 		m.portRate[pid] = p.RateBps
@@ -251,9 +239,6 @@ func (m *Manager) Accepted() int { return m.acceptedCount }
 // Rejected reports the number of rejected requests.
 func (m *Manager) Rejected() int { return m.rejectedCount }
 
-// Workers reports the scope-search parallelism in effect.
-func (m *Manager) Workers() int { return m.workers }
-
 // FreeSlots reports the number of free VM slots on server s.
 func (m *Manager) FreeSlots(s int) int { return m.ix.freeSlots[s] }
 
@@ -271,13 +256,15 @@ func (m *Manager) Placement(id int) (*tenant.Placement, bool) {
 }
 
 // portTouched refreshes the per-port derived caches after the port's
-// aggregate state changed: the cached queue bound, and the dirty mark
-// of the rack whose headroom summary the port feeds.
+// aggregate state changed: the cached queue bound, the dirty mark of the
+// rack whose headroom summary the port feeds, and, for a NIC-up port,
+// its server's up-cap entries.
 func (m *Manager) portTouched(pid int) {
 	m.bounds[pid] = queueBoundFast(m.portRate[pid], &m.ports[pid], contribution{})
 	switch {
 	case pid >= m.upLo && pid < m.upHi:
 		m.head.markRack(m.tree.RackOfServer(pid - m.upLo))
+		m.upCaps.forget(pid - m.upLo)
 	case pid >= m.downLo && pid < m.downHi:
 		m.head.markRack(m.tree.RackOfServer(pid - m.downLo))
 	}
@@ -429,9 +416,8 @@ func (m *Manager) placeBestEffort(spec tenant.Spec) (*tenant.Placement, error) {
 // the contribution of the n−k remote VMs at the ToR down port, per
 // candidate k and scope span. Ports within a family share line rates,
 // so these depend only on (k, span) — the seed recomputed them (and
-// rebuilt their curves) for every server probed. Read-only during the
-// scope search, so safe to share across search workers. The manager
-// keeps one and refills it per request.
+// rebuilt their curves) for every server probed. The manager keeps one
+// and refills it per request.
 type reqMemo struct {
 	upC   []contribution
 	downC [3][]contribution
@@ -450,6 +436,9 @@ type reqMemo struct {
 	// within capacity up to monoSlack (0: none), so the float rounding of
 	// the closed form cannot let a loaded server pass a k it refuses.
 	emptyMax [3]int
+	// upSlot is the request's class in the manager's upCapMemo (-1: the
+	// memo is off and every probe scans).
+	upSlot int
 }
 
 // monoSlack is the relative rounding emptyMax grants the closed-form
@@ -468,6 +457,7 @@ func (m *Manager) fillReqMemo(spec *tenant.Spec) {
 	g := spec.Guarantee
 	link := m.tree.Config().LinkBps
 	memo := &m.memo
+	memo.upSlot = m.upCaps.slot(g, m.tree.Servers(), m.tree.Config().SlotsPerServer)
 	memo.upC = memo.upC[:0]
 	for k := 0; k <= maxK; k++ {
 		memo.upC = append(memo.upC, m.cutContribution(k, n, g, link, 0))
@@ -495,9 +485,9 @@ func (m *Manager) fillReqMemo(spec *tenant.Spec) {
 	}
 }
 
-// searchScratch holds one search worker's candidate layout: the
-// distinct servers it would use, ascending, the VM count on each, and
-// the per-rack and per-pod roll-up. tryScope refills it for every
+// searchScratch holds the search's candidate layout: the distinct
+// servers it would use, ascending, the VM count on each, and the
+// per-rack and per-pod roll-up. tryScope refills it for every
 // candidate; nothing in it outlives the request.
 type searchScratch struct {
 	srv, cnt []int
@@ -556,9 +546,6 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 	if useHeadroom {
 		m.head.refresh(m)
 	}
-	if len(m.scratch) == 0 {
-		m.scratch = make([]searchScratch, m.workers)
-	}
 
 	// Scopes 1 and 2: single rack, then single pod.
 	racksPerPod := m.tree.Config().RacksPerPod
@@ -602,9 +589,14 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 			cands = append(cands, i)
 		}
 		m.cands = cands
-		tried, servers := m.searchScopes(cands, h.racksPer*m.tree.Config().ServersPerRack, func(i int, sc *searchScratch) []int {
-			return m.tryScope(spec, sc, i*h.racksPer, (i+1)*h.racksPer, h.span)
-		})
+		// First fit: the lowest-index candidate that hosts the tenant.
+		tried, servers := len(cands), []int(nil)
+		for j, i := range cands {
+			if servers = m.tryScope(spec, &m.scratch, i*h.racksPer, (i+1)*h.racksPer, h.span); servers != nil {
+				tried = j + 1
+				break
+			}
+		}
 		if st != nil {
 			st.evaluated[h.span], st.collapsed[h.span] = tried, collapsed
 		}
@@ -618,83 +610,9 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 		if st != nil {
 			st.evaluated[scopeDC] = 1
 		}
-		return m.tryScope(spec, &m.scratch[0], 0, m.tree.Racks(), scopeDC)
+		return m.tryScope(spec, &m.scratch, 0, m.tree.Racks(), scopeDC)
 	}
 	return nil
-}
-
-// fanOutServers is the search size, in servers under the candidate
-// scopes, from which the default worker setting forks. 1 K is above every
-// tree the packet- and flow-level runs build (Fig. 12: 40 servers,
-// Fig. 15: 200, benchmark flow_fig15: 800), where a fork-join per search
-// costs more than the search, and below most searches on the paper's
-// 100 K-host tree. DESIGN.md §5, "The scope search forks only where it
-// pays", has the measurements.
-const fanOutServers = 1 << 10
-
-// searchScopes evaluates eval on the candidate scopes — each a
-// side-effect-free attempt to place within one scope — and returns the
-// result of the first success in list order, preserving serial
-// first-fit semantics, together with how many candidates first-fit
-// order tries to get there (all of them when none succeeds). With more
-// than one worker, candidates are claimed in list order by a pool of
-// goroutines, each with its own scratch; a worker stops once every
-// position below the best known success has been claimed. All shared
-// manager state is read-only for the duration of the search. Unless
-// Options.Workers asked for a worker count, a search over fewer than
-// fanOutServers servers — candidates × scopeServers, the servers in
-// each — stays on the caller's goroutine.
-func (m *Manager) searchScopes(cands []int, scopeServers int, eval func(scope int, sc *searchScratch) []int) (int, []int) {
-	count := len(cands)
-	workers := m.workers
-	if workers > count {
-		workers = count
-	}
-	if m.opts.Workers <= 0 && count*scopeServers < fanOutServers {
-		workers = 1
-	}
-	if workers <= 1 {
-		for i, c := range cands {
-			if out := eval(c, &m.scratch[0]); out != nil {
-				return i + 1, out
-			}
-		}
-		return count, nil
-	}
-	var (
-		next, best  atomic.Int64
-		mu          sync.Mutex
-		bestServers []int
-		wg          sync.WaitGroup
-	)
-	best.Store(int64(count))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sc *searchScratch) {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(count) || i >= best.Load() {
-					return
-				}
-				out := eval(cands[i], sc)
-				if out == nil {
-					continue
-				}
-				mu.Lock()
-				if i < best.Load() {
-					best.Store(i)
-					bestServers = out
-				}
-				mu.Unlock()
-			}
-		}(&m.scratch[w])
-	}
-	wg.Wait()
-	if bestServers == nil {
-		return count, nil
-	}
-	return int(best.Load()) + 1, bestServers
 }
 
 type scopeHeight int
@@ -791,12 +709,20 @@ func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int
 	if limit == 0 {
 		return 0
 	}
+	// Up to n/2 the NIC-up cut does not depend on n (upCapMemo), so the
+	// memo answers for the NIC-up port: no count above top fits it.
+	top, upMemo, checked := limit, m.memo.upSlot >= 0 && 2*limit <= spec.VMs, false
+	if upMemo {
+		if top, checked = m.upFit(s, limit); top == 0 {
+			return 0
+		}
+	}
 	up := m.tree.ServerUpPortID(s)
 	down := m.tree.RackDownPortID(s)
 	upSt, downSt := &m.ports[up], &m.ports[down]
 	if upSt.tenants == 0 && downSt.tenants == 0 {
 		oks := m.memo.emptyOK[span]
-		for k := limit; k >= 1; k-- {
+		for k := top; k >= 1; k-- {
 			if oks[k] {
 				return k
 			}
@@ -806,20 +732,65 @@ func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int
 	upRate, upCap := m.portRate[up], m.portCap[up]
 	downRate, downCap := m.portRate[down], m.portCap[down]
 	upC, downC := m.memo.upC, m.memo.downC[span]
+	// Below the memo's top only the ToR-down port is scanned. Unless
+	// upFit has just evaluated it, the count found is checked at the
+	// NIC-up port once, because the computed bound need not rise with k
+	// to the last bit; where it fails, the full scan decides.
+	if upMemo {
+		k := top
+		for k >= 1 && !fits(downRate, downSt, downC[k], downCap) {
+			k--
+		}
+		if k == 0 || (checked && k == top) || fits(upRate, upSt, upC[k], upCap) {
+			return k
+		}
+	}
 	for k := limit; k >= 1; k-- {
-		if c := upC[k]; !c.isZero() {
-			if queueBoundFast(upRate, upSt, c) > upCap+1e-12 {
-				continue
-			}
+		if fits(upRate, upSt, upC[k], upCap) && fits(downRate, downSt, downC[k], downCap) {
+			return k
 		}
-		if c := downC[k]; !c.isZero() {
-			if queueBoundFast(downRate, downSt, c) > downCap+1e-12 {
-				continue
-			}
-		}
-		return k
 	}
 	return 0
+}
+
+// fits reports whether a port of the given line rate and state keeps
+// its queue bound within capacity with c added.
+func fits(rate float64, st *portState, c contribution, capacity float64) bool {
+	return c.isZero() || queueBoundFast(rate, st, c) <= capacity+1e-12
+}
+
+// upFit returns a count k ≤ top such that server s's NIC-up port
+// refuses every count in (k, top] of the request's class. It answers
+// from the memo entry when the entry covers top, and otherwise
+// evaluates the counts above the entry, down from top, and extends it;
+// checked reports that it has just seen the port take k. top must be at
+// most n/2.
+func (m *Manager) upFit(s, top int) (k int, checked bool) {
+	caps := m.upCaps.caps[m.memo.upSlot]
+	known, fit := int(caps[s]>>8), int(caps[s]&0xff)
+	if top <= known {
+		return min(fit, top), false
+	}
+	up := m.tree.ServerUpPortID(s)
+	for k := top; k > known; k-- {
+		if fits(m.portRate[up], &m.ports[up], m.memo.upC[k], m.portCap[up]) {
+			caps[s] = uint16(top)<<8 | uint16(k)
+			return k, true
+		}
+	}
+	caps[s] = uint16(top)<<8 | uint16(fit)
+	return fit, false
+}
+
+// upRefuses reports whether server s's NIC-up port refuses every count
+// in [lo, hi] of the request's class, by its memo entry alone, for a
+// tenant of n VMs.
+func (m *Manager) upRefuses(s, lo, hi, n int) bool {
+	if m.memo.upSlot < 0 || 2*hi > n {
+		return false
+	}
+	e := m.upCaps.caps[m.memo.upSlot][s]
+	return lo > int(e&0xff) && hi <= int(e>>8)
 }
 
 // bindNote is where packWithCaps and layoutValid write down, for the
@@ -887,6 +858,14 @@ func (m *Manager) packWithCaps(spec *tenant.Spec, sc *searchScratch, rlo, rhi in
 // VM to every server with room for j, in index order, until all are
 // out. Only the first spec.VMs servers with room can ever be handed
 // one, so the scan stops there.
+//
+// Most spreads that fail on a filled tree fail at a NIC-up port, which
+// layoutValid checks against each server's exact count. Where the
+// request's up-cap memo already refuses that count, spreadEven reports
+// failure before the layout is built: during the scan for a server that
+// refuses every count from one up to its room, since it is handed at
+// least one and at most its room, and afterwards for the count each
+// server was handed.
 func (m *Manager) spreadEven(spec *tenant.Spec, sc *searchScratch, rlo, rhi int) bool {
 	sc.srv, sc.cnt, sc.caps = sc.srv[:0], sc.cnt[:0], sc.caps[:0]
 	total := 0
@@ -900,6 +879,9 @@ scan:
 			k := m.maxVMsByResources(spec, s)
 			if k == 0 {
 				continue
+			}
+			if m.upRefuses(s, 1, k, spec.VMs) {
+				return false
 			}
 			sc.srv = append(sc.srv, s)
 			sc.cnt = append(sc.cnt, 0)
@@ -920,6 +902,11 @@ scan:
 				sc.cnt[i]++
 				left--
 			}
+		}
+	}
+	for i, s := range sc.srv {
+		if m.upRefuses(s, sc.cnt[i], sc.cnt[i], spec.VMs) {
+			return false
 		}
 	}
 	return len(sc.srv) >= spec.FaultDomains
@@ -1201,8 +1188,8 @@ next:
 // recomputing contributions of all admitted tenants from scratch; it
 // returns an error naming the first violating port, and also
 // cross-checks the incrementally maintained queue-bound cache against
-// a fresh computation. Intended for tests and post-hoc validation, not
-// the hot path.
+// a fresh computation and re-derives every up-cap memo entry. Intended
+// for tests and post-hoc validation, not the hot path.
 func (m *Manager) VerifyInvariants() error {
 	fresh := make([]portState, m.tree.NumPorts())
 	for _, at := range m.admitted {
@@ -1240,6 +1227,27 @@ func (m *Manager) VerifyInvariants() error {
 		}
 		if live := queueBoundFast(m.portRate[pid], &got, contribution{}); math.Abs(m.bounds[pid]-live) > 1e-9 {
 			return fmt.Errorf("port %d bound-cache drift: cached %v live %v", pid, m.bounds[pid], live)
+		}
+	}
+	return m.verifyUpCaps()
+}
+
+// verifyUpCaps re-derives every up-cap memo entry from its server's
+// NIC-up port as it stands: the port must refuse every count in
+// (fit, known] of the entry's class and take fit.
+func (m *Manager) verifyUpCaps() error {
+	link := m.tree.Config().LinkBps
+	for i, caps := range m.upCaps.caps {
+		g := m.upCaps.class[i]
+		for s, e := range caps {
+			known, fit := int(e>>8), int(e&0xff)
+			up := m.tree.ServerUpPortID(s)
+			for k := max(fit, 1); k <= known; k++ {
+				c := m.cutContribution(k, 2*known, g, link, 0)
+				if fits(m.portRate[up], &m.ports[up], c, m.portCap[up]) != (k == fit) {
+					return fmt.Errorf("server %d up-cap entry (fit %d of %d) for %+v is wrong at %d VMs", s, fit, known, g, k)
+				}
+			}
 		}
 	}
 	return nil

@@ -417,3 +417,21 @@ func TestHoseAblationAdmitsFewer(t *testing.T) {
 		t.Error("hose aggregation admitted nothing")
 	}
 }
+
+// Every admission after a Place or Remove refreshes the racks whose
+// ports moved; a warm refresh allocates nothing, however many pods they
+// span.
+func TestHeadroomRefreshAllocatesNothing(t *testing.T) {
+	tree := wideTree(t, 25, 2, 2, 0)
+	m := NewManager(tree, Options{})
+	m.head.refresh(m)
+	allocs := testing.AllocsPerRun(100, func() {
+		for r := 0; r < tree.Racks(); r += 3 {
+			m.head.markRack(r)
+		}
+		m.head.refresh(m)
+	})
+	if allocs != 0 {
+		t.Fatalf("headroomIndex.refresh: %v allocations per refresh, want 0", allocs)
+	}
+}
