@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: all ci vet build test test-race test-admission examples soak bench-placement
+.PHONY: all ci vet build test test-race test-admission test-obs examples soak bench-placement
 
 all: vet build test
 
 # The test steps of the CI workflow, in order (CI also writes sample
 # artifacts for upload).
-ci: vet build test test-race test-admission examples soak
+ci: vet build test test-race test-admission test-obs examples soak
 
 vet:
 	$(GO) vet ./...
@@ -40,6 +40,16 @@ test-race:
 # server after every operation.
 test-admission:
 	$(GO) test -race -count=25 -run 'Equivalence|Churn|Monoton|Degenerate' ./internal/placement/ ./internal/netcal/
+
+# The per-window telemetry's equivalences, 25 times over under the race
+# detector, each run drawing fresh seeds: series.json's streaming writer
+# against encoding/json (random payloads, an in-process run with every
+# plane on, the NaN refusal), the row-major Rollup against the
+# per-series rings it replaced, the window correlation memo against a
+# fresh correlation every window, and the trace and JSON string
+# formatters against the float and reflective paths.
+test-obs:
+	$(GO) test -race -count=25 -run 'MatchesEncoder|MatchesRingOracle|CorrelationMemo|AppendMicros|AppendJSONString' ./internal/obs/ ./internal/obs/dashboard/ ./internal/obs/timeseries/ ./internal/experiments/
 
 # The five example programs, the only callers of the public facade's
 # Admit / Deploy / CoordinateHose besides the benchmark: each must run to

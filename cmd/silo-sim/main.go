@@ -164,10 +164,12 @@ func main() {
 		sc.Planes.TraceSampleN = *traceSample
 	}
 	if reg != nil {
-		// Continuous telemetry: every -window of simulated time, snapshot
-		// the registry into the time-series rollup and advance the SLO
-		// burn-rate engine.
+		// Continuous telemetry: every -window of simulated time (3 s of
+		// drain included) advance the SLO burn-rate engine and, when the
+		// dashboard or -series will read it, snapshot the registry into
+		// the time-series rollup.
 		sc.Planes.SLOWindowNs = windowNs
+		sc.Planes.Series = *seriesOut != "" || srv != nil
 	}
 
 	env := experiments.Env{Registry: reg, Meta: &meta}
@@ -223,10 +225,10 @@ func main() {
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "interrupted at t=%.3f ms simulated; flushing telemetry\n",
 			float64(nw.Sim.Now())/1e6)
-		if run.Engine != nil {
+		if run.Rollup != nil {
 			run.Rollup.Capture(nw.Sim.Now())
-			run.Engine.Flush(nw.Sim.Now())
 		}
+		run.Engine.Flush(nw.Sim.Now())
 	}
 	run.Finish()
 

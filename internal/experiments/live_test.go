@@ -32,6 +32,7 @@ func TestLiveReadersDuringRun(t *testing.T) {
 	sc := drillScenario(DefaultFailureDrillParams())
 	sc.Planes.TraceSampleN = 1
 	sc.Planes.Introspect = true
+	sc.Planes.Series = true
 	reg := obs.NewRegistry()
 	run, err := Build(sc, Env{Registry: reg})
 	if err != nil {

@@ -184,9 +184,15 @@ type Planes struct {
 	// one).
 	Introspect bool
 	// SLOWindowNs > 0 runs the SLO burn-rate engine, flushed on that
-	// window (and, with a registry, the time-series rollup and live
-	// incident correlation on the same tick).
+	// window.
 	SLOWindowNs int64
+	// Series, with a registry and SLOWindowNs, captures the registry
+	// into a time-series rollup on the window tick and re-runs incident
+	// correlation there, so the silo_incident_* gauges the rollup
+	// records track the run. Ask for it only when something reads the
+	// rollup (the dashboard, silo-sim -series): each window costs one
+	// read of every registered metric.
+	Series bool
 	// Incidents collects violations into a log and correlates them into
 	// root-caused incidents, merging violations closer than
 	// IncidentMergeNs.
@@ -274,6 +280,12 @@ type Run struct {
 	rng        *stats.Rand
 	nextVM     int
 	resyncWave int
+	// correlated holds the input-stream lengths at the last window-tick
+	// correlation (valid once live is set).
+	correlated struct {
+		live bool
+		lens streamLens
+	}
 }
 
 // RunScenario builds, executes and harvests a scenario.
@@ -509,12 +521,12 @@ func (r *Run) recovered(rep *placement.RecoveryReport) {
 
 // startWindows closes SLO windows on the simulation clock, with the
 // live port-window tracker naming the culprit port of each violating
-// window. With a registry the same tick snapshots it into the
-// time-series rollup and re-runs the incident correlator, so the
-// dashboard and the silo_incident_* families track the run live.
+// window. With Planes.Series the same tick snapshots the registry into
+// the time-series rollup and brings the incident report up to date, so
+// the dashboard and the silo_incident_* families track the run live.
 func (r *Run) startWindows() {
 	sc := r.Scenario
-	live := r.env.Registry != nil
+	live := sc.Planes.Series && r.env.Registry != nil
 	if live {
 		r.Rollup = timeseries.NewRollup(r.env.Registry, 512)
 	}
@@ -535,7 +547,7 @@ func (r *Run) startWindows() {
 		r.Engine.Flush(now)
 		tracker.Reset()
 		if live && r.Correlator != nil {
-			r.correlate()
+			r.correlateIfGrown()
 		}
 	})
 }
@@ -576,6 +588,37 @@ func (r *Run) Finish() {
 		r.Correlator.SetSnapshot(r.Snapshot)
 		r.Incidents = r.correlate()
 	}
+}
+
+// streamLens are the lengths of the streams correlate feeds the
+// correlator. Each stream only grows during a run, so equal lengths
+// mean equal streams.
+type streamLens struct {
+	violations, faults int
+	// alerts counts SLO events emitted, retained or dropped.
+	alerts int64
+}
+
+func (r *Run) streamLens() streamLens {
+	l := streamLens{violations: r.Violations.Len(), alerts: r.Engine.EventCount()}
+	if r.Injector != nil {
+		l.faults = len(r.Injector.Events())
+	}
+	return l
+}
+
+// correlateIfGrown is the window tick's correlation: it re-runs
+// correlate only when an input stream grew since the last tick. During
+// the run the report depends on nothing else (the introspection
+// evidence arrives in Finish), so a skipped tick leaves LastReport
+// equal to what a re-run would store.
+func (r *Run) correlateIfGrown() {
+	l := r.streamLens()
+	if r.correlated.live && l == r.correlated.lens {
+		return
+	}
+	r.correlated.live, r.correlated.lens = true, l
+	r.correlate()
 }
 
 func (r *Run) correlate() *incident.Report {

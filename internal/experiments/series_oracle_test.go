@@ -27,6 +27,7 @@ func TestSeriesJSONMatchesEncoder(t *testing.T) {
 			}
 			sc.Planes.TraceSampleN = 1
 			sc.Planes.Introspect = true
+			sc.Planes.Series = true
 			reg := obs.NewRegistry()
 			meta := obs.RunMeta{Tool: "oracle", Version: "v<1>&", Seed: 42}
 			run, err := Build(sc, Env{Registry: reg, Meta: &meta})
@@ -63,5 +64,26 @@ func TestSeriesJSONMatchesEncoder(t *testing.T) {
 				t.Fatalf("WriteJSON (%d bytes) differs from encoding/json (%d bytes)", got.Len(), want.Len())
 			}
 		})
+	}
+}
+
+// TestRunCaptureAllocatesNothing captures the registry of a finished
+// drill run with every plane on — netsim, placement, introspection, SLO
+// and incident gauges among its series — and requires that a capture
+// allocate nothing once every metric has been seen.
+func TestRunCaptureAllocatesNothing(t *testing.T) {
+	sc := drillScenario(DefaultFailureDrillParams())
+	sc.Planes.Introspect = true
+	sc.Planes.Series = true
+	run, err := Build(sc, Env{Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Execute(context.Background())
+	run.Finish()
+	now := run.Net.Sim.Now()
+	run.Rollup.Capture(now) // sees any metric registered since the last window
+	if allocs := testing.AllocsPerRun(50, func() { now++; run.Rollup.Capture(now) }); allocs != 0 {
+		t.Fatalf("a capture of the run's registry allocates %v times, want 0", allocs)
 	}
 }

@@ -8,15 +8,20 @@
 //	/api/series  the same data as JSON: every rollup series plus the
 //	             SLO engine's windows, reports and events
 //
-// The payload builder is exported separately so silo-sim -series can
-// write the identical JSON to a file at end of run, and CI can archive
-// it as an artifact.
+// Both /api/series and silo-sim -series (the end-of-run file CI
+// archives) write the document through WriteJSON; BuildPayload is the
+// same document as a Go value, what encoding/json would encode.
 package dashboard
 
 import (
+	"bytes"
 	_ "embed"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
+	"reflect"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -66,7 +71,13 @@ type Payload struct {
 	// Series uses the timeseries field names (Key, Name, Labels, Kind,
 	// Stat, Values).
 	Series []timeseries.SeriesData `json:"series"`
-	SLO    *SLOView                `json:"slo,omitempty"`
+	Blocks
+}
+
+// Blocks are the payload's small sections after the series, encoded
+// reflectively by both writers.
+type Blocks struct {
+	SLO *SLOView `json:"slo,omitempty"`
 	// Incidents is the correlator's latest root-caused report.
 	Incidents *incident.Report `json:"incidents,omitempty"`
 	// Runtime is the engine self-telemetry report (wheel, overflow-heap
@@ -114,6 +125,13 @@ func BuildPayload(opts Options) Payload {
 			p.NowNs = snap.TimesNs[len(snap.TimesNs)-1]
 		}
 	}
+	p.Blocks = buildBlocks(opts)
+	return p
+}
+
+// buildBlocks evaluates every source but the rollup.
+func buildBlocks(opts Options) Blocks {
+	var b Blocks
 	if opts.Engine != nil {
 		cfg := opts.Engine.Config()
 		v := &SLOView{
@@ -131,20 +149,20 @@ func BuildPayload(opts Options) Payload {
 		for _, ev := range opts.Engine.Events() {
 			v.Events = append(v.Events, EventView{Event: ev, Text: ev.Render(opts.Ports)})
 		}
-		p.SLO = v
+		b.SLO = v
 	}
 	if opts.Incidents != nil {
-		p.Incidents = opts.Incidents.LastReport()
+		b.Incidents = opts.Incidents.LastReport()
 	}
 	if opts.Runtime != nil {
 		st := opts.Runtime()
-		p.Runtime = &st
+		b.Runtime = &st
 	}
 	if opts.WAL != nil {
-		p.WAL = opts.WAL()
+		b.WAL = opts.WAL()
 	}
-	p.Meta = opts.Meta
-	return p
+	b.Meta = opts.Meta
+	return b
 }
 
 // Attach registers the dashboard on a debug server. A nil server is a
@@ -161,16 +179,179 @@ func Attach(d *obs.DebugServer, opts Options) {
 	}))
 	d.Handle("/api/series", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = json.NewEncoder(w).Encode(BuildPayload(opts))
+		_ = WriteJSON(w, opts)
 	}))
 }
 
 // WriteJSON writes the payload to w (silo-sim -series end-of-run
-// export; the same document /api/series serves live).
-func WriteJSON(w interface{ Write([]byte) (int, error) }, opts Options) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(BuildPayload(opts))
+// export, and /api/series live), byte for byte
+// what encoding/json's Encoder writes for BuildPayload(opts) with
+// SetIndent("", " "), and the same error when a value has no JSON form.
+// The series, nearly all of the document, are streamed straight from a
+// copy of the rollup's rows; only the Blocks go through encoding/json.
+func WriteJSON(w io.Writer, opts Options) error {
+	var f *timeseries.Frame
+	var captures int64
+	if opts.Rollup != nil {
+		fr := opts.Rollup.Frame()
+		f, captures = &fr, opts.Rollup.Captures()
+	}
+	return writePayload(w, opts.Title, f, captures, buildBlocks(opts))
+}
+
+// writePayload writes the document for a frame of the rollup (nil
+// without one) and the evaluated blocks.
+func writePayload(w io.Writer, title string, f *timeseries.Frame, captures int64, blk Blocks) error {
+	if f == nil {
+		f = &timeseries.Frame{}
+	}
+	// encoding/json refuses the first NaN or ±Inf in document order
+	// before it writes anything; the series precede every block.
+	if err := checkFinite(f); err != nil {
+		return err
+	}
+	blocks, err := json.Marshal(blk)
+	if err != nil {
+		return err
+	}
+	var tail bytes.Buffer
+	if err := json.Indent(&tail, blocks, "", " "); err != nil {
+		return err
+	}
+
+	cw := chunkWriter{w: w}
+	b := append(make([]byte, 0, 2*chunkBytes), "{\n \"title\": "...)
+	b = obs.AppendJSONString(b, title)
+	var nowNs int64
+	if n := len(f.TimesNs); n > 0 {
+		nowNs = f.TimesNs[n-1]
+	}
+	b = strconv.AppendInt(append(b, ",\n \"now_ns\": "...), nowNs, 10)
+	b = strconv.AppendInt(append(b, ",\n \"captures\": "...), captures, 10)
+	b = append(b, ",\n \"times_ns\": "...)
+	switch {
+	case f.TimesNs == nil:
+		b = append(b, "null"...)
+	case len(f.TimesNs) == 0:
+		b = append(b, "[]"...)
+	default:
+		for i, t := range f.TimesNs {
+			b = appendElem(b, i, "\n  ")
+			b = strconv.AppendInt(b, t, 10)
+		}
+		b = append(b, "\n ]"...)
+	}
+	b = append(b, ",\n \"series\": "...)
+	switch {
+	case f.Columns == nil:
+		b = append(b, "null"...)
+	case len(f.Columns) == 0:
+		b = append(b, "[]"...)
+	default:
+		for j := range f.Columns {
+			b = cw.write(appendSeries(append(appendElem(b, j, "\n  "), "{\n   \"Key\": "...), f, j), chunkBytes)
+		}
+		b = append(b, "\n ]"...)
+	}
+	// The indented blocks object is "{}" or "{\n \"slo\": …\n}": its
+	// members continue the document's top-level object.
+	if t := tail.Bytes(); len(t) > 2 {
+		b = append(append(b, ','), t[1:]...)
+	} else {
+		b = append(b, "\n}"...)
+	}
+	cw.write(append(b, '\n'), 0)
+	return cw.err
+}
+
+// appendElem opens element i of an indented array: the bracket before
+// the first, a comma before the others, then the element's line break
+// and indent.
+func appendElem(b []byte, i int, indent string) []byte {
+	if i == 0 {
+		b = append(b, '[')
+	} else {
+		b = append(b, ',')
+	}
+	return append(b, indent...)
+}
+
+// appendSeries appends series j from its "Key" value to its closing
+// brace, at the indentation of an element of the top-level series
+// array.
+func appendSeries(b []byte, f *timeseries.Frame, j int) []byte {
+	c := &f.Columns[j]
+	b = obs.AppendJSONString(b, c.Key)
+	b = obs.AppendJSONString(append(b, ",\n   \"Name\": "...), c.Name)
+	b = append(b, ",\n   \"Labels\": "...)
+	switch {
+	case c.Labels == nil:
+		b = append(b, "null"...)
+	case len(c.Labels) == 0:
+		b = append(b, "[]"...)
+	default:
+		for i, l := range c.Labels {
+			b = obs.AppendJSONString(appendElem(b, i, "\n    "), l)
+		}
+		b = append(b, "\n   ]"...)
+	}
+	b = strconv.AppendInt(append(b, ",\n   \"Kind\": "...), int64(c.Kind), 10)
+	b = obs.AppendJSONString(append(b, ",\n   \"Stat\": "...), c.Stat)
+	b = append(b, ",\n   \"Values\": "...)
+	if len(f.TimesNs) == 0 {
+		b = append(b, "[]"...)
+	} else {
+		for i := range f.TimesNs {
+			b = obs.AppendJSONFloat(appendElem(b, i, "\n    "), f.At(i, j))
+		}
+		b = append(b, "\n   ]"...)
+	}
+	return append(b, "\n  }"...)
+}
+
+// checkFinite returns the error encoding/json gives for the first NaN
+// or ±Inf in the series, which it meets series by series.
+func checkFinite(f *timeseries.Frame) error {
+	finite := true
+	for _, v := range f.Rows {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			finite = false
+			break
+		}
+	}
+	if finite {
+		return nil
+	}
+	for j := range f.Columns {
+		for i := range f.TimesNs {
+			if v := f.At(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
+				return &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: strconv.FormatFloat(v, 'g', -1, 64)}
+			}
+		}
+	}
+	return nil
+}
+
+// chunkBytes is how much of the document WriteJSON gathers before
+// handing it to the writer.
+const chunkBytes = 32 << 10
+
+// chunkWriter writes a document out in chunks, keeping the first error.
+type chunkWriter struct {
+	w   io.Writer
+	err error
+}
+
+// write hands b to w once it holds at least min bytes and returns it
+// emptied for reuse; a shorter b comes back as it was.
+func (c *chunkWriter) write(b []byte, min int) []byte {
+	if len(b) < min {
+		return b
+	}
+	if c.err == nil {
+		_, c.err = c.w.Write(b)
+	}
+	return b[:0]
 }
 
 // DriveWallClock captures the rollup every period of real time — the

@@ -61,7 +61,7 @@ func checkWriter(t *testing.T, what string, opts Options) (failed bool) {
 
 // awkwardRunes are the characters encoding/json escapes (or replaces),
 // plus a few it passes through untouched.
-var awkwardRunes = []string{`"`, `\`, "<", ">", "&", " ", " ", "\n", "\t", "\b", "\f", "\r", "\x01", "\x1f",
+var awkwardRunes = []string{`"`, `\`, "<", ">", "&", "\u2028", "\u2029", "\n", "\t", "\b", "\f", "\r", "\x01", "\x1f",
 	"\x7f", "\xff", "é", "µ", "a", "z", "_", " ", "/", "{", "="}
 
 func awkwardString(rng *rand.Rand) string {
@@ -191,17 +191,26 @@ func randomOptions(rng *rand.Rand, nonFinite bool) Options {
 func TestWriteJSONMatchesEncoderProperty(t *testing.T) {
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
+	refused := 0
 	for i := 0; i < 300; i++ {
-		if checkWriter(t, fmt.Sprintf("seed %d case %d", seed, i), randomOptions(rng, i%3 == 2)) {
+		opts := randomOptions(rng, i%3 == 2)
+		if checkWriter(t, fmt.Sprintf("seed %d case %d", seed, i), opts) {
 			return
 		}
+		if _, err := encodeOracle(opts); err != nil {
+			refused++
+		}
+	}
+	// Both paths must be exercised: bytes compared, and errors compared.
+	if refused < 10 || refused > 290 {
+		t.Errorf("seed %d: %d of 300 payloads refused; the generator no longer covers both paths", seed, refused)
 	}
 }
 
 func TestWriteJSONMatchesEncoderFixed(t *testing.T) {
 	checkWriter(t, "test sources", testSources(t))
 	checkWriter(t, "no sources", Options{})
-	checkWriter(t, "title only", Options{Title: "<a&b> \"\\"})
+	checkWriter(t, "title only", Options{Title: "<a&b>\u2028\"\\"})
 
 	reg := obs.NewRegistry()
 	reg.Counter("c_total", "")

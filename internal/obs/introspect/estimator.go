@@ -152,11 +152,24 @@ func (e *VMEstimator) Snapshot() VMEnvelope {
 		Emissions:          e.count,
 		TotalBytes:         e.total,
 	}
-	if e.lastNs > e.firstNs {
-		env.FittedRateBps = e.total * 1e9 / float64(e.lastNs-e.firstNs)
-	}
+	env.FittedRateBps = e.fittedRate()
 	env.RateSlackBps = e.Admitted.RateBps - env.FittedRateBps
 	env.BurstSlackBytes = e.Admitted.BurstBytes - env.FittedBurstBytes
-	env.Violated = e.maxLevel > e.Admitted.BurstBytes+e.tolBytes
+	env.Violated = e.violated()
 	return env
+}
+
+// fittedRate is the stream's long-run average rate (0 before two
+// distinct emission times).
+func (e *VMEstimator) fittedRate() float64 {
+	if e.lastNs > e.firstNs {
+		return e.total * 1e9 / float64(e.lastNs-e.firstNs)
+	}
+	return 0
+}
+
+// violated reports whether the fitted burst exceeds the admitted one
+// beyond tolerance.
+func (e *VMEstimator) violated() bool {
+	return e.maxLevel > e.Admitted.BurstBytes+e.tolBytes
 }

@@ -46,6 +46,9 @@ type Introspector struct {
 	cfg Config
 
 	watches []*portWatch
+	// margined lists, ascending, the ports minMargin ranges over:
+	// bounded, with a finite backlog bound.
+	margined []int
 
 	vms     []*VMEstimator
 	vmBySrc map[int]*VMEstimator // unpaced VMs keyed by Packet.SrcVM
@@ -117,16 +120,16 @@ func (in *Introspector) TrackVM(hostID, vmID, tenantID int, adm Envelope) *VMEst
 		tnL := strconv.Itoa(tenantID)
 		in.reg.GaugeFunc("silo_introspect_envelope_rate_bps",
 			"fitted long-run emission rate (bytes/sec)",
-			func() float64 { return est.Snapshot().FittedRateBps },
+			est.fittedRate,
 			"vm", vmL, "tenant", tnL)
 		in.reg.GaugeFunc("silo_introspect_envelope_burst_bytes",
 			"minimal burst enveloping the observed stream at the admitted rate",
-			func() float64 { return est.Snapshot().FittedBurstBytes },
+			func() float64 { return est.maxLevel },
 			"vm", vmL, "tenant", tnL)
 		in.reg.GaugeFunc("silo_introspect_envelope_violation",
 			"1 when the fitted envelope exceeds the admitted {B, S}",
 			func() float64 {
-				if est.Snapshot().Violated {
+				if est.violated() {
 					return 1
 				}
 				return 0
@@ -160,6 +163,7 @@ func (in *Introspector) BindPlacement(m *placement.Manager) {
 		w.bounds = b
 		w.bounded = b.Tenants > 0
 	}
+	in.indexMargined()
 	if in.reg != nil {
 		in.registerPortMetrics()
 	}
@@ -173,6 +177,7 @@ func (in *Introspector) SetPortBounds(pid int, b PortBounds) {
 	if w := in.watches[pid]; w != nil {
 		w.bounds = b
 		w.bounded = true
+		in.indexMargined()
 		if in.reg != nil {
 			in.registerPortMetrics()
 		}
@@ -188,7 +193,7 @@ func (in *Introspector) registerMetrics() {
 		func() float64 {
 			n := 0
 			for _, est := range in.vms {
-				if est.Snapshot().Violated {
+				if est.violated() {
 					n++
 				}
 			}
@@ -222,14 +227,24 @@ func (in *Introspector) registerPortMetrics() {
 	}
 }
 
+// indexMargined rebuilds the list of ports with a finite backlog bound
+// after bounds change, so the min-margin gauges, read every window,
+// skip the rest.
+func (in *Introspector) indexMargined() {
+	in.margined = in.margined[:0]
+	for pid, w := range in.watches {
+		if w != nil && w.bounded && w.bounds.BacklogBytes >= 0 {
+			in.margined = append(in.margined, pid)
+		}
+	}
+}
+
 // minMargin returns the least backlog margin over bounded ports with
 // finite bounds, and the port holding it (-1 when no port is bounded).
 func (in *Introspector) minMargin() (float64, int) {
 	best, bestPid := math.Inf(1), -1
-	for pid, w := range in.watches {
-		if w == nil || !w.bounded || w.bounds.BacklogBytes < 0 {
-			continue
-		}
+	for _, pid := range in.margined {
+		w := in.watches[pid]
 		if m := w.bounds.BacklogBytes - float64(w.q.Stats.HighWaterBytes); m < best {
 			best, bestPid = m, pid
 		}

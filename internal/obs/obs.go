@@ -114,9 +114,10 @@ func (g *Gauge) Value() int64 {
 // 63, plus bucket 0 for non-positive observations.
 const histBuckets = 64
 
-// histShards spreads bucket increments across cache lines; 4 shards
-// cover the repository's concurrency (the parallel placement search
-// tops out at GOMAXPROCS workers that observe rarely).
+// histShards spreads bucket increments across cache lines. Four are
+// plenty: the simulator and the (serial) placement search each observe
+// from one goroutine, so only a library caller observing from several
+// goroutines at once ever spreads across them.
 const histShards = 4
 
 // histShard is one shard's bucket array, padded to avoid false sharing

@@ -146,7 +146,7 @@ func (r *Registry) snapshotEntries() []*entry {
 // metric. Entries are append-only, so an index observed through
 // NumMetrics keeps referring to the same metric for the registry's
 // lifetime — the time-series rollup exploits this to map registry
-// indices onto preallocated rings without a per-capture lookup.
+// indices onto the columns of its rows without a per-capture lookup.
 type MetricRef struct{ e *entry }
 
 // Valid reports whether the handle refers to a metric.
@@ -178,6 +178,24 @@ func (m MetricRef) ScalarValue() float64 {
 		return m.e.gf()
 	}
 	return 0
+}
+
+// ScalarReader returns a function reading the metric as ScalarValue
+// does, with the kind resolved once: the gauge func itself, or a read
+// of the counter or gauge. It allocates; resolve it when the metric is
+// discovered, not per read. Histograms read 0.
+func (m MetricRef) ScalarReader() func() float64 {
+	switch e := m.e; e.kind {
+	case KindCounter:
+		c := e.c
+		return func() float64 { return float64(c.Value()) }
+	case KindGauge:
+		g := e.g
+		return func() float64 { return float64(g.Value()) }
+	case KindGaugeFunc:
+		return e.gf
+	}
+	return func() float64 { return 0 }
 }
 
 // Hist returns the underlying histogram (nil for scalar metrics).

@@ -2,22 +2,23 @@
 // continuous signal: an epoch-windowed rollup that, driven by simulated
 // time (the netsim clock — never the wall clock, so captures line up
 // exactly with the scenario being simulated), snapshots every
-// registered metric into a fixed-capacity per-metric ring buffer.
+// registered metric into one row per window of a fixed-capacity ring.
 //
 // Design rules, matching the obs core:
 //
-//  1. Zero steady-state allocations. Rings are preallocated at series
-//     registration; once every metric has been seen, Capture touches
-//     only existing storage (BenchmarkCapture and
-//     TestCaptureZeroAllocSteadyState enforce this). Metrics registered
-//     mid-run allocate their ring once, on the first capture that sees
-//     them ("warmup"), and carry NaN for the windows they missed.
-//  2. Bounded memory. capacity windows per series, oldest overwritten —
-//     a soak run holds the most recent capacity windows, always.
+//  1. A window costs what it records. A capture writes one contiguous
+//     row, one value per series, each read through a function resolved
+//     when the series was discovered; it allocates nothing once every
+//     metric has been seen (BenchmarkCapture and
+//     TestCaptureZeroAllocSteadyState enforce this). A capture that
+//     discovers mid-run registrations widens the rows once, with NaN in
+//     the new columns for the windows they missed.
+//  2. Bounded memory. capacity rows, oldest overwritten — a soak run
+//     holds the most recent capacity windows, always.
 //  3. Reader/writer safety. Capture runs on the simulation goroutine;
 //     the dashboard's /api/series handler reads from an HTTP goroutine.
-//     One mutex serializes them; readers copy out, so render time never
-//     blocks the simulation for longer than the copy.
+//     One mutex serializes them; readers copy out (Frame, Snapshot), so
+//     render time never blocks the simulation for longer than the copy.
 //
 // Scalar metrics (counters, gauges, gauge funcs) produce one series.
 // Histograms expand into three derived series — cumulative count, sum
@@ -41,15 +42,17 @@ const (
 	StatMax   = "max"   // histogram exact maximum so far
 )
 
-// series is one metric statistic's ring. vals is capacity long; slots
-// not yet captured (a series registered mid-run) hold NaN. ref is the
-// metric resolved when the series was discovered, so a capture reads
-// it without going back through the registry's lock.
-type series struct {
-	ref  obs.MetricRef
-	key  string
-	stat string
-	vals []float64
+// Column describes one series: a column of the rollup's rows.
+type Column struct {
+	// Key uniquely identifies the series: the metric key, plus
+	// "#count"/"#sum"/"#max" for histogram-derived statistics.
+	Key    string
+	Name   string
+	Labels []string
+	Kind   obs.Kind
+	// Stat is StatValue for scalars, StatCount/StatSum/StatMax for
+	// histogram-derived series.
+	Stat string
 }
 
 // Rollup is the epoch-windowed capture engine.
@@ -57,13 +60,18 @@ type Rollup struct {
 	reg      *obs.Registry
 	capacity int
 
-	mu     sync.Mutex
-	seen   int // registry entries already mapped to series
-	series []*series
-	times  []int64 // capture timestamps (ns), ring parallel to series slots
-	head   int     // next slot to write
-	n      int     // captures retained (<= capacity)
-	total  int64   // captures taken over the rollup's lifetime
+	mu   sync.Mutex
+	seen int // registry entries already mapped to columns
+	cols []Column
+	// read[j] reads column j's metric, resolved at discovery.
+	read []func() float64
+	// rows holds capacity rows of len(cols) values, row-major; columns
+	// added after a window was captured hold NaN in that window's row.
+	rows  []float64
+	times []int64 // capture timestamps (ns), one per row
+	head  int     // next row to write
+	n     int     // captures retained (<= capacity)
+	total int64   // captures taken over the rollup's lifetime
 }
 
 // NewRollup returns a rollup over reg retaining capacity windows
@@ -86,53 +94,67 @@ func (r *Rollup) Captures() int64 {
 	return r.total
 }
 
-// newSeries preallocates one ring, NaN-filled so windows missed before
-// a mid-run registration render as gaps, not zeros.
-func newSeries(m obs.MetricRef, key, stat string, capacity int) *series {
-	s := &series{ref: m, key: key, stat: stat, vals: make([]float64, capacity)}
-	nan := math.NaN()
-	for i := range s.vals {
-		s.vals[i] = nan
-	}
-	return s
-}
-
-// Capture snapshots every registered metric into the rings at
-// simulated time nowNs. Zero allocations once all metrics have been
-// seen; a capture that discovers new registrations pays their ring
-// allocation once.
-func (r *Rollup) Capture(nowNs int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// discover maps registrations made since the last capture onto new
+// columns and widens every row to hold them, NaN-filled so windows
+// captured before a mid-run registration render as gaps, not zeros.
+// Called under r.mu.
+func (r *Rollup) discover() {
 	n := r.reg.NumMetrics()
+	if n == r.seen {
+		return
+	}
+	old := len(r.cols)
 	for i := r.seen; i < n; i++ {
 		m := r.reg.MetricAt(i)
-		key := m.Key()
-		if m.Kind() == obs.KindHistogram {
-			r.series = append(r.series,
-				newSeries(m, key+"#count", StatCount, r.capacity),
-				newSeries(m, key+"#sum", StatSum, r.capacity),
-				newSeries(m, key+"#max", StatMax, r.capacity))
-		} else {
-			r.series = append(r.series, newSeries(m, key, StatValue, r.capacity))
+		col := Column{Key: m.Key(), Name: m.Name(), Labels: m.Labels(), Kind: m.Kind()}
+		if col.Kind != obs.KindHistogram {
+			r.cols = append(r.cols, col)
+			r.read = append(r.read, m.ScalarReader())
+			continue
+		}
+		h := m.Hist()
+		key := col.Key
+		for _, s := range [...]struct {
+			stat string
+			read func() float64
+		}{
+			{StatCount, func() float64 { return float64(h.Count()) }},
+			{StatSum, func() float64 { return float64(h.Sum()) }},
+			{StatMax, func() float64 { return float64(h.Max()) }},
+		} {
+			col.Key, col.Stat = key+"#"+s.stat, s.stat
+			r.cols = append(r.cols, col)
+			r.read = append(r.read, s.read)
 		}
 	}
 	r.seen = n
 
-	slot := r.head
-	r.times[slot] = nowNs
-	for si := 0; si < len(r.series); {
-		s := r.series[si]
-		if s.ref.Kind() == obs.KindHistogram { // its count, sum and max series are adjacent
-			h := s.ref.Hist()
-			s.vals[slot] = float64(h.Count())
-			r.series[si+1].vals[slot] = float64(h.Sum())
-			r.series[si+2].vals[slot] = float64(h.Max())
-			si += 3
-		} else {
-			s.vals[slot] = s.ref.ScalarValue()
-			si++
+	width := len(r.cols)
+	rows := make([]float64, r.capacity*width)
+	nan := math.NaN()
+	for slot := 0; slot < r.capacity; slot++ {
+		row := rows[slot*width : (slot+1)*width]
+		copy(row, r.rows[slot*old:(slot+1)*old])
+		for j := old; j < width; j++ {
+			row[j] = nan
 		}
+	}
+	r.rows = rows
+}
+
+// Capture snapshots every registered metric into the next row at
+// simulated time nowNs. Zero allocations once all metrics have been
+// seen; a capture that discovers new registrations pays for widening
+// the rows once.
+func (r *Rollup) Capture(nowNs int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.discover()
+	r.times[r.head] = nowNs
+	w := len(r.read)
+	row := r.rows[r.head*w : (r.head+1)*w]
+	for j, read := range r.read {
+		row[j] = read()
 	}
 	r.head++
 	if r.head == r.capacity {
@@ -144,17 +166,46 @@ func (r *Rollup) Capture(nowNs int64) {
 	r.total++
 }
 
-// SeriesData is one series copied out in chronological order.
+// Frame is a chronological copy of the retained windows, row-major:
+// row i (captured at TimesNs[i]) holds one value per column, NaN for a
+// series not yet registered at that capture.
+type Frame struct {
+	TimesNs []int64
+	Columns []Column
+	// Rows holds len(TimesNs) rows of len(Columns) values.
+	Rows []float64
+}
+
+// At returns column j's value in window i.
+func (f *Frame) At(i, j int) float64 { return f.Rows[i*len(f.Columns)+j] }
+
+// Frame copies the retained windows out, oldest first.
+func (r *Rollup) Frame() Frame {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	w := len(r.cols)
+	f := Frame{
+		TimesNs: make([]int64, r.n),
+		Columns: append(make([]Column, 0, w), r.cols...),
+		Rows:    make([]float64, r.n*w),
+	}
+	// Oldest retained slot: head-n (mod capacity).
+	start := r.head - r.n
+	if start < 0 {
+		start += r.capacity
+	}
+	for i := 0; i < r.n; i++ {
+		slot := (start + i) % r.capacity
+		f.TimesNs[i] = r.times[slot]
+		copy(f.Rows[i*w:(i+1)*w], r.rows[slot*w:(slot+1)*w])
+	}
+	return f
+}
+
+// SeriesData is one series copied out in chronological order. Its JSON
+// form is Column's fields followed by Values.
 type SeriesData struct {
-	// Key uniquely identifies the series: the metric key, plus
-	// "#count"/"#sum"/"#max" for histogram-derived statistics.
-	Key    string
-	Name   string
-	Labels []string
-	Kind   obs.Kind
-	// Stat is StatValue for scalars, StatCount/StatSum/StatMax for
-	// histogram-derived series.
-	Stat string
+	Column
 	// Values holds one sample per retained window, oldest first. NaN
 	// marks windows before the series existed.
 	Values []float64
@@ -168,29 +219,22 @@ type SeriesSnapshot struct {
 	Series  []SeriesData
 }
 
-// Snapshot copies the retained windows out in chronological order.
+// Snapshot copies the retained windows out in chronological order, one
+// slice of values per series.
 func (r *Rollup) Snapshot() SeriesSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := SeriesSnapshot{
-		TimesNs: make([]int64, r.n),
-		Series:  make([]SeriesData, len(r.series)),
-	}
-	// Oldest retained slot: head-n (mod capacity).
-	start := r.head - r.n
-	if start < 0 {
-		start += r.capacity
-	}
-	for i := 0; i < r.n; i++ {
-		out.TimesNs[i] = r.times[(start+i)%r.capacity]
-	}
-	for si, s := range r.series {
-		d := SeriesData{Key: s.key, Name: s.ref.Name(), Labels: s.ref.Labels(), Kind: s.ref.Kind(), Stat: s.stat,
-			Values: make([]float64, r.n)}
-		for i := 0; i < r.n; i++ {
-			d.Values[i] = s.vals[(start+i)%r.capacity]
+	f := r.Frame()
+	return SeriesSnapshot{TimesNs: f.TimesNs, Series: f.Series()}
+}
+
+// Series transposes the frame into one slice of values per column.
+func (f *Frame) Series() []SeriesData {
+	out := make([]SeriesData, len(f.Columns))
+	for j, c := range f.Columns {
+		d := SeriesData{Column: c, Values: make([]float64, len(f.TimesNs))}
+		for i := range d.Values {
+			d.Values[i] = f.At(i, j)
 		}
-		out.Series[si] = d
+		out[j] = d
 	}
 	return out
 }

@@ -1,8 +1,12 @@
 package timeseries
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -219,7 +223,8 @@ func TestNilRegistry(t *testing.T) {
 }
 
 // TestCaptureZeroAllocSteadyState enforces the acceptance bar: once
-// every metric has been seen, a capture allocates nothing.
+// every metric has been seen, a capture allocates nothing — across the
+// ring's wrap, and after a mid-run registration has widened the rows.
 func TestCaptureZeroAllocSteadyState(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, g, h := populate(reg)
@@ -232,15 +237,109 @@ func TestCaptureZeroAllocSteadyState(t *testing.T) {
 	r.Capture(0) // warmup: series registration
 
 	var tick int64
-	allocs := testing.AllocsPerRun(100, func() {
+	capture := func() {
 		tick++
 		c.Inc()
 		g.Set(tick)
 		h.Observe(tick)
 		r.Capture(tick)
-	})
-	if allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(300, capture); allocs != 0 {
 		t.Fatalf("steady-state Capture allocates %v per run, want 0", allocs)
+	}
+	late := reg.Histogram("late_us", "", "vm", "7")
+	late.Observe(3)
+	capture() // widens every row for the late histogram's three columns
+	if allocs := testing.AllocsPerRun(300, capture); allocs != 0 {
+		t.Fatalf("Capture after a mid-run registration allocates %v per run, want 0", allocs)
+	}
+	if got := len(r.Snapshot().Series); got != 1+1+3+1+64+3 {
+		t.Fatalf("%d series, want %d", got, 1+1+3+1+64+3)
+	}
+}
+
+// sameSnapshot compares two snapshots field by field, values by their
+// bits (NaN marks a window before registration and must match too).
+func sameSnapshot(got, want SeriesSnapshot) string {
+	if fmt.Sprint(got.TimesNs) != fmt.Sprint(want.TimesNs) {
+		return fmt.Sprintf("times %v, want %v", got.TimesNs, want.TimesNs)
+	}
+	if len(got.Series) != len(want.Series) {
+		return fmt.Sprintf("%d series, want %d", len(got.Series), len(want.Series))
+	}
+	for j := range got.Series {
+		g, w := got.Series[j], want.Series[j]
+		if !reflect.DeepEqual(g.Column, w.Column) || len(g.Values) != len(w.Values) || (g.Labels == nil) != (w.Labels == nil) {
+			return fmt.Sprintf("series %d: %+v, want %+v", j, g, w)
+		}
+		for i := range g.Values {
+			if math.Float64bits(g.Values[i]) != math.Float64bits(w.Values[i]) {
+				return fmt.Sprintf("series %s window %d: %v, want %v", g.Key, i, g.Values[i], w.Values[i])
+			}
+		}
+	}
+	return ""
+}
+
+// TestRollupMatchesRingOracleProperty drives the row-major Rollup and
+// the per-series ring rollup it replaced (oracle_test.go) through the
+// same random interleaving of registrations — counters, gauges, gauge
+// funcs, histograms, some only after the ring has wrapped — value
+// changes and captures, and requires equal snapshots after every
+// capture. Each run draws a fresh seed.
+func TestRollupMatchesRingOracleProperty(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 200; trial++ {
+		reg := obs.NewRegistry()
+		capacity := 2 + rng.Intn(6)
+		got, want := NewRollup(reg, capacity), newRingRollup(reg, capacity)
+		var counters []*obs.Counter
+		var gauges []*obs.Gauge
+		var hists []*obs.Histogram
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3: // register
+				name := fmt.Sprintf("m%d", rng.Intn(12)) // repeats fetch the existing metric
+				var labels []string
+				if rng.Intn(2) == 0 {
+					labels = []string{"k", fmt.Sprint(rng.Intn(3))}
+				}
+				switch rng.Intn(4) {
+				case 0:
+					counters = append(counters, reg.Counter(name+"_total", "", labels...))
+				case 1:
+					gauges = append(gauges, reg.Gauge(name, "", labels...))
+				case 2:
+					v := rng.NormFloat64()
+					reg.GaugeFunc(name+"_fn", "", func() float64 { return v }, labels...)
+				case 3:
+					hists = append(hists, reg.Histogram(name+"_us", "", labels...))
+				}
+			case op < 6: // move values
+				for _, c := range counters {
+					c.Add(rng.Int63n(1000))
+				}
+				for _, g := range gauges {
+					g.Set(rng.Int63n(2000) - 1000)
+				}
+				for _, h := range hists {
+					if rng.Intn(2) == 0 {
+						h.Observe(rng.Int63n(1 << 40))
+					}
+				}
+			default:
+				now := int64(step) * 1000
+				got.Capture(now)
+				want.Capture(now)
+				if d := sameSnapshot(got.Snapshot(), want.Snapshot()); d != "" {
+					t.Fatalf("seed %d trial %d step %d (capacity %d): %s", seed, trial, step, capacity, d)
+				}
+				if got.Captures() != want.Captures() {
+					t.Fatalf("seed %d trial %d: captures %d, want %d", seed, trial, got.Captures(), want.Captures())
+				}
+			}
+		}
 	}
 }
 

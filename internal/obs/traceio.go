@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -146,8 +145,8 @@ func writeChromeTrace(w io.Writer, meta *RunMeta, ports []PortMeta, spans []Flig
 
 // appendEventHead appends sep and one "X" trace_event up to its tid;
 // the caller adds args, if any, and the closing brace. name is a JSON
-// string literal; ts and dur are microseconds (fractional — ns
-// precision survives the float), dur omitted at 0.
+// string literal; ts and dur are microseconds to the nanosecond
+// (appendMicros), dur omitted at 0.
 func appendEventHead(b []byte, sep byte, name, cat string, tsNs, durNs, pid int64, tid uint64) []byte {
 	b = append(b, sep)
 	b = append(b, `{"name":`...)
@@ -155,10 +154,10 @@ func appendEventHead(b []byte, sep byte, name, cat string, tsNs, durNs, pid int6
 	b = append(b, `,"cat":"`...)
 	b = append(b, cat...)
 	b = append(b, `","ph":"X","ts":`...)
-	b = appendJSONFloat(b, float64(tsNs)/1e3)
+	b = appendMicros(b, tsNs)
 	if durNs != 0 {
 		b = append(b, `,"dur":`...)
-		b = appendJSONFloat(b, float64(durNs)/1e3)
+		b = appendMicros(b, durNs)
 	}
 	b = appendInt(b, `,"pid":`, pid)
 	return appendUint(b, `,"tid":`, tid)
@@ -219,17 +218,23 @@ func appendUint(b []byte, key string, v uint64) []byte {
 	return strconv.AppendUint(append(b, key...), v, 10)
 }
 
-// appendJSONFloat formats a finite f as encoding/json does: shortest
-// 'f', or 'e' with a one-digit exponent unpadded outside [1e-6, 1e21).
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	if abs == 0 || (abs >= 1e-6 && abs < 1e21) {
-		return strconv.AppendFloat(b, f, 'f', -1, 64)
+// appendMicros writes ns as the microseconds encoding/json gives
+// float64(ns)/1e3: below 1e15 ns the quotient has at most 15 significant
+// digits, so its shortest form is the exact decimal ns/1000 "." ns%1000
+// with trailing zeros trimmed, which integer arithmetic writes without
+// the float formatter. Larger or negative values take the float path.
+func appendMicros(b []byte, ns int64) []byte {
+	if ns < 0 || ns >= 1e15 {
+		return AppendJSONFloat(b, float64(ns)/1e3)
 	}
-	b = strconv.AppendFloat(b, f, 'e', -1, 64)
-	if n := len(b); n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-09 -> e-9
-		b = b[:n-1]
+	b = strconv.AppendInt(b, ns/1000, 10)
+	frac := ns % 1000
+	if frac == 0 {
+		return b
+	}
+	b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+	for b[len(b)-1] == '0' {
+		b = b[:len(b)-1]
 	}
 	return b
 }
@@ -269,12 +274,8 @@ func (n *eventNames) gate(g uint8) string {
 	return n.gates[g]
 }
 
-// quoteJSON renders s as encoding/json does inside a document:
-// HTML-safe, invalid UTF-8 replaced.
-func quoteJSON(s string) string {
-	b, _ := json.Marshal(s) // a string always marshals
-	return string(b)
-}
+// quoteJSON renders s as encoding/json does inside a document.
+func quoteJSON(s string) string { return string(AppendJSONString(nil, s)) }
 
 // spansCSVHeader defines the compact span CSV schema.
 var spansCSVHeader = []string{

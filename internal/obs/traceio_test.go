@@ -11,7 +11,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
+	"time"
 )
 
 // The streaming Chrome-trace encoder and the sorted span assembly must
@@ -203,8 +205,60 @@ func TestAppendJSONFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONFloat(%g) = %s, encoding/json writes %s", f, got, want)
+		if got := AppendJSONFloat(nil, f); !bytes.Equal(got, want) {
+			t.Errorf("AppendJSONFloat(%g) = %s, encoding/json writes %s", f, got, want)
+		}
+	}
+}
+
+// TestAppendMicrosProperty holds the integer microsecond formatter to
+// the float path it replaces, strconv's shortest 'f' of ns/1e3, on
+// random ns of every magnitude below 1e15 (uniform in the exponent, so
+// small and large timestamps are drawn alike), the edges around the
+// cut-over, and beyond it, where both take the float path. Each run
+// draws a fresh seed.
+func TestAppendMicrosProperty(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	vals := []int64{0, 1, 9, 10, 99, 100, 999, 1000, 1001, 1010, 1100, 123456789, 1e15 - 1, 1e15, 1e15 + 1,
+		1<<53 - 1, 1 << 53, 9.4e15, math.MaxInt64, -1, -1000, -123456789, math.MinInt64}
+	for i := 0; i < 200_000; i++ {
+		vals = append(vals, rng.Int63n(int64(math.Pow(10, 1+15*rng.Float64()))))
+	}
+	for _, ns := range vals {
+		want := AppendJSONFloat(nil, float64(ns)/1e3)
+		if ns >= 0 && ns < 1e15 {
+			if f := strconv.AppendFloat(nil, float64(ns)/1e3, 'f', -1, 64); !bytes.Equal(f, want) {
+				t.Fatalf("seed %d: ns %d: strconv writes %s, encoding/json %s", seed, ns, f, want)
+			}
+		}
+		if got := appendMicros(nil, ns); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: appendMicros(%d) = %s, float path writes %s", seed, ns, got, want)
+		}
+	}
+}
+
+// TestAppendJSONStringProperty compares AppendJSONString with
+// encoding/json on random strings over the characters it treats
+// specially: quotes, backslashes, control bytes, HTML metacharacters,
+// U+2028/U+2029, invalid UTF-8. Each run draws a fresh seed.
+func TestAppendJSONStringProperty(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	pieces := []string{`"`, `\`, "<", ">", "&", "\u2028", "\u2029", "\n", "\t", "\b", "\f", "\r", "\x00", "\x1f",
+		"\x7f", "\xff", "\xe2\x80", "é", "µ", "\U0001F600", "a", " ", "/"}
+	for i := 0; i < 20_000; i++ {
+		var s []byte
+		for n := rng.Intn(8); n > 0; n-- {
+			if rng.Intn(4) == 0 {
+				s = append(s, byte(rng.Intn(256)))
+			} else {
+				s = append(s, pieces[rng.Intn(len(pieces))]...)
+			}
+		}
+		want, _ := json.Marshal(string(s))
+		if got := AppendJSONString(nil, string(s)); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: AppendJSONString(%q) = %s, encoding/json writes %s", seed, s, got, want)
 		}
 	}
 }
