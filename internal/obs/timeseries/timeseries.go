@@ -223,18 +223,13 @@ type SeriesSnapshot struct {
 // slice of values per series.
 func (r *Rollup) Snapshot() SeriesSnapshot {
 	f := r.Frame()
-	return SeriesSnapshot{TimesNs: f.TimesNs, Series: f.Series()}
-}
-
-// Series transposes the frame into one slice of values per column.
-func (f *Frame) Series() []SeriesData {
-	out := make([]SeriesData, len(f.Columns))
+	out := SeriesSnapshot{TimesNs: f.TimesNs, Series: make([]SeriesData, len(f.Columns))}
 	for j, c := range f.Columns {
 		d := SeriesData{Column: c, Values: make([]float64, len(f.TimesNs))}
 		for i := range d.Values {
 			d.Values[i] = f.At(i, j)
 		}
-		out[j] = d
+		out.Series[j] = d
 	}
 	return out
 }
