@@ -14,7 +14,6 @@
 package dashboard
 
 import (
-	"bytes"
 	_ "embed"
 	"encoding/json"
 	"io"
@@ -190,38 +189,25 @@ func Attach(d *obs.DebugServer, opts Options) {
 // The series, nearly all of the document, are streamed straight from a
 // copy of the rollup's rows; only the Blocks go through encoding/json.
 func WriteJSON(w io.Writer, opts Options) error {
-	var f *timeseries.Frame
+	f := &timeseries.Frame{}
 	var captures int64
 	if opts.Rollup != nil {
 		fr := opts.Rollup.Frame()
 		f, captures = &fr, opts.Rollup.Captures()
-	}
-	return writePayload(w, opts.Title, f, captures, buildBlocks(opts))
-}
-
-// writePayload writes the document for a frame of the rollup (nil
-// without one) and the evaluated blocks.
-func writePayload(w io.Writer, title string, f *timeseries.Frame, captures int64, blk Blocks) error {
-	if f == nil {
-		f = &timeseries.Frame{}
 	}
 	// encoding/json refuses the first NaN or ±Inf in document order
 	// before it writes anything; the series precede every block.
 	if err := checkFinite(f); err != nil {
 		return err
 	}
-	blocks, err := json.Marshal(blk)
+	tail, err := json.MarshalIndent(buildBlocks(opts), "", " ")
 	if err != nil {
-		return err
-	}
-	var tail bytes.Buffer
-	if err := json.Indent(&tail, blocks, "", " "); err != nil {
 		return err
 	}
 
 	cw := chunkWriter{w: w}
 	b := append(make([]byte, 0, 2*chunkBytes), "{\n \"title\": "...)
-	b = obs.AppendJSONString(b, title)
+	b = obs.AppendJSONString(b, opts.Title)
 	var nowNs int64
 	if n := len(f.TimesNs); n > 0 {
 		nowNs = f.TimesNs[n-1]
@@ -255,8 +241,8 @@ func writePayload(w io.Writer, title string, f *timeseries.Frame, captures int64
 	}
 	// The indented blocks object is "{}" or "{\n \"slo\": …\n}": its
 	// members continue the document's top-level object.
-	if t := tail.Bytes(); len(t) > 2 {
-		b = append(append(b, ','), t[1:]...)
+	if len(tail) > 2 {
+		b = append(append(b, ','), tail[1:]...)
 	} else {
 		b = append(b, "\n}"...)
 	}
@@ -312,16 +298,6 @@ func appendSeries(b []byte, f *timeseries.Frame, j int) []byte {
 // checkFinite returns the error encoding/json gives for the first NaN
 // or ±Inf in the series, which it meets series by series.
 func checkFinite(f *timeseries.Frame) error {
-	finite := true
-	for _, v := range f.Rows {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			finite = false
-			break
-		}
-	}
-	if finite {
-		return nil
-	}
 	for j := range f.Columns {
 		for i := range f.TimesNs {
 			if v := f.At(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
