@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: all ci vet build test test-race test-admission test-obs examples soak bench-placement
+.PHONY: all ci fmt vet build test test-race test-admission test-obs examples soak bench-placement
 
 all: vet build test
 
 # The test steps of the CI workflow, in order (CI also writes sample
 # artifacts for upload).
-ci: vet build test test-race test-admission test-obs examples soak
+ci: fmt vet build test test-race test-admission test-obs examples soak
+
+# Every Go file as gofmt writes it: lists the files that are not and
+# fails if there are any.
+fmt:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 vet:
 	$(GO) vet ./...
@@ -37,9 +42,12 @@ test-race:
 # 2–60-VM bursty tenants, where the certificate skips or shortens the
 # per-server probes). TestUpCapMemoEquivalenceProperty holds the
 # per-server NIC-up cap memo (upCapMemo) to the linear scan on every
-# server after every operation.
+# server after every operation. The flow simulator's edge rule
+# (workload.AppendEdges, Rand.PermInto) is held to the [][]int
+# Permutation-x builder and Rand.Perm it replaced, kept test-side:
+# same pairs, same draws.
 test-admission:
-	$(GO) test -race -count=25 -run 'Equivalence|Churn|Monoton|Degenerate' ./internal/placement/ ./internal/netcal/
+	$(GO) test -race -count=25 -run 'Equivalence|Churn|Monoton|Degenerate' ./internal/placement/ ./internal/netcal/ ./internal/workload/
 
 # The per-window telemetry's equivalences, 25 times over under the race
 # detector, each run drawing fresh seeds: series.json's streaming writer

@@ -141,10 +141,16 @@ type job struct {
 	minEnd     float64 // started + compute time
 }
 
-// sim is one Run's state: the live jobs and the per-port and per-tenant
-// scratch both allocation modes reuse every epoch.
+// sim is one Run's state: the live jobs, the scratch each arrival's
+// job is built in, and the per-port and per-tenant scratch both
+// allocation modes reuse every epoch.
 type sim struct {
 	live []*job
+
+	// buildJob: an arriving tenant's (src, dst) pairs and the
+	// permutation scratch their draws use.
+	edges []workload.Edge
+	perm  []int
 
 	// Per directed port, indexed by port ID: line rate, whether it is a
 	// switch port (utilization leaves NICs out), and the epoch's carried
@@ -242,7 +248,7 @@ run:
 			case err == nil:
 				res.Accepted++
 				res.AcceptedByClass[cIdx]++
-				s.live = append(s.live, buildJob(spec, pl, cls, tree, rng, now))
+				s.live = append(s.live, s.buildJob(spec, pl, cls, tree, rng, now))
 			case errors.Is(err, placement.ErrRejected):
 				res.Rejected++
 			default:
@@ -356,17 +362,15 @@ func pickClass(classes []ClassConfig, rng *stats.Rand) int {
 	return len(classes) - 1
 }
 
-func buildJob(spec tenant.Spec, pl *tenant.Placement, cls ClassConfig, tree *topology.Tree, rng *stats.Rand, now float64) *job {
-	var pat workload.Pattern
-	if cls.AllToOne {
-		pat = workload.AllToOne(spec.VMs)
-	} else {
-		pat = workload.Permutation(spec.VMs, cls.PermutationX, rng)
-	}
-	edges := pat.Edges()
+// buildJob lays out an admitted tenant's flows. Its (src, dst) pairs go
+// through the sim's scratch, so the job, its flows and their ports are
+// the only allocations.
+func (s *sim) buildJob(spec tenant.Spec, pl *tenant.Placement, cls ClassConfig, tree *topology.Tree, rng *stats.Rand, now float64) *job {
+	s.edges, s.perm = workload.AppendEdges(s.edges[:0], s.perm, spec.VMs, cls.AllToOne, cls.PermutationX, rng)
+	edges := len(s.edges)
 	j := &job{
 		spec:       spec,
-		flows:      make([]flow, 0, edges),
+		flows:      make([]flow, edges),
 		liveFlow:   edges,
 		solvedLive: -1,
 		started:    now,
@@ -374,17 +378,15 @@ func buildJob(spec tenant.Spec, pl *tenant.Placement, cls ClassConfig, tree *top
 	}
 	// One array holds every flow's path: at most six ports each.
 	ports := make([]int, 0, 6*edges)
-	for src, dsts := range pat {
-		for _, dst := range dsts {
-			ss, ds := pl.Servers[src], pl.Servers[dst]
-			lo := len(ports)
-			ports = tree.AppendPathIDs(ports, ss, ds)
-			j.flows = append(j.flows, flow{
-				pair:      pacer.Flow{Src: src, Dst: dst},
-				local:     ss == ds,
-				remaining: math.Max(cls.FlowBytes, 1),
-				path:      ports[lo:len(ports):len(ports)],
-			})
+	for i, e := range s.edges {
+		ss, ds := pl.Servers[e.Src], pl.Servers[e.Dst]
+		lo := len(ports)
+		ports = tree.AppendPathIDs(ports, ss, ds)
+		j.flows[i] = flow{
+			pair:      pacer.Flow(e),
+			local:     ss == ds,
+			remaining: math.Max(cls.FlowBytes, 1),
+			path:      ports[lo:len(ports):len(ports)],
 		}
 	}
 	return j

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/placement"
+	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/topology"
 )
@@ -315,5 +316,25 @@ func TestRunSurfacesPlacementErrors(t *testing.T) {
 	}
 	if res := runOne(t, placement.NewLocality(testTree(t)), FairShare, 0.8); res.Err != nil {
 		t.Errorf("clean run reports %v", res.Err)
+	}
+}
+
+// Building an arriving tenant's job allocates exactly the job, its flows
+// and their ports, for both Table-3 classes: the (src, dst) pairs and
+// the permutation draws go through the sim's scratch.
+func TestBuildJobAllocs(t *testing.T) {
+	tree := testTree(t)
+	s := newSim(Config{Tree: tree, Mode: Reserved})
+	rng := stats.NewRand(1)
+	spec := tenant.Spec{ID: 1, Name: "job", VMs: 12}
+	pl := &tenant.Placement{Spec: spec}
+	for i := 0; i < spec.VMs; i++ {
+		pl.Servers = append(pl.Servers, 7*i) // every seventh server, across both pods
+	}
+	for _, cls := range testClasses() {
+		build := func() { s.buildJob(spec, pl, cls, tree, rng, 0) }
+		if n := testing.AllocsPerRun(100, build); n != 3 {
+			t.Errorf("AllToOne=%v: buildJob made %v allocations, want 3", cls.AllToOne, n)
+		}
 	}
 }

@@ -16,8 +16,8 @@ const (
 // envelope: fitted burst ≤ S (+tolerance) and fitted rate ≤ B.
 func TestEstimatorConformingStreamFits(t *testing.T) {
 	e := &VMEstimator{VMID: 1, TenantID: 1, Admitted: Envelope{RateBps: rate, BurstBytes: s100}, epochNs: 1e6, tolBytes: mtu}
-	peakGap := int64(1214) // ≈ MTU serialization at 10 Gbps
-	refill := int64(s100 / rate * 1e9)            // refill S at B
+	peakGap := int64(1214)             // ≈ MTU serialization at 10 Gbps
+	refill := int64(s100 / rate * 1e9) // refill S at B
 	now := int64(0)
 	for round := 0; round < 20; round++ {
 		sent := 0.0

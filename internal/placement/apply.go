@@ -84,12 +84,15 @@ func (m *Manager) CommitHookErr() error { return m.hookErr }
 func (m *Manager) ClearCommitHookErr() { m.hookErr = nil }
 
 // logMutation runs the commit hook for mut, wrapping failures in
-// ErrLogFailed. Nil-hook managers pay one branch.
+// ErrLogFailed. Nil-hook managers pay one branch. The hook gets a heap
+// copy, so mut itself never escapes: callers build it on the stack and
+// only a manager with a hook pays for the copy.
 func (m *Manager) logMutation(mut *Mutation) error {
 	if m.hook == nil {
 		return nil
 	}
-	if err := m.hook(mut); err != nil {
+	cp := *mut
+	if err := m.hook(&cp); err != nil {
 		return fmt.Errorf("%w: %w", ErrLogFailed, err)
 	}
 	return nil
@@ -119,14 +122,12 @@ func (m *Manager) ApplyPlacement(spec tenant.Spec, servers []int) (*tenant.Place
 		}
 	}
 	pl := &tenant.Placement{Spec: spec, Servers: append([]int(nil), servers...)}
-	var contribs map[int]contribution
-	if spec.Class == tenant.ClassBestEffort {
-		contribs = map[int]contribution{}
-	} else {
+	var contribs []portContribution
+	if spec.Class != tenant.ClassBestEffort {
 		contribs = m.contributions(&spec, pl.Servers)
-		for pid, c := range contribs {
-			m.ports[pid].add(c)
-			m.portTouched(pid)
+		for _, pc := range contribs {
+			m.ports[pc.pid].add(pc.contribution)
+			m.portTouched(pc.pid)
 		}
 	}
 	for _, s := range pl.Servers {

@@ -21,7 +21,7 @@
 package placement
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/netcal"
 	"repro/internal/topology"
@@ -121,17 +121,27 @@ type layout struct {
 	podRacks []int // distinct hosting racks in pods[i]
 }
 
-// newLayout summarizes a per-VM server list (any order). The commit and
-// journal paths use it, once per decision; the scope search builds its
-// candidates as ascending (server, count) pairs and calls build
-// directly.
+// newLayout summarizes a per-VM server list (any order) in a fresh
+// layout. The journal and the tests use it; the commit paths build theirs
+// in the manager's scratch (searchScratch.layoutOf), and the scope search
+// builds its candidates as ascending (server, count) pairs and calls
+// build directly.
 func newLayout(tree *topology.Tree, servers []int) layout {
+	var sc searchScratch
+	return *sc.layoutOf(tree, servers)
+}
+
+// layoutOf summarizes a per-VM server list (any order) in the scratch's
+// layout, reusing its slices, and returns that layout. A list out of
+// order is sorted in a copy.
+func (sc *searchScratch) layoutOf(tree *topology.Tree, servers []int) *layout {
 	sorted := servers
-	if !sort.IntsAreSorted(sorted) {
-		sorted = append([]int(nil), servers...)
-		sort.Ints(sorted)
+	if !slices.IsSorted(sorted) {
+		sc.vms = append(sc.vms[:0], servers...)
+		slices.Sort(sc.vms)
+		sorted = sc.vms
 	}
-	var srv, cnt []int
+	srv, cnt := sc.srv[:0], sc.cnt[:0]
 	for i := 0; i < len(sorted); {
 		j := i
 		for j < len(sorted) && sorted[j] == sorted[i] {
@@ -141,9 +151,9 @@ func newLayout(tree *topology.Tree, servers []int) layout {
 		cnt = append(cnt, j-i)
 		i = j
 	}
-	var lay layout
-	lay.build(tree, srv, cnt)
-	return lay
+	sc.srv, sc.cnt = srv, cnt
+	sc.lay.build(tree, srv, cnt)
+	return &sc.lay
 }
 
 // build fills the layout from distinct servers in ascending order and

@@ -105,8 +105,9 @@ func (r *refManager) Recover(failedServers, failedPorts []int, opts RecoverOptio
 			affected = affected || failed[s]
 		}
 		for _, pid := range failedPorts {
-			_, crosses := at.contribs[pid]
-			affected = affected || crosses
+			for _, pc := range at.contribs {
+				affected = affected || pc.pid == pid
+			}
 		}
 		if affected {
 			ids = append(ids, id)

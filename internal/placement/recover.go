@@ -242,7 +242,7 @@ func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions)
 		}
 		if !affected {
 			for _, pid := range failedPorts {
-				if _, ok := at.contribs[pid]; ok {
+				if at.crosses(pid) {
 					affected = true
 					break
 				}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/netcal"
@@ -121,9 +122,27 @@ type Manager struct {
 
 type admittedTenant struct {
 	placement *tenant.Placement
-	// contribs maps port ID -> this tenant's contribution, retained so
-	// Remove can subtract exactly what Place added.
-	contribs map[int]contribution
+	// contribs is this tenant's contribution at each port it crosses, in
+	// forEachContribution order, retained so Remove can subtract exactly
+	// what Place added. Nil for a best-effort tenant.
+	contribs []portContribution
+}
+
+// portContribution is a tenant's contribution at one directed port. A
+// tenant makes at most one per port.
+type portContribution struct {
+	pid int
+	contribution
+}
+
+// crosses reports whether the tenant's traffic crosses port pid.
+func (at *admittedTenant) crosses(pid int) bool {
+	for _, pc := range at.contribs {
+		if pc.pid == pid {
+			return true
+		}
+	}
+	return false
 }
 
 // NewManager returns a Silo placement manager over the given
@@ -330,9 +349,9 @@ func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 		// the pre-admission aggregates.
 		m.journal.record(m.recordAccept(&spec, servers).withSearch(st))
 	}
-	for pid, c := range contribs {
-		m.ports[pid].add(c)
-		m.portTouched(pid)
+	for _, pc := range contribs {
+		m.ports[pc.pid].add(pc.contribution)
+		m.portTouched(pc.pid)
 	}
 	for _, s := range servers {
 		m.takeSlot(s, &spec)
@@ -359,9 +378,9 @@ func (m *Manager) Remove(id int) error {
 // detach releases an admitted tenant's port contributions and slots —
 // the shared core of Remove and the recovery path's evacuation step.
 func (m *Manager) detach(at *admittedTenant) {
-	for pid, c := range at.contribs {
-		m.ports[pid].remove(c)
-		m.portTouched(pid)
+	for _, pc := range at.contribs {
+		m.ports[pc.pid].remove(pc.contribution)
+		m.portTouched(pc.pid)
 	}
 	for _, s := range at.placement.Servers {
 		m.freeSlot(s, &at.placement.Spec)
@@ -406,7 +425,7 @@ func (m *Manager) placeBestEffort(spec tenant.Spec) (*tenant.Placement, error) {
 	for _, s := range servers {
 		m.takeSlot(s, &spec)
 	}
-	m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: map[int]contribution{}}
+	m.admitted[spec.ID] = &admittedTenant{placement: pl}
 	m.acceptedCount++
 	return pl, nil
 }
@@ -488,11 +507,15 @@ func (m *Manager) fillReqMemo(spec *tenant.Spec) {
 // searchScratch holds the search's candidate layout: the distinct
 // servers it would use, ascending, the VM count on each, and the
 // per-rack and per-pod roll-up. tryScope refills it for every
-// candidate; nothing in it outlives the request.
+// candidate; nothing in it outlives the request. Once the search has
+// returned, the commit paths reuse it to lay out the chosen servers
+// (contributions).
 type searchScratch struct {
 	srv, cnt []int
 	caps     []int // spreadEven: capacity of srv[i]
+	vms      []int // layoutOf: a sorted copy of an unsorted server list
 	lay      layout
+	contribs []portContribution // contributions: the walk, before its copy
 }
 
 // searchStats counts, per scope height, how many candidate scopes a
@@ -1148,17 +1171,19 @@ func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pi
 	return true
 }
 
-// contributions materializes the per-port contribution map for a
-// placement (used when committing and when auditing, not in the search
-// hot path).
-func (m *Manager) contributions(spec *tenant.Spec, servers []int) map[int]contribution {
-	out := make(map[int]contribution)
-	lay := newLayout(m.tree, servers)
-	m.forEachContribution(spec, &lay, func(pid, _ int, c contribution) bool {
-		out[pid] = c
+// contributions returns a placement's per-port contributions in
+// forEachContribution order, for the commit, replay and audit paths
+// (not the search). The layout and the walk run in the manager's
+// scratch, so the returned slice is the one allocation.
+func (m *Manager) contributions(spec *tenant.Spec, servers []int) []portContribution {
+	sc := &m.scratch
+	out := sc.contribs[:0]
+	m.forEachContribution(spec, sc.layoutOf(m.tree, servers), func(pid, _ int, c contribution) bool {
+		out = append(out, portContribution{pid, c})
 		return true
 	})
-	return out
+	sc.contribs = out
+	return slices.Clone(out)
 }
 
 // faultDomainsOK reports whether the per-VM server list names at least
@@ -1198,8 +1223,8 @@ func (m *Manager) VerifyInvariants() error {
 			// contribute no arrival curves (paper §4.4).
 			continue
 		}
-		for pid, c := range m.contributions(&at.placement.Spec, at.placement.Servers) {
-			fresh[pid].add(c)
+		for _, pc := range m.contributions(&at.placement.Spec, at.placement.Servers) {
+			fresh[pc.pid].add(pc.contribution)
 		}
 	}
 	var ar netcal.Arena

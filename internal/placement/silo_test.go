@@ -435,3 +435,50 @@ func TestHeadroomRefreshAllocatesNothing(t *testing.T) {
 		t.Fatalf("headroomIndex.refresh: %v allocations per refresh, want 0", allocs)
 	}
 }
+
+// An accept keeps four objects — the server list, the Placement, its
+// record and the contribution slice — and a remove none, on a warm
+// manager with no hook and no journal. A commit hook costs one more per
+// mutation: the Mutation copy it reads.
+func TestAdmissionAllocs(t *testing.T) {
+	tree := wideTree(t, 2, 4, 10, 0)
+	m := NewManager(tree, Options{})
+	// Best-effort neighbours leave every rack fewer free slots than the
+	// tenant has VMs, so it spans racks.
+	for r := 0; r < tree.Racks(); r++ {
+		be := tenant.Spec{ID: 100 + r, Name: "be", VMs: 32, Class: tenant.ClassBestEffort}
+		if _, err := m.Place(be); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := guaranteedSpec(1, 12, 100*mbps)
+	pl, err := m.Place(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lay := newLayout(tree, pl.Servers); len(lay.racks) < 2 {
+		t.Fatalf("tenant landed in %d rack(s), want it to span racks", len(lay.racks))
+	}
+	placeRemove := func() {
+		if _, err := m.Place(spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Remove(spec.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Remove(spec.ID); err != nil {
+		t.Fatal(err)
+	}
+	bare := testing.AllocsPerRun(100, placeRemove)
+	if bare > 4 {
+		t.Errorf("Place+Remove without a hook: %v allocations, want at most 4", bare)
+	}
+	m.SetCommitHook(func(*Mutation) error { return nil })
+	if n := testing.AllocsPerRun(100, placeRemove); n != bare+2 {
+		t.Errorf("Place+Remove with a hook: %v allocations, want %v (one Mutation copy each)", n, bare+2)
+	}
+	if err := m.VerifyInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

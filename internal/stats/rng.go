@@ -7,7 +7,10 @@
 // the repository is exactly reproducible.
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Rand is a small, fast, deterministic PRNG (splitmix64 core with an
 // xorshift-style output mix). It is not safe for concurrent use; create
@@ -52,8 +55,13 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
+func (r *Rand) Perm(n int) []int { return r.PermInto(nil, n) }
+
+// PermInto writes a pseudo-random permutation of [0, n) into p's
+// storage, growing it if needed, and returns it. It draws what Perm
+// draws.
+func (r *Rand) PermInto(p []int, n int) []int {
+	p = slices.Grow(p[:0], n)[:n]
 	for i := range p {
 		j := r.Intn(i + 1)
 		p[i] = p[j]

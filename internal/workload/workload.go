@@ -9,7 +9,8 @@
 //   - AllToOne: the class-A OLDI partition/aggregate pattern — every
 //     VM simultaneously sends a message to one aggregator (§6.2);
 //   - AllToAll / Permutation-x: class-B data-parallel shuffle
-//     patterns (§6.2, §6.3).
+//     patterns (§6.2, §6.3); AppendEdges writes Permutation-x, and
+//     AllToOne, as (src, dst) edges for the flow simulator.
 package workload
 
 import (
@@ -148,13 +149,26 @@ func AllToAll(n int) Pattern {
 	return p
 }
 
-// Permutation returns the Permutation-x pattern (§6.3): each VM sends
-// to x randomly chosen distinct other VMs. Fractional x (e.g. 0.5)
-// gives each VM probability x of having a single destination.
-func Permutation(n int, x float64, rng *stats.Rand) Pattern {
-	p := make(Pattern, n)
+// Edge is one sender→receiver pair of a pattern, in tenant-local VM
+// indices.
+type Edge struct{ Src, Dst int }
+
+// AppendEdges appends the edges of an n-VM tenant's class pattern to
+// dst, sources in ascending order. With allToOne they are AllToOne(n)'s.
+// Otherwise they are Permutation-x's (§6.3): each VM sends to x randomly
+// chosen distinct other VMs, the first x of a fresh permutation that are
+// not itself, and a fractional x (e.g. 0.5) gives each VM probability
+// frac(x) of one more. perm is scratch for the draws; both slices are
+// returned, grown.
+func AppendEdges(dst []Edge, perm []int, n int, allToOne bool, x float64, rng *stats.Rand) ([]Edge, []int) {
+	if allToOne {
+		for i := 1; i < n; i++ {
+			dst = append(dst, Edge{i, 0})
+		}
+		return dst, perm
+	}
 	if n < 2 {
-		return p
+		return dst, perm
 	}
 	whole := int(x)
 	frac := x - float64(whole)
@@ -169,18 +183,18 @@ func Permutation(n int, x float64, rng *stats.Rand) Pattern {
 		if k == 0 {
 			continue
 		}
-		perm := rng.Perm(n)
+		perm = rng.PermInto(perm, n)
 		for _, j := range perm {
 			if j == i {
 				continue
 			}
-			p[i] = append(p[i], j)
-			if len(p[i]) == k {
+			dst = append(dst, Edge{i, j})
+			if k--; k == 0 {
 				break
 			}
 		}
 	}
-	return p
+	return dst, perm
 }
 
 // Edges counts the pattern's sender→receiver pairs.

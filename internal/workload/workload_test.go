@@ -102,7 +102,7 @@ func TestAllToAll(t *testing.T) {
 
 func TestPermutationWhole(t *testing.T) {
 	rng := stats.NewRand(5)
-	p := Permutation(10, 2, rng)
+	p := permutation(10, 2, rng)
 	for i, dsts := range p {
 		if len(dsts) != 2 {
 			t.Errorf("VM %d has %d dsts, want 2", i, len(dsts))
@@ -117,7 +117,7 @@ func TestPermutationWhole(t *testing.T) {
 
 func TestPermutationFractional(t *testing.T) {
 	rng := stats.NewRand(6)
-	p := Permutation(1000, 0.5, rng)
+	p := permutation(1000, 0.5, rng)
 	n := 0
 	for _, dsts := range p {
 		if len(dsts) > 1 {
@@ -132,20 +132,20 @@ func TestPermutationFractional(t *testing.T) {
 
 func TestPermutationClamps(t *testing.T) {
 	rng := stats.NewRand(7)
-	p := Permutation(3, 10, rng)
+	p := permutation(3, 10, rng)
 	for i, dsts := range p {
 		if len(dsts) != 2 {
 			t.Errorf("VM %d: %d dsts, want clamped 2", i, len(dsts))
 		}
 	}
-	if out := Permutation(1, 1, rng); out.Edges() != 0 {
+	if out := permutation(1, 1, rng); out.Edges() != 0 {
 		t.Error("single-VM permutation should be empty")
 	}
 }
 
 func TestPermutationDeterministic(t *testing.T) {
-	a := Permutation(20, 3, stats.NewRand(42))
-	b := Permutation(20, 3, stats.NewRand(42))
+	a := permutation(20, 3, stats.NewRand(42))
+	b := permutation(20, 3, stats.NewRand(42))
 	for i := range a {
 		if len(a[i]) != len(b[i]) {
 			t.Fatal("nondeterministic permutation")
@@ -156,4 +156,14 @@ func TestPermutationDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// permutation groups AppendEdges' Permutation-x edges by source.
+func permutation(n int, x float64, rng *stats.Rand) Pattern {
+	p := make(Pattern, n)
+	edges, _ := AppendEdges(nil, nil, n, false, x, rng)
+	for _, e := range edges {
+		p[e.Src] = append(p[e.Src], e.Dst)
+	}
+	return p
 }
