@@ -23,9 +23,9 @@ test:
 	$(GO) test ./...
 
 # The whole tree under the race detector (about two minutes on two
-# cores): the obs metric atomics, the debug endpoint's live readers
-# during a run with every plane on (TestLiveReadersDuringRun), the
-# durable store's crash suite.
+# cores), the durable store's crash suite included. The obs planes run
+# on one goroutine, so a race reported there means a plane was touched
+# from a second one.
 test-race:
 	$(GO) test -race ./...
 

@@ -36,7 +36,7 @@ import (
 // outdir, when non-empty, receives CSV series for plotting.
 var outdir string
 
-// reg is the optional metrics registry (-metrics / -http); nil keeps
+// reg is the optional metrics registry (-metrics); nil keeps
 // instrumentation disabled.
 var reg *obs.Registry
 
@@ -63,8 +63,6 @@ func main() {
 		outFlag  = flag.String("outdir", "", "also write plottable CSV series to this directory")
 
 		metricsOut = flag.String("metrics", "", "export metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
-		httpAddr   = flag.String("http", "", "serve /metrics and /debug/vars on this address during the run")
-		pprofOn    = flag.Bool("pprof", false, "additionally expose /debug/pprof on the -http address")
 
 		soakReport = flag.String("soak-report", "", "for soak: also write the RunMeta-stamped JSON verdict to this path")
 	)
@@ -87,14 +85,7 @@ func main() {
 	}
 
 	var finishObs func() error
-	var err error
-	reg, _, finishObs, err = obs.StartCLI(obs.CLIConfig{
-		MetricsPath: *metricsOut, HTTPAddr: *httpAddr, Pprof: *pprofOn,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	reg, finishObs = obs.StartCLI(obs.CLIConfig{MetricsPath: *metricsOut})
 
 	runners := map[string]func() error{
 		"fig1":        func() error { return runFig1(*duration, *seed) },

@@ -94,4 +94,19 @@ func TestCLI(t *testing.T) {
 			}
 		}
 	})
+
+	// The live debug endpoint's flags are retired: they exit 2 like
+	// any unknown flag.
+	for _, args := range [][]string{{"-http", ":8080"}, {"-pprof"}} {
+		t.Run(strings.TrimPrefix(args[0], "-")+" flag is gone", func(t *testing.T) {
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%s: error %v, want exit status 2\n%s", args[0], err, out)
+			}
+			if want := "flag provided but not defined: " + args[0]; !bytes.Contains(out, []byte(want)) {
+				t.Errorf("%s: output lacks %q:\n%s", args[0], want, out)
+			}
+		})
+	}
 }

@@ -36,8 +36,6 @@ func main() {
 		quiet   = flag.Bool("q", false, "suppress the incident list (exports/drill-down only)")
 
 		metricsOut = flag.String("metrics", "", "export report metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
-		httpAddr   = flag.String("http", "", "serve /metrics and /debug/vars on this address while the tool runs")
-		pprofOn    = flag.Bool("pprof", false, "additionally expose /debug/pprof on the -http address")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: silo-incident [flags] <incidents.json>\n")
@@ -55,13 +53,7 @@ func main() {
 		}
 	}
 
-	reg, _, finishObs, err := obs.StartCLI(obs.CLIConfig{
-		MetricsPath: *metricsOut, HTTPAddr: *httpAddr, Pprof: *pprofOn,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	reg, finishObs := obs.StartCLI(obs.CLIConfig{MetricsPath: *metricsOut})
 
 	rep, err := incident.ReadFile(flag.Arg(0))
 	if err != nil {

@@ -23,11 +23,8 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/dashboard"
-	"repro/internal/obs/timeseries"
 	"repro/internal/placement"
 	"repro/internal/placement/durable"
 	"repro/internal/stats"
@@ -60,8 +57,6 @@ func main() {
 		snapEvery = flag.Int("snapshot-every", 0, "with -wal: snapshot + rotate the log every N mutations (0 = default 1024, negative disables)")
 
 		metricsOut = flag.String("metrics", "", "export metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
-		httpAddr   = flag.String("http", "", "serve the dashboard, /metrics and /debug/vars on this address during the run")
-		pprofOn    = flag.Bool("pprof", false, "additionally expose /debug/pprof on the -http address")
 	)
 	flag.Parse()
 
@@ -79,34 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	reg, srv, finishObs, err := obs.StartCLI(obs.CLIConfig{
-		MetricsPath: *metricsOut, HTTPAddr: *httpAddr, Pprof: *pprofOn,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	var dur *durable.Manager
-	if srv != nil {
-		// Admission has no simulated clock, so the rollup samples real
-		// time while the request stream runs.
-		rollup := timeseries.NewRollup(reg, 512)
-		stop := dashboard.DriveWallClock(rollup, time.Second)
-		defer stop()
-		dashboard.Attach(srv, dashboard.Options{
-			Title: "silo-place", Rollup: rollup,
-			// dur is opened after the topology below; the collector is
-			// evaluated per request, so the panel lights up once it is.
-			WAL: func() *durable.Status {
-				if dur == nil {
-					return nil
-				}
-				s := dur.Status()
-				return &s
-			},
-		})
-		fmt.Printf("dashboard: http://%s/\n", srv.Addr())
-	}
+	reg, finishObs := obs.StartCLI(obs.CLIConfig{MetricsPath: *metricsOut})
 
 	tree, err := topology.New(topology.Config{
 		Pods:           *pods,
@@ -125,6 +93,7 @@ func main() {
 	}
 
 	var placer placement.Algorithm
+	var dur *durable.Manager
 	switch *algo {
 	case "silo":
 		if *walDir != "" {

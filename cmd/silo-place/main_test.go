@@ -52,16 +52,19 @@ func TestCLI(t *testing.T) {
 		t.Errorf("stdout differs from %s (rerun with -update if intended):\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 
-	// The scope search runs on the caller's goroutine; there is no
-	// worker count to set.
-	t.Run("workers flag is gone", func(t *testing.T) {
-		out, err := exec.Command(bin, "-workers", "2").CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("-workers 2: error %v, want exit status 2\n%s", err, out)
-		}
-		if want := "flag provided but not defined: -workers"; !bytes.Contains(out, []byte(want)) {
-			t.Errorf("-workers 2: output lacks %q:\n%s", want, out)
-		}
-	})
+	// Retired flags exit 2 like any unknown flag: -workers (the scope
+	// search runs on the caller's goroutine) and the live debug
+	// endpoint's -http and -pprof.
+	for _, args := range [][]string{{"-workers", "2"}, {"-http", ":8080"}, {"-pprof"}} {
+		t.Run(strings.TrimPrefix(args[0], "-")+" flag is gone", func(t *testing.T) {
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%s: error %v, want exit status 2\n%s", args[0], err, out)
+			}
+			if want := "flag provided but not defined: " + args[0]; !bytes.Contains(out, []byte(want)) {
+				t.Errorf("%s: output lacks %q:\n%s", args[0], want, out)
+			}
+		})
+	}
 }

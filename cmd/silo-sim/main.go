@@ -7,8 +7,7 @@
 //
 //	silo-sim -scheme silo -duration 0.1
 //	silo-sim -scheme tcp  -duration 0.1
-//	silo-sim -scheme silo -http :8080 -slo-report     # live dashboard
-//	silo-sim -scheme tcp  -series run_series.json     # dashboard payload to file
+//	silo-sim -scheme tcp  -series run_series.json     # time-series payload to file
 //	silo-sim -scheme silo -fault "t=20ms switch tor0 down; t=30ms up" -slo-report
 //
 // SIGINT/SIGTERM stop the simulation cleanly: telemetry is flushed and
@@ -48,14 +47,12 @@ func main() {
 		vmsB         = flag.Int("vms-b", 9, "VMs of the bulk tenant")
 		seed         = flag.Uint64("seed", 3, "rng seed")
 		metricsOut   = flag.String("metrics", "", "export metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
-		httpAddr     = flag.String("http", "", "serve the live dashboard, /metrics and /debug/vars on this address during the run")
-		pprofOn      = flag.Bool("pprof", false, "additionally expose /debug/pprof on the -http address")
 		traceOut     = flag.String("trace", "", "record a flight trace and write it on exit (*.json = Chrome trace_event for Perfetto + silo-trace, *.csv = compact spans)")
 		traceSample  = flag.Int("trace-sample", 1, "flight-trace sampling divisor: record 1 in N packets (rounded up to a power of two)")
 		sloReport    = flag.Bool("slo-report", false, "print the per-tenant SLO conformance and burn-rate report after the run")
 		incidentsOut = flag.String("incidents", "", "correlate violations, SLO burns, envelope evidence and faults into root-caused incidents; print the report and write it as JSON to this file on exit (pair with -introspect for verdict evidence; inspect with silo-incident)")
 		introOut     = flag.String("introspect", "", "attach the introspection plane (per-VM envelope estimators, per-port guarantee margins) and write its snapshot as JSON to this file on exit (join with silo-trace -why)")
-		seriesOut    = flag.String("series", "", "write the dashboard time-series payload (metrics rollup + SLO state) as JSON to this file on exit")
+		seriesOut    = flag.String("series", "", "write the time-series payload (metrics rollup + SLO state) as JSON to this file on exit")
 		windowMs     = flag.Float64("window", 1, "SLO / time-series window in simulated milliseconds")
 		faultSched   = flag.String("fault", "", "fault schedule, e.g. \"t=20ms link 14 down; t=30ms up\" or \"t=20ms switch tor0 down\" (targets: link PORT, switch core|podN|torN, host ID; actions: down, up, gray DUR, flap NxDOWN/UP)")
 		faultDetect  = flag.Duration("fault-detect", 500*time.Microsecond, "control-loop detection delay between an injected fault and the placement Recover call (silo scheme only)")
@@ -100,18 +97,12 @@ func main() {
 		}
 	}
 
-	reg, srv, finishObs, err := obs.StartCLI(obs.CLIConfig{
+	reg, finishObs := obs.StartCLI(obs.CLIConfig{
 		MetricsPath: *metricsOut,
-		HTTPAddr:    *httpAddr,
-		Pprof:       *pprofOn,
 		// -slo-report, -series and -incidents consume the registry
 		// internally even when nothing is exported.
 		ForceRegistry: *sloReport || *seriesOut != "" || *incidentsOut != "",
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	// Provenance for every artifact this run writes: tool, build
 	// revision, and the knobs that determine the output byte for byte.
@@ -165,11 +156,11 @@ func main() {
 	}
 	if reg != nil {
 		// Continuous telemetry: every -window of simulated time (3 s of
-		// drain included) advance the SLO burn-rate engine and, when the
-		// dashboard or -series will read it, snapshot the registry into
-		// the time-series rollup.
+		// drain included) advance the SLO burn-rate engine and, when
+		// -series will read it, snapshot the registry into the
+		// time-series rollup.
 		sc.Planes.SLOWindowNs = windowNs
-		sc.Planes.Series = *seriesOut != "" || srv != nil
+		sc.Planes.Series = *seriesOut != ""
 	}
 
 	env := experiments.Env{Registry: reg, Meta: &meta}
@@ -193,27 +184,6 @@ func main() {
 		os.Exit(1)
 	}
 	nw := run.Net
-
-	dashOpts := dashboard.Options{
-		Title:     "silo-sim " + *schemeName,
-		Rollup:    run.Rollup,
-		Engine:    run.Engine,
-		Ports:     nw.PortMeta(),
-		Incidents: run.Correlator,
-		Meta:      &meta,
-		Runtime:   nw.Sim.RuntimeStats,
-		WAL: func() *durable.Status {
-			if dur == nil {
-				return nil
-			}
-			s := dur.Status()
-			return &s
-		},
-	}
-	if srv != nil {
-		dashboard.Attach(srv, dashOpts)
-		fmt.Printf("dashboard: http://%s/\n", srv.Addr())
-	}
 
 	// SIGINT/SIGTERM stop the event loop between events; everything
 	// below still runs, so partial-run telemetry and traces are flushed
@@ -308,9 +278,23 @@ func main() {
 		fmt.Printf("incident report written to %s (inspect with silo-incident)\n", *incidentsOut)
 	}
 	if *seriesOut != "" {
+		rs := nw.Sim.RuntimeStats()
+		opts := dashboard.Options{
+			Title:     "silo-sim " + *schemeName,
+			Rollup:    run.Rollup,
+			Engine:    run.Engine,
+			Ports:     nw.PortMeta(),
+			Incidents: run.Correlator,
+			Runtime:   &rs,
+			Meta:      &meta,
+		}
+		if dur != nil {
+			st := dur.Status()
+			opts.WAL = &st
+		}
 		f, err := os.Create(*seriesOut)
 		if err == nil {
-			err = dashboard.WriteJSON(f, dashOpts)
+			err = dashboard.WriteJSON(f, opts)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

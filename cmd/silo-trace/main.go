@@ -57,8 +57,6 @@ func main() {
 		marginsIn  = flag.String("margins", "", "introspection snapshot written by silo-sim -introspect (required by -why)")
 
 		metricsOut = flag.String("metrics", "", "export trace summary metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
-		httpAddr   = flag.String("http", "", "serve /metrics and /debug/vars on this address while the tool runs")
-		pprofOn    = flag.Bool("pprof", false, "additionally expose /debug/pprof on the -http address")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: silo-trace [flags] <trace.json|trace.csv>\n")
@@ -74,13 +72,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	reg, _, finishObs, err := obs.StartCLI(obs.CLIConfig{
-		MetricsPath: *metricsOut, HTTPAddr: *httpAddr, Pprof: *pprofOn,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	reg, finishObs := obs.StartCLI(obs.CLIConfig{MetricsPath: *metricsOut})
 
 	meta, ports, spans, err := obs.ReadTraceFileMeta(flag.Arg(0))
 	if err != nil {

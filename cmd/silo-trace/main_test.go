@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
@@ -72,4 +73,19 @@ func TestCLI(t *testing.T) {
 		t.Fatalf("no slowest message in:\n%s", top)
 	}
 	golden(t, "why", run(t, "silo-trace", "-top", "0", "-why", string(m[1]), "-margins", "introspect.json", "trace.json"))
+
+	// The live debug endpoint's flags are retired: they exit 2 like
+	// any unknown flag.
+	for _, args := range [][]string{{"-http", ":8080"}, {"-pprof"}} {
+		t.Run(strings.TrimPrefix(args[0], "-")+" flag is gone", func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(dir, "silo-trace"), args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%s: error %v, want exit status 2\n%s", args[0], err, out)
+			}
+			if want := "flag provided but not defined: " + args[0]; !bytes.Contains(out, []byte(want)) {
+				t.Errorf("%s: output lacks %q:\n%s", args[0], want, out)
+			}
+		})
+	}
 }

@@ -190,7 +190,7 @@ type Planes struct {
 	// into a time-series rollup on the window tick and re-runs incident
 	// correlation there, so the silo_incident_* gauges the rollup
 	// records track the run. Ask for it only when something reads the
-	// rollup (the dashboard, silo-sim -series): each window costs one
+	// rollup (silo-sim -series): each window costs one
 	// read of every registered metric.
 	Series bool
 	// Incidents collects violations into a log and correlates them into
@@ -523,7 +523,7 @@ func (r *Run) recovered(rep *placement.RecoveryReport) {
 // live port-window tracker naming the culprit port of each violating
 // window. With Planes.Series the same tick snapshots the registry into
 // the time-series rollup and brings the incident report up to date, so
-// the dashboard and the silo_incident_* families track the run live.
+// the rollup's silo_incident_* series track the run window by window.
 func (r *Run) startWindows() {
 	sc := r.Scenario
 	live := sc.Planes.Series && r.env.Registry != nil

@@ -36,13 +36,14 @@ func TestSeriesJSONMatchesEncoder(t *testing.T) {
 			}
 			run.Execute(context.Background())
 			run.Finish()
+			rs := run.Net.Sim.RuntimeStats()
 			opts := dashboard.Options{
 				Title:     "drill \"" + c.name + "\"",
 				Rollup:    run.Rollup,
 				Engine:    run.Engine,
 				Ports:     run.Net.PortMeta(),
 				Incidents: run.Correlator,
-				Runtime:   run.Net.Sim.RuntimeStats,
+				Runtime:   &rs,
 				Meta:      &meta,
 			}
 			var want bytes.Buffer

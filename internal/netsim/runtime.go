@@ -8,7 +8,7 @@ package netsim
 // cost of a compare or an increment per touch. All values are monotone
 // except PktInUse (the live arena population). RuntimeStats adds the hit
 // rates and RegisterMetrics exports the silo_runtime_* metric families;
-// the JSON names are the dashboard payload's.
+// the JSON names are series.json's.
 type SimCounters struct {
 	// Events is the number of events this Sim has executed.
 	Events int64 `json:"events"`
@@ -45,8 +45,8 @@ type EngineStats struct {
 	PktHitRate float64 `json:"pkt_hit_rate"`
 }
 
-// RuntimeStats is the engine self-telemetry report: the dashboard
-// payload's "runtime" object.
+// RuntimeStats is the engine self-telemetry report: series.json's
+// "runtime" object.
 type RuntimeStats struct {
 	Engine EngineStats `json:"engine"`
 }

@@ -23,13 +23,12 @@ import (
 //     B·t + S (each is a would-be violation the pacer averted).
 //
 // The auditor is driven from the simulation goroutine; ObserveDelay is
-// a map lookup and metric updates, with no allocation. Only the
-// per-tenant metrics are read concurrently (by a live /metrics scrape),
-// and they are atomic. The auditor works with or without a Registry:
-// metrics registration is skipped when reg is nil, while the audit
-// itself (violation counting, Summary) still runs — this is what lets
-// every silo-sim run double as an audit even with -metrics unset. A nil
-// *GuaranteeAuditor disables everything at one branch per call.
+// a map lookup and metric updates, with no allocation. The auditor
+// works with or without a Registry: metrics registration is skipped
+// when reg is nil, while the audit itself (violation counting, Summary)
+// still runs — this is what lets every silo-sim run double as an audit
+// even with -metrics unset. A nil *GuaranteeAuditor disables everything
+// at one branch per call.
 type GuaranteeAuditor struct {
 	reg     *Registry
 	tenants map[int]*TenantAudit
@@ -118,10 +117,9 @@ func (a *GuaranteeAuditor) Admit(id int, bandwidthBps, burstBytes, delayBoundSec
 // re-admitted degraded: packets delivered after the update are judged
 // against the loosened bound. Unknown tenants are ignored.
 //
-// The tenant's state is replaced, not updated in place: the SLO engine
-// keeps the *TenantAudit it picked up and reads its bound under its own
-// lock from the dashboard goroutine, so a TenantAudit never changes once
-// handed out.
+// The TenantAudit is edited in place, so every holder of it — the SLO
+// engine's tenant list included — sees the new bound from the next
+// packet or window on.
 func (a *GuaranteeAuditor) SetDelayBound(id int, delayBoundSec float64) {
 	if a == nil {
 		return
@@ -130,13 +128,10 @@ func (a *GuaranteeAuditor) SetDelayBound(id int, delayBoundSec float64) {
 	if !ok {
 		return
 	}
-	var boundNs int64
+	t.DelayBoundNs = 0
 	if delayBoundSec > 0 {
-		boundNs = int64(delayBoundSec * 1e9)
+		t.DelayBoundNs = int64(delayBoundSec * 1e9)
 	}
-	nt := *t // metric handles are pointers, shared with the old state
-	nt.DelayBoundNs = boundNs
-	a.tenants[id] = &nt
 }
 
 // Tenant returns the audit state for a tenant, if admitted.

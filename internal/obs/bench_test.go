@@ -71,15 +71,4 @@ func BenchmarkObsOverhead(b *testing.B) {
 			a.ObserveDelay(1, int64(i))
 		}
 	})
-	b.Run("EnabledHistogramParallel", func(b *testing.B) {
-		h := NewRegistry().Histogram("h_us", "")
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			var v int64
-			for pb.Next() {
-				v++
-				h.Observe(v)
-			}
-		})
-	})
 }

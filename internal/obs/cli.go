@@ -30,49 +30,30 @@ func ValidateOutputPath(flagName, path string) error {
 	return nil
 }
 
-// CLIConfig selects the telemetry destinations for one CLI run.
+// CLIConfig selects the telemetry destination for one CLI run.
 type CLIConfig struct {
 	// MetricsPath, when set, receives the registry at finish time
 	// ("-" writes Prometheus text to stdout, *.json expvar-style JSON,
 	// any other path Prometheus text).
 	MetricsPath string
-	// HTTPAddr, when set, serves /metrics and /debug/vars (plus
-	// whatever the caller attaches via DebugServer.Handle) during the
-	// run.
-	HTTPAddr string
-	// Pprof additionally exposes /debug/pprof on the HTTP endpoint.
-	Pprof bool
-	// ForceRegistry allocates a registry even when neither export
-	// destination is set — for features that consume live metrics
-	// internally (silo-sim's -series / -slo-report time-series rollup).
+	// ForceRegistry allocates a registry even when MetricsPath is
+	// unset — for features that consume metrics internally (silo-sim's
+	// -series / -slo-report time-series rollup).
 	ForceRegistry bool
 }
 
 // StartCLI implements the standard telemetry wiring shared by the silo
-// binaries' -metrics/-http/-pprof flags:
+// binaries' -metrics flag:
 //
 //   - nothing requested: telemetry disabled — returns a nil registry
-//     (every instrumentation site then costs one branch), a nil debug
-//     server and a no-op finish.
-//   - HTTPAddr set: a debug server runs until finish is called; it is
-//     returned so callers can attach the dashboard handlers.
+//     (every instrumentation site then costs one branch) and a no-op
+//     finish.
 //   - MetricsPath set: finish exports the registry there.
 //
 // Call finish exactly once, after the run completes.
-func StartCLI(cfg CLIConfig) (reg *Registry, srv *DebugServer, finish func() error, err error) {
-	if cfg.MetricsPath == "" && cfg.HTTPAddr == "" && !cfg.ForceRegistry {
-		return nil, nil, func() error { return nil }, nil
+func StartCLI(cfg CLIConfig) (reg *Registry, finish func() error) {
+	if cfg.MetricsPath != "" || cfg.ForceRegistry {
+		reg = NewRegistry()
 	}
-	reg = NewRegistry()
-	if cfg.HTTPAddr != "" {
-		srv, err = ServeDebug(cfg.HTTPAddr, reg, DebugOptions{Pprof: cfg.Pprof})
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("obs: debug server: %w", err)
-		}
-	}
-	finish = func() error {
-		_ = srv.Close()
-		return reg.WriteFile(cfg.MetricsPath)
-	}
-	return reg, srv, finish, nil
+	return reg, func() error { return reg.WriteFile(cfg.MetricsPath) }
 }

@@ -1,28 +1,19 @@
-// Package dashboard is the live view over the continuous-telemetry
-// stack: it attaches two handlers to the obs debug endpoint —
+// Package dashboard builds the time-series payload silo-sim -series
+// writes at the end of a run (series.json): every rollup series plus
+// the SLO engine's windows, reports and events, the correlator's
+// incidents, the engine's self-telemetry, the durable store's status
+// and the run's provenance.
 //
-//	/            a self-contained HTML dashboard (go:embed, zero
-//	             external assets) with per-tenant SLO conformance
-//	             sparklines, burn-rate alert state, and a per-port
-//	             queue high-water-mark heatmap
-//	/api/series  the same data as JSON: every rollup series plus the
-//	             SLO engine's windows, reports and events
-//
-// Both /api/series and silo-sim -series (the end-of-run file CI
-// archives) write the document through WriteJSON; BuildPayload is the
-// same document as a Go value, what encoding/json would encode.
+// WriteJSON writes the document; BuildPayload is the same document as
+// a Go value, what encoding/json would encode.
 package dashboard
 
 import (
-	_ "embed"
 	"encoding/json"
 	"io"
 	"math"
-	"net/http"
 	"reflect"
 	"strconv"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -32,36 +23,30 @@ import (
 	"repro/internal/placement/durable"
 )
 
-//go:embed dashboard.html
-var pageHTML []byte
-
-// Options wires the dashboard's data sources. Any of them may be nil:
-// the dashboard renders what it has.
+// Options wires the payload's data sources. Any of them may be nil:
+// the payload carries what it has.
 type Options struct {
-	// Title heads the page (e.g. "silo-sim fig5 run").
+	// Title heads the payload (e.g. "silo-sim fig5 run").
 	Title string
-	// Rollup supplies the time-series panel and the queue heatmap.
+	// Rollup supplies the series.
 	Rollup *timeseries.Rollup
-	// Engine supplies the SLO panel.
+	// Engine supplies the SLO block.
 	Engine *slo.Engine
 	// Ports resolves culprit-port names in rendered events.
 	Ports []obs.PortMeta
-	// Incidents supplies the root-caused incidents panel (the
-	// correlator's most recent Correlate result).
+	// Incidents supplies the incidents block (the correlator's most
+	// recent Correlate result).
 	Incidents *incident.Correlator
-	// Runtime supplies the Engine panel: a collector producing the
-	// simulator's self-telemetry report, evaluated per request
-	// (typically nw.Sim.RuntimeStats).
-	Runtime func() netsim.RuntimeStats
-	// WAL supplies the durability panel: a collector producing the
-	// durable store's status, evaluated per request (nil when the run
-	// has no -wal; returning nil renders the panel empty).
-	WAL func() *durable.Status
+	// Runtime is the simulator's self-telemetry report, taken after
+	// the run (typically nw.Sim.RuntimeStats()).
+	Runtime *netsim.RuntimeStats
+	// WAL is the durable store's status (nil when the run has no -wal).
+	WAL *durable.Status
 	// Meta stamps the payload with run provenance.
 	Meta *obs.RunMeta
 }
 
-// Payload is the /api/series document.
+// Payload is the series.json document.
 type Payload struct {
 	Title    string  `json:"title"`
 	NowNs    int64   `json:"now_ns"`
@@ -89,7 +74,7 @@ type Blocks struct {
 	Meta *obs.RunMeta `json:"meta,omitempty"`
 }
 
-// SLOView is the SLO engine's state rendered for the dashboard.
+// SLOView is the SLO engine's state as the payload carries it.
 type SLOView struct {
 	Objective     float64      `json:"objective"`
 	WindowNs      int64        `json:"window_ns"`
@@ -111,7 +96,7 @@ type EventView struct {
 	Text string `json:"text"`
 }
 
-// BuildPayload assembles the /api/series document from the wired
+// BuildPayload assembles the series.json document from the wired
 // sources.
 func BuildPayload(opts Options) Payload {
 	p := Payload{Title: opts.Title}
@@ -153,37 +138,11 @@ func buildBlocks(opts Options) Blocks {
 	if opts.Incidents != nil {
 		b.Incidents = opts.Incidents.LastReport()
 	}
-	if opts.Runtime != nil {
-		st := opts.Runtime()
-		b.Runtime = &st
-	}
-	if opts.WAL != nil {
-		b.WAL = opts.WAL()
-	}
-	b.Meta = opts.Meta
+	b.Runtime, b.WAL, b.Meta = opts.Runtime, opts.WAL, opts.Meta
 	return b
 }
 
-// Attach registers the dashboard on a debug server. A nil server is a
-// no-op (obs.DebugServer.Handle is nil-safe), so callers wire
-// unconditionally.
-func Attach(d *obs.DebugServer, opts Options) {
-	d.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(pageHTML)
-	}))
-	d.Handle("/api/series", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = WriteJSON(w, opts)
-	}))
-}
-
-// WriteJSON writes the payload to w (silo-sim -series end-of-run
-// export, and /api/series live), byte for byte
+// WriteJSON writes the payload to w (silo-sim -series), byte for byte
 // what encoding/json's Encoder writes for BuildPayload(opts) with
 // SetIndent("", " "), and the same error when a value has no JSON form.
 // The series, nearly all of the document, are streamed straight from a
@@ -328,36 +287,4 @@ func (c *chunkWriter) write(b []byte, min int) []byte {
 		_, c.err = c.w.Write(b)
 	}
 	return b[:0]
-}
-
-// DriveWallClock captures the rollup every period of real time — the
-// driver for binaries without a simulated clock (silo-place,
-// silo-bench), where "epoch" degrades gracefully to wall time. Returns
-// a stop function; safe to call on a nil rollup (no-op).
-func DriveWallClock(r *timeseries.Rollup, period time.Duration) (stop func()) {
-	if r == nil {
-		return func() {}
-	}
-	if period <= 0 {
-		period = time.Second
-	}
-	var stopped atomic.Bool
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(period)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-t.C:
-				r.Capture(now.UnixNano())
-			}
-		}
-	}()
-	return func() {
-		if stopped.CompareAndSwap(false, true) {
-			close(done)
-		}
-	}
 }

@@ -2,11 +2,8 @@ package dashboard
 
 import (
 	"encoding/json"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
@@ -55,50 +52,6 @@ func TestBuildPayload(t *testing.T) {
 	}
 }
 
-func TestAttachServesDashboardAndAPI(t *testing.T) {
-	opts := testSources(t)
-	srv, err := obs.ServeDebug("127.0.0.1:0", obs.NewRegistry(), obs.DebugOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	Attach(srv, opts)
-
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
-	}
-
-	code, body := get("/")
-	if code != 200 || !strings.Contains(body, "<!DOCTYPE html>") || !strings.Contains(body, "/api/series") {
-		t.Errorf("dashboard page: code=%d len=%d", code, len(body))
-	}
-	if code, _ := get("/no-such-page"); code != 404 {
-		t.Errorf("unknown path = %d, want 404", code)
-	}
-
-	code, body = get("/api/series")
-	if code != 200 {
-		t.Fatalf("/api/series = %d", code)
-	}
-	var p Payload
-	if err := json.Unmarshal([]byte(body), &p); err != nil {
-		t.Fatalf("api json: %v", err)
-	}
-	if p.SLO == nil || len(p.SLO.Tenants) != 1 || p.SLO.Tenants[0].ID != 3 {
-		t.Errorf("api payload slo = %+v", p.SLO)
-	}
-	// Existing endpoints survive the attach.
-	if code, _ := get("/metrics"); code != 200 {
-		t.Errorf("/metrics broken after Attach: %d", code)
-	}
-}
-
 func TestWriteJSON(t *testing.T) {
 	var b strings.Builder
 	if err := WriteJSON(&b, testSources(t)); err != nil {
@@ -113,27 +66,6 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-func TestDriveWallClock(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("c_total", "")
-	r := timeseries.NewRollup(reg, 16)
-	stop := DriveWallClock(r, 2*time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for r.Captures() < 2 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-	if r.Captures() < 2 {
-		t.Errorf("wall-clock driver captured %d times", r.Captures())
-	}
-	if stop := DriveWallClock(nil, time.Millisecond); stop == nil {
-		t.Error("nil rollup should return a no-op stop")
-	} else {
-		stop()
-	}
-}
-
 func TestBuildPayloadWALPanel(t *testing.T) {
 	opts := testSources(t)
 	st := &durable.Status{
@@ -141,7 +73,7 @@ func TestBuildPayloadWALPanel(t *testing.T) {
 		Seq: 42, WALSizeBytes: 6720,
 		Recovery: &durable.RecoveryInfo{SnapshotSeq: 30, ReplayedRecords: 12, TornTail: true, TruncatedBytes: 9},
 	}
-	opts.WAL = func() *durable.Status { return st }
+	opts.WAL = st
 	p := BuildPayload(opts)
 	if p.WAL == nil || p.WAL.Seq != 42 || p.WAL.Recovery.ReplayedRecords != 12 {
 		t.Fatalf("wal view = %+v", p.WAL)
@@ -155,9 +87,9 @@ func TestBuildPayloadWALPanel(t *testing.T) {
 			t.Fatalf("payload JSON missing %s:\n%s", want, b)
 		}
 	}
-	// A nil collector result keeps the panel absent.
-	opts.WAL = func() *durable.Status { return nil }
+	// A nil status keeps the block absent.
+	opts.WAL = nil
 	if p := BuildPayload(opts); p.WAL != nil {
-		t.Fatal("nil status should omit the panel")
+		t.Fatal("nil status should omit the block")
 	}
 }

@@ -164,17 +164,17 @@ func randomOptions(rng *rand.Rand, nonFinite bool) Options {
 		opts.Incidents = c
 	}
 	if rng.Intn(2) == 0 {
-		st := netsim.RuntimeStats{}
+		st := &netsim.RuntimeStats{}
 		st.Engine.Events = awkwardInt(rng)
 		st.Engine.EvHitRate = awkwardFloats[rng.Intn(len(awkwardFloats))]
-		opts.Runtime = func() netsim.RuntimeStats { return st }
+		opts.Runtime = st
 	}
 	if rng.Intn(3) == 0 {
 		st := &durable.Status{Dir: awkwardString(rng), Seq: uint64(rng.Int63())}
 		if rng.Intn(2) == 0 {
 			st = nil
 		}
-		opts.WAL = func() *durable.Status { return st }
+		opts.WAL = st
 	}
 	if rng.Intn(2) == 0 {
 		opts.Meta = &obs.RunMeta{Tool: awkwardString(rng), Version: awkwardString(rng), Seed: awkwardInt(rng),

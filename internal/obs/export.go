@@ -17,7 +17,6 @@ import (
 //   - expvar-compatible JSON (WriteExpvarJSON): one flat JSON object,
 //     scalar metrics as numbers keyed by "name{labels}", histograms as
 //     {"count":..,"sum":..,"min":..,"max":..,"buckets":{"le":count}}.
-//     The debug HTTP endpoint serves this at /debug/vars.
 
 // WritePrometheus writes the registry in Prometheus text exposition
 // format. A nil registry writes nothing.

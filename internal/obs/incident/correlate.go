@@ -3,7 +3,6 @@ package incident
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -41,9 +40,8 @@ func (c Config) withDefaults() Config {
 // simulator, so it can run mid-simulation from a telemetry tick or
 // offline over exported artifacts.
 //
-// Set*/Correlate run on one goroutine (the simulation's, or the offline
-// tool's). LastReport is an atomic read, safe from a concurrently
-// polling dashboard or metrics scrape.
+// Like every plane in package obs, it runs on one goroutine: the
+// simulation's, or the offline tool's.
 type Correlator struct {
 	cfg Config
 
@@ -55,7 +53,7 @@ type Correlator struct {
 	portMeta   []obs.PortMeta
 	meta       *obs.RunMeta
 
-	last atomic.Pointer[Report]
+	last *Report
 }
 
 // New returns a correlator with the given config.
@@ -111,10 +109,8 @@ func (c *Correlator) SetMeta(m *obs.RunMeta) {
 }
 
 // LastReport returns the most recently correlated report, nil before
-// the first Correlate. Safe for concurrent use.
-func (c *Correlator) LastReport() *Report {
-	return c.last.Load()
-}
+// the first Correlate.
+func (c *Correlator) LastReport() *Report { return c.last }
 
 // clusterItem is one unit of the merge sweep: a violation event or a
 // fault window, reduced to a time span.
@@ -188,7 +184,7 @@ func (c *Correlator) Correlate() *Report {
 			rep.BoundBreaches++
 		}
 	}
-	c.last.Store(rep)
+	c.last = rep
 	return rep
 }
 

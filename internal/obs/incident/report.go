@@ -221,9 +221,9 @@ func (r *Report) WriteCSV(w io.Writer) error {
 
 // RegisterMetrics exports the correlator's latest report through an
 // obs registry as the silo_incident_* families. Gauges read
-// LastReport at scrape time, so re-running Correlate refreshes the
-// export without re-registration; before the first Correlate every
-// gauge reads 0. A nil registry is a no-op.
+// LastReport at export or capture time, so re-running Correlate
+// refreshes the export without re-registration; before the first
+// Correlate every gauge reads 0. A nil registry is a no-op.
 func (c *Correlator) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return

@@ -6,8 +6,8 @@ import (
 	"unicode/utf8"
 )
 
-// The hand-written JSON writers (the Chrome trace here, the dashboard's
-// series.json) append values with these two helpers, which render bytes
+// The hand-written JSON writers (the Chrome trace here, the dashboard
+// package's series.json) append values with these two helpers, which render bytes
 // exactly as encoding/json does.
 
 // AppendJSONFloat formats a finite f as encoding/json does: shortest

@@ -6,7 +6,7 @@
 //
 //  1. Zero allocations per observation. All per-metric state is
 //     preallocated at registration time; Observe/Add/Set touch only
-//     atomics.
+//     plain fields.
 //  2. Pay-for-what-you-touch. Every metric type is nil-safe: a nil
 //     *Counter/*Gauge/*Histogram is a valid, fully disabled metric
 //     whose methods cost exactly one branch. A nil *Registry hands out
@@ -14,11 +14,11 @@
 //     wrapper interfaces — the disabled path is `if m == nil { return }`
 //     inlined at the call site. BenchmarkObsOverhead asserts both
 //     properties.
-//  3. Readable mid-run without locks. A live /metrics scrape or a
-//     wall-clock rollup capture reads metrics from another goroutine
-//     while they are written, so counters and gauges are single atomics
-//     and histograms atomic buckets, sharded across cache lines so
-//     concurrent observers do not serialize on one line.
+//  3. One goroutine. Every plane — metrics, auditor, rollup, SLO
+//     engine, correlator — is written and read on the goroutine that
+//     drives the run (the simulation's, or an offline tool's), and is
+//     read from a run's artifacts after it. Nothing here locks or uses
+//     atomics, and nothing here is safe for concurrent use.
 //
 // Histograms use power-of-two buckets: bucket i counts observations v
 // with 2^(i-1) <= v < 2^i (bucket 0 absorbs v <= 0). Delay and latency
@@ -32,14 +32,13 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter. The zero value
-// is ready to use; a nil Counter is a disabled metric (one branch per
+// Counter is a monotonically increasing counter. The zero value is
+// ready to use; a nil Counter is a disabled metric (one branch per
 // Add).
 type Counter struct {
-	v atomic.Int64
+	v int64
 }
 
 // Inc adds one.
@@ -47,7 +46,7 @@ func (c *Counter) Inc() {
 	if c == nil {
 		return
 	}
-	c.v.Add(1)
+	c.v++
 }
 
 // Add adds n (n must be >= 0 for the Prometheus counter contract; this
@@ -56,7 +55,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.v.Add(n)
+	c.v += n
 }
 
 // Value returns the current count (0 for a nil Counter).
@@ -64,12 +63,12 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
-// Gauge is an atomic instantaneous value. A nil Gauge is disabled.
+// Gauge is an instantaneous value. A nil Gauge is disabled.
 type Gauge struct {
-	v atomic.Int64
+	v int64
 }
 
 // Set stores v.
@@ -77,7 +76,7 @@ func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
 	}
-	g.v.Store(v)
+	g.v = v
 }
 
 // Add adjusts the gauge by delta.
@@ -85,20 +84,17 @@ func (g *Gauge) Add(delta int64) {
 	if g == nil {
 		return
 	}
-	g.v.Add(delta)
+	g.v += delta
 }
 
-// SetMax raises the gauge to v if v exceeds the current value
-// (a lock-free high-water mark).
+// SetMax raises the gauge to v if v exceeds the current value (a
+// high-water mark).
 func (g *Gauge) SetMax(v int64) {
 	if g == nil {
 		return
 	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
+	if v > g.v {
+		g.v = v
 	}
 }
 
@@ -107,57 +103,23 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return g.v
 }
 
 // histBuckets is the bucket count: bits.Len64 of an int64 is at most
 // 63, plus bucket 0 for non-positive observations.
 const histBuckets = 64
 
-// histShards spreads bucket increments across cache lines. Four are
-// plenty: the simulator and the (serial) placement search each observe
-// from one goroutine, so only a library caller observing from several
-// goroutines at once ever spreads across them.
-const histShards = 4
-
-// histShard is one shard's bucket array, padded to avoid false sharing
-// with its neighbors.
-type histShard struct {
-	counts [histBuckets]atomic.Int64
-	_      [64]byte
-}
-
-// Histogram is a lock-free power-of-two-bucket histogram. The zero
-// value is ready to use; a nil Histogram is a disabled metric.
+// Histogram is a power-of-two-bucket histogram. The zero value is
+// ready to use; a nil Histogram is a disabled metric.
 //
-// Observe performs no allocation and no locking: one bucket increment
-// (sharded), a sum add, and two bounded CAS loops for min/max.
+// Observe performs no allocation: one bucket increment, a sum add, and
+// two comparisons for the exact extremes.
 type Histogram struct {
-	shards [histShards]histShard
-	sum    atomic.Int64
-	count  atomic.Int64
-	// max and min hold order-mapped values (see ordMap): the mapping
-	// makes the zero value the identity of a CAS-max, so the zero
-	// Histogram needs no seeding step and racing first observations
-	// cannot clobber each other.
-	max atomic.Uint64
-	min atomic.Uint64 // complemented order-map, so CAS-max tracks the minimum
-}
-
-// ordMap maps int64 to uint64 preserving order (MinInt64 -> 0), so
-// "larger observation" and "larger mapped value" coincide.
-func ordMap(v int64) uint64 { return uint64(v) ^ (1 << 63) }
-
-func ordUnmap(u uint64) int64 { return int64(u ^ (1 << 63)) }
-
-// casMax raises a to v if v is larger.
-func casMax(a *atomic.Uint64, v uint64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	counts     [histBuckets]int64
+	sum, count int64
+	// min and max are the exact extremes, meaningful once count > 0.
+	min, max int64
 }
 
 // bucketIndex maps an observation to its bucket: 0 for v <= 0, else
@@ -187,17 +149,15 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	// Shard selection: spread by a cheap multiplicative hash of the
-	// value. Under contention any spread works; under a single
-	// goroutine (the discrete-event simulator) sharding is free.
-	s := (uint64(v) * 0x9e3779b97f4a7c15) >> 62
-	h.shards[s].counts[bucketIndex(v)].Add(1)
-	h.sum.Add(v)
-	casMax(&h.max, ordMap(v))
-	casMax(&h.min, ^ordMap(v))
-	// Count goes last so a reader that sees count > 0 also sees a
-	// fully recorded extreme.
-	h.count.Add(1)
+	h.counts[bucketIndex(v)]++
+	h.sum += v
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	h.count++
 }
 
 // Count returns the number of observations.
@@ -205,7 +165,7 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.count
 }
 
 // Sum returns the sum of all observations.
@@ -213,37 +173,31 @@ func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.Load()
+	return h.sum
 }
 
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() int64 {
-	if h == nil || h.count.Load() == 0 {
+	if h == nil {
 		return 0
 	}
-	return ordUnmap(h.max.Load())
+	return h.max
 }
 
 // Min returns the smallest observation (0 when empty).
 func (h *Histogram) Min() int64 {
-	if h == nil || h.count.Load() == 0 {
+	if h == nil {
 		return 0
 	}
-	return ordUnmap(^h.min.Load())
+	return h.min
 }
 
-// Buckets merges the shards into one non-cumulative bucket array.
+// Buckets returns a copy of the non-cumulative bucket array.
 func (h *Histogram) Buckets() [histBuckets]int64 {
-	var out [histBuckets]int64
 	if h == nil {
-		return out
+		return [histBuckets]int64{}
 	}
-	for s := range h.shards {
-		for i := range out {
-			out[i] += h.shards[s].counts[i].Load()
-		}
-	}
-	return out
+	return h.counts
 }
 
 // Quantile estimates the q-th quantile (q in [0,1]) from the buckets,

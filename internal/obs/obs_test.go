@@ -2,12 +2,9 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
 	"math"
-	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -131,36 +128,6 @@ func TestHistogramQuantile(t *testing.T) {
 	// one power of two.
 	if q := h.Quantile(0.5); q < 500 || q > 1023 {
 		t.Errorf("p50 = %d, want in [500, 1023]", q)
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := &Histogram{}
-	var wg sync.WaitGroup
-	const goroutines, per = 8, 10000
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(int64(g*per + i))
-			}
-		}()
-	}
-	wg.Wait()
-	if h.Count() != goroutines*per {
-		t.Errorf("count = %d, want %d", h.Count(), goroutines*per)
-	}
-	if h.Min() != 0 || h.Max() != goroutines*per-1 {
-		t.Errorf("min/max = %d/%d", h.Min(), h.Max())
-	}
-	var total int64
-	for _, c := range h.Buckets() {
-		total += c
-	}
-	if total != goroutines*per {
-		t.Errorf("bucket total = %d, want %d", total, goroutines*per)
 	}
 }
 
@@ -361,38 +328,6 @@ func TestWriteFileFormats(t *testing.T) {
 	var m map[string]interface{}
 	if err := json.Unmarshal([]byte(readFile(t, jsonPath)), &m); err != nil {
 		t.Fatalf("json file invalid: %v", err)
-	}
-}
-
-func TestServeDebug(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("hits_total", "").Add(11)
-	d, err := ServeDebug("127.0.0.1:0", r, DebugOptions{Pprof: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	get := func(path string) string {
-		resp, err := http.Get("http://" + d.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		return string(b)
-	}
-	if out := get("/metrics"); !strings.Contains(out, "hits_total 11") {
-		t.Errorf("/metrics: %s", out)
-	}
-	if out := get("/debug/vars"); !strings.Contains(out, `"hits_total": 11`) {
-		t.Errorf("/debug/vars: %s", out)
-	}
-	if out := get("/debug/pprof/cmdline"); out == "" {
-		t.Error("/debug/pprof/cmdline empty")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Kind classifies a registered metric.
@@ -68,11 +67,10 @@ func metricKey(name string, labels []string) string {
 // telemetry layer: every constructor returns a nil metric and every
 // exporter writes nothing, so call sites carry no conditional wiring.
 //
-// Registration (Counter/Gauge/Histogram/GaugeFunc) allocates and takes
-// a lock; observations on the returned metrics never do. Registering
-// the same (name, labels) twice returns the same metric.
+// Registration (Counter/Gauge/Histogram/GaugeFunc) allocates;
+// observations on the returned metrics never do. Registering the same
+// (name, labels) twice returns the same metric.
 type Registry struct {
-	mu      sync.Mutex
 	entries []*entry
 	byKey   map[string]*entry
 }
@@ -86,8 +84,6 @@ func NewRegistry() *Registry {
 // new one built by mk.
 func (r *Registry) lookup(name, help string, kind Kind, labels []string, mk func(*entry)) *entry {
 	k := metricKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if e, ok := r.byKey[k]; ok {
 		return e
 	}
@@ -116,9 +112,9 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 }
 
 // GaugeFunc registers a pull-time gauge: fn is evaluated at snapshot
-// and export time, never on a hot path. fn must be safe to call at
-// whatever point the program exports metrics (the CLIs export after
-// their run completes; the debug HTTP endpoint exports live).
+// and export time, never on a hot path. The CLIs export after their
+// run completes; the time-series rollup also evaluates fn at every
+// capture, on the goroutine that drives the run.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	if r == nil {
 		return
@@ -133,13 +129,6 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 		return nil
 	}
 	return r.lookup(name, help, KindHistogram, labels, func(e *entry) { e.h = &Histogram{} }).h
-}
-
-// snapshotEntries copies the entry list under the lock.
-func (r *Registry) snapshotEntries() []*entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*entry(nil), r.entries...)
 }
 
 // MetricRef is a stable, allocation-free handle on one registered
@@ -208,22 +197,13 @@ func (r *Registry) NumMetrics() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.entries)
 }
 
 // MetricAt returns the i-th registered metric in registration order,
-// or an invalid handle if i is out of range. Entry fields are immutable
-// after registration, so the handle may be read without further
-// locking.
+// or an invalid handle if i is out of range.
 func (r *Registry) MetricAt(i int) MetricRef {
-	if r == nil || i < 0 {
-		return MetricRef{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i >= len(r.entries) {
+	if r == nil || i < 0 || i >= len(r.entries) {
 		return MetricRef{}
 	}
 	return MetricRef{e: r.entries[i]}
@@ -261,9 +241,8 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	entries := r.snapshotEntries()
-	out := Snapshot{Entries: make([]SnapEntry, 0, len(entries))}
-	for _, e := range entries {
+	out := Snapshot{Entries: make([]SnapEntry, 0, len(r.entries))}
+	for _, e := range r.entries {
 		se := SnapEntry{Name: e.name, Labels: e.labels, Help: e.help, Kind: e.kind}
 		switch e.kind {
 		case KindCounter:

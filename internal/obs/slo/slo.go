@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -225,16 +224,13 @@ type tenantState struct {
 
 // Engine computes per-tenant windowed SLO conformance and multi-window
 // burn-rate alerts from a GuaranteeAuditor's cumulative counters.
-// Flush must be called with strictly increasing simulated timestamps;
-// all other methods are safe to call concurrently with Flush (the
-// dashboard reads while the simulation writes).
+// Flush must be called with strictly increasing simulated timestamps.
 type Engine struct {
 	cfg     Config
 	auditor *obs.GuaranteeAuditor
 	attr    Attributor
 	faults  FaultLookup
 
-	mu      sync.Mutex
 	tenants []*tenantState // delay-bounded tenants, sorted by ID
 	seenIDs int            // auditor.NumTenants() at last refresh
 	starts  []int64        // window-boundary rings
@@ -273,9 +269,7 @@ func (e *Engine) SetFaultLookup(fn FaultLookup) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	e.faults = fn
-	e.mu.Unlock()
 }
 
 // SetViolationSink forwards every window-violation's unified record
@@ -283,20 +277,17 @@ func (e *Engine) SetFaultLookup(fn FaultLookup) {
 // a ViolationLog shared with the guarantee auditor's delivery tap, so
 // the incident engine sees one stream. Alert transitions (burn
 // start/end) are not violations and are not forwarded. The sink runs
-// under the engine's lock during Flush; it must be cheap and must not
-// call back into the engine. nil clears it.
+// inside Flush; it must be cheap and must not call back into the
+// engine. nil clears it.
 func (e *Engine) SetViolationSink(fn func(obs.ViolationEvent)) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	e.sink = fn
-	e.mu.Unlock()
 }
 
 // refreshTenants picks up newly admitted tenants, preserving existing
-// windowed state. Called under e.mu; allocates only when the admitted
-// set actually grew.
+// windowed state. Allocates only when the admitted set actually grew.
 func (e *Engine) refreshTenants() {
 	n := e.auditor.NumTenants()
 	if n == e.seenIDs {
@@ -336,8 +327,8 @@ func (e *Engine) burn(violated, delivered int64) float64 {
 }
 
 // burnOver computes the burn rate over the most recent k windows
-// (including the slot currently being written at e.head). Called under
-// e.mu during Flush, after the current slot's deltas are stored.
+// (including the slot currently being written at e.head). Called
+// during Flush, after the current slot's deltas are stored.
 func (e *Engine) burnOver(ts *tenantState, k int) float64 {
 	avail := e.n + 1
 	if avail > e.cfg.Capacity {
@@ -358,7 +349,7 @@ func (e *Engine) burnOver(ts *tenantState, k int) float64 {
 	return e.burn(vio, del)
 }
 
-// addEvent appends under e.mu, enforcing the MaxEvents cap.
+// addEvent appends, enforcing the MaxEvents cap.
 func (e *Engine) addEvent(ev Event) {
 	if len(e.events) >= e.cfg.MaxEvents {
 		e.dropped++
@@ -387,8 +378,6 @@ func (e *Engine) Flush(nowNs int64) {
 	if e == nil || e.auditor == nil {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.refreshTenants()
 
 	slot := e.head
@@ -518,8 +507,6 @@ func (e *Engine) Flushes() int64 {
 	if e == nil {
 		return 0
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.flushes
 }
 
@@ -528,8 +515,6 @@ func (e *Engine) Events() []Event {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]Event, len(e.events))
 	copy(out, e.events)
 	return out
@@ -542,8 +527,6 @@ func (e *Engine) EventCount() int64 {
 	if e == nil {
 		return 0
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return int64(len(e.events)) + e.dropped
 }
 
@@ -552,8 +535,6 @@ func (e *Engine) EventsDropped() int64 {
 	if e == nil {
 		return 0
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.dropped
 }
 
@@ -580,8 +561,6 @@ func (e *Engine) Windows(id int) []WindowPoint {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, ts := range e.tenants {
 		if ts.t.ID != id {
 			continue
@@ -608,8 +587,6 @@ func (e *Engine) TenantIDs() []int {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]int, len(e.tenants))
 	for i, ts := range e.tenants {
 		out[i] = ts.t.ID
@@ -655,8 +632,6 @@ func (e *Engine) Reports() []TenantReport {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]TenantReport, 0, len(e.tenants))
 	for _, ts := range e.tenants {
 		r := TenantReport{

@@ -278,3 +278,37 @@ func BenchmarkFlush(b *testing.B) {
 		window()
 	}
 }
+
+// TestSetDelayBoundAfterFlush changes a tracked tenant's bound after the
+// engine's first flush, the way failure recovery degrades a tenant
+// mid-run: the engine's next window event and its report must carry
+// the bound the auditor judged the violating packet against.
+func TestSetDelayBoundAfterFlush(t *testing.T) {
+	a, e := newEngine(t)
+	var tapped []obs.ViolationEvent
+	a.SetViolationTap(func(ev obs.ViolationEvent) { tapped = append(tapped, ev) })
+
+	drive(a, 7, 10, 0)
+	e.Flush(ms)
+	a.SetDelayBound(7, 3e-3)               // loosened to 3ms
+	a.ObserveDelivery(7, 1, 2, 2*ms, 5*ms) // 5ms: over the new bound
+	e.Flush(2 * ms)
+
+	if len(tapped) != 1 || tapped[0].BoundNs != 3*ms {
+		t.Fatalf("auditor violations = %+v, want one against a 3ms bound", tapped)
+	}
+	var got []int64
+	for _, ev := range e.Events() {
+		if ev.Kind == EventWindowViolation {
+			got = append(got, ev.BoundNs)
+		}
+	}
+	if len(got) != 1 || got[0] != tapped[0].BoundNs {
+		t.Errorf("engine window-violation bounds = %v, want [%d]", got, tapped[0].BoundNs)
+	}
+	for _, r := range e.Reports() {
+		if r.ID == 7 && r.BoundNs != 3*ms {
+			t.Errorf("tenant 7 report bound = %d, want %d", r.BoundNs, 3*ms)
+		}
+	}
+}

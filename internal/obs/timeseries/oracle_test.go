@@ -2,7 +2,6 @@ package timeseries
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -15,7 +14,7 @@ import (
 // ringSeries is one metric statistic's ring. vals is capacity long; slots
 // not yet captured (a series registered mid-run) hold NaN. ref is the
 // metric resolved when the series was discovered, so a capture reads
-// it without going back through the registry's lock.
+// it without going back through the registry.
 type ringSeries struct {
 	ref  obs.MetricRef
 	key  string
@@ -27,7 +26,6 @@ type ringRollup struct {
 	reg      *obs.Registry
 	capacity int
 
-	mu     sync.Mutex
 	seen   int // registry entries already mapped to series
 	series []*ringSeries
 	times  []int64 // capture timestamps (ns), ring parallel to series slots
@@ -45,8 +43,6 @@ func newRingRollup(reg *obs.Registry, capacity int) *ringRollup {
 
 // Captures returns the number of captures taken so far.
 func (r *ringRollup) Captures() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.total
 }
 
@@ -66,8 +62,6 @@ func newRingSeries(m obs.MetricRef, key, stat string, capacity int) *ringSeries 
 // seen; a capture that discovers new registrations pays their ring
 // allocation once.
 func (r *ringRollup) Capture(nowNs int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := r.reg.NumMetrics()
 	for i := r.seen; i < n; i++ {
 		m := r.reg.MetricAt(i)
@@ -110,8 +104,6 @@ func (r *ringRollup) Capture(nowNs int64) {
 
 // Snapshot copies the retained windows out in chronological order.
 func (r *ringRollup) Snapshot() SeriesSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := SeriesSnapshot{
 		TimesNs: make([]int64, r.n),
 		Series:  make([]SeriesData, len(r.series)),

@@ -15,10 +15,9 @@
 //     the new columns for the windows they missed.
 //  2. Bounded memory. capacity rows, oldest overwritten — a soak run
 //     holds the most recent capacity windows, always.
-//  3. Reader/writer safety. Capture runs on the simulation goroutine;
-//     the dashboard's /api/series handler reads from an HTTP goroutine.
-//     One mutex serializes them; readers copy out (Frame, Snapshot), so
-//     render time never blocks the simulation for longer than the copy.
+//  3. One goroutine, as in package obs: Capture runs on the goroutine
+//     that drives the simulation, and the readers (Frame, Snapshot)
+//     run there too, usually once after the run.
 //
 // Scalar metrics (counters, gauges, gauge funcs) produce one series.
 // Histograms expand into three derived series — cumulative count, sum
@@ -29,7 +28,6 @@ package timeseries
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -60,7 +58,6 @@ type Rollup struct {
 	reg      *obs.Registry
 	capacity int
 
-	mu   sync.Mutex
 	seen int // registry entries already mapped to columns
 	cols []Column
 	// read[j] reads column j's metric, resolved at discovery.
@@ -88,16 +85,11 @@ func NewRollup(reg *obs.Registry, capacity int) *Rollup {
 func (r *Rollup) Capacity() int { return r.capacity }
 
 // Captures returns the number of captures taken so far.
-func (r *Rollup) Captures() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
+func (r *Rollup) Captures() int64 { return r.total }
 
 // discover maps registrations made since the last capture onto new
 // columns and widens every row to hold them, NaN-filled so windows
 // captured before a mid-run registration render as gaps, not zeros.
-// Called under r.mu.
 func (r *Rollup) discover() {
 	n := r.reg.NumMetrics()
 	if n == r.seen {
@@ -147,8 +139,6 @@ func (r *Rollup) discover() {
 // seen; a capture that discovers new registrations pays for widening
 // the rows once.
 func (r *Rollup) Capture(nowNs int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.discover()
 	r.times[r.head] = nowNs
 	w := len(r.read)
@@ -181,8 +171,6 @@ func (f *Frame) At(i, j int) float64 { return f.Rows[i*len(f.Columns)+j] }
 
 // Frame copies the retained windows out, oldest first.
 func (r *Rollup) Frame() Frame {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	w := len(r.cols)
 	f := Frame{
 		TimesNs: make([]int64, r.n),
@@ -211,8 +199,7 @@ type SeriesData struct {
 	Values []float64
 }
 
-// SeriesSnapshot is a chronological copy of the rollup, safe to render
-// while captures continue.
+// SeriesSnapshot is a chronological copy of the rollup.
 type SeriesSnapshot struct {
 	// TimesNs holds the capture timestamps, oldest first.
 	TimesNs []int64

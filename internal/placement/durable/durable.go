@@ -110,8 +110,8 @@ func (d *Manager) ExitSafeMode() { d.st.safeMode = false }
 // RecoveryInfo returns what Open did to produce this manager.
 func (d *Manager) RecoveryInfo() *RecoveryInfo { return d.info }
 
-// Status is a point-in-time view of the store for dashboards and the
-// /api/series payload.
+// Status is a point-in-time view of the store for the series.json
+// payload.
 type Status struct {
 	Dir          string `json:"dir"`
 	Segment      string `json:"segment"`

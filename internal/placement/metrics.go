@@ -121,10 +121,9 @@ func (mx *Metrics) noteRecover(elapsed time.Duration, r *RecoveryReport) {
 //	silo_place_min_headroom_port   directed-port ID of the overall
 //	                               minimum (the fabric's bottleneck)
 //
-// The gauge functions read manager state without synchronization;
-// exporting while another goroutine admits tenants yields advisory
-// (possibly torn) values. The bundled CLIs export after their
-// admission loops finish, where the values are exact.
+// The gauge functions read manager state without synchronization, so
+// export on the goroutine that admits tenants, as the bundled CLIs do
+// once their admission loops finish.
 //
 // A nil registry detaches instrumentation and returns nil.
 func (m *Manager) EnableMetrics(reg *obs.Registry) *Metrics {
