@@ -3,10 +3,12 @@ package placement
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/tenant"
 )
 
 // An accepted tenant's journal entry must list every crossed port with
@@ -209,5 +211,44 @@ func TestJournalDisabledByDefault(t *testing.T) {
 	}
 	if _, ok := m.Decision(1); ok {
 		t.Fatal("journal should be nil unless enabled")
+	}
+}
+
+// A best-effort tenant is journaled on both outcomes: an accept names
+// its servers and span and crosses no port, a rejection says only slots
+// were short, and the error names the class.
+func TestJournalBestEffortDecisions(t *testing.T) {
+	tree := wideTree(t, 2, 4, 10, 0)
+	m := NewManager(tree, Options{})
+	m.EnableJournal(0)
+	// 50 VMs fill one 40-slot rack and spill into the next.
+	pl, err := m.Place(tenant.Spec{ID: 1, Name: "be", VMs: 50, Class: tenant.ClassBestEffort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := m.Decision(1)
+	if !ok || !d.Accepted {
+		t.Fatalf("no accepted decision journaled: %+v ok=%v", d, ok)
+	}
+	if !slices.Equal(d.Servers, pl.DistinctServers()) {
+		t.Errorf("journaled servers %v, want %v", d.Servers, pl.DistinctServers())
+	}
+	if d.Span != "pod" || d.LimitingPort != -1 || len(d.Cuts) != 0 {
+		t.Errorf("accept: span %q, limiting port %d, %d cuts; want pod, -1, none", d.Span, d.LimitingPort, len(d.Cuts))
+	}
+
+	_, err = m.Place(tenant.Spec{ID: 2, Name: "huge", VMs: 10_000, Class: tenant.ClassBestEffort})
+	if !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), `best-effort tenant "huge"`) {
+		t.Fatalf("reject error = %v, want ErrRejected naming best-effort tenant \"huge\"", err)
+	}
+	d, ok = m.Decision(2)
+	if !ok || d.Accepted {
+		t.Fatalf("no rejected decision journaled: %+v ok=%v", d, ok)
+	}
+	if want := "best-effort: no slot-feasible packing for 10000 VMs"; d.Reason != want {
+		t.Errorf("reason %q, want %q", d.Reason, want)
+	}
+	if d.LimitingPort != -1 || len(d.Cuts) != 0 || len(d.Servers) != 0 {
+		t.Errorf("reject carries a port or placement: %+v", d)
 	}
 }

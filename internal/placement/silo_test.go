@@ -474,6 +474,22 @@ func TestAdmissionAllocs(t *testing.T) {
 	if bare > 4 {
 		t.Errorf("Place+Remove without a hook: %v allocations, want at most 4", bare)
 	}
+	// A rejection, guaranteed or best-effort, costs its error and
+	// nothing else. The error is fmt's, whose count the race detector
+	// blurs (raceEnabled).
+	for _, big := range []tenant.Spec{
+		guaranteedSpec(2, 10_000, 100*mbps),
+		{ID: 3, Name: "be", VMs: 10_000, Class: tenant.ClassBestEffort},
+	} {
+		reject := func() {
+			if _, err := m.Place(big); !errors.Is(err, ErrRejected) {
+				t.Fatalf("Place of %d %s VMs: %v, want a rejection", big.VMs, big.Class, err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, reject); n > 4 && !raceEnabled {
+			t.Errorf("rejected %s Place: %v allocations, want at most 4", big.Class, n)
+		}
+	}
 	m.SetCommitHook(func(*Mutation) error { return nil })
 	if n := testing.AllocsPerRun(100, placeRemove); n != bare+2 {
 		t.Errorf("Place+Remove with a hook: %v allocations, want %v (one Mutation copy each)", n, bare+2)
