@@ -45,7 +45,9 @@ test-race:
 # server after every operation. The flow simulator's edge rule
 # (workload.AppendEdges, Rand.PermInto) is held to the [][]int
 # Permutation-x builder and Rand.Perm it replaced, kept test-side:
-# same pairs, same draws.
+# same pairs, same draws. TestApplyReplayEquivalenceProperty replays the
+# mutations a churning manager logged through Apply into a fresh one,
+# which must come out equal port by port.
 test-admission:
 	$(GO) test -race -count=25 -run 'Equivalence|Churn|Monoton|Degenerate' ./internal/placement/ ./internal/netcal/ ./internal/workload/
 

@@ -224,10 +224,10 @@ func main() {
 		for _, ev := range run.Injector.Events() {
 			fmt.Printf("  %s\n", ev)
 		}
+		if run.RecoverErr != nil {
+			fmt.Fprintf(os.Stderr, "wal: recovery aborted, log unavailable: %v\n", run.RecoverErr)
+		}
 		for _, rep := range run.Recoveries {
-			if rep.LogErr != nil {
-				fmt.Fprintf(os.Stderr, "wal: recovery aborted, log unavailable: %v\n", rep.LogErr)
-			}
 			if len(rep.Affected) > 0 {
 				fmt.Print(rep.Render())
 			}

@@ -235,8 +235,8 @@ type TenantRun struct {
 // recoverer is the part of the Silo manager (bare or durable) the
 // fault control loop drives.
 type recoverer interface {
-	Recover(failedServers, failedPorts []int, opts placement.RecoverOptions) *placement.RecoveryReport
-	RestoreServers(servers ...int)
+	Recover(failedServers, failedPorts []int, opts placement.RecoverOptions) (*placement.RecoveryReport, error)
+	RestoreServers(servers ...int) error
 }
 
 // Run is a built scenario: the network with tenants deployed, planes
@@ -265,6 +265,10 @@ type Run struct {
 	Correlator *incident.Correlator
 	// Recoveries holds one report per down event, in event order.
 	Recoveries []*placement.RecoveryReport
+	// RecoverErr is the first error the fault loop's Recover or
+	// RestoreServers returned (ErrLogFailed: the manager's commit log
+	// failed and that step was aborted), nil if none did.
+	RecoverErr error
 
 	// Filled by Finish: the assembled flight trace with its violating
 	// spans, the introspection snapshot and the incident report.
@@ -467,13 +471,18 @@ func (r *Run) injectFaults() error {
 	if rc, ok := r.Ctl.Algorithm().(recoverer); ok {
 		r.Injector.OnEvent = func(ev faults.Event) {
 			r.Net.Sim.After(sc.DetectNs, func() {
+				var err error
 				if !ev.Kind.IsDown() {
-					rc.RestoreServers(ev.Servers...)
-					return
+					err = rc.RestoreServers(ev.Servers...)
+				} else {
+					var rep *placement.RecoveryReport
+					rep, err = rc.Recover(ev.Servers, ev.Ports, placement.RecoverOptions{})
+					r.Recoveries = append(r.Recoveries, rep)
+					r.recovered(rep)
 				}
-				rep := rc.Recover(ev.Servers, ev.Ports, placement.RecoverOptions{})
-				r.Recoveries = append(r.Recoveries, rep)
-				r.recovered(rep)
+				if r.RecoverErr == nil {
+					r.RecoverErr = err
+				}
 			})
 		}
 	}

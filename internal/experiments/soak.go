@@ -254,15 +254,16 @@ func RunSoak(p SoakParams, meta *obs.RunMeta) (*SoakResult, error) {
 			case r < 0.93:
 				s := rng.Intn(tree.Servers())
 				if !m.ServerFailed(s) {
-					rep := m.Recover([]int{s}, nil, placement.RecoverOptions{})
-					if rep.LogErr != nil {
-						violate("cycle %d: recover log error: %v", res.Crashes, rep.LogErr)
+					if _, err := m.Recover([]int{s}, nil, placement.RecoverOptions{}); err != nil {
+						violate("cycle %d: recover log error: %v", res.Crashes, err)
 					}
 					res.Recovers++
 				}
 			default:
 				if failed := m.FailedServerIDs(); len(failed) > 0 {
-					m.RestoreServers(failed...)
+					if err := m.RestoreServers(failed...); err != nil {
+						violate("cycle %d: restore log error: %v", res.Crashes, err)
+					}
 				}
 			}
 		}

@@ -14,10 +14,10 @@ import (
 var ErrLogFailed = errors.New("placement: commit log append failed")
 
 // MutationOp enumerates the control-plane mutations a Manager applies.
-// Every state change the manager makes decomposes into these primitive
-// ops — Recover, for instance, is a sequence of removes, a fail, and
+// Every state change the manager makes is one of these primitive ops —
+// Recover, for instance, is a sequence of removes, a fail, and
 // (possibly degraded) placements — so a log of Mutations replayed in
-// order through the Apply* primitives reproduces the manager exactly.
+// order through Apply reproduces the manager exactly.
 type MutationOp uint8
 
 // Mutation ops.
@@ -71,17 +71,9 @@ type Mutation struct {
 // SetCommitHook installs fn to be called with every mutation BEFORE it
 // is applied to manager state (write-ahead ordering). If fn returns an
 // error the mutation is not applied and the calling operation fails
-// with ErrLogFailed. A nil fn detaches the hook (the replay path runs
-// with it detached so recovery does not re-log its own records).
+// with ErrLogFailed. A nil fn detaches the hook. Apply never fires it,
+// so replaying logged records does not re-log them.
 func (m *Manager) SetCommitHook(fn func(*Mutation) error) { m.hook = fn }
-
-// CommitHookErr returns the first error a commit-hook call returned
-// from a void mutator (FailServers/RestoreServers, which cannot
-// propagate it), or nil. Sticky until ClearCommitHookErr.
-func (m *Manager) CommitHookErr() error { return m.hookErr }
-
-// ClearCommitHookErr resets the sticky void-mutator hook error.
-func (m *Manager) ClearCommitHookErr() { m.hookErr = nil }
 
 // logMutation runs the commit hook for mut, wrapping failures in
 // ErrLogFailed. Nil-hook managers pay one branch. The hook gets a heap
@@ -98,54 +90,111 @@ func (m *Manager) logMutation(mut *Mutation) error {
 	return nil
 }
 
-// ApplyPlacement commits a previously decided placement without
-// re-running the admission search: it is the replay counterpart of the
-// accept tail of Place. The contribution a placement makes at each
-// port is a pure function of (spec, servers, tree, options), and adds
-// to a given port happen in tenant commit order on both the live and
-// the replay path, so replaying a logged MutPlace stream reproduces
-// port state bit-for-bit. The commit hook is NOT fired — this is how
-// logged records re-enter the manager.
-func (m *Manager) ApplyPlacement(spec tenant.Spec, servers []int) (*tenant.Placement, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// commit is the live path of every mutation but admission's (settle,
+// which journals between the two steps): log it, then apply it.
+func (m *Manager) commit(mut *Mutation) error {
+	if err := m.logMutation(mut); err != nil {
+		return err
 	}
-	if _, dup := m.admitted[spec.ID]; dup {
-		return nil, fmt.Errorf("placement: tenant %d already admitted", spec.ID)
-	}
-	if len(servers) != spec.VMs {
-		return nil, fmt.Errorf("placement: tenant %d: %d servers for %d VMs", spec.ID, len(servers), spec.VMs)
-	}
-	for _, s := range servers {
-		if s < 0 || s >= m.tree.Servers() {
-			return nil, fmt.Errorf("placement: tenant %d: server %d out of range", spec.ID, s)
-		}
-	}
-	pl := &tenant.Placement{Spec: spec, Servers: append([]int(nil), servers...)}
-	var contribs []portContribution
-	if spec.Class != tenant.ClassBestEffort {
-		contribs = m.contributions(&spec, pl.Servers)
-		for _, pc := range contribs {
-			m.ports[pc.pid].add(pc.contribution)
-			m.portTouched(pc.pid)
-		}
-	}
-	for _, s := range pl.Servers {
-		m.takeSlot(s, &spec)
-	}
-	m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: contribs}
-	m.acceptedCount++
-	return pl, nil
+	m.apply(mut)
+	return nil
 }
 
-// NoteRejected replays a logged MutReject: it increments the rejection
-// counter without running admission.
-func (m *Manager) NoteRejected() { m.rejectedCount++ }
+// Apply applies a logged mutation without firing the commit hook: it
+// is how replay re-enters the manager. A MutPlace is checked as
+// admission would (valid spec, new ID, one in-range server per VM) but
+// not re-searched; its contribution at each port is a pure function of
+// (spec, servers, tree, options), and adds to a given port happen in
+// commit order on both the live and the replay path, so replaying a
+// logged stream reproduces port state bit for bit. The placement keeps
+// mut.Servers. A MutRemove of an unknown tenant returns
+// ErrUnknownTenant.
+func (m *Manager) Apply(mut *Mutation) error {
+	switch mut.Op {
+	case MutPlace:
+		spec := &mut.Spec
+		if err := spec.Validate(); err != nil {
+			return err
+		}
+		if _, dup := m.admitted[spec.ID]; dup {
+			return fmt.Errorf("placement: tenant %d already admitted", spec.ID)
+		}
+		if len(mut.Servers) != spec.VMs {
+			return fmt.Errorf("placement: tenant %d: %d servers for %d VMs", spec.ID, len(mut.Servers), spec.VMs)
+		}
+		for _, s := range mut.Servers {
+			if s < 0 || s >= m.tree.Servers() {
+				return fmt.Errorf("placement: tenant %d: server %d out of range", spec.ID, s)
+			}
+		}
+	case MutRemove:
+		if _, ok := m.admitted[mut.TenantID]; !ok {
+			return fmt.Errorf("%w: id %d", ErrUnknownTenant, mut.TenantID)
+		}
+	case MutReject, MutFail, MutRestore:
+	default:
+		return fmt.Errorf("placement: unknown mutation op %d", uint8(mut.Op))
+	}
+	m.apply(mut)
+	return nil
+}
+
+// apply makes the state change mut describes, unchecked: the live
+// callers have decided it is valid, Apply has checked it. It returns
+// the new placement of a MutPlace.
+func (m *Manager) apply(mut *Mutation) *tenant.Placement {
+	switch mut.Op {
+	case MutPlace:
+		pl := &tenant.Placement{Spec: mut.Spec, Servers: mut.Servers}
+		spec := &pl.Spec
+		var contribs []portContribution
+		if spec.Class != tenant.ClassBestEffort {
+			contribs = m.contributions(spec, pl.Servers)
+			for _, pc := range contribs {
+				m.ports[pc.pid].add(pc.contribution)
+				m.portTouched(pc.pid)
+			}
+		}
+		for _, s := range pl.Servers {
+			m.takeSlot(s, spec)
+		}
+		m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: contribs}
+		m.acceptedCount++
+		return pl
+	case MutReject:
+		m.rejectedCount++
+	case MutRemove:
+		at := m.admitted[mut.TenantID]
+		for _, pc := range at.contribs {
+			m.ports[pc.pid].remove(pc.contribution)
+			m.portTouched(pc.pid)
+		}
+		for _, s := range at.placement.Servers {
+			m.freeSlot(s, &at.placement.Spec)
+		}
+		delete(m.admitted, mut.TenantID)
+	case MutFail:
+		for _, s := range mut.Servers {
+			if s >= 0 && s < m.tree.Servers() {
+				m.ix.disable(s)
+			}
+		}
+	case MutRestore:
+		for _, s := range mut.Servers {
+			if s >= 0 && s < m.tree.Servers() {
+				m.ix.enable(s)
+				// Slots freed while the server was down came back just now.
+				m.snapResources(s)
+			}
+		}
+	}
+	return nil
+}
 
 // SetAdmissionCounters overrides the cumulative accept/reject counters.
-// Snapshot restore uses it: rebuilding the admitted set via
-// ApplyPlacement counts only the survivors, while the snapshot carries
-// the true cumulative history.
+// Snapshot restore uses it: rebuilding the admitted set through Apply
+// counts only the survivors, while the snapshot carries the true
+// cumulative history.
 func (m *Manager) SetAdmissionCounters(accepted, rejected int) {
 	m.acceptedCount = accepted
 	m.rejectedCount = rejected

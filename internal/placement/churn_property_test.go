@@ -130,7 +130,11 @@ func TestFailRecoverChurnProperty(t *testing.T) {
 					failed = append(failed, s)
 				}
 			}
-			rep := m.Recover(failed, nil, RecoverOptions{})
+			rep, err := m.Recover(failed, nil, RecoverOptions{})
+			if err != nil {
+				t.Logf("recover %v: %v", failed, err)
+				return false
+			}
 			if rep.Relocated+rep.Degraded+rep.Evicted != len(rep.Affected) {
 				t.Logf("verdicts don't cover affected: %+v", rep)
 				return false

@@ -63,7 +63,11 @@ func digestGoldenStream(t *testing.T) string {
 			continue
 		case x < 0.446:
 			down := []int{rng.Intn(servers), rng.Intn(servers)}
-			fmt.Fprint(h, m.Recover(down, nil, RecoverOptions{}).Render())
+			rep, err := m.Recover(down, nil, RecoverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprint(h, rep.Render())
 			failed = append(failed, down...)
 			live = m.AdmittedIDs()
 			recovered++

@@ -43,24 +43,26 @@ func (d *Manager) Remove(id int) error {
 // server failure and (possibly degraded) re-placement it performs is
 // logged as its own record, so a crash mid-recovery replays to the
 // exact prefix that was applied.
-func (d *Manager) Recover(failedServers, failedPorts []int, opts placement.RecoverOptions) *placement.RecoveryReport {
-	r := d.Manager.Recover(failedServers, failedPorts, opts)
+func (d *Manager) Recover(failedServers, failedPorts []int, opts placement.RecoverOptions) (*placement.RecoveryReport, error) {
+	r, err := d.Manager.Recover(failedServers, failedPorts, opts)
 	d.maybeSnapshot()
-	return r
+	return r, err
 }
 
 // FailServers marks servers failed (logged write-ahead). If the log
-// append fails the mutation is skipped; CommitHookErr reports it.
-func (d *Manager) FailServers(servers ...int) {
-	d.Manager.FailServers(servers...)
+// append fails the mutation is skipped and ErrLogFailed returned.
+func (d *Manager) FailServers(servers ...int) error {
+	err := d.Manager.FailServers(servers...)
 	d.maybeSnapshot()
+	return err
 }
 
 // RestoreServers returns servers to the placeable pool (logged
 // write-ahead).
-func (d *Manager) RestoreServers(servers ...int) {
-	d.Manager.RestoreServers(servers...)
+func (d *Manager) RestoreServers(servers ...int) error {
+	err := d.Manager.RestoreServers(servers...)
 	d.maybeSnapshot()
+	return err
 }
 
 func (d *Manager) maybeSnapshot() {
@@ -123,9 +125,7 @@ type Status struct {
 	Recovery *RecoveryInfo `json:"recovery,omitempty"`
 }
 
-// Status snapshots the store state. Like the pull-time gauges it reads
-// the live counters without a lock: values may be one mutation stale,
-// never torn in a way that matters for display.
+// Status snapshots the store state.
 func (d *Manager) Status() Status {
 	return Status{
 		Dir:          d.st.dir,

@@ -65,8 +65,8 @@ func churnSpec(rng *stats.Rand, id int) tenant.Spec {
 type ctlPlane interface {
 	Place(tenant.Spec) (*tenant.Placement, error)
 	Remove(int) error
-	Recover([]int, []int, placement.RecoverOptions) *placement.RecoveryReport
-	RestoreServers(...int)
+	Recover([]int, []int, placement.RecoverOptions) (*placement.RecoveryReport, error)
+	RestoreServers(...int) error
 	AdmittedIDs() []int
 	ServerFailed(int) bool
 	Accepted() int
@@ -456,18 +456,52 @@ func TestVoidMutatorLogFailureIsSurfaced(t *testing.T) {
 	defer d.Close()
 	d.st.w.sleep = func(time.Duration) {}
 	d.InjectAppendFailures(100)
-	d.FailServers(3)
+	err := d.FailServers(3)
 	d.st.w.failAppends = 0
-	if d.CommitHookErr() == nil {
-		t.Fatal("FailServers log failure not surfaced via CommitHookErr")
+	if !errors.Is(err, placement.ErrLogFailed) {
+		t.Fatalf("FailServers with a failing log returned %v, want ErrLogFailed", err)
 	}
 	if d.ServerFailed(3) {
 		t.Fatal("FailServers applied despite log failure")
 	}
-	d.ClearCommitHookErr()
-	d.FailServers(3)
-	if d.CommitHookErr() != nil || !d.ServerFailed(3) {
-		t.Fatal("FailServers did not recover after log healed")
+	if err := d.FailServers(3); err != nil || !d.ServerFailed(3) {
+		t.Fatalf("FailServers did not recover after log healed: %v", err)
+	}
+}
+
+// TestRecoverAfterFailedRestore: a log failure is returned by the call
+// it aborted and by no later one. A RestoreServers whose append failed
+// must leave a later Recover, with the log healed, to relocate the
+// tenant; were the failure kept and read after Recover had logged its
+// removes, the tenant would be detached and never re-admitted.
+func TestRecoverAfterFailedRestore(t *testing.T) {
+	d, _ := openTest(t, t.TempDir(), smallTree())
+	defer d.Close()
+	d.st.w.sleep = func(time.Duration) {}
+	spec := tenant.Spec{ID: 1, Name: "a", VMs: 2, FaultDomains: 2, Guarantee: tenant.Guarantee{
+		BandwidthBps: 100 * mbps, BurstBytes: 3e3, BurstRateBps: gbps}}
+	pl, err := d.Place(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.InjectAppendFailures(100)
+	err = d.RestoreServers(7)
+	d.st.w.failAppends = 0
+	if !errors.Is(err, placement.ErrLogFailed) {
+		t.Fatalf("RestoreServers with a failing log returned %v, want ErrLogFailed", err)
+	}
+	rep, err := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{})
+	if err != nil {
+		t.Fatalf("Recover with a healed log: %v (admitted %v)", err, d.AdmittedIDs())
+	}
+	if len(rep.Affected) != 1 || rep.Affected[0].Verdict != placement.VerdictRelocated {
+		t.Fatalf("report = %+v", rep)
+	}
+	if ids := d.AdmittedIDs(); len(ids) != 1 || ids[0] != spec.ID {
+		t.Fatalf("admitted %v after recovery, want [%d]", ids, spec.ID)
+	}
+	if err := d.VerifyInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

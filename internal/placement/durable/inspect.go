@@ -218,7 +218,7 @@ func Inspect(dir string) (*InspectReport, error) {
 			if rec.Seq != lastSeq+1 {
 				gap = true
 			}
-			if err := applyRecord(m, &rec.Mut, gap); err != nil {
+			if err := m.Apply(&rec.Mut); err != nil && !gap {
 				return nil, err
 			}
 			lastSeq = rec.Seq

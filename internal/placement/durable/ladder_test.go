@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -73,9 +74,9 @@ func ladderScenario(t *testing.T, dir string) (*Manager, tenant.Spec, *tenant.Pl
 func TestRecoverLadderDegradesOneRung(t *testing.T) {
 	d, x, pl := ladderScenario(t, t.TempDir())
 	defer d.Close()
-	report := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{})
-	if report.LogErr != nil {
-		t.Fatalf("recover log error: %v", report.LogErr)
+	report, err := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{})
+	if err != nil {
+		t.Fatalf("recover log error: %v", err)
 	}
 	// Fillers co-located on the failed server may relocate or evict;
 	// the property under test is that X degrades exactly one rung.
@@ -114,9 +115,8 @@ func TestLadderCrashBetweenAppendAndApply(t *testing.T) {
 			crashDir = copyStoreDir(t, dir)
 		}
 	})
-	report := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{})
-	if report.LogErr != nil {
-		t.Fatalf("recover log error: %v", report.LogErr)
+	if _, err := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{}); err != nil {
+		t.Fatalf("recover log error: %v", err)
 	}
 	if crashDir == "" {
 		t.Fatal("observer never saw X's rung re-placement record")
@@ -162,7 +162,7 @@ func TestLadderCrashBetweenAppendAndApply(t *testing.T) {
 
 // TestLadderAbortsOnLogFailure: if the WAL dies between the ladder's
 // rejected full-guarantee attempt and the rung append, Recover must
-// abort with LogErr — leaving X out (its detach was logged) rather
+// abort with ErrLogFailed — leaving X out (its detach was logged) rather
 // than applying an unlogged degrade that a later replay would lose.
 func TestLadderAbortsOnLogFailure(t *testing.T) {
 	dir := t.TempDir()
@@ -177,10 +177,10 @@ func TestLadderAbortsOnLogFailure(t *testing.T) {
 			d.InjectAppendFailures(100)
 		}
 	})
-	report := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{})
+	_, err := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{})
 	d.st.w.failAppends = 0
-	if report.LogErr == nil {
-		t.Fatal("recover with dead log must surface LogErr")
+	if !errors.Is(err, placement.ErrLogFailed) {
+		t.Fatalf("recover with dead log returned %v, want ErrLogFailed", err)
 	}
 	if _, ok := d.Placement(x.ID); ok {
 		t.Fatal("X applied despite its rung record never landing in the log")

@@ -3,8 +3,8 @@
 // primitives Recover's ladder also decomposes into) is appended to a
 // write-ahead log before it is applied, and the full admitted set is
 // periodically snapshotted. Recovery loads the latest valid snapshot,
-// replays the WAL tail through the manager's Apply* primitives (which
-// reproduce port state bit-for-bit), re-derives every cached index and
+// replays the WAL tail through the manager's Apply (which reproduces
+// port state bit-for-bit), re-derives every cached index and
 // re-proves VerifyInvariants. Torn or corrupt log tails are truncated
 // to the last valid record; a log whose first record no longer meets
 // the snapshot (a gap) recovers what it can and enters safe mode,

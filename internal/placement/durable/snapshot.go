@@ -87,12 +87,12 @@ func captureState(m *placement.Manager, seq uint64) *snapState {
 // set holds on s.
 func restoreState(m *placement.Manager, st *snapState) error {
 	for _, t := range st.Tenants {
-		if _, err := m.ApplyPlacement(t.Spec, t.Servers); err != nil {
+		if err := m.Apply(&placement.Mutation{Op: placement.MutPlace, Spec: t.Spec, Servers: t.Servers}); err != nil {
 			return fmt.Errorf("durable: snapshot tenant %d: %w", t.Spec.ID, err)
 		}
 	}
-	if len(st.Failed) > 0 {
-		m.FailServers(st.Failed...)
+	if err := m.Apply(&placement.Mutation{Op: placement.MutFail, Servers: st.Failed}); err != nil {
+		return err
 	}
 	m.SetAdmissionCounters(st.Accepted, st.Rejected)
 	return nil

@@ -209,7 +209,10 @@ func Open(dir string, tree *topology.Tree, opts Options) (*Manager, *RecoveryInf
 			if rec.Seq != lastSeq+1 {
 				gap = true
 			}
-			if err := applyRecord(m, &rec.Mut, gap); err != nil {
+			// Past a gap (safe mode) a record that no longer makes
+			// sense — removing an unknown tenant, re-placing a
+			// duplicate — is skipped instead of failing recovery.
+			if err := m.Apply(&rec.Mut); err != nil && !gap {
 				return nil, nil, err
 			}
 			lastSeq = rec.Seq
@@ -263,32 +266,6 @@ func (st *store) commit(mut *placement.Mutation) error {
 		st.afterAppend(Record{Seq: next, Mut: *mut})
 	}
 	return nil
-}
-
-// applyRecord replays one logged mutation through the manager's
-// primitives. With lenient set (safe-mode recovery over a gapped log)
-// mutations that no longer make sense — removing an unknown tenant,
-// re-placing a duplicate — are skipped instead of failing recovery.
-func applyRecord(m *placement.Manager, mut *placement.Mutation, lenient bool) error {
-	var err error
-	switch mut.Op {
-	case placement.MutPlace:
-		_, err = m.ApplyPlacement(mut.Spec, mut.Servers)
-	case placement.MutReject:
-		m.NoteRejected()
-	case placement.MutRemove:
-		err = m.Remove(mut.TenantID)
-	case placement.MutFail:
-		m.FailServers(mut.Servers...)
-	case placement.MutRestore:
-		m.RestoreServers(mut.Servers...)
-	default:
-		err = fmt.Errorf("durable: unknown mutation op %d", uint8(mut.Op))
-	}
-	if err != nil && lenient {
-		err = nil
-	}
-	return err
 }
 
 // snapshot persists the manager's current state, rotates the WAL and

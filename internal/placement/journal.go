@@ -163,7 +163,8 @@ func portKind(tree *topology.Tree, pid int) string {
 // before the tenant's contributions are added to the port state, so
 // BoundBeforeSec reflects the pre-admission aggregate. The bounds go
 // through portBoundWith, as the admission search's did, so the journal
-// replays the decision's exact arithmetic.
+// replays the decision's exact arithmetic. A best-effort tenant crosses
+// no port in the admission model, so its entry has no cuts.
 func (m *Manager) recordAccept(spec *tenant.Spec, servers []int) *Decision {
 	lay := newLayout(m.tree, servers)
 	d := &Decision{
@@ -174,6 +175,9 @@ func (m *Manager) recordAccept(spec *tenant.Spec, servers []int) *Decision {
 		Servers:      append([]int(nil), lay.servers...),
 		Span:         spanName(lay.span()),
 		LimitingPort: -1,
+	}
+	if spec.Class == tenant.ClassBestEffort {
+		return d
 	}
 	m.forEachContribution(spec, &lay, func(pid, cut int, c contribution) bool {
 		d.Cuts = append(d.Cuts, PortCut{
@@ -203,8 +207,9 @@ func (m *Manager) recordAccept(spec *tenant.Spec, servers []int) *Decision {
 	return d
 }
 
-// explainReject names the constraint that bound a request the search
-// just turned away. It walks the decision structure findPlacement did —
+// explainReject names the constraint that bound a request admission
+// just turned away. A best-effort request only needs slots. For any
+// other it walks the decision structure findPlacement did —
 // constraint-2 scope gating, then the greedy pack at the widest
 // admissible scope — through the search's own packWithCaps and
 // layoutValid, which this time note the first check that fails. The
@@ -216,6 +221,10 @@ func (m *Manager) explainReject(spec *tenant.Spec) *Decision {
 		Name:         spec.Name,
 		VMs:          spec.VMs,
 		LimitingPort: -1,
+	}
+	if spec.Class == tenant.ClassBestEffort {
+		d.Reason = fmt.Sprintf("best-effort: no slot-feasible packing for %d VMs", spec.VMs)
+		return d
 	}
 	budget := spec.Guarantee.DelayBound
 	if budget <= 0 {

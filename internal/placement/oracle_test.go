@@ -1,10 +1,8 @@
 package placement
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/netcal"
 	"repro/internal/tenant"
@@ -18,9 +16,9 @@ import (
 // one after another (no memo, no up-cap memo, no headroom index, no
 // collapse of untouched scopes), and explains a rejection by replaying
 // the pack server by server. It reads the embedded Manager's state and
-// changes it only through ApplyPlacement, NoteRejected, Remove and
-// FailServers, so a refManager and a Manager fed the same requests
-// can be compared decision by decision and port by port.
+// changes it only through Apply and the Manager's own mutators, so a
+// refManager and a Manager fed the same requests can be compared
+// decision by decision and port by port.
 type refManager struct {
 	*Manager
 	// decisions journals the rejections the reference search made; nil
@@ -71,8 +69,8 @@ func (r *refManager) portBoundWith(pid int, c contribution) float64 {
 }
 
 // Place decides with the reference search and commits through the
-// Manager's replay primitives. Requests that never reach the network
-// search (invalid, duplicate, best-effort) are the Manager's to answer.
+// Manager's Apply. Requests that never reach the network search
+// (invalid, duplicate, best-effort) are the Manager's to answer.
 func (r *refManager) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	_, dup := r.admitted[spec.ID]
 	if spec.Validate() != nil || dup || spec.Class == tenant.ClassBestEffort {
@@ -81,89 +79,25 @@ func (r *refManager) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	var st searchStats
 	servers := r.findPlacement(&spec, &st)
 	if servers == nil {
-		r.NoteRejected()
+		if err := r.Apply(&Mutation{Op: MutReject, TenantID: spec.ID}); err != nil {
+			return nil, err
+		}
 		if r.decisions != nil {
 			r.decisions[spec.ID] = r.explainReject(&spec).withSearch(&st)
 		}
 		return nil, fmt.Errorf("%w: tenant %q (%d VMs)", ErrRejected, spec.Name, spec.VMs)
 	}
-	return r.ApplyPlacement(spec, servers)
+	if err := r.Apply(&Mutation{Op: MutPlace, Spec: spec, Servers: servers}); err != nil {
+		return nil, err
+	}
+	pl, _ := r.Placement(spec.ID)
+	return pl, nil
 }
 
 // Recover is Manager.Recover with every re-admission decided by the
-// reference search: evacuate the affected tenants, fail the servers,
-// re-place in ID order down the degradation ladder.
-func (r *refManager) Recover(failedServers, failedPorts []int, opts RecoverOptions) *RecoveryReport {
-	failed := make(map[int]bool, len(failedServers))
-	for _, s := range failedServers {
-		failed[s] = true
-	}
-	var ids []int
-	for id, at := range r.admitted {
-		affected := false
-		for _, s := range at.placement.Servers {
-			affected = affected || failed[s]
-		}
-		for _, pid := range failedPorts {
-			for _, pc := range at.contribs {
-				affected = affected || pc.pid == pid
-			}
-		}
-		if affected {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	ladder := opts.Ladder
-	if ladder == nil {
-		ladder = DefaultDegradeLadder()
-	}
-	report := &RecoveryReport{
-		FailedServers: append([]int(nil), failedServers...),
-		FailedPorts:   append([]int(nil), failedPorts...),
-	}
-	sort.Ints(report.FailedServers)
-	sort.Ints(report.FailedPorts)
-	old := make([]*tenant.Placement, len(ids))
-	for i, id := range ids {
-		old[i] = r.admitted[id].placement
-		if err := r.Remove(id); err != nil {
-			panic(err)
-		}
-	}
-	r.FailServers(failedServers...)
-	for i, id := range ids {
-		spec := old[i].Spec
-		tr := TenantRecovery{ID: id, Name: spec.Name, OldServers: old[i].Servers, OldGuarantee: spec.Guarantee}
-		if pl, err := r.Place(spec); err == nil {
-			tr.Verdict, tr.NewServers, tr.NewGuarantee = VerdictRelocated, pl.Servers, spec.Guarantee
-			report.Relocated++
-		} else {
-			tr.Verdict = VerdictEvicted
-			tried := spec.Guarantee
-			for _, step := range ladder {
-				dspec := degradeSpec(spec, step)
-				if dspec.Guarantee == tried {
-					continue
-				}
-				tried = dspec.Guarantee
-				if pl, err := r.Place(dspec); err == nil {
-					tr.Verdict, tr.NewServers, tr.NewGuarantee = VerdictDegraded, pl.Servers, dspec.Guarantee
-					tr.Degradation = step.Note
-					break
-				} else if !errors.Is(err, ErrRejected) {
-					panic(err)
-				}
-			}
-			if tr.Verdict == VerdictDegraded {
-				report.Degraded++
-			} else {
-				report.Evicted++
-			}
-		}
-		report.Affected = append(report.Affected, tr)
-	}
-	return report
+// reference search.
+func (r *refManager) Recover(failedServers, failedPorts []int, opts RecoverOptions) (*RecoveryReport, error) {
+	return r.recoverWith(r.Place, failedServers, failedPorts, opts)
 }
 
 // findPlacement searches scopes in height order, every scope with the

@@ -88,12 +88,6 @@ type RecoveryReport struct {
 	Relocated     int
 	Degraded      int
 	Evicted       int
-	// LogErr is non-nil when the commit log failed mid-recovery and the
-	// walk was aborted. Every mutation applied in memory was logged
-	// first (write-ahead order), so the manager remains exactly the
-	// state a crash-recovery from the log would reproduce; tenants not
-	// yet processed keep their pre-failure placements.
-	LogErr error
 }
 
 // Render writes the report as a fixed-format table (deterministic:
@@ -142,40 +136,22 @@ type RecoverOptions struct {
 // FailServers marks servers as failed: their free slots disappear from
 // the slot index so no placement (initial or recovery) lands VMs
 // there. Tenants already on them are untouched — call Recover to
-// evacuate.
-func (m *Manager) FailServers(servers ...int) {
-	if len(servers) > 0 {
-		if err := m.logMutation(&Mutation{Op: MutFail, Servers: servers}); err != nil {
-			if m.hookErr == nil {
-				m.hookErr = err
-			}
-			return
-		}
+// evacuate. A log failure (ErrLogFailed) leaves the servers as they
+// were.
+func (m *Manager) FailServers(servers ...int) error {
+	if len(servers) == 0 {
+		return nil
 	}
-	for _, s := range servers {
-		if s >= 0 && s < m.tree.Servers() {
-			m.ix.disable(s)
-		}
-	}
+	return m.commit(&Mutation{Op: MutFail, Servers: servers})
 }
 
-// RestoreServers returns failed servers to the placeable pool.
-func (m *Manager) RestoreServers(servers ...int) {
-	if len(servers) > 0 {
-		if err := m.logMutation(&Mutation{Op: MutRestore, Servers: servers}); err != nil {
-			if m.hookErr == nil {
-				m.hookErr = err
-			}
-			return
-		}
+// RestoreServers returns failed servers to the placeable pool; a log
+// failure (ErrLogFailed) leaves them failed.
+func (m *Manager) RestoreServers(servers ...int) error {
+	if len(servers) == 0 {
+		return nil
 	}
-	for _, s := range servers {
-		if s >= 0 && s < m.tree.Servers() {
-			m.ix.enable(s)
-			// Slots freed while the server was down came back just now.
-			m.snapResources(s)
-		}
-	}
+	return m.commit(&Mutation{Op: MutRestore, Servers: servers})
 }
 
 // ServerFailed reports whether server s is currently marked failed.
@@ -189,18 +165,6 @@ func (m *Manager) AdmittedIDs() []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// RecoverHost evacuates and re-admits every tenant affected by the
-// failure of one server.
-func (m *Manager) RecoverHost(server int) *RecoveryReport {
-	return m.Recover([]int{server}, nil, RecoverOptions{})
-}
-
-// RecoverPort evacuates and re-admits every tenant whose admitted
-// contribution crosses the failed directed port.
-func (m *Manager) RecoverPort(pid int) *RecoveryReport {
-	return m.Recover(nil, []int{pid}, RecoverOptions{})
 }
 
 // Recover is the guarantee-preserving failure-recovery path. Given the
@@ -218,13 +182,26 @@ func (m *Manager) RecoverPort(pid int) *RecoveryReport {
 // dropped or silently weakened.
 //
 // The manager's invariants hold on return (VerifyInvariants passes):
-// detach-then-readmit keeps port state exact at every step.
-func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions) *RecoveryReport {
+// detach-then-readmit keeps port state exact at every step. If the
+// commit log fails, Recover aborts with ErrLogFailed and the partial
+// report: every mutation applied was logged first, so the manager is
+// exactly what a crash-recovery from the log would reproduce, and
+// tenants not yet processed keep their pre-failure placements.
+func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions) (*RecoveryReport, error) {
 	var start time.Time
 	if m.mx != nil {
 		start = time.Now()
 	}
+	report, err := m.recoverWith(m.place, failedServers, failedPorts, opts)
+	if err == nil && m.mx != nil {
+		m.mx.noteRecover(time.Since(start), report)
+	}
+	return report, err
+}
 
+// recoverWith is Recover with every re-admission decided by place.
+func (m *Manager) recoverWith(place func(tenant.Spec) (*tenant.Placement, error),
+	failedServers, failedPorts []int, opts RecoverOptions) (*RecoveryReport, error) {
 	failed := make(map[int]bool, len(failedServers))
 	for _, s := range failedServers {
 		failed[s] = true
@@ -271,30 +248,26 @@ func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions)
 	// with surviving tenants, not with each other's stale state. Each
 	// detach is logged as a primitive remove so replay reproduces the
 	// recovery step by step.
-	old := make([]*admittedTenant, len(ids))
+	old := make([]*tenant.Placement, len(ids))
 	for i, id := range ids {
-		old[i] = m.admitted[id]
-		if err := m.logMutation(&Mutation{Op: MutRemove, TenantID: id}); err != nil {
-			report.LogErr = err
-			return report
+		old[i] = m.admitted[id].placement
+		if err := m.commit(&Mutation{Op: MutRemove, TenantID: id}); err != nil {
+			return report, err
 		}
-		m.detach(old[i])
 	}
-	m.FailServers(failedServers...)
-	if m.hookErr != nil {
-		report.LogErr = m.hookErr
-		return report
+	if err := m.FailServers(failedServers...); err != nil {
+		return report, err
 	}
 
 	for i, id := range ids {
-		spec := old[i].placement.Spec
+		spec := old[i].Spec
 		tr := TenantRecovery{
 			ID:           id,
 			Name:         spec.Name,
-			OldServers:   old[i].placement.Servers,
+			OldServers:   old[i].Servers,
 			OldGuarantee: spec.Guarantee,
 		}
-		if pl, err := m.place(spec); err == nil {
+		if pl, err := place(spec); err == nil {
 			tr.Verdict = VerdictRelocated
 			tr.NewServers = pl.Servers
 			tr.NewGuarantee = spec.Guarantee
@@ -304,8 +277,7 @@ func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions)
 			// abort rather than walk the ladder (a rung record after a
 			// failed full-guarantee append could replay as a silent
 			// double-degrade).
-			report.LogErr = err
-			return report
+			return report, err
 		} else {
 			tr.Verdict = VerdictEvicted
 			tried := spec.Guarantee
@@ -315,15 +287,14 @@ func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions)
 					continue // rung changes nothing (e.g. d already 0)
 				}
 				tried = dspec.Guarantee
-				if pl, err := m.place(dspec); err == nil {
+				if pl, err := place(dspec); err == nil {
 					tr.Verdict = VerdictDegraded
 					tr.NewServers = pl.Servers
 					tr.NewGuarantee = dspec.Guarantee
 					tr.Degradation = step.Note
 					break
 				} else if errors.Is(err, ErrLogFailed) {
-					report.LogErr = err
-					return report
+					return report, err
 				}
 			}
 			if tr.Verdict == VerdictDegraded {
@@ -334,10 +305,7 @@ func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions)
 		}
 		report.Affected = append(report.Affected, tr)
 	}
-	if m.mx != nil {
-		m.mx.noteRecover(time.Since(start), report)
-	}
-	return report
+	return report, nil
 }
 
 // degradeSpec applies one ladder rung to a tenant spec's guarantee.

@@ -7,6 +7,17 @@ import (
 	"repro/internal/tenant"
 )
 
+// mustRecover runs Recover with the default ladder on a manager whose
+// log cannot fail.
+func mustRecover(t *testing.T, m *Manager, servers, ports []int) *RecoveryReport {
+	t.Helper()
+	rep, err := m.Recover(servers, ports, RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func recoverSpec(id, vms int, bw, d float64) tenant.Spec {
 	return tenant.Spec{
 		ID:   id,
@@ -33,7 +44,7 @@ func TestRecoverHostRelocates(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := pl.Servers[0]
-	rep := m.RecoverHost(failed)
+	rep := mustRecover(t, m, []int{failed}, nil)
 	if len(rep.Affected) != 1 || rep.Relocated != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -89,7 +100,7 @@ func TestRecoverLeavesUnaffectedAlone(t *testing.T) {
 	if failed < 0 {
 		t.Skip("placements overlap completely; cannot isolate")
 	}
-	rep := m.RecoverHost(failed)
+	rep := mustRecover(t, m, []int{failed}, nil)
 	for _, tr := range rep.Affected {
 		if tr.ID == 2 {
 			t.Fatal("unaffected tenant dragged into recovery")
@@ -124,7 +135,7 @@ func TestRecoverDegradesOrEvictsUnderPressure(t *testing.T) {
 		t.Fatalf("setup: only %d tenants placed", placed)
 	}
 	// Fail rack 0 (servers 0-3) entirely.
-	rep := m.Recover([]int{0, 1, 2, 3}, nil, RecoverOptions{})
+	rep := mustRecover(t, m, []int{0, 1, 2, 3}, nil)
 	if len(rep.Affected) == 0 {
 		t.Fatal("no tenants affected by a whole-rack failure")
 	}
@@ -154,13 +165,13 @@ func TestRecoverDegradesOrEvictsUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Render is deterministic and names every verdict that occurred.
-	out := m.Recover(nil, nil, RecoverOptions{}).Render()
+	out := mustRecover(t, m, nil, nil).Render()
 	if !strings.Contains(out, "0 relocated, 0 degraded, 0 evicted") {
 		t.Fatalf("empty recovery render: %q", out)
 	}
 }
 
-// RecoverPort finds tenants by port contribution, not just residency.
+// Recover finds tenants by port contribution, not just residency.
 func TestRecoverPortFindsContributors(t *testing.T) {
 	tree := mustSmallTree()
 	m := NewManager(tree, Options{})
@@ -171,7 +182,7 @@ func TestRecoverPortFindsContributors(t *testing.T) {
 	}
 	// The tenant contributes at its first server's NIC-up port.
 	pid := tree.ServerUpPortID(pl.Servers[0])
-	rep := m.RecoverPort(pid)
+	rep := mustRecover(t, m, nil, []int{pid})
 	if len(rep.Affected) != 1 || rep.Affected[0].ID != 1 {
 		t.Fatalf("report = %+v", rep)
 	}

@@ -114,10 +114,8 @@ type Manager struct {
 
 	// hook is the optional write-ahead commit hook (SetCommitHook):
 	// called with every mutation before it is applied; an error aborts
-	// the mutation. hookErr holds the first failure from a void mutator
-	// (FailServers/RestoreServers) that cannot return it.
-	hook    func(*Mutation) error
-	hookErr error
+	// the mutation.
+	hook func(*Mutation) error
 }
 
 type admittedTenant struct {
@@ -302,11 +300,13 @@ func (m *Manager) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	return pl, err
 }
 
-// place runs admission control and placement. It proceeds scope by
-// scope — single server, then each rack, each pod, then the whole
-// datacenter — and within a scope first packs greedily and then, if
-// the packed layout violates a queuing constraint, retries with an
-// even spread (paper Figure 5: 3/3/3 beats 4/4/1).
+// place runs admission control and placement. A best-effort tenant
+// only needs slots (paper §4.4: it rides the low priority class), so a
+// greedy pack decides it. Any other proceeds scope by scope — single
+// server, then each rack, each pod, then the whole datacenter — and
+// within a scope first packs greedily and then, if the packed layout
+// violates a queuing constraint, retries with an even spread (paper
+// Figure 5: 3/3/3 beats 4/4/1).
 func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -314,120 +314,70 @@ func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 	if _, dup := m.admitted[spec.ID]; dup {
 		return nil, fmt.Errorf("placement: tenant %d already admitted", spec.ID)
 	}
-	if spec.Class == tenant.ClassBestEffort {
-		// Best-effort tenants bypass network admission (paper §4.4);
-		// they ride the low priority class and only consume slots.
-		return m.placeBestEffort(spec)
-	}
-
 	// The search counters exist only for the journal.
 	var (
-		stats searchStats
-		st    *searchStats
+		stats   searchStats
+		st      *searchStats
+		servers []int
 	)
 	if m.journal != nil {
 		st = &stats
 	}
-	servers := m.findPlacement(&spec, st)
-	if servers == nil {
-		if err := m.logMutation(&Mutation{Op: MutReject, TenantID: spec.ID}); err != nil {
-			return nil, err
+	if spec.Class == tenant.ClassBestEffort {
+		eff := m.ix.freeSlots
+		if m.freeCPU != nil || m.freeMem != nil {
+			eff = make([]int, len(m.ix.freeSlots))
+			for s := range eff {
+				eff[s] = m.maxVMsByResources(&spec, s)
+			}
 		}
-		m.rejectedCount++
-		if m.journal != nil {
-			m.journal.record(m.explainReject(&spec).withSearch(st))
-		}
-		return nil, fmt.Errorf("%w: tenant %q (%d VMs)", ErrRejected, spec.Name, spec.VMs)
+		servers = packGreedy(m.tree, eff, m.ix, spec.VMs, spec.FaultDomains)
+	} else {
+		servers = m.findPlacement(&spec, st)
 	}
-	if err := m.logMutation(&Mutation{Op: MutPlace, Spec: spec, Servers: servers}); err != nil {
+	return m.settle(&spec, servers, st)
+}
+
+// settle commits admission's decision — a placement on servers, or a
+// rejection when servers is nil — as one MutPlace or MutReject. The
+// journal entry is written between the log and the apply, so it sees
+// the pre-admission port state (BoundBeforeSec).
+func (m *Manager) settle(spec *tenant.Spec, servers []int, st *searchStats) (*tenant.Placement, error) {
+	mut := Mutation{Op: MutReject, TenantID: spec.ID}
+	if servers != nil {
+		mut = Mutation{Op: MutPlace, Spec: *spec, Servers: servers}
+	}
+	if err := m.logMutation(&mut); err != nil {
 		return nil, err
 	}
-	pl := &tenant.Placement{Spec: spec, Servers: servers}
-	contribs := m.contributions(&spec, servers)
 	if m.journal != nil {
-		// Before the port-state mutation below, so BoundBeforeSec sees
-		// the pre-admission aggregates.
-		m.journal.record(m.recordAccept(&spec, servers).withSearch(st))
+		var d *Decision
+		if servers != nil {
+			d = m.recordAccept(spec, servers)
+		} else {
+			d = m.explainReject(spec)
+		}
+		m.journal.record(d.withSearch(st))
 	}
-	for _, pc := range contribs {
-		m.ports[pc.pid].add(pc.contribution)
-		m.portTouched(pc.pid)
+	if pl := m.apply(&mut); pl != nil {
+		return pl, nil
 	}
-	for _, s := range servers {
-		m.takeSlot(s, &spec)
+	if spec.Class == tenant.ClassBestEffort {
+		return nil, fmt.Errorf("%w: best-effort tenant %q (%d VMs)", ErrRejected, spec.Name, spec.VMs)
 	}
-	m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: contribs}
-	m.acceptedCount++
-	return pl, nil
+	return nil, fmt.Errorf("%w: tenant %q (%d VMs)", ErrRejected, spec.Name, spec.VMs)
 }
 
 // Remove implements Algorithm.
 func (m *Manager) Remove(id int) error {
-	at, ok := m.admitted[id]
-	if !ok {
+	if _, ok := m.admitted[id]; !ok {
 		return fmt.Errorf("%w: id %d", ErrUnknownTenant, id)
 	}
-	if err := m.logMutation(&Mutation{Op: MutRemove, TenantID: id}); err != nil {
+	if err := m.commit(&Mutation{Op: MutRemove, TenantID: id}); err != nil {
 		return err
 	}
 	m.mx.noteRemove()
-	m.detach(at)
 	return nil
-}
-
-// detach releases an admitted tenant's port contributions and slots —
-// the shared core of Remove and the recovery path's evacuation step.
-func (m *Manager) detach(at *admittedTenant) {
-	for _, pc := range at.contribs {
-		m.ports[pc.pid].remove(pc.contribution)
-		m.portTouched(pc.pid)
-	}
-	for _, s := range at.placement.Servers {
-		m.freeSlot(s, &at.placement.Spec)
-	}
-	delete(m.admitted, at.placement.Spec.ID)
-}
-
-func (m *Manager) placeBestEffort(spec tenant.Spec) (*tenant.Placement, error) {
-	eff := m.ix.freeSlots
-	if m.freeCPU != nil || m.freeMem != nil {
-		eff = make([]int, len(m.ix.freeSlots))
-		for s := range eff {
-			eff[s] = m.maxVMsByResources(&spec, s)
-		}
-	}
-	servers := packGreedy(m.tree, eff, m.ix, spec.VMs, spec.FaultDomains)
-	if servers == nil {
-		if err := m.logMutation(&Mutation{Op: MutReject, TenantID: spec.ID}); err != nil {
-			return nil, err
-		}
-		m.rejectedCount++
-		if m.journal != nil {
-			m.journal.record(&Decision{
-				TenantID: spec.ID, Name: spec.Name, VMs: spec.VMs, LimitingPort: -1,
-				Reason: fmt.Sprintf("best-effort: no slot-feasible packing for %d VMs", spec.VMs),
-			})
-		}
-		return nil, fmt.Errorf("%w: best-effort tenant %q (%d VMs)", ErrRejected, spec.Name, spec.VMs)
-	}
-	if err := m.logMutation(&Mutation{Op: MutPlace, Spec: spec, Servers: servers}); err != nil {
-		return nil, err
-	}
-	pl := &tenant.Placement{Spec: spec, Servers: servers}
-	if m.journal != nil {
-		lay := newLayout(m.tree, servers)
-		m.journal.record(&Decision{
-			TenantID: spec.ID, Name: spec.Name, VMs: spec.VMs, Accepted: true,
-			Servers: append([]int(nil), lay.servers...), Span: spanName(lay.span()),
-			LimitingPort: -1,
-		})
-	}
-	for _, s := range servers {
-		m.takeSlot(s, &spec)
-	}
-	m.admitted[spec.ID] = &admittedTenant{placement: pl}
-	m.acceptedCount++
-	return pl, nil
 }
 
 // reqMemo caches, for the duration of one admission request, the

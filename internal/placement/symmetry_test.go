@@ -99,8 +99,11 @@ func TestFastPathEquivalenceMostlyUntouchedTree(t *testing.T) {
 					live = append(live[:i], live[i+1:]...)
 				case x < 0.27:
 					s := rng.Intn(tree.Servers())
-					repR := ref.Recover([]int{s}, nil, RecoverOptions{})
-					repF := fast.Recover([]int{s}, nil, RecoverOptions{})
+					repR, errR := ref.Recover([]int{s}, nil, RecoverOptions{})
+					repF, errF := fast.Recover([]int{s}, nil, RecoverOptions{})
+					if errR != nil || errF != nil {
+						t.Fatalf("%s: recover: %v / %v", ctx, errR, errF)
+					}
 					if repR.Render() != repF.Render() {
 						t.Fatalf("%s: recovery differs:\nref:\n%sfast:\n%s", ctx, repR.Render(), repF.Render())
 					}
