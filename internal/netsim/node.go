@@ -101,11 +101,17 @@ type Host struct {
 }
 
 // wireFrame is one batch frame waiting for the wire: its wire time, the
-// engine seq reserved for it when the batch was laid out, and the frame.
+// engine seq reserved for it when the batch was laid out, and what the
+// pacer's frame carries. A data frame's packet gets its release stamp
+// and gate when it fires; a void (p == nil) becomes an arena packet of
+// bytes then.
 type wireFrame struct {
-	t   int64
-	seq uint64
-	p   *Packet
+	t       int64
+	seq     uint64
+	p       *Packet
+	release int64
+	bytes   int32
+	gate    uint8
 }
 
 // NewHost returns a host bound to sim; NIC must be attached before
@@ -243,23 +249,23 @@ func (h *Host) armLoop(t int64) {
 	h.sim.schedule(t, evtHostLoop, h.loopGen, nil, nil, h, nil)
 }
 
-// layWire appends frame p to the laid-out batch at wire time t under a
-// freshly reserved engine seq — the key a per-frame event scheduled now
-// would get — and queues the host's wire node if the batch was empty.
-// The pacer never lays a frame before now and lays batches end to end
-// (a batch starts no earlier than the previous one ended), so appending
-// keeps the batch in key order.
-func (h *Host) layWire(t int64, p *Packet) {
+// layWire appends frame f to the laid-out batch at its wire time f.t
+// under a freshly reserved engine seq — the key a per-frame event
+// scheduled now would get — and queues the host's wire node if the batch
+// was empty. The pacer never lays a frame before now and lays batches
+// end to end (a batch starts no earlier than the previous one ended), so
+// appending keeps the batch in key order.
+func (h *Host) layWire(f wireFrame) {
 	s := h.sim
-	seq := s.seq
+	f.seq = s.seq
 	s.seq++
-	h.wire = append(h.wire, wireFrame{t: t, seq: seq, p: p})
+	h.wire = append(h.wire, f)
 	if len(h.wire) == 1 {
 		ev := s.alloc()
 		ev.kind = evtHostWire
 		ev.h = h
-		ev.seq = seq
-		s.insertKeyed(t, ev)
+		ev.seq = f.seq
+		s.insertKeyed(f.t, ev)
 	}
 }
 
@@ -279,11 +285,18 @@ func (h *Host) fireWire(ev *event) {
 		h.wire, h.wireHead = h.wire[:0], 0
 		h.sim.release(ev)
 	}
-	h.wirePacket(f.p)
+	h.wirePacket(f)
 }
 
 // wirePacket lays one batch frame on the NIC at its wire time.
-func (h *Host) wirePacket(p *Packet) {
+func (h *Host) wirePacket(f wireFrame) {
+	p := f.p
+	if p == nil {
+		p = h.sim.AllocPacket()
+		p.Src, p.Dst, p.Size, p.Void = h.ID, -1, int(f.bytes), true
+	} else {
+		p.PacedRelease, p.Gate = f.release, f.gate
+	}
 	p.SentAt = h.sim.Now()
 	if !p.Void {
 		h.sim.emit(Event{Kind: EvPacedWire, At: int32(h.ID), P: p})
@@ -314,22 +327,12 @@ func (h *Host) batchLoop() {
 		h.armLoop(earliest)
 		return
 	}
-	// The batch and its frames are the pacer's, recycled by the next
-	// NextBatch: everything needed is copied onto netsim packets here.
-	for _, fp := range batch.Packets {
-		var np *Packet
-		if fp.Void {
-			np = h.sim.AllocPacket()
-			np.Src = h.ID
-			np.Dst = -1
-			np.Size = fp.Bytes
-			np.Void = true
-		} else {
-			np = fp.Ref.(*Packet)
-			np.PacedRelease = fp.Release
-			np.Gate = fp.Gate
-		}
-		h.layWire(fp.Wire, np)
+	// The next NextBatch rebuilds the batch in place: copy what the
+	// wire needs.
+	for i := range batch.Packets {
+		fp := &batch.Packets[i]
+		np, _ := fp.Ref.(*Packet) // nil for a void
+		h.layWire(wireFrame{t: fp.Wire, p: np, release: fp.Release, bytes: int32(fp.Bytes), gate: fp.Gate})
 	}
 	h.sim.At(batch.End, h.batchLoopFn)
 }

@@ -1,6 +1,10 @@
 package netsim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/pacer"
+)
 
 // TestDropSitesRecycleArenaPackets drives every place the engine loses
 // a packet — buffer overflow; a lossy port; a down port; a port failing
@@ -79,5 +83,56 @@ func TestDropSitesRecycleArenaPackets(t *testing.T) {
 		if in := s.RuntimeCounters().PktInUse; in != 0 {
 			t.Errorf("arena=%v: %d packets in use after drain, want 0", arena, in)
 		}
+	}
+}
+
+// TestVoidBecomesArenaPacketAtWireTime: a laid-out batch keeps each
+// void as a size, not a packet. On one paced host whose first batch
+// holds voids, the arena counts only the data frames until the first
+// void's wire time, one packet more from it, and nothing once the run
+// drains (the ToR frees every void, the receiver every data frame).
+func TestVoidBecomesArenaPacketAtWireTime(t *testing.T) {
+	nw := buildNet(t)
+	s := nw.Sim
+	for _, h := range nw.Hosts {
+		h.FreeOnDeliver = true
+	}
+	h := nw.Hosts[0]
+	h.EnablePacing(pacer.NewBatcher(10 * gbps))
+	h.AddVM(pacer.NewVM(100, pacer.Guarantee{BandwidthBps: 1 * gbps, BurstBytes: 1500, BurstRateBps: 10 * gbps, MTUBytes: 1500}, 0))
+	const data = 8
+	for i := 0; i < data; i++ {
+		p := s.AllocPacket()
+		p.ID, p.Src, p.Dst, p.SrcVM, p.DstVM, p.Size = uint64(i), 0, 1, 100, 200, 1500
+		h.SendPaced(100, p)
+	}
+	inUse := func(when string, want int64) {
+		t.Helper()
+		if in := s.RuntimeCounters().PktInUse; in != want {
+			t.Errorf("%s: %d arena packets in use, want %d", when, in, want)
+		}
+	}
+	s.Run(0) // the batch loop lays out the first batch
+	firstVoid, voids := int64(-1), 0
+	for _, f := range h.wire[h.wireHead:] {
+		if f.p == nil {
+			if firstVoid < 0 {
+				firstVoid = f.t
+			}
+			voids++
+		}
+	}
+	if voids == 0 {
+		t.Fatal("the laid-out batch holds no void")
+	}
+	inUse("batch laid out", data)
+	s.Run(firstVoid - 1)
+	inUse("just before the first void's wire time", data)
+	s.Run(firstVoid)
+	inUse("at the first void's wire time", data+1)
+	s.Run(1e9)
+	inUse("after the run", 0)
+	if got := nw.TotalVoidsDropped(); got < int64(voids) {
+		t.Errorf("%d voids dropped, want at least the first batch's %d", got, voids)
 	}
 }

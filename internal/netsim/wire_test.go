@@ -87,22 +87,12 @@ func (o *oracleWire) batchLoop(h *Host) {
 		return
 	}
 	for _, fp := range batch.Packets {
-		var np *Packet
-		if fp.Void {
-			np = h.sim.AllocPacket()
-			np.Src = h.ID
-			np.Dst = -1
-			np.Size = fp.Bytes
-			np.Void = true
-		} else {
-			np = fp.Ref.(*Packet)
-			np.PacedRelease = fp.Release
-			np.Gate = fp.Gate
-		}
+		np, _ := fp.Ref.(*Packet)
+		f := wireFrame{p: np, release: fp.Release, bytes: int32(fp.Bytes), gate: fp.Gate}
 		o.upcoming[h] = append(o.upcoming[h], fp.Wire)
 		h.sim.schedule(fp.Wire, evtFunc, 0, func() {
 			o.upcoming[h] = o.upcoming[h][1:]
-			h.wirePacket(np)
+			h.wirePacket(f)
 		}, nil, nil, nil)
 	}
 	h.sim.At(batch.End, h.batchLoopFn)

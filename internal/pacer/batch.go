@@ -7,7 +7,7 @@ import "math"
 // so that each data frame departs at (approximately) its Release
 // stamp (paper Figure 9).
 type Batch struct {
-	Packets []*Packet
+	Packets []Packet
 	// Start is the wire time of the first byte; End is the wire time
 	// at which the last frame finishes serializing.
 	Start, End int64
@@ -18,8 +18,8 @@ type Batch struct {
 // DataPackets counts non-void frames.
 func (b *Batch) DataPackets() int {
 	n := 0
-	for _, p := range b.Packets {
-		if !p.Void {
+	for i := range b.Packets {
+		if !b.Packets[i].Void {
 			n++
 		}
 	}
@@ -73,17 +73,15 @@ func (b *Batcher) gapBytes(ns int64) int {
 // window remain queued. Void frames are synthesized so each data frame
 // departs within one MinVoidBytes slot of its stamp; per the paper,
 // voids are only generated while another data packet is waiting, so an
-// idle tail generates no filler. The batch and its void frames are the
-// caller's to keep.
+// idle tail generates no filler. The batch is the caller's to keep.
 func (b *Batcher) Build(start int64, vms []*VM) *Batch {
 	batch := &Batch{}
-	b.build(batch, nil, start, vms)
+	b.build(batch, start, vms)
 	return batch
 }
 
-// build fills batch (empty on entry) for the window starting at start,
-// drawing void frames from frames.
-func (b *Batcher) build(batch *Batch, frames *framePool, start int64, vms []*VM) {
+// build fills batch (empty on entry) for the window starting at start.
+func (b *Batcher) build(batch *Batch, start int64, vms []*VM) {
 	end := start + b.BatchNs
 	batch.Start = start
 	cursor := start
@@ -106,21 +104,20 @@ func (b *Batcher) build(batch *Batch, frames *framePool, start int64, vms []*VM)
 		if src == nil || best >= end {
 			break // nothing (more) eligible for this batch window
 		}
-		p, _ := src.PopReady(end)
 
-		if !b.DisableVoids && p.Release > cursor {
-			gap := b.gapBytes(p.Release - cursor)
+		if !b.DisableVoids && best > cursor {
+			gap := b.gapBytes(best - cursor)
 			if gap > b.gapBytes(end-cursor) {
 				gap = b.gapBytes(end - cursor)
 			}
-			cursor = b.pad(batch, frames, cursor, gap)
+			cursor = b.pad(batch, cursor, gap)
 		}
 		if cursor >= end {
-			// Padding consumed the window; the packet belongs to the
-			// next batch.
-			src.unpop(p)
+			// Padding consumed the window; the packet stays queued for
+			// the next batch.
 			break
 		}
+		p, _ := src.PopReady(end)
 		p.Wire = cursor
 		batch.Packets = append(batch.Packets, p)
 		batch.DataBytes += p.Bytes
@@ -135,7 +132,7 @@ func (b *Batcher) build(batch *Batch, frames *framePool, start int64, vms []*VM)
 // rounded to the nearest legal layout: an extra minimum void if the
 // residual exceeds half a slot (data late by < 34 ns), nothing
 // otherwise (data early by < 34 ns).
-func (b *Batcher) pad(batch *Batch, frames *framePool, cursor int64, gap int) int64 {
+func (b *Batcher) pad(batch *Batch, cursor int64, gap int) int64 {
 	for gap >= MinVoidBytes {
 		n := gap
 		if n > b.MaxVoidBytes {
@@ -150,21 +147,19 @@ func (b *Batcher) pad(batch *Batch, frames *framePool, cursor int64, gap int) in
 				n = gap
 			}
 		}
-		cursor = b.void(batch, frames, cursor, n)
+		cursor = b.void(batch, cursor, n)
 		gap -= n
 	}
 	if gap >= MinVoidBytes/2 {
-		cursor = b.void(batch, frames, cursor, MinVoidBytes)
+		cursor = b.void(batch, cursor, MinVoidBytes)
 	}
 	return cursor
 }
 
 // void appends one n-byte void frame at cursor and returns the wire
 // time at which it ends.
-func (b *Batcher) void(batch *Batch, frames *framePool, cursor int64, n int) int64 {
-	v := frames.get()
-	*v = Packet{Bytes: n, Void: true, Wire: cursor}
-	batch.Packets = append(batch.Packets, v)
+func (b *Batcher) void(batch *Batch, cursor int64, n int) int64 {
+	batch.Packets = append(batch.Packets, Packet{Bytes: n, Wire: cursor, Void: true})
 	batch.VoidBytes += n
 	return cursor + b.wireNs(n)
 }
@@ -179,10 +174,8 @@ type HostPacer struct {
 	lastEnd int64
 
 	// batch is the one batch NextBatch hands out, rebuilt in place each
-	// call; its frames go back to frames, the host's free list, which
-	// VM.Enqueue and the batcher's padding draw from.
-	batch  Batch
-	frames framePool
+	// call.
+	batch Batch
 }
 
 // NewHostPacer returns a pacer for one host NIC.
@@ -190,12 +183,8 @@ func NewHostPacer(batcher *Batcher) *HostPacer {
 	return &HostPacer{Batcher: batcher}
 }
 
-// AddVM registers a VM whose traffic this NIC carries; from here on
-// the VM's frames come from the host's free list.
-func (h *HostPacer) AddVM(vm *VM) {
-	h.vms = append(h.vms, vm)
-	vm.frames = &h.frames
-}
+// AddVM registers a VM whose traffic this NIC carries.
+func (h *HostPacer) AddVM(vm *VM) { h.vms = append(h.vms, vm) }
 
 // VMs returns the registered VMs.
 func (h *HostPacer) VMs() []*VM { return h.vms }
@@ -216,14 +205,10 @@ func (h *HostPacer) Pending() int {
 // packets arriving in the interim are not locked out of the window
 // (the caller re-arms using the earliest NextEventTime).
 //
-// The batch and every frame in it, data and void, belong to the pacer
-// and stay valid only until the next NextBatch call, which recycles
-// them; a caller that needs them longer copies what it needs.
+// Each call rebuilds the one batch in place, in the same backing array;
+// its frames are values, so a caller keeps any frame it copies out.
 func (h *HostPacer) NextBatch(now int64) *Batch {
-	for i, p := range h.batch.Packets {
-		h.frames.put(p)
-		h.batch.Packets[i] = nil
-	}
+	clear(h.batch.Packets) // keep no Ref alive
 	h.batch = Batch{Packets: h.batch.Packets[:0]}
 	start := now
 	if h.lastEnd > start {
@@ -245,7 +230,7 @@ func (h *HostPacer) NextBatch(now int64) *Batch {
 	if earliest > start && h.lastEnd < now {
 		start = earliest
 	}
-	h.Batcher.build(&h.batch, &h.frames, start, h.vms)
+	h.Batcher.build(&h.batch, start, h.vms)
 	if len(h.batch.Packets) == 0 {
 		return nil
 	}

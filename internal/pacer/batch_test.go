@@ -100,8 +100,8 @@ func TestBatchMergesVMsInReleaseOrder(t *testing.T) {
 	vm1 := newTestVM(1, 2e9/8, 1500)
 	vm2 := newTestVM(2, 1e9/8, 1500)
 	for i := 0; i < 5; i++ {
-		vm1.Enqueue(0, 9, 1500, nil)
-		vm2.Enqueue(0, 9, 1500, nil)
+		vm1.Enqueue(0, 9, 1500, vm1.ID)
+		vm2.Enqueue(0, 9, 1500, vm2.ID)
 	}
 	b := NewBatcher(tenGbE)
 	batch := b.Build(0, []*VM{vm1, vm2})
@@ -115,11 +115,11 @@ func TestBatchMergesVMsInReleaseOrder(t *testing.T) {
 		}
 		prev = p.Release
 	}
-	// Both VMs must appear.
+	// Both VMs must appear (each tagged its frames with its ID).
 	seen := map[int]bool{}
 	for _, p := range batch.Packets {
 		if !p.Void {
-			seen[p.SrcVM] = true
+			seen[p.Ref.(int)] = true
 		}
 	}
 	if !seen[1] || !seen[2] {
@@ -208,8 +208,7 @@ func TestHostPacerIdleFastForward(t *testing.T) {
 	// Enqueue a packet whose release is far in the future; the next
 	// batch must start at the release, not at now.
 	vm.Enqueue(0, 2, 1500, nil)
-	p2 := vm.Enqueue(0, 2, 1500, nil) // this one waits for refill
-	_ = p2
+	vm.Enqueue(0, 2, 1500, nil) // this one waits for refill
 	b1 := h.NextBatch(0)
 	if b1 == nil {
 		t.Fatal("no batch for pending packet")

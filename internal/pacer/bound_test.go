@@ -18,8 +18,8 @@ func newTwin(t *testing.T, g Guarantee) *twin {
 }
 
 func (w *twin) enqueue(now int64, dst, bytes int) {
-	w.vm.Enqueue(now, dst, bytes, nil)
-	w.o.enqueue(now, dst, bytes, nil)
+	w.vm.Enqueue(now, dst, bytes, tag{1, dst, 0})
+	w.o.enqueue(now, dst, bytes, tag{1, dst, 0})
 	w.check("enqueue")
 }
 
@@ -31,15 +31,15 @@ func (w *twin) setDestRate(now int64, dst int, rate float64) {
 
 // schedule commits up to upTo on both and returns, in commit order, the
 // frames the call committed.
-func (w *twin) schedule(upTo int64) []*Packet {
+func (w *twin) schedule(upTo int64) []Packet {
 	w.t.Helper()
 	w.vm.Schedule(upTo)
 	w.o.schedule(upTo)
-	var out []*Packet
+	var out []Packet
 	for {
 		got, ok := w.vm.PopReady(math.MaxInt64)
 		want, wok := w.o.popReady(math.MaxInt64)
-		if ok != wok || (ok && !sameFrame(got, want)) {
+		if ok != wok || (ok && !sameFrame(&got, &want.Packet)) {
 			w.t.Fatalf("Schedule(%d): committed %+v %v, oracle %+v %v", upTo, got, ok, want, wok)
 		}
 		if !ok {
@@ -62,13 +62,13 @@ func (w *twin) check(after string) {
 
 // expect fails unless frames are exactly the (destination, release,
 // gate) triples given.
-func expect(t *testing.T, what string, frames []*Packet, want ...[3]int64) {
+func expect(t *testing.T, what string, frames []Packet, want ...[3]int64) {
 	t.Helper()
 	if len(frames) != len(want) {
 		t.Fatalf("%s: committed %d frames, want %d", what, len(frames), len(want))
 	}
 	for i, p := range frames {
-		if got := [3]int64{int64(p.DstVM), p.Release, int64(p.Gate)}; got != want[i] {
+		if got := [3]int64{int64(p.Ref.(tag).dst), p.Release, int64(p.Gate)}; got != want[i] {
 			t.Fatalf("%s: frame %d is (dst, release, gate) %v, want %v", what, i, got, want[i])
 		}
 	}

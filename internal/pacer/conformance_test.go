@@ -48,10 +48,10 @@ func TestChainJointConformanceTwoFlows(t *testing.T) {
 
 	// Backlog 200 packets to X at t=0, then 200 to Y at t=1ms.
 	for i := 0; i < 200; i++ {
-		vm.Enqueue(0, 100, 1500, nil)
+		vm.Enqueue(0, 100, 1500, 100)
 	}
 	for i := 0; i < 200; i++ {
-		vm.Enqueue(1_000_000, 200, 1500, nil)
+		vm.Enqueue(1_000_000, 200, 1500, 200)
 	}
 	vm.Schedule(1 << 62)
 
@@ -64,7 +64,7 @@ func TestChainJointConformanceTwoFlows(t *testing.T) {
 		}
 		allT = append(allT, p.Release)
 		allS = append(allS, p.Bytes)
-		if p.DstVM == 100 {
+		if p.Ref == 100 {
 			xT = append(xT, p.Release)
 			xS = append(xS, p.Bytes)
 		} else {

@@ -1,6 +1,9 @@
 package pacer
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // newBackloggedHost returns the datacenter's shape in miniature: one
 // NIC, 4 VMs, each with 6 destinations behind hose buckets.
@@ -41,9 +44,9 @@ func drain(h *HostPacer, now int64) (int64, int) {
 	return now, bytes
 }
 
-// TestSteadyStateCycleAllocatesNothing: once the rings, the batch and
-// the free list have reached their working size, Enqueue → NextBatch →
-// consume allocates neither frames nor batches.
+// TestSteadyStateCycleAllocatesNothing: once the rings and the batch
+// have reached their working size, Enqueue → NextBatch → consume
+// allocates nothing: frames are values in the queues and the batch.
 func TestSteadyStateCycleAllocatesNothing(t *testing.T) {
 	h := newBackloggedHost()
 	var now int64
@@ -65,11 +68,12 @@ func TestSteadyStateCycleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRecycledFramesDropTheirRef: the free list must not keep the
-// integration's payload (the simulator's packet) alive, and a batch's
-// frames are only handed back by the NextBatch after the one that
-// returned them.
-func TestRecycledFramesDropTheirRef(t *testing.T) {
+// TestBatchKeepsNoRef: the pacer must not keep the integration's
+// payload (the simulator's packet) alive once it has handed it out. A
+// batch carries its data frames' Refs until the next NextBatch, which
+// clears the batch's whole backing array; the queues clear each slot
+// they pop.
+func TestBatchKeepsNoRef(t *testing.T) {
 	h := newBackloggedHost()
 	type payload struct{ id int }
 	for i, vm := range h.VMs() {
@@ -81,14 +85,11 @@ func TestRecycledFramesDropTheirRef(t *testing.T) {
 	if b == nil {
 		t.Fatal("no batch for a backlogged host")
 	}
-	if len(h.frames.free) != 0 {
-		t.Fatalf("%d frames recycled while their batch is still the caller's to read", len(h.frames.free))
-	}
 	seen := 0
 	for _, p := range b.Packets {
 		if !p.Void {
 			if _, ok := p.Ref.(*payload); !ok {
-				t.Fatalf("data frame lost its Ref: %+v", *p)
+				t.Fatalf("data frame lost its Ref: %+v", p)
 			}
 			seen++
 		}
@@ -97,19 +98,39 @@ func TestRecycledFramesDropTheirRef(t *testing.T) {
 		t.Fatal("batch carried no data frame")
 	}
 	drain(h, b.End)
-	h.NextBatch(1 << 40) // nothing left: recycles the last batch
-	if len(h.frames.free) < 24 {
-		t.Errorf("free list holds %d frames after 24 data frames went out", len(h.frames.free))
-	}
-	for _, p := range h.frames.free {
-		if p.Ref != nil {
-			t.Fatalf("recycled frame keeps Ref %v", p.Ref)
-		}
+	if h.NextBatch(1<<40) != nil { // nothing left: only clears the last batch
+		t.Fatal("batch from a drained host")
 	}
 	batch := h.batch.Packets
 	for _, p := range batch[:cap(batch)] {
-		if p != nil {
-			t.Fatal("the pacer's batch still points at a recycled frame")
+		if p.Ref != nil {
+			t.Fatalf("the pacer's batch still holds Ref %v", p.Ref)
 		}
+	}
+	for _, vm := range h.VMs() {
+		for _, p := range vm.ready.buf {
+			if p.Ref != nil {
+				t.Fatalf("vm %d's ready queue still holds Ref %v", vm.ID, p.Ref)
+			}
+		}
+		for _, d := range vm.dests {
+			for _, e := range d.q.buf {
+				if e.ref != nil {
+					t.Fatalf("vm %d's queue to %d still holds Ref %v", vm.ID, d.id, e.ref)
+				}
+			}
+		}
+	}
+}
+
+// TestFrameSize bounds the two per-packet records: a Packet, which the
+// ready queue and every batch hold inline, and the destination queue's
+// entry, which every waiting segment occupies.
+func TestFrameSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 64 {
+		t.Errorf("Packet is %d bytes, want at most 64", n)
+	}
+	if n := unsafe.Sizeof(entry{}); n > 40 {
+		t.Errorf("queue entry is %d bytes, want at most 40", n)
 	}
 }

@@ -69,15 +69,16 @@ func (m *VMMetrics) noteQueued(totalBytes int64) {
 	m.QueuedHWM.SetMax(totalBytes)
 }
 
-// noteCommit records one packet leaving the bucket chain.
-func (m *VMMetrics) noteCommit(p *Packet, release, totalBytes int64) {
+// noteCommit records one packet, enqueued at enq, leaving the bucket
+// chain.
+func (m *VMMetrics) noteCommit(enq, release, totalBytes int64) {
 	if m == nil {
 		return
 	}
 	m.Committed.Inc()
 	m.QueuedBytes.Set(totalBytes)
-	m.PacingDelayUs.Observe((release - p.enq) / 1000)
-	if release > p.enq {
+	m.PacingDelayUs.Observe((release - enq) / 1000)
+	if release > enq {
 		m.CurveDelayed.Inc()
 		if m.Audit != nil {
 			m.Audit.CurveDelayed.Inc()
@@ -135,8 +136,8 @@ func (m *BatchMetrics) noteBatch(b *Batch) {
 	m.Batches.Inc()
 	m.DataBytes.Add(int64(b.DataBytes))
 	m.VoidBytes.Add(int64(b.VoidBytes))
-	for _, p := range b.Packets {
-		if p.Void {
+	for i := range b.Packets {
+		if b.Packets[i].Void {
 			m.VoidFrames.Inc()
 		} else {
 			m.DataFrames.Inc()

@@ -8,13 +8,26 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 )
 
 // The reference the scheduler is checked against: the map-and-heap
 // implementation VM, Batcher.Build and HostPacer.NextBatch had before
-// the per-destination records, the ready FIFO and frame recycling. It
+// the per-destination records, the ready FIFO and value frames. It
 // shares TokenBucket and the void layout (Batcher.pad) with the code
-// under test and nothing else; it never recycles a frame.
+// under test and nothing else; its frames are heap objects, popped and
+// pushed back by pointer.
+
+// oracleFrame is the oracle's frame: the Packet a consumer sees plus
+// the destination whose hose bucket gates it.
+type oracleFrame struct {
+	Packet
+	dst int
+}
+
+// tag is the Ref the oracle tests enqueue with. A Packet does not carry
+// its endpoints, so the payload does, and comparing Refs compares them.
+type tag struct{ src, dst, n int }
 
 type oracleVM struct {
 	id  int
@@ -23,7 +36,7 @@ type oracleVM struct {
 	avg *TokenBucket
 	dst map[int]*TokenBucket
 
-	queues map[int][]*Packet
+	queues map[int][]*oracleFrame
 	queued int
 	ready  packetHeap
 	seq    uint64
@@ -36,11 +49,11 @@ type oracleVM struct {
 	// the latest packet in ready (pops take the earliest, so the latest
 	// pushed since ready was last empty is still there).
 	overtakes int
-	top       *Packet
+	top       *oracleFrame
 }
 
 // commit adds a newly committed packet to ready.
-func (v *oracleVM) commit(p *Packet) {
+func (v *oracleVM) commit(p *oracleFrame) {
 	switch {
 	case v.ready.Len() == 0 || v.top.Release < p.Release || (v.top.Release == p.Release && v.top.seq < p.seq):
 		v.top = p
@@ -51,7 +64,7 @@ func (v *oracleVM) commit(p *Packet) {
 }
 
 // unpop hands back the packet popReady just returned.
-func (v *oracleVM) unpop(p *Packet) {
+func (v *oracleVM) unpop(p *oracleFrame) {
 	if v.ready.Len() == 0 {
 		v.top = p
 	}
@@ -72,7 +85,7 @@ func newOracleVM(id int, g Guarantee, start int64) *oracleVM {
 		cap:         NewTokenBucket(g.BurstRateBps, g.MTUBytes, start),
 		avg:         NewTokenBucket(g.BandwidthBps, burst, start),
 		dst:         make(map[int]*TokenBucket),
-		queues:      make(map[int][]*Packet),
+		queues:      make(map[int][]*oracleFrame),
 		queuedBytes: make(map[int]int64),
 		sentBytes:   make(map[int]int64),
 	}
@@ -115,18 +128,18 @@ func (v *oracleVM) destRate(dst int) float64 {
 }
 
 func (v *oracleVM) enqueue(now int64, dstVM, bytes int, ref interface{}) {
-	p := &Packet{Bytes: bytes, SrcVM: v.id, DstVM: dstVM, Release: -1, Ref: ref, enq: now, seq: v.seq}
+	p := &oracleFrame{Packet: Packet{Ref: ref, Bytes: bytes, Release: -1, enq: now, seq: v.seq}, dst: dstVM}
 	v.seq++
 	v.queues[dstVM] = append(v.queues[dstVM], p)
 	v.queued++
 	v.queuedBytes[dstVM] += int64(bytes)
 }
 
-func (v *oracleVM) feasible(p *Packet) (int64, uint8) {
+func (v *oracleVM) feasible(p *oracleFrame) (int64, uint8) {
 	r := p.enq
 	gate := GateNone
 	n := p.Bytes
-	if b, ok := v.dst[p.DstVM]; ok {
+	if b, ok := v.dst[p.dst]; ok {
 		if f := b.Free(r, n); f > r {
 			r = f
 			gate = GateDest
@@ -172,7 +185,7 @@ func (v *oracleVM) schedule(upTo int64) {
 		v.queued--
 		v.queuedBytes[bestDst] -= int64(p.Bytes)
 		v.sentBytes[bestDst] += int64(p.Bytes)
-		if b, ok := v.dst[p.DstVM]; ok {
+		if b, ok := v.dst[p.dst]; ok {
 			b.Commit(bestR, p.Bytes)
 		}
 		v.avg.Commit(bestR, p.Bytes)
@@ -214,14 +227,31 @@ func (v *oracleVM) peekRelease() (int64, bool) {
 	return v.ready[0].Release, true
 }
 
-func (v *oracleVM) popReady(horizon int64) (*Packet, bool) {
+func (v *oracleVM) popReady(horizon int64) (*oracleFrame, bool) {
 	if v.ready.Len() == 0 || v.ready[0].Release > horizon {
 		return nil, false
 	}
-	return heap.Pop(&v.ready).(*Packet), true
+	return heap.Pop(&v.ready).(*oracleFrame), true
 }
 
-type packetHeap []*Packet
+// peekReady is popReady without the pop.
+func (v *oracleVM) peekReady(horizon int64) (*oracleFrame, bool) {
+	if v.ready.Len() == 0 || v.ready[0].Release > horizon {
+		return nil, false
+	}
+	return v.ready[0], true
+}
+
+// peekReady is PopReady without the pop: the frame Build leaves queued
+// when padding consumes the window.
+func (v *VM) peekReady(horizon int64) (Packet, bool) {
+	if v.ready.n == 0 || v.ready.front().Release > horizon {
+		return Packet{}, false
+	}
+	return *v.ready.front(), true
+}
+
+type packetHeap []*oracleFrame
 
 func (h packetHeap) Len() int { return len(h) }
 func (h packetHeap) Less(i, j int) bool {
@@ -231,7 +261,7 @@ func (h packetHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h packetHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *packetHeap) Push(x interface{}) { *h = append(*h, x.(*Packet)) }
+func (h *packetHeap) Push(x interface{}) { *h = append(*h, x.(*oracleFrame)) }
 func (h *packetHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -275,7 +305,7 @@ func (h *oracleHost) build(start int64) *Batch {
 			if gap > b.gapBytes(end-cursor) {
 				gap = b.gapBytes(end - cursor)
 			}
-			cursor = b.pad(batch, nil, cursor, gap)
+			cursor = b.pad(batch, cursor, gap)
 		}
 		if cursor >= end {
 			src.unpop(p)
@@ -283,7 +313,7 @@ func (h *oracleHost) build(start int64) *Batch {
 			break
 		}
 		p.Wire = cursor
-		batch.Packets = append(batch.Packets, p)
+		batch.Packets = append(batch.Packets, p.Packet)
 		batch.DataBytes += p.Bytes
 		cursor += b.wireNs(p.Bytes)
 	}
@@ -316,11 +346,12 @@ func (h *oracleHost) nextBatch(now int64) *Batch {
 	return batch
 }
 
-// sameFrame compares everything a consumer can read off a frame.
+// sameFrame compares everything a consumer can read off a frame; the
+// endpoints ride in Ref (a tag).
 func sameFrame(a, b *Packet) bool {
 	return a.Void == b.Void && a.Bytes == b.Bytes && a.Wire == b.Wire &&
 		(a.Void || (a.seq == b.seq && a.Release == b.Release && a.Gate == b.Gate &&
-			a.SrcVM == b.SrcVM && a.DstVM == b.DstVM && a.enq == b.enq && a.Ref == b.Ref))
+			a.enq == b.enq && a.Ref == b.Ref))
 }
 
 // checkBatch fails the test unless the pacer's batch is the oracle's.
@@ -337,8 +368,8 @@ func checkBatch(t *testing.T, where string, got, want *Batch) {
 		t.Fatalf("%s: batch %+v, oracle %+v", where, *got, *want)
 	}
 	for k := range got.Packets {
-		if !sameFrame(got.Packets[k], want.Packets[k]) {
-			t.Fatalf("%s: frame %d is %+v, oracle %+v", where, k, *got.Packets[k], *want.Packets[k])
+		if !sameFrame(&got.Packets[k], &want.Packets[k]) {
+			t.Fatalf("%s: frame %d is %+v, oracle %+v", where, k, got.Packets[k], want.Packets[k])
 		}
 	}
 }
@@ -352,8 +383,35 @@ func checkBatch(t *testing.T, where string, got, want *Batch) {
 // the mix because there commits are not monotone in release time, so a
 // packet can commit ahead of ones already in the ready queue.
 func TestSchedulerMatchesOracle(t *testing.T) {
+	const seeds = 90
+	pushBacks, overtakes := 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		p, o := matchOracle(t, seed)
+		pushBacks += p
+		overtakes += o
+	}
+	t.Logf("%d push-backs, %d overtaking commits over %d seeds", pushBacks, overtakes, seeds)
+	if overtakes == 0 {
+		t.Error("no commit ever overtook a waiting packet: the ready queue's insertion step went untested")
+	}
+}
+
+// TestSchedulerMatchesOracleFreshSeeds is TestSchedulerMatchesOracle
+// on seeds drawn from the clock: every run covers new interleavings, and
+// a failure names its seed.
+func TestSchedulerMatchesOracleFreshSeeds(t *testing.T) {
+	base := time.Now().UnixNano()
+	for seed := base; seed < base+90; seed++ {
+		matchOracle(t, seed)
+	}
+}
+
+// matchOracle runs one seeded script (its guarantees, batch size, ack
+// share and tick drawn from the seed) against the oracle and returns
+// the oracle's push-backs and overtaking commits.
+func matchOracle(t *testing.T, seed int64) (pushBacks, overtakes int) {
+	t.Helper()
 	const (
-		seeds = 90
 		steps = 500
 		mtu   = 1538
 		ack   = 84
@@ -365,126 +423,120 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 		{BandwidthBps: -1, BurstBytes: 0, BurstRateBps: -1, MTUBytes: mtu},
 		{BandwidthBps: 9e8, BurstBytes: mtu, BurstRateBps: 0, MTUBytes: mtu},
 	}
-	pushBacks, overtakes := 0, 0
-	for seed := int64(1); seed <= seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		batcher := NewBatcher(10e9 / 8)
-		batcher.BatchNs = []int64{50_000, 5_000, 1_000}[seed%3]
-		host := NewHostPacer(batcher)
-		ref := &oracleHost{b: batcher}
-		nDst := 1 + rng.Intn(12)
-		// Ack-heavy runs put several releases in every short window.
-		ackPct := []int{30, 90}[seed/3%2]
-		// Short ticks keep the chain backlogged between batches.
-		tick := []int64{40_000, 1_500}[seed/30%2]
-		for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-			g := guarantees[(int(seed)/6+i)%len(guarantees)]
-			host.AddVM(NewVM(i+1, g, 0))
-			ref.vms = append(ref.vms, newOracleVM(i+1, g, 0))
+	rng := rand.New(rand.NewSource(seed))
+	batcher := NewBatcher(10e9 / 8)
+	batcher.BatchNs = []int64{50_000, 5_000, 1_000}[uint64(seed)%3]
+	host := NewHostPacer(batcher)
+	ref := &oracleHost{b: batcher}
+	nDst := 1 + rng.Intn(12)
+	// Ack-heavy runs put several releases in every short window.
+	ackPct := []int{30, 90}[uint64(seed)/3%2]
+	// Short ticks keep the chain backlogged between batches.
+	tick := []int64{40_000, 1_500}[uint64(seed)/30%2]
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		g := guarantees[(uint64(seed)/6+uint64(i))%uint64(len(guarantees))]
+		host.AddVM(NewVM(i+1, g, 0))
+		ref.vms = append(ref.vms, newOracleVM(i+1, g, 0))
+	}
+
+	var now, lastUpTo int64
+	tokens := 0
+	for step := 0; step < steps; step++ {
+		i := rng.Intn(len(ref.vms))
+		vm, ovm := host.vms[i], ref.vms[i]
+		switch op := rng.Intn(100); {
+		case op < 45:
+			// One frame, or a burst that leaves the chain backlogged.
+			for burst := 1 + rng.Intn(8)/7*rng.Intn(150); burst > 0; burst-- {
+				dst, bytes := 1+rng.Intn(nDst), mtu
+				if rng.Intn(100) < ackPct {
+					bytes = ack
+				}
+				tokens++
+				vm.Enqueue(now, dst, bytes, tag{vm.ID, dst, tokens})
+				ovm.enqueue(now, dst, bytes, tag{vm.ID, dst, tokens})
+			}
+		case op < 57:
+			// Install, retune under backlog, remove; nDst+1 is a
+			// destination no traffic ever goes to.
+			dst, rate := 1+rng.Intn(nDst+1), 0.0
+			if rng.Intn(4) > 0 {
+				rate = 1e6 + rng.Float64()*10e9/8
+			}
+			vm.SetDestRate(now, dst, rate)
+			ovm.setDestRate(now, dst, rate)
+		case op < 72:
+			// One batch, or the soft-timer chain: each batch built as
+			// the previous one finishes, voids filling the gaps.
+			for chain := 1 + rng.Intn(2)*rng.Intn(64); chain > 0; chain-- {
+				got, want := host.NextBatch(now), ref.nextBatch(now)
+				checkBatch(t, fmt.Sprintf("seed %d step %d", seed, step), got, want)
+				if got == nil {
+					break
+				}
+				now = got.End
+			}
+		case op < 82:
+			// Rising horizons, and the same one again.
+			if rng.Intn(3) > 0 {
+				lastUpTo = now + rng.Int63n(200_000)
+			}
+			vm.Schedule(lastUpTo)
+			ovm.schedule(lastUpTo)
+		case op < 94:
+			// Pop the earliest committed frame, or only look at it, as
+			// Build does when padding consumes the window.
+			horizon := now + rng.Int63n(100_000)
+			got, ok := vm.peekReady(horizon)
+			want, wok := ovm.peekReady(horizon)
+			if ok && rng.Intn(2) != 0 {
+				got, ok = vm.PopReady(horizon)
+				want, wok = ovm.popReady(horizon)
+			}
+			if ok != wok || (ok && !sameFrame(&got, &want.Packet)) {
+				t.Fatalf("seed %d step %d: PopReady(%d) = %+v %v, oracle %+v %v", seed, step, horizon, got, ok, want, wok)
+			}
+		default:
+			now += rng.Int63n(tick)
 		}
 
-		var now, lastUpTo int64
-		tokens := 0
-		for step := 0; step < steps; step++ {
-			i := rng.Intn(len(ref.vms))
-			vm, ovm := host.vms[i], ref.vms[i]
-			switch op := rng.Intn(100); {
-			case op < 45:
-				// One frame, or a burst that leaves the chain backlogged.
-				for burst := 1 + rng.Intn(8)/7*rng.Intn(150); burst > 0; burst-- {
-					dst, bytes := 1+rng.Intn(nDst), mtu
-					if rng.Intn(100) < ackPct {
-						bytes = ack
-					}
-					tokens++
-					vm.Enqueue(now, dst, bytes, tokens)
-					ovm.enqueue(now, dst, bytes, tokens)
-				}
-			case op < 57:
-				// Install, retune under backlog, remove; nDst+1 is a
-				// destination no traffic ever goes to.
-				dst, rate := 1+rng.Intn(nDst+1), 0.0
-				if rng.Intn(4) > 0 {
-					rate = 1e6 + rng.Float64()*10e9/8
-				}
-				vm.SetDestRate(now, dst, rate)
-				ovm.setDestRate(now, dst, rate)
-			case op < 72:
-				// One batch, or the soft-timer chain: each batch built as
-				// the previous one finishes, voids filling the gaps.
-				for chain := 1 + rng.Intn(2)*rng.Intn(64); chain > 0; chain-- {
-					got, want := host.NextBatch(now), ref.nextBatch(now)
-					checkBatch(t, fmt.Sprintf("seed %d step %d", seed, step), got, want)
-					if got == nil {
-						break
-					}
-					now = got.End
-				}
-			case op < 82:
-				// Rising horizons, and the same one again.
-				if rng.Intn(3) > 0 {
-					lastUpTo = now + rng.Int63n(200_000)
-				}
-				vm.Schedule(lastUpTo)
-				ovm.schedule(lastUpTo)
-			case op < 94:
-				horizon := now + rng.Int63n(100_000)
-				got, ok := vm.PopReady(horizon)
-				want, wok := ovm.popReady(horizon)
-				if ok != wok || (ok && !sameFrame(got, want)) {
-					t.Fatalf("seed %d step %d: PopReady(%d) = %+v %v, oracle %+v %v", seed, step, horizon, got, ok, want, wok)
-				}
-				if ok && rng.Intn(2) == 0 {
-					// What Build does when padding consumes the window.
-					vm.unpop(got)
-					ovm.unpop(want)
-				}
-			default:
-				now += rng.Int63n(tick)
+		for k, ovm := range ref.vms {
+			vm := host.vms[k]
+			r, ok := vm.NextEventTime()
+			wr, wok := ovm.nextEventTime()
+			pr, pok := vm.PeekRelease()
+			wpr, wpok := ovm.peekRelease()
+			if r != wr || ok != wok || pr != wpr || pok != wpok || vm.Pending() != ovm.pending() {
+				t.Fatalf("seed %d step %d vm %d: NextEventTime %d %v (oracle %d %v), PeekRelease %d %v (oracle %d %v), Pending %d (oracle %d)",
+					seed, step, vm.ID, r, ok, wr, wok, pr, pok, wpr, wpok, vm.Pending(), ovm.pending())
 			}
-
-			for k, ovm := range ref.vms {
-				vm := host.vms[k]
-				r, ok := vm.NextEventTime()
-				wr, wok := ovm.nextEventTime()
-				pr, pok := vm.PeekRelease()
-				wpr, wpok := ovm.peekRelease()
-				if r != wr || ok != wok || pr != wpr || pok != wpok || vm.Pending() != ovm.pending() {
-					t.Fatalf("seed %d step %d vm %d: NextEventTime %d %v (oracle %d %v), PeekRelease %d %v (oracle %d %v), Pending %d (oracle %d)",
-						seed, step, vm.ID, r, ok, wr, wok, pr, pok, wpr, wpok, vm.Pending(), ovm.pending())
-				}
-				for d := 1; d <= nDst+1; d++ {
-					if vm.QueuedBytesTo(d) != ovm.queuedBytes[d] || vm.SentBytesTo(d) != ovm.sentBytes[d] || vm.DestRate(d) != ovm.destRate(d) {
-						t.Fatalf("seed %d step %d vm %d dst %d: queued %d sent %d rate %g, oracle %d %d %g", seed, step, vm.ID, d,
-							vm.QueuedBytesTo(d), vm.SentBytesTo(d), vm.DestRate(d), ovm.queuedBytes[d], ovm.sentBytes[d], ovm.destRate(d))
-					}
-				}
-				got, want := vm.Destinations(), ovm.destinations()
-				sort.Ints(got)
-				sort.Ints(want)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d vm %d: Destinations %v, oracle %v", seed, step, vm.ID, got, want)
+			for d := 1; d <= nDst+1; d++ {
+				if vm.QueuedBytesTo(d) != ovm.queuedBytes[d] || vm.SentBytesTo(d) != ovm.sentBytes[d] || vm.DestRate(d) != ovm.destRate(d) {
+					t.Fatalf("seed %d step %d vm %d dst %d: queued %d sent %d rate %g, oracle %d %d %g", seed, step, vm.ID, d,
+						vm.QueuedBytesTo(d), vm.SentBytesTo(d), vm.DestRate(d), ovm.queuedBytes[d], ovm.sentBytes[d], ovm.destRate(d))
 				}
 			}
-		}
-		pushBacks += ref.pushBacks
-		for _, ovm := range ref.vms {
-			overtakes += ovm.overtakes
+			got, want := vm.Destinations(), ovm.destinations()
+			sort.Ints(got)
+			sort.Ints(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d vm %d: Destinations %v, oracle %v", seed, step, vm.ID, got, want)
+			}
 		}
 	}
-	t.Logf("%d push-backs, %d overtaking commits over %d seeds", pushBacks, overtakes, seeds)
-	if overtakes == 0 {
-		t.Error("no commit ever overtook a waiting packet: the ready queue's insertion step went untested")
+	for _, ovm := range ref.vms {
+		overtakes += ovm.overtakes
 	}
+	return ref.pushBacks, overtakes
 }
 
 // TestPushBackMatchesOracle aims at the one path the random script
-// reaches only by luck: padding that consumes the window, so Build puts
-// the packet it just popped back. Acks paced 93–120 ns apart leave gaps
-// of 26–53 ns after their 67 ns of wire time, which the void layout
-// rounds to nothing or to a whole 67 ns slot — past the window's end
-// whenever that falls inside one. Fresh acks keep arriving, so a frame
-// recycled while still in ready would be overwritten under the queue.
+// reaches only by luck: padding that consumes the window, so Build
+// leaves the earliest packet queued (the oracle pops it and puts it
+// back). Acks paced 93–120 ns apart leave gaps of 26–53 ns after their
+// 67 ns of wire time, which the void layout rounds to nothing or to a
+// whole 67 ns slot — past the window's end whenever that falls inside
+// one. Fresh acks keep arriving behind the frame left queued.
 func TestPushBackMatchesOracle(t *testing.T) {
 	pushBacks := 0
 	for _, rate := range []float64{7e8, 8e8, 9e8} {
@@ -498,8 +550,8 @@ func TestPushBackMatchesOracle(t *testing.T) {
 			var now int64
 			for round := 0; round < 200; round++ {
 				for k := 0; k < 12; k++ {
-					host.vms[0].Enqueue(now, 1+k%3, 84, round)
-					ref.vms[0].enqueue(now, 1+k%3, 84, round)
+					host.vms[0].Enqueue(now, 1+k%3, 84, tag{1, 1 + k%3, round})
+					ref.vms[0].enqueue(now, 1+k%3, 84, tag{1, 1 + k%3, round})
 				}
 				for chain := 0; chain < 8; chain++ {
 					got, want := host.NextBatch(now), ref.nextBatch(now)

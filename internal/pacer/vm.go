@@ -5,33 +5,41 @@ import (
 	"math"
 )
 
-// Packet is one frame handed to the pacer (data) or synthesized by the
-// batcher (void).
+// Packet is one frame of a batch: a data frame the scheduler committed
+// or a void the batcher synthesized. Frames are values: the ready queue
+// and Batch.Packets hold them inline, and a copy stays valid for good.
 type Packet struct {
+	// Ref carries an opaque payload reference for integrations (e.g.
+	// the simulator's packet); nil for a void.
+	Ref interface{}
 	// Bytes is the on-wire frame size including Ethernet overhead.
 	Bytes int
-	// SrcVM and DstVM identify endpoints for hose accounting.
-	SrcVM, DstVM int
-	// Void marks a spacer frame (MAC src == MAC dst) that the first
-	// switch drops.
-	Void bool
 	// Release is the earliest ns at which the frame may leave the NIC,
-	// assigned when the scheduler commits the packet (-1 while it
-	// waits in its destination queue).
+	// assigned when the scheduler commits the packet.
 	Release int64
+	// Wire is the ns at which the batcher actually laid the frame on
+	// the wire (set during batch building).
+	Wire int64
+
+	enq int64  // enqueue time
+	seq uint64 // FIFO tiebreak within equal Release
+
 	// Gate records which token bucket determined Release (Gate*
 	// constants; GateNone when the packet was immediately feasible).
 	// Set at commit time; flight-recorder attribution reads it.
 	Gate uint8
-	// Wire is the ns at which the batcher actually laid the frame on
-	// the wire (set during batch building).
-	Wire int64
-	// Ref carries an opaque payload reference for integrations (e.g.
-	// the simulator's packet).
-	Ref interface{}
+	// Void marks a spacer frame (MAC src == MAC dst) that the first
+	// switch drops.
+	Void bool
+}
 
-	enq int64  // enqueue time
-	seq uint64 // FIFO tiebreak within equal Release
+// entry is a data frame waiting in its destination queue: what a
+// commit turns into a Packet.
+type entry struct {
+	ref   interface{}
+	enq   int64
+	seq   uint64
+	bytes int
 }
 
 // MinVoidBytes is the smallest legal Ethernet frame including preamble
@@ -74,16 +82,15 @@ type Guarantee struct {
 type dest struct {
 	id   int
 	hose *TokenBucket // nil = unconstrained pending coordination
-	q    pktRing      // unscheduled packets, FIFO
+	q    ring[entry]  // unscheduled packets, FIFO
 	pos  int          // index in VM.backlog while q is non-empty
 	// seen records that traffic was queued toward id and the record is
 	// in VM.dests (SetDestRate alone does not make a destination
 	// visible to the coordinator).
 	seen bool
 
-	// headEnq, headBytes and headSeq mirror the head frame's enq, Bytes
-	// and seq, set whenever the head changes, so the scheduler's scan
-	// reads no frame.
+	// headEnq, headBytes and headSeq mirror the head entry, set whenever
+	// the head changes, so the scheduler's scan reads no queue.
 	headEnq   int64
 	headBytes int
 	headSeq   uint64
@@ -122,12 +129,8 @@ type VM struct {
 	dests   []*dest       // records traffic was queued toward, in first-seen order
 	backlog []*dest       // records with a non-empty queue; the scheduler's whole working set
 	queued  int
-	ready   pktRing // committed packets in (Release, seq) order
+	ready   ring[Packet] // committed packets in (Release, seq) order
 	seq     uint64
-
-	// frames is the host's free list (nil for a VM no HostPacer owns:
-	// every Enqueue then allocates and nothing is recycled).
-	frames *framePool
 
 	queuedTotal int64      // bytes awaiting commit across all destinations
 	mx          *VMMetrics // nil = uninstrumented (one branch per event)
@@ -245,21 +248,9 @@ func (v *VM) DestRate(dst int) float64 {
 
 // Enqueue admits one data packet into its destination queue. The
 // release stamp is assigned later, when the scheduler commits the
-// packet in chronological order. On a VM registered with a HostPacer
-// the frame comes from the host's free list and returns to it once
-// NextBatch has handed it out (see HostPacer.NextBatch); the returned
-// pointer must not be kept past that point.
-func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) *Packet {
-	p := v.frames.get()
-	*p = Packet{
-		Bytes:   bytes,
-		SrcVM:   v.ID,
-		DstVM:   dstVM,
-		Release: -1,
-		Ref:     ref,
-		enq:     now,
-		seq:     v.seq,
-	}
+// packet in chronological order.
+func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) {
+	e := entry{ref: ref, enq: now, seq: v.seq, bytes: bytes}
 	v.seq++
 	d := v.destFor(dstVM)
 	if !d.seen {
@@ -269,19 +260,18 @@ func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) *Packet {
 	if d.q.n == 0 {
 		d.pos = len(v.backlog)
 		v.backlog = append(v.backlog, d)
-		d.setHead(p)
+		d.setHead(&e)
 	}
-	d.q.pushBack(p)
+	d.q.pushBack(e)
 	v.queued++
 	d.queuedBytes += int64(bytes)
 	v.queuedTotal += int64(bytes)
 	v.mx.noteQueued(v.queuedTotal)
-	return p
 }
 
-// setHead mirrors the frame now at the front of d's queue.
-func (d *dest) setHead(p *Packet) {
-	d.headEnq, d.headBytes, d.headSeq = p.enq, p.Bytes, p.seq
+// setHead mirrors the entry now at the front of d's queue.
+func (d *dest) setHead(e *entry) {
+	d.headEnq, d.headBytes, d.headSeq = e.enq, e.bytes, e.seq
 }
 
 // stage returns the destination-bucket stage of d's head release,
@@ -355,7 +345,7 @@ func (v *VM) Schedule(upTo int64) {
 		if bestR > upTo {
 			break
 		}
-		p := best.q.popFront()
+		e := best.q.popFront()
 		best.stageOK = false
 		if best.q.n == 0 {
 			last := v.backlog[len(v.backlog)-1]
@@ -366,22 +356,20 @@ func (v *VM) Schedule(upTo int64) {
 			best.setHead(best.q.front())
 		}
 		v.queued--
-		best.queuedBytes -= int64(p.Bytes)
-		best.sentBytes += int64(p.Bytes)
-		v.queuedTotal -= int64(p.Bytes)
+		best.queuedBytes -= int64(e.bytes)
+		best.sentBytes += int64(e.bytes)
+		v.queuedTotal -= int64(e.bytes)
 		// Commit through the chain at the final release time.
 		if best.hose != nil {
-			best.hose.Commit(bestR, p.Bytes)
+			best.hose.Commit(bestR, e.bytes)
 		}
-		v.avg.Commit(bestR, p.Bytes)
-		v.cap.Commit(bestR, p.Bytes)
-		p.Release = bestR
-		p.Gate = bestGate
-		v.mx.noteCommit(p, bestR, v.queuedTotal)
+		v.avg.Commit(bestR, e.bytes)
+		v.cap.Commit(bestR, e.bytes)
+		v.mx.noteCommit(e.enq, bestR, v.queuedTotal)
 		if v.onCommit != nil {
-			v.onCommit(bestR, p.Bytes)
+			v.onCommit(bestR, e.bytes)
 		}
-		v.ready.insert(p)
+		v.insertReady(Packet{Ref: e.ref, Bytes: e.bytes, Release: bestR, enq: e.enq, seq: e.seq, Gate: bestGate})
 	}
 }
 
@@ -425,38 +413,55 @@ func (v *VM) PeekRelease() (int64, bool) {
 
 // PopReady removes and returns the earliest committed packet if its
 // release time is <= horizon.
-func (v *VM) PopReady(horizon int64) (*Packet, bool) {
+func (v *VM) PopReady(horizon int64) (Packet, bool) {
 	if v.ready.n == 0 || v.ready.front().Release > horizon {
-		return nil, false
+		return Packet{}, false
 	}
 	return v.ready.popFront(), true
 }
-
-// unpop returns the packet PopReady just handed out to the front of
-// the ready queue (the batcher found its window consumed by padding).
-func (v *VM) unpop(p *Packet) { v.ready.pushFront(p) }
 
 func (v *VM) String() string {
 	return fmt.Sprintf("VM(%d: B=%.0f S=%.0f Bmax=%.0f, %d queued)",
 		v.ID, v.g.BandwidthBps, v.g.BurstBytes, v.g.BurstRateBps, v.Pending())
 }
 
-// pktRing is a FIFO of packets in a power-of-two ring. The destination
-// queues use it as a plain queue; the ready queue also inserts in
-// (Release, seq) order from the tail.
-type pktRing struct {
-	buf  []*Packet
+// insertReady places a committed packet in (Release, seq) order.
+// Commits arrive in that order whenever the {B,S} bucket has a rate
+// (its virtual clock never moves back), so the walk from the tail is
+// normally zero steps; with an unlimited bucket a later enqueue can
+// commit ahead of packets already waiting, and the walk keeps the pop
+// order exactly what a priority queue would give.
+func (v *VM) insertReady(p Packet) {
+	q := &v.ready
+	q.grow()
+	i := q.n
+	for i > 0 {
+		prev := &q.buf[q.slot(i-1)]
+		if prev.Release < p.Release || (prev.Release == p.Release && prev.seq < p.seq) {
+			break
+		}
+		q.buf[q.slot(i)] = *prev
+		i--
+	}
+	q.buf[q.slot(i)] = p
+	q.n++
+}
+
+// ring is a FIFO of values in a power-of-two ring: the destination
+// queues' entries and the ready queue's packets.
+type ring[T any] struct {
+	buf  []T
 	head int // index of the front element
 	n    int
 }
 
-func (q *pktRing) front() *Packet { return q.buf[q.head] }
+func (q *ring[T]) front() *T { return &q.buf[q.head] }
 
 // slot maps a queue position (0 = front) to its buffer index.
-func (q *pktRing) slot(i int) int { return (q.head + i) & (len(q.buf) - 1) }
+func (q *ring[T]) slot(i int) int { return (q.head + i) & (len(q.buf) - 1) }
 
 // grow doubles the buffer when it is full, unrolling the ring.
-func (q *pktRing) grow() {
+func (q *ring[T]) grow() {
 	if q.n < len(q.buf) {
 		return
 	}
@@ -464,73 +469,25 @@ func (q *pktRing) grow() {
 	if size == 0 {
 		size = 8
 	}
-	buf := make([]*Packet, size)
+	buf := make([]T, size)
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
 }
 
-func (q *pktRing) pushBack(p *Packet) {
+func (q *ring[T]) pushBack(x T) {
 	q.grow()
-	q.buf[q.slot(q.n)] = p
+	q.buf[q.slot(q.n)] = x
 	q.n++
 }
 
-func (q *pktRing) pushFront(p *Packet) {
-	q.grow()
-	q.head = q.slot(len(q.buf) - 1)
-	q.buf[q.head] = p
-	q.n++
-}
-
-func (q *pktRing) popFront() *Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
+// popFront removes the front element, zeroing its slot so the ring
+// keeps no payload reference alive.
+func (q *ring[T]) popFront() T {
+	x := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
 	q.head = q.slot(1)
 	q.n--
-	return p
-}
-
-// insert places a committed packet in (Release, seq) order. Commits
-// arrive in that order whenever the {B,S} bucket has a rate (its
-// virtual clock never moves back), so the walk from the tail is
-// normally zero steps; with an unlimited bucket a later enqueue can
-// commit ahead of packets already waiting, and the walk keeps the pop
-// order exactly what a priority queue would give.
-func (q *pktRing) insert(p *Packet) {
-	q.grow()
-	i := q.n
-	for i > 0 {
-		prev := q.buf[q.slot(i-1)]
-		if prev.Release < p.Release || (prev.Release == p.Release && prev.seq < p.seq) {
-			break
-		}
-		q.buf[q.slot(i)] = prev
-		i--
-	}
-	q.buf[q.slot(i)] = p
-	q.n++
-}
-
-// framePool is one host's free list of frames. A nil pool always
-// allocates and never keeps anything.
-type framePool struct {
-	free []*Packet
-}
-
-func (fp *framePool) get() *Packet {
-	if fp == nil || len(fp.free) == 0 {
-		return new(Packet)
-	}
-	p := fp.free[len(fp.free)-1]
-	fp.free = fp.free[:len(fp.free)-1]
-	return p
-}
-
-// put recycles a frame the batcher has handed out. Ref is dropped so
-// the free list never keeps the simulator's packet alive; get's callers
-// overwrite the rest.
-func (fp *framePool) put(p *Packet) {
-	p.Ref = nil
-	fp.free = append(fp.free, p)
+	return x
 }
