@@ -117,9 +117,10 @@ func (b *Batcher) build(batch *Batch, start int64, vms []*VM) {
 			// the next batch.
 			break
 		}
-		p, _ := src.PopReady(end)
+		batch.Packets = append(batch.Packets, *src.ready.front())
+		src.ready.drop()
+		p := &batch.Packets[len(batch.Packets)-1]
 		p.Wire = cursor
-		batch.Packets = append(batch.Packets, p)
 		batch.DataBytes += p.Bytes
 		cursor += b.wireNs(p.Bytes)
 	}

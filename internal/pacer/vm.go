@@ -250,19 +250,19 @@ func (v *VM) DestRate(dst int) float64 {
 // release stamp is assigned later, when the scheduler commits the
 // packet in chronological order.
 func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) {
-	e := entry{ref: ref, enq: now, seq: v.seq, bytes: bytes}
-	v.seq++
 	d := v.destFor(dstVM)
 	if !d.seen {
 		d.seen = true
 		v.dests = append(v.dests, d)
 	}
-	if d.q.n == 0 {
+	e := d.q.push()
+	*e = entry{ref: ref, enq: now, seq: v.seq, bytes: bytes}
+	v.seq++
+	if d.q.n == 1 {
 		d.pos = len(v.backlog)
 		v.backlog = append(v.backlog, d)
-		d.setHead(&e)
+		d.setHead(e)
 	}
-	d.q.pushBack(e)
 	v.queued++
 	d.queuedBytes += int64(bytes)
 	v.queuedTotal += int64(bytes)
@@ -345,16 +345,7 @@ func (v *VM) Schedule(upTo int64) {
 		if bestR > upTo {
 			break
 		}
-		e := best.q.popFront()
-		best.stageOK = false
-		if best.q.n == 0 {
-			last := v.backlog[len(v.backlog)-1]
-			v.backlog[best.pos] = last
-			last.pos = best.pos
-			v.backlog = v.backlog[:len(v.backlog)-1]
-		} else {
-			best.setHead(best.q.front())
-		}
+		e := best.q.front()
 		v.queued--
 		best.queuedBytes -= int64(e.bytes)
 		best.sentBytes += int64(e.bytes)
@@ -369,7 +360,17 @@ func (v *VM) Schedule(upTo int64) {
 		if v.onCommit != nil {
 			v.onCommit(bestR, e.bytes)
 		}
-		v.insertReady(Packet{Ref: e.ref, Bytes: e.bytes, Release: bestR, enq: e.enq, seq: e.seq, Gate: bestGate})
+		*v.readySlot(bestR, e.seq) = Packet{Ref: e.ref, Bytes: e.bytes, Release: bestR, enq: e.enq, seq: e.seq, Gate: bestGate}
+		best.q.drop()
+		best.stageOK = false
+		if best.q.n == 0 {
+			last := v.backlog[len(v.backlog)-1]
+			v.backlog[best.pos] = last
+			last.pos = best.pos
+			v.backlog = v.backlog[:len(v.backlog)-1]
+		} else {
+			best.setHead(best.q.front())
+		}
 	}
 }
 
@@ -417,7 +418,9 @@ func (v *VM) PopReady(horizon int64) (Packet, bool) {
 	if v.ready.n == 0 || v.ready.front().Release > horizon {
 		return Packet{}, false
 	}
-	return v.ready.popFront(), true
+	p := *v.ready.front()
+	v.ready.drop()
+	return p, true
 }
 
 func (v *VM) String() string {
@@ -425,26 +428,27 @@ func (v *VM) String() string {
 		v.ID, v.g.BandwidthBps, v.g.BurstBytes, v.g.BurstRateBps, v.Pending())
 }
 
-// insertReady places a committed packet in (Release, seq) order.
+// readySlot opens the ready queue's slot for a packet committed at
+// (release, seq), in (Release, seq) order, for the caller to fill.
 // Commits arrive in that order whenever the {B,S} bucket has a rate
 // (its virtual clock never moves back), so the walk from the tail is
 // normally zero steps; with an unlimited bucket a later enqueue can
 // commit ahead of packets already waiting, and the walk keeps the pop
 // order exactly what a priority queue would give.
-func (v *VM) insertReady(p Packet) {
+func (v *VM) readySlot(release int64, seq uint64) *Packet {
 	q := &v.ready
 	q.grow()
 	i := q.n
 	for i > 0 {
 		prev := &q.buf[q.slot(i-1)]
-		if prev.Release < p.Release || (prev.Release == p.Release && prev.seq < p.seq) {
+		if prev.Release < release || (prev.Release == release && prev.seq < seq) {
 			break
 		}
 		q.buf[q.slot(i)] = *prev
 		i--
 	}
-	q.buf[q.slot(i)] = p
 	q.n++
+	return &q.buf[q.slot(i)]
 }
 
 // ring is a FIFO of values in a power-of-two ring: the destination
@@ -475,19 +479,19 @@ func (q *ring[T]) grow() {
 	q.buf, q.head = buf, 0
 }
 
-func (q *ring[T]) pushBack(x T) {
+// push appends a slot at the back and returns it for the caller to
+// fill.
+func (q *ring[T]) push() *T {
 	q.grow()
-	q.buf[q.slot(q.n)] = x
 	q.n++
+	return &q.buf[q.slot(q.n-1)]
 }
 
-// popFront removes the front element, zeroing its slot so the ring
-// keeps no payload reference alive.
-func (q *ring[T]) popFront() T {
-	x := q.buf[q.head]
+// drop removes the front element, zeroing its slot so the ring keeps
+// no payload reference alive.
+func (q *ring[T]) drop() {
 	var zero T
 	q.buf[q.head] = zero
 	q.head = q.slot(1)
 	q.n--
-	return x
 }
