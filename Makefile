@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: all ci fmt vet build test test-race test-admission test-obs examples soak bench-placement
+.PHONY: all ci fmt vet build test test-race test-admission test-obs test-pacer examples soak bench-placement
 
 all: vet build test
 
 # The test steps of the CI workflow, in order (CI also writes sample
 # artifacts for upload).
-ci: fmt vet build test test-race test-admission test-obs examples soak
+ci: fmt vet build test test-race test-admission test-obs test-pacer examples soak
 
 # Every Go file as gofmt writes it: lists the files that are not and
 # fails if there are any.
@@ -60,6 +60,16 @@ test-admission:
 # formatters against the float and reflective paths.
 test-obs:
 	$(GO) test -race -count=25 -run 'MatchesEncoder|MatchesRingOracle|CorrelationMemo|AppendMicros|AppendJSONString' ./internal/obs/ ./internal/obs/dashboard/ ./internal/obs/timeseries/ ./internal/experiments/
+
+# The pacer's equivalences, 25 times over under the race detector (about
+# three and a half minutes on two cores): the scheduler and batcher
+# against the map-and-heap oracle kept in internal/pacer/oracle_test.go
+# (fixed seeds and, in TestSchedulerMatchesOracleFreshSeeds, seeds drawn
+# from the clock), the push-back path, the hose kernel against the
+# map-based allocators, and the bucket chain's joint conformance
+# properties.
+test-pacer:
+	$(GO) test -race -count=25 -run 'MatchesOracle|Conformance|PushBack' ./internal/pacer/
 
 # The five example programs, the only callers of the public facade's
 # Admit / Deploy / CoordinateHose besides the benchmark: each must run to
