@@ -416,6 +416,84 @@ func TestAppendRetriesRecoverTransientFailures(t *testing.T) {
 	}
 }
 
+// TestFailedSyncDoesNotResurrectAbortedCommit: a commit whose fsync
+// runs out of retries is reported failed and its seq goes to the next
+// commit, so its record must not stay in the log. Otherwise replay
+// applies the aborted mutation and drops the acknowledged one that
+// reused its seq as a duplicate.
+func TestFailedSyncDoesNotResurrectAbortedCommit(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := openTest(t, dir, smallTree())
+	defer d.Close()
+	d.st.w.sleep = func(time.Duration) {}
+	spec := func(id int) tenant.Spec {
+		return tenant.Spec{ID: id, Name: fmt.Sprintf("t%d", id), VMs: 1, Guarantee: tenant.Guarantee{
+			BandwidthBps: 100 * mbps, BurstBytes: 3e3, BurstRateBps: 10 * gbps}}
+	}
+	d.InjectSyncFailures(100)
+	if _, err := d.Place(spec(1)); !errors.Is(err, placement.ErrLogFailed) {
+		t.Fatalf("Place with failing fsyncs: got %v, want ErrLogFailed", err)
+	}
+	d.st.w.failSyncs = 0
+	if _, err := d.Place(spec(2)); err != nil {
+		t.Fatalf("Place after fsync healed: %v", err)
+	}
+	r, info := openTest(t, copyStoreDir(t, dir), smallTree())
+	defer r.Close()
+	if info.ReplayedRecords != 1 || info.SafeMode {
+		t.Fatalf("reopen after an aborted commit: %+v", info)
+	}
+	if _, ok := r.Placement(1); ok {
+		t.Fatal("replay resurrected the aborted tenant 1")
+	}
+	if got, want := signature(r), signature(d); got != want {
+		t.Fatalf("recovered manager differs from the live one:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestUncuttableAbortRefusesLaterCommits: when the log cannot cut an
+// aborted record off, every later commit fails with ErrLogFailed until
+// the store is reopened, and reopening recovers the acknowledged state.
+func TestUncuttableAbortRefusesLaterCommits(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := openTest(t, dir, smallTree())
+	defer d.Close()
+	d.st.w.sleep = func(time.Duration) {}
+	spec := func(id int) tenant.Spec {
+		return tenant.Spec{ID: id, Name: fmt.Sprintf("t%d", id), VMs: 1, Guarantee: tenant.Guarantee{
+			BandwidthBps: 100 * mbps, BurstBytes: 3e3, BurstRateBps: 10 * gbps}}
+	}
+	if _, err := d.Place(spec(1)); err != nil {
+		t.Fatal(err)
+	}
+	// A read-only handle fails the write and the truncate alike.
+	live := d.st.w.f
+	ro, err := os.Open(live.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.st.w.f = ro
+	if _, err := d.Place(spec(2)); !errors.Is(err, placement.ErrLogFailed) {
+		t.Fatalf("Place on an unwritable log: got %v, want ErrLogFailed", err)
+	}
+	d.st.w.f = live
+	ro.Close()
+	if _, err := d.Place(spec(3)); !errors.Is(err, placement.ErrLogFailed) {
+		t.Fatalf("Place after an uncut abort: got %v, want ErrLogFailed", err)
+	}
+	if ids := d.AdmittedIDs(); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("admitted %v, want [1]", ids)
+	}
+	r, info := openTest(t, copyStoreDir(t, dir), smallTree())
+	defer r.Close()
+	if info.ReplayedRecords != 1 || info.SafeMode {
+		t.Fatalf("reopen: %+v", info)
+	}
+	if _, err := r.Place(spec(3)); err != nil {
+		t.Fatalf("Place after reopen: %v", err)
+	}
+}
+
 func TestBackoffDelaysAreJitteredExponential(t *testing.T) {
 	tree := smallTree()
 	dir := t.TempDir()
