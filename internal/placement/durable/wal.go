@@ -72,6 +72,10 @@ type wal struct {
 	// file, exercising the retry path deterministically.
 	failAppends int
 	failSyncs   int
+
+	// broken is set when an aborted record could not be cut off the
+	// log; every later append returns it until the store is reopened.
+	broken error
 }
 
 var errInjected = errors.New("durable: injected I/O failure")
@@ -106,21 +110,36 @@ const (
 )
 
 // append logs one mutation under seq. The record is durable once the
-// enclosing fsync batch lands (sync, flush, or close); write-ahead
+// enclosing fsync batch lands (sync, snapshot, or close); write-ahead
 // ordering only requires it to be in the file before the in-memory
-// apply, which this guarantees even under retries.
+// apply, which this guarantees even under retries. A failed append
+// leaves no byte of the record in the log: the caller is told the
+// mutation failed, and the next commit reuses seq.
 func (w *wal) append(seq uint64, mut *placement.Mutation) error {
+	if w.broken != nil {
+		return w.broken
+	}
+	start := w.size
 	w.buf = appendRecord(w.buf[:0], seq, mut)
-	if err := w.retryIO(ioWrite); err != nil {
-		return fmt.Errorf("durable: append seq %d: %w", seq, err)
+	err := w.retryIO(ioWrite)
+	if err != nil {
+		err = fmt.Errorf("durable: append seq %d: %w", seq, err)
+	} else {
+		w.size += int64(len(w.buf))
+		w.mx.noteAppend(len(w.buf))
+		w.pending++
+		if w.syncEvery <= 0 || w.pending < w.syncEvery {
+			return nil
+		}
+		if err = w.sync(); err == nil {
+			return nil
+		}
+		w.size, w.pending = start, w.pending-1
 	}
-	w.size += int64(len(w.buf))
-	w.mx.noteAppend(len(w.buf))
-	w.pending++
-	if w.syncEvery > 0 && w.pending >= w.syncEvery {
-		return w.sync()
+	if terr := w.f.Truncate(start); terr != nil {
+		w.broken = fmt.Errorf("durable: cutting aborted seq %d off the log: %w", seq, terr)
 	}
-	return nil
+	return err
 }
 
 // sync flushes the pending batch to stable storage.
