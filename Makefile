@@ -66,8 +66,8 @@ test-obs:
 # against the map-and-heap oracle kept in internal/pacer/oracle_test.go
 # (fixed seeds and, in TestSchedulerMatchesOracleFreshSeeds, seeds drawn
 # from the clock), the push-back path, the hose kernel against the
-# map-based allocators, and the bucket chain's joint conformance
-# properties.
+# map-based HoseAllocate it replaced, and the bucket chain's joint
+# conformance properties.
 test-pacer:
 	$(GO) test -race -count=25 -run 'MatchesOracle|Conformance|PushBack' ./internal/pacer/
 

@@ -396,18 +396,6 @@ func BenchmarkAblationVoid(b *testing.B) {
 	}
 }
 
-// BenchmarkRealtimeJitter measures wall-clock batch punctuality of the
-// real-time pacer driver on this machine — the experiment behind the
-// repository's honesty note that Go userspace holds ~batch-level
-// punctuality (tens of µs) rather than a kernel driver's determinism.
-func BenchmarkRealtimeJitter(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		j := pacer.MeasureRealtimeJitter(Gbps(10), Gbps(2), 100)
-		b.ReportMetric(float64(j.MeanNs), "mean-late-ns")
-		b.ReportMetric(float64(j.P99Ns), "p99-late-ns")
-	}
-}
-
 // BenchmarkPacerEnqueue measures the raw cost of the pacing hot path:
 // stamping one packet through the full bucket chain and scheduling it.
 func BenchmarkPacerEnqueue(b *testing.B) {

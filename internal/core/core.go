@@ -75,9 +75,6 @@ func NewWith(tree *topology.Tree, scheme Scheme, algo placement.Algorithm) *Cont
 	}
 }
 
-// Tree returns the managed topology.
-func (c *Controller) Tree() *topology.Tree { return c.tree }
-
 // Placer exposes the Silo placement manager (for instrumentation); nil
 // when the controller admits through anything else.
 func (c *Controller) Placer() *placement.Manager { return c.mgr }
@@ -200,7 +197,7 @@ func (h *Handle) coordinate(nw *netsim.Network, pat workload.Pattern, peak bool)
 		for i := range caps {
 			caps[i] = b
 		}
-		new(pacer.HoseKernel).Solve(caps, caps, flows, nil, rates)
+		new(pacer.HoseKernel).Solve(caps, caps, flows, rates)
 	}
 	now := nw.Sim.Now()
 	for i, fl := range flows {

@@ -131,23 +131,6 @@ func table1Cell(p Table1Params, bwMult float64, burstMult int) float64 {
 	return 100 * float64(late) / float64(p.Messages)
 }
 
-// messageBoundNs computes the paper's message latency guarantee
-// (without d) in ns.
-func messageBoundNs(g pacer.Guarantee, msgBytes int) int64 {
-	m := float64(msgBytes)
-	bmax := g.BurstRateBps
-	if bmax <= 0 {
-		bmax = g.BandwidthBps
-	}
-	var sec float64
-	if m <= g.BurstBytes {
-		sec = m / bmax
-	} else {
-		sec = g.BurstBytes/bmax + (m-g.BurstBytes)/g.BandwidthBps
-	}
-	return int64(sec * 1e9)
-}
-
 // Render formats the result like the paper's Table 1.
 func (r Table1Result) Render() string {
 	var b strings.Builder

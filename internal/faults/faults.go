@@ -65,9 +65,6 @@ func (k Kind) IsDown() bool {
 	return k == KindLinkDown || k == KindLinkGrayStart || k == KindSwitchDown || k == KindHostDown
 }
 
-// IsUp reports whether the kind closes an outage.
-func (k Kind) IsUp() bool { return !k.IsDown() }
-
 // Event is one applied fault, a structured record consumable by obs
 // and the recovery control loop.
 type Event struct {

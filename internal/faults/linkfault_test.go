@@ -69,7 +69,7 @@ func runUplinkFault(t *testing.T) (port, total, delivered int64) {
 	if err := in.Apply(sched); err != nil {
 		t.Fatal(err)
 	}
-	nw.Run(2_000_000)
+	nw.Sim.Run(2_000_000)
 	return nw.Queues[uplink].Stats.FaultDroppedPkts, nw.TotalFaultDrops(), delivered
 }
 

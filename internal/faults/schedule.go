@@ -49,18 +49,6 @@ type Target struct {
 	Host   int    // TargetHost: server ID
 }
 
-// String renders the target in grammar form.
-func (t Target) String() string {
-	switch t.Kind {
-	case TargetLink:
-		return fmt.Sprintf("link %d", t.Port)
-	case TargetSwitch:
-		return "switch " + t.Switch
-	default:
-		return fmt.Sprintf("host %d", t.Host)
-	}
-}
-
 // Action is one parsed schedule entry.
 type Action struct {
 	AtNs   int64

@@ -414,7 +414,7 @@ func (s *sim) allocateReserved() {
 			}
 		}
 		s.pairs, s.rates = pairs, slices.Grow(s.rates[:0], len(pairs))[:len(pairs)]
-		s.kernel.Solve(s.caps, s.caps, pairs, nil, s.rates)
+		s.kernel.Solve(s.caps, s.caps, pairs, s.rates)
 		n := 0
 		for i := range j.flows {
 			if f := &j.flows[i]; f.remaining > 0 {

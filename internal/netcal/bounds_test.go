@@ -158,7 +158,7 @@ func TestHoseAggregateShape(t *testing.T) {
 	if got := c.LongTermRate(); !almostEq(got, 300) {
 		t.Errorf("rate = %v, want 300", got)
 	}
-	if got := c.BurstAt0(); !almostEq(got, 30) {
+	if got := c.Eval(0); !almostEq(got, 30) {
 		t.Errorf("burst = %v, want 30", got)
 	}
 	// 6 on the left: bandwidth still min(6,3)*B = 3B, burst 6S.
@@ -166,7 +166,7 @@ func TestHoseAggregateShape(t *testing.T) {
 	if got := c.LongTermRate(); !almostEq(got, 300) {
 		t.Errorf("rate = %v, want 300", got)
 	}
-	if got := c.BurstAt0(); !almostEq(got, 60) {
+	if got := c.Eval(0); !almostEq(got, 60) {
 		t.Errorf("burst = %v, want 60", got)
 	}
 }
@@ -190,7 +190,7 @@ func TestPropagate(t *testing.T) {
 	if got := out.LongTermRate(); !almostEq(got, 1000) {
 		t.Errorf("rate = %v, want 1000", got)
 	}
-	if got, want := out.BurstAt0(), 1000*0.1+500; !almostEq(got, want) {
+	if got, want := out.Eval(0), 1000*0.1+500; !almostEq(got, want) {
 		t.Errorf("burst = %v, want %v", got, want)
 	}
 }
@@ -232,36 +232,6 @@ func TestPropagateInflatesProperty(t *testing.T) {
 	}
 }
 
-func TestWFQServiceCurve(t *testing.T) {
-	// A flow with a 30% share of a 10 Gbps link, 1500 B max packets:
-	// β_{0.3·C, 1500/C}.
-	const c = 1.25e9
-	s := NewWFQService(c, 0.3, 1500)
-	if got := s.LongTermRate(); !almostEq(got, 0.3*c) {
-		t.Errorf("rate = %v", got)
-	}
-	if got := s.Eval(1500 / c); !almostEq(got, 0) {
-		t.Errorf("latency not honored: %v", got)
-	}
-	// Shares clamp to [0, 1].
-	if got := NewWFQService(c, 2, 1500).LongTermRate(); !almostEq(got, c) {
-		t.Errorf("overshare rate = %v", got)
-	}
-	if got := NewWFQService(c, -1, 1500).LongTermRate(); got != 0 {
-		t.Errorf("negative share rate = %v", got)
-	}
-	// The paper's motivation for WFQ bounds (Parekh-Gallagher): a
-	// flow's delay bound under WFQ is independent of other flows'
-	// bursts. Compare against FIFO where the aggregate burst matters.
-	flow := NewTokenBucket(0.2*c, 10e3)
-	cross := NewTokenBucket(0.5*c, 500e3) // bursty competitor
-	fifo := QueueBound(Add(flow, cross), NewRateLatency(c, 0))
-	wfq := QueueBound(flow, NewWFQService(c, 0.2, 1500))
-	if wfq >= fifo {
-		t.Errorf("WFQ bound %v should beat FIFO-with-competitor %v", wfq, fifo)
-	}
-}
-
 func TestFigure7BurstDoubling(t *testing.T) {
 	// Paper Fig. 7: f1 (rate C/2, burst 1 pkt) shares a C-capacity port
 	// with f2 (rate C/4, burst 1 pkt); f1 can egress with its burst
@@ -279,7 +249,7 @@ func TestFigure7BurstDoubling(t *testing.T) {
 	}
 	// Propagate with c = queue capacity >= p must be at least as big.
 	out := Propagate(f1, p, 0, 0)
-	if out.BurstAt0()+1e-9 < egressBurst {
-		t.Errorf("Propagate burst %v < Kurose bound %v", out.BurstAt0(), egressBurst)
+	if out.Eval(0)+1e-9 < egressBurst {
+		t.Errorf("Propagate burst %v < Kurose bound %v", out.Eval(0), egressBurst)
 	}
 }

@@ -24,10 +24,8 @@
 package netcal
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Segment is one linear piece of a curve: starting at time X the curve
@@ -98,27 +96,6 @@ func appendCapped(segs []Segment, rate, burst, peak, seed float64) []Segment {
 		segs = append(segs, Segment{X: tx, Y: yx, Rate: r1})
 	}
 	return segs
-}
-
-// NewWFQService returns the Parekh-Gallagher service curve a flow
-// with the given weight share receives from a weighted-fair-queuing
-// scheduler (paper refs [29,30]): a rate-latency curve with
-// R = share·linkRate and T = maxPkt/linkRate (one maximum-size packet
-// of scheduling latency). Silo deliberately assumes plain FIFO
-// switches — this curve exists for comparing how much tighter
-// per-flow bounds would be with WFQ hardware.
-func NewWFQService(linkRate, share, maxPktBytes float64) Curve {
-	if share < 0 {
-		share = 0
-	}
-	if share > 1 {
-		share = 1
-	}
-	latency := 0.0
-	if linkRate > 0 {
-		latency = maxPktBytes / linkRate
-	}
-	return NewRateLatency(share*linkRate, latency)
 }
 
 // NewRateLatency returns the service curve β(t) = max(0, rate·(t −
@@ -197,17 +174,6 @@ func (c Curve) LongTermRate() float64 {
 		return 0
 	}
 	return c.segs[len(c.segs)-1].Rate
-}
-
-// BurstAt0 returns the curve's value at t = 0+ (its instantaneous
-// burst).
-func (c Curve) BurstAt0() float64 { return c.Eval(0) }
-
-// Segments returns a copy of the curve's linear pieces.
-func (c Curve) Segments() []Segment {
-	out := make([]Segment, len(c.segs))
-	copy(out, c.segs)
-	return out
 }
 
 // Add returns the pointwise sum of two curves: the arrival curve of the
@@ -322,18 +288,6 @@ func Min(a, b Curve) Curve {
 	return Curve{segs: normalize(segs)}
 }
 
-// Scale returns the curve k·A(t). k must be nonnegative.
-func Scale(a Curve, k float64) Curve {
-	if k < 0 {
-		panic("netcal: negative scale")
-	}
-	segs := make([]Segment, len(a.segs))
-	for i, s := range a.segs {
-		segs[i] = Segment{X: s.X, Y: s.Y * k, Rate: s.Rate * k}
-	}
-	return Curve{segs: normalize(segs)}
-}
-
 // rateAt returns the slope in effect at time t (right-derivative).
 func (c Curve) rateAt(t float64) float64 {
 	if len(c.segs) == 0 {
@@ -379,21 +333,4 @@ func dedupFloats(xs []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// String renders the curve's segments for debugging.
-func (c Curve) String() string {
-	if len(c.segs) == 0 {
-		return "Curve{0}"
-	}
-	var b strings.Builder
-	b.WriteString("Curve{")
-	for i, s := range c.segs {
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		fmt.Fprintf(&b, "t>=%.6g: %.6g+%.6g·t", s.X, s.Y-s.Rate*s.X, s.Rate)
-	}
-	b.WriteString("}")
-	return b.String()
 }

@@ -30,8 +30,8 @@ func TestTokenBucketEval(t *testing.T) {
 	if got := c.LongTermRate(); got != 100 {
 		t.Errorf("LongTermRate = %v, want 100", got)
 	}
-	if got := c.BurstAt0(); got != 50 {
-		t.Errorf("BurstAt0 = %v, want 50", got)
+	if got := c.Eval(0); got != 50 {
+		t.Errorf("Eval(0) = %v, want 50", got)
 	}
 }
 
@@ -152,23 +152,6 @@ func TestMinEqualsRateCapped(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	a := NewTokenBucket(100, 50)
-	s := Scale(a, 3)
-	if got := s.Eval(2); !almostEq(got, 3*a.Eval(2)) {
-		t.Errorf("Scale.Eval(2) = %v, want %v", got, 3*a.Eval(2))
-	}
-}
-
-func TestString(t *testing.T) {
-	if got := (Curve{}).String(); got != "Curve{0}" {
-		t.Errorf("zero curve String = %q", got)
-	}
-	if got := NewTokenBucket(1, 2).String(); got == "" {
-		t.Error("empty String for token bucket")
-	}
-}
-
 // Property: curves from our constructors are nondecreasing and concave,
 // and Add/Min preserve both.
 func TestCurveConcavityProperty(t *testing.T) {
@@ -189,7 +172,7 @@ func TestCurveConcavityProperty(t *testing.T) {
 }
 
 func isConcaveNondecreasing(c Curve) bool {
-	segs := c.Segments()
+	segs := c.segs
 	prevRate := math.Inf(1)
 	prevEnd := 0.0
 	for i, s := range segs {

@@ -55,10 +55,6 @@ func (nw *Network) PodSwitch(p int) *Switch { return nw.podSw[p] }
 // CoreSwitch returns the aggregated core switch.
 func (nw *Network) CoreSwitch() *Switch { return nw.core }
 
-// Run advances the network until every event drains or the clock
-// passes until. Returns events executed.
-func (nw *Network) Run(until int64) int { return nw.Sim.Run(until) }
-
 // RunCtx is Run with cooperative cancellation.
 func (nw *Network) RunCtx(ctx context.Context, until int64) int {
 	return nw.Sim.RunCtx(ctx, until)

@@ -51,9 +51,6 @@ func (sw *Switch) Fail() { sw.down = true }
 // Restore brings the switch back.
 func (sw *Switch) Restore() { sw.down = false }
 
-// IsDown reports whether the switch is failed.
-func (sw *Switch) IsDown() bool { return sw.down }
-
 // Host is a server endpoint. Egress goes either directly to the NIC
 // queue (baseline transports) or through a Silo host pacer that
 // timestamps packets and emits void-padded batches.
@@ -179,9 +176,6 @@ func (h *Host) Restore() {
 		h.NIC.Restore()
 	}
 }
-
-// IsDown reports whether the host is failed.
-func (h *Host) IsDown() bool { return h.down }
 
 // EnablePacing installs a Silo host pacer on the NIC.
 func (h *Host) EnablePacing(batcher *pacer.Batcher) {

@@ -51,7 +51,7 @@ func runPacedAllToAll(t *testing.T) ([][]pacedDelivery, *Network) {
 		}
 		h.Sim().At(int64(14*i+1), send)
 	}
-	nw.Run(1_000_000)
+	nw.Sim.Run(1_000_000)
 	return logs, nw
 }
 

@@ -54,15 +54,6 @@ func (t *PortWindowTracker) WorstPort(_, _ int64) (port int32, queueNs int64, ok
 	return int32(best), bestNs, true
 }
 
-// WindowMaxBytes returns the worst occupancy seen at port id in the
-// current window (0 for idle or out-of-range ports).
-func (t *PortWindowTracker) WindowMaxBytes(id int) int64 {
-	if t == nil || id < 0 || id >= len(t.maxBytes) {
-		return 0
-	}
-	return t.maxBytes[id]
-}
-
 // Reset opens the next window. Zero allocations.
 func (t *PortWindowTracker) Reset() {
 	if t == nil {

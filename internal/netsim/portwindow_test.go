@@ -122,7 +122,7 @@ func TestPortWindowTracker(t *testing.T) {
 	if queueNs <= 0 {
 		t.Errorf("queueNs = %d, want > 0", queueNs)
 	}
-	if tr.WindowMaxBytes(want) <= 0 {
+	if tr.maxBytes[want] <= 0 {
 		t.Error("window max bytes not tracked")
 	}
 
@@ -130,7 +130,7 @@ func TestPortWindowTracker(t *testing.T) {
 	if _, _, ok := tr.WorstPort(0, 0); ok {
 		t.Error("tracker attributed after Reset")
 	}
-	if tr.WindowMaxBytes(want) != 0 {
-		t.Error("WindowMaxBytes nonzero after Reset")
+	if tr.maxBytes[want] != 0 {
+		t.Error("window max bytes nonzero after Reset")
 	}
 }

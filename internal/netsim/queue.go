@@ -96,12 +96,6 @@ func (q *Queue) Sim() *Sim { return q.sim }
 // Occupied reports buffered bytes.
 func (q *Queue) Occupied() int { return q.occupied }
 
-// QueueDelayNs estimates the queuing delay a newly arrived packet
-// would see: occupancy divided by rate.
-func (q *Queue) QueueDelayNs() int64 {
-	return int64(float64(q.occupied) / q.RateBps * 1e9)
-}
-
 // Enqueue admits a packet to the port.
 func (q *Queue) Enqueue(p *Packet) {
 	q.Stats.EnqueuedPkts++
@@ -248,9 +242,6 @@ func (q *Queue) Restore() {
 // Down reports whether the port is failed.
 func (q *Queue) Down() bool { return q.down }
 
-// Lossy reports whether the port is in gray-failure mode.
-func (q *Queue) Lossy() bool { return q.lossy }
-
 // PhantomQueue is HULL's virtual queue: it counts bytes as if drained
 // at gamma × line rate and requests marking when the virtual backlog
 // exceeds the threshold. It never holds real packets.
@@ -281,16 +272,4 @@ func (pq *PhantomQueue) Mark(now int64, n int) bool {
 	}
 	pq.backlog += float64(n)
 	return pq.backlog > pq.MarkThresholdBytes
-}
-
-// Backlog reports the current virtual backlog in bytes.
-func (pq *PhantomQueue) Backlog(now int64) float64 {
-	b := pq.backlog
-	if now > pq.last {
-		b -= pq.DrainBps * float64(now-pq.last) / 1e9
-		if b < 0 {
-			b = 0
-		}
-	}
-	return b
 }

@@ -193,11 +193,11 @@ func TestPhantomQueueMarks(t *testing.T) {
 	if pq.Mark(1_000_000, 100) { // 1 ms drains 0.95e6... wait, 0.95e9 B/s * 1ms = 950000 bytes >> backlog
 		t.Error("phantom still marking after drain")
 	}
-	if pq.Backlog(1_000_000) != 100 {
-		t.Errorf("backlog = %v, want 100", pq.Backlog(1_000_000))
+	if pq.backlog != 100 {
+		t.Errorf("backlog = %v, want 100", pq.backlog)
 	}
-	if pq.Backlog(2_000_000) != 0 {
-		t.Errorf("backlog after drain = %v, want 0", pq.Backlog(2_000_000))
+	if pq.Mark(2_000_000, 0) || pq.backlog != 0 {
+		t.Errorf("backlog after drain = %v, want 0", pq.backlog)
 	}
 }
 
@@ -255,7 +255,7 @@ func runCrossPodWorkload(t *testing.T, pkts int) *Network {
 		g.fn = g.send
 		nw.Sim.At(int64(14*h+1), g.fn)
 	}
-	nw.Run(int64(14*hosts) + int64(pkts)*1400 + 1_000_000)
+	nw.Sim.Run(int64(14*hosts) + int64(pkts)*1400 + 1_000_000)
 	return nw
 }
 

@@ -177,7 +177,7 @@ func runWireScenario(t *testing.T, seed int64, oracle bool) *wireScenario {
 			vmID++
 		}
 	}
-	nw.Run(2_000_000)
+	nw.Sim.Run(2_000_000)
 	return sc
 }
 

@@ -219,15 +219,6 @@ func (a *GuaranteeAuditor) Tenants() []*TenantAudit {
 	return out
 }
 
-// TotalViolations sums delay-bound violations over all tenants.
-func (a *GuaranteeAuditor) TotalViolations() int64 {
-	var n int64
-	for _, t := range a.Tenants() {
-		n += t.Violations.Value()
-	}
-	return n
-}
-
 // Summary renders the one-line guarantee audit: per delay-bounded
 // tenant, packets observed, worst delay vs the bound, and the
 // violation count. Tenants without a bound are folded into a trailing

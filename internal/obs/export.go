@@ -24,11 +24,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return writePrometheus(w, r.Snapshot())
 }
 
-// WritePrometheus writes a snapshot in Prometheus text format.
-func (s Snapshot) WritePrometheus(w io.Writer) error {
-	return writePrometheus(w, s)
-}
-
 func writePrometheus(w io.Writer, snap Snapshot) error {
 	var b strings.Builder
 	lastName := ""
@@ -154,11 +149,6 @@ func formatFloat(v float64) string {
 // writes an empty object.
 func (r *Registry) WriteExpvarJSON(w io.Writer) error {
 	return writeExpvarJSON(w, r.Snapshot())
-}
-
-// WriteExpvarJSON writes a snapshot as expvar-style JSON.
-func (s Snapshot) WriteExpvarJSON(w io.Writer) error {
-	return writeExpvarJSON(w, s)
 }
 
 func writeExpvarJSON(w io.Writer, snap Snapshot) error {

@@ -150,33 +150,6 @@ func (r *FlightRecorder) Emit(kind uint8, t int64, pkt uint64, port int32, arg i
 	s.pos++
 }
 
-// Emitted returns the total number of events written (including any
-// that have since been overwritten).
-func (r *FlightRecorder) Emitted() int64 {
-	if r == nil {
-		return 0
-	}
-	var n int64
-	for i := range r.shards {
-		n += int64(r.shards[i].pos)
-	}
-	return n
-}
-
-// Overwritten returns how many events the rings have discarded.
-func (r *FlightRecorder) Overwritten() int64 {
-	if r == nil {
-		return 0
-	}
-	var n int64
-	for i := range r.shards {
-		if pos := r.shards[i].pos; pos > r.mask+1 {
-			n += int64(pos - (r.mask + 1))
-		}
-	}
-	return n
-}
-
 // Events snapshots the retained events, oldest first within each
 // shard. Per-packet order is exact (a packet's events share a shard);
 // cross-packet order is per-shard.

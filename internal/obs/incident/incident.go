@@ -119,12 +119,6 @@ func (w FaultWindow) effectiveEndNs() int64 {
 	return w.EndNs + w.GraceNs
 }
 
-// Overlaps reports whether the window (with grace) intersects
-// [sinceNs, untilNs].
-func (w FaultWindow) Overlaps(sinceNs, untilNs int64) bool {
-	return w.StartNs <= untilNs && w.effectiveEndNs() >= sinceNs
-}
-
 // FaultWindowsFromEvents pairs an injector's ordered event log into
 // outage windows, mirroring the injector's own open-outage tracking:
 // a down-kind event opens a window for its target, the next up-kind

@@ -86,7 +86,7 @@ func TestIntrospectionDeterministic(t *testing.T) {
 			nw.Sim.At(int64(14*h+1), send)
 		}
 		horizon := int64(14*(hosts-1)+1) + pkts*gapNs + 1_000_000
-		nw.Run(horizon)
+		nw.Sim.Run(horizon)
 		s := in.Snapshot()
 		return s.Render()
 	}

@@ -30,7 +30,6 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
 )
 
@@ -77,14 +76,6 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.v = v
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v += delta
 }
 
 // SetMax raises the gauge to v if v exceeds the current value (a
@@ -198,49 +189,4 @@ func (h *Histogram) Buckets() [histBuckets]int64 {
 		return [histBuckets]int64{}
 	}
 	return h.counts
-}
-
-// Quantile estimates the q-th quantile (q in [0,1]) from the buckets,
-// returning each bucket's upper bound. Exact at the extremes (q=0 and
-// q=1 return the tracked min/max); within a bucket the upper bound is
-// reported, making the estimate conservative for SLO auditing.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.Min()
-	}
-	if q >= 1 {
-		return h.Max()
-	}
-	// Nearest-rank: the smallest value with at least ceil(q*n)
-	// observations at or below it. Truncating here instead of taking
-	// the ceiling would bias every fractional rank one observation low
-	// (e.g. the median of 3 observations would read the 1st, not the
-	// 2nd).
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	buckets := h.Buckets()
-	var cum int64
-	for i, c := range buckets {
-		cum += c
-		if cum >= rank {
-			ub := BucketUpperBound(i)
-			if mx := h.Max(); ub > mx {
-				ub = mx // the top occupied bucket can't exceed the exact max
-			}
-			return ub
-		}
-	}
-	return h.Max()
 }

@@ -138,9 +138,6 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 // indices onto the columns of its rows without a per-capture lookup.
 type MetricRef struct{ e *entry }
 
-// Valid reports whether the handle refers to a metric.
-func (m MetricRef) Valid() bool { return m.e != nil }
-
 // Name returns the base metric name.
 func (m MetricRef) Name() string { return m.e.name }
 
@@ -263,51 +260,6 @@ func (r *Registry) Snapshot() Snapshot {
 		out.Entries = append(out.Entries, se)
 	}
 	return out
-}
-
-// Delta returns the change from prev to s: counters and histogram
-// buckets subtract (metrics absent from prev keep their full value);
-// gauges pass through at their current value. Use it to report one
-// experiment phase out of a longer-lived registry.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	old := make(map[string]*SnapEntry, len(prev.Entries))
-	for i := range prev.Entries {
-		old[prev.Entries[i].Key()] = &prev.Entries[i]
-	}
-	out := Snapshot{Entries: make([]SnapEntry, 0, len(s.Entries))}
-	for _, se := range s.Entries {
-		d := se
-		if o, ok := old[se.Key()]; ok && o.Kind == se.Kind {
-			switch se.Kind {
-			case KindCounter:
-				d.Value = se.Value - o.Value
-			case KindHistogram:
-				h := *se.Hist
-				h.Count -= o.Hist.Count
-				h.Sum -= o.Hist.Sum
-				for i := range h.Buckets {
-					h.Buckets[i] -= o.Hist.Buckets[i]
-				}
-				// Min/max are run-wide extremes; a windowed extreme is
-				// not recoverable from two absolute snapshots.
-				d.Hist = &h
-			}
-		}
-		out.Entries = append(out.Entries, d)
-	}
-	return out
-}
-
-// Get returns the snapshot entry with the given name and labels, if
-// present.
-func (s Snapshot) Get(name string, labels ...string) (SnapEntry, bool) {
-	k := metricKey(name, labels)
-	for _, e := range s.Entries {
-		if e.Key() == k {
-			return e, true
-		}
-	}
-	return SnapEntry{}, false
 }
 
 // sortedByName returns entry indices grouped by base name, preserving

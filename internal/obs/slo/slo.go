@@ -40,9 +40,9 @@ import (
 )
 
 // Attributor resolves "which port caused the queueing in this time
-// window" for alert events. Implementations: netsim's live per-port
-// window tracker, and SpanAttributor over flight-recorder spans. ok is
-// false when the window saw no attributable queueing.
+// window" for alert events; netsim's live per-port window tracker
+// implements it. ok is false when the window saw no attributable
+// queueing.
 type Attributor interface {
 	WorstPort(sinceNs, untilNs int64) (port int32, queueNs int64, ok bool)
 }
@@ -546,15 +546,6 @@ type WindowPoint struct {
 	Violated  int64 `json:"violated"`
 }
 
-// Conformance is the fraction of the window's deliveries inside the
-// bound (1 for an idle window).
-func (w WindowPoint) Conformance() float64 {
-	if w.Delivered <= 0 {
-		return 1
-	}
-	return 1 - float64(w.Violated)/float64(w.Delivered)
-}
-
 // Windows returns tenant id's retained windows in chronological order,
 // or nil if the tenant has no delay SLO.
 func (e *Engine) Windows(id int) []WindowPoint {
@@ -580,18 +571,6 @@ func (e *Engine) Windows(id int) []WindowPoint {
 		return out
 	}
 	return nil
-}
-
-// TenantIDs lists the delay-bounded tenants under SLO tracking.
-func (e *Engine) TenantIDs() []int {
-	if e == nil {
-		return nil
-	}
-	out := make([]int, len(e.tenants))
-	for i, ts := range e.tenants {
-		out[i] = ts.t.ID
-	}
-	return out
 }
 
 // TenantReport is one tenant's end-of-run SLO summary.

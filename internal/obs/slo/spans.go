@@ -1,9 +1,7 @@
-// Span-backed attribution: the offline counterpart of netsim's live
-// per-port window tracker. Given flight-recorder spans annotated by
-// obs.AnnotateSpans, it answers the same two questions the live
-// engine asks — "who queued the packets delivered in this window" and
-// "how did each tenant's conformance evolve window by window" — from a
-// recorded trace, which is what silo-trace -windows renders.
+// Span-backed windows: given flight-recorder spans annotated by
+// obs.AnnotateSpans, how each tenant's conformance evolved window by
+// window in a recorded trace, which is what silo-trace -windows
+// renders.
 
 package slo
 
@@ -14,59 +12,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-// SpanAttributor implements Attributor over reassembled flight spans.
-// For a window it picks the dominant culprit: the port accumulating
-// the most worst-hop queueing across spans delivered inside the
-// window, restricted to violating spans whenever the window has any
-// (the port that hurt the tenants that missed their bound, not merely
-// the busiest port).
-type SpanAttributor struct {
-	spans []obs.FlightSpan
-}
-
-// NewSpanAttributor wraps spans (typically obs.AssembleFlight output
-// after obs.AnnotateSpans).
-func NewSpanAttributor(spans []obs.FlightSpan) *SpanAttributor {
-	return &SpanAttributor{spans: spans}
-}
-
-// WorstPort implements Attributor over the recorded spans.
-func (a *SpanAttributor) WorstPort(sinceNs, untilNs int64) (int32, int64, bool) {
-	if a == nil {
-		return -1, 0, false
-	}
-	queued := map[int32]int64{}
-	violatedOnly := false
-	for i := range a.spans {
-		s := &a.spans[i]
-		if !s.Complete || s.DeliverNs <= sinceNs || s.DeliverNs > untilNs {
-			continue
-		}
-		if s.Violated() && !violatedOnly {
-			// First violation seen: restart attribution over violators.
-			violatedOnly = true
-			for k := range queued {
-				delete(queued, k)
-			}
-		}
-		if violatedOnly && !s.Violated() {
-			continue
-		}
-		queued[s.WorstPort] += s.WorstQueueNs
-	}
-	var best int32 = -1
-	var bestQ int64
-	for p, q := range queued {
-		if q > bestQ || (q == bestQ && best >= 0 && p < best) {
-			best, bestQ = p, q
-		}
-	}
-	if best < 0 || bestQ == 0 {
-		return -1, 0, false
-	}
-	return best, bestQ, true
-}
 
 // TraceWindow is one tenant's windowed conformance computed from a
 // recorded trace.

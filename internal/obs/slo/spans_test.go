@@ -16,36 +16,6 @@ func span(deliverNs, totalNs, boundNs int64, tenant, worstPort int32, worstQ int
 	}
 }
 
-func TestSpanAttributorPrefersViolators(t *testing.T) {
-	spans := []obs.FlightSpan{
-		// Clean span with huge queueing at port 1 — must NOT win once a
-		// violator exists.
-		span(100, 500, 1000, 7, 1, 900),
-		// Two violating spans, worst hop at port 3.
-		span(200, 5000, 1000, 7, 3, 300),
-		span(300, 6000, 1000, 7, 3, 400),
-		// Violator at port 2 with less queueing.
-		span(400, 5000, 1000, 7, 2, 100),
-	}
-	a := NewSpanAttributor(spans)
-	port, q, ok := a.WorstPort(0, 1000)
-	if !ok || port != 3 || q != 700 {
-		t.Errorf("WorstPort = (%d, %d, %v), want (3, 700, true)", port, q, ok)
-	}
-
-	// Window with only the clean span: attribution falls back to its
-	// worst hop.
-	port, q, ok = a.WorstPort(0, 150)
-	if !ok || port != 1 || q != 900 {
-		t.Errorf("clean-window WorstPort = (%d, %d, %v), want (1, 900, true)", port, q, ok)
-	}
-
-	// Empty window.
-	if _, _, ok := a.WorstPort(1000, 2000); ok {
-		t.Error("empty window should not attribute")
-	}
-}
-
 func TestWindowsFromSpans(t *testing.T) {
 	const win = int64(1000)
 	spans := []obs.FlightSpan{

@@ -81,9 +81,6 @@ func NewRollup(reg *obs.Registry, capacity int) *Rollup {
 	return &Rollup{reg: reg, capacity: capacity, times: make([]int64, capacity)}
 }
 
-// Capacity returns the ring capacity in windows.
-func (r *Rollup) Capacity() int { return r.capacity }
-
 // Captures returns the number of captures taken so far.
 func (r *Rollup) Captures() int64 { return r.total }
 
@@ -217,26 +214,6 @@ func (r *Rollup) Snapshot() SeriesSnapshot {
 			d.Values[i] = f.At(i, j)
 		}
 		out.Series[j] = d
-	}
-	return out
-}
-
-// WindowDeltas converts one cumulative series (a counter, or a
-// histogram count/sum) into per-window increments: out[i] = v[i] -
-// v[i-1]. NaN samples (windows before the series existed) stay NaN;
-// the first real sample is measured against zero, the metric's value
-// at registration.
-func WindowDeltas(values []float64) []float64 {
-	out := make([]float64, len(values))
-	prev := 0.0
-	for i, v := range values {
-		if math.IsNaN(v) {
-			out[i] = math.NaN()
-			prev = 0
-			continue
-		}
-		out[i] = v - prev
-		prev = v
 	}
 	return out
 }

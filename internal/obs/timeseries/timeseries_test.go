@@ -46,10 +46,6 @@ func TestCaptureAndSnapshot(t *testing.T) {
 	if cs.Values[0] != 10 || cs.Values[2] != 30 {
 		t.Errorf("counter samples = %v", cs.Values)
 	}
-	d := WindowDeltas(cs.Values)
-	if d[0] != 10 || d[1] != 10 || d[2] != 10 {
-		t.Errorf("deltas = %v", d)
-	}
 	hc, ok := s.Get(`delay_us{tenant="1"}#count`)
 	if !ok || hc.Values[2] != 3 {
 		t.Errorf("hist count series = %+v ok=%v", hc, ok)
@@ -205,10 +201,6 @@ func TestMidRunRegistrationGetsNaN(t *testing.T) {
 	}
 	if ls.Values[1] != 5 {
 		t.Errorf("first real sample = %v, want 5", ls.Values[1])
-	}
-	d := WindowDeltas(ls.Values)
-	if !math.IsNaN(d[0]) || d[1] != 5 {
-		t.Errorf("deltas = %v", d)
 	}
 }
 

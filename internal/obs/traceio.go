@@ -33,11 +33,6 @@ type siloTraceData struct {
 	Spans []FlightSpan `json:"spans"`
 }
 
-// WriteChromeTrace writes spans as Chrome trace_event JSON.
-func WriteChromeTrace(w io.Writer, ports []PortMeta, spans []FlightSpan) error {
-	return writeChromeTrace(w, nil, ports, spans)
-}
-
 // writeChromeTrace streams the document
 //
 //	{"traceEvents":[...],"displayTimeUnit":"ns",
@@ -286,11 +281,6 @@ var spansCSVHeader = []string{
 	"hops", "worst_port", "worst_queue_ns", "bound_ns", "complete",
 }
 
-// WriteSpansCSV writes one compact numeric row per span.
-func WriteSpansCSV(w io.Writer, spans []FlightSpan) error {
-	return writeSpansCSV(w, nil, spans)
-}
-
 func writeSpansCSV(w io.Writer, meta *RunMeta, spans []FlightSpan) error {
 	c := stats.NewCSVWriter(w, meta.CommentLine(), spansCSVHeader)
 	for i := range spans {
@@ -338,17 +328,12 @@ func WriteTraceFileMeta(path string, meta *RunMeta, ports []PortMeta, spans []Fl
 	return werr
 }
 
-// ReadTraceFile loads a recording written by WriteTraceFile. JSON
-// recordings round-trip exactly (per-hop detail included); CSV
-// recordings reconstruct span-level attribution without hop lists.
-func ReadTraceFile(path string) ([]PortMeta, []FlightSpan, error) {
-	_, ports, spans, err := ReadTraceFileMeta(path)
-	return ports, spans, err
-}
-
-// ReadTraceFileMeta is ReadTraceFile plus the run provenance stamped
-// at write time — nil for CSV recordings (the "#" comment survives on
-// disk but is not parsed back) and for pre-provenance recordings.
+// ReadTraceFileMeta loads a recording written by WriteTraceFile or
+// WriteTraceFileMeta. JSON recordings round-trip exactly (per-hop
+// detail included); CSV recordings reconstruct span-level attribution
+// without hop lists. The run provenance stamped at write time is nil
+// for CSV recordings (the "#" comment survives on disk but is not
+// parsed back) and for pre-provenance recordings.
 func ReadTraceFileMeta(path string) (*RunMeta, []PortMeta, []FlightSpan, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -181,11 +181,3 @@ func (l *ViolationLog) Events() []ViolationEvent {
 	SortViolationEvents(out)
 	return out
 }
-
-// Reset drops all collected events, keeping the buffer.
-func (l *ViolationLog) Reset() {
-	if l == nil {
-		return
-	}
-	l.evs = l.evs[:0]
-}

@@ -39,9 +39,6 @@ func NewTokenBucket(rate, size float64, start int64) *TokenBucket {
 	return &TokenBucket{rate: rate, size: size, tokens: size, last: start}
 }
 
-// Rate returns the bucket's drain rate in bytes/sec.
-func (b *TokenBucket) Rate() float64 { return b.rate }
-
 // SetRate changes the drain rate (used by the hose coordinator to
 // retune per-destination buckets). Tokens accrued so far are
 // preserved.
@@ -49,9 +46,6 @@ func (b *TokenBucket) SetRate(now int64, rate float64) {
 	b.refill(now)
 	b.rate = rate
 }
-
-// Size returns the bucket capacity in bytes.
-func (b *TokenBucket) Size() float64 { return b.size }
 
 // refill advances the token count to time now.
 func (b *TokenBucket) refill(now int64) {
@@ -67,34 +61,6 @@ func (b *TokenBucket) refill(now int64) {
 		b.tokens = b.size
 	}
 	b.last = now
-}
-
-// Stamp consumes n bytes and returns the earliest nanosecond at which
-// the packet may be released. If tokens are available now, the packet
-// releases immediately; otherwise the release time is when the deficit
-// refills. The bucket's virtual clock advances to the release time, so
-// back-to-back Stamp calls yield correctly spaced timestamps even when
-// called far ahead of real time.
-func (b *TokenBucket) Stamp(now int64, n int) int64 {
-	if b.rate <= 0 { // unlimited
-		if now > b.last {
-			b.last = now
-		}
-		return now
-	}
-	b.refill(now)
-	b.tokens -= float64(n)
-	if b.tokens >= 0 {
-		return b.last
-	}
-	// Deficit: release when tokens return to zero.
-	wait := -b.tokens / b.rate * 1e9
-	release := b.last + int64(math.Ceil(wait))
-	// Advance the virtual clock: at `release` the balance is exactly
-	// zero (up to the ceil rounding).
-	b.tokens = 0
-	b.last = release
-	return release
 }
 
 // Free returns the earliest time >= t at which the bucket can release
@@ -144,21 +110,6 @@ func (b *TokenBucket) Commit(r int64, n int) {
 	}
 }
 
-// Available returns the token balance at time now without consuming.
-func (b *TokenBucket) Available(now int64) float64 {
-	if b.rate <= 0 {
-		return math.Inf(1)
-	}
-	t := b.tokens
-	if now > b.last {
-		t += b.rate * float64(now-b.last) / 1e9
-		if t > b.size {
-			t = b.size
-		}
-	}
-	return t
-}
-
 // Conformance checking (used by tests and the simulator to assert the
 // headline invariant: paced output never exceeds B·t + S in any
 // window).
@@ -188,7 +139,7 @@ func (c *ConformanceChecker) Observe(ns int64, n int) {
 
 // Check returns an error if any window [t_i, t_j] carried more than
 // rate·(t_j − t_i) + burst bytes. slack absorbs the ±1 ns rounding of
-// Stamp.
+// Free.
 func (c *ConformanceChecker) Check(slack float64) error {
 	for i := 0; i < len(c.times); i++ {
 		// Bytes sent strictly before i.

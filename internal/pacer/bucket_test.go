@@ -6,16 +6,25 @@ import (
 	"testing/quick"
 )
 
+// release books n bytes at the earliest time at or after now that the
+// bucket allows, the way the VM scheduler does: Free finds the time,
+// Commit spends the tokens there.
+func release(b *TokenBucket, now int64, n int) int64 {
+	r := b.Free(now, n)
+	b.Commit(r, n)
+	return r
+}
+
 func TestTokenBucketImmediateWithinBurst(t *testing.T) {
 	b := NewTokenBucket(1e6, 3000, 0) // 1 MB/s, 3000 B bucket
-	if r := b.Stamp(0, 1500); r != 0 {
+	if r := release(b, 0, 1500); r != 0 {
 		t.Errorf("first packet release = %d, want 0", r)
 	}
-	if r := b.Stamp(0, 1500); r != 0 {
+	if r := release(b, 0, 1500); r != 0 {
 		t.Errorf("second packet within burst release = %d, want 0", r)
 	}
 	// Bucket empty: third packet waits 1500B / 1MB/s = 1.5 ms.
-	if r := b.Stamp(0, 1500); r != 1_500_000 {
+	if r := release(b, 0, 1500); r != 1_500_000 {
 		t.Errorf("third packet release = %d, want 1500000", r)
 	}
 }
@@ -26,9 +35,9 @@ func TestTokenBucketSpacingAtRate(t *testing.T) {
 	// backlogged source.
 	rate := 9e9 / 8 // bytes per second
 	b := NewTokenBucket(rate, 1500, 0)
-	prev := b.Stamp(0, 1500)
+	prev := release(b, 0, 1500)
 	for i := 0; i < 100; i++ {
-		r := b.Stamp(0, 1500)
+		r := release(b, 0, 1500)
 		gap := r - prev
 		want := int64(math.Round(1500 / rate * 1e9)) // ≈1333 ns
 		if gap < want-2 || gap > want+2 {
@@ -40,35 +49,49 @@ func TestTokenBucketSpacingAtRate(t *testing.T) {
 
 func TestTokenBucketRefillAfterIdle(t *testing.T) {
 	b := NewTokenBucket(1e6, 3000, 0)
-	b.Stamp(0, 3000) // drain the bucket
-	// After 10 ms idle the bucket is full again (capped at size).
-	if got := b.Available(10_000_000); got != 3000 {
-		t.Errorf("available after idle = %v, want 3000", got)
+	release(b, 0, 3000) // drain the bucket
+	// After 10 ms idle the bucket is full again (capped at size), so a
+	// full-size burst is free at once but one byte more is not.
+	if r := b.Free(10_000_000, 3000); r != 10_000_000 {
+		t.Errorf("full bucket after idle frees 3000 B at %d, want 10000000", r)
 	}
-	if r := b.Stamp(10_000_000, 3000); r != 10_000_000 {
+	if r := release(b, 10_000_000, 3000); r != 10_000_000 {
 		t.Errorf("release = %d, want 10000000", r)
 	}
 }
 
 func TestTokenBucketUnlimited(t *testing.T) {
 	b := NewTokenBucket(0, 0, 0)
-	if r := b.Stamp(5, 1e6); r != 5 {
+	if r := release(b, 5, 1e6); r != 5 {
 		t.Errorf("unlimited bucket delayed packet: %d", r)
 	}
-	if !math.IsInf(b.Available(0), 1) {
-		t.Error("unlimited bucket should report infinite tokens")
+	if r := release(b, 5, 1e6); r != 5 {
+		t.Errorf("unlimited bucket delayed a second packet: %d", r)
+	}
+}
+
+// A frame larger than the bucket releases once the bucket is full and
+// overdraws it: the next frame waits for the whole overdraft to refill.
+func TestTokenBucketOversizeFrame(t *testing.T) {
+	b := NewTokenBucket(1e6, 1500, 0)
+	if r := release(b, 0, 3000); r != 0 {
+		t.Errorf("oversize frame on a full bucket released at %d, want 0", r)
+	}
+	// 1500 B of overdraft plus 1500 B for the frame at 1 MB/s: 3 ms.
+	if r := release(b, 0, 1500); r != 3_000_000 {
+		t.Errorf("frame after the overdraft released at %d, want 3000000", r)
 	}
 }
 
 func TestTokenBucketSetRate(t *testing.T) {
 	b := NewTokenBucket(1e6, 1500, 0)
-	b.Stamp(0, 1500)
+	release(b, 0, 1500)
 	b.SetRate(0, 2e6)
-	if got := b.Rate(); got != 2e6 {
+	if got := b.rate; got != 2e6 {
 		t.Errorf("Rate = %v", got)
 	}
 	// Next packet drains at the new rate: 1500/2e6 s = 750 µs.
-	if r := b.Stamp(0, 1500); r != 750_000 {
+	if r := release(b, 0, 1500); r != 750_000 {
 		t.Errorf("release = %d, want 750000", r)
 	}
 }
@@ -86,10 +109,10 @@ func TestBucketConformanceProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			x = x*6364136223846793005 + 1442695040888963407
 			bytes := int(x%1400) + 100
-			r := b.Stamp(0, bytes)
+			r := release(b, 0, bytes)
 			c.Observe(r, bytes)
 		}
-		// Slack: each Stamp may round release up by < 1 ns, which can
+		// Slack: each Free may round release up by < 1 ns, which can
 		// under-count the window by ~rate*1e-9 bytes per packet.
 		return c.Check(float64(n)*rate*2e-9+1) == nil
 	}
@@ -203,10 +226,9 @@ func TestHoseAllocateFeasibilityProperty(t *testing.T) {
 	}
 }
 
-func TestApplyAllocation(t *testing.T) {
+func TestSetDestRate(t *testing.T) {
 	vm := NewVM(1, Guarantee{BandwidthBps: 100, BurstBytes: 1500}, 0)
-	vms := map[int]*VM{1: vm}
-	ApplyAllocation(0, vms, map[Flow]float64{{1, 2}: 40})
+	vm.SetDestRate(0, 2, 40)
 	if vm.DestRate(2) != 40 {
 		t.Error("allocation not applied to destination bucket")
 	}

@@ -25,31 +25,21 @@ type Coordinator struct {
 	b    float64
 	caps []float64
 
-	// DemandAware, when set, uses EyeQ's demand-capped max-min: each
-	// active flow's rate also freezes at its measured demand
-	// (observed rate plus backlog, times DemandHeadroom), so light
-	// flows leave their share to backlogged ones.
-	DemandAware bool
-	// DemandHeadroom multiplies measured demand (default 2: a flow may
-	// double its rate between epochs without waiting for the loop).
-	DemandHeadroom float64
-
 	// lastSent[i][k] is the byte count vms[i] had committed toward its
 	// k-th destination (VM.dests only grows) at the last epoch.
-	lastSent  [][]int64
-	lastEpoch int64
+	lastSent [][]int64
 
 	// The epoch's scratch: active pairs as positions in vms, their
-	// demands and rates, and the solver's own.
-	kernel        HoseKernel
-	active        []Flow
-	demand, rates []float64
+	// rates, and the solver's own.
+	kernel HoseKernel
+	active []Flow
+	rates  []float64
 }
 
 // NewCoordinator returns a coordinator over one tenant's paced VMs.
 // All VMs share the hose guarantee b (the paper's per-tenant B).
 func NewCoordinator(b float64, vms map[int]*VM) *Coordinator {
-	c := &Coordinator{b: b, DemandHeadroom: 2, index: make(map[int]int, len(vms))}
+	c := &Coordinator{b: b, index: make(map[int]int, len(vms))}
 	for _, vm := range vms {
 		c.vms = append(c.vms, vm)
 	}
@@ -62,16 +52,10 @@ func NewCoordinator(b float64, vms map[int]*VM) *Coordinator {
 	return c
 }
 
-// Epoch runs one coordination round at time now: measure demand,
+// Epoch runs one coordination round at time now: find the active pairs,
 // allocate, retune buckets. Returns the number of active flows.
 func (c *Coordinator) Epoch(now int64) int {
-	epochSec := float64(now-c.lastEpoch) / 1e9
-	c.lastEpoch = now
-	headroom := c.DemandHeadroom
-	if headroom <= 1 {
-		headroom = 2
-	}
-	active, demand := c.active[:0], c.demand[:0]
+	active := c.active[:0]
 	for i, vm := range c.vms {
 		for k, d := range vm.dests {
 			if k == len(c.lastSent[i]) {
@@ -92,16 +76,10 @@ func (c *Coordinator) Epoch(now int64) int {
 				continue
 			}
 			active = append(active, Flow{Src: i, Dst: j})
-			if c.DemandAware && epochSec > 0 {
-				demand = append(demand, headroom*float64(delta+d.queuedBytes)/epochSec)
-			}
 		}
 	}
-	c.active, c.demand, c.rates = active, demand, slices.Grow(c.rates[:0], len(active))[:len(active)]
-	if len(demand) == 0 {
-		demand = nil // no window to measure in: plain max-min
-	}
-	c.kernel.Solve(c.caps, c.caps, active, demand, c.rates)
+	c.active, c.rates = active, slices.Grow(c.rates[:0], len(active))[:len(active)]
+	c.kernel.Solve(c.caps, c.caps, active, c.rates)
 	for n, f := range active {
 		c.vms[f.Src].SetDestRate(now, c.vms[f.Dst].ID, c.rates[n])
 	}

@@ -5,14 +5,12 @@ import (
 	"testing"
 )
 
-// Epoch at t=0 with lastEpoch=0 has a zero-length measurement window.
-// Demand-aware allocation must skip demand estimation (no division by
-// zero) and fall back to plain max-min over active flows.
+// Epoch at t=0, before any traffic was sent, splits the hose max-min
+// over the flows that have only queued bytes.
 func TestCoordinatorEpochAtTimeZero(t *testing.T) {
 	const b = 1e8
 	vms := coordVMs(3, b)
 	c := NewCoordinator(b, vms)
-	c.DemandAware = true
 	vms[1].Enqueue(0, 0, 1500, nil)
 	vms[2].Enqueue(0, 0, 1500, nil)
 	if got := c.Epoch(0); got != 2 {
@@ -29,15 +27,13 @@ func TestCoordinatorEpochAtTimeZero(t *testing.T) {
 	}
 }
 
-// A clock stepping backwards (negative skew) yields a negative epoch
-// length. The coordinator must neither panic nor install negative or
-// non-finite rates, and must keep functioning on subsequent forward
-// epochs.
+// A clock stepping backwards (negative skew) must neither panic nor
+// install negative or non-finite rates, and the coordinator must keep
+// functioning on subsequent forward epochs.
 func TestCoordinatorNegativeClockSkew(t *testing.T) {
 	const b = 1e8
 	vms := coordVMs(3, b)
 	c := NewCoordinator(b, vms)
-	c.DemandAware = true
 
 	vms[1].Enqueue(0, 0, 1500, nil)
 	c.Epoch(1_000_000_000)
@@ -55,8 +51,7 @@ func TestCoordinatorNegativeClockSkew(t *testing.T) {
 		}
 	}
 
-	// The next forward epoch measures from the stepped-back time and
-	// recovers demand-aware operation.
+	// The next forward epoch works as before.
 	if got := c.Epoch(2_500_000_000); got != 2 {
 		t.Fatalf("active flows after recovery = %d, want 2", got)
 	}
@@ -68,15 +63,12 @@ func TestCoordinatorNegativeClockSkew(t *testing.T) {
 	}
 }
 
-// Repeated epochs at the same timestamp (a stuck clock) produce
-// zero-length measurement windows after the first call. Demand
-// estimation is skipped for those, so the flow reverts to its full
-// uncapped hose share rather than a rate derived from a 0/0 demand.
+// Repeated epochs at the same timestamp (a stuck clock) keep a lone
+// backlogged flow at its full hose share.
 func TestCoordinatorStuckClock(t *testing.T) {
 	const b = 1e8
 	vms := coordVMs(2, b)
 	c := NewCoordinator(b, vms)
-	c.DemandAware = true
 	vms[1].Enqueue(0, 0, 1500, nil)
 	for i := 0; i < 3; i++ {
 		if got := c.Epoch(7_000_000); got != 1 {

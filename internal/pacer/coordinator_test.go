@@ -104,24 +104,24 @@ func TestDemandAccounting(t *testing.T) {
 	vm := NewVM(1, Guarantee{BandwidthBps: 1e8, BurstBytes: 3000, MTUBytes: 1500}, 0)
 	vm.Enqueue(0, 7, 1500, nil)
 	vm.Enqueue(0, 7, 1000, nil)
-	if got := vm.QueuedBytesTo(7); got != 2500 {
+	if got := queuedTo(vm, 7); got != 2500 {
 		t.Errorf("queued = %d, want 2500", got)
 	}
-	if got := vm.SentBytesTo(7); got != 0 {
+	if got := sentTo(vm, 7); got != 0 {
 		t.Errorf("sent = %d, want 0", got)
 	}
 	vm.Schedule(1 << 62)
-	if got := vm.QueuedBytesTo(7); got != 0 {
+	if got := queuedTo(vm, 7); got != 0 {
 		t.Errorf("queued after schedule = %d", got)
 	}
-	if got := vm.SentBytesTo(7); got != 2500 {
+	if got := sentTo(vm, 7); got != 2500 {
 		t.Errorf("sent = %d, want 2500", got)
 	}
-	ds := vm.Destinations()
+	ds := destIDs(vm)
 	if len(ds) != 1 || ds[0] != 7 {
-		t.Errorf("Destinations = %v", ds)
+		t.Errorf("destinations = %v", ds)
 	}
-	if vm.Guarantee().BandwidthBps != 1e8 {
-		t.Error("Guarantee accessor wrong")
+	if vm.g.BandwidthBps != 1e8 {
+		t.Error("guarantee not kept")
 	}
 }

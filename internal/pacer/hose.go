@@ -30,14 +30,11 @@ type HoseKernel struct {
 // Solve computes a max-min fair rate (bytes/sec) for every flow under
 // per-sender and per-receiver caps by progressive filling: all unfrozen
 // flows' rates rise together, and a flow freezes when its sender's or
-// receiver's capacity saturates — or, with demand non-nil, when it
-// reaches demand[i] (+Inf marks a backlogged flow among capped ones),
-// which is the allocation EyeQ converges to: light flows take what they
-// need and leave the rest to backlogged ones.
+// receiver's capacity saturates.
 //
 // flows[i].Src indexes sendCap and flows[i].Dst recvCap; rates[i]
 // receives flow i's rate, so len(rates) ≥ len(flows). A flow whose
-// index is out of range or whose cap or demand is not positive gets
+// index is out of range or whose cap is not positive gets
 // zero. Each entry of flows is a flow of its own: two equal pairs share
 // their nodes like any two flows.
 //
@@ -47,14 +44,14 @@ type HoseKernel struct {
 // addition of one value do not depend on the order nodes and flows are
 // visited in, so the result is a function of the problem alone, bit for
 // bit.
-func (k *HoseKernel) Solve(sendCap, recvCap []float64, flows []Flow, demand, rates []float64) {
+func (k *HoseKernel) Solve(sendCap, recvCap []float64, flows []Flow, rates []float64) {
 	k.sUsed, k.sLive = zeroed(k.sUsed, len(sendCap)), zeroed(k.sLive, len(sendCap))
 	k.rUsed, k.rLive = zeroed(k.rUsed, len(recvCap)), zeroed(k.rLive, len(recvCap))
 	live := k.live[:0]
 	for i, f := range flows {
 		rates[i] = 0
 		if f.Src < 0 || f.Src >= len(sendCap) || f.Dst < 0 || f.Dst >= len(recvCap) ||
-			sendCap[f.Src] <= 0 || recvCap[f.Dst] <= 0 || (demand != nil && demand[i] <= 0) {
+			sendCap[f.Src] <= 0 || recvCap[f.Dst] <= 0 {
 			continue
 		}
 		k.sLive[f.Src]++
@@ -62,8 +59,8 @@ func (k *HoseKernel) Solve(sendCap, recvCap []float64, flows []Flow, demand, rat
 		live = append(live, i)
 	}
 
-	// Each round saturates at least one node or meets one demand, so at
-	// most |senders|+|receivers|+|flows| rounds run.
+	// Each round saturates at least one node, so at most
+	// |senders|+|receivers| rounds run.
 	for len(live) > 0 {
 		// The common rate increment is limited by the tightest node:
 		// headroom / live flow count.
@@ -84,14 +81,6 @@ func (k *HoseKernel) Solve(sendCap, recvCap []float64, flows []Flow, demand, rat
 				delta = d
 			}
 		}
-		// Demand caps can bind before node shares do.
-		if demand != nil {
-			for _, i := range live {
-				if rem := demand[i] - rates[i]; delta < 0 || rem < delta {
-					delta = rem
-				}
-			}
-		}
 		if delta < 0 {
 			break
 		}
@@ -102,13 +91,12 @@ func (k *HoseKernel) Solve(sendCap, recvCap []float64, flows []Flow, demand, rat
 				k.rUsed[flows[i].Dst] += delta
 			}
 		}
-		// Freeze flows on saturated nodes and flows whose demand is met.
+		// Freeze flows on saturated nodes.
 		rising := live[:0]
 		for _, i := range live {
 			s, r := flows[i].Src, flows[i].Dst
 			sc, rc := sendCap[s], recvCap[r]
-			if (demand != nil && rates[i] >= demand[i]-1e-9*demand[i]-1e-12) ||
-				sc-k.sUsed[s] <= 1e-9*sc+1e-12 || rc-k.rUsed[r] <= 1e-9*rc+1e-12 {
+			if sc-k.sUsed[s] <= 1e-9*sc+1e-12 || rc-k.rUsed[r] <= 1e-9*rc+1e-12 {
 				k.sLive[s]--
 				k.rLive[r]--
 				continue
@@ -152,7 +140,7 @@ func HoseAllocate(sendCap, recvCap map[int]float64, flows []Flow) map[Flow]float
 		dense = append(dense, Flow{denseIndex(sIdx, &sCap, sendCap, f.Src), denseIndex(rIdx, &rCap, recvCap, f.Dst)})
 	}
 	rates := make([]float64, len(dense))
-	new(HoseKernel).Solve(sCap, rCap, dense, nil, rates)
+	new(HoseKernel).Solve(sCap, rCap, dense, rates)
 	for i, f := range ids {
 		alloc[f] = rates[i]
 	}
@@ -172,14 +160,4 @@ func denseIndex(idx map[int]int, caps *[]float64, byID map[int]float64, id int) 
 	idx[id] = len(*caps)
 	*caps = append(*caps, c)
 	return idx[id]
-}
-
-// ApplyAllocation pushes coordinator rates into the per-destination
-// buckets of the given VMs (keyed by VM id).
-func ApplyAllocation(now int64, vms map[int]*VM, rates map[Flow]float64) {
-	for f, r := range rates {
-		if vm, ok := vms[f.Src]; ok {
-			vm.SetDestRate(now, f.Dst, r)
-		}
-	}
 }

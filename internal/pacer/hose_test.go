@@ -25,8 +25,8 @@ func TestHoseKernelAllocs(t *testing.T) {
 	caps, flows := hoseAllToAll()
 	rates := make([]float64, len(flows))
 	var k HoseKernel
-	k.Solve(caps, caps, flows, nil, rates)
-	if a := testing.AllocsPerRun(20, func() { k.Solve(caps, caps, flows, nil, rates) }); a != 0 {
+	k.Solve(caps, caps, flows, rates)
+	if a := testing.AllocsPerRun(20, func() { k.Solve(caps, caps, flows, rates) }); a != 0 {
 		t.Errorf("warm Solve allocates %v times per call, want 0", a)
 	}
 	if want := 2.5e8 / 48; math.Abs(rates[0]-want) > 1e-6*want {
@@ -41,6 +41,6 @@ func BenchmarkHoseKernel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Solve(caps, caps, flows, nil, rates)
+		k.Solve(caps, caps, flows, rates)
 	}
 }

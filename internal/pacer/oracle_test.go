@@ -120,9 +120,33 @@ func (v *oracleVM) setDestRate(now int64, dst int, rate float64) {
 	v.dst[dst] = NewTokenBucket(rate, burst, now)
 }
 
+// queuedTo, sentTo and destIDs read a live VM's per-destination
+// state, for comparison with the oracle's.
+func queuedTo(v *VM, dst int) int64 {
+	if d := v.byID[dst]; d != nil {
+		return d.queuedBytes
+	}
+	return 0
+}
+
+func sentTo(v *VM, dst int) int64 {
+	if d := v.byID[dst]; d != nil {
+		return d.sentBytes
+	}
+	return 0
+}
+
+func destIDs(v *VM) []int {
+	out := make([]int, len(v.dests))
+	for i, d := range v.dests {
+		out[i] = d.id
+	}
+	return out
+}
+
 func (v *oracleVM) destRate(dst int) float64 {
 	if b, ok := v.dst[dst]; ok {
-		return b.Rate()
+		return b.rate
 	}
 	return 0
 }
@@ -511,16 +535,16 @@ func matchOracle(t *testing.T, seed int64) (pushBacks, overtakes int) {
 					seed, step, vm.ID, r, ok, wr, wok, pr, pok, wpr, wpok, vm.Pending(), ovm.pending())
 			}
 			for d := 1; d <= nDst+1; d++ {
-				if vm.QueuedBytesTo(d) != ovm.queuedBytes[d] || vm.SentBytesTo(d) != ovm.sentBytes[d] || vm.DestRate(d) != ovm.destRate(d) {
+				if queuedTo(vm, d) != ovm.queuedBytes[d] || sentTo(vm, d) != ovm.sentBytes[d] || vm.DestRate(d) != ovm.destRate(d) {
 					t.Fatalf("seed %d step %d vm %d dst %d: queued %d sent %d rate %g, oracle %d %d %g", seed, step, vm.ID, d,
-						vm.QueuedBytesTo(d), vm.SentBytesTo(d), vm.DestRate(d), ovm.queuedBytes[d], ovm.sentBytes[d], ovm.destRate(d))
+						queuedTo(vm, d), sentTo(vm, d), vm.DestRate(d), ovm.queuedBytes[d], ovm.sentBytes[d], ovm.destRate(d))
 				}
 			}
-			got, want := vm.Destinations(), ovm.destinations()
+			got, want := destIDs(vm), ovm.destinations()
 			sort.Ints(got)
 			sort.Ints(want)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d step %d vm %d: Destinations %v, oracle %v", seed, step, vm.ID, got, want)
+				t.Fatalf("seed %d step %d vm %d: destinations %v, oracle %v", seed, step, vm.ID, got, want)
 			}
 		}
 	}
@@ -582,19 +606,19 @@ func TestDestinationsFirstSeenOrder(t *testing.T) {
 	}
 	want := []int{7, 3, 9, 5}
 	for run := 0; run < 3; run++ {
-		if got := vm.Destinations(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Destinations() = %v, want %v", got, want)
+		if got := destIDs(vm); !reflect.DeepEqual(got, want) {
+			t.Fatalf("destinations = %v, want %v", got, want)
 		}
 		vm.Schedule(0) // committing must not reorder them
 	}
 	vm.Schedule(1 << 40)
-	queued, sent := vm.QueuedBytesTo(9), vm.SentBytesTo(9)
+	queued, sent := queuedTo(vm, 9), sentTo(vm, 9)
 	vm.Enqueue(0, 9, 1500, nil)
 	vm.SetDestRate(0, 9, 0)
 	if vm.DestRate(9) != 0 {
 		t.Error("rate 0 left the bucket installed")
 	}
-	if vm.QueuedBytesTo(9) != queued+1500 || vm.SentBytesTo(9) != sent || vm.Pending() == 0 {
-		t.Errorf("rate 0 touched the queue or the counters: queued %d sent %d pending %d", vm.QueuedBytesTo(9), vm.SentBytesTo(9), vm.Pending())
+	if queuedTo(vm, 9) != queued+1500 || sentTo(vm, 9) != sent || vm.Pending() == 0 {
+		t.Errorf("rate 0 touched the queue or the counters: queued %d sent %d pending %d", queuedTo(vm, 9), sentTo(vm, 9), vm.Pending())
 	}
 }

@@ -158,9 +158,6 @@ func NewVM(id int, g Guarantee, start int64) *VM {
 	}
 }
 
-// Guarantee returns the VM's pacer configuration.
-func (v *VM) Guarantee() Guarantee { return v.g }
-
 // SetMetrics attaches (or detaches, with nil) telemetry to the VM.
 func (v *VM) SetMetrics(m *VMMetrics) { v.mx = m }
 
@@ -171,33 +168,6 @@ func (v *VM) SetMetrics(m *VMMetrics) { v.mx = m }
 // estimator directly. One tap per VM; nil detaches. The tap runs on
 // the VM's scheduling path, so it must not allocate or block.
 func (v *VM) SetCommitTap(fn func(releaseNs int64, bytes int)) { v.onCommit = fn }
-
-// QueuedBytesTo reports bytes awaiting release toward dst.
-func (v *VM) QueuedBytesTo(dst int) int64 {
-	if d := v.byID[dst]; d != nil {
-		return d.queuedBytes
-	}
-	return 0
-}
-
-// SentBytesTo reports cumulative bytes committed toward dst.
-func (v *VM) SentBytesTo(dst int) int64 {
-	if d := v.byID[dst]; d != nil {
-		return d.sentBytes
-	}
-	return 0
-}
-
-// Destinations lists every destination this VM has ever queued traffic
-// toward, in first-seen order (used by the hose coordinator to
-// enumerate candidate flows).
-func (v *VM) Destinations() []int {
-	out := make([]int, len(v.dests))
-	for i, d := range v.dests {
-		out[i] = d.id
-	}
-	return out
-}
 
 // destFor returns dst's record, creating it on first sight.
 func (v *VM) destFor(dst int) *dest {
@@ -241,7 +211,7 @@ func (v *VM) SetDestRate(now int64, dst int, rate float64) {
 // (0 if no bucket is installed).
 func (v *VM) DestRate(dst int) float64 {
 	if d := v.byID[dst]; d != nil && d.hose != nil {
-		return d.hose.Rate()
+		return d.hose.rate
 	}
 	return 0
 }

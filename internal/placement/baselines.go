@@ -108,9 +108,6 @@ type Locality struct {
 	tree     *topology.Tree
 	ix       *slotIndex
 	admitted map[int]*tenant.Placement
-
-	acceptedCount int
-	rejectedCount int
 }
 
 // NewLocality returns a locality-aware placer over the tree.
@@ -125,12 +122,6 @@ func NewLocality(tree *topology.Tree) *Locality {
 // Name implements Algorithm.
 func (l *Locality) Name() string { return "locality" }
 
-// Accepted reports cumulative accepted requests.
-func (l *Locality) Accepted() int { return l.acceptedCount }
-
-// Rejected reports cumulative rejected requests.
-func (l *Locality) Rejected() int { return l.rejectedCount }
-
 // Place implements Algorithm.
 func (l *Locality) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	if err := spec.Validate(); err != nil {
@@ -141,7 +132,6 @@ func (l *Locality) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	}
 	servers := packGreedy(l.tree, l.ix.freeSlots, l.ix, spec.VMs, spec.FaultDomains)
 	if servers == nil {
-		l.rejectedCount++
 		return nil, fmt.Errorf("%w: tenant %q (%d VMs): no free slots", ErrRejected, spec.Name, spec.VMs)
 	}
 	for _, s := range servers {
@@ -149,7 +139,6 @@ func (l *Locality) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	}
 	pl := &tenant.Placement{Spec: spec, Servers: servers}
 	l.admitted[spec.ID] = pl
-	l.acceptedCount++
 	return pl, nil
 }
 
@@ -174,9 +163,6 @@ type Oktopus struct {
 	ix       *slotIndex
 	residual []float64 // bytes/sec left per directed port
 	admitted map[int]*oktoTenant
-
-	acceptedCount int
-	rejectedCount int
 }
 
 type oktoTenant struct {
@@ -201,15 +187,6 @@ func NewOktopus(tree *topology.Tree) *Oktopus {
 // Name implements Algorithm.
 func (o *Oktopus) Name() string { return "oktopus" }
 
-// Accepted reports cumulative accepted requests.
-func (o *Oktopus) Accepted() int { return o.acceptedCount }
-
-// Rejected reports cumulative rejected requests.
-func (o *Oktopus) Rejected() int { return o.rejectedCount }
-
-// Residual reports the unreserved bandwidth at a directed port.
-func (o *Oktopus) Residual(portID int) float64 { return o.residual[portID] }
-
 // Place implements Algorithm.
 func (o *Oktopus) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	if err := spec.Validate(); err != nil {
@@ -221,7 +198,6 @@ func (o *Oktopus) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	if spec.Class == tenant.ClassBestEffort {
 		servers := packGreedy(o.tree, o.ix.freeSlots, o.ix, spec.VMs, spec.FaultDomains)
 		if servers == nil {
-			o.rejectedCount++
 			return nil, fmt.Errorf("%w: best-effort tenant %q", ErrRejected, spec.Name)
 		}
 		for _, s := range servers {
@@ -229,13 +205,11 @@ func (o *Oktopus) Place(spec tenant.Spec) (*tenant.Placement, error) {
 		}
 		pl := &tenant.Placement{Spec: spec, Servers: servers}
 		o.admitted[spec.ID] = &oktoTenant{placement: pl, demand: map[int]float64{}}
-		o.acceptedCount++
 		return pl, nil
 	}
 
 	servers := o.findPlacement(spec)
 	if servers == nil {
-		o.rejectedCount++
 		return nil, fmt.Errorf("%w: tenant %q (%d VMs)", ErrRejected, spec.Name, spec.VMs)
 	}
 	pl := &tenant.Placement{Spec: spec, Servers: servers}
@@ -247,7 +221,6 @@ func (o *Oktopus) Place(spec tenant.Spec) (*tenant.Placement, error) {
 		o.ix.take(s)
 	}
 	o.admitted[spec.ID] = &oktoTenant{placement: pl, demand: demand}
-	o.acceptedCount++
 	return pl, nil
 }
 

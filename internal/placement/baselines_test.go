@@ -63,9 +63,6 @@ func TestLocalityCapacityAndRemove(t *testing.T) {
 	if err := l.Remove(99); !errors.Is(err, ErrUnknownTenant) {
 		t.Errorf("Remove unknown = %v", err)
 	}
-	if l.Accepted() != 2 || l.Rejected() != 1 {
-		t.Errorf("counters = %d/%d", l.Accepted(), l.Rejected())
-	}
 }
 
 func TestLocalityDuplicateAndInvalid(t *testing.T) {
@@ -96,13 +93,13 @@ func TestOktopusReservesBandwidth(t *testing.T) {
 	// Residual on a used NIC must have dropped by the hose cut.
 	s0 := pl.Servers[0]
 	up := tree.ServerUpPort(s0).ID
-	if got := o.Residual(up); got >= tree.Config().LinkBps {
+	if got := o.residual[up]; got >= tree.Config().LinkBps {
 		t.Errorf("no bandwidth reserved at NIC %d: residual %v", up, got)
 	}
 	if err := o.Remove(1); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if got := o.Residual(up); got != tree.Config().LinkBps {
+	if got := o.residual[up]; got != tree.Config().LinkBps {
 		t.Errorf("residual not restored: %v", got)
 	}
 }
@@ -150,7 +147,7 @@ func TestOktopusBestEffort(t *testing.T) {
 		t.Errorf("best-effort rejected: %v", err)
 	}
 	for pid := 0; pid < tree.NumPorts(); pid++ {
-		if o.Residual(pid) != tree.Port(pid).RateBps {
+		if o.residual[pid] != tree.Port(pid).RateBps {
 			t.Error("best-effort tenant reserved bandwidth")
 		}
 	}

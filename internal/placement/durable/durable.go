@@ -49,14 +49,6 @@ func (d *Manager) Recover(failedServers, failedPorts []int, opts placement.Recov
 	return r, err
 }
 
-// FailServers marks servers failed (logged write-ahead). If the log
-// append fails the mutation is skipped and ErrLogFailed returned.
-func (d *Manager) FailServers(servers ...int) error {
-	err := d.Manager.FailServers(servers...)
-	d.maybeSnapshot()
-	return err
-}
-
 // RestoreServers returns servers to the placeable pool (logged
 // write-ahead).
 func (d *Manager) RestoreServers(servers ...int) error {
@@ -71,14 +63,6 @@ func (d *Manager) maybeSnapshot() {
 		// record, the next mutation retries the cadence.
 		_ = d.st.snapshot(d.Manager)
 	}
-}
-
-// Flush forces the pending fsync batch to stable storage.
-func (d *Manager) Flush() error { return d.st.w.sync() }
-
-// Snapshot persists the current state and rotates the WAL now.
-func (d *Manager) Snapshot() error {
-	return d.st.snapshot(d.Manager)
 }
 
 // Close flushes and closes the WAL. Further mutations fail.
@@ -104,13 +88,6 @@ func (d *Manager) Dir() string { return d.st.dir }
 
 // SafeMode reports whether recovery gated admissions.
 func (d *Manager) SafeMode() bool { return d.st.safeMode }
-
-// ExitSafeMode re-enables admissions after an operator has reconciled
-// the recovered state against external truth.
-func (d *Manager) ExitSafeMode() { d.st.safeMode = false }
-
-// RecoveryInfo returns what Open did to produce this manager.
-func (d *Manager) RecoveryInfo() *RecoveryInfo { return d.info }
 
 // Status is a point-in-time view of the store for the series.json
 // payload.

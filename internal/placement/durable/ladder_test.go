@@ -189,7 +189,7 @@ func TestLadderAbortsOnLogFailure(t *testing.T) {
 		t.Fatalf("aborted recovery left inconsistent state: %v", err)
 	}
 	// The log prefix is exactly what memory holds: a reopen agrees.
-	d.Flush()
+	d.st.w.sync()
 	r, info := openTest(t, copyStoreDir(t, dir), smallTree())
 	defer r.Close()
 	if info.SafeMode {

@@ -16,8 +16,7 @@ import (
 // ErrSafeMode reports that the manager recovered into safe mode (its
 // log began after the state it could rebuild, so the admitted set may
 // be incomplete) and is rejecting new admissions rather than risking
-// overbooked guarantees. Removes and failure handling still work;
-// ExitSafeMode clears it once an operator has reconciled the state.
+// overbooked guarantees. Removes and failure handling still work.
 var ErrSafeMode = errors.New("durable: manager in safe mode, admissions disabled")
 
 // errStoreClosed is what the commit hook returns once Close has run; the
@@ -31,7 +30,7 @@ type Options struct {
 	// Placement configures the underlying manager.
 	Placement placement.Options
 	// SyncEvery batches fsyncs: the WAL is synced after this many
-	// appended records (and always on Flush/Snapshot/Close). 1 — the
+	// appended records (and always on a snapshot and on Close). 1 — the
 	// default — syncs every record; larger values trade the tail of
 	// acknowledged-but-unsynced mutations for throughput.
 	SyncEvery int
@@ -357,17 +356,6 @@ func LoadConfig(dir string) (topology.Config, placement.Options, *obs.RunMeta, e
 		return topology.Config{}, placement.Options{}, nil, fmt.Errorf("durable: config.json: %w", err)
 	}
 	return cfg.Topology, cfg.Placement, cfg.Meta, nil
-}
-
-// ReadLog decodes the whole valid records of one WAL segment. It
-// returns the records, the byte offset just past the last valid one,
-// and whether a torn/corrupt tail was dropped at that offset.
-func ReadLog(path string) ([]Record, int64, bool, error) {
-	res, err := scanWAL(path)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return res.records, res.validLen, res.torn || res.corrupt, nil
 }
 
 // DecodeRecords decodes records from an in-memory segment image (the

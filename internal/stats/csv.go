@@ -12,11 +12,6 @@ import (
 // CSV helpers used by the benchmark harness to dump plottable series
 // for every figure.
 
-// WriteCSV writes a header and numeric rows.
-func WriteCSV(w io.Writer, header []string, rows [][]float64) error {
-	return WriteCSVComment(w, "", header, rows)
-}
-
 // WriteCSVComment writes a CSV with a leading "#" provenance comment
 // (e.g. obs.RunMeta.CommentLine) before the header; empty means none.
 // Plotting tools and the repo's readers treat "#" lines as comments.
@@ -70,12 +65,8 @@ func (c *CSVWriter) Row(vals ...float64) {
 // write met.
 func (c *CSVWriter) Flush() error { return c.bw.Flush() }
 
-// WriteCSVFile writes a CSV to dir/name, creating dir if needed.
-func WriteCSVFile(dir, name string, header []string, rows [][]float64) error {
-	return WriteCSVFileComment(dir, name, "", header, rows)
-}
-
-// WriteCSVFileComment is WriteCSVFile with a provenance comment line.
+// WriteCSVFileComment writes WriteCSVComment's CSV to dir/name,
+// creating dir if needed.
 func WriteCSVFileComment(dir, name, comment string, header []string, rows [][]float64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

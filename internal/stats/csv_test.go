@@ -11,7 +11,7 @@ import (
 
 func TestWriteCSVFormatting(t *testing.T) {
 	var b strings.Builder
-	err := WriteCSV(&b,
+	err := WriteCSVComment(&b, "",
 		[]string{"x", "y", "z"},
 		[][]float64{{1, 2.5, 0.001}, {-3, 1e6, 0}})
 	if err != nil {
@@ -25,7 +25,7 @@ func TestWriteCSVFormatting(t *testing.T) {
 
 func TestWriteCSVHeaderOnly(t *testing.T) {
 	var b strings.Builder
-	if err := WriteCSV(&b, []string{"a", "b"}, nil); err != nil {
+	if err := WriteCSVComment(&b, "", []string{"a", "b"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != "a,b\n" {
@@ -51,7 +51,7 @@ func TestWriteCSVPropagatesErrors(t *testing.T) {
 		rows[i] = []float64{float64(i), 0.5}
 	}
 	for _, okWrites := range []int{0, 1} {
-		err := WriteCSV(&failWriter{n: okWrites}, []string{"a", "b"}, rows)
+		err := WriteCSVComment(&failWriter{n: okWrites}, "", []string{"a", "b"}, rows)
 		if err == nil {
 			t.Errorf("okWrites=%d: writer error swallowed", okWrites)
 		}
@@ -105,7 +105,7 @@ func TestCSVWriterBuffersRows(t *testing.T) {
 
 func TestWriteCSVFileNestedDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "out")
-	err := WriteCSVFile(dir, "series.csv",
+	err := WriteCSVFileComment(dir, "series.csv", "",
 		[]string{"v", "f"}, [][]float64{{10, 0.5}, {20, 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestWriteCSVFileBadDir(t *testing.T) {
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSVFile(blocker, "x.csv", []string{"a"}, nil); err == nil {
+	if err := WriteCSVFileComment(blocker, "x.csv", "", []string{"a"}, nil); err == nil {
 		t.Error("expected error when dir path is a file")
 	}
 }

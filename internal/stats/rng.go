@@ -54,12 +54,8 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.PermInto(nil, n) }
-
 // PermInto writes a pseudo-random permutation of [0, n) into p's
-// storage, growing it if needed, and returns it. It draws what Perm
-// draws.
+// storage, growing it if needed, and returns it.
 func (r *Rand) PermInto(p []int, n int) []int {
 	p = slices.Grow(p[:0], n)[:n]
 	for i := range p {
@@ -68,13 +64,6 @@ func (r *Rand) PermInto(p []int, n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
 }
 
 // Exp returns an exponentially distributed value with the given mean.
@@ -102,15 +91,4 @@ func (r *Rand) GenPareto(loc, scale, shape float64) float64 {
 		return loc - scale*math.Log(1-u)
 	}
 	return loc + scale*(math.Pow(1-u, -shape)-1)/shape
-}
-
-// Normal samples a normal distribution via the Box-Muller transform.
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	u2 := r.Float64()
-	if u1 <= 0 {
-		u1 = math.Nextafter(0, 1)
-	}
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
 }

@@ -64,7 +64,7 @@ func TestIntnPanics(t *testing.T) {
 
 func TestPerm(t *testing.T) {
 	r := NewRand(3)
-	p := r.Perm(10)
+	p := r.PermInto(nil, 10)
 	seen := make([]bool, 10)
 	for _, v := range p {
 		if v < 0 || v >= 10 || seen[v] {
@@ -114,25 +114,6 @@ func TestGenParetoPositiveSupport(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := NewRand(8)
-	var sum, sum2 float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.Normal(5, 2)
-		sum += v
-		sum2 += v * v
-	}
-	mean := sum / n
-	variance := sum2/n - mean*mean
-	if math.Abs(mean-5) > 0.05 {
-		t.Errorf("Normal mean = %v, want ~5", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-2) > 0.05 {
-		t.Errorf("Normal stddev = %v, want ~2", math.Sqrt(variance))
-	}
-}
-
 func TestSamplePercentiles(t *testing.T) {
 	s := NewSample(0)
 	for i := 1; i <= 100; i++ {
@@ -145,9 +126,6 @@ func TestSamplePercentiles(t *testing.T) {
 		if got := s.Percentile(tc.p); got != tc.want {
 			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
 		}
-	}
-	if s.Median() != 50 {
-		t.Errorf("Median = %v", s.Median())
 	}
 	if s.Min() != 1 || s.Max() != 100 {
 		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
@@ -206,34 +184,6 @@ func TestCDFShape(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	if h.Buckets[0] != 2 { // 0, 1.9
-		t.Errorf("bucket0 = %d, want 2", h.Buckets[0])
-	}
-	if out := h.Render(20); out == "" {
-		t.Error("empty Render")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 // Property: percentiles are monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(vals []float64, pa, pb uint8) bool {
@@ -270,7 +220,7 @@ func TestSummaryString(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	var b strings.Builder
-	err := WriteCSV(&b, []string{"x", "y"}, [][]float64{{1, 2}, {3.5, 4}})
+	err := WriteCSVComment(&b, "", []string{"x", "y"}, [][]float64{{1, 2}, {3.5, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +232,7 @@ func TestWriteCSV(t *testing.T) {
 
 func TestWriteCSVFile(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteCSVFile(dir, "out.csv", []string{"v"}, [][]float64{{7}}); err != nil {
+	if err := WriteCSVFileComment(dir, "out.csv", "", []string{"v"}, [][]float64{{7}}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "out.csv"))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample accumulates observations and answers percentile/CDF queries
@@ -42,9 +41,6 @@ func (s *Sample) AddAll(vs []float64) {
 // Len reports the number of observations.
 func (s *Sample) Len() int { return len(s.vals) }
 
-// Sum reports the running total of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
-
 // Mean reports the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
 	if len(s.vals) == 0 {
@@ -79,9 +75,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	return s.vals[rank-1]
 }
-
-// Median is shorthand for Percentile(50).
-func (s *Sample) Median() float64 { return s.Percentile(50) }
 
 // Min returns the smallest observation, or 0 for an empty sample.
 func (s *Sample) Min() float64 {
@@ -157,72 +150,4 @@ func (s *Sample) Summary(unit string) string {
 	return fmt.Sprintf("n=%d min=%.3g p50=%.3g p95=%.3g p99=%.3g p99.9=%.3g max=%.3g %s",
 		s.Len(), s.Min(), s.Percentile(50), s.Percentile(95),
 		s.Percentile(99), s.Percentile(99.9), s.Max(), unit)
-}
-
-// Histogram counts observations into fixed-width buckets; it is used by
-// the benchmark harness to render ASCII distributions.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	Under   int
-	Over    int
-	width   float64
-}
-
-// NewHistogram returns a histogram over [lo, hi) with n buckets.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n), width: (hi - lo) / float64(n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case v < h.Lo:
-		h.Under++
-	case v >= h.Hi:
-		h.Over++
-	default:
-		i := int((v - h.Lo) / h.width)
-		if i >= len(h.Buckets) {
-			i = len(h.Buckets) - 1
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Total reports the number of recorded observations, including under-
-// and overflow.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Buckets {
-		t += c
-	}
-	return t
-}
-
-// Render draws the histogram as rows of "lo..hi count ####" bars of the
-// given maximum width.
-func (h *Histogram) Render(barWidth int) string {
-	max := 1
-	for _, c := range h.Buckets {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Buckets {
-		lo := h.Lo + float64(i)*h.width
-		bar := strings.Repeat("#", c*barWidth/max)
-		fmt.Fprintf(&b, "%12.4g..%-12.4g %8d %s\n", lo, lo+h.width, c, bar)
-	}
-	if h.Under > 0 {
-		fmt.Fprintf(&b, "%26s %8d\n", "<underflow>", h.Under)
-	}
-	if h.Over > 0 {
-		fmt.Fprintf(&b, "%26s %8d\n", "<overflow>", h.Over)
-	}
-	return b.String()
 }

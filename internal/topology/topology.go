@@ -355,20 +355,3 @@ func (t *Tree) PathDelayCapacity(src, dst int) float64 {
 	}
 	return sum + t.PodUpPort(srcPod).QueueCapacity() + t.CoreDownPort(dstPod).QueueCapacity()
 }
-
-// WorstPathDelayCapacity returns the largest PathDelayCapacity between
-// any pair of servers drawn from the two groups (used to bound delay
-// for a candidate placement without enumerating all pairs: levels are
-// uniform, so the worst pair is any pair spanning the highest common
-// level).
-func (t *Tree) WorstPathDelayCapacity(servers []int) float64 {
-	worst := 0.0
-	for i := 0; i < len(servers); i++ {
-		for j := i + 1; j < len(servers); j++ {
-			if d := t.PathDelayCapacity(servers[i], servers[j]); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}

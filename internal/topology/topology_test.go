@@ -199,18 +199,6 @@ func TestPathDelayCapacity(t *testing.T) {
 	}
 }
 
-func TestWorstPathDelayCapacity(t *testing.T) {
-	tree := mustTree(t, testConfig())
-	servers := []int{0, 1, 23}
-	worst := tree.WorstPathDelayCapacity(servers)
-	if want := tree.PathDelayCapacity(0, 23); !close(worst, want) {
-		t.Errorf("worst = %v, want %v", worst, want)
-	}
-	if tree.WorstPathDelayCapacity([]int{5}) != 0 {
-		t.Error("single-server worst should be 0")
-	}
-}
-
 func close(a, b float64) bool {
 	d := a - b
 	if d < 0 {

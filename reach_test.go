@@ -1,0 +1,186 @@
+package silo
+
+import (
+	"bufio"
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reachAllowlist names the non-test functions under internal/ that no
+// program links but that stay, each with its reason: an oracle names
+// the test that holds live code to it, a seam names the live type it
+// lets a test drive or read. A key is a function as funcKey spells it
+// ("netcal.BusyPeriod", "netsim.Sim.Pending") or a whole file
+// ("netcal/convolution.go").
+var reachAllowlist = map[string]string{
+	// Oracles.
+	"netcal.BusyPeriod":                "oracle: the curve-generic busy period TestBusyPeriodTBMatchesGeneric and TestBusyPeriodTwoPieceMatchesGeneric hold BusyPeriodTB / BusyPeriodTwoPiece to",
+	"netcal.sortedFloats":              "BusyPeriod's breakpoint merge (oracle above)",
+	"netcal.Min":                       "oracle: the min-of-lines curve TestQueueBoundTwoPieceDegenerateIsMinOfLines and the cap-rule tests hold the rate-capped closed forms to",
+	"netcal.PlainAggregate":            "oracle: the non-hose aggregate TestHoseTighterProperty holds HoseAggregate under",
+	"netcal/convolution.go":            "min-plus convolution and the end-to-end bounds, kept as ROADMAP item 6's pay-bursts-only-once ablation row",
+	"netcal.Propagate":                 "per-hop burst propagation that convolution.go's PerHopDelayBoundSum chains (ROADMAP item 6)",
+	"topology.Tree.Path":               "oracle: the materialized port path the placement oracle (placement/oracle_test.go) sums per-hop bounds over; the TestPath* tests pin it",
+	"pacer.NewConformanceChecker":      "oracle: the sliding-window B·t + S checker the bucket and batcher conformance tests hold paced output to",
+	"pacer.ConformanceChecker.Observe": "oracle: ConformanceChecker (see NewConformanceChecker)",
+	"pacer.ConformanceChecker.Check":   "oracle: ConformanceChecker (see NewConformanceChecker)",
+	"obs.MetricRef.ScalarValue":        "oracle: the per-metric read TestRollupMatchesRingOracleProperty's ring oracle samples where Rollup reads its compiled columns",
+	"obs/dashboard.BuildPayload":       "oracle: the series.json document encoding/json writes in the MatchesEncoder tests, against the streaming WriteJSON",
+
+	// Seams.
+	"netsim.Sim.Pending":                             "seam: reads a live Sim's queued events (timer, wire and port-window tests)",
+	"netsim.Queue.Down":                              "seam: reads a live Queue's link state after a fault schedule (faults tests)",
+	"pacer.HostPacer.Pending":                        "seam: reads a live HostPacer's backlog (batch and frame tests drain it)",
+	"pacer.VM.DestRate":                              "seam: reads the hose rate a live VM's destination bucket was retuned to (pacer and core coordination tests)",
+	"obs.GuaranteeAuditor.ObserveDelay":              "seam: drives a live GuaranteeAuditor with a bare delay (obs, slo and dashboard tests)",
+	"obs/introspect.Introspector.SetPortBounds":      "seam: installs bounds on a live Introspector without a placement manager (introspect and planes tests)",
+	"obs/timeseries.Rollup.Snapshot":                 "seam: reads a live Rollup's rings as series (timeseries, introspect, incident and planes tests)",
+	"obs/timeseries.SeriesSnapshot.Get":              "seam: looks one series up in Rollup.Snapshot's output (timeseries tests)",
+	"placement/durable.Manager.InjectAppendFailures": "seam: makes a live Manager's WAL appends fail (retry, abort and ladder tests)",
+	"placement/durable.Manager.InjectSyncFailures":   "seam: makes a live Manager's fsyncs fail (TestFailedSyncDoesNotResurrectAbortedCommit)",
+	"placement/durable.Manager.SetAppendObserver":    "seam: observes a live Manager between log append and apply (crash-point ladder tests)",
+	"transport.Fabric.Endpoint":                      "seam: looks up a live Fabric's endpoint by VM (transport recovery tests)",
+	"transport.Endpoint.Options":                     "seam: reads the pacing options a scheme gave a live Endpoint (core scheme tests)",
+}
+
+// TestEveryInternalFunctionIsLinked builds every main package with
+// inlining off for this module (an inlined function leaves no symbol),
+// reads the linked functions with go tool nm, and fails on each
+// non-test function declared under internal/ that none of them links
+// and that reachAllowlist does not name. A function only its own tests
+// call goes, with those tests; one that stays says why in the
+// allowlist.
+func TestEveryInternalFunctionIsLinked(t *testing.T) {
+	mains := strings.Fields(goOutput(t, "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./..."))
+	if len(mains) == 0 {
+		t.Fatal("go list found no main packages")
+	}
+	bin := t.TempDir()
+	goOutput(t, append([]string{"build", "-buildvcs=false", "-gcflags=repro/...=-l", "-o", bin + string(filepath.Separator)}, mains...)...)
+
+	linked := map[string]bool{}
+	for _, m := range mains {
+		sc := bufio.NewScanner(strings.NewReader(goOutput(t, "tool", "nm", filepath.Join(bin, filepath.Base(m)))))
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			f := strings.Fields(sc.Text())
+			if len(f) < 3 || (f[1] != "T" && f[1] != "t") {
+				continue
+			}
+			if name := symbolKey(strings.Join(f[2:], " ")); name != "" {
+				linked[name] = true
+			}
+		}
+	}
+
+	var unlinked []string
+	used := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(goOutput(t, "list", "-f", `{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}`, "./internal/...")), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
+		}
+		pkg := strings.TrimPrefix(f[0], "repro/internal/")
+		for _, file := range f[2:] {
+			fset := token.NewFileSet()
+			af, err := parser.ParseFile(fset, filepath.Join(f[1], file), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fileKey := pkg + "/" + file
+			for _, d := range af.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || fd.Name.Name == "init" || fd.Name.Name == "_" {
+					continue
+				}
+				key := funcKey(pkg, fd)
+				if linked[key] {
+					continue
+				}
+				switch {
+				case reachAllowlist[key] != "":
+					used[key] = true
+				case reachAllowlist[fileKey] != "":
+					used[fileKey] = true
+				default:
+					unlinked = append(unlinked, key)
+				}
+			}
+		}
+	}
+	sort.Strings(unlinked)
+	for _, k := range unlinked {
+		t.Errorf("%s is linked into no program: delete it with the tests that call it, or allowlist it with a reason", k)
+	}
+	for k := range reachAllowlist {
+		if !used[k] {
+			t.Errorf("allowlist entry %s names nothing unlinked: drop it", k)
+		}
+	}
+}
+
+// funcKey spells a declaration as symbolKey spells its symbol: the
+// package path below internal/, then the receiver's type name (without
+// pointer or type parameters), then the function name.
+func funcKey(pkg string, fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return pkg + "." + fd.Name.Name
+	}
+	typ := fd.Recv.List[0].Type
+	if s, ok := typ.(*ast.StarExpr); ok {
+		typ = s.X
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	return pkg + "." + typ.(*ast.Ident).Name + "." + fd.Name.Name
+}
+
+// symbolKey turns a linker symbol of this module's internal packages
+// into funcKey's form, or "" for any other symbol. It strips generic
+// instantiation suffixes ("ring[go.shape.int]") and pointer receivers
+// ("(*T)"); closures and wrappers ("F.func1", "T.M-fm") map to nothing
+// a declaration can match, which is harmless.
+func symbolKey(sym string) string {
+	const prefix = "repro/internal/"
+	if !strings.HasPrefix(sym, prefix) {
+		return ""
+	}
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym[len(prefix):] {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth > 0, r == '(', r == ')', r == '*':
+		default:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
+// goOutput runs the go command and returns its standard output.
+func goOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command("go", args...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return string(out)
+}
