@@ -1,6 +1,6 @@
 package netsim
 
-// WindowMaxBytes returns the worst occupancy the tracker saw at port id
-// in the current window, for the external tests that compare it across
-// plane compositions.
-func (t *PortWindowTracker) WindowMaxBytes(id int) int64 { return t.maxBytes[id] }
+// PortMaxBytes returns the worst occupancy tr saw at port id in the
+// current window, for the external tests that compare it across plane
+// compositions.
+func PortMaxBytes(tr *PortWindowTracker, id int) int64 { return tr.maxBytes[id] }

@@ -110,7 +110,7 @@ func runPlanes(t *testing.T, ps planeSet) planeOut {
 	}
 	if win != nil {
 		for pid := range nw.Queues {
-			out.window = append(out.window, win.WindowMaxBytes(pid))
+			out.window = append(out.window, netsim.PortMaxBytes(win, pid))
 		}
 	}
 	return out

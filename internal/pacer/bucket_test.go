@@ -51,7 +51,7 @@ func TestTokenBucketRefillAfterIdle(t *testing.T) {
 	b := NewTokenBucket(1e6, 3000, 0)
 	release(b, 0, 3000) // drain the bucket
 	// After 10 ms idle the bucket is full again (capped at size), so a
-	// full-size burst is free at once but one byte more is not.
+	// full-size burst is free at once.
 	if r := b.Free(10_000_000, 3000); r != 10_000_000 {
 		t.Errorf("full bucket after idle frees 3000 B at %d, want 10000000", r)
 	}
