@@ -36,10 +36,6 @@ import (
 // outdir, when non-empty, receives CSV series for plotting.
 var outdir string
 
-// reg is the optional metrics registry (-metrics); nil keeps
-// instrumentation disabled.
-var reg *obs.Registry
-
 // runMeta stamps every artifact this invocation writes (CSV series,
 // incident reports, the soak verdict) with its provenance.
 var runMeta obs.RunMeta
@@ -56,14 +52,11 @@ func writeCSV(name string, header []string, rows [][]float64) {
 
 func main() {
 	var (
-		run      = flag.String("run", "all", "experiment to run (all|fig1|table1|fig5|fig10|fig11|fig12|fig15|fig16a|fig16b|placeub|besteffort|burststress|faultdrill|soak)")
-		duration = flag.Float64("duration", 0, "override simulated seconds for packet-level experiments; for soak, the wall-clock timeout in seconds")
-		requests = flag.Int("requests", 0, "override request count for placeub; for soak, the number of crash/recovery cycles to run")
-		seed     = flag.Uint64("seed", 0, "override RNG seed")
-		outFlag  = flag.String("outdir", "", "also write plottable CSV series to this directory")
-
-		metricsOut = flag.String("metrics", "", "export metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
-
+		run        = flag.String("run", "all", "experiment to run (all|fig1|table1|fig5|fig10|fig11|fig12|fig15|fig16a|fig16b|placeub|besteffort|burststress|faultdrill|soak)")
+		duration   = flag.Float64("duration", 0, "override simulated seconds for packet-level experiments; for soak, the wall-clock timeout in seconds")
+		requests   = flag.Int("requests", 0, "override request count for placeub; for soak, the number of crash/recovery cycles to run")
+		seed       = flag.Uint64("seed", 0, "override RNG seed")
+		outFlag    = flag.String("outdir", "", "also write plottable CSV series to this directory")
 		soakReport = flag.String("soak-report", "", "for soak: also write the RunMeta-stamped JSON verdict to this path")
 	)
 	flag.Parse()
@@ -71,10 +64,6 @@ func main() {
 	runMeta = obs.CollectRunMeta("silo-bench")
 	runMeta.Seed = int64(*seed)
 
-	if err := obs.ValidateOutputPath("-metrics", *metricsOut); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if *outFlag != "" {
 		// writeCSV MkdirAlls on every write; do it once up front so an
 		// uncreatable path (e.g. a file in the way) fails before the run.
@@ -83,9 +72,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-
-	var finishObs func() error
-	reg, finishObs = obs.StartCLI(obs.CLIConfig{MetricsPath: *metricsOut})
 
 	runners := map[string]func() error{
 		"fig1":        func() error { return runFig1(*duration, *seed) },
@@ -126,10 +112,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println()
-	}
-	if err := finishObs(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 }
 
@@ -192,7 +174,7 @@ func runFig5() error {
 	fmt.Print(rs.Render())
 	if outdir != "" && len(rs.Spans) > 0 {
 		path := filepath.Join(outdir, "fig5_trace.json")
-		if err := obs.WriteTraceFile(path, rs.Ports, rs.Spans); err != nil {
+		if err := obs.WriteTraceFileMeta(path, nil, rs.Ports, rs.Spans); err != nil {
 			fmt.Fprintf(os.Stderr, "fig5 trace: %v\n", err)
 		} else {
 			fmt.Printf("flight trace written to %s (inspect with silo-trace)\n", path)
@@ -432,7 +414,6 @@ func runPlaceUB(requests int, seed uint64) error {
 	if seed != 0 {
 		p.Seed = seed
 	}
-	p.Metrics = reg
 	fmt.Println("Placement microbenchmark — 100K-host datacenter, mean 49-VM tenants:")
 	r, err := experiments.RunPlacementBench(p)
 	if err != nil {

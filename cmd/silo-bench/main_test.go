@@ -95,9 +95,9 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
-	// The live debug endpoint's flags are retired: they exit 2 like
-	// any unknown flag.
-	for _, args := range [][]string{{"-http", ":8080"}, {"-pprof"}} {
+	// Retired flags exit 2 like any unknown flag: the live debug
+	// endpoint's, and -metrics, which only placeub ever registered into.
+	for _, args := range [][]string{{"-http", ":8080"}, {"-pprof"}, {"-metrics", "-"}} {
 		t.Run(strings.TrimPrefix(args[0], "-")+" flag is gone", func(t *testing.T) {
 			out, err := exec.Command(bin, args...).CombinedOutput()
 			var exit *exec.ExitError

@@ -14,13 +14,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
 
-// versionRE matches the build revision on the "recorded by:" and CSV
-// "# run:" provenance lines.
-var versionRE = regexp.MustCompile(`(?m)^((?:recorded by:|# run:) tool=\S+ version=)\S+`)
+// versionRE matches the build revision on the "recorded by:" provenance
+// line.
+var versionRE = regexp.MustCompile(`(?m)^(recorded by: tool=\S+ version=)\S+`)
 
 // TestCLI writes the failure drill's incidents.json with silo-bench and
-// pins silo-incident's three views of it: the incident list, one
-// incident's causal timeline, and the CSV export.
+// pins silo-incident's two views of it: the incident list and one
+// incident's causal timeline.
 func TestCLI(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"silo-incident", "silo-bench"} {
@@ -63,11 +63,10 @@ func TestCLI(t *testing.T) {
 	run(t, "silo-bench", "-run", "faultdrill", "-outdir", "drill")
 	golden(t, "list", run(t, "silo-incident", "drill/incidents.json"))
 	golden(t, "id1", run(t, "silo-incident", "-q", "-id", "1", "drill/incidents.json"))
-	golden(t, "csv", run(t, "silo-incident", "-q", "-csv", "-", "drill/incidents.json"))
 
-	// The live debug endpoint's flags are retired: they exit 2 like
-	// any unknown flag.
-	for _, args := range [][]string{{"-http", ":8080"}, {"-pprof"}} {
+	// Retired flags exit 2 like any unknown flag: the live debug
+	// endpoint's, and the re-exports the report's JSON already carries.
+	for _, args := range [][]string{{"-http", ":8080"}, {"-pprof"}, {"-csv", "-"}, {"-json", "-"}, {"-metrics", "-"}} {
 		t.Run(strings.TrimPrefix(args[0], "-")+" flag is gone", func(t *testing.T) {
 			out, err := exec.Command(filepath.Join(dir, "silo-incident"), args...).CombinedOutput()
 			var exit *exec.ExitError

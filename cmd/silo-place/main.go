@@ -56,7 +56,7 @@ func main() {
 		walDir    = flag.String("wal", "", "durable store directory: write-ahead log every admission mutation and recover prior state on start (silo only)")
 		snapEvery = flag.Int("snapshot-every", 0, "with -wal: snapshot + rotate the log every N mutations (0 = default 1024, negative disables)")
 
-		metricsOut = flag.String("metrics", "", "export metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
+		metricsOut = flag.String("metrics", "", "export metrics as Prometheus text on exit (\"-\" = stdout)")
 	)
 	flag.Parse()
 

@@ -46,8 +46,8 @@ func main() {
 		vmsA         = flag.Int("vms-a", 9, "VMs of the delay-sensitive tenant")
 		vmsB         = flag.Int("vms-b", 9, "VMs of the bulk tenant")
 		seed         = flag.Uint64("seed", 3, "rng seed")
-		metricsOut   = flag.String("metrics", "", "export metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
-		traceOut     = flag.String("trace", "", "record a flight trace and write it on exit (*.json = Chrome trace_event for Perfetto + silo-trace, *.csv = compact spans)")
+		metricsOut   = flag.String("metrics", "", "export metrics as Prometheus text on exit (\"-\" = stdout)")
+		traceOut     = flag.String("trace", "", "record a flight trace and write it on exit as Chrome trace_event JSON (Perfetto, silo-trace)")
 		traceSample  = flag.Int("trace-sample", 1, "flight-trace sampling divisor: record 1 in N packets (rounded up to a power of two)")
 		sloReport    = flag.Bool("slo-report", false, "print the per-tenant SLO conformance and burn-rate report after the run")
 		incidentsOut = flag.String("incidents", "", "correlate violations, SLO burns, envelope evidence and faults into root-caused incidents; print the report and write it as JSON to this file on exit (pair with -introspect for verdict evidence; inspect with silo-incident)")
@@ -284,7 +284,7 @@ func main() {
 			Rollup:    run.Rollup,
 			Engine:    run.Engine,
 			Ports:     nw.PortMeta(),
-			Incidents: run.Correlator,
+			Incidents: run.Incidents,
 			Runtime:   &rs,
 			Meta:      &meta,
 		}

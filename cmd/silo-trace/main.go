@@ -30,9 +30,8 @@
 // self-inflicted (sender broke its envelope) or a port ran out of
 // modeled headroom.
 //
-// Chrome trace JSON recordings (*.json) carry full per-hop detail and
-// also load directly in Perfetto; CSV recordings (*.csv) reconstruct
-// span-level attribution only.
+// Recordings are Chrome trace JSON: the same file carries full per-hop
+// detail for silo-trace and loads directly in Perfetto.
 package main
 
 import (
@@ -55,11 +54,9 @@ func main() {
 		windowMs   = flag.Float64("window", 1, "window width for -windows, in simulated milliseconds")
 		why        = flag.Uint64("why", 0, "explain packet N: join its hops with the introspection snapshot's port margins and the sender's fitted envelope (needs -margins)")
 		marginsIn  = flag.String("margins", "", "introspection snapshot written by silo-sim -introspect (required by -why)")
-
-		metricsOut = flag.String("metrics", "", "export trace summary metrics on exit (\"-\" = Prometheus to stdout, *.json = expvar JSON, else Prometheus to file)")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: silo-trace [flags] <trace.json|trace.csv>\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: silo-trace [flags] <trace.json>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -67,12 +64,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := obs.ValidateOutputPath("-metrics", *metricsOut); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	reg, finishObs := obs.StartCLI(obs.CLIConfig{MetricsPath: *metricsOut})
 
 	meta, ports, spans, err := obs.ReadTraceFileMeta(flag.Arg(0))
 	if err != nil {
@@ -84,16 +75,6 @@ func main() {
 	}
 
 	sum := obs.SummarizeFlight(spans)
-	reg.GaugeFunc("silo_trace_spans_total", "spans in the loaded trace",
-		func() float64 { return float64(sum.Spans) })
-	reg.GaugeFunc("silo_trace_spans_complete", "spans with full lifecycle coverage",
-		func() float64 { return float64(sum.Complete) })
-	reg.GaugeFunc("silo_trace_violations_total", "delay-bound violations in the trace",
-		func() float64 { return float64(sum.Violations) })
-	reg.GaugeFunc("silo_trace_mean_total_ns", "mean NIC-to-NIC delay over complete spans",
-		func() float64 { return sum.MeanTotalNs })
-	reg.GaugeFunc("silo_trace_max_attr_err_ns", "worst attribution-identity error over complete spans",
-		func() float64 { return float64(sum.MaxAttributionErrNs) })
 	fmt.Println(sum.Render())
 
 	if *top > 0 {
@@ -171,10 +152,6 @@ func main() {
 
 	if sum.Complete > 0 && sum.MaxAttributionErrNs == 0 {
 		fmt.Println("\nattribution identity holds exactly (0 ns error) on all complete spans")
-	}
-	if err := finishObs(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 }
 

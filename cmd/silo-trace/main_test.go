@@ -14,9 +14,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
 
-// versionRE matches the build revision on the "recorded by:" and CSV
-// "# run:" provenance lines.
-var versionRE = regexp.MustCompile(`(?m)^((?:recorded by:|# run:) tool=\S+ version=)\S+`)
+// versionRE matches the build revision on the "recorded by:" provenance
+// line.
+var versionRE = regexp.MustCompile(`(?m)^(recorded by: tool=\S+ version=)\S+`)
 
 // TestCLI records a trace and an introspection snapshot with silo-sim,
 // then pins what silo-trace reads out of them: the roll-up, the slowest
@@ -74,18 +74,36 @@ func TestCLI(t *testing.T) {
 	}
 	golden(t, "why", run(t, "silo-trace", "-top", "0", "-why", string(m[1]), "-margins", "introspect.json", "trace.json"))
 
-	// The live debug endpoint's flags are retired: they exit 2 like
-	// any unknown flag.
-	for _, args := range [][]string{{"-http", ":8080"}, {"-pprof"}} {
+	// failWith runs silo-trace in dir and wants the exit status and a
+	// line of output.
+	failWith := func(t *testing.T, code int, want string, args ...string) {
+		t.Helper()
+		cmd := exec.Command(filepath.Join(dir, "silo-trace"), args...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != code {
+			t.Fatalf("silo-trace %s: error %v, want exit status %d\n%s", strings.Join(args, " "), err, code, out)
+		}
+		if !bytes.Contains(out, []byte(want)) {
+			t.Errorf("silo-trace %s: output lacks %q:\n%s", strings.Join(args, " "), want, out)
+		}
+	}
+
+	// Retired flags exit 2 like any unknown flag: the live debug
+	// endpoint's, and -metrics, whose gauges repeated the summary line.
+	for _, args := range [][]string{{"-http", ":8080"}, {"-pprof"}, {"-metrics", "-"}} {
 		t.Run(strings.TrimPrefix(args[0], "-")+" flag is gone", func(t *testing.T) {
-			out, err := exec.Command(filepath.Join(dir, "silo-trace"), args...).CombinedOutput()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-				t.Fatalf("%s: error %v, want exit status 2\n%s", args[0], err, out)
-			}
-			if want := "flag provided but not defined: " + args[0]; !bytes.Contains(out, []byte(want)) {
-				t.Errorf("%s: output lacks %q:\n%s", args[0], want, out)
-			}
+			failWith(t, 2, "flag provided but not defined: "+args[0], args...)
 		})
 	}
+
+	// Only Chrome trace JSON is a recording; a CSV file is refused by
+	// name.
+	t.Run("csv trace", func(t *testing.T) {
+		if err := os.WriteFile(filepath.Join(dir, "trace.csv"), []byte("pkt,total_ns,complete\n1,100,1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		failWith(t, 1, "trace.csv: not a silo trace", "trace.csv")
+	})
 }

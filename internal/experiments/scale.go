@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flowsim"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/stats"
 	"repro/internal/tenant"
@@ -210,10 +209,6 @@ type PlacementBenchParams struct {
 	AvgVMs                                            int
 	Requests                                          int
 	Seed                                              uint64
-	// Metrics, when non-nil, receives the placement manager's
-	// telemetry (admission latency histogram, accept/reject counters,
-	// headroom gauges).
-	Metrics *obs.Registry
 }
 
 // DefaultPlacementBenchParams mirrors the paper's 100 K-host setup at
@@ -252,7 +247,6 @@ func RunPlacementBench(p PlacementBenchParams) (PlacementBenchResult, error) {
 		return PlacementBenchResult{}, err
 	}
 	m := placement.NewManager(tree, placement.Options{})
-	m.EnableMetrics(p.Metrics)
 	rng := stats.NewRand(p.Seed)
 	times := stats.NewSample(p.Requests)
 	res := PlacementBenchResult{Hosts: tree.Servers(), Requests: p.Requests}

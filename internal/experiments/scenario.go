@@ -187,11 +187,9 @@ type Planes struct {
 	// window.
 	SLOWindowNs int64
 	// Series, with a registry and SLOWindowNs, captures the registry
-	// into a time-series rollup on the window tick and re-runs incident
-	// correlation there, so the silo_incident_* gauges the rollup
-	// records track the run. Ask for it only when something reads the
-	// rollup (silo-sim -series): each window costs one
-	// read of every registered metric.
+	// into a time-series rollup on the window tick. Ask for it only when
+	// something reads the rollup (silo-sim -series): each window costs
+	// one read of every registered metric.
 	Series bool
 	// Incidents collects violations into a log and correlates them into
 	// root-caused incidents, merging violations closer than
@@ -262,7 +260,6 @@ type Run struct {
 	Injector   *faults.Injector
 	Engine     *slo.Engine
 	Rollup     *timeseries.Rollup
-	Correlator *incident.Correlator
 	// Recoveries holds one report per down event, in event order.
 	Recoveries []*placement.RecoveryReport
 	// RecoverErr is the first error the fault loop's Recover or
@@ -284,12 +281,6 @@ type Run struct {
 	rng        *stats.Rand
 	nextVM     int
 	resyncWave int
-	// correlated holds the input-stream lengths at the last window-tick
-	// correlation (valid once live is set).
-	correlated struct {
-		live bool
-		lens streamLens
-	}
 }
 
 // RunScenario builds, executes and harvests a scenario.
@@ -399,14 +390,6 @@ func Build(sc Scenario, env Env) (*Run, error) {
 	if sc.Faults != "" {
 		if err := r.injectFaults(); err != nil {
 			return nil, err
-		}
-	}
-	if sc.Planes.Incidents {
-		r.Correlator = incident.New(incident.Config{MergeNs: sc.Planes.IncidentMergeNs})
-		r.Correlator.SetPortMeta(nw.PortMeta())
-		r.Correlator.SetMeta(env.Meta)
-		if reg != nil {
-			r.Correlator.RegisterMetrics(reg)
 		}
 	}
 	if sc.Planes.SLOWindowNs > 0 {
@@ -531,8 +514,7 @@ func (r *Run) recovered(rep *placement.RecoveryReport) {
 // startWindows closes SLO windows on the simulation clock, with the
 // live port-window tracker naming the culprit port of each violating
 // window. With Planes.Series the same tick snapshots the registry into
-// the time-series rollup and brings the incident report up to date, so
-// the rollup's silo_incident_* series track the run window by window.
+// the time-series rollup.
 func (r *Run) startWindows() {
 	sc := r.Scenario
 	live := sc.Planes.Series && r.env.Registry != nil
@@ -555,9 +537,6 @@ func (r *Run) startWindows() {
 		}
 		r.Engine.Flush(now)
 		tracker.Reset()
-		if live && r.Correlator != nil {
-			r.correlateIfGrown()
-		}
 	})
 }
 
@@ -589,56 +568,26 @@ func (r *Run) Finish() {
 		s.Meta = r.env.Meta
 		r.Snapshot = &s
 	}
-	if r.Correlator != nil {
-		// The authoritative correlation: the full violation stream, the
-		// final fault log, and the introspection snapshot as verdict
-		// evidence (without it, incidents that need envelope evidence stay
-		// honestly unexplained).
-		r.Correlator.SetSnapshot(r.Snapshot)
-		r.Incidents = r.correlate()
+	if r.Scenario.Planes.Incidents {
+		// The one correlation, over the finished streams: the full
+		// violation log, the fault log, the SLO events, and the
+		// introspection snapshot as verdict evidence (without it,
+		// incidents that need envelope evidence stay honestly
+		// unexplained).
+		in := incident.Inputs{
+			Violations: r.Violations.Events(),
+			Snapshot:   r.Snapshot,
+			Ports:      r.Net.PortMeta(),
+			Meta:       r.env.Meta,
+		}
+		if r.Injector != nil {
+			in.Faults = incident.FaultWindowsFromEvents(r.Injector.Events(), r.Injector.GraceNs)
+		}
+		if r.Engine != nil {
+			in.Alerts = r.Engine.Events()
+		}
+		r.Incidents = incident.Correlate(incident.Config{MergeNs: r.Scenario.Planes.IncidentMergeNs}, in)
 	}
-}
-
-// streamLens are the lengths of the streams correlate feeds the
-// correlator. Each stream only grows during a run, so equal lengths
-// mean equal streams.
-type streamLens struct {
-	violations, faults int
-	// alerts counts SLO events emitted, retained or dropped.
-	alerts int64
-}
-
-func (r *Run) streamLens() streamLens {
-	l := streamLens{violations: r.Violations.Len(), alerts: r.Engine.EventCount()}
-	if r.Injector != nil {
-		l.faults = len(r.Injector.Events())
-	}
-	return l
-}
-
-// correlateIfGrown is the window tick's correlation: it re-runs
-// correlate only when an input stream grew since the last tick. During
-// the run the report depends on nothing else (the introspection
-// evidence arrives in Finish), so a skipped tick leaves LastReport
-// equal to what a re-run would store.
-func (r *Run) correlateIfGrown() {
-	l := r.streamLens()
-	if r.correlated.live && l == r.correlated.lens {
-		return
-	}
-	r.correlated.live, r.correlated.lens = true, l
-	r.correlate()
-}
-
-func (r *Run) correlate() *incident.Report {
-	r.Correlator.SetViolations(r.Violations.Events())
-	if r.Injector != nil {
-		r.Correlator.SetFaultEvents(r.Injector.Events(), r.Injector.GraceNs)
-	}
-	if r.Engine != nil {
-		r.Correlator.SetAlerts(r.Engine.Events())
-	}
-	return r.Correlator.Correlate()
 }
 
 // tenant returns the admitted tenant with the given spec ID.

@@ -42,7 +42,7 @@ func TestSeriesJSONMatchesEncoder(t *testing.T) {
 				Rollup:    run.Rollup,
 				Engine:    run.Engine,
 				Ports:     run.Net.PortMeta(),
-				Incidents: run.Correlator,
+				Incidents: run.Incidents,
 				Runtime:   &rs,
 				Meta:      &meta,
 			}
@@ -69,8 +69,8 @@ func TestSeriesJSONMatchesEncoder(t *testing.T) {
 }
 
 // TestRunCaptureAllocatesNothing captures the registry of a finished
-// drill run with every plane on — netsim, placement, introspection, SLO
-// and incident gauges among its series — and requires that a capture
+// drill run with every plane on — netsim, placement, introspection and
+// SLO gauges among its series — and requires that a capture
 // allocate nothing once every metric has been seen.
 func TestRunCaptureAllocatesNothing(t *testing.T) {
 	sc := drillScenario(DefaultFailureDrillParams())
@@ -86,5 +86,31 @@ func TestRunCaptureAllocatesNothing(t *testing.T) {
 	run.Rollup.Capture(now) // sees any metric registered since the last window
 	if allocs := testing.AllocsPerRun(50, func() { now++; run.Rollup.Capture(now) }); allocs != 0 {
 		t.Fatalf("a capture of the run's registry allocates %v times, want 0", allocs)
+	}
+}
+
+// TestWindowTickWithoutSeriesPlane runs the drill as silo-sim
+// -slo-report -incidents does — a registry, SLO windows and incident
+// correlation, but no series plane: the run builds no rollup, so no
+// window takes a capture, and the incident report exists only once
+// Finish has correlated the finished streams.
+func TestWindowTickWithoutSeriesPlane(t *testing.T) {
+	sc := drillScenario(DefaultFailureDrillParams())
+	run, err := Build(sc, Env{Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Rollup != nil {
+		t.Fatal("a rollup was built with Planes.Series off")
+	}
+	run.Net.Sim.Every(sc.Planes.SLOWindowNs, sc.HorizonNs+sc.DrainNs, func(now int64) {
+		if run.Incidents != nil {
+			t.Fatalf("t=%dns: an incident report exists before Finish", now)
+		}
+	})
+	run.Execute(context.Background())
+	run.Finish()
+	if run.Incidents == nil || run.Incidents.TotalViolations == 0 {
+		t.Fatalf("no violations correlated at Finish: %+v", run.Incidents)
 	}
 }

@@ -32,9 +32,8 @@ func ValidateOutputPath(flagName, path string) error {
 
 // CLIConfig selects the telemetry destination for one CLI run.
 type CLIConfig struct {
-	// MetricsPath, when set, receives the registry at finish time
-	// ("-" writes Prometheus text to stdout, *.json expvar-style JSON,
-	// any other path Prometheus text).
+	// MetricsPath, when set, receives the registry as Prometheus text
+	// at finish time ("-" writes to stdout).
 	MetricsPath string
 	// ForceRegistry allocates a registry even when MetricsPath is
 	// unset — for features that consume metrics internally (silo-sim's

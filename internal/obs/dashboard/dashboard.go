@@ -1,8 +1,8 @@
 // Package dashboard builds the time-series payload silo-sim -series
 // writes at the end of a run (series.json): every rollup series plus
-// the SLO engine's windows, reports and events, the correlator's
-// incidents, the engine's self-telemetry, the durable store's status
-// and the run's provenance.
+// the SLO engine's windows, reports and events, the incident report,
+// the engine's self-telemetry, the durable store's status and the
+// run's provenance.
 //
 // WriteJSON writes the document; BuildPayload is the same document as
 // a Go value, what encoding/json would encode.
@@ -34,9 +34,8 @@ type Options struct {
 	Engine *slo.Engine
 	// Ports resolves culprit-port names in rendered events.
 	Ports []obs.PortMeta
-	// Incidents supplies the incidents block (the correlator's most
-	// recent Correlate result).
-	Incidents *incident.Correlator
+	// Incidents is the run's incident report, the incidents block.
+	Incidents *incident.Report
 	// Runtime is the simulator's self-telemetry report, taken after
 	// the run (typically nw.Sim.RuntimeStats()).
 	Runtime *netsim.RuntimeStats
@@ -62,7 +61,7 @@ type Payload struct {
 // reflectively by both writers.
 type Blocks struct {
 	SLO *SLOView `json:"slo,omitempty"`
-	// Incidents is the correlator's latest root-caused report.
+	// Incidents is the run's root-caused incident report.
 	Incidents *incident.Report `json:"incidents,omitempty"`
 	// Runtime is the engine self-telemetry report (wheel, overflow-heap
 	// and arena pressure).
@@ -135,10 +134,7 @@ func buildBlocks(opts Options) Blocks {
 		}
 		b.SLO = v
 	}
-	if opts.Incidents != nil {
-		b.Incidents = opts.Incidents.LastReport()
-	}
-	b.Runtime, b.WAL, b.Meta = opts.Runtime, opts.WAL, opts.Meta
+	b.Incidents, b.Runtime, b.WAL, b.Meta = opts.Incidents, opts.Runtime, opts.WAL, opts.Meta
 	return b
 }
 

@@ -158,10 +158,9 @@ func randomOptions(rng *rand.Rand, nonFinite bool) Options {
 		}
 	}
 	if rng.Intn(2) == 0 {
-		c := incident.New(incident.Config{})
-		c.SetViolations([]obs.ViolationEvent{{TimeNs: 5e6, Tenant: 3, VM: -1, SrcVM: -1, Count: 1, CulpritPort: -1}})
-		c.Correlate()
-		opts.Incidents = c
+		opts.Incidents = incident.Correlate(incident.Config{}, incident.Inputs{
+			Violations: []obs.ViolationEvent{{TimeNs: 5e6, Tenant: 3, VM: -1, SrcVM: -1, Count: 1, CulpritPort: -1}},
+		})
 	}
 	if rng.Intn(2) == 0 {
 		st := &netsim.RuntimeStats{}

@@ -8,15 +8,10 @@ import (
 	"strings"
 )
 
-// Exporters. Two formats:
-//
-//   - Prometheus text exposition (WritePrometheus): counters and gauges
-//     as single samples, histograms as cumulative le-bucket families
-//     with _sum and _count, plus _min/_max gauges for the exact
-//     extremes the audit relies on.
-//   - expvar-compatible JSON (WriteExpvarJSON): one flat JSON object,
-//     scalar metrics as numbers keyed by "name{labels}", histograms as
-//     {"count":..,"sum":..,"min":..,"max":..,"buckets":{"le":count}}.
+// The exporter writes one format, Prometheus text exposition
+// (WritePrometheus): counters and gauges as single samples, histograms
+// as cumulative le-bucket families with _sum and _count, plus _min/_max
+// gauges for the exact extremes the audit relies on.
 
 // WritePrometheus writes the registry in Prometheus text exposition
 // format. A nil registry writes nothing.
@@ -144,50 +139,8 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteExpvarJSON writes the registry as one flat JSON object in the
-// style of expvar: {"metric{label=\"v\"}": value, ...}. A nil registry
-// writes an empty object.
-func (r *Registry) WriteExpvarJSON(w io.Writer) error {
-	return writeExpvarJSON(w, r.Snapshot())
-}
-
-func writeExpvarJSON(w io.Writer, snap Snapshot) error {
-	var b strings.Builder
-	b.WriteString("{\n")
-	for i, e := range snap.Entries {
-		if i > 0 {
-			b.WriteString(",\n")
-		}
-		fmt.Fprintf(&b, "%q: ", e.Key())
-		switch e.Kind {
-		case KindCounter, KindGauge, KindGaugeFunc:
-			b.WriteString(formatFloat(e.Value))
-		case KindHistogram:
-			h := e.Hist
-			fmt.Fprintf(&b, `{"count": %d, "sum": %d, "min": %d, "max": %d, "buckets": {`,
-				h.Count, h.Sum, h.Min, h.Max)
-			first := true
-			for bi, c := range h.Buckets {
-				if c == 0 {
-					continue
-				}
-				if !first {
-					b.WriteString(", ")
-				}
-				first = false
-				fmt.Fprintf(&b, `"%d": %d`, BucketUpperBound(bi), c)
-			}
-			b.WriteString("}}")
-		}
-	}
-	b.WriteString("\n}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteFile exports the registry to path: "-" writes Prometheus text
-// to stdout; a path ending in ".json" writes expvar-style JSON; any
-// other path writes Prometheus text. A nil registry is a no-op.
+// WriteFile exports the registry to path as Prometheus text ("-"
+// writes to stdout). A nil registry or an empty path is a no-op.
 func (r *Registry) WriteFile(path string) error {
 	if r == nil || path == "" {
 		return nil
@@ -199,12 +152,7 @@ func (r *Registry) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	var werr error
-	if strings.HasSuffix(path, ".json") {
-		werr = r.WriteExpvarJSON(f)
-	} else {
-		werr = r.WritePrometheus(f)
-	}
+	werr := r.WritePrometheus(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

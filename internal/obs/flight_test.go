@@ -185,7 +185,7 @@ func TestTraceRoundTrip(t *testing.T) {
 
 	// JSON round-trips everything, hops included.
 	jsonPath := filepath.Join(dir, "trace.json")
-	if err := WriteTraceFile(jsonPath, flightTestPorts, spans); err != nil {
+	if err := WriteTraceFileMeta(jsonPath, nil, flightTestPorts, spans); err != nil {
 		t.Fatal(err)
 	}
 	_, ports, got, err := ReadTraceFileMeta(jsonPath)
@@ -197,27 +197,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, spans) {
 		t.Errorf("spans did not round-trip:\n got %+v\nwant %+v", got, spans)
-	}
-
-	// CSV preserves span-level attribution (no hop lists).
-	csvPath := filepath.Join(dir, "trace.csv")
-	if err := WriteTraceFile(csvPath, flightTestPorts, spans); err != nil {
-		t.Fatal(err)
-	}
-	_, _, gotCSV, err := ReadTraceFileMeta(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotCSV) != len(spans) {
-		t.Fatalf("CSV spans = %d, want %d", len(gotCSV), len(spans))
-	}
-	for i := range gotCSV {
-		g, w := gotCSV[i], spans[i]
-		if g.Pkt != w.Pkt || g.TotalNs != w.TotalNs || g.QueueNs != w.QueueNs ||
-			g.SerNs != w.SerNs || g.PropNs != w.PropNs || g.PacingNs != w.PacingNs ||
-			g.Complete != w.Complete || g.Gate != w.Gate {
-			t.Errorf("CSV span %d mismatch:\n got %+v\nwant %+v", i, g, w)
-		}
 	}
 
 	// Not-a-trace inputs fail with a clear error.

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/introspect"
 	"repro/internal/obs/slo"
 )
 
-// Config parameterizes the correlator. Zero values select defaults.
+// Config parameterizes Correlate. Zero values select defaults.
 type Config struct {
 	// MergeNs is the clustering gap: two events (or an event and a
 	// fault window) closer than this on the simulated clock belong to
@@ -33,84 +32,36 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Correlator joins the signal streams into incidents. Feed it with the
-// Set* methods (each replaces its stream, so a live harness can re-run
-// correlation as the run progresses), then call Correlate. The
-// correlator itself is driven, not wired: it never touches the
-// simulator, so it can run mid-simulation from a telemetry tick or
-// offline over exported artifacts.
-//
-// Like every plane in package obs, it runs on one goroutine: the
-// simulation's, or the offline tool's.
-type Correlator struct {
+// Inputs are the signal streams one correlation joins. Any of them may
+// be empty: the report says what the evidence supports.
+type Inputs struct {
+	// Violations is the unified violation stream: delivery-tap and
+	// SLO-window events, in any order (Correlate sorts canonically).
+	Violations []obs.ViolationEvent
+	// Faults are the injected-fault outage windows.
+	Faults []FaultWindow
+	// Alerts is the SLO engine's event log; only burn-rate transitions
+	// are used (for incident timelines — window violations already
+	// arrive through the unified stream).
+	Alerts []slo.Event
+	// Snapshot is the introspection evidence: per-VM fitted arrival
+	// envelopes (the self-inflicted / neighbor-interference
+	// discriminator) and per-port headroom margins (the bound-breach
+	// evidence). nil when introspection was off.
+	Snapshot *introspect.Snapshot
+	// Ports names ports in rendered text.
+	Ports []obs.PortMeta
+	// Meta stamps run provenance onto the report. It is excluded from
+	// Render output so determinism gates can compare rendered reports
+	// across builds and command lines.
+	Meta *obs.RunMeta
+}
+
+// correlation is one Correlate call's configuration and inputs.
+type correlation struct {
 	cfg Config
-
-	violations []obs.ViolationEvent
-	faultWins  []FaultWindow
-	alerts     []slo.Event
-	envelopes  []introspect.VMEnvelope
-	headrooms  []introspect.PortHeadroom
-	portMeta   []obs.PortMeta
-	meta       *obs.RunMeta
-
-	last *Report
+	in  Inputs
 }
-
-// New returns a correlator with the given config.
-func New(cfg Config) *Correlator {
-	return &Correlator{cfg: cfg.withDefaults()}
-}
-
-// SetViolations replaces the unified violation stream (delivery-tap
-// and SLO-window events, any order — Correlate sorts canonically).
-func (c *Correlator) SetViolations(evs []obs.ViolationEvent) {
-	c.violations = evs
-}
-
-// SetFaultWindows replaces the injected-fault outage windows.
-func (c *Correlator) SetFaultWindows(ws []FaultWindow) {
-	c.faultWins = ws
-}
-
-// SetFaultEvents is SetFaultWindows over a raw injector event log.
-func (c *Correlator) SetFaultEvents(evs []faults.Event, graceNs int64) {
-	c.SetFaultWindows(FaultWindowsFromEvents(evs, graceNs))
-}
-
-// SetAlerts replaces the SLO engine's event log; only burn-rate
-// transitions are used (for incident timelines — window violations
-// already arrive through the unified stream).
-func (c *Correlator) SetAlerts(evs []slo.Event) {
-	c.alerts = evs
-}
-
-// SetSnapshot supplies introspection evidence: per-VM fitted arrival
-// envelopes (the self-inflicted / neighbor-interference discriminator)
-// and per-port headroom margins (the bound-breach evidence). nil
-// clears both.
-func (c *Correlator) SetSnapshot(s *introspect.Snapshot) {
-	if s == nil {
-		c.envelopes, c.headrooms = nil, nil
-	} else {
-		c.envelopes, c.headrooms = s.Envelopes, s.Ports
-	}
-}
-
-// SetPortMeta supplies port names for rendering.
-func (c *Correlator) SetPortMeta(pm []obs.PortMeta) {
-	c.portMeta = pm
-}
-
-// SetMeta stamps run provenance onto produced reports. Meta is
-// excluded from Render output so determinism gates can compare
-// rendered reports across builds and command lines.
-func (c *Correlator) SetMeta(m *obs.RunMeta) {
-	c.meta = m
-}
-
-// LastReport returns the most recently correlated report, nil before
-// the first Correlate.
-func (c *Correlator) LastReport() *Report { return c.last }
 
 // clusterItem is one unit of the merge sweep: a violation event or a
 // fault window, reduced to a time span.
@@ -120,18 +71,20 @@ type clusterItem struct {
 	fw             int // index into fault windows, -1 for an event
 }
 
-// Correlate clusters the current streams into incidents and returns
-// the report (also retrievable via LastReport). Deterministic: events
-// are sorted canonically first, so the order in which the streams
-// appended them cannot affect the output.
-func (c *Correlator) Correlate() *Report {
-	evs := make([]obs.ViolationEvent, len(c.violations))
-	copy(evs, c.violations)
+// Correlate clusters a finished run's streams into incidents. It is a
+// pure function of its arguments and never touches the simulator, so it
+// runs once after a run or offline over exported artifacts.
+// Deterministic: events are sorted canonically first, so the order in
+// which the streams appended them cannot affect the output.
+func Correlate(cfg Config, in Inputs) *Report {
+	c := &correlation{cfg: cfg.withDefaults(), in: in}
+	evs := make([]obs.ViolationEvent, len(in.Violations))
+	copy(evs, in.Violations)
 	obs.SortViolationEvents(evs)
 
-	items := make([]clusterItem, 0, len(evs)+len(c.faultWins))
-	for i := range c.faultWins {
-		w := &c.faultWins[i]
+	items := make([]clusterItem, 0, len(evs)+len(in.Faults))
+	for i := range in.Faults {
+		w := &in.Faults[i]
 		items = append(items, clusterItem{startNs: w.StartNs, endNs: w.effectiveEndNs(), ev: -1, fw: i})
 	}
 	for i := range evs {
@@ -150,7 +103,7 @@ func (c *Correlator) Correlate() *Report {
 		return items[i].ev < items[j].ev
 	})
 
-	rep := &Report{Meta: c.meta, MergeNs: c.cfg.MergeNs}
+	rep := &Report{Meta: in.Meta, MergeNs: c.cfg.MergeNs}
 	var cluster []clusterItem
 	var clusterEnd int64
 	flush := func() {
@@ -184,14 +137,13 @@ func (c *Correlator) Correlate() *Report {
 			rep.BoundBreaches++
 		}
 	}
-	c.last = rep
 	return rep
 }
 
 // buildIncident turns one cluster into an incident, or nil when the
 // cluster holds no violations (a fault window nothing suffered from is
 // not an incident).
-func (c *Correlator) buildIncident(cluster []clusterItem, evs []obs.ViolationEvent) *Incident {
+func (c *correlation) buildIncident(cluster []clusterItem, evs []obs.ViolationEvent) *Incident {
 	nViol := 0
 	for _, it := range cluster {
 		if it.ev >= 0 {
@@ -215,7 +167,7 @@ func (c *Correlator) buildIncident(cluster []clusterItem, evs []obs.ViolationEve
 
 	for _, it := range cluster {
 		if it.fw >= 0 {
-			w := &c.faultWins[it.fw]
+			w := &c.in.Faults[it.fw]
 			if !faultSeen[w.Label] {
 				faultSeen[w.Label] = true
 				inc.Faults = append(inc.Faults, w.Label)
@@ -316,8 +268,8 @@ func (c *Correlator) buildIncident(cluster []clusterItem, evs []obs.ViolationEve
 				lastViol.Tenant, vmName(lastViol.VM), vmName(lastViol.SrcVM), float64(lastViol.DelayNs)/1e3),
 		})
 	}
-	for i := range c.alerts {
-		a := &c.alerts[i]
+	for i := range c.in.Alerts {
+		a := &c.in.Alerts[i]
 		if a.Kind == slo.EventWindowViolation || a.TimeNs < inc.StartNs || a.TimeNs > inc.EndNs {
 			continue
 		}
@@ -364,7 +316,7 @@ func (c *Correlator) buildIncident(cluster []clusterItem, evs []obs.ViolationEve
 
 // classify applies the verdict taxonomy, in precedence order, and
 // appends the evidence timeline entry.
-func (c *Correlator) classify(inc *Incident) {
+func (c *correlation) classify(inc *Incident) {
 	victim := map[int]bool{}
 	for _, t := range inc.Tenants {
 		victim[t] = true
@@ -374,8 +326,13 @@ func (c *Correlator) classify(inc *Incident) {
 	victimViolated := map[int][]int{}   // tenant -> violating VMs
 	neighborViolated := map[int][]int{} // tenant -> violating VMs
 	covered := map[int]bool{}           // victim tenants with tracked envelopes
-	for i := range c.envelopes {
-		env := &c.envelopes[i]
+	var envelopes []introspect.VMEnvelope
+	var headrooms []introspect.PortHeadroom
+	if s := c.in.Snapshot; s != nil {
+		envelopes, headrooms = s.Envelopes, s.Ports
+	}
+	for i := range envelopes {
+		env := &envelopes[i]
 		if victim[env.TenantID] && env.Emissions > 0 {
 			covered[env.TenantID] = true
 		}
@@ -396,8 +353,8 @@ func (c *Correlator) classify(inc *Incident) {
 		inPorts[int(p)] = true
 	}
 	globalPort, globalMargin := -1, 0.0
-	for i := range c.headrooms {
-		ph := &c.headrooms[i]
+	for i := range headrooms {
+		ph := &headrooms[i]
 		if !ph.Bounded || ph.Bounds.BacklogBytes < 0 {
 			continue
 		}
@@ -460,11 +417,11 @@ func (c *Correlator) classify(inc *Incident) {
 	})
 }
 
-func (c *Correlator) portName(p int32) string {
+func (c *correlation) portName(p int32) string {
 	if p < 0 {
 		return "(unattributed)"
 	}
-	return obs.PortName(c.portMeta, p)
+	return obs.PortName(c.in.Ports, p)
 }
 
 func allCovered(victim, covered map[int]bool) bool {

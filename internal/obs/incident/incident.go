@@ -57,8 +57,8 @@ var verdictNames = [...]string{
 	"neighbor-interference", "bound-breach",
 }
 
-// Verdicts lists every verdict class in taxonomy order (metrics
-// export iterates it so all families exist even at zero).
+// Verdicts lists every verdict class in taxonomy order (Render's
+// verdict summary iterates it).
 func Verdicts() []Verdict {
 	return []Verdict{
 		VerdictUnexplained, VerdictInjectedFault, VerdictSelfInflicted,

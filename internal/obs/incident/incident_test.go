@@ -42,7 +42,7 @@ func envelope(vm, tenant int, violated bool) introspect.VMEnvelope {
 }
 
 func TestEmptyRunZeroIncidents(t *testing.T) {
-	rep := New(Config{}).Correlate()
+	rep := Correlate(Config{}, Inputs{})
 	if len(rep.Incidents) != 0 || rep.TotalViolations != 0 || rep.Unexplained != 0 {
 		t.Fatalf("empty run produced %+v", rep)
 	}
@@ -52,9 +52,8 @@ func TestEmptyRunZeroIncidents(t *testing.T) {
 }
 
 func TestFaultOnlyClusterIsNotAnIncident(t *testing.T) {
-	c := New(Config{})
-	c.SetFaultWindows([]FaultWindow{{Label: "x", Target: "link 3", StartNs: 1e6, EndNs: 2e6}})
-	if rep := c.Correlate(); len(rep.Incidents) != 0 {
+	rep := Correlate(Config{}, Inputs{Faults: []FaultWindow{{Label: "x", Target: "link 3", StartNs: 1e6, EndNs: 2e6}}})
+	if len(rep.Incidents) != 0 {
 		t.Fatalf("fault window with no violations became an incident: %+v", rep.Incidents)
 	}
 }
@@ -62,16 +61,16 @@ func TestFaultOnlyClusterIsNotAnIncident(t *testing.T) {
 // Two faults inside one merge window coalesce into a single incident
 // listing both fault labels.
 func TestTwoFaultsInOneMergeWindowCoalesce(t *testing.T) {
-	c := New(Config{MergeNs: 2e6})
-	c.SetFaultWindows([]FaultWindow{
-		{Label: "switch-down switch tor0 @10000000ns", Target: "switch tor0", StartNs: 10e6, EndNs: 12e6},
-		{Label: "link-down link 5 @13000000ns", Target: "link 5", StartNs: 13e6, EndNs: 14e6},
+	rep := Correlate(Config{MergeNs: 2e6}, Inputs{
+		Faults: []FaultWindow{
+			{Label: "switch-down switch tor0 @10000000ns", Target: "switch tor0", StartNs: 10e6, EndNs: 12e6},
+			{Label: "link-down link 5 @13000000ns", Target: "link 5", StartNs: 13e6, EndNs: 14e6},
+		},
+		Violations: []obs.ViolationEvent{
+			deliveryViol(10.5e6, 1, 1000, 1001, 500e3, 350e3),
+			deliveryViol(13.5e6, 1, 1000, 1002, 600e3, 350e3),
+		},
 	})
-	c.SetViolations([]obs.ViolationEvent{
-		deliveryViol(10.5e6, 1, 1000, 1001, 500e3, 350e3),
-		deliveryViol(13.5e6, 1, 1000, 1002, 600e3, 350e3),
-	})
-	rep := c.Correlate()
 	if len(rep.Incidents) != 1 {
 		t.Fatalf("want 1 coalesced incident, got %d: %s", len(rep.Incidents), rep.Render())
 	}
@@ -88,14 +87,12 @@ func TestTwoFaultsInOneMergeWindowCoalesce(t *testing.T) {
 // not two: the merge gap bridges the boundary and the window events
 // span it.
 func TestViolationsStraddlingWindowBoundary(t *testing.T) {
-	c := New(Config{MergeNs: 2e6})
-	c.SetViolations([]obs.ViolationEvent{
+	rep := Correlate(Config{MergeNs: 2e6}, Inputs{Violations: []obs.ViolationEvent{
 		deliveryViol(0.99e6, 1, 1000, 1001, 400e3, 350e3),
 		deliveryViol(1.01e6, 1, 1000, 1002, 410e3, 350e3),
 		windowViol(0, 1e6, 1, 1, -1),
 		windowViol(1e6, 2e6, 1, 1, -1),
-	})
-	rep := c.Correlate()
+	}})
 	if len(rep.Incidents) != 1 {
 		t.Fatalf("boundary-straddling violations split into %d incidents:\n%s",
 			len(rep.Incidents), rep.Render())
@@ -107,27 +104,24 @@ func TestViolationsStraddlingWindowBoundary(t *testing.T) {
 }
 
 func TestDistantViolationsSplit(t *testing.T) {
-	c := New(Config{MergeNs: 2e6})
-	c.SetViolations([]obs.ViolationEvent{
+	rep := Correlate(Config{MergeNs: 2e6}, Inputs{Violations: []obs.ViolationEvent{
 		deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3),
 		deliveryViol(10e6, 1, 1000, 1002, 410e3, 350e3),
-	})
-	if rep := c.Correlate(); len(rep.Incidents) != 2 {
+	}})
+	if len(rep.Incidents) != 2 {
 		t.Fatalf("violations 9ms apart with 2ms merge gap: got %d incidents, want 2", len(rep.Incidents))
 	}
 }
 
 func TestSelfInflictedNamesSenders(t *testing.T) {
-	c := New(Config{})
-	c.SetViolations([]obs.ViolationEvent{
-		deliveryViol(1e6, 1, 1000, 1003, 400e3, 350e3),
+	rep := Correlate(Config{}, Inputs{
+		Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1003, 400e3, 350e3)},
+		Snapshot: &introspect.Snapshot{Envelopes: []introspect.VMEnvelope{
+			envelope(1000, 1, false),
+			envelope(1003, 1, true),
+			envelope(1004, 1, true),
+		}},
 	})
-	c.SetSnapshot(&introspect.Snapshot{Envelopes: []introspect.VMEnvelope{
-		envelope(1000, 1, false),
-		envelope(1003, 1, true),
-		envelope(1004, 1, true),
-	}})
-	rep := c.Correlate()
 	if len(rep.Incidents) != 1 {
 		t.Fatalf("want 1 incident, got %d", len(rep.Incidents))
 	}
@@ -147,24 +141,24 @@ func TestSelfInflictedNamesSenders(t *testing.T) {
 // conformant, tenant 2 broke its envelope, and the shared port's
 // introspected margin went negative.
 func TestNeighborInterferenceFixture(t *testing.T) {
-	c := New(Config{})
-	c.SetViolations([]obs.ViolationEvent{
-		{TimeNs: 1e6, Source: obs.SourceDelivery, Tenant: 1, VM: 1000, SrcVM: 1001,
-			DelayNs: 400e3, BoundNs: 350e3, Count: 1, CulpritPort: 7},
-	})
-	c.SetSnapshot(&introspect.Snapshot{
-		Envelopes: []introspect.VMEnvelope{
-			envelope(1000, 1, false),
-			envelope(1001, 1, false),
-			envelope(2000, 2, true),
+	rep := Correlate(Config{}, Inputs{
+		Violations: []obs.ViolationEvent{
+			{TimeNs: 1e6, Source: obs.SourceDelivery, Tenant: 1, VM: 1000, SrcVM: 1001,
+				DelayNs: 400e3, BoundNs: 350e3, Count: 1, CulpritPort: 7},
 		},
-		Ports: []introspect.PortHeadroom{{
-			Port: 7, Name: "tor0.down2", Bounded: true,
-			Bounds:      introspect.PortBounds{BacklogBytes: 100e3},
-			MarginBytes: -5e3,
-		}},
+		Snapshot: &introspect.Snapshot{
+			Envelopes: []introspect.VMEnvelope{
+				envelope(1000, 1, false),
+				envelope(1001, 1, false),
+				envelope(2000, 2, true),
+			},
+			Ports: []introspect.PortHeadroom{{
+				Port: 7, Name: "tor0.down2", Bounded: true,
+				Bounds:      introspect.PortBounds{BacklogBytes: 100e3},
+				MarginBytes: -5e3,
+			}},
+		},
 	})
-	rep := c.Correlate()
 	if len(rep.Incidents) != 1 {
 		t.Fatalf("want 1 incident, got %d", len(rep.Incidents))
 	}
@@ -187,23 +181,23 @@ func TestNeighborInterferenceFixture(t *testing.T) {
 // margins positive, no fault — yet a violation. Must classify
 // bound-breach (and page), never unexplained.
 func TestBoundBreachFixtureNotUnexplained(t *testing.T) {
-	c := New(Config{})
-	c.SetViolations([]obs.ViolationEvent{
-		{TimeNs: 1e6, Source: obs.SourceDelivery, Tenant: 1, VM: 1000, SrcVM: 1001,
-			DelayNs: 400e3, BoundNs: 350e3, Count: 1, CulpritPort: 7},
-	})
-	c.SetSnapshot(&introspect.Snapshot{
-		Envelopes: []introspect.VMEnvelope{
-			envelope(1000, 1, false),
-			envelope(1001, 1, false),
+	rep := Correlate(Config{}, Inputs{
+		Violations: []obs.ViolationEvent{
+			{TimeNs: 1e6, Source: obs.SourceDelivery, Tenant: 1, VM: 1000, SrcVM: 1001,
+				DelayNs: 400e3, BoundNs: 350e3, Count: 1, CulpritPort: 7},
 		},
-		Ports: []introspect.PortHeadroom{{
-			Port: 7, Name: "tor0.down2", Bounded: true,
-			Bounds:      introspect.PortBounds{BacklogBytes: 100e3},
-			MarginBytes: 40e3,
-		}},
+		Snapshot: &introspect.Snapshot{
+			Envelopes: []introspect.VMEnvelope{
+				envelope(1000, 1, false),
+				envelope(1001, 1, false),
+			},
+			Ports: []introspect.PortHeadroom{{
+				Port: 7, Name: "tor0.down2", Bounded: true,
+				Bounds:      introspect.PortBounds{BacklogBytes: 100e3},
+				MarginBytes: 40e3,
+			}},
+		},
 	})
-	rep := c.Correlate()
 	if len(rep.Incidents) != 1 {
 		t.Fatalf("want 1 incident, got %d", len(rep.Incidents))
 	}
@@ -224,22 +218,20 @@ func TestBoundBreachFixtureNotUnexplained(t *testing.T) {
 
 // Fault overlap takes precedence over every envelope verdict.
 func TestInjectedFaultPrecedence(t *testing.T) {
-	c := New(Config{})
-	c.SetFaultWindows([]FaultWindow{
-		{Label: "switch-down switch tor0 @500000ns", Target: "switch tor0", StartNs: 0.5e6, EndNs: 2e6, GraceNs: 1e6},
+	rep := Correlate(Config{}, Inputs{
+		Faults: []FaultWindow{
+			{Label: "switch-down switch tor0 @500000ns", Target: "switch tor0", StartNs: 0.5e6, EndNs: 2e6, GraceNs: 1e6},
+		},
+		Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1003, 400e3, 350e3)},
+		Snapshot:   &introspect.Snapshot{Envelopes: []introspect.VMEnvelope{envelope(1003, 1, true)}},
 	})
-	c.SetViolations([]obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1003, 400e3, 350e3)})
-	c.SetSnapshot(&introspect.Snapshot{Envelopes: []introspect.VMEnvelope{envelope(1003, 1, true)}})
-	rep := c.Correlate()
 	if v := rep.Incidents[0].Verdict; v != VerdictInjectedFault {
 		t.Fatalf("verdict = %s, want injected-fault over self-inflicted", v)
 	}
 }
 
 func TestUnexplainedWithoutEvidence(t *testing.T) {
-	c := New(Config{})
-	c.SetViolations([]obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)})
-	rep := c.Correlate()
+	rep := Correlate(Config{}, Inputs{Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)}})
 	if rep.Incidents[0].Verdict != VerdictUnexplained || rep.Unexplained != 1 {
 		t.Fatalf("no-evidence run: verdict %s, unexplained %d", rep.Incidents[0].Verdict, rep.Unexplained)
 	}
@@ -248,13 +240,11 @@ func TestUnexplainedWithoutEvidence(t *testing.T) {
 // Every violation is a member of exactly one incident: totals add up
 // no matter how violations scatter.
 func TestEveryViolationExactlyOnce(t *testing.T) {
-	c := New(Config{MergeNs: 1e6})
 	var evs []obs.ViolationEvent
 	for i := 0; i < 40; i++ {
 		evs = append(evs, deliveryViol(int64(i)*3e6, 1+i%3, 1000+i, 2000+i, 400e3, 350e3))
 	}
-	c.SetViolations(evs)
-	rep := c.Correlate()
+	rep := Correlate(Config{MergeNs: 1e6}, Inputs{Violations: evs})
 	var sum int64
 	for _, inc := range rep.Incidents {
 		sum += inc.Violations
@@ -275,16 +265,13 @@ func TestRenderIndependentOfInputOrder(t *testing.T) {
 		evs = append(evs, windowViol(0, 1e6, 1, 3, 7), windowViol(1e6, 2e6, 2, 2, -1))
 		return evs
 	}
-	c := New(Config{})
-	c.SetViolations(mk())
-	want := c.Correlate().Render()
+	want := Correlate(Config{}, Inputs{Violations: mk()}).Render()
 
 	rev := mk()
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	c.SetViolations(rev)
-	if got := c.Correlate().Render(); got != want {
+	if got := Correlate(Config{}, Inputs{Violations: rev}).Render(); got != want {
 		t.Fatalf("render depends on input order:\n--- forward ---\n%s--- reversed ---\n%s", want, got)
 	}
 }
@@ -318,11 +305,11 @@ func TestFaultWindowsFromEvents(t *testing.T) {
 	}
 }
 
-func TestReportRoundTripAndCSV(t *testing.T) {
-	c := New(Config{})
-	c.SetMeta(&obs.RunMeta{Tool: "test", Version: "deadbeef"})
-	c.SetViolations([]obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)})
-	rep := c.Correlate()
+func TestReportRoundTrip(t *testing.T) {
+	rep := Correlate(Config{}, Inputs{
+		Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)},
+		Meta:       &obs.RunMeta{Tool: "test", Version: "deadbeef"},
+	})
 
 	path := filepath.Join(t.TempDir(), "incidents.json")
 	if err := rep.WriteFile(path); err != nil {
@@ -354,21 +341,6 @@ func TestReportRoundTripAndCSV(t *testing.T) {
 	if got, err := ReadFile(path); err != nil || got.Meta == nil || got.Meta.Tool != "test" || len(got.Incidents) != 1 {
 		t.Fatalf("report with \"workers\" in its meta: %+v, error %v", got, err)
 	}
-
-	var buf bytes.Buffer
-	if err := rep.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "# run: tool=test version=deadbeef" {
-		t.Fatalf("CSV run-meta comment header: %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "id,start_ns") {
-		t.Fatalf("CSV header wrong: %q", lines[1])
-	}
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want comment+header+1 row", len(lines))
-	}
 }
 
 func TestVerdictJSONRoundTrip(t *testing.T) {
@@ -391,37 +363,13 @@ func TestVerdictJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMetricsExport(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := New(Config{})
-	c.RegisterMetrics(reg)
-	c.SetViolations([]obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)})
-	c.Correlate()
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		`silo_incident_total 1`,
-		`silo_incident_verdict_total{verdict="unexplained"} 1`,
-		`silo_incident_verdict_total{verdict="bound-breach"} 0`,
-		`silo_incident_violations_total 1`,
-		`silo_incident_unexplained_total 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("metrics export missing %q:\n%s", want, text)
-		}
-	}
-}
-
 func TestDrillDownRender(t *testing.T) {
-	c := New(Config{})
-	c.SetFaultWindows([]FaultWindow{
-		{Label: "switch-down switch tor0 @500000ns", Target: "switch tor0", StartNs: 0.5e6, EndNs: 2e6, GraceNs: 1e6},
+	rep := Correlate(Config{}, Inputs{
+		Faults: []FaultWindow{
+			{Label: "switch-down switch tor0 @500000ns", Target: "switch tor0", StartNs: 0.5e6, EndNs: 2e6, GraceNs: 1e6},
+		},
+		Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1003, 400e3, 350e3)},
 	})
-	c.SetViolations([]obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1003, 400e3, 350e3)})
-	rep := c.Correlate()
 	out := rep.RenderIncident(1)
 	for _, want := range []string{"incident 1", "injected-fault", "fault injected: switch-down switch tor0", "restored: switch tor0", "first violation"} {
 		if !strings.Contains(out, want) {

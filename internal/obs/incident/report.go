@@ -1,7 +1,6 @@
 package incident
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -168,111 +167,6 @@ func ReadFile(path string) (*Report, error) {
 	return &r, nil
 }
 
-// csvHeader is the incident CSV schema.
-var csvHeader = []string{
-	"id", "start_ns", "end_ns", "verdict", "page", "violations",
-	"window_violations", "worst_delay_ns", "bound_ns", "tenants",
-	"vms", "src_vms", "ports", "culprit_tenants", "culprit_vms",
-	"min_margin_port", "min_margin_bytes", "faults", "reason",
-}
-
-// WriteCSV exports one row per incident, preceded by the run-meta
-// comment line when stamped (readers must skip `#` lines).
-func (r *Report) WriteCSV(w io.Writer) error {
-	if line := r.Meta.CommentLine(); line != "" {
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	for i := range r.Incidents {
-		inc := &r.Incidents[i]
-		row := []string{
-			strconv.Itoa(inc.ID),
-			strconv.FormatInt(inc.StartNs, 10),
-			strconv.FormatInt(inc.EndNs, 10),
-			inc.Verdict.String(),
-			strconv.FormatBool(inc.Page),
-			strconv.FormatInt(inc.Violations, 10),
-			strconv.FormatInt(inc.WindowViolations, 10),
-			strconv.FormatInt(inc.WorstDelayNs, 10),
-			strconv.FormatInt(inc.BoundNs, 10),
-			intsCompact(inc.Tenants),
-			intsCompact(inc.VMs),
-			intsCompact(inc.SrcVMs),
-			ports32Compact(inc.Ports),
-			intsCompact(inc.CulpritTenants),
-			intsCompact(inc.CulpritVMs),
-			strconv.Itoa(inc.MinMarginPort),
-			strconv.FormatFloat(inc.MinMarginBytes, 'f', 1, 64),
-			strings.Join(inc.Faults, "; "),
-			inc.Reason,
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// RegisterMetrics exports the correlator's latest report through an
-// obs registry as the silo_incident_* families. Gauges read
-// LastReport at export or capture time, so re-running Correlate
-// refreshes the export without re-registration; before the first
-// Correlate every gauge reads 0. A nil registry is a no-op.
-func (c *Correlator) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("silo_incident_total",
-		"correlated incidents in the latest report",
-		func() float64 {
-			if r := c.LastReport(); r != nil {
-				return float64(len(r.Incidents))
-			}
-			return 0
-		})
-	for _, v := range Verdicts() {
-		v := v
-		reg.GaugeFunc("silo_incident_verdict_total",
-			"incidents per root-cause verdict class",
-			func() float64 {
-				if r := c.LastReport(); r != nil {
-					return float64(r.ByVerdict()[v])
-				}
-				return 0
-			}, "verdict", v.String())
-	}
-	reg.GaugeFunc("silo_incident_violations_total",
-		"guarantee violations correlated into incidents (must equal the audit total)",
-		func() float64 {
-			if r := c.LastReport(); r != nil {
-				return float64(r.TotalViolations)
-			}
-			return 0
-		})
-	reg.GaugeFunc("silo_incident_unexplained_total",
-		"incidents the engine could not root-cause (must be 0 in instrumented runs)",
-		func() float64 {
-			if r := c.LastReport(); r != nil {
-				return float64(r.Unexplained)
-			}
-			return 0
-		})
-	reg.GaugeFunc("silo_incident_bound_breach_total",
-		"paper-falsifying incidents: conformant arrivals missed d (page loudly)",
-		func() float64 {
-			if r := c.LastReport(); r != nil {
-				return float64(r.BoundBreaches)
-			}
-			return 0
-		})
-}
-
 func intsCompact(xs []int) string {
 	if len(xs) == 0 {
 		return ""
@@ -283,20 +177,6 @@ func intsCompact(xs []int) string {
 			b.WriteByte(',')
 		}
 		b.WriteString(strconv.Itoa(x))
-	}
-	return b.String()
-}
-
-func ports32Compact(xs []int32) string {
-	if len(xs) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, x := range xs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatInt(int64(x), 10))
 	}
 	return b.String()
 }

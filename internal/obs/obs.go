@@ -15,9 +15,9 @@
 //     inlined at the call site. BenchmarkObsOverhead asserts both
 //     properties.
 //  3. One goroutine. Every plane — metrics, auditor, rollup, SLO
-//     engine, correlator — is written and read on the goroutine that
-//     drives the run (the simulation's, or an offline tool's), and is
-//     read from a run's artifacts after it. Nothing here locks or uses
+//     engine, incident correlation — is written and read on the
+//     goroutine that drives the run (the simulation's, or an offline
+//     tool's), and is read from a run's artifacts after it. Nothing here locks or uses
 //     atomics, and nothing here is safe for concurrent use.
 //
 // Histograms use power-of-two buckets: bucket i counts observations v

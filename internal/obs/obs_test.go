@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"os"
 	"strings"
@@ -145,31 +144,6 @@ func TestPrometheusExport(t *testing.T) {
 	}
 }
 
-func TestExpvarJSONExport(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "").Add(2)
-	h := r.Histogram("b_us", "", "tenant", "1")
-	h.Observe(5)
-	var sb strings.Builder
-	if err := r.WriteExpvarJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(sb.String()), &m); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if m["a_total"] != 2.0 {
-		t.Errorf("a_total = %v", m["a_total"])
-	}
-	hv, ok := m[`b_us{tenant="1"}`].(map[string]interface{})
-	if !ok {
-		t.Fatalf("histogram entry missing: %v", m)
-	}
-	if hv["count"] != 1.0 || hv["sum"] != 5.0 {
-		t.Errorf("histogram count/sum = %v/%v", hv["count"], hv["sum"])
-	}
-}
-
 func TestGuaranteeAuditor(t *testing.T) {
 	r := NewRegistry()
 	a := NewGuaranteeAuditor(r)
@@ -199,7 +173,7 @@ func TestGuaranteeAuditor(t *testing.T) {
 	// The registry saw the per-tenant metrics.
 	var found bool
 	for _, e := range r.Snapshot().Entries {
-		if e.Key() == metricKey("silo_audit_delay_violations_total", []string{"tenant", "1"}) {
+		if metricKey(e.Name, e.Labels) == metricKey("silo_audit_delay_violations_total", []string{"tenant", "1"}) {
 			found = e.Value == 1
 		}
 	}
@@ -281,9 +255,9 @@ func TestWriteFileFormats(t *testing.T) {
 	if !strings.Contains(prom, "# TYPE x_total counter") {
 		t.Errorf("prom file: %s", prom)
 	}
-	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(readFile(t, jsonPath)), &m); err != nil {
-		t.Fatalf("json file invalid: %v", err)
+	// The extension selects nothing: every path gets Prometheus text.
+	if got := readFile(t, jsonPath); got != prom {
+		t.Errorf("m.json holds %q, want the Prometheus text %q", got, prom)
 	}
 }
 

@@ -223,9 +223,6 @@ type SnapEntry struct {
 	Hist   *HistValue // histogram only
 }
 
-// Key returns the entry's unique identity (name plus label block).
-func (s *SnapEntry) Key() string { return metricKey(s.Name, s.Labels) }
-
 // Snapshot is a point-in-time copy of every registered metric, in
 // registration order.
 type Snapshot struct {

@@ -520,16 +520,6 @@ func (e *Engine) Events() []Event {
 	return out
 }
 
-// EventCount reports how many events the engine has emitted, retained
-// or dropped: it grows exactly when the event stream does, so a
-// consumer can tell whether Events changed without copying it.
-func (e *Engine) EventCount() int64 {
-	if e == nil {
-		return 0
-	}
-	return int64(len(e.events)) + e.dropped
-}
-
 // EventsDropped reports events discarded once MaxEvents was reached.
 func (e *Engine) EventsDropped() int64 {
 	if e == nil {

@@ -7,21 +7,14 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
-
-	"repro/internal/stats"
 )
 
-// Trace file I/O. Two formats, selected by extension:
-//
-//   - *.json: Chrome trace_event JSON, loadable in Perfetto /
-//     chrome://tracing. Each span becomes one track (tid = packet ID)
-//     of "X" complete events — pacing, then queue/ser/prop per hop —
-//     with the machine-readable span records embedded verbatim under
-//     otherData.silo, so silo-trace round-trips the full recording
-//     (per-hop data included) from the same file Perfetto renders.
-//   - *.csv: one compact numeric row per span via internal/stats —
-//     plottable, loses per-hop detail beyond the worst port.
+// Trace file I/O. One format, Chrome trace_event JSON, loadable in
+// Perfetto / chrome://tracing: each span becomes one track (tid =
+// packet ID) of "X" complete events — pacing, then queue/ser/prop per
+// hop — with the machine-readable span records embedded verbatim under
+// otherData.silo, so silo-trace round-trips the full recording
+// (per-hop data included) from the same file Perfetto renders.
 
 // siloTraceData is the machine-readable payload embedded in the Chrome
 // trace's otherData block.
@@ -272,76 +265,28 @@ func (n *eventNames) gate(g uint8) string {
 // quoteJSON renders s as encoding/json does inside a document.
 func quoteJSON(s string) string { return string(AppendJSONString(nil, s)) }
 
-// spansCSVHeader defines the compact span CSV schema.
-var spansCSVHeader = []string{
-	"pkt", "tenant", "src_vm", "dst_vm", "bytes", "gate",
-	"enqueue_ns", "admit_ns", "wire_ns", "deliver_ns",
-	"token_wait_ns", "batch_wait_ns", "pacing_ns",
-	"queue_ns", "ser_ns", "prop_ns", "total_ns",
-	"hops", "worst_port", "worst_queue_ns", "bound_ns", "complete",
-}
-
-func writeSpansCSV(w io.Writer, meta *RunMeta, spans []FlightSpan) error {
-	c := stats.NewCSVWriter(w, meta.CommentLine(), spansCSVHeader)
-	for i := range spans {
-		s := &spans[i]
-		complete := 0.0
-		if s.Complete {
-			complete = 1
-		}
-		c.Row(
-			float64(s.Pkt), float64(s.TenantID), float64(s.SrcVM), float64(s.DstVM),
-			float64(s.Bytes), float64(s.Gate),
-			float64(s.EnqueueNs), float64(s.AdmitNs), float64(s.WireNs), float64(s.DeliverNs),
-			float64(s.TokenWaitNs), float64(s.BatchWaitNs), float64(s.PacingNs),
-			float64(s.QueueNs), float64(s.SerNs), float64(s.PropNs), float64(s.TotalNs),
-			float64(len(s.Hops)), float64(s.WorstPort), float64(s.WorstQueueNs),
-			float64(s.BoundNs), complete,
-		)
-	}
-	return c.Flush()
-}
-
-// WriteTraceFile writes a recording to path: *.csv gets the compact
-// span CSV, anything else the Chrome trace JSON.
-func WriteTraceFile(path string, ports []PortMeta, spans []FlightSpan) error {
-	return WriteTraceFileMeta(path, nil, ports, spans)
-}
-
-// WriteTraceFileMeta is WriteTraceFile with run provenance stamped on
-// the recording: a "#" comment line on CSV, otherData.silo.meta on the
-// Chrome JSON (round-tripped by ReadTraceFileMeta).
+// WriteTraceFileMeta writes a recording to path as Chrome trace JSON,
+// with run provenance (nil for none) stamped under otherData.silo.meta
+// and round-tripped by ReadTraceFileMeta.
 func WriteTraceFileMeta(path string, meta *RunMeta, ports []PortMeta, spans []FlightSpan) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	var werr error
-	if strings.HasSuffix(path, ".csv") {
-		werr = writeSpansCSV(f, meta, spans)
-	} else {
-		werr = writeChromeTrace(f, meta, ports, spans)
-	}
+	werr := writeChromeTrace(f, meta, ports, spans)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	return werr
 }
 
-// ReadTraceFileMeta loads a recording written by WriteTraceFile or
-// WriteTraceFileMeta. JSON recordings round-trip exactly (per-hop
-// detail included); CSV recordings reconstruct span-level attribution
-// without hop lists. The run provenance stamped at write time is nil
-// for CSV recordings (the "#" comment survives on disk but is not
-// parsed back) and for pre-provenance recordings.
+// ReadTraceFileMeta loads a recording written by WriteTraceFileMeta,
+// exactly (per-hop detail included). The run provenance is nil for
+// recordings written without it.
 func ReadTraceFileMeta(path string) (*RunMeta, []PortMeta, []FlightSpan, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		spans, err := parseSpansCSV(string(b))
-		return nil, nil, spans, err
 	}
 	// Declaring only otherData lets encoding/json skip the traceEvents
 	// array — Perfetto's rendering of the same spans — without
@@ -359,60 +304,4 @@ func ReadTraceFileMeta(path string) (*RunMeta, []PortMeta, []FlightSpan, error) 
 		return nil, nil, nil, fmt.Errorf("%s: no otherData.silo span payload (not written by silo-sim?)", path)
 	}
 	return data.Meta, data.Ports, data.Spans, nil
-}
-
-// parseSpansCSV rebuilds spans from the compact CSV. Leading "#"
-// comment lines (run provenance) are skipped.
-func parseSpansCSV(text string) ([]FlightSpan, error) {
-	lines := strings.Split(strings.TrimSpace(text), "\n")
-	for len(lines) > 0 && strings.HasPrefix(strings.TrimSpace(lines[0]), "#") {
-		lines = lines[1:]
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("empty CSV")
-	}
-	header := strings.Split(strings.TrimSpace(lines[0]), ",")
-	col := make(map[string]int, len(header))
-	for i, h := range header {
-		col[h] = i
-	}
-	for _, want := range []string{"pkt", "total_ns", "complete"} {
-		if _, ok := col[want]; !ok {
-			return nil, fmt.Errorf("not a silo span CSV: missing column %q", want)
-		}
-	}
-	get := func(fields []string, name string) float64 {
-		i, ok := col[name]
-		if !ok || i >= len(fields) {
-			return 0
-		}
-		var v float64
-		fmt.Sscanf(fields[i], "%g", &v)
-		return v
-	}
-	spans := make([]FlightSpan, 0, len(lines)-1)
-	for _, line := range lines[1:] {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		f := strings.Split(line, ",")
-		spans = append(spans, FlightSpan{
-			Pkt:      uint64(get(f, "pkt")),
-			TenantID: int32(get(f, "tenant")),
-			SrcVM:    int32(get(f, "src_vm")), DstVM: int32(get(f, "dst_vm")),
-			Bytes: int64(get(f, "bytes")), Gate: uint8(get(f, "gate")),
-			EnqueueNs: int64(get(f, "enqueue_ns")), AdmitNs: int64(get(f, "admit_ns")),
-			WireNs: int64(get(f, "wire_ns")), DeliverNs: int64(get(f, "deliver_ns")),
-			TokenWaitNs: int64(get(f, "token_wait_ns")), BatchWaitNs: int64(get(f, "batch_wait_ns")),
-			PacingNs: int64(get(f, "pacing_ns")),
-			QueueNs:  int64(get(f, "queue_ns")), SerNs: int64(get(f, "ser_ns")),
-			PropNs: int64(get(f, "prop_ns")), TotalNs: int64(get(f, "total_ns")),
-			WorstPort:    int32(get(f, "worst_port")),
-			WorstQueueNs: int64(get(f, "worst_queue_ns")),
-			BoundNs:      int64(get(f, "bound_ns")),
-			Complete:     get(f, "complete") != 0,
-		})
-	}
-	return spans, nil
 }

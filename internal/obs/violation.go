@@ -163,14 +163,6 @@ func (l *ViolationLog) Observe(ev ViolationEvent) {
 	l.evs = append(l.evs, ev)
 }
 
-// Len returns the number of collected events.
-func (l *ViolationLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.evs)
-}
-
 // Events returns a copy of the collected events in canonical order.
 func (l *ViolationLog) Events() []ViolationEvent {
 	if l == nil {
