@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -378,5 +379,40 @@ func TestDrillDownRender(t *testing.T) {
 	}
 	if miss := rep.RenderIncident(99); !strings.Contains(miss, "not found") {
 		t.Fatalf("missing-id drill-down: %s", miss)
+	}
+}
+
+// The incident list cuts a long reason at a rune boundary: a
+// self-inflicted reason whose "—" straddles the 79-byte cut loses the
+// whole rune, never part of it.
+func TestRenderCutsReasonAtRuneBoundary(t *testing.T) {
+	for _, c := range []struct {
+		tenants []int
+		vms     []int
+		tail    string
+	}{
+		{[]int{1, 2}, []int{1004, 1005}, "[1004 1005] …"},
+		{[]int{12}, []int{1004, 1005}, "[1004 1005] …"},
+	} {
+		in := Inputs{Snapshot: &introspect.Snapshot{}}
+		for i, tn := range c.tenants {
+			in.Violations = append(in.Violations, deliveryViol(1e6, tn, 1000+i, c.vms[i], 400e3, 350e3))
+			in.Snapshot.Envelopes = append(in.Snapshot.Envelopes, envelope(c.vms[i], tn, true))
+		}
+		for _, vm := range c.vms[len(c.tenants):] {
+			in.Snapshot.Envelopes = append(in.Snapshot.Envelopes, envelope(vm, c.tenants[0], true))
+		}
+		rep := Correlate(Config{}, in)
+		if v := rep.Incidents[0].Verdict; v != VerdictSelfInflicted {
+			t.Fatalf("tenants %v: verdict %s, want self-inflicted", c.tenants, v)
+		}
+		out := rep.Render()
+		if !utf8.ValidString(out) {
+			t.Errorf("tenants %v: the incident list is not valid UTF-8:\n%q", c.tenants, out)
+		}
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		if last := lines[len(lines)-1]; !strings.HasSuffix(last, c.tail) {
+			t.Errorf("tenants %v: list row %q does not end %q", c.tenants, last, c.tail)
+		}
 	}
 }

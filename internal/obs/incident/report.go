@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 )
@@ -181,9 +182,15 @@ func intsCompact(xs []int) string {
 	return b.String()
 }
 
+// truncate shortens s to at most n-1 bytes plus an ellipsis, cutting
+// at a rune boundary so a multi-byte rune is never split.
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
 	}
-	return s[:n-1] + "…"
+	cut := n - 1
+	for cut > 0 && !utf8.RuneStart(s[cut]) {
+		cut--
+	}
+	return s[:cut] + "…"
 }
