@@ -64,6 +64,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	windowNs := int64(*windowMs * 1e6)
+	if windowNs <= 0 {
+		fmt.Fprintf(os.Stderr, "-window: must be > 0, got %g\n", *windowMs)
+		os.Exit(2)
+	}
 
 	meta, ports, spans, err := obs.ReadTraceFileMeta(flag.Arg(0))
 	if err != nil {
@@ -131,7 +136,7 @@ func main() {
 
 	if *windows {
 		fmt.Println("\n== windowed SLO conformance ==")
-		fmt.Print(slo.RenderTraceWindows(slo.WindowsFromSpans(spans, int64(*windowMs*1e6)), ports))
+		fmt.Print(slo.RenderTraceWindows(slo.WindowsFromSpans(spans, windowNs), ports))
 	}
 
 	if *why != 0 {

@@ -98,6 +98,13 @@ func TestCLI(t *testing.T) {
 		})
 	}
 
+	// A window narrower than 1 ns is refused, not replaced.
+	for _, w := range []struct{ arg, shown string }{{"0", "0"}, {"-5", "-5"}, {"1e-7", "1e-07"}} {
+		t.Run("window "+w.arg, func(t *testing.T) {
+			failWith(t, 2, "-window: must be > 0, got "+w.shown, "-windows", "-window", w.arg, "trace.json")
+		})
+	}
+
 	// Only Chrome trace JSON is a recording; a CSV file is refused by
 	// name.
 	t.Run("csv trace", func(t *testing.T) {

@@ -28,11 +28,8 @@ type TraceWindow struct {
 // aligned to t=0 and returns, per delay-bounded tenant, the windowed
 // delivered/violated counts with the dominant culprit port for every
 // window that saw violations. Incomplete spans and tenants without a
-// bound are skipped.
+// bound are skipped. windowNs must be positive.
 func WindowsFromSpans(spans []obs.FlightSpan, windowNs int64) map[int32][]TraceWindow {
-	if windowNs <= 0 {
-		windowNs = 1e6
-	}
 	type key struct {
 		tenant int32
 		win    int64
