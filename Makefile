@@ -29,6 +29,16 @@ test:
 test-race:
 	$(GO) test -race ./...
 
+# check-run,PATTERN,PACKAGES fails unless PATTERN selects at least one
+# test in each package: a -run pattern left dangling by a deleted or
+# renamed test would otherwise pass silently ("no tests to run").
+define check-run
+	@for p in $(2); do \
+		out=$$($(GO) test -list '$(1)' $$p) || { echo "$$out" >&2; exit 1; }; \
+		echo "$$out" | grep -q '^Test' || { echo "-run '$(1)' selects no test in $$p" >&2; exit 1; }; \
+	done
+endef
+
 # The admission invariant, 25 times over under the race detector: the
 # seeded properties that draw fresh inputs each run — Manager against
 # the test-side oracle, VerifyInvariants after every place / remove /
@@ -48,18 +58,23 @@ test-race:
 # same pairs, same draws. TestApplyReplayEquivalenceProperty replays the
 # mutations a churning manager logged through Apply into a fresh one,
 # which must come out equal port by port.
+ADMISSION_RUN = Equivalence|Churn|Monoton|Degenerate
+ADMISSION_PKGS = ./internal/placement/ ./internal/netcal/ ./internal/workload/
 test-admission:
-	$(GO) test -race -count=25 -run 'Equivalence|Churn|Monoton|Degenerate' ./internal/placement/ ./internal/netcal/ ./internal/workload/
+	$(call check-run,$(ADMISSION_RUN),$(ADMISSION_PKGS))
+	$(GO) test -race -count=25 -run '$(ADMISSION_RUN)' $(ADMISSION_PKGS)
 
 # The per-window telemetry's equivalences, 25 times over under the race
 # detector, each run drawing fresh seeds: series.json's streaming writer
 # against encoding/json (random payloads, an in-process run with every
 # plane on, the NaN refusal), the row-major Rollup against the
-# per-series rings it replaced, the window correlation memo against a
-# fresh correlation every window, and the trace and JSON string
+# per-series rings it replaced, and the trace and JSON string
 # formatters against the float and reflective paths.
+OBS_RUN = MatchesEncoder|MatchesRingOracle|AppendMicros|AppendJSONString
+OBS_PKGS = ./internal/obs/ ./internal/obs/dashboard/ ./internal/obs/timeseries/ ./internal/experiments/
 test-obs:
-	$(GO) test -race -count=25 -run 'MatchesEncoder|MatchesRingOracle|CorrelationMemo|AppendMicros|AppendJSONString' ./internal/obs/ ./internal/obs/dashboard/ ./internal/obs/timeseries/ ./internal/experiments/
+	$(call check-run,$(OBS_RUN),$(OBS_PKGS))
+	$(GO) test -race -count=25 -run '$(OBS_RUN)' $(OBS_PKGS)
 
 # The pacer's equivalences, 25 times over under the race detector (about
 # three and a half minutes on two cores): the scheduler and batcher
@@ -68,8 +83,11 @@ test-obs:
 # from the clock), the push-back path, the hose kernel against the
 # map-based HoseAllocate it replaced, and the bucket chain's joint
 # conformance properties.
+PACER_RUN = MatchesOracle|Conformance|PushBack
+PACER_PKGS = ./internal/pacer/
 test-pacer:
-	$(GO) test -race -count=25 -run 'MatchesOracle|Conformance|PushBack' ./internal/pacer/
+	$(call check-run,$(PACER_RUN),$(PACER_PKGS))
+	$(GO) test -race -count=25 -run '$(PACER_RUN)' $(PACER_PKGS)
 
 # The five example programs, the only callers of the public facade's
 # Admit / Deploy / CoordinateHose besides the benchmark: each must run to
