@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: all ci fmt vet build test test-race test-admission test-obs test-pacer examples soak bench-placement
+.PHONY: all ci fmt vet cross build test test-race test-admission test-obs test-pacer examples soak bench-placement
 
 all: vet build test
 
 # The test steps of the CI workflow, in order (CI also writes sample
 # artifacts for upload).
-ci: fmt vet build test test-race test-admission test-obs test-pacer examples soak
+ci: fmt vet cross build test test-race test-admission test-obs test-pacer examples soak
 
 # Every Go file as gofmt writes it: lists the files that are not and
 # fails if there are any.
@@ -15,6 +15,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# The non-amd64 build: vet and build for arm64, so a file gated to one
+# architecture (netsim's prefetch_amd64.s) always has its fallback.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 build:
 	$(GO) build ./...

@@ -76,8 +76,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-trace-sample: must be >= 1, got %d\n", *traceSample)
 		os.Exit(2)
 	}
-	if *windowMs <= 0 {
+	// The window is used in whole nanoseconds: one that rounds to 0 ns
+	// would never tick.
+	windowNs := int64(*windowMs * 1e6)
+	if windowNs < 1 {
 		fmt.Fprintf(os.Stderr, "-window: must be > 0, got %g\n", *windowMs)
+		os.Exit(2)
+	}
+	if *duration < 0 {
+		fmt.Fprintf(os.Stderr, "-duration: must be >= 0, got %g\n", *duration)
 		os.Exit(2)
 	}
 	if *walDir != "" && *schemeName != "silo" {
@@ -113,7 +120,6 @@ func main() {
 	const msg = 5000
 	gA := tenant.Guarantee{BandwidthBps: 0.25 * gbps, BurstBytes: 15e3, DelayBound: 1e-3, BurstRateBps: 1 * gbps}
 	gB := tenant.Guarantee{BandwidthBps: 2 * gbps, BurstBytes: 1.5e3, BurstRateBps: 2 * gbps}
-	windowNs := int64(*windowMs * 1e6)
 	sc := experiments.Scenario{
 		Topology: experiments.TenGbE(1, *racks, *servers, 4, 5, 1),
 		Scheme:   scheme,

@@ -219,6 +219,31 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
+	// A window that rounds to 0 ns would never tick, and a negative
+	// duration is no run: both exit 2 instead of running as something
+	// else. A zero duration is valid (the sim_obs set-up runs it).
+	for _, c := range []struct{ args, want string }{
+		{"-window 1e-7 -slo-report", "-window: must be > 0, got 1e-07"},
+		{"-window 0", "-window: must be > 0, got 0"},
+		{"-duration -1", "-duration: must be >= 0, got -1"},
+	} {
+		t.Run("refuses "+c.args, func(t *testing.T) {
+			out, err := exec.Command(bin, strings.Fields(c.args)...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%s: error %v, want exit status 2\n%s", c.args, err, out)
+			}
+			if !bytes.Contains(out, []byte(c.want)) {
+				t.Errorf("%s: output lacks %q:\n%s", c.args, c.want, out)
+			}
+		})
+	}
+	t.Run("zero duration", func(t *testing.T) {
+		if out := run(t, "-duration", "0"); !summaryRE.Match(out) {
+			t.Errorf("-duration 0: no summary line in:\n%s", out)
+		}
+	})
+
 	// Retired flags exit 2 like any unknown flag: -workers (there is one
 	// sequential engine) and the live debug endpoint's -http and -pprof.
 	for _, args := range [][]string{{"-workers", "2"}, {"-http", ":8080"}, {"-pprof"}} {

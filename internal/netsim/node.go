@@ -280,9 +280,15 @@ func (h *Host) fireWire(ev *event) {
 		h.sim.release(ev)
 	}
 	h.wirePacket(f)
+	// Two frames of lead: a packet is in cache by the time its own frame
+	// fires (batchLoop covers a batch's first two).
+	if i := h.wireHead + 1; i < len(h.wire) && h.wire[i].p != nil {
+		prefetchPacket(h.wire[i].p)
+	}
 }
 
-// wirePacket lays one batch frame on the NIC at its wire time.
+// wirePacket lays one batch frame on the NIC at its wire time. A void is
+// told by its frame (f.p == nil): a data packet's first touch is a store.
 func (h *Host) wirePacket(f wireFrame) {
 	p := f.p
 	if p == nil {
@@ -292,7 +298,7 @@ func (h *Host) wirePacket(f wireFrame) {
 		p.PacedRelease, p.Gate = f.release, f.gate
 	}
 	p.SentAt = h.sim.Now()
-	if !p.Void {
+	if f.p != nil {
 		h.sim.emit(Event{Kind: EvPacedWire, At: int32(h.ID), P: p})
 	}
 	h.NIC.Enqueue(p)
@@ -327,6 +333,9 @@ func (h *Host) batchLoop() {
 		fp := &batch.Packets[i]
 		np, _ := fp.Ref.(*Packet) // nil for a void
 		h.layWire(wireFrame{t: fp.Wire, p: np, release: fp.Release, bytes: int32(fp.Bytes), gate: fp.Gate})
+		if i < 2 && np != nil {
+			prefetchPacket(np)
+		}
 	}
 	h.sim.At(batch.End, h.batchLoopFn)
 }

@@ -140,17 +140,18 @@ func (q *Queue) transmitNext() {
 		q.busy = false
 		return
 	}
-	var p *Packet
-	for prio := 0; prio < numPrios; prio++ {
+	var f *pktFIFO
+	for prio := range q.fifos {
 		if q.fifos[prio].n > 0 {
-			p = q.fifos[prio].pop()
+			f = &q.fifos[prio]
 			break
 		}
 	}
-	if p == nil {
+	if f == nil {
 		q.busy = false
 		return
 	}
+	p := f.pop()
 	q.busy = true
 	serNs := q.serNs
 	if p.Size != q.serSize || serNs == 0 {
@@ -159,6 +160,11 @@ func (q *Queue) transmitNext() {
 	}
 	q.sim.emit(Event{Kind: EvPortTransmit, At: q.id, P: p, Arg: serNs})
 	q.sim.schedule(q.sim.now+serNs, evtTxDone, q.failGen, nil, q, nil, p)
+	// The new head is what the next transmitNext pops, one serialization
+	// time from now: start its miss here.
+	if f.n > 0 {
+		prefetchPacket(f.buf[f.head])
+	}
 }
 
 // txDone completes a serialization started by transmitNext.

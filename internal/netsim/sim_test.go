@@ -333,10 +333,14 @@ func TestPacketArenaReuse(t *testing.T) {
 }
 
 // TestPacketSize bounds the frame that now carries its transport header
-// by value: every arena chunk, queue and wire slot moves Packets.
+// by value: every arena chunk, queue and wire slot moves Packets. The
+// bound is also what prefetchPacket covers: at the arena's 160-byte
+// stride a packet starts 0 or 32 bytes into a cache line, and the three
+// lines it prefetches (p, p+64, p+128) hold all of it only up to 160
+// bytes. A larger Packet needs a wider prefetch, not a looser bound.
 func TestPacketSize(t *testing.T) {
-	if n := unsafe.Sizeof(Packet{}); n > 168 {
-		t.Errorf("Packet is %d bytes, want at most 168", n)
+	if n := unsafe.Sizeof(Packet{}); n > 160 {
+		t.Errorf("Packet is %d bytes, want at most 160", n)
 	}
 }
 
