@@ -64,6 +64,11 @@ endef
 # same pairs, same draws. TestApplyReplayEquivalenceProperty replays the
 # mutations a churning manager logged through Apply into a fresh one,
 # which must come out equal port by port.
+# TestPagedPortStateEquivalenceProperty holds the manager's paged
+# per-port state (portTable) to a dense oracle fed the same mutations:
+# every port's state and cached bound, the pages allocated, the headroom
+# gauges and VerifyInvariants, after every place / remove / fail /
+# recover on a tree of several pages.
 ADMISSION_RUN = Equivalence|Churn|Monoton|Degenerate
 ADMISSION_PKGS = ./internal/placement/ ./internal/netcal/ ./internal/workload/
 test-admission:

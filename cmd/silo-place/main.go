@@ -74,6 +74,29 @@ func main() {
 		os.Exit(2)
 	}
 
+	g := tenant.Guarantee{
+		BandwidthBps: *bwMbps * 1e6 / 8,
+		BurstBytes:   *burstKB * 1e3,
+		DelayBound:   *delayMs / 1e3,
+		BurstRateBps: *bmaxG * 1e9 / 8,
+	}
+	// Field by field, so the error names the flag. The last entry is the
+	// whole guarantee: with the others valid, only Bmax can fail it.
+	for _, f := range [...]struct {
+		flag string
+		g    tenant.Guarantee
+	}{
+		{"-bw-mbps", tenant.Guarantee{BandwidthBps: g.BandwidthBps}},
+		{"-burst-kb", tenant.Guarantee{BurstBytes: g.BurstBytes}},
+		{"-delay-ms", tenant.Guarantee{DelayBound: g.DelayBound}},
+		{"-bmax-gbps", g},
+	} {
+		if err := f.g.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", f.flag, err)
+			os.Exit(2)
+		}
+	}
+
 	reg, finishObs := obs.StartCLI(obs.CLIConfig{MetricsPath: *metricsOut})
 
 	tree, err := topology.New(topology.Config{
@@ -89,7 +112,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
 	var placer placement.Algorithm
@@ -136,12 +159,6 @@ func main() {
 
 	fmt.Printf("datacenter: %d servers, %d slots, %s placement\n",
 		tree.Servers(), tree.Slots(), placer.Name())
-	g := tenant.Guarantee{
-		BandwidthBps: *bwMbps * 1e6 / 8,
-		BurstBytes:   *burstKB * 1e3,
-		DelayBound:   *delayMs / 1e3,
-		BurstRateBps: *bmaxG * 1e9 / 8,
-	}
 	fmt.Printf("per-VM guarantee: B=%.0f Mbps S=%.0f KB d=%.2f ms Bmax=%.1f Gbps\n",
 		*bwMbps, *burstKB, *delayMs, *bmaxG)
 	fmt.Printf("message latency bound (%.0f KB message): %.3f ms\n\n",

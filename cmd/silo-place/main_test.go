@@ -52,6 +52,36 @@ func TestCLI(t *testing.T) {
 		t.Errorf("stdout differs from %s (rerun with -update if intended):\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 
+	// Flags that build an invalid guarantee or topology exit 2 before the
+	// run, naming what is wrong. A NaN guarantee used to admit every
+	// tenant (or, as d, reject every one) and exit 0; a NaN or infinite
+	// line rate or oversubscription built NaN- or Inf-rate ports.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-bw-mbps", "NaN"}, "-bw-mbps: "},
+		{[]string{"-burst-kb", "NaN"}, "-burst-kb: "},
+		{[]string{"-bmax-gbps", "NaN"}, "-bmax-gbps: "},
+		{[]string{"-delay-ms", "NaN"}, "-delay-ms: "},
+		{[]string{"-delay-ms", "Inf"}, "-delay-ms: "},
+		{[]string{"-link-gbps", "NaN"}, "LinkBps"},
+		{[]string{"-link-gbps", "Inf"}, "LinkBps"},
+		{[]string{"-oversub", "NaN"}, "oversubscription"},
+		{[]string{"-pods", "0"}, "element counts"},
+	} {
+		t.Run("refuses "+strings.Join(c.args, " "), func(t *testing.T) {
+			out, err := exec.Command(bin, c.args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("error %v, want exit status 2\n%s", err, out)
+			}
+			if !bytes.Contains(out, []byte(c.want)) {
+				t.Errorf("output lacks %q:\n%s", c.want, out)
+			}
+		})
+	}
+
 	// Retired flags exit 2 like any unknown flag: -workers (the scope
 	// search runs on the caller's goroutine) and the live debug
 	// endpoint's -http and -pprof.

@@ -150,7 +150,7 @@ func RunFigure5Sim(p Figure5SimParams) (Figure5SimResult, error) {
 	}
 	for s := 0; s < tree.Servers(); s++ {
 		res.Layout = append(res.Layout, tr.Handle.Placement.VMsOnServer(s))
-		if hw := float64(run.Net.Queues[tree.RackDownPort(s).ID].Stats.HighWaterBytes); hw > res.PeakBytes {
+		if hw := float64(run.Net.Queues[tree.RackDownPortID(s)].Stats.HighWaterBytes); hw > res.PeakBytes {
 			res.PeakBytes = hw
 		}
 	}

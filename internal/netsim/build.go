@@ -69,7 +69,7 @@ func Build(sim *Sim, tree *topology.Tree, opts Options) *Network {
 		Queues: make([]*Queue, tree.NumPorts()),
 	}
 
-	mkQueue := func(port *topology.Port, name string, next Receiver) *Queue {
+	mkQueue := func(port topology.Port, name string, next Receiver) *Queue {
 		buf := int(port.BufferBytes)
 		q := NewQueue(sim, name, port.RateBps, buf, opts.PropNs, next)
 		q.id = int32(port.ID)
@@ -179,12 +179,10 @@ func Build(sim *Sim, tree *topology.Tree, opts Options) *Network {
 // TotalDrops sums packet drops across all switch queues (NICs
 // excluded: a correctly paced NIC never drops).
 func (nw *Network) TotalDrops() int64 {
+	nicLo, nicHi := nw.Tree.ServerUpPortRange()
 	var n int64
 	for pid, q := range nw.Queues {
-		if q == nil {
-			continue
-		}
-		if nw.Tree.Port(pid).Level == topology.LevelServer {
+		if q == nil || (pid >= nicLo && pid < nicHi) {
 			continue
 		}
 		n += q.Stats.DroppedPkts
@@ -227,7 +225,7 @@ func (nw *Network) TotalVoidsDropped() int64 {
 func (nw *Network) SentDataBytes() int64 {
 	var n int64
 	for s := 0; s < nw.Tree.Servers(); s++ {
-		n += nw.Queues[nw.Tree.RackDownPort(s).ID].Stats.SentBytes
+		n += nw.Queues[nw.Tree.RackDownPortID(s)].Stats.SentBytes
 	}
 	return n
 }

@@ -151,7 +151,8 @@ func (m *Manager) apply(mut *Mutation) *tenant.Placement {
 		if spec.Class != tenant.ClassBestEffort {
 			contribs = m.contributions(spec, pl.Servers)
 			for _, pc := range contribs {
-				m.ports[pc.pid].add(pc.contribution)
+				st, _ := m.ports.at(pc.pid)
+				st.add(pc.contribution)
 				m.portTouched(pc.pid)
 			}
 		}
@@ -166,7 +167,8 @@ func (m *Manager) apply(mut *Mutation) *tenant.Placement {
 	case MutRemove:
 		at := m.admitted[mut.TenantID]
 		for _, pc := range at.contribs {
-			m.ports[pc.pid].remove(pc.contribution)
+			st, _ := m.ports.at(pc.pid)
+			st.remove(pc.contribution)
 			m.portTouched(pc.pid)
 		}
 		for _, s := range at.placement.Servers {

@@ -314,8 +314,8 @@ func (o *Oktopus) packBandwidth(spec tenant.Spec, lo, hi int) []int {
 		k := 0
 		for cand := maxK; cand >= 1; cand-- {
 			need := hoseCut(cand, n, b)
-			if need <= o.residual[o.tree.ServerUpPort(s).ID]+1e-9 &&
-				need <= o.residual[o.tree.RackDownPort(s).ID]+1e-9 {
+			if need <= o.residual[o.tree.ServerUpPortID(s)]+1e-9 &&
+				need <= o.residual[o.tree.RackDownPortID(s)]+1e-9 {
 				k = cand
 				break
 			}
@@ -351,8 +351,8 @@ func (o *Oktopus) demands(spec tenant.Spec, dist distribution) map[int]float64 {
 	out := make(map[int]float64)
 	for s, k := range dist.perServer {
 		if bw := hoseCut(k, n, b); bw > 0 {
-			out[t.ServerUpPort(s).ID] = bw
-			out[t.RackDownPort(s).ID] = bw
+			out[t.ServerUpPortID(s)] = bw
+			out[t.RackDownPortID(s)] = bw
 		}
 	}
 	for r, k := range dist.perRack {
@@ -360,8 +360,8 @@ func (o *Oktopus) demands(spec tenant.Spec, dist distribution) map[int]float64 {
 			continue
 		}
 		if bw := hoseCut(k, n, b); bw > 0 {
-			out[t.RackUpPort(r).ID] = bw
-			out[t.PodDownPort(r).ID] = bw
+			out[t.RackUpPortID(r)] = bw
+			out[t.PodDownPortID(r)] = bw
 		}
 	}
 	for p, k := range dist.perPod {
@@ -369,8 +369,8 @@ func (o *Oktopus) demands(spec tenant.Spec, dist distribution) map[int]float64 {
 			continue
 		}
 		if bw := hoseCut(k, n, b); bw > 0 {
-			out[t.PodUpPort(p).ID] = bw
-			out[t.CoreDownPort(p).ID] = bw
+			out[t.PodUpPortID(p)] = bw
+			out[t.CoreDownPortID(p)] = bw
 		}
 	}
 	return out

@@ -59,7 +59,7 @@ func TestQueueBoundMonotoneInPortLoadProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRand(seed)
 		m := managers[rng.Intn(2)]
-		rate := m.portRate[rng.Intn(tree.NumPorts())]
+		rate := tree.Port(rng.Intn(tree.NumPorts())).RateBps
 
 		// (1) One scalar raised, by a neighbour's share or by a few ulps.
 		base, more := drawCut(rng, m), drawCut(rng, m)
@@ -95,7 +95,7 @@ func TestQueueBoundMonotoneInPortLoadProperty(t *testing.T) {
 		}
 		for i := 0; i < 8; i++ {
 			c := drawCut(rng, m)
-			if loaded, empty := queueBoundFast(rate, &st, c), queueBoundFast(rate, &portState{}, c); !notBelow(loaded, empty) {
+			if loaded, empty := queueBoundFast(rate, st.contribution, c), queueBoundFast(rate, contribution{}, c); !notBelow(loaded, empty) {
 				t.Logf("seed %#x: %+v bounds lower on %+v (%d live) than on the empty port at %v B/s: %v < %v",
 					seed, c, st, len(live), rate, loaded, empty)
 				return false

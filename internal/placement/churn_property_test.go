@@ -210,9 +210,9 @@ func TestFailRecoverChurnProperty(t *testing.T) {
 		if !verify("teardown: restore all") {
 			return false
 		}
-		for pid := range m.ports {
-			if m.ports[pid].tenants != 0 || m.ports[pid].Rate != 0 || m.ports[pid].Burst != 0 {
-				t.Logf("port %d leaked contributions after teardown: %+v", pid, m.ports[pid])
+		for pid := 0; pid < tree.NumPorts(); pid++ {
+			if st := m.ports.state(pid); st.tenants != 0 || st.Rate != 0 || st.Burst != 0 {
+				t.Logf("port %d leaked contributions after teardown: %+v", pid, st)
 				return false
 			}
 		}

@@ -80,10 +80,11 @@ func (p *portState) remove(c contribution) {
 // queueBoundFast returns the port's worst-case queuing delay in seconds
 // under the aggregate state plus an optional extra contribution: the
 // summed scalars feed the closed-form two-piece bound directly, with no
-// curve materialized. svcRate is the port's line rate. Allocation-free
-// and safe for concurrent use over immutable state (st is only read).
-func queueBoundFast(svcRate float64, st *portState, extra contribution) float64 {
-	total := st.contribution
+// curve materialized. svcRate is the port's line rate and load its
+// admitted aggregate. Allocation-free; both contributions are passed by
+// value, in registers.
+func queueBoundFast(svcRate float64, load, extra contribution) float64 {
+	total := load
 	total.Rate += extra.Rate
 	total.Burst += extra.Burst
 	total.Peak += extra.Peak

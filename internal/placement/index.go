@@ -173,6 +173,8 @@ func (h *headroomIndex) refresh(m *Manager) {
 		return
 	}
 	t := m.tree
+	upRate, _ := t.Line(m.upLo)
+	downRate, _ := t.Line(m.downLo)
 	for r := range h.rackDirty {
 		if !h.rackDirty[r] {
 			continue
@@ -181,7 +183,15 @@ func (h *headroomIndex) refresh(m *Manager) {
 		lo, hi := t.ServersOfRack(r)
 		best := 0.0
 		for s := lo; s < hi; s++ {
-			if f := m.serverRateHeadroom(s); f > best {
+			// The rate a new tenant could still push through the
+			// server's NIC-up and ToR-down ports before either exceeds
+			// its line rate (where the queue bound is +Inf and admission
+			// necessarily fails).
+			f := upRate - m.ports.state(t.ServerUpPortID(s)).Rate
+			if d := downRate - m.ports.state(t.RackDownPortID(s)).Rate; d < f {
+				f = d
+			}
+			if f > best {
 				best = f
 			}
 		}
@@ -210,20 +220,6 @@ func (h *headroomIndex) refresh(m *Manager) {
 	}
 	h.dcMax = best
 	h.anyDirty = false
-}
-
-// serverRateHeadroom returns the rate a new tenant could still push
-// through server s's NIC-up and ToR-down ports before either exceeds
-// its line rate (at which point the queue bound is +Inf and admission
-// necessarily fails).
-func (m *Manager) serverRateHeadroom(s int) float64 {
-	up := m.tree.ServerUpPortID(s)
-	down := m.tree.RackDownPortID(s)
-	h := m.portRate[up] - m.ports[up].Rate
-	if d := m.portRate[down] - m.ports[down].Rate; d < h {
-		h = d
-	}
-	return h
 }
 
 // upCapSlots is how many guarantee classes the up-cap memo holds at

@@ -25,16 +25,16 @@ type PortLoad struct {
 
 // PortLoad returns the current aggregate load at port pid.
 func (m *Manager) PortLoad(pid int) PortLoad {
-	st := &m.ports[pid]
+	st := m.ports.state(pid)
 	return PortLoad{Rate: st.Rate, Burst: st.Burst, Peak: st.Peak, Seed: st.Seed, Tenants: st.tenants}
 }
 
 // PortRateBps returns port pid's line rate in bytes/sec.
-func (m *Manager) PortRateBps(pid int) float64 { return m.portRate[pid] }
+func (m *Manager) PortRateBps(pid int) float64 { return m.tree.Port(pid).RateBps }
 
 // PortCapacitySec returns port pid's queue capacity (buffer drain
 // time) in seconds — the right-hand side of admission constraint 1.
-func (m *Manager) PortCapacitySec(pid int) float64 { return m.portCap[pid] }
+func (m *Manager) PortCapacitySec(pid int) float64 { return m.tree.Port(pid).QueueCapacity() }
 
 // PortCut is one directed port's share of a tenant's admission
 // footprint: how many VMs sit on the near side of the cut, the
@@ -180,6 +180,8 @@ func (m *Manager) recordAccept(spec *tenant.Spec, servers []int) *Decision {
 		return d
 	}
 	m.forEachContribution(spec, &lay, func(pid, cut int, c contribution) bool {
+		before, capacity := m.portBoundWith(pid, contribution{})
+		after, _ := m.portBoundWith(pid, c)
 		d.Cuts = append(d.Cuts, PortCut{
 			Port:           pid,
 			Kind:           portKind(m.tree, pid),
@@ -188,9 +190,9 @@ func (m *Manager) recordAccept(spec *tenant.Spec, servers []int) *Decision {
 			Burst:          c.Burst,
 			Peak:           c.Peak,
 			Seed:           c.Seed,
-			BoundBeforeSec: m.portBoundWith(pid, contribution{}),
-			BoundAfterSec:  m.portBoundWith(pid, c),
-			CapacitySec:    m.portCap[pid],
+			BoundBeforeSec: before,
+			BoundAfterSec:  after,
+			CapacitySec:    capacity,
 		})
 		return true
 	})
@@ -271,7 +273,7 @@ func (m *Manager) explainScope(spec *tenant.Spec, d *Decision, rlo, rhi int, spa
 	note := bindNote{server: -1, port: -1}
 	sc := &m.scratch
 	limit := func(pid int, bound float64) {
-		d.LimitingPort, d.LimitingBoundSec, d.LimitingCapSec = pid, bound, m.portCap[pid]
+		d.LimitingPort, d.LimitingBoundSec, d.LimitingCapSec = pid, bound, m.PortCapacitySec(pid)
 	}
 	if !m.packWithCaps(spec, sc, rlo, rhi, span, &note) {
 		placed := 0
@@ -291,7 +293,7 @@ func (m *Manager) explainScope(spec *tenant.Spec, d *Decision, rlo, rhi int, spa
 			limit(pid, bound)
 			d.Reason = fmt.Sprintf(
 				"constraint 1: server %d can host only %d VM(s) — VM %d drives %s port %d to a %.1fµs queue bound, over its %.1fµs capacity",
-				note.server, note.vm-1, note.vm, portKind(m.tree, pid), pid, bound*1e6, m.portCap[pid]*1e6)
+				note.server, note.vm-1, note.vm, portKind(m.tree, pid), pid, bound*1e6, d.LimitingCapSec*1e6)
 		}
 		return true
 	}
@@ -307,7 +309,7 @@ func (m *Manager) explainScope(spec *tenant.Spec, d *Decision, rlo, rhi int, spa
 		limit(note.port, note.bound)
 		d.Reason = fmt.Sprintf(
 			"constraint 1: packed layout drives %s port %d to a %.1fµs queue bound, over its %.1fµs capacity",
-			portKind(m.tree, note.port), note.port, note.bound*1e6, m.portCap[note.port]*1e6)
+			portKind(m.tree, note.port), note.port, note.bound*1e6, d.LimitingCapSec*1e6)
 	default:
 		d.Reason = fmt.Sprintf(
 			"constraint 2: path %d↔%d carries %.1fµs of queue capacity, over the %.1fµs delay bound",
@@ -322,12 +324,13 @@ func (m *Manager) explainScope(spec *tenant.Spec, d *Decision, rlo, rhi int, spa
 func (m *Manager) blockingServerPort(s, k int, span scopeHeight) (int, float64) {
 	up := m.tree.ServerUpPortID(s)
 	if c := m.memo.upC[k]; !c.isZero() {
-		if b := m.portBoundWith(up, c); b > m.portCap[up]+1e-12 {
+		if b, capacity := m.portBoundWith(up, c); b > capacity+1e-12 {
 			return up, b
 		}
 	}
 	down := m.tree.RackDownPortID(s)
-	return down, m.portBoundWith(down, m.memo.downC[span][k])
+	b, _ := m.portBoundWith(down, m.memo.downC[span][k])
+	return down, b
 }
 
 // Render formats the decision for the CLI.

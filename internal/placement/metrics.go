@@ -132,16 +132,10 @@ func (m *Manager) EnableMetrics(reg *obs.Registry) *Metrics {
 		return nil
 	}
 	minOver := func(lo, hi int) float64 {
-		minH := math.Inf(1)
-		for pid := lo; pid < hi; pid++ {
-			if h := m.portCap[pid] - m.QueueBound(pid); h < minH {
-				minH = h
-			}
+		if h, pid := m.minHeadroom(lo, hi); pid >= 0 {
+			return h
 		}
-		if math.IsInf(minH, 1) {
-			return 0
-		}
-		return minH
+		return 0
 	}
 	reg.GaugeFunc("silo_place_headroom_seconds",
 		"tightest remaining queue-capacity slack in the port family (s)",
@@ -153,18 +147,13 @@ func (m *Manager) EnableMetrics(reg *obs.Registry) *Metrics {
 		"family", "tor-down")
 	reg.GaugeFunc("silo_place_headroom_seconds",
 		"tightest remaining queue-capacity slack in the port family (s)",
-		func() float64 { return minOver(0, len(m.portCap)) },
+		func() float64 { return minOver(0, m.tree.NumPorts()) },
 		"family", "all")
 	reg.GaugeFunc("silo_place_min_headroom_port",
 		"directed-port ID with the least remaining slack",
 		func() float64 {
-			minH, minP := math.Inf(1), -1
-			for pid := range m.portCap {
-				if h := m.portCap[pid] - m.QueueBound(pid); h < minH {
-					minH, minP = h, pid
-				}
-			}
-			return float64(minP)
+			_, pid := m.minHeadroom(0, m.tree.NumPorts())
+			return float64(pid)
 		})
 	reg.GaugeFunc("silo_place_accepted",
 		"currently admitted request count",
@@ -173,4 +162,18 @@ func (m *Manager) EnableMetrics(reg *obs.Registry) *Metrics {
 		"cumulative rejected request count",
 		func() float64 { return float64(m.Rejected()) })
 	return m.mx
+}
+
+// minHeadroom returns the least remaining slack (queue capacity minus
+// queue bound) over ports [lo, hi) and the lowest port ID that has it;
+// -1 for an empty range.
+func (m *Manager) minHeadroom(lo, hi int) (float64, int) {
+	minH, minP := math.Inf(1), -1
+	for pid := lo; pid < hi; pid++ {
+		_, c := m.tree.Line(pid)
+		if h := c - m.QueueBound(pid); h < minH {
+			minH, minP = h, pid
+		}
+	}
+	return minH, minP
 }

@@ -48,7 +48,7 @@ func (r *refManager) Decision(id int) (*Decision, bool) {
 // extra contribution, by the generic bound over a materialized curve.
 // The reserved rate is checked first: where the peak line alone is the
 // minimum the curve no longer carries it.
-func refQueueBound(port *topology.Port, st portState, extra contribution) float64 {
+func refQueueBound(port topology.Port, st portState, extra contribution) float64 {
 	st.add(extra)
 	if st.isZero() {
 		return 0
@@ -61,11 +61,12 @@ func refQueueBound(port *topology.Port, st portState, extra contribution) float6
 }
 
 func (r *refManager) QueueBound(pid int) float64 {
-	return refQueueBound(r.tree.Port(pid), r.ports[pid], contribution{})
+	return refQueueBound(r.tree.Port(pid), r.ports.state(pid), contribution{})
 }
 
-func (r *refManager) portBoundWith(pid int, c contribution) float64 {
-	return refQueueBound(r.tree.Port(pid), r.ports[pid], c)
+func (r *refManager) portBoundWith(pid int, c contribution) (bound, capacity float64) {
+	port := r.tree.Port(pid)
+	return refQueueBound(port, r.ports.state(pid), c), port.QueueCapacity()
 }
 
 // Place decides with the reference search and commits through the
@@ -195,8 +196,8 @@ func (r *refManager) serverPortsOK(spec *tenant.Spec, s, k int, span scopeHeight
 	return r.portOK(r.tree.RackDownPort(s), r.cutContribution(n-k, n, g, math.Inf(1), infl))
 }
 
-func (r *refManager) portOK(port *topology.Port, c contribution) bool {
-	return c.isZero() || refQueueBound(port, r.ports[port.ID], c) <= port.QueueCapacity()+1e-12
+func (r *refManager) portOK(port topology.Port, c contribution) bool {
+	return c.isZero() || refQueueBound(port, r.ports.state(port.ID), c) <= port.QueueCapacity()+1e-12
 }
 
 // packWithCaps fills every server of racks [rlo, rhi) in order, each up
@@ -221,7 +222,8 @@ func (r *refManager) layoutValid(spec *tenant.Spec, sc *searchScratch) bool {
 	lay := &sc.lay
 	lay.build(r.tree, sc.srv, sc.cnt)
 	ok := r.forEachContribution(spec, lay, func(pid, _ int, c contribution) bool {
-		return r.portBoundWith(pid, c) <= r.portCap[pid]+1e-12
+		b, capacity := r.portBoundWith(pid, c)
+		return b <= capacity+1e-12
 	})
 	if !ok {
 		return false
@@ -244,7 +246,7 @@ func (r *refManager) pathDelayMetric(src, dst int) float64 {
 	}
 	var sum float64
 	for _, p := range r.tree.Path(src, dst) {
-		sum += refQueueBound(p, r.ports[p.ID], contribution{})
+		sum += refQueueBound(p, r.ports.state(p.ID), contribution{})
 	}
 	return sum
 }
@@ -345,10 +347,10 @@ func (r *refManager) explainScope(spec *tenant.Spec, d *Decision, lo, hi int, sp
 		pid, bound := r.blockingServerPort(spec, limS, limK, span)
 		d.LimitingPort = pid
 		d.LimitingBoundSec = bound
-		d.LimitingCapSec = m.portCap[pid]
+		d.LimitingCapSec = r.tree.Port(pid).QueueCapacity()
 		d.Reason = fmt.Sprintf(
 			"constraint 1: server %d can host only %d VM(s) — VM %d drives %s port %d to a %.1fµs queue bound, over its %.1fµs capacity",
-			limS, limK-1, limK, portKind(m.tree, pid), pid, bound*1e6, m.portCap[pid]*1e6)
+			limS, limK-1, limK, portKind(m.tree, pid), pid, bound*1e6, d.LimitingCapSec*1e6)
 		return true
 	}
 	if !faultDomainsOK(servers, spec.FaultDomains) {
@@ -356,10 +358,10 @@ func (r *refManager) explainScope(spec *tenant.Spec, d *Decision, lo, hi int, sp
 		return true
 	}
 	lay := newLayout(m.tree, servers)
-	violPort, violBound := -1, 0.0
+	violPort, violBound, violCap := -1, 0.0, 0.0
 	m.forEachContribution(spec, &lay, func(pid, _ int, c contribution) bool {
-		if b := r.portBoundWith(pid, c); b > m.portCap[pid]+1e-12 {
-			violPort, violBound = pid, b
+		if b, capacity := r.portBoundWith(pid, c); b > capacity+1e-12 {
+			violPort, violBound, violCap = pid, b, capacity
 			return false
 		}
 		return true
@@ -367,10 +369,10 @@ func (r *refManager) explainScope(spec *tenant.Spec, d *Decision, lo, hi int, sp
 	if violPort >= 0 {
 		d.LimitingPort = violPort
 		d.LimitingBoundSec = violBound
-		d.LimitingCapSec = m.portCap[violPort]
+		d.LimitingCapSec = violCap
 		d.Reason = fmt.Sprintf(
 			"constraint 1: packed layout drives %s port %d to a %.1fµs queue bound, over its %.1fµs capacity",
-			portKind(m.tree, violPort), violPort, violBound*1e6, m.portCap[violPort]*1e6)
+			portKind(m.tree, violPort), violPort, violBound*1e6, violCap*1e6)
 		return true
 	}
 	if dB := spec.Guarantee.DelayBound; dB > 0 {
@@ -394,11 +396,12 @@ func (r *refManager) blockingServerPort(spec *tenant.Spec, s, k int, span scopeH
 	n, g := spec.VMs, spec.Guarantee
 	up := r.tree.ServerUpPortID(s)
 	if upC := r.cutContribution(k, n, g, r.tree.ServerUpPort(s).RateBps, 0); !upC.isZero() {
-		if b := r.portBoundWith(up, upC); b > r.portCap[up]+1e-12 {
+		if b, capacity := r.portBoundWith(up, upC); b > capacity+1e-12 {
 			return up, b
 		}
 	}
 	down := r.tree.RackDownPortID(s)
 	infl := r.inflation(span, topology.LevelRack, topology.Down)
-	return down, r.portBoundWith(down, r.cutContribution(n-k, n, g, math.Inf(1), infl))
+	b, _ := r.portBoundWith(down, r.cutContribution(n-k, n, g, math.Inf(1), infl))
+	return down, b
 }

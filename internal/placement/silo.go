@@ -64,19 +64,14 @@ type Manager struct {
 	freeCPU []float64
 	freeMem []float64
 
-	// ports holds the incrementally maintained aggregate arrival-curve
-	// state (scalar rate/burst/peak/seed sums) per directed port;
-	// Place adds a tenant's contributions, Remove subtracts them, and
-	// admission never resums the admitted set.
-	ports []portState
-	// portRate and portCap mirror each port's line rate and queue
-	// capacity into flat arrays so the admission hot path indexes them
-	// without touching topology Port structs.
-	portRate []float64
-	portCap  []float64
-	// bounds caches each port's current queue bound, updated on every
-	// Place/Remove that touches the port (closed form, O(1) per port).
-	bounds []float64
+	// ports holds, per directed port, the incrementally maintained
+	// aggregate arrival-curve state (scalar rate/burst/peak/seed sums)
+	// and the cached queue bound, refreshed on every Place/Remove that
+	// touches the port (closed form, O(1) per port). Place adds a
+	// tenant's contributions, Remove subtracts them, and admission never
+	// resums the admitted set. It is paged: only ports that have carried
+	// a tenant cost memory.
+	ports portTable
 	// head summarizes per-rack/per-pod port rate headroom for sound
 	// scope skipping; revalidated lazily via dirty marks.
 	head *headroomIndex
@@ -153,19 +148,11 @@ func NewManager(tree *topology.Tree, opts Options) *Manager {
 		tree:     tree,
 		opts:     opts,
 		ix:       newSlotIndex(tree),
-		ports:    make([]portState, tree.NumPorts()),
-		portRate: make([]float64, tree.NumPorts()),
-		portCap:  make([]float64, tree.NumPorts()),
-		bounds:   make([]float64, tree.NumPorts()),
+		ports:    newPortTable(tree.NumPorts()),
 		head:     newHeadroomIndex(tree),
 		admitted: make(map[int]*admittedTenant),
 	}
 	m.memo.upSlot = -1
-	for pid := 0; pid < tree.NumPorts(); pid++ {
-		p := tree.Port(pid)
-		m.portRate[pid] = p.RateBps
-		m.portCap[pid] = p.QueueCapacity()
-	}
 	m.upLo, m.upHi = tree.ServerUpPortRange()
 	m.downLo, m.downHi = tree.RackDownPortRange()
 	if c := tree.Config().CPUPerServer; c > 0 {
@@ -261,7 +248,7 @@ func (m *Manager) FreeSlots(s int) int { return m.ix.freeSlots[s] }
 
 // QueueBound reports the current worst-case queuing delay (seconds) at
 // the given directed port.
-func (m *Manager) QueueBound(portID int) float64 { return m.bounds[portID] }
+func (m *Manager) QueueBound(portID int) float64 { return m.ports.bound(portID) }
 
 // Placement returns the admitted placement for a tenant ID, if any.
 func (m *Manager) Placement(id int) (*tenant.Placement, bool) {
@@ -277,7 +264,9 @@ func (m *Manager) Placement(id int) (*tenant.Placement, bool) {
 // rack whose headroom summary the port feeds, and, for a NIC-up port,
 // its server's up-cap entries.
 func (m *Manager) portTouched(pid int) {
-	m.bounds[pid] = queueBoundFast(m.portRate[pid], &m.ports[pid], contribution{})
+	st, bound := m.ports.at(pid)
+	rate, _ := m.tree.Line(pid)
+	*bound = queueBoundFast(rate, st.contribution, contribution{})
 	switch {
 	case pid >= m.upLo && pid < m.upHi:
 		m.head.markRack(m.tree.RackOfServer(pid - m.upLo))
@@ -431,11 +420,9 @@ func (m *Manager) fillReqMemo(spec *tenant.Spec) {
 	for k := 0; k <= maxK; k++ {
 		memo.upC = append(memo.upC, m.cutContribution(k, n, g, link, 0))
 	}
-	upID := m.tree.ServerUpPortID(0)
-	downID := m.tree.RackDownPortID(0)
-	upRate, upCap := m.portRate[upID], m.portCap[upID]+1e-12
-	downRate, downCap := m.portRate[downID], m.portCap[downID]+1e-12
-	var empty portState
+	upRate, upCap := m.tree.Line(m.upLo)
+	downRate, downCap := m.tree.Line(m.downLo)
+	upCap, downCap = upCap+1e-12, downCap+1e-12
 	for span := scopeRack; span <= scopeDC; span++ {
 		infl := m.inflation(span, topology.LevelRack, topology.Down)
 		downC, oks, kMax := memo.downC[span][:0], memo.emptyOK[span][:0], 0
@@ -443,8 +430,8 @@ func (m *Manager) fillReqMemo(spec *tenant.Spec) {
 			c := m.cutContribution(n-k, n, g, math.Inf(1), infl)
 			downC = append(downC, c)
 			// A zero contribution bounds to 0.
-			upB := queueBoundFast(upRate, &empty, memo.upC[k])
-			downB := queueBoundFast(downRate, &empty, c)
+			upB := queueBoundFast(upRate, contribution{}, memo.upC[k])
+			downB := queueBoundFast(downRate, contribution{}, c)
 			oks = append(oks, upB <= upCap && downB <= downCap)
 			if upB <= upCap*(1+monoSlack) && downB <= downCap*(1+monoSlack) {
 				kMax = k
@@ -690,9 +677,9 @@ func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int
 			return 0
 		}
 	}
-	up := m.tree.ServerUpPortID(s)
-	down := m.tree.RackDownPortID(s)
-	upSt, downSt := &m.ports[up], &m.ports[down]
+	up, down := m.tree.ServerUpPortID(s), m.tree.RackDownPortID(s)
+	var empty portState
+	upSt, downSt := m.ports.ref(up, &empty), m.ports.ref(down, &empty)
 	if upSt.tenants == 0 && downSt.tenants == 0 {
 		oks := m.memo.emptyOK[span]
 		for k := top; k >= 1; k-- {
@@ -702,8 +689,8 @@ func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int
 		}
 		return 0
 	}
-	upRate, upCap := m.portRate[up], m.portCap[up]
-	downRate, downCap := m.portRate[down], m.portCap[down]
+	upRate, upCap := m.tree.Line(up)
+	downRate, downCap := m.tree.Line(down)
 	upC, downC := m.memo.upC, m.memo.downC[span]
 	// Below the memo's top only the ToR-down port is scanned. Unless
 	// upFit has just evaluated it, the count found is checked at the
@@ -711,15 +698,15 @@ func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int
 	// to the last bit; where it fails, the full scan decides.
 	if upMemo {
 		k := top
-		for k >= 1 && !fits(downRate, downSt, downC[k], downCap) {
+		for k >= 1 && !fits(downRate, downSt.contribution, downC[k], downCap) {
 			k--
 		}
-		if k == 0 || (checked && k == top) || fits(upRate, upSt, upC[k], upCap) {
+		if k == 0 || (checked && k == top) || fits(upRate, upSt.contribution, upC[k], upCap) {
 			return k
 		}
 	}
 	for k := limit; k >= 1; k-- {
-		if fits(upRate, upSt, upC[k], upCap) && fits(downRate, downSt, downC[k], downCap) {
+		if fits(upRate, upSt.contribution, upC[k], upCap) && fits(downRate, downSt.contribution, downC[k], downCap) {
 			return k
 		}
 	}
@@ -728,8 +715,8 @@ func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int
 
 // fits reports whether a port of the given line rate and state keeps
 // its queue bound within capacity with c added.
-func fits(rate float64, st *portState, c contribution, capacity float64) bool {
-	return c.isZero() || queueBoundFast(rate, st, c) <= capacity+1e-12
+func fits(rate float64, load, c contribution, capacity float64) bool {
+	return c.isZero() || queueBoundFast(rate, load, c) <= capacity+1e-12
 }
 
 // upFit returns a count k ≤ top such that server s's NIC-up port
@@ -745,8 +732,10 @@ func (m *Manager) upFit(s, top int) (k int, checked bool) {
 		return min(fit, top), false
 	}
 	up := m.tree.ServerUpPortID(s)
+	st := m.ports.state(up)
+	rate, capacity := m.tree.Line(up)
 	for k := top; k > known; k-- {
-		if fits(m.portRate[up], &m.ports[up], m.memo.upC[k], m.portCap[up]) {
+		if fits(rate, st.contribution, m.memo.upC[k], capacity) {
 			caps[s] = uint16(top)<<8 | uint16(k)
 			return k, true
 		}
@@ -893,8 +882,8 @@ func (m *Manager) layoutValid(spec *tenant.Spec, sc *searchScratch, note *bindNo
 	lay := &sc.lay
 	lay.build(m.tree, sc.srv, sc.cnt)
 	ok := m.forEachContribution(spec, lay, func(pid, _ int, c contribution) bool {
-		b := m.portBoundWith(pid, c)
-		if b <= m.portCap[pid]+1e-12 {
+		b, capacity := m.portBoundWith(pid, c)
+		if b <= capacity+1e-12 {
 			return true
 		}
 		if note != nil {
@@ -922,10 +911,11 @@ func (m *Manager) layoutValid(spec *tenant.Spec, sc *searchScratch, note *bindNo
 	return true
 }
 
-// portBoundWith returns the port's queue bound with the extra
-// contribution added.
-func (m *Manager) portBoundWith(pid int, c contribution) float64 {
-	return queueBoundFast(m.portRate[pid], &m.ports[pid], c)
+// portBoundWith returns port pid's queue bound with the extra
+// contribution added, and the port's queue capacity.
+func (m *Manager) portBoundWith(pid int, c contribution) (bound, capacity float64) {
+	rate, capacity := m.tree.Line(pid)
+	return queueBoundFast(rate, m.ports.state(pid).contribution, c), capacity
 }
 
 // pathDelayMetric sums per-port delay terms along a path: queue
@@ -937,7 +927,7 @@ func (m *Manager) pathDelayMetric(src, dst int) float64 {
 	var buf [6]int
 	var sum float64
 	for _, pid := range m.tree.AppendPathIDs(buf[:0], src, dst) {
-		sum += m.bounds[pid]
+		sum += m.QueueBound(pid)
 	}
 	return sum
 }
@@ -1165,8 +1155,13 @@ next:
 // cross-checks the incrementally maintained queue-bound cache against
 // a fresh computation and re-derives every up-cap memo entry. Intended
 // for tests and post-hoc validation, not the hot path.
+//
+// The recomputation is paged like the live state, and only pages
+// allocated in either are compared: a port on any other page is empty in
+// both, which satisfies every check.
 func (m *Manager) VerifyInvariants() error {
-	fresh := make([]portState, m.tree.NumPorts())
+	n := m.tree.NumPorts()
+	fresh := newPortTable(n)
 	for _, at := range m.admitted {
 		if at.placement.Spec.Class == tenant.ClassBestEffort {
 			// Best-effort tenants bypass network admission and
@@ -1174,34 +1169,39 @@ func (m *Manager) VerifyInvariants() error {
 			continue
 		}
 		for _, pc := range m.contributions(&at.placement.Spec, at.placement.Servers) {
-			fresh[pc.pid].add(pc.contribution)
+			st, _ := fresh.at(pc.pid)
+			st.add(pc.contribution)
 		}
 	}
 	var ar netcal.Arena
-	for pid := range fresh {
-		port := m.tree.Port(pid)
-		got := m.ports[pid]
-		want := fresh[pid]
-		if math.Abs(got.Rate-want.Rate) > 1e-6 || math.Abs(got.Burst-want.Burst) > 1e-3 ||
-			math.Abs(got.Peak-want.Peak) > 1e-3 || math.Abs(got.Seed-want.Seed) > 1e-3 ||
-			got.tenants != want.tenants {
-			return fmt.Errorf("port %d state drift: have %+v want %+v", pid, got, want)
+	for pg := range fresh.pages {
+		if m.ports.pages[pg] == nil && fresh.pages[pg] == nil {
+			continue
 		}
-		if want.tenants > 0 {
-			// The reserved bandwidth first: where the summed peak is below
-			// the summed rate the curve is the peak line alone and no
-			// longer shows the rate.
-			if want.Rate > port.RateBps {
-				return fmt.Errorf("port %d violates constraint 1: admitted rate %v > line rate %v", pid, want.Rate, port.RateBps)
+		for pid := pg << portPageBits; pid < min((pg+1)<<portPageBits, n); pid++ {
+			port := m.tree.Port(pid)
+			got, want := m.ports.state(pid), fresh.state(pid)
+			if math.Abs(got.Rate-want.Rate) > 1e-6 || math.Abs(got.Burst-want.Burst) > 1e-3 ||
+				math.Abs(got.Peak-want.Peak) > 1e-3 || math.Abs(got.Seed-want.Seed) > 1e-3 ||
+				got.tenants != want.tenants {
+				return fmt.Errorf("port %d state drift: have %+v want %+v", pid, got, want)
 			}
-			ar.Reset()
-			b := netcal.QueueBound(want.contribution.curveIn(&ar), netcal.NewRateLatency(port.RateBps, 0))
-			if b > port.QueueCapacity()+1e-9 {
-				return fmt.Errorf("port %d violates constraint 1: bound %v > capacity %v", pid, b, port.QueueCapacity())
+			if want.tenants > 0 {
+				// The reserved bandwidth first: where the summed peak is below
+				// the summed rate the curve is the peak line alone and no
+				// longer shows the rate.
+				if want.Rate > port.RateBps {
+					return fmt.Errorf("port %d violates constraint 1: admitted rate %v > line rate %v", pid, want.Rate, port.RateBps)
+				}
+				ar.Reset()
+				b := netcal.QueueBound(want.contribution.curveIn(&ar), netcal.NewRateLatency(port.RateBps, 0))
+				if b > port.QueueCapacity()+1e-9 {
+					return fmt.Errorf("port %d violates constraint 1: bound %v > capacity %v", pid, b, port.QueueCapacity())
+				}
 			}
-		}
-		if live := queueBoundFast(m.portRate[pid], &got, contribution{}); math.Abs(m.bounds[pid]-live) > 1e-9 {
-			return fmt.Errorf("port %d bound-cache drift: cached %v live %v", pid, m.bounds[pid], live)
+			if live, cached := queueBoundFast(port.RateBps, got.contribution, contribution{}), m.ports.bound(pid); math.Abs(cached-live) > 1e-9 {
+				return fmt.Errorf("port %d bound-cache drift: cached %v live %v", pid, cached, live)
+			}
 		}
 	}
 	return m.verifyUpCaps()
@@ -1217,9 +1217,11 @@ func (m *Manager) verifyUpCaps() error {
 		for s, e := range caps {
 			known, fit := int(e>>8), int(e&0xff)
 			up := m.tree.ServerUpPortID(s)
+			st := m.ports.state(up)
+			rate, capacity := m.tree.Line(up)
 			for k := max(fit, 1); k <= known; k++ {
 				c := m.cutContribution(k, 2*known, g, link, 0)
-				if fits(m.portRate[up], &m.ports[up], c, m.portCap[up]) != (k == fit) {
+				if fits(rate, st.contribution, c, capacity) != (k == fit) {
 					return fmt.Errorf("server %d up-cap entry (fit %d of %d) for %+v is wrong at %d VMs", s, fit, known, g, k)
 				}
 			}

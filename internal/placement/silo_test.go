@@ -339,12 +339,12 @@ func TestVerifyInvariantsCatchesScalarDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	pid := m.tree.ServerUpPortID(0)
-	if m.ports[pid].tenants == 0 {
+	st, _ := m.ports.at(pid)
+	if st.tenants == 0 {
 		t.Fatal("tenant does not cross server 0's NIC-up port")
 	}
 	for name, field := range map[string]*float64{
-		"Rate": &m.ports[pid].Rate, "Burst": &m.ports[pid].Burst,
-		"Peak": &m.ports[pid].Peak, "Seed": &m.ports[pid].Seed,
+		"Rate": &st.Rate, "Burst": &st.Burst, "Peak": &st.Peak, "Seed": &st.Seed,
 	} {
 		was := *field
 		*field += 1

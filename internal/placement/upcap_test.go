@@ -34,9 +34,16 @@ func upCapSpec(rng *stats.Rand, id int) tenant.Spec {
 // made it before the memo: the request's cut of k VMs against the
 // port's closed-form bound.
 func upFitsLinear(m *Manager, s, k int) bool {
-	up := m.tree.ServerUpPortID(s)
 	c := m.memo.upC[k]
-	return c.isZero() || queueBoundFast(m.portRate[up], &m.ports[up], c) <= m.portCap[up]+1e-12
+	return c.isZero() || treeFits(m, m.tree.ServerUpPortID(s), c)
+}
+
+// treeFits reports whether port pid, at the line rate and queue
+// capacity the tree gives it, keeps its bound within capacity with c
+// added.
+func treeFits(m *Manager, pid int, c contribution) bool {
+	port, st := m.tree.Port(pid), m.ports.state(pid)
+	return queueBoundFast(port.RateBps, st.contribution, c) <= port.QueueCapacity()+1e-12
 }
 
 // linearCap is maxVMsOnServer as it was before the up-cap memo: every
@@ -46,7 +53,7 @@ func linearCap(m *Manager, spec *tenant.Spec, s int, span scopeHeight) int {
 	down := m.tree.RackDownPortID(s)
 	for k := min(m.maxVMsByResources(spec, s), spec.VMs, m.memo.emptyMax[span]); k >= 1; k-- {
 		c := m.memo.downC[span][k]
-		if upFitsLinear(m, s, k) && (c.isZero() || queueBoundFast(m.portRate[down], &m.ports[down], c) <= m.portCap[down]+1e-12) {
+		if upFitsLinear(m, s, k) && (c.isZero() || treeFits(m, down, c)) {
 			return k
 		}
 	}

@@ -62,16 +62,26 @@ type Guarantee struct {
 	BurstRateBps float64
 }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency: every field is a finite,
+// non-negative number, and a nonzero Bmax is at least B.
 func (g Guarantee) Validate() error {
-	switch {
-	case g.BandwidthBps < 0 || g.BurstBytes < 0 || g.DelayBound < 0 || g.BurstRateBps < 0:
-		return fmt.Errorf("tenant: negative guarantee field: %+v", g)
-	case g.BurstRateBps > 0 && g.BurstRateBps < g.BandwidthBps:
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"B", g.BandwidthBps}, {"S", g.BurstBytes}, {"d", g.DelayBound}, {"Bmax", g.BurstRateBps}} {
+		if !finiteNonNegative(f.v) {
+			return fmt.Errorf("tenant: guarantee %s = %v, want a finite number >= 0", f.name, f.v)
+		}
+	}
+	if g.BurstRateBps > 0 && g.BurstRateBps < g.BandwidthBps {
 		return fmt.Errorf("tenant: Bmax (%g) below B (%g)", g.BurstRateBps, g.BandwidthBps)
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether x is finite and at least 0; NaN is
+// not.
+func finiteNonNegative(x float64) bool { return x >= 0 && x < math.Inf(1) }
 
 // MessageLatencyBound returns the guaranteed upper bound (seconds) on
 // the latency of an M-byte message sent by a VM whose burst allowance
@@ -127,8 +137,8 @@ func (s Spec) Validate() error {
 	if s.FaultDomains < 0 || s.FaultDomains > s.VMs {
 		return fmt.Errorf("tenant %q: FaultDomains %d out of range [0,%d]", s.Name, s.FaultDomains, s.VMs)
 	}
-	if s.CPUPerVM < 0 || s.MemoryPerVM < 0 {
-		return fmt.Errorf("tenant %q: negative resource demand", s.Name)
+	if !finiteNonNegative(s.CPUPerVM) || !finiteNonNegative(s.MemoryPerVM) {
+		return fmt.Errorf("tenant %q: resource demand (CPU %v, memory %v per VM) must be finite and >= 0", s.Name, s.CPUPerVM, s.MemoryPerVM)
 	}
 	if s.Class == ClassGuaranteed {
 		if err := s.Guarantee.Validate(); err != nil {

@@ -22,6 +22,20 @@ func TestGuaranteeValidate(t *testing.T) {
 		{DelayBound: -1},
 		{BandwidthBps: 2 * gbps, BurstRateBps: gbps}, // Bmax < B
 	}
+	// A non-finite value in any field: NaN fails every comparison, so a
+	// "< 0" test alone lets it through, and +Inf is not negative.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(*Guarantee){
+			func(g *Guarantee) { g.BandwidthBps = v },
+			func(g *Guarantee) { g.BurstBytes = v },
+			func(g *Guarantee) { g.DelayBound = v },
+			func(g *Guarantee) { g.BurstRateBps = v },
+		} {
+			g := good
+			set(&g)
+			bad = append(bad, g)
+		}
+	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
 			t.Errorf("bad guarantee %d accepted: %+v", i, g)
@@ -115,6 +129,14 @@ func TestSpecValidate(t *testing.T) {
 	badG := Spec{Name: "g", VMs: 1, Class: ClassGuaranteed, Guarantee: Guarantee{BandwidthBps: -1}}
 	if err := badG.Validate(); err == nil {
 		t.Error("invalid guarantee accepted")
+	}
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := (Spec{Name: "c", VMs: 1, CPUPerVM: v}).Validate(); err == nil {
+			t.Errorf("CPUPerVM %v accepted", v)
+		}
+		if err := (Spec{Name: "m", VMs: 1, MemoryPerVM: v}).Validate(); err == nil {
+			t.Errorf("MemoryPerVM %v accepted", v)
+		}
 	}
 	// Best-effort tenants skip guarantee validation.
 	be := Spec{Name: "be", VMs: 1, Class: ClassBestEffort, Guarantee: Guarantee{BandwidthBps: -1}}

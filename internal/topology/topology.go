@@ -16,6 +16,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 )
 
 // Level identifies a tier of the tree.
@@ -74,7 +75,7 @@ type Port struct {
 // QueueCapacity returns the port's queue capacity in seconds: the
 // maximum queuing delay before the buffer overflows (paper §4.2.1 —
 // "a 10Gbps port with a 100KB buffer has a 80µs queue capacity").
-func (p *Port) QueueCapacity() float64 {
+func (p Port) QueueCapacity() float64 {
 	if p.RateBps <= 0 {
 		return 0
 	}
@@ -114,35 +115,58 @@ type Config struct {
 	PodOversub  float64
 }
 
-// Validate checks the configuration for consistency.
+// Validate checks the configuration for consistency: positive element
+// counts, a positive line rate and switch buffer, oversubscription
+// factors of at least 1, and a NIC buffer and server capacities that are
+// not negative. Every rate, buffer and capacity must be finite.
 func (c Config) Validate() error {
 	switch {
 	case c.Pods <= 0 || c.RacksPerPod <= 0 || c.ServersPerRack <= 0 || c.SlotsPerServer <= 0:
 		return fmt.Errorf("topology: all element counts must be positive: %+v", c)
-	case c.LinkBps <= 0:
-		return fmt.Errorf("topology: LinkBps must be positive")
-	case c.BufferBytes <= 0:
-		return fmt.Errorf("topology: BufferBytes must be positive")
-	case c.RackOversub < 1 || c.PodOversub < 1:
-		return fmt.Errorf("topology: oversubscription factors must be >= 1")
+	case !finiteAtLeast(c.LinkBps, 0) || c.LinkBps == 0:
+		return fmt.Errorf("topology: LinkBps must be positive and finite, got %v", c.LinkBps)
+	case !finiteAtLeast(c.BufferBytes, 0) || c.BufferBytes == 0:
+		return fmt.Errorf("topology: BufferBytes must be positive and finite, got %v", c.BufferBytes)
+	case !finiteAtLeast(c.RackOversub, 1) || !finiteAtLeast(c.PodOversub, 1):
+		return fmt.Errorf("topology: oversubscription factors must be finite and >= 1, got %v and %v", c.RackOversub, c.PodOversub)
+	case !finiteAtLeast(c.NICBufferBytes, 0):
+		return fmt.Errorf("topology: NICBufferBytes must be finite and >= 0, got %v", c.NICBufferBytes)
+	case !finiteAtLeast(c.CPUPerServer, 0) || !finiteAtLeast(c.MemoryPerServer, 0):
+		return fmt.Errorf("topology: CPUPerServer and MemoryPerServer must be finite and >= 0, got %v and %v", c.CPUPerServer, c.MemoryPerServer)
 	}
 	return nil
 }
 
-// Tree is an instantiated datacenter.
-type Tree struct {
-	cfg   Config
-	ports []Port
+// finiteAtLeast reports whether x is finite and at least lo; NaN is not.
+func finiteAtLeast(x, lo float64) bool { return x >= lo && x < math.Inf(1) }
 
-	// Precomputed port-ID bases for each port family; see portID
-	// helpers below.
-	serverUpBase int
-	rackUpBase   int
-	rackDownBase int
-	podUpBase    int
-	podDownBase  int
-	coreDownBase int
-	numPorts     int
+// family is one of the tree's six directed-port families, in port-ID
+// order.
+type family int
+
+const (
+	famServerUp family = iota // one per server: NIC egress
+	famRackUp                 // one per rack: ToR uplink
+	famRackDown               // one per server: ToR -> server
+	famPodUp                  // one per pod: pod uplink
+	famPodDown                // one per rack: pod -> ToR
+	famCoreDown               // one per pod: core -> pod
+	numFamilies
+)
+
+// Tree is an instantiated datacenter. Every port of a family has the
+// family's level, direction, line rate and buffer, so the tree keeps one
+// template per family and stamps a port's ID on it when asked: building
+// a tree costs the same whatever its size.
+type Tree struct {
+	cfg Config
+	// tmpl[f] is family f's port with ID 0 and capSec[f] its queue
+	// capacity. base[f] is the ID of the family's first port and
+	// base[f+1] one past its last, so base[numFamilies] is the number of
+	// ports.
+	tmpl   [numFamilies]Port
+	capSec [numFamilies]float64
+	base   [numFamilies + 1]int
 }
 
 // New builds a datacenter from cfg.
@@ -150,37 +174,29 @@ func New(cfg Config) (*Tree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Tree{cfg: cfg}
 	nServers := cfg.Pods * cfg.RacksPerPod * cfg.ServersPerRack
 	nRacks := cfg.Pods * cfg.RacksPerPod
-
-	t.serverUpBase = 0                       // one up port per server (NIC egress)
-	t.rackUpBase = t.serverUpBase + nServers // one up port per rack
-	t.rackDownBase = t.rackUpBase + nRacks   // one down port per server (ToR -> server)
-	t.podUpBase = t.rackDownBase + nServers  // one up port per pod
-	t.podDownBase = t.podUpBase + cfg.Pods   // one down port per rack (pod -> ToR)
-	t.coreDownBase = t.podDownBase + nRacks  // one down port per pod (core -> pod)
-	t.numPorts = t.coreDownBase + cfg.Pods
-
 	rackUpRate := cfg.LinkBps * float64(cfg.ServersPerRack) / cfg.RackOversub
 	podUpRate := rackUpRate * float64(cfg.RacksPerPod) / cfg.PodOversub
-
 	nicBuf := cfg.NICBufferBytes
-	if nicBuf <= 0 {
+	if nicBuf == 0 {
 		nicBuf = cfg.BufferBytes
 	}
-	t.ports = make([]Port, t.numPorts)
-	for s := 0; s < nServers; s++ {
-		t.ports[t.serverUpBase+s] = Port{ID: t.serverUpBase + s, Level: LevelServer, Dir: Up, RateBps: cfg.LinkBps, BufferBytes: nicBuf}
-		t.ports[t.rackDownBase+s] = Port{ID: t.rackDownBase + s, Level: LevelRack, Dir: Down, RateBps: cfg.LinkBps, BufferBytes: cfg.BufferBytes}
-	}
-	for r := 0; r < nRacks; r++ {
-		t.ports[t.rackUpBase+r] = Port{ID: t.rackUpBase + r, Level: LevelRack, Dir: Up, RateBps: rackUpRate, BufferBytes: cfg.BufferBytes}
-		t.ports[t.podDownBase+r] = Port{ID: t.podDownBase + r, Level: LevelPod, Dir: Down, RateBps: rackUpRate, BufferBytes: cfg.BufferBytes}
-	}
-	for p := 0; p < cfg.Pods; p++ {
-		t.ports[t.podUpBase+p] = Port{ID: t.podUpBase + p, Level: LevelPod, Dir: Up, RateBps: podUpRate, BufferBytes: cfg.BufferBytes}
-		t.ports[t.coreDownBase+p] = Port{ID: t.coreDownBase + p, Level: LevelCore, Dir: Down, RateBps: podUpRate, BufferBytes: cfg.BufferBytes}
+	t := &Tree{cfg: cfg}
+	for f, fam := range [numFamilies]struct {
+		n    int
+		port Port
+	}{
+		famServerUp: {nServers, Port{Level: LevelServer, Dir: Up, RateBps: cfg.LinkBps, BufferBytes: nicBuf}},
+		famRackUp:   {nRacks, Port{Level: LevelRack, Dir: Up, RateBps: rackUpRate, BufferBytes: cfg.BufferBytes}},
+		famRackDown: {nServers, Port{Level: LevelRack, Dir: Down, RateBps: cfg.LinkBps, BufferBytes: cfg.BufferBytes}},
+		famPodUp:    {cfg.Pods, Port{Level: LevelPod, Dir: Up, RateBps: podUpRate, BufferBytes: cfg.BufferBytes}},
+		famPodDown:  {nRacks, Port{Level: LevelPod, Dir: Down, RateBps: rackUpRate, BufferBytes: cfg.BufferBytes}},
+		famCoreDown: {cfg.Pods, Port{Level: LevelCore, Dir: Down, RateBps: podUpRate, BufferBytes: cfg.BufferBytes}},
+	} {
+		t.tmpl[f] = fam.port
+		t.capSec[f] = fam.port.QueueCapacity()
+		t.base[f+1] = t.base[f] + fam.n
 	}
 	return t, nil
 }
@@ -205,10 +221,40 @@ func (t *Tree) Pods() int { return t.cfg.Pods }
 func (t *Tree) Slots() int { return t.Servers() * t.cfg.SlotsPerServer }
 
 // NumPorts returns the number of directed ports.
-func (t *Tree) NumPorts() int { return t.numPorts }
+func (t *Tree) NumPorts() int { return t.base[numFamilies] }
 
-// Port returns the directed port with the given ID.
-func (t *Tree) Port(id int) *Port { return &t.ports[id] }
+// Port returns the directed port with the given ID. It panics on an ID
+// outside [0, NumPorts()).
+func (t *Tree) Port(id int) Port {
+	f := t.family(id)
+	return t.port(f, id-t.base[f])
+}
+
+// Line returns the line rate (bytes/s) and queue capacity (seconds) of
+// the port with the given ID — the two fields admission reads — without
+// building the Port. It panics on an ID outside [0, NumPorts()).
+func (t *Tree) Line(id int) (rateBps, capacitySec float64) {
+	f := t.family(id)
+	return t.tmpl[f].RateBps, t.capSec[f]
+}
+
+// family returns the family of the port with the given ID. An ID
+// outside [0, NumPorts()), negative ones included as unsigned, passes
+// every family's end and panics indexing base past its last entry.
+func (t *Tree) family(id int) family {
+	f := famServerUp
+	for uint(id) >= uint(t.base[f+1]) {
+		f++
+	}
+	return f
+}
+
+// port returns the i-th port of family f.
+func (t *Tree) port(f family, i int) Port {
+	p := t.tmpl[f]
+	p.ID = t.base[f] + i
+	return p
+}
 
 // Coordinates.
 
@@ -232,38 +278,37 @@ func (t *Tree) RacksOfPod(p int) (lo, hi int) {
 }
 
 // Directed-port ID accessors: the integer IDs of the port families,
-// for hot paths that index manager-side arrays by port ID without
-// touching the Port structs themselves.
+// for hot paths that index manager-side arrays by port ID.
 
 // ServerUpPortID returns the ID of server s's NIC egress port.
-func (t *Tree) ServerUpPortID(s int) int { return t.serverUpBase + s }
+func (t *Tree) ServerUpPortID(s int) int { return t.base[famServerUp] + s }
 
 // RackDownPortID returns the ID of the ToR port facing server s.
-func (t *Tree) RackDownPortID(s int) int { return t.rackDownBase + s }
+func (t *Tree) RackDownPortID(s int) int { return t.base[famRackDown] + s }
 
 // RackUpPortID returns the ID of rack r's uplink port.
-func (t *Tree) RackUpPortID(r int) int { return t.rackUpBase + r }
+func (t *Tree) RackUpPortID(r int) int { return t.base[famRackUp] + r }
 
 // PodDownPortID returns the ID of the pod port facing rack r.
-func (t *Tree) PodDownPortID(r int) int { return t.podDownBase + r }
+func (t *Tree) PodDownPortID(r int) int { return t.base[famPodDown] + r }
 
 // PodUpPortID returns the ID of pod p's uplink port.
-func (t *Tree) PodUpPortID(p int) int { return t.podUpBase + p }
+func (t *Tree) PodUpPortID(p int) int { return t.base[famPodUp] + p }
 
 // CoreDownPortID returns the ID of the core port facing pod p.
-func (t *Tree) CoreDownPortID(p int) int { return t.coreDownBase + p }
+func (t *Tree) CoreDownPortID(p int) int { return t.base[famCoreDown] + p }
 
 // ServerUpPortRange returns the half-open port-ID range [lo, hi) of
 // all server NIC egress ports; the port with ID lo+s belongs to
 // server s.
 func (t *Tree) ServerUpPortRange() (lo, hi int) {
-	return t.serverUpBase, t.serverUpBase + t.Servers()
+	return t.base[famServerUp], t.base[famServerUp+1]
 }
 
 // RackDownPortRange returns the half-open port-ID range [lo, hi) of
 // all ToR server-facing ports; the port with ID lo+s faces server s.
 func (t *Tree) RackDownPortRange() (lo, hi int) {
-	return t.rackDownBase, t.rackDownBase + t.Servers()
+	return t.base[famRackDown], t.base[famRackDown+1]
 }
 
 // AppendPathIDs appends to ids the IDs of the directed ports a packet
@@ -293,47 +338,38 @@ func (t *Tree) AppendPathIDs(ids []int, src, dst int) []int {
 // Directed-port accessors.
 
 // ServerUpPort returns the NIC egress port of server s.
-func (t *Tree) ServerUpPort(s int) *Port { return &t.ports[t.serverUpBase+s] }
+func (t *Tree) ServerUpPort(s int) Port { return t.port(famServerUp, s) }
 
 // RackDownPort returns the ToR port facing server s.
-func (t *Tree) RackDownPort(s int) *Port { return &t.ports[t.rackDownBase+s] }
+func (t *Tree) RackDownPort(s int) Port { return t.port(famRackDown, s) }
 
 // RackUpPort returns rack r's uplink port.
-func (t *Tree) RackUpPort(r int) *Port { return &t.ports[t.rackUpBase+r] }
+func (t *Tree) RackUpPort(r int) Port { return t.port(famRackUp, r) }
 
 // PodDownPort returns the pod port facing rack r.
-func (t *Tree) PodDownPort(r int) *Port { return &t.ports[t.podDownBase+r] }
+func (t *Tree) PodDownPort(r int) Port { return t.port(famPodDown, r) }
 
 // PodUpPort returns pod p's uplink port.
-func (t *Tree) PodUpPort(p int) *Port { return &t.ports[t.podUpBase+p] }
+func (t *Tree) PodUpPort(p int) Port { return t.port(famPodUp, p) }
 
 // CoreDownPort returns the core port facing pod p.
-func (t *Tree) CoreDownPort(p int) *Port { return &t.ports[t.coreDownBase+p] }
+func (t *Tree) CoreDownPort(p int) Port { return t.port(famCoreDown, p) }
 
 // Path returns the ordered directed ports a packet traverses from
 // server src to server dst. Same-server traffic traverses no network
 // port (the paper's guarantee is NIC-to-NIC; intra-server traffic
 // stays in the vswitch).
-func (t *Tree) Path(src, dst int) []*Port {
-	if src == dst {
+func (t *Tree) Path(src, dst int) []Port {
+	var buf [6]int
+	ids := t.AppendPathIDs(buf[:0], src, dst)
+	if len(ids) == 0 {
 		return nil
 	}
-	srcRack, dstRack := t.RackOfServer(src), t.RackOfServer(dst)
-	srcPod, dstPod := t.PodOfRack(srcRack), t.PodOfRack(dstRack)
-
-	path := []*Port{t.ServerUpPort(src)}
-	if srcRack == dstRack {
-		return append(path, t.RackDownPort(dst))
+	path := make([]Port, len(ids))
+	for i, id := range ids {
+		path[i] = t.Port(id)
 	}
-	path = append(path, t.RackUpPort(srcRack))
-	if srcPod == dstPod {
-		return append(path, t.PodDownPort(dstRack), t.RackDownPort(dst))
-	}
-	return append(path,
-		t.PodUpPort(srcPod),
-		t.CoreDownPort(dstPod),
-		t.PodDownPort(dstRack),
-		t.RackDownPort(dst))
+	return path
 }
 
 // PathDelayCapacity returns the sum of queue capacities (seconds) along

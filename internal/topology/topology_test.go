@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +41,26 @@ func TestValidate(t *testing.T) {
 		func() Config { c := testConfig(); c.LinkBps = 0; return c }(),
 		func() Config { c := testConfig(); c.BufferBytes = 0; return c }(),
 		func() Config { c := testConfig(); c.RackOversub = 0.5; return c }(),
+		func() Config { c := testConfig(); c.NICBufferBytes = -1; return c }(),
+		func() Config { c := testConfig(); c.CPUPerServer = -1; return c }(),
+		func() Config { c := testConfig(); c.MemoryPerServer = -1; return c }(),
+	}
+	// Every float field rejects NaN and both infinities: NaN fails every
+	// comparison, so a "<= 0" test alone lets it through.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(*Config){
+			func(c *Config) { c.LinkBps = v },
+			func(c *Config) { c.BufferBytes = v },
+			func(c *Config) { c.NICBufferBytes = v },
+			func(c *Config) { c.CPUPerServer = v },
+			func(c *Config) { c.MemoryPerServer = v },
+			func(c *Config) { c.RackOversub = v },
+			func(c *Config) { c.PodOversub = v },
+		} {
+			c := testConfig()
+			set(&c)
+			bad = append(bad, c)
+		}
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -247,5 +270,113 @@ func TestLevelDirectionStrings(t *testing.T) {
 	}
 	if Up.String() != "up" || Down.String() != "down" {
 		t.Error("bad Direction strings")
+	}
+}
+
+// denseTable is the port table New built before the tree kept one
+// template per family: a Port per ID, filled family by family.
+func denseTable(cfg Config) []Port {
+	nServers := cfg.Pods * cfg.RacksPerPod * cfg.ServersPerRack
+	nRacks := cfg.Pods * cfg.RacksPerPod
+	serverUpBase := 0
+	rackUpBase := serverUpBase + nServers
+	rackDownBase := rackUpBase + nRacks
+	podUpBase := rackDownBase + nServers
+	podDownBase := podUpBase + cfg.Pods
+	coreDownBase := podDownBase + nRacks
+	rackUpRate := cfg.LinkBps * float64(cfg.ServersPerRack) / cfg.RackOversub
+	podUpRate := rackUpRate * float64(cfg.RacksPerPod) / cfg.PodOversub
+	nicBuf := cfg.NICBufferBytes
+	if nicBuf <= 0 {
+		nicBuf = cfg.BufferBytes
+	}
+	ports := make([]Port, coreDownBase+cfg.Pods)
+	for s := 0; s < nServers; s++ {
+		ports[serverUpBase+s] = Port{ID: serverUpBase + s, Level: LevelServer, Dir: Up, RateBps: cfg.LinkBps, BufferBytes: nicBuf}
+		ports[rackDownBase+s] = Port{ID: rackDownBase + s, Level: LevelRack, Dir: Down, RateBps: cfg.LinkBps, BufferBytes: cfg.BufferBytes}
+	}
+	for r := 0; r < nRacks; r++ {
+		ports[rackUpBase+r] = Port{ID: rackUpBase + r, Level: LevelRack, Dir: Up, RateBps: rackUpRate, BufferBytes: cfg.BufferBytes}
+		ports[podDownBase+r] = Port{ID: podDownBase + r, Level: LevelPod, Dir: Down, RateBps: rackUpRate, BufferBytes: cfg.BufferBytes}
+	}
+	for p := 0; p < cfg.Pods; p++ {
+		ports[podUpBase+p] = Port{ID: podUpBase + p, Level: LevelPod, Dir: Up, RateBps: podUpRate, BufferBytes: cfg.BufferBytes}
+		ports[coreDownBase+p] = Port{ID: coreDownBase + p, Level: LevelCore, Dir: Down, RateBps: podUpRate, BufferBytes: cfg.BufferBytes}
+	}
+	return ports
+}
+
+// For random valid configurations, every port the family templates
+// stamp out — by ID, through the six family accessors and along every
+// path — equals the dense table's, field by field and in queue capacity.
+func TestPortTemplatesMatchDenseTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		cfg := Config{
+			Pods:           1 + rng.Intn(4),
+			RacksPerPod:    1 + rng.Intn(5),
+			ServersPerRack: 1 + rng.Intn(12),
+			SlotsPerServer: 1 + rng.Intn(8),
+			LinkBps:        1e8 + rng.Float64()*5e9,
+			BufferBytes:    1e3 + rng.Float64()*1e6,
+			RackOversub:    1 + rng.Float64()*9,
+			PodOversub:     1 + rng.Float64()*9,
+		}
+		if rng.Intn(2) == 0 {
+			cfg.NICBufferBytes = 1e3 + rng.Float64()*1e5
+		}
+		tree := mustTree(t, cfg)
+		dense := denseTable(cfg)
+		if tree.NumPorts() != len(dense) {
+			t.Fatalf("%+v: NumPorts = %d, dense table has %d", cfg, tree.NumPorts(), len(dense))
+		}
+		same := func(what string, got, want Port) {
+			t.Helper()
+			if got != want || got.QueueCapacity() != want.QueueCapacity() {
+				t.Fatalf("%+v: %s = %+v (capacity %v), dense table has %+v (capacity %v)",
+					cfg, what, got, got.QueueCapacity(), want, want.QueueCapacity())
+			}
+		}
+		for id, want := range dense {
+			same(fmt.Sprintf("Port(%d)", id), tree.Port(id), want)
+			if rate, capacity := tree.Line(id); rate != want.RateBps || capacity != want.QueueCapacity() {
+				t.Fatalf("%+v: Line(%d) = %v, %v; dense table has %v, %v", cfg, id, rate, capacity, want.RateBps, want.QueueCapacity())
+			}
+		}
+		for s := 0; s < tree.Servers(); s++ {
+			same("ServerUpPort", tree.ServerUpPort(s), dense[tree.ServerUpPortID(s)])
+			same("RackDownPort", tree.RackDownPort(s), dense[tree.RackDownPortID(s)])
+		}
+		for r := 0; r < tree.Racks(); r++ {
+			same("RackUpPort", tree.RackUpPort(r), dense[tree.RackUpPortID(r)])
+			same("PodDownPort", tree.PodDownPort(r), dense[tree.PodDownPortID(r)])
+		}
+		for p := 0; p < tree.Pods(); p++ {
+			same("PodUpPort", tree.PodUpPort(p), dense[tree.PodUpPortID(p)])
+			same("CoreDownPort", tree.CoreDownPort(p), dense[tree.CoreDownPortID(p)])
+		}
+		src, dst := rng.Intn(tree.Servers()), rng.Intn(tree.Servers())
+		for i, p := range tree.Path(src, dst) {
+			same(fmt.Sprintf("Path(%d, %d)[%d]", src, dst, i), p, dense[p.ID])
+		}
+	}
+}
+
+func TestPortOutOfRangePanics(t *testing.T) {
+	tree := mustTree(t, testConfig())
+	for _, id := range []int{-1, tree.NumPorts()} {
+		for name, call := range map[string]func(){
+			"Port": func() { tree.Port(id) },
+			"Line": func() { tree.Line(id) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) did not panic", name, id)
+					}
+				}()
+				call()
+			}()
+		}
 	}
 }

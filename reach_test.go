@@ -27,7 +27,7 @@ var reachAllowlist = map[string]string{
 	"netcal.PlainAggregate":            "oracle: the non-hose aggregate TestHoseTighterProperty holds HoseAggregate under",
 	"netcal/convolution.go":            "min-plus convolution and the end-to-end bounds, kept as ROADMAP item 6's pay-bursts-only-once ablation row",
 	"netcal.Propagate":                 "per-hop burst propagation that convolution.go's PerHopDelayBoundSum chains (ROADMAP item 6)",
-	"topology.Tree.Path":               "oracle: the materialized port path the placement oracle (placement/oracle_test.go) sums per-hop bounds over; the TestPath* tests pin it",
+	"topology.Tree.Path":               "oracle: the materialized path, a []Port of values stamped from the family templates, that the placement oracle (placement/oracle_test.go) sums per-hop bounds over; the TestPath* tests and TestPortTemplatesMatchDenseTable pin it",
 	"pacer.NewConformanceChecker":      "oracle: the sliding-window B·t + S checker the bucket and batcher conformance tests hold paced output to",
 	"pacer.ConformanceChecker.Observe": "oracle: ConformanceChecker (see NewConformanceChecker)",
 	"pacer.ConformanceChecker.Check":   "oracle: ConformanceChecker (see NewConformanceChecker)",
