@@ -162,9 +162,8 @@ func main() {
 	}
 	if reg != nil {
 		// Continuous telemetry: every -window of simulated time (3 s of
-		// drain included) advance the SLO burn-rate engine and, when
-		// -series will read it, snapshot the registry into the
-		// time-series rollup.
+		// drain included) record the SLO window and, when -series will
+		// read it, snapshot the registry into the time-series rollup.
 		sc.Planes.SLOWindowNs = windowNs
 		sc.Planes.Series = *seriesOut != ""
 	}
@@ -192,8 +191,8 @@ func main() {
 	nw := run.Net
 
 	// SIGINT/SIGTERM stop the event loop between events; everything
-	// below still runs, so partial-run telemetry and traces are flushed
-	// and written rather than lost.
+	// below still runs (Finish closes the partial window), so partial-run
+	// telemetry and traces are flushed and written rather than lost.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	run.Execute(ctx)
 	interrupted := ctx.Err() != nil
@@ -201,10 +200,6 @@ func main() {
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "interrupted at t=%.3f ms simulated; flushing telemetry\n",
 			float64(nw.Sim.Now())/1e6)
-		if run.Rollup != nil {
-			run.Rollup.Capture(nw.Sim.Now())
-		}
-		run.Engine.Flush(nw.Sim.Now())
 	}
 	run.Finish()
 
@@ -263,7 +258,7 @@ func main() {
 	}
 	if *sloReport {
 		fmt.Println()
-		fmt.Print(run.Engine.RenderReport())
+		fmt.Print(run.SLO.RenderReport())
 	}
 	if run.Snapshot != nil {
 		fmt.Println()
@@ -288,7 +283,7 @@ func main() {
 		opts := dashboard.Options{
 			Title:     "silo-sim " + *schemeName,
 			Rollup:    run.Rollup,
-			Engine:    run.Engine,
+			SLO:       run.SLO,
 			Ports:     nw.PortMeta(),
 			Incidents: run.Incidents,
 			Runtime:   &rs,

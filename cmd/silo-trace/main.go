@@ -18,8 +18,8 @@
 //
 // -windows adds the SLO view of the trace: per-tenant conformance
 // bucketed into fixed windows, each violating window naming the
-// dominant culprit port — the offline counterpart of silo-sim's live
-// burn-rate engine.
+// dominant culprit port — the offline counterpart of silo-sim's SLO
+// windows.
 //
 // -why N joins packet N's hop-by-hop trace with the introspection
 // snapshot written by silo-sim -introspect (-margins file): for each

@@ -19,7 +19,7 @@ import (
 // affected tenant through normal admission control, and unpaced resync
 // storms (state re-replication toward the relocated VMs) congesting the
 // surviving fabric — the one window where even Silo traffic can arrive
-// late, which the SLO engine must attribute to the injected fault
+// late, which the SLO plane must attribute to the injected fault
 // rather than blame on steady-state pacing.
 type FailureDrillParams struct {
 	// Tenants offered for admission, VMsPerTenant each (FaultDomains 2).
@@ -51,7 +51,7 @@ type FailureDrillParams struct {
 	// protected by the pacer.
 	ResyncBytes   int
 	ResyncSources int
-	// SLO engine flush period and the injector's outage grace window.
+	// SLO window and the injector's outage grace window.
 	WindowNs  int64
 	GraceNs   int64
 	HorizonNs int64
@@ -110,8 +110,8 @@ type FailureDrillResult struct {
 	Recovery *placement.RecoveryReport
 	Rows     []DrillTenantRow // sorted by tenant ID
 	SLO      []slo.TenantReport
-	// SLOEvents is the engine's event log; outage-window violations
-	// carry the injected fault's label in Event.Fault.
+	// SLOEvents is the SLO event log; outage-window violations carry
+	// the injected fault's label in Event.Fault.
 	SLOEvents []slo.Event
 	// Loss accounting: congestion loss vs outage loss, kept separate.
 	OverflowDrops int64
@@ -119,7 +119,7 @@ type FailureDrillResult struct {
 	// InvariantsErr is the post-recovery VerifyInvariants failure, ""
 	// when the manager's port state checked out.
 	InvariantsErr string
-	// SLOReport is the engine's rendered per-tenant table.
+	// SLOReport is the rendered per-tenant SLO table.
 	SLOReport string
 	// Incidents is the correlated incident report: every guarantee
 	// violation clustered into episodes, each rooted on the injected
@@ -233,9 +233,9 @@ func RunFailureDrill(p FailureDrillParams) (*FailureDrillResult, error) {
 		Events:        run.Injector.Events(),
 		OverflowDrops: run.Net.TotalDrops(),
 		FaultDrops:    run.Net.TotalFaultDrops(),
-		SLO:           run.Engine.Reports(),
-		SLOEvents:     run.Engine.Events(),
-		SLOReport:     run.Engine.RenderReport(),
+		SLO:           run.SLO.Reports,
+		SLOEvents:     run.SLO.Events,
+		SLOReport:     run.SLO.RenderReport(),
 		// The drill's violations must all land inside the injected
 		// outage's windows (verdict injected-fault) — any other verdict is
 		// a finding about the drill itself.

@@ -11,7 +11,7 @@ import (
 // The end-to-end drill: a ToR dies under admitted load. Every affected
 // tenant must end with an explicit verdict, the placement manager's
 // invariants must hold afterwards, the recovery latency must be
-// measured, and the SLO engine must attribute the outage-window
+// measured, and the SLO plane must attribute the outage-window
 // violations to the injected fault event.
 func TestFailureDrillToRFailure(t *testing.T) {
 	p := DefaultFailureDrillParams()
@@ -74,7 +74,7 @@ func TestFailureDrillToRFailure(t *testing.T) {
 	}
 
 	// Degraded-mode accounting: the resync storm and the recovery
-	// migrations must have produced violations, and the SLO engine must
+	// migrations must have produced violations, and the SLO plane must
 	// have landed them in fault-attributed windows.
 	var inFault int64
 	for _, sr := range res.SLO {

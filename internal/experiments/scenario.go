@@ -183,8 +183,8 @@ type Planes struct {
 	// guarantee margins (bounds from the Silo manager when there is
 	// one).
 	Introspect bool
-	// SLOWindowNs > 0 runs the SLO burn-rate engine, flushed on that
-	// window.
+	// SLOWindowNs > 0 records each delay-bounded tenant's deliveries
+	// and violations on that window; Finish evaluates them into Run.SLO.
 	SLOWindowNs int64
 	// Series, with a registry and SLOWindowNs, captures the registry
 	// into a time-series rollup on the window tick. Ask for it only when
@@ -258,7 +258,6 @@ type Run struct {
 	Flight     *obs.FlightRecorder
 	Intro      *introspect.Introspector
 	Injector   *faults.Injector
-	Engine     *slo.Engine
 	Rollup     *timeseries.Rollup
 	// Recoveries holds one report per down event, in event order.
 	Recoveries []*placement.RecoveryReport
@@ -268,11 +267,13 @@ type Run struct {
 	RecoverErr error
 
 	// Filled by Finish: the assembled flight trace with its violating
-	// spans, the introspection snapshot and the incident report.
+	// spans, the introspection snapshot, the evaluated SLO and the
+	// incident report.
 	Ports          []obs.PortMeta
 	Spans          []obs.FlightSpan
 	SpanViolations []*obs.FlightSpan
 	Snapshot       *introspect.Snapshot
+	SLO            *slo.Result
 	Incidents      *incident.Report
 
 	env        Env
@@ -281,6 +282,11 @@ type Run struct {
 	rng        *stats.Rand
 	nextVM     int
 	resyncWave int
+	// The window tick's state: the SLO recorder, the port-window
+	// tracker naming each window's culprit, and the last window's end.
+	recorder  *slo.Recorder
+	tracker   *netsim.PortWindowTracker
+	windowEnd int64
 }
 
 // RunScenario builds, executes and harvests a scenario.
@@ -359,9 +365,9 @@ func Build(sc Scenario, env Env) (*Run, error) {
 		nw.AttachDelayAudit(r.Audit, r.Ctl.TenantOfVM)
 	}
 	if sc.Planes.Incidents {
-		// One violation stream: the auditor's per-delivery tap and (below)
-		// the SLO engine's window sink. Wired before the run — the tap is
-		// read without locks on the delivery path.
+		// One violation stream: the auditor's per-delivery tap and, in
+		// Finish, the SLO's window violations. Wired before the run — the
+		// tap is read without locks on the delivery path.
 		r.Violations = obs.NewViolationLog(1 << 14)
 		r.Audit.SetViolationTap(r.Violations.Observe)
 	}
@@ -512,32 +518,28 @@ func (r *Run) recovered(rep *placement.RecoveryReport) {
 }
 
 // startWindows closes SLO windows on the simulation clock, with the
-// live port-window tracker naming the culprit port of each violating
-// window. With Planes.Series the same tick snapshots the registry into
-// the time-series rollup.
+// live port-window tracker naming the culprit port of each window. With
+// Planes.Series the same tick snapshots the registry into the
+// time-series rollup.
 func (r *Run) startWindows() {
 	sc := r.Scenario
-	live := sc.Planes.Series && r.env.Registry != nil
-	if live {
+	if sc.Planes.Series && r.env.Registry != nil {
 		r.Rollup = timeseries.NewRollup(r.env.Registry, 512)
 	}
-	tracker := netsim.AttachPortWindowTracker(r.Net)
-	r.Engine = slo.New(slo.Config{WindowNs: sc.Planes.SLOWindowNs}, r.Audit, tracker)
-	if r.Violations != nil {
-		r.Engine.SetViolationSink(r.Violations.Observe)
+	r.tracker = netsim.AttachPortWindowTracker(r.Net)
+	r.recorder = slo.NewRecorder(r.Audit, sc.Planes.SLOWindowNs)
+	r.Net.Sim.Every(sc.Planes.SLOWindowNs, sc.HorizonNs+sc.DrainNs, r.closeWindow)
+}
+
+// closeWindow ends the current window at now.
+func (r *Run) closeWindow(now int64) {
+	if r.Rollup != nil {
+		r.Rollup.Capture(now)
 	}
-	if r.Injector != nil {
-		// Violations in windows overlapping an injected outage are
-		// labeled with the fault.
-		r.Engine.SetFaultLookup(r.Injector.FaultIn)
-	}
-	r.Net.Sim.Every(sc.Planes.SLOWindowNs, sc.HorizonNs+sc.DrainNs, func(now int64) {
-		if live {
-			r.Rollup.Capture(now)
-		}
-		r.Engine.Flush(now)
-		tracker.Reset()
-	})
+	port, queueNs := r.tracker.WorstPort()
+	r.recorder.Close(now, port, queueNs)
+	r.tracker.Reset()
+	r.windowEnd = now
 }
 
 // Execute runs to the horizon plus the drain, or until ctx is
@@ -548,6 +550,25 @@ func (r *Run) Execute(ctx context.Context) {
 
 // Finish harvests what the planes recorded and the tenants received.
 func (r *Run) Finish() {
+	if r.recorder != nil {
+		// The run ends mid-window when it was cancelled or the window does
+		// not divide its length: close that last partial window too.
+		if now := r.Net.Sim.Now(); now > r.windowEnd {
+			r.closeWindow(now)
+		}
+		var faultIn func(sinceNs, untilNs int64) (string, bool)
+		if r.Injector != nil {
+			// Violations in windows overlapping an injected outage are
+			// labeled with the fault.
+			faultIn = r.Injector.FaultIn
+		}
+		r.SLO = r.recorder.Evaluate(faultIn)
+		for _, ev := range r.SLO.Events {
+			if ev.Kind == slo.EventWindowViolation {
+				r.Violations.Observe(ev.ViolationEvent)
+			}
+		}
+	}
 	for _, tr := range r.Tenants {
 		h := tr.Handle
 		for i, ep := range h.Endpoints {
@@ -583,8 +604,8 @@ func (r *Run) Finish() {
 		if r.Injector != nil {
 			in.Faults = incident.FaultWindowsFromEvents(r.Injector.Events(), r.Injector.GraceNs)
 		}
-		if r.Engine != nil {
-			in.Alerts = r.Engine.Events()
+		if r.SLO != nil {
+			in.Alerts = r.SLO.Events
 		}
 		r.Incidents = incident.Correlate(incident.Config{MergeNs: r.Scenario.Planes.IncidentMergeNs}, in)
 	}

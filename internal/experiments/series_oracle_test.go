@@ -40,7 +40,7 @@ func TestSeriesJSONMatchesEncoder(t *testing.T) {
 			opts := dashboard.Options{
 				Title:     "drill \"" + c.name + "\"",
 				Rollup:    run.Rollup,
-				Engine:    run.Engine,
+				SLO:       run.SLO,
 				Ports:     run.Net.PortMeta(),
 				Incidents: run.Incidents,
 				Runtime:   &rs,

@@ -5,8 +5,8 @@
 // and can model transient failures: flap sequences and gray-failure
 // drop bursts on a port. Every applied event is a structured record:
 // the injector keeps an ordered log, exposes the outage windows for
-// SLO fault attribution (FaultIn matches the obs/slo FaultLookup
-// signature), and offers an OnEvent callback the recovery control loop
+// SLO fault attribution (FaultIn, the lookup slo.Recorder.Evaluate
+// takes), and offers an OnEvent callback the recovery control loop
 // listens on.
 //
 // Determinism: the injector holds no randomness and reads no wall
@@ -109,7 +109,8 @@ type Injector struct {
 	OnEvent func(Event)
 	// GraceNs extends every closed outage window when answering
 	// FaultIn: violations shortly after a restore (retransmit storms,
-	// recovery migrations) still attribute to the fault.
+	// recovery migrations) still attribute to the fault. Set it before
+	// the run.
 	GraceNs int64
 }
 
@@ -143,9 +144,12 @@ func (in *Injector) record(ev Event) {
 }
 
 // FaultIn reports whether any outage window (extended by GraceNs past
-// its close) overlaps [sinceNs, untilNs), returning the fault's label.
-// It matches the obs/slo FaultLookup signature and allocates nothing:
-// labels are built when the event is recorded.
+// its close) overlaps [sinceNs, untilNs), returning the label of the
+// latest such outage. Asked after the run it gives the label it gave
+// live: outages are recorded in start order, only one that started
+// before untilNs can match, and an outage still open at untilNs closes
+// at or after it. It allocates nothing: labels are built when the event
+// is recorded.
 func (in *Injector) FaultIn(sinceNs, untilNs int64) (string, bool) {
 	for i := len(in.outages) - 1; i >= 0; i-- {
 		o := in.outages[i]

@@ -262,6 +262,47 @@ func TestFaultIn(t *testing.T) {
 	}
 }
 
+// FaultIn asked after the run gives every window the label it gave on
+// the window's close: overlapping outages, faults at tick times, an
+// outage open at a close and one still open at the end.
+func TestFaultInAfterRunMatchesLive(t *testing.T) {
+	nw := testNet(t)
+	in := NewInjector(nw)
+	in.GraceNs = 1500
+	a, b := nw.Tree.ServerUpPortID(0), nw.Tree.ServerUpPortID(1)
+	nw.Sim.At(2500, func() { in.FailLink(a) })
+	nw.Sim.At(3000, func() { in.FailLink(b) })
+	nw.Sim.At(4000, func() { in.RestoreLink(a) })
+	nw.Sim.At(7200, func() { in.RestoreLink(b) })
+	nw.Sim.At(9000, func() { in.FailLink(a) })
+	type answer struct {
+		label string
+		ok    bool
+	}
+	var live []answer
+	var start int64
+	nw.Sim.Every(1000, 12000, func(now int64) {
+		label, ok := in.FaultIn(start, now)
+		live = append(live, answer{label, ok})
+		start = now
+	})
+	nw.Sim.Run(12000)
+
+	var matched int
+	for i, want := range live {
+		since, until := int64(i)*1000, int64(i+1)*1000
+		if label, ok := in.FaultIn(since, until); label != want.label || ok != want.ok {
+			t.Errorf("FaultIn(%d,%d) after the run = %q, %v; live %q, %v", since, until, label, ok, want.label, want.ok)
+		}
+		if want.ok {
+			matched++
+		}
+	}
+	if len(live) != 12 || matched == 0 || matched == len(live) {
+		t.Fatalf("%d windows, %d in a fault: the schedule exercises nothing", len(live), matched)
+	}
+}
+
 // Apply validates targets before scheduling anything.
 func TestApplyValidates(t *testing.T) {
 	nw := testNet(t)

@@ -1,16 +1,16 @@
 package netsim
 
 // PortWindowTracker is the live culprit-port attributor behind the SLO
-// engine's burn-rate events: per directed port it tracks the worst
-// estimated queueing delay (occupancy found on arrival divided by the
-// port's drain rate) inside the current telemetry window. It subscribes
-// to the spine's port-enqueue events — a handful of integer ops per
-// packet, zero allocations — and structurally implements
-// slo.Attributor, so the engine can name the port that queued the
-// packets behind a violation without the flight recorder running.
+// plane's events: per directed port it tracks the worst estimated
+// queueing delay (occupancy found on arrival divided by the port's
+// drain rate) inside the current telemetry window. It subscribes to the
+// spine's port-enqueue events — a handful of integer ops per packet,
+// zero allocations — so each window's close can name the port that
+// queued the packets behind a violation without the flight recorder
+// running.
 //
-// The harness drives the window lifecycle: call WorstPort during the
-// flush (the engine does), then Reset to open the next window.
+// The harness drives the window lifecycle: call WorstPort when the
+// window closes, then Reset to open the next window.
 type PortWindowTracker struct {
 	maxDelayNs []int64 // per port ID, current window
 	maxBytes   []int64
@@ -33,32 +33,19 @@ func AttachPortWindowTracker(nw *Network) *PortWindowTracker {
 }
 
 // WorstPort returns the port with the largest estimated queueing delay
-// in the current window (the time-range arguments are satisfied by the
-// window lifecycle: the tracker holds exactly the window the engine is
-// flushing). ok is false when no port queued anything. Implements
-// slo.Attributor.
-func (t *PortWindowTracker) WorstPort(_, _ int64) (port int32, queueNs int64, ok bool) {
-	if t == nil {
-		return -1, 0, false
-	}
-	best := -1
-	var bestNs int64
+// in the current window, or -1, 0 when no port queued anything.
+func (t *PortWindowTracker) WorstPort() (port int32, queueNs int64) {
+	port = -1
 	for id, d := range t.maxDelayNs {
-		if d > bestNs {
-			best, bestNs = id, d
+		if d > queueNs {
+			port, queueNs = int32(id), d
 		}
 	}
-	if best < 0 {
-		return -1, 0, false
-	}
-	return int32(best), bestNs, true
+	return port, queueNs
 }
 
 // Reset opens the next window. Zero allocations.
 func (t *PortWindowTracker) Reset() {
-	if t == nil {
-		return
-	}
 	for i := range t.maxDelayNs {
 		t.maxDelayNs[i] = 0
 		t.maxBytes[i] = 0

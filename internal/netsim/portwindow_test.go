@@ -92,8 +92,8 @@ func TestPortWindowTracker(t *testing.T) {
 	nw := buildNet(t)
 	tr := AttachPortWindowTracker(nw)
 
-	if _, _, ok := tr.WorstPort(0, 0); ok {
-		t.Error("idle tracker attributed a port")
+	if port, queueNs := tr.WorstPort(); port != -1 || queueNs != 0 {
+		t.Errorf("idle tracker attributed port %d (+%dns), want -1, 0", port, queueNs)
 	}
 
 	// Two hosts blast host 1 at their own line rate: the shared
@@ -110,8 +110,8 @@ func TestPortWindowTracker(t *testing.T) {
 	}
 	nw.Sim.Run(10e6)
 
-	port, queueNs, ok := tr.WorstPort(0, 10e6)
-	if !ok {
+	port, queueNs := tr.WorstPort()
+	if port < 0 {
 		t.Fatal("no worst port after congestion")
 	}
 	want := nw.Tree.RackDownPort(1).ID
@@ -127,8 +127,8 @@ func TestPortWindowTracker(t *testing.T) {
 	}
 
 	tr.Reset()
-	if _, _, ok := tr.WorstPort(0, 0); ok {
-		t.Error("tracker attributed after Reset")
+	if port, queueNs := tr.WorstPort(); port != -1 || queueNs != 0 {
+		t.Errorf("tracker attributed port %d (+%dns) after Reset, want -1, 0", port, queueNs)
 	}
 	if tr.maxBytes[want] != 0 {
 		t.Error("window max bytes nonzero after Reset")

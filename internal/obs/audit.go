@@ -118,7 +118,7 @@ func (a *GuaranteeAuditor) Admit(id int, bandwidthBps, burstBytes, delayBoundSec
 // against the loosened bound. Unknown tenants are ignored.
 //
 // The TenantAudit is edited in place, so every holder of it — the SLO
-// engine's tenant list included — sees the new bound from the next
+// recorder's tenant list included — sees the new bound from the next
 // packet or window on.
 func (a *GuaranteeAuditor) SetDelayBound(id int, delayBoundSec float64) {
 	if a == nil {
@@ -197,7 +197,7 @@ func (a *GuaranteeAuditor) ObserveDelivery(id, dstVM, srcVM int, nowNs, delayNs 
 }
 
 // NumTenants returns the number of admitted tenants without
-// allocating (the SLO engine polls it every window to decide whether
+// allocating (the SLO recorder polls it every window to decide whether
 // its cached tenant list is stale).
 func (a *GuaranteeAuditor) NumTenants() int {
 	if a == nil {

@@ -1,6 +1,6 @@
 // Package dashboard builds the time-series payload silo-sim -series
 // writes at the end of a run (series.json): every rollup series plus
-// the SLO engine's windows, reports and events, the incident report,
+// the SLO's windows, reports and events, the incident report,
 // the engine's self-telemetry, the durable store's status and the
 // run's provenance.
 //
@@ -30,8 +30,8 @@ type Options struct {
 	Title string
 	// Rollup supplies the series.
 	Rollup *timeseries.Rollup
-	// Engine supplies the SLO block.
-	Engine *slo.Engine
+	// SLO is the run's evaluated SLO, the slo block.
+	SLO *slo.Result
 	// Ports resolves culprit-port names in rendered events.
 	Ports []obs.PortMeta
 	// Incidents is the run's incident report, the incidents block.
@@ -73,14 +73,13 @@ type Blocks struct {
 	Meta *obs.RunMeta `json:"meta,omitempty"`
 }
 
-// SLOView is the SLO engine's state as the payload carries it.
+// SLOView is the evaluated SLO as the payload carries it.
 type SLOView struct {
-	Objective     float64      `json:"objective"`
-	WindowNs      int64        `json:"window_ns"`
-	Windows       int64        `json:"windows"`
-	Tenants       []TenantView `json:"tenants"`
-	Events        []EventView  `json:"events"`
-	EventsDropped int64        `json:"events_dropped"`
+	Objective float64      `json:"objective"`
+	WindowNs  int64        `json:"window_ns"`
+	Windows   int64        `json:"windows"`
+	Tenants   []TenantView `json:"tenants"`
+	Events    []EventView  `json:"events"`
 }
 
 // TenantView couples a tenant's report with its retained windows.
@@ -115,21 +114,12 @@ func BuildPayload(opts Options) Payload {
 // buildBlocks evaluates every source but the rollup.
 func buildBlocks(opts Options) Blocks {
 	var b Blocks
-	if opts.Engine != nil {
-		cfg := opts.Engine.Config()
-		v := &SLOView{
-			Objective:     cfg.Objective,
-			WindowNs:      cfg.WindowNs,
-			Windows:       opts.Engine.Flushes(),
-			EventsDropped: opts.Engine.EventsDropped(),
+	if s := opts.SLO; s != nil {
+		v := &SLOView{Objective: slo.Objective, WindowNs: s.WindowNs, Windows: s.Windows}
+		for _, r := range s.Reports {
+			v.Tenants = append(v.Tenants, TenantView{TenantReport: r, Points: s.Points(r.ID)})
 		}
-		for _, r := range opts.Engine.Reports() {
-			v.Tenants = append(v.Tenants, TenantView{
-				TenantReport: r,
-				Points:       opts.Engine.Windows(r.ID),
-			})
-		}
-		for _, ev := range opts.Engine.Events() {
+		for _, ev := range s.Events {
 			v.Events = append(v.Events, EventView{Event: ev, Text: ev.Render(opts.Ports)})
 		}
 		b.SLO = v

@@ -19,7 +19,7 @@ func testSources(t *testing.T) Options {
 	auditor.Admit(3, 1e9, 15e3, 1e-3)
 
 	rollup := timeseries.NewRollup(reg, 64)
-	engine := slo.New(slo.Config{WindowNs: 1e6}, auditor, nil)
+	rec := slo.NewRecorder(auditor, 1e6)
 	for i := 1; i <= 4; i++ {
 		hwm.Set(int64(1000 * i))
 		for j := 0; j < 10; j++ {
@@ -27,9 +27,9 @@ func testSources(t *testing.T) Options {
 		}
 		auditor.ObserveDelay(3, 5e6) // one violation per window
 		rollup.Capture(int64(i) * 1e6)
-		engine.Flush(int64(i) * 1e6)
+		rec.Close(int64(i)*1e6, -1, 0)
 	}
-	return Options{Title: "test run", Rollup: rollup, Engine: engine}
+	return Options{Title: "test run", Rollup: rollup, SLO: rec.Evaluate(nil)}
 }
 
 func TestBuildPayload(t *testing.T) {

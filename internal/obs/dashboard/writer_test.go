@@ -148,14 +148,15 @@ func randomOptions(rng *rand.Rand, nonFinite bool) Options {
 	if rng.Intn(2) == 0 {
 		auditor := obs.NewGuaranteeAuditor(reg)
 		auditor.Admit(3, 1e9, 15e3, 1e-3)
-		opts.Engine = slo.New(slo.Config{WindowNs: 1e6}, auditor, nil)
+		rec := slo.NewRecorder(auditor, 1e6)
 		for i := int64(1); i <= int64(rng.Intn(6)); i++ {
 			auditor.ObserveDelay(3, 100_000)
 			if rng.Intn(2) == 0 {
 				auditor.ObserveDelay(3, 5e6)
 			}
-			opts.Engine.Flush(i * 1e6)
+			rec.Close(i*1e6, -1, 0)
 		}
+		opts.SLO = rec.Evaluate(nil)
 	}
 	if rng.Intn(2) == 0 {
 		opts.Incidents = incident.Correlate(incident.Config{}, incident.Inputs{

@@ -40,7 +40,7 @@ type Inputs struct {
 	Violations []obs.ViolationEvent
 	// Faults are the injected-fault outage windows.
 	Faults []FaultWindow
-	// Alerts is the SLO engine's event log; only burn-rate transitions
+	// Alerts is the SLO event log; only burn-rate transitions
 	// are used (for incident timelines — window violations already
 	// arrive through the unified stream).
 	Alerts []slo.Event

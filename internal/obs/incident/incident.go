@@ -183,7 +183,7 @@ type Incident struct {
 
 	// Violations counts per-packet guarantee violations that are
 	// members of this incident (every violation lands in exactly one);
-	// WindowViolations sums the SLO engine's window-level counts.
+	// WindowViolations sums the SLO's window-level counts.
 	Violations       int64 `json:"violations"`
 	WindowViolations int64 `json:"window_violations"`
 	// WorstDelayNs / BoundNs summarize how badly d was missed.

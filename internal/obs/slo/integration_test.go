@@ -42,10 +42,11 @@ func TestInducedViolationEndToEnd(t *testing.T) {
 		return 0, false
 	})
 
-	engine := New(Config{WindowNs: 200_000}, auditor, tracker)
+	rec := NewRecorder(auditor, 200_000)
 	const horizon = int64(5e6)
 	nw.Sim.Every(200_000, horizon, func(now int64) {
-		engine.Flush(now)
+		port, queueNs := tracker.WorstPort()
+		rec.Close(now, port, queueNs)
 		tracker.Reset()
 	})
 
@@ -77,13 +78,14 @@ func TestInducedViolationEndToEnd(t *testing.T) {
 	}
 
 	culpritWant := int32(tree.RackDownPort(1).ID)
+	res := rec.Evaluate(nil)
 	var fastStart *Event
-	for i, ev := range engine.Events() {
+	for i, ev := range res.Events {
 		if ev.Tenant == 6 {
 			t.Fatalf("alert for innocent tenant 6: %+v", ev)
 		}
 		if ev.Kind == EventFastBurnStart && fastStart == nil {
-			fastStart = &engine.Events()[i]
+			fastStart = &res.Events[i]
 		}
 	}
 	if fastStart == nil {
@@ -101,7 +103,7 @@ func TestInducedViolationEndToEnd(t *testing.T) {
 		t.Errorf("culprit queue %dns should exceed the 20µs bound", fastStart.CulpritQueueNs)
 	}
 
-	reports := engine.Reports()
+	reports := res.Reports
 	if len(reports) != 2 || reports[0].ID != 5 || reports[1].ID != 6 {
 		t.Fatalf("reports = %+v", reports)
 	}

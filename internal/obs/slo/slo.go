@@ -23,12 +23,13 @@
 // the threshold: the long window gives the alert its significance, the
 // short window makes it reset quickly once the breach stops.
 //
-// The engine is driven by simulated time: the harness calls Flush at
-// each window boundary (netsim clock, never the wall clock), and the
-// engine diffs the auditor's cumulative per-tenant counters into
-// per-window deliveries and violations held in fixed-capacity rings.
-// Steady-state flushes allocate only when they append an alert event,
-// and events are capped by Config.MaxEvents.
+// The work is split in two. A Recorder runs on simulated time: the
+// harness calls Close at each window boundary (netsim clock, never the
+// wall clock), and the recorder appends one row per window, the
+// auditor's cumulative per-tenant counters diffed into the window's
+// deliveries and violations. Evaluate runs once after the run: it
+// replays the rows through both alert pairs and returns the reports,
+// the event log and the retained windows.
 package slo
 
 import (
@@ -39,90 +40,26 @@ import (
 	"repro/internal/obs"
 )
 
-// Attributor resolves "which port caused the queueing in this time
-// window" for alert events; netsim's live per-port window tracker
-// implements it. ok is false when the window saw no attributable
-// queueing.
-type Attributor interface {
-	WorstPort(sinceNs, untilNs int64) (port int32, queueNs int64, ok bool)
-}
-
-// FaultLookup reports whether an injected-fault outage window overlaps
-// [sinceNs, untilNs), returning a label naming the fault event. The
-// fault injector's FaultIn method satisfies it. It runs at most once
-// per Flush and must not allocate (pre-build labels when the fault is
-// recorded, not per query).
-type FaultLookup func(sinceNs, untilNs int64) (label string, ok bool)
-
-// Config parameterizes the SLO engine. Zero values select the
-// defaults noted on each field.
-type Config struct {
+const (
 	// Objective is the per-window fraction of delivered messages that
-	// must meet the admitted bound d. Default 0.999.
-	Objective float64
-	// WindowNs is the flush period in simulated nanoseconds; purely
-	// informational to the engine (the harness owns the clock) but
-	// recorded for rendering. Default 1ms.
-	WindowNs int64
-	// Capacity is how many windows each tenant retains; clamped up to
-	// cover the slow alert's long lookback. Default 512.
-	Capacity int
+	// must meet the admitted bound d. Typed, so the error budget
+	// 1-Objective is the float64 difference.
+	Objective float64 = 0.999
 
-	// Fast alert pair: catches a sharp breach within a couple of
-	// windows. Defaults: 12-window long / 2-window short lookbacks,
-	// threshold 14.4 (the SRE "2% of a 30-day budget in one hour"
-	// figure, reused as a dimensionless severity knob).
-	FastLongWindows  int
-	FastShortWindows int
-	FastThreshold    float64
+	// The fast alert pair catches a sharp breach within a couple of
+	// windows: 12-window long and 2-window short lookbacks, threshold
+	// 14.4 (the SRE "2% of a 30-day budget in one hour" figure, reused
+	// as a dimensionless severity knob).
+	fastLongWindows, fastShortWindows = 12, 2
+	fastThreshold                     = 14.4
+	// The slow alert pair catches a smoulder the fast pair resets past:
+	// 60-window long and 10-window short lookbacks, threshold 3.
+	slowLongWindows, slowShortWindows = 60, 10
+	slowThreshold                     = 3
 
-	// Slow alert pair: catches a smoulder the fast pair resets past.
-	// Defaults: 60-window long / 10-window short, threshold 3.
-	SlowLongWindows  int
-	SlowShortWindows int
-	SlowThreshold    float64
-
-	// MaxEvents bounds the retained event log; once full, further
-	// events increment EventsDropped instead. Default 256.
-	MaxEvents int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = 0.999
-	}
-	if c.WindowNs <= 0 {
-		c.WindowNs = 1e6
-	}
-	if c.FastLongWindows <= 0 {
-		c.FastLongWindows = 12
-	}
-	if c.FastShortWindows <= 0 {
-		c.FastShortWindows = 2
-	}
-	if c.FastThreshold <= 0 {
-		c.FastThreshold = 14.4
-	}
-	if c.SlowLongWindows <= 0 {
-		c.SlowLongWindows = 60
-	}
-	if c.SlowShortWindows <= 0 {
-		c.SlowShortWindows = 10
-	}
-	if c.SlowThreshold <= 0 {
-		c.SlowThreshold = 3
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = 512
-	}
-	if c.Capacity < c.SlowLongWindows {
-		c.Capacity = c.SlowLongWindows
-	}
-	if c.MaxEvents <= 0 {
-		c.MaxEvents = 256
-	}
-	return c
-}
+	// pointsKept is how many trailing windows Points returns.
+	pointsKept = 512
+)
 
 // EventKind classifies an SLO event.
 type EventKind uint8
@@ -157,13 +94,13 @@ func (k EventKind) String() string {
 }
 
 // Event is one structured SLO occurrence: which tenant, which window,
-// how hard the budget is burning, and — when an Attributor is wired —
-// the dominant culprit port behind the queueing. The identifying
-// fields (time, tenant, window, culprit, fault) live in the embedded
-// obs.ViolationEvent — the unified record shared with the guarantee
-// auditor's delivery tap and consumed by the incident engine — so the
-// JSON payload keeps its historical keys while the engine emits the
-// same schema as every other instrument.
+// how hard the budget is burning, and the culprit port the window's
+// close named (-1 when none). The identifying fields (time, tenant,
+// window, culprit, fault) live in the embedded obs.ViolationEvent — the
+// unified record shared with the guarantee auditor's delivery tap and
+// consumed by the incident engine — so the JSON payload keeps its
+// historical keys while the SLO plane emits the same schema as every
+// other instrument.
 type Event struct {
 	obs.ViolationEvent
 	Kind EventKind `json:"kind"`
@@ -193,339 +130,221 @@ func (e Event) Render(ports []obs.PortMeta) string {
 	return b.String()
 }
 
-// tenantState is one delay-bounded tenant's windowed SLO state.
-type tenantState struct {
-	t *obs.TenantAudit
+// window is one closed window's span and the port the caller blamed
+// for its queueing (-1 when none queued).
+type window struct {
+	startNs, endNs int64
+	culpritPort    int32
+	culpritQueueNs int64
+}
 
-	// delivered/violated are per-window delta rings parallel to the
-	// engine's window ring.
-	delivered []int64
-	violated  []int64
-	// prev* are the auditor's cumulative counters at the last flush.
+// cell is one tenant's share of a window's row.
+type cell struct {
+	delivered, violated int64
+	boundNs             int64
+}
+
+// series is one tracked tenant's column of the rows: cells[i] belongs
+// to window first+i.
+type series struct {
+	t     *obs.TenantAudit
+	first int
+	cells []cell
+	// prev* are the auditor's cumulative counters at the last close.
 	prevPackets    int64
 	prevViolations int64
-
-	totalDelivered int64
-	totalViolated  int64
-	// violatedDuringFault counts violations in windows overlapping an
-	// injected fault's outage (degraded-mode accounting).
-	violatedDuringFault int64
-
-	burnFast, burnSlow     float64
-	fastActive, slowActive bool
-	fastAlerts, slowAlerts int
-
-	worstBurn                float64
-	worstStartNs, worstEndNs int64
-	worstDelivered           int64
-	worstViolated            int64
-	haveWorst                bool
 }
 
-// Engine computes per-tenant windowed SLO conformance and multi-window
-// burn-rate alerts from a GuaranteeAuditor's cumulative counters.
-// Flush must be called with strictly increasing simulated timestamps.
-type Engine struct {
-	cfg     Config
-	auditor *obs.GuaranteeAuditor
-	attr    Attributor
-	faults  FaultLookup
-
-	tenants []*tenantState // delay-bounded tenants, sorted by ID
-	seenIDs int            // auditor.NumTenants() at last refresh
-	starts  []int64        // window-boundary rings
-	ends    []int64
-	head, n int
-	flushes int64
-	lastEnd int64
-	events  []Event
-	dropped int64
-	sink    func(obs.ViolationEvent)
+// Recorder records, window by window, each delay-bounded tenant's
+// deliveries and violations from a GuaranteeAuditor's cumulative
+// counters. Close must be called with strictly increasing simulated
+// timestamps.
+type Recorder struct {
+	auditor  *obs.GuaranteeAuditor
+	windowNs int64
+	windows  []window
+	tenants  []*series // delay-bounded tenants, sorted by ID
+	seenIDs  int       // auditor.NumTenants() at the last refresh
 }
 
-// New returns an engine over auditor with the given config. attr may
-// be nil (events then carry CulpritPort -1). auditor may be nil: the
-// engine idles, so callers need no conditional wiring.
-func New(cfg Config, auditor *obs.GuaranteeAuditor, attr Attributor) *Engine {
-	cfg = cfg.withDefaults()
-	return &Engine{
-		cfg:     cfg,
-		auditor: auditor,
-		attr:    attr,
-		starts:  make([]int64, cfg.Capacity),
-		ends:    make([]int64, cfg.Capacity),
-	}
+// NewRecorder returns a recorder over auditor; windowNs is the window
+// length, recorded for rendering (the caller owns the clock). Without
+// an auditor the recorder closes no windows.
+func NewRecorder(auditor *obs.GuaranteeAuditor, windowNs int64) *Recorder {
+	return &Recorder{auditor: auditor, windowNs: windowNs}
 }
 
-// Config returns the engine's effective (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// SetFaultLookup wires an injected-fault outage oracle (typically
-// faults.Injector.FaultIn). Violations in windows overlapping an
-// outage are labeled with the fault and tallied separately in the
-// per-tenant report. A nil engine or nil fn is a no-op; the no-fault
-// hot path pays one nil check per Flush.
-func (e *Engine) SetFaultLookup(fn FaultLookup) {
-	if e == nil {
+// refreshTenants picks up newly admitted tenants, preserving recorded
+// columns. Allocates only when the admitted set actually grew.
+func (r *Recorder) refreshTenants() {
+	n := r.auditor.NumTenants()
+	if n == r.seenIDs {
 		return
 	}
-	e.faults = fn
-}
-
-// SetViolationSink forwards every window-violation's unified record
-// (the embedded obs.ViolationEvent) to fn as it is emitted — typically
-// a ViolationLog shared with the guarantee auditor's delivery tap, so
-// the incident engine sees one stream. Alert transitions (burn
-// start/end) are not violations and are not forwarded. The sink runs
-// inside Flush; it must be cheap and must not call back into the
-// engine. nil clears it.
-func (e *Engine) SetViolationSink(fn func(obs.ViolationEvent)) {
-	if e == nil {
-		return
+	r.seenIDs = n
+	byID := make(map[int]*series, len(r.tenants))
+	for _, s := range r.tenants {
+		byID[s.t.ID] = s
 	}
-	e.sink = fn
-}
-
-// refreshTenants picks up newly admitted tenants, preserving existing
-// windowed state. Allocates only when the admitted set actually grew.
-func (e *Engine) refreshTenants() {
-	n := e.auditor.NumTenants()
-	if n == e.seenIDs {
-		return
-	}
-	e.seenIDs = n
-	byID := make(map[int]*tenantState, len(e.tenants))
-	for _, ts := range e.tenants {
-		byID[ts.t.ID] = ts
-	}
-	all := e.auditor.Tenants()
-	e.tenants = e.tenants[:0]
+	all := r.auditor.Tenants()
+	r.tenants = r.tenants[:0]
 	for _, t := range all {
 		if t.DelayBoundNs <= 0 {
 			continue // no delay SLO: audited, but not an SLO subject
 		}
-		ts, ok := byID[t.ID]
+		s, ok := byID[t.ID]
 		if !ok {
-			ts = &tenantState{
-				t:         t,
-				delivered: make([]int64, e.cfg.Capacity),
-				violated:  make([]int64, e.cfg.Capacity),
-			}
+			s = &series{t: t, first: len(r.windows)}
 		}
-		e.tenants = append(e.tenants, ts)
+		r.tenants = append(r.tenants, s)
 	}
-	sort.Slice(e.tenants, func(i, j int) bool { return e.tenants[i].t.ID < e.tenants[j].t.ID })
+	sort.Slice(r.tenants, func(i, j int) bool { return r.tenants[i].t.ID < r.tenants[j].t.ID })
+}
+
+// Close closes the window from the previous close (0 for the first) to
+// nowNs and appends its row: the span, the culprit port the caller
+// attributed to it (-1 for none), and per tracked tenant the window's
+// deliveries, violations and bound d. The appends amortize to zero
+// allocations per window.
+func (r *Recorder) Close(nowNs int64, culpritPort int32, culpritQueueNs int64) {
+	if r.auditor == nil {
+		return
+	}
+	r.refreshTenants()
+	var startNs int64
+	if n := len(r.windows); n > 0 {
+		startNs = r.windows[n-1].endNs
+	}
+	r.windows = append(r.windows, window{startNs, nowNs, culpritPort, culpritQueueNs})
+	for _, s := range r.tenants {
+		pk, vi := s.t.Packets.Value(), s.t.Violations.Value()
+		s.cells = append(s.cells, cell{pk - s.prevPackets, vi - s.prevViolations, s.t.DelayBoundNs})
+		s.prevPackets, s.prevViolations = pk, vi
+	}
 }
 
 // burn converts (violated, delivered) into a burn rate against the
 // objective's error budget. No traffic burns nothing.
-func (e *Engine) burn(violated, delivered int64) float64 {
+func burn(violated, delivered int64) float64 {
 	if delivered <= 0 {
 		return 0
 	}
-	return (float64(violated) / float64(delivered)) / (1 - e.cfg.Objective)
+	return (float64(violated) / float64(delivered)) / (1 - Objective)
 }
 
-// burnOver computes the burn rate over the most recent k windows
-// (including the slot currently being written at e.head). Called
-// during Flush, after the current slot's deltas are stored.
-func (e *Engine) burnOver(ts *tenantState, k int) float64 {
-	avail := e.n + 1
-	if avail > e.cfg.Capacity {
-		avail = e.cfg.Capacity
-	}
-	if k > avail {
-		k = avail
-	}
+// burnOver is the burn rate over the k windows ending at window i;
+// windows before the tenant was tracked count as empty.
+func (s *series) burnOver(i, k int) float64 {
 	var del, vio int64
-	for j := 0; j < k; j++ {
-		idx := e.head - j
-		if idx < 0 {
-			idx += e.cfg.Capacity
+	for j := max(i-k+1, s.first); j <= i; j++ {
+		c := s.cells[j-s.first]
+		del += c.delivered
+		vio += c.violated
+	}
+	return burn(vio, del)
+}
+
+// Result is a run's evaluated SLO.
+type Result struct {
+	// WindowNs is the window length, Windows how many windows closed.
+	WindowNs int64
+	Windows  int64
+	// Reports summarizes every tracked tenant, sorted by ID.
+	Reports []TenantReport
+	// Events is the event log in emission order: window by window,
+	// tenant by tenant, a window violation before the alert transitions.
+	Events []Event
+
+	rec *Recorder
+}
+
+// Evaluate replays the recorded windows through both burn-rate alert
+// pairs and returns the reports and the event log. faultIn (may be
+// nil; typically faults.Injector.FaultIn, which answers after the run
+// as it would have during it) labels the windows that overlap an
+// injected outage: their events carry the fault and their violations
+// are tallied separately.
+func (r *Recorder) Evaluate(faultIn func(sinceNs, untilNs int64) (label string, ok bool)) *Result {
+	res := &Result{WindowNs: r.windowNs, Windows: int64(len(r.windows)), rec: r}
+	res.Reports = make([]TenantReport, len(r.tenants))
+	for i, w := range r.windows {
+		var label string
+		var inFault bool
+		if faultIn != nil {
+			label, inFault = faultIn(w.startNs, w.endNs)
 		}
-		del += ts.delivered[idx]
-		vio += ts.violated[idx]
-	}
-	return e.burn(vio, del)
-}
-
-// addEvent appends, enforcing the MaxEvents cap.
-func (e *Engine) addEvent(ev Event) {
-	if len(e.events) >= e.cfg.MaxEvents {
-		e.dropped++
-		return
-	}
-	e.events = append(e.events, ev)
-}
-
-// attribute asks the Attributor for the window's culprit port.
-func (e *Engine) attribute(sinceNs, untilNs int64) (int32, int64) {
-	if e.attr == nil {
-		return -1, 0
-	}
-	port, q, ok := e.attr.WorstPort(sinceNs, untilNs)
-	if !ok {
-		return -1, 0
-	}
-	return port, q
-}
-
-// Flush closes the window (lastEnd, nowNs]: per delay-bounded tenant
-// it diffs the auditor's cumulative counters into the window's
-// delivered/violated deltas, updates both burn-rate alert pairs, and
-// emits events for window violations and alert transitions.
-func (e *Engine) Flush(nowNs int64) {
-	if e == nil || e.auditor == nil {
-		return
-	}
-	e.refreshTenants()
-
-	slot := e.head
-	winStart := e.lastEnd
-	e.starts[slot] = winStart
-	e.ends[slot] = nowNs
-
-	var faultLabel string
-	var inFault bool
-	if e.faults != nil {
-		faultLabel, inFault = e.faults(winStart, nowNs)
-	}
-
-	for _, ts := range e.tenants {
-		pk := ts.t.Packets.Value()
-		vi := ts.t.Violations.Value()
-		dDel := pk - ts.prevPackets
-		dVio := vi - ts.prevViolations
-		ts.prevPackets, ts.prevViolations = pk, vi
-		ts.delivered[slot] = dDel
-		ts.violated[slot] = dVio
-		ts.totalDelivered += dDel
-		ts.totalViolated += dVio
-
-		winBurn := e.burn(dVio, dDel)
-		if !ts.haveWorst || winBurn > ts.worstBurn || (winBurn == ts.worstBurn && dVio > ts.worstViolated) {
-			ts.haveWorst = true
-			ts.worstBurn = winBurn
-			ts.worstStartNs, ts.worstEndNs = winStart, nowNs
-			ts.worstDelivered, ts.worstViolated = dDel, dVio
-		}
-
-		var culprit int32 = -1
-		var culpritQ int64
-		attributed := false
-		if dVio > 0 {
-			if inFault {
-				ts.violatedDuringFault += dVio
+		for j, s := range r.tenants {
+			if i < s.first {
+				continue
 			}
-			culprit, culpritQ = e.attribute(winStart, nowNs)
-			attributed = true
+			c := s.cells[i-s.first]
+			rep := &res.Reports[j]
+			rep.Delivered += c.delivered
+			rep.Violated += c.violated
+
+			winBurn := burn(c.violated, c.delivered)
+			if i == s.first || winBurn > rep.WorstBurn || (winBurn == rep.WorstBurn && c.violated > rep.WorstViolated) {
+				rep.WorstBurn = winBurn
+				rep.WorstStartNs, rep.WorstEndNs = w.startNs, w.endNs
+				rep.WorstDelivered, rep.WorstViolated = c.delivered, c.violated
+			}
+
 			ev := Event{
 				ViolationEvent: obs.ViolationEvent{
-					TimeNs: nowNs, Source: obs.SourceWindow, Tenant: ts.t.ID,
+					TimeNs: w.endNs, Source: obs.SourceWindow, Tenant: s.t.ID,
 					VM: -1, SrcVM: -1,
-					WindowStartNs: winStart, WindowEndNs: nowNs,
-					BoundNs: ts.t.DelayBoundNs, Count: dVio,
-					CulpritPort: culprit, CulpritQueueNs: culpritQ,
+					WindowStartNs: w.startNs, WindowEndNs: w.endNs,
+					BoundNs: c.boundNs, Count: c.violated,
+					CulpritPort: w.culpritPort, CulpritQueueNs: w.culpritQueueNs,
 				},
-				Kind:      EventWindowViolation,
-				Delivered: dDel, Violated: dVio, BurnRate: winBurn,
+				Delivered: c.delivered, Violated: c.violated,
 			}
 			if inFault {
-				ev.Fault = faultLabel
+				ev.Fault = label
 			}
-			e.addEvent(ev)
-			if e.sink != nil {
-				e.sink(ev.ViolationEvent)
+			if c.violated > 0 {
+				if inFault {
+					rep.ViolatedDuringFault += c.violated
+				}
+				v := ev
+				v.Kind, v.BurnRate = EventWindowViolation, winBurn
+				res.Events = append(res.Events, v)
 			}
-		}
 
-		fastLong := e.burnOver(ts, e.cfg.FastLongWindows)
-		fastShort := e.burnOver(ts, e.cfg.FastShortWindows)
-		slowLong := e.burnOver(ts, e.cfg.SlowLongWindows)
-		slowShort := e.burnOver(ts, e.cfg.SlowShortWindows)
-		ts.burnFast, ts.burnSlow = fastLong, slowLong
-
-		fastNow := fastLong >= e.cfg.FastThreshold && fastShort >= e.cfg.FastThreshold
-		slowNow := slowLong >= e.cfg.SlowThreshold && slowShort >= e.cfg.SlowThreshold
-		if fastNow != ts.fastActive || slowNow != ts.slowActive {
-			if !attributed {
-				culprit, culpritQ = e.attribute(winStart, nowNs)
-			}
-			base := Event{
-				ViolationEvent: obs.ViolationEvent{
-					TimeNs: nowNs, Source: obs.SourceWindow, Tenant: ts.t.ID,
-					VM: -1, SrcVM: -1,
-					WindowStartNs: winStart, WindowEndNs: nowNs,
-					BoundNs: ts.t.DelayBoundNs, Count: dVio,
-					CulpritPort: culprit, CulpritQueueNs: culpritQ,
-				},
-				Delivered: dDel, Violated: dVio,
-			}
-			if inFault {
-				base.Fault = faultLabel
-			}
-			if fastNow != ts.fastActive {
-				ev := base
-				ev.BurnRate = fastLong
+			rep.BurnFast = s.burnOver(i, fastLongWindows)
+			rep.BurnSlow = s.burnOver(i, slowLongWindows)
+			fastNow := rep.BurnFast >= fastThreshold && s.burnOver(i, fastShortWindows) >= fastThreshold
+			slowNow := rep.BurnSlow >= slowThreshold && s.burnOver(i, slowShortWindows) >= slowThreshold
+			if fastNow != rep.FastActive {
+				ev.Kind, ev.BurnRate = EventFastBurnEnd, rep.BurnFast
 				if fastNow {
 					ev.Kind = EventFastBurnStart
-					ts.fastAlerts++
-				} else {
-					ev.Kind = EventFastBurnEnd
+					rep.FastAlerts++
 				}
-				e.addEvent(ev)
-				ts.fastActive = fastNow
+				res.Events = append(res.Events, ev)
+				rep.FastActive = fastNow
 			}
-			if slowNow != ts.slowActive {
-				ev := base
-				ev.BurnRate = slowLong
+			if slowNow != rep.SlowActive {
+				ev.Kind, ev.BurnRate = EventSlowBurnEnd, rep.BurnSlow
 				if slowNow {
 					ev.Kind = EventSlowBurnStart
-					ts.slowAlerts++
-				} else {
-					ev.Kind = EventSlowBurnEnd
+					rep.SlowAlerts++
 				}
-				e.addEvent(ev)
-				ts.slowActive = slowNow
+				res.Events = append(res.Events, ev)
+				rep.SlowActive = slowNow
 			}
 		}
 	}
-
-	e.head++
-	if e.head == e.cfg.Capacity {
-		e.head = 0
+	for j, s := range r.tenants {
+		rep := &res.Reports[j]
+		rep.ID, rep.BoundNs, rep.Windows = s.t.ID, s.t.DelayBoundNs, res.Windows
+		rep.Conformance = 1
+		if rep.Delivered > 0 {
+			rep.Conformance = 1 - float64(rep.Violated)/float64(rep.Delivered)
+			rep.BudgetBurntPct = 100 * float64(rep.Violated) / ((1 - Objective) * float64(rep.Delivered))
+		}
 	}
-	if e.n < e.cfg.Capacity {
-		e.n++
-	}
-	e.flushes++
-	e.lastEnd = nowNs
-}
-
-// Flushes returns the number of windows closed so far.
-func (e *Engine) Flushes() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.flushes
-}
-
-// Events returns a copy of the retained event log in emission order.
-func (e *Engine) Events() []Event {
-	if e == nil {
-		return nil
-	}
-	out := make([]Event, len(e.events))
-	copy(out, e.events)
-	return out
-}
-
-// EventsDropped reports events discarded once MaxEvents was reached.
-func (e *Engine) EventsDropped() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.dropped
+	return res
 }
 
 // WindowPoint is one retained window of a tenant's SLO series.
@@ -536,27 +355,24 @@ type WindowPoint struct {
 	Violated  int64 `json:"violated"`
 }
 
-// Windows returns tenant id's retained windows in chronological order,
-// or nil if the tenant has no delay SLO.
-func (e *Engine) Windows(id int) []WindowPoint {
-	if e == nil {
-		return nil
-	}
-	for _, ts := range e.tenants {
-		if ts.t.ID != id {
+// Points returns tenant id's last 512 windows in chronological order
+// (empty before the tenant was tracked), or nil if the tenant has no
+// delay SLO.
+func (res *Result) Points(id int) []WindowPoint {
+	r := res.rec
+	for _, s := range r.tenants {
+		if s.t.ID != id {
 			continue
 		}
-		out := make([]WindowPoint, e.n)
-		start := e.head - e.n
-		if start < 0 {
-			start += e.cfg.Capacity
-		}
-		for i := 0; i < e.n; i++ {
-			idx := (start + i) % e.cfg.Capacity
-			out[i] = WindowPoint{
-				StartNs: e.starts[idx], EndNs: e.ends[idx],
-				Delivered: ts.delivered[idx], Violated: ts.violated[idx],
+		from := max(len(r.windows)-pointsKept, 0)
+		out := make([]WindowPoint, 0, len(r.windows)-from)
+		for i, w := range r.windows[from:] {
+			p := WindowPoint{StartNs: w.startNs, EndNs: w.endNs}
+			if i += from; i >= s.first {
+				c := s.cells[i-s.first]
+				p.Delivered, p.Violated = c.delivered, c.violated
 			}
+			out = append(out, p)
 		}
 		return out
 	}
@@ -567,8 +383,8 @@ func (e *Engine) Windows(id int) []WindowPoint {
 type TenantReport struct {
 	ID      int   `json:"id"`
 	BoundNs int64 `json:"bound_ns"`
-	// Windows is how many windows the engine closed while tracking the
-	// tenant; Delivered/Violated are run totals over those windows.
+	// Windows is how many windows the run closed; Delivered/Violated
+	// are run totals over those windows.
 	Windows   int64 `json:"windows"`
 	Delivered int64 `json:"delivered"`
 	Violated  int64 `json:"violated"`
@@ -587,7 +403,7 @@ type TenantReport struct {
 	WorstBurn      float64 `json:"worst_burn"`
 	WorstDelivered int64   `json:"worst_delivered"`
 	WorstViolated  int64   `json:"worst_violated"`
-	// Latest long-lookback burns and alert states.
+	// Last long-lookback burns and alert states.
 	BurnFast   float64 `json:"burn_fast"`
 	BurnSlow   float64 `json:"burn_slow"`
 	FastActive bool    `json:"fast_active"`
@@ -596,59 +412,19 @@ type TenantReport struct {
 	SlowAlerts int     `json:"slow_alerts"`
 }
 
-// Reports summarizes every tracked tenant, sorted by ID.
-func (e *Engine) Reports() []TenantReport {
-	if e == nil {
-		return nil
-	}
-	out := make([]TenantReport, 0, len(e.tenants))
-	for _, ts := range e.tenants {
-		r := TenantReport{
-			ID: ts.t.ID, BoundNs: ts.t.DelayBoundNs,
-			Windows:   e.flushes,
-			Delivered: ts.totalDelivered, Violated: ts.totalViolated,
-			ViolatedDuringFault: ts.violatedDuringFault,
-			Conformance:         1,
-			WorstStartNs:        ts.worstStartNs,
-			WorstEndNs:          ts.worstEndNs,
-			WorstBurn:           ts.worstBurn,
-			WorstDelivered:      ts.worstDelivered,
-			WorstViolated:       ts.worstViolated,
-			BurnFast:            ts.burnFast,
-			BurnSlow:            ts.burnSlow,
-			FastActive:          ts.fastActive,
-			SlowActive:          ts.slowActive,
-			FastAlerts:          ts.fastAlerts,
-			SlowAlerts:          ts.slowAlerts,
-		}
-		if ts.totalDelivered > 0 {
-			r.Conformance = 1 - float64(ts.totalViolated)/float64(ts.totalDelivered)
-			budget := (1 - e.cfg.Objective) * float64(ts.totalDelivered)
-			r.BudgetBurntPct = 100 * float64(ts.totalViolated) / budget
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // RenderReport formats the per-tenant SLO table for silo-sim
 // -slo-report.
-func (e *Engine) RenderReport() string {
-	if e == nil {
-		return "slo: disabled"
-	}
-	reports := e.Reports()
-	cfg := e.cfg
+func (res *Result) RenderReport() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SLO report: objective %.4g%% of messages within admitted d, window %.3gms, %d windows closed\n",
-		100*cfg.Objective, float64(cfg.WindowNs)/1e6, e.Flushes())
-	if len(reports) == 0 {
+		100*Objective, float64(res.WindowNs)/1e6, res.Windows)
+	if len(res.Reports) == 0 {
 		b.WriteString("  (no delay-bounded tenants)\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "  %-7s %10s %10s %9s %9s %12s %11s %9s %9s %s\n",
 		"tenant", "delivered", "violated", "in-fault", "conform", "budget-burnt", "worst-burn", "fast", "slow", "alerts(f/s)")
-	for _, r := range reports {
+	for _, r := range res.Reports {
 		fast, slow := "ok", "ok"
 		if r.FastActive {
 			fast = "FIRING"

@@ -13,9 +13,9 @@ const (
 	// one delivered packet whose NIC-to-NIC delay exceeded the admitted
 	// bound d. Count is always 1.
 	SourceDelivery ViolationSource = iota
-	// SourceWindow is a per-window event from the SLO engine: Count
+	// SourceWindow is a per-window event from the SLO evaluation: Count
 	// packets violated inside [WindowStartNs, WindowEndNs), with the
-	// dominant culprit port attributed when a flight recorder ran.
+	// culprit port netsim's port-window tracker named for the window.
 	SourceWindow
 )
 
@@ -54,7 +54,7 @@ func (s *ViolationSource) UnmarshalJSON(b []byte) error {
 // ViolationEvent is the one shared violation record every instrument
 // emits and the incident engine consumes. The guarantee auditor
 // produces per-packet events (SourceDelivery) from its delivery tap;
-// the SLO engine produces per-window events (SourceWindow) whose JSON
+// the SLO evaluation produces per-window events (SourceWindow) whose JSON
 // keys match the historical slo.Event payload, so existing consumers
 // of -series exports keep parsing.
 //
@@ -85,8 +85,8 @@ type ViolationEvent struct {
 	// per-packet events, the window's violated-packet count for
 	// window events.
 	Count int64 `json:"count"`
-	// CulpritPort is the port that held packets longest during the
-	// window (flight-recorder attribution), -1 when unattributed.
+	// CulpritPort is the port with the worst queueing delay during the
+	// window (netsim's port-window tracker), -1 when unattributed.
 	CulpritPort int32 `json:"culprit_port"`
 	// CulpritQueueNs is the culprit's worst queueing delay.
 	CulpritQueueNs int64 `json:"culprit_queue_ns"`
@@ -96,8 +96,8 @@ type ViolationEvent struct {
 }
 
 // Less is the canonical violation-event order: time, then source, then
-// every identifying field. Several emitters (delivery taps, SLO window
-// flushes) append to one log; sorting by Less before clustering makes
+// every identifying field. Several emitters (delivery taps, the SLO's
+// window violations) append to one log; sorting by Less before clustering makes
 // incident output independent of their interleaving.
 func (e *ViolationEvent) Less(o *ViolationEvent) bool {
 	if e.TimeNs != o.TimeNs {
@@ -133,8 +133,8 @@ func SortViolationEvents(evs []ViolationEvent) {
 }
 
 // ViolationLog collects ViolationEvents from every emitter (the
-// delivery taps and the SLO engine's window flushes), all on the
-// simulation goroutine. Observe appends into a preallocated buffer, so
+// delivery taps during the run, the SLO's window violations once it is
+// evaluated), all on the simulation goroutine. Observe appends into a preallocated buffer, so
 // the steady-state observation path does not allocate; past the initial
 // capacity the buffer grows like any slice, which amortizes to zero
 // allocations per event.

@@ -19,7 +19,7 @@ import (
 //	                                     rejected requests alike)
 //	silo_place_accepted_total{slo=}      admitted requests, split by SLO
 //	                                     class: "delay-bounded" (d > 0,
-//	                                     the tenants the SLO engine
+//	                                     the tenants the SLO plane
 //	                                     tracks) vs "bulk" (bandwidth
 //	                                     only)
 //	silo_place_rejected_total{reason=}   rejections, reason "no-fit"
