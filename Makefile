@@ -75,14 +75,13 @@ test-admission:
 	$(call check-run,$(ADMISSION_RUN),$(ADMISSION_PKGS))
 	$(GO) test -race -count=25 -run '$(ADMISSION_RUN)' $(ADMISSION_PKGS)
 
-# The per-window telemetry's equivalences, 25 times over under the race
-# detector, each run drawing fresh seeds: series.json's streaming writer
-# against encoding/json (random payloads, an in-process run with every
-# plane on, the NaN refusal), the row-major Rollup against the
-# per-series rings it replaced, and the trace and JSON string
-# formatters against the float and reflective paths.
-OBS_RUN = MatchesEncoder|MatchesRingOracle|AppendMicros|AppendJSONString
-OBS_PKGS = ./internal/obs/ ./internal/obs/dashboard/ ./internal/obs/timeseries/ ./internal/experiments/
+# The obs formatters' equivalences, 25 times over under the race
+# detector, each run drawing fresh seeds: the trace's microsecond
+# timestamps and the JSON string encoder against the float and
+# reflective paths they replaced. series.json has one writer,
+# encoding/json, so it has no second path to hold it to.
+OBS_RUN = AppendMicros|AppendJSONString
+OBS_PKGS = ./internal/obs/
 test-obs:
 	$(call check-run,$(OBS_RUN),$(OBS_PKGS))
 	$(GO) test -race -count=25 -run '$(OBS_RUN)' $(OBS_PKGS)

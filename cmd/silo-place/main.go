@@ -97,7 +97,7 @@ func main() {
 		}
 	}
 
-	reg, finishObs := obs.StartCLI(obs.CLIConfig{MetricsPath: *metricsOut})
+	reg, finishObs := obs.StartCLI(*metricsOut)
 
 	tree, err := topology.New(topology.Config{
 		Pods:           *pods,

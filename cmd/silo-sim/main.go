@@ -7,7 +7,7 @@
 //
 //	silo-sim -scheme silo -duration 0.1
 //	silo-sim -scheme tcp  -duration 0.1
-//	silo-sim -scheme tcp  -series run_series.json     # time-series payload to file
+//	silo-sim -scheme tcp  -series run_series.json     # per-window payload to file
 //	silo-sim -scheme silo -fault "t=20ms switch tor0 down; t=30ms up" -slo-report
 //
 // SIGINT/SIGTERM stop the simulation cleanly: telemetry is flushed and
@@ -52,8 +52,8 @@ func main() {
 		sloReport    = flag.Bool("slo-report", false, "print the per-tenant SLO conformance and burn-rate report after the run")
 		incidentsOut = flag.String("incidents", "", "correlate violations, SLO burns, envelope evidence and faults into root-caused incidents; print the report and write it as JSON to this file on exit (pair with -introspect for verdict evidence; inspect with silo-incident)")
 		introOut     = flag.String("introspect", "", "attach the introspection plane (per-VM envelope estimators, per-port guarantee margins) and write its snapshot as JSON to this file on exit (join with silo-trace -why)")
-		seriesOut    = flag.String("series", "", "write the time-series payload (metrics rollup + SLO state) as JSON to this file on exit")
-		windowMs     = flag.Float64("window", 1, "SLO / time-series window in simulated milliseconds")
+		seriesOut    = flag.String("series", "", "write the per-window payload (every SLO window, SLO events, incidents, engine self-telemetry) as JSON to this file on exit")
+		windowMs     = flag.Float64("window", 1, "SLO window in simulated milliseconds")
 		faultSched   = flag.String("fault", "", "fault schedule, e.g. \"t=20ms link 14 down; t=30ms up\" or \"t=20ms switch tor0 down\" (targets: link PORT, switch core|podN|torN, host ID; actions: down, up, gray DUR, flap NxDOWN/UP)")
 		faultDetect  = flag.Duration("fault-detect", 500*time.Microsecond, "control-loop detection delay between an injected fault and the placement Recover call (silo scheme only)")
 		walDir       = flag.String("wal", "", "durable store directory: write-ahead log every placement mutation (admission, fault recovery, restore) and recover prior control-plane state on start (silo scheme only)")
@@ -104,12 +104,7 @@ func main() {
 		}
 	}
 
-	reg, finishObs := obs.StartCLI(obs.CLIConfig{
-		MetricsPath: *metricsOut,
-		// -slo-report, -series and -incidents consume the registry
-		// internally even when nothing is exported.
-		ForceRegistry: *sloReport || *seriesOut != "" || *incidentsOut != "",
-	})
+	reg, finishObs := obs.StartCLI(*metricsOut)
 
 	// Provenance for every artifact this run writes: tool, build
 	// revision, and the knobs that determine the output byte for byte.
@@ -160,12 +155,10 @@ func main() {
 	if *traceOut != "" {
 		sc.Planes.TraceSampleN = *traceSample
 	}
-	if reg != nil {
+	if *sloReport || *seriesOut != "" || *incidentsOut != "" {
 		// Continuous telemetry: every -window of simulated time (3 s of
-		// drain included) record the SLO window and, when -series will
-		// read it, snapshot the registry into the time-series rollup.
+		// drain included) record each delay-bounded tenant's SLO window.
 		sc.Planes.SLOWindowNs = windowNs
-		sc.Planes.Series = *seriesOut != ""
 	}
 
 	env := experiments.Env{Registry: reg, Meta: &meta}
@@ -282,7 +275,6 @@ func main() {
 		rs := nw.Sim.RuntimeStats()
 		opts := dashboard.Options{
 			Title:     "silo-sim " + *schemeName,
-			Rollup:    run.Rollup,
 			SLO:       run.SLO,
 			Ports:     nw.PortMeta(),
 			Incidents: run.Incidents,

@@ -73,23 +73,6 @@ func splitEngineCounters(t *testing.T, file string, b []byte) (rest []byte, engi
 		}
 		fmt.Fprintf(&eng, "%s runtime %s\n", file, rt)
 		delete(doc, "runtime")
-		series, _ := doc["series"].([]any)
-		kept := series[:0]
-		for _, s := range series {
-			m, _ := s.(map[string]any)
-			name, _ := m["Name"].(string)
-			if !strings.HasPrefix(name, engineCounterPrefix) {
-				kept = append(kept, s)
-				continue
-			}
-			vals, _ := m["Values"].([]any)
-			if len(vals) == 0 {
-				fmt.Fprintf(&eng, "%s series %s n=0\n", file, name)
-				continue
-			}
-			fmt.Fprintf(&eng, "%s series %s n=%d first=%v last=%v\n", file, name, len(vals), vals[0], vals[len(vals)-1])
-		}
-		doc["series"] = kept
 		out, err := json.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -97,6 +80,45 @@ func splitEngineCounters(t *testing.T, file string, b []byte) (rest []byte, engi
 		return out, eng.String()
 	}
 	return b, ""
+}
+
+// checkSeriesCoversRun reads a series.json and checks that each
+// delay-bounded tenant's points are every window the run closed, from 0
+// to endNs (the -duration plus the 3 s drain).
+func checkSeriesCoversRun(t *testing.T, path string, endNs int64) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		SLO struct {
+			Windows int `json:"windows"`
+			Tenants []struct {
+				ID     int `json:"id"`
+				Points []struct {
+					StartNs int64 `json:"start_ns"`
+					EndNs   int64 `json:"end_ns"`
+				} `json:"points"`
+			} `json:"tenants"`
+		} `json:"slo"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("series.json: %v", err)
+	}
+	if len(doc.SLO.Tenants) == 0 {
+		t.Fatal("series.json: no delay-bounded tenant in the slo block")
+	}
+	for _, tv := range doc.SLO.Tenants {
+		pts := tv.Points
+		if len(pts) == 0 {
+			t.Fatalf("series.json tenant %d: no points", tv.ID)
+		}
+		if len(pts) != doc.SLO.Windows || pts[0].StartNs != 0 || pts[len(pts)-1].EndNs != endNs {
+			t.Errorf("series.json tenant %d: %d points from %d to %dns, want %d from 0 to %dns",
+				tv.ID, len(pts), pts[0].StartNs, pts[len(pts)-1].EndNs, doc.SLO.Windows, endNs)
+		}
+	}
 }
 
 // TestCLI builds silo-sim once and drives it the way the sim_obs
@@ -205,6 +227,7 @@ func TestCLI(t *testing.T) {
 			}
 			golden(t, "planes_"+c.name+"_artifacts", sums.Bytes())
 			golden(t, "planes_"+c.name+"_engine", engine.Bytes())
+			checkSeriesCoversRun(t, filepath.Join(dir, "series.json"), 3_005_000_000)
 		})
 	}
 

@@ -19,7 +19,6 @@ import (
 	"repro/internal/obs/incident"
 	"repro/internal/obs/introspect"
 	"repro/internal/obs/slo"
-	"repro/internal/obs/timeseries"
 	"repro/internal/pacer"
 	"repro/internal/placement"
 	"repro/internal/placement/durable"
@@ -186,11 +185,6 @@ type Planes struct {
 	// SLOWindowNs > 0 records each delay-bounded tenant's deliveries
 	// and violations on that window; Finish evaluates them into Run.SLO.
 	SLOWindowNs int64
-	// Series, with a registry and SLOWindowNs, captures the registry
-	// into a time-series rollup on the window tick. Ask for it only when
-	// something reads the rollup (silo-sim -series): each window costs
-	// one read of every registered metric.
-	Series bool
 	// Incidents collects violations into a log and correlates them into
 	// root-caused incidents, merging violations closer than
 	// IncidentMergeNs.
@@ -258,7 +252,6 @@ type Run struct {
 	Flight     *obs.FlightRecorder
 	Intro      *introspect.Introspector
 	Injector   *faults.Injector
-	Rollup     *timeseries.Rollup
 	// Recoveries holds one report per down event, in event order.
 	Recoveries []*placement.RecoveryReport
 	// RecoverErr is the first error the fault loop's Recover or
@@ -518,14 +511,9 @@ func (r *Run) recovered(rep *placement.RecoveryReport) {
 }
 
 // startWindows closes SLO windows on the simulation clock, with the
-// live port-window tracker naming the culprit port of each window. With
-// Planes.Series the same tick snapshots the registry into the
-// time-series rollup.
+// live port-window tracker naming the culprit port of each window.
 func (r *Run) startWindows() {
 	sc := r.Scenario
-	if sc.Planes.Series && r.env.Registry != nil {
-		r.Rollup = timeseries.NewRollup(r.env.Registry, 512)
-	}
 	r.tracker = netsim.AttachPortWindowTracker(r.Net)
 	r.recorder = slo.NewRecorder(r.Audit, sc.Planes.SLOWindowNs)
 	r.Net.Sim.Every(sc.Planes.SLOWindowNs, sc.HorizonNs+sc.DrainNs, r.closeWindow)
@@ -533,9 +521,6 @@ func (r *Run) startWindows() {
 
 // closeWindow ends the current window at now.
 func (r *Run) closeWindow(now int64) {
-	if r.Rollup != nil {
-		r.Rollup.Capture(now)
-	}
 	port, queueNs := r.tracker.WorstPort()
 	r.recorder.Close(now, port, queueNs)
 	r.tracker.Reset()

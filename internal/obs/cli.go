@@ -30,29 +30,18 @@ func ValidateOutputPath(flagName, path string) error {
 	return nil
 }
 
-// CLIConfig selects the telemetry destination for one CLI run.
-type CLIConfig struct {
-	// MetricsPath, when set, receives the registry as Prometheus text
-	// at finish time ("-" writes to stdout).
-	MetricsPath string
-	// ForceRegistry allocates a registry even when MetricsPath is
-	// unset — for features that consume metrics internally (silo-sim's
-	// -series / -slo-report time-series rollup).
-	ForceRegistry bool
-}
-
 // StartCLI implements the standard telemetry wiring shared by the silo
 // binaries' -metrics flag:
 //
-//   - nothing requested: telemetry disabled — returns a nil registry
-//     (every instrumentation site then costs one branch) and a no-op
-//     finish.
-//   - MetricsPath set: finish exports the registry there.
+//   - path empty: telemetry disabled — returns a nil registry (every
+//     instrumentation site then costs one branch) and a no-op finish.
+//   - path set: finish exports the registry there as Prometheus text
+//     ("-" writes to stdout).
 //
 // Call finish exactly once, after the run completes.
-func StartCLI(cfg CLIConfig) (reg *Registry, finish func() error) {
-	if cfg.MetricsPath != "" || cfg.ForceRegistry {
+func StartCLI(path string) (reg *Registry, finish func() error) {
+	if path != "" {
 		reg = NewRegistry()
 	}
-	return reg, func() error { return reg.WriteFile(cfg.MetricsPath) }
+	return reg, func() error { return reg.WriteFile(path) }
 }

@@ -7,40 +7,31 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
-	"repro/internal/obs/timeseries"
 	"repro/internal/placement/durable"
 )
 
 func testSources(t *testing.T) Options {
 	t.Helper()
-	reg := obs.NewRegistry()
-	hwm := reg.Gauge("silo_netsim_queue_hwm_bytes", "", "port", "nic0")
-	auditor := obs.NewGuaranteeAuditor(reg)
+	auditor := obs.NewGuaranteeAuditor(obs.NewRegistry())
 	auditor.Admit(3, 1e9, 15e3, 1e-3)
 
-	rollup := timeseries.NewRollup(reg, 64)
 	rec := slo.NewRecorder(auditor, 1e6)
 	for i := 1; i <= 4; i++ {
-		hwm.Set(int64(1000 * i))
 		for j := 0; j < 10; j++ {
 			auditor.ObserveDelay(3, 100_000)
 		}
 		auditor.ObserveDelay(3, 5e6) // one violation per window
-		rollup.Capture(int64(i) * 1e6)
 		rec.Close(int64(i)*1e6, -1, 0)
 	}
-	return Options{Title: "test run", Rollup: rollup, SLO: rec.Evaluate(nil)}
+	return Options{Title: "test run", SLO: rec.Evaluate(nil)}
 }
 
 func TestBuildPayload(t *testing.T) {
-	p := BuildPayload(testSources(t))
-	if p.Title != "test run" || p.Captures != 4 || p.NowNs != 4e6 {
-		t.Errorf("payload header = %+v", p)
+	p := buildPayload(testSources(t))
+	if p.Title != "test run" {
+		t.Errorf("payload title = %q", p.Title)
 	}
-	if len(p.Series) == 0 {
-		t.Fatal("no series in payload")
-	}
-	if p.SLO == nil || len(p.SLO.Tenants) != 1 {
+	if p.SLO == nil || p.SLO.Windows != 4 || len(p.SLO.Tenants) != 1 {
 		t.Fatalf("slo view = %+v", p.SLO)
 	}
 	tv := p.SLO.Tenants[0]
@@ -50,19 +41,31 @@ func TestBuildPayload(t *testing.T) {
 	if len(p.SLO.Events) == 0 || !strings.Contains(p.SLO.Events[0].Text, "tenant=3") {
 		t.Errorf("events = %+v", p.SLO.Events)
 	}
+	if p.Incidents != nil || p.Runtime != nil || p.WAL != nil || p.Meta != nil {
+		t.Errorf("unwired sources present in the payload: %+v", p)
+	}
 }
 
+// TestWriteJSON reads the written document back: the blocks in order,
+// one space per indent level, and the same payload.
 func TestWriteJSON(t *testing.T) {
+	opts := testSources(t)
+	opts.Meta = &obs.RunMeta{Tool: "test", Seed: 42}
 	var b strings.Builder
-	if err := WriteJSON(&b, testSources(t)); err != nil {
+	if err := WriteJSON(&b, opts); err != nil {
 		t.Fatal(err)
+	}
+	doc := b.String()
+	if !strings.HasPrefix(doc, "{\n \"title\": \"test run\",\n \"slo\": {\n  \"objective\": 0.999,") ||
+		!strings.HasSuffix(doc, "\n}\n") || strings.Index(doc, `"slo"`) > strings.Index(doc, `"meta"`) {
+		t.Errorf("document layout:\n%s", doc)
 	}
 	var p Payload
-	if err := json.Unmarshal([]byte(b.String()), &p); err != nil {
+	if err := json.Unmarshal([]byte(doc), &p); err != nil {
 		t.Fatal(err)
 	}
-	if p.Captures != 4 {
-		t.Errorf("round-trip captures = %d", p.Captures)
+	if p.SLO == nil || len(p.SLO.Tenants) != 1 || len(p.SLO.Tenants[0].Points) != 4 || p.Meta == nil || p.Meta.Seed != 42 {
+		t.Errorf("round trip = %+v", p)
 	}
 }
 
@@ -74,7 +77,7 @@ func TestBuildPayloadWALPanel(t *testing.T) {
 		Recovery: &durable.RecoveryInfo{SnapshotSeq: 30, ReplayedRecords: 12, TornTail: true, TruncatedBytes: 9},
 	}
 	opts.WAL = st
-	p := BuildPayload(opts)
+	p := buildPayload(opts)
 	if p.WAL == nil || p.WAL.Seq != 42 || p.WAL.Recovery.ReplayedRecords != 12 {
 		t.Fatalf("wal view = %+v", p.WAL)
 	}
@@ -89,7 +92,7 @@ func TestBuildPayloadWALPanel(t *testing.T) {
 	}
 	// A nil status keeps the block absent.
 	opts.WAL = nil
-	if p := BuildPayload(opts); p.WAL != nil {
+	if p := buildPayload(opts); p.WAL != nil {
 		t.Fatal("nil status should omit the block")
 	}
 }

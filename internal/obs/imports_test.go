@@ -44,7 +44,7 @@ func TestSingleGoroutineImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkgs < 6 {
-		t.Errorf("checked %d packages under internal/obs, want at least 6", pkgs)
+	if pkgs < 5 {
+		t.Errorf("checked %d packages under internal/obs, want at least 5", pkgs)
 	}
 }

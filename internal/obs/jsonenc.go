@@ -6,14 +6,13 @@ import (
 	"unicode/utf8"
 )
 
-// The hand-written JSON writers (the Chrome trace here, the dashboard
-// package's series.json) append values with these two helpers, which render bytes
-// exactly as encoding/json does.
+// The hand-written Chrome trace writer appends values with these two
+// helpers, which render bytes exactly as encoding/json does.
 
-// AppendJSONFloat formats a finite f as encoding/json does: shortest
+// appendJSONFloat formats a finite f as encoding/json does: shortest
 // 'f', or 'e' with a one-digit exponent unpadded outside [1e-6, 1e21).
 // NaN and ±Inf have no JSON form; callers reject them first.
-func AppendJSONFloat(b []byte, f float64) []byte {
+func appendJSONFloat(b []byte, f float64) []byte {
 	abs := math.Abs(f)
 	if abs == 0 || (abs >= 1e-6 && abs < 1e21) {
 		return strconv.AppendFloat(b, f, 'f', -1, 64)
@@ -28,11 +27,11 @@ func AppendJSONFloat(b []byte, f float64) []byte {
 
 const hexDigits = "0123456789abcdef"
 
-// AppendJSONString appends s as a JSON string literal the way
+// appendJSONString appends s as a JSON string literal the way
 // encoding/json writes it inside a document: HTML-safe (<, > and &
 // escaped), the line and paragraph separators U+2028 and U+2029
 // escaped, invalid UTF-8 replaced by an escaped U+FFFD.
-func AppendJSONString(b []byte, s string) []byte {
+func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {

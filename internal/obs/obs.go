@@ -14,8 +14,8 @@
 //     wrapper interfaces — the disabled path is `if m == nil { return }`
 //     inlined at the call site. BenchmarkObsOverhead asserts both
 //     properties.
-//  3. One goroutine. Every plane — metrics, auditor, rollup, SLO
-//     engine, incident correlation — is written and read on the
+//  3. One goroutine. Every plane — metrics, auditor, SLO recorder,
+//     incident correlation — is written and read on the
 //     goroutine that drives the run (the simulation's, or an offline
 //     tool's), and is read from a run's artifacts after it. Nothing here locks or uses
 //     atomics, and nothing here is safe for concurrent use.

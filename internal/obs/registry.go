@@ -43,9 +43,6 @@ type entry struct {
 	h  *Histogram
 }
 
-// key renders the unique identity (name plus label block).
-func (e *entry) key() string { return metricKey(e.name, e.labels) }
-
 func metricKey(name string, labels []string) string {
 	if len(labels) == 0 {
 		return name
@@ -112,9 +109,8 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 }
 
 // GaugeFunc registers a pull-time gauge: fn is evaluated at snapshot
-// and export time, never on a hot path. The CLIs export after their
-// run completes; the time-series rollup also evaluates fn at every
-// capture, on the goroutine that drives the run.
+// and export time, never on a hot path. The CLIs export once, after
+// their run completes, on the goroutine that drove it.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	if r == nil {
 		return
@@ -129,81 +125,6 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 		return nil
 	}
 	return r.lookup(name, help, KindHistogram, labels, func(e *entry) { e.h = &Histogram{} }).h
-}
-
-// MetricRef is a stable, allocation-free handle on one registered
-// metric. Entries are append-only, so an index observed through
-// NumMetrics keeps referring to the same metric for the registry's
-// lifetime — the time-series rollup exploits this to map registry
-// indices onto the columns of its rows without a per-capture lookup.
-type MetricRef struct{ e *entry }
-
-// Name returns the base metric name.
-func (m MetricRef) Name() string { return m.e.name }
-
-// Labels returns the alternating key, value label pairs. The slice is
-// owned by the registry; callers must not mutate it.
-func (m MetricRef) Labels() []string { return m.e.labels }
-
-// Kind returns the metric kind.
-func (m MetricRef) Kind() Kind { return m.e.kind }
-
-// Key renders the unique identity (name plus label block). It
-// allocates; call it at series-registration time, not per capture.
-func (m MetricRef) Key() string { return m.e.key() }
-
-// ScalarValue reads a counter, gauge or gauge-func value. Histograms
-// return 0 (read them through Hist).
-func (m MetricRef) ScalarValue() float64 {
-	switch m.e.kind {
-	case KindCounter:
-		return float64(m.e.c.Value())
-	case KindGauge:
-		return float64(m.e.g.Value())
-	case KindGaugeFunc:
-		return m.e.gf()
-	}
-	return 0
-}
-
-// ScalarReader returns a function reading the metric as ScalarValue
-// does, with the kind resolved once: the gauge func itself, or a read
-// of the counter or gauge. It allocates; resolve it when the metric is
-// discovered, not per read. Histograms read 0.
-func (m MetricRef) ScalarReader() func() float64 {
-	switch e := m.e; e.kind {
-	case KindCounter:
-		c := e.c
-		return func() float64 { return float64(c.Value()) }
-	case KindGauge:
-		g := e.g
-		return func() float64 { return float64(g.Value()) }
-	case KindGaugeFunc:
-		return e.gf
-	}
-	return func() float64 { return 0 }
-}
-
-// Hist returns the underlying histogram (nil for scalar metrics).
-func (m MetricRef) Hist() *Histogram { return m.e.h }
-
-// NumMetrics returns the number of registered metrics. Registration is
-// append-only, so indices below the returned count stay valid. A nil
-// registry has zero metrics.
-func (r *Registry) NumMetrics() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.entries)
-}
-
-// MetricAt returns the i-th registered metric in registration order,
-// or an invalid handle if i is out of range.
-func (r *Registry) MetricAt(i int) MetricRef {
-	if r == nil || i < 0 || i >= len(r.entries) {
-		return MetricRef{}
-	}
-	return MetricRef{e: r.entries[i]}
 }
 
 // HistValue is a histogram's state in a snapshot (non-cumulative

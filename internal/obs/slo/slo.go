@@ -29,7 +29,7 @@
 // auditor's cumulative per-tenant counters diffed into the window's
 // deliveries and violations. Evaluate runs once after the run: it
 // replays the rows through both alert pairs and returns the reports,
-// the event log and the retained windows.
+// the event log and the windows.
 package slo
 
 import (
@@ -56,9 +56,6 @@ const (
 	// 60-window long and 10-window short lookbacks, threshold 3.
 	slowLongWindows, slowShortWindows = 60, 10
 	slowThreshold                     = 3
-
-	// pointsKept is how many trailing windows Points returns.
-	pointsKept = 512
 )
 
 // EventKind classifies an SLO event.
@@ -347,7 +344,7 @@ func (r *Recorder) Evaluate(faultIn func(sinceNs, untilNs int64) (label string, 
 	return res
 }
 
-// WindowPoint is one retained window of a tenant's SLO series.
+// WindowPoint is one window of a tenant's SLO series.
 type WindowPoint struct {
 	StartNs   int64 `json:"start_ns"`
 	EndNs     int64 `json:"end_ns"`
@@ -355,20 +352,19 @@ type WindowPoint struct {
 	Violated  int64 `json:"violated"`
 }
 
-// Points returns tenant id's last 512 windows in chronological order
-// (empty before the tenant was tracked), or nil if the tenant has no
-// delay SLO.
+// Points returns every window the run closed for tenant id, in
+// chronological order (zero counts before the tenant was tracked), or
+// nil if the tenant has no delay SLO.
 func (res *Result) Points(id int) []WindowPoint {
 	r := res.rec
 	for _, s := range r.tenants {
 		if s.t.ID != id {
 			continue
 		}
-		from := max(len(r.windows)-pointsKept, 0)
-		out := make([]WindowPoint, 0, len(r.windows)-from)
-		for i, w := range r.windows[from:] {
+		out := make([]WindowPoint, 0, len(r.windows))
+		for i, w := range r.windows {
 			p := WindowPoint{StartNs: w.startNs, EndNs: w.endNs}
-			if i += from; i >= s.first {
+			if i >= s.first {
 				c := s.cells[i-s.first]
 				p.Delivered, p.Violated = c.delivered, c.violated
 			}

@@ -190,27 +190,49 @@ func TestMidRunAdmission(t *testing.T) {
 	}
 }
 
-// TestPointsKeepLastWindows: Points returns the trailing 512 windows,
-// while the reports cover every window.
-func TestPointsKeepLastWindows(t *testing.T) {
+// TestPointsKeepEveryWindow: Points returns every window the run
+// closed, well past the 512 the recorder's points were once cut to, and
+// a tenant admitted mid-run reads zero counts before its first window.
+func TestPointsKeepEveryWindow(t *testing.T) {
 	a := obs.NewGuaranteeAuditor(nil)
 	a.Admit(1, 1e9, 15e3, 1e-3)
 	rec := NewRecorder(a, ms)
-	const n = pointsKept + 88
+	const n, late = 600, 100
 	for i := int64(1); i <= n; i++ {
+		if i == late+1 {
+			a.Admit(2, 1e9, 15e3, 1e-3)
+		}
 		drive(a, 1, 1, 0)
+		drive(a, 2, 2, 0)
 		rec.Close(i*ms, -1, 0)
 	}
 	res := rec.Evaluate(nil)
-	pts := res.Points(1)
-	if len(pts) != pointsKept || pts[0].StartNs != 88*ms || pts[len(pts)-1].EndNs != n*ms {
-		t.Errorf("points: %d from %d to %d, want %d from %d to %d",
-			len(pts), pts[0].StartNs, pts[len(pts)-1].EndNs, pointsKept, 88*ms, n*ms)
+	for _, c := range []struct {
+		id        int
+		delivered int64
+	}{{1, n}, {2, 2 * (n - late)}} {
+		pts := res.Points(c.id)
+		if len(pts) != n {
+			t.Fatalf("tenant %d: %d points, want %d", c.id, len(pts), n)
+		}
+		var delivered int64
+		for i, p := range pts {
+			if p.StartNs != int64(i)*ms || p.EndNs != int64(i+1)*ms {
+				t.Fatalf("tenant %d: point %d spans [%d,%d], want [%d,%d]", c.id, i, p.StartNs, p.EndNs, int64(i)*ms, int64(i+1)*ms)
+			}
+			if c.id == 2 && i < late && p.Delivered != 0 {
+				t.Errorf("tenant 2: point %d before admission delivered %d", i, p.Delivered)
+			}
+			delivered += p.Delivered
+		}
+		if delivered != c.delivered {
+			t.Errorf("tenant %d: points deliver %d, want %d", c.id, delivered, c.delivered)
+		}
 	}
 	if r := res.Reports[0]; r.Windows != n || r.Delivered != n {
 		t.Errorf("report windows=%d delivered=%d, want %d/%d", r.Windows, r.Delivered, n, n)
 	}
-	if res.Points(2) != nil {
+	if res.Points(3) != nil {
 		t.Error("points for an untracked tenant")
 	}
 }

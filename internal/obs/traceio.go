@@ -213,7 +213,7 @@ func appendUint(b []byte, key string, v uint64) []byte {
 // the float formatter. Larger or negative values take the float path.
 func appendMicros(b []byte, ns int64) []byte {
 	if ns < 0 || ns >= 1e15 {
-		return AppendJSONFloat(b, float64(ns)/1e3)
+		return appendJSONFloat(b, float64(ns)/1e3)
 	}
 	b = strconv.AppendInt(b, ns/1000, 10)
 	frac := ns % 1000
@@ -263,7 +263,7 @@ func (n *eventNames) gate(g uint8) string {
 }
 
 // quoteJSON renders s as encoding/json does inside a document.
-func quoteJSON(s string) string { return string(AppendJSONString(nil, s)) }
+func quoteJSON(s string) string { return string(appendJSONString(nil, s)) }
 
 // WriteTraceFileMeta writes a recording to path as Chrome trace JSON,
 // with run provenance (nil for none) stamped under otherData.silo.meta

@@ -205,8 +205,8 @@ func TestAppendJSONFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendJSONFloat(nil, f); !bytes.Equal(got, want) {
-			t.Errorf("AppendJSONFloat(%g) = %s, encoding/json writes %s", f, got, want)
+		if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
+			t.Errorf("appendJSONFloat(%g) = %s, encoding/json writes %s", f, got, want)
 		}
 	}
 }
@@ -226,7 +226,7 @@ func TestAppendMicrosProperty(t *testing.T) {
 		vals = append(vals, rng.Int63n(int64(math.Pow(10, 1+15*rng.Float64()))))
 	}
 	for _, ns := range vals {
-		want := AppendJSONFloat(nil, float64(ns)/1e3)
+		want := appendJSONFloat(nil, float64(ns)/1e3)
 		if ns >= 0 && ns < 1e15 {
 			if f := strconv.AppendFloat(nil, float64(ns)/1e3, 'f', -1, 64); !bytes.Equal(f, want) {
 				t.Fatalf("seed %d: ns %d: strconv writes %s, encoding/json %s", seed, ns, f, want)
@@ -238,7 +238,7 @@ func TestAppendMicrosProperty(t *testing.T) {
 	}
 }
 
-// TestAppendJSONStringProperty compares AppendJSONString with
+// TestAppendJSONStringProperty compares appendJSONString with
 // encoding/json on random strings over the characters it treats
 // specially: quotes, backslashes, control bytes, HTML metacharacters,
 // U+2028/U+2029, invalid UTF-8. Each run draws a fresh seed.
@@ -257,8 +257,8 @@ func TestAppendJSONStringProperty(t *testing.T) {
 			}
 		}
 		want, _ := json.Marshal(string(s))
-		if got := AppendJSONString(nil, string(s)); !bytes.Equal(got, want) {
-			t.Fatalf("seed %d: AppendJSONString(%q) = %s, encoding/json writes %s", seed, s, got, want)
+		if got := appendJSONString(nil, string(s)); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: appendJSONString(%q) = %s, encoding/json writes %s", seed, s, got, want)
 		}
 	}
 }

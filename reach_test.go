@@ -31,8 +31,6 @@ var reachAllowlist = map[string]string{
 	"pacer.NewConformanceChecker":      "oracle: the sliding-window B·t + S checker the bucket and batcher conformance tests hold paced output to",
 	"pacer.ConformanceChecker.Observe": "oracle: ConformanceChecker (see NewConformanceChecker)",
 	"pacer.ConformanceChecker.Check":   "oracle: ConformanceChecker (see NewConformanceChecker)",
-	"obs.MetricRef.ScalarValue":        "oracle: the per-metric read TestRollupMatchesRingOracleProperty's ring oracle samples where Rollup reads its compiled columns",
-	"obs/dashboard.BuildPayload":       "oracle: the series.json document encoding/json writes in the MatchesEncoder tests, against the streaming WriteJSON",
 
 	// Seams.
 	"netsim.Sim.Pending":                             "seam: reads a live Sim's queued events (timer, wire and port-window tests)",
@@ -41,8 +39,6 @@ var reachAllowlist = map[string]string{
 	"pacer.VM.DestRate":                              "seam: reads the hose rate a live VM's destination bucket was retuned to (pacer and core coordination tests)",
 	"obs.GuaranteeAuditor.ObserveDelay":              "seam: drives a live GuaranteeAuditor with a bare delay (obs, slo and dashboard tests)",
 	"obs/introspect.Introspector.SetPortBounds":      "seam: installs bounds on a live Introspector without a placement manager (introspect and planes tests)",
-	"obs/timeseries.Rollup.Snapshot":                 "seam: reads a live Rollup's rings as series (timeseries, introspect, incident and planes tests)",
-	"obs/timeseries.SeriesSnapshot.Get":              "seam: looks one series up in Rollup.Snapshot's output (timeseries tests)",
 	"placement/durable.Manager.InjectAppendFailures": "seam: makes a live Manager's WAL appends fail (retry, abort and ladder tests)",
 	"placement/durable.Manager.InjectSyncFailures":   "seam: makes a live Manager's fsyncs fail (TestFailedSyncDoesNotResurrectAbortedCommit)",
 	"placement/durable.Manager.SetAppendObserver":    "seam: observes a live Manager between log append and apply (crash-point ladder tests)",
