@@ -6,8 +6,8 @@ import (
 	"repro/internal/obs"
 )
 
-// The silo_runtime_* families close RegisterMetrics, in the order the
-// time-series artifact depends on, and read the live engine counters.
+// The silo_runtime_* families close RegisterMetrics, in this order, and
+// read the live engine counters.
 func TestRegisterMetricsRuntimeFamilies(t *testing.T) {
 	nw := runCrossPodWorkload(t, 100)
 	reg := obs.NewRegistry()

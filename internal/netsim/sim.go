@@ -489,10 +489,9 @@ func (tk *ticker) tick() {
 }
 
 // Every schedules fn at now+period, now+2·period, ... for every tick
-// not after untilNs. This is the clock-driven flush hook behind the
-// continuous-telemetry rollup: the time-series capture and the SLO
-// window flush ride the simulated clock, never the wall clock. The
-// stop time is explicit so an idle simulation can still drain its
+// not after untilNs. This is the clock-driven hook behind the SLO
+// window tick, which rides the simulated clock, never the wall clock.
+// The stop time is explicit so an idle simulation can still drain its
 // event heap. The rescheduling closure is allocated once up front,
 // not per tick.
 func (s *Sim) Every(periodNs, untilNs int64, fn func(nowNs int64)) {

@@ -319,9 +319,8 @@ func steadyWindows() func() {
 	}
 }
 
-// Like the rollup capture, the window close runs on the simulated-time
-// hot path, so it must not allocate: the row appends amortize to zero
-// allocations per window.
+// The window close runs on the simulated-time hot path, so it must not
+// allocate: the row appends amortize to zero allocations per window.
 func TestCloseZeroAllocs(t *testing.T) {
 	window := steadyWindows()
 	if allocs := testing.AllocsPerRun(1000, window); allocs != 0 {
