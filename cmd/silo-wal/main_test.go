@@ -19,8 +19,10 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run
 // stores a seeded silo-place -wal run wrote: a healthy store (snapshot
 // plus the segment after it) read with -records, and a store whose log
 // lost a middle segment, which silo-wal must flag as safe mode with
-// exit status 1. The binaries carry no VCS stamp, so the snapshot's
-// provenance and with it its size do not change from commit to commit.
+// exit status 1, and the committed store in
+// internal/placement/durable/testdata/oldstore. The binaries carry no
+// VCS stamp, so the snapshot's provenance and with it its size do not
+// change from commit to commit.
 func TestCLI(t *testing.T) {
 	dir := t.TempDir()
 	build := func(pkg, name string) string {
@@ -86,6 +88,32 @@ func TestCLI(t *testing.T) {
 		t.Errorf("store with a deleted middle segment: exit %d, want 1", code)
 	}
 	checkGolden(t, "safe_mode.golden", got)
+
+	// A store written while placement still weighed CPU and memory: its
+	// config, snapshot and place records carry the retired fields, and
+	// its report must not change.
+	old := filepath.Join(dir, "oldstore")
+	if err := os.Mkdir(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "internal", "placement", "durable", "testdata", "oldstore", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("old store files: %v (%v)", files, err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(old, filepath.Base(f)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, code = run(walBin, "-records", "oldstore")
+	if code != 0 {
+		t.Errorf("old store: exit %d\n%s", code, got)
+	}
+	checkGolden(t, "oldstore.golden", got)
 }
 
 // splitSegment cuts a store's only WAL segment into n segments of
