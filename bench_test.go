@@ -469,7 +469,8 @@ func BenchmarkSimulatorPacketRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		// Deep NIC queue: the whole burst is injected at t=0.
-		nw := NewNetwork(tree, NetworkOptions{PropNs: 200, HostBufferBytes: 32 << 20})
+		nw := NewNetwork(tree, NetworkOptions{PropNs: 200})
+		nw.Hosts[0].NIC.BufferBytes = 32 << 20
 		delivered := 0
 		nw.Hosts[1].Deliver = func(p *NetPacket) { delivered++ }
 		b.StartTimer()

@@ -136,7 +136,7 @@ func main() {
 			d.EnableGauges(reg)
 			d.EnableMetrics(reg)
 			if *explain != 0 {
-				d.EnableJournal(0)
+				d.EnableJournal()
 			}
 			dur = d
 			placer = d
@@ -145,7 +145,7 @@ func main() {
 		m := placement.NewManager(tree, placement.Options{})
 		m.EnableMetrics(reg)
 		if *explain != 0 {
-			m.EnableJournal(0)
+			m.EnableJournal()
 		}
 		placer = m
 	case "oktopus":

@@ -227,7 +227,7 @@ type TenantRun struct {
 // recoverer is the part of the Silo manager (bare or durable) the
 // fault control loop drives.
 type recoverer interface {
-	Recover(failedServers, failedPorts []int, opts placement.RecoverOptions) (*placement.RecoveryReport, error)
+	Recover(failedServers, failedPorts []int) (*placement.RecoveryReport, error)
 	RestoreServers(servers ...int) error
 }
 
@@ -371,7 +371,7 @@ func Build(sc Scenario, env Env) (*Run, error) {
 	if sc.Planes.Introspect {
 		// Bounds reflect admission at attach time; a mid-run fault that
 		// loosens them shows up as a negative margin, which is the point.
-		r.Intro = introspect.Attach(nw, reg, introspect.Config{})
+		r.Intro = introspect.Attach(nw, reg)
 		for _, tr := range r.Tenants {
 			g := tr.Handle.Spec.Guarantee
 			adm := introspect.Envelope{RateBps: g.BandwidthBps, BurstBytes: g.BurstBytes}
@@ -458,7 +458,7 @@ func (r *Run) injectFaults() error {
 					err = rc.RestoreServers(ev.Servers...)
 				} else {
 					var rep *placement.RecoveryReport
-					rep, err = rc.Recover(ev.Servers, ev.Ports, placement.RecoverOptions{})
+					rep, err = rc.Recover(ev.Servers, ev.Ports)
 					r.Recoveries = append(r.Recoveries, rep)
 					r.recovered(rep)
 				}

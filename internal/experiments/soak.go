@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/placement/durable"
 	"repro/internal/stats"
 	"repro/internal/tenant"
@@ -254,7 +253,7 @@ func RunSoak(p SoakParams, meta *obs.RunMeta) (*SoakResult, error) {
 			case r < 0.93:
 				s := rng.Intn(tree.Servers())
 				if !m.ServerFailed(s) {
-					if _, err := m.Recover([]int{s}, nil, placement.RecoverOptions{}); err != nil {
+					if _, err := m.Recover([]int{s}, nil); err != nil {
 						violate("cycle %d: recover log error: %v", res.Crashes, err)
 					}
 					res.Recovers++

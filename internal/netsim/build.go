@@ -21,9 +21,6 @@ type Options struct {
 	// PhantomThresholdBytes is the phantom marking threshold (HULL
 	// uses ~1 KB at 1 Gbps, scaled with rate).
 	PhantomThresholdBytes float64
-	// HostBufferBytes overrides the NIC queue buffer (defaults to the
-	// topology's switch buffer; paced hosts need >= 2 batches).
-	HostBufferBytes int
 }
 
 // Network is an instantiated packet-level datacenter.
@@ -119,12 +116,9 @@ func Build(sim *Sim, tree *topology.Tree, opts Options) *Network {
 		nicPort := tree.ServerUpPort(s)
 		nic := mkQueue(nicPort, fmt.Sprintf("nic%d", s), torSw[r])
 		// A host's own NIC queue backpressures the stack rather than
-		// dropping (qdisc semantics), so it is deep by default; the
-		// pacer keeps it nearly empty on paced hosts regardless.
+		// dropping (qdisc semantics), so it is deep; the pacer keeps it
+		// nearly empty on paced hosts regardless.
 		nic.BufferBytes = 8 << 20
-		if opts.HostBufferBytes > 0 {
-			nic.BufferBytes = opts.HostBufferBytes
-		}
 		// The NIC itself never ECN-marks or phantom-marks.
 		nic.ECNThresholdBytes = 0
 		nic.Phantom = nil

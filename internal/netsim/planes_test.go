@@ -61,7 +61,7 @@ func attach(nw *netsim.Network, ps planeSet) (*obs.GuaranteeAuditor, *obs.Flight
 		netsim.AttachFlightRecorder(nw, rec)
 	}
 	if ps.intro {
-		in = introspect.Attach(nw, nil, introspect.Config{})
+		in = introspect.Attach(nw, nil)
 	}
 	if ps.window {
 		win = netsim.AttachPortWindowTracker(nw)

@@ -15,19 +15,16 @@ type Config struct {
 	// fault window) closer than this on the simulated clock belong to
 	// the same incident. Default 2 ms.
 	MergeNs int64
-	// MaxTimeline caps the per-incident causal timeline; structural
-	// entries (faults, first/last violations, burn transitions,
-	// evidence) are always kept, per-window entries fill the rest.
-	// Default 40.
-	MaxTimeline int
 }
+
+// maxTimeline caps the per-incident causal timeline; structural entries
+// (faults, first/last violations, burn transitions, evidence) are always
+// kept, per-window entries fill the rest.
+const maxTimeline = 40
 
 func (c Config) withDefaults() Config {
 	if c.MergeNs <= 0 {
 		c.MergeNs = 2e6
-	}
-	if c.MaxTimeline <= 0 {
-		c.MaxTimeline = 40
 	}
 	return c
 }
@@ -290,7 +287,7 @@ func (c *correlation) buildIncident(cluster []clusterItem, evs []obs.ViolationEv
 
 	// Fill remaining timeline budget with per-window entries, then
 	// order causally. Structural entries always survive the cap.
-	if room := c.cfg.MaxTimeline - len(inc.Timeline); room > 0 {
+	if room := maxTimeline - len(inc.Timeline); room > 0 {
 		if len(windowEntries) > room {
 			dropped := len(windowEntries) - room
 			windowEntries = windowEntries[:room]

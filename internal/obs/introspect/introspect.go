@@ -14,27 +14,14 @@ import (
 	"repro/internal/placement"
 )
 
-// Config tunes the introspector.
-type Config struct {
-	// EpochNs is the sliding-epoch length for the per-VM envelope fit
-	// (default 1 ms).
-	EpochNs int64
-	// ToleranceBytes pads the envelope-violation check: the pacer's
+const (
+	// epochNs is the sliding-epoch length for the per-VM envelope fit.
+	epochNs = 1e6
+	// toleranceBytes pads the envelope-violation check: the pacer's
 	// bucket admits at least one MTU frame even when S is smaller, so
-	// a frame of tolerance avoids flagging conforming VMs (default
-	// 1518).
-	ToleranceBytes float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.EpochNs <= 0 {
-		c.EpochNs = 1e6
-	}
-	if c.ToleranceBytes <= 0 {
-		c.ToleranceBytes = 1518
-	}
-	return c
-}
+	// a frame of tolerance avoids flagging conforming VMs.
+	toleranceBytes = 1518
+)
 
 // Introspector wires the introspection plane into a built network: a
 // spine subscriber for port headroom (and NIC arrivals, for unpaced
@@ -43,7 +30,6 @@ func (c Config) withDefaults() Config {
 type Introspector struct {
 	nw  *netsim.Network
 	reg *obs.Registry
-	cfg Config
 
 	watches []*portWatch
 	// margined lists, ascending, the ports minMargin ranges over:
@@ -59,11 +45,10 @@ type Introspector struct {
 // Attach subscribes the introspection plane to every port of nw. reg
 // may be nil to run without live gauges. Hot-path cost per packet: one
 // call and a handful of integer compares, zero allocations.
-func Attach(nw *netsim.Network, reg *obs.Registry, cfg Config) *Introspector {
+func Attach(nw *netsim.Network, reg *obs.Registry) *Introspector {
 	in := &Introspector{
 		nw:      nw,
 		reg:     reg,
-		cfg:     cfg.withDefaults(),
 		watches: make([]*portWatch, len(nw.Queues)),
 		vmBySrc: make(map[int]*VMEstimator),
 	}
@@ -106,8 +91,8 @@ func (in *Introspector) TrackVM(hostID, vmID, tenantID int, adm Envelope) *VMEst
 		VMID:     vmID,
 		TenantID: tenantID,
 		Admitted: adm,
-		epochNs:  in.cfg.EpochNs,
-		tolBytes: in.cfg.ToleranceBytes,
+		epochNs:  epochNs,
+		tolBytes: toleranceBytes,
 	}
 	in.vms = append(in.vms, est)
 	if vm, ok := in.nw.Hosts[hostID].VM(vmID); ok {

@@ -17,7 +17,7 @@ func TestIntrospectScrapeFamilies(t *testing.T) {
 	tree := tinyTree(t)
 	nw := netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: 200})
 	reg := obs.NewRegistry()
-	in := Attach(nw, reg, Config{})
+	in := Attach(nw, reg)
 	in.TrackVM(0, 7, 1, Envelope{RateBps: 1.25e8, BurstBytes: 1000})
 	in.SetPortBounds(tree.ServerUpPortID(0), PortBounds{
 		Tenants: 1, QueueBoundSec: 1e-3, BacklogBytes: 10e3, BusyPeriodSec: 1e-3,

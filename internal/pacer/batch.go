@@ -35,9 +35,6 @@ type Batcher struct {
 	LineRateBps float64
 	// BatchNs is the wire duration of one batch; the paper uses 50 µs.
 	BatchNs int64
-	// MaxVoidBytes caps individual void frames (an MTU-sized void
-	// wastes fewer per-frame cycles than many minimum ones).
-	MaxVoidBytes int
 	// DisableVoids turns off void insertion (ablation): data packets
 	// are sent back-to-back from the top of the batch, as a plain
 	// batching NIC would.
@@ -51,9 +48,8 @@ type Batcher struct {
 // line rate.
 func NewBatcher(lineRateBps float64) *Batcher {
 	return &Batcher{
-		LineRateBps:  lineRateBps,
-		BatchNs:      50_000, // 50 µs
-		MaxVoidBytes: 1538,   // MTU frame incl. overhead
+		LineRateBps: lineRateBps,
+		BatchNs:     50_000, // 50 µs
 	}
 }
 
@@ -136,15 +132,15 @@ func (b *Batcher) build(batch *Batch, start int64, vms []*VM) {
 func (b *Batcher) pad(batch *Batch, cursor int64, gap int) int64 {
 	for gap >= MinVoidBytes {
 		n := gap
-		if n > b.MaxVoidBytes {
-			n = b.MaxVoidBytes
+		if n > maxVoidBytes {
+			n = maxVoidBytes
 		}
 		// Never leave an illegal residual between MinVoidBytes-1 and 1.
 		if rem := gap - n; rem > 0 && rem < MinVoidBytes {
 			n = gap - MinVoidBytes
 			if n < MinVoidBytes {
 				// gap in [MinVoid, 2*MinVoid): emit a single void of
-				// the full gap (it is <= 2*MaxVoidBytes in practice).
+				// the full gap (it is <= 2*maxVoidBytes in practice).
 				n = gap
 			}
 		}

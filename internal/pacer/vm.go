@@ -46,6 +46,11 @@ type entry struct {
 // and inter-frame gap: 84 bytes, 67.2 ns at 10 GbE (paper §4.3.1).
 const MinVoidBytes = 84
 
+// maxVoidBytes caps individual void frames at an MTU frame including
+// overhead: one such void wastes fewer per-frame cycles than many
+// minimum ones.
+const maxVoidBytes = 1538
+
 // Gate values: which bucket of the chain (Figure 8) pushed a packet's
 // release stamp furthest, i.e. the binding constraint at commit time.
 const (

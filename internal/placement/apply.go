@@ -157,7 +157,7 @@ func (m *Manager) apply(mut *Mutation) *tenant.Placement {
 			}
 		}
 		for _, s := range pl.Servers {
-			m.takeSlot(s, spec)
+			m.ix.take(s)
 		}
 		m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: contribs}
 		m.acceptedCount++
@@ -172,7 +172,7 @@ func (m *Manager) apply(mut *Mutation) *tenant.Placement {
 			m.portTouched(pc.pid)
 		}
 		for _, s := range at.placement.Servers {
-			m.freeSlot(s, &at.placement.Spec)
+			m.ix.free(s)
 		}
 		delete(m.admitted, mut.TenantID)
 	case MutFail:
@@ -185,8 +185,6 @@ func (m *Manager) apply(mut *Mutation) *tenant.Placement {
 		for _, s := range mut.Servers {
 			if s >= 0 && s < m.tree.Servers() {
 				m.ix.enable(s)
-				// Slots freed while the server was down came back just now.
-				m.snapResources(s)
 			}
 		}
 	}

@@ -18,8 +18,7 @@ import (
 // pass VerifyInvariants. Apply must not fire the replay manager's hook.
 func TestApplyReplayEquivalenceProperty(t *testing.T) {
 	f := func(seed uint64, opsRaw uint8) bool {
-		cpu := float64(seed%2) * 4
-		tree := wideTree(t, 2, 3, 4, cpu)
+		tree := wideTree(t, 2, 3, 4)
 		live := NewManager(tree, Options{})
 		var log []Mutation
 		live.SetCommitHook(func(mut *Mutation) error {
@@ -36,7 +35,7 @@ func TestApplyReplayEquivalenceProperty(t *testing.T) {
 		for i, id := 0, 1; i < int(opsRaw)%80+20; i++ {
 			switch x := rng.Float64(); {
 			case x < 0.45:
-				live.Place(wideSpec(rng, id, cpu > 0))
+				live.Place(wideSpec(rng, id))
 				id++
 			case x < 0.55:
 				live.Place(tenant.Spec{ID: id, Name: "be", VMs: 1 + rng.Intn(30), Class: tenant.ClassBestEffort})
@@ -49,7 +48,7 @@ func TestApplyReplayEquivalenceProperty(t *testing.T) {
 				}
 			case x < 0.80:
 				if s := rng.Intn(tree.Servers()); !live.ServerFailed(s) {
-					if _, err := live.Recover([]int{s}, nil, RecoverOptions{}); err != nil {
+					if _, err := live.Recover([]int{s}, nil); err != nil {
 						return fail("op %d: recover %d: %v", i, s, err)
 					}
 				}

@@ -20,20 +20,16 @@ import (
 //     at runtime) only changes transport behaviour, so the simulator
 //     configures it differently but placement is shared.
 
-// packGreedy packs n VMs into free slots preferring low tree height:
-// the fullest single server first, then racks, pods, and finally the
-// whole datacenter in index order. Returns the per-VM server list or
-// nil. Used by Locality and by Silo's best-effort path.
-//
-// freeSlots is the per-server capacity to pack into; ix, when non-nil,
-// supplies rack/pod/datacenter free-slot sums over the *raw* slots for
-// O(1) scope skipping. freeSlots may be tighter than ix's view (e.g.
-// CPU/memory-capped), which only makes the skip conservative: a scope
-// ix rules out can never fit.
-func packGreedy(tree *topology.Tree, freeSlots []int, ix *slotIndex, n, faultDomains int) []int {
+// packGreedy packs n VMs into the free slots of ix preferring low tree
+// height: the fullest single server first, then racks, pods, and
+// finally the whole datacenter in index order, skipping a rack whose
+// free-slot sum is short in O(1). Returns the per-VM server list or
+// nil. Used by Locality, Oktopus and by Silo's best-effort path.
+func packGreedy(tree *topology.Tree, ix *slotIndex, n, faultDomains int) []int {
+	freeSlots := ix.freeSlots
 	if faultDomains <= 1 {
 		for r := 0; r < tree.Racks(); r++ {
-			if ix != nil && ix.freeByRack[r] < n {
+			if ix.freeByRack[r] < n {
 				continue
 			}
 			lo, hi := tree.ServersOfRack(r)
@@ -78,7 +74,7 @@ func packGreedy(tree *topology.Tree, freeSlots []int, ix *slotIndex, n, faultDom
 		return out
 	}
 	for r := 0; r < tree.Racks(); r++ {
-		if ix != nil && ix.freeByRack[r] < n {
+		if ix.freeByRack[r] < n {
 			continue
 		}
 		lo, hi := tree.ServersOfRack(r)
@@ -87,7 +83,7 @@ func packGreedy(tree *topology.Tree, freeSlots []int, ix *slotIndex, n, faultDom
 		}
 	}
 	for p := 0; p < tree.Pods(); p++ {
-		if ix != nil && ix.freeByPod[p] < n {
+		if ix.freeByPod[p] < n {
 			continue
 		}
 		rlo, rhi := tree.RacksOfPod(p)
@@ -97,7 +93,7 @@ func packGreedy(tree *topology.Tree, freeSlots []int, ix *slotIndex, n, faultDom
 			return out
 		}
 	}
-	if ix != nil && ix.totalFree < n {
+	if ix.totalFree < n {
 		return nil
 	}
 	return tryRange(0, tree.Servers())
@@ -130,7 +126,7 @@ func (l *Locality) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	if _, dup := l.admitted[spec.ID]; dup {
 		return nil, fmt.Errorf("placement: tenant %d already admitted", spec.ID)
 	}
-	servers := packGreedy(l.tree, l.ix.freeSlots, l.ix, spec.VMs, spec.FaultDomains)
+	servers := packGreedy(l.tree, l.ix, spec.VMs, spec.FaultDomains)
 	if servers == nil {
 		return nil, fmt.Errorf("%w: tenant %q (%d VMs): no free slots", ErrRejected, spec.Name, spec.VMs)
 	}
@@ -196,7 +192,7 @@ func (o *Oktopus) Place(spec tenant.Spec) (*tenant.Placement, error) {
 		return nil, fmt.Errorf("placement: tenant %d already admitted", spec.ID)
 	}
 	if spec.Class == tenant.ClassBestEffort {
-		servers := packGreedy(o.tree, o.ix.freeSlots, o.ix, spec.VMs, spec.FaultDomains)
+		servers := packGreedy(o.tree, o.ix, spec.VMs, spec.FaultDomains)
 		if servers == nil {
 			return nil, fmt.Errorf("%w: best-effort tenant %q", ErrRejected, spec.Name)
 		}

@@ -140,13 +140,13 @@ func burstySpec(rng *stats.Rand, id int) tenant.Spec {
 // whose probes it only shortens (0 < emptyMax < the request's largest
 // count).
 func TestCertifiedCapEquivalenceProperty(t *testing.T) {
-	tree := wideTree(t, 2, 4, 4, 0) // 16 slots a rack, 64 a pod
+	tree := wideTree(t, 2, 4, 4) // 16 slots a rack, 64 a pod
 	skipped, shortened := 0, 0
 	f := func(seed uint64, opsRaw uint8) bool {
 		ref := newRefManager(tree, Options{})
 		fast := NewManager(tree, Options{})
-		ref.EnableJournal(0)
-		fast.EnableJournal(0)
+		ref.EnableJournal()
+		fast.EnableJournal()
 		ok := replayChurn(seed, opsRaw, burstySpec, func(i int, spec tenant.Spec) (bool, bool) {
 			ctx := fmt.Sprintf("seed %#x ops %#x op %d", seed, opsRaw, i)
 			// A request served by one server never fills the memo.

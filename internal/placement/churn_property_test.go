@@ -130,7 +130,7 @@ func TestFailRecoverChurnProperty(t *testing.T) {
 					failed = append(failed, s)
 				}
 			}
-			rep, err := m.Recover(failed, nil, RecoverOptions{})
+			rep, err := m.Recover(failed, nil)
 			if err != nil {
 				t.Logf("recover %v: %v", failed, err)
 				return false

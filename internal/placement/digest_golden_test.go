@@ -37,8 +37,8 @@ var digestClasses = []tenant.Guarantee{
 func digestGoldenStream(t *testing.T) string {
 	t.Helper()
 	const requests, block = 6000, 1000
-	m := NewManager(wideTree(t, 4, 10, 20, 0), Options{})
-	m.EnableJournal(0)
+	m := NewManager(wideTree(t, 4, 10, 20), Options{})
+	m.EnableJournal()
 	servers := m.tree.Servers()
 	rng := stats.NewRand(2026)
 	var (
@@ -63,7 +63,7 @@ func digestGoldenStream(t *testing.T) string {
 			continue
 		case x < 0.446:
 			down := []int{rng.Intn(servers), rng.Intn(servers)}
-			rep, err := m.Recover(down, nil, RecoverOptions{})
+			rep, err := m.Recover(down, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

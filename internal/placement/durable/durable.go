@@ -43,8 +43,8 @@ func (d *Manager) Remove(id int) error {
 // server failure and (possibly degraded) re-placement it performs is
 // logged as its own record, so a crash mid-recovery replays to the
 // exact prefix that was applied.
-func (d *Manager) Recover(failedServers, failedPorts []int, opts placement.RecoverOptions) (*placement.RecoveryReport, error) {
-	r, err := d.Manager.Recover(failedServers, failedPorts, opts)
+func (d *Manager) Recover(failedServers, failedPorts []int) (*placement.RecoveryReport, error) {
+	r, err := d.Manager.Recover(failedServers, failedPorts)
 	d.maybeSnapshot()
 	return r, err
 }

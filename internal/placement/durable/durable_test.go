@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -65,7 +66,7 @@ func churnSpec(rng *stats.Rand, id int) tenant.Spec {
 type ctlPlane interface {
 	Place(tenant.Spec) (*tenant.Placement, error)
 	Remove(int) error
-	Recover([]int, []int, placement.RecoverOptions) (*placement.RecoveryReport, error)
+	Recover([]int, []int) (*placement.RecoveryReport, error)
 	RestoreServers(...int) error
 	AdmittedIDs() []int
 	ServerFailed(int) bool
@@ -129,7 +130,7 @@ func applyOp(m ctlPlane, op scriptOp, servers int) {
 		if m.ServerFailed(s) {
 			return
 		}
-		m.Recover([]int{s}, nil, placement.RecoverOptions{})
+		m.Recover([]int{s}, nil)
 	case 3:
 		failed := m.FailedServerIDs()
 		if len(failed) > 0 {
@@ -375,7 +376,6 @@ func TestAppendRetriesRecoverTransientFailures(t *testing.T) {
 	d, _, err := Open(dir, tree, Options{
 		SyncEvery:     1,
 		SnapshotEvery: -1,
-		Retry:         RetryPolicy{Attempts: 4, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -489,13 +489,14 @@ func TestUncuttableAbortRefusesLaterCommits(t *testing.T) {
 	}
 }
 
+// TestBackoffDelaysAreJitteredExponential: an append that keeps failing
+// is tried four times, with 1, 2 and 4 ms between tries and no jitter.
 func TestBackoffDelaysAreJitteredExponential(t *testing.T) {
 	tree := smallTree()
 	dir := t.TempDir()
 	d, _, err := Open(dir, tree, Options{
 		SyncEvery:     1,
 		SnapshotEvery: -1,
-		Retry:         RetryPolicy{Attempts: 5, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -507,18 +508,9 @@ func TestBackoffDelaysAreJitteredExponential(t *testing.T) {
 	d.Place(tenant.Spec{ID: 1, Name: "x", VMs: 1, Guarantee: tenant.Guarantee{
 		BandwidthBps: 100 * mbps, BurstBytes: 3e3, BurstRateBps: 10 * gbps}})
 	d.st.w.failAppends = 0
-	if len(delays) != 4 {
-		t.Fatalf("5 attempts should sleep 4 times, slept %d", len(delays))
-	}
-	// Jitter scales each base delay by [0.5, 1.5); bases are 1, 2, 4,
-	// 4 ms (capped).
-	bases := []time.Duration{1, 2, 4, 4}
-	for i, dl := range delays {
-		lo := bases[i] * time.Millisecond / 2
-		hi := bases[i] * time.Millisecond * 3 / 2
-		if dl < lo || dl >= hi {
-			t.Fatalf("delay %d = %v outside jitter window [%v, %v)", i, dl, lo, hi)
-		}
+	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
+	if !slices.Equal(delays, want) {
+		t.Fatalf("backoff delays %v, want %v", delays, want)
 	}
 }
 
@@ -563,7 +555,7 @@ func TestRecoverAfterFailedRestore(t *testing.T) {
 	if !errors.Is(err, placement.ErrLogFailed) {
 		t.Fatalf("RestoreServers with a failing log returned %v, want ErrLogFailed", err)
 	}
-	rep, err := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{})
+	rep, err := d.Recover([]int{pl.Servers[0]}, nil)
 	if err != nil {
 		t.Fatalf("Recover with a healed log: %v (admitted %v)", err, d.AdmittedIDs())
 	}

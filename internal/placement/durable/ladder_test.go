@@ -74,7 +74,7 @@ func ladderScenario(t *testing.T, dir string) (*Manager, tenant.Spec, *tenant.Pl
 func TestRecoverLadderDegradesOneRung(t *testing.T) {
 	d, x, pl := ladderScenario(t, t.TempDir())
 	defer d.Close()
-	report, err := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{})
+	report, err := d.Recover([]int{pl.Servers[0]}, nil)
 	if err != nil {
 		t.Fatalf("recover log error: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestLadderCrashBetweenAppendAndApply(t *testing.T) {
 			crashDir = copyStoreDir(t, dir)
 		}
 	})
-	if _, err := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{}); err != nil {
+	if _, err := d.Recover([]int{pl.Servers[0]}, nil); err != nil {
 		t.Fatalf("recover log error: %v", err)
 	}
 	if crashDir == "" {
@@ -177,7 +177,7 @@ func TestLadderAbortsOnLogFailure(t *testing.T) {
 			d.InjectAppendFailures(100)
 		}
 	})
-	_, err := d.Recover([]int{pl.Servers[0]}, nil, placement.RecoverOptions{})
+	_, err := d.Recover([]int{pl.Servers[0]}, nil)
 	d.st.w.failAppends = 0
 	if !errors.Is(err, placement.ErrLogFailed) {
 		t.Fatalf("recover with dead log returned %v, want ErrLogFailed", err)

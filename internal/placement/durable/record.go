@@ -44,6 +44,10 @@ const (
 	// A placement record costs ~70 bytes + 2/VM + name, so 1 MiB covers
 	// any real topology with orders of magnitude to spare.
 	maxRecordLen = 1 << 20
+	// retiredSpecBytes close every place record's spec: two float64s
+	// that once held per-VM CPU and memory demands, written as zeros and
+	// skipped on read.
+	retiredSpecBytes = 16
 )
 
 // Decoder sentinel errors.
@@ -105,8 +109,9 @@ func appendSpec(buf []byte, s *tenant.Spec) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, floatBits(s.Guarantee.DelayBound))
 	buf = binary.LittleEndian.AppendUint64(buf, floatBits(s.Guarantee.BurstRateBps))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.FaultDomains))
-	buf = binary.LittleEndian.AppendUint64(buf, floatBits(s.CPUPerVM))
-	buf = binary.LittleEndian.AppendUint64(buf, floatBits(s.MemoryPerVM))
+	// Two zero float64s where the spec's per-VM CPU and memory demands
+	// used to be: the layout stays that of every log written before.
+	buf = append(buf, make([]byte, retiredSpecBytes)...)
 	return buf
 }
 
@@ -234,8 +239,7 @@ func (d *reader) spec(s *tenant.Spec) {
 	s.Guarantee.DelayBound = d.f64()
 	s.Guarantee.BurstRateBps = d.f64()
 	s.FaultDomains = int(d.u32())
-	s.CPUPerVM = d.f64()
-	s.MemoryPerVM = d.f64()
+	d.take(retiredSpecBytes)
 }
 
 func (d *reader) servers() []int {

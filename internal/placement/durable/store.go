@@ -24,8 +24,8 @@ var ErrSafeMode = errors.New("durable: manager in safe mode, admissions disabled
 // branch on.
 var errStoreClosed = errors.New("durable: store closed")
 
-// Options tunes the durable store; the zero value syncs every append,
-// snapshots every 1024 mutations and retries I/O with defaults.
+// Options tunes the durable store; the zero value syncs every append
+// and snapshots every 1024 mutations.
 type Options struct {
 	// Placement configures the underlying manager.
 	Placement placement.Options
@@ -37,8 +37,6 @@ type Options struct {
 	// SnapshotEvery writes a snapshot and rotates the WAL after this
 	// many mutations (default 1024; negative disables snapshots).
 	SnapshotEvery int
-	// Retry tunes WAL I/O retries.
-	Retry RetryPolicy
 	// Meta stamps snapshots and the store config with run provenance.
 	Meta *obs.RunMeta
 	// Metrics instruments the store (NewMetrics); nil disables.
@@ -238,7 +236,7 @@ func Open(dir string, tree *topology.Tree, opts Options) (*Manager, *RecoveryInf
 	} else {
 		segPath = filepath.Join(dir, walName(lastSeq+1))
 	}
-	st.w, err = createWAL(segPath, segSize, opts.SyncEvery, opts.Retry, opts.Metrics)
+	st.w, err = createWAL(segPath, segSize, opts.SyncEvery, opts.Metrics)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -285,7 +283,7 @@ func (st *store) snapshot(m *placement.Manager) error {
 		return err
 	}
 	w, err := createWAL(filepath.Join(st.dir, walName(st.seq+1)), 0,
-		st.opts.SyncEvery, st.opts.Retry, st.opts.Metrics)
+		st.opts.SyncEvery, st.opts.Metrics)
 	if err != nil {
 		return err
 	}

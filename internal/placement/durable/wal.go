@@ -7,42 +7,15 @@ import (
 	"time"
 
 	"repro/internal/placement"
-	"repro/internal/stats"
 )
 
-// RetryPolicy tunes how WAL I/O (record writes, fsync) reacts to
-// transient failures: each operation is attempted up to Attempts times
-// with jittered exponential backoff between tries. The zero value
-// means 4 attempts starting at 1 ms, capped at 100 ms.
-type RetryPolicy struct {
-	// Attempts is the total tries per operation (first try included).
-	Attempts int
-	// BaseDelay is the backoff before the first retry; each further
-	// retry doubles it.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth.
-	MaxDelay time.Duration
-	// JitterSeed seeds the deterministic jitter stream (each delay is
-	// scaled by a uniform factor in [0.5, 1.5) so colliding retriers
-	// spread out). 0 uses a fixed default seed.
-	JitterSeed uint64
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 100 * time.Millisecond
-	}
-	if p.JitterSeed == 0 {
-		p.JitterSeed = 0x5110_a110c
-	}
-	return p
-}
+// WAL I/O (a record write, an fsync) is tried retryAttempts times
+// before the commit fails, sleeping retryBaseDelay before the first
+// retry and doubling it before each further one: 1, 2, 4 ms.
+const (
+	retryAttempts  = 4
+	retryBaseDelay = time.Millisecond
+)
 
 // wal is one append-only log segment. Appends encode into a reused
 // buffer and write at the known-good end offset, so a failed write
@@ -62,8 +35,6 @@ type wal struct {
 	// pending counts appends since the last fsync.
 	pending   int
 	syncEvery int
-	retry     RetryPolicy
-	rng       *stats.Rand
 	sleep     func(time.Duration)
 	mx        *Metrics
 
@@ -83,20 +54,17 @@ var errInjected = errors.New("durable: injected I/O failure")
 // createWAL opens (creating if absent) the segment at path, whose
 // contents — if any — must already be validated/truncated by the
 // caller; size is the validated length.
-func createWAL(path string, size int64, syncEvery int, retry RetryPolicy, mx *Metrics) (*wal, error) {
+func createWAL(path string, size int64, syncEvery int, mx *Metrics) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	retry = retry.withDefaults()
 	return &wal{
 		f:         f,
 		path:      path,
 		buf:       make([]byte, 0, 4096),
 		size:      size,
 		syncEvery: syncEvery,
-		retry:     retry,
-		rng:       stats.NewRand(retry.JitterSeed),
 		sleep:     time.Sleep,
 		mx:        mx,
 	}, nil
@@ -184,19 +152,14 @@ func (w *wal) close() error {
 	return err
 }
 
-// retryIO runs one I/O kind, retrying transient failures with jittered
-// exponential backoff per the policy.
+// retryIO runs one I/O kind, retrying transient failures with
+// exponential backoff.
 func (w *wal) retryIO(kind int) error {
 	var err error
-	delay := w.retry.BaseDelay
-	for attempt := 0; attempt < w.retry.Attempts; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
 			w.mx.noteRetry()
-			w.sleep(time.Duration((0.5 + w.rng.Float64()) * float64(delay)))
-			delay *= 2
-			if delay > w.retry.MaxDelay {
-				delay = w.retry.MaxDelay
-			}
+			w.sleep(retryBaseDelay << (attempt - 1))
 		}
 		if err = w.doIO(kind); err == nil {
 			return nil

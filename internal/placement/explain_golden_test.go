@@ -40,7 +40,7 @@ func goldenSpec(rng *stats.Rand, id int) tenant.Spec {
 func explainGoldenStream(t *testing.T) string {
 	t.Helper()
 	m := NewManager(mustSmallTree(), Options{})
-	m.EnableJournal(0)
+	m.EnableJournal()
 	rng := stats.NewRand(75)
 	var live []int
 	id := 0

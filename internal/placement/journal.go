@@ -100,29 +100,16 @@ func (d *Decision) withSearch(st *searchStats) *Decision {
 // branch when disabled; recording itself happens only on the cold
 // accept/reject tails, never inside the scope search.
 type journal struct {
-	keep  int
-	byID  map[int]*Decision
-	order []int
+	byID map[int]*Decision
 }
 
-// EnableJournal turns on the admission decision journal, retaining the
-// most recent keep decisions (keep <= 0 retains all). A tenant's
-// latest decision replaces its earlier ones.
-func (m *Manager) EnableJournal(keep int) {
-	m.journal = &journal{keep: keep, byID: make(map[int]*Decision)}
+// EnableJournal turns on the admission decision journal, which keeps
+// every tenant's latest decision.
+func (m *Manager) EnableJournal() {
+	m.journal = &journal{byID: make(map[int]*Decision)}
 }
 
-func (j *journal) record(d *Decision) {
-	if _, seen := j.byID[d.TenantID]; !seen {
-		j.order = append(j.order, d.TenantID)
-	}
-	j.byID[d.TenantID] = d
-	if j.keep > 0 && len(j.order) > j.keep {
-		evict := j.order[0]
-		j.order = j.order[1:]
-		delete(j.byID, evict)
-	}
-}
+func (j *journal) record(d *Decision) { j.byID[d.TenantID] = d }
 
 // Decision returns the journaled admission decision for a tenant.
 func (m *Manager) Decision(tenantID int) (*Decision, bool) {
@@ -284,7 +271,7 @@ func (m *Manager) explainScope(spec *tenant.Spec, d *Decision, rlo, rhi int, spa
 		case placed == spec.VMs:
 			d.Reason = fmt.Sprintf("fault domains: packing %d VMs lands on fewer than %d servers", spec.VMs, spec.FaultDomains)
 		case note.server < 0:
-			// Slot/resource-starved, not network-bound; let the caller
+			// Slot-starved, not network-bound; let the caller
 			// try the next candidate or fall through to the generic
 			// slots message.
 			return false

@@ -17,7 +17,7 @@ import (
 func TestJournalAcceptRecordsCuts(t *testing.T) {
 	tree := fig5Tree(t)
 	m := NewManager(tree, Options{})
-	m.EnableJournal(0)
+	m.EnableJournal()
 	if _, err := m.Place(fig5Spec(1)); err != nil {
 		t.Fatalf("place: %v", err)
 	}
@@ -60,8 +60,8 @@ func TestJournalRejectNamesSamePortAsReference(t *testing.T) {
 	treeFast, treeRef := fig5Tree(t), fig5Tree(t)
 	fast := NewManager(treeFast, Options{})
 	ref := newRefManager(treeRef, Options{})
-	fast.EnableJournal(0)
-	ref.EnableJournal(0)
+	fast.EnableJournal()
+	ref.EnableJournal()
 
 	rejected := -1
 	for id := 1; id <= 8; id++ {
@@ -110,7 +110,7 @@ func TestJournalRejectNamesSamePortAsReference(t *testing.T) {
 func TestJournalRejectDelayBudget(t *testing.T) {
 	tree := fig5Tree(t)
 	m := NewManager(tree, Options{})
-	m.EnableJournal(0)
+	m.EnableJournal()
 	spec := fig5Spec(1)
 	spec.FaultDomains = 2 // forbid the single-server escape hatch
 	spec.VMs = 4
@@ -144,8 +144,8 @@ func TestJournalEquivalenceProperty(t *testing.T) {
 		treeR := mustSmallTree()
 		fast := NewManager(tree, Options{})
 		ref := newRefManager(treeR, Options{})
-		fast.EnableJournal(0)
-		ref.EnableJournal(0)
+		fast.EnableJournal()
+		ref.EnableJournal()
 		rng := stats.NewRand(seed)
 		for id := 1; id <= 60; id++ {
 			spec := randomSpec(rng, id)
@@ -183,21 +183,32 @@ func TestJournalEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// The journal retention cap evicts oldest decisions first.
+// The journal keeps every tenant's decision, and a tenant's latest
+// decision replaces its earlier one.
 func TestJournalRetention(t *testing.T) {
 	tree := fig5Tree(t)
 	m := NewManager(tree, Options{})
-	m.EnableJournal(2)
+	m.EnableJournal()
 	for id := 1; id <= 3; id++ {
 		spec := fig5Spec(id)
 		spec.VMs = 2
 		m.Place(spec)
 	}
-	if _, ok := m.Decision(1); ok {
-		t.Fatal("oldest decision should have been evicted")
+	for id := 1; id <= 3; id++ {
+		if d, ok := m.Decision(id); !ok || !d.Accepted {
+			t.Fatalf("tenant %d: decision %+v ok=%v, want the accept kept", id, d, ok)
+		}
 	}
-	if _, ok := m.Decision(3); !ok {
-		t.Fatal("newest decision missing")
+	if err := m.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	huge := fig5Spec(1)
+	huge.VMs = 10_000
+	if _, err := m.Place(huge); err == nil {
+		t.Fatal("10,000 VMs admitted")
+	}
+	if d, ok := m.Decision(1); !ok || d.Accepted || d.VMs != huge.VMs {
+		t.Fatalf("tenant 1: decision %+v ok=%v, want the later rejection", d, ok)
 	}
 }
 
@@ -218,9 +229,9 @@ func TestJournalDisabledByDefault(t *testing.T) {
 // its servers and span and crosses no port, a rejection says only slots
 // were short, and the error names the class.
 func TestJournalBestEffortDecisions(t *testing.T) {
-	tree := wideTree(t, 2, 4, 10, 0)
+	tree := wideTree(t, 2, 4, 10)
 	m := NewManager(tree, Options{})
-	m.EnableJournal(0)
+	m.EnableJournal()
 	// 50 VMs fill one 40-slot rack and spill into the next.
 	pl, err := m.Place(tenant.Spec{ID: 1, Name: "be", VMs: 50, Class: tenant.ClassBestEffort})
 	if err != nil {

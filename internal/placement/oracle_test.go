@@ -32,8 +32,8 @@ func newRefManager(tree *topology.Tree, opts Options) *refManager {
 
 // EnableJournal also turns on the Manager's journal, which records the
 // requests Place hands to it.
-func (r *refManager) EnableJournal(keep int) {
-	r.Manager.EnableJournal(keep)
+func (r *refManager) EnableJournal() {
+	r.Manager.EnableJournal()
 	r.decisions = make(map[int]*Decision)
 }
 
@@ -97,8 +97,8 @@ func (r *refManager) Place(spec tenant.Spec) (*tenant.Placement, error) {
 
 // Recover is Manager.Recover with every re-admission decided by the
 // reference search.
-func (r *refManager) Recover(failedServers, failedPorts []int, opts RecoverOptions) (*RecoveryReport, error) {
-	return r.recoverWith(r.Place, failedServers, failedPorts, opts)
+func (r *refManager) Recover(failedServers, failedPorts []int) (*RecoveryReport, error) {
+	return r.recoverWith(r.Place, failedServers, failedPorts)
 }
 
 // findPlacement searches scopes in height order, every scope with the
@@ -114,7 +114,7 @@ func (r *refManager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 	// Scope 0: single server.
 	if spec.FaultDomains <= 1 && spec.VMs <= m.tree.Config().SlotsPerServer {
 		for s := 0; s < m.tree.Servers(); s++ {
-			if m.maxVMsByResources(spec, s) >= spec.VMs {
+			if m.ix.freeSlots[s] >= spec.VMs {
 				servers := make([]int, spec.VMs)
 				for i := range servers {
 					servers[i] = s
@@ -171,9 +171,9 @@ func (r *refManager) tryScope(spec *tenant.Spec, sc *searchScratch, rlo, rhi int
 	return nil
 }
 
-// maxVMsOnServer probes server s downward from its resource limit.
+// maxVMsOnServer probes server s downward from its free slots.
 func (r *refManager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int {
-	for k := min(r.maxVMsByResources(spec, s), spec.VMs); k >= 1; k-- {
+	for k := min(r.ix.freeSlots[s], spec.VMs); k >= 1; k-- {
 		if r.serverPortsOK(spec, s, k, span) {
 			return k
 		}
@@ -320,7 +320,7 @@ func (r *refManager) explainScope(spec *tenant.Spec, d *Decision, lo, hi int, sp
 	left := n
 	limS, limK := -1, 0
 	for s := lo; s < hi && left > 0; s++ {
-		capRes := m.maxVMsByResources(spec, s)
+		capRes := m.ix.freeSlots[s]
 		if capRes > n {
 			capRes = n
 		}

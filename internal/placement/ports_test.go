@@ -260,7 +260,7 @@ func TestPagedPortStateEquivalenceProperty(t *testing.T) {
 				}
 			case r < 0.2:
 				failed := []int{rng.Intn(tree.Servers()), rng.Intn(tree.Servers())}
-				if _, err := m.Recover(failed, nil, RecoverOptions{}); err != nil {
+				if _, err := m.Recover(failed, nil); err != nil {
 					t.Logf("recover %v: %v", failed, err)
 					return false
 				}

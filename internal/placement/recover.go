@@ -52,12 +52,12 @@ type DegradeStep struct {
 	Note string
 }
 
-// DefaultDegradeLadder is the rung sequence Recover tries, strictest
+// degradeLadder is the rung sequence Recover tries, strictest
 // first, when re-admission with the original guarantee fails: first
 // trade delay, then bandwidth, then the delay bound entirely. Burst
 // allowance S is never touched — it is what keeps short messages
 // cheap, and shrinking it saves almost no fabric capacity.
-func DefaultDegradeLadder() []DegradeStep {
+func degradeLadder() []DegradeStep {
 	return []DegradeStep{
 		{DelayFactor: 2, BandwidthFactor: 1, Note: "d×2"},
 		{DelayFactor: 4, BandwidthFactor: 1, Note: "d×4"},
@@ -125,14 +125,6 @@ func guaranteeLabel(g tenant.Guarantee) string {
 	return fmt.Sprintf("B=%gMbps %s", g.BandwidthBps*8/1e6, d)
 }
 
-// RecoverOptions tunes a Recover call; the zero value uses the
-// default degradation ladder.
-type RecoverOptions struct {
-	// Ladder overrides DefaultDegradeLadder. An explicit empty,
-	// non-nil ladder disables degradation (relocate-or-evict).
-	Ladder []DegradeStep
-}
-
 // FailServers marks servers as failed: their free slots disappear from
 // the slot index so no placement (initial or recovery) lands VMs
 // there. Tenants already on them are untouched — call Recover to
@@ -187,12 +179,12 @@ func (m *Manager) AdmittedIDs() []int {
 // report: every mutation applied was logged first, so the manager is
 // exactly what a crash-recovery from the log would reproduce, and
 // tenants not yet processed keep their pre-failure placements.
-func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions) (*RecoveryReport, error) {
+func (m *Manager) Recover(failedServers, failedPorts []int) (*RecoveryReport, error) {
 	var start time.Time
 	if m.mx != nil {
 		start = time.Now()
 	}
-	report, err := m.recoverWith(m.place, failedServers, failedPorts, opts)
+	report, err := m.recoverWith(m.place, failedServers, failedPorts)
 	if err == nil && m.mx != nil {
 		m.mx.noteRecover(time.Since(start), report)
 	}
@@ -201,7 +193,7 @@ func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions)
 
 // recoverWith is Recover with every re-admission decided by place.
 func (m *Manager) recoverWith(place func(tenant.Spec) (*tenant.Placement, error),
-	failedServers, failedPorts []int, opts RecoverOptions) (*RecoveryReport, error) {
+	failedServers, failedPorts []int) (*RecoveryReport, error) {
 	failed := make(map[int]bool, len(failedServers))
 	for _, s := range failedServers {
 		failed[s] = true
@@ -231,10 +223,7 @@ func (m *Manager) recoverWith(place func(tenant.Spec) (*tenant.Placement, error)
 	}
 	sort.Ints(ids)
 
-	ladder := opts.Ladder
-	if ladder == nil {
-		ladder = DefaultDegradeLadder()
-	}
+	ladder := degradeLadder()
 
 	report := &RecoveryReport{
 		FailedServers: append([]int(nil), failedServers...),

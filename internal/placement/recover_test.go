@@ -11,7 +11,7 @@ import (
 // log cannot fail.
 func mustRecover(t *testing.T, m *Manager, servers, ports []int) *RecoveryReport {
 	t.Helper()
-	rep, err := m.Recover(servers, ports, RecoverOptions{})
+	rep, err := m.Recover(servers, ports)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,6 @@ type Algorithm interface {
 // Options tunes the Silo manager; the zero value is the paper's
 // configuration.
 type Options struct {
-	// MTUBytes seeds packet-scale bursts in arrival curves; defaults
-	// to 1500.
-	MTUBytes float64
 	// PlainAggregation disables the hose-model tightening of
 	// aggregated arrival curves (ablation; paper §4.2.2 derives the
 	// tighter form).
@@ -59,10 +56,6 @@ type Manager struct {
 	// scope search skips exhausted scopes in O(1) (placement on 100 K
 	// hosts is dominated by scanning otherwise).
 	ix *slotIndex
-	// freeCPU and freeMem are per-server non-network capacities (nil
-	// when the topology declares none).
-	freeCPU []float64
-	freeMem []float64
 
 	// ports holds, per directed port, the incrementally maintained
 	// aggregate arrival-curve state (scalar rate/burst/peak/seed sums)
@@ -141,9 +134,6 @@ func (at *admittedTenant) crosses(pid int) bool {
 // NewManager returns a Silo placement manager over the given
 // datacenter.
 func NewManager(tree *topology.Tree, opts Options) *Manager {
-	if opts.MTUBytes <= 0 {
-		opts.MTUBytes = 1500
-	}
 	m := &Manager{
 		tree:     tree,
 		opts:     opts,
@@ -155,83 +145,7 @@ func NewManager(tree *topology.Tree, opts Options) *Manager {
 	m.memo.upSlot = -1
 	m.upLo, m.upHi = tree.ServerUpPortRange()
 	m.downLo, m.downHi = tree.RackDownPortRange()
-	if c := tree.Config().CPUPerServer; c > 0 {
-		m.freeCPU = make([]float64, tree.Servers())
-		for i := range m.freeCPU {
-			m.freeCPU[i] = c
-		}
-	}
-	if mem := tree.Config().MemoryPerServer; mem > 0 {
-		m.freeMem = make([]float64, tree.Servers())
-		for i := range m.freeMem {
-			m.freeMem[i] = mem
-		}
-	}
 	return m
-}
-
-// takeSlot and freeSlot keep the cached sums consistent, including
-// non-network resources.
-func (m *Manager) takeSlot(server int, spec *tenant.Spec) {
-	m.ix.take(server)
-	if m.freeCPU != nil {
-		m.freeCPU[server] -= spec.CPUPerVM
-	}
-	if m.freeMem != nil {
-		m.freeMem[server] -= spec.MemoryPerVM
-	}
-}
-
-func (m *Manager) freeSlot(server int, spec *tenant.Spec) {
-	m.ix.free(server)
-	if m.freeCPU != nil {
-		m.freeCPU[server] += spec.CPUPerVM
-	}
-	if m.freeMem != nil {
-		m.freeMem[server] += spec.MemoryPerVM
-	}
-	m.snapResources(server)
-}
-
-// snapResources resets server s's free CPU and memory to the configured
-// capacity once all its slots are free again. The floats are maintained
-// by -= and +=, so a server that hosted and released tenants would
-// otherwise carry rounding residue; with the snap, "all slots free"
-// implies "exactly as built", which the untouched-scope collapse in
-// findPlacement relies on.
-func (m *Manager) snapResources(s int) {
-	if m.freeCPU == nil && m.freeMem == nil {
-		return
-	}
-	cfg := m.tree.Config()
-	if m.ix.freeSlots[s] != cfg.SlotsPerServer {
-		return
-	}
-	if m.freeCPU != nil {
-		m.freeCPU[s] = cfg.CPUPerServer
-	}
-	if m.freeMem != nil {
-		m.freeMem[s] = cfg.MemoryPerServer
-	}
-}
-
-// maxVMsByResources caps a server's VM count by slots, CPU and memory.
-func (m *Manager) maxVMsByResources(spec *tenant.Spec, server int) int {
-	k := m.ix.freeSlots[server]
-	if m.freeCPU != nil && spec.CPUPerVM > 0 {
-		if byCPU := int(m.freeCPU[server] / spec.CPUPerVM); byCPU < k {
-			k = byCPU
-		}
-	}
-	if m.freeMem != nil && spec.MemoryPerVM > 0 {
-		if byMem := int(m.freeMem[server] / spec.MemoryPerVM); byMem < k {
-			k = byMem
-		}
-	}
-	if k < 0 {
-		k = 0
-	}
-	return k
 }
 
 // Name implements Algorithm.
@@ -313,14 +227,7 @@ func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 		st = &stats
 	}
 	if spec.Class == tenant.ClassBestEffort {
-		eff := m.ix.freeSlots
-		if m.freeCPU != nil || m.freeMem != nil {
-			eff = make([]int, len(m.ix.freeSlots))
-			for s := range eff {
-				eff[s] = m.maxVMsByResources(&spec, s)
-			}
-		}
-		servers = packGreedy(m.tree, eff, m.ix, spec.VMs, spec.FaultDomains)
+		servers = packGreedy(m.tree, m.ix, spec.VMs, spec.FaultDomains)
 	} else {
 		servers = m.findPlacement(&spec, st)
 	}
@@ -486,7 +393,7 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 			}
 			lo, hi := m.tree.ServersOfRack(r)
 			for s := lo; s < hi; s++ {
-				if m.maxVMsByResources(spec, s) >= spec.VMs {
+				if m.ix.freeSlots[s] >= spec.VMs {
 					servers := make([]int, spec.VMs)
 					for i := range servers {
 						servers[i] = s
@@ -527,8 +434,7 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 		// untouched ones but the first. Scope symmetry: a rack or pod
 		// whose free-slot sum equals its capacity hosts no VM and has
 		// no failed server, so every port inside it is exactly empty
-		// (portState.remove clamps to zero with its last tenant) and
-		// every server has its full CPU and memory (snapResources).
+		// (portState.remove clamps to zero with its last tenant).
 		// tryScope reads nothing else, so on two untouched scopes of one
 		// height it returns translations of one answer: if the first
 		// fails all fail, and if it succeeds it is the lowest-index
@@ -665,7 +571,7 @@ func (sc *searchScratch) serversRoundRobin(n int) []int {
 func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int {
 	// No count an empty server refuses fits a loaded one
 	// (reqMemo.emptyMax), so the probes start at most there.
-	limit := min(m.maxVMsByResources(spec, s), spec.VMs, m.memo.emptyMax[span])
+	limit := min(m.ix.freeSlots[s], spec.VMs, m.memo.emptyMax[span])
 	if limit == 0 {
 		return 0
 	}
@@ -759,7 +665,7 @@ func (m *Manager) upRefuses(s, lo, hi, n int) bool {
 // rejection journal, the first check of each kind that fails. The
 // search passes nil.
 type bindNote struct {
-	// The first server its ports cap below both its free resources and
+	// The first server its ports cap below both its free slots and
 	// the fault-domain share (-1: none), and the VM that does not fit.
 	server, vm int
 	// The first port the layout overbooks (-1: none) and its bound.
@@ -795,7 +701,7 @@ func (m *Manager) packWithCaps(spec *tenant.Spec, sc *searchScratch, rlo, rhi in
 		for s := lo; s < hi && left > 0; s++ {
 			if s == lo || !uniform {
 				k = m.maxVMsOnServer(spec, s, span)
-				if note != nil && note.server < 0 && k < maxPer && k < min(m.maxVMsByResources(spec, s), spec.VMs) {
+				if note != nil && note.server < 0 && k < maxPer && k < min(m.ix.freeSlots[s], spec.VMs) {
 					note.server, note.vm = s, k+1
 				}
 				k = min(k, maxPer)
@@ -838,7 +744,7 @@ scan:
 		}
 		lo, hi := m.tree.ServersOfRack(r)
 		for s := lo; s < hi; s++ {
-			k := m.maxVMsByResources(spec, s)
+			k := m.ix.freeSlots[s]
 			if k == 0 {
 				continue
 			}
@@ -932,6 +838,10 @@ func (m *Manager) pathDelayMetric(src, dst int) float64 {
 	return sum
 }
 
+// mtuBytes is the packet size that seeds packet-scale bursts in
+// arrival curves.
+const mtuBytes = 1500
+
 // cutContribution builds the arrival-curve contribution of m tenant
 // VMs sending across a cut of an n-VM tenant, with the given ingress
 // peak capacity and upstream burst inflation (seconds of queue
@@ -960,7 +870,7 @@ func (m *Manager) cutContribution(mSide, n int, g tenant.Guarantee, ingressCap, 
 	if peak > ingressCap {
 		peak = ingressCap
 	}
-	seed := float64(mSide) * m.opts.MTUBytes
+	seed := float64(mSide) * mtuBytes
 	if seed > burst {
 		seed = burst
 	}

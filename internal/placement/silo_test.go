@@ -422,7 +422,7 @@ func TestHoseAblationAdmitsFewer(t *testing.T) {
 // ports moved; a warm refresh allocates nothing, however many pods they
 // span.
 func TestHeadroomRefreshAllocatesNothing(t *testing.T) {
-	tree := wideTree(t, 25, 2, 2, 0)
+	tree := wideTree(t, 25, 2, 2)
 	m := NewManager(tree, Options{})
 	m.head.refresh(m)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -441,7 +441,7 @@ func TestHeadroomRefreshAllocatesNothing(t *testing.T) {
 // manager with no hook and no journal. A commit hook costs one more per
 // mutation: the Mutation copy it reads.
 func TestAdmissionAllocs(t *testing.T) {
-	tree := wideTree(t, 2, 4, 10, 0)
+	tree := wideTree(t, 2, 4, 10)
 	m := NewManager(tree, Options{})
 	// Best-effort neighbours leave every rack fewer free slots than the
 	// tenant has VMs, so it spans racks.

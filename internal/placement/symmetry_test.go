@@ -15,7 +15,7 @@ import (
 // wideTree is a mostly-untouched multi-pod tree for the scope-symmetry
 // tests: enough racks and pods for the collapse to fire at both heights,
 // small enough for the curve-materializing reference path.
-func wideTree(t testing.TB, pods, racksPerPod, serversPerRack int, cpu float64) *topology.Tree {
+func wideTree(t testing.TB, pods, racksPerPod, serversPerRack int) *topology.Tree {
 	t.Helper()
 	tree, err := topology.New(topology.Config{
 		Pods:           pods,
@@ -27,7 +27,6 @@ func wideTree(t testing.TB, pods, racksPerPod, serversPerRack int, cpu float64) 
 		NICBufferBytes: 62.5e3,
 		RackOversub:    5,
 		PodOversub:     5,
-		CPUPerServer:   cpu,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,8 +36,9 @@ func wideTree(t testing.TB, pods, racksPerPod, serversPerRack int, cpu float64) 
 
 // wideSpec draws tenants from one VM to more than a rack's worth, with
 // fault domains 1 or 2, so the stream reaches every scope height and
-// includes tenants no rack (or no scope at all) can host.
-func wideSpec(rng *stats.Rand, id int, cpu bool) tenant.Spec {
+// includes tenants no rack (or no scope at all) can host. Each VM takes
+// one slot; the draws vary only the count and the network guarantee.
+func wideSpec(rng *stats.Rand, id int) tenant.Spec {
 	vms := 1 + rng.Intn(6)
 	if rng.Float64() < 0.3 {
 		vms = 8 + rng.Intn(40)
@@ -58,11 +58,6 @@ func wideSpec(rng *stats.Rand, id int, cpu bool) tenant.Spec {
 	if spec.FaultDomains > vms {
 		spec.FaultDomains = vms
 	}
-	if cpu {
-		// Tenths do not sum exactly in binary: the residue the snap in
-		// freeSlot exists for.
-		spec.CPUPerVM = float64(1+rng.Intn(15)) / 10
-	}
 	return spec
 }
 
@@ -79,60 +74,58 @@ func samePlacement(a, b *tenant.Placement, errA, errB error) error {
 // The Manager (collapsing untouched racks and pods, uniform caps in
 // untouched racks) must decide exactly like the oracle, which evaluates
 // every scope, on a large mostly-untouched tree under place / remove /
-// fail+recover / restore churn, with and without CPU capacities.
+// fail+recover / restore churn.
 func TestFastPathEquivalenceMostlyUntouchedTree(t *testing.T) {
-	for _, cpu := range []float64{0, 4} {
-		for seed := uint64(1); seed <= 6; seed++ {
-			tree := wideTree(t, 3, 8, 6, cpu) // 24 racks, 3 pods
-			ref := newRefManager(tree, Options{})
-			fast := NewManager(tree, Options{})
-			rng := stats.NewRand(seed)
-			var live, failed []int
-			for op, id := 0, 1; op < 90; op++ {
-				ctx := fmt.Sprintf("cpu %v seed %d op %d", cpu, seed, op)
-				switch x := rng.Float64(); {
-				case x < 0.2 && len(live) > 0:
-					i := rng.Intn(len(live))
-					if errR, errF := ref.Remove(live[i]), fast.Remove(live[i]); errR != nil || errF != nil {
-						t.Fatalf("%s: remove: %v / %v", ctx, errR, errF)
-					}
-					live = append(live[:i], live[i+1:]...)
-				case x < 0.27:
-					s := rng.Intn(tree.Servers())
-					repR, errR := ref.Recover([]int{s}, nil, RecoverOptions{})
-					repF, errF := fast.Recover([]int{s}, nil, RecoverOptions{})
-					if errR != nil || errF != nil {
-						t.Fatalf("%s: recover: %v / %v", ctx, errR, errF)
-					}
-					if repR.Render() != repF.Render() {
-						t.Fatalf("%s: recovery differs:\nref:\n%sfast:\n%s", ctx, repR.Render(), repF.Render())
-					}
-					failed = append(failed, s)
-					live = fast.AdmittedIDs()
-				case x < 0.32 && len(failed) > 0:
-					ref.RestoreServers(failed...)
-					fast.RestoreServers(failed...)
-					failed = failed[:0]
-				default:
-					spec := wideSpec(rng, id, cpu > 0)
-					id++
-					plR, errR := ref.Place(spec)
-					plF, errF := fast.Place(spec)
-					if err := samePlacement(plR, plF, errR, errF); err != nil {
-						t.Fatalf("%s: %v (spec %+v)", ctx, err, spec)
-					}
-					if errR == nil {
-						live = append(live, spec.ID)
-					}
+	for seed := uint64(1); seed <= 12; seed++ {
+		tree := wideTree(t, 3, 8, 6) // 24 racks, 3 pods
+		ref := newRefManager(tree, Options{})
+		fast := NewManager(tree, Options{})
+		rng := stats.NewRand(seed)
+		var live, failed []int
+		for op, id := 0, 1; op < 90; op++ {
+			ctx := fmt.Sprintf("seed %d op %d", seed, op)
+			switch x := rng.Float64(); {
+			case x < 0.2 && len(live) > 0:
+				i := rng.Intn(len(live))
+				if errR, errF := ref.Remove(live[i]), fast.Remove(live[i]); errR != nil || errF != nil {
+					t.Fatalf("%s: remove: %v / %v", ctx, errR, errF)
+				}
+				live = append(live[:i], live[i+1:]...)
+			case x < 0.27:
+				s := rng.Intn(tree.Servers())
+				repR, errR := ref.Recover([]int{s}, nil)
+				repF, errF := fast.Recover([]int{s}, nil)
+				if errR != nil || errF != nil {
+					t.Fatalf("%s: recover: %v / %v", ctx, errR, errF)
+				}
+				if repR.Render() != repF.Render() {
+					t.Fatalf("%s: recovery differs:\nref:\n%sfast:\n%s", ctx, repR.Render(), repF.Render())
+				}
+				failed = append(failed, s)
+				live = fast.AdmittedIDs()
+			case x < 0.32 && len(failed) > 0:
+				ref.RestoreServers(failed...)
+				fast.RestoreServers(failed...)
+				failed = failed[:0]
+			default:
+				spec := wideSpec(rng, id)
+				id++
+				plR, errR := ref.Place(spec)
+				plF, errF := fast.Place(spec)
+				if err := samePlacement(plR, plF, errR, errF); err != nil {
+					t.Fatalf("%s: %v (spec %+v)", ctx, err, spec)
+				}
+				if errR == nil {
+					live = append(live, spec.ID)
 				}
 			}
-			if ref.Accepted() == 0 || ref.Rejected() == 0 {
-				t.Fatalf("cpu %v seed %d: stream too easy or too hard: %d accepts, %d rejects",
-					cpu, seed, ref.Accepted(), ref.Rejected())
-			}
-			if err := fast.VerifyInvariants(); err != nil {
-				t.Fatalf("cpu %v seed %d: %v", cpu, seed, err)
-			}
+		}
+		if ref.Accepted() == 0 || ref.Rejected() == 0 {
+			t.Fatalf("seed %d: stream too easy or too hard: %d accepts, %d rejects",
+				seed, ref.Accepted(), ref.Rejected())
+		}
+		if err := fast.VerifyInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
@@ -141,7 +134,7 @@ func TestFastPathEquivalenceMostlyUntouchedTree(t *testing.T) {
 // empty tree, however many racks and pods there are; the oracle
 // evaluates them all. The journal shows both.
 func TestInfeasibleTenantEvaluatesOneScopePerHeight(t *testing.T) {
-	tree := wideTree(t, 4, 10, 12, 0)
+	tree := wideTree(t, 4, 10, 12)
 	// 40 VMs bursting 15 KB each put over 312 KB on a ToR-down port
 	// wherever they land.
 	spec := tenant.Spec{
@@ -153,7 +146,7 @@ func TestInfeasibleTenantEvaluatesOneScopePerHeight(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		m    interface {
-			EnableJournal(int)
+			EnableJournal()
 			Place(tenant.Spec) (*tenant.Placement, error)
 			Decision(int) (*Decision, bool)
 		}
@@ -162,7 +155,7 @@ func TestInfeasibleTenantEvaluatesOneScopePerHeight(t *testing.T) {
 		{"manager", m, [3]int{1, 1, 1}, [3]int{tree.Racks() - 1, tree.Pods() - 1, 0}},
 		{"oracle", ref, [3]int{tree.Racks(), tree.Pods(), 1}, [3]int{}},
 	} {
-		tc.m.EnableJournal(0)
+		tc.m.EnableJournal()
 		if _, err := tc.m.Place(spec); err == nil {
 			t.Fatalf("%s: expected rejection", tc.name)
 		}
@@ -181,7 +174,7 @@ func TestInfeasibleTenantEvaluatesOneScopePerHeight(t *testing.T) {
 	// Once a rack is occupied it is evaluated on its own, ahead of the
 	// first untouched one.
 	m = NewManager(tree, Options{})
-	m.EnableJournal(0)
+	m.EnableJournal()
 	small := spec
 	small.ID, small.VMs = 2, 6
 	if _, err := m.Place(small); err != nil {
@@ -199,10 +192,9 @@ func TestInfeasibleTenantEvaluatesOneScopePerHeight(t *testing.T) {
 // "Untouched" is read off the free-slot sums, so it must be false for a
 // rack with a failed server — even an empty one, and even after the
 // failed server's tenants have left — and true again once the server is
-// restored. With CPU or memory declared, untouched must also mean the
-// float capacities are exactly as built.
+// restored.
 func TestUntouchedRackSoundness(t *testing.T) {
-	tree := wideTree(t, 2, 3, 4, 4)
+	tree := wideTree(t, 2, 3, 4)
 	m := NewManager(tree, Options{})
 	untouched := func(r int) bool { return m.ix.rackUntouched(r) }
 	podUntouched := func(p int) bool { return m.ix.freeByPod[p] == m.ix.podSlots }
@@ -226,7 +218,7 @@ func TestUntouchedRackSoundness(t *testing.T) {
 	// A tenant on a server that fails and then leaves: its slots stay
 	// hidden until the restore.
 	spec := tenant.Spec{
-		ID: 1, Name: "t", VMs: 3, CPUPerVM: 0.7,
+		ID: 1, Name: "t", VMs: 3,
 		Guarantee: tenant.Guarantee{BandwidthBps: 100 * mbps, BurstBytes: 3e3, BurstRateBps: gbps},
 	}
 	pl, err := m.Place(spec)
@@ -248,28 +240,6 @@ func TestUntouchedRackSoundness(t *testing.T) {
 	m.RestoreServers(host)
 	if !untouched(rack) {
 		t.Fatal("rack not untouched after tenant left and server was restored")
-	}
-
-	// Churn with CPU demands that do not sum exactly: whenever a server
-	// has all slots free, its CPU is exactly the configured capacity.
-	rng := stats.NewRand(3)
-	var live []int
-	for id := 10; id < 200; id++ {
-		if _, err := m.Place(wideSpec(rng, id, true)); err == nil {
-			live = append(live, id)
-		}
-		if len(live) > 0 && rng.Float64() < 0.6 {
-			i := rng.Intn(len(live))
-			if err := m.Remove(live[i]); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:i], live[i+1:]...)
-		}
-		for s := 0; s < tree.Servers(); s++ {
-			if m.ix.freeSlots[s] == 4 && m.freeCPU[s] != 4 {
-				t.Fatalf("id %d: server %d has all slots free but %v CPU", id, s, m.freeCPU[s])
-			}
-		}
 	}
 }
 
@@ -331,7 +301,7 @@ func spreadEvenRef(m *Manager, spec *tenant.Spec, lo, hi int) []int {
 	remaining := make([]int, hi-lo)
 	total := 0
 	for i := range remaining {
-		remaining[i] = m.maxVMsByResources(spec, lo+i)
+		remaining[i] = m.ix.freeSlots[lo+i]
 		total += remaining[i]
 	}
 	if total < spec.VMs {
@@ -354,7 +324,7 @@ func spreadEvenRef(m *Manager, spec *tenant.Spec, lo, hi int) []int {
 }
 
 func TestFaultDomainsAndLayoutMatchReplacedImplementations(t *testing.T) {
-	tree := wideTree(t, 3, 4, 5, 0)
+	tree := wideTree(t, 3, 4, 5)
 	lists := [][]int{
 		{},
 		{7},
@@ -411,17 +381,16 @@ func layoutsEqual(a, b *layout) bool {
 // may give up early only on a spread the full check refuses.
 func TestSpreadEvenMatchesReplacedImplementation(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
-		cpu := float64(seed%2) * 4
-		tree := wideTree(t, 2, 3, 4, cpu)
+		tree := wideTree(t, 2, 3, 4)
 		m := NewManager(tree, Options{})
 		rng := stats.NewRand(seed)
 		for id := 1; id <= 25; id++ {
-			m.Place(wideSpec(rng, id, cpu > 0))
+			m.Place(wideSpec(rng, id))
 		}
 		m.FailServers(rng.Intn(tree.Servers()))
 		var sc searchScratch
 		for id := 100; id < 160; id++ {
-			spec := wideSpec(rng, id, cpu > 0)
+			spec := wideSpec(rng, id)
 			rlo := rng.Intn(tree.Racks())
 			rhi := rlo + 1 + rng.Intn(tree.Racks()-rlo)
 			lo, _ := tree.ServersOfRack(rlo)

@@ -109,7 +109,10 @@ func (g Guarantee) MessageLatencyBound(msgBytes float64) float64 {
 	return g.BurstBytes/bmax + (msgBytes-g.BurstBytes)/g.BandwidthBps + g.DelayBound
 }
 
-// Spec is a tenant request submitted to the placement manager.
+// Spec is a tenant request submitted to the placement manager: how
+// many VMs, their class and network guarantee, and how many servers
+// they must span. A VM takes one slot; placement weighs nothing else
+// on the server.
 type Spec struct {
 	ID        int
 	Name      string
@@ -120,13 +123,6 @@ type Spec struct {
 	// FaultDomains, if > 1, requires the tenant's VMs to span at least
 	// that many servers (paper §4.2.3, "Other constraints").
 	FaultDomains int
-
-	// CPUPerVM and MemoryPerVM are non-network resource demands in
-	// abstract units (paper §4.2.3: commercial placement managers pack
-	// multi-dimensionally; Silo's queuing constraints slot in beside
-	// them). Zero means unconstrained.
-	CPUPerVM    float64
-	MemoryPerVM float64
 }
 
 // Validate checks the request.
@@ -136,9 +132,6 @@ func (s Spec) Validate() error {
 	}
 	if s.FaultDomains < 0 || s.FaultDomains > s.VMs {
 		return fmt.Errorf("tenant %q: FaultDomains %d out of range [0,%d]", s.Name, s.FaultDomains, s.VMs)
-	}
-	if !finiteNonNegative(s.CPUPerVM) || !finiteNonNegative(s.MemoryPerVM) {
-		return fmt.Errorf("tenant %q: resource demand (CPU %v, memory %v per VM) must be finite and >= 0", s.Name, s.CPUPerVM, s.MemoryPerVM)
 	}
 	if s.Class == ClassGuaranteed {
 		if err := s.Guarantee.Validate(); err != nil {

@@ -102,12 +102,6 @@ type Config struct {
 	// buffers. Zero means "same as BufferBytes".
 	NICBufferBytes float64
 
-	// CPUPerServer and MemoryPerServer are non-network capacities in
-	// abstract units, consumed by tenant.Spec.CPUPerVM/MemoryPerVM
-	// during placement. Zero means unconstrained.
-	CPUPerServer    float64
-	MemoryPerServer float64
-
 	// Oversubscription per level: a rack with S servers and
 	// oversubscription O has uplink capacity S·LinkBps/O. The paper
 	// uses 1:5 at each level.
@@ -117,8 +111,8 @@ type Config struct {
 
 // Validate checks the configuration for consistency: positive element
 // counts, a positive line rate and switch buffer, oversubscription
-// factors of at least 1, and a NIC buffer and server capacities that are
-// not negative. Every rate, buffer and capacity must be finite.
+// factors of at least 1, and a NIC buffer that is not negative. Every
+// rate and buffer must be finite.
 func (c Config) Validate() error {
 	switch {
 	case c.Pods <= 0 || c.RacksPerPod <= 0 || c.ServersPerRack <= 0 || c.SlotsPerServer <= 0:
@@ -131,8 +125,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topology: oversubscription factors must be finite and >= 1, got %v and %v", c.RackOversub, c.PodOversub)
 	case !finiteAtLeast(c.NICBufferBytes, 0):
 		return fmt.Errorf("topology: NICBufferBytes must be finite and >= 0, got %v", c.NICBufferBytes)
-	case !finiteAtLeast(c.CPUPerServer, 0) || !finiteAtLeast(c.MemoryPerServer, 0):
-		return fmt.Errorf("topology: CPUPerServer and MemoryPerServer must be finite and >= 0, got %v and %v", c.CPUPerServer, c.MemoryPerServer)
 	}
 	return nil
 }

@@ -42,8 +42,6 @@ func TestValidate(t *testing.T) {
 		func() Config { c := testConfig(); c.BufferBytes = 0; return c }(),
 		func() Config { c := testConfig(); c.RackOversub = 0.5; return c }(),
 		func() Config { c := testConfig(); c.NICBufferBytes = -1; return c }(),
-		func() Config { c := testConfig(); c.CPUPerServer = -1; return c }(),
-		func() Config { c := testConfig(); c.MemoryPerServer = -1; return c }(),
 	}
 	// Every float field rejects NaN and both infinities: NaN fails every
 	// comparison, so a "<= 0" test alone lets it through.
@@ -52,8 +50,6 @@ func TestValidate(t *testing.T) {
 			func(c *Config) { c.LinkBps = v },
 			func(c *Config) { c.BufferBytes = v },
 			func(c *Config) { c.NICBufferBytes = v },
-			func(c *Config) { c.CPUPerServer = v },
-			func(c *Config) { c.MemoryPerServer = v },
 			func(c *Config) { c.RackOversub = v },
 			func(c *Config) { c.PodOversub = v },
 		} {

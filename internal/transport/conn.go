@@ -140,7 +140,7 @@ func newConn(e *Endpoint, dstVM int) *Conn {
 	c := &Conn{
 		e:        e,
 		dstVM:    dstVM,
-		cwnd:     float64(e.opt.InitCwndSegs * e.opt.MSS),
+		cwnd:     initCwndSegs * mssBytes,
 		ssthresh: 1 << 30,
 		rto:      e.opt.MinRTONs,
 		backoff:  1,
@@ -172,11 +172,10 @@ func (c *Conn) flightSize() float64 { return float64(c.sndNxt - c.sndUna) }
 
 // trySend emits segments while the window allows.
 func (c *Conn) trySend() {
-	mss := int64(c.e.opt.MSS)
-	for c.sndNxt < c.writeEnd && c.flightSize()+float64(mss) <= c.cwnd+1e-9 {
+	for c.sndNxt < c.writeEnd && c.flightSize()+mssBytes <= c.cwnd+1e-9 {
 		n := c.writeEnd - c.sndNxt
-		if n > mss {
-			n = mss
+		if n > mssBytes {
+			n = mssBytes
 		}
 		c.emit(c.sndNxt, int(n))
 		c.sndNxt += n
@@ -235,7 +234,7 @@ func (c *Conn) emit(seq int64, n int) {
 func (c *Conn) onAck(p *netsim.Packet) {
 	ack := &p.Hdr
 	opt := c.e.opt
-	mss := float64(opt.MSS)
+	mss := float64(mssBytes)
 	now := c.e.sim.Now()
 
 	// RTT sample from the echoed send time.
@@ -276,8 +275,7 @@ func (c *Conn) onAck(p *netsim.Packet) {
 		if c.sndUna >= c.windowEnd || ack.Seq >= c.windowEnd {
 			if c.ackedBytes > 0 {
 				frac := c.markedBytes / c.ackedBytes
-				g := opt.DCTCPg
-				c.alpha = (1-g)*c.alpha + g*frac
+				c.alpha = (1-dctcpG)*c.alpha + dctcpG*frac
 				if frac > 0 {
 					c.cwnd = c.cwnd * (1 - c.alpha/2)
 					if c.cwnd < 2*mss {
@@ -306,8 +304,8 @@ func (c *Conn) onAck(p *netsim.Packet) {
 				// NewReno partial ack: the next hole is lost too;
 				// retransmit it immediately and stay in recovery.
 				n := c.writeEnd - c.sndUna
-				if n > int64(opt.MSS) {
-					n = int64(opt.MSS)
+				if n > mssBytes {
+					n = mssBytes
 				}
 				if n > 0 {
 					c.emit(c.sndUna, int(n))
@@ -340,8 +338,8 @@ func (c *Conn) onAck(p *netsim.Packet) {
 			c.inFR = true
 			c.recover = c.sndNxt
 			n := c.writeEnd - c.sndUna
-			if n > int64(opt.MSS) {
-				n = int64(opt.MSS)
+			if n > mssBytes {
+				n = mssBytes
 			}
 			if n > 0 {
 				c.emit(c.sndUna, int(n))
@@ -382,7 +380,7 @@ func (c *Conn) onRTO() {
 	if c.sndUna >= c.sndNxt {
 		return
 	}
-	mss := float64(c.e.opt.MSS)
+	mss := float64(mssBytes)
 	c.RTOCount++
 	// Charge the timeout to every message overlapping the in-flight
 	// window.

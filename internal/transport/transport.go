@@ -45,10 +45,6 @@ func (v Variant) String() string {
 type Options struct {
 	// Variant is the congestion controller.
 	Variant Variant
-	// MSS is the payload bytes per segment (wire adds HeaderBytes).
-	MSS int
-	// InitCwndSegs is the initial window in segments.
-	InitCwndSegs int
 	// MinRTONs floors the retransmission timeout. Stock OS stacks use
 	// 200-300 ms; DCTCP/HULL deployments use ~10 ms.
 	MinRTONs int64
@@ -56,25 +52,14 @@ type Options struct {
 	Paced bool
 	// Prio is the 802.1q class for this endpoint's packets.
 	Prio int
-	// DCTCPg is DCTCP's EWMA gain (default 1/16).
-	DCTCPg float64
 	// MaxCwndBytes caps the congestion window, standing in for the
 	// socket send-buffer limit (default 1 MB).
 	MaxCwndBytes float64
 }
 
 func (o *Options) fill() {
-	if o.MSS <= 0 {
-		o.MSS = 1460
-	}
-	if o.InitCwndSegs <= 0 {
-		o.InitCwndSegs = 10
-	}
 	if o.MinRTONs <= 0 {
 		o.MinRTONs = 200_000_000 // 200 ms, stock TCP
-	}
-	if o.DCTCPg <= 0 {
-		o.DCTCPg = 1.0 / 16
 	}
 	if o.MaxCwndBytes <= 0 {
 		o.MaxCwndBytes = 1 << 20
@@ -83,6 +68,15 @@ func (o *Options) fill() {
 
 // HeaderBytes is the per-segment wire overhead (Ethernet+IP+TCP).
 const HeaderBytes = 58
+
+const (
+	// mssBytes is the payload bytes per segment (wire adds HeaderBytes).
+	mssBytes = 1460
+	// initCwndSegs is the initial window in segments.
+	initCwndSegs = 10
+	// dctcpG is DCTCP's EWMA gain.
+	dctcpG = 1.0 / 16
+)
 
 // AckBytes is the wire size of a pure ack.
 const AckBytes = 64

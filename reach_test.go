@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -120,6 +121,130 @@ func TestEveryInternalFunctionIsLinked(t *testing.T) {
 			t.Errorf("allowlist entry %s names nothing unlinked: drop it", k)
 		}
 	}
+}
+
+// optionAllowlist names the exported fields of option structs under
+// internal/ that no program sets but that stay, each with its reason. A
+// key is package.Type.Field.
+var optionAllowlist = map[string]string{
+	"placement.Options.PlainAggregation":    "ablation: ROADMAP item 6's plain (non-hose) aggregation row; BenchmarkAblationHose and the certificate and silo tests set it",
+	"placement.Options.DelayCheckUsesBound": "ablation: ROADMAP item 6's bound-based delay check row; BenchmarkAblationDelayCheck and the equivalence test set it",
+}
+
+// TestEveryOptionIsSet fails on each exported field of a struct under
+// internal/ whose type name ends in Options, Config, Params or Policy
+// that no non-test file of the module sets and that optionAllowlist
+// does not name. A field is set where a composite literal names it as a
+// key, or an assignment, increment or address-of reaches it through a
+// selector; assignments inside the type's own withDefaults or fill
+// method do not count, since they only supply the default. Matching is
+// by field name, so a field that shares its name with a set field of
+// another type passes. A knob no program turns is the default every
+// caller already gets: make it a constant and delete the field.
+func TestEveryOptionIsSet(t *testing.T) {
+	type site struct{ pkg, recv string }
+	sets := map[string][]site{}
+	var fields []string // package.Type.Field
+	for _, line := range strings.Split(strings.TrimSpace(goOutput(t, "list", "-f", `{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}`, "./...")), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
+		}
+		pkg, internal := strings.CutPrefix(f[0], "repro/internal/")
+		for _, file := range f[2:] {
+			af, err := parser.ParseFile(token.NewFileSet(), filepath.Join(f[1], file), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range af.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && internal && gd.Tok == token.TYPE {
+					for _, spec := range gd.Specs {
+						ts := spec.(*ast.TypeSpec)
+						st, ok := ts.Type.(*ast.StructType)
+						if !ok || !isOptionType(ts.Name.Name) {
+							continue
+						}
+						for _, fl := range st.Fields.List {
+							for _, n := range fl.Names {
+								if n.IsExported() {
+									fields = append(fields, pkg+"."+ts.Name.Name+"."+n.Name)
+								}
+							}
+						}
+					}
+				}
+				at := site{pkg: f[0]}
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && (fd.Name.Name == "withDefaults" || fd.Name.Name == "fill") {
+					at = site{pkg: pkg, recv: strings.Split(funcKey(pkg, fd), ".")[1]}
+				}
+				note := func(e ast.Expr) {
+					if sel, ok := e.(*ast.SelectorExpr); ok {
+						sets[sel.Sel.Name] = append(sets[sel.Sel.Name], at)
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.KeyValueExpr:
+						if id, ok := x.Key.(*ast.Ident); ok {
+							sets[id.Name] = append(sets[id.Name], at)
+						}
+					case *ast.AssignStmt:
+						for _, l := range x.Lhs {
+							note(l)
+						}
+					case *ast.IncDecStmt:
+						note(x.X)
+					case *ast.UnaryExpr:
+						if x.Op == token.AND {
+							note(x.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("found no option struct under internal/")
+	}
+	sort.Strings(fields)
+	used := map[string]bool{}
+	for _, key := range fields {
+		parts := strings.Split(key, ".")
+		pkg, typ, name := strings.Join(parts[:len(parts)-2], "."), parts[len(parts)-2], parts[len(parts)-1]
+		set := false
+		for _, s := range sets[name] {
+			if s.pkg != pkg || s.recv != typ {
+				set = true
+				break
+			}
+		}
+		switch {
+		case set && optionAllowlist[key] != "":
+			t.Errorf("allowlist entry %s is set by a program: drop it", key)
+		case set:
+		case optionAllowlist[key] != "":
+			used[key] = true
+		default:
+			t.Errorf("%s is set by no program: make it the constant every caller gets and delete the field, or allowlist it with a reason", key)
+		}
+	}
+	for k := range optionAllowlist {
+		if !used[k] && !slices.Contains(fields, k) {
+			t.Errorf("allowlist entry %s names no option field: drop it", k)
+		}
+	}
+}
+
+// isOptionType reports whether a struct type's name marks it as a bag
+// of settings.
+func isOptionType(name string) bool {
+	for _, suf := range [...]string{"Options", "Config", "Params", "Policy"} {
+		if strings.HasSuffix(name, suf) {
+			return true
+		}
+	}
+	return false
 }
 
 // funcKey spells a declaration as symbolKey spells its symbol: the
