@@ -45,7 +45,7 @@ func main() {
 		explain  = flag.Int("explain", 0, "explain tenant N's admission decision from the journal after the run (-1 = every rejected tenant; silo only)")
 
 		tenants = flag.Int("tenants", 20, "number of tenant requests")
-		vms     = flag.Int("vms", 16, "VMs per tenant")
+		vms     = flag.Int("vms", 16, "VMs per tenant (0 = draw each tenant's size from 4..27)")
 		bwMbps  = flag.Float64("bw-mbps", 250, "per-VM bandwidth guarantee")
 		burstKB = flag.Float64("burst-kb", 15, "per-VM burst allowance")
 		delayMs = flag.Float64("delay-ms", 1, "packet delay guarantee (0 = none)")
@@ -71,6 +71,19 @@ func main() {
 	}
 	if *walDir != "" && *algo != "silo" {
 		fmt.Fprintln(os.Stderr, "-wal requires -algo silo (the comparison placers have no durable state)")
+		os.Exit(2)
+	}
+	if *explain != 0 && *algo != "silo" {
+		fmt.Fprintln(os.Stderr, "-explain requires -algo silo (the comparison placers keep no journal)")
+		os.Exit(2)
+	}
+	if *walDir == "" && flagGiven("snapshot-every") {
+		fmt.Fprintln(os.Stderr, "-snapshot-every requires -wal")
+		os.Exit(2)
+	}
+	// Every tenant spans two fault domains, so it needs two VMs.
+	if *vms < 0 || *vms == 1 {
+		fmt.Fprintf(os.Stderr, "-vms: must be 0 (drawn sizes) or at least 2 (each tenant spans 2 fault domains), got %d\n", *vms)
 		os.Exit(2)
 	}
 
@@ -179,7 +192,7 @@ func main() {
 			break
 		}
 		n := *vms
-		if n <= 0 {
+		if n == 0 {
 			n = 4 + rng.Intn(24)
 		}
 		id := idBase + i + 1
@@ -272,6 +285,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// flagGiven reports whether the named flag was set on the command line.
+func flagGiven(name string) bool {
+	given := false
+	flag.Visit(func(f *flag.Flag) { given = given || f.Name == name })
+	return given
 }
 
 // ptrMeta boxes a RunMeta for the durable store's provenance stamp.

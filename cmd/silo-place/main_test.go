@@ -69,6 +69,13 @@ func TestCLI(t *testing.T) {
 		{[]string{"-link-gbps", "Inf"}, "LinkBps"},
 		{[]string{"-oversub", "NaN"}, "oversubscription"},
 		{[]string{"-pods", "0"}, "element counts"},
+		// Each tenant spans two fault domains: one VM used to reject every
+		// tenant and exit 0, as did -explain with a placer that keeps no
+		// journal, and -snapshot-every without -wal was ignored.
+		{[]string{"-vms", "1"}, "-vms: must be 0 (drawn sizes) or at least 2"},
+		{[]string{"-vms", "-3"}, "-vms: must be 0 (drawn sizes) or at least 2"},
+		{[]string{"-algo", "oktopus", "-explain", "-1"}, "-explain requires -algo silo"},
+		{[]string{"-snapshot-every", "5"}, "-snapshot-every requires -wal"},
 	} {
 		t.Run("refuses "+strings.Join(c.args, " "), func(t *testing.T) {
 			out, err := exec.Command(bin, c.args...).CombinedOutput()

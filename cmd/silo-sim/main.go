@@ -91,6 +91,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-wal requires -scheme silo (the comparison placers have no durable state)")
 		os.Exit(2)
 	}
+	if *walDir == "" && flagGiven("snapshot-every") {
+		fmt.Fprintln(os.Stderr, "-snapshot-every requires -wal")
+		os.Exit(2)
+	}
+	// Both tenants span two fault domains, so each needs two VMs.
+	for _, f := range []struct {
+		name string
+		vms  int
+	}{{"-vms-a", *vmsA}, {"-vms-b", *vmsB}} {
+		if f.vms < 2 {
+			fmt.Fprintf(os.Stderr, "%s: must be at least 2 (the tenant spans 2 fault domains), got %d\n", f.name, f.vms)
+			os.Exit(2)
+		}
+	}
 
 	scheme, err := core.ParseScheme(*schemeName)
 	if err != nil {
@@ -318,6 +332,13 @@ func main() {
 // store may still hold them from the previous run, and the data plane
 // is redeployed from scratch each run, so the old admissions are
 // released (logged like any mutation) before the run re-places them.
+// flagGiven reports whether the named flag was set on the command line.
+func flagGiven(name string) bool {
+	given := false
+	flag.Visit(func(f *flag.Flag) { given = given || f.Name == name })
+	return given
+}
+
 func openStore(dir string, snapEvery int, tree *topology.Tree, tenants []experiments.Tenant, meta *obs.RunMeta, reg *obs.Registry) (*durable.Manager, error) {
 	dur, info, err := durable.Open(dir, tree, durable.Options{
 		SnapshotEvery: snapEvery,

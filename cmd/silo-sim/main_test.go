@@ -244,11 +244,17 @@ func TestCLI(t *testing.T) {
 
 	// A window that rounds to 0 ns would never tick, and a negative
 	// duration is no run: both exit 2 instead of running as something
-	// else. A zero duration is valid (the sim_obs set-up runs it).
+	// else. A zero duration is valid (the sim_obs set-up runs it). A
+	// one-VM tenant cannot span its two fault domains (it used to exit 1
+	// naming a FaultDomains setting no flag sets), and -snapshot-every
+	// without -wal used to be ignored.
 	for _, c := range []struct{ args, want string }{
 		{"-window 1e-7 -slo-report", "-window: must be > 0, got 1e-07"},
 		{"-window 0", "-window: must be > 0, got 0"},
 		{"-duration -1", "-duration: must be >= 0, got -1"},
+		{"-vms-a 1", "-vms-a: must be at least 2 (the tenant spans 2 fault domains), got 1"},
+		{"-vms-b 1", "-vms-b: must be at least 2 (the tenant spans 2 fault domains), got 1"},
+		{"-snapshot-every 5", "-snapshot-every requires -wal"},
 	} {
 		t.Run("refuses "+c.args, func(t *testing.T) {
 			out, err := exec.Command(bin, strings.Fields(c.args)...).CombinedOutput()
