@@ -70,15 +70,15 @@ func (nw *Network) RegisterMetrics(reg *obs.Registry) {
 		name, help string
 		v          *int64
 	}{
-		{"silo_runtime_events_total", "events executed across all engine loops", &c.Events},
-		{"silo_runtime_wheel_hwm", "worst timestamp-wheel population of any single engine", &c.WheelHWM},
-		{"silo_runtime_overflow_heap_hwm", "worst overflow-heap depth of any single engine", &c.FarHWM},
+		{"silo_runtime_events_total", "events the simulator's event loop executed", &c.Events},
+		{"silo_runtime_wheel_hwm", "worst timestamp-wheel population", &c.WheelHWM},
+		{"silo_runtime_overflow_heap_hwm", "worst overflow-heap depth", &c.FarHWM},
 		{"silo_runtime_event_freelist_hits_total", "event-node allocations served from the freelist", &c.EvHits},
 		{"silo_runtime_event_freelist_misses_total", "event-node chunk carves (128 nodes each)", &c.EvMisses},
 		{"silo_runtime_packet_arena_hits_total", "packet allocations served from the arena freelist", &c.PktHits},
 		{"silo_runtime_packet_arena_misses_total", "packet-arena chunk carves (256 packets each)", &c.PktMisses},
 		{"silo_runtime_packet_arena_in_use", "packets currently allocated from the arenas", &c.PktInUse},
-		{"silo_runtime_packet_arena_hwm", "summed per-engine packet-arena high-water marks", &c.PktHWM},
+		{"silo_runtime_packet_arena_hwm", "packet-arena high-water mark", &c.PktHWM},
 	} {
 		v := g.v
 		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(*v) })
