@@ -46,7 +46,7 @@ const (
 	maxRecordLen = 1 << 20
 	// retiredSpecBytes close every place record's spec: two float64s
 	// that once held per-VM CPU and memory demands, written as zeros and
-	// skipped on read.
+	// skipped on read, so the record layout of every log stays the same.
 	retiredSpecBytes = 16
 )
 
@@ -109,8 +109,6 @@ func appendSpec(buf []byte, s *tenant.Spec) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, floatBits(s.Guarantee.DelayBound))
 	buf = binary.LittleEndian.AppendUint64(buf, floatBits(s.Guarantee.BurstRateBps))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.FaultDomains))
-	// Two zero float64s where the spec's per-VM CPU and memory demands
-	// used to be: the layout stays that of every log written before.
 	buf = append(buf, make([]byte, retiredSpecBytes)...)
 	return buf
 }

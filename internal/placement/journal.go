@@ -95,28 +95,15 @@ func (d *Decision) withSearch(st *searchStats) *Decision {
 	return d
 }
 
-// journal retains recent admission decisions for explainability. It is
-// nil unless EnableJournal ran, so the admission hot path pays one
-// branch when disabled; recording itself happens only on the cold
-// accept/reject tails, never inside the scope search.
-type journal struct {
-	byID map[int]*Decision
-}
-
 // EnableJournal turns on the admission decision journal, which keeps
 // every tenant's latest decision.
 func (m *Manager) EnableJournal() {
-	m.journal = &journal{byID: make(map[int]*Decision)}
+	m.journal = make(map[int]*Decision)
 }
-
-func (j *journal) record(d *Decision) { j.byID[d.TenantID] = d }
 
 // Decision returns the journaled admission decision for a tenant.
 func (m *Manager) Decision(tenantID int) (*Decision, bool) {
-	if m.journal == nil {
-		return nil, false
-	}
-	d, ok := m.journal.byID[tenantID]
+	d, ok := m.journal[tenantID]
 	return d, ok
 }
 

@@ -96,9 +96,11 @@ type Manager struct {
 	// one branch per Place/Remove.
 	mx *Metrics
 
-	// journal is the optional admission decision log (EnableJournal);
-	// nil costs one branch on each accept/reject tail.
-	journal *journal
+	// journal is the optional admission decision log (EnableJournal),
+	// each tenant's latest decision by ID, kept for explainability. Nil
+	// costs one branch on each accept/reject tail; recording happens
+	// only there, never inside the scope search.
+	journal map[int]*Decision
 
 	// hook is the optional write-ahead commit hook (SetCommitHook):
 	// called with every mutation before it is applied; an error aborts
@@ -253,7 +255,7 @@ func (m *Manager) settle(spec *tenant.Spec, servers []int, st *searchStats) (*te
 		} else {
 			d = m.explainReject(spec)
 		}
-		m.journal.record(d.withSearch(st))
+		m.journal[spec.ID] = d.withSearch(st)
 	}
 	if pl := m.apply(&mut); pl != nil {
 		return pl, nil
