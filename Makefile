@@ -69,6 +69,11 @@ endef
 # every port's state and cached bound, the pages allocated, the headroom
 # gauges and VerifyInvariants, after every place / remove / fail /
 # recover on a tree of several pages.
+# TestTouchedScopeIndexEquivalenceProperty holds the scope search's
+# touched-scope walk, the dirty-rack headroom refresh and the lazily
+# counted slot index to the full scans kept test-side: candidates,
+# search counts, headroom summaries, free slots and touched bits, on a
+# tree whose rack and pod bitsets span several words.
 ADMISSION_RUN = Equivalence|Churn|Monoton|Degenerate
 ADMISSION_PKGS = ./internal/placement/ ./internal/netcal/ ./internal/workload/
 test-admission:

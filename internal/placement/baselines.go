@@ -35,11 +35,7 @@ func packGreedy(tree *topology.Tree, ix *slotIndex, n, faultDomains int) []int {
 			lo, hi := tree.ServersOfRack(r)
 			for s := lo; s < hi; s++ {
 				if freeSlots[s] >= n {
-					out := make([]int, n)
-					for i := range out {
-						out[i] = s
-					}
-					return out
+					return repeatServer(s, n)
 				}
 			}
 		}
@@ -244,12 +240,8 @@ func (o *Oktopus) findPlacement(spec tenant.Spec) []int {
 			}
 			lo, hi := o.tree.ServersOfRack(r)
 			for s := lo; s < hi; s++ {
-				if o.ix.freeSlots[s] >= spec.VMs {
-					out := make([]int, spec.VMs)
-					for i := range out {
-						out[i] = s
-					}
-					return out
+				if o.ix.slots(s) >= spec.VMs {
+					return repeatServer(s, spec.VMs)
 				}
 			}
 		}
@@ -300,7 +292,7 @@ func (o *Oktopus) packBandwidth(spec tenant.Spec, lo, hi int) []int {
 	servers := make([]int, 0, n)
 	left := n
 	for s := lo; s < hi && left > 0; s++ {
-		maxK := o.ix.freeSlots[s]
+		maxK := o.ix.slots(s)
 		if maxK > maxPer {
 			maxK = maxPer
 		}
@@ -368,6 +360,15 @@ func (o *Oktopus) demands(spec tenant.Spec, dist distribution) map[int]float64 {
 			out[t.PodUpPortID(p)] = bw
 			out[t.CoreDownPortID(p)] = bw
 		}
+	}
+	return out
+}
+
+// repeatServer is the placement of n VMs on server s alone.
+func repeatServer(s, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = s
 	}
 	return out
 }

@@ -52,6 +52,9 @@ func newSlotIndex(tree *topology.Tree) *slotIndex {
 	return ix
 }
 
+// slots reports the free slots of server s (0 while it is failed).
+func (ix *slotIndex) slots(s int) int { return ix.freeSlots[s] }
+
 // rackUntouched reports that rack r hosts no VM and has no failed
 // server: every slot it was built with is free. A failed server's slots
 // are hidden from freeByRack (and stay hidden while it is down, even

@@ -114,7 +114,7 @@ func (r *refManager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 	// Scope 0: single server.
 	if spec.FaultDomains <= 1 && spec.VMs <= m.tree.Config().SlotsPerServer {
 		for s := 0; s < m.tree.Servers(); s++ {
-			if m.ix.freeSlots[s] >= spec.VMs {
+			if m.ix.slots(s) >= spec.VMs {
 				servers := make([]int, spec.VMs)
 				for i := range servers {
 					servers[i] = s
@@ -173,7 +173,7 @@ func (r *refManager) tryScope(spec *tenant.Spec, sc *searchScratch, rlo, rhi int
 
 // maxVMsOnServer probes server s downward from its free slots.
 func (r *refManager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int {
-	for k := min(r.ix.freeSlots[s], spec.VMs); k >= 1; k-- {
+	for k := min(r.ix.slots(s), spec.VMs); k >= 1; k-- {
 		if r.serverPortsOK(spec, s, k, span) {
 			return k
 		}
@@ -320,7 +320,7 @@ func (r *refManager) explainScope(spec *tenant.Spec, d *Decision, lo, hi int, sp
 	left := n
 	limS, limK := -1, 0
 	for s := lo; s < hi && left > 0; s++ {
-		capRes := m.ix.freeSlots[s]
+		capRes := m.ix.slots(s)
 		if capRes > n {
 			capRes = n
 		}

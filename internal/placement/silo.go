@@ -160,7 +160,7 @@ func (m *Manager) Accepted() int { return m.acceptedCount }
 func (m *Manager) Rejected() int { return m.rejectedCount }
 
 // FreeSlots reports the number of free VM slots on server s.
-func (m *Manager) FreeSlots(s int) int { return m.ix.freeSlots[s] }
+func (m *Manager) FreeSlots(s int) int { return m.ix.slots(s) }
 
 // QueueBound reports the current worst-case queuing delay (seconds) at
 // the given directed port.
@@ -395,12 +395,8 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 			}
 			lo, hi := m.tree.ServersOfRack(r)
 			for s := lo; s < hi; s++ {
-				if m.ix.freeSlots[s] >= spec.VMs {
-					servers := make([]int, spec.VMs)
-					for i := range servers {
-						servers[i] = s
-					}
-					return servers
+				if m.ix.slots(s) >= spec.VMs {
+					return repeatServer(s, spec.VMs)
 				}
 			}
 		}
@@ -417,56 +413,25 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 	}
 
 	// Scopes 1 and 2: single rack, then single pod.
-	racksPerPod := m.tree.Config().RacksPerPod
-	for _, h := range [...]struct {
-		span     scopeHeight
-		free     []int
-		full     int
-		headMax  []float64
-		racksPer int
-	}{
-		{scopeRack, m.ix.freeByRack, m.ix.rackSlots, m.head.rackMax, 1},
-		{scopePod, m.ix.freeByPod, m.ix.podSlots, m.head.podMax, racksPerPod},
-	} {
-		if !m.scopeDelayOK(delayBudget, h.span) {
+	for span := scopeRack; span <= scopePod; span++ {
+		if !m.scopeDelayOK(delayBudget, span) {
 			continue
 		}
-		// Candidates are the scopes with the slots (and, by the
-		// headroom index, the port rate) to host the tenant, minus all
-		// untouched ones but the first. Scope symmetry: a rack or pod
-		// whose free-slot sum equals its capacity hosts no VM and has
-		// no failed server, so every port inside it is exactly empty
-		// (portState.remove clamps to zero with its last tenant).
-		// tryScope reads nothing else, so on two untouched scopes of one
-		// height it returns translations of one answer: if the first
-		// fails all fail, and if it succeeds it is the lowest-index
-		// success among them. First-fit order, and so every decision,
-		// is unchanged. The test oracle evaluates them all.
-		cands, collapsed, untouchedSeen := m.cands[:0], 0, false
-		for i, free := range h.free {
-			if free < spec.VMs || (useHeadroom && g.BandwidthBps > h.headMax[i]+headroomSlack) {
-				continue
-			}
-			if free == h.full {
-				if untouchedSeen {
-					collapsed++
-					continue
-				}
-				untouchedSeen = true
-			}
-			cands = append(cands, i)
+		cands, collapsed := m.candidates(spec, span, useHeadroom)
+		racksPer := 1
+		if span == scopePod {
+			racksPer = m.tree.Config().RacksPerPod
 		}
-		m.cands = cands
 		// First fit: the lowest-index candidate that hosts the tenant.
 		tried, servers := len(cands), []int(nil)
 		for j, i := range cands {
-			if servers = m.tryScope(spec, &m.scratch, i*h.racksPer, (i+1)*h.racksPer, h.span); servers != nil {
+			if servers = m.tryScope(spec, &m.scratch, i*racksPer, (i+1)*racksPer, span); servers != nil {
 				tried = j + 1
 				break
 			}
 		}
 		if st != nil {
-			st.evaluated[h.span], st.collapsed[h.span] = tried, collapsed
+			st.evaluated[span], st.collapsed[span] = tried, collapsed
 		}
 		if servers != nil {
 			return servers
@@ -481,6 +446,42 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 		return m.tryScope(spec, &m.scratch, 0, m.tree.Racks(), scopeDC)
 	}
 	return nil
+}
+
+// candidates fills m.cands with the scopes of height span (rack or pod)
+// that have the slots (and, by the headroom index, the port rate) to
+// host the tenant, minus all untouched ones but the first, in index
+// order, and returns them with the number of untouched ones left out.
+//
+// Scope symmetry: a rack or pod whose free-slot sum equals its capacity
+// hosts no VM and has no failed server, so every port inside it is
+// exactly empty (portState.remove clamps to zero with its last tenant).
+// tryScope reads nothing else, so on two untouched scopes of one height
+// it returns translations of one answer: if the first fails all fail,
+// and if it succeeds it is the lowest-index success among them.
+// First-fit order, and so every decision, is unchanged. The test oracle
+// evaluates them all.
+func (m *Manager) candidates(spec *tenant.Spec, span scopeHeight, useHeadroom bool) (cands []int, collapsed int) {
+	free, full, headMax := m.ix.freeByRack, m.ix.rackSlots, m.head.rackMax
+	if span == scopePod {
+		free, full, headMax = m.ix.freeByPod, m.ix.podSlots, m.head.podMax
+	}
+	cands, untouchedSeen := m.cands[:0], false
+	for i, free := range free {
+		if free < spec.VMs || (useHeadroom && spec.Guarantee.BandwidthBps > headMax[i]+headroomSlack) {
+			continue
+		}
+		if free == full {
+			if untouchedSeen {
+				collapsed++
+				continue
+			}
+			untouchedSeen = true
+		}
+		cands = append(cands, i)
+	}
+	m.cands = cands
+	return cands, collapsed
 }
 
 type scopeHeight int
@@ -573,7 +574,7 @@ func (sc *searchScratch) serversRoundRobin(n int) []int {
 func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int {
 	// No count an empty server refuses fits a loaded one
 	// (reqMemo.emptyMax), so the probes start at most there.
-	limit := min(m.ix.freeSlots[s], spec.VMs, m.memo.emptyMax[span])
+	limit := min(m.ix.slots(s), spec.VMs, m.memo.emptyMax[span])
 	if limit == 0 {
 		return 0
 	}
@@ -703,7 +704,7 @@ func (m *Manager) packWithCaps(spec *tenant.Spec, sc *searchScratch, rlo, rhi in
 		for s := lo; s < hi && left > 0; s++ {
 			if s == lo || !uniform {
 				k = m.maxVMsOnServer(spec, s, span)
-				if note != nil && note.server < 0 && k < maxPer && k < min(m.ix.freeSlots[s], spec.VMs) {
+				if note != nil && note.server < 0 && k < maxPer && k < min(m.ix.slots(s), spec.VMs) {
 					note.server, note.vm = s, k+1
 				}
 				k = min(k, maxPer)
@@ -746,7 +747,7 @@ scan:
 		}
 		lo, hi := m.tree.ServersOfRack(r)
 		for s := lo; s < hi; s++ {
-			k := m.ix.freeSlots[s]
+			k := m.ix.slots(s)
 			if k == 0 {
 				continue
 			}

@@ -301,7 +301,7 @@ func spreadEvenRef(m *Manager, spec *tenant.Spec, lo, hi int) []int {
 	remaining := make([]int, hi-lo)
 	total := 0
 	for i := range remaining {
-		remaining[i] = m.ix.freeSlots[lo+i]
+		remaining[i] = m.ix.slots(lo + i)
 		total += remaining[i]
 	}
 	if total < spec.VMs {

@@ -51,7 +51,7 @@ func treeFits(m *Manager, pid int, c contribution) bool {
 // by the closed-form bound, until one fits both.
 func linearCap(m *Manager, spec *tenant.Spec, s int, span scopeHeight) int {
 	down := m.tree.RackDownPortID(s)
-	for k := min(m.ix.freeSlots[s], spec.VMs, m.memo.emptyMax[span]); k >= 1; k-- {
+	for k := min(m.ix.slots(s), spec.VMs, m.memo.emptyMax[span]); k >= 1; k-- {
 		c := m.memo.downC[span][k]
 		if upFitsLinear(m, s, k) && (c.isZero() || treeFits(m, down, c)) {
 			return k
@@ -89,7 +89,7 @@ func TestUpCapMemoEquivalenceProperty(t *testing.T) {
 				m.fillReqMemo(&spec)
 				for span := scopeRack; span <= scopeDC; span++ {
 					for s := 0; s < tree.Servers(); s++ {
-						limit := min(m.ix.freeSlots[s], spec.VMs, m.memo.emptyMax[span])
+						limit := min(m.ix.slots(s), spec.VMs, m.memo.emptyMax[span])
 						if 2*limit <= spec.VMs {
 							memoProbes++
 						} else {
