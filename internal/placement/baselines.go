@@ -21,30 +21,22 @@ import (
 //     configures it differently but placement is shared.
 
 // packGreedy packs n VMs into the free slots of ix preferring low tree
-// height: the fullest single server first, then racks, pods, and
-// finally the whole datacenter in index order, skipping a rack whose
-// free-slot sum is short in O(1). Returns the per-VM server list or
-// nil. Used by Locality, Oktopus and by Silo's best-effort path.
+// height: the lowest server with room for all of them first, then
+// racks, pods, and finally the whole datacenter in index order,
+// skipping a rack whose free-slot sum is short in O(1). Returns the
+// per-VM server list or nil. Used by Locality, Oktopus and by Silo's
+// best-effort path.
 func packGreedy(tree *topology.Tree, ix *slotIndex, n, faultDomains int) []int {
-	freeSlots := ix.freeSlots
 	if faultDomains <= 1 {
-		for r := 0; r < tree.Racks(); r++ {
-			if ix.freeByRack[r] < n {
-				continue
-			}
-			lo, hi := tree.ServersOfRack(r)
-			for s := lo; s < hi; s++ {
-				if freeSlots[s] >= n {
-					return repeatServer(s, n)
-				}
-			}
+		if s := ix.serverWith(n); s >= 0 {
+			return repeatServer(s, n)
 		}
 	}
 	maxPer := maxPerServer(n, faultDomains)
 	tryRange := func(lo, hi int) []int {
 		total := 0
 		for s := lo; s < hi; s++ {
-			total += freeSlots[s]
+			total += ix.slots(s)
 		}
 		if total < n {
 			return nil
@@ -52,7 +44,7 @@ func packGreedy(tree *topology.Tree, ix *slotIndex, n, faultDomains int) []int {
 		out := make([]int, 0, n)
 		left := n
 		for s := lo; s < hi && left > 0; s++ {
-			k := freeSlots[s]
+			k := ix.slots(s)
 			if k > maxPer {
 				k = maxPer
 			}
@@ -234,16 +226,8 @@ func (o *Oktopus) Remove(id int) error {
 
 func (o *Oktopus) findPlacement(spec tenant.Spec) []int {
 	if spec.FaultDomains <= 1 {
-		for r := 0; r < o.tree.Racks(); r++ {
-			if o.ix.freeByRack[r] < spec.VMs {
-				continue
-			}
-			lo, hi := o.tree.ServersOfRack(r)
-			for s := lo; s < hi; s++ {
-				if o.ix.slots(s) >= spec.VMs {
-					return repeatServer(s, spec.VMs)
-				}
-			}
+		if s := o.ix.serverWith(spec.VMs); s >= 0 {
+			return repeatServer(s, spec.VMs)
 		}
 	}
 	try := func(lo, hi int) []int {

@@ -215,8 +215,8 @@ func (o *scanOracle) findPlacement(m *Manager, spec *tenant.Spec) ([]int, search
 // scan's, bit for bit, and each height's candidates and collapsed count
 // equal the scanned filter's; the request lands where the scanned search
 // puts it, with the same per-height counts in the journal. After every
-// step every server's free slots and the rack, pod and datacenter sums
-// equal the dense copy's.
+// step every server's free slots, the rack, pod and datacenter sums and
+// the touched bits equal the dense copy's.
 func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 	tree, err := topology.New(topology.Config{
 		Pods: 66, RacksPerPod: 2, ServersPerRack: 2, SlotsPerServer: 3,
@@ -226,7 +226,7 @@ func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var requests, headroomDrops, collapses int
+	var requests, headroomDrops, collapses, highWords int
 	f := func(seed uint64, opsRaw uint8) bool {
 		m := NewManager(tree, Options{})
 		m.EnableJournal()
@@ -247,6 +247,26 @@ func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 				m.ix.totalFree != dense.totalFree {
 				return fail(step, "free sums %v %v %d, dense %v %v %d",
 					m.ix.freeByRack, m.ix.freeByPod, m.ix.totalFree, dense.freeByRack, dense.freeByPod, dense.totalFree)
+			}
+			for _, h := range [...]struct {
+				name    string
+				touched bitset
+				free    []int
+				full    int
+			}{
+				{"rack", m.ix.touchedRacks, dense.freeByRack, m.ix.rackSlots},
+				{"pod", m.ix.touchedPods, dense.freeByPod, m.ix.podSlots},
+			} {
+				for i := 0; i < 64*len(h.touched); i++ {
+					want := i < len(h.free) && h.free[i] != h.full
+					got := h.touched[i>>6]>>(i&63)&1 == 1
+					if got != want {
+						return fail(step, "%s %d touched bit %v, want %v", h.name, i, got, want)
+					}
+					if got && i >= 64 && h.name == "rack" {
+						highWords++
+					}
+				}
 			}
 			return true
 		}
@@ -355,10 +375,11 @@ func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-	// The walk must have met what it exists for: untouched scopes
-	// collapsed, candidates the headroom test drops.
-	if collapses == 0 || headroomDrops == 0 {
-		t.Errorf("%d requests: %d scopes collapsed, %d dropped by headroom; want each > 0",
-			requests, collapses, headroomDrops)
+	// The walk must have met what it exists for: racks beyond the
+	// first bitset word, untouched scopes collapsed, candidates the
+	// headroom test drops.
+	if highWords == 0 || collapses == 0 || headroomDrops == 0 {
+		t.Errorf("%d requests: %d touched bits beyond word 0, %d scopes collapsed, %d dropped by headroom; want each > 0",
+			requests, highWords, collapses, headroomDrops)
 	}
 }

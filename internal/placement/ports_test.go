@@ -30,19 +30,22 @@ func place100kTree(t *testing.T) *topology.Tree {
 	return tree
 }
 
-// Building the 100 K-host tree and its manager allocates for the servers
-// and racks, not for the ports: no per-port table exists until a tenant
-// is admitted (about 21 MB when every port had a Port, a rate and
-// capacity mirror, a state and a bound). Reading an untouched port's
-// bound allocates nothing.
+// Building the 100 K-host tree and its manager allocates for the racks
+// and pods, not for the servers or the ports: no per-port table exists
+// until a tenant is admitted (about 21 MB when every port had a Port, a
+// rate and capacity mirror, a state and a bound), and no per-server slot
+// count until a slot is taken (0.8 MB when every server's count was
+// written at build). Reading an untouched port's bound allocates
+// nothing.
 func TestPlace100kBuildAllocs(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	tree := place100kTree(t)
 	m := NewManager(tree, Options{})
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
-		t.Errorf("topology.New + NewManager allocated %d bytes for %d ports, want at most 2 MB", got, tree.NumPorts())
+	if got := after.TotalAlloc - before.TotalAlloc; got > 128<<10 {
+		t.Errorf("topology.New + NewManager allocated %d bytes for %d servers and %d ports, want at most 128 KB",
+			got, tree.Servers(), tree.NumPorts())
 	}
 	pid := tree.NumPorts() - 1
 	if allocs := testing.AllocsPerRun(100, func() { _ = m.QueueBound(pid) }); allocs != 0 {

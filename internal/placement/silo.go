@@ -386,19 +386,10 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 	}
 
 	// Scope 0: single server (no network traffic, no constraints
-	// beyond slots and fault domains). Racks without enough free slots
-	// cannot contain a server with enough either.
-	if spec.FaultDomains <= 1 && spec.VMs <= m.tree.Config().SlotsPerServer {
-		for r := 0; r < m.tree.Racks(); r++ {
-			if m.ix.freeByRack[r] < spec.VMs {
-				continue
-			}
-			lo, hi := m.tree.ServersOfRack(r)
-			for s := lo; s < hi; s++ {
-				if m.ix.slots(s) >= spec.VMs {
-					return repeatServer(s, spec.VMs)
-				}
-			}
+	// beyond slots and fault domains).
+	if spec.FaultDomains <= 1 {
+		if s := m.ix.serverWith(spec.VMs); s >= 0 {
+			return repeatServer(s, spec.VMs)
 		}
 	}
 
@@ -458,27 +449,39 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 // exactly empty (portState.remove clamps to zero with its last tenant).
 // tryScope reads nothing else, so on two untouched scopes of one height
 // it returns translations of one answer: if the first fails all fail,
-// and if it succeeds it is the lowest-index success among them.
-// First-fit order, and so every decision, is unchanged. The test oracle
-// evaluates them all.
+// and if it succeeds it is the lowest-index success among them. The
+// filter too passes or fails every untouched scope alike: each has
+// every slot free and the headroom of empty ports. So the walk visits
+// the touched scopes, from the slot index's bitset, and merges in the
+// lowest untouched one. First-fit order, and so every decision, is
+// unchanged. The test oracle evaluates them all.
 func (m *Manager) candidates(spec *tenant.Spec, span scopeHeight, useHeadroom bool) (cands []int, collapsed int) {
-	free, full, headMax := m.ix.freeByRack, m.ix.rackSlots, m.head.rackMax
+	free, full, head, touched, n := m.ix.freeByRack, m.ix.rackSlots, m.head.rackMax, m.ix.touchedRacks, m.tree.Racks()
 	if span == scopePod {
-		free, full, headMax = m.ix.freeByPod, m.ix.podSlots, m.head.podMax
+		free, full, head, touched, n = m.ix.freeByPod, m.ix.podSlots, m.head.podMax, m.ix.touchedPods, m.tree.Pods()
 	}
-	cands, untouchedSeen := m.cands[:0], false
-	for i, free := range free {
-		if free < spec.VMs || (useHeadroom && spec.Guarantee.BandwidthBps > headMax[i]+headroomSlack) {
-			continue
+	vms, bw := spec.VMs, spec.Guarantee.BandwidthBps
+	fit := func(free int, head float64) bool {
+		return free >= vms && !(useHeadroom && bw > head+headroomSlack)
+	}
+	// u is the lowest untouched scope while it is still to be merged in.
+	u := touched.firstClear(n)
+	if u < n && fit(full, m.head.empty) {
+		collapsed = n - touched.count() - 1
+	} else {
+		u = n
+	}
+	cands = m.cands[:0]
+	for i := touched.next(0, n); i < n; i = touched.next(i+1, n) {
+		if u < i {
+			cands, u = append(cands, u), n
 		}
-		if free == full {
-			if untouchedSeen {
-				collapsed++
-				continue
-			}
-			untouchedSeen = true
+		if fit(free[i], head[i]) {
+			cands = append(cands, i)
 		}
-		cands = append(cands, i)
+	}
+	if u < n {
+		cands = append(cands, u)
 	}
 	m.cands = cands
 	return cands, collapsed
