@@ -81,6 +81,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-snapshot-every requires -wal")
 		os.Exit(2)
 	}
+	if *tenants < 0 {
+		fmt.Fprintf(os.Stderr, "-tenants: must be at least 0, got %d\n", *tenants)
+		os.Exit(2)
+	}
 	// Every tenant spans two fault domains, so it needs two VMs.
 	if *vms < 0 || *vms == 1 {
 		fmt.Fprintf(os.Stderr, "-vms: must be 0 (drawn sizes) or at least 2 (each tenant spans 2 fault domains), got %d\n", *vms)
@@ -170,6 +174,24 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A recovered store already decided earlier requests; continue the
+	// ID stream after them instead of colliding with admitted tenants.
+	idBase := 0
+	if dur != nil {
+		idBase = dur.Accepted() + dur.Rejected()
+	}
+	if *explain > 0 && (*explain <= idBase || *explain > idBase+*tenants) {
+		offers := "no tenant"
+		if *tenants > 0 {
+			offers = fmt.Sprintf("tenant-%d to tenant-%d", idBase+1, idBase+*tenants)
+		}
+		fmt.Fprintf(os.Stderr, "-explain: tenant-%d is never offered: this run offers %s\n", *explain, offers)
+		if dur != nil {
+			dur.Close()
+		}
+		os.Exit(2)
+	}
+
 	fmt.Printf("datacenter: %d servers, %d slots, %s placement\n",
 		tree.Servers(), tree.Slots(), placer.Name())
 	fmt.Printf("per-VM guarantee: B=%.0f Mbps S=%.0f KB d=%.2f ms Bmax=%.1f Gbps\n",
@@ -179,12 +201,6 @@ func main() {
 
 	rng := stats.NewRand(*seed)
 	accepted := 0
-	// A recovered store already decided earlier requests; continue the
-	// ID stream after them instead of colliding with admitted tenants.
-	idBase := 0
-	if dur != nil {
-		idBase = dur.Accepted() + dur.Rejected()
-	}
 	var rejectedIDs []int
 	for i := 0; i < *tenants; i++ {
 		if ctx.Err() != nil {

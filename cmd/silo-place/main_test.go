@@ -76,6 +76,11 @@ func TestCLI(t *testing.T) {
 		{[]string{"-vms", "-3"}, "-vms: must be 0 (drawn sizes) or at least 2"},
 		{[]string{"-algo", "oktopus", "-explain", "-1"}, "-explain requires -algo silo"},
 		{[]string{"-snapshot-every", "5"}, "-snapshot-every requires -wal"},
+		// A negative request count printed "accepted 0 / -3 tenants", and
+		// a tenant the run never offers was explained as if the journal
+		// were off; both exited 0.
+		{[]string{"-tenants", "-3"}, "-tenants: must be at least 0"},
+		{[]string{"-explain", "999", "-tenants", "2"}, "-explain: tenant-999 is never offered: this run offers tenant-1 to tenant-2"},
 	} {
 		t.Run("refuses "+strings.Join(c.args, " "), func(t *testing.T) {
 			out, err := exec.Command(bin, c.args...).CombinedOutput()

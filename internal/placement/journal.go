@@ -110,8 +110,11 @@ func (m *Manager) Decision(tenantID int) (*Decision, bool) {
 // Explain renders the journaled decision for a tenant.
 func (m *Manager) Explain(tenantID int) string {
 	d, ok := m.Decision(tenantID)
-	if !ok {
+	switch {
+	case !ok && m.journal == nil:
 		return fmt.Sprintf("tenant %d: no journaled decision (enable the journal before Place)\n", tenantID)
+	case !ok:
+		return fmt.Sprintf("tenant %d: no journaled decision (no request for it since the journal was enabled)\n", tenantID)
 	}
 	return d.Render(m.tree)
 }

@@ -50,6 +50,11 @@ func TestJournalAcceptRecordsCuts(t *testing.T) {
 	if !strings.Contains(out, "ACCEPTED") || !strings.Contains(out, "<- limiting") {
 		t.Fatalf("render missing sections:\n%s", out)
 	}
+	// A tenant the journal never saw is not blamed on a journal that is
+	// on.
+	if out, want := m.Explain(999), "no request for it since the journal was enabled"; !strings.Contains(out, want) {
+		t.Errorf("Explain of an unseen tenant = %q, want it to say %q", out, want)
+	}
 }
 
 // Fill the Figure-5 rack until a tenant is rejected: the journal must
