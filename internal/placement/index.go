@@ -70,13 +70,13 @@ func (ix *slotIndex) slots(s int) int {
 	return ix.perServer - ix.taken[s]
 }
 
-// setTaken sets server s's taken count, allocating the counts on the
+// counts returns the per-server taken counts, allocating them on the
 // first write.
-func (ix *slotIndex) setTaken(s, n int) {
+func (ix *slotIndex) counts() []int {
 	if ix.taken == nil {
 		ix.taken = make([]int, ix.tree.Servers())
 	}
-	ix.taken[s] = n
+	return ix.taken
 }
 
 // rackUntouched reports that rack r hosts no VM and has no failed
@@ -98,7 +98,7 @@ func (ix *slotIndex) addFree(s, d int) {
 
 // take consumes one slot on server s, keeping the sums consistent.
 func (ix *slotIndex) take(s int) {
-	ix.setTaken(s, ix.perServer-ix.slots(s)+1)
+	ix.counts()[s]++
 	ix.addFree(s, -1)
 }
 
@@ -109,7 +109,7 @@ func (ix *slotIndex) free(s int) {
 		ix.hidden[s]++
 		return
 	}
-	ix.setTaken(s, ix.perServer-ix.slots(s)-1)
+	ix.taken[s]--
 	ix.addFree(s, 1)
 }
 
@@ -126,7 +126,7 @@ func (ix *slotIndex) disable(s int) {
 	ix.disabled[s] = true
 	n := ix.slots(s)
 	ix.hidden[s] = n
-	ix.setTaken(s, ix.perServer)
+	ix.counts()[s] = ix.perServer
 	ix.addFree(s, -n)
 }
 
