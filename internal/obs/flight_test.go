@@ -3,11 +3,14 @@ package obs
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFlightRecorderNilSafe(t *testing.T) {
@@ -63,6 +66,96 @@ func TestFlightRecorderRing(t *testing.T) {
 	for i, ev := range evs {
 		if want := int64(3 + i); ev.T != want {
 			t.Errorf("event %d T = %d, want %d (oldest surviving first)", i, ev.T, want)
+		}
+	}
+}
+
+// refFlightRing is the flight recorder with every shard's ring
+// allocated at full capacity up front, the reference for the recorder's
+// rings that grow on demand.
+type refFlightRing struct {
+	shards     [flightShards][]FlightEvent
+	pos        [flightShards]uint64
+	mask       uint64
+	sampleMask uint64
+}
+
+func newRefFlightRing(perShardEvents, sampleN int) *refFlightRing {
+	capacity := ceilPow2(max(perShardEvents, 1))
+	r := &refFlightRing{mask: capacity - 1}
+	if sampleN > 1 {
+		r.sampleMask = ceilPow2(sampleN) - 1
+	}
+	for i := range r.shards {
+		r.shards[i] = make([]FlightEvent, capacity)
+	}
+	return r
+}
+
+func (r *refFlightRing) emit(ev FlightEvent) {
+	i := flightHash(ev.Pkt)
+	r.shards[i][r.pos[i]&r.mask] = ev
+	r.pos[i]++
+}
+
+// events lists each shard's retained events, oldest first.
+func (r *refFlightRing) events() []FlightEvent {
+	out := []FlightEvent{}
+	for i := range r.shards {
+		n := min(r.pos[i], r.mask+1)
+		for j := r.pos[i] - n; j < r.pos[i]; j++ {
+			out = append(out, r.shards[i][j&r.mask])
+		}
+	}
+	return out
+}
+
+// TestFlightRingGrowthEquivalenceProperty holds FlightRecorder to the
+// fully preallocated reference ring: over random capacities, sampling
+// divisors and emit counts that stop before a ring fills, while it
+// grows, and after it wraps, both keep the same events in the same
+// order, so the same spans assemble. No ring grows past its capacity.
+func TestFlightRingGrowthEquivalenceProperty(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	for iter := 0; iter < 200; iter++ {
+		perShard := 1 + rng.Intn(1<<uint(rng.Intn(11)))
+		sampleN := rng.Intn(10)
+		r, ref := NewFlightRecorder(perShard, sampleN), newRefFlightRing(perShard, sampleN)
+		if r.SampleN() != int(ref.sampleMask+1) {
+			t.Fatalf("seed %d: perShard %d sampleN %d: SampleN = %d, want %d", seed, perShard, sampleN, r.SampleN(), ref.sampleMask+1)
+		}
+		capacity := ref.mask + 1
+		check := func(emitted int) {
+			if got, want := r.Events(), ref.events(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: perShard %d sampleN %d: after %d emits Events() differs from the reference: %d vs %d events",
+					seed, perShard, sampleN, emitted, len(got), len(want))
+			}
+			for i := range r.shards {
+				if n := uint64(len(r.shards[i].buf)); n > capacity {
+					t.Fatalf("seed %d: shard %d holds %d records, capacity %d", seed, i, n, capacity)
+				}
+			}
+		}
+		emitted := 0
+		emit := func(kind uint8, ts int64, pkt uint64, port int32, arg int64, gate uint8) {
+			if !r.Sampled(pkt) {
+				return
+			}
+			r.Emit(kind, ts, pkt, port, arg, gate)
+			ref.emit(FlightEvent{T: ts, Pkt: pkt, Arg: arg, Port: port, Kind: kind, Gate: gate})
+			if emitted++; emitted&(emitted-1) == 0 {
+				check(emitted)
+			}
+		}
+		// About eight events per packet and one packet in r.SampleN()
+		// sampled: up to about three wraps of every shard.
+		ports := syntheticPorts(1 + rng.Intn(12))
+		randLifecycles(rng, emit, 1+rng.Intn(int(capacity)*r.SampleN()*3/2+2), len(ports))
+		check(emitted)
+		events := r.Events()
+		if got, want := AssembleFlight(events, ports), AssembleFlight(ref.events(), ports); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: perShard %d sampleN %d: %d events: spans differ from the reference's", seed, perShard, sampleN, len(events))
 		}
 	}
 }

@@ -385,10 +385,11 @@ func TestChromeTraceWriterAllocs(t *testing.T) {
 	}
 }
 
-// randLifecycles emits the interleaved lifecycles of n packets: paced
-// or not, delivered, dropped at a port, or still in flight, sometimes
-// crossing one port twice.
-func randLifecycles(rng *rand.Rand, r *FlightRecorder, n, nPorts int) {
+// randLifecycles emits the interleaved lifecycles of n packets through
+// emit (a FlightRecorder's Emit, or a wrapper): paced or not, delivered,
+// dropped at a port, or still in flight, sometimes crossing one port
+// twice.
+func randLifecycles(rng *rand.Rand, emit func(kind uint8, t int64, pkt uint64, port int32, arg int64, gate uint8), n, nPorts int) {
 	type pkt struct {
 		id   uint64
 		evs  []FlightEvent
@@ -430,7 +431,7 @@ func randLifecycles(rng *rand.Rand, r *FlightRecorder, n, nPorts int) {
 			continue
 		}
 		ev := p.evs[p.next]
-		r.Emit(ev.Kind, ev.T, p.id, ev.Port, ev.Arg, ev.Gate)
+		emit(ev.Kind, ev.T, p.id, ev.Port, ev.Arg, ev.Gate)
 		if p.next++; p.next == len(p.evs) {
 			live--
 		}
@@ -459,7 +460,7 @@ func TestAssembleFlightMatchesOracle(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		ports := syntheticPorts(1 + rng.Intn(12))
 		r := NewFlightRecorder(16<<uint(rng.Intn(6)), 1)
-		randLifecycles(rng, r, 1+rng.Intn(300), len(ports))
+		randLifecycles(rng, r.Emit, 1+rng.Intn(300), len(ports))
 		events := r.Events()
 		if want := oracleEvents(r); !reflect.DeepEqual(events, want) {
 			t.Fatalf("Events() differs from the per-event copy: %d vs %d events", len(events), len(want))
