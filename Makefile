@@ -80,13 +80,15 @@ test-admission:
 	$(call check-run,$(ADMISSION_RUN),$(ADMISSION_PKGS))
 	$(GO) test -race -count=25 -run '$(ADMISSION_RUN)' $(ADMISSION_PKGS)
 
-# The obs formatters' equivalences, 25 times over under the race
-# detector, each run drawing fresh seeds: the trace's microsecond
-# timestamps and the JSON string encoder against the float and
-# reflective paths they replaced. series.json has one writer,
-# encoding/json, so it has no second path to hold it to.
-OBS_RUN = AppendMicros|AppendJSONString
-OBS_PKGS = ./internal/obs/
+# The obs planes' equivalences, 25 times over under the race detector,
+# each run drawing fresh seeds: the trace's microsecond timestamps and
+# the JSON string encoder against the float and reflective paths they
+# replaced; the flight recorder's rings, which grow on demand, against
+# a fully preallocated reference ring (same events, same spans); and
+# series.json's one-pass indenter against json.Encoder with SetIndent,
+# byte for byte on random documents.
+OBS_RUN = AppendMicros|AppendJSONString|FlightRingGrowthEquivalence|AppendIndented
+OBS_PKGS = ./internal/obs/ ./internal/obs/dashboard/
 test-obs:
 	$(call check-run,$(OBS_RUN),$(OBS_PKGS))
 	$(GO) test -race -count=25 -run '$(OBS_RUN)' $(OBS_PKGS)

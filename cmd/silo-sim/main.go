@@ -87,6 +87,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-duration: must be >= 0, got %g\n", *duration)
 		os.Exit(2)
 	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"-racks", *racks}, {"-servers", *servers}} {
+		if f.n < 1 {
+			fmt.Fprintf(os.Stderr, "%s: must be at least 1, got %d\n", f.name, f.n)
+			os.Exit(2)
+		}
+	}
+	if *faultDetect < 0 {
+		fmt.Fprintf(os.Stderr, "-fault-detect: must be >= 0, got %v\n", *faultDetect)
+		os.Exit(2)
+	}
+	// A knob of a plane that is not attached would be silently ignored.
+	if *traceOut == "" && flagGiven("trace-sample") {
+		fmt.Fprintln(os.Stderr, "-trace-sample requires -trace")
+		os.Exit(2)
+	}
+	if !*sloReport && *seriesOut == "" && *incidentsOut == "" && flagGiven("window") {
+		fmt.Fprintln(os.Stderr, "-window requires -slo-report, -series or -incidents")
+		os.Exit(2)
+	}
 	if *walDir != "" && *schemeName != "silo" {
 		fmt.Fprintln(os.Stderr, "-wal requires -scheme silo (the comparison placers have no durable state)")
 		os.Exit(2)

@@ -246,8 +246,11 @@ func TestCLI(t *testing.T) {
 	// duration is no run: both exit 2 instead of running as something
 	// else. A zero duration is valid (the sim_obs set-up runs it). A
 	// one-VM tenant cannot span its two fault domains (it used to exit 1
-	// naming a FaultDomains setting no flag sets), and -snapshot-every
-	// without -wal used to be ignored.
+	// naming a FaultDomains setting no flag sets), and an empty topology
+	// used to exit 1 with the topology struct dumped. A negative
+	// -fault-detect used to run as 0, and -snapshot-every without -wal,
+	// -trace-sample without -trace and -window without a plane that
+	// closes windows used to be ignored.
 	for _, c := range []struct{ args, want string }{
 		{"-window 1e-7 -slo-report", "-window: must be > 0, got 1e-07"},
 		{"-window 0", "-window: must be > 0, got 0"},
@@ -255,6 +258,12 @@ func TestCLI(t *testing.T) {
 		{"-vms-a 1", "-vms-a: must be at least 2 (the tenant spans 2 fault domains), got 1"},
 		{"-vms-b 1", "-vms-b: must be at least 2 (the tenant spans 2 fault domains), got 1"},
 		{"-snapshot-every 5", "-snapshot-every requires -wal"},
+		{"-racks 0", "-racks: must be at least 1, got 0"},
+		{"-racks -2", "-racks: must be at least 1, got -2"},
+		{"-servers 0", "-servers: must be at least 1, got 0"},
+		{"-fault-detect -1ms", "-fault-detect: must be >= 0, got -1ms"},
+		{"-trace-sample 4", "-trace-sample requires -trace"},
+		{"-window 5", "-window requires -slo-report, -series or -incidents"},
 	} {
 		t.Run("refuses "+c.args, func(t *testing.T) {
 			out, err := exec.Command(bin, strings.Fields(c.args)...).CombinedOutput()

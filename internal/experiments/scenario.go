@@ -360,8 +360,9 @@ func Build(sc Scenario, env Env) (*Run, error) {
 	if sc.Planes.Incidents {
 		// One violation stream: the auditor's per-delivery tap and, in
 		// Finish, the SLO's window violations. Wired before the run — the
-		// tap is read without locks on the delivery path.
-		r.Violations = obs.NewViolationLog(1 << 14)
+		// tap is read without locks on the delivery path. The log grows
+		// with the violations the run records.
+		r.Violations = obs.NewViolationLog(0)
 		r.Audit.SetViolationTap(r.Violations.Observe)
 	}
 	if sc.Planes.TraceSampleN > 0 {

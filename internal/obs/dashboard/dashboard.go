@@ -91,9 +91,63 @@ func buildPayload(opts Options) Payload {
 }
 
 // WriteJSON writes the payload to w (silo-sim -series), indented one
-// space per level.
+// space per level: the bytes json.Encoder writes with SetIndent("", " "),
+// from one json.Marshal and one indenting pass over its output.
 func WriteJSON(w io.Writer, opts Options) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(buildPayload(opts))
+	compact, err := json.Marshal(buildPayload(opts))
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(appendIndented(make([]byte, 0, 2*len(compact)), compact))
+	return err
+}
+
+// appendIndented appends src, a compact JSON document as json.Marshal
+// writes it, laid out as json.Indent does with no prefix and a one-space
+// indent, plus the newline json.Encoder ends a value with. Strings are
+// copied verbatim and an empty object or array stays {} or [].
+func appendIndented(dst, src []byte) []byte {
+	depth := 0
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			j := i + 1
+			for ; src[j] != '"'; j++ {
+				if src[j] == '\\' {
+					j++ // the escaped byte cannot end the string
+				}
+			}
+			dst = append(dst, src[i:j+1]...)
+			i = j
+		case '{', '[':
+			dst = append(dst, c)
+			if end := c + 2; src[i+1] == end { // '{'+2 is '}', '['+2 is ']'
+				dst = append(dst, end)
+				i++
+				continue
+			}
+			depth++
+			dst = appendNewline(dst, depth)
+		case '}', ']':
+			depth--
+			dst = appendNewline(dst, depth)
+			dst = append(dst, c)
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '\n')
+}
+
+// appendNewline starts a line indented to depth.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for range depth {
+		dst = append(dst, ' ')
+	}
+	return dst
 }

@@ -1,18 +1,21 @@
 package obs
 
-// Flight recorder: a fixed-size ring of binary trace events
-// for end-to-end per-packet latency attribution. Where the metrics core
-// (obs.go) aggregates in place, the flight recorder keeps the most
-// recent window of raw lifecycle events — VM enqueue, token-bucket
-// admit, wire departure, per-port enqueue/transmit, delivery — in
-// preallocated fixed-size records, so a crash, a d-violation, or an
-// end-of-run export always has the exact recent history to attribute,
-// at a cost the pacing hot path can afford.
+// Flight recorder: a bounded ring of binary trace events for end-to-end
+// per-packet latency attribution. Where the metrics core (obs.go)
+// aggregates in place, the flight recorder keeps the most recent window
+// of raw lifecycle events — VM enqueue, token-bucket admit, wire
+// departure, per-port enqueue/transmit, delivery — in fixed-size
+// records, so a crash, a d-violation, or an end-of-run export always
+// has the exact recent history to attribute, at a cost the pacing hot
+// path can afford.
 //
 // Design rules, matching the metrics core:
 //
-//  1. Zero allocations per event. Records are fixed-size structs
-//     written into rings preallocated at construction.
+//  1. Zero allocations per event once a ring is full. Records are
+//     fixed-size structs; each shard's ring starts empty and grows on
+//     the emit that finds it full (to flightFirstRing records, then
+//     doubling up to its capacity), so a short run pays for the events
+//     it records, not for the capacity. A full ring wraps in place.
 //  2. Nil-safe. A nil *FlightRecorder disables every emit site at one
 //     branch; Sampled on a nil recorder reports false so callers can
 //     gate whole event bundles on a single check.
@@ -69,14 +72,26 @@ type FlightEvent struct {
 const flightShards = 4
 
 // flightShard is one ring and its cursor: the number of events ever
-// written to it.
+// written to it. Until the ring wraps, buf holds at least pos events.
 type flightShard struct {
 	pos uint64
 	buf []FlightEvent
 }
 
-// FlightRecorder records sampled packet lifecycle events into
-// fixed-size rings. A nil recorder is fully disabled.
+// flightFirstRing is the ring a shard allocates on its first event.
+const flightFirstRing = 256
+
+// grow doubles the ring (to at least flightFirstRing events, at most
+// capacity), keeping its events in place. Only a ring that has not yet
+// wrapped grows, so its cursor still indexes it directly.
+func (s *flightShard) grow(capacity uint64) {
+	buf := make([]FlightEvent, min(max(2*uint64(len(s.buf)), flightFirstRing), capacity))
+	copy(buf, s.buf)
+	s.buf = buf
+}
+
+// FlightRecorder records sampled packet lifecycle events into rings of
+// a fixed capacity. A nil recorder is fully disabled.
 type FlightRecorder struct {
 	shards     [flightShards]flightShard
 	mask       uint64 // ring index mask (per-shard capacity - 1)
@@ -85,7 +100,7 @@ type FlightRecorder struct {
 
 // DefaultFlightEvents is the default per-shard ring capacity: at ~7
 // events per delivered packet this window holds the last ~37k sampled
-// packets across the four shards (8 MB total).
+// packets across the four shards (8 MB once every ring is full).
 const DefaultFlightEvents = 1 << 16
 
 // ceilPow2 rounds n up to a power of two (minimum 1).
@@ -105,13 +120,9 @@ func NewFlightRecorder(perShardEvents, sampleN int) *FlightRecorder {
 	if perShardEvents <= 0 {
 		perShardEvents = DefaultFlightEvents
 	}
-	capacity := ceilPow2(perShardEvents)
-	r := &FlightRecorder{mask: capacity - 1}
+	r := &FlightRecorder{mask: ceilPow2(perShardEvents) - 1}
 	if sampleN > 1 {
 		r.sampleMask = ceilPow2(sampleN) - 1
-	}
-	for i := range r.shards {
-		r.shards[i].buf = make([]FlightEvent, capacity)
 	}
 	return r
 }
@@ -140,13 +151,18 @@ func flightHash(pkt uint64) uint64 {
 
 // Emit appends one event. Callers gate on Sampled first; Emit itself
 // does not re-check, so unsampled direct emission is possible. Zero
-// allocations.
+// allocations, except on the emit that finds a ring full before it has
+// reached its capacity.
 func (r *FlightRecorder) Emit(kind uint8, t int64, pkt uint64, port int32, arg int64, gate uint8) {
 	if r == nil {
 		return
 	}
 	s := &r.shards[flightHash(pkt)]
-	s.buf[s.pos&r.mask] = FlightEvent{T: t, Pkt: pkt, Arg: arg, Port: port, Kind: kind, Gate: gate}
+	i := s.pos & r.mask
+	if i >= uint64(len(s.buf)) {
+		s.grow(r.mask + 1)
+	}
+	s.buf[i] = FlightEvent{T: t, Pkt: pkt, Arg: arg, Port: port, Kind: kind, Gate: gate}
 	s.pos++
 }
 

@@ -118,7 +118,7 @@ func (r *refFlightRing) events() []FlightEvent {
 func TestFlightRingGrowthEquivalenceProperty(t *testing.T) {
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
-	for iter := 0; iter < 200; iter++ {
+	for iter := 0; iter < 120; iter++ {
 		perShard := 1 + rng.Intn(1<<uint(rng.Intn(11)))
 		sampleN := rng.Intn(10)
 		r, ref := NewFlightRecorder(perShard, sampleN), newRefFlightRing(perShard, sampleN)
@@ -316,9 +316,28 @@ func TestValidateOutputPath(t *testing.T) {
 	}
 }
 
+// fillFlightRings emits sampled packets until every shard's ring has
+// wrapped, so it has grown to its capacity; it returns the next packet.
+func fillFlightRings(r *FlightRecorder) uint64 {
+	pkt := uint64(0)
+	for full := 0; full < flightShards; {
+		if r.Sampled(pkt) {
+			s := &r.shards[flightHash(pkt)]
+			if r.Emit(FlightPortEnqueue, 1, pkt, 3, 64, 0); s.pos == r.mask+1 {
+				full++
+			}
+		}
+		pkt++
+	}
+	return pkt
+}
+
+// TestFlightEmitZeroAlloc fills every ring to its capacity first, so the
+// steady-state emit is held to exactly 0 allocations, not to an average
+// that rounds the growing rings' allocations down.
 func TestFlightEmitZeroAlloc(t *testing.T) {
 	r := NewFlightRecorder(1<<10, 64)
-	pkt := uint64(0)
+	pkt := fillFlightRings(r)
 	if got := testing.AllocsPerRun(1000, func() {
 		if r.Sampled(pkt) {
 			r.Emit(FlightPortEnqueue, 1, pkt, 3, 64, 0)
@@ -326,6 +345,22 @@ func TestFlightEmitZeroAlloc(t *testing.T) {
 		pkt++
 	}); got != 0 {
 		t.Errorf("allocs per emit = %g, want 0", got)
+	}
+}
+
+// TestFlightRingGrowthAllocs bounds what the rings allocate while they
+// grow: the recorder, then one allocation per doubling of each shard's
+// ring from flightFirstRing to its capacity.
+func TestFlightRingGrowthAllocs(t *testing.T) {
+	for _, capacity := range []int{1, flightFirstRing, 1 << 10, DefaultFlightEvents} {
+		doublings := 1
+		for n := flightFirstRing; n < capacity; n *= 2 {
+			doublings++
+		}
+		want := float64(1 + flightShards*doublings)
+		if got := testing.AllocsPerRun(3, func() { fillFlightRings(NewFlightRecorder(capacity, 1)) }); got > want {
+			t.Errorf("capacity %d: filling the rings allocates %g times, want at most %g", capacity, got, want)
+		}
 	}
 }
 

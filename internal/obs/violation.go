@@ -134,10 +134,11 @@ func SortViolationEvents(evs []ViolationEvent) {
 
 // ViolationLog collects ViolationEvents from every emitter (the
 // delivery taps during the run, the SLO's window violations once it is
-// evaluated), all on the simulation goroutine. Observe appends into a preallocated buffer, so
-// the steady-state observation path does not allocate; past the initial
-// capacity the buffer grows like any slice, which amortizes to zero
-// allocations per event.
+// evaluated), all on the simulation goroutine. Observe appends to a
+// buffer that grows like any slice with the events recorded, which
+// amortizes to zero allocations per event, so a run without violations
+// allocates none; a log presized by NewViolationLog does not allocate
+// until its capacity is used up.
 //
 // A nil *ViolationLog ignores events, so call sites can wire the tap
 // unconditionally.
@@ -145,16 +146,14 @@ type ViolationLog struct {
 	evs []ViolationEvent
 }
 
-// NewViolationLog returns a log preallocated for capacity events
-// (minimum 64).
+// NewViolationLog returns a log with room for capacity events before its
+// buffer first grows; capacity <= 0 allocates nothing until the first
+// event.
 func NewViolationLog(capacity int) *ViolationLog {
-	if capacity < 64 {
-		capacity = 64
-	}
-	return &ViolationLog{evs: make([]ViolationEvent, 0, capacity)}
+	return &ViolationLog{evs: make([]ViolationEvent, 0, max(capacity, 0))}
 }
 
-// Observe appends one event; allocation-free while the preallocated
+// Observe appends one event; allocation-free while the presized
 // capacity lasts.
 func (l *ViolationLog) Observe(ev ViolationEvent) {
 	if l == nil {
