@@ -81,7 +81,7 @@ type refFlightRing struct {
 }
 
 func newRefFlightRing(perShardEvents, sampleN int) *refFlightRing {
-	capacity := ceilPow2(max(perShardEvents, 1))
+	capacity := ceilPow2(perShardEvents)
 	r := &refFlightRing{mask: capacity - 1}
 	if sampleN > 1 {
 		r.sampleMask = ceilPow2(sampleN) - 1
@@ -316,8 +316,8 @@ func TestValidateOutputPath(t *testing.T) {
 	}
 }
 
-// fillFlightRings emits sampled packets until every shard's ring has
-// wrapped, so it has grown to its capacity; it returns the next packet.
+// fillFlightRings emits sampled packets until every shard's ring holds
+// its capacity, so none grows again; it returns the next packet.
 func fillFlightRings(r *FlightRecorder) uint64 {
 	pkt := uint64(0)
 	for full := 0; full < flightShards; {
