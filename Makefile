@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: all ci fmt vet cross build test test-race test-admission test-obs test-pacer examples soak bench-placement
+.PHONY: all ci fmt vet cross build test test-race test-admission test-obs test-pacer identity examples soak bench-placement
 
 all: vet build test
 
 # The test steps of the CI workflow, in order (CI also writes sample
 # artifacts for upload).
-ci: fmt vet cross build test test-race test-admission test-obs test-pacer examples soak
+ci: fmt vet cross build test test-race test-admission test-obs test-pacer identity examples soak
 
 # Every Go file as gofmt writes it: lists the files that are not and
 # fails if there are any.
@@ -105,6 +105,15 @@ PACER_PKGS = ./internal/pacer/
 test-pacer:
 	$(call check-run,$(PACER_RUN),$(PACER_PKGS))
 	$(GO) test -race -count=25 -run '$(PACER_RUN)' $(PACER_PKGS)
+
+# Parity: the stdout of all 13 silo-bench -run all experiments against
+# cmd/silo-bench/testdata/all.golden, wall-clock fields masked (about
+# 20 s). Tier-1 checks only the experiments that take at most about two
+# seconds each. A change that keeps every figure passes this unchanged;
+# one that moves a decision re-blesses the golden with
+# `go test ./cmd/silo-bench -run TestCLI/golden -update`.
+identity:
+	$(GO) test -count=1 -run 'TestCLI/golden_runs' ./cmd/silo-bench -all
 
 # The five example programs, the only callers of the public facade's
 # Admit / Deploy / CoordinateHose besides the benchmark: each must run to

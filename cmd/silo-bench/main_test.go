@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,7 +13,53 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+var (
+	update = flag.Bool("update", false, "rewrite testdata/all.golden from a -run all run")
+	all    = flag.Bool("all", false, "check every -run all experiment against testdata/all.golden, not only fastRuns")
+)
+
+// fastRuns are the -run all experiments that take at most about two
+// seconds each, in -run all order; tier-1 checks these, and make
+// identity (-all) checks the rest too: table1, fig11 and fig16b.
+var fastRuns = []string{"fig1", "fig5", "fig10", "fig12", "fig15", "fig16a", "placeub", "besteffort", "burststress", "faultdrill"}
+
+// masks blank the fields of an experiment's stdout that read the wall
+// clock, keeping the layout: placeub's latencies and total, and fig10's
+// per-frame costs (figure10Point times itself).
+var masks = map[string]struct {
+	re   *regexp.Regexp
+	repl string
+}{
+	"placeub": {regexp.MustCompile(`\b(mean|p50|p99|max|total)=[0-9.]+(m?s)\b`), "${1}=*${2}"},
+	"fig10": {regexp.MustCompile(`(?m)^( +[0-9.]+ +[0-9.]+ +[0-9.]+ +[0-9.e+]+) +[0-9.]+ +[0-9.]+`),
+		"${1}" + fmt.Sprintf(" %12s %14s", "*", "*")},
+}
+
+// section is one experiment's block of silo-bench's stdout, from its
+// "==== name ====" line up to the next one.
+type section struct{ name, text string }
+
+var headerRE = regexp.MustCompile(`(?m)^==== (\S+) ====$`)
+
+// sections splits silo-bench's stdout into its experiments' blocks,
+// each with its wall-clock fields masked.
+func sections(out []byte) []section {
+	s := string(out)
+	heads := headerRE.FindAllStringSubmatchIndex(s, -1)
+	secs := make([]section, len(heads))
+	for i, h := range heads {
+		end := len(s)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		sec := section{name: s[h[2]:h[3]], text: s[h[0]:end]}
+		if m, ok := masks[sec.name]; ok {
+			sec.text = m.re.ReplaceAllString(sec.text, m.repl)
+		}
+		secs[i] = sec
+	}
+	return secs
+}
 
 // acceptedRE is the placement run's decision count; its timings vary
 // from run to run.
@@ -36,26 +83,47 @@ func TestCLI(t *testing.T) {
 		return out
 	}
 
-	// Figure 5's placement, packet-level and incident checks, and the
-	// failure drill: simulated time only, so stdout repeats byte for
-	// byte.
-	t.Run("golden fig5 faultdrill", func(t *testing.T) {
-		got := run(t, "-run", "fig5,faultdrill")
-		path := filepath.Join("testdata", "fig5_faultdrill.golden")
+	// The stdout of the runs in fastRuns (or, under -all or -update, of
+	// every -run all experiment) against testdata/all.golden, section
+	// by section, wall-clock fields masked.
+	t.Run("golden runs", func(t *testing.T) {
+		names := fastRuns
+		if *all || *update {
+			names = []string{"all"}
+		}
+		got := sections(run(t, "-run", strings.Join(names, ",")))
+		path := filepath.Join("testdata", "all.golden")
 		if *update {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, got, 0o644); err != nil {
+			var b strings.Builder
+			for _, sec := range got {
+				b.WriteString(sec.text)
+			}
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want, err := os.ReadFile(path)
+		golden, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%v (run with -update to create it)", err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("stdout differs from %s (rerun with -update if intended):\n--- got ---\n%s--- want ---\n%s", path, got, want)
+		want := map[string]string{}
+		for _, sec := range sections(golden) {
+			want[sec.name] = sec.text
+		}
+		for _, sec := range got {
+			if sec.text != want[sec.name] {
+				t.Errorf("-run %s differs from %s (rerun with -update if intended):\n--- got ---\n%s--- want ---\n%s", sec.name, path, sec.text, want[sec.name])
+			}
+		}
+		n := len(names)
+		if names[0] == "all" {
+			n = len(want)
+		}
+		if len(got) != n {
+			t.Errorf("-run %s printed %d experiments, want %d", strings.Join(names, ","), len(got), n)
 		}
 	})
 

@@ -122,14 +122,6 @@ func TestBestEffortGolden(t *testing.T) {
 	checkGolden(t, "besteffort", r.Render())
 }
 
-func TestBurstStressGolden(t *testing.T) {
-	rs, err := RunBurstStressComparison(DefaultBurstStressParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "burststress", RenderBurstStress(rs))
-}
-
 // Fig. 5 at packet level with the flight trace and the incident plane
 // on: the paced run, and the unpaced one under the tightened audit
 // bound (the run that has incidents to report).
@@ -148,14 +140,14 @@ func TestFigure5SimGolden(t *testing.T) {
 	checkGolden(t, "fig5sim", b.String())
 }
 
-// The drill's recovery table and, byte for byte, the incidents.json that
-// silo-bench -run faultdrill -outdir writes (less its meta object).
+// Byte for byte, the incidents.json that silo-bench -run faultdrill
+// -outdir writes (less its meta object); cmd/silo-bench's all.golden
+// pins the drill's recovery table.
 func TestFailureDrillGolden(t *testing.T) {
 	r, err := RunFailureDrill(DefaultFailureDrillParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "failuredrill", r.Render())
 	var js strings.Builder
 	if err := r.Incidents.WriteJSON(&js); err != nil {
 		t.Fatal(err)
