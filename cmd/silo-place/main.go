@@ -30,6 +30,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/topology"
+	"repro/internal/units"
 )
 
 func main() {
@@ -95,7 +96,7 @@ func main() {
 		BandwidthBps: *bwMbps * 1e6 / 8,
 		BurstBytes:   *burstKB * 1e3,
 		DelayBound:   *delayMs / 1e3,
-		BurstRateBps: *bmaxG * 1e9 / 8,
+		BurstRateBps: *bmaxG * units.Gbps,
 	}
 	// Field by field, so the error names the flag. The last entry is the
 	// whole guarantee: with the others valid, only Bmax can fail it.
@@ -121,7 +122,7 @@ func main() {
 		RacksPerPod:    *racks,
 		ServersPerRack: *servers,
 		SlotsPerServer: *slots,
-		LinkBps:        *linkGbps * 1e9 / 8,
+		LinkBps:        *linkGbps * units.Gbps,
 		BufferBytes:    *bufKB * 1e3,
 		NICBufferBytes: 62.5e3,
 		RackOversub:    *oversub,

@@ -32,10 +32,9 @@ import (
 	"repro/internal/placement/durable"
 	"repro/internal/tenant"
 	"repro/internal/topology"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
-
-const gbps = 1e9 / 8
 
 func main() {
 	var (
@@ -149,8 +148,8 @@ func main() {
 	meta.Scheme = *schemeName
 
 	const msg = 5000
-	gA := tenant.Guarantee{BandwidthBps: 0.25 * gbps, BurstBytes: 15e3, DelayBound: 1e-3, BurstRateBps: 1 * gbps}
-	gB := tenant.Guarantee{BandwidthBps: 2 * gbps, BurstBytes: 1.5e3, BurstRateBps: 2 * gbps}
+	gA := tenant.Guarantee{BandwidthBps: 0.25 * units.Gbps, BurstBytes: 15e3, DelayBound: 1e-3, BurstRateBps: 1 * units.Gbps}
+	gB := tenant.Guarantee{BandwidthBps: 2 * units.Gbps, BurstBytes: 1.5e3, BurstRateBps: 2 * units.Gbps}
 	sc := experiments.Scenario{
 		Topology: experiments.TenGbE(1, *racks, *servers, 4, 5, 1),
 		Scheme:   scheme,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/units"
 )
 
 // Scheme identifies one end-to-end system configuration from the
@@ -42,9 +43,6 @@ var AllSchemes = []Scheme{SchemeSilo, SchemeTCP, SchemeDCTCP, SchemeHULL, Scheme
 
 // PropNs is the per-link propagation delay of every simulated fabric.
 const PropNs = 200
-
-// mtuBytes is the wire MTU the pacer spaces frames by.
-const mtuBytes = 1518
 
 func (s Scheme) String() string {
 	switch s {
@@ -99,7 +97,7 @@ func (s Scheme) NetOptions() netsim.Options {
 	case SchemeDCTCP:
 		// DCTCP marking threshold K ≈ 65 packets at 10 Gbps
 		// (Alizadeh et al. use K=65 MTU for 10 GbE).
-		o.ECNThresholdBytes = 65 * 1500
+		o.ECNThresholdBytes = 65 * units.MTUBytes
 	case SchemeHULL:
 		// HULL: phantom queue draining at 95% line rate, marking at
 		// ~1 KB × (rate/1Gbps) ≈ 15 KB at 10 GbE.
@@ -136,16 +134,16 @@ func (s Scheme) PacerGuarantee(g tenant.Guarantee) (pg pacer.Guarantee, ok bool)
 			BandwidthBps: g.BandwidthBps,
 			BurstBytes:   g.BurstBytes,
 			BurstRateBps: g.BurstRateBps,
-			MTUBytes:     mtuBytes,
+			MTUBytes:     units.FrameBytes,
 		}, true
 	case SchemeOkto:
 		// Oktopus enforces the average rate only: no burst, bursts go
 		// at B.
 		return pacer.Guarantee{
 			BandwidthBps: g.BandwidthBps,
-			BurstBytes:   mtuBytes,
+			BurstBytes:   units.FrameBytes,
 			BurstRateBps: g.BandwidthBps,
-			MTUBytes:     mtuBytes,
+			MTUBytes:     units.FrameBytes,
 		}, true
 	default:
 		return pacer.Guarantee{}, false

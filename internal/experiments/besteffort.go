@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/tenant"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -75,10 +76,10 @@ func RunBestEffort(p BestEffortParams) (BestEffortResult, error) {
 
 func bestEffortGuarantee() tenant.Guarantee {
 	return tenant.Guarantee{
-		BandwidthBps: 0.25 * gbps,
+		BandwidthBps: 0.25 * units.Gbps,
 		BurstBytes:   15e3,
 		DelayBound:   1e-3,
-		BurstRateBps: 1 * gbps,
+		BurstRateBps: 1 * units.Gbps,
 	}
 }
 

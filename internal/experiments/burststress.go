@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/tenant"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -39,7 +40,7 @@ func DefaultBurstStressParams() BurstStressParams {
 		Tenants:      8,
 		Senders:      3,
 		BurstBytes:   30e3,
-		BandwidthBps: 0.4 * gbps,
+		BandwidthBps: 0.4 * units.Gbps,
 		Seed:         17,
 	}
 }
@@ -66,7 +67,7 @@ func RunBurstStress(p BurstStressParams, scheme core.Scheme) (BurstStressResult,
 		BandwidthBps: p.BandwidthBps,
 		BurstBytes:   p.BurstBytes,
 		DelayBound:   1e-3,
-		BurstRateBps: 10 * gbps,
+		BurstRateBps: 10 * units.Gbps,
 	}
 	sc := Scenario{
 		Topology: TenGbE(1, 1, 4, 8, 1, 1),

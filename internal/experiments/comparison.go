@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/tenant"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -75,16 +76,16 @@ func tenantStream(p ComparisonParams, rng *stats.Rand) []tenantRequest {
 		var g tenant.Guarantee
 		if classA {
 			g = tenant.Guarantee{
-				BandwidthBps: clamp(rng.Exp(0.25*gbps), 0.05*gbps, 0.5*gbps),
+				BandwidthBps: clamp(rng.Exp(0.25*units.Gbps), 0.05*units.Gbps, 0.5*units.Gbps),
 				BurstBytes:   clamp(rng.Exp(15e3), 3e3, 30e3),
 				DelayBound:   1e-3,
-				BurstRateBps: 1 * gbps,
+				BurstRateBps: 1 * units.Gbps,
 			}
 		} else {
 			g = tenant.Guarantee{
-				BandwidthBps: clamp(rng.Exp(2*gbps), 0.5*gbps, 3*gbps),
+				BandwidthBps: clamp(rng.Exp(2*units.Gbps), 0.5*units.Gbps, 3*units.Gbps),
 				BurstBytes:   1.5e3,
-				BurstRateBps: 2 * gbps,
+				BurstRateBps: 2 * units.Gbps,
 			}
 		}
 		reqs = append(reqs, tenantRequest{classA: classA, vms: vms, g: g})
@@ -249,7 +250,7 @@ func comparisonScenario(p ComparisonParams, scheme core.Scheme, stream []tenantR
 		}
 		if req.classA {
 			t.Hose = Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(req.vms)}
-			t.Driver = Driver{Kind: DriverOLDI, MsgBytes: max(int(req.g.BurstBytes/3), 1500), SplitRand: true}
+			t.Driver = Driver{Kind: DriverOLDI, MsgBytes: max(int(req.g.BurstBytes/3), units.MTUBytes), SplitRand: true}
 		} else {
 			t.Hose = Hose{Kind: HoseFairShare, Pattern: workload.AllToAll(req.vms)}
 			t.Driver = Driver{Kind: DriverShuffle, MsgBytes: p.ClassBMsgBytes}

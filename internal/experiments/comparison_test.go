@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/units"
 )
 
 func synthTenant(classA bool, estimateNs int64, lats []float64, msgs, rtoMsgs int) *TenantStats {
@@ -134,7 +135,7 @@ func TestTenantStreamDeterministicAndBounded(t *testing.T) {
 func TestClassAEstimate(t *testing.T) {
 	g := table3ClassA()
 	// 5 KB message at Bmax=1 Gbps plus d=1 ms.
-	want := int64(5000/(1*gbps)*1e9) + 1_000_000
+	want := int64(5000/(1*units.Gbps)*1e9) + 1_000_000
 	if got := classAEstimateNs(g, 5000); got != want {
 		t.Errorf("estimate = %d, want %d", got, want)
 	}

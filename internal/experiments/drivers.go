@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/netsim"
 	"repro/internal/transport"
+	"repro/internal/units"
 )
 
 // startDriver starts the tenant's generator (internal/workload has the
@@ -47,7 +48,7 @@ func (r *Run) startDriver(tr *TenantRun, restarted bool) {
 	}
 }
 
-// fireResync sends ResyncBytes of raw back-to-back 1500 B frames to
+// fireResync sends ResyncBytes of raw back-to-back MTU packets to
 // (dstHost, dstVM) from the ResyncSources lowest-numbered surviving
 // hosts outside the destination's rack — the bulk state transfer that
 // rebuilds a relocated VM. Unpaced by design (it is infrastructure
@@ -62,8 +63,8 @@ func (r *Run) fireResync(dstHost, dstVM int) {
 		if s == dstHost || r.Manager.ServerFailed(s) || r.Tree.RackOfServer(s) == dstRack {
 			continue
 		}
-		for sent := 0; sent < r.Scenario.ResyncBytes; sent += 1500 {
-			r.Net.Hosts[s].Send(&netsim.Packet{Src: s, Dst: dstHost, SrcVM: -1, DstVM: dstVM, Size: 1500})
+		for sent := 0; sent < r.Scenario.ResyncBytes; sent += units.MTUBytes {
+			r.Net.Hosts[s].Send(&netsim.Packet{Src: s, Dst: dstHost, SrcVM: -1, DstVM: dstVM, Size: units.MTUBytes})
 		}
 		picked++
 	}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
-	"repro/internal/tenant"
 	"testing"
+
+	"repro/internal/tenant"
+	"repro/internal/units"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -86,9 +88,9 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func table3ClassA() (g tenant.Guarantee) {
-	g.BandwidthBps = 0.25 * gbps
+	g.BandwidthBps = 0.25 * units.Gbps
 	g.BurstBytes = 15e3
 	g.DelayBound = 1e-3
-	g.BurstRateBps = 1 * gbps
+	g.BurstRateBps = 1 * units.Gbps
 	return g
 }

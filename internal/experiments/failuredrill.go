@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs/slo"
 	"repro/internal/placement"
 	"repro/internal/tenant"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -65,7 +66,7 @@ func DefaultFailureDrillParams() FailureDrillParams {
 	return FailureDrillParams{
 		Tenants:       6,
 		VMsPerTenant:  4,
-		BandwidthBps:  500 * mbps,
+		BandwidthBps:  500 * units.Mbps,
 		BurstBytes:    15e3,
 		DelayBound:    350e-6,
 		MsgBytes:      20e3,
@@ -205,7 +206,7 @@ func drillScenario(p FailureDrillParams) Scenario {
 					BandwidthBps: p.BandwidthBps,
 					BurstBytes:   p.BurstBytes,
 					DelayBound:   p.DelayBound,
-					BurstRateBps: 10 * gbps,
+					BurstRateBps: 10 * units.Gbps,
 				},
 				FaultDomains: 2,
 			},

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/pacer"
+	"repro/internal/units"
 )
 
 // Figure10Row is one rate-limit point of the pacer microbenchmark
@@ -49,10 +50,10 @@ type Figure10Params struct {
 // 10 GbE).
 func DefaultFigure10Params() Figure10Params {
 	return Figure10Params{
-		LineRateBps:    10 * gbps,
+		LineRateBps:    10 * units.Gbps,
 		RateLimitsGbps: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 		WireSeconds:    0.05,
-		PayloadBytes:   1500,
+		PayloadBytes:   units.MTUBytes,
 	}
 }
 
@@ -68,7 +69,7 @@ func RunFigure10(p Figure10Params) []Figure10Row {
 }
 
 func figure10Point(p Figure10Params, rateGbps float64) Figure10Row {
-	rate := rateGbps * gbps
+	rate := rateGbps * units.Gbps
 	horizonNs := int64(p.WireSeconds * 1e9)
 	// Number of data frames the rate limit admits over the horizon.
 	nData := int(rate * p.WireSeconds / float64(p.PayloadBytes))

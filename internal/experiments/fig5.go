@@ -8,6 +8,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/tenant"
 	"repro/internal/topology"
+	"repro/internal/units"
 )
 
 // Figure5Result reproduces the paper's placement example (Figure 5):
@@ -36,9 +37,9 @@ var fig5Topology = topology.Config{
 	RacksPerPod:    1,
 	ServersPerRack: 3,
 	SlotsPerServer: 4,
-	LinkBps:        10 * gbps,
+	LinkBps:        10 * units.Gbps,
 	BufferBytes:    375e3,
-	NICBufferBytes: 50e-6 * 10 * gbps,
+	NICBufferBytes: 50e-6 * 10 * units.Gbps,
 	RackOversub:    1,
 	PodOversub:     1,
 }
@@ -49,10 +50,10 @@ var fig5Spec = tenant.Spec{
 	Name: "fig5",
 	VMs:  9,
 	Guarantee: tenant.Guarantee{
-		BandwidthBps: 1 * gbps,
+		BandwidthBps: 1 * units.Gbps,
 		BurstBytes:   100e3,
 		DelayBound:   1e-3,
-		BurstRateBps: 10 * gbps,
+		BurstRateBps: 10 * units.Gbps,
 	},
 }
 
@@ -121,7 +122,7 @@ func fig5WorstQueue(tree *topology.Tree, spec tenant.Spec, layout []int) float64
 		// NIC bunching inflation.
 		burst += rate * tree.ServerUpPort(0).QueueCapacity()
 		peak := float64(otherServers) * link
-		arr := netcal.NewRateCapped(rate, burst, peak, 1500)
+		arr := netcal.NewRateCapped(rate, burst, peak, units.MTUBytes)
 		srv := netcal.NewRateLatency(link, 0)
 		if b := netcal.Backlog(arr, srv); b > worst {
 			worst = b

@@ -1,8 +1,10 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/units"
 )
 
 // The packet-level experiments take seconds each; they run at reduced
@@ -65,10 +67,10 @@ func TestTable2Guarantees(t *testing.T) {
 	for req := 1; req <= 3; req++ {
 		a, b := Table2Guarantees(req)
 		// Per host: 3(B_A + B_B) = 10 Gbps.
-		if total := 3 * (a.BandwidthBps + b.BandwidthBps); total < 9.99*gbps || total > 10.01*gbps {
+		if total := 3 * (a.BandwidthBps + b.BandwidthBps); total < 9.99*units.Gbps || total > 10.01*units.Gbps {
 			t.Errorf("req%d: host bandwidth sum = %v", req, total)
 		}
-		if a.DelayBound != 1e-3 || a.BurstRateBps != 1*gbps {
+		if a.DelayBound != 1e-3 || a.BurstRateBps != 1*units.Gbps {
 			t.Errorf("req%d: class-A triple wrong: %+v", req, a)
 		}
 	}

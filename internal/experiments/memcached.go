@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/tenant"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -39,7 +40,7 @@ func DefaultMemcachedParams() MemcachedParams {
 		Servers:               5,
 		VMsPerTenantPerServer: 3,
 		DurationSec:           0.5,
-		TargetABps:            210 * mbps,
+		TargetABps:            210 * units.Mbps,
 		BulkMsgBytes:          1 << 20,
 		DynamicHoseEpochNs:    1_000_000, // EyeQ-style loop at 1 ms
 		Seed:                  1,
@@ -63,15 +64,15 @@ func Table2Guarantees(req int) (a, b tenant.Guarantee) {
 	var aB float64
 	switch req {
 	case 1:
-		aB = 210 * mbps
+		aB = 210 * units.Mbps
 	case 2:
-		aB = 315 * mbps
+		aB = 315 * units.Mbps
 	default:
-		aB = 420 * mbps
+		aB = 420 * units.Mbps
 	}
 	// Per host: 3·(B_A + B_B) = 10 Gbps (paper Table 2 note).
-	bB := 10*gbps/3 - aB
-	a = tenant.Guarantee{BandwidthBps: aB, BurstBytes: 1.5e3, DelayBound: 1e-3, BurstRateBps: 1 * gbps}
+	bB := 10*units.Gbps/3 - aB
+	a = tenant.Guarantee{BandwidthBps: aB, BurstBytes: 1.5e3, DelayBound: 1e-3, BurstRateBps: 1 * units.Gbps}
 	b = tenant.Guarantee{BandwidthBps: bB, BurstBytes: 1.5e3, BurstRateBps: bB}
 	return a, b
 }

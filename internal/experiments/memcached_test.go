@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/units"
 )
 
 func TestCrossServerAllToAll(t *testing.T) {
@@ -68,7 +70,7 @@ func TestRenderMemcachedIncludesGuarantee(t *testing.T) {
 	a, _ := Table2Guarantees(1)
 	r, err := RunMemcachedScenario(MemcachedParams{
 		Servers: 2, VMsPerTenantPerServer: 2, DurationSec: 0.002,
-		TargetABps: 50 * mbps, BulkMsgBytes: 1 << 18, Seed: 1,
+		TargetABps: 50 * units.Mbps, BulkMsgBytes: 1 << 18, Seed: 1,
 	}, MemcachedScenario{Name: "mini", WithBulk: false, GuaranteeA: &a, GuaranteeB: &a})
 	if err != nil {
 		t.Fatal(err)

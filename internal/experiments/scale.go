@@ -12,6 +12,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/topology"
+	"repro/internal/units"
 )
 
 // ScaleParams configures the flow-level §6.3 experiments (Figures 15
@@ -53,10 +54,10 @@ func (p ScaleParams) classes() []flowsim.ClassConfig {
 		{ // class A (Table 3)
 			Fraction: 0.5,
 			Guarantee: tenant.Guarantee{
-				BandwidthBps: 0.25 * gbps,
+				BandwidthBps: 0.25 * units.Gbps,
 				BurstBytes:   15e3,
 				DelayBound:   1e-3,
-				BurstRateBps: 1 * gbps,
+				BurstRateBps: 1 * units.Gbps,
 			},
 			AllToOne:   true,
 			FlowBytes:  50e6,
@@ -68,9 +69,9 @@ func (p ScaleParams) classes() []flowsim.ClassConfig {
 			// occupancy — the mechanism behind Figure 15's crossover).
 			Fraction: 0.5,
 			Guarantee: tenant.Guarantee{
-				BandwidthBps: 2 * gbps,
+				BandwidthBps: 2 * units.Gbps,
 				BurstBytes:   1.5e3,
-				BurstRateBps: 2 * gbps,
+				BurstRateBps: 2 * units.Gbps,
 			},
 			PermutationX: p.PermutationX,
 			FlowBytes:    10e9,
@@ -261,11 +262,11 @@ func RunPlacementBench(p PlacementBenchParams) (PlacementBenchResult, error) {
 		}
 		classA := rng.Float64() < 0.5
 		g := tenant.Guarantee{
-			BandwidthBps: 0.25 * gbps, BurstBytes: 15e3,
-			DelayBound: 1e-3, BurstRateBps: 1 * gbps,
+			BandwidthBps: 0.25 * units.Gbps, BurstBytes: 15e3,
+			DelayBound: 1e-3, BurstRateBps: 1 * units.Gbps,
 		}
 		if !classA {
-			g = tenant.Guarantee{BandwidthBps: 2 * gbps, BurstBytes: 1.5e3, BurstRateBps: 2 * gbps}
+			g = tenant.Guarantee{BandwidthBps: 2 * units.Gbps, BurstBytes: 1.5e3, BurstRateBps: 2 * units.Gbps}
 		}
 		spec := tenant.Spec{ID: i + 1, Name: "bench", VMs: vms, Guarantee: g, FaultDomains: 2}
 		t0 := time.Now()

@@ -26,12 +26,8 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/units"
 	"repro/internal/workload"
-)
-
-const (
-	mbps = 1e6 / 8
-	gbps = 1e9 / 8
 )
 
 // TenGbE returns the evaluation's fabric: 10 GbE links, 312 KB switch
@@ -42,7 +38,7 @@ func TenGbE(pods, racksPerPod, serversPerRack, slotsPerServer int, rackOversub, 
 		RacksPerPod:    racksPerPod,
 		ServersPerRack: serversPerRack,
 		SlotsPerServer: slotsPerServer,
-		LinkBps:        10 * gbps,
+		LinkBps:        10 * units.Gbps,
 		BufferBytes:    312e3,
 		NICBufferBytes: 62.5e3,
 		RackOversub:    rackOversub,

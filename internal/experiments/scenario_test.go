@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/tenant"
 	"repro/internal/topology"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -21,7 +22,7 @@ func (brokenPlacer) Remove(int) error                               { return nil
 func (brokenPlacer) Name() string                                   { return "broken" }
 
 func twoTenantScenario() Scenario {
-	g := tenant.Guarantee{BandwidthBps: 0.25 * gbps, BurstBytes: 15e3, DelayBound: 1e-3, BurstRateBps: 1 * gbps}
+	g := tenant.Guarantee{BandwidthBps: 0.25 * units.Gbps, BurstBytes: 15e3, DelayBound: 1e-3, BurstRateBps: 1 * units.Gbps}
 	return Scenario{
 		Topology: TenGbE(1, 1, 4, 2, 1, 1), // 8 slots
 		Scheme:   core.SchemeSilo,

@@ -14,6 +14,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/topology"
+	"repro/internal/units"
 )
 
 // SoakParams configures the chaos soak: randomized control-plane churn
@@ -144,10 +145,10 @@ func soakSpec(rng *stats.Rand, id int) tenant.Spec {
 		Name: fmt.Sprintf("soak-%d", id),
 		VMs:  vms,
 		Guarantee: tenant.Guarantee{
-			BandwidthBps: float64(1+rng.Intn(10)) * 100 * mbps,
+			BandwidthBps: float64(1+rng.Intn(10)) * 100 * units.Mbps,
 			BurstBytes:   float64(1+rng.Intn(10)) * 3e3,
 			DelayBound:   float64(rng.Intn(3)) * 1e-3,
-			BurstRateBps: 10 * gbps,
+			BurstRateBps: 10 * units.Gbps,
 		},
 		FaultDomains: fd,
 	}

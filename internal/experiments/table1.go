@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/pacer"
 	"repro/internal/stats"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -37,11 +38,11 @@ type Table1Params struct {
 func DefaultTable1Params() Table1Params {
 	return Table1Params{
 		MsgBytes:           10_000,
-		AvgBandwidthBps:    100 * mbps,
+		AvgBandwidthBps:    100 * units.Mbps,
 		BandwidthMultiples: []float64{1, 1.4, 1.8, 2.2, 2.6, 3},
 		BurstMultiples:     []int{1, 3, 5, 7, 9},
 		Messages:           200_000,
-		BurstRateBps:       1 * gbps,
+		BurstRateBps:       1 * units.Gbps,
 		Seed:               7,
 	}
 }
@@ -80,7 +81,7 @@ func table1Cell(p Table1Params, bwMult float64, burstMult int) float64 {
 		BandwidthBps: bg,
 		BurstBytes:   s,
 		BurstRateBps: p.BurstRateBps,
-		MTUBytes:     1500,
+		MTUBytes:     units.MTUBytes,
 	}, 0)
 
 	// Guarantee checked by §2.3.1 (which predates the Bmax refinement):
@@ -89,7 +90,6 @@ func table1Cell(p Table1Params, bwMult float64, burstMult int) float64 {
 	bound := int64(float64(p.MsgBytes) / bg * 1e9)
 
 	late := 0
-	const mtu = 1500
 	const horizon = int64(1) << 62
 	for i := 0; i < p.Messages; i++ {
 		at := gen.Next()
@@ -99,8 +99,8 @@ func table1Cell(p Table1Params, bwMult float64, burstMult int) float64 {
 		remaining := p.MsgBytes
 		for remaining > 0 {
 			n := remaining
-			if n > mtu {
-				n = mtu
+			if n > units.MTUBytes {
+				n = units.MTUBytes
 			}
 			vm.Enqueue(at, 2, n, nil)
 			remaining -= n

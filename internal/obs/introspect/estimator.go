@@ -41,7 +41,10 @@ type VMEstimator struct {
 	TenantID int
 	Admitted Envelope
 
-	epochNs  int64
+	epochNs int64
+	// tolBytes pads the envelope-violation check: the pacer's bucket
+	// admits at least one frame even when S is smaller, so a frame of
+	// tolerance avoids flagging conforming VMs.
 	tolBytes float64
 
 	started bool

@@ -12,16 +12,11 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/placement"
+	"repro/internal/units"
 )
 
-const (
-	// epochNs is the sliding-epoch length for the per-VM envelope fit.
-	epochNs = 1e6
-	// toleranceBytes pads the envelope-violation check: the pacer's
-	// bucket admits at least one MTU frame even when S is smaller, so
-	// a frame of tolerance avoids flagging conforming VMs.
-	toleranceBytes = 1518
-)
+// epochNs is the sliding-epoch length for the per-VM envelope fit.
+const epochNs = 1e6
 
 // Introspector wires the introspection plane into a built network: a
 // spine subscriber for port headroom (and NIC arrivals, for unpaced
@@ -92,7 +87,7 @@ func (in *Introspector) TrackVM(hostID, vmID, tenantID int, adm Envelope) *VMEst
 		TenantID: tenantID,
 		Admitted: adm,
 		epochNs:  epochNs,
-		tolBytes: toleranceBytes,
+		tolBytes: units.FrameBytes,
 	}
 	in.vms = append(in.vms, est)
 	if vm, ok := in.nw.Hosts[hostID].VM(vmID); ok {

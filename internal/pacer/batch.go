@@ -1,6 +1,10 @@
 package pacer
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/units"
+)
 
 // Batch is one NIC I/O batch: a back-to-back train of data and void
 // frames the NIC transmits at line rate. Void frames occupy wire time
@@ -67,7 +71,7 @@ func (b *Batcher) gapBytes(ns int64) int {
 // start+BatchNs), drawing data packets from the given VMs in global
 // release order. Packets whose release stamp falls beyond the batch
 // window remain queued. Void frames are synthesized so each data frame
-// departs within one MinVoidBytes slot of its stamp; per the paper,
+// departs within one units.MinWireBytes slot of its stamp; per the paper,
 // voids are only generated while another data packet is waiting, so an
 // idle tail generates no filler. The batch is the caller's to keep.
 func (b *Batcher) Build(start int64, vms []*VM) *Batch {
@@ -125,30 +129,30 @@ func (b *Batcher) build(batch *Batch, start int64, vms []*VM) {
 }
 
 // pad appends void frames covering gap wire bytes starting at cursor
-// and returns the new cursor. The residual below MinVoidBytes is
+// and returns the new cursor. The residual below units.MinWireBytes is
 // rounded to the nearest legal layout: an extra minimum void if the
 // residual exceeds half a slot (data late by < 34 ns), nothing
 // otherwise (data early by < 34 ns).
 func (b *Batcher) pad(batch *Batch, cursor int64, gap int) int64 {
-	for gap >= MinVoidBytes {
+	for gap >= units.MinWireBytes {
 		n := gap
-		if n > maxVoidBytes {
-			n = maxVoidBytes
+		if n > units.MaxWireBytes {
+			n = units.MaxWireBytes
 		}
-		// Never leave an illegal residual between MinVoidBytes-1 and 1.
-		if rem := gap - n; rem > 0 && rem < MinVoidBytes {
-			n = gap - MinVoidBytes
-			if n < MinVoidBytes {
+		// Never leave an illegal residual between units.MinWireBytes-1 and 1.
+		if rem := gap - n; rem > 0 && rem < units.MinWireBytes {
+			n = gap - units.MinWireBytes
+			if n < units.MinWireBytes {
 				// gap in [MinVoid, 2*MinVoid): emit a single void of
-				// the full gap (it is <= 2*maxVoidBytes in practice).
+				// the full gap (it is <= 2*units.MaxWireBytes in practice).
 				n = gap
 			}
 		}
 		cursor = b.void(batch, cursor, n)
 		gap -= n
 	}
-	if gap >= MinVoidBytes/2 {
-		cursor = b.void(batch, cursor, MinVoidBytes)
+	if gap >= units.MinWireBytes/2 {
+		cursor = b.void(batch, cursor, units.MinWireBytes)
 	}
 	return cursor
 }

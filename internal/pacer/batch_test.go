@@ -3,6 +3,8 @@ package pacer
 import (
 	"math"
 	"testing"
+
+	"repro/internal/units"
 )
 
 const tenGbE = 10e9 / 8 // bytes per second
@@ -34,7 +36,7 @@ func TestBatchVoidSpacing(t *testing.T) {
 		t.Errorf("void/data byte ratio = %v, want ≈4", ratio)
 	}
 	// Every data packet must depart within one void slot of its stamp.
-	slotNs := float64(MinVoidBytes) / tenGbE * 1e9 // 67.2 ns
+	slotNs := float64(units.MinWireBytes) / tenGbE * 1e9 // 67.2 ns
 	for _, p := range batch.Packets {
 		if p.Void {
 			continue
@@ -161,8 +163,8 @@ func TestVoidFramesAreLegalSizes(t *testing.T) {
 	b := NewBatcher(tenGbE)
 	batch := b.Build(0, []*VM{vm})
 	for _, p := range batch.Packets {
-		if p.Void && p.Bytes < MinVoidBytes {
-			t.Errorf("void frame of %d bytes < minimum %d", p.Bytes, MinVoidBytes)
+		if p.Void && p.Bytes < units.MinWireBytes {
+			t.Errorf("void frame of %d bytes < minimum %d", p.Bytes, units.MinWireBytes)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package pacer
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/units"
 )
 
 // Packet is one frame of a batch: a data frame the scheduler committed
@@ -41,15 +43,6 @@ type entry struct {
 	seq   uint64
 	bytes int
 }
-
-// MinVoidBytes is the smallest legal Ethernet frame including preamble
-// and inter-frame gap: 84 bytes, 67.2 ns at 10 GbE (paper §4.3.1).
-const MinVoidBytes = 84
-
-// maxVoidBytes caps individual void frames at an MTU frame including
-// overhead: one such void wastes fewer per-frame cycles than many
-// minimum ones.
-const maxVoidBytes = 1538
 
 // Gate values: which bucket of the chain (Figure 8) pushed a packet's
 // release stamp furthest, i.e. the binding constraint at commit time.
@@ -148,7 +141,7 @@ type VM struct {
 // NewVM returns a pacer for one VM, with buckets full at time start.
 func NewVM(id int, g Guarantee, start int64) *VM {
 	if g.MTUBytes <= 0 {
-		g.MTUBytes = 1500
+		g.MTUBytes = units.MTUBytes
 	}
 	burst := g.BurstBytes
 	if burst < g.MTUBytes {

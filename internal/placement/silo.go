@@ -10,6 +10,7 @@ import (
 	"repro/internal/netcal"
 	"repro/internal/tenant"
 	"repro/internal/topology"
+	"repro/internal/units"
 )
 
 // Common sentinel errors.
@@ -844,10 +845,6 @@ func (m *Manager) pathDelayMetric(src, dst int) float64 {
 	return sum
 }
 
-// mtuBytes is the packet size that seeds packet-scale bursts in
-// arrival curves.
-const mtuBytes = 1500
-
 // cutContribution builds the arrival-curve contribution of m tenant
 // VMs sending across a cut of an n-VM tenant, with the given ingress
 // peak capacity and upstream burst inflation (seconds of queue
@@ -876,7 +873,7 @@ func (m *Manager) cutContribution(mSide, n int, g tenant.Guarantee, ingressCap, 
 	if peak > ingressCap {
 		peak = ingressCap
 	}
-	seed := float64(mSide) * mtuBytes
+	seed := float64(mSide) * units.MTUBytes
 	if seed > burst {
 		seed = burst
 	}

@@ -51,6 +51,7 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -58,10 +59,10 @@ import (
 // throughout.
 
 // Gbps converts gigabits/sec to bytes/sec.
-func Gbps(g float64) float64 { return g * 1e9 / 8 }
+func Gbps(g float64) float64 { return g * units.Gbps }
 
 // Mbps converts megabits/sec to bytes/sec.
-func Mbps(m float64) float64 { return m * 1e6 / 8 }
+func Mbps(m float64) float64 { return m * units.Mbps }
 
 // Topology.
 
