@@ -57,8 +57,11 @@ func (d *Manager) RestoreServers(servers ...int) error {
 	return err
 }
 
+// maybeSnapshot keeps the snapshot cadence. A store in safe mode takes
+// no snapshot: its GC would delete the corrupt snapshot that holds the
+// store in safe mode, and the next Open would forget what it lost.
 func (d *Manager) maybeSnapshot() {
-	if d.st.opts.SnapshotEvery > 0 && d.st.sinceSnap >= d.st.opts.SnapshotEvery {
+	if !d.st.safeMode && d.st.opts.SnapshotEvery > 0 && d.st.sinceSnap >= d.st.opts.SnapshotEvery {
 		// A failed snapshot is not fatal: the WAL still has every
 		// record, the next mutation retries the cadence.
 		_ = d.st.snapshot(d.Manager)

@@ -18,7 +18,7 @@ type SnapshotInfo struct {
 	Tenants   int    `json:"tenants"`
 	SizeBytes int64  `json:"size_bytes"`
 	// Valid reports the snapshot parsed and passed its CRC; recovery
-	// uses the newest valid one and ignores the rest.
+	// uses the newest valid one, and an invalid newest one is a seq gap.
 	Valid bool   `json:"valid"`
 	Error string `json:"error,omitempty"`
 }
@@ -31,7 +31,7 @@ type SegmentInfo struct {
 	LastSeq   uint64 `json:"last_seq,omitempty"`
 	SizeBytes int64  `json:"size_bytes"`
 	// ValidBytes is the clean prefix; anything past it is a torn or
-	// corrupt tail that recovery would truncate.
+	// corrupt tail that Open truncates.
 	ValidBytes int64 `json:"valid_bytes"`
 	Torn       bool  `json:"torn,omitempty"`
 	Corrupt    bool  `json:"corrupt,omitempty"`
@@ -47,9 +47,9 @@ type InspectReport struct {
 	Snapshots []SnapshotInfo  `json:"snapshots"`
 	Segments  []SegmentInfo   `json:"segments"`
 
-	// Replay outcome (the same algorithm Open runs, minus any disk
-	// mutation): base snapshot seq, records applied after it, the final
-	// seq, and whether the stream connected without gaps.
+	// Replay outcome (walk, which Open also runs): base snapshot seq,
+	// records applied after it, the final seq, and whether the stream
+	// connected without gaps.
 	BaseSnapshotSeq uint64 `json:"base_snapshot_seq"`
 	ReplayedRecords int    `json:"replayed_records"`
 	FinalSeq        uint64 `json:"final_seq"`
@@ -125,11 +125,9 @@ func (r *InspectReport) Render() string {
 	return b.String()
 }
 
-// Inspect walks a store dir without modifying it: it validates every
-// snapshot and segment, replays the same snapshot+tail a real Open
-// would, and verifies the recovered state's invariants. Unlike Open it
-// never truncates damaged tails, renames corrupt snapshots, or writes
-// anything — safe to run against a live or quarantined store.
+// Inspect walks a store dir without modifying it: the same walk Open
+// runs, without Open's one repair (truncating damaged tails), so it is
+// safe to run against a live or quarantined store.
 func Inspect(dir string) (*InspectReport, error) {
 	cfg, popts, meta, err := LoadConfig(dir)
 	if err != nil {
@@ -139,9 +137,25 @@ func Inspect(dir string) (*InspectReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: rebuilding topology: %w", err)
 	}
-	rep := &InspectReport{Dir: dir, Meta: meta, Topology: cfg}
+	rep, err := walk(dir, placement.NewManager(tree, popts))
+	if err != nil {
+		return nil, err
+	}
+	rep.Meta, rep.Topology = meta, cfg
+	return rep, nil
+}
 
-	// Snapshots: validate all, pick the newest valid one as the base.
+// walk is the one recovery algorithm, read-only: it validates every
+// snapshot and segment in dir, restores m from the newest valid
+// snapshot, replays the records past it through Apply, and verifies
+// the invariants of the state it rebuilt. Missing history is a seq
+// gap: a newest snapshot that fails validation, damage in a segment
+// other than the last, or a record that does not follow the one before
+// it. Past a gap the walk applies what it can, skipping a record that
+// no longer makes sense (removing an unknown tenant, re-placing a
+// duplicate) instead of failing.
+func walk(dir string, m *placement.Manager) (*InspectReport, error) {
+	rep := &InspectReport{Dir: dir}
 	snapNames, err := listSeqFiles(dir, "snapshot-", ".json")
 	if err != nil {
 		return nil, err
@@ -164,22 +178,14 @@ func Inspect(dir string) (*InspectReport, error) {
 		}
 		rep.Snapshots = append(rep.Snapshots, si)
 	}
-
-	m := placement.NewManager(tree, popts)
-	lastSeq := uint64(0)
 	if base != nil {
 		if err := restoreState(m, base); err != nil {
 			return nil, err
 		}
-		lastSeq = base.Seq
 		rep.BaseSnapshotSeq = base.Seq
 	}
-	// Open treats a damaged newest snapshot as missing history (its
-	// latestSnapshot falls back but flags the corruption); mirror that.
-	gap := false
-	if n := len(rep.Snapshots); n > 0 && !rep.Snapshots[n-1].Valid {
-		gap = true
-	}
+	lastSeq := rep.BaseSnapshotSeq
+	gap := len(snapNames) > 0 && !rep.Snapshots[len(snapNames)-1].Valid
 
 	walNames, err := listSeqFiles(dir, "wal-", ".log")
 	if err != nil {
@@ -207,17 +213,15 @@ func Inspect(dir string) (*InspectReport, error) {
 			rep.TornTail = rep.TornTail || res.torn
 			rep.CorruptTail = rep.CorruptTail || res.corrupt
 			rep.TruncatedBytes += si.SizeBytes - res.validLen
-			if i != len(walNames)-1 {
-				gap = true
-			}
+			// Damage mid-history: acknowledged mutations past it are
+			// lost, and the later segments replay best-effort.
+			gap = gap || i != len(walNames)-1
 		}
 		for _, rec := range res.records {
 			if rec.Seq <= lastSeq {
-				continue
+				continue // covered by the snapshot (or a duplicate)
 			}
-			if rec.Seq != lastSeq+1 {
-				gap = true
-			}
+			gap = gap || rec.Seq != lastSeq+1
 			if err := m.Apply(&rec.Mut); err != nil && !gap {
 				return nil, err
 			}

@@ -169,26 +169,6 @@ func readSnapshot(path string) (*snapState, error) {
 	return &st, nil
 }
 
-// latestSnapshot finds the newest valid snapshot in dir. Invalid
-// candidates are renamed aside with a .corrupt suffix; corrupted
-// reports whether any were.
-func latestSnapshot(dir string) (st *snapState, path string, corrupted bool, err error) {
-	names, err := listSeqFiles(dir, "snapshot-", ".json")
-	if err != nil {
-		return nil, "", false, err
-	}
-	for i := len(names) - 1; i >= 0; i-- {
-		p := filepath.Join(dir, names[i])
-		s, rerr := readSnapshot(p)
-		if rerr == nil {
-			return s, p, corrupted, nil
-		}
-		corrupted = true
-		os.Rename(p, p+".corrupt")
-	}
-	return nil, "", corrupted, nil
-}
-
 // listSeqFiles returns dir entries named prefix-<16 hex>suffix in
 // ascending seq order.
 func listSeqFiles(dir, prefix, suffix string) ([]string, error) {

@@ -135,6 +135,10 @@ type store struct {
 // a manager backed by it. The tree must match the one the store was
 // created with; opts.Placement likewise configures the rebuilt
 // manager and must match for replayed decisions to be meaningful.
+// Recovery is Inspect's walk plus one repair: each damaged segment is
+// cut back to its valid prefix. A seq gap brings the manager up in
+// safe mode, and a corrupt snapshot stays on disk, so every later Open
+// (and silo-wal) sees the same gap.
 func Open(dir string, tree *topology.Tree, opts Options) (*Manager, *RecoveryInfo, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
@@ -144,98 +148,38 @@ func Open(dir string, tree *topology.Tree, opts Options) (*Manager, *RecoveryInf
 	if err := ensureConfig(dir, tree, opts); err != nil {
 		return nil, nil, err
 	}
-
-	info := &RecoveryInfo{}
 	m := placement.NewManager(tree, opts.Placement)
-
-	// Base state: the latest valid snapshot, if any.
-	snap, _, snapCorrupt, err := latestSnapshot(dir)
+	rep, err := walk(dir, m)
 	if err != nil {
 		return nil, nil, err
 	}
-	if snap != nil {
-		if err := restoreState(m, snap); err != nil {
-			return nil, nil, err
-		}
-		info.SnapshotSeq = snap.Seq
-		info.SnapshotTenants = len(snap.Tenants)
+	if rep.InvariantsErr != "" {
+		return nil, nil, fmt.Errorf("durable: recovered state fails invariants: %s", rep.InvariantsErr)
 	}
-	lastSeq := info.SnapshotSeq
-
-	// Replay the WAL tail. Segments are ordered by their first seq;
-	// records at or below the snapshot seq are already part of the
-	// base state and skip. A record stream that does not connect to
-	// lastSeq+1 means durable history is missing (stale snapshot,
-	// deleted segment): recovery keeps going — applying what it can —
-	// but the manager comes up in safe mode.
-	walNames, err := listSeqFiles(dir, "wal-", ".log")
-	if err != nil {
-		return nil, nil, err
+	info := &RecoveryInfo{
+		SnapshotSeq: rep.BaseSnapshotSeq, ReplayedRecords: rep.ReplayedRecords,
+		TruncatedBytes: rep.TruncatedBytes, TornTail: rep.TornTail, CorruptTail: rep.CorruptTail,
+		SeqGap: rep.SeqGap, SafeMode: rep.SeqGap,
 	}
-	gap := snapCorrupt
-	for i, name := range walNames {
-		path := filepath.Join(dir, name)
-		res, err := scanWAL(path)
-		if err != nil {
-			return nil, nil, err
+	for _, s := range rep.Snapshots {
+		if s.Valid {
+			info.SnapshotTenants = s.Tenants // the last valid one is the base
 		}
-		damaged := res.torn || res.corrupt
-		if damaged {
-			st, serr := os.Stat(path)
-			if serr == nil {
-				info.TruncatedBytes += st.Size() - res.validLen
-			}
-			info.TornTail = info.TornTail || res.torn
-			info.CorruptTail = info.CorruptTail || res.corrupt
-			if err := os.Truncate(path, res.validLen); err != nil {
+	}
+	for _, s := range rep.Segments {
+		if s.Torn || s.Corrupt {
+			if err := os.Truncate(filepath.Join(dir, s.Name), s.ValidBytes); err != nil {
 				return nil, nil, err
 			}
-			if i != len(walNames)-1 {
-				// Damage mid-history with later segments present:
-				// acknowledged mutations are unrecoverable past this
-				// point. Keep the later segments untouched on disk for
-				// forensics, replay them best-effort, and force safe
-				// mode below via the seq gap they necessarily open.
-				gap = true
-			}
-		}
-		for _, rec := range res.records {
-			if rec.Seq <= lastSeq {
-				continue // covered by the snapshot (or a duplicate)
-			}
-			if rec.Seq != lastSeq+1 {
-				gap = true
-			}
-			// Past a gap (safe mode) a record that no longer makes
-			// sense — removing an unknown tenant, re-placing a
-			// duplicate — is skipped instead of failing recovery.
-			if err := m.Apply(&rec.Mut); err != nil && !gap {
-				return nil, nil, err
-			}
-			lastSeq = rec.Seq
-			info.ReplayedRecords++
 		}
 	}
-	info.SeqGap = gap
-	info.SafeMode = gap
-
-	if err := m.VerifyInvariants(); err != nil {
-		return nil, nil, fmt.Errorf("durable: recovered state fails invariants: %w", err)
-	}
-
-	st := &store{dir: dir, opts: opts, tree: tree, seq: lastSeq, safeMode: gap}
 
 	// Continue the last segment, or start a fresh one.
-	var segPath string
-	var segSize int64
-	if len(walNames) > 0 {
-		segPath = filepath.Join(dir, walNames[len(walNames)-1])
-		if fi, err := os.Stat(segPath); err == nil {
-			segSize = fi.Size()
-		}
-	} else {
-		segPath = filepath.Join(dir, walName(lastSeq+1))
+	segPath, segSize := filepath.Join(dir, walName(rep.FinalSeq+1)), int64(0)
+	if n := len(rep.Segments); n > 0 {
+		segPath, segSize = filepath.Join(dir, rep.Segments[n-1].Name), rep.Segments[n-1].ValidBytes
 	}
+	st := &store{dir: dir, opts: opts, tree: tree, seq: rep.FinalSeq, safeMode: rep.SeqGap}
 	st.w, err = createWAL(segPath, segSize, opts.SyncEvery, opts.Metrics)
 	if err != nil {
 		return nil, nil, err
@@ -314,16 +258,14 @@ func (st *store) snapshot(m *placement.Manager) error {
 // topology on later ones — replaying a log against a different fabric
 // would silently rewrite history.
 func ensureConfig(dir string, tree *topology.Tree, opts Options) error {
-	path := filepath.Join(dir, "config.json")
-	b, err := os.ReadFile(path)
+	cfg, _, _, err := LoadConfig(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		cfg := storeConfig{Meta: opts.Meta, Topology: tree.Config(), Placement: opts.Placement}
-		out, merr := json.MarshalIndent(&cfg, "", " ")
-		if merr != nil {
-			return merr
+		out, err := json.MarshalIndent(&storeConfig{Meta: opts.Meta, Topology: tree.Config(), Placement: opts.Placement}, "", " ")
+		if err != nil {
+			return err
 		}
-		if werr := os.WriteFile(path, out, 0o644); werr != nil {
-			return werr
+		if err := os.WriteFile(filepath.Join(dir, "config.json"), out, 0o644); err != nil {
+			return err
 		}
 		syncDir(dir)
 		return nil
@@ -331,11 +273,7 @@ func ensureConfig(dir string, tree *topology.Tree, opts Options) error {
 	if err != nil {
 		return err
 	}
-	var cfg storeConfig
-	if err := json.Unmarshal(b, &cfg); err != nil {
-		return fmt.Errorf("durable: config.json: %w", err)
-	}
-	if cfg.Topology != tree.Config() {
+	if cfg != tree.Config() {
 		return fmt.Errorf("durable: store at %s was created for a different topology", dir)
 	}
 	return nil
