@@ -107,8 +107,7 @@ func (m *Manager) commit(mut *Mutation) error {
 // (spec, servers, tree, options), and adds to a given port happen in
 // commit order on both the live and the replay path, so replaying a
 // logged stream reproduces port state bit for bit. The placement keeps
-// mut.Servers. A MutRemove of an unknown tenant returns
-// ErrUnknownTenant.
+// mut.Servers. A MutRemove of an unknown tenant is an error.
 func (m *Manager) Apply(mut *Mutation) error {
 	switch mut.Op {
 	case MutPlace:
@@ -129,7 +128,7 @@ func (m *Manager) Apply(mut *Mutation) error {
 		}
 	case MutRemove:
 		if _, ok := m.admitted[mut.TenantID]; !ok {
-			return fmt.Errorf("%w: id %d", ErrUnknownTenant, mut.TenantID)
+			return fmt.Errorf("placement: unknown tenant: id %d", mut.TenantID)
 		}
 	case MutReject, MutFail, MutRestore:
 	default:

@@ -130,7 +130,7 @@ func (l *Locality) Place(spec tenant.Spec) (*tenant.Placement, error) {
 func (l *Locality) Remove(id int) error {
 	pl, ok := l.admitted[id]
 	if !ok {
-		return fmt.Errorf("%w: id %d", ErrUnknownTenant, id)
+		return fmt.Errorf("placement: unknown tenant: id %d", id)
 	}
 	for _, s := range pl.Servers {
 		l.ix.free(s)
@@ -212,7 +212,7 @@ func (o *Oktopus) Place(spec tenant.Spec) (*tenant.Placement, error) {
 func (o *Oktopus) Remove(id int) error {
 	at, ok := o.admitted[id]
 	if !ok {
-		return fmt.Errorf("%w: id %d", ErrUnknownTenant, id)
+		return fmt.Errorf("placement: unknown tenant: id %d", id)
 	}
 	for pid, bw := range at.demand {
 		o.residual[pid] += bw

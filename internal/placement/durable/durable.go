@@ -21,11 +21,13 @@ type Manager struct {
 }
 
 // Place admits a tenant, logging the decision before applying it. In
-// safe mode every request is rejected with ErrSafeMode — a manager
-// that cannot prove what it already admitted must not admit more.
+// safe mode (recovery found a seq gap, so the admitted set may be
+// incomplete) every request is refused — a manager that cannot prove
+// what it already admitted must not admit more. Removes and failure
+// handling still work.
 func (d *Manager) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	if d.st.safeMode {
-		return nil, fmt.Errorf("%w (tenant %d)", ErrSafeMode, spec.ID)
+		return nil, fmt.Errorf("durable: manager in safe mode, admissions disabled (tenant %d)", spec.ID)
 	}
 	pl, err := d.Manager.Place(spec)
 	d.maybeSnapshot()

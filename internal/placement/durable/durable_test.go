@@ -359,8 +359,12 @@ func TestStaleSnapshotGapEntersSafeMode(t *testing.T) {
 		t.Fatalf("safe-mode state must still be internally consistent: %v", err)
 	}
 	// Safe mode: conservative — reject rather than risk overbooking.
-	if _, err := d2.Place(churnSpec(stats.NewRand(9), 999)); !errors.Is(err, ErrSafeMode) {
-		t.Fatalf("safe-mode Place: got %v, want ErrSafeMode", err)
+	admitted, seq := d2.AdmittedIDs(), d2.Seq()
+	if pl, err := d2.Place(churnSpec(stats.NewRand(9), 999)); pl != nil || err == nil || !strings.Contains(err.Error(), "safe mode") {
+		t.Fatalf("safe-mode Place = %v, %v; want a refusal naming safe mode", pl, err)
+	}
+	if got := d2.AdmittedIDs(); !slices.Equal(got, admitted) || d2.Seq() != seq {
+		t.Fatalf("a refused Place moved the store: admitted %v -> %v, seq %d -> %d", admitted, got, seq, d2.Seq())
 	}
 	// Removes still work.
 	if ids := d2.AdmittedIDs(); len(ids) > 0 {

@@ -13,12 +13,6 @@ import (
 	"repro/internal/topology"
 )
 
-// ErrSafeMode reports that the manager recovered into safe mode (its
-// log began after the state it could rebuild, so the admitted set may
-// be incomplete) and is rejecting new admissions rather than risking
-// overbooked guarantees. Removes and failure handling still work.
-var ErrSafeMode = errors.New("durable: manager in safe mode, admissions disabled")
-
 // errStoreClosed is what the commit hook returns once Close has run; the
 // placement manager wraps it in ErrLogFailed, which is what callers
 // branch on.

@@ -13,15 +13,9 @@ import (
 	"repro/internal/units"
 )
 
-// Common sentinel errors.
-var (
-	// ErrRejected reports that admission control found no valid
-	// placement for a tenant request.
-	ErrRejected = errors.New("placement: request rejected")
-	// ErrUnknownTenant reports a Remove of a tenant that is not
-	// admitted.
-	ErrUnknownTenant = errors.New("placement: unknown tenant")
-)
+// ErrRejected reports that admission control found no valid placement
+// for a tenant request.
+var ErrRejected = errors.New("placement: request rejected")
 
 // Algorithm is the common interface of Silo and the baseline placers.
 type Algorithm interface {
@@ -270,7 +264,7 @@ func (m *Manager) settle(spec *tenant.Spec, servers []int, st *searchStats) (*te
 // Remove implements Algorithm.
 func (m *Manager) Remove(id int) error {
 	if _, ok := m.admitted[id]; !ok {
-		return fmt.Errorf("%w: id %d", ErrUnknownTenant, id)
+		return fmt.Errorf("placement: unknown tenant: id %d", id)
 	}
 	if err := m.commit(&Mutation{Op: MutRemove, TenantID: id}); err != nil {
 		return err
