@@ -493,9 +493,9 @@ func TestUncuttableAbortRefusesLaterCommits(t *testing.T) {
 	}
 }
 
-// TestBackoffDelaysAreJitteredExponential: an append that keeps failing
+// TestBackoffDelaysAreExponential: an append that keeps failing
 // is tried four times, with 1, 2 and 4 ms between tries and no jitter.
-func TestBackoffDelaysAreJitteredExponential(t *testing.T) {
+func TestBackoffDelaysAreExponential(t *testing.T) {
 	tree := smallTree()
 	dir := t.TempDir()
 	d, _, err := Open(dir, tree, Options{
