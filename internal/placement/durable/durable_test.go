@@ -328,29 +328,10 @@ func TestSnapshotRotationAndRecovery(t *testing.T) {
 }
 
 func TestStaleSnapshotGapEntersSafeMode(t *testing.T) {
-	tree := smallTree()
-	dir := t.TempDir()
-	d, _, err := Open(dir, tree, Options{SyncEvery: 1, SnapshotEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRand(3)
-	for id := 1; id <= 30; id++ {
-		d.Place(churnSpec(rng, id))
-	}
-	d.Close()
-	// Corrupt the snapshot: its covered history was GCed from the log,
-	// so recovery has a gap it cannot bridge.
-	snaps, _ := listSeqFiles(dir, "snapshot-", ".json")
-	if len(snaps) == 0 {
-		t.Fatal("no snapshot written")
-	}
-	path := filepath.Join(dir, snaps[len(snaps)-1])
-	b, _ := os.ReadFile(path)
-	b[len(b)/2] ^= 0xff
-	os.WriteFile(path, b, 0o644)
-
-	d2, info := openTest(t, dir, tree)
+	// The corrupt snapshot's covered history was GCed from the log, so
+	// recovery has a gap it cannot bridge.
+	dir, _ := gappedStore(t)
+	d2, info := openTest(t, dir, smallTree())
 	defer d2.Close()
 	if !info.SeqGap || !info.SafeMode || !d2.SafeMode() {
 		t.Fatalf("gapped recovery must enter safe mode: %+v", info)

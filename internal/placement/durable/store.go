@@ -254,7 +254,9 @@ func (st *store) snapshot(m *placement.Manager) error {
 func ensureConfig(dir string, tree *topology.Tree, opts Options) error {
 	cfg, _, _, err := LoadConfig(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		out, err := json.MarshalIndent(&storeConfig{Meta: opts.Meta, Topology: tree.Config(), Placement: opts.Placement}, "", " ")
+		out, err := json.MarshalIndent(&storeConfig{
+			Meta: opts.Meta, Topology: tree.Config(), Placement: opts.Placement,
+		}, "", " ")
 		if err != nil {
 			return err
 		}
