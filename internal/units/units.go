@@ -1,6 +1,6 @@
 // Package units is the one home of the packet sizes and rate
-// conversions every layer shares: admission's burst seed, the pacer's
-// frames and voids, the transports' segments and the figures' rates.
+// conversions the layers share: admission's burst seed, the pacer's
+// frames and voids, and the rates the figures and commands are given in.
 package units
 
 const (
@@ -11,7 +11,8 @@ const (
 	// the 18 B header and FCS.
 	FrameBytes = MTUBytes + 18
 	// MaxWireBytes is a full frame's wire footprint: FrameBytes plus the
-	// 20 B preamble and inter-frame gap. The pacer caps a void here.
+	// 20 B preamble and inter-frame gap. The pacer caps a void here: one
+	// such void costs fewer per-frame cycles than many minimum ones.
 	MaxWireBytes = FrameBytes + 20
 	// MinWireBytes is the smallest legal Ethernet frame (64 B) plus
 	// preamble and inter-frame gap: 67.2 ns at 10 GbE (paper §4.3.1),
