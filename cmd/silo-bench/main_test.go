@@ -18,10 +18,11 @@ var (
 	all    = flag.Bool("all", false, "check every -run all experiment against testdata/all.golden, not only fastRuns")
 )
 
-// fastRuns are the -run all experiments that take at most about two
-// seconds each, in -run all order; tier-1 checks these, and make
+// fastRuns, with fig5 and faultdrill, are the -run all experiments
+// that take at most about two seconds each, in -run all order; tier-1
+// checks them (fig5 and faultdrill in a subtest of their own), and make
 // identity (-all) checks the rest too: table1, fig11 and fig16b.
-var fastRuns = []string{"fig1", "fig5", "fig10", "fig12", "fig15", "fig16a", "placeub", "besteffort", "burststress", "faultdrill"}
+var fastRuns = []string{"fig1", "fig10", "fig12", "fig15", "fig16a", "placeub", "besteffort", "burststress"}
 
 // masks blank the fields of an experiment's stdout that read the wall
 // clock, keeping the layout: placeub's latencies and total, and fig10's
@@ -83,17 +84,15 @@ func TestCLI(t *testing.T) {
 		return out
 	}
 
-	// The stdout of the runs in fastRuns (or, under -all or -update, of
-	// every -run all experiment) against testdata/all.golden, section
-	// by section, wall-clock fields masked.
-	t.Run("golden runs", func(t *testing.T) {
-		names := fastRuns
-		if *all || *update {
-			names = []string{"all"}
-		}
+	// checkRuns runs silo-bench -run names and checks its stdout
+	// against testdata/all.golden, section by section, wall-clock
+	// fields masked; with rewrite it first rewrites the golden from
+	// that stdout.
+	checkRuns := func(t *testing.T, names []string, rewrite bool) {
+		t.Helper()
 		got := sections(run(t, "-run", strings.Join(names, ",")))
 		path := filepath.Join("testdata", "all.golden")
-		if *update {
+		if rewrite {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -125,6 +124,23 @@ func TestCLI(t *testing.T) {
 		if len(got) != n {
 			t.Errorf("-run %s printed %d experiments, want %d", strings.Join(names, ","), len(got), n)
 		}
+	}
+
+	// The runs in fastRuns (or, under -all or -update, every -run all
+	// experiment) against testdata/all.golden; -update rewrites it.
+	t.Run("golden runs", func(t *testing.T) {
+		names := fastRuns
+		if *all || *update {
+			names = []string{"all"}
+		}
+		checkRuns(t, names, *update)
+	})
+
+	// Figure 5's placement, packet-level and incident checks, and the
+	// failure drill: simulated time only, so their sections of
+	// all.golden repeat byte for byte.
+	t.Run("golden fig5 faultdrill", func(t *testing.T) {
+		checkRuns(t, []string{"fig5", "faultdrill"}, false)
 	})
 
 	t.Run("placeub decisions repeat", func(t *testing.T) {

@@ -122,6 +122,14 @@ func TestBestEffortGolden(t *testing.T) {
 	checkGolden(t, "besteffort", r.Render())
 }
 
+func TestBurstStressGolden(t *testing.T) {
+	rs, err := RunBurstStressComparison(DefaultBurstStressParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "burststress", RenderBurstStress(rs))
+}
+
 // Fig. 5 at packet level with the flight trace and the incident plane
 // on: the paced run, and the unpaced one under the tightened audit
 // bound (the run that has incidents to report).
