@@ -56,8 +56,6 @@ func main() {
 
 		walDir    = flag.String("wal", "", "durable store directory: write-ahead log every admission mutation and recover prior state on start (silo only)")
 		snapEvery = flag.Int("snapshot-every", 0, "with -wal: snapshot + rotate the log every N mutations (0 = default 1024, negative disables)")
-
-		metricsOut = flag.String("metrics", "", "export metrics as Prometheus text on exit (\"-\" = stdout)")
 	)
 	flag.Parse()
 
@@ -66,10 +64,6 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	if err := obs.ValidateOutputPath("-metrics", *metricsOut); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if *walDir != "" && *algo != "silo" {
 		fmt.Fprintln(os.Stderr, "-wal requires -algo silo (the comparison placers have no durable state)")
 		os.Exit(2)
@@ -115,8 +109,6 @@ func main() {
 		}
 	}
 
-	reg, finishObs := obs.StartCLI(*metricsOut)
-
 	tree, err := topology.New(topology.Config{
 		Pods:           *pods,
 		RacksPerPod:    *racks,
@@ -141,7 +133,6 @@ func main() {
 			d, info, derr := durable.Open(*walDir, tree, durable.Options{
 				SnapshotEvery: *snapEvery,
 				Meta:          ptrMeta(obs.CollectRunMeta("silo-place")),
-				Metrics:       durable.NewMetrics(reg),
 			})
 			if derr != nil {
 				fmt.Fprintln(os.Stderr, derr)
@@ -151,8 +142,6 @@ func main() {
 			if info.SafeMode {
 				fmt.Fprintln(os.Stderr, "warning: store recovered into safe mode; new admissions will be rejected")
 			}
-			d.EnableGauges(reg)
-			d.EnableMetrics(reg)
 			if *explain != 0 {
 				d.EnableJournal()
 			}
@@ -161,7 +150,6 @@ func main() {
 			break
 		}
 		m := placement.NewManager(tree, placement.Options{})
-		m.EnableMetrics(reg)
 		if *explain != 0 {
 			m.EnableJournal()
 		}
@@ -297,10 +285,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wal: %d mutations logged to %s\n", dur.Seq(), dur.Dir())
-	}
-	if err := finishObs(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 }
 

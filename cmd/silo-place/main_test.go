@@ -95,9 +95,9 @@ func TestCLI(t *testing.T) {
 	}
 
 	// Retired flags exit 2 like any unknown flag: -workers (the scope
-	// search runs on the caller's goroutine) and the live debug
-	// endpoint's -http and -pprof.
-	for _, args := range [][]string{{"-workers", "2"}, {"-http", ":8080"}, {"-pprof"}} {
+	// search runs on the caller's goroutine), the live debug endpoint's
+	// -http and -pprof, and -metrics (the Prometheus export).
+	for _, args := range [][]string{{"-workers", "2"}, {"-http", ":8080"}, {"-pprof"}, {"-metrics", "-"}} {
 		t.Run(strings.TrimPrefix(args[0], "-")+" flag is gone", func(t *testing.T) {
 			out, err := exec.Command(bin, args...).CombinedOutput()
 			var exit *exec.ExitError

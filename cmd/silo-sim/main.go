@@ -10,9 +10,9 @@
 //	silo-sim -scheme tcp  -series run_series.json     # per-window payload to file
 //	silo-sim -scheme silo -fault "t=20ms switch tor0 down; t=30ms up" -slo-report
 //
-// SIGINT/SIGTERM stop the simulation cleanly: telemetry is flushed and
-// the -metrics/-trace/-series outputs are written for the simulated
-// time covered so far.
+// SIGINT/SIGTERM stop the simulation cleanly: the -trace, -series,
+// -incidents and -introspect outputs are written for the simulated time
+// covered so far.
 package main
 
 import (
@@ -45,7 +45,6 @@ func main() {
 		vmsA         = flag.Int("vms-a", 9, "VMs of the delay-sensitive tenant")
 		vmsB         = flag.Int("vms-b", 9, "VMs of the bulk tenant")
 		seed         = flag.Uint64("seed", 3, "rng seed")
-		metricsOut   = flag.String("metrics", "", "export metrics as Prometheus text on exit (\"-\" = stdout)")
 		traceOut     = flag.String("trace", "", "record a flight trace and write it on exit as Chrome trace_event JSON (Perfetto, silo-trace)")
 		traceSample  = flag.Int("trace-sample", 1, "flight-trace sampling divisor: record 1 in N packets (rounded up to a power of two)")
 		sloReport    = flag.Bool("slo-report", false, "print the per-tenant SLO conformance and burn-rate report after the run")
@@ -63,8 +62,7 @@ func main() {
 	// Validate output destinations before the run, so a typo'd path
 	// fails in milliseconds instead of after the simulation.
 	for _, f := range []struct{ name, path string }{
-		{"-metrics", *metricsOut}, {"-trace", *traceOut}, {"-series", *seriesOut}, {"-introspect", *introOut},
-		{"-incidents", *incidentsOut},
+		{"-trace", *traceOut}, {"-series", *seriesOut}, {"-introspect", *introOut}, {"-incidents", *incidentsOut},
 	} {
 		if err := obs.ValidateOutputPath(f.name, f.path); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -139,8 +137,6 @@ func main() {
 		}
 	}
 
-	reg, finishObs := obs.StartCLI(*metricsOut)
-
 	// Provenance for every artifact this run writes: tool, build
 	// revision, and the knobs that determine the output byte for byte.
 	meta := obs.CollectRunMeta("silo-sim")
@@ -177,9 +173,9 @@ func main() {
 		Faults:       *faultSched,
 		DetectNs:     faultDetect.Nanoseconds(),
 		FaultGraceNs: 5 * windowNs,
-		// The guarantee audit runs on every invocation (with or without
-		// -metrics): admitted {B, S, d} triples are checked against every
-		// delivered packet's NIC-to-NIC delay.
+		// The guarantee audit runs on every invocation: admitted
+		// {B, S, d} triples are checked against every delivered packet's
+		// NIC-to-NIC delay.
 		Planes: experiments.Planes{
 			Audit:           true,
 			Introspect:      *introOut != "",
@@ -196,11 +192,11 @@ func main() {
 		sc.Planes.SLOWindowNs = windowNs
 	}
 
-	env := experiments.Env{Registry: reg, Meta: &meta}
+	env := experiments.Env{Meta: &meta}
 	var dur *durable.Manager
 	if *walDir != "" {
 		if env.Tree, err = topology.New(sc.Topology); err == nil {
-			dur, err = openStore(*walDir, *snapEvery, env.Tree, sc.Tenants, &meta, reg)
+			dur, err = openStore(*walDir, *snapEvery, env.Tree, sc.Tenants, &meta)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -342,17 +338,8 @@ func main() {
 		}
 		fmt.Printf("wal: %d mutations logged to %s\n", dur.Seq(), dur.Dir())
 	}
-	if err := finishObs(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }
 
-// openStore opens (or recovers) the durable placement store over the
-// scenario's tree. The scenario's tenants have fixed IDs; a recovered
-// store may still hold them from the previous run, and the data plane
-// is redeployed from scratch each run, so the old admissions are
-// released (logged like any mutation) before the run re-places them.
 // flagGiven reports whether the named flag was set on the command line.
 func flagGiven(name string) bool {
 	given := false
@@ -360,11 +347,15 @@ func flagGiven(name string) bool {
 	return given
 }
 
-func openStore(dir string, snapEvery int, tree *topology.Tree, tenants []experiments.Tenant, meta *obs.RunMeta, reg *obs.Registry) (*durable.Manager, error) {
+// openStore opens (or recovers) the durable placement store over the
+// scenario's tree. The scenario's tenants have fixed IDs; a recovered
+// store may still hold them from the previous run, and the data plane
+// is redeployed from scratch each run, so the old admissions are
+// released (logged like any mutation) before the run re-places them.
+func openStore(dir string, snapEvery int, tree *topology.Tree, tenants []experiments.Tenant, meta *obs.RunMeta) (*durable.Manager, error) {
 	dur, info, err := durable.Open(dir, tree, durable.Options{
 		SnapshotEvery: snapEvery,
 		Meta:          meta,
-		Metrics:       durable.NewMetrics(reg),
 	})
 	if err != nil {
 		return nil, err
@@ -373,8 +364,6 @@ func openStore(dir string, snapEvery int, tree *topology.Tree, tenants []experim
 	if info.SafeMode {
 		fmt.Fprintln(os.Stderr, "warning: store recovered into safe mode; new admissions will be rejected")
 	}
-	dur.EnableGauges(reg)
-	dur.EnableMetrics(reg)
 	for _, t := range tenants {
 		if _, ok := dur.Placement(t.Spec.ID); ok {
 			if err := dur.Remove(t.Spec.ID); err != nil {

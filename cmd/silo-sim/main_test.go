@@ -32,54 +32,36 @@ var planeArtifacts = []struct{ file, flag string }{
 	{"series.json", "-series"},
 	{"incidents.json", "-incidents"},
 	{"introspect.json", "-introspect"},
-	{"metrics.prom", "-metrics"},
 }
 
-// engineCounterPrefix names the engine's own counters (netsim.SimCounters):
-// how the simulator did its work, not what it simulated.
-const engineCounterPrefix = "silo_runtime_"
-
-// splitEngineCounters returns an artifact with the engine counters taken
-// out, and those counters as readable lines. The counters move whenever
-// the engine changes how it queues events or recycles packets while
-// every simulated byte stays put; hashing them apart keeps the artifact
-// hashes about the simulation.
+// splitEngineCounters returns an artifact with the engine's own counters
+// (netsim.SimCounters, series.json's runtime object: how the simulator
+// did its work, not what it simulated) taken out, and those counters as
+// readable lines. The counters move whenever the engine changes how it
+// queues events or recycles packets while every simulated byte stays
+// put; hashing them apart keeps the artifact hashes about the
+// simulation.
 func splitEngineCounters(t *testing.T, file string, b []byte) (rest []byte, engine string) {
 	t.Helper()
-	var eng strings.Builder
-	switch file {
-	case "metrics.prom":
-		var kept bytes.Buffer
-		for _, line := range strings.SplitAfter(string(b), "\n") {
-			switch {
-			case strings.HasPrefix(line, engineCounterPrefix):
-				fmt.Fprintf(&eng, "%s %s", file, line)
-			case strings.HasPrefix(line, "# HELP "+engineCounterPrefix), strings.HasPrefix(line, "# TYPE "+engineCounterPrefix):
-			default:
-				kept.WriteString(line)
-			}
-		}
-		return kept.Bytes(), eng.String()
-	case "series.json":
-		dec := json.NewDecoder(bytes.NewReader(b))
-		dec.UseNumber()
-		var doc map[string]any
-		if err := dec.Decode(&doc); err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
-		rt, err := json.MarshalIndent(doc["runtime"], "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&eng, "%s runtime %s\n", file, rt)
-		delete(doc, "runtime")
-		out, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, eng.String()
+	if file != "series.json" {
+		return b, ""
 	}
-	return b, ""
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	rt, err := json.MarshalIndent(doc["runtime"], "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(doc, "runtime")
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, fmt.Sprintf("%s runtime %s\n", file, rt)
 }
 
 // checkSeriesCoversRun reads a series.json and checks that each
@@ -250,7 +232,9 @@ func TestCLI(t *testing.T) {
 	// used to exit 1 with the topology struct dumped. A negative
 	// -fault-detect used to run as 0, and -snapshot-every without -wal,
 	// -trace-sample without -trace and -window without a plane that
-	// closes windows used to be ignored.
+	// closes windows used to be ignored. -metrics, the Prometheus export,
+	// is gone: its answers live in series.json, -introspect and the audit
+	// line.
 	for _, c := range []struct{ args, want string }{
 		{"-window 1e-7 -slo-report", "-window: must be > 0, got 1e-07"},
 		{"-window 0", "-window: must be > 0, got 0"},
@@ -264,6 +248,7 @@ func TestCLI(t *testing.T) {
 		{"-fault-detect -1ms", "-fault-detect: must be >= 0, got -1ms"},
 		{"-trace-sample 4", "-trace-sample requires -trace"},
 		{"-window 5", "-window requires -slo-report, -series or -incidents"},
+		{"-metrics -", "flag provided but not defined: -metrics"},
 	} {
 		t.Run("refuses "+c.args, func(t *testing.T) {
 			out, err := exec.Command(bin, strings.Fields(c.args)...).CombinedOutput()

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/pacer"
 	"repro/internal/placement"
 	"repro/internal/tenant"
@@ -238,40 +237,4 @@ func (c *Controller) StartHoseCoordination(nw *netsim.Network, h *Handle, epochN
 	}
 	nw.Sim.After(0, tick)
 	return coord
-}
-
-// EnableTelemetry wires a deployed tenant into the observability layer:
-//
-//   - the tenant's {B, S, d} triple is admitted into the guarantee
-//     auditor (so delivered-packet delays are checked against d),
-//   - each pacer VM gets per-VM metrics, with curve-delayed packets
-//     routed into the tenant's audit,
-//   - each hosting NIC's batcher reports into the shared batch metrics.
-//
-// Any of reg, a and bm may be nil; whatever is nil is skipped. The
-// returned TenantAudit is nil iff a is nil. Call after Deploy (hose
-// coordination touches none of the hooks installed here).
-func (h *Handle) EnableTelemetry(nw *netsim.Network, reg *obs.Registry, a *obs.GuaranteeAuditor, bm *pacer.BatchMetrics) *obs.TenantAudit {
-	g := h.Spec.Guarantee
-	ta := a.Admit(h.Spec.ID, g.BandwidthBps, g.BurstBytes, g.DelayBound)
-	for i, id := range h.VMIDs {
-		host := nw.Hosts[h.Placement.Servers[i]]
-		if vm, ok := host.VM(id); ok {
-			mx := pacer.NewVMMetrics(reg, id, h.Spec.ID)
-			if ta != nil {
-				if mx == nil {
-					// No registry, but the audit still wants the
-					// curve-delayed feed; a bare VMMetrics works because
-					// its unset metrics are nil-safe.
-					mx = &pacer.VMMetrics{}
-				}
-				mx.Audit = ta
-			}
-			vm.SetMetrics(mx)
-		}
-		if hp := host.Pacer(); hp != nil && hp.Batcher.Metrics == nil {
-			hp.Batcher.Metrics = bm
-		}
-	}
-	return ta
 }

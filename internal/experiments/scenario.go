@@ -19,7 +19,6 @@ import (
 	"repro/internal/obs/incident"
 	"repro/internal/obs/introspect"
 	"repro/internal/obs/slo"
-	"repro/internal/pacer"
 	"repro/internal/placement"
 	"repro/internal/placement/durable"
 	"repro/internal/stats"
@@ -168,8 +167,7 @@ type Driver struct {
 // Planes selects the observation planes attached to the run.
 type Planes struct {
 	// Audit checks every delivered packet's NIC-to-NIC delay against the
-	// tenant's admitted d and feeds pacer telemetry into the registry.
-	// The other planes need it.
+	// tenant's admitted d. The other planes need it.
 	Audit bool
 	// TraceSampleN > 0 attaches the flight recorder, recording 1 in N
 	// packets.
@@ -188,16 +186,14 @@ type Planes struct {
 	IncidentMergeNs int64
 }
 
-// Env is what a caller injects that is not scenario data: a metrics
-// registry, run provenance, and a placer of its own over a tree it
-// built (silo-sim's durable wrapper; Silo placement under an unpaced
+// Env is what a caller injects that is not scenario data: run
+// provenance, and a placer of its own over a tree it built (silo-sim's durable wrapper; Silo placement under an unpaced
 // scheme) — the two go together, a placer needs the tree it was made
 // over. The zero Env runs the scheme's own placer unobserved.
 type Env struct {
-	Registry *obs.Registry
-	Meta     *obs.RunMeta
-	Tree     *topology.Tree
-	Placer   placement.Algorithm
+	Meta   *obs.RunMeta
+	Tree   *topology.Tree
+	Placer placement.Algorithm
 }
 
 // TenantRun is an admitted tenant's live state and outcome: what its
@@ -267,7 +263,6 @@ type Run struct {
 
 	env        Env
 	fabric     *transport.Fabric
-	batch      *pacer.BatchMetrics
 	rng        *stats.Rand
 	nextVM     int
 	resyncWave int
@@ -343,14 +338,11 @@ func Build(sc Scenario, env Env) (*Run, error) {
 		r.Tenants = append(r.Tenants, tr)
 	}
 
-	reg := env.Registry
 	if sc.Planes.Audit {
-		r.Audit = obs.NewGuaranteeAuditor(reg)
-		r.batch = pacer.NewBatchMetrics(reg)
+		r.Audit = obs.NewGuaranteeAuditor()
 		for _, tr := range r.Tenants {
 			r.observe(tr)
 		}
-		nw.RegisterMetrics(reg)
 		nw.AttachDelayAudit(r.Audit, r.Ctl.TenantOfVM)
 	}
 	if sc.Planes.Incidents {
@@ -368,7 +360,7 @@ func Build(sc Scenario, env Env) (*Run, error) {
 	if sc.Planes.Introspect {
 		// Bounds reflect admission at attach time; a mid-run fault that
 		// loosens them shows up as a negative margin, which is the point.
-		r.Intro = introspect.Attach(nw, reg)
+		r.Intro = introspect.Attach(nw)
 		for _, tr := range r.Tenants {
 			g := tr.Handle.Spec.Guarantee
 			adm := introspect.Envelope{RateBps: g.BandwidthBps, BurstBytes: g.BurstBytes}
@@ -415,7 +407,8 @@ func (r *Run) deploy(tr *TenantRun, pl *tenant.Placement) {
 
 // observe admits the tenant's current deployment into the audit.
 func (r *Run) observe(tr *TenantRun) {
-	tr.Handle.EnableTelemetry(r.Net, r.env.Registry, r.Audit, r.batch)
+	g := tr.Handle.Spec.Guarantee
+	r.Audit.Admit(tr.Handle.Spec.ID, g.BandwidthBps, g.BurstBytes, g.DelayBound)
 	if d := tr.Tenant.AuditDelayBoundSec; d > 0 {
 		r.Audit.SetDelayBound(tr.Handle.Spec.ID, d)
 	}

@@ -31,7 +31,7 @@ func TestSeriesJSONWritten(t *testing.T) {
 			sc.Planes.TraceSampleN = 1
 			sc.Planes.Introspect = true
 			meta := obs.RunMeta{Tool: "series", Version: "v<1>&", Seed: 42}
-			run, err := Build(sc, Env{Registry: obs.NewRegistry(), Meta: &meta})
+			run, err := Build(sc, Env{Meta: &meta})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestWindowTickAllocatesNothing(t *testing.T) {
 	sc := drillScenario(DefaultFailureDrillParams())
 	sc.Planes.TraceSampleN = 1
 	sc.Planes.Introspect = true
-	run, err := Build(sc, Env{Registry: obs.NewRegistry()})
+	run, err := Build(sc, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // TestFinishClosesPartialWindow: Finish closes the window from the last
@@ -27,7 +25,7 @@ func TestFinishClosesPartialWindow(t *testing.T) {
 			p := DefaultFailureDrillParams()
 			p.WindowNs = c.windowNs
 			sc := drillScenario(p)
-			run, err := Build(sc, Env{Registry: obs.NewRegistry()})
+			run, err := Build(sc, Env{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,9 +56,9 @@ func TestFinishClosesPartialWindow(t *testing.T) {
 						r.ID, last.StartNs, last.EndNs, lastStart, now)
 				}
 				ta, _ := run.Audit.Tenant(r.ID)
-				if r.Delivered != ta.Packets.Value() || r.Violated != ta.Violations.Value() {
+				if r.Delivered != ta.Packets || r.Violated != ta.Violations {
 					t.Errorf("tenant %d: SLO delivered=%d violated=%d, auditor packets=%d violations=%d",
-						r.ID, r.Delivered, r.Violated, ta.Packets.Value(), ta.Violations.Value())
+						r.ID, r.Delivered, r.Violated, ta.Packets, ta.Violations)
 				}
 			}
 		})

@@ -51,3 +51,28 @@ func (nw *Network) PortMeta() []obs.PortMeta {
 	}
 	return out
 }
+
+// AttachDelayAudit feeds every delivered data packet's NIC-to-NIC delay
+// (delivery time minus the SentAt wire stamp) to a guarantee auditor,
+// against the destination VM's tenant. tenantOf maps a VM id to its
+// tenant id (ok=false skips the packet); it runs once per delivered
+// packet, so it must not allocate — a range check or array lookup, not
+// a map built per call.
+//
+// The auditor's per-tenant counts aggregate in place with zero
+// allocation; per-packet hop records are the flight recorder's job
+// (AttachFlightRecorder).
+func (nw *Network) AttachDelayAudit(a *obs.GuaranteeAuditor, tenantOf func(vmID int) (tenantID int, ok bool)) {
+	if a == nil {
+		return
+	}
+	sim := nw.Sim
+	sim.Subscribe(func(ev Event) {
+		p := ev.P
+		if id, ok := tenantOf(p.DstVM); ok {
+			// Delivery time and endpoints ride along so a violation tap
+			// can emit a fully-identified event.
+			a.ObserveDelivery(id, p.DstVM, p.SrcVM, sim.Now(), ev.Arg)
+		}
+	}, EvDeliver)
+}

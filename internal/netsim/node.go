@@ -185,10 +185,6 @@ func (h *Host) EnablePacing(batcher *pacer.Batcher) {
 // Paced reports whether the host has a pacer installed.
 func (h *Host) Paced() bool { return h.pacer != nil }
 
-// Pacer returns the host pacer (nil for unpaced hosts). Exposed so
-// instrumentation can reach the NIC batcher.
-func (h *Host) Pacer() *pacer.HostPacer { return h.pacer }
-
 // AddVM registers a paced VM (its guarantees configured by the
 // caller) on this host.
 func (h *Host) AddVM(vm *pacer.VM) {

@@ -18,7 +18,6 @@ type planeSet struct{ audit, flight, intro, window bool }
 type planeOut struct {
 	flight []obs.FlightEvent
 	audit  [3]int64 // packets, max delay, violations
-	hist   [64]int64
 	intro  introspect.Snapshot
 	window []int64 // worst occupancy per port
 }
@@ -52,7 +51,7 @@ func attach(nw *netsim.Network, ps planeSet) (*obs.GuaranteeAuditor, *obs.Flight
 		win   *netsim.PortWindowTracker
 	)
 	if ps.audit {
-		audit = obs.NewGuaranteeAuditor(nil)
+		audit = obs.NewGuaranteeAuditor()
 		audit.Admit(1, 1.25e8, 3000, 2e-6)
 		nw.AttachDelayAudit(audit, func(vm int) (int, bool) { return 1, vm == 11 })
 	}
@@ -61,7 +60,7 @@ func attach(nw *netsim.Network, ps planeSet) (*obs.GuaranteeAuditor, *obs.Flight
 		netsim.AttachFlightRecorder(nw, rec)
 	}
 	if ps.intro {
-		in = introspect.Attach(nw, nil)
+		in = introspect.Attach(nw)
 	}
 	if ps.window {
 		win = netsim.AttachPortWindowTracker(nw)
@@ -102,8 +101,7 @@ func runPlanes(t *testing.T, ps planeSet) planeOut {
 	}
 	if audit != nil {
 		ta, _ := audit.Tenant(1)
-		out.audit = [3]int64{ta.Packets.Value(), ta.MaxDelayNs.Value(), ta.Violations.Value()}
-		out.hist = ta.DelayUs.Buckets()
+		out.audit = [3]int64{ta.Packets, ta.MaxDelayNs, ta.Violations}
 	}
 	if in != nil {
 		out.intro = in.Snapshot()
@@ -128,7 +126,7 @@ func TestPlanesComposeOnSpine(t *testing.T) {
 		ps   planeSet
 		same func(a, b planeOut) bool
 	}{
-		{"audit", planeSet{audit: true}, func(a, b planeOut) bool { return a.audit == b.audit && a.hist == b.hist }},
+		{"audit", planeSet{audit: true}, func(a, b planeOut) bool { return a.audit == b.audit }},
 		{"flight", planeSet{flight: true}, func(a, b planeOut) bool { return reflect.DeepEqual(a.flight, b.flight) }},
 		{"introspect", planeSet{intro: true}, func(a, b planeOut) bool { return reflect.DeepEqual(a.intro, b.intro) }},
 		{"port window", planeSet{window: true}, func(a, b planeOut) bool { return reflect.DeepEqual(a.window, b.window) }},

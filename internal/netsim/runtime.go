@@ -7,8 +7,7 @@ package netsim
 // wheel, the overflow heap, and the event/packet freelists — at the
 // cost of a compare or an increment per touch. All values are monotone
 // except PktInUse (the live arena population). RuntimeStats adds the hit
-// rates and RegisterMetrics exports the silo_runtime_* metric families;
-// the JSON names are series.json's.
+// rates; the JSON names are series.json's runtime.engine block.
 type SimCounters struct {
 	// Events is the number of events this Sim has executed.
 	Events int64 `json:"events"`

@@ -12,25 +12,15 @@ import (
 // proves the guarantee holds in the worst case; the auditor verifies
 // the running system never contradicts the proof.
 //
-// Per admitted tenant it tracks:
+// Per admitted tenant it counts audited packets, the exact worst
+// NIC-to-NIC delay in nanoseconds, and violations: packets whose delay
+// exceeded the admitted bound d (always zero if Silo is correct).
 //
-//   - a NIC-to-NIC delay histogram (microsecond power-of-two buckets),
-//   - the exact maximum observed delay in nanoseconds,
-//   - a violation counter: packets whose delay exceeded the admitted
-//     bound d (always zero if Silo is correct),
-//   - an arrival-curve conformance counter fed by the pacer: packets
-//     the token buckets had to delay because the VM offered more than
-//     B·t + S (each is a would-be violation the pacer averted).
-//
-// The auditor is driven from the simulation goroutine; ObserveDelay is
-// a map lookup and metric updates, with no allocation. The auditor
-// works with or without a Registry: metrics registration is skipped
-// when reg is nil, while the audit itself (violation counting, Summary)
-// still runs — this is what lets every silo-sim run double as an audit
-// even with -metrics unset. A nil *GuaranteeAuditor disables everything
-// at one branch per call.
+// The auditor is driven from the simulation goroutine; ObserveDelivery
+// is a map lookup and three field updates, with no allocation. Every
+// silo-sim run doubles as an audit: Summary is its one-line verdict. A
+// nil *GuaranteeAuditor disables everything at one branch per call.
 type GuaranteeAuditor struct {
-	reg     *Registry
 	tenants map[int]*TenantAudit
 	// tap receives one ViolationEvent per over-bound delivery.
 	tap func(ViolationEvent)
@@ -45,28 +35,22 @@ type TenantAudit struct {
 	BurstBytes   float64
 	DelayBoundNs int64
 
-	// DelayUs is the per-tenant NIC-to-NIC delay histogram in µs.
-	DelayUs *Histogram
-	// Violations counts packets over the admitted delay bound.
-	Violations *Counter
-	// CurveDelayed counts packets the pacer delayed to keep the
-	// tenant's arrival curve conformant (offered load exceeded {B,S}).
-	CurveDelayed *Counter
-	// MaxDelayNs tracks the exact worst delay in nanoseconds.
-	MaxDelayNs *Gauge
 	// Packets counts audited packets.
-	Packets *Counter
+	Packets int64
+	// Violations counts packets over the admitted delay bound.
+	Violations int64
+	// MaxDelayNs is the exact worst delay in nanoseconds.
+	MaxDelayNs int64
 }
 
-// NewGuaranteeAuditor returns an auditor. reg may be nil: the audit
-// still runs, it is just not exported through a registry.
-func NewGuaranteeAuditor(reg *Registry) *GuaranteeAuditor {
-	return &GuaranteeAuditor{reg: reg, tenants: make(map[int]*TenantAudit)}
+// NewGuaranteeAuditor returns an auditor with no tenants admitted.
+func NewGuaranteeAuditor() *GuaranteeAuditor {
+	return &GuaranteeAuditor{tenants: make(map[int]*TenantAudit)}
 }
 
 // Admit registers a tenant's guarantee for auditing. delayBoundSec is
 // the admitted NIC-to-NIC bound d in seconds (<= 0 means the tenant
-// has no delay SLO; its delay distribution is still recorded).
+// has no delay SLO; its packets and worst delay are still recorded).
 // Admitting the same tenant twice returns the existing state.
 func (a *GuaranteeAuditor) Admit(id int, bandwidthBps, burstBytes, delayBoundSec float64) *TenantAudit {
 	if a == nil {
@@ -75,7 +59,6 @@ func (a *GuaranteeAuditor) Admit(id int, bandwidthBps, burstBytes, delayBoundSec
 	if t, ok := a.tenants[id]; ok {
 		return t
 	}
-	label := fmt.Sprintf("%d", id)
 	var boundNs int64
 	if delayBoundSec > 0 {
 		boundNs = int64(delayBoundSec * 1e9)
@@ -85,28 +68,6 @@ func (a *GuaranteeAuditor) Admit(id int, bandwidthBps, burstBytes, delayBoundSec
 		BandwidthBps: bandwidthBps,
 		BurstBytes:   burstBytes,
 		DelayBoundNs: boundNs,
-	}
-	if a.reg != nil {
-		t.DelayUs = a.reg.Histogram("silo_audit_delay_us",
-			"per-tenant NIC-to-NIC packet delay (µs, power-of-two buckets)", "tenant", label)
-		t.Violations = a.reg.Counter("silo_audit_delay_violations_total",
-			"packets whose NIC-to-NIC delay exceeded the admitted bound d", "tenant", label)
-		t.CurveDelayed = a.reg.Counter("silo_audit_curve_delayed_total",
-			"packets delayed by the pacer to keep the arrival curve within {B,S}", "tenant", label)
-		t.MaxDelayNs = a.reg.Gauge("silo_audit_max_delay_ns",
-			"exact worst observed NIC-to-NIC delay", "tenant", label)
-		t.Packets = a.reg.Counter("silo_audit_packets_total",
-			"packets audited for the tenant", "tenant", label)
-		a.reg.Gauge("silo_audit_delay_bound_ns",
-			"admitted NIC-to-NIC delay bound d (0 = none)", "tenant", label).Set(boundNs)
-	} else {
-		// No registry: allocate standalone metrics so the audit and
-		// Summary still work.
-		t.DelayUs = &Histogram{}
-		t.Violations = &Counter{}
-		t.CurveDelayed = &Counter{}
-		t.MaxDelayNs = &Gauge{}
-		t.Packets = &Counter{}
 	}
 	a.tenants[id] = t
 	return t
@@ -175,11 +136,12 @@ func (a *GuaranteeAuditor) ObserveDelivery(id, dstVM, srcVM int, nowNs, delayNs 
 	if !ok {
 		return
 	}
-	t.Packets.Inc()
-	t.DelayUs.Observe(delayNs / 1000)
-	t.MaxDelayNs.SetMax(delayNs)
+	t.Packets++
+	if delayNs > t.MaxDelayNs {
+		t.MaxDelayNs = delayNs
+	}
 	if t.DelayBoundNs > 0 && delayNs > t.DelayBoundNs {
-		t.Violations.Inc()
+		t.Violations++
 		if a.tap != nil {
 			a.tap(ViolationEvent{
 				TimeNs:      nowNs,
@@ -233,14 +195,14 @@ func (a *GuaranteeAuditor) Summary() string {
 	for _, t := range a.Tenants() {
 		if t.DelayBoundNs == 0 {
 			unbounded++
-			unboundedPkts += t.Packets.Value()
+			unboundedPkts += t.Packets
 			continue
 		}
 		parts = append(parts, fmt.Sprintf(
 			"tenant %d: packets=%d maxDelay=%.1fµs bound=%.1fµs violations=%d",
-			t.ID, t.Packets.Value(),
-			float64(t.MaxDelayNs.Value())/1e3, float64(t.DelayBoundNs)/1e3,
-			t.Violations.Value()))
+			t.ID, t.Packets,
+			float64(t.MaxDelayNs)/1e3, float64(t.DelayBoundNs)/1e3,
+			t.Violations))
 	}
 	if len(parts) == 0 && unbounded == 0 {
 		return "guarantee audit: no tenants admitted"

@@ -6,12 +6,12 @@ import (
 	"path/filepath"
 )
 
-// ValidateOutputPath checks that an output-file flag value (-metrics,
-// -trace, -series, ...) can plausibly be written, so a typo'd path
-// fails at startup with a clear message instead of after the whole run
-// has completed. "" and "-" (stdout) are always valid. For anything
-// else the parent directory must exist and the path must not name a
-// directory.
+// ValidateOutputPath checks that an output-file flag value (silo-sim's
+// -trace, -series, -incidents, -introspect) can plausibly be written,
+// so a typo'd path fails at startup with a clear message instead of
+// after the whole run has completed. "" (no file) and "-" (stdout, as
+// -incidents takes it) are always valid. For anything else the parent
+// directory must exist and the path must not name a directory.
 func ValidateOutputPath(flagName, path string) error {
 	if path == "" || path == "-" {
 		return nil
@@ -28,20 +28,4 @@ func ValidateOutputPath(flagName, path string) error {
 		return fmt.Errorf("%s: %q is not a directory", flagName, dir)
 	}
 	return nil
-}
-
-// StartCLI implements the standard telemetry wiring shared by the silo
-// binaries' -metrics flag:
-//
-//   - path empty: telemetry disabled — returns a nil registry (every
-//     instrumentation site then costs one branch) and a no-op finish.
-//   - path set: finish exports the registry there as Prometheus text
-//     ("-" writes to stdout).
-//
-// Call finish exactly once, after the run completes.
-func StartCLI(path string) (reg *Registry, finish func() error) {
-	if path != "" {
-		reg = NewRegistry()
-	}
-	return reg, func() error { return reg.WriteFile(path) }
 }

@@ -16,7 +16,7 @@ import (
 
 func testSources(t *testing.T) Options {
 	t.Helper()
-	auditor := obs.NewGuaranteeAuditor(obs.NewRegistry())
+	auditor := obs.NewGuaranteeAuditor()
 	auditor.Admit(3, 1e9, 15e3, 1e-3)
 
 	rec := slo.NewRecorder(auditor, 1e6)

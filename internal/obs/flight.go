@@ -1,7 +1,7 @@
 package obs
 
 // Flight recorder: a bounded ring of binary trace events for end-to-end
-// per-packet latency attribution. Where the metrics core (obs.go)
+// per-packet latency attribution. Where the guarantee audit (audit.go)
 // aggregates in place, the flight recorder keeps the most recent window
 // of raw lifecycle events — VM enqueue, token-bucket admit, wire
 // departure, per-port enqueue/transmit, delivery — in fixed-size
@@ -9,7 +9,7 @@ package obs
 // has the exact recent history to attribute, at a cost the pacing hot
 // path can afford.
 //
-// Design rules, matching the metrics core:
+// Design rules, matching the package's (obs.go):
 //
 //  1. Zero allocations per event once a ring is full. Records are
 //     fixed-size structs; each shard's ring starts empty and grows on

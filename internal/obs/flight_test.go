@@ -258,7 +258,7 @@ func TestAnnotateSpansBounds(t *testing.T) {
 	r := NewFlightRecorder(64, 1)
 	emitTestSpan(r, 7)
 	spans := AssembleFlight(r.Events(), flightTestPorts)
-	a := NewGuaranteeAuditor(nil)
+	a := NewGuaranteeAuditor()
 	a.Admit(42, 1e9, 100e3, 1e-6) // d = 1 µs < the 2.85 µs span
 	viol := AnnotateSpans(spans, a, func(vmID int) (int, bool) { return 42, vmID == 20 })
 	if spans[0].TenantID != 42 || spans[0].BoundNs != 1000 {

@@ -12,7 +12,7 @@ import (
 // bound, so each observation walks the full path — counters,
 // histogram, tap, append.
 func violatingAudit() (*obs.GuaranteeAuditor, *obs.ViolationLog) {
-	audit := obs.NewGuaranteeAuditor(nil)
+	audit := obs.NewGuaranteeAuditor()
 	audit.Admit(1, 500e6, 15e3, 350e-6)
 	log := obs.NewViolationLog(1 << 20)
 	audit.SetViolationTap(log.Observe)

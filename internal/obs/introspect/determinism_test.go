@@ -43,7 +43,7 @@ func TestIntrospectionDeterministic(t *testing.T) {
 		}
 
 		nw := netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: 200})
-		in := introspect.Attach(nw, nil)
+		in := introspect.Attach(nw)
 		hosts := len(nw.Hosts)
 		for h := 0; h < hosts; h++ {
 			in.TrackVM(h, h, h/4, introspect.Envelope{RateBps: 1 * gbps, BurstBytes: 30e3})

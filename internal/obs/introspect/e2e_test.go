@@ -71,7 +71,7 @@ func runFig5(t *testing.T, scheme core.Scheme) (*introspect.Introspector, *netsi
 	dep := ctl.Adopt(pl)
 	ctl.Deploy(nw, transport.NewFabric(nw), dep, 1000, scheme.TransportOptions())
 
-	in := introspect.Attach(nw, nil)
+	in := introspect.Attach(nw)
 	adm := introspect.Envelope{RateBps: spec.Guarantee.BandwidthBps, BurstBytes: spec.Guarantee.BurstBytes}
 	for i, vmID := range dep.VMIDs {
 		in.TrackVM(pl.Servers[i], vmID, spec.ID, adm)

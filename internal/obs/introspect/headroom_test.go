@@ -32,7 +32,7 @@ func tinyTree(t *testing.T) *topology.Tree {
 func TestPortWatchBusyPeriods(t *testing.T) {
 	tree := tinyTree(t)
 	nw := netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: 200})
-	in := Attach(nw, nil)
+	in := Attach(nw)
 	est := in.TrackVM(0, 7, 1, Envelope{RateBps: 1.25e8, BurstBytes: 1000})
 
 	h := nw.Hosts[0]

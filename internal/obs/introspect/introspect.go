@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/netsim"
@@ -21,15 +20,11 @@ const epochNs = 1e6
 // Introspector wires the introspection plane into a built network: a
 // spine subscriber for port headroom (and NIC arrivals, for unpaced
 // VMs' envelope estimation), pacer commit taps for paced VMs' envelope
-// estimation, and an optional metrics registry for live gauges.
+// estimation.
 type Introspector struct {
-	nw  *netsim.Network
-	reg *obs.Registry
+	nw *netsim.Network
 
 	watches []*portWatch
-	// margined lists, ascending, the ports minMargin ranges over:
-	// bounded, with a finite backlog bound.
-	margined []int
 
 	vms     []*VMEstimator
 	vmBySrc map[int]*VMEstimator // unpaced VMs keyed by Packet.SrcVM
@@ -37,13 +32,12 @@ type Introspector struct {
 	upLo, upHi int // NIC-up port range: only NICs feed the unpaced tap
 }
 
-// Attach subscribes the introspection plane to every port of nw. reg
-// may be nil to run without live gauges. Hot-path cost per packet: one
-// call and a handful of integer compares, zero allocations.
-func Attach(nw *netsim.Network, reg *obs.Registry) *Introspector {
+// Attach subscribes the introspection plane to every port of nw.
+// Hot-path cost per packet: one call and a handful of integer compares,
+// zero allocations.
+func Attach(nw *netsim.Network) *Introspector {
 	in := &Introspector{
 		nw:      nw,
-		reg:     reg,
 		watches: make([]*portWatch, len(nw.Queues)),
 		vmBySrc: make(map[int]*VMEstimator),
 	}
@@ -54,7 +48,6 @@ func Attach(nw *netsim.Network, reg *obs.Registry) *Introspector {
 		}
 	}
 	nw.Sim.Subscribe(in.observe, netsim.EvPortEnqueue, netsim.EvPortTransmit)
-	in.registerMetrics()
 	return in
 }
 
@@ -95,27 +88,6 @@ func (in *Introspector) TrackVM(hostID, vmID, tenantID int, adm Envelope) *VMEst
 	} else {
 		in.vmBySrc[vmID] = est
 	}
-	if in.reg != nil {
-		vmL := strconv.Itoa(vmID)
-		tnL := strconv.Itoa(tenantID)
-		in.reg.GaugeFunc("silo_introspect_envelope_rate_bps",
-			"fitted long-run emission rate (bytes/sec)",
-			est.fittedRate,
-			"vm", vmL, "tenant", tnL)
-		in.reg.GaugeFunc("silo_introspect_envelope_burst_bytes",
-			"minimal burst enveloping the observed stream at the admitted rate",
-			func() float64 { return est.maxLevel },
-			"vm", vmL, "tenant", tnL)
-		in.reg.GaugeFunc("silo_introspect_envelope_violation",
-			"1 when the fitted envelope exceeds the admitted {B, S}",
-			func() float64 {
-				if est.violated() {
-					return 1
-				}
-				return 0
-			},
-			"vm", vmL, "tenant", tnL)
-	}
 	return est
 }
 
@@ -143,96 +115,15 @@ func (in *Introspector) BindPlacement(m *placement.Manager) {
 		w.bounds = b
 		w.bounded = b.Tenants > 0
 	}
-	in.indexMargined()
-	if in.reg != nil {
-		in.registerPortMetrics()
-	}
 }
 
 // SetPortBounds installs bounds for one port directly (tests that run
-// without a placement manager). Like BindPlacement it
-// registers the port's margin gauge; re-binding is idempotent because
-// the registry dedupes on (name, labels).
+// without a placement manager).
 func (in *Introspector) SetPortBounds(pid int, b PortBounds) {
 	if w := in.watches[pid]; w != nil {
 		w.bounds = b
 		w.bounded = true
-		in.indexMargined()
-		if in.reg != nil {
-			in.registerPortMetrics()
-		}
 	}
-}
-
-func (in *Introspector) registerMetrics() {
-	if in.reg == nil {
-		return
-	}
-	in.reg.GaugeFunc("silo_introspect_envelope_violations",
-		"tracked VMs whose fitted envelope exceeds the admitted {B, S}",
-		func() float64 {
-			n := 0
-			for _, est := range in.vms {
-				if est.violated() {
-					n++
-				}
-			}
-			return float64(n)
-		})
-	in.reg.GaugeFunc("silo_introspect_min_margin_bytes",
-		"least backlog-bound margin across bounded ports (bytes)",
-		func() float64 {
-			mb, _ := in.minMargin()
-			return mb
-		})
-	in.reg.GaugeFunc("silo_introspect_min_margin_port",
-		"directed-port ID holding the least backlog-bound margin",
-		func() float64 {
-			_, pid := in.minMargin()
-			return float64(pid)
-		})
-}
-
-func (in *Introspector) registerPortMetrics() {
-	for pid, w := range in.watches {
-		if w == nil || !w.bounded {
-			continue
-		}
-		w := w
-		pidL := strconv.Itoa(pid)
-		in.reg.GaugeFunc("silo_introspect_port_margin_bytes",
-			"backlog bound minus observed high-water mark (bytes)",
-			func() float64 { return w.bounds.BacklogBytes - float64(w.q.Stats.HighWaterBytes) },
-			"port", w.q.Name, "id", pidL)
-	}
-}
-
-// indexMargined rebuilds the list of ports with a finite backlog bound
-// after bounds change, so the min-margin gauges, read every window,
-// skip the rest.
-func (in *Introspector) indexMargined() {
-	in.margined = in.margined[:0]
-	for pid, w := range in.watches {
-		if w != nil && w.bounded && w.bounds.BacklogBytes >= 0 {
-			in.margined = append(in.margined, pid)
-		}
-	}
-}
-
-// minMargin returns the least backlog margin over bounded ports with
-// finite bounds, and the port holding it (-1 when no port is bounded).
-func (in *Introspector) minMargin() (float64, int) {
-	best, bestPid := math.Inf(1), -1
-	for _, pid := range in.margined {
-		w := in.watches[pid]
-		if m := w.bounds.BacklogBytes - float64(w.q.Stats.HighWaterBytes); m < best {
-			best, bestPid = m, pid
-		}
-	}
-	if bestPid < 0 {
-		return 0, -1
-	}
-	return best, bestPid
 }
 
 // Snapshot is the introspection plane's full deterministic state dump:
@@ -255,7 +146,8 @@ type Snapshot struct {
 // Snapshot captures the current state. Call it between runs or from a
 // simulation event, never concurrently with Run.
 func (in *Introspector) Snapshot() Snapshot {
-	var s Snapshot
+	s := Snapshot{MinMarginPort: -1}
+	best := math.Inf(1) // the least margin over bounded ports with finite bounds
 	for _, est := range in.vms {
 		env := est.Snapshot()
 		if env.Violated {
@@ -284,13 +176,15 @@ func (in *Introspector) Snapshot() Snapshot {
 		}
 		if w.bounded && w.bounds.BacklogBytes >= 0 {
 			ph.MarginBytes = w.bounds.BacklogBytes - float64(ph.HWMBytes)
+			if ph.MarginBytes < best {
+				best, s.MinMarginBytes, s.MinMarginPort = ph.MarginBytes, ph.MarginBytes, pid
+			}
 		}
 		if w.bounded && w.bounds.BusyPeriodSec >= 0 {
 			ph.BusyMarginNs = w.bounds.BusyPeriodSec*1e9 - float64(maxBusy)
 		}
 		s.Ports = append(s.Ports, ph)
 	}
-	s.MinMarginBytes, s.MinMarginPort = in.minMargin()
 	return s
 }
 

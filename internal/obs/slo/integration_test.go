@@ -27,7 +27,7 @@ func TestInducedViolationEndToEnd(t *testing.T) {
 	nw := netsim.Build(netsim.NewSim(), tree, netsim.Options{PropNs: 200})
 	tracker := netsim.AttachPortWindowTracker(nw)
 
-	auditor := obs.NewGuaranteeAuditor(nil)
+	auditor := obs.NewGuaranteeAuditor()
 	// Tenant 5 owns the victim VM with a 20µs bound the congestion will
 	// blow through; tenant 6 is an innocent bystander on host 7.
 	auditor.Admit(5, 2*gbps, 15e3, 20e-6)
@@ -71,7 +71,7 @@ func TestInducedViolationEndToEnd(t *testing.T) {
 
 	var violations int64
 	for _, ta := range auditor.Tenants() {
-		violations += ta.Violations.Value()
+		violations += ta.Violations
 	}
 	if violations == 0 {
 		t.Fatal("overload failed to induce d-violations")

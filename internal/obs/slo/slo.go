@@ -214,7 +214,7 @@ func (r *Recorder) Close(nowNs int64, culpritPort int32, culpritQueueNs int64) {
 	}
 	r.windows = append(r.windows, window{startNs, nowNs, culpritPort, culpritQueueNs})
 	for _, s := range r.tenants {
-		pk, vi := s.t.Packets.Value(), s.t.Violations.Value()
+		pk, vi := s.t.Packets, s.t.Violations
 		s.cells = append(s.cells, cell{pk - s.prevPackets, vi - s.prevViolations, s.t.DelayBoundNs})
 		s.prevPackets, s.prevViolations = pk, vi
 	}

@@ -22,7 +22,7 @@ func drive(a *obs.GuaranteeAuditor, tenant int, good, bad int) {
 
 func newRecorder(t *testing.T) (*obs.GuaranteeAuditor, *Recorder) {
 	t.Helper()
-	a := obs.NewGuaranteeAuditor(nil)
+	a := obs.NewGuaranteeAuditor()
 	a.Admit(7, 1e9, 15e3, 1e-3)  // 1ms bound: the SLO subject
 	a.Admit(8, 1e9, 15e3, 10e-3) // 10ms bound: innocent bystander
 	a.Admit(9, 1e9, 15e3, 0)     // no bound: not an SLO subject
@@ -161,7 +161,7 @@ func TestBurnAlertNamesTenantAndCulprit(t *testing.T) {
 }
 
 func TestMidRunAdmission(t *testing.T) {
-	a := obs.NewGuaranteeAuditor(nil)
+	a := obs.NewGuaranteeAuditor()
 	a.Admit(1, 1e9, 15e3, 1e-3)
 	rec := NewRecorder(a, ms)
 
@@ -194,7 +194,7 @@ func TestMidRunAdmission(t *testing.T) {
 // closed, well past the 512 the recorder's points were once cut to, and
 // a tenant admitted mid-run reads zero counts before its first window.
 func TestPointsKeepEveryWindow(t *testing.T) {
-	a := obs.NewGuaranteeAuditor(nil)
+	a := obs.NewGuaranteeAuditor()
 	a.Admit(1, 1e9, 15e3, 1e-3)
 	rec := NewRecorder(a, ms)
 	const n, late = 600, 100
@@ -240,7 +240,7 @@ func TestPointsKeepEveryWindow(t *testing.T) {
 // TestFaultLabels: windows the fault lookup matches label their events
 // and count their violations as in-fault.
 func TestFaultLabels(t *testing.T) {
-	a := obs.NewGuaranteeAuditor(nil)
+	a := obs.NewGuaranteeAuditor()
 	a.Admit(1, 1e9, 15e3, 1e-3)
 	rec := NewRecorder(a, ms)
 	for i := int64(1); i <= 4; i++ {
@@ -278,7 +278,7 @@ func TestRecorderWithoutAuditor(t *testing.T) {
 }
 
 func TestBurnMath(t *testing.T) {
-	a := obs.NewGuaranteeAuditor(nil)
+	a := obs.NewGuaranteeAuditor()
 	a.Admit(1, 1e9, 15e3, 1e-3)
 	rec := NewRecorder(a, ms)
 	drive(a, 1, 999, 1) // exactly the budget: burn 1.0
@@ -303,7 +303,7 @@ func TestBurnMath(t *testing.T) {
 // live traffic. Each call of the returned func observes one packet per
 // tenant and closes the next window.
 func steadyWindows() func() {
-	a := obs.NewGuaranteeAuditor(nil)
+	a := obs.NewGuaranteeAuditor()
 	for id := 1; id <= 16; id++ {
 		a.Admit(id, 1e9, 15e3, 1e-3)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -15,6 +16,8 @@ import (
 	"testing"
 	"time"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/trace.golden.json from the oracle")
 
 // The streaming Chrome-trace encoder and the sorted span assembly must
 // reproduce, byte for byte and field for field, what the reflective

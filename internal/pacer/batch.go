@@ -43,9 +43,6 @@ type Batcher struct {
 	// are sent back-to-back from the top of the batch, as a plain
 	// batching NIC would.
 	DisableVoids bool
-	// Metrics, if set, observes every non-empty batch (batch, byte and
-	// frame counters). nil costs one branch per Build.
-	Metrics *BatchMetrics
 }
 
 // NewBatcher returns a batcher with the paper's defaults for the given
@@ -125,7 +122,6 @@ func (b *Batcher) build(batch *Batch, start int64, vms []*VM) {
 		cursor += b.wireNs(p.Bytes)
 	}
 	batch.End = cursor
-	b.Metrics.noteBatch(batch)
 }
 
 // pad appends void frames covering gap wire bytes starting at cursor

@@ -130,9 +130,6 @@ type VM struct {
 	ready   ring[Packet] // committed packets in (Release, seq) order
 	seq     uint64
 
-	queuedTotal int64      // bytes awaiting commit across all destinations
-	mx          *VMMetrics // nil = uninstrumented (one branch per event)
-
 	// onCommit, if set, observes every committed emission (release
 	// stamp, wire bytes) — the introspection plane's envelope tap.
 	onCommit func(releaseNs int64, bytes int)
@@ -155,9 +152,6 @@ func NewVM(id int, g Guarantee, start int64) *VM {
 		byID: make(map[int]*dest),
 	}
 }
-
-// SetMetrics attaches (or detaches, with nil) telemetry to the VM.
-func (v *VM) SetMetrics(m *VMMetrics) { v.mx = m }
 
 // SetCommitTap installs fn to observe every packet the scheduler
 // commits through the bucket chain, carrying the exact release stamp
@@ -233,8 +227,6 @@ func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) {
 	}
 	v.queued++
 	d.queuedBytes += int64(bytes)
-	v.queuedTotal += int64(bytes)
-	v.mx.noteQueued(v.queuedTotal)
 }
 
 // setHead mirrors the entry now at the front of d's queue.
@@ -317,14 +309,12 @@ func (v *VM) Schedule(upTo int64) {
 		v.queued--
 		best.queuedBytes -= int64(e.bytes)
 		best.sentBytes += int64(e.bytes)
-		v.queuedTotal -= int64(e.bytes)
 		// Commit through the chain at the final release time.
 		if best.hose != nil {
 			best.hose.Commit(bestR, e.bytes)
 		}
 		v.avg.Commit(bestR, e.bytes)
 		v.cap.Commit(bestR, e.bytes)
-		v.mx.noteCommit(e.enq, bestR, v.queuedTotal)
 		if v.onCommit != nil {
 			v.onCommit(bestR, e.bytes)
 		}

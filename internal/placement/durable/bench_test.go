@@ -31,7 +31,7 @@ const syncBatch = 64
 // steady-state.
 func warmWAL(tb testing.TB, mut *placement.Mutation) *wal {
 	tb.Helper()
-	w, err := createWAL(tb.TempDir()+"/bench.log", 0, syncBatch, nil)
+	w, err := createWAL(tb.TempDir()+"/bench.log", 0, syncBatch)
 	if err != nil {
 		tb.Fatal(err)
 	}

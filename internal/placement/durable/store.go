@@ -33,8 +33,6 @@ type Options struct {
 	SnapshotEvery int
 	// Meta stamps snapshots and the store config with run provenance.
 	Meta *obs.RunMeta
-	// Metrics instruments the store (NewMetrics); nil disables.
-	Metrics *Metrics
 }
 
 func (o Options) withDefaults() Options {
@@ -174,14 +172,13 @@ func Open(dir string, tree *topology.Tree, opts Options) (*Manager, *RecoveryInf
 		segPath, segSize = filepath.Join(dir, rep.Segments[n-1].Name), rep.Segments[n-1].ValidBytes
 	}
 	st := &store{dir: dir, opts: opts, tree: tree, seq: rep.FinalSeq, safeMode: rep.SeqGap}
-	st.w, err = createWAL(segPath, segSize, opts.SyncEvery, opts.Metrics)
+	st.w, err = createWAL(segPath, segSize, opts.SyncEvery)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	m.SetCommitHook(st.commit)
 	info.ReplayNs = time.Since(start).Nanoseconds()
-	opts.Metrics.noteRecovery(info.ReplayedRecords, info.TornTail || info.CorruptTail, time.Since(start))
 	return &Manager{Manager: m, st: st, info: info}, info, nil
 }
 
@@ -220,14 +217,12 @@ func (st *store) snapshot(m *placement.Manager) error {
 	if err := st.w.close(); err != nil {
 		return err
 	}
-	w, err := createWAL(filepath.Join(st.dir, walName(st.seq+1)), 0,
-		st.opts.SyncEvery, st.opts.Metrics)
+	w, err := createWAL(filepath.Join(st.dir, walName(st.seq+1)), 0, st.opts.SyncEvery)
 	if err != nil {
 		return err
 	}
 	st.w = w
 	st.sinceSnap = 0
-	st.opts.Metrics.noteSnapshot()
 
 	// GC: every fully covered segment and every older snapshot.
 	if names, err := listSeqFiles(st.dir, "wal-", ".log"); err == nil {

@@ -36,7 +36,6 @@ type wal struct {
 	pending   int
 	syncEvery int
 	sleep     func(time.Duration)
-	mx        *Metrics
 
 	// failAppends/failSyncs are test seams: when set, the next N
 	// appends/fsyncs fail with a synthetic error before touching the
@@ -54,7 +53,7 @@ var errInjected = errors.New("durable: injected I/O failure")
 // createWAL opens (creating if absent) the segment at path, whose
 // contents — if any — must already be validated/truncated by the
 // caller; size is the validated length.
-func createWAL(path string, size int64, syncEvery int, mx *Metrics) (*wal, error) {
+func createWAL(path string, size int64, syncEvery int) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -66,7 +65,6 @@ func createWAL(path string, size int64, syncEvery int, mx *Metrics) (*wal, error
 		size:      size,
 		syncEvery: syncEvery,
 		sleep:     time.Sleep,
-		mx:        mx,
 	}, nil
 }
 
@@ -94,7 +92,6 @@ func (w *wal) append(seq uint64, mut *placement.Mutation) error {
 		err = fmt.Errorf("durable: append seq %d: %w", seq, err)
 	} else {
 		w.size += int64(len(w.buf))
-		w.mx.noteAppend(len(w.buf))
 		w.pending++
 		if w.syncEvery <= 0 || w.pending < w.syncEvery {
 			return nil
@@ -119,7 +116,6 @@ func (w *wal) sync() error {
 		return fmt.Errorf("durable: fsync: %w", err)
 	}
 	w.pending = 0
-	w.mx.noteFsync()
 	return nil
 }
 
@@ -158,7 +154,6 @@ func (w *wal) retryIO(kind int) error {
 	var err error
 	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
-			w.mx.noteRetry()
 			w.sleep(retryBaseDelay << (attempt - 1))
 		}
 		if err = w.doIO(kind); err == nil {

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/netcal"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/topology"
@@ -112,18 +111,6 @@ func (o *denseOracle) touch(pid int) {
 	o.written[pid] = true
 }
 
-// minHeadroom is the gauges' scan as it was: every port in [lo, hi),
-// the first one with the least slack.
-func (o *denseOracle) minHeadroom(lo, hi int) (float64, int) {
-	minH, minP := math.Inf(1), -1
-	for pid := lo; pid < hi; pid++ {
-		if h := o.tree.Port(pid).QueueCapacity() - o.bound[pid]; h < minH {
-			minH, minP = h, pid
-		}
-	}
-	return minH, minP
-}
-
 // denseVerifyInvariants is VerifyInvariants as it was: a dense fresh
 // table, every port compared.
 func denseVerifyInvariants(m *Manager) error {
@@ -162,24 +149,11 @@ func denseVerifyInvariants(m *Manager) error {
 	return m.verifyUpCaps()
 }
 
-// gaugeValues reads the headroom gauges a registry holds, keyed by name
-// and family label.
-func gaugeValues(reg *obs.Registry) map[string]float64 {
-	out := map[string]float64{}
-	for _, e := range reg.Snapshot().Entries {
-		if strings.Contains(e.Name, "headroom") {
-			out[e.Name+strings.Join(e.Labels, "=")] = e.Value
-		}
-	}
-	return out
-}
-
 // Property: under seeded place / remove / fail / recover churn on a tree
 // of several pages, the paged state equals the dense oracle after every
 // step: each port's state (bit for bit) and cached bound, the pages
-// allocated (exactly those with a written port), both headroom gauges
-// and the scan over a random port range (lowest ID on ties), and
-// VerifyInvariants' verdict and first failing port.
+// allocated (exactly those with a written port), and VerifyInvariants'
+// verdict and first failing port.
 func TestPagedPortStateEquivalenceProperty(t *testing.T) {
 	tree, err := topology.New(topology.Config{
 		Pods: 4, RacksPerPod: 4, ServersPerRack: 16, SlotsPerServer: 4,
@@ -194,8 +168,6 @@ func TestPagedPortStateEquivalenceProperty(t *testing.T) {
 	}
 	f := func(seed uint64, opsRaw uint8) bool {
 		m := NewManager(tree, Options{})
-		reg := obs.NewRegistry()
-		m.EnableMetrics(reg)
 		o := newDenseOracle(m)
 		rng := stats.NewRand(seed)
 		check := func(step string) bool {
@@ -220,26 +192,6 @@ func TestPagedPortStateEquivalenceProperty(t *testing.T) {
 				if written != (m.ports.pages[pg] != nil) {
 					return fail("page %d allocated %v, written %v", pg, m.ports.pages[pg] != nil, written)
 				}
-			}
-			gauges := gaugeValues(reg)
-			all, allP := o.minHeadroom(0, tree.NumPorts())
-			up, _ := o.minHeadroom(m.upLo, m.upHi)
-			down, _ := o.minHeadroom(m.downLo, m.downHi)
-			for key, want := range map[string]float64{
-				"silo_place_headroom_secondsfamily=nic-up":   up,
-				"silo_place_headroom_secondsfamily=tor-down": down,
-				"silo_place_headroom_secondsfamily=all":      all,
-				"silo_place_min_headroom_port":               float64(allP),
-			} {
-				if got, ok := gauges[key]; !ok || got != want {
-					return fail("gauge %s = %v (present %v), dense %v", key, got, ok, want)
-				}
-			}
-			lo := rng.Intn(tree.NumPorts())
-			hi := lo + rng.Intn(tree.NumPorts()-lo+1)
-			gh, gp := m.minHeadroom(lo, hi)
-			if wh, wp := o.minHeadroom(lo, hi); gh != wh || gp != wp {
-				return fail("minHeadroom(%d, %d) = %v at %d, dense %v at %d", lo, hi, gh, gp, wh, wp)
 			}
 			got, want := m.VerifyInvariants(), denseVerifyInvariants(m)
 			if (got == nil) != (want == nil) ||

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/tenant"
 )
@@ -180,15 +179,7 @@ func (m *Manager) AdmittedIDs() []int {
 // exactly what a crash-recovery from the log would reproduce, and
 // tenants not yet processed keep their pre-failure placements.
 func (m *Manager) Recover(failedServers, failedPorts []int) (*RecoveryReport, error) {
-	var start time.Time
-	if m.mx != nil {
-		start = time.Now()
-	}
-	report, err := m.recoverWith(m.place, failedServers, failedPorts)
-	if err == nil && m.mx != nil {
-		m.mx.noteRecover(time.Since(start), report)
-	}
-	return report, err
+	return m.recoverWith(m.Place, failedServers, failedPorts)
 }
 
 // recoverWith is Recover with every re-admission decided by place.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/netcal"
 	"repro/internal/tenant"
@@ -86,10 +85,6 @@ type Manager struct {
 
 	acceptedCount int
 	rejectedCount int
-
-	// mx is the optional telemetry bundle (EnableMetrics); nil costs
-	// one branch per Place/Remove.
-	mx *Metrics
 
 	// journal is the optional admission decision log (EnableJournal),
 	// each tenant's latest decision by ID, kept for explainability. Nil
@@ -187,27 +182,14 @@ func (m *Manager) portTouched(pid int) {
 	}
 }
 
-// Place implements Algorithm. When metrics are attached it also times
-// the request and classifies its outcome; without them the wrapper is
-// one branch (no clock reads).
-func (m *Manager) Place(spec tenant.Spec) (*tenant.Placement, error) {
-	if m.mx == nil {
-		return m.place(spec)
-	}
-	start := time.Now()
-	pl, err := m.place(spec)
-	m.mx.notePlace(time.Since(start), err, spec.Guarantee.DelayBound > 0)
-	return pl, err
-}
-
-// place runs admission control and placement. A best-effort tenant
-// only needs slots (paper §4.4: it rides the low priority class), so a
-// greedy pack decides it. Any other proceeds scope by scope — single
+// Place implements Algorithm: admission control and placement. A
+// best-effort tenant only needs slots (paper §4.4: it rides the low
+// priority class), so a greedy pack decides it. Any other proceeds scope by scope — single
 // server, then each rack, each pod, then the whole datacenter — and
 // within a scope first packs greedily and then, if the packed layout
 // violates a queuing constraint, retries with an even spread (paper
 // Figure 5: 3/3/3 beats 4/4/1).
-func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
+func (m *Manager) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -269,7 +251,6 @@ func (m *Manager) Remove(id int) error {
 	if err := m.commit(&Mutation{Op: MutRemove, TenantID: id}); err != nil {
 		return err
 	}
-	m.mx.noteRemove()
 	return nil
 }
 
