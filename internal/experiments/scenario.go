@@ -187,9 +187,10 @@ type Planes struct {
 }
 
 // Env is what a caller injects that is not scenario data: run
-// provenance, and a placer of its own over a tree it built (silo-sim's durable wrapper; Silo placement under an unpaced
-// scheme) — the two go together, a placer needs the tree it was made
-// over. The zero Env runs the scheme's own placer unobserved.
+// provenance, and a placer of its own over a tree it built (silo-sim's
+// durable wrapper; Silo placement under an unpaced scheme) — the two go
+// together, a placer needs the tree it was made over. The zero Env runs
+// the scheme's own placer unobserved.
 type Env struct {
 	Meta   *obs.RunMeta
 	Tree   *topology.Tree

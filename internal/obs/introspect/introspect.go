@@ -19,8 +19,8 @@ const epochNs = 1e6
 
 // Introspector wires the introspection plane into a built network: a
 // spine subscriber for port headroom (and NIC arrivals, for unpaced
-// VMs' envelope estimation), pacer commit taps for paced VMs' envelope
-// estimation.
+// VMs' envelope estimation) and pacer commit taps for paced VMs'
+// envelope estimation.
 type Introspector struct {
 	nw *netsim.Network
 
