@@ -43,6 +43,25 @@ func TestGuaranteeAuditor(t *testing.T) {
 	}
 }
 
+// The auditor keeps its counts as plain fields: it audits a tenant with no
+// metrics sink behind it and reports through Tenant and Summary alone.
+func TestGuaranteeAuditorWithoutRegistry(t *testing.T) {
+	a := NewGuaranteeAuditor()
+	a.Admit(5, 1e6, 1e3, 1e-4)
+	a.ObserveDelay(5, 50_000)
+	a.ObserveDelay(5, 200_000)
+	ta, ok := a.Tenant(5)
+	if !ok {
+		t.Fatal("tenant not admitted")
+	}
+	if ta.Violations != 1 || ta.Packets != 2 {
+		t.Errorf("violations/packets = %d/%d, want 1/2", ta.Violations, ta.Packets)
+	}
+	if !strings.Contains(a.Summary(), "violations=1") {
+		t.Errorf("summary: %s", a.Summary())
+	}
+}
+
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var a *GuaranteeAuditor
 	allocs := testing.AllocsPerRun(1000, func() {
