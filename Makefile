@@ -84,10 +84,11 @@ test-admission:
 # each run drawing fresh seeds: the trace's microsecond timestamps and
 # the JSON string encoder against the float and reflective paths they
 # replaced; the flight recorder's rings, which grow on demand, against
-# a fully preallocated reference ring (same events, same spans); and
-# series.json's one-pass indenter against json.Encoder with SetIndent,
-# byte for byte on random documents.
-OBS_RUN = AppendMicros|AppendJSONString|FlightRingGrowthEquivalence|AppendIndented
+# a fully preallocated reference ring (same events, same spans); the
+# one-pass indenter against json.Encoder with SetIndent and json.Indent,
+# byte for byte on random documents; and series.json's field-by-field
+# writer against json.Encoder over the Payload schema, on random runs.
+OBS_RUN = AppendMicros|AppendJSONString|FlightRingGrowthEquivalence|AppendIndented|SeriesWriterMatchesEncoder
 OBS_PKGS = ./internal/obs/ ./internal/obs/dashboard/
 test-obs:
 	$(call check-run,$(OBS_RUN),$(OBS_PKGS))

@@ -60,11 +60,12 @@ func main() {
 	flag.Parse()
 
 	// Validate output destinations before the run, so a typo'd path
-	// fails in milliseconds instead of after the simulation.
+	// fails in milliseconds instead of after the simulation. Only
+	// -incidents writes "-" to stdout.
 	for _, f := range []struct{ name, path string }{
 		{"-trace", *traceOut}, {"-series", *seriesOut}, {"-introspect", *introOut}, {"-incidents", *incidentsOut},
 	} {
-		if err := obs.ValidateOutputPath(f.name, f.path); err != nil {
+		if err := obs.ValidateOutputPath(f.name, f.path, f.name == "-incidents"); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}

@@ -234,7 +234,8 @@ func TestCLI(t *testing.T) {
 	// -trace-sample without -trace and -window without a plane that
 	// closes windows used to be ignored. -metrics, the Prometheus export,
 	// is gone: its answers live in series.json, -introspect and the audit
-	// line.
+	// line. Only -incidents writes "-" to stdout; -trace, -series and
+	// -introspect used to write a file named "-" instead.
 	for _, c := range []struct{ args, want string }{
 		{"-window 1e-7 -slo-report", "-window: must be > 0, got 1e-07"},
 		{"-window 0", "-window: must be > 0, got 0"},
@@ -249,6 +250,9 @@ func TestCLI(t *testing.T) {
 		{"-trace-sample 4", "-trace-sample requires -trace"},
 		{"-window 5", "-window requires -slo-report, -series or -incidents"},
 		{"-metrics -", "flag provided but not defined: -metrics"},
+		{"-trace -", `-trace: cannot write to stdout ("-")`},
+		{"-series -", `-series: cannot write to stdout ("-")`},
+		{"-introspect -", `-introspect: cannot write to stdout ("-")`},
 	} {
 		t.Run("refuses "+c.args, func(t *testing.T) {
 			out, err := exec.Command(bin, strings.Fields(c.args)...).CombinedOutput()

@@ -408,8 +408,7 @@ func (r *Run) deploy(tr *TenantRun, pl *tenant.Placement) {
 
 // observe admits the tenant's current deployment into the audit.
 func (r *Run) observe(tr *TenantRun) {
-	g := tr.Handle.Spec.Guarantee
-	r.Audit.Admit(tr.Handle.Spec.ID, g.BandwidthBps, g.BurstBytes, g.DelayBound)
+	r.Audit.Admit(tr.Handle.Spec.ID, tr.Handle.Spec.Guarantee.DelayBound)
 	if d := tr.Tenant.AuditDelayBoundSec; d > 0 {
 		r.Audit.SetDelayBound(tr.Handle.Spec.ID, d)
 	}
@@ -507,6 +506,7 @@ func (r *Run) startWindows() {
 	sc := r.Scenario
 	r.tracker = netsim.AttachPortWindowTracker(r.Net)
 	r.recorder = slo.NewRecorder(r.Audit, sc.Planes.SLOWindowNs)
+	r.recorder.Reserve(int((sc.HorizonNs+sc.DrainNs)/sc.Planes.SLOWindowNs) + 1) // the ticks and Finish's partial window
 	r.Net.Sim.Every(sc.Planes.SLOWindowNs, sc.HorizonNs+sc.DrainNs, r.closeWindow)
 }
 

@@ -52,7 +52,7 @@ func attach(nw *netsim.Network, ps planeSet) (*obs.GuaranteeAuditor, *obs.Flight
 	)
 	if ps.audit {
 		audit = obs.NewGuaranteeAuditor()
-		audit.Admit(1, 1.25e8, 3000, 2e-6)
+		audit.Admit(1, 2e-6)
 		nw.AttachDelayAudit(audit, func(vm int) (int, bool) { return 1, vm == 11 })
 	}
 	if ps.flight {

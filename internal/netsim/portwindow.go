@@ -10,35 +10,48 @@ package netsim
 // running.
 //
 // The harness drives the window lifecycle: call WorstPort when the
-// window closes, then Reset to open the next window.
+// window closes, then Reset to open the next window. Both walk only the
+// ports that queued in the window, not the whole fabric.
 type PortWindowTracker struct {
+	queues     []*Queue
 	maxDelayNs []int64 // per port ID, current window
 	maxBytes   []int64
+	touched    []int32 // ports with maxBytes > 0, in first-enqueue order
 }
 
 // AttachPortWindowTracker tracks windows on every port of the network.
 func AttachPortWindowTracker(nw *Network) *PortWindowTracker {
+	n := len(nw.Queues)
 	t := &PortWindowTracker{
-		maxDelayNs: make([]int64, len(nw.Queues)),
-		maxBytes:   make([]int64, len(nw.Queues)),
+		queues:     nw.Queues,
+		maxDelayNs: make([]int64, n),
+		maxBytes:   make([]int64, n),
+		touched:    make([]int32, 0, n), // never grows: Reset reuses it
 	}
-	queues := nw.Queues
-	nw.Sim.Subscribe(func(ev Event) {
-		if b := ev.Arg; b > t.maxBytes[ev.At] {
-			t.maxBytes[ev.At] = b
-			t.maxDelayNs[ev.At] = int64(float64(b) / queues[ev.At].RateBps * 1e9)
-		}
-	}, EvPortEnqueue)
+	nw.Sim.Subscribe(func(ev Event) { t.enqueue(ev.At, ev.Arg) }, EvPortEnqueue)
 	return t
 }
 
+// enqueue notes that a packet arriving at port found b bytes queued.
+func (t *PortWindowTracker) enqueue(port int32, b int64) {
+	if b <= t.maxBytes[port] {
+		return
+	}
+	if t.maxBytes[port] == 0 {
+		t.touched = append(t.touched, port)
+	}
+	t.maxBytes[port] = b
+	t.maxDelayNs[port] = int64(float64(b) / t.queues[port].RateBps * 1e9)
+}
+
 // WorstPort returns the port with the largest estimated queueing delay
-// in the current window, or -1, 0 when no port queued anything.
+// in the current window, the lowest port ID among equals, or -1, 0 when
+// no port queued anything.
 func (t *PortWindowTracker) WorstPort() (port int32, queueNs int64) {
 	port = -1
-	for id, d := range t.maxDelayNs {
-		if d > queueNs {
-			port, queueNs = int32(id), d
+	for _, id := range t.touched {
+		if d := t.maxDelayNs[id]; d > queueNs || (d == queueNs && d > 0 && id < port) {
+			port, queueNs = id, d
 		}
 	}
 	return port, queueNs
@@ -46,8 +59,9 @@ func (t *PortWindowTracker) WorstPort() (port int32, queueNs int64) {
 
 // Reset opens the next window. Zero allocations.
 func (t *PortWindowTracker) Reset() {
-	for i := range t.maxDelayNs {
-		t.maxDelayNs[i] = 0
-		t.maxBytes[i] = 0
+	for _, id := range t.touched {
+		t.maxDelayNs[id] = 0
+		t.maxBytes[id] = 0
 	}
+	t.touched = t.touched[:0]
 }

@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"context"
+	"math/rand"
 	"testing"
+	"time"
 )
 
 func TestRunCtxCancelled(t *testing.T) {
@@ -132,5 +134,43 @@ func TestPortWindowTracker(t *testing.T) {
 	}
 	if tr.maxBytes[want] != 0 {
 		t.Error("window max bytes nonzero after Reset")
+	}
+}
+
+// TestPortWindowTouchedEquivalenceProperty drives a tracker with random
+// enqueue streams over many windows, some idle, with occupancies drawn
+// so that equal delays on several ports and delays that round to 0 ns
+// are common, and holds each window's culprit to a full scan of a
+// dense per-port record kept here. Reset must clear every port.
+func TestPortWindowTouchedEquivalenceProperty(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	nw := buildNet(t)
+	tr := AttachPortWindowTracker(nw)
+	n := len(nw.Queues)
+	maxBytes := make([]int64, n)
+	for w := 0; w < 20_000; w++ {
+		for k := rng.Intn(4) * rng.Intn(12); k > 0; k-- {
+			port := int32(rng.Intn(n))
+			b := []int64{1, 1500, 3000, 1 + rng.Int63n(1e6)}[rng.Intn(4)]
+			tr.enqueue(port, b)
+			maxBytes[port] = max(maxBytes[port], b)
+		}
+		wantPort, wantNs := int32(-1), int64(0)
+		for id, b := range maxBytes {
+			if d := int64(float64(b) / nw.Queues[id].RateBps * 1e9); d > wantNs {
+				wantPort, wantNs = int32(id), d
+			}
+		}
+		if port, queueNs := tr.WorstPort(); port != wantPort || queueNs != wantNs {
+			t.Fatalf("seed %d: window %d: WorstPort = %d, %d; a full scan gives %d, %d", seed, w, port, queueNs, wantPort, wantNs)
+		}
+		tr.Reset()
+		clear(maxBytes)
+		for id := range n {
+			if tr.maxBytes[id] != 0 || tr.maxDelayNs[id] != 0 {
+				t.Fatalf("seed %d: window %d: port %d not cleared by Reset", seed, w, id)
+			}
+		}
 	}
 }

@@ -29,10 +29,8 @@ type GuaranteeAuditor struct {
 // TenantAudit is the live audit state for one admitted tenant.
 type TenantAudit struct {
 	ID int
-	// Admitted guarantee: B (bytes/sec), S (bytes), d (ns; 0 = no
-	// delay bound, delay is tracked but never a violation).
-	BandwidthBps float64
-	BurstBytes   float64
+	// DelayBoundNs is the admitted bound d (0 = no delay bound: delay
+	// is tracked but never a violation).
 	DelayBoundNs int64
 
 	// Packets counts audited packets.
@@ -52,7 +50,7 @@ func NewGuaranteeAuditor() *GuaranteeAuditor {
 // the admitted NIC-to-NIC bound d in seconds (<= 0 means the tenant
 // has no delay SLO; its packets and worst delay are still recorded).
 // Admitting the same tenant twice returns the existing state.
-func (a *GuaranteeAuditor) Admit(id int, bandwidthBps, burstBytes, delayBoundSec float64) *TenantAudit {
+func (a *GuaranteeAuditor) Admit(id int, delayBoundSec float64) *TenantAudit {
 	if a == nil {
 		return nil
 	}
@@ -63,12 +61,7 @@ func (a *GuaranteeAuditor) Admit(id int, bandwidthBps, burstBytes, delayBoundSec
 	if delayBoundSec > 0 {
 		boundNs = int64(delayBoundSec * 1e9)
 	}
-	t := &TenantAudit{
-		ID:           id,
-		BandwidthBps: bandwidthBps,
-		BurstBytes:   burstBytes,
-		DelayBoundNs: boundNs,
-	}
+	t := &TenantAudit{ID: id, DelayBoundNs: boundNs}
 	a.tenants[id] = t
 	return t
 }

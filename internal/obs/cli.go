@@ -9,12 +9,16 @@ import (
 // ValidateOutputPath checks that an output-file flag value (silo-sim's
 // -trace, -series, -incidents, -introspect) can plausibly be written,
 // so a typo'd path fails at startup with a clear message instead of
-// after the whole run has completed. "" (no file) and "-" (stdout, as
-// -incidents takes it) are always valid. For anything else the parent
-// directory must exist and the path must not name a directory.
-func ValidateOutputPath(flagName, path string) error {
-	if path == "" || path == "-" {
+// after the whole run has completed. "" (no file) is always valid, "-"
+// only for a flag that writes it to stdout (stdoutOK). For anything
+// else the parent directory must exist and the path must not name a
+// directory.
+func ValidateOutputPath(flagName, path string, stdoutOK bool) error {
+	if path == "" || (path == "-" && stdoutOK) {
 		return nil
+	}
+	if path == "-" {
+		return fmt.Errorf("%s: cannot write to stdout (\"-\"); give a file path", flagName)
 	}
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
 		return fmt.Errorf("%s: %q is a directory, not a writable file path", flagName, path)

@@ -3,21 +3,55 @@ package dashboard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/obs/incident"
 	"repro/internal/obs/slo"
 	"repro/internal/placement/durable"
 )
 
+// buildPayload assembles the series.json document from the wired
+// sources through the reader's schema: the oracle WriteJSON is held to.
+func buildPayload(opts Options) Payload {
+	p := Payload{Title: opts.Title, Incidents: opts.Incidents, Runtime: opts.Runtime, WAL: opts.WAL, Meta: opts.Meta}
+	if s := opts.SLO; s != nil {
+		v := &SLOView{Objective: slo.Objective, WindowNs: s.WindowNs, Windows: s.Windows}
+		for _, r := range s.Reports {
+			v.Tenants = append(v.Tenants, TenantView{TenantReport: r, Points: s.Points(r.ID)})
+		}
+		for _, ev := range s.Events {
+			v.Events = append(v.Events, EventView{Event: ev, Text: ev.Render(opts.Ports)})
+		}
+		p.SLO = v
+	}
+	return p
+}
+
+// encodePayload is what json.Encoder writes for opts's payload with
+// SetIndent("", " ").
+func encodePayload(t *testing.T, opts Options) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(buildPayload(opts)); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 func testSources(t *testing.T) Options {
 	t.Helper()
 	auditor := obs.NewGuaranteeAuditor()
-	auditor.Admit(3, 1e9, 15e3, 1e-3)
+	auditor.Admit(3, 1e-3)
 
 	rec := slo.NewRecorder(auditor, 1e6)
 	for i := 1; i <= 4; i++ {
@@ -153,10 +187,11 @@ func randJSONValue(rng *rand.Rand, depth int) any {
 	}
 }
 
-// TestAppendIndentedProperty holds appendIndented over json.Marshal's
-// output to what json.Encoder writes with SetIndent("", " "), byte for
-// byte, on random documents: shallow and deeply nested, top-level
-// scalars included.
+// TestAppendIndentedProperty holds obs.AppendIndented over
+// json.Marshal's output to what json.Encoder writes with SetIndent("",
+// " ") and to json.Indent at widths 1 and 2, with and without a prefix
+// of depth levels, byte for byte, on random documents: shallow and
+// deeply nested, top-level scalars included.
 func TestAppendIndentedProperty(t *testing.T) {
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
@@ -181,8 +216,189 @@ func TestAppendIndentedProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendIndented(nil, compact); !bytes.Equal(got, want.Bytes()) {
+		if got := append(obs.AppendIndented(nil, compact, 0, 1), '\n'); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("seed %d: document %d: %s\n--- got ---\n%s--- want ---\n%s", seed, i, compact, got, want.Bytes())
 		}
+		for _, width := range []int{1, 2} {
+			depth := rng.Intn(4)
+			want.Reset()
+			indent := strings.Repeat(" ", width)
+			if err := json.Indent(&want, compact, strings.Repeat(indent, depth), indent); err != nil {
+				t.Fatal(err)
+			}
+			if got := obs.AppendIndented(nil, compact, depth, width); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("seed %d: document %d at depth %d, width %d: %s\n--- got ---\n%s\n--- want ---\n%s",
+					seed, i, depth, width, compact, got, want.Bytes())
+			}
+		}
+	}
+}
+
+// randPayload draws the sources of one series.json: a recorder run of
+// 0, 1 or many windows whose tenants are admitted before the first
+// window or mid-run (reading zeros before it), with or without a delay
+// bound, some delivering 10^13 messages a window so burn rates take
+// encoding/json's e form; fault labels, port names and the title made
+// of jsonPieces; and each of incidents, runtime, wal and meta present
+// or absent. what names the features the draw covers.
+func randPayload(rng *rand.Rand) (opts Options, what []string) {
+	opts.Title = randJSONString(rng)
+	for n := rng.Intn(6); n > 0; n-- {
+		opts.Ports = append(opts.Ports, obs.PortMeta{Name: randJSONString(rng)})
+	}
+	if rng.Intn(8) > 0 {
+		windows := []int{0, 1, 2 + rng.Intn(40)}[rng.Intn(3)]
+		auditor := obs.NewGuaranteeAuditor()
+		admitAt := make([]int, rng.Intn(5)) // by tenant ID
+		for id := range admitAt {
+			admitAt[id] = rng.Intn(windows + 1)
+		}
+		rec := slo.NewRecorder(auditor, 1+rng.Int63n(1e9))
+		now := int64(0)
+		for w := 0; w <= windows; w++ {
+			for id, at := range admitAt {
+				if at == w {
+					bound := 1e-3
+					if rng.Intn(4) == 0 {
+						bound = 0 // audited, but no SLO subject
+					}
+					auditor.Admit(id, bound)
+					if w > 0 {
+						what = append(what, "mid-run tenant")
+					}
+				}
+			}
+			if w == windows {
+				break
+			}
+			for _, ta := range auditor.Tenants() {
+				delivered := rng.Int63n(50)
+				if rng.Intn(8) == 0 {
+					delivered = 1e13
+				}
+				ta.Packets += delivered
+				ta.Violations += rng.Int63n(1 + min(delivered, 3))
+			}
+			now += 1 + rng.Int63n(1e7)
+			rec.Close(now, int32(rng.Intn(len(opts.Ports)+2)-1), rng.Int63n(1e6))
+		}
+		var faultIn func(sinceNs, untilNs int64) (string, bool)
+		if rng.Intn(2) == 0 {
+			labels := map[int64]string{}
+			faultIn = func(sinceNs, _ int64) (string, bool) {
+				if _, ok := labels[sinceNs]; !ok && rng.Intn(3) == 0 {
+					labels[sinceNs] = randJSONString(rng)
+				}
+				l, ok := labels[sinceNs]
+				return l, ok
+			}
+		}
+		opts.SLO = rec.Evaluate(faultIn)
+		if rng.Intn(8) == 0 { // a report no column backs reads null points
+			opts.SLO.Reports = append(opts.SLO.Reports, slo.TenantReport{ID: 5})
+			what = append(what, "untracked report")
+		}
+		if len(opts.SLO.Events) == 0 && rng.Intn(2) == 0 {
+			opts.SLO.Events = []slo.Event{}
+			what = append(what, "empty events")
+		}
+		what = append(what, fmt.Sprintf("%d windows", min(windows, 2)))
+	}
+	if rng.Intn(2) == 0 {
+		opts.Incidents = &incident.Report{MergeNs: rng.Int63(), Incidents: []incident.Incident{
+			{ID: 1, Reason: randJSONString(rng), Tenants: []int{rng.Intn(9)}, MinMarginBytes: randFloat(rng)},
+		}}
+		what = append(what, "incidents")
+	}
+	if rng.Intn(2) == 0 {
+		rs := netsim.RuntimeStats{Engine: netsim.EngineStats{
+			SimCounters: netsim.SimCounters{Events: rng.Int63(), WheelHWM: rng.Int63n(1e6), PktInUse: -rng.Int63n(9)},
+			EvHitRate:   randFloat(rng), PktHitRate: randFloat(rng),
+		}}
+		opts.Runtime = &rs
+	}
+	if rng.Intn(2) == 0 {
+		opts.WAL = &durable.Status{Dir: randJSONString(rng), Seq: rng.Uint64(), SafeMode: rng.Intn(2) == 0}
+		if rng.Intn(2) == 0 {
+			opts.WAL.Recovery = &durable.RecoveryInfo{SnapshotSeq: rng.Uint64(), TornTail: true, ReplayNs: rng.Int63()}
+		}
+		what = append(what, "wal")
+	}
+	if rng.Intn(2) == 0 {
+		opts.Meta = &obs.RunMeta{Tool: randJSONString(rng), Version: "v", Seed: rng.Int63n(3), Flags: randJSONString(rng)}
+		what = append(what, "meta")
+	}
+	return opts, what
+}
+
+// randFloat is a finite float from 1e-37 to 1e37, either sign, or zero.
+func randFloat(rng *rand.Rand) float64 {
+	if rng.Intn(8) == 0 {
+		return 0
+	}
+	return math.Float64frombits(rng.Uint64()&^(0x7ff<<52) | uint64(900+rng.Intn(250))<<52)
+}
+
+// TestSeriesWriterMatchesEncoderProperty holds WriteJSON to json.Encoder
+// with SetIndent("", " ") over the Payload the same sources build, byte
+// for byte, on random sources (see randPayload), and checks the draws
+// covered every feature at least once.
+func TestSeriesWriterMatchesEncoderProperty(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	seen := map[string]int{}
+	for i := 0; i < 1_000; i++ {
+		opts, what := randPayload(rng)
+		want := encodePayload(t, opts)
+		var got bytes.Buffer
+		if err := WriteJSON(&got, opts); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("seed %d: payload %d:\n--- got ---\n%s--- want ---\n%s", seed, i, got.Bytes(), want)
+		}
+		for _, w := range what {
+			seen[w]++
+		}
+		doc := string(want)
+		for feature, present := range map[string]bool{
+			"e-form float":          strings.Contains(doc, "e-0") || strings.Contains(doc, "e-1"),
+			"violated_during_fault": strings.Contains(doc, `"violated_during_fault"`),
+			"fault":                 strings.Contains(doc, `"fault": "`),
+			"null events":           strings.Contains(doc, `"events": null`),
+			"events":                strings.Contains(doc, `"events": [`),
+			"null tenants":          strings.Contains(doc, `"tenants": null`),
+		} {
+			if present {
+				seen[feature]++
+			}
+		}
+	}
+	for _, feature := range []string{"mid-run tenant", "0 windows", "1 windows", "2 windows", "empty events", "null events", "events",
+		"null tenants", "untracked report", "e-form float", "violated_during_fault", "fault", "incidents", "wal", "meta"} {
+		if seen[feature] == 0 {
+			t.Errorf("seed %d: no payload covered %s: %v", seed, feature, seen)
+		}
+	}
+}
+
+type failingWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestWriteJSONErrors: a writer's error comes back, and a float JSON
+// cannot carry is refused before anything is written, as json.Marshal
+// refused it.
+func TestWriteJSONErrors(t *testing.T) {
+	opts := testSources(t)
+	if err := WriteJSON(failingWriter{}, opts); !errors.Is(err, errDiskFull) {
+		t.Errorf("WriteJSON to a failing writer = %v, want %v", err, errDiskFull)
+	}
+	opts.Runtime = &netsim.RuntimeStats{Engine: netsim.EngineStats{EvHitRate: math.NaN()}}
+	var b bytes.Buffer
+	if err := WriteJSON(&b, opts); err == nil || b.Len() != 0 {
+		t.Errorf("WriteJSON with a NaN hit rate = %v and %d bytes, want json's error and none", err, b.Len())
 	}
 }

@@ -259,7 +259,7 @@ func TestAnnotateSpansBounds(t *testing.T) {
 	emitTestSpan(r, 7)
 	spans := AssembleFlight(r.Events(), flightTestPorts)
 	a := NewGuaranteeAuditor()
-	a.Admit(42, 1e9, 100e3, 1e-6) // d = 1 µs < the 2.85 µs span
+	a.Admit(42, 1e-6) // d = 1 µs < the 2.85 µs span
 	viol := AnnotateSpans(spans, a, func(vmID int) (int, bool) { return 42, vmID == 20 })
 	if spans[0].TenantID != 42 || spans[0].BoundNs != 1000 {
 		t.Errorf("annotation wrong: tenant=%d bound=%d", spans[0].TenantID, spans[0].BoundNs)
@@ -302,13 +302,16 @@ func TestTraceRoundTrip(t *testing.T) {
 
 func TestValidateOutputPath(t *testing.T) {
 	dir := t.TempDir()
-	for _, ok := range []string{"", "-", filepath.Join(dir, "out.json")} {
-		if err := ValidateOutputPath("-trace", ok); err != nil {
+	for _, ok := range []string{"", filepath.Join(dir, "out.json")} {
+		if err := ValidateOutputPath("-trace", ok, false); err != nil {
 			t.Errorf("ValidateOutputPath(%q) = %v, want nil", ok, err)
 		}
 	}
-	for _, bad := range []string{dir, filepath.Join(dir, "missing", "out.json")} {
-		if err := ValidateOutputPath("-trace", bad); err == nil {
+	if err := ValidateOutputPath("-incidents", "-", true); err != nil {
+		t.Errorf("ValidateOutputPath(\"-\") to stdout = %v, want nil", err)
+	}
+	for _, bad := range []string{"-", dir, filepath.Join(dir, "missing", "out.json")} {
+		if err := ValidateOutputPath("-trace", bad, false); err == nil {
 			t.Errorf("ValidateOutputPath(%q) = nil, want error", bad)
 		} else if !strings.Contains(err.Error(), "-trace") {
 			t.Errorf("error %q does not name the flag", err)

@@ -13,7 +13,7 @@ import (
 // histogram, tap, append.
 func violatingAudit() (*obs.GuaranteeAuditor, *obs.ViolationLog) {
 	audit := obs.NewGuaranteeAuditor()
-	audit.Admit(1, 500e6, 15e3, 350e-6)
+	audit.Admit(1, 350e-6)
 	log := obs.NewViolationLog(1 << 20)
 	audit.SetViolationTap(log.Observe)
 	return audit, log

@@ -128,14 +128,14 @@ func (r *Report) RenderIncident(id int) string {
 	return b.String()
 }
 
-// WriteJSON writes the report as indented JSON with trailing newline.
+// WriteJSON writes the report as JSON indented two spaces per level,
+// with a trailing newline.
 func (r *Report) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r, "", "  ")
+	b, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	_, err = w.Write(append(obs.AppendIndented(make([]byte, 0, 2*len(b)), b, 0, 2), '\n'))
 	return err
 }
 

@@ -8,7 +8,7 @@ import (
 func TestNilAuditor(t *testing.T) {
 	var a *GuaranteeAuditor
 	a.ObserveDelay(1, 5)
-	if a.Admit(1, 1, 1, 1) != nil {
+	if a.Admit(1, 1) != nil {
 		t.Error("nil auditor Admit must return nil")
 	}
 	if got := a.Summary(); got != "guarantee audit: disabled" {
@@ -18,9 +18,9 @@ func TestNilAuditor(t *testing.T) {
 
 func TestGuaranteeAuditor(t *testing.T) {
 	a := NewGuaranteeAuditor()
-	ta := a.Admit(1, 31.25e6, 15e3, 1e-3) // d = 1 ms
-	a.Admit(2, 250e6, 1.5e3, 0)           // no bound
-	if ta2 := a.Admit(1, 1, 1, 1); ta2 != ta {
+	ta := a.Admit(1, 1e-3) // d = 1 ms
+	a.Admit(2, 0)          // no bound
+	if ta2 := a.Admit(1, 1); ta2 != ta {
 		t.Error("re-admitting tenant 1 must return existing state")
 	}
 	if got, ok := a.Tenant(1); !ok || got != ta {
@@ -47,7 +47,7 @@ func TestGuaranteeAuditor(t *testing.T) {
 // metrics sink behind it and reports through Tenant and Summary alone.
 func TestGuaranteeAuditorWithoutRegistry(t *testing.T) {
 	a := NewGuaranteeAuditor()
-	a.Admit(5, 1e6, 1e3, 1e-4)
+	a.Admit(5, 1e-4)
 	a.ObserveDelay(5, 50_000)
 	a.ObserveDelay(5, 200_000)
 	ta, ok := a.Tenant(5)
@@ -77,7 +77,7 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 // three field updates.
 func TestEnabledPathZeroAllocs(t *testing.T) {
 	a := NewGuaranteeAuditor()
-	ta := a.Admit(1, 1e6, 1e3, 1e-6) // d = 1 µs
+	ta := a.Admit(1, 1e-6) // d = 1 µs
 	var v int64
 	allocs := testing.AllocsPerRun(1000, func() {
 		v++

@@ -30,8 +30,8 @@ func TestInducedViolationEndToEnd(t *testing.T) {
 	auditor := obs.NewGuaranteeAuditor()
 	// Tenant 5 owns the victim VM with a 20µs bound the congestion will
 	// blow through; tenant 6 is an innocent bystander on host 7.
-	auditor.Admit(5, 2*gbps, 15e3, 20e-6)
-	auditor.Admit(6, 2*gbps, 15e3, 20e-6)
+	auditor.Admit(5, 20e-6)
+	auditor.Admit(6, 20e-6)
 	nw.AttachDelayAudit(auditor, func(vmID int) (int, bool) {
 		switch vmID {
 		case 77:

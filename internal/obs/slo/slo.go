@@ -171,6 +171,17 @@ func NewRecorder(auditor *obs.GuaranteeAuditor, windowNs int64) *Recorder {
 	return &Recorder{auditor: auditor, windowNs: windowNs}
 }
 
+// maxReserve bounds Reserve; a longer run grows its rows past it.
+const maxReserve = 1 << 16
+
+// Reserve sizes the rows for a run of n windows (at most maxReserve) up
+// front, before the first Close, so the window tick does not grow them:
+// a tenant tracked from a later window gets a column sized for the
+// windows left.
+func (r *Recorder) Reserve(n int) {
+	r.windows = make([]window, 0, min(n, maxReserve))
+}
+
 // refreshTenants picks up newly admitted tenants, preserving recorded
 // columns. Allocates only when the admitted set actually grew.
 func (r *Recorder) refreshTenants() {
@@ -191,7 +202,7 @@ func (r *Recorder) refreshTenants() {
 		}
 		s, ok := byID[t.ID]
 		if !ok {
-			s = &series{t: t, first: len(r.windows)}
+			s = &series{t: t, first: len(r.windows), cells: make([]cell, 0, cap(r.windows)-len(r.windows))}
 		}
 		r.tenants = append(r.tenants, s)
 	}
@@ -350,6 +361,39 @@ type WindowPoint struct {
 	EndNs     int64 `json:"end_ns"`
 	Delivered int64 `json:"delivered"`
 	Violated  int64 `json:"violated"`
+}
+
+// Column is one tenant's window points, read in place from the
+// recorder's rows: At builds a point without copying the series out.
+type Column struct {
+	windows []window
+	first   int
+	cells   []cell
+}
+
+// Column returns every window the run closed for tenant id, or ok
+// false if the tenant has no delay SLO.
+func (res *Result) Column(id int) (c Column, ok bool) {
+	for _, s := range res.rec.tenants {
+		if s.t.ID == id {
+			return Column{res.rec.windows, s.first, s.cells}, true
+		}
+	}
+	return Column{}, false
+}
+
+// Len is how many windows the run closed.
+func (c Column) Len() int { return len(c.windows) }
+
+// At returns window i, with zero counts before the tenant was tracked.
+func (c Column) At(i int) WindowPoint {
+	w := c.windows[i]
+	p := WindowPoint{StartNs: w.startNs, EndNs: w.endNs}
+	if i >= c.first {
+		x := c.cells[i-c.first]
+		p.Delivered, p.Violated = x.delivered, x.violated
+	}
+	return p
 }
 
 // Points returns every window the run closed for tenant id, in

@@ -23,9 +23,9 @@ func drive(a *obs.GuaranteeAuditor, tenant int, good, bad int) {
 func newRecorder(t *testing.T) (*obs.GuaranteeAuditor, *Recorder) {
 	t.Helper()
 	a := obs.NewGuaranteeAuditor()
-	a.Admit(7, 1e9, 15e3, 1e-3)  // 1ms bound: the SLO subject
-	a.Admit(8, 1e9, 15e3, 10e-3) // 10ms bound: innocent bystander
-	a.Admit(9, 1e9, 15e3, 0)     // no bound: not an SLO subject
+	a.Admit(7, 1e-3)  // 1ms bound: the SLO subject
+	a.Admit(8, 10e-3) // 10ms bound: innocent bystander
+	a.Admit(9, 0)     // no bound: not an SLO subject
 	return a, NewRecorder(a, ms)
 }
 
@@ -162,14 +162,14 @@ func TestBurnAlertNamesTenantAndCulprit(t *testing.T) {
 
 func TestMidRunAdmission(t *testing.T) {
 	a := obs.NewGuaranteeAuditor()
-	a.Admit(1, 1e9, 15e3, 1e-3)
+	a.Admit(1, 1e-3)
 	rec := NewRecorder(a, ms)
 
 	drive(a, 1, 10, 0)
 	rec.Close(ms, -1, 0)
 
 	// Tenant admitted after the first window.
-	a.Admit(2, 1e9, 15e3, 1e-3)
+	a.Admit(2, 1e-3)
 	drive(a, 1, 10, 0)
 	drive(a, 2, 5, 1)
 	rec.Close(2*ms, -1, 0)
@@ -195,12 +195,12 @@ func TestMidRunAdmission(t *testing.T) {
 // a tenant admitted mid-run reads zero counts before its first window.
 func TestPointsKeepEveryWindow(t *testing.T) {
 	a := obs.NewGuaranteeAuditor()
-	a.Admit(1, 1e9, 15e3, 1e-3)
+	a.Admit(1, 1e-3)
 	rec := NewRecorder(a, ms)
 	const n, late = 600, 100
 	for i := int64(1); i <= n; i++ {
 		if i == late+1 {
-			a.Admit(2, 1e9, 15e3, 1e-3)
+			a.Admit(2, 1e-3)
 		}
 		drive(a, 1, 1, 0)
 		drive(a, 2, 2, 0)
@@ -241,7 +241,7 @@ func TestPointsKeepEveryWindow(t *testing.T) {
 // and count their violations as in-fault.
 func TestFaultLabels(t *testing.T) {
 	a := obs.NewGuaranteeAuditor()
-	a.Admit(1, 1e9, 15e3, 1e-3)
+	a.Admit(1, 1e-3)
 	rec := NewRecorder(a, ms)
 	for i := int64(1); i <= 4; i++ {
 		drive(a, 1, 10, 1)
@@ -279,7 +279,7 @@ func TestRecorderWithoutAuditor(t *testing.T) {
 
 func TestBurnMath(t *testing.T) {
 	a := obs.NewGuaranteeAuditor()
-	a.Admit(1, 1e9, 15e3, 1e-3)
+	a.Admit(1, 1e-3)
 	rec := NewRecorder(a, ms)
 	drive(a, 1, 999, 1) // exactly the budget: burn 1.0
 	rec.Close(ms, -1, 0)
@@ -305,7 +305,7 @@ func TestBurnMath(t *testing.T) {
 func steadyWindows() func() {
 	a := obs.NewGuaranteeAuditor()
 	for id := 1; id <= 16; id++ {
-		a.Admit(id, 1e9, 15e3, 1e-3)
+		a.Admit(id, 1e-3)
 	}
 	rec := NewRecorder(a, ms)
 	rec.Close(0, -1, 0)
@@ -325,6 +325,35 @@ func TestCloseZeroAllocs(t *testing.T) {
 	window := steadyWindows()
 	if allocs := testing.AllocsPerRun(1000, window); allocs != 0 {
 		t.Errorf("steady-state Close allocates %v per window, want 0", allocs)
+	}
+}
+
+// TestReserveGrowsNoRow: after Reserve, neither the window rows nor the
+// column of a tenant first tracked mid-run grow inside the reserved
+// windows.
+func TestReserveGrowsNoRow(t *testing.T) {
+	a := obs.NewGuaranteeAuditor()
+	a.Admit(1, 1e-3)
+	rec := NewRecorder(a, ms)
+	rec.Reserve(100)
+	now := int64(0)
+	closeWindows := func(n int) {
+		for range n {
+			now += ms
+			rec.Close(now, -1, 0)
+		}
+	}
+	closeWindows(1) // tracks tenant 1
+	if allocs := testing.AllocsPerRun(1, func() { closeWindows(30) }); allocs != 0 {
+		t.Errorf("60 reserved windows allocated %v times, want 0", allocs)
+	}
+	a.Admit(2, 1e-3)
+	closeWindows(1) // tracks tenant 2
+	if allocs := testing.AllocsPerRun(1, func() { closeWindows(18) }); allocs != 0 {
+		t.Errorf("36 reserved windows after a mid-run admission allocated %v times, want 0", allocs)
+	}
+	if pts := rec.Evaluate(nil).Points(2); len(pts) != 98 || pts[61].Delivered != 0 {
+		t.Errorf("tenant 2 has %d points, want 98 with none before window 62", len(pts))
 	}
 }
 

@@ -64,11 +64,11 @@ func writeChromeTrace(w io.Writer, meta *RunMeta, ports []PortMeta, spans []Flig
 		if s.EnqueueNs >= 0 && s.PacingNs > 0 {
 			b = appendEventHead(b, sep, `"pacing"`, "pacer", s.EnqueueNs, s.PacingNs, pid, s.Pkt)
 			sep = ','
-			b = appendInt(b, `,"args":{"batch_wait_ns":`, s.BatchWaitNs)
+			b = AppendInt(b, `,"args":{"batch_wait_ns":`, s.BatchWaitNs)
 			b = append(b, `,"gate":`...)
 			b = append(b, names.gate(s.Gate)...)
 			b = appendUint(b, `,"pkt":`, s.Pkt)
-			b = appendInt(b, `,"token_wait_ns":`, s.TokenWaitNs)
+			b = AppendInt(b, `,"token_wait_ns":`, s.TokenWaitNs)
 			b = append(b, "}}"...)
 		}
 		for j := range s.Hops {
@@ -76,17 +76,17 @@ func writeChromeTrace(w io.Writer, meta *RunMeta, ports []PortMeta, spans []Flig
 			if h.QueueNs > 0 {
 				b = appendEventHead(b, sep, names.port(nameQueue, h.Port), "net", h.ArriveNs, h.QueueNs, pid, s.Pkt)
 				sep = ','
-				b = appendInt(b, `,"args":{"occupied_bytes":`, h.OccupiedBytes)
+				b = AppendInt(b, `,"args":{"occupied_bytes":`, h.OccupiedBytes)
 				b = appendUint(b, `,"pkt":`, s.Pkt)
 				b = append(b, "}}"...)
 			}
 			if h.TxStartNs >= 0 {
 				b = appendEventHead(b, sep, names.port(nameSer, h.Port), "net", h.TxStartNs, h.SerNs, pid, s.Pkt)
 				sep = ','
-				b = appendInt(b, `,"args":{"bytes":`, s.Bytes)
-				b = appendInt(b, `,"dst_vm":`, int64(s.DstVM))
+				b = AppendInt(b, `,"args":{"bytes":`, s.Bytes)
+				b = AppendInt(b, `,"dst_vm":`, int64(s.DstVM))
 				b = appendUint(b, `,"pkt":`, s.Pkt)
-				b = appendInt(b, `,"src_vm":`, int64(s.SrcVM))
+				b = AppendInt(b, `,"src_vm":`, int64(s.SrcVM))
 				b = append(b, "}}"...)
 				if h.PropNs > 0 {
 					b = appendEventHead(b, sep, names.port(nameProp, h.Port), "net", h.TxStartNs+h.SerNs, h.PropNs, pid, s.Pkt)
@@ -147,7 +147,7 @@ func appendEventHead(b []byte, sep byte, name, cat string, tsNs, durNs, pid int6
 		b = append(b, `,"dur":`...)
 		b = appendMicros(b, durNs)
 	}
-	b = appendInt(b, `,"pid":`, pid)
+	b = AppendInt(b, `,"pid":`, pid)
 	return appendUint(b, `,"tid":`, tid)
 }
 
@@ -155,14 +155,14 @@ func appendEventHead(b []byte, sep byte, name, cat string, tsNs, durNs, pid int6
 // struct: every field in declaration order, hops omitted when empty.
 func appendSpan(b []byte, s *FlightSpan) []byte {
 	b = appendUint(b, `{"pkt":`, s.Pkt)
-	b = appendInt(b, `,"src_vm":`, int64(s.SrcVM))
-	b = appendInt(b, `,"dst_vm":`, int64(s.DstVM))
-	b = appendInt(b, `,"bytes":`, s.Bytes)
-	b = appendInt(b, `,"enqueue_ns":`, s.EnqueueNs)
-	b = appendInt(b, `,"admit_ns":`, s.AdmitNs)
+	b = AppendInt(b, `,"src_vm":`, int64(s.SrcVM))
+	b = AppendInt(b, `,"dst_vm":`, int64(s.DstVM))
+	b = AppendInt(b, `,"bytes":`, s.Bytes)
+	b = AppendInt(b, `,"enqueue_ns":`, s.EnqueueNs)
+	b = AppendInt(b, `,"admit_ns":`, s.AdmitNs)
 	b = appendUint(b, `,"gate":`, uint64(s.Gate))
-	b = appendInt(b, `,"wire_ns":`, s.WireNs)
-	b = appendInt(b, `,"deliver_ns":`, s.DeliverNs)
+	b = AppendInt(b, `,"wire_ns":`, s.WireNs)
+	b = AppendInt(b, `,"deliver_ns":`, s.DeliverNs)
 	for i := range s.Hops {
 		h := &s.Hops[i]
 		if i == 0 {
@@ -170,36 +170,32 @@ func appendSpan(b []byte, s *FlightSpan) []byte {
 		} else {
 			b = append(b, ',')
 		}
-		b = appendInt(b, `{"port":`, int64(h.Port))
-		b = appendInt(b, `,"arrive_ns":`, h.ArriveNs)
-		b = appendInt(b, `,"tx_start_ns":`, h.TxStartNs)
-		b = appendInt(b, `,"ser_ns":`, h.SerNs)
-		b = appendInt(b, `,"prop_ns":`, h.PropNs)
-		b = appendInt(b, `,"queue_ns":`, h.QueueNs)
-		b = appendInt(b, `,"occupied_bytes":`, h.OccupiedBytes)
+		b = AppendInt(b, `{"port":`, int64(h.Port))
+		b = AppendInt(b, `,"arrive_ns":`, h.ArriveNs)
+		b = AppendInt(b, `,"tx_start_ns":`, h.TxStartNs)
+		b = AppendInt(b, `,"ser_ns":`, h.SerNs)
+		b = AppendInt(b, `,"prop_ns":`, h.PropNs)
+		b = AppendInt(b, `,"queue_ns":`, h.QueueNs)
+		b = AppendInt(b, `,"occupied_bytes":`, h.OccupiedBytes)
 		b = append(b, '}')
 	}
 	if len(s.Hops) > 0 {
 		b = append(b, ']')
 	}
-	b = appendInt(b, `,"token_wait_ns":`, s.TokenWaitNs)
-	b = appendInt(b, `,"batch_wait_ns":`, s.BatchWaitNs)
-	b = appendInt(b, `,"pacing_ns":`, s.PacingNs)
-	b = appendInt(b, `,"queue_ns":`, s.QueueNs)
-	b = appendInt(b, `,"ser_ns":`, s.SerNs)
-	b = appendInt(b, `,"prop_ns":`, s.PropNs)
-	b = appendInt(b, `,"total_ns":`, s.TotalNs)
-	b = appendInt(b, `,"worst_port":`, int64(s.WorstPort))
-	b = appendInt(b, `,"worst_queue_ns":`, s.WorstQueueNs)
+	b = AppendInt(b, `,"token_wait_ns":`, s.TokenWaitNs)
+	b = AppendInt(b, `,"batch_wait_ns":`, s.BatchWaitNs)
+	b = AppendInt(b, `,"pacing_ns":`, s.PacingNs)
+	b = AppendInt(b, `,"queue_ns":`, s.QueueNs)
+	b = AppendInt(b, `,"ser_ns":`, s.SerNs)
+	b = AppendInt(b, `,"prop_ns":`, s.PropNs)
+	b = AppendInt(b, `,"total_ns":`, s.TotalNs)
+	b = AppendInt(b, `,"worst_port":`, int64(s.WorstPort))
+	b = AppendInt(b, `,"worst_queue_ns":`, s.WorstQueueNs)
 	b = append(b, `,"complete":`...)
 	b = strconv.AppendBool(b, s.Complete)
-	b = appendInt(b, `,"tenant_id":`, int64(s.TenantID))
-	b = appendInt(b, `,"bound_ns":`, s.BoundNs)
+	b = AppendInt(b, `,"tenant_id":`, int64(s.TenantID))
+	b = AppendInt(b, `,"bound_ns":`, s.BoundNs)
 	return append(b, '}')
-}
-
-func appendInt(b []byte, key string, v int64) []byte {
-	return strconv.AppendInt(append(b, key...), v, 10)
 }
 
 func appendUint(b []byte, key string, v uint64) []byte {
@@ -213,7 +209,7 @@ func appendUint(b []byte, key string, v uint64) []byte {
 // the float formatter. Larger or negative values take the float path.
 func appendMicros(b []byte, ns int64) []byte {
 	if ns < 0 || ns >= 1e15 {
-		return appendJSONFloat(b, float64(ns)/1e3)
+		return AppendJSONFloat(b, float64(ns)/1e3)
 	}
 	b = strconv.AppendInt(b, ns/1000, 10)
 	frac := ns % 1000
@@ -263,7 +259,7 @@ func (n *eventNames) gate(g uint8) string {
 }
 
 // quoteJSON renders s as encoding/json does inside a document.
-func quoteJSON(s string) string { return string(appendJSONString(nil, s)) }
+func quoteJSON(s string) string { return string(AppendJSONString(nil, s)) }
 
 // WriteTraceFileMeta writes a recording to path as Chrome trace JSON,
 // with run provenance (nil for none) stamped under otherData.silo.meta

@@ -208,8 +208,8 @@ func TestAppendJSONFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONFloat(%g) = %s, encoding/json writes %s", f, got, want)
+		if got := AppendJSONFloat(nil, f); !bytes.Equal(got, want) {
+			t.Errorf("AppendJSONFloat(%g) = %s, encoding/json writes %s", f, got, want)
 		}
 	}
 }
@@ -229,7 +229,7 @@ func TestAppendMicrosProperty(t *testing.T) {
 		vals = append(vals, rng.Int63n(int64(math.Pow(10, 1+15*rng.Float64()))))
 	}
 	for _, ns := range vals {
-		want := appendJSONFloat(nil, float64(ns)/1e3)
+		want := AppendJSONFloat(nil, float64(ns)/1e3)
 		if ns >= 0 && ns < 1e15 {
 			if f := strconv.AppendFloat(nil, float64(ns)/1e3, 'f', -1, 64); !bytes.Equal(f, want) {
 				t.Fatalf("seed %d: ns %d: strconv writes %s, encoding/json %s", seed, ns, f, want)
@@ -241,7 +241,7 @@ func TestAppendMicrosProperty(t *testing.T) {
 	}
 }
 
-// TestAppendJSONStringProperty compares appendJSONString with
+// TestAppendJSONStringProperty compares AppendJSONString with
 // encoding/json on random strings over the characters it treats
 // specially: quotes, backslashes, control bytes, HTML metacharacters,
 // U+2028/U+2029, invalid UTF-8. Each run draws a fresh seed.
@@ -260,8 +260,8 @@ func TestAppendJSONStringProperty(t *testing.T) {
 			}
 		}
 		want, _ := json.Marshal(string(s))
-		if got := appendJSONString(nil, string(s)); !bytes.Equal(got, want) {
-			t.Fatalf("seed %d: appendJSONString(%q) = %s, encoding/json writes %s", seed, s, got, want)
+		if got := AppendJSONString(nil, string(s)); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: AppendJSONString(%q) = %s, encoding/json writes %s", seed, s, got, want)
 		}
 	}
 }
