@@ -506,7 +506,6 @@ func (r *Run) startWindows() {
 	sc := r.Scenario
 	r.tracker = netsim.AttachPortWindowTracker(r.Net)
 	r.recorder = slo.NewRecorder(r.Audit, sc.Planes.SLOWindowNs)
-	r.recorder.Reserve(int((sc.HorizonNs+sc.DrainNs)/sc.Planes.SLOWindowNs) + 1) // the ticks and Finish's partial window
 	r.Net.Sim.Every(sc.Planes.SLOWindowNs, sc.HorizonNs+sc.DrainNs, r.closeWindow)
 }
 

@@ -13,20 +13,18 @@ package netsim
 // window closes, then Reset to open the next window. Both walk only the
 // ports that queued in the window, not the whole fabric.
 type PortWindowTracker struct {
-	queues     []*Queue
-	maxDelayNs []int64 // per port ID, current window
-	maxBytes   []int64
-	touched    []int32 // ports with maxBytes > 0, in first-enqueue order
+	queues   []*Queue
+	maxBytes []int64 // per port ID, current window
+	touched  []int32 // ports with maxBytes > 0, in first-enqueue order
 }
 
 // AttachPortWindowTracker tracks windows on every port of the network.
 func AttachPortWindowTracker(nw *Network) *PortWindowTracker {
 	n := len(nw.Queues)
 	t := &PortWindowTracker{
-		queues:     nw.Queues,
-		maxDelayNs: make([]int64, n),
-		maxBytes:   make([]int64, n),
-		touched:    make([]int32, 0, n), // never grows: Reset reuses it
+		queues:   nw.Queues,
+		maxBytes: make([]int64, n),
+		touched:  make([]int32, 0, n), // never grows: Reset reuses it
 	}
 	nw.Sim.Subscribe(func(ev Event) { t.enqueue(ev.At, ev.Arg) }, EvPortEnqueue)
 	return t
@@ -41,7 +39,6 @@ func (t *PortWindowTracker) enqueue(port int32, b int64) {
 		t.touched = append(t.touched, port)
 	}
 	t.maxBytes[port] = b
-	t.maxDelayNs[port] = int64(float64(b) / t.queues[port].RateBps * 1e9)
 }
 
 // WorstPort returns the port with the largest estimated queueing delay
@@ -50,7 +47,8 @@ func (t *PortWindowTracker) enqueue(port int32, b int64) {
 func (t *PortWindowTracker) WorstPort() (port int32, queueNs int64) {
 	port = -1
 	for _, id := range t.touched {
-		if d := t.maxDelayNs[id]; d > queueNs || (d == queueNs && d > 0 && id < port) {
+		d := int64(float64(t.maxBytes[id]) / t.queues[id].RateBps * 1e9)
+		if d > queueNs || (d == queueNs && d > 0 && id < port) {
 			port, queueNs = id, d
 		}
 	}
@@ -60,7 +58,6 @@ func (t *PortWindowTracker) WorstPort() (port int32, queueNs int64) {
 // Reset opens the next window. Zero allocations.
 func (t *PortWindowTracker) Reset() {
 	for _, id := range t.touched {
-		t.maxDelayNs[id] = 0
 		t.maxBytes[id] = 0
 	}
 	t.touched = t.touched[:0]

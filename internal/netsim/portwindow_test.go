@@ -168,7 +168,7 @@ func TestPortWindowTouchedEquivalenceProperty(t *testing.T) {
 		tr.Reset()
 		clear(maxBytes)
 		for id := range n {
-			if tr.maxBytes[id] != 0 || tr.maxDelayNs[id] != 0 {
+			if tr.maxBytes[id] != 0 {
 				t.Fatalf("seed %d: window %d: port %d not cleared by Reset", seed, w, id)
 			}
 		}

@@ -171,17 +171,6 @@ func NewRecorder(auditor *obs.GuaranteeAuditor, windowNs int64) *Recorder {
 	return &Recorder{auditor: auditor, windowNs: windowNs}
 }
 
-// maxReserve bounds Reserve; a longer run grows its rows past it.
-const maxReserve = 1 << 16
-
-// Reserve sizes the rows for a run of n windows (at most maxReserve) up
-// front, before the first Close, so the window tick does not grow them:
-// a tenant tracked from a later window gets a column sized for the
-// windows left.
-func (r *Recorder) Reserve(n int) {
-	r.windows = make([]window, 0, min(n, maxReserve))
-}
-
 // refreshTenants picks up newly admitted tenants, preserving recorded
 // columns. Allocates only when the admitted set actually grew.
 func (r *Recorder) refreshTenants() {
@@ -202,7 +191,7 @@ func (r *Recorder) refreshTenants() {
 		}
 		s, ok := byID[t.ID]
 		if !ok {
-			s = &series{t: t, first: len(r.windows), cells: make([]cell, 0, cap(r.windows)-len(r.windows))}
+			s = &series{t: t, first: len(r.windows)}
 		}
 		r.tenants = append(r.tenants, s)
 	}

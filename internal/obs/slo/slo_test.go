@@ -328,35 +328,6 @@ func TestCloseZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReserveGrowsNoRow: after Reserve, neither the window rows nor the
-// column of a tenant first tracked mid-run grow inside the reserved
-// windows.
-func TestReserveGrowsNoRow(t *testing.T) {
-	a := obs.NewGuaranteeAuditor()
-	a.Admit(1, 1e-3)
-	rec := NewRecorder(a, ms)
-	rec.Reserve(100)
-	now := int64(0)
-	closeWindows := func(n int) {
-		for range n {
-			now += ms
-			rec.Close(now, -1, 0)
-		}
-	}
-	closeWindows(1) // tracks tenant 1
-	if allocs := testing.AllocsPerRun(1, func() { closeWindows(30) }); allocs != 0 {
-		t.Errorf("60 reserved windows allocated %v times, want 0", allocs)
-	}
-	a.Admit(2, 1e-3)
-	closeWindows(1) // tracks tenant 2
-	if allocs := testing.AllocsPerRun(1, func() { closeWindows(18) }); allocs != 0 {
-		t.Errorf("36 reserved windows after a mid-run admission allocated %v times, want 0", allocs)
-	}
-	if pts := rec.Evaluate(nil).Points(2); len(pts) != 98 || pts[61].Delivered != 0 {
-		t.Errorf("tenant 2 has %d points, want 98 with none before window 62", len(pts))
-	}
-}
-
 func BenchmarkClose(b *testing.B) {
 	window := steadyWindows()
 	b.ReportAllocs()
