@@ -60,12 +60,12 @@ func main() {
 	flag.Parse()
 
 	// Validate output destinations before the run, so a typo'd path
-	// fails in milliseconds instead of after the simulation. Only
-	// -incidents writes "-" to stdout.
+	// fails in milliseconds instead of after the simulation. Stdout
+	// carries the rendered reports, so no file flag takes "-".
 	for _, f := range []struct{ name, path string }{
 		{"-trace", *traceOut}, {"-series", *seriesOut}, {"-introspect", *introOut}, {"-incidents", *incidentsOut},
 	} {
-		if err := obs.ValidateOutputPath(f.name, f.path, f.name == "-incidents"); err != nil {
+		if err := obs.ValidateOutputPath(f.name, f.path); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -308,7 +308,7 @@ func main() {
 		opts := dashboard.Options{
 			Title:     "silo-sim " + *schemeName,
 			SLO:       run.SLO,
-			Ports:     nw.PortMeta(),
+			Ports:     obs.PortsOf(nw),
 			Incidents: run.Incidents,
 			Runtime:   &rs,
 			Meta:      &meta,

@@ -234,8 +234,9 @@ func TestCLI(t *testing.T) {
 	// -trace-sample without -trace and -window without a plane that
 	// closes windows used to be ignored. -metrics, the Prometheus export,
 	// is gone: its answers live in series.json, -introspect and the audit
-	// line. Only -incidents writes "-" to stdout; -trace, -series and
-	// -introspect used to write a file named "-" instead.
+	// line. No file flag takes "-": -trace, -series and -introspect used
+	// to write a file named "-", and -incidents put its JSON on stdout
+	// between the rendered report and a trailing line.
 	for _, c := range []struct{ args, want string }{
 		{"-window 1e-7 -slo-report", "-window: must be > 0, got 1e-07"},
 		{"-window 0", "-window: must be > 0, got 0"},
@@ -253,6 +254,7 @@ func TestCLI(t *testing.T) {
 		{"-trace -", `-trace: cannot write to stdout ("-")`},
 		{"-series -", `-series: cannot write to stdout ("-")`},
 		{"-introspect -", `-introspect: cannot write to stdout ("-")`},
+		{"-incidents -", `-incidents: cannot write to stdout ("-")`},
 	} {
 		t.Run("refuses "+c.args, func(t *testing.T) {
 			out, err := exec.Command(bin, strings.Fields(c.args)...).CombinedOutput()

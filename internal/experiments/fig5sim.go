@@ -29,7 +29,7 @@ type Figure5SimParams struct {
 	// whose senders void their own admission contract.
 	Scheme core.Scheme
 	// Incidents attaches the incident plane: the introspection sidecar
-	// (fitted arrival envelopes + per-port margins), a violation log on
+	// (fitted arrival envelopes + per-port margins), a violation tap on
 	// the guarantee auditor, and post-run correlation into root-caused
 	// incidents (Result.Incidents).
 	Incidents bool

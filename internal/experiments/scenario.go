@@ -240,8 +240,11 @@ type Run struct {
 	Tenants  []*TenantRun
 	Rejected []error
 
-	Audit      *obs.GuaranteeAuditor
-	Violations *obs.ViolationLog
+	Audit *obs.GuaranteeAuditor
+	// Violations is the run's one violation stream, kept with the
+	// incident plane: the audit tap's events, then in Finish the SLO's
+	// window events, which Correlate sorts canonically.
+	Violations []obs.ViolationEvent
 	Flight     *obs.FlightRecorder
 	Intro      *introspect.Introspector
 	Injector   *faults.Injector
@@ -344,19 +347,18 @@ func Build(sc Scenario, env Env) (*Run, error) {
 		for _, tr := range r.Tenants {
 			r.observe(tr)
 		}
-		nw.AttachDelayAudit(r.Audit, r.Ctl.TenantOfVM)
+		obs.AttachDelayAudit(nw, r.Audit, r.Ctl.TenantOfVM)
 	}
 	if sc.Planes.Incidents {
 		// One violation stream: the auditor's per-delivery tap and, in
 		// Finish, the SLO's window violations. Wired before the run — the
-		// tap is read without locks on the delivery path. The log grows
+		// tap is read without locks on the delivery path. The slice grows
 		// with the violations the run records.
-		r.Violations = obs.NewViolationLog(0)
-		r.Audit.SetViolationTap(r.Violations.Observe)
+		r.Audit.SetViolationTap(func(ev obs.ViolationEvent) { r.Violations = append(r.Violations, ev) })
 	}
 	if sc.Planes.TraceSampleN > 0 {
 		r.Flight = obs.NewFlightRecorder(0, sc.Planes.TraceSampleN)
-		netsim.AttachFlightRecorder(nw, r.Flight)
+		obs.AttachFlightRecorder(nw, r.Flight)
 	}
 	if sc.Planes.Introspect {
 		// Bounds reflect admission at attach time; a mid-run fault that
@@ -538,9 +540,11 @@ func (r *Run) Finish() {
 			faultIn = r.Injector.FaultIn
 		}
 		r.SLO = r.recorder.Evaluate(faultIn)
-		for _, ev := range r.SLO.Events {
-			if ev.Kind == slo.EventWindowViolation {
-				r.Violations.Observe(ev.ViolationEvent)
+		if r.Scenario.Planes.Incidents {
+			for _, ev := range r.SLO.Events {
+				if ev.Kind == slo.EventWindowViolation {
+					r.Violations = append(r.Violations, ev.ViolationEvent)
+				}
 			}
 		}
 	}
@@ -555,7 +559,7 @@ func (r *Run) Finish() {
 		}
 	}
 	if r.Flight != nil {
-		r.Ports = r.Net.PortMeta()
+		r.Ports = obs.PortsOf(r.Net)
 		r.Spans = obs.AssembleFlight(r.Flight.Events(), r.Ports)
 		r.SpanViolations = obs.AnnotateSpans(r.Spans, r.Audit, r.Ctl.TenantOfVM)
 	}
@@ -566,14 +570,14 @@ func (r *Run) Finish() {
 	}
 	if r.Scenario.Planes.Incidents {
 		// The one correlation, over the finished streams: the full
-		// violation log, the fault log, the SLO events, and the
+		// violation stream, the fault log, the SLO events, and the
 		// introspection snapshot as verdict evidence (without it,
 		// incidents that need envelope evidence stay honestly
 		// unexplained).
 		in := incident.Inputs{
-			Violations: r.Violations.Events(),
+			Violations: r.Violations,
 			Snapshot:   r.Snapshot,
-			Ports:      r.Net.PortMeta(),
+			Ports:      obs.PortsOf(r.Net),
 			Meta:       r.env.Meta,
 		}
 		if r.Injector != nil {

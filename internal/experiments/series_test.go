@@ -42,7 +42,7 @@ func TestSeriesJSONWritten(t *testing.T) {
 			if err := dashboard.WriteJSON(&b, dashboard.Options{
 				Title:     "drill \"" + c.name + "\"",
 				SLO:       run.SLO,
-				Ports:     run.Net.PortMeta(),
+				Ports:     obs.PortsOf(run.Net),
 				Incidents: run.Incidents,
 				Runtime:   &rs,
 				Meta:      &meta,

@@ -1,24 +1,25 @@
-package netsim
+package netsim_test
 
 import (
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/pacer"
 )
 
 func TestFlightAttributionExactUnpaced(t *testing.T) {
-	nw := buildNet(t)
+	nw := planeNet(t)
 	rec := obs.NewFlightRecorder(0, 1)
-	AttachFlightRecorder(nw, rec)
+	obs.AttachFlightRecorder(nw, rec)
 	// Cross-pod (6 hops) and intra-rack (2 hops) packets, plus a
 	// back-to-back pair so at least one span has real queueing.
-	nw.Hosts[0].Send(&Packet{ID: 1, Src: 0, Dst: 7, SrcVM: 10, DstVM: 17, Size: 1500})
-	nw.Hosts[0].Send(&Packet{ID: 2, Src: 0, Dst: 1, SrcVM: 10, DstVM: 11, Size: 1500})
-	nw.Hosts[0].Send(&Packet{ID: 3, Src: 0, Dst: 1, SrcVM: 10, DstVM: 11, Size: 1500})
+	nw.Hosts[0].Send(&netsim.Packet{ID: 1, Src: 0, Dst: 7, SrcVM: 10, DstVM: 17, Size: 1500})
+	nw.Hosts[0].Send(&netsim.Packet{ID: 2, Src: 0, Dst: 1, SrcVM: 10, DstVM: 11, Size: 1500})
+	nw.Hosts[0].Send(&netsim.Packet{ID: 3, Src: 0, Dst: 1, SrcVM: 10, DstVM: 11, Size: 1500})
 	nw.Sim.Run(1e9)
 
-	spans := obs.AssembleFlight(rec.Events(), nw.PortMeta())
+	spans := obs.AssembleFlight(rec.Events(), obs.PortsOf(nw))
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
@@ -51,9 +52,9 @@ func TestFlightAttributionExactUnpaced(t *testing.T) {
 }
 
 func TestFlightPacedSpan(t *testing.T) {
-	nw := buildNet(t)
+	nw := planeNet(t)
 	rec := obs.NewFlightRecorder(0, 1)
-	AttachFlightRecorder(nw, rec)
+	obs.AttachFlightRecorder(nw, rec)
 
 	h := nw.Hosts[0]
 	h.EnablePacing(pacer.NewBatcher(nw.Tree.Config().LinkBps))
@@ -67,11 +68,11 @@ func TestFlightPacedSpan(t *testing.T) {
 	// Three MTU frames: the burst admits the first two, the {B, S}
 	// bucket must gate the third.
 	for i := uint64(1); i <= 3; i++ {
-		h.SendPaced(100, &Packet{ID: i, Src: 0, Dst: 1, SrcVM: 100, DstVM: 11, Size: 1500})
+		h.SendPaced(100, &netsim.Packet{ID: i, Src: 0, Dst: 1, SrcVM: 100, DstVM: 11, Size: 1500})
 	}
 	nw.Sim.Run(1e9)
 
-	spans := obs.AssembleFlight(rec.Events(), nw.PortMeta())
+	spans := obs.AssembleFlight(rec.Events(), obs.PortsOf(nw))
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
@@ -99,14 +100,14 @@ func TestFlightPacedSpan(t *testing.T) {
 }
 
 func TestFlightTapSkipsVoidsAndUnsampled(t *testing.T) {
-	nw := buildNet(t)
+	nw := planeNet(t)
 	rec := obs.NewFlightRecorder(0, 4)
-	AttachFlightRecorder(nw, rec)
-	nw.Hosts[0].Send(&Packet{Src: 0, Dst: 1, Size: 84, Void: true}) // void, no ID
-	nw.Hosts[0].Send(&Packet{ID: 5, Src: 0, Dst: 1, Size: 1500})    // 5 & 3 != 0
-	nw.Hosts[0].Send(&Packet{ID: 8, Src: 0, Dst: 1, Size: 1500})    // sampled
+	obs.AttachFlightRecorder(nw, rec)
+	nw.Hosts[0].Send(&netsim.Packet{Src: 0, Dst: 1, Size: 84, Void: true}) // void, no ID
+	nw.Hosts[0].Send(&netsim.Packet{ID: 5, Src: 0, Dst: 1, Size: 1500})    // 5 & 3 != 0
+	nw.Hosts[0].Send(&netsim.Packet{ID: 8, Src: 0, Dst: 1, Size: 1500})    // sampled
 	nw.Sim.Run(1e9)
-	spans := obs.AssembleFlight(rec.Events(), nw.PortMeta())
+	spans := obs.AssembleFlight(rec.Events(), obs.PortsOf(nw))
 	if len(spans) != 1 || spans[0].Pkt != 8 {
 		t.Errorf("spans = %+v, want only pkt 8", spans)
 	}

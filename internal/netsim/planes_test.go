@@ -53,11 +53,11 @@ func attach(nw *netsim.Network, ps planeSet) (*obs.GuaranteeAuditor, *obs.Flight
 	if ps.audit {
 		audit = obs.NewGuaranteeAuditor()
 		audit.Admit(1, 2e-6)
-		nw.AttachDelayAudit(audit, func(vm int) (int, bool) { return 1, vm == 11 })
+		obs.AttachDelayAudit(nw, audit, func(vm int) (int, bool) { return 1, vm == 11 })
 	}
 	if ps.flight {
 		rec = obs.NewFlightRecorder(0, 1)
-		netsim.AttachFlightRecorder(nw, rec)
+		obs.AttachFlightRecorder(nw, rec)
 	}
 	if ps.intro {
 		in = introspect.Attach(nw)
@@ -78,7 +78,7 @@ func runPlanes(t *testing.T, ps planeSet) planeOut {
 	h0.AddVM(pacer.NewVM(100, pacer.Guarantee{BandwidthBps: 1.25e8, BurstBytes: 3000, BurstRateBps: 1.25e9, MTUBytes: 1518}, 0))
 	adm := introspect.Envelope{RateBps: 1.25e8, BurstBytes: 3000}
 	if in != nil {
-		in.TrackVM(0, 100, 1, adm) // paced: the pacer's commit tap
+		in.TrackVM(0, 100, 1, adm) // paced: its EvPacedWire frames
 		in.TrackVM(2, 102, 1, adm) // unpaced: NIC arrivals
 	}
 	id := uint64(0)

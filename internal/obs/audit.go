@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/netsim"
 )
 
 // GuaranteeAuditor cross-references live measurements against the
@@ -100,20 +102,13 @@ func (a *GuaranteeAuditor) Tenant(id int) (*TenantAudit, bool) {
 // SetViolationTap installs a callback invoked once per delay-bound
 // violation with the unified ViolationEvent record (the single stream
 // the incident engine consumes). fn must not allocate if the
-// observation path is to stay allocation-free; ViolationLog.Observe
-// qualifies. nil clears the tap.
+// observation path is to stay allocation-free; an append to a slice
+// the run keeps qualifies (amortized). nil clears the tap.
 func (a *GuaranteeAuditor) SetViolationTap(fn func(ViolationEvent)) {
 	if a == nil {
 		return
 	}
 	a.tap = fn
-}
-
-// ObserveDelay records one packet's NIC-to-NIC delay for a tenant.
-// Unknown tenants are ignored. Zero allocations. Thin wrapper over
-// ObserveDelivery for callers without packet context.
-func (a *GuaranteeAuditor) ObserveDelay(id int, delayNs int64) {
-	a.ObserveDelivery(id, -1, -1, 0, delayNs)
 }
 
 // ObserveDelivery records one delivered packet's NIC-to-NIC delay for
@@ -149,6 +144,31 @@ func (a *GuaranteeAuditor) ObserveDelivery(id, dstVM, srcVM int, nowNs, delayNs 
 			})
 		}
 	}
+}
+
+// AttachDelayAudit feeds every data packet nw delivers to a: its
+// NIC-to-NIC delay (delivery time minus the SentAt wire stamp), against
+// the destination VM's tenant. tenantOf maps a VM id to its tenant id
+// (ok=false skips the packet); it runs once per delivered packet, so it
+// must not allocate — a range check or array lookup, not a map built
+// per call. A nil auditor subscribes nothing.
+//
+// The auditor's per-tenant counts aggregate in place with zero
+// allocation; per-packet hop records are the flight recorder's job
+// (AttachFlightRecorder).
+func AttachDelayAudit(nw *netsim.Network, a *GuaranteeAuditor, tenantOf func(vmID int) (tenantID int, ok bool)) {
+	if a == nil {
+		return
+	}
+	sim := nw.Sim
+	sim.Subscribe(func(ev netsim.Event) {
+		p := ev.P
+		if id, ok := tenantOf(p.DstVM); ok {
+			// Delivery time and endpoints ride along so a violation tap
+			// can emit a fully-identified event.
+			a.ObserveDelivery(id, p.DstVM, p.SrcVM, sim.Now(), ev.Arg)
+		}
+	}, netsim.EvDeliver)
 }
 
 // NumTenants returns the number of admitted tenants without

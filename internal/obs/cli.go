@@ -9,12 +9,12 @@ import (
 // ValidateOutputPath checks that an output-file flag value (silo-sim's
 // -trace, -series, -incidents, -introspect) can plausibly be written,
 // so a typo'd path fails at startup with a clear message instead of
-// after the whole run has completed. "" (no file) is always valid, "-"
-// only for a flag that writes it to stdout (stdoutOK). For anything
+// after the whole run has completed. "" (no file) is always valid; "-"
+// never is, because stdout carries the rendered reports. For anything
 // else the parent directory must exist and the path must not name a
 // directory.
-func ValidateOutputPath(flagName, path string, stdoutOK bool) error {
-	if path == "" || (path == "-" && stdoutOK) {
+func ValidateOutputPath(flagName, path string) error {
+	if path == "" {
 		return nil
 	}
 	if path == "-" {

@@ -56,9 +56,9 @@ func testSources(t *testing.T) Options {
 	rec := slo.NewRecorder(auditor, 1e6)
 	for i := 1; i <= 4; i++ {
 		for j := 0; j < 10; j++ {
-			auditor.ObserveDelay(3, 100_000)
+			auditor.ObserveDelivery(3, -1, -1, 0, 100_000)
 		}
-		auditor.ObserveDelay(3, 5e6) // one violation per window
+		auditor.ObserveDelivery(3, -1, -1, 0, 5e6) // one violation per window
 		rec.Close(int64(i)*1e6, -1, 0)
 	}
 	return Options{Title: "test run", SLO: rec.Evaluate(nil)}

@@ -1,5 +1,7 @@
 package obs
 
+import "repro/internal/netsim"
+
 // Flight recorder: a bounded ring of binary trace events for end-to-end
 // per-packet latency attribution. Where the guarantee audit (audit.go)
 // aggregates in place, the flight recorder keeps the most recent window
@@ -188,4 +190,38 @@ func (r *FlightRecorder) Events() []FlightEvent {
 		}
 	}
 	return out
+}
+
+// AttachFlightRecorder records every lifecycle event of nw's sampled
+// data packets into rec: VM pacer enqueue, token-bucket admit, per-port
+// enqueue and transmit, final delivery. Void frames and packets without
+// wire IDs are never recorded: voids carry no message, and an ID of 0
+// cannot be attributed to a span. A nil recorder subscribes nothing.
+func AttachFlightRecorder(nw *netsim.Network, rec *FlightRecorder) {
+	if rec == nil {
+		return
+	}
+	sim := nw.Sim
+	sim.Subscribe(func(ev netsim.Event) {
+		p := ev.P
+		if p.Void || p.ID == 0 || !rec.Sampled(p.ID) {
+			return
+		}
+		switch ev.Kind {
+		case netsim.EvPacedEnqueue:
+			rec.Emit(FlightVMEnqueue, sim.Now(), p.ID, int32(p.SrcVM), int64(p.Size), 0)
+		case netsim.EvPacedWire:
+			// The commit through the bucket chain happened earlier in
+			// pacer time; the release stamp and gating bucket ride on the
+			// packet so the admit event can be emitted here, where the
+			// wire packet ID is in scope.
+			rec.Emit(FlightTokenAdmit, p.PacedRelease, p.ID, int32(p.SrcVM), 0, p.Gate)
+		case netsim.EvPortEnqueue:
+			rec.Emit(FlightPortEnqueue, sim.Now(), p.ID, ev.At, ev.Arg, 0)
+		case netsim.EvPortTransmit:
+			rec.Emit(FlightPortTx, sim.Now(), p.ID, ev.At, ev.Arg, 0)
+		case netsim.EvDeliver:
+			rec.Emit(FlightDeliver, sim.Now(), p.ID, int32(p.DstVM), ev.Arg, 0)
+		}
+	}, netsim.EvPacedEnqueue, netsim.EvPacedWire, netsim.EvPortEnqueue, netsim.EvPortTransmit, netsim.EvDeliver)
 }

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -298,20 +300,33 @@ func TestTraceRoundTrip(t *testing.T) {
 	if _, _, _, err := ReadTraceFileMeta(bad); err == nil || !strings.Contains(err.Error(), "otherData.silo") {
 		t.Errorf("foreign Chrome trace error = %v", err)
 	}
+	whole, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.WriteFile(bad, whole[:len(whole)/2], 0o644)
+	if _, _, _, err := ReadTraceFileMeta(bad); err == nil || !strings.Contains(err.Error(), "not a silo trace") {
+		t.Errorf("truncated trace error = %v", err)
+	}
+	missing := filepath.Join(dir, "missing", "trace.json")
+	if _, _, _, err := ReadTraceFileMeta(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("reading a missing trace: error %v, want not-exist", err)
+	}
+	if err := WriteTraceFileMeta(missing, nil, flightTestPorts, spans); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("writing into a missing directory: error %v, want not-exist", err)
+	}
 }
 
 func TestValidateOutputPath(t *testing.T) {
 	dir := t.TempDir()
 	for _, ok := range []string{"", filepath.Join(dir, "out.json")} {
-		if err := ValidateOutputPath("-trace", ok, false); err != nil {
+		if err := ValidateOutputPath("-trace", ok); err != nil {
 			t.Errorf("ValidateOutputPath(%q) = %v, want nil", ok, err)
 		}
 	}
-	if err := ValidateOutputPath("-incidents", "-", true); err != nil {
-		t.Errorf("ValidateOutputPath(\"-\") to stdout = %v, want nil", err)
-	}
+	// "-" is refused for every flag: stdout carries the rendered reports.
 	for _, bad := range []string{"-", dir, filepath.Join(dir, "missing", "out.json")} {
-		if err := ValidateOutputPath("-trace", bad, false); err == nil {
+		if err := ValidateOutputPath("-trace", bad); err == nil {
 			t.Errorf("ValidateOutputPath(%q) = nil, want error", bad)
 		} else if !strings.Contains(err.Error(), "-trace") {
 			t.Errorf("error %q does not name the flag", err)

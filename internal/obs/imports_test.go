@@ -5,6 +5,7 @@ import (
 	"go/build"
 	"io/fs"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -46,5 +47,40 @@ func TestSingleGoroutineImports(t *testing.T) {
 	}
 	if pkgs < 5 {
 		t.Errorf("checked %d packages under internal/obs, want at least 5", pkgs)
+	}
+}
+
+// TestEngineImportsNoPlane holds the planes downstream of the data path:
+// internal/netsim and internal/pacer, and every repro package their
+// non-test files import in turn, import no package under internal/obs.
+// A plane reads the engine through Sim.Subscribe and keeps its adapter
+// beside its own format; the engine knows of no plane. It maps import
+// paths to directories by the module prefix and runs no subprocess.
+func TestEngineImportsNoPlane(t *testing.T) {
+	const module, root = "repro/", "../.."
+	seen := map[string]bool{}
+	queue := []string{"repro/internal/netsim", "repro/internal/pacer"}
+	for len(queue) > 0 {
+		path := queue[0]
+		queue = queue[1:]
+		if seen[path] {
+			continue
+		}
+		seen[path] = true
+		pkg, err := build.ImportDir(filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(path, module))), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, imp := range pkg.Imports {
+			if imp == "repro/internal/obs" || strings.HasPrefix(imp, "repro/internal/obs/") {
+				t.Errorf("%s imports %q at %v", path, imp, pkg.ImportPos[imp])
+			}
+			if strings.HasPrefix(imp, module) {
+				queue = append(queue, imp)
+			}
+		}
+	}
+	if !seen["repro/internal/topology"] {
+		t.Errorf("walked %d packages and not netsim's topology import: the walk is broken", len(seen))
 	}
 }

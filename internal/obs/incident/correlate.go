@@ -33,7 +33,8 @@ func (c Config) withDefaults() Config {
 // be empty: the report says what the evidence supports.
 type Inputs struct {
 	// Violations is the unified violation stream: delivery-tap and
-	// SLO-window events, in any order (Correlate sorts canonically).
+	// SLO-window events, in any order. Correlate sorts it canonically,
+	// in place.
 	Violations []obs.ViolationEvent
 	// Faults are the injected-fault outage windows.
 	Faults []FaultWindow
@@ -68,15 +69,14 @@ type clusterItem struct {
 	fw             int // index into fault windows, -1 for an event
 }
 
-// Correlate clusters a finished run's streams into incidents. It is a
-// pure function of its arguments and never touches the simulator, so it
-// runs once after a run or offline over exported artifacts.
-// Deterministic: events are sorted canonically first, so the order in
-// which the streams appended them cannot affect the output.
+// Correlate clusters a finished run's streams into incidents. It never
+// touches the simulator, so it runs once after a run or offline over
+// exported artifacts. Deterministic: it first sorts in.Violations in
+// place into canonical order, so the order in which the streams appended
+// them cannot affect the output; nothing else of in is written.
 func Correlate(cfg Config, in Inputs) *Report {
 	c := &correlation{cfg: cfg.withDefaults(), in: in}
-	evs := make([]obs.ViolationEvent, len(in.Violations))
-	copy(evs, in.Violations)
+	evs := in.Violations
 	obs.SortViolationEvents(evs)
 
 	items := make([]clusterItem, 0, len(evs)+len(in.Faults))

@@ -3,6 +3,9 @@ package incident
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -341,6 +344,55 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if got, err := ReadFile(path); err != nil || got.Meta == nil || got.Meta.Tool != "test" || len(got.Incidents) != 1 {
 		t.Fatalf("report with \"workers\" in its meta: %+v, error %v", got, err)
+	}
+}
+
+// failWriter refuses every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// Each way writing or reading a report fails surfaces as an error: a
+// writer that refuses, a value JSON cannot hold, a missing directory or
+// file, and a truncated document.
+func TestReportFileErrors(t *testing.T) {
+	dir := t.TempDir()
+	rep := Correlate(Config{}, Inputs{
+		Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)},
+	})
+	if err := rep.WriteJSON(failWriter{}); err == nil || err.Error() != "disk full" {
+		t.Errorf("WriteJSON to a refusing writer: error %v, want disk full", err)
+	}
+	missing := filepath.Join(dir, "missing", "incidents.json")
+	if err := rep.WriteFile(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("WriteFile into a missing directory: error %v, want not-exist", err)
+	}
+	if _, err := ReadFile(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("ReadFile of a missing file: error %v, want not-exist", err)
+	}
+
+	path := filepath.Join(dir, "incidents.json")
+	if err := rep.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("ReadFile of a truncated report: error %v, want one naming %s", err, path)
+	}
+
+	bad := &Report{Incidents: []Incident{{MinMarginBytes: math.NaN()}}}
+	nan := filepath.Join(dir, "nan.json")
+	if err := bad.WriteFile(nan); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("WriteFile of a NaN margin: error %v, want an unsupported-value error", err)
+	}
+	if _, err := os.Stat(nan); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a report that does not marshal left a file: stat error %v", err)
 	}
 }
 

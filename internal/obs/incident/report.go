@@ -1,6 +1,7 @@
 package incident
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -139,20 +140,14 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteFile writes the report to path as JSON (or to stdout for "-").
+// WriteFile writes the report to path as WriteJSON lays it out. A
+// report that does not marshal leaves no file behind.
 func (r *Report) WriteFile(path string) error {
-	if path == "-" {
-		return r.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
+	var b bytes.Buffer
+	if err := r.WriteJSON(&b); err != nil {
 		return err
 	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, b.Bytes(), 0o644)
 }
 
 // ReadFile loads a report written by WriteFile.

@@ -1,6 +1,11 @@
 package introspect_test
 
 import (
+	"errors"
+	"io/fs"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -184,5 +189,38 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if got.MinMarginPort != s.MinMarginPort || got.Violations != s.Violations {
 		t.Fatalf("round trip changed summary: %+v vs %+v", got, s)
+	}
+}
+
+// Each way writing or reading a snapshot fails surfaces as an error: a
+// value JSON cannot hold, a missing directory or file, and a truncated
+// document.
+func TestSnapshotFileErrors(t *testing.T) {
+	dir := t.TempDir()
+	s := introspect.Snapshot{Envelopes: []introspect.VMEnvelope{{VMID: 3}}, MinMarginPort: -1}
+	missing := filepath.Join(dir, "missing", "introspect.json")
+	if err := s.WriteFile(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("WriteFile into a missing directory: error %v, want not-exist", err)
+	}
+	if _, err := introspect.ReadFile(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("ReadFile of a missing file: error %v, want not-exist", err)
+	}
+	path := filepath.Join(dir, "introspect.json")
+	if err := s.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := introspect.ReadFile(path); err == nil || !strings.Contains(err.Error(), "introspect: parse") {
+		t.Errorf("ReadFile of a truncated snapshot: error %v, want a parse error", err)
+	}
+	s.MinMarginBytes = math.NaN()
+	if err := s.WriteFile(filepath.Join(dir, "nan.json")); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("WriteFile of a NaN margin: error %v, want an unsupported-value error", err)
 	}
 }

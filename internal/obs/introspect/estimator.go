@@ -5,9 +5,9 @@
 // Three instruments share the package:
 //
 //   - VMEstimator fits a minimal token-bucket envelope to each VM's
-//     observed emission stream (pacer commit taps for paced VMs, NIC
-//     arrivals for unpaced ones) and flags envelope-vs-admitted-{B, S}
-//     slack or violation;
+//     observed emission stream (wire frames at their release stamps
+//     for paced VMs, NIC arrivals for unpaced ones) and flags
+//     envelope-vs-admitted-{B, S} slack or violation;
 //   - per-port watches record backlog high-water marks and busy-period
 //     lengths at every simulated queue, compared against the backlog
 //     and busy-period bounds re-derived from the placement manager's
@@ -46,6 +46,8 @@ type VMEstimator struct {
 	// admits at least one frame even when S is smaller, so a frame of
 	// tolerance avoids flagging conforming VMs.
 	tolBytes float64
+	// paced: fed from EvPacedWire, not from NIC arrivals.
+	paced bool
 
 	started bool
 	firstNs int64
@@ -67,8 +69,9 @@ type VMEstimator struct {
 }
 
 // Observe feeds one emission (nowNs, bytes) to the estimator.
-// Timestamps must be nondecreasing — both taps (pacer commits, NIC
-// arrivals) produce them in order. O(1), no allocations.
+// Timestamps must be nondecreasing — both feeds (a paced VM's wire
+// frames, whose release stamps leave in order, and NIC arrivals)
+// produce them in order. O(1), no allocations.
 func (e *VMEstimator) Observe(nowNs int64, bytes int) {
 	if !e.started {
 		e.started = true

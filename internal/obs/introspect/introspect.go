@@ -17,19 +17,19 @@ import (
 // epochNs is the sliding-epoch length for the per-VM envelope fit.
 const epochNs = 1e6
 
-// Introspector wires the introspection plane into a built network: a
-// spine subscriber for port headroom (and NIC arrivals, for unpaced
-// VMs' envelope estimation) and pacer commit taps for paced VMs'
-// envelope estimation.
+// Introspector wires the introspection plane into a built network
+// through spine subscribers: port headroom from every port's enqueues
+// and transmits, and each tracked VM's envelope from its emissions —
+// EvPacedWire for a paced VM, NIC-up EvPortEnqueue for an unpaced one.
 type Introspector struct {
 	nw *netsim.Network
 
 	watches []*portWatch
 
-	vms     []*VMEstimator
-	vmBySrc map[int]*VMEstimator // unpaced VMs keyed by Packet.SrcVM
+	vms  []*VMEstimator // in registration order
+	byVM []*VMEstimator // indexed by VM ID, nil where untracked
 
-	upLo, upHi int // NIC-up port range: only NICs feed the unpaced tap
+	upLo, upHi int // NIC-up port range: only NICs feed the unpaced fit
 }
 
 // Attach subscribes the introspection plane to every port of nw.
@@ -39,7 +39,6 @@ func Attach(nw *netsim.Network) *Introspector {
 	in := &Introspector{
 		nw:      nw,
 		watches: make([]*portWatch, len(nw.Queues)),
-		vmBySrc: make(map[int]*VMEstimator),
 	}
 	in.upLo, in.upHi = nw.Tree.ServerUpPortRange()
 	for pid, q := range nw.Queues {
@@ -48,10 +47,19 @@ func Attach(nw *netsim.Network) *Introspector {
 		}
 	}
 	nw.Sim.Subscribe(in.observe, netsim.EvPortEnqueue, netsim.EvPortTransmit)
+	nw.Sim.Subscribe(in.observeWire, netsim.EvPacedWire)
 	return in
 }
 
-// observe is the plane's spine subscriber.
+// tracked returns the estimator of VM id, nil if it is not tracked.
+func (in *Introspector) tracked(id int) *VMEstimator {
+	if uint(id) < uint(len(in.byVM)) {
+		return in.byVM[id]
+	}
+	return nil
+}
+
+// observe is the plane's port subscriber.
 func (in *Introspector) observe(ev netsim.Event) {
 	w, p := in.watches[ev.At], ev.P
 	now := in.nw.Sim.Now()
@@ -62,32 +70,41 @@ func (in *Introspector) observe(ev netsim.Event) {
 	if int(ev.Arg)+p.Size <= w.q.BufferBytes {
 		w.onEnqueue(now)
 	}
-	if pid := int(ev.At); pid >= in.upLo && pid < in.upHi && !p.Void && len(in.vmBySrc) > 0 {
-		if est, ok := in.vmBySrc[p.SrcVM]; ok {
+	if pid := int(ev.At); pid >= in.upLo && pid < in.upHi && !p.Void {
+		if est := in.tracked(p.SrcVM); est != nil && !est.paced {
 			est.Observe(now, p.Size)
 		}
 	}
 }
 
+// observeWire fits a paced VM on the frames its host lays on the wire,
+// at the release stamp the {B, S} buckets authorized.
+func (in *Introspector) observeWire(ev netsim.Event) {
+	p := ev.P
+	if est := in.tracked(p.SrcVM); est != nil && est.paced {
+		est.Observe(p.PacedRelease, p.Size)
+	}
+}
+
 // TrackVM registers one VM for envelope estimation against its
-// admitted envelope. A paced VM (pacer attached to the host) is
-// observed at its commit tap — the exact emission schedule the {B, S}
-// buckets authorized; an unpaced VM is observed at its NIC arrivals,
-// keyed by Packet.SrcVM.
+// admitted envelope. A VM its host paces when it is tracked is fitted
+// on its EvPacedWire frames, at their release stamps; any other VM on
+// its NIC arrivals. Either way the fit counts what reached the wire.
 func (in *Introspector) TrackVM(hostID, vmID, tenantID int, adm Envelope) *VMEstimator {
+	_, paced := in.nw.Hosts[hostID].VM(vmID)
 	est := &VMEstimator{
 		VMID:     vmID,
 		TenantID: tenantID,
 		Admitted: adm,
 		epochNs:  epochNs,
 		tolBytes: units.FrameBytes,
+		paced:    paced,
 	}
 	in.vms = append(in.vms, est)
-	if vm, ok := in.nw.Hosts[hostID].VM(vmID); ok {
-		vm.SetCommitTap(est.Observe)
-	} else {
-		in.vmBySrc[vmID] = est
+	if vmID >= len(in.byVM) {
+		in.byVM = append(in.byVM, make([]*VMEstimator, vmID+1-len(in.byVM))...)
 	}
+	in.byVM[vmID] = est
 	return est
 }
 

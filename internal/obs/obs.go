@@ -1,8 +1,10 @@
 // Package obs is the repository's guarantee-audit layer: the
-// per-tenant delay audit, the violation log, the flight recorder with
+// per-tenant delay audit, the violation event, the flight recorder with
 // its Chrome-trace encoder, and the provenance every artifact carries.
-// It is dependency-free (stdlib-only) and sits on the nanosecond-scale
-// hot paths of the pacer and the packet simulator.
+// It reads the packet simulator through netsim's observation spine
+// (AttachDelayAudit, AttachFlightRecorder), and nothing in the engine or
+// the pacer imports it; its subscribers sit on the nanosecond-scale
+// delivery and wire paths.
 //
 // Design rules, in order:
 //

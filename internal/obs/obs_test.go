@@ -7,7 +7,7 @@ import (
 
 func TestNilAuditor(t *testing.T) {
 	var a *GuaranteeAuditor
-	a.ObserveDelay(1, 5)
+	a.ObserveDelivery(1, -1, -1, 0, 5)
 	if a.Admit(1, 1) != nil {
 		t.Error("nil auditor Admit must return nil")
 	}
@@ -27,10 +27,10 @@ func TestGuaranteeAuditor(t *testing.T) {
 		t.Errorf("Tenant(1) = %p, %v; want the admitted state", got, ok)
 	}
 
-	a.ObserveDelay(1, 200_000)   // 200 µs: fine
-	a.ObserveDelay(1, 1_500_000) // 1.5 ms: violation
-	a.ObserveDelay(2, 9_000_000) // unbounded tenant: never a violation
-	a.ObserveDelay(3, 1)         // unknown tenant: ignored
+	a.ObserveDelivery(1, -1, -1, 0, 200_000)   // 200 µs: fine
+	a.ObserveDelivery(1, -1, -1, 0, 1_500_000) // 1.5 ms: violation
+	a.ObserveDelivery(2, -1, -1, 0, 9_000_000) // unbounded tenant: never a violation
+	a.ObserveDelivery(3, -1, -1, 0, 1)         // unknown tenant: ignored
 
 	if ta.Packets != 2 || ta.Violations != 1 || ta.MaxDelayNs != 1_500_000 {
 		t.Errorf("packets/violations/max = %d/%d/%d, want 2/1/1500000", ta.Packets, ta.Violations, ta.MaxDelayNs)
@@ -48,8 +48,8 @@ func TestGuaranteeAuditor(t *testing.T) {
 func TestGuaranteeAuditorWithoutRegistry(t *testing.T) {
 	a := NewGuaranteeAuditor()
 	a.Admit(5, 1e-4)
-	a.ObserveDelay(5, 50_000)
-	a.ObserveDelay(5, 200_000)
+	a.ObserveDelivery(5, -1, -1, 0, 50_000)
+	a.ObserveDelivery(5, -1, -1, 0, 200_000)
 	ta, ok := a.Tenant(5)
 	if !ok {
 		t.Fatal("tenant not admitted")
@@ -65,7 +65,6 @@ func TestGuaranteeAuditorWithoutRegistry(t *testing.T) {
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var a *GuaranteeAuditor
 	allocs := testing.AllocsPerRun(1000, func() {
-		a.ObserveDelay(1, 456)
 		a.ObserveDelivery(1, 11, 12, 1000, 456)
 	})
 	if allocs != 0 {

@@ -32,7 +32,7 @@ func TestInducedViolationEndToEnd(t *testing.T) {
 	// blow through; tenant 6 is an innocent bystander on host 7.
 	auditor.Admit(5, 20e-6)
 	auditor.Admit(6, 20e-6)
-	nw.AttachDelayAudit(auditor, func(vmID int) (int, bool) {
+	obs.AttachDelayAudit(nw, auditor, func(vmID int) (int, bool) {
 		switch vmID {
 		case 77:
 			return 5, true

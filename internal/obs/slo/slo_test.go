@@ -13,10 +13,10 @@ const ms = int64(1e6)
 // over it.
 func drive(a *obs.GuaranteeAuditor, tenant int, good, bad int) {
 	for i := 0; i < good; i++ {
-		a.ObserveDelay(tenant, 100_000) // 100µs, inside a 1ms bound
+		a.ObserveDelivery(tenant, -1, -1, 0, 100_000) // 100µs, inside a 1ms bound
 	}
 	for i := 0; i < bad; i++ {
-		a.ObserveDelay(tenant, 2*ms) // 2ms, over a 1ms bound
+		a.ObserveDelivery(tenant, -1, -1, 0, 2*ms) // 2ms, over a 1ms bound
 	}
 }
 
@@ -312,7 +312,7 @@ func steadyWindows() func() {
 	var now int64
 	return func() {
 		for id := 1; id <= 16; id++ {
-			a.ObserveDelay(id, 100_000)
+			a.ObserveDelivery(id, -1, -1, 0, 100_000)
 		}
 		now += ms
 		rec.Close(now, 5, 1000)

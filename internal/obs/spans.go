@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/netsim"
 )
 
 // Span reassembly: stitch flight-recorder events per packet ID into
@@ -27,6 +29,20 @@ type PortMeta struct {
 	Name    string  `json:"name"`
 	RateBps float64 `json:"rate_bps"`
 	PropNs  int64   `json:"prop_ns"`
+}
+
+// PortsOf exports nw's port table (name, rate, propagation) indexed by
+// topology port ID, the side table span reassembly and the silo-trace
+// CLI resolve hop records against.
+func PortsOf(nw *netsim.Network) []PortMeta {
+	out := make([]PortMeta, len(nw.Queues))
+	for pid, q := range nw.Queues {
+		if q == nil {
+			continue
+		}
+		out[pid] = PortMeta{Name: q.Name, RateBps: q.RateBps, PropNs: q.PropNs}
+	}
+	return out
 }
 
 // FlightHop is one port traversal within a span.

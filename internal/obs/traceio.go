@@ -40,12 +40,11 @@ type siloTraceData struct {
 // testdata/trace.golden.json pin.
 func writeChromeTrace(w io.Writer, meta *RunMeta, ports []PortMeta, spans []FlightSpan) error {
 	// One meta and a few dozen ports stay with the reflective encoder.
+	// RunMeta holds only strings and an integer, which always marshal; a
+	// port's rate is a float, and a NaN fails the ports.
 	var metaJSON []byte
 	if meta != nil {
-		var err error
-		if metaJSON, err = json.Marshal(meta); err != nil {
-			return err
-		}
+		metaJSON, _ = json.Marshal(meta)
 	}
 	portsJSON, err := json.Marshal(ports)
 	if err != nil {

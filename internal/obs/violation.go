@@ -97,8 +97,8 @@ type ViolationEvent struct {
 
 // Less is the canonical violation-event order: time, then source, then
 // every identifying field. Several emitters (delivery taps, the SLO's
-// window violations) append to one log; sorting by Less before clustering makes
-// incident output independent of their interleaving.
+// window violations) append to one slice; sorting by Less before clustering
+// makes incident output independent of their interleaving.
 func (e *ViolationEvent) Less(o *ViolationEvent) bool {
 	if e.TimeNs != o.TimeNs {
 		return e.TimeNs < o.TimeNs
@@ -130,45 +130,4 @@ func (e *ViolationEvent) Less(o *ViolationEvent) bool {
 // SortViolationEvents puts events in the canonical order.
 func SortViolationEvents(evs []ViolationEvent) {
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Less(&evs[j]) })
-}
-
-// ViolationLog collects ViolationEvents from every emitter (the
-// delivery taps during the run, the SLO's window violations once it is
-// evaluated), all on the simulation goroutine. Observe appends to a
-// buffer that grows like any slice with the events recorded, which
-// amortizes to zero allocations per event, so a run without violations
-// allocates none; a log presized by NewViolationLog does not allocate
-// until its capacity is used up.
-//
-// A nil *ViolationLog ignores events, so call sites can wire the tap
-// unconditionally.
-type ViolationLog struct {
-	evs []ViolationEvent
-}
-
-// NewViolationLog returns a log with room for capacity events before its
-// buffer first grows; capacity <= 0 allocates nothing until the first
-// event.
-func NewViolationLog(capacity int) *ViolationLog {
-	return &ViolationLog{evs: make([]ViolationEvent, 0, max(capacity, 0))}
-}
-
-// Observe appends one event; allocation-free while the presized
-// capacity lasts.
-func (l *ViolationLog) Observe(ev ViolationEvent) {
-	if l == nil {
-		return
-	}
-	l.evs = append(l.evs, ev)
-}
-
-// Events returns a copy of the collected events in canonical order.
-func (l *ViolationLog) Events() []ViolationEvent {
-	if l == nil {
-		return nil
-	}
-	out := make([]ViolationEvent, len(l.evs))
-	copy(out, l.evs)
-	SortViolationEvents(out)
-	return out
 }

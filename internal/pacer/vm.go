@@ -129,10 +129,6 @@ type VM struct {
 	queued  int
 	ready   ring[Packet] // committed packets in (Release, seq) order
 	seq     uint64
-
-	// onCommit, if set, observes every committed emission (release
-	// stamp, wire bytes) — the introspection plane's envelope tap.
-	onCommit func(releaseNs int64, bytes int)
 }
 
 // NewVM returns a pacer for one VM, with buckets full at time start.
@@ -152,14 +148,6 @@ func NewVM(id int, g Guarantee, start int64) *VM {
 		byID: make(map[int]*dest),
 	}
 }
-
-// SetCommitTap installs fn to observe every packet the scheduler
-// commits through the bucket chain, carrying the exact release stamp
-// and wire bytes the {B, S} buckets authorized. Commits are produced
-// in nondecreasing release order, so fn may feed a streaming envelope
-// estimator directly. One tap per VM; nil detaches. The tap runs on
-// the VM's scheduling path, so it must not allocate or block.
-func (v *VM) SetCommitTap(fn func(releaseNs int64, bytes int)) { v.onCommit = fn }
 
 // destFor returns dst's record, creating it on first sight.
 func (v *VM) destFor(dst int) *dest {
@@ -315,9 +303,6 @@ func (v *VM) Schedule(upTo int64) {
 		}
 		v.avg.Commit(bestR, e.bytes)
 		v.cap.Commit(bestR, e.bytes)
-		if v.onCommit != nil {
-			v.onCommit(bestR, e.bytes)
-		}
 		*v.readySlot(bestR, e.seq) = Packet{Ref: e.ref, Bytes: e.bytes, Release: bestR, enq: e.enq, seq: e.seq, Gate: bestGate}
 		best.q.drop()
 		best.stageOK = false

@@ -39,7 +39,6 @@ var reachAllowlist = map[string]string{
 	"netsim.Queue.Down":                              "seam: reads a live Queue's link state after a fault schedule (faults tests)",
 	"pacer.HostPacer.Pending":                        "seam: reads a live HostPacer's backlog (batch and frame tests drain it)",
 	"pacer.VM.DestRate":                              "seam: reads the hose rate a live VM's destination bucket was retuned to (pacer and core coordination tests)",
-	"obs.GuaranteeAuditor.ObserveDelay":              "seam: drives a live GuaranteeAuditor with a bare delay (obs, slo and dashboard tests)",
 	"obs/introspect.Introspector.SetPortBounds":      "seam: installs bounds on a live Introspector without a placement manager (introspect and planes tests)",
 	"placement/durable.Manager.InjectAppendFailures": "seam: makes a live Manager's WAL appends fail (retry, abort and ladder tests)",
 	"placement/durable.Manager.InjectSyncFailures":   "seam: makes a live Manager's fsyncs fail (TestFailedSyncDoesNotResurrectAbortedCommit)",
