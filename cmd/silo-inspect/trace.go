@@ -1,5 +1,17 @@
-// Command silo-trace analyzes a flight trace recorded by
-// silo-sim -trace: the per-message latency attribution
+package main
+
+import (
+	"flag"
+	"fmt"
+	"os"
+
+	"repro/internal/obs"
+	"repro/internal/obs/introspect"
+	"repro/internal/obs/slo"
+)
+
+// traceCmd analyzes a flight trace recorded by silo-sim -trace: the
+// per-message latency attribution
 //
 //	pacing + queueing + serialization + propagation = NIC-to-NIC delay
 //
@@ -9,12 +21,10 @@
 // often it is a message's worst hop), and a drill-down of every
 // delay-bound violation with its culprit port.
 //
-// Usage:
-//
 //	silo-sim -scheme tcp -duration 0.05 -trace run.json
-//	silo-trace run.json
-//	silo-trace -top 10 -violations run.json
-//	silo-trace -windows run.json
+//	silo-inspect trace run.json
+//	silo-inspect trace -top 10 -violations run.json
+//	silo-inspect trace -windows run.json
 //
 // -windows adds the SLO view of the trace: per-tenant conformance
 // bucketed into fixed windows, each violating window naming the
@@ -31,53 +41,30 @@
 // modeled headroom.
 //
 // Recordings are Chrome trace JSON: the same file carries full per-hop
-// detail for silo-trace and loads directly in Perfetto.
-package main
-
-import (
-	"flag"
-	"fmt"
-	"os"
-	"strings"
-
-	"repro/internal/obs"
-	"repro/internal/obs/introspect"
-	"repro/internal/obs/slo"
-)
-
-func main() {
+// detail for this reader and loads directly in Perfetto.
+func traceCmd(args []string) int {
+	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	var (
-		top        = flag.Int("top", 5, "show the K slowest messages hop by hop")
-		violations = flag.Bool("violations", false, "drill into every delay-bound violation (default: first 3)")
-		portsN     = flag.Int("ports", 10, "rows in the per-port queueing table")
-		windows    = flag.Bool("windows", false, "windowed per-tenant SLO conformance with culprit ports")
-		windowMs   = flag.Float64("window", 1, "window width for -windows, in simulated milliseconds")
-		why        = flag.Uint64("why", 0, "explain packet N: join its hops with the introspection snapshot's port margins and the sender's fitted envelope (needs -margins)")
-		marginsIn  = flag.String("margins", "", "introspection snapshot written by silo-sim -introspect (required by -why)")
+		top        = fs.Int("top", 5, "show the K slowest messages hop by hop")
+		violations = fs.Bool("violations", false, "drill into every delay-bound violation (default: first 3)")
+		portsN     = fs.Int("ports", 10, "rows in the per-port queueing table")
+		windows    = fs.Bool("windows", false, "windowed per-tenant SLO conformance with culprit ports")
+		windowMs   = fs.Float64("window", 1, "window width for -windows, in simulated milliseconds")
+		why        = fs.Uint64("why", 0, "explain packet N: join its hops with the introspection snapshot's port margins and the sender's fitted envelope (needs -margins)")
+		marginsIn  = fs.String("margins", "", "introspection snapshot written by silo-sim -introspect (required by -why)")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: silo-trace [flags] <trace.json>\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
+	path := parse(fs, args, "<trace.json>")
 	windowNs := int64(*windowMs * 1e6)
 	if windowNs <= 0 {
 		fmt.Fprintf(os.Stderr, "-window: must be > 0, got %g\n", *windowMs)
-		os.Exit(2)
+		return 2
 	}
 
-	meta, ports, spans, err := obs.ReadTraceFileMeta(flag.Arg(0))
+	meta, ports, spans, err := obs.ReadTraceFileMeta(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
-	if line := meta.CommentLine(); line != "" {
-		fmt.Printf("recorded by: %s\n", strings.TrimPrefix(line, "# run: "))
-	}
+	provenance(meta)
 
 	sum := obs.SummarizeFlight(spans)
 	fmt.Println(sum.Render())
@@ -142,22 +129,21 @@ func main() {
 	if *why != 0 {
 		if *marginsIn == "" {
 			fmt.Fprintln(os.Stderr, "-why needs -margins <file> (written by silo-sim -introspect)")
-			os.Exit(2)
+			return 2
 		}
 		snap, err := introspect.ReadFile(*marginsIn)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := explainPacket(spans, ports, snap, *why); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
 	if sum.Complete > 0 && sum.MaxAttributionErrNs == 0 {
 		fmt.Println("\nattribution identity holds exactly (0 ns error) on all complete spans")
 	}
+	return 0
 }
 
 func pct(part, whole int64) float64 {

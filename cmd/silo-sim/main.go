@@ -29,9 +29,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/dashboard"
-	"repro/internal/placement/durable"
 	"repro/internal/tenant"
-	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -54,8 +52,6 @@ func main() {
 		windowMs     = flag.Float64("window", 1, "SLO window in simulated milliseconds")
 		faultSched   = flag.String("fault", "", "fault schedule, e.g. \"t=20ms link 14 down; t=30ms up\" or \"t=20ms switch tor0 down\" (targets: link PORT, switch core|podN|torN, host ID; actions: down, up, gray DUR, flap NxDOWN/UP)")
 		faultDetect  = flag.Duration("fault-detect", 500*time.Microsecond, "control-loop detection delay between an injected fault and the placement Recover call (silo scheme only)")
-		walDir       = flag.String("wal", "", "durable store directory: write-ahead log every placement mutation (admission, fault recovery, restore) and recover prior control-plane state on start (silo scheme only)")
-		snapEvery    = flag.Int("snapshot-every", 0, "with -wal: snapshot + rotate the log every N mutations (0 = default 1024, negative disables)")
 	)
 	flag.Parse()
 
@@ -105,14 +101,6 @@ func main() {
 	}
 	if !*sloReport && *seriesOut == "" && *incidentsOut == "" && flagGiven("window") {
 		fmt.Fprintln(os.Stderr, "-window requires -slo-report, -series or -incidents")
-		os.Exit(2)
-	}
-	if *walDir != "" && *schemeName != "silo" {
-		fmt.Fprintln(os.Stderr, "-wal requires -scheme silo (the comparison placers have no durable state)")
-		os.Exit(2)
-	}
-	if *walDir == "" && flagGiven("snapshot-every") {
-		fmt.Fprintln(os.Stderr, "-snapshot-every requires -wal")
 		os.Exit(2)
 	}
 	// Both tenants span two fault domains, so each needs two VMs.
@@ -193,19 +181,7 @@ func main() {
 		sc.Planes.SLOWindowNs = windowNs
 	}
 
-	env := experiments.Env{Meta: &meta}
-	var dur *durable.Manager
-	if *walDir != "" {
-		if env.Tree, err = topology.New(sc.Topology); err == nil {
-			dur, err = openStore(*walDir, *snapEvery, env.Tree, sc.Tenants, &meta)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		env.Placer = dur // mutations go through dur so they are logged
-	}
-	run, err := experiments.Build(sc, env)
+	run, err := experiments.Build(sc, experiments.Env{Meta: &meta})
 	if err == nil && len(run.Rejected) > 0 {
 		err = run.Rejected[0]
 	}
@@ -249,9 +225,6 @@ func main() {
 		fmt.Println("fault injection:")
 		for _, ev := range run.Injector.Events() {
 			fmt.Printf("  %s\n", ev)
-		}
-		if run.RecoverErr != nil {
-			fmt.Fprintf(os.Stderr, "wal: recovery aborted, log unavailable: %v\n", run.RecoverErr)
 		}
 		for _, rep := range run.Recoveries {
 			if len(rep.Affected) > 0 {
@@ -305,21 +278,16 @@ func main() {
 	}
 	if *seriesOut != "" {
 		rs := nw.Sim.RuntimeStats()
-		opts := dashboard.Options{
-			Title:     "silo-sim " + *schemeName,
-			SLO:       run.SLO,
-			Ports:     obs.PortsOf(nw),
-			Incidents: run.Incidents,
-			Runtime:   &rs,
-			Meta:      &meta,
-		}
-		if dur != nil {
-			st := dur.Status()
-			opts.WAL = &st
-		}
 		f, err := os.Create(*seriesOut)
 		if err == nil {
-			err = dashboard.WriteJSON(f, opts)
+			err = dashboard.WriteJSON(f, dashboard.Options{
+				Title:     "silo-sim " + *schemeName,
+				SLO:       run.SLO,
+				Ports:     obs.PortsOf(nw),
+				Incidents: run.Incidents,
+				Runtime:   &rs,
+				Meta:      &meta,
+			})
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -330,15 +298,6 @@ func main() {
 		}
 		fmt.Printf("time-series payload written to %s\n", *seriesOut)
 	}
-	if dur != nil {
-		// Flush the fsync batch and close: a clean shutdown (including
-		// one triggered by SIGINT/SIGTERM above) loses no records.
-		if err := dur.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "wal close: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wal: %d mutations logged to %s\n", dur.Seq(), dur.Dir())
-	}
 }
 
 // flagGiven reports whether the named flag was set on the command line.
@@ -346,31 +305,4 @@ func flagGiven(name string) bool {
 	given := false
 	flag.Visit(func(f *flag.Flag) { given = given || f.Name == name })
 	return given
-}
-
-// openStore opens (or recovers) the durable placement store over the
-// scenario's tree. The scenario's tenants have fixed IDs; a recovered
-// store may still hold them from the previous run, and the data plane
-// is redeployed from scratch each run, so the old admissions are
-// released (logged like any mutation) before the run re-places them.
-func openStore(dir string, snapEvery int, tree *topology.Tree, tenants []experiments.Tenant, meta *obs.RunMeta) (*durable.Manager, error) {
-	dur, info, err := durable.Open(dir, tree, durable.Options{
-		SnapshotEvery: snapEvery,
-		Meta:          meta,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println(info.Render())
-	if info.SafeMode {
-		fmt.Fprintln(os.Stderr, "warning: store recovered into safe mode; new admissions will be rejected")
-	}
-	for _, t := range tenants {
-		if _, ok := dur.Placement(t.Spec.ID); ok {
-			if err := dur.Remove(t.Spec.ID); err != nil {
-				return nil, fmt.Errorf("wal: releasing recovered tenant %d: %w", t.Spec.ID, err)
-			}
-		}
-	}
-	return dur, nil
 }

@@ -230,20 +230,23 @@ func TestCLI(t *testing.T) {
 	// one-VM tenant cannot span its two fault domains (it used to exit 1
 	// naming a FaultDomains setting no flag sets), and an empty topology
 	// used to exit 1 with the topology struct dumped. A negative
-	// -fault-detect used to run as 0, and -snapshot-every without -wal,
-	// -trace-sample without -trace and -window without a plane that
-	// closes windows used to be ignored. -metrics, the Prometheus export,
-	// is gone: its answers live in series.json, -introspect and the audit
-	// line. No file flag takes "-": -trace, -series and -introspect used
-	// to write a file named "-", and -incidents put its JSON on stdout
-	// between the rendered report and a trailing line.
+	// -fault-detect used to run as 0, and -trace-sample without -trace
+	// and -window without a plane that closes windows used to be ignored.
+	// -metrics, the Prometheus export, is gone: its answers live in
+	// series.json, -introspect and the audit line. -wal and
+	// -snapshot-every are gone: the run recovered a store only to release
+	// every tenant it found, so the store never fed the run. No file flag
+	// takes "-": -trace, -series and -introspect used to write a file
+	// named "-", and -incidents put its JSON on stdout between the
+	// rendered report and a trailing line.
 	for _, c := range []struct{ args, want string }{
 		{"-window 1e-7 -slo-report", "-window: must be > 0, got 1e-07"},
 		{"-window 0", "-window: must be > 0, got 0"},
 		{"-duration -1", "-duration: must be >= 0, got -1"},
 		{"-vms-a 1", "-vms-a: must be at least 2 (the tenant spans 2 fault domains), got 1"},
 		{"-vms-b 1", "-vms-b: must be at least 2 (the tenant spans 2 fault domains), got 1"},
-		{"-snapshot-every 5", "-snapshot-every requires -wal"},
+		{"-snapshot-every 5", "flag provided but not defined: -snapshot-every"},
+		{"-wal store", "flag provided but not defined: -wal"},
 		{"-racks 0", "-racks: must be at least 1, got 0"},
 		{"-racks -2", "-racks: must be at least 1, got -2"},
 		{"-servers 0", "-servers: must be at least 1, got 0"},

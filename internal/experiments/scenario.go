@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs/introspect"
 	"repro/internal/obs/slo"
 	"repro/internal/placement"
-	"repro/internal/placement/durable"
 	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/topology"
@@ -70,8 +69,7 @@ type Scenario struct {
 	HorizonNs, DrainNs int64
 
 	// Faults is a schedule in faults.ParseSchedule syntax ("" = none).
-	// When the placer can recover (the Silo manager, bare or durable),
-	// every down event triggers Recover DetectNs later and every up
+	// When the placer can recover (the Silo manager), every down event triggers Recover DetectNs later and every up
 	// event returns the repaired servers to the pool. FaultGraceNs
 	// extends each outage window for SLO attribution.
 	Faults                 string
@@ -187,9 +185,9 @@ type Planes struct {
 }
 
 // Env is what a caller injects that is not scenario data: run
-// provenance, and a placer of its own over a tree it built (silo-sim's
-// durable wrapper; Silo placement under an unpaced scheme) — the two go
-// together, a placer needs the tree it was made over. The zero Env runs
+// provenance, and a placer of its own over a tree it built (Silo
+// placement under an unpaced scheme) — the two go together, a placer
+// needs the tree it was made over. The zero Env runs
 // the scheme's own placer unobserved.
 type Env struct {
 	Meta   *obs.RunMeta
@@ -217,13 +215,6 @@ type TenantRun struct {
 	epoch int
 }
 
-// recoverer is the part of the Silo manager (bare or durable) the
-// fault control loop drives.
-type recoverer interface {
-	Recover(failedServers, failedPorts []int) (*placement.RecoveryReport, error)
-	RestoreServers(servers ...int) error
-}
-
 // Run is a built scenario: the network with tenants deployed, planes
 // attached and drivers scheduled. Execute advances it; Finish harvests.
 type Run struct {
@@ -231,9 +222,8 @@ type Run struct {
 	Tree     *topology.Tree
 	Net      *netsim.Network
 	Ctl      *core.Controller
-	// Manager is the Silo manager doing the admission (the one inside a
-	// durable wrapper: read-only diagnostics), nil under the baseline
-	// placers.
+	// Manager is the Silo manager doing the admission, nil under the
+	// baseline placers.
 	Manager *placement.Manager
 	// Tenants are the admitted tenants in offer order; Rejected holds
 	// one error per tenant admission control turned down.
@@ -250,10 +240,6 @@ type Run struct {
 	Injector   *faults.Injector
 	// Recoveries holds one report per down event, in event order.
 	Recoveries []*placement.RecoveryReport
-	// RecoverErr is the first error the fault loop's Recover or
-	// RestoreServers returned (ErrLogFailed: the manager's commit log
-	// failed and that step was aborted), nil if none did.
-	RecoverErr error
 
 	// Filled by Finish: the assembled flight trace with its violating
 	// spans, the introspection snapshot, the evaluated SLO and the
@@ -312,12 +298,7 @@ func Build(sc Scenario, env Env) (*Run, error) {
 		rng:      stats.NewRand(sc.Seed),
 		nextVM:   sc.VMBase,
 	}
-	switch a := r.Ctl.Algorithm().(type) {
-	case *placement.Manager:
-		r.Manager = a
-	case *durable.Manager:
-		r.Manager = a.Manager
-	}
+	r.Manager, _ = r.Ctl.Algorithm().(*placement.Manager)
 
 	admitted := 0
 	for _, t := range sc.Tenants {
@@ -442,21 +423,18 @@ func (r *Run) injectFaults() error {
 	}
 	r.Injector = faults.NewInjector(r.Net)
 	r.Injector.GraceNs = sc.FaultGraceNs
-	if rc, ok := r.Ctl.Algorithm().(recoverer); ok {
+	if m := r.Manager; m != nil {
 		r.Injector.OnEvent = func(ev faults.Event) {
 			r.Net.Sim.After(sc.DetectNs, func() {
-				var err error
+				// Both calls fail only with placement.ErrLogFailed, a
+				// commit hook's failure, and this manager has no hook.
 				if !ev.Kind.IsDown() {
-					err = rc.RestoreServers(ev.Servers...)
-				} else {
-					var rep *placement.RecoveryReport
-					rep, err = rc.Recover(ev.Servers, ev.Ports)
-					r.Recoveries = append(r.Recoveries, rep)
-					r.recovered(rep)
+					_ = m.RestoreServers(ev.Servers...)
+					return
 				}
-				if r.RecoverErr == nil {
-					r.RecoverErr = err
-				}
+				rep, _ := m.Recover(ev.Servers, ev.Ports)
+				r.Recoveries = append(r.Recoveries, rep)
+				r.recovered(rep)
 			})
 		}
 	}

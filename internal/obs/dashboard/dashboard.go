@@ -1,8 +1,7 @@
 // Package dashboard writes series.json, the payload silo-sim -series
 // leaves at the end of a run: the SLO recorder's every window with the
 // reports and events evaluated from them, the incident report, the
-// engine's self-telemetry, the durable store's status and the run's
-// provenance.
+// engine's self-telemetry and the run's provenance.
 package dashboard
 
 import (
@@ -15,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/incident"
 	"repro/internal/obs/slo"
-	"repro/internal/placement/durable"
 )
 
 // Options wires the payload's data sources. Any of them may be nil:
@@ -32,8 +30,6 @@ type Options struct {
 	// Runtime is the simulator's self-telemetry report, taken after
 	// the run (typically nw.Sim.RuntimeStats()).
 	Runtime *netsim.RuntimeStats
-	// WAL is the durable store's status (nil when the run has no -wal).
-	WAL *durable.Status
 	// Meta stamps the payload with run provenance.
 	Meta *obs.RunMeta
 }
@@ -48,9 +44,6 @@ type Payload struct {
 	// Runtime is the engine self-telemetry report (wheel, overflow-heap
 	// and arena pressure).
 	Runtime *netsim.RuntimeStats `json:"runtime,omitempty"`
-	// WAL is the durable store's status (seq, segment size, safe mode,
-	// how the last recovery went).
-	WAL *durable.Status `json:"wal,omitempty"`
 	// Meta is the producing run's provenance.
 	Meta *obs.RunMeta `json:"meta,omitempty"`
 }
@@ -80,15 +73,11 @@ type EventView struct {
 // json.Encoder writes for Payload with SetIndent("", " "), appended in
 // one pass into one buffer. The title, the slo block — every window's
 // point read straight from the recorder's rows — and the runtime block
-// are appended field by field; only the small incidents, wal and meta
+// are appended field by field; only the small incidents and meta
 // blocks go through json.Marshal, laid out at their depth by
 // obs.AppendIndented. Payload is the schema a reader decodes.
 func WriteJSON(w io.Writer, opts Options) error {
 	incidents, err := marshal(opts.Incidents)
-	if err != nil {
-		return err
-	}
-	wal, err := marshal(opts.WAL)
 	if err != nil {
 		return err
 	}
@@ -99,7 +88,7 @@ func WriteJSON(w io.Writer, opts Options) error {
 	if err := checkFloats(opts.SLO, opts.Runtime); err != nil {
 		return err
 	}
-	size := 4096 + 2*(len(incidents)+len(wal)+len(meta))
+	size := 4096 + 2*(len(incidents)+len(meta))
 	if s := opts.SLO; s != nil {
 		size += len(s.Reports)*(1024+pointBytes*int(s.Windows)) + 640*len(s.Events)
 	}
@@ -125,9 +114,6 @@ func WriteJSON(w io.Writer, opts Options) error {
 		b = appendFloat(b, ",\n   \"ev_hit_rate\": ", e.EvHitRate)
 		b = appendFloat(b, ",\n   \"pkt_hit_rate\": ", e.PktHitRate)
 		b = append(b, "\n  }\n }"...)
-	}
-	if wal != nil {
-		b = obs.AppendIndented(append(b, ",\n \"wal\": "...), wal, 1, 1)
 	}
 	if meta != nil {
 		b = obs.AppendIndented(append(b, ",\n \"meta\": "...), meta, 1, 1)

@@ -15,13 +15,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/incident"
 	"repro/internal/obs/slo"
-	"repro/internal/placement/durable"
 )
 
 // buildPayload assembles the series.json document from the wired
 // sources through the reader's schema: the oracle WriteJSON is held to.
 func buildPayload(opts Options) Payload {
-	p := Payload{Title: opts.Title, Incidents: opts.Incidents, Runtime: opts.Runtime, WAL: opts.WAL, Meta: opts.Meta}
+	p := Payload{Title: opts.Title, Incidents: opts.Incidents, Runtime: opts.Runtime, Meta: opts.Meta}
 	if s := opts.SLO; s != nil {
 		v := &SLOView{Objective: slo.Objective, WindowNs: s.WindowNs, Windows: s.Windows}
 		for _, r := range s.Reports {
@@ -79,7 +78,7 @@ func TestBuildPayload(t *testing.T) {
 	if len(p.SLO.Events) == 0 || !strings.Contains(p.SLO.Events[0].Text, "tenant=3") {
 		t.Errorf("events = %+v", p.SLO.Events)
 	}
-	if p.Incidents != nil || p.Runtime != nil || p.WAL != nil || p.Meta != nil {
+	if p.Incidents != nil || p.Runtime != nil || p.Meta != nil {
 		t.Errorf("unwired sources present in the payload: %+v", p)
 	}
 }
@@ -104,34 +103,6 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if p.SLO == nil || len(p.SLO.Tenants) != 1 || len(p.SLO.Tenants[0].Points) != 4 || p.Meta == nil || p.Meta.Seed != 42 {
 		t.Errorf("round trip = %+v", p)
-	}
-}
-
-func TestBuildPayloadWALPanel(t *testing.T) {
-	opts := testSources(t)
-	st := &durable.Status{
-		Dir: "/tmp/store", Segment: "wal-0000000000000001.log",
-		Seq: 42, WALSizeBytes: 6720,
-		Recovery: &durable.RecoveryInfo{SnapshotSeq: 30, ReplayedRecords: 12, TornTail: true, TruncatedBytes: 9},
-	}
-	opts.WAL = st
-	p := buildPayload(opts)
-	if p.WAL == nil || p.WAL.Seq != 42 || p.WAL.Recovery.ReplayedRecords != 12 {
-		t.Fatalf("wal view = %+v", p.WAL)
-	}
-	b, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"wal"`, `"seq":42`, `"torn_tail":true`} {
-		if !strings.Contains(string(b), want) {
-			t.Fatalf("payload JSON missing %s:\n%s", want, b)
-		}
-	}
-	// A nil status keeps the block absent.
-	opts.WAL = nil
-	if p := buildPayload(opts); p.WAL != nil {
-		t.Fatal("nil status should omit the block")
 	}
 }
 
@@ -239,7 +210,7 @@ func TestAppendIndentedProperty(t *testing.T) {
 // window or mid-run (reading zeros before it), with or without a delay
 // bound, some delivering 10^13 messages a window so burn rates take
 // encoding/json's e form; fault labels, port names and the title made
-// of jsonPieces; and each of incidents, runtime, wal and meta present
+// of jsonPieces; and each of incidents, runtime and meta present
 // or absent. what names the features the draw covers.
 func randPayload(rng *rand.Rand) (opts Options, what []string) {
 	opts.Title = randJSONString(rng)
@@ -318,13 +289,6 @@ func randPayload(rng *rand.Rand) (opts Options, what []string) {
 		opts.Runtime = &rs
 	}
 	if rng.Intn(2) == 0 {
-		opts.WAL = &durable.Status{Dir: randJSONString(rng), Seq: rng.Uint64(), SafeMode: rng.Intn(2) == 0}
-		if rng.Intn(2) == 0 {
-			opts.WAL.Recovery = &durable.RecoveryInfo{SnapshotSeq: rng.Uint64(), TornTail: true, ReplayNs: rng.Int63()}
-		}
-		what = append(what, "wal")
-	}
-	if rng.Intn(2) == 0 {
 		opts.Meta = &obs.RunMeta{Tool: randJSONString(rng), Version: "v", Seed: rng.Int63n(3), Flags: randJSONString(rng)}
 		what = append(what, "meta")
 	}
@@ -375,7 +339,7 @@ func TestSeriesWriterMatchesEncoderProperty(t *testing.T) {
 		}
 	}
 	for _, feature := range []string{"mid-run tenant", "0 windows", "1 windows", "2 windows", "empty events", "null events", "events",
-		"null tenants", "untracked report", "e-form float", "violated_during_fault", "fault", "incidents", "wal", "meta"} {
+		"null tenants", "untracked report", "e-form float", "violated_during_fault", "fault", "incidents", "meta"} {
 		if seen[feature] == 0 {
 			t.Errorf("seed %d: no payload covered %s: %v", seed, feature, seen)
 		}

@@ -14,7 +14,7 @@
 //     admitted aggregate (the "guarantee margin" — margin ≤ 0 means
 //     the model was wrong or a fault loosened it);
 //   - Snapshot/Render join both into one deterministic report, which
-//     the CLIs export as JSON for silo-trace's -why drill-down.
+//     the CLIs export as JSON for silo-inspect trace's -why drill-down.
 //
 // Every hot-path tap is allocation-free, and a snapshot is a pure
 // function of the simulation, so it is byte-identical from run to run.

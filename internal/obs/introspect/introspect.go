@@ -269,7 +269,7 @@ func (s *Snapshot) Render() string {
 }
 
 // WriteFile writes the snapshot as JSON (the silo-sim sidecar that
-// silo-trace -why joins against).
+// silo-inspect trace -why joins against).
 func (s *Snapshot) WriteFile(path string) error {
 	// Ports are already ascending; keep envelopes sorted by VM for a
 	// stable on-disk form regardless of registration order.

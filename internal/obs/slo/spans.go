@@ -1,6 +1,6 @@
 // Span-backed windows: given flight-recorder spans annotated by
 // obs.AnnotateSpans, how each tenant's conformance evolved window by
-// window in a recorded trace, which is what silo-trace -windows
+// window in a recorded trace, which is what silo-inspect trace -windows
 // renders.
 
 package slo
@@ -77,8 +77,8 @@ func WindowsFromSpans(spans []obs.FlightSpan, windowNs int64) map[int32][]TraceW
 	return out
 }
 
-// RenderTraceWindows formats WindowsFromSpans output for silo-trace
-// -windows: one block per tenant, one line per window, culprits named.
+// RenderTraceWindows formats WindowsFromSpans output for silo-inspect
+// trace -windows: one block per tenant, one line per window, culprits named.
 func RenderTraceWindows(byTenant map[int32][]TraceWindow, ports []obs.PortMeta) string {
 	if len(byTenant) == 0 {
 		return "windowed conformance: no delay-bounded deliveries in trace\n"

@@ -32,8 +32,8 @@ type PortMeta struct {
 }
 
 // PortsOf exports nw's port table (name, rate, propagation) indexed by
-// topology port ID, the side table span reassembly and the silo-trace
-// CLI resolve hop records against.
+// topology port ID, the side table span reassembly and silo-inspect
+// trace resolve hop records against.
 func PortsOf(nw *netsim.Network) []PortMeta {
 	out := make([]PortMeta, len(nw.Queues))
 	for pid, q := range nw.Queues {

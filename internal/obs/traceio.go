@@ -13,7 +13,7 @@ import (
 // Perfetto / chrome://tracing: each span becomes one track (tid =
 // packet ID) of "X" complete events — pacing, then queue/ser/prop per
 // hop — with the machine-readable span records embedded verbatim under
-// otherData.silo, so silo-trace round-trips the full recording
+// otherData.silo, so silo-inspect trace round-trips the full recording
 // (per-hop data included) from the same file Perfetto renders.
 
 // siloTraceData is the machine-readable payload embedded in the Chrome

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"repro/internal/placement"
 	"repro/internal/tenant"
@@ -16,8 +15,7 @@ import (
 // the embedded manager.
 type Manager struct {
 	*placement.Manager
-	st   *store
-	info *RecoveryInfo
+	st *store
 }
 
 // Place admits a tenant, logging the decision before applying it. In
@@ -93,31 +91,6 @@ func (d *Manager) Dir() string { return d.st.dir }
 
 // SafeMode reports whether recovery gated admissions.
 func (d *Manager) SafeMode() bool { return d.st.safeMode }
-
-// Status is a point-in-time view of the store for the series.json
-// payload.
-type Status struct {
-	Dir          string `json:"dir"`
-	Segment      string `json:"segment"`
-	Seq          uint64 `json:"seq"`
-	WALSizeBytes int64  `json:"wal_size_bytes"`
-	SafeMode     bool   `json:"safe_mode"`
-	// Recovery is what Open did to produce this manager (static for
-	// the lifetime of the process).
-	Recovery *RecoveryInfo `json:"recovery,omitempty"`
-}
-
-// Status snapshots the store state.
-func (d *Manager) Status() Status {
-	return Status{
-		Dir:          d.st.dir,
-		Segment:      filepath.Base(d.st.w.path),
-		Seq:          d.st.seq,
-		WALSizeBytes: d.st.w.size,
-		SafeMode:     d.st.safeMode,
-		Recovery:     d.info,
-	}
-}
 
 // SetAppendObserver installs a test seam called after every record
 // lands in the log file and before its mutation is applied in memory —

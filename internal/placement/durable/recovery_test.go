@@ -71,9 +71,9 @@ func inspectGap(t *testing.T, dir, when string) {
 
 // TestCorruptSnapshotKeepsSafeModeAcrossReopen: a corrupt newest
 // snapshot is missing history, and it stays missing. Recovery leaves
-// the file where it is, so the second Open and silo-wal see the same
-// gap the first Open saw, instead of a store that forgot every tenant
-// the snapshot held and reads as healthy.
+// the file where it is, so the second Open and silo-inspect wal see the
+// same gap the first Open saw, instead of a store that forgot every
+// tenant the snapshot held and reads as healthy.
 func TestCorruptSnapshotKeepsSafeModeAcrossReopen(t *testing.T) {
 	dir, admitted := gappedStore(t)
 	inspectGap(t, dir, "before the first Open")

@@ -46,7 +46,7 @@ func (o Options) withDefaults() Options {
 }
 
 // storeConfig is the dir's config.json: enough to rebuild the
-// topology and manager options offline (silo-wal -verify) and to
+// topology and manager options offline (silo-inspect wal) and to
 // refuse opening a store against a mismatched fabric.
 type storeConfig struct {
 	Meta      *obs.RunMeta      `json:"meta,omitempty"`
@@ -130,7 +130,7 @@ type store struct {
 // Recovery is Inspect's walk plus one repair: each damaged segment is
 // cut back to its valid prefix. A seq gap brings the manager up in
 // safe mode, and a corrupt snapshot stays on disk, so every later Open
-// (and silo-wal) sees the same gap.
+// (and silo-inspect wal) sees the same gap.
 func Open(dir string, tree *topology.Tree, opts Options) (*Manager, *RecoveryInfo, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
@@ -179,7 +179,7 @@ func Open(dir string, tree *topology.Tree, opts Options) (*Manager, *RecoveryInf
 
 	m.SetCommitHook(st.commit)
 	info.ReplayNs = time.Since(start).Nanoseconds()
-	return &Manager{Manager: m, st: st, info: info}, info, nil
+	return &Manager{Manager: m, st: st}, info, nil
 }
 
 // commit is the placement manager's write-ahead hook: log the
