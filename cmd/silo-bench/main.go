@@ -177,7 +177,7 @@ func runFig5() error {
 		if err := obs.WriteTraceFileMeta(path, nil, rs.Ports, rs.Spans); err != nil {
 			fmt.Fprintf(os.Stderr, "fig5 trace: %v\n", err)
 		} else {
-			fmt.Printf("flight trace written to %s (inspect with silo-trace)\n", path)
+			fmt.Printf("flight trace written to %s (inspect with silo-inspect trace)\n", path)
 		}
 	}
 	fmt.Println("incident check — same workload unpaced under a 350 µs audited bound:")
@@ -198,7 +198,7 @@ func runFig5() error {
 			if err := ru.Incidents.WriteFile(path); err != nil {
 				fmt.Fprintf(os.Stderr, "fig5 incidents: %v\n", err)
 			} else {
-				fmt.Printf("incident report written to %s (inspect with silo-incident)\n", path)
+				fmt.Printf("incident report written to %s (inspect with silo-inspect incident)\n", path)
 			}
 		}
 	}
@@ -397,7 +397,7 @@ func runFaultDrill(seed uint64) error {
 		if err := r.Incidents.WriteFile(path); err != nil {
 			fmt.Fprintf(os.Stderr, "drill incidents: %v\n", err)
 		} else {
-			fmt.Printf("incident report written to %s (inspect with silo-incident)\n", path)
+			fmt.Printf("incident report written to %s (inspect with silo-inspect incident)\n", path)
 		}
 	}
 	if r.InvariantsErr != "" {

@@ -43,11 +43,11 @@ func main() {
 		vmsA         = flag.Int("vms-a", 9, "VMs of the delay-sensitive tenant")
 		vmsB         = flag.Int("vms-b", 9, "VMs of the bulk tenant")
 		seed         = flag.Uint64("seed", 3, "rng seed")
-		traceOut     = flag.String("trace", "", "record a flight trace and write it on exit as Chrome trace_event JSON (Perfetto, silo-trace)")
+		traceOut     = flag.String("trace", "", "record a flight trace and write it on exit as Chrome trace_event JSON (Perfetto, silo-inspect trace)")
 		traceSample  = flag.Int("trace-sample", 1, "flight-trace sampling divisor: record 1 in N packets (rounded up to a power of two)")
 		sloReport    = flag.Bool("slo-report", false, "print the per-tenant SLO conformance and burn-rate report after the run")
-		incidentsOut = flag.String("incidents", "", "correlate violations, SLO burns, envelope evidence and faults into root-caused incidents; print the report and write it as JSON to this file on exit (pair with -introspect for verdict evidence; inspect with silo-incident)")
-		introOut     = flag.String("introspect", "", "attach the introspection plane (per-VM envelope estimators, per-port guarantee margins) and write its snapshot as JSON to this file on exit (join with silo-trace -why)")
+		incidentsOut = flag.String("incidents", "", "correlate violations, SLO burns, envelope evidence and faults into root-caused incidents; print the report and write it as JSON to this file on exit (pair with -introspect for verdict evidence; inspect with silo-inspect incident)")
+		introOut     = flag.String("introspect", "", "attach the introspection plane (per-VM envelope estimators, per-port guarantee margins) and write its snapshot as JSON to this file on exit (join with silo-inspect trace -why)")
 		seriesOut    = flag.String("series", "", "write the per-window payload (every SLO window, SLO events, incidents, engine self-telemetry) as JSON to this file on exit")
 		windowMs     = flag.Float64("window", 1, "SLO window in simulated milliseconds")
 		faultSched   = flag.String("fault", "", "fault schedule, e.g. \"t=20ms link 14 down; t=30ms up\" or \"t=20ms switch tor0 down\" (targets: link PORT, switch core|podN|torN, host ID; actions: down, up, gray DUR, flap NxDOWN/UP)")
@@ -265,7 +265,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-introspect: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("introspection snapshot written to %s (join with silo-trace -why)\n", *introOut)
+		fmt.Printf("introspection snapshot written to %s (join with silo-inspect trace -why)\n", *introOut)
 	}
 	if run.Incidents != nil {
 		fmt.Println()
@@ -274,7 +274,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-incidents: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("incident report written to %s (inspect with silo-incident)\n", *incidentsOut)
+		fmt.Printf("incident report written to %s (inspect with silo-inspect incident)\n", *incidentsOut)
 	}
 	if *seriesOut != "" {
 		rs := nw.Sim.RuntimeStats()
