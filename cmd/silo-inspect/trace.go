@@ -173,18 +173,25 @@ func explainPacket(spans []obs.FlightSpan, ports []obs.PortMeta, snap *introspec
 	fmt.Printf("\n== why pkt %d ==\n", pkt)
 	fmt.Print(obs.RenderSpan(span, ports))
 
-	senderOK := true
-	if env, ok := snap.EnvelopeFor(int(span.SrcVM)); ok {
+	// sender is the sender's half of the verdict, "" once it broke its
+	// envelope. A span without a pacer enqueue has no known sender.
+	sender := "sender conforming"
+	switch env, ok := snap.EnvelopeFor(int(span.SrcVM)); {
+	case span.EnqueueNs < 0:
+		sender = "sender unknown"
+		fmt.Println("  sender vm?: unknown (no pacer enqueue in the trace: an unpaced packet or an ack)")
+	case !ok:
+		sender = "sender untracked"
+		fmt.Printf("  sender vm%d: no envelope tracked in the snapshot\n", span.SrcVM)
+	default:
 		verdict := "conforming"
 		if env.Violated {
 			verdict = "VIOLATED"
-			senderOK = false
+			sender = ""
 		}
 		fmt.Printf("  sender vm%d (tenant %d): admitted B=%.2f MBps S=%.1f KB, fitted B=%.2f MBps S*=%.1f KB — %s\n",
 			env.VMID, env.TenantID, env.AdmittedRateBps/1e6, env.AdmittedBurstBytes/1e3,
 			env.FittedRateBps/1e6, env.FittedBurstBytes/1e3, verdict)
-	} else {
-		fmt.Printf("  sender vm%d: no envelope tracked in the snapshot\n", span.SrcVM)
 	}
 
 	fmt.Printf("  %-16s %12s %12s %12s %12s\n", "port", "found(KB)", "hwm(KB)", "bound(KB)", "margin(KB)")
@@ -209,16 +216,19 @@ func explainPacket(spans []obs.FlightSpan, ports []obs.PortMeta, snap *introspec
 	}
 
 	switch {
-	case !senderOK:
+	case sender == "":
 		fmt.Printf("  verdict: the sender broke its admitted envelope — queueing past the bound is self-inflicted and the guarantee is void\n")
 	case tightPort >= 0 && tightMargin <= 0:
 		fmt.Printf("  verdict: port %d exhausted its modeled headroom (margin %.1f KB) — the admitted set's worst case was reached on this path\n",
 			tightPort, tightMargin/1e3)
-	case tightPort >= 0:
+	case tightPort >= 0 && sender == "sender conforming":
 		fmt.Printf("  verdict: sender conforming and every crossed port kept positive margin (tightest: port %d, %.1f KB) — delay sits inside the netcal bound by construction\n",
 			tightPort, tightMargin/1e3)
+	case tightPort >= 0:
+		fmt.Printf("  verdict: %s; every crossed port kept positive margin (tightest: port %d, %.1f KB)\n",
+			sender, tightPort, tightMargin/1e3)
 	default:
-		fmt.Printf("  verdict: sender conforming; no bounded port on the path (run silo-sim with -algo silo so BindPlacement has admission bounds)\n")
+		fmt.Printf("  verdict: %s; no bounded port on the path (run silo-sim with -scheme silo so BindPlacement has admission bounds)\n", sender)
 	}
 	return nil
 }

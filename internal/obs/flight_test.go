@@ -218,9 +218,26 @@ func TestAssembleFlightExactAttribution(t *testing.T) {
 	if s.WorstPort != 1 || s.WorstQueueNs != 50 {
 		t.Errorf("worst hop = port %d (%d ns), want port 1 (50 ns)", s.WorstPort, s.WorstQueueNs)
 	}
-	if got := RenderSpan(&s, flightTestPorts); !strings.Contains(got, "tor0->srv1") ||
-		!strings.Contains(got, "avg{B,S}") {
-		t.Errorf("RenderSpan missing port or gate name:\n%s", got)
+	if got := RenderSpan(&s, flightTestPorts); !strings.HasPrefix(got, "pkt 7  vm10 -> vm20  1500B") ||
+		!strings.Contains(got, "tor0->srv1") || !strings.Contains(got, "avg{B,S}") {
+		t.Errorf("RenderSpan missing sender, port or gate name:\n%s", got)
+	}
+}
+
+// An unpaced packet (or an ack) passes no pacer enqueue, the one event
+// that carries the sending VM: its span renders the sender as vm?, not
+// as VM 0.
+func TestRenderSpanUnpacedSenderUnknown(t *testing.T) {
+	r := NewFlightRecorder(64, 1)
+	r.Emit(FlightPortEnqueue, 0, 9, 0, 0, 0)
+	r.Emit(FlightPortTx, 0, 9, 0, 1200, 0)
+	r.Emit(FlightDeliver, 1400, 9, 20, 1400, 0)
+	spans := AssembleFlight(r.Events(), flightTestPorts)
+	if len(spans) != 1 || spans[0].EnqueueNs != -1 || spans[0].SrcVM != 0 {
+		t.Fatalf("spans = %+v, want one without an enqueue", spans)
+	}
+	if got := RenderSpan(&spans[0], flightTestPorts); !strings.HasPrefix(got, "pkt 9  vm? -> vm20  1500B") {
+		t.Errorf("unpaced span renders:\n%s", got)
 	}
 }
 

@@ -65,10 +65,13 @@ type FlightHop struct {
 // FlightSpan is one packet's reassembled lifecycle with its latency
 // attribution.
 type FlightSpan struct {
-	Pkt   uint64 `json:"pkt"`
-	SrcVM int32  `json:"src_vm"`
-	DstVM int32  `json:"dst_vm"`
-	Bytes int64  `json:"bytes"`
+	Pkt uint64 `json:"pkt"`
+	// SrcVM is the sending VM. Only the pacer's enqueue event carries
+	// it, so a span with EnqueueNs -1 (an unpaced packet or an ack)
+	// reads 0 here whoever sent it: its sender is unknown.
+	SrcVM int32 `json:"src_vm"`
+	DstVM int32 `json:"dst_vm"`
+	Bytes int64 `json:"bytes"`
 
 	// EnqueueNs is the VM pacer enqueue time (-1: unpaced or unknown).
 	EnqueueNs int64 `json:"enqueue_ns"`
@@ -402,7 +405,11 @@ func SlowestSpans(spans []FlightSpan, k int) []FlightSpan {
 // RenderSpan formats one span's hop-by-hop attribution for drill-down.
 func RenderSpan(s *FlightSpan, ports []PortMeta) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "pkt %d  vm%d -> vm%d  %dB  total=%.2fµs", s.Pkt, s.SrcVM, s.DstVM, s.Bytes, float64(s.TotalNs)/1e3)
+	src := "vm?"
+	if s.EnqueueNs >= 0 {
+		src = fmt.Sprintf("vm%d", s.SrcVM)
+	}
+	fmt.Fprintf(&b, "pkt %d  %s -> vm%d  %dB  total=%.2fµs", s.Pkt, src, s.DstVM, s.Bytes, float64(s.TotalNs)/1e3)
 	if s.BoundNs > 0 {
 		fmt.Fprintf(&b, "  bound=%.2fµs", float64(s.BoundNs)/1e3)
 		if s.Violated() {
