@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"repro/internal/obs/incident"
 )
@@ -20,7 +21,8 @@ import (
 // injected-fault, self-inflicted, neighbor-interference, bound-breach,
 // unexplained — and the drill-down shows the causal timeline that
 // justifies it. Exit status is 1 when the report contains bound-breach
-// incidents (the paper-falsifying case) so scripted drills page.
+// incidents (the paper-falsifying case) so scripted drills page, and 2
+// when -id names an incident the report does not hold.
 func incidentCmd(args []string) int {
 	fs := flag.NewFlagSet("incident", flag.ExitOnError)
 	var (
@@ -32,6 +34,12 @@ func incidentCmd(args []string) int {
 	rep, err := incident.ReadFile(path)
 	if err != nil {
 		return fail(err)
+	}
+	// An -id the report lacks is a usage error, refused before the
+	// report prints.
+	if _, ok := rep.Incident(*id); *id != 0 && !ok {
+		fmt.Fprint(os.Stderr, rep.RenderIncident(*id)) // "incident N: not found (...)"
+		return 2
 	}
 	provenance(rep.Meta)
 	if !*quiet {

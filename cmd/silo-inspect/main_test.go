@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -12,6 +13,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/placement/durable"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
@@ -64,19 +67,24 @@ func TestCLI(t *testing.T) {
 		}
 		return out
 	}
-	// failWith runs silo-inspect and wants the exit status and a line of
-	// its combined output.
+	// failWith runs silo-inspect and wants the exit status, a line of
+	// stderr and nothing on stdout: a refusal comes before any report.
 	failWith := func(t *testing.T, code int, want string, args ...string) {
 		t.Helper()
 		cmd := exec.Command(bin["silo-inspect"], args...)
 		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != code {
-			t.Fatalf("silo-inspect %s: error %v, want exit status %d\n%s", strings.Join(args, " "), err, code, out)
+			t.Fatalf("silo-inspect %s: error %v, want exit status %d\n%s%s", strings.Join(args, " "), err, code, out, stderr.Bytes())
 		}
-		if !bytes.Contains(out, []byte(want)) {
-			t.Errorf("silo-inspect %s: output lacks %q:\n%s", strings.Join(args, " "), want, out)
+		if len(out) > 0 {
+			t.Errorf("silo-inspect %s: stdout before the refusal:\n%s", strings.Join(args, " "), out)
+		}
+		if !bytes.Contains(stderr.Bytes(), []byte(want)) {
+			t.Errorf("silo-inspect %s: stderr lacks %q:\n%s", strings.Join(args, " "), want, stderr.Bytes())
 		}
 	}
 	// retired checks that flags a subcommand no longer has exit 2 like
@@ -115,9 +123,27 @@ func TestCLI(t *testing.T) {
 		}
 		golden(t, "why", run(t, "silo-inspect", "trace", "-top", "0", "-why", string(m[1]), "-margins", "introspect.json", "trace.json"))
 
+		// A DCTCP run long enough to record a delay-bound violation: the
+		// violation drill-down with its culprit port, and the per-port
+		// table cut to three rows.
+		run(t, "silo-sim", "-scheme", "dctcp", "-duration", "0.05", "-trace", "dctcp.json", "-trace-sample", "8")
+		viol := run(t, "silo-inspect", "trace", "-top", "0", "-ports", "3", "dctcp.json")
+		for _, want := range []string{"delay-bound violations ==", "  culprit: ", "more ports\n"} {
+			if !bytes.Contains(viol, []byte(want)) {
+				t.Errorf("-top 0 -ports 3 lacks %q:\n%s", want, viol)
+			}
+		}
+		golden(t, "violations", viol)
+
 		// Retired flags: the live debug endpoint's, and -metrics, whose
 		// gauges repeated the summary line.
 		retired(t, "trace", []string{"-http", ":8080"}, []string{"-pprof"}, []string{"-metrics", "-"})
+
+		// -why without the snapshot it joins against is refused before the
+		// trace is read.
+		t.Run("why without margins", func(t *testing.T) {
+			failWith(t, 2, "-why needs -margins <file>", "trace", "-why", string(m[1]), "trace.json")
+		})
 
 		// A window narrower than 1 ns is refused, not replaced.
 		for _, w := range []struct{ arg, shown string }{{"0", "0"}, {"-5", "-5"}, {"1e-7", "1e-07"}} {
@@ -144,6 +170,11 @@ func TestCLI(t *testing.T) {
 		golden(t, "list", run(t, "silo-inspect", "incident", "drill/incidents.json"))
 		golden(t, "id1", run(t, "silo-inspect", "incident", "-q", "-id", "1", "drill/incidents.json"))
 
+		// An incident the report does not hold is a usage error.
+		t.Run("id not found", func(t *testing.T) {
+			failWith(t, 2, "incident 99: not found (1 incidents in report)", "incident", "-q", "-id", "99", "drill/incidents.json")
+		})
+
 		// Retired flags: the live debug endpoint's, and the re-exports
 		// the report's JSON already carries.
 		retired(t, "incident", []string{"-http", ":8080"}, []string{"-pprof"}, []string{"-csv", "-"},
@@ -169,6 +200,26 @@ func TestCLI(t *testing.T) {
 		plain, code := status(t, "silo-inspect", "wal", "store")
 		if report, _, _ := bytes.Cut(got, []byte("records:\n")); code != 0 || !bytes.Equal(plain, report) {
 			t.Errorf("without -records: exit %d and\n%s\nwant exit 0 and the report -records prints first:\n%s", code, plain, report)
+		}
+
+		// -json is the same report as a durable.InspectReport: it decodes
+		// with no unknown field and encodes back to the same bytes.
+		js := run(t, "silo-inspect", "wal", "-json", "store")
+		golden(t, "wal_json", js)
+		dec := json.NewDecoder(bytes.NewReader(js))
+		dec.DisallowUnknownFields()
+		var rep durable.InspectReport
+		if err := dec.Decode(&rep); err != nil {
+			t.Fatalf("-json does not decode into durable.InspectReport: %v", err)
+		}
+		var again bytes.Buffer
+		enc := json.NewEncoder(&again)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(&rep); err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() || rep.FinalSeq != 12 || !bytes.Equal(again.Bytes(), js) {
+			t.Errorf("-json round trip: OK %v, final seq %d (want 12), re-encoded:\n%s", rep.OK(), rep.FinalSeq, again.Bytes())
 		}
 
 		// Without snapshots the whole history is one segment. Cut it into

@@ -59,6 +59,10 @@ func traceCmd(args []string) int {
 		fmt.Fprintf(os.Stderr, "-window: must be > 0, got %g\n", *windowMs)
 		return 2
 	}
+	if *why != 0 && *marginsIn == "" {
+		fmt.Fprintln(os.Stderr, "-why needs -margins <file> (written by silo-sim -introspect)")
+		return 2
+	}
 
 	meta, ports, spans, err := obs.ReadTraceFileMeta(path)
 	if err != nil {
@@ -127,10 +131,6 @@ func traceCmd(args []string) int {
 	}
 
 	if *why != 0 {
-		if *marginsIn == "" {
-			fmt.Fprintln(os.Stderr, "-why needs -margins <file> (written by silo-sim -introspect)")
-			return 2
-		}
 		snap, err := introspect.ReadFile(*marginsIn)
 		if err != nil {
 			return fail(err)
