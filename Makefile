@@ -116,12 +116,12 @@ test-pacer:
 identity:
 	$(GO) test -count=1 -run 'TestCLI/golden_runs' ./cmd/silo-bench -all
 
-# The five example programs, the only callers of the public facade's
+# The three example programs, the only callers of the public facade's
 # Admit / Deploy / CoordinateHose besides the benchmark: each must run to
-# completion (about nine seconds together). README.md embeds
+# completion (about a second together once built). README.md embeds
 # quickstart's output verbatim.
 examples:
-	for e in quickstart oldi besteffort memcached datacenter; do $(GO) run ./examples/$$e > /dev/null || exit 1; done
+	for e in quickstart oldi besteffort; do $(GO) run ./examples/$$e > /dev/null || exit 1; done
 
 # The chaos soak: randomized churn against the durable store with
 # repeated crash-kills at random WAL offsets (including mid-record torn
