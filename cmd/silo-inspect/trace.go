@@ -179,7 +179,7 @@ func explainPacket(spans []obs.FlightSpan, ports []obs.PortMeta, snap *introspec
 	switch env, ok := snap.EnvelopeFor(int(span.SrcVM)); {
 	case span.EnqueueNs < 0:
 		sender = "sender unknown"
-		fmt.Println("  sender vm?: unknown (no pacer enqueue in the trace: an unpaced packet or an ack)")
+		fmt.Println("  sender vm?: unknown (no pacer enqueue in the trace: an unpaced packet, an ack, or an enqueue the ring overwrote)")
 	case !ok:
 		sender = "sender untracked"
 		fmt.Printf("  sender vm%d: no envelope tracked in the snapshot\n", span.SrcVM)

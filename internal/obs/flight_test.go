@@ -225,8 +225,8 @@ func TestAssembleFlightExactAttribution(t *testing.T) {
 }
 
 // An unpaced packet (or an ack) passes no pacer enqueue, the one event
-// that carries the sending VM: its span renders the sender as vm?, not
-// as VM 0.
+// that carries the sending VM, and a paced packet's can be overwritten
+// in the ring: such a span renders the sender as vm?, not as VM 0.
 func TestRenderSpanUnpacedSenderUnknown(t *testing.T) {
 	r := NewFlightRecorder(64, 1)
 	r.Emit(FlightPortEnqueue, 0, 9, 0, 0, 0)

@@ -67,8 +67,9 @@ type FlightHop struct {
 type FlightSpan struct {
 	Pkt uint64 `json:"pkt"`
 	// SrcVM is the sending VM. Only the pacer's enqueue event carries
-	// it, so a span with EnqueueNs -1 (an unpaced packet or an ack)
-	// reads 0 here whoever sent it: its sender is unknown.
+	// it, so a span with EnqueueNs -1 (an unpaced packet, an ack, or a
+	// paced packet whose enqueue the ring overwrote) reads 0 here
+	// whoever sent it: its sender is unknown.
 	SrcVM int32 `json:"src_vm"`
 	DstVM int32 `json:"dst_vm"`
 	Bytes int64 `json:"bytes"`
