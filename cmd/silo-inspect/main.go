@@ -19,29 +19,22 @@ import (
 	"repro/internal/obs"
 )
 
-// commands are the subcommands: each parses its own flags from args and
-// returns the exit status.
-var commands = []struct {
-	name string
-	run  func(args []string) int
-}{
-	{"trace", traceCmd},
-	{"incident", incidentCmd},
-	{"wal", walCmd},
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		fmt.Fprintln(os.Stderr, "usage: silo-inspect trace|incident|wal [flags] FILE|DIR")
 		os.Exit(2)
 	}
-	for _, c := range commands {
-		if c.name == os.Args[1] {
-			os.Exit(c.run(os.Args[2:]))
-		}
+	switch sub, args := os.Args[1], os.Args[2:]; sub {
+	case "trace":
+		os.Exit(traceCmd(args))
+	case "incident":
+		os.Exit(incidentCmd(args))
+	case "wal":
+		os.Exit(walCmd(args))
+	default:
+		fmt.Fprintf(os.Stderr, "silo-inspect: unknown subcommand %q (want trace, incident or wal)\n", sub)
+		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "silo-inspect: unknown subcommand %q (want trace, incident or wal)\n", os.Args[1])
-	os.Exit(2)
 }
 
 // parse parses a subcommand's flags and returns its one operand. A
