@@ -69,9 +69,10 @@ type Scenario struct {
 	HorizonNs, DrainNs int64
 
 	// Faults is a schedule in faults.ParseSchedule syntax ("" = none).
-	// When the placer can recover (the Silo manager), every down event triggers Recover DetectNs later and every up
-	// event returns the repaired servers to the pool. FaultGraceNs
-	// extends each outage window for SLO attribution.
+	// When the placer can recover (the Silo manager), every down event
+	// triggers Recover DetectNs later and every up event returns the
+	// repaired servers to the pool. FaultGraceNs extends each outage
+	// window for SLO attribution.
 	Faults                 string
 	DetectNs, FaultGraceNs int64
 	// Redeploy makes recovery a data-plane drill: relocated and degraded
@@ -187,8 +188,8 @@ type Planes struct {
 // Env is what a caller injects that is not scenario data: run
 // provenance, and a placer of its own over a tree it built (Silo
 // placement under an unpaced scheme) — the two go together, a placer
-// needs the tree it was made over. The zero Env runs
-// the scheme's own placer unobserved.
+// needs the tree it was made over. The zero Env runs the scheme's own
+// placer unobserved.
 type Env struct {
 	Meta   *obs.RunMeta
 	Tree   *topology.Tree
