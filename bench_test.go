@@ -41,10 +41,8 @@ func BenchmarkFig1Memcached(b *testing.B) {
 // BenchmarkTable1Lateness regenerates Table 1: % late messages vs
 // bandwidth multiple × burst allowance.
 func BenchmarkTable1Lateness(b *testing.B) {
-	p := experiments.DefaultTable1Params()
-	p.Messages = 20000
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunTable1(p)
+		r := experiments.RunTable1(experiments.Table1Seed)
 		b.ReportMetric(r.LatePct[0][0], "late-1M-1B-%")
 		b.ReportMetric(r.LatePct[3][2], "late-7M-1.8B-%")
 	}
@@ -63,13 +61,13 @@ func BenchmarkFig5Placement(b *testing.B) {
 	}
 }
 
-// benchFig5Sim runs the packet-level Figure-5 companion at a given
-// flight-recorder sampling divisor (0 = tracing off).
-func benchFig5Sim(b *testing.B, sampleN int) {
-	p := experiments.DefaultFigure5SimParams()
-	p.TraceSampleN = sampleN
+// BenchmarkFig5Sim runs the packet-level Figure-5 companion: the
+// worst-case burst scenario simulated packet by packet, every packet
+// traced for the attribution summary. The flight recorder's overhead
+// is the benchmark's obs.trace.overhead_frac.
+func BenchmarkFig5Sim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFigure5Sim(p)
+		r, err := experiments.RunFigure5Sim(experiments.Figure5SimParams{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,33 +75,15 @@ func benchFig5Sim(b *testing.B, sampleN int) {
 			b.Fatalf("drops = %d, want 0", r.Drops)
 		}
 		b.ReportMetric(float64(r.Messages), "messages")
-		if sampleN > 0 {
-			b.ReportMetric(float64(r.Flight.Complete), "spans")
-		}
+		b.ReportMetric(float64(r.Flight.Complete), "spans")
 	}
 }
-
-// BenchmarkFig5SimBaseline is the tracing-off control for the flight
-// recorder overhead comparison (see BenchmarkFig5SimTraced1in64):
-// the Figure-5 worst-case burst scenario simulated packet by packet.
-func BenchmarkFig5SimBaseline(b *testing.B) { benchFig5Sim(b, 0) }
-
-// BenchmarkFig5SimTraced1in64 runs the same simulation with the
-// flight recorder attached at the production sampling rate (1 in 64
-// packets). The acceptance bar is ≤5% ns/op overhead vs baseline.
-func BenchmarkFig5SimTraced1in64(b *testing.B) { benchFig5Sim(b, 64) }
-
-// BenchmarkFig5SimTracedAll traces every packet — the worst-case
-// recorder cost, used for Figure-5 attribution summaries.
-func BenchmarkFig5SimTracedAll(b *testing.B) { benchFig5Sim(b, 1) }
 
 // BenchmarkFig10Pacer regenerates Figure 10: pacer throughput split
 // and per-frame cost across rate limits.
 func BenchmarkFig10Pacer(b *testing.B) {
-	p := experiments.DefaultFigure10Params()
-	p.WireSeconds = 0.01
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFigure10(p)
+		rows := experiments.RunFigure10()
 		b.ReportMetric(rows[0].VoidGbps, "void-at-1G-Gbps")
 		b.ReportMetric(rows[8].PacketsPerSec/1e6, "frames-at-9G-M/s")
 	}
@@ -152,7 +132,6 @@ func BenchmarkFig12ClassA(b *testing.B) {
 func BenchmarkFig15Admittance(b *testing.B) {
 	b.ReportAllocs()
 	p := experiments.DefaultScaleParams()
-	p.DurationSec = 400
 	for i := 0; i < b.N; i++ {
 		pts, err := experiments.RunFigure15(p)
 		if err != nil {
@@ -174,7 +153,6 @@ func BenchmarkFig15Admittance(b *testing.B) {
 func BenchmarkFig16Utilization(b *testing.B) {
 	b.ReportAllocs()
 	p := experiments.DefaultScaleParams()
-	p.DurationSec = 400
 	for i := 0; i < b.N; i++ {
 		pts, err := experiments.RunFigure16a(p, []float64{0.5, 0.9})
 		if err != nil {

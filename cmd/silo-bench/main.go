@@ -142,16 +142,15 @@ func runFig1(duration float64, seed uint64) error {
 }
 
 func runTable1(seed uint64) error {
-	p := experiments.DefaultTable1Params()
-	if seed != 0 {
-		p.Seed = seed
+	if seed == 0 {
+		seed = experiments.Table1Seed
 	}
 	fmt.Println("Table 1 — % messages later than M/B_g + d (Poisson arrivals):")
-	r := experiments.RunTable1(p)
+	r := experiments.RunTable1(seed)
 	fmt.Print(r.Render())
 	var rows [][]float64
-	for i, bm := range p.BurstMultiples {
-		for j, bw := range p.BandwidthMultiples {
+	for i, bm := range r.BurstMultiples {
+		for j, bw := range r.BandwidthMultiples {
 			rows = append(rows, []float64{float64(bm), bw, r.LatePct[i][j]})
 		}
 	}
@@ -167,7 +166,7 @@ func runFig5() error {
 	}
 	fmt.Print(r.Render())
 	fmt.Println("packet-level check — synchronized worst-case bursts with latency attribution:")
-	rs, err := experiments.RunFigure5Sim(experiments.DefaultFigure5SimParams())
+	rs, err := experiments.RunFigure5Sim(experiments.Figure5SimParams{})
 	if err != nil {
 		return err
 	}
@@ -181,11 +180,11 @@ func runFig5() error {
 		}
 	}
 	fmt.Println("incident check — same workload unpaced under a 350 µs audited bound:")
-	up := experiments.DefaultFigure5SimParams()
-	up.Scheme = core.SchemeTCP
-	up.Incidents = true
-	up.AuditDelayBoundSec = 350e-6
-	ru, err := experiments.RunFigure5Sim(up)
+	ru, err := experiments.RunFigure5Sim(experiments.Figure5SimParams{
+		Scheme:             core.SchemeTCP,
+		Incidents:          true,
+		AuditDelayBoundSec: 350e-6,
+	})
 	if err != nil {
 		return err
 	}
@@ -207,7 +206,7 @@ func runFig5() error {
 
 func runFig10() error {
 	fmt.Println("Figure 10 — pacer microbenchmark (throughput split and per-frame cost):")
-	rows10 := experiments.RunFigure10(experiments.DefaultFigure10Params())
+	rows10 := experiments.RunFigure10()
 	fmt.Print(experiments.RenderFigure10(rows10))
 	var rows [][]float64
 	for _, r := range rows10 {
@@ -362,7 +361,7 @@ func runBestEffort(duration float64, seed uint64) error {
 
 func runBurstStressCmd() error {
 	fmt.Println("Synchronized-burst stress — Figure 5's principle at runtime (Silo vs Okto+):")
-	rs, err := experiments.RunBurstStressComparison(experiments.DefaultBurstStressParams())
+	rs, err := experiments.RunBurstStressComparison()
 	if err != nil {
 		return err
 	}
@@ -374,12 +373,11 @@ func runBurstStressCmd() error {
 var drillVerdictCode = map[string]float64{"ok": 0, "relocated": 1, "degraded": 2, "evicted": 3}
 
 func runFaultDrill(seed uint64) error {
-	p := experiments.DefaultFailureDrillParams()
-	if seed != 0 {
-		p.Seed = seed
+	if seed == 0 {
+		seed = experiments.FailureDrillSeed
 	}
 	fmt.Println("Failure drill — ToR death under admitted load: evacuation, re-admission, degraded-mode SLO accounting:")
-	r, err := experiments.RunFailureDrill(p)
+	r, err := experiments.RunFailureDrill(seed)
 	if err != nil {
 		return err
 	}

@@ -13,26 +13,20 @@ import (
 // (class-A) tenant shares the cluster with a best-effort tenant that
 // holds no guarantees and rides the low 802.1q priority. Silo's claim:
 // the best-effort tenant soaks up residual capacity without disturbing
-// the guaranteed tenant's latency.
+// the guaranteed tenant's latency. It runs at rack scale: two racks of
+// five servers, nine VMs in each tenant.
 type BestEffortParams struct {
-	Racks, ServersPerRack int
-	DurationSec           float64
-	GuaranteedVMs         int
-	BestEffortVMs         int
-	Seed                  uint64
+	DurationSec float64
+	Seed        uint64
 }
 
-// DefaultBestEffortParams returns a rack-scale configuration.
+// DefaultBestEffortParams returns the configuration silo-bench runs.
 func DefaultBestEffortParams() BestEffortParams {
-	return BestEffortParams{
-		Racks:          2,
-		ServersPerRack: 5,
-		DurationSec:    0.05,
-		GuaranteedVMs:  9,
-		BestEffortVMs:  9,
-		Seed:           13,
-	}
+	return BestEffortParams{DurationSec: 0.05, Seed: 13}
 }
+
+// bestEffortVMs is the size of each of the two tenants.
+const bestEffortVMs = 9
 
 // BestEffortResult reports both tenants' outcomes with and without the
 // best-effort tenant present.
@@ -89,14 +83,14 @@ func bestEffortGuarantee() tenant.Guarantee {
 // slots alone, unpaced, low priority, a 10 ms minimum RTO.
 func bestEffortScenario(p BestEffortParams, withBE bool) Scenario {
 	sc := Scenario{
-		Topology: TenGbE(1, p.Racks, p.ServersPerRack, 4, 5, 1),
+		Topology: TenGbE(1, 2, 5, 4, 5, 1),
 		Scheme:   core.SchemeSilo,
 		Seed:     p.Seed,
 		Tenants: []Tenant{{
-			Spec: tenant.Spec{ID: 1, Name: "guaranteed", VMs: p.GuaranteedVMs,
+			Spec: tenant.Spec{ID: 1, Name: "guaranteed", VMs: bestEffortVMs,
 				Guarantee: bestEffortGuarantee(), FaultDomains: 2},
 			VMBase: 1000,
-			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(p.GuaranteedVMs)},
+			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(bestEffortVMs)},
 			Driver: Driver{Kind: DriverOLDI, MsgBytes: 5000},
 		}},
 		HorizonNs: int64(p.DurationSec * 1e9),
@@ -104,7 +98,7 @@ func bestEffortScenario(p BestEffortParams, withBE bool) Scenario {
 	}
 	if withBE {
 		sc.Tenants = append(sc.Tenants, Tenant{
-			Spec: tenant.Spec{ID: 2, Name: "best-effort", VMs: p.BestEffortVMs,
+			Spec: tenant.Spec{ID: 2, Name: "best-effort", VMs: bestEffortVMs,
 				Class: tenant.ClassBestEffort, FaultDomains: 2},
 			VMBase:   2000,
 			MinRTONs: 10_000_000,

@@ -11,39 +11,27 @@ import (
 	"repro/internal/workload"
 )
 
-// BurstStressParams configures the synchronized-burst stress test —
-// the runtime demonstration of Figure 5's principle and the mechanism
-// behind Okto+'s Table-4 outliers: placement that guarantees
-// bandwidth but ignores bursts admits tenant sets whose simultaneous
-// (allowed!) bursts overflow switch buffers. Silo's queuing
-// constraint instead rejects tenants it cannot absorb, and the ones
-// it admits never lose a packet.
-type BurstStressParams struct {
-	// Tenants offered for admission; each has Senders+1 VMs, the
-	// receiver pinned by fault domains to spread across servers.
-	Tenants int
-	// Senders per tenant, each bursting BurstBytes simultaneously at
-	// the worst possible moment.
-	Senders    int
-	BurstBytes float64
-	// BandwidthBps per VM (modest: bandwidth-only admission accepts
-	// everything).
-	BandwidthBps float64
-	Seed         uint64
-}
-
-// DefaultBurstStressParams sizes the stress so that bandwidth-only
-// admission accepts every tenant while the combined worst-case burst
-// is ~3x the port buffer.
-func DefaultBurstStressParams() BurstStressParams {
-	return BurstStressParams{
-		Tenants:      8,
-		Senders:      3,
-		BurstBytes:   30e3,
-		BandwidthBps: 0.4 * units.Gbps,
-		Seed:         17,
-	}
-}
+// The synchronized-burst stress test is the runtime demonstration of
+// Figure 5's principle and the mechanism behind Okto+'s Table-4
+// outliers: placement that guarantees bandwidth but ignores bursts
+// admits tenant sets whose simultaneous (allowed!) bursts overflow
+// switch buffers. Silo's queuing constraint instead rejects tenants it
+// cannot absorb, and the ones it admits never lose a packet. It is
+// sized so that bandwidth-only admission accepts every tenant while
+// the combined worst-case burst is ~3x the port buffer.
+const (
+	// burstTenants are offered for admission; each has burstSenders+1
+	// VMs, the receiver pinned by fault domains to spread across
+	// servers.
+	burstTenants = 8
+	// burstSenders per tenant, each bursting burstBytes simultaneously
+	// at the worst possible moment.
+	burstSenders = 3
+	burstBytes   = 30e3
+	// burstBandwidthBps per VM (modest: bandwidth-only admission
+	// accepts everything).
+	burstBandwidthBps = 0.4 * units.Gbps
+)
 
 // BurstStressResult compares the two schemes under the same offered
 // tenant stream.
@@ -62,10 +50,10 @@ type BurstStressResult struct {
 // RunBurstStress admits tenants with the scheme's placer and fires
 // every admitted tenant's senders simultaneously at t=0 — the
 // synchronized worst case the placement must have budgeted for.
-func RunBurstStress(p BurstStressParams, scheme core.Scheme) (BurstStressResult, error) {
+func RunBurstStress(scheme core.Scheme) (BurstStressResult, error) {
 	g := tenant.Guarantee{
-		BandwidthBps: p.BandwidthBps,
-		BurstBytes:   p.BurstBytes,
+		BandwidthBps: burstBandwidthBps,
+		BurstBytes:   burstBytes,
 		DelayBound:   1e-3,
 		BurstRateBps: 10 * units.Gbps,
 	}
@@ -76,19 +64,19 @@ func RunBurstStress(p BurstStressParams, scheme core.Scheme) (BurstStressResult,
 		VMGap:    4,
 		DrainNs:  10e9,
 	}
-	for i := 0; i < p.Tenants; i++ {
+	for i := 0; i < burstTenants; i++ {
 		sc.Tenants = append(sc.Tenants, Tenant{
 			Spec: tenant.Spec{
 				ID:           i + 1,
 				Name:         fmt.Sprintf("burst-%d", i+1),
-				VMs:          p.Senders + 1,
+				VMs:          burstSenders + 1,
 				Guarantee:    g,
-				FaultDomains: p.Senders + 1, // one VM per server: maximal fan-in
+				FaultDomains: burstSenders + 1, // one VM per server: maximal fan-in
 			},
 			// Receiver is VM 0; static fair share (all senders always
 			// burst together here).
-			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(p.Senders + 1)},
-			Driver: Driver{Kind: DriverBurst, MsgBytes: int(p.BurstBytes)},
+			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(burstSenders + 1)},
+			Driver: Driver{Kind: DriverBurst, MsgBytes: burstBytes},
 		})
 	}
 	run, err := RunScenario(sc, Env{})
@@ -97,10 +85,10 @@ func RunBurstStress(p BurstStressParams, scheme core.Scheme) (BurstStressResult,
 	}
 	res := BurstStressResult{
 		Scheme:      scheme,
-		Offered:     p.Tenants,
+		Offered:     burstTenants,
 		Admitted:    len(run.Tenants),
 		Drops:       run.Net.TotalDrops(),
-		GuaranteeUs: g.MessageLatencyBound(p.BurstBytes) * 1e6,
+		GuaranteeUs: g.MessageLatencyBound(burstBytes) * 1e6,
 	}
 	lat := stats.NewSample(256)
 	for _, tr := range run.Tenants {
@@ -114,10 +102,10 @@ func RunBurstStress(p BurstStressParams, scheme core.Scheme) (BurstStressResult,
 }
 
 // RunBurstStressComparison runs Silo and Okto+ over the same stress.
-func RunBurstStressComparison(p BurstStressParams) ([]BurstStressResult, error) {
+func RunBurstStressComparison() ([]BurstStressResult, error) {
 	var out []BurstStressResult
 	for _, s := range []core.Scheme{core.SchemeSilo, core.SchemeOktoPlus} {
-		r, err := RunBurstStress(p, s)
+		r, err := RunBurstStress(s)
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,7 @@ func TestBurstStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level simulation")
 	}
-	rs, err := RunBurstStressComparison(DefaultBurstStressParams())
+	rs, err := RunBurstStressComparison()
 	if err != nil {
 		t.Fatal(err)
 	}

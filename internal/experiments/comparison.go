@@ -13,42 +13,48 @@ import (
 
 // ComparisonParams configures the §6.2 packet-level comparison of
 // Silo against TCP, DCTCP, HULL, Oktopus and Okto+ (Figures 12–14,
-// Table 4). The paper simulates 10 racks × 40 servers × 8 VMs; the
-// default here is scaled down (same shape, tractable event counts) and
-// the CLI can run larger instances.
+// Table 4). The paper simulates 10 racks × 40 servers × 8 VMs; this
+// tree is scaled down to 4 servers × 4 slots per rack (same shape,
+// tractable event counts), with the paper's 1:5 rack uplink
+// oversubscription and 90% of the slots to fill.
 type ComparisonParams struct {
-	Racks, ServersPerRack, SlotsPerServer int
-	// Oversub is the rack uplink oversubscription (paper: 1:5).
-	Oversub float64
+	// Racks of the tree.
+	Racks int
 	// DurationSec of offered load (plus drain).
 	DurationSec float64
-	// OccupancyTarget is the fraction of slots to fill (paper: 90%).
-	OccupancyTarget float64
-	// ClassAFrac of tenants are class A (delay-sensitive all-to-one).
-	ClassAFrac float64
-	// AvgTenantVMs is the mean tenant size.
-	AvgTenantVMs int
 	// ClassBMsgBytes is the class-B bulk message size.
 	ClassBMsgBytes int
 	Seed           uint64
-	Schemes        []core.Scheme
 }
 
 // DefaultComparisonParams returns a laptop-scale configuration.
 func DefaultComparisonParams() ComparisonParams {
 	return ComparisonParams{
-		Racks:           10,
-		ServersPerRack:  4,
-		SlotsPerServer:  4,
-		Oversub:         5,
-		DurationSec:     0.05,
-		OccupancyTarget: 0.9,
-		ClassAFrac:      0.5,
-		AvgTenantVMs:    9,
-		ClassBMsgBytes:  2 << 20,
-		Seed:            11,
-		Schemes:         core.AllSchemes,
+		Racks:          10,
+		DurationSec:    0.05,
+		ClassBMsgBytes: 2 << 20,
+		Seed:           11,
 	}
+}
+
+// The comparison's fixed tree and tenant mix.
+const (
+	comparisonServersPerRack = 4
+	comparisonSlotsPerServer = 4
+	// comparisonOversub is the rack uplink oversubscription (paper: 1:5).
+	comparisonOversub = 5
+	// comparisonOccupancy is the fraction of slots to fill (paper: 90%).
+	comparisonOccupancy = 0.9
+	// comparisonClassAFrac of tenants are class A (delay-sensitive
+	// all-to-one).
+	comparisonClassAFrac = 0.5
+	// comparisonAvgTenantVMs is the mean tenant size.
+	comparisonAvgTenantVMs = 9
+)
+
+// slots is the number of VM slots in the comparison's tree.
+func (p ComparisonParams) slots() int {
+	return p.Racks * comparisonServersPerRack * comparisonSlotsPerServer
 }
 
 // tenantRequest is one entry of the shared tenant stream.
@@ -61,17 +67,16 @@ type tenantRequest struct {
 // tenantStream draws the same tenant sequence for every scheme
 // (Table 3 parameters, exponentially distributed as in the paper).
 func tenantStream(p ComparisonParams, rng *stats.Rand) []tenantRequest {
-	slots := p.Racks * p.ServersPerRack * p.SlotsPerServer
 	var reqs []tenantRequest
 	total := 0
-	for total < 3*slots { // more than any scheme can admit
-		classA := rng.Float64() < p.ClassAFrac
-		vms := int(rng.Exp(float64(p.AvgTenantVMs)))
+	for total < 3*p.slots() { // more than any scheme can admit
+		classA := rng.Float64() < comparisonClassAFrac
+		vms := int(rng.Exp(comparisonAvgTenantVMs))
 		if vms < 4 {
 			vms = 4
 		}
-		if vms > 2*p.AvgTenantVMs {
-			vms = 2 * p.AvgTenantVMs
+		if vms > 2*comparisonAvgTenantVMs {
+			vms = 2 * comparisonAvgTenantVMs
 		}
 		var g tenant.Guarantee
 		if classA {
@@ -207,7 +212,7 @@ func (r SchemeResult) ClassBNormalizedLatency() *stats.Sample {
 func RunComparison(p ComparisonParams) ([]SchemeResult, error) {
 	stream := tenantStream(p, stats.NewRand(p.Seed))
 	var out []SchemeResult
-	for _, s := range p.Schemes {
+	for _, s := range core.AllSchemes {
 		r, err := runScheme(p, s, stream)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s, err)
@@ -224,10 +229,10 @@ func RunComparison(p ComparisonParams) ([]SchemeResult, error) {
 // fixed point from t=0.
 func comparisonScenario(p ComparisonParams, scheme core.Scheme, stream []tenantRequest) Scenario {
 	sc := Scenario{
-		Topology:  TenGbE(1, p.Racks, p.ServersPerRack, p.SlotsPerServer, p.Oversub, 1),
+		Topology:  TenGbE(1, p.Racks, comparisonServersPerRack, comparisonSlotsPerServer, comparisonOversub, 1),
 		Scheme:    scheme,
 		Seed:      p.Seed ^ 0xabcdef,
-		TargetVMs: int(p.OccupancyTarget * float64(p.Racks*p.ServersPerRack*p.SlotsPerServer)),
+		TargetVMs: int(comparisonOccupancy * float64(p.slots())),
 		VMBase:    1000,
 		VMGap:     10,
 		HorizonNs: int64(p.DurationSec * 1e9),

@@ -109,13 +109,13 @@ func TestTenantStreamDeterministicAndBounded(t *testing.T) {
 	if len(a) != len(b) {
 		t.Fatal("stream not deterministic")
 	}
-	slots := p.Racks * p.ServersPerRack * p.SlotsPerServer
+	slots := p.slots()
 	total := 0
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("stream not deterministic")
 		}
-		if a[i].vms < 4 || a[i].vms > 2*p.AvgTenantVMs {
+		if a[i].vms < 4 || a[i].vms > 2*comparisonAvgTenantVMs {
 			t.Errorf("tenant size %d out of bounds", a[i].vms)
 		}
 		if a[i].classA {
@@ -163,9 +163,7 @@ func TestFigure16bSweepsPermutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow-level simulation")
 	}
-	p := DefaultScaleParams()
-	p.DurationSec = 150
-	byX, err := RunFigure16b(p, []float64{0.5, 2})
+	byX, err := RunFigure16b(DefaultScaleParams(), []float64{0.5, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,15 @@ import (
 )
 
 func TestTable1Shape(t *testing.T) {
-	p := DefaultTable1Params()
-	p.Messages = 20000
-	r := RunTable1(p)
-	if len(r.LatePct) != len(p.BurstMultiples) {
+	r := RunTable1(Table1Seed)
+	if len(r.LatePct) != len(r.BurstMultiples) {
 		t.Fatalf("rows = %d", len(r.LatePct))
 	}
 	// Column B (no headroom) must be mostly late (paper: 98-99%; the
 	// 9M row dips slightly at small sample sizes).
-	for i := range p.BurstMultiples {
+	for i := range r.BurstMultiples {
 		if r.LatePct[i][0] < 70 {
-			t.Errorf("burst %dM at 1.0B: %.1f%% late, want >70%%", p.BurstMultiples[i], r.LatePct[i][0])
+			t.Errorf("burst %dM at 1.0B: %.1f%% late, want >70%%", r.BurstMultiples[i], r.LatePct[i][0])
 		}
 	}
 	// Generous burst + bandwidth must be nearly never late (paper:
@@ -61,10 +59,8 @@ func TestFigure5Reproduces(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	p := DefaultFigure10Params()
-	p.WireSeconds = 0.01
-	rows := RunFigure10(p)
-	if len(rows) != len(p.RateLimitsGbps) {
+	rows := RunFigure10()
+	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {

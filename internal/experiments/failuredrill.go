@@ -14,75 +14,53 @@ import (
 	"repro/internal/workload"
 )
 
-// FailureDrillParams configures the end-to-end failure drill: admitted
-// tenants under steady paced load, a ToR switch killed mid-run, the
-// control loop detecting the fault, evacuating and re-admitting every
-// affected tenant through normal admission control, and unpaced resync
-// storms (state re-replication toward the relocated VMs) congesting the
-// surviving fabric — the one window where even Silo traffic can arrive
-// late, which the SLO plane must attribute to the injected fault
-// rather than blame on steady-state pacing.
-type FailureDrillParams struct {
-	// Tenants offered for admission, VMsPerTenant each (FaultDomains 2).
-	Tenants      int
-	VMsPerTenant int
-	// Guarantee per VM. DelayBound is chosen so only rack-scope
-	// placements are delay-feasible: relocation must find a whole rack
-	// or walk the degradation ladder.
-	BandwidthBps float64
-	BurstBytes   float64
-	DelayBound   float64
-	// Steady workload: every IntervalNs each non-aggregator VM sends a
-	// MsgBytes message to the tenant's VM 0.
-	MsgBytes   int
-	IntervalNs int64
-	// Seed staggers the per-tenant pump phases.
-	Seed uint64
-	// FailSwitch is the switch killed at FaultAtNs and repaired
-	// RepairNs later ("tor0", "pod1", "core").
-	FailSwitch string
-	FaultAtNs  int64
-	RepairNs   int64
-	// DetectNs is the control loop's detection delay: the gap between
-	// the fault event and the Recover call.
-	DetectNs int64
-	// ResyncBytes is sent raw (unpaced, back-to-back) from each of
-	// ResyncSources surviving out-of-rack hosts to every relocated VM —
-	// the bulk state transfer that rebuilds the VM, deliberately not
-	// protected by the pacer.
-	ResyncBytes   int
-	ResyncSources int
-	// SLO window and the injector's outage grace window.
-	WindowNs  int64
-	GraceNs   int64
-	HorizonNs int64
-}
+// FailureDrillSeed is the drill's default seed.
+const FailureDrillSeed = 42
 
-// DefaultFailureDrillParams sizes the drill on a 2-pod/4-rack fabric:
-// the delay bound admits rack-scope placements only (intra-rack path
-// capacity 300µs < d < 1.3ms cross-rack), and the resync storm's
-// fan-in over the 2:1-oversubscribed uplinks queues well past d.
-func DefaultFailureDrillParams() FailureDrillParams {
-	return FailureDrillParams{
-		Tenants:       6,
-		VMsPerTenant:  4,
-		BandwidthBps:  500 * units.Mbps,
-		BurstBytes:    15e3,
-		DelayBound:    350e-6,
-		MsgBytes:      20e3,
-		IntervalNs:    2e6,
-		Seed:          42,
-		FailSwitch:    "tor0",
-		FaultAtNs:     20e6,
-		RepairNs:      10e6,
-		DetectNs:      500e3,
-		ResyncBytes:   60e3,
-		ResyncSources: 3,
-		WindowNs:      1e6,
-		GraceNs:       5e6,
-		HorizonNs:     60e6,
-	}
-}
+// The failure drill's setup: admitted tenants under steady paced load,
+// a ToR switch killed mid-run, the control loop detecting the fault,
+// evacuating and re-admitting every affected tenant through normal
+// admission control, and unpaced resync storms (state re-replication
+// toward the relocated VMs) congesting the surviving fabric — the one
+// window where even Silo traffic can arrive late, which the SLO plane
+// must attribute to the injected fault rather than blame on
+// steady-state pacing. On the 2-pod/4-rack fabric the delay bound
+// admits rack-scope placements only (intra-rack path capacity 300µs <
+// d < 1.3ms cross-rack), so relocation must find a whole rack or walk
+// the degradation ladder, and the resync storm's fan-in over the
+// 2:1-oversubscribed uplinks queues well past d.
+const (
+	// drillTenants are offered for admission, drillVMsPerTenant VMs
+	// each (FaultDomains 2).
+	drillTenants      = 6
+	drillVMsPerTenant = 4
+	// The guarantee per VM.
+	drillBandwidthBps = 500 * units.Mbps
+	drillBurstBytes   = 15e3
+	drillDelayBound   = 350e-6
+	// Steady workload: every drillIntervalNs each non-aggregator VM
+	// sends a drillMsgBytes message to the tenant's VM 0.
+	drillMsgBytes   = 20e3
+	drillIntervalNs = 2e6
+	// drillFailSwitch is killed at drillFaultAtNs and repaired
+	// drillRepairNs later.
+	drillFailSwitch = "tor0"
+	drillFaultAtNs  = 20e6
+	drillRepairNs   = 10e6
+	// drillDetectNs is the control loop's detection delay: the gap
+	// between the fault event and the Recover call.
+	drillDetectNs = 500e3
+	// drillResyncBytes is sent raw (unpaced, back-to-back) from each of
+	// drillResyncSources surviving out-of-rack hosts to every relocated
+	// VM — the bulk state transfer that rebuilds the VM, deliberately
+	// not protected by the pacer.
+	drillResyncBytes   = 60e3
+	drillResyncSources = 3
+	// The SLO window, the injector's outage grace window and the run.
+	drillWindowNs  = 1e6
+	drillGraceNs   = 5e6
+	drillHorizonNs = 60e6
+)
 
 // DrillTenantRow is one tenant's end-of-drill outcome.
 type DrillTenantRow struct {
@@ -105,7 +83,6 @@ type DrillTenantRow struct {
 
 // FailureDrillResult is the drill's full outcome.
 type FailureDrillResult struct {
-	Params   FailureDrillParams
 	Admitted int
 	Events   []faults.Event
 	Recovery *placement.RecoveryReport
@@ -132,12 +109,11 @@ type FailureDrillResult struct {
 // from the simulation clock and sorted tenant IDs, never the wall
 // clock, so identical params produce byte-identical output.
 func (r *FailureDrillResult) Render() string {
-	p := r.Params
 	var b strings.Builder
 	fmt.Fprintf(&b, "failure drill: %s down @%.1fms (detect %.2fms, repair @%.1fms), horizon %.0fms\n",
-		p.FailSwitch, float64(p.FaultAtNs)/1e6, float64(p.DetectNs)/1e6,
-		float64(p.FaultAtNs+p.RepairNs)/1e6, float64(p.HorizonNs)/1e6)
-	fmt.Fprintf(&b, "tenants: %d offered, %d admitted\n", p.Tenants, r.Admitted)
+		drillFailSwitch, drillFaultAtNs/1e6, drillDetectNs/1e6,
+		(drillFaultAtNs+drillRepairNs)/1e6, drillHorizonNs/1e6)
+	fmt.Fprintf(&b, "tenants: %d offered, %d admitted\n", drillTenants, r.Admitted)
 	b.WriteString("fault events:\n")
 	for _, ev := range r.Events {
 		fmt.Fprintf(&b, "  %s\n", ev)
@@ -173,45 +149,46 @@ func (r *FailureDrillResult) Render() string {
 // drillScenario is the drill as data: admitted tenants under steady
 // phase-staggered all-to-one bursts on a 2-pod/4-rack fabric, the switch
 // killed and repaired on schedule, recovery re-deploying every survivor
-// and rebuilding it with a resync storm.
-func drillScenario(p FailureDrillParams) Scenario {
+// and rebuilding it with a resync storm. The seed staggers the
+// per-tenant pump phases.
+func drillScenario(seed uint64) Scenario {
 	sc := Scenario{
 		Topology:  TenGbE(2, 2, 4, 4, 2, 2),
 		Scheme:    core.SchemeSilo,
-		Seed:      p.Seed,
+		Seed:      seed,
 		VMBase:    1000,
 		VMGap:     4,
-		HorizonNs: p.HorizonNs,
+		HorizonNs: drillHorizonNs,
 		Faults: fmt.Sprintf("t=%dns switch %s down; t=%dns up",
-			p.FaultAtNs, p.FailSwitch, p.FaultAtNs+p.RepairNs),
-		DetectNs:      p.DetectNs,
-		FaultGraceNs:  p.GraceNs,
+			int64(drillFaultAtNs), drillFailSwitch, int64(drillFaultAtNs+drillRepairNs)),
+		DetectNs:      drillDetectNs,
+		FaultGraceNs:  drillGraceNs,
 		Redeploy:      true,
-		ResyncBytes:   p.ResyncBytes,
-		ResyncSources: p.ResyncSources,
+		ResyncBytes:   drillResyncBytes,
+		ResyncSources: drillResyncSources,
 		Planes: Planes{
 			Audit:           true,
-			SLOWindowNs:     p.WindowNs,
+			SLOWindowNs:     drillWindowNs,
 			Incidents:       true,
-			IncidentMergeNs: 2 * p.WindowNs,
+			IncidentMergeNs: 2 * drillWindowNs,
 		},
 	}
-	for i := 0; i < p.Tenants; i++ {
+	for i := 0; i < drillTenants; i++ {
 		sc.Tenants = append(sc.Tenants, Tenant{
 			Spec: tenant.Spec{
 				ID:   i + 1,
 				Name: fmt.Sprintf("drill-%d", i+1),
-				VMs:  p.VMsPerTenant,
+				VMs:  drillVMsPerTenant,
 				Guarantee: tenant.Guarantee{
-					BandwidthBps: p.BandwidthBps,
-					BurstBytes:   p.BurstBytes,
-					DelayBound:   p.DelayBound,
+					BandwidthBps: drillBandwidthBps,
+					BurstBytes:   drillBurstBytes,
+					DelayBound:   drillDelayBound,
 					BurstRateBps: 10 * units.Gbps,
 				},
 				FaultDomains: 2,
 			},
-			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(p.VMsPerTenant)},
-			Driver: Driver{Kind: DriverBurst, MsgBytes: p.MsgBytes, PeriodNs: p.IntervalNs, RandomPhase: true},
+			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(drillVMsPerTenant)},
+			Driver: Driver{Kind: DriverBurst, MsgBytes: drillMsgBytes, PeriodNs: drillIntervalNs, RandomPhase: true},
 		})
 	}
 	return sc
@@ -223,13 +200,12 @@ func drillScenario(p FailureDrillParams) Scenario {
 // re-admit) → re-deploy on the new placement → unpaced resync storm →
 // steady workload resumes. Returns the recovery-latency and
 // guarantee-violation table.
-func RunFailureDrill(p FailureDrillParams) (*FailureDrillResult, error) {
-	run, err := RunScenario(drillScenario(p), Env{})
+func RunFailureDrill(seed uint64) (*FailureDrillResult, error) {
+	run, err := RunScenario(drillScenario(seed), Env{})
 	if err != nil {
 		return nil, err
 	}
 	res := &FailureDrillResult{
-		Params:        p,
 		Admitted:      len(run.Tenants),
 		Events:        run.Injector.Events(),
 		OverflowDrops: run.Net.TotalDrops(),
@@ -263,7 +239,7 @@ func RunFailureDrill(p FailureDrillParams) (*FailureDrillResult, error) {
 			Conformance: 1,
 		}
 		if tr.RecoveredAtNs >= 0 {
-			row.RecoveryNs = tr.RecoveredAtNs - p.FaultAtNs
+			row.RecoveryNs = tr.RecoveredAtNs - drillFaultAtNs
 		}
 		if ta, ok := run.Audit.Tenant(id); ok {
 			row.NewDelayBound = float64(ta.DelayBoundNs) / 1e9

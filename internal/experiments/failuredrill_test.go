@@ -14,8 +14,7 @@ import (
 // measured, and the SLO plane must attribute the outage-window
 // violations to the injected fault event.
 func TestFailureDrillToRFailure(t *testing.T) {
-	p := DefaultFailureDrillParams()
-	res, err := RunFailureDrill(p)
+	res, err := RunFailureDrill(FailureDrillSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +56,8 @@ func TestFailureDrillToRFailure(t *testing.T) {
 			// the new placement, giving a measured recovery latency.
 			if row.RecoveryNs < 0 {
 				t.Errorf("tenant %d (%s) has no recovery latency", tr.ID, row.Verdict)
-			} else if row.RecoveryNs < p.DetectNs {
-				t.Errorf("tenant %d recovered in %dns, before detection (%dns)", tr.ID, row.RecoveryNs, p.DetectNs)
+			} else if row.RecoveryNs < drillDetectNs {
+				t.Errorf("tenant %d recovered in %dns, before detection (%dns)", tr.ID, row.RecoveryNs, int64(drillDetectNs))
 			}
 		}
 	}
@@ -88,7 +87,7 @@ func TestFailureDrillToRFailure(t *testing.T) {
 // The SLO event log names the injected fault on outage-window
 // violations — the report is actionable, not just a count.
 func TestFailureDrillEventsCarryFaultLabel(t *testing.T) {
-	res, err := RunFailureDrill(DefaultFailureDrillParams())
+	res, err := RunFailureDrill(FailureDrillSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +105,14 @@ func TestFailureDrillEventsCarryFaultLabel(t *testing.T) {
 	}
 }
 
-// Determinism: the same params produce byte-identical drill summaries
+// Determinism: the same seed produces byte-identical drill summaries
 // on repeated runs — the acceptance bar for a reproducible postmortem.
 func TestFailureDrillDeterministic(t *testing.T) {
-	p := DefaultFailureDrillParams()
-	a, err := RunFailureDrill(p)
+	a, err := RunFailureDrill(FailureDrillSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFailureDrill(p)
+	b, err := RunFailureDrill(FailureDrillSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,57 +34,43 @@ type Figure10Row struct {
 	MeanTokenWaitUs float64
 }
 
-// Figure10Params configures the sweep.
-type Figure10Params struct {
-	// LineRateBps of the NIC (paper: 10 GbE).
-	LineRateBps float64
-	// RateLimitsGbps are the x-axis points.
-	RateLimitsGbps []float64
-	// WireSeconds of traffic to pace per point.
-	WireSeconds float64
-	// PayloadBytes per data frame (paper uses MTU frames).
-	PayloadBytes int
-}
-
-// DefaultFigure10Params mirrors the paper's sweep (1..10 Gbps on
-// 10 GbE).
-func DefaultFigure10Params() Figure10Params {
-	return Figure10Params{
-		LineRateBps:    10 * units.Gbps,
-		RateLimitsGbps: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-		WireSeconds:    0.05,
-		PayloadBytes:   units.MTUBytes,
-	}
-}
+// The pacer sweep mirrors the paper's: rate limits of 1..10 Gbps on a
+// 10 GbE NIC, MTU data frames.
+const (
+	fig10LineRateBps = 10 * units.Gbps
+	// fig10WireSeconds of traffic are paced per point.
+	fig10WireSeconds  = 0.05
+	fig10PayloadBytes = units.MTUBytes
+)
 
 // RunFigure10 measures the pacer's real code path: it builds batches
 // for a backlogged VM at each rate limit and reports throughput split
 // and per-frame cost in wall-clock nanoseconds.
-func RunFigure10(p Figure10Params) []Figure10Row {
+func RunFigure10() []Figure10Row {
 	var rows []Figure10Row
-	for _, rl := range p.RateLimitsGbps {
-		rows = append(rows, figure10Point(p, rl))
+	for _, rl := range []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
+		rows = append(rows, figure10Point(rl))
 	}
 	return rows
 }
 
-func figure10Point(p Figure10Params, rateGbps float64) Figure10Row {
+func figure10Point(rateGbps float64) Figure10Row {
 	rate := rateGbps * units.Gbps
-	horizonNs := int64(p.WireSeconds * 1e9)
+	horizonNs := int64(fig10WireSeconds * 1e9)
 	// Number of data frames the rate limit admits over the horizon.
-	nData := int(rate * p.WireSeconds / float64(p.PayloadBytes))
+	nData := int(rate * fig10WireSeconds / fig10PayloadBytes)
 
 	vm := pacer.NewVM(1, pacer.Guarantee{
 		BandwidthBps: rate,
-		BurstBytes:   float64(p.PayloadBytes),
+		BurstBytes:   fig10PayloadBytes,
 		BurstRateBps: 0,
-		MTUBytes:     float64(p.PayloadBytes),
+		MTUBytes:     fig10PayloadBytes,
 	}, 0)
-	b := pacer.NewBatcher(p.LineRateBps)
+	b := pacer.NewBatcher(fig10LineRateBps)
 
 	start := time.Now()
 	for i := 0; i < nData; i++ {
-		vm.Enqueue(0, 2, p.PayloadBytes, nil)
+		vm.Enqueue(0, 2, fig10PayloadBytes, nil)
 	}
 	var dataBytes, voidBytes, frames, dataFrames int64
 	var gateCount [4]int64
@@ -112,7 +98,7 @@ func figure10Point(p Figure10Params, rateGbps float64) Figure10Row {
 
 	wireSec := float64(cursor) / 1e9
 	if wireSec == 0 {
-		wireSec = p.WireSeconds
+		wireSec = fig10WireSeconds
 	}
 	row := Figure10Row{
 		RateGbps: rateGbps,

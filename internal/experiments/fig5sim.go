@@ -14,15 +14,10 @@ import (
 )
 
 // Figure5SimParams configures the packet-level companion to Figure 5:
-// the analytic example run for real, with synchronized worst-case
-// bursts and flight-recorder attribution.
+// the analytic example run for real for 20 ms (≈20 burst rounds), with
+// synchronized worst-case bursts and flight-recorder attribution of
+// every packet.
 type Figure5SimParams struct {
-	// DurationSec of simulated time (bursts repeat every millisecond).
-	DurationSec float64
-	// TraceSampleN is the flight-recorder sampling divisor (1 = every
-	// packet); 0 disables tracing entirely — the baseline the overhead
-	// benchmark compares against.
-	TraceSampleN int
 	// Scheme selects the deployment scheme. The zero value is
 	// SchemeSilo (paced, hose-coordinated — the paper's system);
 	// SchemeTCP deploys the same tenant unpaced, the greedy baseline
@@ -41,12 +36,6 @@ type Figure5SimParams struct {
 	// the unpaced run's self-inflicted damage visible: its deliveries
 	// land at up to ~501 µs, over any bound in between.
 	AuditDelayBoundSec float64
-}
-
-// DefaultFigure5SimParams runs 20 ms (≈20 burst rounds) tracing every
-// packet.
-func DefaultFigure5SimParams() Figure5SimParams {
-	return Figure5SimParams{DurationSec: 0.02, TraceSampleN: 1}
 }
 
 // Figure5SimResult holds the simulated counterpart of Figure 5's
@@ -87,15 +76,14 @@ type Figure5SimResult struct {
 // and checks the analytic queue bound against the simulated occupancy,
 // with per-hop latency attribution from the flight recorder.
 func RunFigure5Sim(p Figure5SimParams) (Figure5SimResult, error) {
-	if p.DurationSec <= 0 {
-		p.DurationSec = DefaultFigure5SimParams().DurationSec
-	}
-	tree, err := topology.New(fig5Topology)
-	if err != nil {
-		return Figure5SimResult{}, err
-	}
+	return runFigure5Sim(figure5SimScenario(p))
+}
+
+// figure5SimScenario is the Figure-5 run as data: bursts every
+// millisecond for 20 ms, every packet traced.
+func figure5SimScenario(p Figure5SimParams) Scenario {
 	const roundNs = int64(1e6)
-	sc := Scenario{
+	return Scenario{
 		Topology: fig5Topology,
 		Scheme:   p.Scheme,
 		Tenants: []Tenant{{
@@ -115,17 +103,25 @@ func RunFigure5Sim(p Figure5SimParams) (Figure5SimResult, error) {
 			// from full buckets exactly as the admission analysis assumes.
 			Driver: Driver{Kind: DriverBurst, MsgBytes: int(fig5Spec.Guarantee.BurstBytes), PeriodNs: roundNs, RemoteOnly: true},
 		}},
-		HorizonNs: int64(p.DurationSec * 1e9),
+		HorizonNs: 20 * roundNs,
 		DrainNs:   1e9,
 		Planes: Planes{
 			Audit:        true,
-			TraceSampleN: p.TraceSampleN,
+			TraceSampleN: 1,
 			Introspect:   p.Incidents,
 			Incidents:    p.Incidents,
 			// One merge window per burst round: violations from consecutive
 			// rounds of the same overload chain into one incident.
 			IncidentMergeNs: 2 * roundNs,
 		},
+	}
+}
+
+// runFigure5Sim runs a Figure-5 scenario and reduces it to the result.
+func runFigure5Sim(sc Scenario) (Figure5SimResult, error) {
+	tree, err := topology.New(fig5Topology)
+	if err != nil {
+		return Figure5SimResult{}, err
 	}
 	// The layout is Silo's whatever the scheme deploys it as: SchemeTCP
 	// runs the same 3/3/3 tenant unpaced.

@@ -50,8 +50,9 @@ func firstDiff(got, want string) string {
 // how tenants are deployed, coordinated or driven shows here as a
 // changed byte.
 
-// All six schemes on a reduced tree — the only pinned run of DCTCP,
-// HULL, Okto and Okto+.
+// All six schemes on a reduced tree with small class-B messages, over
+// 3 ms; cmd/silo-bench's all.golden pins them again on the default
+// tree (fig12).
 func TestComparisonGolden(t *testing.T) {
 	p := DefaultComparisonParams()
 	p.Racks = 5
@@ -79,25 +80,17 @@ func TestComparisonGolden(t *testing.T) {
 	checkGolden(t, "comparison", b.String())
 }
 
-// Fig. 11: a TCP line, a Silo line on the dynamic-epoch hose loop (the
-// default), and the same Silo line on the static peak / fair-share
-// fixed points.
+// Fig. 11: a TCP line and a Silo line on the dynamic-epoch hose loop.
 func TestMemcachedGolden(t *testing.T) {
 	p := DefaultMemcachedParams()
 	p.DurationSec = 0.01
 	a, g := Table2Guarantees(2)
-	static := p
-	static.DynamicHoseEpochNs = 0
 	var rs []MemcachedResult
-	for _, c := range []struct {
-		p  MemcachedParams
-		sc MemcachedScenario
-	}{
-		{p, MemcachedScenario{Name: "TCP", WithBulk: true}},
-		{p, MemcachedScenario{Name: "Silo req2 dynamic", WithBulk: true, GuaranteeA: &a, GuaranteeB: &g}},
-		{static, MemcachedScenario{Name: "Silo req2 static", WithBulk: true, GuaranteeA: &a, GuaranteeB: &g}},
+	for _, sc := range []MemcachedScenario{
+		{Name: "TCP", WithBulk: true},
+		{Name: "Silo req2 dynamic", WithBulk: true, GuaranteeA: &a, GuaranteeB: &g},
 	} {
-		r, err := RunMemcachedScenario(c.p, c.sc)
+		r, err := RunMemcachedScenario(p, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +116,7 @@ func TestBestEffortGolden(t *testing.T) {
 }
 
 func TestBurstStressGolden(t *testing.T) {
-	rs, err := RunBurstStressComparison(DefaultBurstStressParams())
+	rs, err := RunBurstStressComparison()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +124,18 @@ func TestBurstStressGolden(t *testing.T) {
 }
 
 // Fig. 5 at packet level with the flight trace and the incident plane
-// on: the paced run, and the unpaced one under the tightened audit
-// bound (the run that has incidents to report).
+// on, over its first five burst rounds: the paced run, and the unpaced
+// one under the tightened audit bound (the run that has incidents to
+// report).
 func TestFigure5SimGolden(t *testing.T) {
 	var b strings.Builder
 	for _, p := range []Figure5SimParams{
-		{DurationSec: 0.005, TraceSampleN: 1, Incidents: true},
-		{DurationSec: 0.005, TraceSampleN: 1, Incidents: true, Scheme: core.SchemeTCP, AuditDelayBoundSec: 350e-6},
+		{Incidents: true},
+		{Incidents: true, Scheme: core.SchemeTCP, AuditDelayBoundSec: 350e-6},
 	} {
-		r, err := RunFigure5Sim(p)
+		sc := figure5SimScenario(p)
+		sc.HorizonNs = 5e6
+		r, err := runFigure5Sim(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +148,7 @@ func TestFigure5SimGolden(t *testing.T) {
 // -outdir writes (less its meta object); cmd/silo-bench's all.golden
 // pins the drill's recovery table.
 func TestFailureDrillGolden(t *testing.T) {
-	r, err := RunFailureDrill(DefaultFailureDrillParams())
+	r, err := RunFailureDrill(FailureDrillSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

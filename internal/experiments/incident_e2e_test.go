@@ -15,8 +15,7 @@ import (
 // root-caused to the injected fault, and nothing may remain
 // unexplained.
 func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
-	p := DefaultFailureDrillParams()
-	res, err := RunFailureDrill(p)
+	res, err := RunFailureDrill(FailureDrillSeed)
 	if err != nil {
 		t.Fatalf("drill: %v", err)
 	}
@@ -34,7 +33,7 @@ func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
 		t.Fatalf("drill flagged bound breaches:\n%s", rep.Render())
 	}
 
-	wantLabel := fmt.Sprintf("switch-down switch %s @%dns", p.FailSwitch, p.FaultAtNs)
+	wantLabel := fmt.Sprintf("switch-down switch %s @%dns", drillFailSwitch, int64(drillFaultAtNs))
 	for _, inc := range rep.Incidents {
 		if inc.Verdict != incident.VerdictInjectedFault {
 			t.Errorf("incident #%d verdict %s, want injected-fault (%s)", inc.ID, inc.Verdict, inc.Reason)
@@ -97,7 +96,6 @@ func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
 // bursting sender VMs. Nothing is unexplained, nothing pages.
 func TestFig5UnpacedIncidentsSelfInflicted(t *testing.T) {
 	res, err := RunFigure5Sim(Figure5SimParams{
-		DurationSec:        0.02,
 		Scheme:             core.SchemeTCP,
 		Incidents:          true,
 		AuditDelayBoundSec: 350e-6,
@@ -156,7 +154,6 @@ func TestFig5UnpacedIncidentsSelfInflicted(t *testing.T) {
 // schemes, it is not doctored against Silo.
 func TestFig5PacedCleanUnderTightenedBound(t *testing.T) {
 	res, err := RunFigure5Sim(Figure5SimParams{
-		DurationSec:        0.02,
 		Scheme:             core.SchemeSilo,
 		Incidents:          true,
 		AuditDelayBoundSec: 350e-6,

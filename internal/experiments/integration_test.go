@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -87,20 +88,16 @@ func TestComparisonHeadline(t *testing.T) {
 	}
 	p := DefaultComparisonParams()
 	p.DurationSec = 0.02
-	p.Schemes = []core.Scheme{core.SchemeSilo, core.SchemeTCP}
-	rs, err := RunComparison(p)
+	stream := tenantStream(p, stats.NewRand(p.Seed))
+	silo, err := runScheme(p, core.SchemeSilo, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var silo, tcp SchemeResult
-	for _, r := range rs {
-		switch r.Scheme {
-		case core.SchemeSilo:
-			silo = r
-		case core.SchemeTCP:
-			tcp = r
-		}
+	tcp, err := runScheme(p, core.SchemeTCP, stream)
+	if err != nil {
+		t.Fatal(err)
 	}
+	rs := []SchemeResult{silo, tcp}
 	// The headline: Silo never drops compliant traffic and has zero
 	// outlier tenants (paper Table 4); TCP drops.
 	if silo.Drops != 0 {
@@ -125,7 +122,6 @@ func TestScaleFigure15Shape(t *testing.T) {
 		t.Skip("flow-level simulation")
 	}
 	p := DefaultScaleParams()
-	p.DurationSec = 400
 	low, err := RunScalePoint(p, "silo", 0.6)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +156,6 @@ func TestPlacementBenchSmall(t *testing.T) {
 		t.Skip("large-topology benchmark")
 	}
 	p := DefaultPlacementBenchParams()
-	p.Pods, p.RacksPerPod, p.ServersPerRack = 4, 10, 25 // 1000 hosts
 	p.Requests = 200
 	r, err := RunPlacementBench(p)
 	if err != nil {

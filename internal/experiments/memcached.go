@@ -8,7 +8,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // MemcachedParams configures the §6.1 testbed reproduction: five
@@ -16,36 +15,31 @@ import (
 // workload) and tenant B (netperf bulk, 15 VMs), three VMs of each per
 // server.
 type MemcachedParams struct {
-	// Servers in the rack (paper: 5).
-	Servers int
-	// VMsPerTenantPerServer (paper: 3).
-	VMsPerTenantPerServer int
 	// DurationSec of simulated load.
 	DurationSec float64
-	// TargetABps is tenant A's aggregate offered load (paper: average
-	// bandwidth requirement 210 Mbps).
-	TargetABps float64
-	// BulkMsgBytes is the netperf message size.
-	BulkMsgBytes int
-	// DynamicHoseEpochNs, when > 0, replaces the static hose
-	// coordination with the EyeQ-style dynamic loop at that epoch.
-	DynamicHoseEpochNs int64
-	Seed               uint64
+	Seed        uint64
 }
 
 // DefaultMemcachedParams returns the paper's configuration at a
 // simulation-friendly duration.
 func DefaultMemcachedParams() MemcachedParams {
-	return MemcachedParams{
-		Servers:               5,
-		VMsPerTenantPerServer: 3,
-		DurationSec:           0.5,
-		TargetABps:            210 * units.Mbps,
-		BulkMsgBytes:          1 << 20,
-		DynamicHoseEpochNs:    1_000_000, // EyeQ-style loop at 1 ms
-		Seed:                  1,
-	}
+	return MemcachedParams{DurationSec: 0.5, Seed: 1}
 }
+
+// The testbed's fixed setup (§6.1).
+const (
+	// memcachedServers in the rack (paper: 5).
+	memcachedServers = 5
+	// memcachedVMsPerServer of each tenant (paper: 3).
+	memcachedVMsPerServer = 3
+	// memcachedTargetABps is tenant A's aggregate offered load (paper:
+	// average bandwidth requirement 210 Mbps).
+	memcachedTargetABps = 210 * units.Mbps
+	// memcachedBulkMsgBytes is the netperf message size.
+	memcachedBulkMsgBytes = 1 << 20
+	// memcachedHoseEpochNs is the EyeQ-style dynamic hose loop's epoch.
+	memcachedHoseEpochNs = 1_000_000
+)
 
 // MemcachedScenario is one line of Figure 11.
 type MemcachedScenario struct {
@@ -111,37 +105,24 @@ func (r MemcachedResult) BulkThroughputBps() float64 {
 
 // memcachedScenario lays one Figure-11 line out on the testbed: VM i of
 // each tenant on server i/3, tenant A's VM 0 the memcached server.
-// Under Silo the hoses follow the dynamic loop, or its static fixed
-// points — A's request/response load is light and non-overlapping
-// (peak: a star through the server), B's shuffle is backlogged
-// everywhere (fair share).
+// Under Silo the hoses follow the dynamic loop.
 func memcachedScenario(p MemcachedParams, sc MemcachedScenario) Scenario {
-	nA := p.Servers * p.VMsPerTenantPerServer
+	const nA = memcachedServers * memcachedVMsPerServer
 	servers := make([]int, nA)
-	star := make(workload.Pattern, nA)
 	for i := range servers {
-		servers[i] = i / p.VMsPerTenantPerServer
-		if i > 0 {
-			star[i] = []int{0}
-			star[0] = append(star[0], i)
-		}
+		servers[i] = i / memcachedVMsPerServer
 	}
-	hoseA := Hose{Kind: HosePeak, Pattern: star}
-	hoseB := Hose{Kind: HoseFairShare, Pattern: crossServerAllToAll(nA, p.VMsPerTenantPerServer)}
-	if p.DynamicHoseEpochNs > 0 {
-		hoseA = Hose{Kind: HoseDynamic, EpochNs: p.DynamicHoseEpochNs}
-		hoseB = hoseA
-	}
+	hose := Hose{Kind: HoseDynamic, EpochNs: memcachedHoseEpochNs}
 	a := Tenant{
 		Spec: tenant.Spec{ID: 1, Name: "A", VMs: nA}, VMBase: 1000, Servers: servers,
-		Hose: hoseA, Driver: Driver{Kind: DriverETC, TargetBps: p.TargetABps},
+		Hose: hose, Driver: Driver{Kind: DriverETC, TargetBps: memcachedTargetABps},
 	}
 	b := Tenant{
 		Spec: tenant.Spec{ID: 2, Name: "B", VMs: nA}, VMBase: 2000, Servers: servers,
-		Hose: hoseB, Driver: Driver{Kind: DriverShuffle, MsgBytes: p.BulkMsgBytes},
+		Hose: hose, Driver: Driver{Kind: DriverShuffle, MsgBytes: memcachedBulkMsgBytes},
 	}
 	out := Scenario{
-		Topology:  TenGbE(1, 1, p.Servers, 2*p.VMsPerTenantPerServer, 1, 1),
+		Topology:  TenGbE(1, 1, memcachedServers, 2*memcachedVMsPerServer, 1, 1),
 		Scheme:    core.SchemeTCP,
 		Seed:      p.Seed,
 		Tenants:   []Tenant{a},
@@ -183,20 +164,6 @@ func RunMemcachedScenario(p MemcachedParams, sc MemcachedScenario) (MemcachedRes
 		res.BulkBytes = run.Tenants[1].BytesReceived
 	}
 	return res, nil
-}
-
-// crossServerAllToAll builds tenant B's shuffle pattern excluding
-// same-server pairs (which never cross the network).
-func crossServerAllToAll(n, perServer int) workload.Pattern {
-	pat := make(workload.Pattern, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && i/perServer != j/perServer {
-				pat[i] = append(pat[i], j)
-			}
-		}
-	}
-	return pat
 }
 
 // Figure11Scenarios returns the five scenario lines of Figure 11

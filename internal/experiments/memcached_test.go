@@ -3,27 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/units"
 )
-
-func TestCrossServerAllToAll(t *testing.T) {
-	// 6 VMs, 3 per server: pairs within a server are excluded.
-	pat := crossServerAllToAll(6, 3)
-	for src, dsts := range pat {
-		for _, d := range dsts {
-			if src/3 == d/3 {
-				t.Errorf("same-server pair %d->%d included", src, d)
-			}
-		}
-		if len(dsts) != 3 {
-			t.Errorf("VM %d has %d cross-server peers, want 3", src, len(dsts))
-		}
-	}
-	if pat.Edges() != 18 {
-		t.Errorf("edges = %d, want 18", pat.Edges())
-	}
-}
 
 func TestFigure11ScenarioList(t *testing.T) {
 	scs := Figure11Scenarios()
@@ -68,10 +48,9 @@ func TestMemcachedResultHelpers(t *testing.T) {
 
 func TestRenderMemcachedIncludesGuarantee(t *testing.T) {
 	a, _ := Table2Guarantees(1)
-	r, err := RunMemcachedScenario(MemcachedParams{
-		Servers: 2, VMsPerTenantPerServer: 2, DurationSec: 0.002,
-		TargetABps: 50 * units.Mbps, BulkMsgBytes: 1 << 18, Seed: 1,
-	}, MemcachedScenario{Name: "mini", WithBulk: false, GuaranteeA: &a, GuaranteeB: &a})
+	p := DefaultMemcachedParams()
+	p.DurationSec = 0.002
+	r, err := RunMemcachedScenario(p, MemcachedScenario{Name: "mini", WithBulk: false, GuaranteeA: &a, GuaranteeB: &a})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,11 @@ import (
 )
 
 // ScaleParams configures the flow-level §6.3 experiments (Figures 15
-// and 16). The paper models 32 K servers; the default here is scaled
-// down with the same three-tier 1:5 oversubscription.
+// and 16). The paper models 32 K servers; this tree is scaled down to
+// 2 pods × 5 racks × 20 servers × 4 slots with the same three-tier 1:5
+// oversubscription, and tenants average 12 VMs over 800 simulated
+// seconds in 2 s epochs.
 type ScaleParams struct {
-	Pods, RacksPerPod, ServersPerRack, SlotsPerServer int
-	Oversub                                           float64
-	AvgVMs                                            int
-	DurationSec, EpochSec                             float64
 	// PermutationX is class-B's traffic pattern (Figure 16b sweeps
 	// it).
 	PermutationX float64
@@ -31,22 +29,11 @@ type ScaleParams struct {
 
 // DefaultScaleParams returns a laptop-scale §6.3 configuration.
 func DefaultScaleParams() ScaleParams {
-	return ScaleParams{
-		Pods:           2,
-		RacksPerPod:    5,
-		ServersPerRack: 20,
-		SlotsPerServer: 4,
-		Oversub:        5,
-		AvgVMs:         12,
-		DurationSec:    800,
-		EpochSec:       2,
-		PermutationX:   1,
-		Seed:           21,
-	}
+	return ScaleParams{PermutationX: 1, Seed: 21}
 }
 
-func (p ScaleParams) tree() (*topology.Tree, error) {
-	return topology.New(TenGbE(p.Pods, p.RacksPerPod, p.ServersPerRack, p.SlotsPerServer, p.Oversub, p.Oversub))
+func scaleTree() (*topology.Tree, error) {
+	return topology.New(TenGbE(2, 5, 20, 4, 5, 5))
 }
 
 func (p ScaleParams) classes() []flowsim.ClassConfig {
@@ -104,7 +91,7 @@ func RunScalePoint(p ScaleParams, placerName string, occupancy float64) (ScalePo
 	if !ok {
 		return ScalePoint{}, fmt.Errorf("unknown placer %q", placerName)
 	}
-	tree, err := p.tree()
+	tree, err := scaleTree()
 	if err != nil {
 		return ScalePoint{}, err
 	}
@@ -116,11 +103,11 @@ func RunScalePoint(p ScaleParams, placerName string, occupancy float64) (ScalePo
 		Tree:        tree,
 		Placer:      pl.scheme.Placer(tree),
 		Mode:        pl.mode,
-		AvgVMs:      p.AvgVMs,
+		AvgVMs:      12,
 		Classes:     p.classes(),
 		Occupancy:   occupancy,
-		DurationSec: p.DurationSec,
-		EpochSec:    p.EpochSec,
+		DurationSec: 800,
+		EpochSec:    2,
 		Seed:        p.Seed,
 	}
 	res := flowsim.Run(cfg)
@@ -137,7 +124,7 @@ func RunScalePoint(p ScaleParams, placerName string, occupancy float64) (ScalePo
 		}
 		cfg.ArrivalRate = res.ArrivalRateUsed * ratio
 		// Placers are stateful; rebuild for each calibration run.
-		if cfg.Tree, err = p.tree(); err != nil {
+		if cfg.Tree, err = scaleTree(); err != nil {
 			return ScalePoint{}, err
 		}
 		cfg.Placer = pl.scheme.Placer(cfg.Tree)
@@ -204,26 +191,17 @@ func RenderScalePoints(points []ScalePoint) string {
 
 // PlacementBenchParams configures the placement-manager scalability
 // microbenchmark (paper §5: 100 K hosts, mean 49-VM tenants, max
-// placement time 1.15 s over 100 K requests).
+// placement time 1.15 s over 100 K requests): 25 pods × 40 racks × 100
+// servers × 8 slots.
 type PlacementBenchParams struct {
-	Pods, RacksPerPod, ServersPerRack, SlotsPerServer int
-	AvgVMs                                            int
-	Requests                                          int
-	Seed                                              uint64
+	Requests int
+	Seed     uint64
 }
 
 // DefaultPlacementBenchParams mirrors the paper's 100 K-host setup at
 // a CI-friendly request count.
 func DefaultPlacementBenchParams() PlacementBenchParams {
-	return PlacementBenchParams{
-		Pods:           25,
-		RacksPerPod:    40,
-		ServersPerRack: 100, // 100,000 hosts
-		SlotsPerServer: 8,
-		AvgVMs:         49,
-		Requests:       2000,
-		Seed:           5,
-	}
+	return PlacementBenchParams{Requests: 2000, Seed: 5}
 }
 
 // PlacementBenchResult summarizes placement times.
@@ -243,7 +221,7 @@ type PlacementBenchResult struct {
 // a full-scale datacenter, with tenant churn (completed tenants leave
 // so the datacenter reaches steady occupancy).
 func RunPlacementBench(p PlacementBenchParams) (PlacementBenchResult, error) {
-	tree, err := topology.New(TenGbE(p.Pods, p.RacksPerPod, p.ServersPerRack, p.SlotsPerServer, 5, 5))
+	tree, err := topology.New(TenGbE(25, 40, 100, 8, 5, 5))
 	if err != nil {
 		return PlacementBenchResult{}, err
 	}
@@ -256,7 +234,7 @@ func RunPlacementBench(p PlacementBenchParams) (PlacementBenchResult, error) {
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	for i := 0; i < p.Requests; i++ {
-		vms := int(rng.Exp(float64(p.AvgVMs)))
+		vms := int(rng.Exp(49))
 		if vms < 2 {
 			vms = 2
 		}

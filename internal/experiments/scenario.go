@@ -1,7 +1,9 @@
 // Package experiments reproduces every table and figure in Silo's
-// evaluation (§6). Each experiment is a pure function from a
-// parameter struct to a result struct plus a text renderer, shared by
-// the cmd/silo-bench CLI and the root testing.B benchmarks; every
+// evaluation (§6). Each experiment is a pure function from the few
+// settings silo-bench turns (a seed, a duration, a request count) to a
+// result struct plus a text renderer, shared by the cmd/silo-bench CLI
+// and the root testing.B benchmarks; the rest of each setup is
+// constants in its runner. Every
 // packet-level one is a Scenario (this file) plus a reducer over its
 // Run. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
 // paper-vs-measured numbers.

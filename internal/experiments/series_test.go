@@ -22,9 +22,9 @@ func TestSeriesJSONWritten(t *testing.T) {
 		faults bool
 	}{{"steady", false}, {"fault", true}} {
 		t.Run(c.name, func(t *testing.T) {
-			p := DefaultFailureDrillParams()
-			p.WindowNs = 100_000
-			sc := drillScenario(p)
+			sc := drillScenario(FailureDrillSeed)
+			sc.Planes.SLOWindowNs = 100_000
+			sc.Planes.IncidentMergeNs = 2 * sc.Planes.SLOWindowNs
 			if !c.faults {
 				sc.Faults = ""
 			}
@@ -60,8 +60,8 @@ func TestSeriesJSONWritten(t *testing.T) {
 				t.Errorf("%d violations correlated, fault injected: %v", doc.Incidents.TotalViolations, c.faults)
 			}
 			now := run.Net.Sim.Now()
-			if doc.SLO == nil || doc.SLO.Windows != now/p.WindowNs || len(doc.SLO.Tenants) != p.Tenants {
-				t.Fatalf("slo block %+v: want %d windows, %d tenants", doc.SLO, now/p.WindowNs, p.Tenants)
+			if doc.SLO == nil || doc.SLO.Windows != now/sc.Planes.SLOWindowNs || len(doc.SLO.Tenants) != drillTenants {
+				t.Fatalf("slo block %+v: want %d windows, %d tenants", doc.SLO, now/sc.Planes.SLOWindowNs, drillTenants)
 			}
 			for _, tv := range doc.SLO.Tenants {
 				pts := tv.Points
@@ -82,7 +82,7 @@ func TestSeriesJSONWritten(t *testing.T) {
 // tenant and resetting the tracker allocate nothing once the rows have
 // grown.
 func TestWindowTickAllocatesNothing(t *testing.T) {
-	sc := drillScenario(DefaultFailureDrillParams())
+	sc := drillScenario(FailureDrillSeed)
 	sc.Planes.TraceSampleN = 1
 	sc.Planes.Introspect = true
 	run, err := Build(sc, Env{})
@@ -102,7 +102,7 @@ func TestWindowTickAllocatesNothing(t *testing.T) {
 // the incident report exists only once Finish has correlated the
 // finished streams.
 func TestIncidentsCorrelatedAtFinish(t *testing.T) {
-	sc := drillScenario(DefaultFailureDrillParams())
+	sc := drillScenario(FailureDrillSeed)
 	run, err := Build(sc, Env{})
 	if err != nil {
 		t.Fatal(err)

@@ -27,34 +27,31 @@ type SoakParams struct {
 	Duration time.Duration
 	// Seed drives the churn and the crash offsets.
 	Seed uint64
-	// OpsPerCycle is the churn length between crash-kills.
-	OpsPerCycle int
-	// SyncEvery batches WAL fsyncs (records past the last fsync are
-	// exactly what a crash may clip).
-	SyncEvery int
-	// SnapshotEvery sets the snapshot cadence, exercising rotation and
-	// segment GC under crashes.
-	SnapshotEvery int
 	// MaxCrashes is the soak's length in crash/recovery cycles (0 =
 	// until Duration elapses). With a seed it fixes the whole run.
 	MaxCrashes int
-	// Dir is the scratch root for store directories ("" = a fresh temp
-	// dir, removed afterwards).
-	Dir string
 }
 
 // DefaultSoakParams is sized for a quick local run (a few seconds); CI
 // asks for a longer count with silo-bench's -requests.
 func DefaultSoakParams() SoakParams {
 	return SoakParams{
-		Duration:      10 * time.Minute,
-		MaxCrashes:    600,
-		Seed:          42,
-		OpsPerCycle:   40,
-		SyncEvery:     4,
-		SnapshotEvery: 64,
+		Duration:   10 * time.Minute,
+		MaxCrashes: 600,
+		Seed:       42,
 	}
 }
+
+const (
+	// soakOpsPerCycle is the churn length between crash-kills.
+	soakOpsPerCycle = 40
+	// soakSyncEvery batches WAL fsyncs (records past the last fsync are
+	// exactly what a crash may clip).
+	soakSyncEvery = 4
+	// soakSnapshotEvery sets the snapshot cadence, exercising rotation
+	// and segment GC under crashes.
+	soakSnapshotEvery = 64
+)
 
 // SoakResult is the soak verdict. The hard assertions — zero invariant
 // violations, zero overbooked ports, zero unexplained safe-mode
@@ -178,30 +175,16 @@ func crashCopy(src, dst, liveSeg string, cut int64) error {
 // RunSoak drives the chaos soak: churn the durable manager, crash-kill
 // it at a random WAL offset, recover from the surviving bytes, verify
 // every invariant, repeat for MaxCrashes cycles or until the Duration
-// timeout.
+// timeout. The stores live in a fresh temp dir, removed afterwards.
 func RunSoak(p SoakParams, meta *obs.RunMeta) (*SoakResult, error) {
-	def := DefaultSoakParams()
 	if p.Duration <= 0 {
-		p.Duration = def.Duration
+		p.Duration = DefaultSoakParams().Duration
 	}
-	if p.OpsPerCycle <= 0 {
-		p.OpsPerCycle = def.OpsPerCycle
+	root, err := os.MkdirTemp("", "silo-soak")
+	if err != nil {
+		return nil, err
 	}
-	if p.SyncEvery <= 0 {
-		p.SyncEvery = def.SyncEvery
-	}
-	if p.SnapshotEvery == 0 {
-		p.SnapshotEvery = def.SnapshotEvery
-	}
-	root := p.Dir
-	if root == "" {
-		tmp, err := os.MkdirTemp("", "silo-soak")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		root = tmp
-	}
+	defer os.RemoveAll(root)
 	tree, err := soakTree()
 	if err != nil {
 		return nil, err
@@ -211,9 +194,9 @@ func RunSoak(p SoakParams, meta *obs.RunMeta) (*SoakResult, error) {
 		MaxCrashes:    p.MaxCrashes,
 		TimeoutSec:    p.Duration.Seconds(),
 		Seed:          p.Seed,
-		OpsPerCycle:   p.OpsPerCycle,
-		SyncEvery:     p.SyncEvery,
-		SnapshotEvery: p.SnapshotEvery,
+		OpsPerCycle:   soakOpsPerCycle,
+		SyncEvery:     soakSyncEvery,
+		SnapshotEvery: soakSnapshotEvery,
 		Meta:          meta,
 	}
 	violate := func(format string, args ...any) {
@@ -221,7 +204,7 @@ func RunSoak(p SoakParams, meta *obs.RunMeta) (*SoakResult, error) {
 	}
 
 	rng := stats.NewRand(p.Seed)
-	opts := durable.Options{SyncEvery: p.SyncEvery, SnapshotEvery: p.SnapshotEvery, Meta: meta}
+	opts := durable.Options{SyncEvery: soakSyncEvery, SnapshotEvery: soakSnapshotEvery, Meta: meta}
 	liveDir := filepath.Join(root, "store-000000")
 	m, _, err := durable.Open(liveDir, tree, opts)
 	if err != nil {
@@ -237,7 +220,7 @@ func RunSoak(p SoakParams, meta *obs.RunMeta) (*SoakResult, error) {
 			break
 		}
 		// Churn phase.
-		for i := 0; i < p.OpsPerCycle; i++ {
+		for i := 0; i < soakOpsPerCycle; i++ {
 			switch r := rng.Float64(); {
 			case r < 0.55:
 				if _, err := m.Place(soakSpec(rng, nextID)); err != nil {

@@ -13,7 +13,6 @@ import (
 func TestRunSoakShortIsClean(t *testing.T) {
 	p := DefaultSoakParams()
 	p.Duration = 400 * time.Millisecond
-	p.Dir = t.TempDir()
 	meta := &obs.RunMeta{Tool: "soak-test", Seed: int64(p.Seed)}
 	res, err := RunSoak(p, meta)
 	if err != nil {
@@ -57,7 +56,6 @@ func TestRunSoakMaxCrashesStopsEarly(t *testing.T) {
 	p := DefaultSoakParams()
 	p.Duration = 30 * time.Second // the cap, not the clock, must stop it
 	p.MaxCrashes = 2
-	p.Dir = t.TempDir()
 	start := time.Now()
 	res, err := RunSoak(p, nil)
 	if err != nil {
@@ -84,8 +82,7 @@ func TestRunSoakByCountIsDeterministic(t *testing.T) {
 		p := DefaultSoakParams()
 		p.Duration = time.Minute // a safety timeout: the count stops it
 		p.MaxCrashes = 25
-		p.Dir = t.TempDir()
-		res, err := RunSoak(p, nil)
+			res, err := RunSoak(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

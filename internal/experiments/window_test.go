@@ -22,9 +22,9 @@ func TestFinishClosesPartialWindow(t *testing.T) {
 		{"window divides the run", 1e6, 0, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			p := DefaultFailureDrillParams()
-			p.WindowNs = c.windowNs
-			sc := drillScenario(p)
+			sc := drillScenario(FailureDrillSeed)
+			sc.Planes.SLOWindowNs = c.windowNs
+			sc.Planes.IncidentMergeNs = 2 * c.windowNs
 			run, err := Build(sc, Env{})
 			if err != nil {
 				t.Fatal(err)
@@ -45,8 +45,8 @@ func TestFinishClosesPartialWindow(t *testing.T) {
 			if got, want := run.SLO.Windows, ticks+c.extra; got != want {
 				t.Errorf("%d windows closed, want %d ticks + %d", got, ticks, c.extra)
 			}
-			if len(run.SLO.Reports) != p.Tenants {
-				t.Fatalf("%d SLO reports, want %d", len(run.SLO.Reports), p.Tenants)
+			if len(run.SLO.Reports) != drillTenants {
+				t.Fatalf("%d SLO reports, want %d", len(run.SLO.Reports), drillTenants)
 			}
 			lastStart := (ticks - 1 + c.extra) * c.windowNs
 			for _, r := range run.SLO.Reports {

@@ -132,19 +132,19 @@ func (t *Tally) ETC(sim *netsim.Sim, rng *stats.Rand, server *transport.Endpoint
 		respByID[m.ID] = ri
 	}
 
-	etc := DefaultETC()
-	meanVal := etc.MeanValueBytes(stats.NewRand(99), 50000)
-	reqRate := targetBps / float64(len(clients)) / (100 + meanVal) // requests/sec per client
-	etc.GapScale = 1 / reqRate * (1 - etc.GapShape)
+	meanVal := ETCMeanValueBytes(stats.NewRand(99), 50000)
+	reqRate := targetBps / float64(len(clients)) / (ETCRequestBytes + meanVal) // requests/sec per client
+	shape := float64(ETCGapShape) // a variable: 1 − shape is float64 arithmetic, not an exact constant
+	gapScale := 1 / reqRate * (1 - shape)
 	issue := func(c *etcClient, valueBytes int) {
 		t.Messages++
 		c.outstanding++
-		m := c.ep.SendMessage(server.VMID, 100, nil)
+		m := c.ep.SendMessage(server.VMID, ETCRequestBytes, nil)
 		reqByID[m.ID] = &reqInfo{client: c, respBytes: valueBytes, issued: sim.Now()}
 	}
 	for _, ep := range clients {
 		c := &etcClient{ep: ep}
-		gen := NewETCGenerator(etc, rng.Split(), 0)
+		gen := NewETCGenerator(gapScale, rng.Split(), 0)
 		var schedule func()
 		schedule = func() {
 			req := gen.Next()

@@ -17,38 +17,27 @@ import (
 	"repro/internal/stats"
 )
 
-// ETCParams are the published generalized-Pareto fits for Facebook's
-// ETC memcached pool. Value sizes: GPD(loc=0, scale=214.476,
-// shape=0.348238); inter-arrival gaps (per client, scaled by demand):
-// GPD(loc=0, scale=16.0292 µs, shape=0.154971). Key sizes follow a
-// generalized extreme-value law; we fold the ~30-byte mean key into
-// the request overhead.
-type ETCParams struct {
-	ValueScale float64 // bytes
-	ValueShape float64
-	GapScale   float64 // seconds
-	GapShape   float64
-	// RequestBytes is the fixed size of a GET request (key + protocol
+// The published generalized-Pareto fits for Facebook's ETC memcached
+// pool, with the paper's observed bounds (§6.1: average value ≈300 B,
+// maximum ≈1 KB, average packet ≈400 B). Value sizes: GPD(loc=0,
+// scale=214.476, shape=0.348238); inter-arrival gaps (per client,
+// scaled by demand): GPD(loc=0, scale=16.0292 µs, shape=0.154971). Key
+// sizes follow a generalized extreme-value law; we fold the ~30-byte
+// mean key into the request overhead.
+const (
+	etcValueScale = 214.476 // bytes
+	etcValueShape = 0.348238
+	// ETCGapScale is the published gap scale in seconds; a generator
+	// driven at another demand scales it.
+	ETCGapScale = 16.0292e-6
+	ETCGapShape = 0.154971
+	// ETCRequestBytes is the fixed size of a GET request (key + protocol
 	// overhead).
-	RequestBytes int
-	// MaxValueBytes truncates the value tail (memcached caps at 1 MB;
+	ETCRequestBytes = 100
+	// etcMaxValueBytes truncates the value tail (memcached caps at 1 MB;
 	// the paper's workload sees ~1 KB maxima).
-	MaxValueBytes int
-}
-
-// DefaultETC returns the SIGMETRICS fits with the paper's observed
-// bounds (§6.1: average value ≈300 B, maximum ≈1 KB, average packet
-// ≈400 B).
-func DefaultETC() ETCParams {
-	return ETCParams{
-		ValueScale:    214.476,
-		ValueShape:    0.348238,
-		GapScale:      16.0292e-6,
-		GapShape:      0.154971,
-		RequestBytes:  100,
-		MaxValueBytes: 1024,
-	}
-}
+	etcMaxValueBytes = 1024
+)
 
 // Request is one generated key-value operation.
 type Request struct {
@@ -60,35 +49,37 @@ type Request struct {
 
 // ETCGenerator draws ETC requests.
 type ETCGenerator struct {
-	p   ETCParams
-	rng *stats.Rand
-	now int64
+	gapScale float64 // seconds
+	rng      *stats.Rand
+	now      int64
 }
 
-// NewETCGenerator returns a generator starting at time start.
-func NewETCGenerator(p ETCParams, rng *stats.Rand, start int64) *ETCGenerator {
-	return &ETCGenerator{p: p, rng: rng, now: start}
+// NewETCGenerator returns a generator starting at time start whose
+// inter-arrival gaps have the given GPD scale in seconds (ETCGapScale
+// for the published fit).
+func NewETCGenerator(gapScale float64, rng *stats.Rand, start int64) *ETCGenerator {
+	return &ETCGenerator{gapScale: gapScale, rng: rng, now: start}
 }
 
 // Next returns the next request.
 func (g *ETCGenerator) Next() Request {
-	gap := g.rng.GenPareto(0, g.p.GapScale, g.p.GapShape)
+	gap := g.rng.GenPareto(0, g.gapScale, ETCGapShape)
 	g.now += int64(gap * 1e9)
-	v := int(g.rng.GenPareto(0, g.p.ValueScale, g.p.ValueShape)) + 1
-	if v > g.p.MaxValueBytes {
-		v = g.p.MaxValueBytes
+	v := int(g.rng.GenPareto(0, etcValueScale, etcValueShape)) + 1
+	if v > etcMaxValueBytes {
+		v = etcMaxValueBytes
 	}
 	return Request{At: g.now, ValueBytes: v}
 }
 
-// MeanValueBytes estimates the mean value size by sampling (the GPD
-// mean scale/(1−shape) ≈ 329 B for the default fit).
-func (p ETCParams) MeanValueBytes(rng *stats.Rand, n int) float64 {
+// ETCMeanValueBytes estimates the mean value size by sampling (the GPD
+// mean scale/(1−shape) ≈ 329 B for the published fit).
+func ETCMeanValueBytes(rng *stats.Rand, n int) float64 {
 	var sum float64
 	for i := 0; i < n; i++ {
-		v := rng.GenPareto(0, p.ValueScale, p.ValueShape) + 1
-		if v > float64(p.MaxValueBytes) {
-			v = float64(p.MaxValueBytes)
+		v := rng.GenPareto(0, etcValueScale, etcValueShape) + 1
+		if v > etcMaxValueBytes {
+			v = etcMaxValueBytes
 		}
 		sum += v
 	}

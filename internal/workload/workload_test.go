@@ -8,7 +8,7 @@ import (
 )
 
 func TestETCGeneratorMonotoneAndBounded(t *testing.T) {
-	g := NewETCGenerator(DefaultETC(), stats.NewRand(1), 0)
+	g := NewETCGenerator(ETCGapScale, stats.NewRand(1), 0)
 	prev := int64(-1)
 	for i := 0; i < 10000; i++ {
 		r := g.Next()
@@ -24,7 +24,7 @@ func TestETCGeneratorMonotoneAndBounded(t *testing.T) {
 
 func TestETCMeanValueNearPaper(t *testing.T) {
 	// Paper §6.1: "the average value size in our workload is 300 B".
-	mean := DefaultETC().MeanValueBytes(stats.NewRand(2), 200000)
+	mean := ETCMeanValueBytes(stats.NewRand(2), 200000)
 	if mean < 250 || mean > 350 {
 		t.Errorf("mean value = %.1f B, want ≈300", mean)
 	}
@@ -36,7 +36,7 @@ func TestETCBandwidthNearPaper(t *testing.T) {
 	// bandwidth is mean_value / mean_gap; verify it is in a plausible
 	// tens-of-Mbps range per client (the testbed aggregates 14
 	// clients).
-	g := NewETCGenerator(DefaultETC(), stats.NewRand(3), 0)
+	g := NewETCGenerator(ETCGapScale, stats.NewRand(3), 0)
 	var bytes int64
 	var last int64
 	const n = 200000

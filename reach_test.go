@@ -3,9 +3,12 @@ package silo
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os/exec"
 	"path/filepath"
 	"slices"
@@ -124,79 +127,106 @@ func TestEveryInternalFunctionIsLinked(t *testing.T) {
 }
 
 // optionAllowlist names the exported fields of option structs under
-// internal/ that no program sets but that stay, each with its reason. A
-// key is package.Type.Field.
+// internal/ that no program sets but that stay, each with its reason:
+// an ablation names the ROADMAP item that decides it, a test-only field
+// the test that cannot shrink its run through a knob a program turns.
+// A key is package.Type.Field.
 var optionAllowlist = map[string]string{
-	"placement.Options.PlainAggregation":    "ablation: ROADMAP item 6's plain (non-hose) aggregation row; BenchmarkAblationHose and the certificate and silo tests set it",
-	"placement.Options.DelayCheckUsesBound": "ablation: ROADMAP item 6's bound-based delay check row; BenchmarkAblationDelayCheck and the equivalence test set it",
+	"placement.Options.PlainAggregation":          "ablation: ROADMAP item 6's plain (non-hose) aggregation row; BenchmarkAblationHose and the certificate and silo tests set it",
+	"placement.Options.DelayCheckUsesBound":       "ablation: ROADMAP item 6's bound-based delay check row; BenchmarkAblationDelayCheck and the equivalence test set it",
+	"placement/durable.Options.Placement":         "ablation: carries the two rows above into a store and its config.json key; ROADMAP item 6's keep-or-delete rule decides it with them",
+	"experiments.ComparisonParams.Racks":          "test: TestComparisonGolden pins all six schemes on a 5-rack tree in about a second",
+	"experiments.ComparisonParams.ClassBMsgBytes": "test: TestComparisonGolden shrinks class-B messages to 256 KB so its 3 ms run drains in about a second",
 }
 
 // TestEveryOptionIsSet fails on each exported field of a struct under
 // internal/ whose type name ends in Options, Config, Params or Policy
 // that no non-test file of the module sets and that optionAllowlist
-// does not name. A field is set where a composite literal names it as a
-// key, or an assignment, increment or address-of reaches it through a
-// selector; assignments inside the type's own withDefaults or fill
-// method do not count, since they only supply the default. Matching is
-// by field name, so a field that shares its name with a set field of
-// another type passes. A knob no program turns is the default every
-// caller already gets: make it a constant and delete the field.
+// does not name. It type-checks every package of the module from
+// source and resolves each write to the one field it names: a
+// composite-literal key (or position), or an assignment, increment or
+// address-of through a selector. Writes inside the type's own
+// withDefaults or fill method, or inside a function named Default…
+// that returns the type, do not count, since they only supply the
+// default. A knob no program turns is the default every caller already
+// gets: make it a constant and delete the field.
 func TestEveryOptionIsSet(t *testing.T) {
-	type site struct{ pkg, recv string }
-	sets := map[string][]site{}
-	var fields []string // package.Type.Field
-	for _, line := range strings.Split(strings.TrimSpace(goOutput(t, "list", "-f", `{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}`, "./...")), "\n") {
-		f := strings.Fields(line)
-		if len(f) < 3 {
+	pkgs := typeCheckModule(t)
+
+	owner := map[*types.Var]*types.TypeName{} // option field -> its struct type
+	var fields []string                       // package.Type.Field
+	key := func(v *types.Var) string {
+		tn := owner[v]
+		return strings.TrimPrefix(tn.Pkg().Path(), "repro/internal/") + "." + tn.Name() + "." + v.Name()
+	}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.pkg.Path(), "repro/internal/") {
 			continue
 		}
-		pkg, internal := strings.CutPrefix(f[0], "repro/internal/")
-		for _, file := range f[2:] {
-			af, err := parser.ParseFile(token.NewFileSet(), filepath.Join(f[1], file), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !isOptionType(name) {
+				continue
 			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() {
+					owner[f] = tn
+					fields = append(fields, key(f))
+				}
+			}
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("found no option struct under internal/")
+	}
+
+	set := map[string]bool{}
+	for _, p := range pkgs {
+		for _, af := range p.files {
 			for _, d := range af.Decls {
-				if gd, ok := d.(*ast.GenDecl); ok && internal && gd.Tok == token.TYPE {
-					for _, spec := range gd.Specs {
-						ts := spec.(*ast.TypeSpec)
-						st, ok := ts.Type.(*ast.StructType)
-						if !ok || !isOptionType(ts.Name.Name) {
-							continue
-						}
-						for _, fl := range st.Fields.List {
-							for _, n := range fl.Names {
-								if n.IsExported() {
-									fields = append(fields, pkg+"."+ts.Name.Name+"."+n.Name)
-								}
-							}
-						}
+				defaults := defaultsFor(p.info, d)
+				note := func(obj types.Object) {
+					if v, ok := obj.(*types.Var); ok && owner[v] != nil && !defaults[owner[v]] {
+						set[key(v)] = true
 					}
 				}
-				at := site{pkg: f[0]}
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && (fd.Name.Name == "withDefaults" || fd.Name.Name == "fill") {
-					at = site{pkg: pkg, recv: strings.Split(funcKey(pkg, fd), ".")[1]}
-				}
-				note := func(e ast.Expr) {
-					if sel, ok := e.(*ast.SelectorExpr); ok {
-						sets[sel.Sel.Name] = append(sets[sel.Sel.Name], at)
+				noteSel := func(e ast.Expr) {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+							note(s.Obj())
+						}
 					}
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
 					switch x := n.(type) {
-					case *ast.KeyValueExpr:
-						if id, ok := x.Key.(*ast.Ident); ok {
-							sets[id.Name] = append(sets[id.Name], at)
+					case *ast.CompositeLit:
+						st, ok := derefUnder(p.info.TypeOf(x)).(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, e := range x.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									note(p.info.Uses[id])
+								}
+							} else if i < st.NumFields() {
+								note(st.Field(i))
+							}
 						}
 					case *ast.AssignStmt:
 						for _, l := range x.Lhs {
-							note(l)
+							noteSel(l)
 						}
 					case *ast.IncDecStmt:
-						note(x.X)
+						noteSel(x.X)
 					case *ast.UnaryExpr:
 						if x.Op == token.AND {
-							note(x.X)
+							noteSel(x.X)
 						}
 					}
 					return true
@@ -204,36 +234,138 @@ func TestEveryOptionIsSet(t *testing.T) {
 			}
 		}
 	}
-	if len(fields) == 0 {
-		t.Fatal("found no option struct under internal/")
-	}
+
 	sort.Strings(fields)
-	used := map[string]bool{}
-	for _, key := range fields {
-		parts := strings.Split(key, ".")
-		pkg, typ, name := strings.Join(parts[:len(parts)-2], "."), parts[len(parts)-2], parts[len(parts)-1]
-		set := false
-		for _, s := range sets[name] {
-			if s.pkg != pkg || s.recv != typ {
-				set = true
-				break
-			}
-		}
+	for _, k := range fields {
 		switch {
-		case set && optionAllowlist[key] != "":
-			t.Errorf("allowlist entry %s is set by a program: drop it", key)
-		case set:
-		case optionAllowlist[key] != "":
-			used[key] = true
+		case set[k] && optionAllowlist[k] != "":
+			t.Errorf("allowlist entry %s is set by a program: drop it", k)
+		case set[k], optionAllowlist[k] != "":
 		default:
-			t.Errorf("%s is set by no program: make it the constant every caller gets and delete the field, or allowlist it with a reason", key)
+			t.Errorf("%s is set by no program: make it the constant every caller gets and delete the field, or allowlist it with a reason", k)
 		}
 	}
 	for k := range optionAllowlist {
-		if !used[k] && !slices.Contains(fields, k) {
+		if !slices.Contains(fields, k) {
 			t.Errorf("allowlist entry %s names no option field: drop it", k)
 		}
 	}
+}
+
+// defaultsFor returns the option types whose fields a declaration only
+// defaults: the receiver of a withDefaults or fill method, or each
+// result type of a function named Default….
+func defaultsFor(info *types.Info, d ast.Decl) map[*types.TypeName]bool {
+	fd, ok := d.(*ast.FuncDecl)
+	if !ok {
+		return nil
+	}
+	sig := info.Defs[fd.Name].(*types.Func).Type().(*types.Signature)
+	var of []types.Type
+	switch {
+	case sig.Recv() != nil && (fd.Name.Name == "withDefaults" || fd.Name.Name == "fill"):
+		of = append(of, sig.Recv().Type())
+	case sig.Recv() == nil && strings.HasPrefix(fd.Name.Name, "Default"):
+		for i := range sig.Results().Len() {
+			of = append(of, sig.Results().At(i).Type())
+		}
+	}
+	m := map[*types.TypeName]bool{}
+	for _, typ := range of {
+		if p, ok := typ.(*types.Pointer); ok {
+			typ = p.Elem()
+		}
+		if n, ok := typ.(*types.Named); ok {
+			m[n.Obj()] = true
+		}
+	}
+	return m
+}
+
+// derefUnder returns the underlying type of t, or of what t points to.
+func derefUnder(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem().Underlying()
+	}
+	return t.Underlying()
+}
+
+// checkedPkg is one package of the module, type-checked from its
+// non-test files.
+type checkedPkg struct {
+	dir   string
+	names []string
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package
+}
+
+// moduleImporter type-checks this module's packages from source, each
+// once, on first import, and hands every other path to the standard
+// library's source importer, so nothing is downloaded or built.
+type moduleImporter struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*checkedPkg
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	p, ok := m.pkgs[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	if p.pkg != nil {
+		return p.pkg, nil
+	}
+	for _, name := range p.names {
+		af, err := parser.ParseFile(m.fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, af)
+	}
+	p.info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, p.files, p.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", path, err)
+	}
+	p.pkg = pkg
+	return pkg, nil
+}
+
+// typeCheckModule type-checks every package of the module from its
+// non-test files and returns them sorted by import path.
+func typeCheckModule(t *testing.T) []*checkedPkg {
+	t.Helper()
+	fset := token.NewFileSet()
+	m := &moduleImporter{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*checkedPkg{}}
+	var paths []string
+	for _, line := range strings.Split(strings.TrimSpace(goOutput(t, "list", "-f", `{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}`, "./...")), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
+		}
+		m.pkgs[f[0]] = &checkedPkg{dir: f[1], names: f[2:]}
+		paths = append(paths, f[0])
+	}
+	sort.Strings(paths)
+	pkgs := make([]*checkedPkg, 0, len(paths))
+	for _, path := range paths {
+		if _, err := m.Import(path); err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, m.pkgs[path])
+	}
+	return pkgs
 }
 
 // isOptionType reports whether a struct type's name marks it as a bag
