@@ -15,7 +15,9 @@
 // 100K-host placement stream; -requests sizes it), besteffort,
 // burststress, faultdrill, soak (durable control-plane chaos soak;
 // -requests sets its crash/recovery cycles, -duration its wall-clock
-// timeout, -soak-report writes the JSON verdict).
+// timeout, -soak-report writes the JSON verdict). A flag that none of
+// the selected experiments reads, or a negative -requests or
+// -duration, exits 2 before anything runs.
 package main
 
 import (
@@ -60,10 +62,72 @@ func main() {
 		soakReport = flag.String("soak-report", "", "for soak: also write the RunMeta-stamped JSON verdict to this path")
 	)
 	flag.Parse()
+
+	// Each experiment and the flags besides -run that it reads.
+	type experiment struct {
+		run   func() error
+		flags string
+	}
+	byName := map[string]experiment{
+		"fig1":        {func() error { return runFig1(*duration, *seed) }, "duration seed outdir"},
+		"table1":      {func() error { return runTable1(*seed) }, "seed outdir"},
+		"fig5":        {runFig5, "outdir"},
+		"fig10":       {runFig10, "outdir"},
+		"fig11":       {func() error { return runFig11(*duration, *seed) }, "duration seed outdir"},
+		"fig12":       {func() error { return runFig12(*duration, *seed) }, "duration seed outdir"},
+		"fig15":       {func() error { return runFig15(*seed) }, "seed outdir"},
+		"fig16a":      {func() error { return runFig16a(*seed) }, "seed outdir"},
+		"fig16b":      {func() error { return runFig16b(*seed) }, "seed"},
+		"placeub":     {func() error { return runPlaceUB(*requests, *seed) }, "requests seed"},
+		"besteffort":  {func() error { return runBestEffort(*duration, *seed) }, "duration seed"},
+		"burststress": {runBurstStressCmd, ""},
+		"faultdrill":  {func() error { return runFaultDrill(*seed) }, "seed outdir"},
+		"soak":        {func() error { return runSoak(*requests, *duration, *seed, *soakReport) }, "requests duration seed soak-report"},
+	}
+	order := []string{"fig1", "table1", "fig5", "fig10", "fig11", "fig12", "fig15", "fig16a", "fig16b", "placeub", "besteffort", "burststress", "faultdrill"}
+
+	names := strings.Split(*run, ",")
+	if *run == "all" {
+		names = order
+	}
+	reads := map[string]bool{"run": true}
+	for _, name := range names {
+		e, ok := byName[name]
+		if !ok {
+			known := make([]string, 0, len(byName))
+			for k := range byName {
+				known = append(known, k)
+			}
+			sort.Strings(known)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", name, strings.Join(known, " "))
+			os.Exit(2)
+		}
+		for _, f := range strings.Fields(e.flags) {
+			reads[f] = true
+		}
+	}
+	var unread []string
+	flag.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		fmt.Fprintf(os.Stderr, "%s: no experiment of -run %s reads it\n", strings.Join(unread, ", "), *run)
+		os.Exit(2)
+	}
+	if *requests < 0 {
+		fmt.Fprintf(os.Stderr, "-requests %d: must not be negative\n", *requests)
+		os.Exit(2)
+	}
+	if *duration < 0 {
+		fmt.Fprintf(os.Stderr, "-duration %g: must not be negative\n", *duration)
+		os.Exit(2)
+	}
+
 	outdir = *outFlag
 	runMeta = obs.CollectRunMeta("silo-bench")
 	runMeta.Seed = int64(*seed)
-
 	if *outFlag != "" {
 		// writeCSV MkdirAlls on every write; do it once up front so an
 		// uncreatable path (e.g. a file in the way) fails before the run.
@@ -73,41 +137,9 @@ func main() {
 		}
 	}
 
-	runners := map[string]func() error{
-		"fig1":        func() error { return runFig1(*duration, *seed) },
-		"table1":      func() error { return runTable1(*seed) },
-		"fig5":        runFig5,
-		"fig10":       runFig10,
-		"fig11":       func() error { return runFig11(*duration, *seed) },
-		"fig12":       func() error { return runFig12(*duration, *seed) },
-		"fig15":       func() error { return runFig15(*seed) },
-		"fig16a":      func() error { return runFig16a(*seed) },
-		"fig16b":      func() error { return runFig16b(*seed) },
-		"placeub":     func() error { return runPlaceUB(*requests, *seed) },
-		"besteffort":  func() error { return runBestEffort(*duration, *seed) },
-		"burststress": runBurstStressCmd,
-		"faultdrill":  func() error { return runFaultDrill(*seed) },
-		"soak":        func() error { return runSoak(*requests, *duration, *seed, *soakReport) },
-	}
-	order := []string{"fig1", "table1", "fig5", "fig10", "fig11", "fig12", "fig15", "fig16a", "fig16b", "placeub", "besteffort", "burststress", "faultdrill"}
-
-	names := strings.Split(*run, ",")
-	if *run == "all" {
-		names = order
-	}
 	for _, name := range names {
-		fn, ok := runners[name]
-		if !ok {
-			known := make([]string, 0, len(runners))
-			for k := range runners {
-				known = append(known, k)
-			}
-			sort.Strings(known)
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", name, strings.Join(known, " "))
-			os.Exit(2)
-		}
 		fmt.Printf("==== %s ====\n", name)
-		if err := fn(); err != nil {
+		if err := byName[name].run(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}

@@ -179,6 +179,45 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
+	// A flag that no selected experiment reads, and a negative count or
+	// duration, exit 2 naming the flag before anything is printed or
+	// written.
+	for _, c := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"refuses flags fig5 does not read", "-duration, -requests, -soak-report: no experiment of -run fig5 reads it",
+			[]string{"-run", "fig5", "-requests", "7", "-soak-report", "x.json", "-duration", "3"}},
+		{"refuses outdir placeub does not write", "-outdir: no experiment of -run placeub reads it",
+			[]string{"-run", "placeub", "-outdir", "out"}},
+		{"refuses negative requests", "-requests -5: must not be negative",
+			[]string{"-run", "placeub", "-requests", "-5"}},
+		{"refuses negative duration", "-duration -1: must not be negative",
+			[]string{"-run", "fig12", "-duration", "-1"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cmd := exec.Command(bin, c.args...)
+			cmd.Dir = dir
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%s: error %v, want exit status 2\n%s", strings.Join(c.args, " "), err, stderr.Bytes())
+			}
+			if !strings.Contains(stderr.String(), c.want) {
+				t.Errorf("stderr lacks %q:\n%s", c.want, stderr.Bytes())
+			}
+			if len(out) != 0 {
+				t.Errorf("stdout not empty:\n%s", out)
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Errorf("left %d files behind, first %s", len(left), left[0].Name())
+			}
+		})
+	}
+
 	// Retired flags exit 2 like any unknown flag: the live debug
 	// endpoint's, and -metrics, which only placeub ever registered into.
 	for _, args := range [][]string{{"-http", ":8080"}, {"-pprof"}, {"-metrics", "-"}} {
