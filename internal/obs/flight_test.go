@@ -241,6 +241,44 @@ func TestRenderSpanUnpacedSenderUnknown(t *testing.T) {
 	}
 }
 
+// A ring that wraps can overwrite a paced packet's VM enqueue and keep
+// its token admit: the span is still complete, but its pacing is
+// unknown, so the roll-up leaves it out of the pacing mean instead of
+// counting it as zero. Its NIC-to-NIC attribution still counts.
+func TestSummarizeFlightSkipsOverwrittenEnqueue(t *testing.T) {
+	const wrapped = 7
+	same, other := uint64(0), uint64(0)
+	for p := uint64(wrapped + 1); same == 0 || other == 0; p++ {
+		if flightHash(p) == flightHash(wrapped) {
+			same = max(same, p)
+		} else {
+			other = max(other, p)
+		}
+	}
+	r := NewFlightRecorder(8, 1)
+	emitTestSpan(r, wrapped)
+	// Two more events in its 8-event shard overwrite its VM enqueue.
+	r.Emit(FlightVMEnqueue, 3100, same, 11, 1500, 0)
+	r.Emit(FlightTokenAdmit, 3200, same, 11, 0, 2)
+	emitTestSpan(r, other)
+
+	spans := AssembleFlight(r.Events(), flightTestPorts)
+	byPkt := map[uint64]FlightSpan{}
+	for _, s := range spans {
+		byPkt[s.Pkt] = s
+	}
+	if s := byPkt[wrapped]; !s.Complete || s.AdmitNs < 0 || s.EnqueueNs >= 0 {
+		t.Fatalf("span %d = %+v, want complete with an admit and no enqueue", wrapped, s)
+	}
+	if s := byPkt[other]; !s.Complete || s.PacingNs != 150 {
+		t.Fatalf("span %d = %+v, want complete with 150 ns of pacing", other, s)
+	}
+	sum := SummarizeFlight(spans)
+	if sum.Complete != 2 || sum.MeanPacingNs != 150 || sum.MeanTotalNs != 2850 {
+		t.Errorf("summary = %+v, want 2 complete spans, mean pacing 150 ns over the one known, mean total 2850 ns over both", sum)
+	}
+}
+
 func TestAssembleFlightIncomplete(t *testing.T) {
 	// Missing transmit: the packet was dropped at the port (or the tx
 	// record was overwritten).

@@ -453,7 +453,9 @@ type FlightSummary struct {
 	// MaxAttributionErrNs is the worst |TotalNs - components| over
 	// complete spans (0 when the identity holds exactly).
 	MaxAttributionErrNs int64
-	// Mean attribution over complete spans.
+	// Mean attribution over complete spans; pacing only over those
+	// whose pacing is known, which leaves out a span with a token admit
+	// but no VM enqueue (the ring overwrote the enqueue).
 	MeanPacingNs, MeanQueueNs, MeanSerNs, MeanPropNs, MeanTotalNs float64
 	MaxTotalNs                                                    int64
 }
@@ -463,6 +465,7 @@ func SummarizeFlight(spans []FlightSpan) FlightSummary {
 	var sum FlightSummary
 	sum.Spans = len(spans)
 	var pacing, queue, ser, prop, total float64
+	paced := 0 // complete spans whose pacing is known
 	for i := range spans {
 		s := &spans[i]
 		if !s.Complete {
@@ -478,7 +481,10 @@ func SummarizeFlight(spans []FlightSpan) FlightSummary {
 			}
 			sum.MaxAttributionErrNs = e
 		}
-		pacing += float64(s.PacingNs)
+		if s.AdmitNs < 0 || s.EnqueueNs >= 0 {
+			pacing += float64(s.PacingNs)
+			paced++
+		}
 		queue += float64(s.QueueNs)
 		ser += float64(s.SerNs)
 		prop += float64(s.PropNs)
@@ -489,7 +495,9 @@ func SummarizeFlight(spans []FlightSpan) FlightSummary {
 	}
 	if sum.Complete > 0 {
 		n := float64(sum.Complete)
-		sum.MeanPacingNs = pacing / n
+		if paced > 0 {
+			sum.MeanPacingNs = pacing / float64(paced)
+		}
 		sum.MeanQueueNs = queue / n
 		sum.MeanSerNs = ser / n
 		sum.MeanPropNs = prop / n
