@@ -82,7 +82,7 @@ func TestRunSoakByCountIsDeterministic(t *testing.T) {
 		p := DefaultSoakParams()
 		p.Duration = time.Minute // a safety timeout: the count stops it
 		p.MaxCrashes = 25
-			res, err := RunSoak(p, nil)
+		res, err := RunSoak(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,7 +134,9 @@ func (t *Tally) ETC(sim *netsim.Sim, rng *stats.Rand, server *transport.Endpoint
 
 	meanVal := ETCMeanValueBytes(stats.NewRand(99), 50000)
 	reqRate := targetBps / float64(len(clients)) / (ETCRequestBytes + meanVal) // requests/sec per client
-	shape := float64(ETCGapShape) // a variable: 1 − shape is float64 arithmetic, not an exact constant
+	// A variable, so 1 − shape is float64 arithmetic, not an exact
+	// constant expression.
+	shape := float64(ETCGapShape)
 	gapScale := 1 / reqRate * (1 - shape)
 	issue := func(c *etcClient, valueBytes int) {
 		t.Messages++
