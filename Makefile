@@ -118,10 +118,15 @@ identity:
 
 # The three example programs, the only callers of the public facade's
 # Admit / Deploy / CoordinateHose besides the benchmark: each must run to
-# completion (about a second together once built). README.md embeds
-# quickstart's output verbatim.
+# completion and print its examples/<e>/testdata/stdout.golden byte for
+# byte (about a second together once built). README.md embeds
+# quickstart's output verbatim; the tier-1 TestExamplesMatchGoldens
+# checks the goldens and that block, and -update rewrites the goldens.
 examples:
-	for e in quickstart oldi besteffort; do $(GO) run ./examples/$$e > /dev/null || exit 1; done
+	for e in quickstart oldi besteffort; do \
+		out=$$($(GO) run ./examples/$$e) || exit 1; \
+		printf '%s\n' "$$out" | diff examples/$$e/testdata/stdout.golden - || exit 1; \
+	done
 
 # The chaos soak: randomized churn against the durable store with
 # repeated crash-kills at random WAL offsets (including mid-record torn
