@@ -55,8 +55,8 @@ type Figure5SimResult struct {
 	// BoundUs is the tenant's message-latency guarantee for the burst.
 	BoundUs float64
 
-	// Flight is the attribution roll-up (zero-valued when tracing was
-	// disabled); Spans/Ports expose the recording for export.
+	// Flight is the attribution roll-up over every traced packet;
+	// Spans/Ports expose the recording for export.
 	Flight obs.FlightSummary
 	Spans  []obs.FlightSpan
 	Ports  []obs.PortMeta
