@@ -107,7 +107,7 @@ type FailureDrillResult struct {
 
 // Render formats the drill summary. Deterministic: all content derives
 // from the simulation clock and sorted tenant IDs, never the wall
-// clock, so identical params produce byte-identical output.
+// clock, so one seed produces byte-identical output.
 func (r *FailureDrillResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "failure drill: %s down @%.1fms (detect %.2fms, repair @%.1fms), horizon %.0fms\n",
