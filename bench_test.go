@@ -1,14 +1,17 @@
 // Benchmarks regenerating every table and figure of Silo's evaluation
 // (one testing.B benchmark per artifact; see DESIGN.md §4) plus
 // ablation benchmarks for the design choices DESIGN.md §5 calls out.
+// The figures a benchmark shortens through an unexported runner
+// (Table 1, the packet-level Fig. 5, Figs. 10, 15 and 16a) are
+// benchmarked in internal/experiments instead.
 //
 // Each benchmark reports domain-specific metrics via b.ReportMetric in
 // addition to ns/op: e.g. BenchmarkFig12ClassA reports Silo's p99
-// class-A latency, BenchmarkFig10Pacer reports void overhead.
+// class-A latency, BenchmarkAblationVoid the bunching voids prevent.
 //
 // Run everything:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem . ./internal/experiments
 package silo
 
 import (
@@ -38,16 +41,6 @@ func BenchmarkFig1Memcached(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1Lateness regenerates Table 1: % late messages vs
-// bandwidth multiple × burst allowance.
-func BenchmarkTable1Lateness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunTable1(experiments.Table1Seed)
-		b.ReportMetric(r.LatePct[0][0], "late-1M-1B-%")
-		b.ReportMetric(r.LatePct[3][2], "late-7M-1.8B-%")
-	}
-}
-
 // BenchmarkFig5Placement regenerates the Figure-5 placement example.
 func BenchmarkFig5Placement(b *testing.B) {
 	b.ReportAllocs()
@@ -58,34 +51,6 @@ func BenchmarkFig5Placement(b *testing.B) {
 		}
 		b.ReportMetric(r.OktoWorstBytes/1e3, "okto-worst-KB")
 		b.ReportMetric(r.SiloWorstBytes/1e3, "silo-worst-KB")
-	}
-}
-
-// BenchmarkFig5Sim runs the packet-level Figure-5 companion: the
-// worst-case burst scenario simulated packet by packet, every packet
-// traced for the attribution summary. The flight recorder's overhead
-// is the benchmark's obs.trace.overhead_frac.
-func BenchmarkFig5Sim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFigure5Sim(experiments.Figure5SimParams{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Drops != 0 {
-			b.Fatalf("drops = %d, want 0", r.Drops)
-		}
-		b.ReportMetric(float64(r.Messages), "messages")
-		b.ReportMetric(float64(r.Flight.Complete), "spans")
-	}
-}
-
-// BenchmarkFig10Pacer regenerates Figure 10: pacer throughput split
-// and per-frame cost across rate limits.
-func BenchmarkFig10Pacer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFigure10()
-		b.ReportMetric(rows[0].VoidGbps, "void-at-1G-Gbps")
-		b.ReportMetric(rows[8].PacketsPerSec/1e6, "frames-at-9G-M/s")
 	}
 }
 
@@ -122,45 +87,6 @@ func BenchmarkFig12ClassA(b *testing.B) {
 				b.ReportMetric(100*r.OutlierFrac(1), "silo-outliers-%")
 			case core.SchemeHULL:
 				b.ReportMetric(r.ClassALatUs.Percentile(99), "hull-p99-µs")
-			}
-		}
-	}
-}
-
-// BenchmarkFig15Admittance regenerates Figure 15: admitted tenants at
-// 75% and 90% occupancy under the three placers.
-func BenchmarkFig15Admittance(b *testing.B) {
-	b.ReportAllocs()
-	p := experiments.DefaultScaleParams()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFigure15(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, pt := range pts {
-			if pt.Placer == "silo" && pt.Occupancy == 0.9 {
-				b.ReportMetric(100*pt.Result.AdmittedFrac(), "silo-admit-90-%")
-			}
-			if pt.Placer == "locality" && pt.Occupancy == 0.9 {
-				b.ReportMetric(100*pt.Result.AdmittedFrac(), "locality-admit-90-%")
-			}
-		}
-	}
-}
-
-// BenchmarkFig16Utilization regenerates Figure 16a: network
-// utilization vs occupancy.
-func BenchmarkFig16Utilization(b *testing.B) {
-	b.ReportAllocs()
-	p := experiments.DefaultScaleParams()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFigure16a(p, []float64{0.5, 0.9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, pt := range pts {
-			if pt.Occupancy == 0.9 && pt.Placer == "silo" {
-				b.ReportMetric(100*pt.Result.AvgUtilization, "silo-util-90-%")
 			}
 		}
 	}

@@ -163,7 +163,9 @@ func TestFigure16bSweepsPermutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow-level simulation")
 	}
-	byX, err := RunFigure16b(DefaultScaleParams(), []float64{0.5, 2})
+	p := DefaultScaleParams()
+	p.durationSec = 150
+	byX, err := RunFigure16b(p, []float64{0.5, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

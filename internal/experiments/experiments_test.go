@@ -8,7 +8,7 @@ import (
 )
 
 func TestTable1Shape(t *testing.T) {
-	r := RunTable1(Table1Seed)
+	r := runTable1(Table1Seed, 20000)
 	if len(r.LatePct) != len(r.BurstMultiples) {
 		t.Fatalf("rows = %d", len(r.LatePct))
 	}
@@ -59,7 +59,7 @@ func TestFigure5Reproduces(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	rows := RunFigure10()
+	rows := runFigure10(0.01)
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -38,7 +38,8 @@ type Figure10Row struct {
 // 10 GbE NIC, MTU data frames.
 const (
 	fig10LineRateBps = 10 * units.Gbps
-	// fig10WireSeconds of traffic are paced per point.
+	// fig10WireSeconds of traffic are paced per point (tests pace less
+	// through runFigure10).
 	fig10WireSeconds  = 0.05
 	fig10PayloadBytes = units.MTUBytes
 )
@@ -47,18 +48,23 @@ const (
 // for a backlogged VM at each rate limit and reports throughput split
 // and per-frame cost in wall-clock nanoseconds.
 func RunFigure10() []Figure10Row {
+	return runFigure10(fig10WireSeconds)
+}
+
+// runFigure10 paces wireSeconds of traffic per rate limit.
+func runFigure10(wireSeconds float64) []Figure10Row {
 	var rows []Figure10Row
 	for _, rl := range []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
-		rows = append(rows, figure10Point(rl))
+		rows = append(rows, figure10Point(rl, wireSeconds))
 	}
 	return rows
 }
 
-func figure10Point(rateGbps float64) Figure10Row {
+func figure10Point(rateGbps, wireSeconds float64) Figure10Row {
 	rate := rateGbps * units.Gbps
-	horizonNs := int64(fig10WireSeconds * 1e9)
+	horizonNs := int64(wireSeconds * 1e9)
 	// Number of data frames the rate limit admits over the horizon.
-	nData := int(rate * fig10WireSeconds / fig10PayloadBytes)
+	nData := int(rate * wireSeconds / fig10PayloadBytes)
 
 	vm := pacer.NewVM(1, pacer.Guarantee{
 		BandwidthBps: rate,
@@ -98,7 +104,7 @@ func figure10Point(rateGbps float64) Figure10Row {
 
 	wireSec := float64(cursor) / 1e9
 	if wireSec == 0 {
-		wireSec = fig10WireSeconds
+		wireSec = wireSeconds
 	}
 	row := Figure10Row{
 		RateGbps: rateGbps,

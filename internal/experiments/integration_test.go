@@ -122,6 +122,7 @@ func TestScaleFigure15Shape(t *testing.T) {
 		t.Skip("flow-level simulation")
 	}
 	p := DefaultScaleParams()
+	p.durationSec = 400
 	low, err := RunScalePoint(p, "silo", 0.6)
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +158,7 @@ func TestPlacementBenchSmall(t *testing.T) {
 	}
 	p := DefaultPlacementBenchParams()
 	p.Requests = 200
+	p.tree = TenGbE(4, 10, 25, 8, 5, 5) // 1000 hosts
 	r, err := RunPlacementBench(p)
 	if err != nil {
 		t.Fatal(err)

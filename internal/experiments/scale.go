@@ -25,11 +25,17 @@ type ScaleParams struct {
 	// it).
 	PermutationX float64
 	Seed         uint64
+	// durationSec is the simulated horizon: scaleDurationSec, which
+	// tests and benchmarks shorten.
+	durationSec float64
 }
+
+// scaleDurationSec is the §6.3 runs' simulated horizon.
+const scaleDurationSec = 800
 
 // DefaultScaleParams returns a laptop-scale §6.3 configuration.
 func DefaultScaleParams() ScaleParams {
-	return ScaleParams{PermutationX: 1, Seed: 21}
+	return ScaleParams{PermutationX: 1, Seed: 21, durationSec: scaleDurationSec}
 }
 
 func scaleTree() (*topology.Tree, error) {
@@ -106,7 +112,7 @@ func RunScalePoint(p ScaleParams, placerName string, occupancy float64) (ScalePo
 		AvgVMs:      12,
 		Classes:     p.classes(),
 		Occupancy:   occupancy,
-		DurationSec: 800,
+		DurationSec: p.durationSec,
 		EpochSec:    2,
 		Seed:        p.Seed,
 	}
@@ -196,12 +202,14 @@ func RenderScalePoints(points []ScalePoint) string {
 type PlacementBenchParams struct {
 	Requests int
 	Seed     uint64
+	// tree is the datacenter: the 100 K-host one, which tests shrink.
+	tree topology.Config
 }
 
 // DefaultPlacementBenchParams mirrors the paper's 100 K-host setup at
 // a CI-friendly request count.
 func DefaultPlacementBenchParams() PlacementBenchParams {
-	return PlacementBenchParams{Requests: 2000, Seed: 5}
+	return PlacementBenchParams{Requests: 2000, Seed: 5, tree: TenGbE(25, 40, 100, 8, 5, 5)}
 }
 
 // PlacementBenchResult summarizes placement times.
@@ -221,7 +229,7 @@ type PlacementBenchResult struct {
 // a full-scale datacenter, with tenant churn (completed tenants leave
 // so the datacenter reaches steady occupancy).
 func RunPlacementBench(p PlacementBenchParams) (PlacementBenchResult, error) {
-	tree, err := topology.New(TenGbE(25, 40, 100, 8, 5, 5))
+	tree, err := topology.New(p.tree)
 	if err != nil {
 		return PlacementBenchResult{}, err
 	}

@@ -24,7 +24,8 @@ const (
 	table1MsgBytes = 10_000
 	// table1AvgBandwidthBps is B, the offered load.
 	table1AvgBandwidthBps = 100 * units.Mbps
-	// table1Messages are drawn per cell.
+	// table1Messages are drawn per cell (tests draw fewer through
+	// runTable1).
 	table1Messages = 200_000
 	// table1BurstRateBps is Bmax (messages within the allowance go at
 	// this rate).
@@ -47,6 +48,11 @@ type Table1Result struct {
 // its transmission at the release rate. The in-network term d is
 // common to the latency and its guarantee, so it cancels.
 func RunTable1(seed uint64) Table1Result {
+	return runTable1(seed, table1Messages)
+}
+
+// runTable1 sweeps the grid drawing messages per cell.
+func runTable1(seed uint64, messages int) Table1Result {
 	res := Table1Result{
 		BurstMultiples:     []int{1, 3, 5, 7, 9},
 		BandwidthMultiples: []float64{1, 1.4, 1.8, 2.2, 2.6, 3},
@@ -54,14 +60,14 @@ func RunTable1(seed uint64) Table1Result {
 	for _, burstMult := range res.BurstMultiples {
 		var row []float64
 		for _, bwMult := range res.BandwidthMultiples {
-			row = append(row, table1Cell(seed, bwMult, burstMult))
+			row = append(row, table1Cell(seed, messages, bwMult, burstMult))
 		}
 		res.LatePct = append(res.LatePct, row)
 	}
 	return res
 }
 
-func table1Cell(seed uint64, bwMult float64, burstMult int) float64 {
+func table1Cell(seed uint64, messages int, bwMult float64, burstMult int) float64 {
 	rng := stats.NewRand(seed + uint64(burstMult)*1000 + uint64(bwMult*100))
 	gen := workload.NewPoissonMessages(table1MsgBytes, table1AvgBandwidthBps, rng, 0)
 
@@ -81,7 +87,7 @@ func table1Cell(seed uint64, bwMult float64, burstMult int) float64 {
 
 	late := 0
 	const horizon = int64(1) << 62
-	for i := 0; i < table1Messages; i++ {
+	for i := 0; i < messages; i++ {
 		at := gen.Next()
 		// Fragment the message through the bucket chain; completion is
 		// the last fragment's release plus its wire time at Bmax.
@@ -118,7 +124,7 @@ func table1Cell(seed uint64, bwMult float64, burstMult int) float64 {
 			late++
 		}
 	}
-	return 100 * float64(late) / table1Messages
+	return 100 * float64(late) / float64(messages)
 }
 
 // Render formats the result like the paper's Table 1.
