@@ -39,8 +39,13 @@ import (
 var outdir string
 
 // runMeta stamps every artifact this invocation writes (CSV series,
-// incident reports, the soak verdict) with its provenance.
+// incident reports, the soak verdict) with its provenance. Its seed is
+// the running experiment's: each one stamps the seed it resolved, its
+// default included, and one without a seed leaves 0.
 var runMeta obs.RunMeta
+
+// stamp records the seed the running experiment resolved in runMeta.
+func stamp(seed uint64) { runMeta.Seed = int64(seed) }
 
 // writeCSV drops a CSV into outdir if one was requested.
 func writeCSV(name string, header []string, rows [][]float64) {
@@ -127,7 +132,6 @@ func main() {
 
 	outdir = *outFlag
 	runMeta = obs.CollectRunMeta("silo-bench")
-	runMeta.Seed = int64(*seed)
 	if *outFlag != "" {
 		// writeCSV MkdirAlls on every write; do it once up front so an
 		// uncreatable path (e.g. a file in the way) fails before the run.
@@ -139,6 +143,7 @@ func main() {
 
 	for _, name := range names {
 		fmt.Printf("==== %s ====\n", name)
+		stamp(0)
 		if err := byName[name].run(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
@@ -155,6 +160,7 @@ func runFig1(duration float64, seed uint64) error {
 	if seed != 0 {
 		p.Seed = seed
 	}
+	stamp(p.Seed)
 	fmt.Println("Figure 1 — memcached request latency, alone vs with netperf (plain TCP):")
 	rs, err := experiments.RunFigure1(p)
 	if err != nil {
@@ -177,6 +183,7 @@ func runTable1(seed uint64) error {
 	if seed == 0 {
 		seed = experiments.Table1Seed
 	}
+	stamp(seed)
 	fmt.Println("Table 1 — % messages later than M/B_g + d (Poisson arrivals):")
 	r := experiments.RunTable1(seed)
 	fmt.Print(r.Render())
@@ -258,6 +265,7 @@ func runFig11(duration float64, seed uint64) error {
 	if seed != 0 {
 		p.Seed = seed
 	}
+	stamp(p.Seed)
 	fmt.Println("Figure 11 — memcached under TCP vs Silo req1-3 (latency, guarantee, throughput):")
 	rs, err := experiments.RunFigure11(p)
 	if err != nil {
@@ -285,6 +293,7 @@ func runFig12(duration float64, seed uint64) error {
 	if seed != 0 {
 		p.Seed = seed
 	}
+	stamp(p.Seed)
 	fmt.Println("Figures 12-14 and Table 4 — Silo vs TCP/DCTCP/HULL/Okto/Okto+:")
 	rs, err := experiments.RunComparison(p)
 	if err != nil {
@@ -315,6 +324,7 @@ func runFig15(seed uint64) error {
 	if seed != 0 {
 		p.Seed = seed
 	}
+	stamp(p.Seed)
 	fmt.Println("Figure 15 — admitted requests at 75% / 90% occupancy:")
 	pts, err := experiments.RunFigure15(p)
 	if err != nil {
@@ -343,6 +353,7 @@ func runFig16a(seed uint64) error {
 	if seed != 0 {
 		p.Seed = seed
 	}
+	stamp(p.Seed)
 	fmt.Println("Figure 16a — network utilization vs occupancy:")
 	pts, err := experiments.RunFigure16a(p, []float64{0.2, 0.4, 0.6, 0.75, 0.9})
 	if err != nil {
@@ -358,6 +369,7 @@ func runFig16b(seed uint64) error {
 	if seed != 0 {
 		p.Seed = seed
 	}
+	stamp(p.Seed)
 	fmt.Println("Figure 16b — network utilization vs Permutation-x (90% occupancy):")
 	byX, err := experiments.RunFigure16b(p, []float64{0.5, 0.75, 1, 2, 4})
 	if err != nil {
@@ -382,6 +394,7 @@ func runBestEffort(duration float64, seed uint64) error {
 	if seed != 0 {
 		p.Seed = seed
 	}
+	stamp(p.Seed)
 	fmt.Println("§4.4 — best-effort tenants on the low 802.1q class:")
 	r, err := experiments.RunBestEffort(p)
 	if err != nil {
@@ -408,6 +421,7 @@ func runFaultDrill(seed uint64) error {
 	if seed == 0 {
 		seed = experiments.FailureDrillSeed
 	}
+	stamp(seed)
 	fmt.Println("Failure drill — ToR death under admitted load: evacuation, re-admission, degraded-mode SLO accounting:")
 	r, err := experiments.RunFailureDrill(seed)
 	if err != nil {
@@ -444,6 +458,7 @@ func runPlaceUB(requests int, seed uint64) error {
 	if seed != 0 {
 		p.Seed = seed
 	}
+	stamp(p.Seed)
 	fmt.Println("Placement microbenchmark — 100K-host datacenter, mean 49-VM tenants:")
 	r, err := experiments.RunPlacementBench(p)
 	if err != nil {
@@ -470,6 +485,7 @@ func runSoak(cycles int, timeout float64, seed uint64, report string) error {
 	if seed != 0 {
 		p.Seed = seed
 	}
+	stamp(p.Seed)
 	fmt.Printf("Chaos soak — durable placement WAL under randomized churn and crash-kills (%d cycles):\n", p.MaxCrashes)
 	res, err := experiments.RunSoak(p, &runMeta)
 	if err != nil {

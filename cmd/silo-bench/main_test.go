@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -141,6 +142,36 @@ func TestCLI(t *testing.T) {
 	// all.golden repeat byte for byte.
 	t.Run("golden fig5 faultdrill", func(t *testing.T) {
 		checkRuns(t, []string{"fig5", "faultdrill"}, false)
+	})
+
+	// The drill's artifacts name the seed it ran, its default 42 when
+	// -seed is absent: the incident report's meta and the CSV's "# run:"
+	// line.
+	t.Run("faultdrill stamps its default seed", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "d")
+		run(t, "-run", "faultdrill", "-outdir", dir)
+		b, err := os.ReadFile(filepath.Join(dir, "incidents.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			Meta struct {
+				Seed int64 `json:"seed"`
+			} `json:"meta"`
+		}
+		if err := json.Unmarshal(b, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Meta.Seed != 42 {
+			t.Errorf("incidents.json meta seed = %d, want 42", rep.Meta.Seed)
+		}
+		csv, err := os.ReadFile(filepath.Join(dir, "faultdrill.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first, _, _ := strings.Cut(string(csv), "\n"); !strings.HasPrefix(first, "# run:") || !strings.Contains(first+" ", " seed=42 ") {
+			t.Errorf("faultdrill.csv's first line %q lacks seed=42", first)
+		}
 	})
 
 	t.Run("placeub decisions repeat", func(t *testing.T) {

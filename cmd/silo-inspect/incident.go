@@ -10,8 +10,8 @@ import (
 
 // incidentCmd inspects an incident report written by silo-sim
 // -incidents (or by the fault-drill harness): the correlated view that
-// joins guarantee violations, SLO burn alerts, introspection envelope
-// evidence, and injected faults into root-caused incidents.
+// joins guarantee violations, per-window culprit ports, introspection
+// envelope evidence, and injected faults into root-caused incidents.
 //
 //	silo-sim -duration 0.05 -fault 't=20ms switch tor0 down; t=30ms up' -incidents run-incidents.json
 //	silo-inspect incident run-incidents.json        # incident list

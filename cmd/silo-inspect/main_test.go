@@ -107,7 +107,7 @@ func TestCLI(t *testing.T) {
 
 	// trace: a trace and an introspection snapshot recorded by silo-sim,
 	// read back as the roll-up, the slowest messages, the per-port table
-	// and the SLO windows, and the -why join of the slowest packet with
+	// and the 1 ms windows, and the -why join of the slowest packet with
 	// the snapshot's margins.
 	t.Run("trace", func(t *testing.T) {
 		// Sampling 1 in 8 keeps the whole run in the recorder's rings, so
@@ -135,22 +135,16 @@ func TestCLI(t *testing.T) {
 		}
 		golden(t, "violations", viol)
 
-		// Retired flags: the live debug endpoint's, and -metrics, whose
-		// gauges repeated the summary line.
-		retired(t, "trace", []string{"-http", ":8080"}, []string{"-pprof"}, []string{"-metrics", "-"})
+		// Retired flags: the live debug endpoint's, -metrics, whose gauges
+		// repeated the summary line, and -window: -windows buckets by the
+		// one 1 ms window every program uses.
+		retired(t, "trace", []string{"-http", ":8080"}, []string{"-pprof"}, []string{"-metrics", "-"}, []string{"-window", "2"})
 
 		// -why without the snapshot it joins against is refused before the
 		// trace is read.
 		t.Run("why without margins", func(t *testing.T) {
 			failWith(t, 2, "-why needs -margins <file>", "trace", "-why", string(m[1]), "trace.json")
 		})
-
-		// A window narrower than 1 ns is refused, not replaced.
-		for _, w := range []struct{ arg, shown string }{{"0", "0"}, {"-5", "-5"}, {"1e-7", "1e-07"}} {
-			t.Run("window "+w.arg, func(t *testing.T) {
-				failWith(t, 2, "-window: must be > 0, got "+w.shown, "trace", "-windows", "-window", w.arg, "trace.json")
-			})
-		}
 
 		// Only Chrome trace JSON is a recording; a CSV file is refused by
 		// name.

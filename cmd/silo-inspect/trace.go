@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/introspect"
-	"repro/internal/obs/slo"
 )
 
 // traceCmd analyzes a flight trace recorded by silo-sim -trace: the
@@ -26,10 +25,10 @@ import (
 //	silo-inspect trace -top 10 -violations run.json
 //	silo-inspect trace -windows run.json
 //
-// -windows adds the SLO view of the trace: per-tenant conformance
-// bucketed into fixed windows, each violating window naming the
-// dominant culprit port — the offline counterpart of silo-sim's SLO
-// windows.
+// -windows adds the windowed view of the trace: per-tenant conformance
+// bucketed into 1 ms windows (obs.WindowNs), each violating window
+// naming the dominant culprit port — the offline counterpart of the
+// window events silo-sim -incidents correlates.
 //
 // -why N joins packet N's hop-by-hop trace with the introspection
 // snapshot written by silo-sim -introspect (-margins file): for each
@@ -48,17 +47,11 @@ func traceCmd(args []string) int {
 		top        = fs.Int("top", 5, "show the K slowest messages hop by hop")
 		violations = fs.Bool("violations", false, "drill into every delay-bound violation (default: first 3)")
 		portsN     = fs.Int("ports", 10, "rows in the per-port queueing table")
-		windows    = fs.Bool("windows", false, "windowed per-tenant SLO conformance with culprit ports")
-		windowMs   = fs.Float64("window", 1, "window width for -windows, in simulated milliseconds")
+		windows    = fs.Bool("windows", false, "per-tenant conformance in 1 ms windows, with culprit ports")
 		why        = fs.Uint64("why", 0, "explain packet N: join its hops with the introspection snapshot's port margins and the sender's fitted envelope (needs -margins)")
 		marginsIn  = fs.String("margins", "", "introspection snapshot written by silo-sim -introspect (required by -why)")
 	)
 	path := parse(fs, args, "<trace.json>")
-	windowNs := int64(*windowMs * 1e6)
-	if windowNs <= 0 {
-		fmt.Fprintf(os.Stderr, "-window: must be > 0, got %g\n", *windowMs)
-		return 2
-	}
 	if *why != 0 && *marginsIn == "" {
 		fmt.Fprintln(os.Stderr, "-why needs -margins <file> (written by silo-sim -introspect)")
 		return 2
@@ -127,7 +120,7 @@ func traceCmd(args []string) int {
 
 	if *windows {
 		fmt.Println("\n== windowed SLO conformance ==")
-		fmt.Print(slo.RenderTraceWindows(slo.WindowsFromSpans(spans, windowNs), ports))
+		fmt.Print(obs.RenderTraceWindows(obs.WindowsFromSpans(spans, obs.WindowNs), ports))
 	}
 
 	if *why != 0 {

@@ -7,8 +7,8 @@
 //
 //	silo-sim -scheme silo -duration 0.1
 //	silo-sim -scheme tcp  -duration 0.1
-//	silo-sim -scheme tcp  -series run_series.json     # per-window payload to file
-//	silo-sim -scheme silo -fault "t=20ms switch tor0 down; t=30ms up" -slo-report
+//	silo-sim -scheme tcp  -series run_series.json     # engine counters and provenance to file
+//	silo-sim -scheme silo -fault "t=20ms switch tor0 down; t=30ms up" -incidents incidents.json
 //
 // SIGINT/SIGTERM stop the simulation cleanly: the -trace, -series,
 // -incidents and -introspect outputs are written for the simulated time
@@ -45,11 +45,10 @@ func main() {
 		seed         = flag.Uint64("seed", 3, "rng seed")
 		traceOut     = flag.String("trace", "", "record a flight trace and write it on exit as Chrome trace_event JSON (Perfetto, silo-inspect trace)")
 		traceSample  = flag.Int("trace-sample", 1, "flight-trace sampling divisor: record 1 in N packets (rounded up to a power of two)")
-		sloReport    = flag.Bool("slo-report", false, "print the per-tenant SLO conformance and burn-rate report after the run")
-		incidentsOut = flag.String("incidents", "", "correlate violations, SLO burns, envelope evidence and faults into root-caused incidents; print the report and write it as JSON to this file on exit (pair with -introspect for verdict evidence; inspect with silo-inspect incident)")
+		_            = flag.Bool("slo-report", false, "accepted and ignored: the audit line carries each tenant's packets and violations; kept only until the benchmark's sim_obs workload stops passing it (ROADMAP item 1)")
+		incidentsOut = flag.String("incidents", "", "close a violation window every simulated millisecond and correlate violations, window culprits, envelope evidence and faults into root-caused incidents; print the report and write it as JSON to this file on exit (pair with -introspect for verdict evidence; inspect with silo-inspect incident)")
 		introOut     = flag.String("introspect", "", "attach the introspection plane (per-VM envelope estimators, per-port guarantee margins) and write its snapshot as JSON to this file on exit (join with silo-inspect trace -why)")
-		seriesOut    = flag.String("series", "", "write the per-window payload (every SLO window, SLO events, incidents, engine self-telemetry) as JSON to this file on exit")
-		windowMs     = flag.Float64("window", 1, "SLO window in simulated milliseconds")
+		seriesOut    = flag.String("series", "", "write the incidents, engine self-telemetry and provenance as JSON to this file on exit")
 		faultSched   = flag.String("fault", "", "fault schedule, e.g. \"t=20ms link 14 down; t=30ms up\" or \"t=20ms switch tor0 down\" (targets: link PORT, switch core|podN|torN, host ID; actions: down, up, gray DUR, flap NxDOWN/UP)")
 		faultDetect  = flag.Duration("fault-detect", 500*time.Microsecond, "control-loop detection delay between an injected fault and the placement Recover call (silo scheme only)")
 	)
@@ -68,13 +67,6 @@ func main() {
 	}
 	if *traceSample < 1 {
 		fmt.Fprintf(os.Stderr, "-trace-sample: must be >= 1, got %d\n", *traceSample)
-		os.Exit(2)
-	}
-	// The window is used in whole nanoseconds: one that rounds to 0 ns
-	// would never tick.
-	windowNs := int64(*windowMs * 1e6)
-	if windowNs < 1 {
-		fmt.Fprintf(os.Stderr, "-window: must be > 0, got %g\n", *windowMs)
 		os.Exit(2)
 	}
 	if *duration < 0 {
@@ -97,10 +89,6 @@ func main() {
 	// A knob of a plane that is not attached would be silently ignored.
 	if *traceOut == "" && flagGiven("trace-sample") {
 		fmt.Fprintln(os.Stderr, "-trace-sample requires -trace")
-		os.Exit(2)
-	}
-	if !*sloReport && *seriesOut == "" && *incidentsOut == "" && flagGiven("window") {
-		fmt.Fprintln(os.Stderr, "-window requires -slo-report, -series or -incidents")
 		os.Exit(2)
 	}
 	// Both tenants span two fault domains, so each needs two VMs.
@@ -159,26 +147,21 @@ func main() {
 		// servers to the pool. Recovery here is control-plane only — pacer
 		// VMs and transport endpoints are not re-deployed (see
 		// experiments.RunFailureDrill for the full data-plane drill).
-		Faults:       *faultSched,
-		DetectNs:     faultDetect.Nanoseconds(),
-		FaultGraceNs: 5 * windowNs,
+		Faults:   *faultSched,
+		DetectNs: faultDetect.Nanoseconds(),
 		// The guarantee audit runs on every invocation: admitted
 		// {B, S, d} triples are checked against every delivered packet's
-		// NIC-to-NIC delay.
+		// NIC-to-NIC delay. The incident plane reads its windows (3 s of
+		// drain included) for culprit ports and fault stamps.
 		Planes: experiments.Planes{
-			Audit:           true,
-			Introspect:      *introOut != "",
-			Incidents:       *incidentsOut != "",
-			IncidentMergeNs: 2 * windowNs,
+			Audit:      true,
+			Introspect: *introOut != "",
+			Windows:    *incidentsOut != "",
+			Incidents:  *incidentsOut != "",
 		},
 	}
 	if *traceOut != "" {
 		sc.Planes.TraceSampleN = *traceSample
-	}
-	if *sloReport || *seriesOut != "" || *incidentsOut != "" {
-		// Continuous telemetry: every -window of simulated time (3 s of
-		// drain included) record each delay-bounded tenant's SLO window.
-		sc.Planes.SLOWindowNs = windowNs
 	}
 
 	run, err := experiments.Build(sc, experiments.Env{Meta: &meta})
@@ -254,10 +237,6 @@ func main() {
 		}
 		fmt.Printf("flight trace (1 in %d packets) written to %s\n", run.Flight.SampleN(), *traceOut)
 	}
-	if *sloReport {
-		fmt.Println()
-		fmt.Print(run.SLO.RenderReport())
-	}
 	if run.Snapshot != nil {
 		fmt.Println()
 		fmt.Print(run.Snapshot.Render())
@@ -280,10 +259,8 @@ func main() {
 		rs := nw.Sim.RuntimeStats()
 		f, err := os.Create(*seriesOut)
 		if err == nil {
-			err = dashboard.WriteJSON(f, dashboard.Options{
+			err = dashboard.WriteJSON(f, dashboard.Payload{
 				Title:     "silo-sim " + *schemeName,
-				SLO:       run.SLO,
-				Ports:     obs.PortsOf(nw),
 				Incidents: run.Incidents,
 				Runtime:   &rs,
 				Meta:      &meta,

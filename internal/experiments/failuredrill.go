@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/obs/incident"
-	"repro/internal/obs/slo"
 	"repro/internal/placement"
 	"repro/internal/tenant"
 	"repro/internal/units"
@@ -22,7 +22,7 @@ const FailureDrillSeed = 42
 // evacuating and re-admitting every affected tenant through normal
 // admission control, and unpaced resync storms (state re-replication
 // toward the relocated VMs) congesting the surviving fabric — the one
-// window where even Silo traffic can arrive late, which the SLO plane
+// window where even Silo traffic can arrive late, which the window tick
 // must attribute to the injected fault rather than blame on
 // steady-state pacing. On the 2-pod/4-rack fabric the delay bound
 // admits rack-scope placements only (intra-rack path capacity 300µs <
@@ -56,10 +56,7 @@ const (
 	// not protected by the pacer.
 	drillResyncBytes   = 60e3
 	drillResyncSources = 3
-	// The SLO window, the injector's outage grace window and the run.
-	drillWindowNs  = 1e6
-	drillGraceNs   = 5e6
-	drillHorizonNs = 60e6
+	drillHorizonNs     = 60e6
 )
 
 // DrillTenantRow is one tenant's end-of-drill outcome.
@@ -72,8 +69,8 @@ type DrillTenantRow struct {
 	RecoveryNs int64
 	// Messages completed over the whole run.
 	Messages int
-	// SLO accounting: delivered/violated packets, and the violations
-	// that landed in windows overlapping the injected outage.
+	// The audit's delivered/violated packets, and the violations that
+	// landed in windows overlapping the injected outage.
 	Delivered     int64
 	Violated      int64
 	InFault       int64
@@ -87,18 +84,12 @@ type FailureDrillResult struct {
 	Events   []faults.Event
 	Recovery *placement.RecoveryReport
 	Rows     []DrillTenantRow // sorted by tenant ID
-	SLO      []slo.TenantReport
-	// SLOEvents is the SLO event log; outage-window violations carry
-	// the injected fault's label in Event.Fault.
-	SLOEvents []slo.Event
 	// Loss accounting: congestion loss vs outage loss, kept separate.
 	OverflowDrops int64
 	FaultDrops    int64
 	// InvariantsErr is the post-recovery VerifyInvariants failure, ""
 	// when the manager's port state checked out.
 	InvariantsErr string
-	// SLOReport is the rendered per-tenant SLO table.
-	SLOReport string
 	// Incidents is the correlated incident report: every guarantee
 	// violation clustered into episodes, each rooted on the injected
 	// fault (verdict injected-fault with the outage in the timeline).
@@ -133,7 +124,6 @@ func (r *FailureDrillResult) Render() string {
 			row.ID, row.Verdict, row.Degrade, rec, row.Messages,
 			row.Delivered, row.Violated, row.InFault, 100*row.Conformance)
 	}
-	b.WriteString(r.SLOReport)
 	if r.Incidents != nil {
 		b.WriteString(r.Incidents.Render())
 	}
@@ -162,16 +152,10 @@ func drillScenario(seed uint64) Scenario {
 		Faults: fmt.Sprintf("t=%dns switch %s down; t=%dns up",
 			int64(drillFaultAtNs), drillFailSwitch, int64(drillFaultAtNs+drillRepairNs)),
 		DetectNs:      drillDetectNs,
-		FaultGraceNs:  drillGraceNs,
 		Redeploy:      true,
 		ResyncBytes:   drillResyncBytes,
 		ResyncSources: drillResyncSources,
-		Planes: Planes{
-			Audit:           true,
-			SLOWindowNs:     drillWindowNs,
-			Incidents:       true,
-			IncidentMergeNs: 2 * drillWindowNs,
-		},
+		Planes:        Planes{Audit: true, Windows: true, Incidents: true},
 	}
 	for i := 0; i < drillTenants; i++ {
 		sc.Tenants = append(sc.Tenants, Tenant{
@@ -210,9 +194,6 @@ func RunFailureDrill(seed uint64) (*FailureDrillResult, error) {
 		Events:        run.Injector.Events(),
 		OverflowDrops: run.Net.TotalDrops(),
 		FaultDrops:    run.Net.TotalFaultDrops(),
-		SLO:           run.SLO.Reports,
-		SLOEvents:     run.SLO.Events,
-		SLOReport:     run.SLO.RenderReport(),
 		// The drill's violations must all land inside the injected
 		// outage's windows (verdict injected-fault) — any other verdict is
 		// a finding about the drill itself.
@@ -224,9 +205,11 @@ func RunFailureDrill(seed uint64) (*FailureDrillResult, error) {
 	if err := run.Manager.VerifyInvariants(); err != nil {
 		res.InvariantsErr = err.Error()
 	}
-	sloByID := map[int]slo.TenantReport{}
-	for _, r := range res.SLO {
-		sloByID[r.ID] = r
+	inFault := map[int]int64{}
+	for _, ev := range run.Violations {
+		if ev.Source == obs.SourceWindow && ev.Fault != "" {
+			inFault[ev.Tenant] += ev.Count
+		}
 	}
 	for _, tr := range run.Tenants {
 		id := tr.Tenant.Spec.ID
@@ -243,12 +226,10 @@ func RunFailureDrill(seed uint64) (*FailureDrillResult, error) {
 		}
 		if ta, ok := run.Audit.Tenant(id); ok {
 			row.NewDelayBound = float64(ta.DelayBoundNs) / 1e9
-		}
-		if sr, ok := sloByID[id]; ok {
-			row.Delivered = sr.Delivered
-			row.Violated = sr.Violated
-			row.InFault = sr.ViolatedDuringFault
-			row.Conformance = sr.Conformance
+			row.Delivered, row.Violated, row.InFault = ta.Packets, ta.Violations, inFault[id]
+			if ta.Packets > 0 {
+				row.Conformance = 1 - float64(ta.Violations)/float64(ta.Packets)
+			}
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -4,14 +4,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs/slo"
+	"repro/internal/obs"
 	"repro/internal/placement"
 )
 
 // The end-to-end drill: a ToR dies under admitted load. Every affected
 // tenant must end with an explicit verdict, the placement manager's
 // invariants must hold afterwards, the recovery latency must be
-// measured, and the SLO plane must attribute the outage-window
+// measured, and the window tick must attribute the outage-window
 // violations to the injected fault event.
 func TestFailureDrillToRFailure(t *testing.T) {
 	res, err := RunFailureDrill(FailureDrillSeed)
@@ -73,27 +73,27 @@ func TestFailureDrillToRFailure(t *testing.T) {
 	}
 
 	// Degraded-mode accounting: the resync storm and the recovery
-	// migrations must have produced violations, and the SLO plane must
+	// migrations must have produced violations, and the window tick must
 	// have landed them in fault-attributed windows.
 	var inFault int64
-	for _, sr := range res.SLO {
-		inFault += sr.ViolatedDuringFault
+	for _, row := range res.Rows {
+		inFault += row.InFault
 	}
 	if inFault == 0 {
 		t.Error("no violations attributed to the outage window; resync storm had no bite")
 	}
 }
 
-// The SLO event log names the injected fault on outage-window
+// The window events name the injected fault on outage-window
 // violations — the report is actionable, not just a count.
 func TestFailureDrillEventsCarryFaultLabel(t *testing.T) {
-	res, err := RunFailureDrill(FailureDrillSeed)
+	run, err := RunScenario(drillScenario(FailureDrillSeed), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	labeled := 0
-	for _, ev := range res.SLOEvents {
-		if ev.Kind == slo.EventWindowViolation && ev.Fault != "" {
+	for _, ev := range run.Violations {
+		if ev.Source == obs.SourceWindow && ev.Fault != "" {
 			labeled++
 			if !strings.Contains(ev.Fault, "tor0") {
 				t.Errorf("fault label %q does not name the failed switch", ev.Fault)

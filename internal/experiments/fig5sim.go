@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/incident"
-	"repro/internal/obs/slo"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -110,9 +109,6 @@ func figure5SimScenario(p Figure5SimParams) Scenario {
 			TraceSampleN: 1,
 			Introspect:   p.Incidents,
 			Incidents:    p.Incidents,
-			// One merge window per burst round: violations from consecutive
-			// rounds of the same overload chain into one incident.
-			IncidentMergeNs: 2 * roundNs,
 		},
 	}
 }
@@ -168,9 +164,9 @@ func (r Figure5SimResult) Render() string {
 	if r.Flight.Spans > 0 {
 		b.WriteString(r.Flight.Render())
 		b.WriteByte('\n')
-		// The burst-windowed SLO view: conformance per millisecond round
-		// with the dominant culprit port, straight from the trace.
-		b.WriteString(slo.RenderTraceWindows(slo.WindowsFromSpans(r.Spans, int64(1e6)), r.Ports))
+		// The burst-windowed view: conformance per millisecond round with
+		// the dominant culprit port, straight from the trace.
+		b.WriteString(obs.RenderTraceWindows(obs.WindowsFromSpans(r.Spans, obs.WindowNs), r.Ports))
 	}
 	if r.AuditSummary != "" {
 		fmt.Fprintf(&b, "%s\n", r.AuditSummary)

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"repro/internal/core"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs/incident"
-	"repro/internal/obs/slo"
 )
 
 // The ToR-death drill end to end: every guarantee violation the run
@@ -60,15 +59,11 @@ func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
 
 	// Conservation: the incidents partition the violation stream. Every
 	// per-packet violation the auditor counted (summed over tenants) is
-	// in exactly one incident, and window totals match the report.
-	var audited, windows int64
+	// in exactly one incident, and so is every window event's count,
+	// which sum to the same total.
+	var audited int64
 	for _, row := range res.Rows {
 		audited += row.Violated
-	}
-	for _, ev := range res.SLOEvents {
-		if ev.Kind == slo.EventWindowViolation {
-			windows += ev.Count
-		}
 	}
 	var inIncidents, inWindows int64
 	for _, inc := range rep.Incidents {
@@ -81,9 +76,9 @@ func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
 	if rep.TotalViolations != audited {
 		t.Errorf("report total %d != audited %d", rep.TotalViolations, audited)
 	}
-	if inWindows != windows || rep.WindowViolations != windows {
-		t.Errorf("window conservation broken: %d in incidents, %d in report, %d from SLO log",
-			inWindows, rep.WindowViolations, windows)
+	if inWindows != audited || rep.WindowViolations != audited {
+		t.Errorf("window conservation broken: %d in incidents, %d in report, %d audited",
+			inWindows, rep.WindowViolations, audited)
 	}
 	if audited == 0 {
 		t.Error("drill produced zero audited violations — nothing was exercised")

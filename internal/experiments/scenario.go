@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/incident"
 	"repro/internal/obs/introspect"
-	"repro/internal/obs/slo"
 	"repro/internal/placement"
 	"repro/internal/stats"
 	"repro/internal/tenant"
@@ -73,10 +72,9 @@ type Scenario struct {
 	// Faults is a schedule in faults.ParseSchedule syntax ("" = none).
 	// When the placer can recover (the Silo manager), every down event
 	// triggers Recover DetectNs later and every up event returns the
-	// repaired servers to the pool. FaultGraceNs extends each outage
-	// window for SLO attribution.
-	Faults                 string
-	DetectNs, FaultGraceNs int64
+	// repaired servers to the pool.
+	Faults   string
+	DetectNs int64
 	// Redeploy makes recovery a data-plane drill: relocated and degraded
 	// tenants are re-deployed on their new placement (new VM ids, hose
 	// re-coordinated, driver restarted), and ResyncBytes of raw unpaced
@@ -177,15 +175,27 @@ type Planes struct {
 	// guarantee margins (bounds from the Silo manager when there is
 	// one).
 	Introspect bool
-	// SLOWindowNs > 0 records each delay-bounded tenant's deliveries
-	// and violations on that window; Finish evaluates them into Run.SLO.
-	SLOWindowNs int64
+	// Windows closes a window every obs.WindowNs of simulated time:
+	// each tenant with new violations gets one window event naming the
+	// window's culprit port, appended to Run.Violations.
+	Windows bool
 	// Incidents collects violations into a log and correlates them into
 	// root-caused incidents, merging violations closer than
-	// IncidentMergeNs.
-	Incidents       bool
-	IncidentMergeNs int64
+	// incidentMergeNs.
+	Incidents bool
 }
+
+const (
+	// faultGraceNs extends each injected outage's window past its
+	// repair: violations of the recovery storm that follows still count
+	// as the fault's.
+	faultGraceNs = 5e6
+	// incidentMergeNs is the incident clustering gap: two violations
+	// (or a violation and a fault window) closer than this on the
+	// simulated clock belong to one incident, so Figure 5's overload,
+	// one burst every millisecond, chains into one incident.
+	incidentMergeNs = 2e6
+)
 
 // Env is what a caller injects that is not scenario data: run
 // provenance, and a placer of its own over a tree it built (Silo
@@ -234,9 +244,9 @@ type Run struct {
 	Rejected []error
 
 	Audit *obs.GuaranteeAuditor
-	// Violations is the run's one violation stream, kept with the
-	// incident plane: the audit tap's events, then in Finish the SLO's
-	// window events, which Correlate sorts canonically.
+	// Violations is the run's one violation stream: the audit tap's
+	// events (with the incident plane) and the window tick's, which
+	// Correlate sorts canonically.
 	Violations []obs.ViolationEvent
 	Flight     *obs.FlightRecorder
 	Intro      *introspect.Introspector
@@ -245,13 +255,11 @@ type Run struct {
 	Recoveries []*placement.RecoveryReport
 
 	// Filled by Finish: the assembled flight trace with its violating
-	// spans, the introspection snapshot, the evaluated SLO and the
-	// incident report.
+	// spans, the introspection snapshot and the incident report.
 	Ports          []obs.PortMeta
 	Spans          []obs.FlightSpan
 	SpanViolations []*obs.FlightSpan
 	Snapshot       *introspect.Snapshot
-	SLO            *slo.Result
 	Incidents      *incident.Report
 
 	env        Env
@@ -259,11 +267,13 @@ type Run struct {
 	rng        *stats.Rand
 	nextVM     int
 	resyncWave int
-	// The window tick's state: the SLO recorder, the port-window
-	// tracker naming each window's culprit, and the last window's end.
-	recorder  *slo.Recorder
-	tracker   *netsim.PortWindowTracker
-	windowEnd int64
+	// The window tick's state: the port-window tracker naming each
+	// window's culprit, the audited tenants sorted by ID with their
+	// violation counts at the last close, and the last window's end.
+	tracker       *netsim.PortWindowTracker
+	windowed      []*obs.TenantAudit
+	windowedViols []int64
+	windowEnd     int64
 }
 
 // RunScenario builds, executes and harvests a scenario.
@@ -334,10 +344,10 @@ func Build(sc Scenario, env Env) (*Run, error) {
 		obs.AttachDelayAudit(nw, r.Audit, r.Ctl.TenantOfVM)
 	}
 	if sc.Planes.Incidents {
-		// One violation stream: the auditor's per-delivery tap and, in
-		// Finish, the SLO's window violations. Wired before the run — the
-		// tap is read without locks on the delivery path. The slice grows
-		// with the violations the run records.
+		// One violation stream: the auditor's per-delivery tap and the
+		// window tick's events. Wired before the run — the tap is read
+		// without locks on the delivery path. The slice grows with the
+		// violations the run records.
 		r.Audit.SetViolationTap(func(ev obs.ViolationEvent) { r.Violations = append(r.Violations, ev) })
 	}
 	if sc.Planes.TraceSampleN > 0 {
@@ -367,7 +377,7 @@ func Build(sc Scenario, env Env) (*Run, error) {
 			return nil, err
 		}
 	}
-	if sc.Planes.SLOWindowNs > 0 {
+	if sc.Planes.Windows {
 		r.startWindows()
 	}
 	for _, tr := range r.Tenants {
@@ -425,7 +435,7 @@ func (r *Run) injectFaults() error {
 		return err
 	}
 	r.Injector = faults.NewInjector(r.Net)
-	r.Injector.GraceNs = sc.FaultGraceNs
+	r.Injector.GraceNs = faultGraceNs
 	if m := r.Manager; m != nil {
 		r.Injector.OnEvent = func(ev faults.Event) {
 			r.Net.Sim.After(sc.DetectNs, func() {
@@ -471,7 +481,7 @@ func (r *Run) recovered(rep *placement.RecoveryReport) {
 		r.coordinate(tr)
 		if r.Audit != nil {
 			r.observe(tr)
-			// A dropped bound clears the delay SLO.
+			// A dropped bound clears the delay audit.
 			r.Audit.SetDelayBound(rec.ID, spec.Guarantee.DelayBound)
 		}
 		r.startDriver(tr, true)
@@ -483,19 +493,35 @@ func (r *Run) recovered(rep *placement.RecoveryReport) {
 	}
 }
 
-// startWindows closes SLO windows on the simulation clock, with the
-// live port-window tracker naming the culprit port of each window.
+// startWindows closes windows on the simulation clock, with the live
+// port-window tracker naming the culprit port of each window. Every
+// tenant is audited by now, and redeploying one keeps its audit entry.
 func (r *Run) startWindows() {
 	sc := r.Scenario
 	r.tracker = netsim.AttachPortWindowTracker(r.Net)
-	r.recorder = slo.NewRecorder(r.Audit, sc.Planes.SLOWindowNs)
-	r.Net.Sim.Every(sc.Planes.SLOWindowNs, sc.HorizonNs+sc.DrainNs, r.closeWindow)
+	r.windowed = r.Audit.Tenants()
+	r.windowedViols = make([]int64, len(r.windowed))
+	r.Net.Sim.Every(obs.WindowNs, sc.HorizonNs+sc.DrainNs, r.closeWindow)
 }
 
-// closeWindow ends the current window at now.
+// closeWindow ends the current window at now: each tenant the auditor
+// counted new violations for since the last close gets one window
+// event, judged against its bound at the close. The appends amortize
+// to zero allocations per window.
 func (r *Run) closeWindow(now int64) {
 	port, queueNs := r.tracker.WorstPort()
-	r.recorder.Close(now, port, queueNs)
+	for i, t := range r.windowed {
+		if n := t.Violations - r.windowedViols[i]; n > 0 {
+			r.Violations = append(r.Violations, obs.ViolationEvent{
+				TimeNs: now, Source: obs.SourceWindow, Tenant: t.ID,
+				VM: -1, SrcVM: -1,
+				WindowStartNs: r.windowEnd, WindowEndNs: now,
+				BoundNs: t.DelayBoundNs, Count: n,
+				CulpritPort: port, CulpritQueueNs: queueNs,
+			})
+		}
+		r.windowedViols[i] = t.Violations
+	}
 	r.tracker.Reset()
 	r.windowEnd = now
 }
@@ -508,23 +534,19 @@ func (r *Run) Execute(ctx context.Context) {
 
 // Finish harvests what the planes recorded and the tenants received.
 func (r *Run) Finish() {
-	if r.recorder != nil {
+	if r.tracker != nil {
 		// The run ends mid-window when it was cancelled or the window does
 		// not divide its length: close that last partial window too.
 		if now := r.Net.Sim.Now(); now > r.windowEnd {
 			r.closeWindow(now)
 		}
-		var faultIn func(sinceNs, untilNs int64) (string, bool)
 		if r.Injector != nil {
-			// Violations in windows overlapping an injected outage are
-			// labeled with the fault.
-			faultIn = r.Injector.FaultIn
-		}
-		r.SLO = r.recorder.Evaluate(faultIn)
-		if r.Scenario.Planes.Incidents {
-			for _, ev := range r.SLO.Events {
-				if ev.Kind == slo.EventWindowViolation {
-					r.Violations = append(r.Violations, ev.ViolationEvent)
+			// Window events overlapping an injected outage are labeled
+			// with the fault; the injector answers after the run as it
+			// would have during it.
+			for i := range r.Violations {
+				if ev := &r.Violations[i]; ev.Source == obs.SourceWindow {
+					ev.Fault, _ = r.Injector.FaultIn(ev.WindowStartNs, ev.WindowEndNs)
 				}
 			}
 		}
@@ -551,8 +573,7 @@ func (r *Run) Finish() {
 	}
 	if r.Scenario.Planes.Incidents {
 		// The one correlation, over the finished streams: the full
-		// violation stream, the fault log, the SLO events, and the
-		// introspection snapshot as verdict evidence (without it,
+		// violation stream, the fault log, and the introspection snapshot as verdict evidence (without it,
 		// incidents that need envelope evidence stay honestly
 		// unexplained).
 		in := incident.Inputs{
@@ -564,10 +585,7 @@ func (r *Run) Finish() {
 		if r.Injector != nil {
 			in.Faults = incident.FaultWindowsFromEvents(r.Injector.Events(), r.Injector.GraceNs)
 		}
-		if r.SLO != nil {
-			in.Alerts = r.SLO.Events
-		}
-		r.Incidents = incident.Correlate(incident.Config{MergeNs: r.Scenario.Planes.IncidentMergeNs}, in)
+		r.Incidents = incident.Correlate(incident.Config{MergeNs: incidentMergeNs}, in)
 	}
 }
 

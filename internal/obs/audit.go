@@ -50,7 +50,7 @@ func NewGuaranteeAuditor() *GuaranteeAuditor {
 
 // Admit registers a tenant's guarantee for auditing. delayBoundSec is
 // the admitted NIC-to-NIC bound d in seconds (<= 0 means the tenant
-// has no delay SLO; its packets and worst delay are still recorded).
+// has no delay bound; its packets and worst delay are still recorded).
 // Admitting the same tenant twice returns the existing state.
 func (a *GuaranteeAuditor) Admit(id int, delayBoundSec float64) *TenantAudit {
 	if a == nil {
@@ -73,9 +73,9 @@ func (a *GuaranteeAuditor) Admit(id int, delayBoundSec float64) *TenantAudit {
 // re-admitted degraded: packets delivered after the update are judged
 // against the loosened bound. Unknown tenants are ignored.
 //
-// The TenantAudit is edited in place, so every holder of it — the SLO
-// recorder's tenant list included — sees the new bound from the next
-// packet or window on.
+// The TenantAudit is edited in place, so every holder of it — a run's
+// window tick included — sees the new bound from the next packet or
+// window on.
 func (a *GuaranteeAuditor) SetDelayBound(id int, delayBoundSec float64) {
 	if a == nil {
 		return
@@ -169,16 +169,6 @@ func AttachDelayAudit(nw *netsim.Network, a *GuaranteeAuditor, tenantOf func(vmI
 			a.ObserveDelivery(id, p.DstVM, p.SrcVM, sim.Now(), ev.Arg)
 		}
 	}, netsim.EvDeliver)
-}
-
-// NumTenants returns the number of admitted tenants without
-// allocating (the SLO recorder polls it every window to decide whether
-// its cached tenant list is stale).
-func (a *GuaranteeAuditor) NumTenants() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.tenants)
 }
 
 // Tenants returns the admitted tenants sorted by ID.

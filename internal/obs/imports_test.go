@@ -45,8 +45,8 @@ func TestSingleGoroutineImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkgs < 5 {
-		t.Errorf("checked %d packages under internal/obs, want at least 5", pkgs)
+	if pkgs < 4 {
+		t.Errorf("checked %d packages under internal/obs, want at least 4", pkgs)
 	}
 }
 

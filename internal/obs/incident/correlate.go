@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/introspect"
-	"repro/internal/obs/slo"
 )
 
 // Config parameterizes Correlate. Zero values select defaults.
@@ -18,7 +17,7 @@ type Config struct {
 }
 
 // maxTimeline caps the per-incident causal timeline; structural entries
-// (faults, first/last violations, burn transitions, evidence) are always
+// (faults, first/last violations, evidence) are always
 // kept, per-window entries fill the rest.
 const maxTimeline = 40
 
@@ -33,15 +32,11 @@ func (c Config) withDefaults() Config {
 // be empty: the report says what the evidence supports.
 type Inputs struct {
 	// Violations is the unified violation stream: delivery-tap and
-	// SLO-window events, in any order. Correlate sorts it canonically,
-	// in place.
+	// window events, in any order. Correlate sorts it canonically, in
+	// place.
 	Violations []obs.ViolationEvent
 	// Faults are the injected-fault outage windows.
 	Faults []FaultWindow
-	// Alerts is the SLO event log; only burn-rate transitions
-	// are used (for incident timelines — window violations already
-	// arrive through the unified stream).
-	Alerts []slo.Event
 	// Snapshot is the introspection evidence: per-VM fitted arrival
 	// envelopes (the self-inflicted / neighbor-interference
 	// discriminator) and per-port headroom margins (the bound-breach
@@ -207,7 +202,7 @@ func (c *correlation) buildIncident(cluster []clusterItem, evs []obs.ViolationEv
 			ports[ev.CulpritPort] = true
 		}
 		if ev.Fault != "" && !faultSeen[ev.Fault] {
-			// An SLO event can carry a fault label whose window the
+			// A window event can carry a fault label whose window the
 			// sweep missed (e.g. tight merge config); trust the stamp.
 			faultSeen[ev.Fault] = true
 			inc.Faults = append(inc.Faults, ev.Fault)
@@ -265,24 +260,6 @@ func (c *correlation) buildIncident(cluster []clusterItem, evs []obs.ViolationEv
 				lastViol.Tenant, vmName(lastViol.VM), vmName(lastViol.SrcVM), float64(lastViol.DelayNs)/1e3),
 		})
 	}
-	for i := range c.in.Alerts {
-		a := &c.in.Alerts[i]
-		if a.Kind == slo.EventWindowViolation || a.TimeNs < inc.StartNs || a.TimeNs > inc.EndNs {
-			continue
-		}
-		if !tenants[a.Tenant] {
-			continue
-		}
-		kind := "burn-start"
-		if a.Kind == slo.EventFastBurnEnd || a.Kind == slo.EventSlowBurnEnd {
-			kind = "burn-end"
-		}
-		inc.Timeline = append(inc.Timeline, TimelineEntry{
-			TimeNs: a.TimeNs, Kind: kind,
-			Detail: fmt.Sprintf("tenant %d %s burn=%.1f", a.Tenant, a.Kind, a.BurnRate),
-		})
-	}
-
 	c.classify(inc)
 
 	// Fill remaining timeline budget with per-window entries, then

@@ -1,8 +1,8 @@
 // Package incident is the correlation engine that turns seven PRs of
 // instrumentation into a diagnosis system: it consumes the existing
-// signal streams — guarantee-auditor delay violations, SLO burn-rate
-// alerts, introspection envelope fits and per-port margins, and
-// fault-injector events — and clusters them into incidents:
+// signal streams — guarantee-auditor delay violations, per-window
+// violation counts with their culprit ports, introspection envelope
+// fits and per-port margins, and fault-injector events — and clusters them into incidents:
 // time-and-topology-bounded episodes with a blast radius (tenants,
 // VMs, ports), a causal timeline of constituent events, and a
 // root-cause verdict from a closed taxonomy.
@@ -95,7 +95,7 @@ func (v *Verdict) UnmarshalJSON(b []byte) error {
 // is fault-caused.
 type FaultWindow struct {
 	// Label matches the injector's FaultIn label and the Fault field
-	// stamped on SLO events, e.g. "switch-down switch tor0 @20000000ns".
+	// stamped on window events, e.g. "switch-down switch tor0 @20000000ns".
 	Label string `json:"label"`
 	// Target is the failed element ("switch tor0", "link 14", "host 3").
 	Target  string `json:"target"`
@@ -124,7 +124,7 @@ func (w FaultWindow) effectiveEndNs() int64 {
 // a down-kind event opens a window for its target, the next up-kind
 // event for the same target closes it, and windows never closed stay
 // open (EndNs -1). Labels reproduce the injector's FaultIn labels
-// exactly, so an SLO event's Fault string matches its window's Label.
+// exactly, so a window event's Fault string matches its window's Label.
 func FaultWindowsFromEvents(events []faults.Event, graceNs int64) []FaultWindow {
 	var out []FaultWindow
 	open := make(map[string]int)
@@ -161,7 +161,7 @@ func FaultWindowsFromEvents(events []faults.Event, graceNs int64) []FaultWindow 
 type TimelineEntry struct {
 	TimeNs int64 `json:"time_ns"`
 	// Kind is the entry class: "fault-down", "fault-up", "violation",
-	// "window", "burn-start", "burn-end", "evidence".
+	// "window", "evidence".
 	Kind   string `json:"kind"`
 	Detail string `json:"detail"`
 }
@@ -183,7 +183,7 @@ type Incident struct {
 
 	// Violations counts per-packet guarantee violations that are
 	// members of this incident (every violation lands in exactly one);
-	// WindowViolations sums the SLO's window-level counts.
+	// WindowViolations sums the window events' counts.
 	Violations       int64 `json:"violations"`
 	WindowViolations int64 `json:"window_violations"`
 	// WorstDelayNs / BoundNs summarize how badly d was missed.

@@ -26,7 +26,7 @@ func deliveryViol(tNs int64, tenant, dstVM, srcVM int, delayNs, boundNs int64) o
 	}
 }
 
-// windowViol builds an SLO window-violation event.
+// windowViol builds a window-violation event.
 func windowViol(startNs, endNs int64, tenant int, count int64, culprit int32) obs.ViolationEvent {
 	return obs.ViolationEvent{
 		TimeNs: endNs, Source: obs.SourceWindow, Tenant: tenant,
@@ -87,7 +87,7 @@ func TestTwoFaultsInOneMergeWindowCoalesce(t *testing.T) {
 	}
 }
 
-// Violations straddling an SLO window boundary land in one incident,
+// Violations straddling a window boundary land in one incident,
 // not two: the merge gap bridges the boundary and the window events
 // span it.
 func TestViolationsStraddlingWindowBoundary(t *testing.T) {

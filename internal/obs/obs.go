@@ -17,8 +17,8 @@
 //     every method on it costs one branch, so instrumented code needs
 //     no build tags and no wrapper interfaces
 //     (TestDisabledPathZeroAllocs).
-//  3. One goroutine. Every plane — auditor, flight recorder, SLO
-//     recorder, incident correlation — is written and read on the
+//  3. One goroutine. Every plane — auditor, flight recorder, window
+//     tick, incident correlation — is written and read on the
 //     goroutine that drives the run (the simulation's, or an offline
 //     tool's), and is read from a run's artifacts after it. Nothing here locks or uses
 //     atomics, and nothing here is safe for concurrent use.

@@ -13,9 +13,9 @@ const (
 	// one delivered packet whose NIC-to-NIC delay exceeded the admitted
 	// bound d. Count is always 1.
 	SourceDelivery ViolationSource = iota
-	// SourceWindow is a per-window event from the SLO evaluation: Count
-	// packets violated inside [WindowStartNs, WindowEndNs), with the
-	// culprit port netsim's port-window tracker named for the window.
+	// SourceWindow is a per-window event from a run's window tick:
+	// Count packets violated inside [WindowStartNs, WindowEndNs), with
+	// the culprit port netsim's port-window tracker named for the window.
 	SourceWindow
 )
 
@@ -54,9 +54,7 @@ func (s *ViolationSource) UnmarshalJSON(b []byte) error {
 // ViolationEvent is the one shared violation record every instrument
 // emits and the incident engine consumes. The guarantee auditor
 // produces per-packet events (SourceDelivery) from its delivery tap;
-// the SLO evaluation produces per-window events (SourceWindow) whose JSON
-// keys match the historical slo.Event payload, so existing consumers
-// of -series exports keep parsing.
+// a run's window tick produces per-window events (SourceWindow).
 //
 // Fields that an instrument cannot know are set to their "unknown"
 // value: -1 for VM/SrcVM/CulpritPort, 0 for times and delays.
@@ -73,7 +71,7 @@ type ViolationEvent struct {
 	VM int `json:"vm"`
 	// SrcVM is the sending VM, -1 when unknown.
 	SrcVM int `json:"src_vm"`
-	// WindowStartNs/WindowEndNs bound the SLO window for window
+	// WindowStartNs/WindowEndNs bound the window for window
 	// events; zero for per-packet events.
 	WindowStartNs int64 `json:"window_start_ns"`
 	WindowEndNs   int64 `json:"window_end_ns"`
@@ -96,8 +94,8 @@ type ViolationEvent struct {
 }
 
 // Less is the canonical violation-event order: time, then source, then
-// every identifying field. Several emitters (delivery taps, the SLO's
-// window violations) append to one slice; sorting by Less before clustering
+// every identifying field. Several emitters (delivery taps, the window
+// tick) append to one slice; sorting by Less before clustering
 // makes incident output independent of their interleaving.
 func (e *ViolationEvent) Less(o *ViolationEvent) bool {
 	if e.TimeNs != o.TimeNs {

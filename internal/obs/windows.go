@@ -1,17 +1,20 @@
 // Span-backed windows: given flight-recorder spans annotated by
-// obs.AnnotateSpans, how each tenant's conformance evolved window by
+// AnnotateSpans, how each tenant's conformance evolved window by
 // window in a recorded trace, which is what silo-inspect trace -windows
 // renders.
 
-package slo
+package obs
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/obs"
 )
+
+// WindowNs is the one window length, 1 ms of simulated time: a run's
+// window tick closes its violation windows on it, and silo-inspect
+// trace -windows and Figure 5's per-round view bucket a trace by it.
+const WindowNs = int64(1e6)
 
 // TraceWindow is one tenant's windowed conformance computed from a
 // recorded trace.
@@ -29,7 +32,7 @@ type TraceWindow struct {
 // delivered/violated counts with the dominant culprit port for every
 // window that saw violations. Incomplete spans and tenants without a
 // bound are skipped. windowNs must be positive.
-func WindowsFromSpans(spans []obs.FlightSpan, windowNs int64) map[int32][]TraceWindow {
+func WindowsFromSpans(spans []FlightSpan, windowNs int64) map[int32][]TraceWindow {
 	type key struct {
 		tenant int32
 		win    int64
@@ -79,7 +82,7 @@ func WindowsFromSpans(spans []obs.FlightSpan, windowNs int64) map[int32][]TraceW
 
 // RenderTraceWindows formats WindowsFromSpans output for silo-inspect
 // trace -windows: one block per tenant, one line per window, culprits named.
-func RenderTraceWindows(byTenant map[int32][]TraceWindow, ports []obs.PortMeta) string {
+func RenderTraceWindows(byTenant map[int32][]TraceWindow, ports []PortMeta) string {
 	if len(byTenant) == 0 {
 		return "windowed conformance: no delay-bounded deliveries in trace\n"
 	}
@@ -99,7 +102,7 @@ func RenderTraceWindows(byTenant map[int32][]TraceWindow, ports []obs.PortMeta) 
 			}
 			culprit := "-"
 			if w.CulpritPort >= 0 {
-				culprit = fmt.Sprintf("%s (+%.2fµs queue)", obs.PortName(ports, w.CulpritPort), float64(w.CulpritQueueNs)/1e3)
+				culprit = fmt.Sprintf("%s (+%.2fµs queue)", PortName(ports, w.CulpritPort), float64(w.CulpritQueueNs)/1e3)
 			}
 			fmt.Fprintf(&b, "  [%8.3fms,%8.3fms) %10d %9d %8.3f%%  %s\n",
 				float64(w.StartNs)/1e6, float64(w.EndNs)/1e6, w.Delivered, w.Violated, 100*conform, culprit)

@@ -1,15 +1,13 @@
-package slo
+package obs
 
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // span builds a minimal annotated, complete span.
-func span(deliverNs, totalNs, boundNs int64, tenant, worstPort int32, worstQ int64) obs.FlightSpan {
-	return obs.FlightSpan{
+func span(deliverNs, totalNs, boundNs int64, tenant, worstPort int32, worstQ int64) FlightSpan {
+	return FlightSpan{
 		Complete: true, DeliverNs: deliverNs, TotalNs: totalNs,
 		TenantID: tenant, BoundNs: boundNs,
 		WorstPort: worstPort, WorstQueueNs: worstQ,
@@ -18,7 +16,7 @@ func span(deliverNs, totalNs, boundNs int64, tenant, worstPort int32, worstQ int
 
 func TestWindowsFromSpans(t *testing.T) {
 	const win = int64(1000)
-	spans := []obs.FlightSpan{
+	spans := []FlightSpan{
 		// Window [0,1000): 2 delivered, 1 violated at port 5.
 		span(100, 200, 1000, 7, 1, 10),
 		span(900, 2000, 1000, 7, 5, 50),
@@ -49,8 +47,8 @@ func TestWindowsFromSpans(t *testing.T) {
 		t.Errorf("tenant 8 = %+v", w8)
 	}
 
-	ports := make([]obs.PortMeta, 10)
-	ports[5] = obs.PortMeta{Name: "agg1->tor0"}
+	ports := make([]PortMeta, 10)
+	ports[5] = PortMeta{Name: "agg1->tor0"}
 	out := RenderTraceWindows(byTenant, ports)
 	if !strings.Contains(out, "tenant 7") || !strings.Contains(out, "agg1->tor0") || !strings.Contains(out, "port9") {
 		t.Errorf("render missing pieces:\n%s", out)

@@ -35,7 +35,6 @@ var reachAllowlist = map[string]string{
 	"pacer.NewConformanceChecker":      "oracle: the sliding-window B·t + S checker the bucket and batcher conformance tests hold paced output to",
 	"pacer.ConformanceChecker.Observe": "oracle: ConformanceChecker (see NewConformanceChecker)",
 	"pacer.ConformanceChecker.Check":   "oracle: ConformanceChecker (see NewConformanceChecker)",
-	"obs/slo.Result.Points":            "oracle: the []WindowPoint series the Payload TestSeriesWriterMatchesEncoderProperty encodes holds dashboard.WriteJSON's in-place points to",
 
 	// Seams.
 	"netsim.Sim.Pending":                             "seam: reads a live Sim's queued events (timer, wire and port-window tests)",
