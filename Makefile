@@ -86,10 +86,9 @@ test-admission:
 # replaced; the flight recorder's rings, which grow on demand, against
 # a fully preallocated reference ring (same events, same spans); the
 # one-pass indenter against json.Encoder with SetIndent and json.Indent,
-# byte for byte on random documents; and series.json's field-by-field
-# writer against json.Encoder over the Payload schema, on random runs.
-OBS_RUN = AppendMicros|AppendJSONString|FlightRingGrowthEquivalence|AppendIndented|SeriesWriterMatchesEncoder
-OBS_PKGS = ./internal/obs/ ./internal/obs/dashboard/
+# byte for byte on random documents.
+OBS_RUN = AppendMicros|AppendJSONString|FlightRingGrowthEquivalence|AppendIndented
+OBS_PKGS = ./internal/obs/
 test-obs:
 	$(call check-run,$(OBS_RUN),$(OBS_PKGS))
 	$(GO) test -race -count=25 -run '$(OBS_RUN)' $(OBS_PKGS)

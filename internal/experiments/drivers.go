@@ -54,7 +54,7 @@ func (r *Run) startDriver(tr *TenantRun, restarted bool) {
 // rebuilds a relocated VM. Unpaced by design (it is infrastructure
 // traffic, not tenant hose traffic): the convergent storm queues at the
 // oversubscribed uplinks, and the deliveries that arrive past the
-// tenant's bound are exactly the violations the SLO plane must pin on
+// tenant's bound are exactly the violations the window tick must pin on
 // the outage.
 func (r *Run) fireResync(dstHost, dstVM int) {
 	dstRack := r.Tree.RackOfServer(dstHost)

@@ -481,7 +481,7 @@ func (r *Run) recovered(rep *placement.RecoveryReport) {
 		r.coordinate(tr)
 		if r.Audit != nil {
 			r.observe(tr)
-			// A dropped bound clears the delay audit.
+			// A dropped bound clears the audited bound.
 			r.Audit.SetDelayBound(rec.ID, spec.Guarantee.DelayBound)
 		}
 		r.startDriver(tr, true)

@@ -5,9 +5,8 @@
 // and can model transient failures: flap sequences and gray-failure
 // drop bursts on a port. Every applied event is a structured record:
 // the injector keeps an ordered log, exposes the outage windows for
-// SLO fault attribution (FaultIn, the lookup slo.Recorder.Evaluate
-// takes), and offers an OnEvent callback the recovery control loop
-// listens on.
+// fault attribution (FaultIn, which labels a run's window events), and
+// offers an OnEvent callback the recovery control loop listens on.
 //
 // Determinism: the injector holds no randomness and reads no wall
 // clock. A schedule applied to the same network and seed produces the
@@ -101,7 +100,7 @@ type outage struct {
 type Injector struct {
 	nw     *netsim.Network
 	events []Event
-	// outages tracks loss windows per target for SLO attribution.
+	// outages tracks loss windows per target for fault attribution.
 	outages []outage
 	open    map[string]int // target -> index of open outage
 	// OnEvent, if set, is called with every event after its network

@@ -1,7 +1,7 @@
 package netsim
 
-// PortWindowTracker is the live culprit-port attributor behind the SLO
-// plane's events: per directed port it tracks the worst estimated
+// PortWindowTracker is the live culprit-port attributor behind a run's
+// window events: per directed port it tracks the worst estimated
 // queueing delay (occupancy found on arrival divided by the port's
 // drain rate) inside the current telemetry window. It subscribes to the
 // spine's port-enqueue events — a handful of integer ops per packet,

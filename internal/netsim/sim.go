@@ -489,7 +489,7 @@ func (tk *ticker) tick() {
 }
 
 // Every schedules fn at now+period, now+2·period, ... for every tick
-// not after untilNs. This is the clock-driven hook behind the SLO
+// not after untilNs. This is the clock-driven hook behind a run's
 // window tick, which rides the simulated clock, never the wall clock.
 // The stop time is explicit so an idle simulation can still drain its
 // event heap. The rescheduling closure is allocated once up front,

@@ -1,7 +1,7 @@
 package netsim
 
 // The observation spine: the one way a plane (the flight recorder, the
-// delivery auditor, introspection, the SLO plane's port-window
+// delivery auditor, introspection, the window tick's port-window
 // tracker) reads the data path. A plane subscribes once on the Sim
 // for the kinds it needs; each emit site calls its kind's subscribers in
 // subscription order, so planes compose without knowing of each other
