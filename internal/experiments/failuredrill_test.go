@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/placement"
 )
@@ -118,5 +121,58 @@ func TestFailureDrillDeterministic(t *testing.T) {
 	}
 	if a.Render() != b.Render() {
 		t.Fatalf("drill summaries differ across identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a.Render(), b.Render())
+	}
+}
+
+// TestFaultLabels: a window event carries the fault label exactly when
+// its window overlaps the outage, from the switch-down event to the
+// switch-up event plus the attribution grace. Two violations injected
+// into the drill's tenant well before and well after the outage must
+// come out unlabeled.
+func TestFaultLabels(t *testing.T) {
+	sc := drillScenario(FailureDrillSeed)
+	run, err := Build(sc, Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sc.Tenants[0].Spec.ID
+	for _, at := range []int64{5_500_000, 50_500_000} {
+		run.Net.Sim.At(at, func() { run.Audit.ObserveDelivery(id, -1, -1, at, 5e6) }) // 5 ms: over the bound
+	}
+	run.Execute(context.Background())
+	run.Finish()
+
+	downNs, upNs := int64(-1), int64(-1)
+	for _, ev := range run.Injector.Events() {
+		switch ev.Kind {
+		case faults.KindSwitchDown:
+			downNs = ev.TimeNs
+		case faults.KindSwitchUp:
+			upNs = ev.TimeNs
+		}
+	}
+	if downNs < 0 || upNs < downNs {
+		t.Fatalf("fault log lacks the outage: %v", run.Injector.Events())
+	}
+	wantLabel := fmt.Sprintf("switch-down switch %s @%dns", drillFailSwitch, downNs)
+	endNs := upNs + faultGraceNs
+	var labeled, unlabeled int
+	for _, ev := range run.Violations {
+		if ev.Source != obs.SourceWindow {
+			continue
+		}
+		inFault := ev.WindowStartNs <= endNs && downNs < ev.WindowEndNs
+		if (ev.Fault != "") != inFault || (inFault && ev.Fault != wantLabel) {
+			t.Errorf("tenant %d window [%d,%d] fault=%q, want in fault: %v (%q)",
+				ev.Tenant, ev.WindowStartNs, ev.WindowEndNs, ev.Fault, inFault, wantLabel)
+		}
+		if inFault {
+			labeled++
+		} else {
+			unlabeled++
+		}
+	}
+	if labeled == 0 || unlabeled < 2 {
+		t.Errorf("%d labeled and %d unlabeled window events, want some and at least 2", labeled, unlabeled)
 	}
 }

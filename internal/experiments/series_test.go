@@ -98,3 +98,31 @@ func TestIncidentsCorrelatedAtFinish(t *testing.T) {
 		t.Fatalf("no violations correlated at Finish: %+v", run.Incidents)
 	}
 }
+
+// TestCloseZeroAllocs closes windows in a steady state where every
+// admitted tenant violates its bound in every window: appending one
+// window event per tenant amortizes to zero allocations per tick.
+func TestCloseZeroAllocs(t *testing.T) {
+	sc := drillScenario(FailureDrillSeed)
+	sc.Faults = ""
+	run, err := Build(sc, Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants := run.Audit.Tenants()
+	now := run.windowEnd
+	window := func() {
+		now += obs.WindowNs
+		for _, ta := range tenants {
+			run.Audit.ObserveDelivery(ta.ID, -1, -1, now, 5e6) // 5 ms: over the bound
+		}
+		run.closeWindow(now)
+	}
+	window()
+	if allocs := testing.AllocsPerRun(1000, window); allocs != 0 {
+		t.Errorf("a window tick with violations allocates %v times, want 0", allocs)
+	}
+	if want := 1001 * len(tenants); len(run.Violations) < want {
+		t.Errorf("%d window events, want at least %d", len(run.Violations), want)
+	}
+}
