@@ -222,132 +222,6 @@ func (b bitset) count() int {
 	return c
 }
 
-// headroomSlack pads the port-headroom skip test so that float rounding
-// in "aggregate rate + contribution <= line rate" can never disagree
-// with the admission check proper: a scope is skipped only when it
-// misses by more than the slack (1 byte/sec — many orders of magnitude
-// above rounding error at datacenter rates, and equally far below any
-// meaningful guarantee).
-const headroomSlack = 1.0
-
-// headroomIndex summarizes, per rack and per pod, the largest rate
-// headroom (line rate minus admitted aggregate arrival rate, taking
-// the tighter of a server's NIC-up and ToR-down port) any server in
-// the scope still offers. Every server hosting at least one VM of an
-// n>=2-VM tenant contributes at least its per-VM bandwidth B of
-// arrival rate at both ports, so a scope whose best server offers less
-// than B (minus slack) cannot host any placement of the tenant and is
-// skipped without evaluation. A rack whose ports carry nothing offers
-// empty, which every summary starts at. Racks are revalidated lazily:
-// Place and Remove list the racks whose NIC/ToR port states changed,
-// and the next admission refreshes only those and their pods.
-type headroomIndex struct {
-	rackMax []float64
-	podMax  []float64
-	dcMax   float64
-	// empty is the headroom of a server whose two ports carry nothing.
-	empty float64
-	// dirty lists the racks marked since the last refresh, once each;
-	// rackDirty is its membership. pods lists, during refresh, the pods
-	// of the racks refreshed, podDirty its membership.
-	dirty     []int
-	rackDirty []bool
-	pods      []int
-	podDirty  []bool
-}
-
-func newHeadroomIndex(tree *topology.Tree) *headroomIndex {
-	upLo, _ := tree.ServerUpPortRange()
-	downLo, _ := tree.RackDownPortRange()
-	upRate, _ := tree.Line(upLo)
-	downRate, _ := tree.Line(downLo)
-	h := &headroomIndex{
-		rackMax:   make([]float64, tree.Racks()),
-		podMax:    make([]float64, tree.Pods()),
-		empty:     max(0, serverHeadroom(upRate, downRate, 0, 0)),
-		rackDirty: make([]bool, tree.Racks()),
-		podDirty:  make([]bool, tree.Pods()),
-	}
-	for r := range h.rackMax {
-		h.rackMax[r] = h.empty
-	}
-	for p := range h.podMax {
-		h.podMax[p] = h.empty
-	}
-	h.dcMax = h.empty
-	return h
-}
-
-// serverHeadroom is the rate a new tenant could still push through a
-// server's NIC-up and ToR-down ports, loaded at the given rates, before
-// either exceeds its line rate (where the queue bound is +Inf and
-// admission necessarily fails).
-func serverHeadroom(upRate, downRate, upLoad, downLoad float64) float64 {
-	return min(upRate-upLoad, downRate-downLoad)
-}
-
-// markRack lists rack r (and transitively its pod and the datacenter
-// summary) for recomputation.
-func (h *headroomIndex) markRack(r int) {
-	if !h.rackDirty[r] {
-		h.rackDirty[r] = true
-		h.dirty = append(h.dirty, r)
-	}
-}
-
-// refresh recomputes the summaries of the listed racks, their pods and
-// the datacenter. A rack untouched in m's slot index has empty ports
-// (portState.remove clamps to zero with the last tenant), so it takes
-// empty without reading them. Must not run concurrently with readers.
-func (h *headroomIndex) refresh(m *Manager) {
-	if len(h.dirty) == 0 {
-		return
-	}
-	t := m.tree
-	upRate, _ := t.Line(m.upLo)
-	downRate, _ := t.Line(m.downLo)
-	for _, r := range h.dirty {
-		h.rackDirty[r] = false
-		best := h.empty
-		if !m.ix.rackUntouched(r) {
-			best = 0
-			lo, hi := t.ServersOfRack(r)
-			for s := lo; s < hi; s++ {
-				f := serverHeadroom(upRate, downRate,
-					m.ports.state(t.ServerUpPortID(s)).Rate, m.ports.state(t.RackDownPortID(s)).Rate)
-				if f > best {
-					best = f
-				}
-			}
-		}
-		h.rackMax[r] = best
-		if p := t.PodOfRack(r); !h.podDirty[p] {
-			h.podDirty[p] = true
-			h.pods = append(h.pods, p)
-		}
-	}
-	h.dirty = h.dirty[:0]
-	for _, p := range h.pods {
-		h.podDirty[p] = false
-		rlo, rhi := t.RacksOfPod(p)
-		best := 0.0
-		for r := rlo; r < rhi; r++ {
-			if f := h.rackMax[r]; f > best {
-				best = f
-			}
-		}
-		h.podMax[p] = best
-	}
-	h.pods = h.pods[:0]
-	best := 0.0
-	for _, f := range h.podMax {
-		if f > best {
-			best = f
-		}
-	}
-	h.dcMax = best
-}
-
 // upCapSlots is how many guarantee classes the up-cap memo holds at
 // once. A request of a further class takes the slots over in turn.
 const upCapSlots = 4

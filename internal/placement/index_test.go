@@ -101,60 +101,22 @@ func (d *denseSlots) catchUp() {
 	d.log = d.log[:0]
 }
 
-// scanHeadroom is the headroom index's refresh as it was with every rack
-// dirty: every server's two ports read, every rack and pod summarized.
-func scanHeadroom(m *Manager) (rackMax, podMax []float64, dcMax float64) {
-	t := m.tree
-	upRate, _ := t.Line(m.upLo)
-	downRate, _ := t.Line(m.downLo)
-	rackMax, podMax = make([]float64, t.Racks()), make([]float64, t.Pods())
-	for r := range rackMax {
-		lo, hi := t.ServersOfRack(r)
-		for s := lo; s < hi; s++ {
-			f := upRate - m.ports.state(t.ServerUpPortID(s)).Rate
-			if d := downRate - m.ports.state(t.RackDownPortID(s)).Rate; d < f {
-				f = d
-			}
-			if f > rackMax[r] {
-				rackMax[r] = f
-			}
-		}
-		if f := rackMax[r]; f > podMax[t.PodOfRack(r)] {
-			podMax[t.PodOfRack(r)] = f
-		}
-	}
-	for _, f := range podMax {
-		if f > dcMax {
-			dcMax = f
-		}
-	}
-	return rackMax, podMax, dcMax
-}
-
 // scanOracle is the scope search's filter as it was: every rack, then
-// every pod, tested for free slots and headroom, the untouched ones
-// beyond the first collapsed.
+// every pod, tested for free slots, the untouched ones beyond the first
+// collapsed.
 type scanOracle struct {
-	dense          *denseSlots
-	rackMax        []float64
-	podMax         []float64
-	dcMax          float64
-	headroomFilter int // candidates the headroom test alone dropped
+	dense *denseSlots
 }
 
-func (o *scanOracle) candidates(m *Manager, spec *tenant.Spec, span scopeHeight, useHeadroom bool) (cands []int, collapsed int) {
+func (o *scanOracle) candidates(m *Manager, spec *tenant.Spec, span scopeHeight) (cands []int, collapsed int) {
 	cfg := m.tree.Config()
-	free, full, headMax := o.dense.freeByRack, cfg.SlotsPerServer*cfg.ServersPerRack, o.rackMax
+	free, full := o.dense.freeByRack, cfg.SlotsPerServer*cfg.ServersPerRack
 	if span == scopePod {
-		free, full, headMax = o.dense.freeByPod, full*cfg.RacksPerPod, o.podMax
+		free, full = o.dense.freeByPod, full*cfg.RacksPerPod
 	}
 	untouchedSeen := false
 	for i, free := range free {
 		if free < spec.VMs {
-			continue
-		}
-		if useHeadroom && spec.Guarantee.BandwidthBps > headMax[i]+headroomSlack {
-			o.headroomFilter++
 			continue
 		}
 		if free == full {
@@ -185,13 +147,12 @@ func (o *scanOracle) findPlacement(m *Manager, spec *tenant.Spec) ([]int, search
 		}
 	}
 	m.fillReqMemo(spec)
-	useHeadroom := spec.VMs >= 2
 	for span, racksPer := range [...]int{1, m.tree.Config().RacksPerPod} {
 		span := scopeHeight(span)
 		if !m.scopeDelayOK(budget, span) {
 			continue
 		}
-		cands, collapsed := o.candidates(m, spec, span, useHeadroom)
+		cands, collapsed := o.candidates(m, spec, span)
 		st.evaluated[span], st.collapsed[span] = len(cands), collapsed
 		for j, i := range cands {
 			if servers := m.tryScope(spec, &m.scratch, i*racksPer, (i+1)*racksPer, span); servers != nil {
@@ -200,8 +161,7 @@ func (o *scanOracle) findPlacement(m *Manager, spec *tenant.Spec) ([]int, search
 			}
 		}
 	}
-	if m.scopeDelayOK(budget, scopeDC) && o.dense.totalFree >= spec.VMs &&
-		!(useHeadroom && spec.Guarantee.BandwidthBps > o.dcMax+headroomSlack) {
+	if m.scopeDelayOK(budget, scopeDC) && o.dense.totalFree >= spec.VMs {
 		st.evaluated[scopeDC] = 1
 		return m.tryScope(spec, &m.scratch, 0, m.tree.Racks(), scopeDC), st
 	}
@@ -209,14 +169,15 @@ func (o *scanOracle) findPlacement(m *Manager, spec *tenant.Spec) ([]int, search
 }
 
 // Property: under seeded place / remove / fail / recover churn on a tree
-// of 132 racks in 66 pods, the touched-scope walk, the dirty-rack
-// refresh and the lazily counted slot index answer as the full scans
-// did. Before every guaranteed request the headroom summaries equal the
-// scan's, bit for bit, and each height's candidates and collapsed count
-// equal the scanned filter's; the request lands where the scanned search
-// puts it, with the same per-height counts in the journal. After every
-// step every server's free slots, the rack, pod and datacenter sums and
-// the touched bits equal the dense copy's.
+// of 132 racks in 66 pods, the touched-scope walk and the lazily counted
+// slot index answer as the full scans did. Before every guaranteed
+// request each height's candidates and collapsed count equal the
+// scanned filter's; the request lands where the scanned search puts it,
+// with the same per-height counts in the journal. Some requests ask for
+// more than the line rate, which no layout across servers can carry:
+// the search must evaluate the scopes for them and reject as the scan
+// does. After every step every server's free slots, the rack, pod and
+// datacenter sums and the touched bits equal the dense copy's.
 func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 	tree, err := topology.New(topology.Config{
 		Pods: 66, RacksPerPod: 2, ServersPerRack: 2, SlotsPerServer: 3,
@@ -226,7 +187,7 @@ func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var requests, headroomDrops, collapses, highWords int
+	var requests, overLine, collapses, highWords int
 	f := func(seed uint64, opsRaw uint8) bool {
 		m := NewManager(tree, Options{})
 		m.EnableJournal()
@@ -272,36 +233,17 @@ func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 		}
 		place := func(step string, spec tenant.Spec) bool {
 			requests++
-			m.head.refresh(m)
 			o := &scanOracle{dense: dense}
-			o.rackMax, o.podMax, o.dcMax = scanHeadroom(m)
-			for i, want := range o.rackMax {
-				if got := m.head.rackMax[i]; math.Float64bits(got) != math.Float64bits(want) {
-					return fail(step, "rack %d headroom %v, scan %v", i, got, want)
+			for span := scopeRack; span <= scopePod; span++ {
+				got, gotC := m.candidates(&spec, span)
+				want, wantC := o.candidates(m, &spec, span)
+				if !slices.Equal(got, want) || gotC != wantC {
+					return fail(step, "%s candidates %v collapsing %d, scan %v collapsing %d",
+						spanName(span), got, gotC, want, wantC)
 				}
+				collapses += gotC
 			}
-			for i, want := range o.podMax {
-				if got := m.head.podMax[i]; math.Float64bits(got) != math.Float64bits(want) {
-					return fail(step, "pod %d headroom %v, scan %v", i, got, want)
-				}
-			}
-			if math.Float64bits(m.head.dcMax) != math.Float64bits(o.dcMax) {
-				return fail(step, "datacenter headroom %v, scan %v", m.head.dcMax, o.dcMax)
-			}
-			for _, useHeadroom := range []bool{false, true} {
-				for span := scopeRack; span <= scopePod; span++ {
-					got, gotC := m.candidates(&spec, span, useHeadroom)
-					want, wantC := o.candidates(m, &spec, span, useHeadroom)
-					if !slices.Equal(got, want) || gotC != wantC {
-						return fail(step, "%s candidates (headroom %v) %v collapsing %d, scan %v collapsing %d",
-							spanName(span), useHeadroom, got, gotC, want, wantC)
-					}
-					collapses += gotC
-				}
-			}
-			o.headroomFilter = 0
 			want, wantSt := o.findPlacement(m, &spec)
-			headroomDrops += o.headroomFilter
 			pl, err := m.Place(spec)
 			if (err == nil) != (want != nil) || (err == nil && !slices.Equal(pl.Servers, want)) {
 				return fail(step, "tenant %d placed on %v (%v), scanned search %v", spec.ID, pl, err, want)
@@ -310,6 +252,12 @@ func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 			if d.ScopesEvaluated != wantSt.evaluated || d.ScopesCollapsed != wantSt.collapsed {
 				return fail(step, "tenant %d searched %v collapsing %v, scanned search %v collapsing %v",
 					spec.ID, d.ScopesEvaluated, d.ScopesCollapsed, wantSt.evaluated, wantSt.collapsed)
+			}
+			if spec.Guarantee.BandwidthBps > tree.Config().LinkBps && d.ScopesEvaluated != [3]int{} {
+				if err == nil {
+					return fail(step, "tenant %d over the line rate placed across servers on %v", spec.ID, pl.Servers)
+				}
+				overLine++
 			}
 			return true
 		}
@@ -335,8 +283,8 @@ func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 					m.RestoreServers(failed...)
 				}
 			default:
-				// Tenants span one to many servers; a wide bandwidth range
-				// lets loaded racks fall below a request's headroom.
+				// Tenants span one to many servers over a wide bandwidth
+				// range.
 				vms := 1 + rng.Intn(12)
 				if rng.Intn(8) == 0 {
 					vms = 1 + rng.Intn(40)
@@ -344,7 +292,7 @@ func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 				bw := float64(1+rng.Intn(40)) * 100 * mbps
 				switch rng.Intn(20) {
 				case 0:
-					bw += 10 * gbps // over the line rate: no scope has the headroom
+					bw += 10 * gbps // over the line rate: every scope fails
 				case 1, 2, 3, 4:
 					bw *= 2
 				}
@@ -376,10 +324,10 @@ func TestTouchedScopeIndexEquivalenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 	// The walk must have met what it exists for: racks beyond the
-	// first bitset word, untouched scopes collapsed, candidates the
-	// headroom test drops.
-	if highWords == 0 || collapses == 0 || headroomDrops == 0 {
-		t.Errorf("%d requests: %d touched bits beyond word 0, %d scopes collapsed, %d dropped by headroom; want each > 0",
-			requests, highWords, collapses, headroomDrops)
+	// first bitset word, untouched scopes collapsed, and requests over
+	// the line rate whose scopes the search evaluated and rejected.
+	if highWords == 0 || collapses == 0 || overLine == 0 {
+		t.Errorf("%d requests: %d touched bits beyond word 0, %d scopes collapsed, %d over the line rate evaluated; want each > 0",
+			requests, highWords, collapses, overLine)
 	}
 }

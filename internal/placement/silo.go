@@ -59,15 +59,10 @@ type Manager struct {
 	// resums the admitted set. It is paged: only ports that have carried
 	// a tenant cost memory.
 	ports portTable
-	// head summarizes per-rack/per-pod port rate headroom for sound
-	// scope skipping; revalidated lazily via dirty marks.
-	head *headroomIndex
 
-	// upLo/upHi and downLo/downHi are the port-ID ranges of the NIC-up
-	// and ToR-down families, for mapping a touched port back to its
-	// rack.
-	upLo, upHi     int
-	downLo, downHi int
+	// upLo/upHi is the port-ID range of the NIC-up family, for mapping a
+	// touched port back to its server.
+	upLo, upHi int
 
 	admitted map[int]*admittedTenant
 
@@ -131,12 +126,10 @@ func NewManager(tree *topology.Tree, opts Options) *Manager {
 		opts:     opts,
 		ix:       newSlotIndex(tree),
 		ports:    newPortTable(tree.NumPorts()),
-		head:     newHeadroomIndex(tree),
 		admitted: make(map[int]*admittedTenant),
 	}
 	m.memo.upSlot = -1
 	m.upLo, m.upHi = tree.ServerUpPortRange()
-	m.downLo, m.downHi = tree.RackDownPortRange()
 	return m
 }
 
@@ -166,19 +159,14 @@ func (m *Manager) Placement(id int) (*tenant.Placement, bool) {
 }
 
 // portTouched refreshes the per-port derived caches after the port's
-// aggregate state changed: the cached queue bound, the dirty mark of the
-// rack whose headroom summary the port feeds, and, for a NIC-up port,
-// its server's up-cap entries.
+// aggregate state changed: the cached queue bound and, for a NIC-up
+// port, its server's up-cap entries.
 func (m *Manager) portTouched(pid int) {
 	st, bound := m.ports.at(pid)
 	rate, _ := m.tree.Line(pid)
 	*bound = queueBoundFast(rate, st.contribution, contribution{})
-	switch {
-	case pid >= m.upLo && pid < m.upHi:
-		m.head.markRack(m.tree.RackOfServer(pid - m.upLo))
+	if pid >= m.upLo && pid < m.upHi {
 		m.upCaps.forget(pid - m.upLo)
-	case pid >= m.downLo && pid < m.downHi:
-		m.head.markRack(m.tree.RackOfServer(pid - m.downLo))
 	}
 }
 
@@ -306,7 +294,7 @@ func (m *Manager) fillReqMemo(spec *tenant.Spec) {
 		memo.upC = append(memo.upC, m.cutContribution(k, n, g, link, 0))
 	}
 	upRate, upCap := m.tree.Line(m.upLo)
-	downRate, downCap := m.tree.Line(m.downLo)
+	downRate, downCap := m.tree.Line(m.tree.RackDownPortID(0))
 	upCap, downCap = upCap+1e-12, downCap+1e-12
 	for span := scopeRack; span <= scopeDC; span++ {
 		infl := m.inflation(span, topology.LevelRack, topology.Down)
@@ -351,12 +339,11 @@ type searchStats struct {
 // findPlacement searches scopes in height order and returns the chosen
 // server per VM, or nil.
 func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
-	g := spec.Guarantee
 	// Constraint 2 pre-check per scope height: the worst path inside a
 	// scope has a fixed queue-capacity sum; scopes whose sum exceeds d
 	// cannot host the tenant (unless it fits a single server, where no
 	// network port is crossed).
-	delayBudget := g.DelayBound
+	delayBudget := spec.Guarantee.DelayBound
 	if delayBudget <= 0 {
 		delayBudget = math.Inf(1)
 	}
@@ -370,21 +357,13 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 	}
 
 	m.fillReqMemo(spec)
-	// Port-headroom skipping is sound only for tenants that put
-	// nonzero traffic on the network (n >= 2: every hosting server
-	// then carries at least B of arrival rate on its NIC-up and
-	// ToR-down ports, see headroomIndex).
-	useHeadroom := spec.VMs >= 2
-	if useHeadroom {
-		m.head.refresh(m)
-	}
 
 	// Scopes 1 and 2: single rack, then single pod.
 	for span := scopeRack; span <= scopePod; span++ {
 		if !m.scopeDelayOK(delayBudget, span) {
 			continue
 		}
-		cands, collapsed := m.candidates(spec, span, useHeadroom)
+		cands, collapsed := m.candidates(spec, span)
 		racksPer := 1
 		if span == scopePod {
 			racksPer = m.tree.Config().RacksPerPod
@@ -405,8 +384,7 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 		}
 	}
 	// Scope 3: whole datacenter.
-	if m.scopeDelayOK(delayBudget, scopeDC) && m.ix.totalFree >= spec.VMs &&
-		!(useHeadroom && g.BandwidthBps > m.head.dcMax+headroomSlack) {
+	if m.scopeDelayOK(delayBudget, scopeDC) && m.ix.totalFree >= spec.VMs {
 		if st != nil {
 			st.evaluated[scopeDC] = 1
 		}
@@ -416,9 +394,9 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 }
 
 // candidates fills m.cands with the scopes of height span (rack or pod)
-// that have the slots (and, by the headroom index, the port rate) to
-// host the tenant, minus all untouched ones but the first, in index
-// order, and returns them with the number of untouched ones left out.
+// that have the slots to host the tenant, minus all untouched ones but
+// the first, in index order, and returns them with the number of
+// untouched ones left out.
 //
 // Scope symmetry: a rack or pod whose free-slot sum equals its capacity
 // hosts no VM and has no failed server, so every port inside it is
@@ -426,23 +404,19 @@ func (m *Manager) findPlacement(spec *tenant.Spec, st *searchStats) []int {
 // tryScope reads nothing else, so on two untouched scopes of one height
 // it returns translations of one answer: if the first fails all fail,
 // and if it succeeds it is the lowest-index success among them. The
-// filter too passes or fails every untouched scope alike: each has
-// every slot free and the headroom of empty ports. So the walk visits
-// the touched scopes, from the slot index's bitset, and merges in the
-// lowest untouched one. First-fit order, and so every decision, is
-// unchanged. The test oracle evaluates them all.
-func (m *Manager) candidates(spec *tenant.Spec, span scopeHeight, useHeadroom bool) (cands []int, collapsed int) {
-	free, full, head, touched, n := m.ix.freeByRack, m.ix.rackSlots, m.head.rackMax, m.ix.touchedRacks, m.tree.Racks()
+// slot test too passes or fails every untouched scope alike. So the walk
+// visits the touched scopes, from the slot index's bitset, and merges
+// in the lowest untouched one. First-fit order, and so every decision,
+// is unchanged. The test oracle evaluates them all.
+func (m *Manager) candidates(spec *tenant.Spec, span scopeHeight) (cands []int, collapsed int) {
+	free, full, touched, n := m.ix.freeByRack, m.ix.rackSlots, m.ix.touchedRacks, m.tree.Racks()
 	if span == scopePod {
-		free, full, head, touched, n = m.ix.freeByPod, m.ix.podSlots, m.head.podMax, m.ix.touchedPods, m.tree.Pods()
+		free, full, touched, n = m.ix.freeByPod, m.ix.podSlots, m.ix.touchedPods, m.tree.Pods()
 	}
-	vms, bw := spec.VMs, spec.Guarantee.BandwidthBps
-	fit := func(free int, head float64) bool {
-		return free >= vms && !(useHeadroom && bw > head+headroomSlack)
-	}
+	vms := spec.VMs
 	// u is the lowest untouched scope while it is still to be merged in.
 	u := touched.firstClear(n)
-	if u < n && fit(full, m.head.empty) {
+	if u < n && full >= vms {
 		collapsed = n - touched.count() - 1
 	} else {
 		u = n
@@ -452,7 +426,7 @@ func (m *Manager) candidates(spec *tenant.Spec, span scopeHeight, useHeadroom bo
 		if u < i {
 			cands, u = append(cands, u), n
 		}
-		if fit(free[i], head[i]) {
+		if free[i] >= vms {
 			cands = append(cands, i)
 		}
 	}

@@ -418,24 +418,6 @@ func TestHoseAblationAdmitsFewer(t *testing.T) {
 	}
 }
 
-// Every admission after a Place or Remove refreshes the racks whose
-// ports moved; a warm refresh allocates nothing, however many pods they
-// span.
-func TestHeadroomRefreshAllocatesNothing(t *testing.T) {
-	tree := wideTree(t, 25, 2, 2)
-	m := NewManager(tree, Options{})
-	m.head.refresh(m)
-	allocs := testing.AllocsPerRun(100, func() {
-		for r := 0; r < tree.Racks(); r += 3 {
-			m.head.markRack(r)
-		}
-		m.head.refresh(m)
-	})
-	if allocs != 0 {
-		t.Fatalf("headroomIndex.refresh: %v allocations per refresh, want 0", allocs)
-	}
-}
-
 // An accept keeps four objects — the server list, the Placement, its
 // record and the contribution slice — and a remove none, on a warm
 // manager with no hook and no journal. A commit hook costs one more per

@@ -297,12 +297,6 @@ func (t *Tree) ServerUpPortRange() (lo, hi int) {
 	return t.base[famServerUp], t.base[famServerUp+1]
 }
 
-// RackDownPortRange returns the half-open port-ID range [lo, hi) of
-// all ToR server-facing ports; the port with ID lo+s faces server s.
-func (t *Tree) RackDownPortRange() (lo, hi int) {
-	return t.base[famRackDown], t.base[famRackDown+1]
-}
-
 // AppendPathIDs appends to ids the IDs of the directed ports a packet
 // traverses from server src to server dst (same order as Path) and
 // returns the extended slice. It allocates only if ids lacks capacity.
