@@ -422,7 +422,7 @@ func runFaultDrill(seed uint64) error {
 		seed = experiments.FailureDrillSeed
 	}
 	stamp(seed)
-	fmt.Println("Failure drill — ToR death under admitted load: evacuation, re-admission, degraded-mode SLO accounting:")
+	fmt.Println("Failure drill — ToR death under admitted load: evacuation, re-admission, delay audit and 1 ms violation windows:")
 	r, err := experiments.RunFailureDrill(seed)
 	if err != nil {
 		return err

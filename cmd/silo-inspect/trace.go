@@ -119,7 +119,7 @@ func traceCmd(args []string) int {
 	}
 
 	if *windows {
-		fmt.Println("\n== windowed SLO conformance ==")
+		fmt.Println("\n== 1 ms violation windows ==")
 		fmt.Print(obs.RenderTraceWindows(obs.WindowsFromSpans(spans, obs.WindowNs), ports))
 	}
 
