@@ -88,7 +88,7 @@ var churnRegressions = []struct {
 // reference admission path (refManager: curve-materializing bounds,
 // serial scan, no memoization or scope skipping) and through the
 // Manager (closed-form bounds, memoized contributions and up caps,
-// headroom skipping) yields identical accept/reject
+// untouched scopes collapsed) yields identical accept/reject
 // decisions, identical server assignments, per-port queue bounds that
 // agree to 1e-9 seconds, and invariants that hold after every single
 // operation on both.

@@ -84,7 +84,7 @@ type Decision struct {
 	// candidate scopes first-fit order tried (up to and including the
 	// one that hosted the tenant), and how many untouched scopes it
 	// skipped as copies of an evaluated one. Scopes without the free
-	// slots or port headroom for the tenant count as neither.
+	// slots for the tenant count as neither.
 	ScopesEvaluated [3]int
 	ScopesCollapsed [3]int
 }

@@ -13,9 +13,9 @@ import (
 // as the oracle the equivalence tests replay every request through: it
 // materializes a curve for every bound, rebuilds the cut contributions
 // on every probe, evaluates every scope with the slots for the tenant
-// one after another (no memo, no up-cap memo, no headroom index, no
-// collapse of untouched scopes), and explains a rejection by replaying
-// the pack server by server. It reads the embedded Manager's state and
+// one after another (no memo, no up-cap memo, no collapse of untouched
+// scopes), and explains a rejection by replaying the pack server by
+// server. It reads the embedded Manager's state and
 // changes it only through Apply and the Manager's own mutators, so a
 // refManager and a Manager fed the same requests can be compared
 // decision by decision and port by port.
