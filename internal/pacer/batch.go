@@ -39,10 +39,6 @@ type Batcher struct {
 	LineRateBps float64
 	// BatchNs is the wire duration of one batch; the paper uses 50 µs.
 	BatchNs int64
-	// DisableVoids turns off void insertion (ablation): data packets
-	// are sent back-to-back from the top of the batch, as a plain
-	// batching NIC would.
-	DisableVoids bool
 }
 
 // NewBatcher returns a batcher with the paper's defaults for the given
@@ -102,7 +98,7 @@ func (b *Batcher) build(batch *Batch, start int64, vms []*VM) {
 			break // nothing (more) eligible for this batch window
 		}
 
-		if !b.DisableVoids && best > cursor {
+		if best > cursor {
 			gap := b.gapBytes(best - cursor)
 			if gap > b.gapBytes(end-cursor) {
 				gap = b.gapBytes(end - cursor)

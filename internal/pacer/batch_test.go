@@ -129,32 +129,6 @@ func TestBatchMergesVMsInReleaseOrder(t *testing.T) {
 	}
 }
 
-func TestBatchDisableVoidsAblation(t *testing.T) {
-	vm := newTestVM(1, 1e9/8, 1500)
-	for i := 0; i < 10; i++ {
-		vm.Enqueue(0, 2, 1500, nil)
-	}
-	b := NewBatcher(tenGbE)
-	b.DisableVoids = true
-	batch := b.Build(0, []*VM{vm})
-	if batch.VoidBytes != 0 {
-		t.Errorf("ablation batch contains voids: %d bytes", batch.VoidBytes)
-	}
-	// Without voids the packets are bunched back-to-back even though
-	// their stamps are spaced — exactly the burstiness Silo prevents.
-	var gaps int64
-	var prevEnd int64 = -1
-	for _, p := range batch.Packets {
-		if prevEnd >= 0 {
-			gaps += p.Wire - prevEnd
-		}
-		prevEnd = p.Wire + b.wireNs(p.Bytes)
-	}
-	if gaps != 0 {
-		t.Errorf("back-to-back batch has %d ns of gaps", gaps)
-	}
-}
-
 func TestVoidFramesAreLegalSizes(t *testing.T) {
 	vm := newTestVM(1, 3e9/8, 1500)
 	for i := 0; i < 30; i++ {
