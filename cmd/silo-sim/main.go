@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -50,7 +49,6 @@ func main() {
 		introOut     = flag.String("introspect", "", "attach the introspection plane (per-VM envelope estimators, per-port guarantee margins) and write its snapshot as JSON to this file on exit (join with silo-inspect trace -why)")
 		seriesOut    = flag.String("series", "", "write the incidents, engine self-telemetry and provenance as JSON to this file on exit")
 		faultSched   = flag.String("fault", "", "fault schedule, e.g. \"t=20ms link 14 down; t=30ms up\" or \"t=20ms switch tor0 down\" (targets: link PORT, switch core|podN|torN, host ID; actions: down, up, gray DUR, flap NxDOWN/UP)")
-		faultDetect  = flag.Duration("fault-detect", 500*time.Microsecond, "control-loop detection delay between an injected fault and the placement Recover call (silo scheme only)")
 	)
 	flag.Parse()
 
@@ -81,10 +79,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: must be at least 1, got %d\n", f.name, f.n)
 			os.Exit(2)
 		}
-	}
-	if *faultDetect < 0 {
-		fmt.Fprintf(os.Stderr, "-fault-detect: must be >= 0, got %v\n", *faultDetect)
-		os.Exit(2)
 	}
 	// A knob of a plane that is not attached would be silently ignored.
 	if *traceOut == "" && flagGiven("trace-sample") {
@@ -142,13 +136,12 @@ func main() {
 		}},
 		HorizonNs: int64(*duration * 1e9),
 		DrainNs:   3e9,
-		// On the silo scheme every down event triggers Recover after the
-		// -fault-detect delay and every up event returns the repaired
+		// On the silo scheme every down event triggers Recover 500 µs
+		// later and every up event returns the repaired
 		// servers to the pool. Recovery here is control-plane only — pacer
 		// VMs and transport endpoints are not re-deployed (see
 		// experiments.RunFailureDrill for the full data-plane drill).
-		Faults:   *faultSched,
-		DetectNs: faultDetect.Nanoseconds(),
+		Faults: *faultSched,
 		// The guarantee audit runs on every invocation: admitted
 		// {B, S, d} triples are checked against every delivered packet's
 		// NIC-to-NIC delay. The incident plane reads its windows (3 s of

@@ -196,9 +196,9 @@ func TestCLI(t *testing.T) {
 	// something else. A zero duration is valid (the sim_obs set-up runs it). A
 	// one-VM tenant cannot span its two fault domains (it used to exit 1
 	// naming a FaultDomains setting no flag sets), and an empty topology
-	// used to exit 1 with the topology struct dumped. A negative
-	// -fault-detect used to run as 0, and -trace-sample without -trace
-	// used to be ignored. -window is gone: every window is 1 ms. -metrics, the Prometheus export, is gone: its answers live in
+	// used to exit 1 with the topology struct dumped. -trace-sample
+	// without -trace used to be ignored. -fault-detect is gone: recovery
+	// always runs 500 µs after a fault. -window is gone: every window is 1 ms. -metrics, the Prometheus export, is gone: its answers live in
 	// series.json, -introspect and the audit line. -wal and
 	// -snapshot-every are gone: the run recovered a store only to release
 	// every tenant it found, so the store never fed the run. No file flag
@@ -214,7 +214,7 @@ func TestCLI(t *testing.T) {
 		{"-racks 0", "-racks: must be at least 1, got 0"},
 		{"-racks -2", "-racks: must be at least 1, got -2"},
 		{"-servers 0", "-servers: must be at least 1, got 0"},
-		{"-fault-detect -1ms", "-fault-detect: must be >= 0, got -1ms"},
+		{"-fault-detect -1ms", "flag provided but not defined: -fault-detect"},
 		{"-trace-sample 4", "-trace-sample requires -trace"},
 		{"-window 1", "flag provided but not defined: -window"},
 		{"-metrics -", "flag provided but not defined: -metrics"},

@@ -39,9 +39,6 @@ type BestEffortResult struct {
 	GuaranteeUs float64
 	// BestEffortGbps is the best-effort tenant's achieved throughput.
 	BestEffortGbps float64
-	// Drops across switch ports (compliant traffic must see zero drops
-	// at high priority; best-effort may lose packets).
-	HighPrioDrops int64
 }
 
 // RunBestEffort runs the coexistence experiment twice (guaranteed

@@ -47,9 +47,6 @@ const (
 	drillFailSwitch = "tor0"
 	drillFaultAtNs  = 20e6
 	drillRepairNs   = 10e6
-	// drillDetectNs is the control loop's detection delay: the gap
-	// between the fault event and the Recover call.
-	drillDetectNs = 500e3
 	// drillResyncBytes is sent raw (unpaced, back-to-back) from each of
 	// drillResyncSources surviving out-of-rack hosts to every relocated
 	// VM — the bulk state transfer that rebuilds the VM, deliberately
@@ -71,11 +68,10 @@ type DrillTenantRow struct {
 	Messages int
 	// The audit's delivered/violated packets, and the violations that
 	// landed in windows overlapping the injected outage.
-	Delivered     int64
-	Violated      int64
-	InFault       int64
-	Conformance   float64
-	NewDelayBound float64 // audited bound after recovery (s; 0 = none)
+	Delivered   int64
+	Violated    int64
+	InFault     int64
+	Conformance float64
 }
 
 // FailureDrillResult is the drill's full outcome.
@@ -102,7 +98,7 @@ type FailureDrillResult struct {
 func (r *FailureDrillResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "failure drill: %s down @%.1fms (detect %.2fms, repair @%.1fms), horizon %.0fms\n",
-		drillFailSwitch, drillFaultAtNs/1e6, drillDetectNs/1e6,
+		drillFailSwitch, drillFaultAtNs/1e6, faultDetectNs/1e6,
 		(drillFaultAtNs+drillRepairNs)/1e6, drillHorizonNs/1e6)
 	fmt.Fprintf(&b, "tenants: %d offered, %d admitted\n", drillTenants, r.Admitted)
 	b.WriteString("fault events:\n")
@@ -151,7 +147,6 @@ func drillScenario(seed uint64) Scenario {
 		HorizonNs: drillHorizonNs,
 		Faults: fmt.Sprintf("t=%dns switch %s down; t=%dns up",
 			int64(drillFaultAtNs), drillFailSwitch, int64(drillFaultAtNs+drillRepairNs)),
-		DetectNs:      drillDetectNs,
 		Redeploy:      true,
 		ResyncBytes:   drillResyncBytes,
 		ResyncSources: drillResyncSources,
@@ -225,7 +220,6 @@ func RunFailureDrill(seed uint64) (*FailureDrillResult, error) {
 			row.RecoveryNs = tr.RecoveredAtNs - drillFaultAtNs
 		}
 		if ta, ok := run.Audit.Tenant(id); ok {
-			row.NewDelayBound = float64(ta.DelayBoundNs) / 1e9
 			row.Delivered, row.Violated, row.InFault = ta.Packets, ta.Violations, inFault[id]
 			if ta.Packets > 0 {
 				row.Conformance = 1 - float64(ta.Violations)/float64(ta.Packets)

@@ -59,8 +59,8 @@ func TestFailureDrillToRFailure(t *testing.T) {
 			// the new placement, giving a measured recovery latency.
 			if row.RecoveryNs < 0 {
 				t.Errorf("tenant %d (%s) has no recovery latency", tr.ID, row.Verdict)
-			} else if row.RecoveryNs < drillDetectNs {
-				t.Errorf("tenant %d recovered in %dns, before detection (%dns)", tr.ID, row.RecoveryNs, int64(drillDetectNs))
+			} else if row.RecoveryNs < faultDetectNs {
+				t.Errorf("tenant %d recovered in %dns, before detection (%dns)", tr.ID, row.RecoveryNs, int64(faultDetectNs))
 			}
 		}
 	}

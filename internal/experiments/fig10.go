@@ -24,11 +24,11 @@ type Figure10Row struct {
 	NsPerPacket float64
 	// NsPerDataPacket amortizes over data frames only.
 	NsPerDataPacket float64
-	// Gate split: the fraction of data frames whose release was set by
-	// each token bucket (pacer Gate* attribution). A backlogged VM is
-	// gated by the {B, S} bucket almost always; the residue is the
-	// burst head (none) and the Bmax cap.
-	PctGateNone, PctGateDest, PctGateAvg, PctGateCap float64
+	// Gate split: the fraction of data frames whose release the {B, S}
+	// bucket and the Bmax cap set (pacer Gate* attribution). A
+	// backlogged VM is gated by the {B, S} bucket almost always; the
+	// residue is the burst head and the Bmax cap.
+	PctGateAvg, PctGateCap float64
 	// MeanTokenWaitUs is the mean enqueue-to-release pacing delay per
 	// data frame.
 	MeanTokenWaitUs float64
@@ -118,8 +118,6 @@ func figure10Point(rateGbps, wireSeconds float64) Figure10Row {
 	if dataFrames > 0 {
 		row.NsPerDataPacket = float64(elapsed.Nanoseconds()) / float64(dataFrames)
 		n := float64(dataFrames)
-		row.PctGateNone = 100 * float64(gateCount[pacer.GateNone]) / n
-		row.PctGateDest = 100 * float64(gateCount[pacer.GateDest]) / n
 		row.PctGateAvg = 100 * float64(gateCount[pacer.GateAvg]) / n
 		row.PctGateCap = 100 * float64(gateCount[pacer.GateCap]) / n
 		row.MeanTokenWaitUs = float64(tokenWaitNs) / n / 1e3

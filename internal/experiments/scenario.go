@@ -71,10 +71,9 @@ type Scenario struct {
 
 	// Faults is a schedule in faults.ParseSchedule syntax ("" = none).
 	// When the placer can recover (the Silo manager), every down event
-	// triggers Recover DetectNs later and every up event returns the
+	// triggers Recover faultDetectNs later and every up event returns the
 	// repaired servers to the pool.
-	Faults   string
-	DetectNs int64
+	Faults string
 	// Redeploy makes recovery a data-plane drill: relocated and degraded
 	// tenants are re-deployed on their new placement (new VM ids, hose
 	// re-coordinated, driver restarted), and ResyncBytes of raw unpaced
@@ -186,6 +185,9 @@ type Planes struct {
 }
 
 const (
+	// faultDetectNs is the control loop's detection delay: the gap
+	// between a fault event and the Recover call.
+	faultDetectNs = 500e3
 	// faultGraceNs extends each injected outage's window past its
 	// repair: violations of the recovery storm that follows still count
 	// as the fault's.
@@ -435,10 +437,9 @@ func (r *Run) injectFaults() error {
 		return err
 	}
 	r.Injector = faults.NewInjector(r.Net)
-	r.Injector.GraceNs = faultGraceNs
 	if m := r.Manager; m != nil {
 		r.Injector.OnEvent = func(ev faults.Event) {
-			r.Net.Sim.After(sc.DetectNs, func() {
+			r.Net.Sim.After(faultDetectNs, func() {
 				// Both calls fail only with placement.ErrLogFailed, a
 				// commit hook's failure, and this manager has no hook.
 				if !ev.Kind.IsDown() {
@@ -540,14 +541,16 @@ func (r *Run) Finish() {
 		if now := r.Net.Sim.Now(); now > r.windowEnd {
 			r.closeWindow(now)
 		}
-		if r.Injector != nil {
-			// Window events overlapping an injected outage are labeled
-			// with the fault; the injector answers after the run as it
-			// would have during it.
-			for i := range r.Violations {
-				if ev := &r.Violations[i]; ev.Source == obs.SourceWindow {
-					ev.Fault, _ = r.Injector.FaultIn(ev.WindowStartNs, ev.WindowEndNs)
-				}
+	}
+	var outages []faults.Window
+	if r.Injector != nil {
+		outages = faults.Windows(r.Injector.Events(), faultGraceNs)
+		// Window events overlapping an injected outage are labeled with
+		// the fault; the whole run's windows answer as the windows paired
+		// so far would have during it.
+		for i := range r.Violations {
+			if ev := &r.Violations[i]; ev.Source == obs.SourceWindow {
+				ev.Fault, _ = faults.LabelIn(outages, ev.WindowStartNs, ev.WindowEndNs)
 			}
 		}
 	}
@@ -578,12 +581,10 @@ func (r *Run) Finish() {
 		// unexplained).
 		in := incident.Inputs{
 			Violations: r.Violations,
+			Faults:     outages,
 			Snapshot:   r.Snapshot,
 			Ports:      obs.PortsOf(r.Net),
 			Meta:       r.env.Meta,
-		}
-		if r.Injector != nil {
-			in.Faults = incident.FaultWindowsFromEvents(r.Injector.Events(), r.Injector.GraceNs)
 		}
 		r.Incidents = incident.Correlate(incident.Config{MergeNs: incidentMergeNs}, in)
 	}

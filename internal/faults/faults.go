@@ -4,9 +4,9 @@
 // (every attached port plus transit), and hosts (NIC + resident VMs),
 // and can model transient failures: flap sequences and gray-failure
 // drop bursts on a port. Every applied event is a structured record:
-// the injector keeps an ordered log, exposes the outage windows for
-// fault attribution (FaultIn, which labels a run's window events), and
-// offers an OnEvent callback the recovery control loop listens on.
+// the injector keeps an ordered log, which Windows pairs into the
+// outage windows fault attribution reads, and offers an OnEvent
+// callback the recovery control loop listens on.
 //
 // Determinism: the injector holds no randomness and reads no wall
 // clock. A schedule applied to the same network and seed produces the
@@ -15,6 +15,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/netsim"
@@ -86,36 +87,20 @@ func (e Event) String() string {
 	return fmt.Sprintf("t=%dns %s %s", e.TimeNs, e.Kind, e.Target)
 }
 
-// outage is one contiguous window during which a target was losing
-// traffic. endNs < 0 while still open.
-type outage struct {
-	label   string
-	startNs int64
-	endNs   int64
-}
-
 // Injector applies faults to a built network. Not safe for concurrent
 // use; like everything else in netsim it runs on the single-threaded
 // simulation loop.
 type Injector struct {
 	nw     *netsim.Network
 	events []Event
-	// outages tracks loss windows per target for fault attribution.
-	outages []outage
-	open    map[string]int // target -> index of open outage
 	// OnEvent, if set, is called with every event after its network
 	// side effects have been applied.
 	OnEvent func(Event)
-	// GraceNs extends every closed outage window when answering
-	// FaultIn: violations shortly after a restore (retransmit storms,
-	// recovery migrations) still attribute to the fault. Set it before
-	// the run.
-	GraceNs int64
 }
 
 // NewInjector returns an injector bound to nw.
 func NewInjector(nw *netsim.Network) *Injector {
-	return &Injector{nw: nw, open: make(map[string]int)}
+	return &Injector{nw: nw}
 }
 
 // Events returns the ordered log of applied events.
@@ -124,43 +109,79 @@ func (in *Injector) Events() []Event { return in.events }
 func (in *Injector) record(ev Event) {
 	ev.TimeNs = in.nw.Sim.Now()
 	in.events = append(in.events, ev)
-	if ev.Kind.IsDown() {
-		if _, isOpen := in.open[ev.Target]; !isOpen {
-			in.open[ev.Target] = len(in.outages)
-			in.outages = append(in.outages, outage{
-				label:   fmt.Sprintf("%s %s @%dns", ev.Kind, ev.Target, ev.TimeNs),
-				startNs: ev.TimeNs,
-				endNs:   -1,
-			})
-		}
-	} else if i, isOpen := in.open[ev.Target]; isOpen {
-		in.outages[i].endNs = ev.TimeNs
-		delete(in.open, ev.Target)
-	}
 	if in.OnEvent != nil {
 		in.OnEvent(ev)
 	}
 }
 
-// FaultIn reports whether any outage window (extended by GraceNs past
-// its close) overlaps [sinceNs, untilNs), returning the label of the
-// latest such outage. Asked after the run it gives the label it gave
-// live: outages are recorded in start order, only one that started
-// before untilNs can match, and an outage still open at untilNs closes
-// at or after it. It allocates nothing: labels are built when the event
-// is recorded.
-func (in *Injector) FaultIn(sinceNs, untilNs int64) (string, bool) {
-	for i := len(in.outages) - 1; i >= 0; i-- {
-		o := in.outages[i]
-		end := o.endNs
-		if end >= 0 {
-			end += in.GraceNs
-			if end < sinceNs {
+// Window is one outage: the span during which a target was losing
+// traffic. While the window, extended by GraceNs past its close,
+// overlaps a violation, the violation is fault-caused.
+type Window struct {
+	// Label names the window on the window events it covers and in
+	// incident reports, e.g. "switch-down switch tor0 @20000000ns".
+	Label string `json:"label"`
+	// Target is the failed element ("switch tor0", "link 14", "host 3").
+	Target  string `json:"target"`
+	StartNs int64  `json:"start_ns"`
+	// EndNs is the restore time, -1 while the outage never closed.
+	EndNs int64 `json:"end_ns"`
+	// GraceNs extends the window past EndNs for attribution (recovery
+	// storms still count as fault damage).
+	GraceNs int64 `json:"grace_ns"`
+	// Ports / Servers are the blast radius of the fault itself.
+	Ports   []int `json:"ports,omitempty"`
+	Servers []int `json:"servers,omitempty"`
+}
+
+// AttributedEndNs is the last instant the window attributes: EndNs
+// plus grace, or "forever" while the outage is open.
+func (w Window) AttributedEndNs() int64 {
+	if w.EndNs < 0 {
+		return math.MaxInt64 / 4
+	}
+	return w.EndNs + w.GraceNs
+}
+
+// Windows pairs an ordered event log into outage windows, in start
+// order: a down-kind event opens a window for its target, the next
+// up-kind event for the same target closes it, and a window never
+// closed stays open (EndNs -1). Every window gets graceNs.
+func Windows(events []Event, graceNs int64) []Window {
+	var out []Window
+	open := make(map[string]int)
+	for _, ev := range events {
+		if ev.Kind.IsDown() {
+			if _, isOpen := open[ev.Target]; isOpen {
 				continue
 			}
+			open[ev.Target] = len(out)
+			out = append(out, Window{
+				Label:   fmt.Sprintf("%s %s @%dns", ev.Kind, ev.Target, ev.TimeNs),
+				Target:  ev.Target,
+				StartNs: ev.TimeNs,
+				EndNs:   -1,
+				GraceNs: graceNs,
+				Ports:   ev.Ports,
+				Servers: ev.Servers,
+			})
+		} else if i, isOpen := open[ev.Target]; isOpen {
+			out[i].EndNs = ev.TimeNs
+			delete(open, ev.Target)
 		}
-		if o.startNs < untilNs && (end < 0 || end >= sinceNs) {
-			return o.label, true
+	}
+	return out
+}
+
+// LabelIn reports whether any window of ws overlaps [sinceNs, untilNs),
+// returning the label of the latest-starting one. Asked after the run
+// it gives the answer the windows paired so far gave live: only a
+// window that started before untilNs can match, and one still open at
+// untilNs closes at or after it.
+func LabelIn(ws []Window, sinceNs, untilNs int64) (string, bool) {
+	for i := len(ws) - 1; i >= 0; i-- {
+		if w := ws[i]; w.StartNs < untilNs && w.AttributedEndNs() >= sinceNs {
+			return w.Label, true
 		}
 	}
 	return "", false

@@ -231,15 +231,46 @@ func TestFlapLink(t *testing.T) {
 	}
 }
 
-// FaultIn answers outage-window queries, honoring the grace extension.
-func TestFaultIn(t *testing.T) {
+// Windows pairs down and up events per target into outage windows
+// labeled by their opening event; a window never restored stays open.
+func TestWindows(t *testing.T) {
+	evs := []Event{
+		{TimeNs: 10e6, Kind: KindSwitchDown, Target: "switch tor0", Ports: []int{1, 2}, Servers: []int{0, 1}},
+		{TimeNs: 12e6, Kind: KindLinkDown, Target: "link 5", Ports: []int{5}},
+		{TimeNs: 15e6, Kind: KindSwitchUp, Target: "switch tor0"},
+	}
+	ws := Windows(evs, 2e6)
+	if len(ws) != 2 {
+		t.Fatalf("got %d windows, want 2", len(ws))
+	}
+	tor := ws[0]
+	if tor.Target != "switch tor0" || tor.StartNs != 10e6 || tor.EndNs != 15e6 || len(tor.Ports) != 2 || len(tor.Servers) != 2 {
+		t.Fatalf("tor window = %+v", tor)
+	}
+	if want := "switch-down switch tor0 @10000000ns"; tor.Label != want {
+		t.Fatalf("label %q, want %q", tor.Label, want)
+	}
+	if end := tor.AttributedEndNs(); end != 17e6 {
+		t.Fatalf("window attributes until %dns, want restore+grace 17ms", end)
+	}
+	link := ws[1]
+	if link.EndNs != -1 {
+		t.Fatalf("never-restored link window closed: %+v", link)
+	}
+	if link.AttributedEndNs() < 101e6 {
+		t.Fatal("open window must cover any later span")
+	}
+}
+
+// LabelIn answers outage-window queries, honoring the grace extension.
+func TestLabelIn(t *testing.T) {
 	nw := testNet(t)
 	in := NewInjector(nw)
-	in.GraceNs = 1000
 	pid := nw.Tree.ServerUpPortID(0)
 	nw.Sim.At(5000, func() { in.FailLink(pid) })
 	nw.Sim.At(8000, func() { in.RestoreLink(pid) })
 	nw.Sim.Run(1e6)
+	ws := Windows(in.Events(), 1000)
 
 	cases := []struct {
 		since, until int64
@@ -252,9 +283,9 @@ func TestFaultIn(t *testing.T) {
 		{9001, 10000, false}, // past grace
 	}
 	for _, c := range cases {
-		label, ok := in.FaultIn(c.since, c.until)
+		label, ok := LabelIn(ws, c.since, c.until)
 		if ok != c.want {
-			t.Fatalf("FaultIn(%d,%d) = %v, want %v", c.since, c.until, ok, c.want)
+			t.Fatalf("LabelIn(%d,%d) = %v, want %v", c.since, c.until, ok, c.want)
 		}
 		if ok && label == "" {
 			t.Fatal("empty fault label")
@@ -262,13 +293,14 @@ func TestFaultIn(t *testing.T) {
 	}
 }
 
-// FaultIn asked after the run gives every window the label it gave on
-// the window's close: overlapping outages, faults at tick times, an
-// outage open at a close and one still open at the end.
-func TestFaultInAfterRunMatchesLive(t *testing.T) {
+// LabelIn over the whole run's windows gives every window the label
+// that the windows paired so far gave on the window's close:
+// overlapping outages, faults at tick times, an outage open at a close
+// and one still open at the end.
+func TestLabelInAfterRunMatchesLive(t *testing.T) {
+	const grace = 1500
 	nw := testNet(t)
 	in := NewInjector(nw)
-	in.GraceNs = 1500
 	a, b := nw.Tree.ServerUpPortID(0), nw.Tree.ServerUpPortID(1)
 	nw.Sim.At(2500, func() { in.FailLink(a) })
 	nw.Sim.At(3000, func() { in.FailLink(b) })
@@ -282,17 +314,18 @@ func TestFaultInAfterRunMatchesLive(t *testing.T) {
 	var live []answer
 	var start int64
 	nw.Sim.Every(1000, 12000, func(now int64) {
-		label, ok := in.FaultIn(start, now)
+		label, ok := LabelIn(Windows(in.Events(), grace), start, now)
 		live = append(live, answer{label, ok})
 		start = now
 	})
 	nw.Sim.Run(12000)
 
+	ws := Windows(in.Events(), grace)
 	var matched int
 	for i, want := range live {
 		since, until := int64(i)*1000, int64(i+1)*1000
-		if label, ok := in.FaultIn(since, until); label != want.label || ok != want.ok {
-			t.Errorf("FaultIn(%d,%d) after the run = %q, %v; live %q, %v", since, until, label, ok, want.label, want.ok)
+		if label, ok := LabelIn(ws, since, until); label != want.label || ok != want.ok {
+			t.Errorf("LabelIn(%d,%d) after the run = %q, %v; live %q, %v", since, until, label, ok, want.label, want.ok)
 		}
 		if want.ok {
 			matched++

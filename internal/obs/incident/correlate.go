@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/introspect"
 )
@@ -36,7 +37,7 @@ type Inputs struct {
 	// place.
 	Violations []obs.ViolationEvent
 	// Faults are the injected-fault outage windows.
-	Faults []FaultWindow
+	Faults []faults.Window
 	// Snapshot is the introspection evidence: per-VM fitted arrival
 	// envelopes (the self-inflicted / neighbor-interference
 	// discriminator) and per-port headroom margins (the bound-breach
@@ -77,7 +78,7 @@ func Correlate(cfg Config, in Inputs) *Report {
 	items := make([]clusterItem, 0, len(evs)+len(in.Faults))
 	for i := range in.Faults {
 		w := &in.Faults[i]
-		items = append(items, clusterItem{startNs: w.StartNs, endNs: w.effectiveEndNs(), ev: -1, fw: i})
+		items = append(items, clusterItem{startNs: w.StartNs, endNs: w.AttributedEndNs(), ev: -1, fw: i})
 	}
 	for i := range evs {
 		start := evs[i].TimeNs

@@ -33,13 +33,7 @@
 // depend on the order in which the streams appended their violations.
 package incident
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"repro/internal/faults"
-)
+import "fmt"
 
 // Verdict is the root-cause class of an incident.
 type Verdict uint8
@@ -87,74 +81,6 @@ func (v *Verdict) UnmarshalJSON(b []byte) error {
 		}
 	}
 	return fmt.Errorf("unknown verdict %s", b)
-}
-
-// FaultWindow is one injected-fault outage window, the correlation
-// form of the injector's internal outage tracking: while the window
-// (extended by grace past its close) overlaps an episode, the episode
-// is fault-caused.
-type FaultWindow struct {
-	// Label matches the injector's FaultIn label and the Fault field
-	// stamped on window events, e.g. "switch-down switch tor0 @20000000ns".
-	Label string `json:"label"`
-	// Target is the failed element ("switch tor0", "link 14", "host 3").
-	Target  string `json:"target"`
-	StartNs int64  `json:"start_ns"`
-	// EndNs is the restore time, -1 while the outage never closed.
-	EndNs int64 `json:"end_ns"`
-	// GraceNs extends the window past EndNs for attribution (recovery
-	// storms still count as fault damage).
-	GraceNs int64 `json:"grace_ns"`
-	// Ports / Servers are the blast radius of the fault itself.
-	Ports   []int `json:"ports,omitempty"`
-	Servers []int `json:"servers,omitempty"`
-}
-
-// effectiveEndNs is the last instant the window attributes: EndNs plus
-// grace, or "forever" while the outage is open.
-func (w FaultWindow) effectiveEndNs() int64 {
-	if w.EndNs < 0 {
-		return math.MaxInt64 / 4
-	}
-	return w.EndNs + w.GraceNs
-}
-
-// FaultWindowsFromEvents pairs an injector's ordered event log into
-// outage windows, mirroring the injector's own open-outage tracking:
-// a down-kind event opens a window for its target, the next up-kind
-// event for the same target closes it, and windows never closed stay
-// open (EndNs -1). Labels reproduce the injector's FaultIn labels
-// exactly, so a window event's Fault string matches its window's Label.
-func FaultWindowsFromEvents(events []faults.Event, graceNs int64) []FaultWindow {
-	var out []FaultWindow
-	open := make(map[string]int)
-	for _, ev := range events {
-		if ev.Kind.IsDown() {
-			if _, isOpen := open[ev.Target]; isOpen {
-				continue
-			}
-			open[ev.Target] = len(out)
-			out = append(out, FaultWindow{
-				Label:   fmt.Sprintf("%s %s @%dns", ev.Kind, ev.Target, ev.TimeNs),
-				Target:  ev.Target,
-				StartNs: ev.TimeNs,
-				EndNs:   -1,
-				GraceNs: graceNs,
-				Ports:   append([]int(nil), ev.Ports...),
-				Servers: append([]int(nil), ev.Servers...),
-			})
-		} else if i, isOpen := open[ev.Target]; isOpen {
-			out[i].EndNs = ev.TimeNs
-			delete(open, ev.Target)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].StartNs != out[j].StartNs {
-			return out[i].StartNs < out[j].StartNs
-		}
-		return out[i].Label < out[j].Label
-	})
-	return out
 }
 
 // TimelineEntry is one step of an incident's causal timeline.

@@ -56,7 +56,7 @@ func TestEmptyRunZeroIncidents(t *testing.T) {
 }
 
 func TestFaultOnlyClusterIsNotAnIncident(t *testing.T) {
-	rep := Correlate(Config{}, Inputs{Faults: []FaultWindow{{Label: "x", Target: "link 3", StartNs: 1e6, EndNs: 2e6}}})
+	rep := Correlate(Config{}, Inputs{Faults: []faults.Window{{Label: "x", Target: "link 3", StartNs: 1e6, EndNs: 2e6}}})
 	if len(rep.Incidents) != 0 {
 		t.Fatalf("fault window with no violations became an incident: %+v", rep.Incidents)
 	}
@@ -66,7 +66,7 @@ func TestFaultOnlyClusterIsNotAnIncident(t *testing.T) {
 // listing both fault labels.
 func TestTwoFaultsInOneMergeWindowCoalesce(t *testing.T) {
 	rep := Correlate(Config{MergeNs: 2e6}, Inputs{
-		Faults: []FaultWindow{
+		Faults: []faults.Window{
 			{Label: "switch-down switch tor0 @10000000ns", Target: "switch tor0", StartNs: 10e6, EndNs: 12e6},
 			{Label: "link-down link 5 @13000000ns", Target: "link 5", StartNs: 13e6, EndNs: 14e6},
 		},
@@ -223,7 +223,7 @@ func TestBoundBreachFixtureNotUnexplained(t *testing.T) {
 // Fault overlap takes precedence over every envelope verdict.
 func TestInjectedFaultPrecedence(t *testing.T) {
 	rep := Correlate(Config{}, Inputs{
-		Faults: []FaultWindow{
+		Faults: []faults.Window{
 			{Label: "switch-down switch tor0 @500000ns", Target: "switch tor0", StartNs: 0.5e6, EndNs: 2e6, GraceNs: 1e6},
 		},
 		Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1003, 400e3, 350e3)},
@@ -277,35 +277,6 @@ func TestRenderIndependentOfInputOrder(t *testing.T) {
 	}
 	if got := Correlate(Config{}, Inputs{Violations: rev}).Render(); got != want {
 		t.Fatalf("render depends on input order:\n--- forward ---\n%s--- reversed ---\n%s", want, got)
-	}
-}
-
-func TestFaultWindowsFromEvents(t *testing.T) {
-	evs := []faults.Event{
-		{TimeNs: 10e6, Kind: faults.KindSwitchDown, Target: "switch tor0", Ports: []int{1, 2}, Servers: []int{0, 1}},
-		{TimeNs: 12e6, Kind: faults.KindLinkDown, Target: "link 5", Ports: []int{5}},
-		{TimeNs: 15e6, Kind: faults.KindSwitchUp, Target: "switch tor0"},
-	}
-	ws := FaultWindowsFromEvents(evs, 2e6)
-	if len(ws) != 2 {
-		t.Fatalf("got %d windows, want 2", len(ws))
-	}
-	tor := ws[0]
-	if tor.Target != "switch tor0" || tor.StartNs != 10e6 || tor.EndNs != 15e6 {
-		t.Fatalf("tor window = %+v", tor)
-	}
-	if want := "switch-down switch tor0 @10000000ns"; tor.Label != want {
-		t.Fatalf("label %q must match the injector's FaultIn label %q", tor.Label, want)
-	}
-	if end := tor.effectiveEndNs(); end != 17e6 {
-		t.Fatalf("window attributes until %dns, want restore+grace 17ms", end)
-	}
-	link := ws[1]
-	if link.EndNs != -1 {
-		t.Fatalf("never-restored link window closed: %+v", link)
-	}
-	if link.effectiveEndNs() < 101e6 {
-		t.Fatal("open window must cover any later span")
 	}
 }
 
@@ -418,7 +389,7 @@ func TestVerdictJSONRoundTrip(t *testing.T) {
 
 func TestDrillDownRender(t *testing.T) {
 	rep := Correlate(Config{}, Inputs{
-		Faults: []FaultWindow{
+		Faults: []faults.Window{
 			{Label: "switch-down switch tor0 @500000ns", Target: "switch tor0", StartNs: 0.5e6, EndNs: 2e6, GraceNs: 1e6},
 		},
 		Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1003, 400e3, 350e3)},

@@ -89,7 +89,7 @@ type ViolationEvent struct {
 	// CulpritQueueNs is the culprit's worst queueing delay.
 	CulpritQueueNs int64 `json:"culprit_queue_ns"`
 	// Fault labels an injected fault active when the event fired
-	// (from faults.Injector.FaultIn), empty otherwise.
+	// (faults.LabelIn over the run's outage windows), empty otherwise.
 	Fault string `json:"fault,omitempty"`
 }
 
