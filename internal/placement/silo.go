@@ -252,13 +252,6 @@ func (m *Manager) Remove(id int) error {
 type reqMemo struct {
 	upC   []contribution
 	downC [3][]contribution
-	// emptyOK[span][k] precomputes serverPortsOK for a server whose
-	// NIC-up and ToR-down ports carry no admitted traffic yet — the
-	// common case on a lightly loaded tree, where the per-server probe
-	// collapses to an array lookup. Port rates and capacities are
-	// uniform within each family, so one verdict covers every such
-	// server.
-	emptyOK [3][]bool
 	// emptyMax[span] certifies, once per request, what no server can
 	// host: no VM count above it fits even an empty server's ports, and
 	// a port's queue bound never falls as its load grows
@@ -298,19 +291,18 @@ func (m *Manager) fillReqMemo(spec *tenant.Spec) {
 	upCap, downCap = upCap+1e-12, downCap+1e-12
 	for span := scopeRack; span <= scopeDC; span++ {
 		infl := m.inflation(span, topology.LevelRack, topology.Down)
-		downC, oks, kMax := memo.downC[span][:0], memo.emptyOK[span][:0], 0
+		downC, kMax := memo.downC[span][:0], 0
 		for k := 0; k <= maxK; k++ {
 			c := m.cutContribution(n-k, n, g, math.Inf(1), infl)
 			downC = append(downC, c)
 			// A zero contribution bounds to 0.
 			upB := queueBoundFast(upRate, contribution{}, memo.upC[k])
 			downB := queueBoundFast(downRate, contribution{}, c)
-			oks = append(oks, upB <= upCap && downB <= downCap)
 			if upB <= upCap*(1+monoSlack) && downB <= downCap*(1+monoSlack) {
 				kMax = k
 			}
 		}
-		memo.downC[span], memo.emptyOK[span], memo.emptyMax[span] = downC, oks, kMax
+		memo.downC[span], memo.emptyMax[span] = downC, kMax
 	}
 }
 
@@ -542,15 +534,6 @@ func (m *Manager) maxVMsOnServer(spec *tenant.Spec, s int, span scopeHeight) int
 	up, down := m.tree.ServerUpPortID(s), m.tree.RackDownPortID(s)
 	var empty portState
 	upSt, downSt := m.ports.ref(up, &empty), m.ports.ref(down, &empty)
-	if upSt.tenants == 0 && downSt.tenants == 0 {
-		oks := m.memo.emptyOK[span]
-		for k := top; k >= 1; k-- {
-			if oks[k] {
-				return k
-			}
-		}
-		return 0
-	}
 	upRate, upCap := m.tree.Line(up)
 	downRate, downCap := m.tree.Line(down)
 	upC, downC := m.memo.upC, m.memo.downC[span]
