@@ -13,24 +13,23 @@ import "repro/internal/netsim"
 //
 // Design rules, matching the package's (obs.go):
 //
-//  1. Zero allocations per event once a ring is full. Records are
-//     fixed-size structs; each shard's ring starts empty and grows on
-//     the emit that finds it full (to flightFirstRing records, then
-//     doubling up to its capacity), so a short run pays for the events
-//     it records, not for the capacity. A full ring wraps in place.
+//  1. Zero allocations per event once the ring is full. Records are
+//     fixed-size structs; the ring starts empty and grows on the emit
+//     that finds it full (to flightFirstRing records, then doubling up
+//     to its capacity), so a short run pays for the events it records,
+//     not for the capacity. A full ring wraps in place.
 //  2. Nil-safe. A nil *FlightRecorder disables every emit site at one
 //     branch; Sampled on a nil recorder reports false so callers can
 //     gate whole event bundles on a single check.
-//  3. Sharded by packet. Shards are selected by packet ID hash, which
-//     keeps all events of one packet in a single shard, in emission
-//     order — exactly what span reassembly needs.
+//  3. One ring, in emission order. The simulation emits from one
+//     goroutine, so a wrap keeps one window of the most recent events,
+//     each packet's in the order they happened — exactly what span
+//     reassembly needs.
 //
-// Each shard overwrites its own oldest events when full, so the shard
-// count decides which events survive a wrap. Reassembly detects packets
-// whose early events were overwritten and marks their spans incomplete;
-// attribution only trusts complete spans. The recorder is not safe for
-// concurrent use: the simulation goroutine emits, and the harness reads
-// after the run.
+// Reassembly detects packets whose early events were overwritten and
+// marks their spans incomplete; attribution only trusts complete spans.
+// The recorder is not safe for concurrent use: the simulation goroutine
+// emits, and the harness reads after the run.
 
 // Flight event kinds, in lifecycle order.
 const (
@@ -69,41 +68,24 @@ type FlightEvent struct {
 	_    [2]byte
 }
 
-// flightShards is the ring count; traces written at the default
-// capacity depend on it, because it decides which events a wrap keeps.
-const flightShards = 4
-
-// flightShard is one ring and its cursor: the number of events ever
-// written to it. Until the ring wraps, buf holds at least pos events.
-type flightShard struct {
-	pos uint64
-	buf []FlightEvent
-}
-
-// flightFirstRing is the ring a shard allocates on its first event.
+// flightFirstRing is the ring the recorder allocates on its first event.
 const flightFirstRing = 256
 
-// grow doubles the ring (to at least flightFirstRing events, at most
-// capacity), keeping its events in place. Only a ring that has not yet
-// wrapped grows, so its cursor still indexes it directly.
-func (s *flightShard) grow(capacity uint64) {
-	buf := make([]FlightEvent, min(max(2*uint64(len(s.buf)), flightFirstRing), capacity))
-	copy(buf, s.buf)
-	s.buf = buf
-}
-
-// FlightRecorder records sampled packet lifecycle events into rings of
+// FlightRecorder records sampled packet lifecycle events into a ring of
 // a fixed capacity. A nil recorder is fully disabled.
 type FlightRecorder struct {
-	shards     [flightShards]flightShard
-	mask       uint64 // ring index mask (per-shard capacity - 1)
+	// pos counts the events ever written; until the ring wraps, buf
+	// holds at least pos events.
+	pos        uint64
+	buf        []FlightEvent
+	mask       uint64 // ring index mask (capacity - 1)
 	sampleMask uint64 // packet is sampled iff ID & sampleMask == 0
 }
 
-// DefaultFlightEvents is the default per-shard ring capacity: at ~7
-// events per delivered packet this window holds the last ~37k sampled
-// packets across the four shards (8 MB once every ring is full).
-const DefaultFlightEvents = 1 << 16
+// DefaultFlightEvents is the default ring capacity: at ~7 events per
+// delivered packet this window holds the last ~37k sampled packets
+// (8 MB once the ring is full).
+const DefaultFlightEvents = 1 << 18
 
 // ceilPow2 rounds n up to a power of two (minimum 1).
 func ceilPow2(n int) uint64 {
@@ -114,15 +96,15 @@ func ceilPow2(n int) uint64 {
 	return p
 }
 
-// NewFlightRecorder returns a recorder keeping perShardEvents (rounded
-// up to a power of two; <= 0 selects DefaultFlightEvents) events per
-// shard and sampling one packet in sampleN (rounded up to a power of
+// NewFlightRecorder returns a recorder keeping the most recent events
+// (rounded up to a power of two; <= 0 selects DefaultFlightEvents)
+// records and sampling one packet in sampleN (rounded up to a power of
 // two; <= 1 records every packet).
-func NewFlightRecorder(perShardEvents, sampleN int) *FlightRecorder {
-	if perShardEvents <= 0 {
-		perShardEvents = DefaultFlightEvents
+func NewFlightRecorder(events, sampleN int) *FlightRecorder {
+	if events <= 0 {
+		events = DefaultFlightEvents
 	}
-	r := &FlightRecorder{mask: ceilPow2(perShardEvents) - 1}
+	r := &FlightRecorder{mask: ceilPow2(events) - 1}
 	if sampleN > 1 {
 		r.sampleMask = ceilPow2(sampleN) - 1
 	}
@@ -145,51 +127,38 @@ func (r *FlightRecorder) Sampled(pkt uint64) bool {
 	return r != nil && pkt&r.sampleMask == 0
 }
 
-// flightHash mixes a packet ID so that sampled IDs (multiples of the
-// sampling divisor) still spread across shards.
-func flightHash(pkt uint64) uint64 {
-	return (pkt * 0x9e3779b97f4a7c15) >> 62
-}
-
 // Emit appends one event. Callers gate on Sampled first; Emit itself
 // does not re-check, so unsampled direct emission is possible. Zero
-// allocations, except on the emit that finds a ring full before it has
-// reached its capacity.
+// allocations, except on the emit that finds the ring full before it
+// has reached its capacity.
 func (r *FlightRecorder) Emit(kind uint8, t int64, pkt uint64, port int32, arg int64, gate uint8) {
 	if r == nil {
 		return
 	}
-	s := &r.shards[flightHash(pkt)]
-	i := s.pos & r.mask
-	if i >= uint64(len(s.buf)) {
-		s.grow(r.mask + 1)
+	i := r.pos & r.mask
+	if i >= uint64(len(r.buf)) {
+		// Double the ring (to at least flightFirstRing events, at most
+		// its capacity), keeping its events in place: only a ring that
+		// has not wrapped grows, so pos still indexes it directly.
+		buf := make([]FlightEvent, min(max(2*uint64(len(r.buf)), flightFirstRing), r.mask+1))
+		copy(buf, r.buf)
+		r.buf = buf
 	}
-	s.buf[i] = FlightEvent{T: t, Pkt: pkt, Arg: arg, Port: port, Kind: kind, Gate: gate}
-	s.pos++
+	r.buf[i] = FlightEvent{T: t, Pkt: pkt, Arg: arg, Port: port, Kind: kind, Gate: gate}
+	r.pos++
 }
 
-// Events snapshots the retained events, oldest first within each
-// shard. Per-packet order is exact (a packet's events share a shard);
-// cross-packet order is per-shard.
+// Events snapshots the retained events, oldest first.
 func (r *FlightRecorder) Events() []FlightEvent {
 	if r == nil {
 		return nil
 	}
-	total := uint64(0)
-	for i := range r.shards {
-		total += min(r.shards[i].pos, r.mask+1)
+	out := make([]FlightEvent, 0, min(r.pos, r.mask+1))
+	if r.pos > r.mask+1 { // wrapped: the oldest event sits at the cursor
+		at := r.pos & r.mask
+		return append(append(out, r.buf[at:]...), r.buf[:at]...)
 	}
-	out := make([]FlightEvent, 0, total)
-	for i := range r.shards {
-		s := &r.shards[i]
-		if s.pos > r.mask+1 { // wrapped: the oldest event sits at the cursor
-			at := s.pos & r.mask
-			out = append(append(out, s.buf[at:]...), s.buf[:at]...)
-		} else {
-			out = append(out, s.buf[:s.pos]...)
-		}
-	}
-	return out
+	return append(out, r.buf[:r.pos]...)
 }
 
 // AttachFlightRecorder records every lifecycle event of nw's sampled

@@ -57,7 +57,7 @@ func TestFlightRecorderSampling(t *testing.T) {
 
 func TestFlightRecorderRing(t *testing.T) {
 	r := NewFlightRecorder(4, 1)
-	// One packet keeps all its events in one shard, in order.
+	// A wrap keeps the most recent events, in emission order.
 	for i := int64(0); i < 7; i++ {
 		r.Emit(FlightPortEnqueue, i, 99, 1, i, 0)
 	}
@@ -72,71 +72,63 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 }
 
-// refFlightRing is the flight recorder with every shard's ring
-// allocated at full capacity up front, the reference for the recorder's
-// rings that grow on demand.
+// refFlightRing is the flight recorder with its ring allocated at full
+// capacity up front, the reference for the recorder's ring that grows on
+// demand.
 type refFlightRing struct {
-	shards     [flightShards][]FlightEvent
-	pos        [flightShards]uint64
+	ring       []FlightEvent
+	pos        uint64
 	mask       uint64
 	sampleMask uint64
 }
 
-func newRefFlightRing(perShardEvents, sampleN int) *refFlightRing {
-	capacity := ceilPow2(perShardEvents)
-	r := &refFlightRing{mask: capacity - 1}
+func newRefFlightRing(events, sampleN int) *refFlightRing {
+	capacity := ceilPow2(events)
+	r := &refFlightRing{ring: make([]FlightEvent, capacity), mask: capacity - 1}
 	if sampleN > 1 {
 		r.sampleMask = ceilPow2(sampleN) - 1
-	}
-	for i := range r.shards {
-		r.shards[i] = make([]FlightEvent, capacity)
 	}
 	return r
 }
 
 func (r *refFlightRing) emit(ev FlightEvent) {
-	i := flightHash(ev.Pkt)
-	r.shards[i][r.pos[i]&r.mask] = ev
-	r.pos[i]++
+	r.ring[r.pos&r.mask] = ev
+	r.pos++
 }
 
-// events lists each shard's retained events, oldest first.
+// events lists the retained events, oldest first.
 func (r *refFlightRing) events() []FlightEvent {
 	out := []FlightEvent{}
-	for i := range r.shards {
-		n := min(r.pos[i], r.mask+1)
-		for j := r.pos[i] - n; j < r.pos[i]; j++ {
-			out = append(out, r.shards[i][j&r.mask])
-		}
+	for j := r.pos - min(r.pos, r.mask+1); j < r.pos; j++ {
+		out = append(out, r.ring[j&r.mask])
 	}
 	return out
 }
 
 // TestFlightRingGrowthEquivalenceProperty holds FlightRecorder to the
 // fully preallocated reference ring: over random capacities, sampling
-// divisors and emit counts that stop before a ring fills, while it
+// divisors and emit counts that stop before the ring fills, while it
 // grows, and after it wraps, both keep the same events in the same
-// order, so the same spans assemble. No ring grows past its capacity.
+// order, so the same spans assemble. The ring never grows past its
+// capacity.
 func TestFlightRingGrowthEquivalenceProperty(t *testing.T) {
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
 	for iter := 0; iter < 120; iter++ {
-		perShard := 1 + rng.Intn(1<<uint(rng.Intn(11)))
+		size := 1 + rng.Intn(1<<uint(rng.Intn(13)))
 		sampleN := rng.Intn(10)
-		r, ref := NewFlightRecorder(perShard, sampleN), newRefFlightRing(perShard, sampleN)
+		r, ref := NewFlightRecorder(size, sampleN), newRefFlightRing(size, sampleN)
 		if r.SampleN() != int(ref.sampleMask+1) {
-			t.Fatalf("seed %d: perShard %d sampleN %d: SampleN = %d, want %d", seed, perShard, sampleN, r.SampleN(), ref.sampleMask+1)
+			t.Fatalf("seed %d: size %d sampleN %d: SampleN = %d, want %d", seed, size, sampleN, r.SampleN(), ref.sampleMask+1)
 		}
 		capacity := ref.mask + 1
 		check := func(emitted int) {
 			if got, want := r.Events(), ref.events(); !slices.Equal(got, want) {
-				t.Fatalf("seed %d: perShard %d sampleN %d: after %d emits Events() differs from the reference: %d vs %d events",
-					seed, perShard, sampleN, emitted, len(got), len(want))
+				t.Fatalf("seed %d: size %d sampleN %d: after %d emits Events() differs from the reference: %d vs %d events",
+					seed, size, sampleN, emitted, len(got), len(want))
 			}
-			for i := range r.shards {
-				if n := uint64(len(r.shards[i].buf)); n > capacity {
-					t.Fatalf("seed %d: shard %d holds %d records, capacity %d", seed, i, n, capacity)
-				}
+			if n := uint64(len(r.buf)); n > capacity {
+				t.Fatalf("seed %d: the ring holds %d records, capacity %d", seed, n, capacity)
 			}
 		}
 		emitted := 0
@@ -151,13 +143,13 @@ func TestFlightRingGrowthEquivalenceProperty(t *testing.T) {
 			}
 		}
 		// About eight events per packet and one packet in r.SampleN()
-		// sampled: up to about three wraps of every shard.
+		// sampled: up to about three wraps of the ring.
 		ports := syntheticPorts(1 + rng.Intn(12))
-		randLifecycles(rng, emit, 1+rng.Intn(int(capacity)*r.SampleN()*3/2+2), len(ports))
+		randLifecycles(rng, emit, 1+rng.Intn(int(capacity)*r.SampleN()*3/8+2), len(ports))
 		check(emitted)
 		events := r.Events()
 		if got, want := AssembleFlight(events, ports), AssembleFlight(ref.events(), ports); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: perShard %d sampleN %d: %d events: spans differ from the reference's", seed, perShard, sampleN, len(events))
+			t.Fatalf("seed %d: size %d sampleN %d: %d events: spans differ from the reference's", seed, size, sampleN, len(events))
 		}
 	}
 }
@@ -246,21 +238,15 @@ func TestRenderSpanUnpacedSenderUnknown(t *testing.T) {
 // unknown, so the roll-up leaves it out of the pacing mean instead of
 // counting it as zero. Its NIC-to-NIC attribution still counts.
 func TestSummarizeFlightSkipsOverwrittenEnqueue(t *testing.T) {
-	const wrapped = 7
-	same, other := uint64(0), uint64(0)
-	for p := uint64(wrapped + 1); same == 0 || other == 0; p++ {
-		if flightHash(p) == flightHash(wrapped) {
-			same = max(same, p)
-		} else {
-			other = max(other, p)
-		}
-	}
-	r := NewFlightRecorder(8, 1)
+	const wrapped, other, next = 7, 8, 9
+	r := NewFlightRecorder(16, 1)
 	emitTestSpan(r, wrapped)
-	// Two more events in its 8-event shard overwrite its VM enqueue.
-	r.Emit(FlightVMEnqueue, 3100, same, 11, 1500, 0)
-	r.Emit(FlightTokenAdmit, 3200, same, 11, 0, 2)
 	emitTestSpan(r, other)
+	// Three more events fill the 16-event ring and overwrite the oldest
+	// one, wrapped's VM enqueue.
+	r.Emit(FlightVMEnqueue, 3100, next, 11, 1500, 0)
+	r.Emit(FlightTokenAdmit, 3200, next, 11, 0, 2)
+	r.Emit(FlightPortEnqueue, 3300, next, 0, 0, 0)
 
 	spans := AssembleFlight(r.Events(), flightTestPorts)
 	byPkt := map[uint64]FlightSpan{}
@@ -389,28 +375,25 @@ func TestValidateOutputPath(t *testing.T) {
 	}
 }
 
-// fillFlightRings emits sampled packets until every shard's ring holds
-// its capacity, so none grows again; it returns the next packet.
-func fillFlightRings(r *FlightRecorder) uint64 {
+// fillFlightRing emits sampled packets until the ring holds its
+// capacity, so it does not grow again; it returns the next packet.
+func fillFlightRing(r *FlightRecorder) uint64 {
 	pkt := uint64(0)
-	for full := 0; full < flightShards; {
+	for r.pos <= r.mask {
 		if r.Sampled(pkt) {
-			s := &r.shards[flightHash(pkt)]
-			if r.Emit(FlightPortEnqueue, 1, pkt, 3, 64, 0); s.pos == r.mask+1 {
-				full++
-			}
+			r.Emit(FlightPortEnqueue, 1, pkt, 3, 64, 0)
 		}
 		pkt++
 	}
 	return pkt
 }
 
-// TestFlightEmitZeroAlloc fills every ring to its capacity first, so the
+// TestFlightEmitZeroAlloc fills the ring to its capacity first, so the
 // steady-state emit is held to exactly 0 allocations, not to an average
-// that rounds the growing rings' allocations down.
+// that rounds the growing ring's allocations down.
 func TestFlightEmitZeroAlloc(t *testing.T) {
 	r := NewFlightRecorder(1<<10, 64)
-	pkt := fillFlightRings(r)
+	pkt := fillFlightRing(r)
 	if got := testing.AllocsPerRun(1000, func() {
 		if r.Sampled(pkt) {
 			r.Emit(FlightPortEnqueue, 1, pkt, 3, 64, 0)
@@ -421,18 +404,18 @@ func TestFlightEmitZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFlightRingGrowthAllocs bounds what the rings allocate while they
-// grow: the recorder, then one allocation per doubling of each shard's
-// ring from flightFirstRing to its capacity.
+// TestFlightRingGrowthAllocs bounds what the ring allocates while it
+// grows: the recorder, then one allocation per doubling of the ring
+// from flightFirstRing to its capacity.
 func TestFlightRingGrowthAllocs(t *testing.T) {
 	for _, capacity := range []int{1, flightFirstRing, 1 << 10, DefaultFlightEvents} {
 		doublings := 1
 		for n := flightFirstRing; n < capacity; n *= 2 {
 			doublings++
 		}
-		want := float64(1 + flightShards*doublings)
-		if got := testing.AllocsPerRun(3, func() { fillFlightRings(NewFlightRecorder(capacity, 1)) }); got > want {
-			t.Errorf("capacity %d: filling the rings allocates %g times, want at most %g", capacity, got, want)
+		want := float64(1 + doublings)
+		if got := testing.AllocsPerRun(3, func() { fillFlightRing(NewFlightRecorder(capacity, 1)) }); got > want {
+			t.Errorf("capacity %d: filling the ring allocates %g times, want at most %g", capacity, got, want)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func oracleAssembleFlight(events []FlightEvent, ports []PortMeta) []FlightSpan {
 }
 
 // oracleAssembleOne builds one span from a packet's events (in emission
-// order, as the per-shard rings preserve it).
+// order, as the ring preserves it).
 func oracleAssembleOne(pkt uint64, evs []FlightEvent, ports []PortMeta) FlightSpan {
 	s := FlightSpan{Pkt: pkt, EnqueueNs: -1, AdmitNs: -1, WireNs: -1, DeliverNs: -1}
 	var measuredDelay int64 = -1
@@ -201,16 +201,8 @@ func oracleLastOpenHop(hops []FlightHop, port int32) *FlightHop {
 // retained event.
 func oracleEvents(r *FlightRecorder) []FlightEvent {
 	var out []FlightEvent
-	for i := range r.shards {
-		s := &r.shards[i]
-		pos := s.pos
-		n := pos
-		if capacity := r.mask + 1; n > capacity {
-			n = capacity
-		}
-		for j := pos - n; j < pos; j++ {
-			out = append(out, s.buf[j&r.mask])
-		}
+	for j := r.pos - min(r.pos, r.mask+1); j < r.pos; j++ {
+		out = append(out, r.buf[j&r.mask])
 	}
 	return out
 }

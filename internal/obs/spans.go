@@ -155,7 +155,7 @@ func AssembleFlight(events []FlightEvent, ports []PortMeta) []FlightSpan {
 
 // orderByPacket returns the indices of events ordered by packet ID,
 // each packet's events staying in the order given (emission order, as
-// the per-shard rings preserve it): a byte-wise LSD radix sort that
+// the ring preserves it): a byte-wise LSD radix sort that
 // skips the digits all IDs agree on.
 func orderByPacket(events []FlightEvent) []int32 {
 	order, next := make([]int32, len(events)), make([]int32, len(events))

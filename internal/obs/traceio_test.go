@@ -458,11 +458,11 @@ func TestAssembleFlightMatchesOracle(t *testing.T) {
 	check("nil", nil, nil)
 	check("empty", []FlightEvent{}, flightTestPorts)
 
-	// Rings of 16 to 512 events per shard under 1 to 300 packets: from
-	// nothing overwritten to most packets headless.
+	// Rings of 64 to 2,048 events under 1 to 300 packets: from nothing
+	// overwritten to most packets headless.
 	for i := 0; i < 120; i++ {
 		ports := syntheticPorts(1 + rng.Intn(12))
-		r := NewFlightRecorder(16<<uint(rng.Intn(6)), 1)
+		r := NewFlightRecorder(64<<uint(rng.Intn(6)), 1)
 		randLifecycles(rng, r.Emit, 1+rng.Intn(300), len(ports))
 		events := r.Events()
 		if want := oracleEvents(r); !reflect.DeepEqual(events, want) {
