@@ -137,7 +137,7 @@ examples:
 soak:
 	$(GO) run ./cmd/silo-bench -run soak -requests 7500 -soak-report soak.json
 
-# Reproduces the placement-at-scale numbers (see README.md "Placement
-# at scale").
+# Times the paper's 100 K-host admission stream end to end (see
+# README.md "Placement at scale"): the benchmark's place100k workload.
 bench-placement:
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacement100K|BenchmarkPlaceRemoveChurn|BenchmarkQueueBound$$' -benchmem .
+	$(GO) run ./benchmark --workload place100k

@@ -137,9 +137,9 @@ func main() {
 		HorizonNs: int64(*duration * 1e9),
 		DrainNs:   3e9,
 		// On the silo scheme every down event triggers Recover 500 µs
-		// later and every up event returns the repaired
-		// servers to the pool. Recovery here is control-plane only — pacer
-		// VMs and transport endpoints are not re-deployed (see
+		// later and every up event returns the repaired servers to the
+		// pool. Recovery here is control-plane only — pacer VMs and
+		// transport endpoints are not re-deployed (see
 		// experiments.RunFailureDrill for the full data-plane drill).
 		Faults: *faultSched,
 		// The guarantee audit runs on every invocation: admitted

@@ -27,7 +27,7 @@ type Figure10Row struct {
 	// Gate split: the fraction of data frames whose release the {B, S}
 	// bucket and the Bmax cap set (pacer Gate* attribution). A
 	// backlogged VM is gated by the {B, S} bucket almost always; the
-	// residue is the burst head and the Bmax cap.
+	// residue is the Bmax cap and the burst head.
 	PctGateAvg, PctGateCap float64
 	// MeanTokenWaitUs is the mean enqueue-to-release pacing delay per
 	// data frame.
