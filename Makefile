@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: all ci fmt vet cross build test test-race test-admission test-obs test-pacer identity examples soak bench-placement
+.PHONY: all ci fmt vet cross build test test-race test-admission test-obs test-pacer identity soak bench-placement
 
 all: vet build test
 
 # The test steps of the CI workflow, in order (CI also writes sample
 # artifacts for upload).
-ci: fmt vet cross build test test-race test-admission test-obs test-pacer identity examples soak
+ci: fmt vet cross build test test-race test-admission test-obs test-pacer identity soak
 
 # Every Go file as gofmt writes it: lists the files that are not and
 # fails if there are any.
@@ -81,13 +81,11 @@ test-admission:
 	$(GO) test -race -count=25 -run '$(ADMISSION_RUN)' $(ADMISSION_PKGS)
 
 # The obs planes' equivalences, 25 times over under the race detector,
-# each run drawing fresh seeds: the trace's microsecond timestamps and
-# the JSON string encoder against the float and reflective paths they
-# replaced; the flight recorder's rings, which grow on demand, against
-# a fully preallocated reference ring (same events, same spans); the
-# one-pass indenter against json.Encoder with SetIndent and json.Indent,
-# byte for byte on random documents.
-OBS_RUN = AppendMicros|AppendJSONString|FlightRingGrowthEquivalence|AppendIndented
+# each run drawing fresh seeds: the trace's microsecond timestamps
+# against the float path they replaced; the flight recorder's rings,
+# which grow on demand, against a fully preallocated reference ring
+# (same events, same spans).
+OBS_RUN = AppendMicros|FlightRingGrowthEquivalence
 OBS_PKGS = ./internal/obs/
 test-obs:
 	$(call check-run,$(OBS_RUN),$(OBS_PKGS))
@@ -114,18 +112,6 @@ test-pacer:
 # `go test ./cmd/silo-bench -run TestCLI/golden -update`.
 identity:
 	$(GO) test -count=1 -run 'TestCLI/golden_runs' ./cmd/silo-bench -all
-
-# The three example programs, the only callers of the public facade's
-# Admit / Deploy / CoordinateHose besides the benchmark: each must run to
-# completion and print its examples/<e>/testdata/stdout.golden byte for
-# byte (about a second together once built). README.md embeds
-# quickstart's output verbatim; the tier-1 TestExamplesMatchGoldens
-# checks the goldens and that block, and -update rewrites the goldens.
-examples:
-	for e in quickstart oldi besteffort; do \
-		out=$$($(GO) run ./examples/$$e) || exit 1; \
-		printf '%s\n' "$$out" | diff examples/$$e/testdata/stdout.golden - || exit 1; \
-	done
 
 # The chaos soak: randomized churn against the durable store with
 # repeated crash-kills at random WAL offsets (including mid-record torn

@@ -133,8 +133,9 @@ func main() {
 	outdir = *outFlag
 	runMeta = obs.CollectRunMeta("silo-bench")
 	if *outFlag != "" {
-		// writeCSV MkdirAlls on every write; do it once up front so an
-		// uncreatable path (e.g. a file in the way) fails before the run.
+		// Every CSV and JSON artifact lands in this directory: create it
+		// up front, so an uncreatable path (e.g. a file in the way)
+		// fails before the run.
 		if err := os.MkdirAll(*outFlag, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "-outdir: %v\n", err)
 			os.Exit(2)

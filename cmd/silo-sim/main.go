@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,8 +27,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/obs/dashboard"
 	"repro/internal/tenant"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -47,7 +48,7 @@ func main() {
 		_            = flag.Bool("slo-report", false, "accepted and ignored: the audit line carries each tenant's packets and violations; kept only until the benchmark's sim_obs workload stops passing it (ROADMAP item 1)")
 		incidentsOut = flag.String("incidents", "", "close a violation window every simulated millisecond and correlate violations, window culprits, envelope evidence and faults into root-caused incidents; print the report and write it as JSON to this file on exit (pair with -introspect for verdict evidence; inspect with silo-inspect incident)")
 		introOut     = flag.String("introspect", "", "attach the introspection plane (per-VM envelope estimators, per-port guarantee margins) and write its snapshot as JSON to this file on exit (join with silo-inspect trace -why)")
-		seriesOut    = flag.String("series", "", "write the incidents, engine self-telemetry and provenance as JSON to this file on exit")
+		seriesOut    = flag.String("series", "", "write the engine self-telemetry and provenance as JSON to this file on exit")
 		faultSched   = flag.String("fault", "", "fault schedule, e.g. \"t=20ms link 14 down; t=30ms up\" or \"t=20ms switch tor0 down\" (targets: link PORT, switch core|podN|torN, host ID; actions: down, up, gray DUR, flap NxDOWN/UP)")
 	)
 	flag.Parse()
@@ -249,15 +250,18 @@ func main() {
 		fmt.Printf("incident report written to %s (inspect with silo-inspect incident)\n", *incidentsOut)
 	}
 	if *seriesOut != "" {
-		rs := nw.Sim.RuntimeStats()
+		// The engine's self-telemetry (wheel, overflow-heap and arena
+		// pressure) and the run's provenance; the incident report's one
+		// home is -incidents.
 		f, err := os.Create(*seriesOut)
 		if err == nil {
-			err = dashboard.WriteJSON(f, dashboard.Payload{
-				Title:     "silo-sim " + *schemeName,
-				Incidents: run.Incidents,
-				Runtime:   &rs,
-				Meta:      &meta,
-			})
+			enc := json.NewEncoder(f)
+			enc.SetIndent("", " ")
+			err = enc.Encode(struct {
+				Title   string              `json:"title"`
+				Runtime netsim.RuntimeStats `json:"runtime"`
+				Meta    *obs.RunMeta        `json:"meta"`
+			}{"silo-sim " + *schemeName, nw.Sim.RuntimeStats(), &meta})
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

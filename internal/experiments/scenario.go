@@ -178,9 +178,9 @@ type Planes struct {
 	// each tenant with new violations gets one window event naming the
 	// window's culprit port, appended to Run.Violations.
 	Windows bool
-	// Incidents collects violations into a log and correlates them into
-	// root-caused incidents, merging violations closer than
-	// incidentMergeNs.
+	// Incidents correlates the finished violation stream into
+	// root-caused incidents (incident.Correlate), merging violations
+	// closer than 2 ms.
 	Incidents bool
 }
 
@@ -192,11 +192,6 @@ const (
 	// repair: violations of the recovery storm that follows still count
 	// as the fault's.
 	faultGraceNs = 5e6
-	// incidentMergeNs is the incident clustering gap: two violations
-	// (or a violation and a fault window) closer than this on the
-	// simulated clock belong to one incident, so Figure 5's overload,
-	// one burst every millisecond, chains into one incident.
-	incidentMergeNs = 2e6
 )
 
 // Env is what a caller injects that is not scenario data: run
@@ -256,8 +251,9 @@ type Run struct {
 	// Recoveries holds one report per down event, in event order.
 	Recoveries []*placement.RecoveryReport
 
-	// Filled by Finish: the assembled flight trace with its violating
-	// spans, the introspection snapshot and the incident report.
+	// Filled by Finish: the port table (with a trace or incidents), the
+	// assembled flight trace with its violating spans, the
+	// introspection snapshot and the incident report.
 	Ports          []obs.PortMeta
 	Spans          []obs.FlightSpan
 	SpanViolations []*obs.FlightSpan
@@ -564,8 +560,10 @@ func (r *Run) Finish() {
 			}
 		}
 	}
-	if r.Flight != nil {
+	if r.Flight != nil || r.Scenario.Planes.Incidents {
 		r.Ports = obs.PortsOf(r.Net)
+	}
+	if r.Flight != nil {
 		r.Spans = obs.AssembleFlight(r.Flight.Events(), r.Ports)
 		r.SpanViolations = obs.AnnotateSpans(r.Spans, r.Audit, r.Ctl.TenantOfVM)
 	}
@@ -583,10 +581,10 @@ func (r *Run) Finish() {
 			Violations: r.Violations,
 			Faults:     outages,
 			Snapshot:   r.Snapshot,
-			Ports:      obs.PortsOf(r.Net),
+			Ports:      r.Ports,
 			Meta:       r.env.Meta,
 		}
-		r.Incidents = incident.Correlate(incident.Config{MergeNs: incidentMergeNs}, in)
+		r.Incidents = incident.Correlate(in)
 	}
 }
 

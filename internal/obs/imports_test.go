@@ -45,8 +45,8 @@ func TestSingleGoroutineImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkgs < 4 {
-		t.Errorf("checked %d packages under internal/obs, want at least 4", pkgs)
+	if pkgs < 3 {
+		t.Errorf("checked %d packages under internal/obs, want at least 3", pkgs)
 	}
 }
 

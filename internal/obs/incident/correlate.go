@@ -3,31 +3,24 @@ package incident
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/introspect"
 )
 
-// Config parameterizes Correlate. Zero values select defaults.
-type Config struct {
-	// MergeNs is the clustering gap: two events (or an event and a
+const (
+	// mergeNs is the clustering gap: two events (or an event and a
 	// fault window) closer than this on the simulated clock belong to
-	// the same incident. Default 2 ms.
-	MergeNs int64
-}
-
-// maxTimeline caps the per-incident causal timeline; structural entries
-// (faults, first/last violations, evidence) are always
-// kept, per-window entries fill the rest.
-const maxTimeline = 40
-
-func (c Config) withDefaults() Config {
-	if c.MergeNs <= 0 {
-		c.MergeNs = 2e6
-	}
-	return c
-}
+	// the same incident, so Figure 5's overload, one burst every
+	// millisecond, chains into one incident.
+	mergeNs = 2e6
+	// maxTimeline caps the per-incident causal timeline; structural
+	// entries (faults, first/last violations, evidence) are always
+	// kept, per-window entries fill the rest.
+	maxTimeline = 40
+)
 
 // Inputs are the signal streams one correlation joins. Any of them may
 // be empty: the report says what the evidence supports.
@@ -51,10 +44,9 @@ type Inputs struct {
 	Meta *obs.RunMeta
 }
 
-// correlation is one Correlate call's configuration and inputs.
+// correlation is one Correlate call's inputs.
 type correlation struct {
-	cfg Config
-	in  Inputs
+	in Inputs
 }
 
 // clusterItem is one unit of the merge sweep: a violation event or a
@@ -70,8 +62,8 @@ type clusterItem struct {
 // exported artifacts. Deterministic: it first sorts in.Violations in
 // place into canonical order, so the order in which the streams appended
 // them cannot affect the output; nothing else of in is written.
-func Correlate(cfg Config, in Inputs) *Report {
-	c := &correlation{cfg: cfg.withDefaults(), in: in}
+func Correlate(in Inputs) *Report {
+	c := &correlation{in: in}
 	evs := in.Violations
 	obs.SortViolationEvents(evs)
 
@@ -96,7 +88,7 @@ func Correlate(cfg Config, in Inputs) *Report {
 		return items[i].ev < items[j].ev
 	})
 
-	rep := &Report{Meta: in.Meta, MergeNs: c.cfg.MergeNs}
+	rep := &Report{Meta: in.Meta, MergeNs: mergeNs}
 	var cluster []clusterItem
 	var clusterEnd int64
 	flush := func() {
@@ -107,7 +99,7 @@ func Correlate(cfg Config, in Inputs) *Report {
 		cluster = cluster[:0]
 	}
 	for _, it := range items {
-		if len(cluster) > 0 && it.startNs > clusterEnd+c.cfg.MergeNs {
+		if len(cluster) > 0 && it.startNs > clusterEnd+mergeNs {
 			flush()
 		}
 		cluster = append(cluster, it)
@@ -347,7 +339,7 @@ func (c *correlation) classify(inc *Incident) {
 	switch {
 	case len(inc.Faults) > 0:
 		inc.Verdict = VerdictInjectedFault
-		inc.Reason = fmt.Sprintf("overlaps injected fault window(s): %s", joinStrings(inc.Faults))
+		inc.Reason = fmt.Sprintf("overlaps injected fault window(s): %s", strings.Join(inc.Faults, "; "))
 	case len(victimViolated) > 0:
 		inc.Verdict = VerdictSelfInflicted
 		for t, vms := range victimViolated {
@@ -442,15 +434,4 @@ func vmName(vm int) string {
 		return "(infra)"
 	}
 	return fmt.Sprintf("vm%d", vm)
-}
-
-func joinStrings(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "; "
-		}
-		out += s
-	}
-	return out
 }

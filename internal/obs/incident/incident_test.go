@@ -46,7 +46,7 @@ func envelope(vm, tenant int, violated bool) introspect.VMEnvelope {
 }
 
 func TestEmptyRunZeroIncidents(t *testing.T) {
-	rep := Correlate(Config{}, Inputs{})
+	rep := Correlate(Inputs{})
 	if len(rep.Incidents) != 0 || rep.TotalViolations != 0 || rep.Unexplained != 0 {
 		t.Fatalf("empty run produced %+v", rep)
 	}
@@ -56,7 +56,7 @@ func TestEmptyRunZeroIncidents(t *testing.T) {
 }
 
 func TestFaultOnlyClusterIsNotAnIncident(t *testing.T) {
-	rep := Correlate(Config{}, Inputs{Faults: []faults.Window{{Label: "x", Target: "link 3", StartNs: 1e6, EndNs: 2e6}}})
+	rep := Correlate(Inputs{Faults: []faults.Window{{Label: "x", Target: "link 3", StartNs: 1e6, EndNs: 2e6}}})
 	if len(rep.Incidents) != 0 {
 		t.Fatalf("fault window with no violations became an incident: %+v", rep.Incidents)
 	}
@@ -65,7 +65,7 @@ func TestFaultOnlyClusterIsNotAnIncident(t *testing.T) {
 // Two faults inside one merge window coalesce into a single incident
 // listing both fault labels.
 func TestTwoFaultsInOneMergeWindowCoalesce(t *testing.T) {
-	rep := Correlate(Config{MergeNs: 2e6}, Inputs{
+	rep := Correlate(Inputs{
 		Faults: []faults.Window{
 			{Label: "switch-down switch tor0 @10000000ns", Target: "switch tor0", StartNs: 10e6, EndNs: 12e6},
 			{Label: "link-down link 5 @13000000ns", Target: "link 5", StartNs: 13e6, EndNs: 14e6},
@@ -91,7 +91,7 @@ func TestTwoFaultsInOneMergeWindowCoalesce(t *testing.T) {
 // not two: the merge gap bridges the boundary and the window events
 // span it.
 func TestViolationsStraddlingWindowBoundary(t *testing.T) {
-	rep := Correlate(Config{MergeNs: 2e6}, Inputs{Violations: []obs.ViolationEvent{
+	rep := Correlate(Inputs{Violations: []obs.ViolationEvent{
 		deliveryViol(0.99e6, 1, 1000, 1001, 400e3, 350e3),
 		deliveryViol(1.01e6, 1, 1000, 1002, 410e3, 350e3),
 		windowViol(0, 1e6, 1, 1, -1),
@@ -108,7 +108,7 @@ func TestViolationsStraddlingWindowBoundary(t *testing.T) {
 }
 
 func TestDistantViolationsSplit(t *testing.T) {
-	rep := Correlate(Config{MergeNs: 2e6}, Inputs{Violations: []obs.ViolationEvent{
+	rep := Correlate(Inputs{Violations: []obs.ViolationEvent{
 		deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3),
 		deliveryViol(10e6, 1, 1000, 1002, 410e3, 350e3),
 	}})
@@ -118,7 +118,7 @@ func TestDistantViolationsSplit(t *testing.T) {
 }
 
 func TestSelfInflictedNamesSenders(t *testing.T) {
-	rep := Correlate(Config{}, Inputs{
+	rep := Correlate(Inputs{
 		Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1003, 400e3, 350e3)},
 		Snapshot: &introspect.Snapshot{Envelopes: []introspect.VMEnvelope{
 			envelope(1000, 1, false),
@@ -145,7 +145,7 @@ func TestSelfInflictedNamesSenders(t *testing.T) {
 // conformant, tenant 2 broke its envelope, and the shared port's
 // introspected margin went negative.
 func TestNeighborInterferenceFixture(t *testing.T) {
-	rep := Correlate(Config{}, Inputs{
+	rep := Correlate(Inputs{
 		Violations: []obs.ViolationEvent{
 			{TimeNs: 1e6, Source: obs.SourceDelivery, Tenant: 1, VM: 1000, SrcVM: 1001,
 				DelayNs: 400e3, BoundNs: 350e3, Count: 1, CulpritPort: 7},
@@ -185,7 +185,7 @@ func TestNeighborInterferenceFixture(t *testing.T) {
 // margins positive, no fault — yet a violation. Must classify
 // bound-breach (and page), never unexplained.
 func TestBoundBreachFixtureNotUnexplained(t *testing.T) {
-	rep := Correlate(Config{}, Inputs{
+	rep := Correlate(Inputs{
 		Violations: []obs.ViolationEvent{
 			{TimeNs: 1e6, Source: obs.SourceDelivery, Tenant: 1, VM: 1000, SrcVM: 1001,
 				DelayNs: 400e3, BoundNs: 350e3, Count: 1, CulpritPort: 7},
@@ -222,7 +222,7 @@ func TestBoundBreachFixtureNotUnexplained(t *testing.T) {
 
 // Fault overlap takes precedence over every envelope verdict.
 func TestInjectedFaultPrecedence(t *testing.T) {
-	rep := Correlate(Config{}, Inputs{
+	rep := Correlate(Inputs{
 		Faults: []faults.Window{
 			{Label: "switch-down switch tor0 @500000ns", Target: "switch tor0", StartNs: 0.5e6, EndNs: 2e6, GraceNs: 1e6},
 		},
@@ -235,7 +235,7 @@ func TestInjectedFaultPrecedence(t *testing.T) {
 }
 
 func TestUnexplainedWithoutEvidence(t *testing.T) {
-	rep := Correlate(Config{}, Inputs{Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)}})
+	rep := Correlate(Inputs{Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)}})
 	if rep.Incidents[0].Verdict != VerdictUnexplained || rep.Unexplained != 1 {
 		t.Fatalf("no-evidence run: verdict %s, unexplained %d", rep.Incidents[0].Verdict, rep.Unexplained)
 	}
@@ -248,7 +248,7 @@ func TestEveryViolationExactlyOnce(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		evs = append(evs, deliveryViol(int64(i)*3e6, 1+i%3, 1000+i, 2000+i, 400e3, 350e3))
 	}
-	rep := Correlate(Config{MergeNs: 1e6}, Inputs{Violations: evs})
+	rep := Correlate(Inputs{Violations: evs})
 	var sum int64
 	for _, inc := range rep.Incidents {
 		sum += inc.Violations
@@ -269,19 +269,19 @@ func TestRenderIndependentOfInputOrder(t *testing.T) {
 		evs = append(evs, windowViol(0, 1e6, 1, 3, 7), windowViol(1e6, 2e6, 2, 2, -1))
 		return evs
 	}
-	want := Correlate(Config{}, Inputs{Violations: mk()}).Render()
+	want := Correlate(Inputs{Violations: mk()}).Render()
 
 	rev := mk()
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	if got := Correlate(Config{}, Inputs{Violations: rev}).Render(); got != want {
+	if got := Correlate(Inputs{Violations: rev}).Render(); got != want {
 		t.Fatalf("render depends on input order:\n--- forward ---\n%s--- reversed ---\n%s", want, got)
 	}
 }
 
 func TestReportRoundTrip(t *testing.T) {
-	rep := Correlate(Config{}, Inputs{
+	rep := Correlate(Inputs{
 		Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)},
 		Meta:       &obs.RunMeta{Tool: "test", Version: "deadbeef"},
 	})
@@ -328,7 +328,7 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full")
 // file, and a truncated document.
 func TestReportFileErrors(t *testing.T) {
 	dir := t.TempDir()
-	rep := Correlate(Config{}, Inputs{
+	rep := Correlate(Inputs{
 		Violations: []obs.ViolationEvent{deliveryViol(1e6, 1, 1000, 1001, 400e3, 350e3)},
 	})
 	if err := rep.WriteJSON(failWriter{}); err == nil || err.Error() != "disk full" {
@@ -388,7 +388,7 @@ func TestVerdictJSONRoundTrip(t *testing.T) {
 }
 
 func TestDrillDownRender(t *testing.T) {
-	rep := Correlate(Config{}, Inputs{
+	rep := Correlate(Inputs{
 		Faults: []faults.Window{
 			{Label: "switch-down switch tor0 @500000ns", Target: "switch tor0", StartNs: 0.5e6, EndNs: 2e6, GraceNs: 1e6},
 		},
@@ -425,7 +425,7 @@ func TestRenderCutsReasonAtRuneBoundary(t *testing.T) {
 		for _, vm := range c.vms[len(c.tenants):] {
 			in.Snapshot.Envelopes = append(in.Snapshot.Envelopes, envelope(vm, c.tenants[0], true))
 		}
-		rep := Correlate(Config{}, in)
+		rep := Correlate(in)
 		if v := rep.Incidents[0].Verdict; v != VerdictSelfInflicted {
 			t.Fatalf("tenants %v: verdict %s, want self-inflicted", c.tenants, v)
 		}

@@ -132,11 +132,11 @@ func (r *Report) RenderIncident(id int) string {
 // WriteJSON writes the report as JSON indented two spaces per level,
 // with a trailing newline.
 func (r *Report) WriteJSON(w io.Writer) error {
-	b, err := json.Marshal(r)
+	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(append(obs.AppendIndented(make([]byte, 0, 2*len(b)), b, 0, 2), '\n'))
+	_, err = w.Write(append(b, '\n'))
 	return err
 }
 

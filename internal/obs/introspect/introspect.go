@@ -276,11 +276,11 @@ func (s *Snapshot) WriteFile(path string) error {
 	sorted := *s
 	sorted.Envelopes = append([]VMEnvelope(nil), s.Envelopes...)
 	sort.Slice(sorted.Envelopes, func(i, j int) bool { return sorted.Envelopes[i].VMID < sorted.Envelopes[j].VMID })
-	data, err := json.Marshal(&sorted)
+	data, err := json.MarshalIndent(&sorted, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(obs.AppendIndented(make([]byte, 0, 2*len(data)), data, 0, 2), '\n'), 0o644)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // ReadFile loads a snapshot written by WriteFile.

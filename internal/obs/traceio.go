@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -63,11 +64,11 @@ func writeChromeTrace(w io.Writer, meta *RunMeta, ports []PortMeta, spans []Flig
 		if s.EnqueueNs >= 0 && s.PacingNs > 0 {
 			b = appendEventHead(b, sep, `"pacing"`, "pacer", s.EnqueueNs, s.PacingNs, pid, s.Pkt)
 			sep = ','
-			b = AppendInt(b, `,"args":{"batch_wait_ns":`, s.BatchWaitNs)
+			b = appendInt(b, `,"args":{"batch_wait_ns":`, s.BatchWaitNs)
 			b = append(b, `,"gate":`...)
 			b = append(b, names.gate(s.Gate)...)
 			b = appendUint(b, `,"pkt":`, s.Pkt)
-			b = AppendInt(b, `,"token_wait_ns":`, s.TokenWaitNs)
+			b = appendInt(b, `,"token_wait_ns":`, s.TokenWaitNs)
 			b = append(b, "}}"...)
 		}
 		for j := range s.Hops {
@@ -75,17 +76,17 @@ func writeChromeTrace(w io.Writer, meta *RunMeta, ports []PortMeta, spans []Flig
 			if h.QueueNs > 0 {
 				b = appendEventHead(b, sep, names.port(nameQueue, h.Port), "net", h.ArriveNs, h.QueueNs, pid, s.Pkt)
 				sep = ','
-				b = AppendInt(b, `,"args":{"occupied_bytes":`, h.OccupiedBytes)
+				b = appendInt(b, `,"args":{"occupied_bytes":`, h.OccupiedBytes)
 				b = appendUint(b, `,"pkt":`, s.Pkt)
 				b = append(b, "}}"...)
 			}
 			if h.TxStartNs >= 0 {
 				b = appendEventHead(b, sep, names.port(nameSer, h.Port), "net", h.TxStartNs, h.SerNs, pid, s.Pkt)
 				sep = ','
-				b = AppendInt(b, `,"args":{"bytes":`, s.Bytes)
-				b = AppendInt(b, `,"dst_vm":`, int64(s.DstVM))
+				b = appendInt(b, `,"args":{"bytes":`, s.Bytes)
+				b = appendInt(b, `,"dst_vm":`, int64(s.DstVM))
 				b = appendUint(b, `,"pkt":`, s.Pkt)
-				b = AppendInt(b, `,"src_vm":`, int64(s.SrcVM))
+				b = appendInt(b, `,"src_vm":`, int64(s.SrcVM))
 				b = append(b, "}}"...)
 				if h.PropNs > 0 {
 					b = appendEventHead(b, sep, names.port(nameProp, h.Port), "net", h.TxStartNs+h.SerNs, h.PropNs, pid, s.Pkt)
@@ -146,7 +147,7 @@ func appendEventHead(b []byte, sep byte, name, cat string, tsNs, durNs, pid int6
 		b = append(b, `,"dur":`...)
 		b = appendMicros(b, durNs)
 	}
-	b = AppendInt(b, `,"pid":`, pid)
+	b = appendInt(b, `,"pid":`, pid)
 	return appendUint(b, `,"tid":`, tid)
 }
 
@@ -154,14 +155,14 @@ func appendEventHead(b []byte, sep byte, name, cat string, tsNs, durNs, pid int6
 // struct: every field in declaration order, hops omitted when empty.
 func appendSpan(b []byte, s *FlightSpan) []byte {
 	b = appendUint(b, `{"pkt":`, s.Pkt)
-	b = AppendInt(b, `,"src_vm":`, int64(s.SrcVM))
-	b = AppendInt(b, `,"dst_vm":`, int64(s.DstVM))
-	b = AppendInt(b, `,"bytes":`, s.Bytes)
-	b = AppendInt(b, `,"enqueue_ns":`, s.EnqueueNs)
-	b = AppendInt(b, `,"admit_ns":`, s.AdmitNs)
+	b = appendInt(b, `,"src_vm":`, int64(s.SrcVM))
+	b = appendInt(b, `,"dst_vm":`, int64(s.DstVM))
+	b = appendInt(b, `,"bytes":`, s.Bytes)
+	b = appendInt(b, `,"enqueue_ns":`, s.EnqueueNs)
+	b = appendInt(b, `,"admit_ns":`, s.AdmitNs)
 	b = appendUint(b, `,"gate":`, uint64(s.Gate))
-	b = AppendInt(b, `,"wire_ns":`, s.WireNs)
-	b = AppendInt(b, `,"deliver_ns":`, s.DeliverNs)
+	b = appendInt(b, `,"wire_ns":`, s.WireNs)
+	b = appendInt(b, `,"deliver_ns":`, s.DeliverNs)
 	for i := range s.Hops {
 		h := &s.Hops[i]
 		if i == 0 {
@@ -169,36 +170,57 @@ func appendSpan(b []byte, s *FlightSpan) []byte {
 		} else {
 			b = append(b, ',')
 		}
-		b = AppendInt(b, `{"port":`, int64(h.Port))
-		b = AppendInt(b, `,"arrive_ns":`, h.ArriveNs)
-		b = AppendInt(b, `,"tx_start_ns":`, h.TxStartNs)
-		b = AppendInt(b, `,"ser_ns":`, h.SerNs)
-		b = AppendInt(b, `,"prop_ns":`, h.PropNs)
-		b = AppendInt(b, `,"queue_ns":`, h.QueueNs)
-		b = AppendInt(b, `,"occupied_bytes":`, h.OccupiedBytes)
+		b = appendInt(b, `{"port":`, int64(h.Port))
+		b = appendInt(b, `,"arrive_ns":`, h.ArriveNs)
+		b = appendInt(b, `,"tx_start_ns":`, h.TxStartNs)
+		b = appendInt(b, `,"ser_ns":`, h.SerNs)
+		b = appendInt(b, `,"prop_ns":`, h.PropNs)
+		b = appendInt(b, `,"queue_ns":`, h.QueueNs)
+		b = appendInt(b, `,"occupied_bytes":`, h.OccupiedBytes)
 		b = append(b, '}')
 	}
 	if len(s.Hops) > 0 {
 		b = append(b, ']')
 	}
-	b = AppendInt(b, `,"token_wait_ns":`, s.TokenWaitNs)
-	b = AppendInt(b, `,"batch_wait_ns":`, s.BatchWaitNs)
-	b = AppendInt(b, `,"pacing_ns":`, s.PacingNs)
-	b = AppendInt(b, `,"queue_ns":`, s.QueueNs)
-	b = AppendInt(b, `,"ser_ns":`, s.SerNs)
-	b = AppendInt(b, `,"prop_ns":`, s.PropNs)
-	b = AppendInt(b, `,"total_ns":`, s.TotalNs)
-	b = AppendInt(b, `,"worst_port":`, int64(s.WorstPort))
-	b = AppendInt(b, `,"worst_queue_ns":`, s.WorstQueueNs)
+	b = appendInt(b, `,"token_wait_ns":`, s.TokenWaitNs)
+	b = appendInt(b, `,"batch_wait_ns":`, s.BatchWaitNs)
+	b = appendInt(b, `,"pacing_ns":`, s.PacingNs)
+	b = appendInt(b, `,"queue_ns":`, s.QueueNs)
+	b = appendInt(b, `,"ser_ns":`, s.SerNs)
+	b = appendInt(b, `,"prop_ns":`, s.PropNs)
+	b = appendInt(b, `,"total_ns":`, s.TotalNs)
+	b = appendInt(b, `,"worst_port":`, int64(s.WorstPort))
+	b = appendInt(b, `,"worst_queue_ns":`, s.WorstQueueNs)
 	b = append(b, `,"complete":`...)
 	b = strconv.AppendBool(b, s.Complete)
-	b = AppendInt(b, `,"tenant_id":`, int64(s.TenantID))
-	b = AppendInt(b, `,"bound_ns":`, s.BoundNs)
+	b = appendInt(b, `,"tenant_id":`, int64(s.TenantID))
+	b = appendInt(b, `,"bound_ns":`, s.BoundNs)
 	return append(b, '}')
+}
+
+// appendInt appends key, then v in decimal.
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
 }
 
 func appendUint(b []byte, key string, v uint64) []byte {
 	return strconv.AppendUint(append(b, key...), v, 10)
+}
+
+// appendJSONFloat formats a finite f as encoding/json does: shortest
+// 'f', or 'e' with a one-digit exponent unpadded outside [1e-6, 1e21).
+// NaN and ±Inf have no JSON form; callers reject them first.
+func appendJSONFloat(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	if abs == 0 || (abs >= 1e-6 && abs < 1e21) {
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 -> e-9
+		b = b[:n-1]
+	}
+	return b
 }
 
 // appendMicros writes ns as the microseconds encoding/json gives
@@ -208,7 +230,7 @@ func appendUint(b []byte, key string, v uint64) []byte {
 // the float formatter. Larger or negative values take the float path.
 func appendMicros(b []byte, ns int64) []byte {
 	if ns < 0 || ns >= 1e15 {
-		return AppendJSONFloat(b, float64(ns)/1e3)
+		return appendJSONFloat(b, float64(ns)/1e3)
 	}
 	b = strconv.AppendInt(b, ns/1000, 10)
 	frac := ns % 1000
@@ -257,8 +279,12 @@ func (n *eventNames) gate(g uint8) string {
 	return n.gates[g]
 }
 
-// quoteJSON renders s as encoding/json does inside a document.
-func quoteJSON(s string) string { return string(AppendJSONString(nil, s)) }
+// quoteJSON renders s as encoding/json does inside a document. A
+// string always marshals: invalid UTF-8 becomes U+FFFD.
+func quoteJSON(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
+}
 
 // WriteTraceFileMeta writes a recording to path as Chrome trace JSON,
 // with run provenance (nil for none) stamped under otherData.silo.meta

@@ -208,8 +208,8 @@ func TestAppendJSONFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendJSONFloat(nil, f); !bytes.Equal(got, want) {
-			t.Errorf("AppendJSONFloat(%g) = %s, encoding/json writes %s", f, got, want)
+		if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
+			t.Errorf("appendJSONFloat(%g) = %s, encoding/json writes %s", f, got, want)
 		}
 	}
 }
@@ -229,7 +229,7 @@ func TestAppendMicrosProperty(t *testing.T) {
 		vals = append(vals, rng.Int63n(int64(math.Pow(10, 1+15*rng.Float64()))))
 	}
 	for _, ns := range vals {
-		want := AppendJSONFloat(nil, float64(ns)/1e3)
+		want := appendJSONFloat(nil, float64(ns)/1e3)
 		if ns >= 0 && ns < 1e15 {
 			if f := strconv.AppendFloat(nil, float64(ns)/1e3, 'f', -1, 64); !bytes.Equal(f, want) {
 				t.Fatalf("seed %d: ns %d: strconv writes %s, encoding/json %s", seed, ns, f, want)
@@ -237,31 +237,6 @@ func TestAppendMicrosProperty(t *testing.T) {
 		}
 		if got := appendMicros(nil, ns); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: appendMicros(%d) = %s, float path writes %s", seed, ns, got, want)
-		}
-	}
-}
-
-// TestAppendJSONStringProperty compares AppendJSONString with
-// encoding/json on random strings over the characters it treats
-// specially: quotes, backslashes, control bytes, HTML metacharacters,
-// U+2028/U+2029, invalid UTF-8. Each run draws a fresh seed.
-func TestAppendJSONStringProperty(t *testing.T) {
-	seed := time.Now().UnixNano()
-	rng := rand.New(rand.NewSource(seed))
-	pieces := []string{`"`, `\`, "<", ">", "&", "\u2028", "\u2029", "\n", "\t", "\b", "\f", "\r", "\x00", "\x1f",
-		"\x7f", "\xff", "\xe2\x80", "é", "µ", "\U0001F600", "a", " ", "/"}
-	for i := 0; i < 20_000; i++ {
-		var s []byte
-		for n := rng.Intn(8); n > 0; n-- {
-			if rng.Intn(4) == 0 {
-				s = append(s, byte(rng.Intn(256)))
-			} else {
-				s = append(s, pieces[rng.Intn(len(pieces))]...)
-			}
-		}
-		want, _ := json.Marshal(string(s))
-		if got := AppendJSONString(nil, string(s)); !bytes.Equal(got, want) {
-			t.Fatalf("seed %d: AppendJSONString(%q) = %s, encoding/json writes %s", seed, s, got, want)
 		}
 	}
 }

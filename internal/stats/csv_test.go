@@ -5,61 +5,48 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-func TestWriteCSVFormatting(t *testing.T) {
-	var b strings.Builder
-	err := WriteCSVComment(&b, "",
-		[]string{"x", "y", "z"},
-		[][]float64{{1, 2.5, 0.001}, {-3, 1e6, 0}})
+// writeCSVFile writes a CSV with WriteCSVFileComment into a fresh
+// directory and returns the file's contents.
+func writeCSVFile(t *testing.T, comment string, header []string, rows [][]float64) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := WriteCSVFileComment(dir, "out.csv", comment, header, rows); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "out.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "x,y,z\n1,2.5,0.001\n-3,1e+06,0\n"
-	if b.String() != want {
-		t.Errorf("got %q, want %q", b.String(), want)
-	}
+	return string(b)
 }
 
-func TestWriteCSVHeaderOnly(t *testing.T) {
-	var b strings.Builder
-	if err := WriteCSVComment(&b, "", []string{"a", "b"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != "a,b\n" {
-		t.Errorf("got %q", b.String())
-	}
-}
-
-type failWriter struct{ n int }
-
-func (w *failWriter) Write(p []byte) (int, error) {
-	w.n--
-	if w.n < 0 {
-		return 0, os.ErrClosed
-	}
-	return len(p), nil
-}
-
-func TestWriteCSVPropagatesErrors(t *testing.T) {
-	// 20,000 rows leave in several buffer-sized writes; fail the first
-	// and the second.
-	rows := make([][]float64, 20000)
-	for i := range rows {
-		rows[i] = []float64{float64(i), 0.5}
-	}
-	for _, okWrites := range []int{0, 1} {
-		err := WriteCSVComment(&failWriter{n: okWrites}, "", []string{"a", "b"}, rows)
-		if err == nil {
-			t.Errorf("okWrites=%d: writer error swallowed", okWrites)
+func TestWriteCSVFormatting(t *testing.T) {
+	for _, c := range []struct {
+		header []string
+		rows   [][]float64
+		want   string
+	}{
+		{[]string{"x", "y", "z"}, [][]float64{{1, 2.5, 0.001}, {-3, 1e6, 0}}, "x,y,z\n1,2.5,0.001\n-3,1e+06,0\n"},
+		{[]string{"x", "y"}, [][]float64{{1, 2}, {3.5, 4}}, "x,y\n1,2\n3.5,4\n"},
+		{[]string{"v"}, [][]float64{{7}}, "v\n7\n"},
+	} {
+		if got := writeCSVFile(t, "", c.header, c.rows); got != c.want {
+			t.Errorf("got %q, want %q", got, c.want)
 		}
 	}
 }
 
+func TestWriteCSVHeaderOnly(t *testing.T) {
+	if got := writeCSVFile(t, "", []string{"a", "b"}, nil); got != "a,b\n" {
+		t.Errorf("got %q", got)
+	}
+}
+
 // TestWriteCSVCellsMatchPercentG: cells are what fmt.Sprintf("%g")
-// wrote before rows were formatted with strconv.
+// wrote before rows were formatted with strconv, after the "#" comment.
 func TestWriteCSVCellsMatchPercentG(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, 0.001, 1e6, 1e20, 1e21, 1e-4, 1e-5, 1e-7,
 		8594229649871, 1 << 53, 1<<53 + 1, 123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64,
@@ -70,57 +57,15 @@ func TestWriteCSVCellsMatchPercentG(t *testing.T) {
 		rows[i] = []float64{v, v}
 		want += fmt.Sprintf("%g,%g\n", v, v)
 	}
-	var b strings.Builder
-	if err := WriteCSVComment(&b, "run: x", []string{"v"}, rows); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.String(); got != "# run: x\n"+want {
-		t.Errorf("got %q, want %q", got, "# run: x\n"+want)
-	}
-}
-
-type countingWriter struct{ writes, bytes int }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	w.bytes += len(p)
-	return len(p), nil
-}
-
-// TestCSVWriterBuffersRows: a long table reaches the writer in
-// buffer-sized pieces, not a write per row.
-func TestCSVWriterBuffersRows(t *testing.T) {
-	var w countingWriter
-	c := NewCSVWriter(&w, "", []string{"i", "x", "y"})
-	for i := 0; i < 40000; i++ {
-		c.Row(float64(i), 0.25, 8594229649871)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if max := w.bytes/(64<<10) + 1; w.writes > max {
-		t.Errorf("%d writes for %d bytes, want at most %d", w.writes, w.bytes, max)
-	}
-}
-
-func TestWriteCSVFileNestedDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "nested", "out")
-	err := WriteCSVFileComment(dir, "series.csv", "",
-		[]string{"v", "f"}, [][]float64{{10, 0.5}, {20, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(dir, "series.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(b); got != "v,f\n10,0.5\n20,1\n" {
-		t.Errorf("file contents %q", got)
+	for _, comment := range []string{"run: x", "# run: x"} {
+		if got := writeCSVFile(t, comment, []string{"v"}, rows); got != "# run: x\n"+want {
+			t.Errorf("comment %q: got %q, want %q", comment, got, "# run: x\n"+want)
+		}
 	}
 }
 
 func TestWriteCSVFileBadDir(t *testing.T) {
-	// A file where the directory should be makes MkdirAll fail.
+	// A file where the directory should be makes the write fail.
 	tmp := t.TempDir()
 	blocker := filepath.Join(tmp, "blocker")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {

@@ -2,9 +2,6 @@ package stats
 
 import (
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -215,32 +212,6 @@ func TestSummaryString(t *testing.T) {
 	s.AddAll([]float64{1, 2, 3})
 	if out := s.Summary("ms"); out == "" {
 		t.Error("empty Summary")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	var b strings.Builder
-	err := WriteCSVComment(&b, "", []string{"x", "y"}, [][]float64{{1, 2}, {3.5, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "x,y\n1,2\n3.5,4\n"
-	if b.String() != want {
-		t.Errorf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
-func TestWriteCSVFile(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteCSVFileComment(dir, "out.csv", "", []string{"v"}, [][]float64{{7}}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "out.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "v\n7\n" {
-		t.Errorf("file = %q", data)
 	}
 }
 
