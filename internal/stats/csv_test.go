@@ -24,18 +24,9 @@ func writeCSVFile(t *testing.T, comment string, header []string, rows [][]float6
 }
 
 func TestWriteCSVFormatting(t *testing.T) {
-	for _, c := range []struct {
-		header []string
-		rows   [][]float64
-		want   string
-	}{
-		{[]string{"x", "y", "z"}, [][]float64{{1, 2.5, 0.001}, {-3, 1e6, 0}}, "x,y,z\n1,2.5,0.001\n-3,1e+06,0\n"},
-		{[]string{"x", "y"}, [][]float64{{1, 2}, {3.5, 4}}, "x,y\n1,2\n3.5,4\n"},
-		{[]string{"v"}, [][]float64{{7}}, "v\n7\n"},
-	} {
-		if got := writeCSVFile(t, "", c.header, c.rows); got != c.want {
-			t.Errorf("got %q, want %q", got, c.want)
-		}
+	got := writeCSVFile(t, "", []string{"x", "y", "z"}, [][]float64{{1, 2.5, 0.001}, {-3, 1e6, 0}})
+	if want := "x,y,z\n1,2.5,0.001\n-3,1e+06,0\n"; got != want {
+		t.Errorf("got %q, want %q", got, want)
 	}
 }
 

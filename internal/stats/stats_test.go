@@ -215,6 +215,20 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
+func TestWriteCSV(t *testing.T) {
+	got := writeCSVFile(t, "", []string{"x", "y"}, [][]float64{{1, 2}, {3.5, 4}})
+	if want := "x,y\n1,2\n3.5,4\n"; got != want {
+		t.Errorf("CSV = %q, want %q", got, want)
+	}
+}
+
+func TestWriteCSVFile(t *testing.T) {
+	got := writeCSVFile(t, "", []string{"v"}, [][]float64{{7}})
+	if got != "v\n7\n" {
+		t.Errorf("file = %q", got)
+	}
+}
+
 func TestCDFRows(t *testing.T) {
 	s := NewSample(0)
 	for i := 1; i <= 100; i++ {
