@@ -15,9 +15,12 @@
 // 100K-host placement stream; -requests sizes it), besteffort,
 // burststress, faultdrill, soak (durable control-plane chaos soak;
 // -requests sets its crash/recovery cycles, -duration its wall-clock
-// timeout, -soak-report writes the JSON verdict). A flag that none of
-// the selected experiments reads, or a negative -requests or
-// -duration, exits 2 before anything runs.
+// timeout, -soak-report writes the JSON verdict). fig1, fig5, fig11,
+// besteffort, burststress and faultdrill run the committed setups
+// internal/experiments/scenarios/<name>.json; -seed and -duration, where
+// an experiment reads them, replace every line's seed and horizon. A
+// flag that none of the selected experiments reads, or a negative
+// -requests or -duration, exits 2 before anything runs.
 package main
 
 import (
@@ -29,7 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -46,6 +48,26 @@ var runMeta obs.RunMeta
 
 // stamp records the seed the running experiment resolved in runMeta.
 func stamp(seed uint64) { runMeta.Seed = int64(seed) }
+
+// scenarios loads the committed setup scenarios/<name>.json of
+// internal/experiments with -seed and -duration, when set, applied to
+// every line, and stamps the seed it resolved.
+func scenarios(name string, seed uint64, duration float64) ([]experiments.Scenario, error) {
+	lines, err := experiments.Scenarios(name)
+	if err != nil {
+		return nil, err
+	}
+	for i := range lines {
+		if seed != 0 {
+			lines[i].Seed = seed
+		}
+		if duration > 0 {
+			lines[i].HorizonNs = int64(duration * 1e9)
+		}
+	}
+	stamp(lines[0].Seed)
+	return lines, nil
+}
 
 // writeCSV drops a CSV into outdir if one was requested.
 func writeCSV(name string, header []string, rows [][]float64) {
@@ -85,7 +107,7 @@ func main() {
 		"fig16b":      {func() error { return runFig16b(*seed) }, "seed"},
 		"placeub":     {func() error { return runPlaceUB(*requests, *seed) }, "requests seed"},
 		"besteffort":  {func() error { return runBestEffort(*duration, *seed) }, "duration seed"},
-		"burststress": {runBurstStressCmd, ""},
+		"burststress": {runBurstStress, ""},
 		"faultdrill":  {func() error { return runFaultDrill(*seed) }, "seed outdir"},
 		"soak":        {func() error { return runSoak(*requests, *duration, *seed, *soakReport) }, "requests duration seed soak-report"},
 	}
@@ -154,16 +176,12 @@ func main() {
 }
 
 func runFig1(duration float64, seed uint64) error {
-	p := experiments.DefaultMemcachedParams()
-	if duration > 0 {
-		p.DurationSec = duration
+	lines, err := scenarios("fig1", seed, duration)
+	if err != nil {
+		return err
 	}
-	if seed != 0 {
-		p.Seed = seed
-	}
-	stamp(p.Seed)
 	fmt.Println("Figure 1 — memcached request latency, alone vs with netperf (plain TCP):")
-	rs, err := experiments.RunFigure1(p)
+	rs, err := experiments.RunMemcached(lines)
 	if err != nil {
 		return err
 	}
@@ -199,14 +217,18 @@ func runTable1(seed uint64) error {
 }
 
 func runFig5() error {
+	lines, err := scenarios("fig5", 0, 0)
+	if err != nil {
+		return err
+	}
 	fmt.Println("Figure 5 — bandwidth-aware vs Silo placement of 9 x {1 Gbps, 100 KB, 1 ms}:")
-	r, err := experiments.RunFigure5()
+	r, err := experiments.RunFigure5(lines[0])
 	if err != nil {
 		return err
 	}
 	fmt.Print(r.Render())
 	fmt.Println("packet-level check — synchronized worst-case bursts with latency attribution:")
-	rs, err := experiments.RunFigure5Sim(experiments.Figure5SimParams{})
+	rs, err := experiments.RunFigure5Sim(lines[0])
 	if err != nil {
 		return err
 	}
@@ -220,11 +242,7 @@ func runFig5() error {
 		}
 	}
 	fmt.Println("incident check — same workload unpaced under a 350 µs audited bound:")
-	ru, err := experiments.RunFigure5Sim(experiments.Figure5SimParams{
-		Scheme:             core.SchemeTCP,
-		Incidents:          true,
-		AuditDelayBoundSec: 350e-6,
-	})
+	ru, err := experiments.RunFigure5Sim(lines[1])
 	if err != nil {
 		return err
 	}
@@ -259,16 +277,12 @@ func runFig10() error {
 }
 
 func runFig11(duration float64, seed uint64) error {
-	p := experiments.DefaultMemcachedParams()
-	if duration > 0 {
-		p.DurationSec = duration
+	lines, err := scenarios("fig11", seed, duration)
+	if err != nil {
+		return err
 	}
-	if seed != 0 {
-		p.Seed = seed
-	}
-	stamp(p.Seed)
 	fmt.Println("Figure 11 — memcached under TCP vs Silo req1-3 (latency, guarantee, throughput):")
-	rs, err := experiments.RunFigure11(p)
+	rs, err := experiments.RunMemcached(lines)
 	if err != nil {
 		return err
 	}
@@ -388,16 +402,12 @@ func runFig16b(seed uint64) error {
 }
 
 func runBestEffort(duration float64, seed uint64) error {
-	p := experiments.DefaultBestEffortParams()
-	if duration > 0 {
-		p.DurationSec = duration
+	lines, err := scenarios("besteffort", seed, duration)
+	if err != nil {
+		return err
 	}
-	if seed != 0 {
-		p.Seed = seed
-	}
-	stamp(p.Seed)
 	fmt.Println("§4.4 — best-effort tenants on the low 802.1q class:")
-	r, err := experiments.RunBestEffort(p)
+	r, err := experiments.RunBestEffort(lines)
 	if err != nil {
 		return err
 	}
@@ -405,9 +415,13 @@ func runBestEffort(duration float64, seed uint64) error {
 	return nil
 }
 
-func runBurstStressCmd() error {
+func runBurstStress() error {
+	lines, err := scenarios("burststress", 0, 0)
+	if err != nil {
+		return err
+	}
 	fmt.Println("Synchronized-burst stress — Figure 5's principle at runtime (Silo vs Okto+):")
-	rs, err := experiments.RunBurstStressComparison()
+	rs, err := experiments.RunBurstStress(lines)
 	if err != nil {
 		return err
 	}
@@ -419,12 +433,12 @@ func runBurstStressCmd() error {
 var drillVerdictCode = map[string]float64{"ok": 0, "relocated": 1, "degraded": 2, "evicted": 3}
 
 func runFaultDrill(seed uint64) error {
-	if seed == 0 {
-		seed = experiments.FailureDrillSeed
+	lines, err := scenarios("faultdrill", seed, 0)
+	if err != nil {
+		return err
 	}
-	stamp(seed)
 	fmt.Println("Failure drill — ToR death under admitted load: evacuation, re-admission, delay audit and 1 ms violation windows:")
-	r, err := experiments.RunFailureDrill(seed)
+	r, err := experiments.RunFailureDrill(lines[0])
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/tenant"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -126,13 +125,13 @@ func main() {
 			// Tenant A: all-to-one bursts.
 			Spec:   tenant.Spec{ID: 1, Name: "oldi", VMs: *vmsA, Guarantee: gA, FaultDomains: 2},
 			VMBase: 1000,
-			Hose:   experiments.Hose{Kind: experiments.HoseFairShare, Pattern: workload.AllToOne(*vmsA)},
+			Hose:   experiments.Hose{Kind: experiments.HoseFairShare, Pattern: experiments.PatternAllToOne},
 			Driver: experiments.Driver{Kind: experiments.DriverOLDI, MsgBytes: msg},
 		}, {
 			// Tenant B: continuous shuffle.
 			Spec:   tenant.Spec{ID: 2, Name: "shuffle", VMs: *vmsB, Guarantee: gB, FaultDomains: 2},
 			VMBase: 2000,
-			Hose:   experiments.Hose{Kind: experiments.HoseFairShare, Pattern: workload.AllToAll(*vmsB)},
+			Hose:   experiments.Hose{Kind: experiments.HoseFairShare, Pattern: experiments.PatternAllToAll},
 			Driver: experiments.Driver{Kind: experiments.DriverShuffle, MsgBytes: 1 << 20},
 		}},
 		HorizonNs: int64(*duration * 1e9),

@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -62,6 +63,36 @@ func splitEngineCounters(t *testing.T, file string, b []byte) (rest []byte, engi
 		t.Fatal(err)
 	}
 	return out, fmt.Sprintf("%s runtime %s\n", file, rt)
+}
+
+// checkSeries decodes a run's series.json: it holds exactly the keys
+// title, runtime and meta, and meta names the run's scheme and seed
+// (the planes runs leave -seed at its default, 3). The artifact hashes
+// pin the rest; this says what moved when they break.
+func checkSeries(t *testing.T, b []byte, scheme string) {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("series.json: %v", err)
+	}
+	var keys []string
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got := strings.Join(keys, " "); got != "meta runtime title" {
+		t.Errorf("series.json keys = %s, want meta runtime title", got)
+	}
+	var meta struct {
+		Seed   int64  `json:"seed"`
+		Scheme string `json:"scheme"`
+	}
+	if err := json.Unmarshal(doc["meta"], &meta); err != nil {
+		t.Fatalf("series.json meta: %v", err)
+	}
+	if meta.Seed != 3 || meta.Scheme != scheme {
+		t.Errorf("series.json meta: seed %d, scheme %q; want 3, %q", meta.Seed, meta.Scheme, scheme)
+	}
 }
 
 // TestCLI builds silo-sim once and drives it the way the sim_obs
@@ -171,6 +202,9 @@ func TestCLI(t *testing.T) {
 				b, err := os.ReadFile(filepath.Join(dir, a.file))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if a.file == "series.json" {
+					checkSeries(t, b, c.args[1])
 				}
 				rest, eng := splitEngineCounters(t, a.file, versionRE.ReplaceAll(b, []byte(`${1}"`)))
 				fmt.Fprintf(&sums, "%x  %s\n", sha256.Sum256(rest), a.file)

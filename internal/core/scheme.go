@@ -73,6 +73,15 @@ func ParseScheme(name string) (Scheme, error) {
 	return 0, fmt.Errorf("unknown scheme %q", name)
 }
 
+// MarshalText writes the scheme by name, as a scenario file spells it.
+func (s Scheme) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads a scheme name (ParseScheme).
+func (s *Scheme) UnmarshalText(b []byte) (err error) {
+	*s, err = ParseScheme(string(b))
+	return err
+}
+
 // Paced reports whether the scheme rate-limits VM egress.
 func (s Scheme) Paced() bool {
 	return s == SchemeSilo || s == SchemeOkto || s == SchemeOktoPlus

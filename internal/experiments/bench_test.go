@@ -13,9 +13,9 @@ import "testing"
 // flight-recorder sampling divisor (0 = tracing off).
 func benchFig5Sim(b *testing.B, sampleN int) {
 	for i := 0; i < b.N; i++ {
-		sc := figure5SimScenario(Figure5SimParams{})
+		sc := mustScenarios(b, "fig5")[0]
 		sc.Planes.TraceSampleN = sampleN
-		r, err := runFigure5Sim(sc)
+		r, err := RunFigure5Sim(sc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,7 +8,7 @@ func TestBestEffortCoexistence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level simulation")
 	}
-	r, err := RunBestEffort(DefaultBestEffortParams())
+	r, err := RunBestEffort(mustScenarios(t, "besteffort"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,31 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/tenant"
-	"repro/internal/units"
-	"repro/internal/workload"
-)
-
-// The synchronized-burst stress test is the runtime demonstration of
-// Figure 5's principle and the mechanism behind Okto+'s Table-4
-// outliers: placement that guarantees bandwidth but ignores bursts
-// admits tenant sets whose simultaneous (allowed!) bursts overflow
-// switch buffers. Silo's queuing constraint instead rejects tenants it
-// cannot absorb, and the ones it admits never lose a packet. It is
-// sized so that bandwidth-only admission accepts every tenant while
-// the combined worst-case burst is ~3x the port buffer.
-const (
-	// burstTenants are offered for admission; each has burstSenders+1
-	// VMs, the receiver pinned by fault domains to spread across
-	// servers.
-	burstTenants = 8
-	// burstSenders per tenant, each bursting burstBytes simultaneously
-	// at the worst possible moment.
-	burstSenders = 3
-	burstBytes   = 30e3
-	// burstBandwidthBps per VM (modest: bandwidth-only admission
-	// accepts everything).
-	burstBandwidthBps = 0.4 * units.Gbps
 )
 
 // BurstStressResult compares the two schemes under the same offered
@@ -47,69 +22,47 @@ type BurstStressResult struct {
 	WorstBoundOK bool
 }
 
-// RunBurstStress admits tenants with the scheme's placer and fires
-// every admitted tenant's senders simultaneously at t=0 — the
-// synchronized worst case the placement must have budgeted for.
-func RunBurstStress(scheme core.Scheme) (BurstStressResult, error) {
-	g := tenant.Guarantee{
-		BandwidthBps: burstBandwidthBps,
-		BurstBytes:   burstBytes,
-		DelayBound:   1e-3,
-		BurstRateBps: 10 * units.Gbps,
-	}
-	sc := Scenario{
-		Topology: TenGbE(1, 1, 4, 8, 1, 1),
-		Scheme:   scheme,
-		VMBase:   1000,
-		VMGap:    4,
-		DrainNs:  10e9,
-	}
-	for i := 0; i < burstTenants; i++ {
-		sc.Tenants = append(sc.Tenants, Tenant{
-			Spec: tenant.Spec{
-				ID:           i + 1,
-				Name:         fmt.Sprintf("burst-%d", i+1),
-				VMs:          burstSenders + 1,
-				Guarantee:    g,
-				FaultDomains: burstSenders + 1, // one VM per server: maximal fan-in
-			},
-			// Receiver is VM 0; static fair share (all senders always
-			// burst together here).
-			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(burstSenders + 1)},
-			Driver: Driver{Kind: DriverBurst, MsgBytes: burstBytes},
-		})
-	}
-	run, err := RunScenario(sc, Env{})
-	if err != nil {
-		return BurstStressResult{}, err
-	}
-	res := BurstStressResult{
-		Scheme:      scheme,
-		Offered:     burstTenants,
-		Admitted:    len(run.Tenants),
-		Drops:       run.Net.TotalDrops(),
-		GuaranteeUs: g.MessageLatencyBound(burstBytes) * 1e6,
-	}
-	lat := stats.NewSample(256)
-	for _, tr := range run.Tenants {
-		res.Messages += tr.Messages
-		lat.AddAll(tr.LatencyUs.Values())
-	}
-	res.P99LatencyUs = lat.Percentile(99)
-	res.MessagesLate = int(float64(lat.Len()) * lat.FractionAbove(res.GuaranteeUs))
-	res.WorstBoundOK = lat.Len() == res.Messages && lat.Max() <= res.GuaranteeUs
-	return res, nil
-}
-
-// RunBurstStressComparison runs Silo and Okto+ over the same stress.
-func RunBurstStressComparison() ([]BurstStressResult, error) {
+// RunBurstStress runs each line of scenarios/burststress.json — Silo,
+// then Okto+, over the same offered tenants — and fires every admitted
+// tenant's senders simultaneously at t=0: the synchronized worst case
+// the placement must have budgeted for.
+//
+// It is the runtime demonstration of Figure 5's principle and the
+// mechanism behind Okto+'s Table-4 outliers: placement that guarantees
+// bandwidth but ignores bursts admits tenant sets whose simultaneous
+// (allowed!) bursts overflow switch buffers. Silo's queuing constraint
+// instead rejects tenants it cannot absorb, and the ones it admits
+// never lose a packet. It is sized so that bandwidth-only admission
+// accepts every tenant while the combined worst-case burst is ~3x the
+// port buffer: eight tenants of one receiver and three senders, one VM
+// per server by fault domains (maximal fan-in) on four 8-slot servers,
+// each sender bursting 30 KB at 0.4 Gbps (modest: bandwidth-only
+// admission accepts everything) under a static fair-share hose (all
+// senders always burst together here).
+func RunBurstStress(lines []Scenario) ([]BurstStressResult, error) {
 	var out []BurstStressResult
-	for _, s := range []core.Scheme{core.SchemeSilo, core.SchemeOktoPlus} {
-		r, err := RunBurstStress(s)
+	for _, sc := range lines {
+		run, err := RunScenario(sc, Env{})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r)
+		t := sc.Tenants[0]
+		res := BurstStressResult{
+			Scheme:      sc.Scheme,
+			Offered:     len(sc.Tenants),
+			Admitted:    len(run.Tenants),
+			Drops:       run.Net.TotalDrops(),
+			GuaranteeUs: t.Spec.Guarantee.MessageLatencyBound(float64(t.Driver.MsgBytes)) * 1e6,
+		}
+		lat := stats.NewSample(256)
+		for _, tr := range run.Tenants {
+			res.Messages += tr.Messages
+			lat.AddAll(tr.LatencyUs.Values())
+		}
+		res.P99LatencyUs = lat.Percentile(99)
+		res.MessagesLate = int(float64(lat.Len()) * lat.FractionAbove(res.GuaranteeUs))
+		res.WorstBoundOK = lat.Len() == res.Messages && lat.Max() <= res.GuaranteeUs
+		out = append(out, res)
 	}
 	return out, nil
 }

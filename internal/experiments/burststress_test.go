@@ -13,7 +13,7 @@ func TestBurstStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level simulation")
 	}
-	rs, err := RunBurstStressComparison()
+	rs, err := RunBurstStress(mustScenarios(t, "burststress"))
 	if err != nil {
 		t.Fatal(err)
 	}

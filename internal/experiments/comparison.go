@@ -8,39 +8,33 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // ComparisonParams configures the §6.2 packet-level comparison of
 // Silo against TCP, DCTCP, HULL, Oktopus and Okto+ (Figures 12–14,
 // Table 4). The paper simulates 10 racks × 40 servers × 8 VMs; this
-// tree is scaled down to 4 servers × 4 slots per rack (same shape,
-// tractable event counts), with the paper's 1:5 rack uplink
-// oversubscription and 90% of the slots to fill.
+// tree keeps the 10 racks but scales each down to 4 servers × 4 slots
+// (same shape, tractable event counts), with the paper's 1:5 rack
+// uplink oversubscription, 90% of the slots to fill and 2 MB class-B
+// messages.
 type ComparisonParams struct {
-	// Racks of the tree.
-	Racks int
 	// DurationSec of offered load (plus drain).
 	DurationSec float64
-	// ClassBMsgBytes is the class-B bulk message size.
-	ClassBMsgBytes int
-	Seed           uint64
+	Seed        uint64
 }
 
 // DefaultComparisonParams returns a laptop-scale configuration.
 func DefaultComparisonParams() ComparisonParams {
-	return ComparisonParams{
-		Racks:          10,
-		DurationSec:    0.05,
-		ClassBMsgBytes: 2 << 20,
-		Seed:           11,
-	}
+	return ComparisonParams{DurationSec: 0.05, Seed: 11}
 }
 
 // The comparison's fixed tree and tenant mix.
 const (
+	comparisonRacks          = 10
 	comparisonServersPerRack = 4
 	comparisonSlotsPerServer = 4
+	// comparisonSlots is the number of VM slots in the tree.
+	comparisonSlots = comparisonRacks * comparisonServersPerRack * comparisonSlotsPerServer
 	// comparisonOversub is the rack uplink oversubscription (paper: 1:5).
 	comparisonOversub = 5
 	// comparisonOccupancy is the fraction of slots to fill (paper: 90%).
@@ -50,12 +44,9 @@ const (
 	comparisonClassAFrac = 0.5
 	// comparisonAvgTenantVMs is the mean tenant size.
 	comparisonAvgTenantVMs = 9
+	// comparisonClassBMsgBytes is the class-B bulk message size.
+	comparisonClassBMsgBytes = 2 << 20
 )
-
-// slots is the number of VM slots in the comparison's tree.
-func (p ComparisonParams) slots() int {
-	return p.Racks * comparisonServersPerRack * comparisonSlotsPerServer
-}
 
 // tenantRequest is one entry of the shared tenant stream.
 type tenantRequest struct {
@@ -66,10 +57,10 @@ type tenantRequest struct {
 
 // tenantStream draws the same tenant sequence for every scheme
 // (Table 3 parameters, exponentially distributed as in the paper).
-func tenantStream(p ComparisonParams, rng *stats.Rand) []tenantRequest {
+func tenantStream(rng *stats.Rand) []tenantRequest {
 	var reqs []tenantRequest
 	total := 0
-	for total < 3*p.slots() { // more than any scheme can admit
+	for total < 3*comparisonSlots { // more than any scheme can admit
 		classA := rng.Float64() < comparisonClassAFrac
 		vms := int(rng.Exp(comparisonAvgTenantVMs))
 		if vms < 4 {
@@ -210,10 +201,15 @@ func (r SchemeResult) ClassBNormalizedLatency() *stats.Sample {
 
 // RunComparison runs every scheme over the same tenant stream.
 func RunComparison(p ComparisonParams) ([]SchemeResult, error) {
-	stream := tenantStream(p, stats.NewRand(p.Seed))
+	return runComparison(comparisonScenario(p))
+}
+
+// runComparison runs the scenario under every scheme in turn.
+func runComparison(sc Scenario) ([]SchemeResult, error) {
 	var out []SchemeResult
 	for _, s := range core.AllSchemes {
-		r, err := runScheme(p, s, stream)
+		sc.Scheme = s
+		r, err := runScheme(sc)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s, err)
 		}
@@ -222,23 +218,22 @@ func RunComparison(p ComparisonParams) ([]SchemeResult, error) {
 	return out, nil
 }
 
-// comparisonScenario offers the stream to one scheme: class A runs the
-// OLDI pattern with responses a fraction of the burst allowance (the
-// paper's Table-1 analysis: low lateness needs the allowance to cover a
-// few messages), class B the shuffle; both hoses sit at the backlogged
-// fixed point from t=0.
-func comparisonScenario(p ComparisonParams, scheme core.Scheme, stream []tenantRequest) Scenario {
+// comparisonScenario offers the seeded tenant stream (the scheme is
+// runComparison's to set): class A runs the OLDI pattern with responses
+// a fraction of the burst allowance (the paper's Table-1 analysis: low
+// lateness needs the allowance to cover a few messages), class B the
+// shuffle; both hoses sit at the backlogged fixed point from t=0.
+func comparisonScenario(p ComparisonParams) Scenario {
 	sc := Scenario{
-		Topology:  TenGbE(1, p.Racks, comparisonServersPerRack, comparisonSlotsPerServer, comparisonOversub, 1),
-		Scheme:    scheme,
+		Topology:  TenGbE(1, comparisonRacks, comparisonServersPerRack, comparisonSlotsPerServer, comparisonOversub, 1),
 		Seed:      p.Seed ^ 0xabcdef,
-		TargetVMs: int(comparisonOccupancy * float64(p.slots())),
+		TargetVMs: int(comparisonOccupancy * comparisonSlots),
 		VMBase:    1000,
 		VMGap:     10,
 		HorizonNs: int64(p.DurationSec * 1e9),
 		DrainNs:   3e9, // drain retransmissions
 	}
-	for i, req := range stream {
+	for i, req := range tenantStream(stats.NewRand(p.Seed)) {
 		t := Tenant{Spec: tenant.Spec{
 			ID:           i + 1,
 			Name:         fmt.Sprintf("t%d", i+1),
@@ -254,23 +249,23 @@ func comparisonScenario(p ComparisonParams, scheme core.Scheme, stream []tenantR
 			continue
 		}
 		if req.classA {
-			t.Hose = Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(req.vms)}
+			t.Hose = Hose{Kind: HoseFairShare, Pattern: PatternAllToOne}
 			t.Driver = Driver{Kind: DriverOLDI, MsgBytes: max(int(req.g.BurstBytes/3), units.MTUBytes), SplitRand: true}
 		} else {
-			t.Hose = Hose{Kind: HoseFairShare, Pattern: workload.AllToAll(req.vms)}
-			t.Driver = Driver{Kind: DriverShuffle, MsgBytes: p.ClassBMsgBytes}
+			t.Hose = Hose{Kind: HoseFairShare, Pattern: PatternAllToAll}
+			t.Driver = Driver{Kind: DriverShuffle, MsgBytes: comparisonClassBMsgBytes}
 		}
 		sc.Tenants = append(sc.Tenants, t)
 	}
 	return sc
 }
 
-func runScheme(p ComparisonParams, scheme core.Scheme, stream []tenantRequest) (SchemeResult, error) {
-	run, err := RunScenario(comparisonScenario(p, scheme, stream), Env{})
+func runScheme(sc Scenario) (SchemeResult, error) {
+	run, err := RunScenario(sc, Env{})
 	if err != nil {
 		return SchemeResult{}, err
 	}
-	res := SchemeResult{Scheme: scheme, ClassALatUs: stats.NewSample(1 << 16), Drops: run.Net.TotalDrops()}
+	res := SchemeResult{Scheme: sc.Scheme, ClassALatUs: stats.NewSample(1 << 16), Drops: run.Net.TotalDrops()}
 	for _, tr := range run.Tenants {
 		g, n, d := tr.Tenant.Spec.Guarantee, tr.Tenant.Spec.VMs, tr.Tenant.Driver
 		st := &TenantStats{

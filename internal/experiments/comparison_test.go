@@ -104,12 +104,12 @@ func TestClassFilters(t *testing.T) {
 
 func TestTenantStreamDeterministicAndBounded(t *testing.T) {
 	p := DefaultComparisonParams()
-	a := tenantStream(p, stats.NewRand(p.Seed))
-	b := tenantStream(p, stats.NewRand(p.Seed))
+	a := tenantStream(stats.NewRand(p.Seed))
+	b := tenantStream(stats.NewRand(p.Seed))
 	if len(a) != len(b) {
 		t.Fatal("stream not deterministic")
 	}
-	slots := p.slots()
+	slots := comparisonSlots
 	total := 0
 	for i := range a {
 		if a[i] != b[i] {

@@ -12,15 +12,13 @@ func TestDynamicCoordinationMeetsGuarantee(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level simulation")
 	}
-	p := DefaultMemcachedParams()
-	p.DurationSec = 0.1
-	a, b := Table2Guarantees(1)
-	r, err := RunMemcachedScenario(p, MemcachedScenario{
-		Name: "Silo req1 dynamic", WithBulk: true, GuaranteeA: &a, GuaranteeB: &b,
-	})
+	sc := mustScenarios(t, "fig11")[2] // Silo req1
+	sc.HorizonNs = 100e6
+	rs, err := RunMemcached([]Scenario{sc})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.RequestsCompleted == 0 {
 		t.Fatal("no requests completed")
 	}

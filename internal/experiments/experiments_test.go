@@ -37,7 +37,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFigure5Reproduces(t *testing.T) {
-	r, err := RunFigure5()
+	r, err := RunFigure5(mustScenarios(t, "fig5")[0])
 	if err != nil {
 		t.Fatal(err)
 	}

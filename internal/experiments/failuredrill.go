@@ -4,56 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/incident"
 	"repro/internal/placement"
-	"repro/internal/tenant"
-	"repro/internal/units"
-	"repro/internal/workload"
-)
-
-// FailureDrillSeed is the drill's default seed.
-const FailureDrillSeed = 42
-
-// The failure drill's setup: admitted tenants under steady paced load,
-// a ToR switch killed mid-run, the control loop detecting the fault,
-// evacuating and re-admitting every affected tenant through normal
-// admission control, and unpaced resync storms (state re-replication
-// toward the relocated VMs) congesting the surviving fabric — the one
-// window where even Silo traffic can arrive late, which the window tick
-// must attribute to the injected fault rather than blame on
-// steady-state pacing. On the 2-pod/4-rack fabric the delay bound
-// admits rack-scope placements only (intra-rack path capacity 300µs <
-// d < 1.3ms cross-rack), so relocation must find a whole rack or walk
-// the degradation ladder, and the resync storm's fan-in over the
-// 2:1-oversubscribed uplinks queues well past d.
-const (
-	// drillTenants are offered for admission, drillVMsPerTenant VMs
-	// each (FaultDomains 2).
-	drillTenants      = 6
-	drillVMsPerTenant = 4
-	// The guarantee per VM.
-	drillBandwidthBps = 500 * units.Mbps
-	drillBurstBytes   = 15e3
-	drillDelayBound   = 350e-6
-	// Steady workload: every drillIntervalNs each non-aggregator VM
-	// sends a drillMsgBytes message to the tenant's VM 0.
-	drillMsgBytes   = 20e3
-	drillIntervalNs = 2e6
-	// drillFailSwitch is killed at drillFaultAtNs and repaired
-	// drillRepairNs later.
-	drillFailSwitch = "tor0"
-	drillFaultAtNs  = 20e6
-	drillRepairNs   = 10e6
-	// drillResyncBytes is sent raw (unpaced, back-to-back) from each of
-	// drillResyncSources surviving out-of-rack hosts to every relocated
-	// VM — the bulk state transfer that rebuilds the VM, deliberately
-	// not protected by the pacer.
-	drillResyncBytes   = 60e3
-	drillResyncSources = 3
-	drillHorizonNs     = 60e6
 )
 
 // DrillTenantRow is one tenant's end-of-drill outcome.
@@ -76,10 +30,13 @@ type DrillTenantRow struct {
 
 // FailureDrillResult is the drill's full outcome.
 type FailureDrillResult struct {
-	Admitted int
-	Events   []faults.Event
-	Recovery *placement.RecoveryReport
-	Rows     []DrillTenantRow // sorted by tenant ID
+	Offered, Admitted int
+	// HorizonNs is the drill's length; Events the fault log, the switch's
+	// death first and its repair last.
+	HorizonNs int64
+	Events    []faults.Event
+	Recovery  *placement.RecoveryReport
+	Rows      []DrillTenantRow // sorted by tenant ID
 	// Loss accounting: congestion loss vs outage loss, kept separate.
 	OverflowDrops int64
 	FaultDrops    int64
@@ -97,10 +54,11 @@ type FailureDrillResult struct {
 // clock, so one seed produces byte-identical output.
 func (r *FailureDrillResult) Render() string {
 	var b strings.Builder
+	down, up := r.Events[0], r.Events[len(r.Events)-1]
+	_, sw, _ := strings.Cut(down.Target, " ")
 	fmt.Fprintf(&b, "failure drill: %s down @%.1fms (detect %.2fms, repair @%.1fms), horizon %.0fms\n",
-		drillFailSwitch, drillFaultAtNs/1e6, faultDetectNs/1e6,
-		(drillFaultAtNs+drillRepairNs)/1e6, drillHorizonNs/1e6)
-	fmt.Fprintf(&b, "tenants: %d offered, %d admitted\n", drillTenants, r.Admitted)
+		sw, float64(down.TimeNs)/1e6, faultDetectNs/1e6, float64(up.TimeNs)/1e6, float64(r.HorizonNs)/1e6)
+	fmt.Fprintf(&b, "tenants: %d offered, %d admitted\n", r.Offered, r.Admitted)
 	b.WriteString("fault events:\n")
 	for _, ev := range r.Events {
 		fmt.Fprintf(&b, "  %s\n", ev)
@@ -132,60 +90,38 @@ func (r *FailureDrillResult) Render() string {
 	return b.String()
 }
 
-// drillScenario is the drill as data: admitted tenants under steady
-// phase-staggered all-to-one bursts on a 2-pod/4-rack fabric, the switch
-// killed and repaired on schedule, recovery re-deploying every survivor
-// and rebuilding it with a resync storm. The seed staggers the
-// per-tenant pump phases.
-func drillScenario(seed uint64) Scenario {
-	sc := Scenario{
-		Topology:  TenGbE(2, 2, 4, 4, 2, 2),
-		Scheme:    core.SchemeSilo,
-		Seed:      seed,
-		VMBase:    1000,
-		VMGap:     4,
-		HorizonNs: drillHorizonNs,
-		Faults: fmt.Sprintf("t=%dns switch %s down; t=%dns up",
-			int64(drillFaultAtNs), drillFailSwitch, int64(drillFaultAtNs+drillRepairNs)),
-		Redeploy:      true,
-		ResyncBytes:   drillResyncBytes,
-		ResyncSources: drillResyncSources,
-		Planes:        Planes{Audit: true, Windows: true, Incidents: true},
-	}
-	for i := 0; i < drillTenants; i++ {
-		sc.Tenants = append(sc.Tenants, Tenant{
-			Spec: tenant.Spec{
-				ID:   i + 1,
-				Name: fmt.Sprintf("drill-%d", i+1),
-				VMs:  drillVMsPerTenant,
-				Guarantee: tenant.Guarantee{
-					BandwidthBps: drillBandwidthBps,
-					BurstBytes:   drillBurstBytes,
-					DelayBound:   drillDelayBound,
-					BurstRateBps: 10 * units.Gbps,
-				},
-				FaultDomains: 2,
-			},
-			Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(drillVMsPerTenant)},
-			Driver: Driver{Kind: DriverBurst, MsgBytes: drillMsgBytes, PeriodNs: drillIntervalNs, RandomPhase: true},
-		})
-	}
-	return sc
-}
-
-// RunFailureDrill builds the fabric, admits and deploys the tenants,
-// runs the steady workload, kills the configured switch mid-run, and
-// drives the full recovery loop: detect → Recover (evacuate +
-// re-admit) → re-deploy on the new placement → unpaced resync storm →
-// steady workload resumes. Returns the recovery-latency and
-// guarantee-violation table.
-func RunFailureDrill(seed uint64) (*FailureDrillResult, error) {
-	run, err := RunScenario(drillScenario(seed), Env{})
+// RunFailureDrill runs the drill of scenarios/faultdrill.json: it
+// builds the fabric, admits and deploys the tenants, runs the steady
+// workload, kills a switch mid-run, and drives the full recovery loop:
+// detect → Recover (evacuate + re-admit) → re-deploy on the new
+// placement → unpaced resync storm → steady workload resumes. Returns
+// the recovery-latency and guarantee-violation table.
+//
+// The drill shows the one window where even Silo traffic can arrive
+// late — unpaced resync storms (state re-replication toward the
+// relocated VMs) congesting the surviving fabric — which the window
+// tick must attribute to the injected fault rather than blame on
+// steady-state pacing. Six tenants of four VMs (fault domains 2), each
+// VM guaranteed {500 Mbps, 15 KB, 350 µs, 10 Gbps}, run phase-staggered
+// bursts: every 2 ms each non-aggregator VM sends 20 KB to the tenant's
+// VM 0, the seed drawing each tenant's phase. On the 2-pod/4-rack,
+// 2:1-oversubscribed fabric the delay bound admits rack-scope
+// placements only (intra-rack path capacity 300 µs < d < 1.3 ms
+// cross-rack), so relocation must find a whole rack or walk the
+// degradation ladder. tor0 dies at 20 ms and is repaired 10 ms later;
+// every relocated VM then receives 60 KB raw (unpaced, back-to-back,
+// deliberately not protected by the pacer) from each of three
+// surviving out-of-rack hosts, and that fan-in over the uplinks queues
+// well past d. The run lasts 60 ms.
+func RunFailureDrill(sc Scenario) (*FailureDrillResult, error) {
+	run, err := RunScenario(sc, Env{})
 	if err != nil {
 		return nil, err
 	}
 	res := &FailureDrillResult{
+		Offered:       len(sc.Tenants),
 		Admitted:      len(run.Tenants),
+		HorizonNs:     sc.HorizonNs,
 		Events:        run.Injector.Events(),
 		OverflowDrops: run.Net.TotalDrops(),
 		FaultDrops:    run.Net.TotalFaultDrops(),
@@ -217,7 +153,7 @@ func RunFailureDrill(seed uint64) (*FailureDrillResult, error) {
 			Conformance: 1,
 		}
 		if tr.RecoveredAtNs >= 0 {
-			row.RecoveryNs = tr.RecoveredAtNs - drillFaultAtNs
+			row.RecoveryNs = tr.RecoveredAtNs - res.Events[0].TimeNs
 		}
 		if ta, ok := run.Audit.Tenant(id); ok {
 			row.Delivered, row.Violated, row.InFault = ta.Packets, ta.Violations, inFault[id]

@@ -17,7 +17,7 @@ import (
 // measured, and the window tick must attribute the outage-window
 // violations to the injected fault event.
 func TestFailureDrillToRFailure(t *testing.T) {
-	res, err := RunFailureDrill(FailureDrillSeed)
+	res, err := RunFailureDrill(drill(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestFailureDrillToRFailure(t *testing.T) {
 // The window events name the injected fault on outage-window
 // violations — the report is actionable, not just a count.
 func TestFailureDrillEventsCarryFaultLabel(t *testing.T) {
-	run, err := RunScenario(drillScenario(FailureDrillSeed), Env{})
+	run, err := RunScenario(drill(t), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestFailureDrillEventsCarryFaultLabel(t *testing.T) {
 // Determinism: the same seed produces byte-identical drill summaries
 // on repeated runs — the acceptance bar for a reproducible postmortem.
 func TestFailureDrillDeterministic(t *testing.T) {
-	a, err := RunFailureDrill(FailureDrillSeed)
+	a, err := RunFailureDrill(drill(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFailureDrill(FailureDrillSeed)
+	b, err := RunFailureDrill(drill(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFailureDrillDeterministic(t *testing.T) {
 // into the drill's tenant well before and well after the outage must
 // come out unlabeled.
 func TestFaultLabels(t *testing.T) {
-	sc := drillScenario(FailureDrillSeed)
+	sc := drill(t)
 	run, err := Build(sc, Env{})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestFaultLabels(t *testing.T) {
 	if downNs < 0 || upNs < downNs {
 		t.Fatalf("fault log lacks the outage: %v", run.Injector.Events())
 	}
-	wantLabel := fmt.Sprintf("switch-down switch %s @%dns", drillFailSwitch, downNs)
+	wantLabel := fmt.Sprintf("switch-down switch tor0 @%dns", downNs)
 	endNs := upNs + faultGraceNs
 	var labeled, unlabeled int
 	for _, ev := range run.Violations {

@@ -30,34 +30,9 @@ type Figure5Result struct {
 	OktoOverflows bool
 }
 
-// fig5Topology is the example cluster: three 4-slot servers under one
-// 10 GbE switch (see RunFigure5 on the buffer constants).
-var fig5Topology = topology.Config{
-	Pods:           1,
-	RacksPerPod:    1,
-	ServersPerRack: 3,
-	SlotsPerServer: 4,
-	LinkBps:        10 * units.Gbps,
-	BufferBytes:    375e3,
-	NICBufferBytes: 50e-6 * 10 * units.Gbps,
-	RackOversub:    1,
-	PodOversub:     1,
-}
-
-// fig5Spec is the example tenant: nine {1 Gbps, 100 KB, 1 ms} VMs.
-var fig5Spec = tenant.Spec{
-	ID:   1,
-	Name: "fig5",
-	VMs:  9,
-	Guarantee: tenant.Guarantee{
-		BandwidthBps: 1 * units.Gbps,
-		BurstBytes:   100e3,
-		DelayBound:   1e-3,
-		BurstRateBps: 10 * units.Gbps,
-	},
-}
-
-// RunFigure5 builds the example cluster, places the tenant with both
+// RunFigure5 builds the example cluster of a Figure-5 line
+// (scenarios/fig5.json: three 4-slot servers under one 10 GbE switch,
+// nine {1 Gbps, 100 KB, 1 ms} VMs), places its tenant with both
 // algorithms and evaluates the worst-case queues.
 //
 // Note on constants: the paper illustrates with 300 KB buffers and
@@ -67,29 +42,30 @@ var fig5Spec = tenant.Spec{
 // provision 375 KB buffers (and a 50 µs paced-NIC queue capacity) to
 // admit the 3/3/3 layout; 4/4/1 overflows either way. See
 // EXPERIMENTS.md.
-func RunFigure5() (Figure5Result, error) {
-	tree, err := topology.New(fig5Topology)
+func RunFigure5(sc Scenario) (Figure5Result, error) {
+	tree, err := topology.New(sc.Topology)
 	if err != nil {
 		return Figure5Result{}, err
 	}
+	spec := sc.Tenants[0].Spec
 	res := Figure5Result{BufferBytes: tree.Config().BufferBytes}
 
 	silo := placement.NewManager(tree, placement.Options{})
-	plS, err := silo.Place(fig5Spec)
+	plS, err := silo.Place(spec)
 	if err != nil {
 		return res, fmt.Errorf("silo rejected the Figure-5 tenant: %w", err)
 	}
 	okto := placement.NewOktopus(tree)
-	plO, err := okto.Place(fig5Spec)
+	plO, err := okto.Place(spec)
 	if err != nil {
 		return res, fmt.Errorf("oktopus rejected the Figure-5 tenant: %w", err)
 	}
-	for s := 0; s < 3; s++ {
+	for s := 0; s < tree.Servers(); s++ {
 		res.SiloLayout = append(res.SiloLayout, plS.VMsOnServer(s))
 		res.OktoLayout = append(res.OktoLayout, plO.VMsOnServer(s))
 	}
-	res.SiloWorstBytes = fig5WorstQueue(tree, fig5Spec, res.SiloLayout)
-	res.OktoWorstBytes = fig5WorstQueue(tree, fig5Spec, res.OktoLayout)
+	res.SiloWorstBytes = fig5WorstQueue(tree, spec, res.SiloLayout)
+	res.OktoWorstBytes = fig5WorstQueue(tree, spec, res.OktoLayout)
 	res.OktoOverflows = res.OktoWorstBytes > res.BufferBytes
 	return res, nil
 }

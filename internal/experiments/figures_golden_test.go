@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"repro/internal/core"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
@@ -50,16 +51,21 @@ func firstDiff(got, want string) string {
 // how tenants are deployed, coordinated or driven shows here as a
 // changed byte.
 
-// All six schemes on a reduced tree with small class-B messages, over
-// 3 ms; cmd/silo-bench's all.golden pins them again on the default
-// tree (fig12).
+// All six schemes over testdata/comparison.json, the seed-12 tenant
+// stream on a 5-rack tree with 256 KB class-B messages over 3 ms: three
+// class-A and three class-B tenants admitted, and TCP, DCTCP and HULL
+// drop. cmd/silo-bench's all.golden pins the comparison again on the
+// default tree (fig12).
 func TestComparisonGolden(t *testing.T) {
-	p := DefaultComparisonParams()
-	p.Racks = 5
-	p.DurationSec = 0.003
-	p.ClassBMsgBytes = 256 << 10
-	p.Seed = 12 // three class-A and three class-B tenants; TCP, DCTCP and HULL drop
-	rs, err := RunComparison(p)
+	data, err := os.ReadFile("testdata/comparison.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, err := decodeScenarios(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := runComparison(scs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,19 +88,15 @@ func TestComparisonGolden(t *testing.T) {
 
 // Fig. 11: a TCP line and a Silo line on the dynamic-epoch hose loop.
 func TestMemcachedGolden(t *testing.T) {
-	p := DefaultMemcachedParams()
-	p.DurationSec = 0.01
-	a, g := Table2Guarantees(2)
-	var rs []MemcachedResult
-	for _, sc := range []MemcachedScenario{
-		{Name: "TCP", WithBulk: true},
-		{Name: "Silo req2 dynamic", WithBulk: true, GuaranteeA: &a, GuaranteeB: &g},
-	} {
-		r, err := RunMemcachedScenario(p, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, r)
+	fig11 := mustScenarios(t, "fig11")
+	lines := []Scenario{fig11[1], fig11[3]} // TCP, Silo req2
+	lines[1].Name = "Silo req2 dynamic"
+	for i := range lines {
+		lines[i].HorizonNs = 10e6
+	}
+	rs, err := RunMemcached(lines)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var b strings.Builder
 	b.WriteString(RenderMemcached(rs))
@@ -106,9 +108,11 @@ func TestMemcachedGolden(t *testing.T) {
 }
 
 func TestBestEffortGolden(t *testing.T) {
-	p := DefaultBestEffortParams()
-	p.DurationSec = 0.01
-	r, err := RunBestEffort(p)
+	lines := mustScenarios(t, "besteffort")
+	for i := range lines {
+		lines[i].HorizonNs = 10e6
+	}
+	r, err := RunBestEffort(lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +120,7 @@ func TestBestEffortGolden(t *testing.T) {
 }
 
 func TestBurstStressGolden(t *testing.T) {
-	rs, err := RunBurstStressComparison()
+	rs, err := RunBurstStress(mustScenarios(t, "burststress"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,17 +133,14 @@ func TestBurstStressGolden(t *testing.T) {
 // report).
 func TestFigure5SimGolden(t *testing.T) {
 	var b strings.Builder
-	for _, p := range []Figure5SimParams{
-		{Incidents: true},
-		{Incidents: true, Scheme: core.SchemeTCP, AuditDelayBoundSec: 350e-6},
-	} {
-		sc := figure5SimScenario(p)
+	for _, sc := range mustScenarios(t, "fig5") {
+		sc.Planes.Introspect, sc.Planes.Incidents = true, true
 		sc.HorizonNs = 5e6
-		r, err := runFigure5Sim(sc)
+		r, err := RunFigure5Sim(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "== %s ==\n%s", p.Scheme, r.Render())
+		fmt.Fprintf(&b, "== %s ==\n%s", sc.Scheme, r.Render())
 	}
 	checkGolden(t, "fig5sim", b.String())
 }
@@ -148,7 +149,7 @@ func TestFigure5SimGolden(t *testing.T) {
 // -outdir writes (less its meta object); cmd/silo-bench's all.golden
 // pins the drill's recovery table.
 func TestFailureDrillGolden(t *testing.T) {
-	r, err := RunFailureDrill(FailureDrillSeed)
+	r, err := RunFailureDrill(drill(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs/incident"
 )
 
@@ -14,7 +12,7 @@ import (
 // root-caused to the injected fault, and nothing may remain
 // unexplained.
 func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
-	res, err := RunFailureDrill(FailureDrillSeed)
+	res, err := RunFailureDrill(drill(t))
 	if err != nil {
 		t.Fatalf("drill: %v", err)
 	}
@@ -32,7 +30,7 @@ func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
 		t.Fatalf("drill flagged bound breaches:\n%s", rep.Render())
 	}
 
-	wantLabel := fmt.Sprintf("switch-down switch %s @%dns", drillFailSwitch, int64(drillFaultAtNs))
+	const wantLabel = "switch-down switch tor0 @20000000ns"
 	for _, inc := range rep.Incidents {
 		if inc.Verdict != incident.VerdictInjectedFault {
 			t.Errorf("incident #%d verdict %s, want injected-fault (%s)", inc.ID, inc.Verdict, inc.Reason)
@@ -90,11 +88,7 @@ func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
 // are VIOLATED, so every incident is self-inflicted and names the
 // bursting sender VMs. Nothing is unexplained, nothing pages.
 func TestFig5UnpacedIncidentsSelfInflicted(t *testing.T) {
-	res, err := RunFigure5Sim(Figure5SimParams{
-		Scheme:             core.SchemeTCP,
-		Incidents:          true,
-		AuditDelayBoundSec: 350e-6,
-	})
+	res, err := RunFigure5Sim(mustScenarios(t, "fig5")[1])
 	if err != nil {
 		t.Fatalf("fig5 sim: %v", err)
 	}
@@ -148,11 +142,10 @@ func TestFig5UnpacedIncidentsSelfInflicted(t *testing.T) {
 // the very same 350 µs stays perfectly clean — the bound separates the
 // schemes, it is not doctored against Silo.
 func TestFig5PacedCleanUnderTightenedBound(t *testing.T) {
-	res, err := RunFigure5Sim(Figure5SimParams{
-		Scheme:             core.SchemeSilo,
-		Incidents:          true,
-		AuditDelayBoundSec: 350e-6,
-	})
+	sc := mustScenarios(t, "fig5")[0]
+	sc.Planes.Introspect, sc.Planes.Incidents = true, true
+	sc.Tenants[0].AuditDelayBoundSec = 350e-6
+	res, err := RunFigure5Sim(sc)
 	if err != nil {
 		t.Fatalf("fig5 sim: %v", err)
 	}

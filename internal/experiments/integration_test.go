@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -15,9 +14,11 @@ func TestMemcachedContentionShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level simulation")
 	}
-	p := DefaultMemcachedParams()
-	p.DurationSec = 0.05
-	rs, err := RunFigure1(p)
+	lines := mustScenarios(t, "fig1")
+	for i := range lines {
+		lines[i].HorizonNs = 50e6
+	}
+	rs, err := RunMemcached(lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +41,13 @@ func TestMemcachedSiloMeetsGuarantee(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level simulation")
 	}
-	p := DefaultMemcachedParams()
-	p.DurationSec = 0.05
-	a, b := Table2Guarantees(3)
-	r, err := RunMemcachedScenario(p, MemcachedScenario{
-		Name: "Silo req3", WithBulk: true, GuaranteeA: &a, GuaranteeB: &b,
-	})
+	sc := mustScenarios(t, "fig11")[4] // Silo req3
+	sc.HorizonNs = 50e6
+	rs, err := RunMemcached([]Scenario{sc})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.RequestsCompleted == 0 {
 		t.Fatal("no requests completed")
 	}
@@ -64,21 +63,22 @@ func TestMemcachedSiloMeetsGuarantee(t *testing.T) {
 	}
 }
 
+// Figure 11's Silo lines carry Table 2's req1-3 guarantees.
 func TestTable2Guarantees(t *testing.T) {
-	for req := 1; req <= 3; req++ {
-		a, b := Table2Guarantees(req)
+	lines := mustScenarios(t, "fig11")[2:]
+	for req, sc := range lines {
+		a, b := sc.Tenants[0].Spec.Guarantee, sc.Tenants[1].Spec.Guarantee
 		// Per host: 3(B_A + B_B) = 10 Gbps.
 		if total := 3 * (a.BandwidthBps + b.BandwidthBps); total < 9.99*units.Gbps || total > 10.01*units.Gbps {
-			t.Errorf("req%d: host bandwidth sum = %v", req, total)
+			t.Errorf("req%d: host bandwidth sum = %v", req+1, total)
 		}
 		if a.DelayBound != 1e-3 || a.BurstRateBps != 1*units.Gbps {
-			t.Errorf("req%d: class-A triple wrong: %+v", req, a)
+			t.Errorf("req%d: class-A triple wrong: %+v", req+1, a)
 		}
 	}
-	a1, _ := Table2Guarantees(1)
-	a3, _ := Table2Guarantees(3)
-	if a3.BandwidthBps != 2*a1.BandwidthBps {
-		t.Error("req3 should guarantee 2x the average bandwidth")
+	a1, a3 := lines[0].Tenants[0].Spec.Guarantee, lines[2].Tenants[0].Spec.Guarantee
+	if a1.BandwidthBps != 210*units.Mbps || a3.BandwidthBps != 2*a1.BandwidthBps {
+		t.Error("req1 should guarantee the 210 Mbps average and req3 twice it")
 	}
 }
 
@@ -88,12 +88,13 @@ func TestComparisonHeadline(t *testing.T) {
 	}
 	p := DefaultComparisonParams()
 	p.DurationSec = 0.02
-	stream := tenantStream(p, stats.NewRand(p.Seed))
-	silo, err := runScheme(p, core.SchemeSilo, stream)
+	sc := comparisonScenario(p)
+	silo, err := runScheme(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp, err := runScheme(p, core.SchemeTCP, stream)
+	sc.Scheme = core.SchemeTCP
+	tcp, err := runScheme(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,29 +3,28 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestFigure11ScenarioList(t *testing.T) {
-	scs := Figure11Scenarios()
+	scs := mustScenarios(t, "fig11")
 	if len(scs) != 5 {
 		t.Fatalf("scenarios = %d, want 5", len(scs))
 	}
-	if scs[0].WithBulk || scs[0].GuaranteeA != nil {
+	if len(scs[0].Tenants) != 1 || scs[0].Scheme != core.SchemeTCP {
 		t.Error("scenario 0 should be idle TCP")
 	}
-	if !scs[1].WithBulk || scs[1].GuaranteeA != nil {
+	if len(scs[1].Tenants) != 2 || scs[1].Scheme != core.SchemeTCP {
 		t.Error("scenario 1 should be contended TCP")
 	}
 	seen := map[float64]bool{}
 	for _, sc := range scs[2:] {
-		if sc.GuaranteeA == nil || sc.GuaranteeB == nil || !sc.WithBulk {
+		if sc.Scheme != core.SchemeSilo || len(sc.Tenants) != 2 {
 			t.Errorf("silo scenario %q malformed", sc.Name)
 			continue
 		}
-		if seen[sc.GuaranteeA.BandwidthBps] {
-			t.Error("duplicate req configuration (loop-variable capture?)")
-		}
-		seen[sc.GuaranteeA.BandwidthBps] = true
+		seen[sc.Tenants[0].Spec.Guarantee.BandwidthBps] = true
 	}
 	if len(seen) != 3 {
 		t.Errorf("distinct req configs = %d, want 3", len(seen))
@@ -47,14 +46,14 @@ func TestMemcachedResultHelpers(t *testing.T) {
 }
 
 func TestRenderMemcachedIncludesGuarantee(t *testing.T) {
-	a, _ := Table2Guarantees(1)
-	p := DefaultMemcachedParams()
-	p.DurationSec = 0.002
-	r, err := RunMemcachedScenario(p, MemcachedScenario{Name: "mini", WithBulk: false, GuaranteeA: &a, GuaranteeB: &a})
+	sc := mustScenarios(t, "fig11")[2] // Silo req1
+	sc.Name, sc.Tenants, sc.HorizonNs = "mini", sc.Tenants[:1], 2e6
+	rs, err := RunMemcached([]Scenario{sc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderMemcached([]MemcachedResult{r})
+	r := rs[0]
+	out := RenderMemcached(rs)
 	if !strings.Contains(out, "mini") {
 		t.Error("render missing scenario name")
 	}

@@ -1,12 +1,13 @@
 // Package experiments reproduces every table and figure in Silo's
-// evaluation (§6). Each experiment is a pure function from the few
-// settings silo-bench turns (a seed, a duration, a request count) to a
-// result struct plus a text renderer, shared by the cmd/silo-bench CLI
-// and the root testing.B benchmarks; the rest of each setup is
-// constants in its runner. Every
-// packet-level one is a Scenario (this file) plus a reducer over its
-// Run. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured numbers.
+// evaluation (§6). Each experiment is a pure function to a result
+// struct plus a text renderer, shared by the cmd/silo-bench CLI and the
+// root testing.B benchmarks. A packet-level one reduces the Run of a
+// Scenario (this file): a line of a committed scenario file
+// (scenarios/*.json, codec.go) that silo-bench loads, or Fig. 12's
+// seeded generator. The others take the few settings silo-bench turns
+// (a seed, a duration, a request count) and keep the rest of their
+// setup as constants. See DESIGN.md §4 for the experiment index and
+// EXPERIMENTS.md for paper-vs-measured numbers.
 package experiments
 
 import (
@@ -47,40 +48,44 @@ func TenGbE(pods, racksPerPod, serversPerRack, slotsPerServer int, rackOversub, 
 
 // Scenario is one packet-level run as plain data: a topology, a scheme,
 // the tenants offered to it with what they send, what breaks, what is
-// observed, and for how long. Every figure runner and silo-sim build
-// one and hand it to Build / RunScenario; nothing in it is a func, so a
-// scenario can be tabulated, generated and shrunk.
+// observed, and for how long. The figure runners load theirs from
+// scenarios/*.json (codec.go has the format and Validate), and Fig. 12
+// and silo-sim build one; each hands it to Build / RunScenario. Nothing
+// in it is a func, so a scenario can be tabulated, generated, shrunk
+// and written to a file.
 type Scenario struct {
+	// Name labels the run in its figure's output.
+	Name     string `json:",omitempty"`
 	Topology topology.Config
 	Scheme   core.Scheme
 	// Seed seeds the one generator the drivers draw from, in tenant
 	// order.
-	Seed uint64
+	Seed uint64 `json:",omitempty"`
 	// Tenants are offered for admission in order.
 	Tenants []Tenant
 	// TargetVMs, when > 0, skips a tenant that would take the admitted
 	// VM count past it (the paper fills to a target occupancy).
-	TargetVMs int
+	TargetVMs int `json:",omitempty"`
 	// VMBase is the first VM id handed to a tenant without one of its
 	// own; each next tenant starts VMGap ids past the previous one's
 	// last.
-	VMBase, VMGap int
+	VMBase, VMGap int `json:",omitempty"`
 	// HorizonNs ends the offered load; the run continues DrainNs longer
 	// so retransmissions complete.
-	HorizonNs, DrainNs int64
+	HorizonNs, DrainNs int64 `json:",omitempty"`
 
 	// Faults is a schedule in faults.ParseSchedule syntax ("" = none).
 	// When the placer can recover (the Silo manager), every down event
 	// triggers Recover faultDetectNs later and every up event returns the
 	// repaired servers to the pool.
-	Faults string
+	Faults string `json:",omitempty"`
 	// Redeploy makes recovery a data-plane drill: relocated and degraded
 	// tenants are re-deployed on their new placement (new VM ids, hose
 	// re-coordinated, driver restarted), and ResyncBytes of raw unpaced
 	// frames converge on every new VM from each of ResyncSources
 	// surviving out-of-rack hosts. Off, recovery is control-plane only.
-	Redeploy                   bool
-	ResyncBytes, ResyncSources int
+	Redeploy                   bool `json:",omitempty"`
+	ResyncBytes, ResyncSources int  `json:",omitempty"`
 
 	Planes Planes
 }
@@ -91,15 +96,15 @@ type Tenant struct {
 	Spec tenant.Spec
 	// VMBase is the tenant's first VM id (0 = the scenario's next free
 	// base).
-	VMBase int
+	VMBase int `json:",omitempty"`
 	// Servers, when set, is a fixed layout (the testbed's): the tenant
 	// is adopted there without asking the placer.
-	Servers []int
+	Servers []int `json:",omitempty"`
 	// MinRTONs overrides the scheme's minimum RTO (0 = the scheme's).
-	MinRTONs int64
+	MinRTONs int64 `json:",omitempty"`
 	// AuditDelayBoundSec, when > 0, audits deliveries against a bound
 	// tighter than the admitted d.
-	AuditDelayBoundSec float64
+	AuditDelayBoundSec float64 `json:",omitempty"`
 	Hose               Hose
 	Driver             Driver
 }
@@ -118,12 +123,32 @@ const (
 	HoseDynamic
 )
 
+// PatternKind is a static hose's communication pattern over the
+// tenant's own VMs.
+type PatternKind int
+
+// Pattern kinds: every VM to VM 0 (the class-A aggregator), or every VM
+// to every other.
+const (
+	PatternNone PatternKind = iota
+	PatternAllToOne
+	PatternAllToAll
+)
+
+// of instantiates the pattern over n VMs.
+func (k PatternKind) of(n int) workload.Pattern {
+	if k == PatternAllToAll {
+		return workload.AllToAll(n)
+	}
+	return workload.AllToOne(n)
+}
+
 // Hose is a tenant's hose coordination: a static fixed point over
 // Pattern, or the dynamic loop at EpochNs.
 type Hose struct {
-	Kind    HoseKind
-	Pattern workload.Pattern
-	EpochNs int64
+	Kind    HoseKind    `json:",omitempty"`
+	Pattern PatternKind `json:",omitempty"`
+	EpochNs int64       `json:",omitempty"`
 }
 
 // DriverKind selects a tenant's traffic generator, one of the four
@@ -144,44 +169,44 @@ const (
 
 // Driver is a generator with its parameters.
 type Driver struct {
-	Kind     DriverKind
-	MsgBytes int
+	Kind     DriverKind `json:",omitempty"`
+	MsgBytes int        `json:",omitempty"`
 	// SplitRand (OLDI) gives the driver its own generator, split off the
 	// scenario's when the driver starts, so concurrent tenants' rounds
 	// do not perturb each other; otherwise it draws from the scenario's
 	// directly.
-	SplitRand bool
+	SplitRand bool `json:",omitempty"`
 	// PeriodNs (burst) repeats the burst; 0 fires once. RandomPhase
 	// delays the first burst by a uniform draw below PeriodNs.
 	// RemoteOnly leaves out senders that share VM 0's server (they never
 	// cross its down-port).
-	PeriodNs    int64
-	RandomPhase bool
-	RemoteOnly  bool
+	PeriodNs    int64 `json:",omitempty"`
+	RandomPhase bool  `json:",omitempty"`
+	RemoteOnly  bool  `json:",omitempty"`
 	// TargetBps (ETC) is the aggregate offered load.
-	TargetBps float64
+	TargetBps float64 `json:",omitempty"`
 }
 
 // Planes selects the observation planes attached to the run.
 type Planes struct {
 	// Audit checks every delivered packet's NIC-to-NIC delay against the
-	// tenant's admitted d. The other planes need it.
-	Audit bool
+	// tenant's admitted d. Windows and Incidents read it.
+	Audit bool `json:",omitempty"`
 	// TraceSampleN > 0 attaches the flight recorder, recording 1 in N
 	// packets.
-	TraceSampleN int
+	TraceSampleN int `json:",omitempty"`
 	// Introspect attaches per-VM envelope estimators and per-port
 	// guarantee margins (bounds from the Silo manager when there is
 	// one).
-	Introspect bool
+	Introspect bool `json:",omitempty"`
 	// Windows closes a window every obs.WindowNs of simulated time:
 	// each tenant with new violations gets one window event naming the
 	// window's culprit port, appended to Run.Violations.
-	Windows bool
+	Windows bool `json:",omitempty"`
 	// Incidents correlates the finished violation stream into
 	// root-caused incidents (incident.Correlate), merging violations
 	// closer than 2 ms.
-	Incidents bool
+	Incidents bool `json:",omitempty"`
 }
 
 const (
@@ -288,9 +313,13 @@ func RunScenario(sc Scenario, env Env) (*Run, error) {
 // Build instantiates a scenario up to the first event: tree → network →
 // fabric → controller → admit-or-skip and deploy each tenant → attach
 // planes → coordinate hoses → schedule faults and the window tick →
-// start drivers. A tenant admission control rejects is skipped (and
-// noted in Rejected); any other placement error fails the build.
+// start drivers. A scenario Validate refuses fails the build; a tenant
+// admission control rejects is skipped (and noted in Rejected); any
+// other placement error fails the build.
 func Build(sc Scenario, env Env) (*Run, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
 	tree := env.Tree
 	if tree == nil {
 		var err error
@@ -416,9 +445,9 @@ func (r *Run) coordinate(tr *TenantRun) {
 	}
 	switch h := tr.Tenant.Hose; h.Kind {
 	case HoseFairShare:
-		r.Ctl.CoordinateHose(r.Net, tr.Handle, h.Pattern)
+		r.Ctl.CoordinateHose(r.Net, tr.Handle, h.Pattern.of(tr.Handle.Spec.VMs))
 	case HosePeak:
-		r.Ctl.CoordinateHosePeak(r.Net, tr.Handle, h.Pattern)
+		r.Ctl.CoordinateHosePeak(r.Net, tr.Handle, h.Pattern.of(tr.Handle.Spec.VMs))
 	case HoseDynamic:
 		r.Ctl.StartHoseCoordination(r.Net, tr.Handle, h.EpochNs)
 	}

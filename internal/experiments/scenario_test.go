@@ -10,7 +10,6 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/topology"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // brokenPlacer fails every request with an error that is not a
@@ -30,7 +29,7 @@ func twoTenantScenario() Scenario {
 		Tenants: []Tenant{
 			{Spec: tenant.Spec{ID: 7, Name: "too-big", VMs: 9, Guarantee: g}},
 			{Spec: tenant.Spec{ID: 8, Name: "fits", VMs: 4, Guarantee: g},
-				Hose:   Hose{Kind: HoseFairShare, Pattern: workload.AllToOne(4)},
+				Hose:   Hose{Kind: HoseFairShare, Pattern: PatternAllToOne},
 				Driver: Driver{Kind: DriverBurst, MsgBytes: 5000}},
 		},
 		DrainNs: 1e9,
@@ -72,11 +71,10 @@ func TestRunScenarioSurfacesPlacementError(t *testing.T) {
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "too-big") {
 		t.Fatalf("err = %v, want %q wrapped with the tenant name", err, boom)
 	}
-	// The figure runners pass it on.
-	p := DefaultComparisonParams()
-	p.Racks = 0
-	if _, err := RunComparison(p); err == nil {
-		t.Error("RunComparison on an impossible tree returned no error")
+	// The figure runners pass a failed build on.
+	sc.Topology.Pods = 0
+	if _, err := runComparison(sc); err == nil {
+		t.Error("runComparison on an impossible tree returned no error")
 	}
 }
 

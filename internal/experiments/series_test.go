@@ -7,17 +7,17 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSeriesJSONWritten runs the failure drill with every plane on.
-// With the fault, recovery re-deploys the tenants mid-run. Either way
-// the run must finish with every plane's result, and its incident
+// TestDrillPlanesAndIncidents runs the failure drill with every plane
+// on. With the fault, recovery re-deploys the tenants mid-run. Either
+// way the run must finish with every plane's result, and its incident
 // report must hold violations exactly when a fault was injected.
-func TestSeriesJSONWritten(t *testing.T) {
+func TestDrillPlanesAndIncidents(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		faults bool
 	}{{"steady", false}, {"fault", true}} {
 		t.Run(c.name, func(t *testing.T) {
-			sc := drillScenario(FailureDrillSeed)
+			sc := drill(t)
 			if !c.faults {
 				sc.Faults = ""
 			}
@@ -43,7 +43,7 @@ func TestSeriesJSONWritten(t *testing.T) {
 // with every plane on: naming the culprit port, diffing each tenant's
 // violations and resetting the tracker allocate nothing.
 func TestWindowTickAllocatesNothing(t *testing.T) {
-	sc := drillScenario(FailureDrillSeed)
+	sc := drill(t)
 	sc.Planes.TraceSampleN = 1
 	sc.Planes.Introspect = true
 	run, err := Build(sc, Env{})
@@ -63,7 +63,7 @@ func TestWindowTickAllocatesNothing(t *testing.T) {
 // the incident report exists only once Finish has correlated the
 // finished streams.
 func TestIncidentsCorrelatedAtFinish(t *testing.T) {
-	sc := drillScenario(FailureDrillSeed)
+	sc := drill(t)
 	run, err := Build(sc, Env{})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestIncidentsCorrelatedAtFinish(t *testing.T) {
 // admitted tenant violates its bound in every window: appending one
 // window event per tenant amortizes to zero allocations per tick.
 func TestCloseZeroAllocs(t *testing.T) {
-	sc := drillScenario(FailureDrillSeed)
+	sc := drill(t)
 	sc.Faults = ""
 	run, err := Build(sc, Env{})
 	if err != nil {

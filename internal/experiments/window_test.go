@@ -24,12 +24,12 @@ func TestFinishClosesPartialWindow(t *testing.T) {
 		cancelAt  int64 // 0: run to the end
 		partial   bool  // the last window is partial and holds violations
 	}{
-		{"window does not divide the run", drillHorizonNs + 500_000, 0, false},
-		{"cancelled run", drillHorizonNs, 21_150_000, true},
-		{"window divides the run", drillHorizonNs, 0, false},
+		{"window does not divide the run", 60_500_000, 0, false},
+		{"cancelled run", 60e6, 21_150_000, true},
+		{"window divides the run", 60e6, 0, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			sc := drillScenario(FailureDrillSeed)
+			sc := drill(t)
 			sc.HorizonNs = c.horizonNs
 			run, err := Build(sc, Env{})
 			if err != nil {
@@ -145,7 +145,7 @@ func TestInducedViolationEndToEnd(t *testing.T) {
 // mid-run: the next window's event carries the bound the auditor judged
 // the violating packet against.
 func TestWindowEventsCarryLoosenedBound(t *testing.T) {
-	sc := drillScenario(FailureDrillSeed)
+	sc := drill(t)
 	sc.Faults = ""
 	run, err := Build(sc, Env{})
 	if err != nil {

@@ -131,11 +131,9 @@ func TestEveryInternalFunctionIsLinked(t *testing.T) {
 // the test that cannot shrink its run through a knob a program turns.
 // A key is package.Type.Field.
 var optionAllowlist = map[string]string{
-	"placement.Options.PlainAggregation":          "ablation: ROADMAP item 6's plain (non-hose) aggregation row; TestHoseAblationAdmitsFewer and the certificate tests set it",
-	"placement.Options.DelayCheckUsesBound":       "ablation: ROADMAP item 6's bound-based delay check row; TestFastPathEquivalenceDelayBoundAblation sets it",
-	"placement/durable.Options.Placement":         "ablation: carries the two rows above into a store and its config.json key; ROADMAP item 6's keep-or-delete rule decides it with them",
-	"experiments.ComparisonParams.Racks":          "test: TestComparisonGolden pins all six schemes on a 5-rack tree in about a second",
-	"experiments.ComparisonParams.ClassBMsgBytes": "test: TestComparisonGolden shrinks class-B messages to 256 KB so its 3 ms run drains in about a second",
+	"placement.Options.PlainAggregation":    "ablation: ROADMAP item 6's plain (non-hose) aggregation row; TestHoseAblationAdmitsFewer and the certificate tests set it",
+	"placement.Options.DelayCheckUsesBound": "ablation: ROADMAP item 6's bound-based delay check row; TestFastPathEquivalenceDelayBoundAblation sets it",
+	"placement/durable.Options.Placement":   "ablation: carries the two rows above into a store and its config.json key; ROADMAP item 6's keep-or-delete rule decides it with them",
 }
 
 // TestEveryOptionIsSet fails on each exported field of a struct under
