@@ -15,14 +15,15 @@ import (
 )
 
 var (
-	update = flag.Bool("update", false, "rewrite testdata/all.golden from a -run all run")
+	update = flag.Bool("update", false, "rewrite testdata/all.golden and testdata/csv.golden from a -run all run")
 	all    = flag.Bool("all", false, "check every -run all experiment against testdata/all.golden, not only fastRuns")
 )
 
 // fastRuns, with fig5 and faultdrill, are the -run all experiments
 // that take at most about two seconds each, in -run all order; tier-1
-// checks them (fig5 and faultdrill in a subtest of their own), and make
-// identity (-all) checks the rest too: table1, fig11 and fig16b.
+// checks their stdout and CSVs (fig5 and faultdrill in a subtest of
+// their own), and make identity (-all) checks the rest too: table1,
+// fig11 and fig16b.
 var fastRuns = []string{"fig1", "fig10", "fig12", "fig15", "fig16a", "placeub", "besteffort", "burststress"}
 
 // masks blank the fields of an experiment's stdout that read the wall
@@ -63,9 +64,95 @@ func sections(out []byte) []section {
 	return secs
 }
 
+// runOf names the experiment a golden section belongs to: its
+// name up to the first "_" or ".", and fig12 for the CSVs of Figures 13
+// and 14 and Table 4, which it writes too.
+func runOf(section string) string {
+	name, _, _ := strings.Cut(strings.SplitN(section, "_", 2)[0], ".")
+	switch name {
+	case "fig13", "fig14", "table4":
+		return "fig12"
+	}
+	return name
+}
+
 // acceptedRE is the placement run's decision count; its timings vary
 // from run to run.
 var acceptedRE = regexp.MustCompile(`(?m)^hosts=\d+ requests=\d+ accepted=\d+ `)
+
+// csvSections reads every CSV in dir but fig10.csv, whose per-frame
+// costs read the wall clock, as one "==== name ====" section each in
+// file-name order, less the "# run:" provenance line.
+func csvSections(t *testing.T, dir string) []section {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []section
+	for _, f := range files {
+		name := filepath.Base(f)
+		if name == "fig10.csv" {
+			continue
+		}
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(b)
+		if strings.HasPrefix(text, "# run:") {
+			_, text, _ = strings.Cut(text, "\n")
+		}
+		secs = append(secs, section{name: name, text: "==== " + name + " ====\n" + text})
+	}
+	return secs
+}
+
+// checkSections compares the sections a -run names wrote with those of
+// testdata/<file>: every section must match its golden one, and every
+// golden section of a selected experiment must be there (an
+// experiment's own section, or a CSV it writes). With rewrite it first
+// rewrites the golden from got.
+func checkSections(t *testing.T, file string, names []string, got []section, rewrite bool) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if rewrite {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, sec := range got {
+			b.WriteString(sec.text)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	selected := map[string]bool{}
+	for _, name := range names {
+		selected[name] = true
+	}
+	seen := map[string]bool{}
+	for _, sec := range got {
+		seen[sec.name] = true
+	}
+	want := map[string]string{}
+	for _, sec := range sections(golden) {
+		want[sec.name] = sec.text
+		if run := runOf(sec.name); (selected["all"] || selected[run]) && !seen[sec.name] {
+			t.Errorf("-run %s wrote no %s section of %s", strings.Join(names, ","), sec.name, path)
+		}
+	}
+	for _, sec := range got {
+		if w, ok := want[sec.name]; !ok || sec.text != w {
+			t.Errorf("-run %s: %s differs from %s (rerun with -update if intended):\n--- got ---\n%s--- want ---\n%s", strings.Join(names, ","), sec.name, path, sec.text, w)
+		}
+	}
+}
 
 // TestCLI builds silo-bench once and pins what it prints.
 func TestCLI(t *testing.T) {
@@ -85,50 +172,25 @@ func TestCLI(t *testing.T) {
 		return out
 	}
 
-	// checkRuns runs silo-bench -run names and checks its stdout
-	// against testdata/all.golden, section by section, wall-clock
-	// fields masked; with rewrite it first rewrites the golden from
-	// that stdout.
+	// checkRuns runs silo-bench -run names -outdir and checks its stdout
+	// against testdata/all.golden, section by section, wall-clock fields
+	// masked, and the CSVs it writes against testdata/csv.golden; with
+	// rewrite it first rewrites both goldens from that run.
 	checkRuns := func(t *testing.T, names []string, rewrite bool) {
 		t.Helper()
-		got := sections(run(t, "-run", strings.Join(names, ",")))
-		path := filepath.Join("testdata", "all.golden")
-		if rewrite {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			var b strings.Builder
-			for _, sec := range got {
-				b.WriteString(sec.text)
-			}
-			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		golden, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create it)", err)
-		}
-		want := map[string]string{}
-		for _, sec := range sections(golden) {
-			want[sec.name] = sec.text
-		}
-		for _, sec := range got {
-			if sec.text != want[sec.name] {
-				t.Errorf("-run %s differs from %s (rerun with -update if intended):\n--- got ---\n%s--- want ---\n%s", sec.name, path, sec.text, want[sec.name])
-			}
-		}
-		n := len(names)
-		if names[0] == "all" {
-			n = len(want)
-		}
-		if len(got) != n {
-			t.Errorf("-run %s printed %d experiments, want %d", strings.Join(names, ","), len(got), n)
-		}
+		dir := t.TempDir()
+		out := run(t, "-run", strings.Join(names, ","), "-outdir", dir)
+		// all.golden is stdout without -outdir: drop the lines naming
+		// the files written there.
+		out = regexp.MustCompile(`(?m)^.* written to `+regexp.QuoteMeta(dir)+`.*\n`).ReplaceAll(out, nil)
+		got := sections(out)
+		checkSections(t, "all.golden", names, got, rewrite)
+		checkSections(t, "csv.golden", names, csvSections(t, dir), rewrite)
 	}
 
 	// The runs in fastRuns (or, under -all or -update, every -run all
-	// experiment) against testdata/all.golden; -update rewrites it.
+	// experiment) against testdata/all.golden and csv.golden; -update
+	// rewrites both.
 	t.Run("golden runs", func(t *testing.T) {
 		names := fastRuns
 		if *all || *update {
@@ -139,7 +201,7 @@ func TestCLI(t *testing.T) {
 
 	// Figure 5's placement, packet-level and incident checks, and the
 	// failure drill: simulated time only, so their sections of
-	// all.golden repeat byte for byte.
+	// all.golden and the drill's CSV repeat byte for byte.
 	t.Run("golden fig5 faultdrill", func(t *testing.T) {
 		checkRuns(t, []string{"fig5", "faultdrill"}, false)
 	})
