@@ -160,6 +160,19 @@ func (sc Scenario) Validate() error {
 		return errors.New("Planes: Windows and Incidents read the audit, and Audit is off")
 	}
 	servers := sc.Topology.Pods * sc.Topology.RacksPerPod * sc.Topology.ServersPerRack
+	// The automatic VM ids, [VMBase, autoEnd): each tenant without a base
+	// of its own takes the next VMs + VMGap. A redeployed tenant takes
+	// fresh ones, so under Redeploy they have no end.
+	autoEnd := math.MaxInt
+	if !sc.Redeploy {
+		autoEnd = sc.VMBase
+		for _, t := range sc.Tenants {
+			if t.VMBase == 0 {
+				autoEnd += t.Spec.VMs + sc.VMGap
+			}
+		}
+	}
+	fixed := map[int]int{} // VMs the fixed layouts put on each server
 	for i, t := range sc.Tenants {
 		if err := t.validate(servers); err != nil {
 			return fmt.Errorf("Tenants[%d].%w", i, err)
@@ -174,6 +187,16 @@ func (sc Scenario) Validate() error {
 				return fmt.Errorf("Tenants[%d].VMBase: VMs %d-%d overlap Tenants[%d]'s", i, t.VMBase, t.VMBase+t.Spec.VMs-1, j)
 			}
 		}
+		if t.VMBase != 0 && t.VMBase < autoEnd && sc.VMBase < t.VMBase+t.Spec.VMs {
+			return fmt.Errorf("Tenants[%d].VMBase: VMs %d-%d meet the automatic ids from %d", i, t.VMBase, t.VMBase+t.Spec.VMs-1, sc.VMBase)
+		}
+		// The placer never sees a fixed layout, so it never counts its
+		// slots.
+		for _, s := range t.Servers {
+			if fixed[s]++; fixed[s] > sc.Topology.SlotsPerServer {
+				return fmt.Errorf("Tenants[%d].Servers: the fixed layouts put %d VMs on server %d, which has %d slots", i, fixed[s], s, sc.Topology.SlotsPerServer)
+			}
+		}
 	}
 	return nil
 }
@@ -183,7 +206,8 @@ func (t Tenant) validate(servers int) error {
 	if err := t.Spec.Validate(); err != nil {
 		return fmt.Errorf("Spec: %w", err)
 	}
-	// A fixed layout skips the placer, so nothing else checks it.
+	// A fixed layout skips the placer: its length and servers are
+	// checked here, its slots by Scenario.Validate.
 	if t.Servers != nil && len(t.Servers) != t.Spec.VMs {
 		return fmt.Errorf("Servers: %d servers for %d VMs", len(t.Servers), t.Spec.VMs)
 	}

@@ -118,15 +118,18 @@ const badInputBase = `[{
   "Tenants": [
     {"Spec": {"ID": 1, "Name": "a", "VMs": 2,
        "Guarantee": {"BandwidthBps": 1e8, "BurstBytes": 15000, "DelayBound": 0.001, "BurstRateBps": 1e9}},
-     "VMBase": 1000,
+     "VMBase": 2000,
      "Hose": {"Kind": "fair-share", "Pattern": "all-to-one"},
      "Driver": {"Kind": "burst", "MsgBytes": 5000}},
     {"Spec": {"ID": 2, "Name": "b", "VMs": 2,
        "Guarantee": {"BandwidthBps": 2e8, "BurstBytes": 15000, "DelayBound": 0.001, "BurstRateBps": 1e9}},
-     "VMBase": 2000,
+     "VMBase": 3000,
      "Hose": {"Kind": "peak", "Pattern": "all-to-all"},
-     "Driver": {"Kind": "oldi", "MsgBytes": 3000}}
+     "Driver": {"Kind": "oldi", "MsgBytes": 3000}},
+    {"Spec": {"ID": 3, "Name": "c", "VMs": 5,
+       "Guarantee": {"BandwidthBps": 3e8, "BurstBytes": 15000, "DelayBound": 0.001, "BurstRateBps": 1e9}}}
   ],
+  "VMBase": 1000,
   "HorizonNs": 1000000,
   "Planes": {"Audit": false}
 }]`
@@ -143,7 +146,7 @@ func TestBadScenarioInputs(t *testing.T) {
 	}{
 		{"valid", "", "", ""},
 		{"unknown field", `"Scheme"`, `"Bogus": 1, "Scheme"`, `unknown field "Bogus"`},
-		{"unknown tenant field", `"VMBase": 1000`, `"VMbase2": 1000`, `unknown field "VMbase2"`},
+		{"unknown tenant field", `"VMBase": 2000`, `"VMbase2": 2000`, `unknown field "VMbase2"`},
 		{"unknown spec field", `"ID": 1,`, `"ID": 1, "Tier": 2,`, `unknown field "Tier"`},
 		{"unknown scheme", `"Silo"`, `"Sillo"`, `unknown scheme "Sillo"`},
 		{"unknown hose kind", `"fair-share"`, `"fairshare"`, `unknown hose kind "fairshare"`},
@@ -158,11 +161,14 @@ func TestBadScenarioInputs(t *testing.T) {
 		{"spec", `"VMs": 2,
        "Guarantee": {"BandwidthBps": 1e8`, `"VMs": 0,
        "Guarantee": {"BandwidthBps": 1e8`, `Tenants[0].Spec: tenant "a": VMs must be positive`},
-		{"layout shorter than the tenant", `"VMBase": 2000,`, `"VMBase": 2000, "Servers": [1],`, "Tenants[1].Servers: 1 servers for 2 VMs"},
-		{"layout off the tree", `"VMBase": 2000,`, `"VMBase": 2000, "Servers": [1, 2],`, "Tenants[1].Servers[1]: server 2, and the tree has 2"},
-		{"negative server", `"VMBase": 2000,`, `"VMBase": 2000, "Servers": [-1, 0],`, "Tenants[1].Servers[0]: server -1"},
+		{"layout shorter than the tenant", `"VMBase": 3000,`, `"VMBase": 3000, "Servers": [1],`, "Tenants[1].Servers: 1 servers for 2 VMs"},
+		{"layout off the tree", `"VMBase": 3000,`, `"VMBase": 3000, "Servers": [1, 2],`, "Tenants[1].Servers[1]: server 2, and the tree has 2"},
+		{"negative server", `"VMBase": 3000,`, `"VMBase": 3000, "Servers": [-1, 0],`, "Tenants[1].Servers[0]: server -1"},
 		{"repeated ID", `"ID": 2`, `"ID": 1`, "Tenants[1].Spec.ID: 1 is Tenants[0]'s"},
-		{"overlapping VM ids", `"VMBase": 2000`, `"VMBase": 1001`, "Tenants[1].VMBase: VMs 1001-1002 overlap Tenants[0]'s"},
+		{"overlapping VM ids", `"VMBase": 3000`, `"VMBase": 2001`, "Tenants[1].VMBase: VMs 2001-2002 overlap Tenants[0]'s"},
+		{"VM ids meet the automatic ones", `"VMBase": 3000`, `"VMBase": 1002`, "Tenants[1].VMBase: VMs 1002-1003 meet the automatic ids from 1000"},
+		{"VM ids meet redeployed ones", `"HorizonNs"`, `"Redeploy": true, "HorizonNs"`, "Tenants[0].VMBase: VMs 2000-2001 meet the automatic ids from 1000"},
+		{"fixed layouts overbook a server", `1e9}}}`, `1e9}}, "Servers": [1, 1, 1, 1, 1]}`, "Tenants[2].Servers: the fixed layouts put 5 VMs on server 1, which has 4 slots"},
 		{"static hose without pattern", `, "Pattern": "all-to-one"`, ``, "Tenants[0].Hose.Pattern: a static hose needs one"},
 		{"dynamic hose without epoch", `"Kind": "peak"`, `"Kind": "dynamic"`, "Tenants[1].Hose.EpochNs"},
 		{"empty message", `"MsgBytes": 5000`, `"MsgBytes": 0`, "Tenants[0].Driver.MsgBytes: 0, want 1 to 2^31-1"},
