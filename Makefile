@@ -105,8 +105,9 @@ test-pacer:
 	$(GO) test -race -count=25 -run '$(PACER_RUN)' $(PACER_PKGS)
 
 # Parity: the stdout of all 13 silo-bench -run all experiments against
-# cmd/silo-bench/testdata/all.golden, wall-clock fields masked (about
-# 20 s). Tier-1 checks only the experiments that take at most about two
+# cmd/silo-bench/testdata/all.golden, wall-clock fields masked, and
+# every CSV they write but fig10's against csv.golden (about 20 s).
+# Tier-1 checks only the experiments that take at most about two
 # seconds each. A change that keeps every figure passes this unchanged;
 # one that moves a decision re-blesses the golden with
 # `go test ./cmd/silo-bench -run TestCLI/golden -update`.

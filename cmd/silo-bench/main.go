@@ -181,19 +181,19 @@ func runFig1(duration float64, seed uint64) error {
 		return err
 	}
 	fmt.Println("Figure 1 — memcached request latency, alone vs with netperf (plain TCP):")
-	rs, err := experiments.RunMemcached(lines)
+	runs, err := experiments.RunLines(lines)
 	if err != nil {
 		return err
 	}
-	fmt.Print(experiments.RenderMemcached(rs))
-	// CDF detail as in the figure.
-	for i, r := range rs {
-		fmt.Printf("\n%s CDF (µs):\n", r.Scenario)
-		for _, pt := range r.Latencies.CDF(11) {
+	fmt.Print(experiments.RenderMemcached(runs))
+	// CDF detail as in the figure: tenant A's request latencies.
+	for i, run := range runs {
+		lat := &run.Tenants[0].LatencyUs
+		fmt.Printf("\n%s CDF (µs):\n", run.Scenario.Name)
+		for _, pt := range lat.CDF(11) {
 			fmt.Printf("  %6.1f%%  %10.0f\n", pt.Fraction*100, pt.Value)
 		}
-		writeCSV(fmt.Sprintf("fig1_cdf_%d.csv", i),
-			[]string{"latency_us", "fraction"}, r.Latencies.CDFRows(200))
+		writeCSV(fmt.Sprintf("fig1_cdf_%d.csv", i), []string{"latency_us", "fraction"}, lat.CDFRows(200))
 	}
 	return nil
 }
@@ -232,7 +232,7 @@ func runFig5() error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(rs.Render())
+	fmt.Print(experiments.RenderFigure5Sim(rs))
 	if outdir != "" && len(rs.Spans) > 0 {
 		path := filepath.Join(outdir, "fig5_trace.json")
 		if err := obs.WriteTraceFileMeta(path, nil, rs.Ports, rs.Spans); err != nil {
@@ -246,7 +246,7 @@ func runFig5() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(ru.AuditSummary)
+	fmt.Println(ru.Audit.Summary())
 	if ru.Incidents != nil {
 		fmt.Print(ru.Incidents.Render())
 		if outdir != "" {
@@ -282,19 +282,16 @@ func runFig11(duration float64, seed uint64) error {
 		return err
 	}
 	fmt.Println("Figure 11 — memcached under TCP vs Silo req1-3 (latency, guarantee, throughput):")
-	rs, err := experiments.RunMemcached(lines)
+	runs, err := experiments.RunLines(lines)
 	if err != nil {
 		return err
 	}
-	fmt.Print(experiments.RenderMemcached(rs))
+	fmt.Print(experiments.RenderMemcached(runs))
 	var rows [][]float64
-	for i, r := range rs {
-		rows = append(rows, []float64{float64(i),
-			r.Latencies.Percentile(50), r.Latencies.Percentile(99),
-			r.Latencies.Percentile(99.9), r.GuaranteeUs,
-			r.MemcachedThroughputRps(), r.BulkThroughputBps() * 8 / 1e9})
+	for i, run := range runs {
+		rows = append(rows, append([]float64{float64(i)}, experiments.MemcachedRow(run)...))
 		writeCSV(fmt.Sprintf("fig11_cdf_%d.csv", i),
-			[]string{"latency_us", "fraction"}, r.Latencies.CDFRows(200))
+			[]string{"latency_us", "fraction"}, run.Tenants[0].LatencyUs.CDFRows(200))
 	}
 	writeCSV("fig11.csv", []string{"scenario", "p50_us", "p99_us", "p999_us", "guarantee_us", "req_per_s", "bulk_gbps"}, rows)
 	return nil
@@ -310,24 +307,23 @@ func runFig12(duration float64, seed uint64) error {
 	}
 	stamp(p.Seed)
 	fmt.Println("Figures 12-14 and Table 4 — Silo vs TCP/DCTCP/HULL/Okto/Okto+:")
-	rs, err := experiments.RunComparison(p)
+	runs, err := experiments.RunComparison(p)
 	if err != nil {
 		return err
 	}
-	fmt.Print(experiments.RenderComparison(rs))
+	fmt.Print(experiments.RenderComparison(runs))
 	var f12, t4 [][]float64
-	for i, r := range rs {
-		f12 = append(f12, []float64{float64(i),
-			r.ClassALatUs.Percentile(50), r.ClassALatUs.Percentile(95),
-			r.ClassALatUs.Percentile(99), float64(r.Drops)})
-		t4 = append(t4, []float64{float64(i),
-			100 * r.OutlierFrac(1), 100 * r.OutlierFrac(2), 100 * r.OutlierFrac(8)})
-		writeCSV(fmt.Sprintf("fig12_cdf_%s.csv", r.Scheme),
-			[]string{"latency_us", "fraction"}, r.ClassALatUs.CDFRows(200))
-		writeCSV(fmt.Sprintf("fig13_cdf_%s.csv", r.Scheme),
-			[]string{"rto_msg_pct", "fraction"}, r.RTOTenantCDF().CDFRows(100))
-		writeCSV(fmt.Sprintf("fig14_cdf_%s.csv", r.Scheme),
-			[]string{"normalized_latency", "fraction"}, r.ClassBNormalizedLatency().CDFRows(100))
+	for i, run := range runs {
+		r := experiments.Figure12Row(run) // p50, p95, p99, max, drops
+		f12 = append(f12, []float64{float64(i), r[0], r[1], r[2], r[4]})
+		t4 = append(t4, append([]float64{float64(i)}, experiments.Table4Row(run)...))
+		scheme := run.Scenario.Scheme
+		writeCSV(fmt.Sprintf("fig12_cdf_%s.csv", scheme),
+			[]string{"latency_us", "fraction"}, experiments.ClassALatency(run).CDFRows(200))
+		writeCSV(fmt.Sprintf("fig13_cdf_%s.csv", scheme),
+			[]string{"rto_msg_pct", "fraction"}, experiments.RTOTenantCDF(run).CDFRows(100))
+		writeCSV(fmt.Sprintf("fig14_cdf_%s.csv", scheme),
+			[]string{"normalized_latency", "fraction"}, experiments.ClassBNormalizedLatency(run).CDFRows(100))
 	}
 	writeCSV("fig12.csv", []string{"scheme", "p50_us", "p95_us", "p99_us", "drops"}, f12)
 	writeCSV("table4.csv", []string{"scheme", "outlier_1x_pct", "outlier_2x_pct", "outlier_8x_pct"}, t4)
@@ -407,11 +403,11 @@ func runBestEffort(duration float64, seed uint64) error {
 		return err
 	}
 	fmt.Println("§4.4 — best-effort tenants on the low 802.1q class:")
-	r, err := experiments.RunBestEffort(lines)
+	runs, err := experiments.RunBestEffort(lines)
 	if err != nil {
 		return err
 	}
-	fmt.Print(r.Render())
+	fmt.Print(experiments.RenderBestEffort(runs))
 	return nil
 }
 
@@ -421,16 +417,13 @@ func runBurstStress() error {
 		return err
 	}
 	fmt.Println("Synchronized-burst stress — Figure 5's principle at runtime (Silo vs Okto+):")
-	rs, err := experiments.RunBurstStress(lines)
+	runs, err := experiments.RunLines(lines)
 	if err != nil {
 		return err
 	}
-	fmt.Print(experiments.RenderBurstStress(rs))
+	fmt.Print(experiments.RenderBurstStress(runs))
 	return nil
 }
-
-// drillVerdictCode encodes drill verdicts for the CSV artifact.
-var drillVerdictCode = map[string]float64{"ok": 0, "relocated": 1, "degraded": 2, "evicted": 3}
 
 func runFaultDrill(seed uint64) error {
 	lines, err := scenarios("faultdrill", seed, 0)
@@ -438,29 +431,27 @@ func runFaultDrill(seed uint64) error {
 		return err
 	}
 	fmt.Println("Failure drill — ToR death under admitted load: evacuation, re-admission, delay audit and 1 ms violation windows:")
-	r, err := experiments.RunFailureDrill(lines[0])
-	if err != nil {
+	run, err := experiments.RunFailureDrill(lines[0])
+	if run == nil {
 		return err
 	}
-	fmt.Print(r.Render())
+	fmt.Print(experiments.RenderFailureDrill(run, err))
 	var rows [][]float64
-	for _, row := range r.Rows {
-		rows = append(rows, []float64{float64(row.ID), drillVerdictCode[row.Verdict],
-			float64(row.RecoveryNs) / 1e6, float64(row.Messages),
-			float64(row.Delivered), float64(row.Violated), float64(row.InFault)})
+	for _, row := range experiments.DrillRows(run) {
+		rows = append(rows, row[:7]) // less the conformance
 	}
 	writeCSV("faultdrill.csv", []string{"tenant", "verdict", "recovery_ms", "messages", "delivered", "violated", "in_fault"}, rows)
-	if outdir != "" && r.Incidents != nil {
-		r.Incidents.Meta = &runMeta
+	if outdir != "" && run.Incidents != nil {
+		run.Incidents.Meta = &runMeta
 		path := filepath.Join(outdir, "incidents.json")
-		if err := r.Incidents.WriteFile(path); err != nil {
+		if err := run.Incidents.WriteFile(path); err != nil {
 			fmt.Fprintf(os.Stderr, "drill incidents: %v\n", err)
 		} else {
 			fmt.Printf("incident report written to %s (inspect with silo-inspect incident)\n", path)
 		}
 	}
-	if r.InvariantsErr != "" {
-		return fmt.Errorf("placement invariants after recovery: %s", r.InvariantsErr)
+	if err != nil {
+		return fmt.Errorf("placement invariants after recovery: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/obs"
+)
 
 // The flight recorder's sampling cost on a whole packet-level figure:
 // go run ./benchmark times the system end to end and all.golden pins
@@ -15,16 +19,16 @@ func benchFig5Sim(b *testing.B, sampleN int) {
 	for i := 0; i < b.N; i++ {
 		sc := mustScenarios(b, "fig5")[0]
 		sc.Planes.TraceSampleN = sampleN
-		r, err := RunFigure5Sim(sc)
+		run, err := RunFigure5Sim(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Drops != 0 {
-			b.Fatalf("drops = %d, want 0", r.Drops)
+		if drops := run.Net.TotalDrops(); drops != 0 {
+			b.Fatalf("drops = %d, want 0", drops)
 		}
-		b.ReportMetric(float64(r.Messages), "messages")
+		b.ReportMetric(float64(run.Tenants[0].Messages), "messages")
 		if sampleN > 0 {
-			b.ReportMetric(float64(r.Flight.Complete), "spans")
+			b.ReportMetric(float64(obs.SummarizeFlight(run.Spans).Complete), "spans")
 		}
 	}
 }

@@ -13,31 +13,30 @@ func TestBurstStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level simulation")
 	}
-	rs, err := RunBurstStress(mustScenarios(t, "burststress"))
+	rs, err := RunLines(mustScenarios(t, "burststress"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	silo, okto := rs[0], rs[1]
-	if silo.Scheme != core.SchemeSilo || okto.Scheme != core.SchemeOktoPlus {
+	if silo.Scenario.Scheme != core.SchemeSilo || okto.Scenario.Scheme != core.SchemeOktoPlus {
 		t.Fatal("unexpected scheme order")
 	}
 	// Silo: strictly fewer tenants, zero drops, every message within
 	// the guarantee.
-	if silo.Admitted >= okto.Admitted {
-		t.Errorf("Silo admitted %d >= Okto+ %d; burst constraint not binding", silo.Admitted, okto.Admitted)
+	if len(silo.Tenants) >= len(okto.Tenants) {
+		t.Errorf("Silo admitted %d >= Okto+ %d; burst constraint not binding", len(silo.Tenants), len(okto.Tenants))
 	}
-	if silo.Admitted == 0 {
+	if len(silo.Tenants) == 0 {
 		t.Error("Silo admitted nothing")
 	}
-	if silo.Drops != 0 || !silo.WorstBoundOK {
-		t.Errorf("Silo violated its guarantee: drops=%d boundOK=%v p99=%.0fµs",
-			silo.Drops, silo.WorstBoundOK, silo.P99LatencyUs)
+	if _, p99, _, allOK := burstOutcome(silo); silo.Net.TotalDrops() != 0 || !allOK {
+		t.Errorf("Silo violated its guarantee: drops=%d boundOK=%v p99=%.0fµs", silo.Net.TotalDrops(), allOK, p99)
 	}
 	// Okto+: admits everyone, overflows, messages late.
-	if okto.Drops == 0 {
+	if okto.Net.TotalDrops() == 0 {
 		t.Error("Okto+ synchronized bursts should overflow the buffer")
 	}
-	if okto.MessagesLate == 0 {
+	if late, _, _, _ := burstOutcome(okto); late == 0 {
 		t.Error("Okto+ should have late messages")
 	}
 	if RenderBurstStress(rs) == "" {

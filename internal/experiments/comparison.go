@@ -100,122 +100,24 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// TenantStats accumulates one tenant's message outcomes under one
-// scheme.
-type TenantStats struct {
-	ClassA bool
-	VMs    int
-	// EstimateNs is the tenant's message-latency estimate (Silo's
-	// guarantee formula applied to its message size).
-	EstimateNs int64
-	// LatenciesUs samples message latencies in µs.
-	LatenciesUs *stats.Sample
-	Messages    int
-	MessagesRTO int
-}
-
-// RTOFrac returns the fraction of the tenant's messages that suffered
-// at least one retransmission timeout (Figure 13's x-axis).
-func (t *TenantStats) RTOFrac() float64 {
-	if t.Messages == 0 {
-		return 0
-	}
-	return float64(t.MessagesRTO) / float64(t.Messages)
-}
-
-// SchemeResult is one scheme's outcome.
-type SchemeResult struct {
-	Scheme  core.Scheme
-	Tenants []*TenantStats
-	// ClassALatUs aggregates all class-A message latencies (µs) —
-	// Figure 12's distribution.
-	ClassALatUs *stats.Sample
-	// AdmittedVMs actually placed.
-	AdmittedVMs int
-	Drops       int64
-}
-
-// ClassATenants filters.
-func (r SchemeResult) ClassATenants() []*TenantStats {
-	var out []*TenantStats
-	for _, t := range r.Tenants {
-		if t.ClassA {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// ClassBTenants filters.
-func (r SchemeResult) ClassBTenants() []*TenantStats {
-	var out []*TenantStats
-	for _, t := range r.Tenants {
-		if !t.ClassA {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// OutlierFrac returns the fraction of class-A tenants whose p99
-// message latency exceeds `mult` × their estimate (Table 4).
-func (r SchemeResult) OutlierFrac(mult float64) float64 {
-	tenants := r.ClassATenants()
-	if len(tenants) == 0 {
-		return 0
-	}
-	n := 0
-	for _, t := range tenants {
-		if t.LatenciesUs.Len() == 0 {
-			continue
-		}
-		if t.LatenciesUs.Percentile(99)*1e3 > mult*float64(t.EstimateNs) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(tenants))
-}
-
-// RTOTenantCDF returns, over class-A tenants, the per-tenant fraction
-// of messages with RTOs (Figure 13).
-func (r SchemeResult) RTOTenantCDF() *stats.Sample {
-	s := stats.NewSample(len(r.Tenants))
-	for _, t := range r.ClassATenants() {
-		s.Add(100 * t.RTOFrac())
-	}
-	return s
-}
-
-// ClassBNormalizedLatency returns, over class-B tenants, mean message
-// latency normalized to the estimate (Figure 14).
-func (r SchemeResult) ClassBNormalizedLatency() *stats.Sample {
-	s := stats.NewSample(len(r.Tenants))
-	for _, t := range r.ClassBTenants() {
-		if t.LatenciesUs.Len() == 0 || t.EstimateNs == 0 {
-			continue
-		}
-		s.Add(t.LatenciesUs.Mean() * 1e3 / float64(t.EstimateNs))
-	}
-	return s
-}
-
-// RunComparison runs every scheme over the same tenant stream.
-func RunComparison(p ComparisonParams) ([]SchemeResult, error) {
+// RunComparison runs every scheme in turn over the same tenant stream
+// and returns one finished run per scheme, in core.AllSchemes order.
+func RunComparison(p ComparisonParams) ([]*Run, error) {
 	return runComparison(comparisonScenario(p))
 }
 
 // runComparison runs the scenario under every scheme in turn.
-func runComparison(sc Scenario) ([]SchemeResult, error) {
-	var out []SchemeResult
+func runComparison(sc Scenario) ([]*Run, error) {
+	var runs []*Run
 	for _, s := range core.AllSchemes {
 		sc.Scheme = s
-		r, err := runScheme(sc)
+		run, err := RunScenario(sc, Env{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s, err)
 		}
-		out = append(out, r)
+		runs = append(runs, run)
 	}
-	return out, nil
+	return runs, nil
 }
 
 // comparisonScenario offers the seeded tenant stream (the scheme is
@@ -260,35 +162,20 @@ func comparisonScenario(p ComparisonParams) Scenario {
 	return sc
 }
 
-func runScheme(sc Scenario) (SchemeResult, error) {
-	run, err := RunScenario(sc, Env{})
-	if err != nil {
-		return SchemeResult{}, err
+// classA reports whether the tenant is class A: the delay-sensitive
+// OLDI pattern, not the class-B shuffle.
+func classA(tr *TenantRun) bool { return tr.Tenant.Driver.Kind == DriverOLDI }
+
+// estimateNs is the tenant's message-latency estimate: for class A,
+// Silo's guarantee for its message (classAEstimateNs); for class B,
+// the transfer time at its per-flow reserved rate under the hose
+// model, B/(N−1).
+func estimateNs(tr *TenantRun) int64 {
+	g, n, msg := tr.Tenant.Spec.Guarantee, tr.Tenant.Spec.VMs, tr.Tenant.Driver.MsgBytes
+	if classA(tr) {
+		return classAEstimateNs(g, msg)
 	}
-	res := SchemeResult{Scheme: sc.Scheme, ClassALatUs: stats.NewSample(1 << 16), Drops: run.Net.TotalDrops()}
-	for _, tr := range run.Tenants {
-		g, n, d := tr.Tenant.Spec.Guarantee, tr.Tenant.Spec.VMs, tr.Tenant.Driver
-		st := &TenantStats{
-			ClassA:      d.Kind == DriverOLDI,
-			VMs:         n,
-			LatenciesUs: &tr.LatencyUs,
-			Messages:    tr.Messages,
-			MessagesRTO: tr.MessagesRTO,
-		}
-		if st.ClassA {
-			st.EstimateNs = classAEstimateNs(g, d.MsgBytes)
-			for _, v := range tr.LatencyUs.Values() {
-				res.ClassALatUs.Add(v)
-			}
-		} else {
-			// Per-flow reserved rate under the hose model: B/(N−1); the
-			// estimate is the transfer time at that rate.
-			st.EstimateNs = int64(float64(d.MsgBytes) / (g.BandwidthBps / float64(n-1)) * 1e9)
-		}
-		res.Tenants = append(res.Tenants, st)
-		res.AdmittedVMs += n
-	}
-	return res, nil
+	return int64(float64(msg) / (g.BandwidthBps / float64(n-1)) * 1e9)
 }
 
 // classAEstimateNs is the paper's message-latency estimate for a
@@ -301,32 +188,108 @@ func classAEstimateNs(g tenant.Guarantee, msg int) int64 {
 	return int64((float64(msg)/bmax + g.DelayBound) * 1e9)
 }
 
-// RenderComparison formats Figures 12–14 and Table 4.
-func RenderComparison(results []SchemeResult) string {
+// ClassALatency pools every class-A message latency (µs): Figure 12's
+// distribution.
+func ClassALatency(run *Run) *stats.Sample {
+	s := stats.NewSample(1 << 16)
+	for _, tr := range run.Tenants {
+		if classA(tr) {
+			s.AddAll(tr.LatencyUs.Values())
+		}
+	}
+	return s
+}
+
+// outlierFrac is Table 4's number: the fraction of class-A tenants
+// whose p99 message latency exceeds mult × their estimate.
+func outlierFrac(run *Run, mult float64) float64 {
+	tenants, outliers := 0, 0
+	for _, tr := range run.Tenants {
+		if !classA(tr) {
+			continue
+		}
+		tenants++
+		if tr.LatencyUs.Len() > 0 && tr.LatencyUs.Percentile(99)*1e3 > mult*float64(estimateNs(tr)) {
+			outliers++
+		}
+	}
+	if tenants == 0 {
+		return 0
+	}
+	return float64(outliers) / float64(tenants)
+}
+
+// RTOTenantCDF is Figure 13's distribution: over class-A tenants, the
+// percentage of each one's messages that suffered at least one
+// retransmission timeout.
+func RTOTenantCDF(run *Run) *stats.Sample {
+	s := stats.NewSample(len(run.Tenants))
+	for _, tr := range run.Tenants {
+		if classA(tr) {
+			frac := 0.0
+			if tr.Messages > 0 {
+				frac = float64(tr.MessagesRTO) / float64(tr.Messages)
+			}
+			s.Add(100 * frac)
+		}
+	}
+	return s
+}
+
+// ClassBNormalizedLatency is Figure 14's distribution: over class-B
+// tenants, mean message latency normalized to the estimate.
+func ClassBNormalizedLatency(run *Run) *stats.Sample {
+	s := stats.NewSample(len(run.Tenants))
+	for _, tr := range run.Tenants {
+		if classA(tr) || tr.LatencyUs.Len() == 0 {
+			continue
+		}
+		if est := estimateNs(tr); est != 0 {
+			s.Add(tr.LatencyUs.Mean() * 1e3 / float64(est))
+		}
+	}
+	return s
+}
+
+// Figure12Row is one scheme's row of Figure 12: the class-A p50, p95,
+// p99 and max message latency in µs, and the run's drops.
+func Figure12Row(run *Run) []float64 {
+	lat := ClassALatency(run)
+	return []float64{lat.Percentile(50), lat.Percentile(95), lat.Percentile(99), lat.Max(), float64(run.Net.TotalDrops())}
+}
+
+// Table4Row is one scheme's row of Table 4: the percentage of outlier
+// class-A tenants at 1×, 2× and 8× their estimate.
+func Table4Row(run *Run) []float64 {
+	return []float64{100 * outlierFrac(run, 1), 100 * outlierFrac(run, 2), 100 * outlierFrac(run, 8)}
+}
+
+// RenderComparison formats Figures 12–14 and Table 4 from one run per
+// scheme.
+func RenderComparison(runs []*Run) string {
 	var b strings.Builder
 	b.WriteString("Figure 12 — class-A message latency (µs):\n")
 	fmt.Fprintf(&b, "%-8s %10s %10s %10s %10s %8s\n", "scheme", "p50", "p95", "p99", "max", "drops")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-8s %10.0f %10.0f %10.0f %10.0f %8d\n", r.Scheme,
-			r.ClassALatUs.Percentile(50), r.ClassALatUs.Percentile(95),
-			r.ClassALatUs.Percentile(99), r.ClassALatUs.Max(), r.Drops)
+	for _, run := range runs {
+		r := Figure12Row(run)
+		fmt.Fprintf(&b, "%-8s %10.0f %10.0f %10.0f %10.0f %8.0f\n", run.Scenario.Scheme, r[0], r[1], r[2], r[3], r[4])
 	}
 	b.WriteString("\nFigure 13 — % of class-A tenants vs % messages with RTOs (p50/p90/max):\n")
-	for _, r := range results {
-		cdf := r.RTOTenantCDF()
-		fmt.Fprintf(&b, "%-8s p50=%.2f%% p90=%.2f%% max=%.2f%%\n", r.Scheme,
+	for _, run := range runs {
+		cdf := RTOTenantCDF(run)
+		fmt.Fprintf(&b, "%-8s p50=%.2f%% p90=%.2f%% max=%.2f%%\n", run.Scenario.Scheme,
 			cdf.Percentile(50), cdf.Percentile(90), cdf.Max())
 	}
 	b.WriteString("\nTable 4 — outlier class-A tenants (%):\n")
 	fmt.Fprintf(&b, "%-8s %10s %10s %10s\n", "scheme", "1x", "2x", "8x")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-8s %10.1f %10.1f %10.1f\n", r.Scheme,
-			100*r.OutlierFrac(1), 100*r.OutlierFrac(2), 100*r.OutlierFrac(8))
+	for _, run := range runs {
+		r := Table4Row(run)
+		fmt.Fprintf(&b, "%-8s %10.1f %10.1f %10.1f\n", run.Scenario.Scheme, r[0], r[1], r[2])
 	}
 	b.WriteString("\nFigure 14 — class-B mean latency / estimate (p10/p50/p90):\n")
-	for _, r := range results {
-		s := r.ClassBNormalizedLatency()
-		fmt.Fprintf(&b, "%-8s p10=%.2f p50=%.2f p90=%.2f\n", r.Scheme,
+	for _, run := range runs {
+		s := ClassBNormalizedLatency(run)
+		fmt.Fprintf(&b, "%-8s p10=%.2f p50=%.2f p90=%.2f\n", run.Scenario.Scheme,
 			s.Percentile(10), s.Percentile(50), s.Percentile(90))
 	}
 	return b.String()

@@ -4,25 +4,31 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/tenant"
 	"repro/internal/units"
 )
 
-func synthTenant(classA bool, estimateNs int64, lats []float64, msgs, rtoMsgs int) *TenantStats {
-	s := stats.NewSample(len(lats))
-	s.AddAll(lats)
-	return &TenantStats{
-		ClassA:      classA,
-		VMs:         4,
-		EstimateNs:  estimateNs,
-		LatenciesUs: s,
-		Messages:    msgs,
-		MessagesRTO: rtoMsgs,
+// synthTenant builds a finished tenant whose estimate is estimateNs: a
+// class-A tenant's M/Bmax + d with M = 0, a class-B tenant's
+// M/(B/(N−1)) with N = 2 and B = 1e6.
+func synthTenant(classA bool, estimateNs int64, lats []float64, msgs, rtoMsgs int) *TenantRun {
+	t := Tenant{Spec: tenant.Spec{VMs: 2}}
+	if classA {
+		t.Driver = Driver{Kind: DriverOLDI}
+		t.Spec.Guarantee = tenant.Guarantee{DelayBound: float64(estimateNs) / 1e9, BurstRateBps: 1e9}
+	} else {
+		t.Driver = Driver{Kind: DriverShuffle, MsgBytes: int(estimateNs / 1000)}
+		t.Spec.Guarantee = tenant.Guarantee{BandwidthBps: 1e6}
 	}
+	tr := &TenantRun{Tenant: t}
+	tr.LatencyUs.AddAll(lats)
+	tr.Messages, tr.MessagesRTO = msgs, rtoMsgs
+	return tr
 }
 
 func TestOutlierFrac(t *testing.T) {
-	r := SchemeResult{
-		Tenants: []*TenantStats{
+	r := &Run{
+		Tenants: []*TenantRun{
 			// Estimate 1 ms = 1000 µs. p99 = 500 µs: not an outlier.
 			synthTenant(true, 1_000_000, []float64{100, 200, 500}, 3, 0),
 			// p99 = 3000 µs: 1x and 2x outlier, not 8x.
@@ -33,45 +39,44 @@ func TestOutlierFrac(t *testing.T) {
 			synthTenant(false, 1_000_000, []float64{99999}, 1, 0),
 		},
 	}
-	if got := r.OutlierFrac(1); got != 2.0/3 {
-		t.Errorf("OutlierFrac(1) = %v, want 2/3", got)
+	if got := outlierFrac(r, 1); got != 2.0/3 {
+		t.Errorf("outlierFrac(1) = %v, want 2/3", got)
 	}
-	if got := r.OutlierFrac(2); got != 2.0/3 {
-		t.Errorf("OutlierFrac(2) = %v, want 2/3", got)
+	if got := outlierFrac(r, 2); got != 2.0/3 {
+		t.Errorf("outlierFrac(2) = %v, want 2/3", got)
 	}
-	if got := r.OutlierFrac(8); got != 1.0/3 {
-		t.Errorf("OutlierFrac(8) = %v, want 1/3", got)
+	if got := outlierFrac(r, 8); got != 1.0/3 {
+		t.Errorf("outlierFrac(8) = %v, want 1/3", got)
 	}
-	empty := SchemeResult{}
-	if empty.OutlierFrac(1) != 0 {
-		t.Error("empty result should report 0 outliers")
+	if outlierFrac(&Run{}, 1) != 0 {
+		t.Error("empty run should report 0 outliers")
 	}
 }
 
 func TestRTOTenantCDF(t *testing.T) {
-	r := SchemeResult{
-		Tenants: []*TenantStats{
+	r := &Run{
+		Tenants: []*TenantRun{
 			synthTenant(true, 1, []float64{1}, 100, 0),
 			synthTenant(true, 1, []float64{1}, 100, 25),
 			synthTenant(false, 1, []float64{1}, 100, 100), // excluded
 		},
 	}
-	cdf := r.RTOTenantCDF()
+	cdf := RTOTenantCDF(r)
 	if cdf.Len() != 2 {
 		t.Fatalf("CDF over %d tenants, want 2", cdf.Len())
 	}
 	if cdf.Max() != 25 {
 		t.Errorf("max RTO%% = %v, want 25", cdf.Max())
 	}
-	zero := &TenantStats{ClassA: true}
-	if zero.RTOFrac() != 0 {
+	zero := RTOTenantCDF(&Run{Tenants: []*TenantRun{synthTenant(true, 1, nil, 0, 0)}})
+	if zero.Len() != 1 || zero.Max() != 0 {
 		t.Error("zero-message tenant should report 0")
 	}
 }
 
 func TestClassBNormalizedLatency(t *testing.T) {
-	r := SchemeResult{
-		Tenants: []*TenantStats{
+	r := &Run{
+		Tenants: []*TenantRun{
 			// Mean 2000 µs vs estimate 1 ms -> 2.0.
 			synthTenant(false, 1_000_000, []float64{1000, 3000}, 2, 0),
 			// Class-A excluded.
@@ -80,25 +85,12 @@ func TestClassBNormalizedLatency(t *testing.T) {
 			synthTenant(false, 0, []float64{5}, 1, 0),
 		},
 	}
-	s := r.ClassBNormalizedLatency()
+	s := ClassBNormalizedLatency(r)
 	if s.Len() != 1 {
 		t.Fatalf("normalized sample = %d entries, want 1", s.Len())
 	}
 	if got := s.Max(); got < 1.99 || got > 2.01 {
 		t.Errorf("normalized latency = %v, want 2.0", got)
-	}
-}
-
-func TestClassFilters(t *testing.T) {
-	r := SchemeResult{
-		Tenants: []*TenantStats{
-			synthTenant(true, 1, nil, 0, 0),
-			synthTenant(false, 1, nil, 0, 0),
-			synthTenant(true, 1, nil, 0, 0),
-		},
-	}
-	if len(r.ClassATenants()) != 2 || len(r.ClassBTenants()) != 1 {
-		t.Error("class filters wrong")
 	}
 }
 

@@ -4,98 +4,17 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/obs/incident"
-	"repro/internal/placement"
 )
-
-// DrillTenantRow is one tenant's end-of-drill outcome.
-type DrillTenantRow struct {
-	ID      int
-	Verdict string // "ok" for tenants the fault never touched
-	Degrade string // ladder rung, "-" unless degraded
-	// RecoveryNs is fault-to-first-completed-message on the new
-	// placement (-1 when not applicable: unaffected or evicted).
-	RecoveryNs int64
-	// Messages completed over the whole run.
-	Messages int
-	// The audit's delivered/violated packets, and the violations that
-	// landed in windows overlapping the injected outage.
-	Delivered   int64
-	Violated    int64
-	InFault     int64
-	Conformance float64
-}
-
-// FailureDrillResult is the drill's full outcome.
-type FailureDrillResult struct {
-	Offered, Admitted int
-	// HorizonNs is the drill's length; Events the fault log, the switch's
-	// death first and its repair last.
-	HorizonNs int64
-	Events    []faults.Event
-	Recovery  *placement.RecoveryReport
-	Rows      []DrillTenantRow // sorted by tenant ID
-	// Loss accounting: congestion loss vs outage loss, kept separate.
-	OverflowDrops int64
-	FaultDrops    int64
-	// InvariantsErr is the post-recovery VerifyInvariants failure, ""
-	// when the manager's port state checked out.
-	InvariantsErr string
-	// Incidents is the correlated incident report: every guarantee
-	// violation clustered into episodes, each rooted on the injected
-	// fault (verdict injected-fault with the outage in the timeline).
-	Incidents *incident.Report
-}
-
-// Render formats the drill summary. Deterministic: all content derives
-// from the simulation clock and sorted tenant IDs, never the wall
-// clock, so one seed produces byte-identical output.
-func (r *FailureDrillResult) Render() string {
-	var b strings.Builder
-	down, up := r.Events[0], r.Events[len(r.Events)-1]
-	_, sw, _ := strings.Cut(down.Target, " ")
-	fmt.Fprintf(&b, "failure drill: %s down @%.1fms (detect %.2fms, repair @%.1fms), horizon %.0fms\n",
-		sw, float64(down.TimeNs)/1e6, faultDetectNs/1e6, float64(up.TimeNs)/1e6, float64(r.HorizonNs)/1e6)
-	fmt.Fprintf(&b, "tenants: %d offered, %d admitted\n", r.Offered, r.Admitted)
-	b.WriteString("fault events:\n")
-	for _, ev := range r.Events {
-		fmt.Fprintf(&b, "  %s\n", ev)
-	}
-	if r.Recovery != nil {
-		b.WriteString(r.Recovery.Render())
-	}
-	b.WriteString("per-tenant outcome:\n")
-	fmt.Fprintf(&b, "  %-7s %-10s %-8s %12s %6s %10s %9s %9s %9s\n",
-		"tenant", "verdict", "degrade", "recovery(ms)", "msgs", "delivered", "violated", "in-fault", "conform")
-	for _, row := range r.Rows {
-		rec := "-"
-		if row.RecoveryNs >= 0 {
-			rec = fmt.Sprintf("%.2f", float64(row.RecoveryNs)/1e6)
-		}
-		fmt.Fprintf(&b, "  %-7d %-10s %-8s %12s %6d %10d %9d %9d %8.3f%%\n",
-			row.ID, row.Verdict, row.Degrade, rec, row.Messages,
-			row.Delivered, row.Violated, row.InFault, 100*row.Conformance)
-	}
-	if r.Incidents != nil {
-		b.WriteString(r.Incidents.Render())
-	}
-	fmt.Fprintf(&b, "drops: overflow=%d fault=%d\n", r.OverflowDrops, r.FaultDrops)
-	if r.InvariantsErr == "" {
-		b.WriteString("invariants: ok\n")
-	} else {
-		fmt.Fprintf(&b, "invariants: FAILED: %s\n", r.InvariantsErr)
-	}
-	return b.String()
-}
 
 // RunFailureDrill runs the drill of scenarios/faultdrill.json: it
 // builds the fabric, admits and deploys the tenants, runs the steady
 // workload, kills a switch mid-run, and drives the full recovery loop:
 // detect → Recover (evacuate + re-admit) → re-deploy on the new
-// placement → unpaced resync storm → steady workload resumes. Returns
-// the recovery-latency and guarantee-violation table.
+// placement → unpaced resync storm → steady workload resumes. It
+// returns the finished run and, with it, the error VerifyInvariants
+// finds in the manager's port state after recovery (nil when it checks
+// out).
 //
 // The drill shows the one window where even Silo traffic can arrive
 // late — unpaced resync storms (state re-replication toward the
@@ -113,55 +32,90 @@ func (r *FailureDrillResult) Render() string {
 // deliberately not protected by the pacer) from each of three
 // surviving out-of-rack hosts, and that fan-in over the uplinks queues
 // well past d. The run lasts 60 ms.
-func RunFailureDrill(sc Scenario) (*FailureDrillResult, error) {
+func RunFailureDrill(sc Scenario) (*Run, error) {
 	run, err := RunScenario(sc, Env{})
 	if err != nil {
 		return nil, err
 	}
-	res := &FailureDrillResult{
-		Offered:       len(sc.Tenants),
-		Admitted:      len(run.Tenants),
-		HorizonNs:     sc.HorizonNs,
-		Events:        run.Injector.Events(),
-		OverflowDrops: run.Net.TotalDrops(),
-		FaultDrops:    run.Net.TotalFaultDrops(),
-		// The drill's violations must all land inside the injected
-		// outage's windows (verdict injected-fault) — any other verdict is
-		// a finding about the drill itself.
-		Incidents: run.Incidents,
-	}
-	if len(run.Recoveries) > 0 {
-		res.Recovery = run.Recoveries[0]
-	}
-	if err := run.Manager.VerifyInvariants(); err != nil {
-		res.InvariantsErr = err.Error()
-	}
+	return run, run.Manager.VerifyInvariants()
+}
+
+// drillVerdictCode encodes the recovery verdicts in DrillRows.
+var drillVerdictCode = map[string]float64{"ok": 0, "relocated": 1, "degraded": 2, "evicted": 3}
+
+// DrillRows reduces the drill to one row per admitted tenant, in offer
+// order: its ID, its verdict (drillVerdictCode), the fault-to-first-
+// completed-message time on its new placement in ms (negative when not
+// applicable: unaffected or evicted), the messages it completed, the
+// audit's delivered and violated packets, the violations that landed in
+// windows overlapping the injected outage, and its conformance.
+func DrillRows(run *Run) [][]float64 {
 	inFault := map[int]int64{}
 	for _, ev := range run.Violations {
 		if ev.Source == obs.SourceWindow && ev.Fault != "" {
 			inFault[ev.Tenant] += ev.Count
 		}
 	}
+	var rows [][]float64
 	for _, tr := range run.Tenants {
-		id := tr.Tenant.Spec.ID
-		row := DrillTenantRow{
-			ID:          id,
-			Verdict:     tr.Verdict,
-			Degrade:     tr.Degradation,
-			RecoveryNs:  -1,
-			Messages:    tr.LatencyUs.Len(),
-			Conformance: 1,
-		}
+		id, recoveryNs := tr.Tenant.Spec.ID, int64(-1)
 		if tr.RecoveredAtNs >= 0 {
-			row.RecoveryNs = tr.RecoveredAtNs - res.Events[0].TimeNs
+			recoveryNs = tr.RecoveredAtNs - run.Injector.Events()[0].TimeNs
 		}
+		var delivered, violated int64
+		conformance := 1.0
 		if ta, ok := run.Audit.Tenant(id); ok {
-			row.Delivered, row.Violated, row.InFault = ta.Packets, ta.Violations, inFault[id]
+			delivered, violated = ta.Packets, ta.Violations
 			if ta.Packets > 0 {
-				row.Conformance = 1 - float64(ta.Violations)/float64(ta.Packets)
+				conformance = 1 - float64(ta.Violations)/float64(ta.Packets)
 			}
 		}
-		res.Rows = append(res.Rows, row)
+		rows = append(rows, []float64{float64(id), drillVerdictCode[tr.Verdict], float64(recoveryNs) / 1e6,
+			float64(tr.LatencyUs.Len()), float64(delivered), float64(violated), float64(inFault[id]), conformance})
 	}
-	return res, nil
+	return rows
+}
+
+// RenderFailureDrill formats the drill summary, with invariants the
+// error RunFailureDrill returned beside the run. Deterministic: all
+// content derives from the simulation clock and the tenants' offer
+// order, never the wall clock, so one seed produces byte-identical
+// output.
+func RenderFailureDrill(run *Run, invariants error) string {
+	var b strings.Builder
+	events := run.Injector.Events()
+	down, up := events[0], events[len(events)-1]
+	_, sw, _ := strings.Cut(down.Target, " ")
+	fmt.Fprintf(&b, "failure drill: %s down @%.1fms (detect %.2fms, repair @%.1fms), horizon %.0fms\n",
+		sw, float64(down.TimeNs)/1e6, faultDetectNs/1e6, float64(up.TimeNs)/1e6, float64(run.Scenario.HorizonNs)/1e6)
+	fmt.Fprintf(&b, "tenants: %d offered, %d admitted\n", len(run.Scenario.Tenants), len(run.Tenants))
+	b.WriteString("fault events:\n")
+	for _, ev := range events {
+		fmt.Fprintf(&b, "  %s\n", ev)
+	}
+	if len(run.Recoveries) > 0 {
+		b.WriteString(run.Recoveries[0].Render())
+	}
+	b.WriteString("per-tenant outcome:\n")
+	fmt.Fprintf(&b, "  %-7s %-10s %-8s %12s %6s %10s %9s %9s %9s\n",
+		"tenant", "verdict", "degrade", "recovery(ms)", "msgs", "delivered", "violated", "in-fault", "conform")
+	for i, row := range DrillRows(run) {
+		rec := "-"
+		if row[2] >= 0 {
+			rec = fmt.Sprintf("%.2f", row[2])
+		}
+		tr := run.Tenants[i]
+		fmt.Fprintf(&b, "  %-7.0f %-10s %-8s %12s %6.0f %10.0f %9.0f %9.0f %8.3f%%\n",
+			row[0], tr.Verdict, tr.Degradation, rec, row[3], row[4], row[5], row[6], 100*row[7])
+	}
+	if run.Incidents != nil {
+		b.WriteString(run.Incidents.Render())
+	}
+	fmt.Fprintf(&b, "drops: overflow=%d fault=%d\n", run.Net.TotalDrops(), run.Net.TotalFaultDrops())
+	if invariants == nil {
+		b.WriteString("invariants: ok\n")
+	} else {
+		fmt.Fprintf(&b, "invariants: FAILED: %v\n", invariants)
+	}
+	return b.String()
 }

@@ -17,17 +17,17 @@ import (
 // measured, and the window tick must attribute the outage-window
 // violations to the injected fault event.
 func TestFailureDrillToRFailure(t *testing.T) {
-	res, err := RunFailureDrill(drill(t))
+	run, err := RunFailureDrill(drill(t))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("invariants after recovery: %v", err)
 	}
-	if res.Admitted < 4 {
-		t.Fatalf("only %d tenants admitted; drill needs load", res.Admitted)
+	if len(run.Tenants) < 4 {
+		t.Fatalf("only %d tenants admitted; drill needs load", len(run.Tenants))
 	}
-	if res.Recovery == nil {
+	if len(run.Recoveries) == 0 {
 		t.Fatal("fault fired but recovery never ran")
 	}
-	rep := res.Recovery
+	rep := run.Recoveries[0]
 	if len(rep.Affected) == 0 {
 		t.Fatal("ToR failure affected no tenants")
 	}
@@ -35,32 +35,33 @@ func TestFailureDrillToRFailure(t *testing.T) {
 	if rep.Relocated+rep.Degraded+rep.Evicted != len(rep.Affected) {
 		t.Fatalf("verdicts don't cover affected: %+v", rep)
 	}
-	if res.InvariantsErr != "" {
-		t.Fatalf("invariants after recovery: %s", res.InvariantsErr)
-	}
-	if res.FaultDrops == 0 {
+	if run.Net.TotalFaultDrops() == 0 {
 		t.Error("switch death dropped nothing — fault not exercised")
 	}
 
-	rows := map[int]DrillTenantRow{}
-	for _, row := range res.Rows {
-		rows[row.ID] = row
+	// The drill's rows: ID, verdict, recovery ms, messages, delivered,
+	// violated, in-fault, conformance.
+	rows := DrillRows(run)
+	byID := map[int]int{}
+	for i, tr := range run.Tenants {
+		byID[tr.Tenant.Spec.ID] = i
 	}
 	for _, tr := range rep.Affected {
-		row, ok := rows[tr.ID]
+		i, ok := byID[tr.ID]
 		if !ok {
-			t.Fatalf("affected tenant %d missing from drill rows", tr.ID)
+			t.Fatalf("affected tenant %d missing from the drill's tenants", tr.ID)
 		}
-		if row.Verdict != tr.Verdict.String() {
-			t.Errorf("tenant %d: row verdict %q != report %q", tr.ID, row.Verdict, tr.Verdict)
+		verdict := run.Tenants[i].Verdict
+		if verdict != tr.Verdict.String() || rows[i][1] != drillVerdictCode[verdict] {
+			t.Errorf("tenant %d: verdict %q (code %v) != report %q", tr.ID, verdict, rows[i][1], tr.Verdict)
 		}
 		if tr.Verdict != placement.VerdictEvicted {
 			// Survivors of the fault must have completed a message on
 			// the new placement, giving a measured recovery latency.
-			if row.RecoveryNs < 0 {
-				t.Errorf("tenant %d (%s) has no recovery latency", tr.ID, row.Verdict)
-			} else if row.RecoveryNs < faultDetectNs {
-				t.Errorf("tenant %d recovered in %dns, before detection (%dns)", tr.ID, row.RecoveryNs, int64(faultDetectNs))
+			if recoveryMs := rows[i][2]; recoveryMs < 0 {
+				t.Errorf("tenant %d (%s) has no recovery latency", tr.ID, verdict)
+			} else if recoveryMs*1e6 < faultDetectNs {
+				t.Errorf("tenant %d recovered in %.3fms, before detection (%dns)", tr.ID, recoveryMs, int64(faultDetectNs))
 			}
 		}
 	}
@@ -69,18 +70,18 @@ func TestFailureDrillToRFailure(t *testing.T) {
 	for _, tr := range rep.Affected {
 		affected[tr.ID] = true
 	}
-	for _, row := range res.Rows {
-		if !affected[row.ID] && row.Verdict != "ok" {
-			t.Errorf("unaffected tenant %d carries verdict %q", row.ID, row.Verdict)
+	for _, tr := range run.Tenants {
+		if !affected[tr.Tenant.Spec.ID] && tr.Verdict != "ok" {
+			t.Errorf("unaffected tenant %d carries verdict %q", tr.Tenant.Spec.ID, tr.Verdict)
 		}
 	}
 
 	// Degraded-mode accounting: the resync storm and the recovery
 	// migrations must have produced violations, and the window tick must
 	// have landed them in fault-attributed windows.
-	var inFault int64
-	for _, row := range res.Rows {
-		inFault += row.InFault
+	var inFault float64
+	for _, row := range rows {
+		inFault += row[6]
 	}
 	if inFault == 0 {
 		t.Error("no violations attributed to the outage window; resync storm had no bite")
@@ -111,16 +112,16 @@ func TestFailureDrillEventsCarryFaultLabel(t *testing.T) {
 // Determinism: the same seed produces byte-identical drill summaries
 // on repeated runs — the acceptance bar for a reproducible postmortem.
 func TestFailureDrillDeterministic(t *testing.T) {
-	a, err := RunFailureDrill(drill(t))
-	if err != nil {
-		t.Fatal(err)
+	var renders [2]string
+	for i := range renders {
+		run, err := RunFailureDrill(drill(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		renders[i] = RenderFailureDrill(run, err)
 	}
-	b, err := RunFailureDrill(drill(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Render() != b.Render() {
-		t.Fatalf("drill summaries differ across identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a.Render(), b.Render())
+	if renders[0] != renders[1] {
+		t.Fatalf("drill summaries differ across identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", renders[0], renders[1])
 	}
 }
 

@@ -75,13 +75,14 @@ func TestComparisonGolden(t *testing.T) {
 	var b strings.Builder
 	b.WriteString(RenderComparison(rs))
 	b.WriteString("\nadmitted VMs / tenants / messages / RTO messages:\n")
-	for _, r := range rs {
-		msgs, rto := 0, 0
-		for _, ts := range r.Tenants {
-			msgs += ts.Messages
-			rto += ts.MessagesRTO
+	for _, run := range rs {
+		vms, msgs, rto := 0, 0, 0
+		for _, tr := range run.Tenants {
+			vms += tr.Tenant.Spec.VMs
+			msgs += tr.Messages
+			rto += tr.MessagesRTO
 		}
-		fmt.Fprintf(&b, "%-8s %d %d %d %d\n", r.Scheme, r.AdmittedVMs, len(r.Tenants), msgs, rto)
+		fmt.Fprintf(&b, "%-8s %d %d %d %d\n", run.Scenario.Scheme, vms, len(run.Tenants), msgs, rto)
 	}
 	checkGolden(t, "comparison", b.String())
 }
@@ -94,15 +95,19 @@ func TestMemcachedGolden(t *testing.T) {
 	for i := range lines {
 		lines[i].HorizonNs = 10e6
 	}
-	rs, err := RunMemcached(lines)
+	runs, err := RunLines(lines)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	b.WriteString(RenderMemcached(rs))
-	for _, r := range rs {
-		fmt.Fprintf(&b, "%s: issued=%d completed=%d bulkBytes=%d %s\n", r.Scenario,
-			r.RequestsIssued, r.RequestsCompleted, r.BulkBytes, r.Latencies.Summary("µs"))
+	b.WriteString(RenderMemcached(runs))
+	for _, run := range runs {
+		a, bulkBytes := run.Tenants[0], int64(0)
+		if len(run.Tenants) > 1 {
+			bulkBytes = run.Tenants[1].BytesReceived
+		}
+		fmt.Fprintf(&b, "%s: issued=%d completed=%d bulkBytes=%d %s\n", run.Scenario.Name,
+			a.Messages, a.LatencyUs.Len(), bulkBytes, a.LatencyUs.Summary("µs"))
 	}
 	checkGolden(t, "memcached", b.String())
 }
@@ -112,15 +117,15 @@ func TestBestEffortGolden(t *testing.T) {
 	for i := range lines {
 		lines[i].HorizonNs = 10e6
 	}
-	r, err := RunBestEffort(lines)
+	runs, err := RunBestEffort(lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "besteffort", r.Render())
+	checkGolden(t, "besteffort", RenderBestEffort(runs))
 }
 
 func TestBurstStressGolden(t *testing.T) {
-	rs, err := RunBurstStress(mustScenarios(t, "burststress"))
+	rs, err := RunLines(mustScenarios(t, "burststress"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +141,11 @@ func TestFigure5SimGolden(t *testing.T) {
 	for _, sc := range mustScenarios(t, "fig5") {
 		sc.Planes.Introspect, sc.Planes.Incidents = true, true
 		sc.HorizonNs = 5e6
-		r, err := RunFigure5Sim(sc)
+		run, err := RunFigure5Sim(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "== %s ==\n%s", sc.Scheme, r.Render())
+		fmt.Fprintf(&b, "== %s ==\n%s", sc.Scheme, RenderFigure5Sim(run))
 	}
 	checkGolden(t, "fig5sim", b.String())
 }
@@ -149,12 +154,12 @@ func TestFigure5SimGolden(t *testing.T) {
 // -outdir writes (less its meta object); cmd/silo-bench's all.golden
 // pins the drill's recovery table.
 func TestFailureDrillGolden(t *testing.T) {
-	r, err := RunFailureDrill(drill(t))
+	run, err := RunFailureDrill(drill(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var js strings.Builder
-	if err := r.Incidents.WriteJSON(&js); err != nil {
+	if err := run.Incidents.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "failuredrill_incidents", js.String())

@@ -12,11 +12,11 @@ import (
 // root-caused to the injected fault, and nothing may remain
 // unexplained.
 func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
-	res, err := RunFailureDrill(drill(t))
+	run, err := RunFailureDrill(drill(t))
 	if err != nil {
 		t.Fatalf("drill: %v", err)
 	}
-	rep := res.Incidents
+	rep := run.Incidents
 	if rep == nil {
 		t.Fatal("drill produced no incident report")
 	}
@@ -60,8 +60,8 @@ func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
 	// in exactly one incident, and so is every window event's count,
 	// which sum to the same total.
 	var audited int64
-	for _, row := range res.Rows {
-		audited += row.Violated
+	for _, row := range DrillRows(run) {
+		audited += int64(row[5]) // violated
 	}
 	var inIncidents, inWindows int64
 	for _, inc := range rep.Incidents {
@@ -88,19 +88,19 @@ func TestDrillIncidentsRootCauseInjectedFault(t *testing.T) {
 // are VIOLATED, so every incident is self-inflicted and names the
 // bursting sender VMs. Nothing is unexplained, nothing pages.
 func TestFig5UnpacedIncidentsSelfInflicted(t *testing.T) {
-	res, err := RunFigure5Sim(mustScenarios(t, "fig5")[1])
+	run, err := RunFigure5Sim(mustScenarios(t, "fig5")[1])
 	if err != nil {
 		t.Fatalf("fig5 sim: %v", err)
 	}
-	rep := res.Incidents
+	rep := run.Incidents
 	if rep == nil {
 		t.Fatal("incidents requested but report is nil")
 	}
 	if len(rep.Incidents) == 0 {
-		t.Fatalf("unpaced run produced zero incidents; audit: %s", res.AuditSummary)
+		t.Fatalf("unpaced run produced zero incidents; audit: %s", run.Audit.Summary())
 	}
 	if rep.TotalViolations == 0 {
-		t.Fatalf("unpaced run produced zero violations; audit: %s", res.AuditSummary)
+		t.Fatalf("unpaced run produced zero violations; audit: %s", run.Audit.Summary())
 	}
 	if rep.Unexplained != 0 {
 		t.Fatalf("%d unexplained incidents:\n%s", rep.Unexplained, rep.Render())
@@ -145,16 +145,16 @@ func TestFig5PacedCleanUnderTightenedBound(t *testing.T) {
 	sc := mustScenarios(t, "fig5")[0]
 	sc.Planes.Introspect, sc.Planes.Incidents = true, true
 	sc.Tenants[0].AuditDelayBoundSec = 350e-6
-	res, err := RunFigure5Sim(sc)
+	run, err := RunFigure5Sim(sc)
 	if err != nil {
 		t.Fatalf("fig5 sim: %v", err)
 	}
-	rep := res.Incidents
+	rep := run.Incidents
 	if rep == nil {
 		t.Fatal("incidents requested but report is nil")
 	}
 	if len(rep.Incidents) != 0 || rep.TotalViolations != 0 {
 		t.Fatalf("paced run not clean under the tightened bound:\n%s\naudit: %s",
-			rep.Render(), res.AuditSummary)
+			rep.Render(), run.Audit.Summary())
 	}
 }

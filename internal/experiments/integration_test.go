@@ -18,21 +18,21 @@ func TestMemcachedContentionShape(t *testing.T) {
 	for i := range lines {
 		lines[i].HorizonNs = 50e6
 	}
-	rs, err := RunMemcached(lines)
+	runs, err := RunLines(lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alone, contended := rs[0], rs[1]
-	if alone.RequestsCompleted == 0 || contended.RequestsCompleted == 0 {
+	alone, contended := &runs[0].Tenants[0].LatencyUs, &runs[1].Tenants[0].LatencyUs
+	if alone.Len() == 0 || contended.Len() == 0 {
 		t.Fatal("no requests completed")
 	}
 	// Figure 1's point: contention inflates the tail by orders of
 	// magnitude.
-	if contended.Latencies.Percentile(99) < 10*alone.Latencies.Percentile(99) {
+	if contended.Percentile(99) < 10*alone.Percentile(99) {
 		t.Errorf("contended p99 %.0f µs should be >>10x idle p99 %.0f µs",
-			contended.Latencies.Percentile(99), alone.Latencies.Percentile(99))
+			contended.Percentile(99), alone.Percentile(99))
 	}
-	if contended.BulkBytes == 0 {
+	if runs[1].Tenants[1].BytesReceived == 0 {
 		t.Error("netperf tenant moved no data")
 	}
 }
@@ -43,23 +43,23 @@ func TestMemcachedSiloMeetsGuarantee(t *testing.T) {
 	}
 	sc := mustScenarios(t, "fig11")[4] // Silo req3
 	sc.HorizonNs = 50e6
-	rs, err := RunMemcached([]Scenario{sc})
+	runs, err := RunLines([]Scenario{sc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rs[0]
-	if r.RequestsCompleted == 0 {
+	r := MemcachedRow(runs[0]) // p50, p99, p99.9, guarantee, req/s, bulk Gbps
+	if r[4] == 0 {
 		t.Fatal("no requests completed")
 	}
 	// Silo req3 must hold the p99 within the message-latency guarantee
 	// (paper Fig. 11b).
-	if got := r.Latencies.Percentile(99); got > r.GuaranteeUs {
-		t.Errorf("Silo req3 p99 = %.0f µs exceeds guarantee %.0f µs", got, r.GuaranteeUs)
+	if r[1] > r[3] {
+		t.Errorf("Silo req3 p99 = %.0f µs exceeds guarantee %.0f µs", r[1], r[3])
 	}
 	// The bulk tenant must still move substantial data (paper: 92-99%
 	// of its TCP-alone throughput).
-	if r.BulkThroughputBps()*8/1e9 < 10 {
-		t.Errorf("bulk throughput %.1f Gbps too low under Silo", r.BulkThroughputBps()*8/1e9)
+	if r[5] < 10 {
+		t.Errorf("bulk throughput %.1f Gbps too low under Silo", r[5])
 	}
 }
 
@@ -89,31 +89,30 @@ func TestComparisonHeadline(t *testing.T) {
 	p := DefaultComparisonParams()
 	p.DurationSec = 0.02
 	sc := comparisonScenario(p)
-	silo, err := runScheme(sc)
+	silo, err := RunScenario(sc, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Scheme = core.SchemeTCP
-	tcp, err := runScheme(sc)
+	tcp, err := RunScenario(sc, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := []SchemeResult{silo, tcp}
 	// The headline: Silo never drops compliant traffic and has zero
 	// outlier tenants (paper Table 4); TCP drops.
-	if silo.Drops != 0 {
-		t.Errorf("Silo dropped %d packets", silo.Drops)
+	if drops := silo.Net.TotalDrops(); drops != 0 {
+		t.Errorf("Silo dropped %d packets", drops)
 	}
-	if tcp.Drops == 0 {
+	if tcp.Net.TotalDrops() == 0 {
 		t.Error("TCP should drop under class-B contention")
 	}
-	if out := silo.OutlierFrac(1); out != 0 {
+	if out := outlierFrac(silo, 1); out != 0 {
 		t.Errorf("Silo outlier fraction = %.2f, want 0", out)
 	}
-	if silo.ClassALatUs.Len() == 0 || tcp.ClassALatUs.Len() == 0 {
+	if ClassALatency(silo).Len() == 0 || ClassALatency(tcp).Len() == 0 {
 		t.Fatal("no class-A messages measured")
 	}
-	if RenderComparison(rs) == "" {
+	if RenderComparison([]*Run{silo, tcp}) == "" {
 		t.Error("empty render")
 	}
 }

@@ -3,45 +3,33 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/stats"
 )
 
-// MemcachedResult is one scenario's outcome.
-type MemcachedResult struct {
-	Scenario string
-	// Latencies are memcached request latencies in µs.
-	Latencies *stats.Sample
-	// RequestsCompleted and offered.
-	RequestsCompleted, RequestsIssued int
-	// BulkBytes delivered to tenant-B receivers.
-	BulkBytes int64
-	// SimSeconds of load.
-	SimSeconds float64
-	// GuaranteeUs is Silo's message latency guarantee for the ETC
-	// request/response pair in µs (0 for unpaced scenarios).
-	GuaranteeUs float64
-}
-
-// MemcachedThroughputRps returns completed requests per second.
-func (r MemcachedResult) MemcachedThroughputRps() float64 {
-	if r.SimSeconds == 0 {
-		return 0
+// MemcachedRow reduces the run of one Figure-1 or Figure-11 line to its
+// table row: tenant A's p50, p99 and p99.9 request latency and its
+// guarantee in µs (0 when unpaced), its completed requests per second,
+// and tenant B's delivered Gbps when it runs alongside.
+func MemcachedRow(run *Run) []float64 {
+	a, secs := run.Tenants[0], float64(run.Scenario.HorizonNs)/1e9
+	var guaranteeUs, rps, bulkGbps float64
+	if run.Scenario.Scheme.Paced() {
+		// Request + response both within the burst allowance: the
+		// guarantee is (reqBytes+respMax)/Bmax + 2d.
+		g := a.Tenant.Spec.Guarantee
+		guaranteeUs = (g.MessageLatencyBound(100) + g.MessageLatencyBound(1024)) * 1e6
 	}
-	return float64(r.RequestsCompleted) / r.SimSeconds
-}
-
-// BulkThroughputBps returns tenant B's delivered bandwidth.
-func (r MemcachedResult) BulkThroughputBps() float64 {
-	if r.SimSeconds == 0 {
-		return 0
+	if secs > 0 {
+		rps = float64(a.LatencyUs.Len()) / secs
+		if len(run.Tenants) > 1 {
+			bulkGbps = float64(run.Tenants[1].BytesReceived) / secs * 8 / 1e9
+		}
 	}
-	return float64(r.BulkBytes) / r.SimSeconds
+	return []float64{a.LatencyUs.Percentile(50), a.LatencyUs.Percentile(99), a.LatencyUs.Percentile(99.9),
+		guaranteeUs, rps, bulkGbps}
 }
 
-// RunMemcached runs each line of a Figure-1 or Figure-11 file: tenant
-// A's request latencies and throughput, with tenant B's delivered bytes
-// when it runs alongside.
+// RenderMemcached formats the runs of a Figure-1 or Figure-11 file's
+// lines as the paper's Figure 11(b)/(c) tables.
 //
 // The files lay out the §6.1 testbed (scenarios/fig1.json and
 // fig11.json): five servers under one 10 GbE switch, tenant A
@@ -53,54 +41,18 @@ func (r MemcachedResult) BulkThroughputBps() float64 {
 // burst at 1 Gbps and d = 1 ms, and B's B (its Bmax too, with a 1.5 KB
 // burst) fills each host: 3·(B_A + B_B) = 10 Gbps — and run both hoses
 // on the EyeQ-style dynamic loop at a 1 ms epoch. Each line is 0.5 s of load plus a 2 s drain.
-func RunMemcached(lines []Scenario) ([]MemcachedResult, error) {
-	var out []MemcachedResult
-	for _, sc := range lines {
-		run, err := RunScenario(sc, Env{})
-		if err != nil {
-			return nil, err
-		}
-		a := run.Tenants[0]
-		res := MemcachedResult{
-			Scenario:          sc.Name,
-			Latencies:         &a.LatencyUs,
-			RequestsIssued:    a.Messages,
-			RequestsCompleted: a.LatencyUs.Len(),
-			SimSeconds:        float64(sc.HorizonNs) / 1e9,
-		}
-		if sc.Scheme.Paced() {
-			// Request + response both within the burst allowance: the
-			// guarantee is (reqBytes+respMax)/Bmax + 2d.
-			g := a.Tenant.Spec.Guarantee
-			res.GuaranteeUs = (g.MessageLatencyBound(100) + g.MessageLatencyBound(1024)) * 1e6
-		}
-		if len(run.Tenants) > 1 {
-			res.BulkBytes = run.Tenants[1].BytesReceived
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// RenderMemcached formats results as the paper's Figure 11(b)/(c)
-// tables.
-func RenderMemcached(results []MemcachedResult) string {
+func RenderMemcached(runs []*Run) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %10s %10s %10s %12s %14s %14s\n",
 		"scenario", "p50(µs)", "p99(µs)", "p99.9(µs)", "guarantee(µs)", "memcached(req/s)", "bulk(Gbps)")
-	for _, r := range results {
+	for _, run := range runs {
+		r := MemcachedRow(run)
 		g := "-"
-		if r.GuaranteeUs > 0 {
-			g = fmt.Sprintf("%.0f", r.GuaranteeUs)
+		if r[3] > 0 {
+			g = fmt.Sprintf("%.0f", r[3])
 		}
 		fmt.Fprintf(&b, "%-24s %10.0f %10.0f %10.0f %12s %14.0f %14.2f\n",
-			r.Scenario,
-			r.Latencies.Percentile(50),
-			r.Latencies.Percentile(99),
-			r.Latencies.Percentile(99.9),
-			g,
-			r.MemcachedThroughputRps(),
-			r.BulkThroughputBps()*8/1e9)
+			run.Scenario.Name, r[0], r[1], r[2], g, r[4], r[5])
 	}
 	return b.String()
 }

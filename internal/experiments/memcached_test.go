@@ -31,33 +31,18 @@ func TestFigure11ScenarioList(t *testing.T) {
 	}
 }
 
-func TestMemcachedResultHelpers(t *testing.T) {
-	r := MemcachedResult{RequestsCompleted: 500, BulkBytes: 1e9, SimSeconds: 0.5}
-	if got := r.MemcachedThroughputRps(); got != 1000 {
-		t.Errorf("rps = %v", got)
-	}
-	if got := r.BulkThroughputBps(); got != 2e9 {
-		t.Errorf("bulk = %v", got)
-	}
-	zero := MemcachedResult{}
-	if zero.MemcachedThroughputRps() != 0 || zero.BulkThroughputBps() != 0 {
-		t.Error("zero-duration result should report 0")
-	}
-}
-
 func TestRenderMemcachedIncludesGuarantee(t *testing.T) {
 	sc := mustScenarios(t, "fig11")[2] // Silo req1
 	sc.Name, sc.Tenants, sc.HorizonNs = "mini", sc.Tenants[:1], 2e6
-	rs, err := RunMemcached([]Scenario{sc})
+	runs, err := RunLines([]Scenario{sc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rs[0]
-	out := RenderMemcached(rs)
+	out := RenderMemcached(runs)
 	if !strings.Contains(out, "mini") {
 		t.Error("render missing scenario name")
 	}
-	if r.GuaranteeUs == 0 {
+	if MemcachedRow(runs[0])[3] == 0 {
 		t.Error("Silo scenario should compute a guarantee")
 	}
 }

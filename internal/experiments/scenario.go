@@ -1,12 +1,12 @@
 // Package experiments reproduces every table and figure in Silo's
-// evaluation (§6). Each experiment is a pure function to a result
-// struct plus a text renderer, shared by the cmd/silo-bench CLI and the
-// root testing.B benchmarks. A packet-level one reduces the Run of a
-// Scenario (this file): a line of a committed scenario file
-// (scenarios/*.json, codec.go) that silo-bench loads, or Fig. 12's
-// seeded generator. The others take the few settings silo-bench turns
-// (a seed, a duration, a request count) and keep the rest of their
-// setup as constants. See DESIGN.md §4 for the experiment index and
+// evaluation (§6) for cmd/silo-bench. A packet-level experiment runs
+// the lines of a committed scenario file (scenarios/*.json, codec.go),
+// or Fig. 12's seeded generator, through Build / RunScenario (this
+// file), and its renderer prints the finished Runs through reducers
+// that silo-bench's CSVs call too. The others take the few settings
+// silo-bench turns (a seed, a duration, a request count), keep the rest
+// of their setup as constants, and return a result with its own
+// renderer. See DESIGN.md §4 for the experiment index and
 // EXPERIMENTS.md for paper-vs-measured numbers.
 package experiments
 
@@ -308,6 +308,19 @@ func RunScenario(sc Scenario, env Env) (*Run, error) {
 	r.Execute(context.Background())
 	r.Finish()
 	return r, nil
+}
+
+// RunLines runs each line of a scenario file in turn with the zero Env.
+func RunLines(lines []Scenario) ([]*Run, error) {
+	var runs []*Run
+	for _, sc := range lines {
+		run, err := RunScenario(sc, Env{})
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, run)
+	}
+	return runs, nil
 }
 
 // Build instantiates a scenario up to the first event: tree → network →
