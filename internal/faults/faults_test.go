@@ -29,7 +29,7 @@ func testNet(t *testing.T) *netsim.Network {
 }
 
 func pkt(src, dst, size int) *netsim.Packet {
-	return &netsim.Packet{Src: src, Dst: dst, Size: size}
+	return &netsim.Packet{Src: src, Dst: dst, Size: int32(size)}
 }
 
 // A failed link loses queued, in-flight, and subsequent traffic to the

@@ -212,7 +212,7 @@ func (h *Host) SendPaced(vmID int, p *Packet) {
 		return
 	}
 	h.sim.emit(Event{Kind: EvPacedEnqueue, At: int32(h.ID), P: p})
-	vm.Enqueue(h.sim.Now(), p.DstVM, p.Size, p)
+	vm.Enqueue(h.sim.Now(), p.DstVM, int(p.Size), p)
 	switch {
 	case !h.loopRunning:
 		h.loopRunning = true
@@ -289,7 +289,7 @@ func (h *Host) wirePacket(f wireFrame) {
 	p := f.p
 	if p == nil {
 		p = h.sim.AllocPacket()
-		p.Src, p.Dst, p.Size, p.Void = h.ID, -1, int(f.bytes), true
+		p.Src, p.Dst, p.Size, p.Void = h.ID, -1, f.bytes, true
 	} else {
 		p.PacedRelease, p.Gate = f.release, f.gate
 	}

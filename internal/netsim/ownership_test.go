@@ -24,7 +24,7 @@ func TestDropSitesRecycleArenaPackets(t *testing.T) {
 			if arena {
 				p = s.AllocPacket()
 			}
-			p.Src, p.Dst, p.Size, p.Void = h.ID, dst, size, void
+			p.Src, p.Dst, p.Size, p.Void = h.ID, dst, int32(size), void
 			sent++
 			h.Send(p)
 		}

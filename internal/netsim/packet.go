@@ -16,9 +16,9 @@ type Packet struct {
 	Src, Dst     int
 	SrcVM, DstVM int
 	// Size is the wire size in bytes (headers included).
-	Size int
+	Size int32
 	// Prio selects the 802.1q class.
-	Prio int
+	Prio int8
 	// Void marks a pacer spacer frame; the first switch drops it.
 	Void bool
 	// ECNCapable marks ECT packets (DCTCP/HULL); CE is the congestion
@@ -34,7 +34,8 @@ type Packet struct {
 	// HasHdr marks a packet that carries a transport header in Hdr;
 	// generator traffic does not. Ack tells an ack from data; ECE echoes
 	// a data segment's CE mark back to its sender. They sit in one word
-	// with Void, which every hop reads, so delivery finds them in cache.
+	// with Size, Prio and Void, which every hop reads, so delivery finds
+	// them in cache.
 	HasHdr, Ack, ECE bool
 	// SentAt is the time the first byte left the source NIC queue
 	// entry point (set by Host.Send or the paced wire); used for
@@ -55,13 +56,13 @@ type Packet struct {
 // packet's SrcVM and the payload is Size − the transport's header
 // bytes, so neither is repeated here.
 type Header struct {
-	// Rcv and Conn are the demux shortcuts the sender resolved: a data
-	// segment's receive state at the destination, and the sending
-	// connection, which the ack carries back. Either may be nil.
-	// FreePacket clears both. They come first, next to SentAt, which
-	// delivery has just read: the first load from a delivered packet's
-	// header then rarely misses.
-	Rcv, Conn any
+	// Conn is the demux shortcut the sender resolved: the sending
+	// connection. A data segment reaches its receive state through it
+	// and an ack carries it back. It may be nil, and FreePacket clears
+	// it. It comes first, next to SentAt, which delivery has just read:
+	// the first load from a delivered packet's header then rarely
+	// misses.
+	Conn any
 	// Seq is a data segment's first byte, or an ack's cumulative ack.
 	Seq int64
 	// TS is a data segment's send time; its ack echoes it back for RTT

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
 // func prefetchPacket(p *Packet): p, p+64 and p+128 are every cache line
-// a 160-byte Packet spans at the arena's 0- or 32-byte line offsets.
+// a 136-byte Packet spans at any 8-byte-aligned line offset (0 to 56).
 TEXT ·prefetchPacket(SB), NOSPLIT, $0-8
 	MOVQ	p+0(FP), AX
 	PREFETCHT0	(AX)

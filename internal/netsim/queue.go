@@ -105,7 +105,7 @@ func (q *Queue) Enqueue(p *Packet) {
 	}
 	q.sim.emit(Event{Kind: EvPortEnqueue, At: q.id, P: p, Arg: int64(q.occupied)})
 	if q.Phantom != nil {
-		if q.Phantom.Mark(q.sim.Now(), p.Size) && p.ECNCapable {
+		if q.Phantom.Mark(q.sim.Now(), int(p.Size)) && p.ECNCapable {
 			p.CE = true
 			q.Stats.ECNMarked++
 		}
@@ -113,7 +113,7 @@ func (q *Queue) Enqueue(p *Packet) {
 		p.CE = true
 		q.Stats.ECNMarked++
 	}
-	if q.occupied+p.Size > q.BufferBytes {
+	if q.occupied+int(p.Size) > q.BufferBytes {
 		q.Stats.DroppedPkts++
 		q.Stats.DroppedBytes += int64(p.Size)
 		q.sim.FreePacket(p)
@@ -124,7 +124,7 @@ func (q *Queue) Enqueue(p *Packet) {
 		prio = numPrios - 1
 	}
 	q.fifos[prio].push(p)
-	q.occupied += p.Size
+	q.occupied += int(p.Size)
 	if hw := int64(q.occupied); hw > q.Stats.HighWaterBytes {
 		q.Stats.HighWaterBytes = hw
 	}
@@ -154,9 +154,9 @@ func (q *Queue) transmitNext() {
 	p := f.pop()
 	q.busy = true
 	serNs := q.serNs
-	if p.Size != q.serSize || serNs == 0 {
+	if int(p.Size) != q.serSize || serNs == 0 {
 		serNs = int64(math.Round(float64(p.Size) / q.RateBps * 1e9))
-		q.serSize, q.serNs = p.Size, serNs
+		q.serSize, q.serNs = int(p.Size), serNs
 	}
 	q.sim.emit(Event{Kind: EvPortTransmit, At: q.id, P: p, Arg: serNs})
 	q.sim.schedule(q.sim.now+serNs, evtTxDone, q.failGen, nil, q, nil, p)
@@ -169,7 +169,7 @@ func (q *Queue) transmitNext() {
 
 // txDone completes a serialization started by transmitNext.
 func (q *Queue) txDone(p *Packet, gen uint64) {
-	q.occupied -= p.Size
+	q.occupied -= int(p.Size)
 	if q.failGen != gen {
 		// The port failed mid-serialization; the frame is lost on
 		// the wire. Fail leaves the serializing head's bytes in
@@ -217,7 +217,7 @@ func (q *Queue) Fail() {
 	for prio := range q.fifos {
 		for q.fifos[prio].n > 0 {
 			p := q.fifos[prio].pop()
-			q.occupied -= p.Size
+			q.occupied -= int(p.Size)
 			q.faultDrop(p)
 		}
 	}

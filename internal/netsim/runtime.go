@@ -19,8 +19,8 @@ type SimCounters struct {
 	// reuse vs. fresh 128-node chunk carves.
 	EvHits   int64 `json:"ev_hits"`
 	EvMisses int64 `json:"ev_misses"`
-	// PktHits / PktMisses do the same for the packet arena (256-packet
-	// chunks).
+	// PktHits / PktMisses do the same for the packet arena (240-packet
+	// chunks, pktChunk).
 	PktHits   int64 `json:"pkt_hits"`
 	PktMisses int64 `json:"pkt_misses"`
 	// PktInUse is the current arena population (allocs minus frees;
@@ -38,7 +38,7 @@ func (s *Sim) RuntimeCounters() SimCounters { return s.rtc }
 type EngineStats struct {
 	SimCounters
 	// Hit rates in [0,1]; 1 when there was no traffic. A miss carves a
-	// whole chunk (128 events / 256 packets), so rates sit near 1 in
+	// whole chunk (128 events / 240 packets), so rates sit near 1 in
 	// steady state.
 	EvHitRate  float64 `json:"ev_hit_rate"`
 	PktHitRate float64 `json:"pkt_hit_rate"`

@@ -22,6 +22,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"unsafe"
 )
 
 // Event kinds. evtFunc runs an arbitrary closure; the rest dispatch to
@@ -159,6 +160,13 @@ func (s *Sim) release(ev *event) {
 	s.freeEvents = ev
 }
 
+// pktChunk is the packets the arena carves at once: as many as fit in
+// 32 KiB, Go's largest small-object size class, so a chunk wastes less
+// than one packet (240 packets, 128 bytes spare). A larger chunk is
+// rounded up to whole 8 KiB pages: 256 packets (34,816 bytes) take
+// 40,960, which is 160 bytes a packet.
+const pktChunk = 32 << 10 / int(unsafe.Sizeof(Packet{}))
+
 // AllocPacket returns a zeroed packet from the arena. Pair with
 // FreePacket on the consuming end (delivery) to keep the steady-state
 // hot path allocation-free; unpaired packets are simply reclaimed by the
@@ -169,7 +177,7 @@ func (s *Sim) AllocPacket() *Packet {
 	p := s.freePkts
 	if p == nil {
 		s.rtc.PktMisses++
-		chunk := make([]Packet, 256)
+		chunk := make([]Packet, pktChunk)
 		for i := range chunk[:len(chunk)-1] {
 			chunk[i].next = &chunk[i+1]
 		}
@@ -197,7 +205,7 @@ func (s *Sim) FreePacket(p *Packet) {
 	}
 	s.rtc.PktInUse--
 	p.pooled = false
-	p.Hdr.Rcv, p.Hdr.Conn = nil, nil
+	p.Hdr.Conn = nil
 	p.next = s.freePkts
 	s.freePkts = p
 }

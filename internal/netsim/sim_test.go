@@ -314,9 +314,9 @@ func TestPacketArenaReuse(t *testing.T) {
 	p1.ID = 7
 	p1.Size = 1500
 	p1.HasHdr = true
-	p1.Hdr = Header{Seq: 9, Rcv: "retained", Conn: p1}
+	p1.Hdr = Header{Seq: 9, Conn: p1}
 	s.FreePacket(p1)
-	if p1.Hdr.Rcv != nil || p1.Hdr.Conn != nil {
+	if p1.Hdr.Conn != nil {
 		t.Fatalf("FreePacket kept the header's references: %+v", p1.Hdr)
 	}
 	p2 := s.AllocPacket()
@@ -332,15 +332,17 @@ func TestPacketArenaReuse(t *testing.T) {
 	}
 }
 
-// TestPacketSize bounds the frame that now carries its transport header
-// by value: every arena chunk, queue and wire slot moves Packets. The
-// bound is also what prefetchPacket covers: at the arena's 160-byte
-// stride a packet starts 0 or 32 bytes into a cache line, and the three
-// lines it prefetches (p, p+64, p+128) hold all of it only up to 160
-// bytes. A larger Packet needs a wider prefetch, not a looser bound.
+// TestPacketSize pins the frame that carries its transport header by
+// value: every arena chunk, queue, wire slot and segment the pacer holds
+// is one Packet. It is also what prefetchPacket covers. A Packet is
+// 8-byte aligned, so at the arena's 136-byte stride it starts at most 56
+// bytes into a cache line and ends at most 56+135 = 191 bytes past that
+// line's start: the three lines it prefetches (p, p+64, p+128) hold all
+// of it wherever it starts. A larger Packet needs a wider prefetch, not
+// a looser bound.
 func TestPacketSize(t *testing.T) {
-	if n := unsafe.Sizeof(Packet{}); n > 160 {
-		t.Errorf("Packet is %d bytes, want at most 160", n)
+	if n := unsafe.Sizeof(Packet{}); n != 136 {
+		t.Errorf("Packet is %d bytes, want 136", n)
 	}
 }
 

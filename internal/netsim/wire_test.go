@@ -195,7 +195,7 @@ func (sc *wireScenario) startVM(h *Host, vm int, dests []int) {
 		for n := 1 + sc.rng.Intn(8); n > 0; n-- {
 			sc.nextID++
 			p := s.AllocPacket()
-			p.ID, p.Src, p.Dst, p.SrcVM, p.DstVM, p.Size = sc.nextID, h.ID, dst, vm, dst, size
+			p.ID, p.Src, p.Dst, p.SrcVM, p.DstVM, p.Size = sc.nextID, h.ID, dst, vm, dst, int32(size)
 			h.SendPaced(vm, p)
 		}
 		if next := s.Now() + 1_000 + sc.rng.Int63n(39_000); next < 1_500_000 {

@@ -166,31 +166,48 @@ func (r *FlightRecorder) Events() []FlightEvent {
 // enqueue and transmit, final delivery. Void frames and packets without
 // wire IDs are never recorded: voids carry no message, and an ID of 0
 // cannot be attributed to a span. A nil recorder subscribes nothing.
+//
+// Each kind has its own subscriber, which drops an unsampled packet
+// before anything else: a run pays one inlined test per event for the
+// packets it does not record, not a dispatch on the kind.
 func AttachFlightRecorder(nw *netsim.Network, rec *FlightRecorder) {
 	if rec == nil {
 		return
 	}
 	sim := nw.Sim
 	sim.Subscribe(func(ev netsim.Event) {
-		p := ev.P
-		if p.Void || p.ID == 0 || !rec.Sampled(p.ID) {
-			return
-		}
-		switch ev.Kind {
-		case netsim.EvPacedEnqueue:
+		if p := ev.P; rec.records(p) {
 			rec.Emit(FlightVMEnqueue, sim.Now(), p.ID, int32(p.SrcVM), int64(p.Size), 0)
-		case netsim.EvPacedWire:
-			// The commit through the bucket chain happened earlier in
-			// pacer time; the release stamp and gating bucket ride on the
-			// packet so the admit event can be emitted here, where the
-			// wire packet ID is in scope.
+		}
+	}, netsim.EvPacedEnqueue)
+	sim.Subscribe(func(ev netsim.Event) {
+		// The commit through the bucket chain happened earlier in pacer
+		// time; the release stamp and gating bucket ride on the packet so
+		// the admit event can be emitted here, where the wire packet ID
+		// is in scope.
+		if p := ev.P; rec.records(p) {
 			rec.Emit(FlightTokenAdmit, p.PacedRelease, p.ID, int32(p.SrcVM), 0, p.Gate)
-		case netsim.EvPortEnqueue:
+		}
+	}, netsim.EvPacedWire)
+	sim.Subscribe(func(ev netsim.Event) {
+		if p := ev.P; rec.records(p) {
 			rec.Emit(FlightPortEnqueue, sim.Now(), p.ID, ev.At, ev.Arg, 0)
-		case netsim.EvPortTransmit:
+		}
+	}, netsim.EvPortEnqueue)
+	sim.Subscribe(func(ev netsim.Event) {
+		if p := ev.P; rec.records(p) {
 			rec.Emit(FlightPortTx, sim.Now(), p.ID, ev.At, ev.Arg, 0)
-		case netsim.EvDeliver:
+		}
+	}, netsim.EvPortTransmit)
+	sim.Subscribe(func(ev netsim.Event) {
+		if p := ev.P; rec.records(p) {
 			rec.Emit(FlightDeliver, sim.Now(), p.ID, int32(p.DstVM), ev.Arg, 0)
 		}
-	}, netsim.EvPacedEnqueue, netsim.EvPacedWire, netsim.EvPortEnqueue, netsim.EvPortTransmit, netsim.EvDeliver)
+	}, netsim.EvDeliver)
+}
+
+// records reports whether r keeps p's events: a sampled data packet
+// with a wire ID.
+func (r *FlightRecorder) records(p *netsim.Packet) bool {
+	return !p.Void && p.ID != 0 && r.Sampled(p.ID)
 }

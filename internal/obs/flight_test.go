@@ -358,19 +358,34 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValidateOutputPath drives every return: an unset flag and a file
+// in an existing directory pass; each refusal names the flag and why.
 func TestValidateOutputPath(t *testing.T) {
 	dir := t.TempDir()
-	for _, ok := range []string{"", filepath.Join(dir, "out.json")} {
-		if err := ValidateOutputPath("-trace", ok); err != nil {
-			t.Errorf("ValidateOutputPath(%q) = %v, want nil", ok, err)
-		}
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// "-" is refused for every flag: stdout carries the rendered reports.
-	for _, bad := range []string{"-", dir, filepath.Join(dir, "missing", "out.json")} {
-		if err := ValidateOutputPath("-trace", bad); err == nil {
-			t.Errorf("ValidateOutputPath(%q) = nil, want error", bad)
-		} else if !strings.Contains(err.Error(), "-trace") {
-			t.Errorf("error %q does not name the flag", err)
+	for _, tc := range []struct {
+		path, want string // want = "" for no error
+	}{
+		{"", ""},
+		{filepath.Join(dir, "out.json"), ""},
+		// Stdout carries the rendered reports, so "-" is refused.
+		{"-", "cannot write to stdout"},
+		{dir, "is a directory"},
+		{filepath.Join(dir, "missing", "out.json"), "does not exist"},
+		{filepath.Join(file, "out.json"), "is not a directory"},
+	} {
+		err := ValidateOutputPath("-trace", tc.path)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("ValidateOutputPath(%q) = %v, want nil", tc.path, err)
+		case tc.want == "":
+		case err == nil:
+			t.Errorf("ValidateOutputPath(%q) = nil, want %q", tc.path, tc.want)
+		case !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "-trace: "):
+			t.Errorf("ValidateOutputPath(%q) = %q, want the flag and %q", tc.path, err, tc.want)
 		}
 	}
 }

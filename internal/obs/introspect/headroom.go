@@ -78,7 +78,7 @@ func (w *portWatch) onEnqueue(now int64) {
 // serialized is the only buffered one, the port drains when it
 // completes.
 func (w *portWatch) onTransmit(now int64, p *netsim.Packet, serNs int64) {
-	if w.q.Occupied() == p.Size {
+	if w.q.Occupied() == int(p.Size) {
 		w.candEnd = now + serNs
 	} else {
 		w.candEnd = 0

@@ -67,12 +67,12 @@ func (in *Introspector) observe(ev netsim.Event) {
 		w.onTransmit(now, p, ev.Arg)
 		return
 	}
-	if int(ev.Arg)+p.Size <= w.q.BufferBytes {
+	if int(ev.Arg)+int(p.Size) <= w.q.BufferBytes {
 		w.onEnqueue(now)
 	}
 	if pid := int(ev.At); pid >= in.upLo && pid < in.upHi && !p.Void {
 		if est := in.tracked(p.SrcVM); est != nil && !est.paced {
-			est.Observe(now, p.Size)
+			est.Observe(now, int(p.Size))
 		}
 	}
 }
@@ -82,7 +82,7 @@ func (in *Introspector) observe(ev netsim.Event) {
 func (in *Introspector) observeWire(ev netsim.Event) {
 	p := ev.P
 	if est := in.tracked(p.SrcVM); est != nil && est.paced {
-		est.Observe(p.PacedRelease, p.Size)
+		est.Observe(p.PacedRelease, int(p.Size))
 	}
 }
 

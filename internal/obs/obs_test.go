@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -87,5 +88,47 @@ func TestEnabledPathZeroAllocs(t *testing.T) {
 	}
 	if ta.Packets == 0 || ta.Violations == 0 || ta.Violations == ta.Packets {
 		t.Errorf("packets/violations = %d/%d: the loop must audit both sides of the bound", ta.Packets, ta.Violations)
+	}
+}
+
+// TestViolationSourceJSON: each named source round-trips by name and
+// decodes from its number; a number with no name, or an unknown name,
+// is refused, since MarshalJSON could only write it back as a name the
+// decoder refuses ("source(7)").
+func TestViolationSourceJSON(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want ViolationSource
+		ok   bool
+	}{
+		{`"delivery"`, SourceDelivery, true},
+		{`"window"`, SourceWindow, true},
+		{`0`, SourceDelivery, true},
+		{`1`, SourceWindow, true},
+		{`7`, 0, false},
+		{`"source(7)"`, 0, false},
+		{`"burst"`, 0, false},
+		{`1.5`, 0, false},
+	} {
+		var got ViolationSource
+		err := json.Unmarshal([]byte(tc.in), &got)
+		if (err == nil) != tc.ok {
+			t.Errorf("decoding %s: error %v, want ok=%v", tc.in, err, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			if !strings.Contains(err.Error(), "unknown violation source") {
+				t.Errorf("decoding %s: error %q, want unknown violation source", tc.in, err)
+			}
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("decoding %s = %v, want %v", tc.in, got, tc.want)
+		}
+		out, _ := json.Marshal(got)
+		var back ViolationSource
+		if err := json.Unmarshal(out, &back); err != nil || back != got {
+			t.Errorf("round trip of %s through %s = %v, %v", tc.in, out, back, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // ViolationSource says which instrument emitted a ViolationEvent.
@@ -34,21 +35,17 @@ func (s ViolationSource) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + s.String() + `"`), nil
 }
 
-// UnmarshalJSON accepts the name or the raw number.
+// UnmarshalJSON accepts the name or the raw number of a named source,
+// so whatever it accepts MarshalJSON writes back as a name.
 func (s *ViolationSource) UnmarshalJSON(b []byte) error {
 	str := string(b)
 	for i, n := range violationSourceNames {
-		if str == `"`+n+`"` {
+		if str == `"`+n+`"` || str == strconv.Itoa(i) {
 			*s = ViolationSource(i)
 			return nil
 		}
 	}
-	var v uint8
-	if _, err := fmt.Sscanf(str, "%d", &v); err != nil {
-		return fmt.Errorf("unknown violation source %s", str)
-	}
-	*s = ViolationSource(v)
-	return nil
+	return fmt.Errorf("unknown violation source %s", str)
 }
 
 // ViolationEvent is the one shared violation record every instrument

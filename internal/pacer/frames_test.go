@@ -72,7 +72,7 @@ func TestSteadyStateCycleAllocatesNothing(t *testing.T) {
 // payload (the simulator's packet) alive once it has handed it out. A
 // batch carries its data frames' Refs until the next NextBatch, which
 // clears the batch's whole backing array; the queues clear each slot
-// they pop.
+// they pop, so neither a queue's blocks nor the free list keep one.
 func TestBatchKeepsNoRef(t *testing.T) {
 	h := newBackloggedHost()
 	type payload struct{ id int }
@@ -113,10 +113,16 @@ func TestBatchKeepsNoRef(t *testing.T) {
 				t.Fatalf("vm %d's ready queue still holds Ref %v", vm.ID, p.Ref)
 			}
 		}
+		chains := []*block{vm.free}
 		for _, d := range vm.dests {
-			for _, e := range d.q.buf {
-				if e.ref != nil {
-					t.Fatalf("vm %d's queue to %d still holds Ref %v", vm.ID, d.id, e.ref)
+			chains = append(chains, d.q.head)
+		}
+		for _, b := range chains {
+			for ; b != nil; b = b.next {
+				for _, e := range b.e {
+					if e.ref != nil {
+						t.Fatalf("vm %d's queue blocks still hold Ref %v", vm.ID, e.ref)
+					}
 				}
 			}
 		}

@@ -80,7 +80,7 @@ type Guarantee struct {
 type dest struct {
 	id   int
 	hose *TokenBucket // nil = unconstrained pending coordination
-	q    ring[entry]  // unscheduled packets, FIFO
+	q    fifo         // unscheduled packets, in blocks from VM.free
 	pos  int          // index in VM.backlog while q is non-empty
 	// seen records that traffic was queued toward id and the record is
 	// in VM.dests (SetDestRate alone does not make a destination
@@ -127,7 +127,8 @@ type VM struct {
 	dests   []*dest       // records traffic was queued toward, in first-seen order
 	backlog []*dest       // records with a non-empty queue; the scheduler's whole working set
 	queued  int
-	ready   ring[Packet] // committed packets in (Release, seq) order
+	free    *block // the destination queues' spare blocks
+	ready   ring   // committed packets in (Release, seq) order
 	seq     uint64
 }
 
@@ -205,7 +206,7 @@ func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) {
 		d.seen = true
 		v.dests = append(v.dests, d)
 	}
-	e := d.q.push()
+	e := d.q.push(&v.free)
 	*e = entry{ref: ref, enq: now, seq: v.seq, bytes: bytes}
 	v.seq++
 	if d.q.n == 1 {
@@ -304,7 +305,7 @@ func (v *VM) Schedule(upTo int64) {
 		v.avg.Commit(bestR, e.bytes)
 		v.cap.Commit(bestR, e.bytes)
 		*v.readySlot(bestR, e.seq) = Packet{Ref: e.ref, Bytes: e.bytes, Release: bestR, enq: e.enq, seq: e.seq, Gate: bestGate}
-		best.q.drop()
+		best.q.drop(&v.free)
 		best.stageOK = false
 		if best.q.n == 0 {
 			last := v.backlog[len(v.backlog)-1]
@@ -394,21 +395,20 @@ func (v *VM) readySlot(release int64, seq uint64) *Packet {
 	return &q.buf[q.slot(i)]
 }
 
-// ring is a FIFO of values in a power-of-two ring: the destination
-// queues' entries and the ready queue's packets.
-type ring[T any] struct {
-	buf  []T
-	head int // index of the front element
+// ring is the ready queue: committed packets in a power-of-two ring.
+type ring struct {
+	buf  []Packet
+	head int // index of the front packet
 	n    int
 }
 
-func (q *ring[T]) front() *T { return &q.buf[q.head] }
+func (q *ring) front() *Packet { return &q.buf[q.head] }
 
 // slot maps a queue position (0 = front) to its buffer index.
-func (q *ring[T]) slot(i int) int { return (q.head + i) & (len(q.buf) - 1) }
+func (q *ring) slot(i int) int { return (q.head + i) & (len(q.buf) - 1) }
 
 // grow doubles the buffer when it is full, unrolling the ring.
-func (q *ring[T]) grow() {
+func (q *ring) grow() {
 	if q.n < len(q.buf) {
 		return
 	}
@@ -416,25 +416,79 @@ func (q *ring[T]) grow() {
 	if size == 0 {
 		size = 8
 	}
-	buf := make([]T, size)
+	buf := make([]Packet, size)
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
 }
 
-// push appends a slot at the back and returns it for the caller to
-// fill.
-func (q *ring[T]) push() *T {
-	q.grow()
-	q.n++
-	return &q.buf[q.slot(q.n-1)]
-}
-
-// drop removes the front element, zeroing its slot so the ring keeps
-// no payload reference alive.
-func (q *ring[T]) drop() {
-	var zero T
-	q.buf[q.head] = zero
+// drop removes the front packet, zeroing its slot so the ring keeps no
+// payload reference alive.
+func (q *ring) drop() {
+	q.buf[q.head] = Packet{}
 	q.head = q.slot(1)
 	q.n--
+}
+
+// blockLen is the number of entries in one queue block: 51 entries and
+// the link fill a 2 KiB allocation exactly.
+const blockLen = 51
+
+// block is a fixed run of destination-queue entries. A VM's queues
+// take blocks from its free list and give each back once it is read
+// out, so the blocks a VM owns follow its total backlog, not the sum of
+// each destination's peak, and a queue grows without copying.
+type block struct {
+	e    [blockLen]entry
+	next *block // the next block of the same queue, or of the free list
+}
+
+// fifo is one destination's queue: a chain of blocks, read at
+// head.e[lo] and written at tail.e[hi]. An empty fifo holds no block.
+type fifo struct {
+	head, tail *block
+	lo, hi     int
+	n          int
+}
+
+func (q *fifo) front() *entry { return &q.head.e[q.lo] }
+
+// push appends a slot at the back, taking a block from *free (or a new
+// one) when the tail is full, and returns it for the caller to fill.
+func (q *fifo) push(free **block) *entry {
+	if q.tail == nil || q.hi == blockLen {
+		b := *free
+		if b == nil {
+			b = new(block)
+		} else {
+			*free, b.next = b.next, nil
+		}
+		if q.tail == nil {
+			q.head = b
+		} else {
+			q.tail.next = b
+		}
+		q.tail, q.hi = b, 0
+	}
+	q.n++
+	q.hi++
+	return &q.tail.e[q.hi-1]
+}
+
+// drop removes the front entry, zeroing it so the queue keeps no
+// payload reference alive, and returns a block it has read out to
+// *free.
+func (q *fifo) drop(free **block) {
+	q.head.e[q.lo] = entry{}
+	q.lo++
+	q.n--
+	if q.n > 0 && q.lo < blockLen {
+		return
+	}
+	b := q.head
+	q.head, q.lo = b.next, 0
+	b.next, *free = *free, b
+	if q.n == 0 {
+		q.head, q.tail, q.hi = nil, nil, 0
+	}
 }

@@ -95,7 +95,13 @@ type pendingMsg struct {
 // Conn is the sender side of a one-directional byte stream carrying
 // messages.
 type Conn struct {
-	e     *Endpoint
+	e *Endpoint
+	// peer is the destination's receive state for this connection,
+	// resolved through the Fabric on first use and again whenever the
+	// destination VM's endpoint is replaced. A delivered data segment
+	// reaches it through its Hdr.Conn, and the ack path reads e, so the
+	// two share a cache line.
+	peer  *rcvState
 	dstVM int
 
 	// Sequence state (bytes).
@@ -120,11 +126,6 @@ type Conn struct {
 	backoff      int64
 	// rtoTimer is the retransmission timer.
 	rtoTimer *netsim.Timer
-
-	// peer is the destination's receive state for this connection,
-	// resolved through the Fabric on first use and again whenever the
-	// destination VM's endpoint is replaced.
-	peer *rcvState
 
 	// Messages in flight or queued.
 	msgs []*Message
@@ -207,14 +208,13 @@ func (c *Conn) emit(seq int64, n int) {
 	p.Dst = rs.e.HostID
 	p.SrcVM = c.e.VMID
 	p.DstVM = c.dstVM
-	p.Size = n + HeaderBytes
-	p.Prio = c.e.opt.Prio
+	p.Size = int32(n + HeaderBytes)
+	p.Prio = int8(c.e.opt.Prio)
 	p.ECNCapable = c.e.opt.Variant == DCTCP
 	p.HasHdr = true
 	h := &p.Hdr
 	h.Seq = seq
 	h.TS = c.e.sim.Now()
-	h.Rcv = rs
 	h.Conn = c
 	// Attach framing for the message this segment belongs to: msgs is
 	// ordered by start (and so by end), so the first message ending

@@ -225,8 +225,9 @@ func TestReceivePathMatchesMapOracle(t *testing.T) {
 			c := senders[a.sender].Conn(200)
 			oracle.onData(c.e.VMID, a)
 			p := nw.Sim.AllocPacket()
-			p.Src, p.Dst, p.SrcVM, p.DstVM, p.Size, p.CE, p.HasHdr = c.e.HostID, 1, c.e.VMID, 200, a.length+HeaderBytes, a.ce, true
-			p.Hdr = netsim.Header{Seq: a.seq, TS: a.sentAt, MsgID: a.msgID, MsgEnd: a.msgEnd, MsgSize: int32(a.msgSize), Rcv: c.resolvePeer(), Conn: c}
+			p.Src, p.Dst, p.SrcVM, p.DstVM, p.Size, p.CE, p.HasHdr = c.e.HostID, 1, c.e.VMID, 200, int32(a.length+HeaderBytes), a.ce, true
+			p.Hdr = netsim.Header{Seq: a.seq, TS: a.sentAt, MsgID: a.msgID, MsgEnd: a.msgEnd, MsgSize: int32(a.msgSize), Conn: c}
+			c.resolvePeer() // as emit does: the segment finds its receive state through c.peer
 			f.deliver(p)
 			nw.Sim.Run(nw.Sim.Now() + 2_000)
 		}

@@ -128,7 +128,7 @@ func (e *Endpoint) sendAck(data *netsim.Packet, rs *rcvState) {
 	p.SrcVM = e.VMID
 	p.DstVM = data.SrcVM
 	p.Size = AckBytes
-	p.Prio = e.opt.Prio
+	p.Prio = int8(e.opt.Prio)
 	p.HasHdr, p.Ack, p.ECE = true, true, data.CE
 	h := &p.Hdr
 	h.Seq = rs.rcvNxt

@@ -190,12 +190,16 @@ func (f *Fabric) ackConn(p *netsim.Packet) *Conn {
 	return e.conns[p.SrcVM]
 }
 
-// dataRcv resolves a data segment to its receive state: the one the
-// sender resolved when it emitted the segment, unless that endpoint has
-// been replaced since, in which case the VM's current endpoint's.
+// dataRcv resolves a data segment to its receive state: the sending
+// connection's peer, unless that endpoint has been replaced since, in
+// which case the VM's current endpoint's. Endpoints are never removed,
+// so a peer whose endpoint is not replaced is the one the current
+// endpoint keeps for this sender.
 func (f *Fabric) dataRcv(p *netsim.Packet) *rcvState {
-	if rs, _ := p.Hdr.Rcv.(*rcvState); rs != nil && !rs.e.replaced {
-		return rs
+	if c, _ := p.Hdr.Conn.(*Conn); c != nil {
+		if rs := c.peer; rs != nil && !rs.e.replaced {
+			return rs
+		}
 	}
 	e, ok := f.endpoints[p.DstVM]
 	if !ok {
